@@ -164,5 +164,18 @@ bench-recover:
 	go test -run - -bench 'BenchmarkRecovery' -benchtime 3x .
 	go run ./cmd/ledgerbench -exp recover
 
+# The repository's benchmark (BENCHMARK.json; bench/README.md): the six
+# workloads end to end, results under bench/out/.
+.PHONY: bench
+bench:
+	bash bench/run.sh
+
+# bench/ is a module of its own that the root `go test ./...` never
+# reaches: build it and run its tests, so a change to the facade it
+# compiles against cannot break the benchmark unnoticed.
+.PHONY: bench-test
+bench-test:
+	go -C bench test .
+
 .PHONY: check
-check: fmt-check vet test test-race-verify test-race-commit test-race-obs test-race-health test-race-read test-race-shard test-race-audit test-race-recover
+check: fmt-check vet test bench-test test-race-verify test-race-commit test-race-obs test-race-health test-race-read test-race-shard test-race-audit test-race-recover

@@ -93,6 +93,7 @@ func main() {
 		if err != nil || !ok {
 			log.Fatal(err)
 		}
+		r = r.Clone() // Get returns a read-only view of the stored row
 		r[4] = sqlledger.NVarChar("recalled")
 		must(recall.Update(parts, r))
 	}

@@ -74,6 +74,7 @@ func TestFullLifecycle(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatal(err)
 		}
+		r = r.Clone() // Get returns a read-only view
 		r[3] = sqlledger.NVarChar("shipped")
 		if err := tx.Update(orders, r); err != nil {
 			t.Fatal(err)

@@ -655,32 +655,30 @@ func opsRoot(ops []auditOp) merkle.Hash {
 	return tree.Root()
 }
 
-// txTableOps recomputes one transaction's row-version ops (hash + key)
-// for one ledger table, scanning base and history. With a non-nil rtx
-// the scans read the pinned snapshot, which makes the result consistent
-// under concurrent writers; nil reads latest-committed (fine on a
-// quiescent database).
-func txTableOps(lt *LedgerTable, txID uint64, rtx *engine.ReadTx) []auditOp {
+// collectTxOps recomputes the row-version ops (hash + key) of every
+// transaction in wanted for one ledger table, in one scan of base and one
+// of history on the caller's pinned snapshot (consistent under concurrent
+// writers), hashing only rows a wanted transaction created or ended. Each
+// bucket holds, in commit sequence order, the leaves of that transaction's
+// Merkle tree for the table: the per-transaction slice of invariant 4,
+// shared by read receipts, bisection and the sampled pass.
+func collectTxOps(lt *LedgerTable, rtx *engine.ReadTx, wanted map[uint64]*wal.LedgerEntry) map[uint64][]auditOp {
 	s := lt.table.Schema()
-	var ops []auditOp
+	byTx := make(map[uint64][]auditOp)
 	collect := func(t *engine.Table, history bool) {
-		scan := func(fn func(k []byte, full sqltypes.Row) bool) {
-			if rtx != nil {
-				_ = rtx.Scan(t, fn)
-			} else {
-				t.Scan(fn)
-			}
-		}
-		scan(func(k []byte, full sqltypes.Row) bool {
-			if uint64(full[lt.startTxOrd].Int()) == txID {
-				ops = append(ops, auditOp{
+		_ = rtx.Scan(t, func(k []byte, full sqltypes.Row) bool {
+			if tx := uint64(full[lt.startTxOrd].Int()); wanted[tx] != nil {
+				byTx[tx] = append(byTx[tx], auditOp{
 					seq:  uint64(full[lt.startSeqOrd].Int()),
 					hash: serial.HashRow(s, full, serial.OpInsert, lt.skipEnd),
 					key:  append([]byte(nil), k...),
 				})
 			}
-			if history && uint64(full[lt.endTxOrd].Int()) == txID {
-				ops = append(ops, auditOp{
+			if !history {
+				return true
+			}
+			if tx := uint64(full[lt.endTxOrd].Int()); wanted[tx] != nil {
+				byTx[tx] = append(byTx[tx], auditOp{
 					seq:  uint64(full[lt.endSeqOrd].Int()),
 					hash: serial.HashRow(s, full, serial.OpDelete, nil),
 					key:  append([]byte(nil), k...),
@@ -694,8 +692,10 @@ func txTableOps(lt *LedgerTable, txID uint64, rtx *engine.ReadTx) []auditOp {
 	if lt.history != nil {
 		collect(lt.history, true)
 	}
-	sortOps(ops)
-	return ops
+	for _, ops := range byTx {
+		sortOps(ops)
+	}
+	return byTx
 }
 
 // ledgerTableByID resolves a registered ledger table by base-table id.
@@ -713,12 +713,13 @@ func (l *LedgerDB) ledgerTableByID(id uint32) *LedgerTable {
 func (a *Auditor) deepCheckTx(e *wal.LedgerEntry, mode string) *TamperReport {
 	rtx := a.l.edb.BeginReadOnly()
 	defer rtx.Close()
+	wanted := map[uint64]*wal.LedgerEntry{e.TxID: e}
 	for _, tr := range e.Roots {
 		lt := a.l.ledgerTableByID(tr.TableID)
 		if lt == nil {
 			continue
 		}
-		ops := txTableOps(lt, e.TxID, rtx)
+		ops := collectTxOps(lt, rtx, wanted)[e.TxID]
 		if rep := a.checkTxTable(e, lt, tr.Root, ops, mode); rep != nil {
 			return rep
 		}
@@ -800,10 +801,6 @@ func (a *Auditor) sampledPass(truncatedBefore, truncatedMaxTx uint64) (int64, *T
 	defer rtx.Close()
 	ts := rtx.TS()
 
-	type txTableKey struct {
-		tx    uint64
-		table uint32
-	}
 	entries := make(map[uint64]*wal.LedgerEntry)
 	var checked int64
 	for _, b := range sampled {
@@ -850,38 +847,9 @@ func (a *Auditor) sampledPass(truncatedBefore, truncatedMaxTx uint64) (int64, *T
 
 	// One snapshot scan per ledger table (base + history), accumulating
 	// ops only for sampled transactions.
-	acc := make(map[txTableKey][]auditOp)
+	acc := make(map[uint32]map[uint64][]auditOp)
 	for _, lt := range l.LedgerTables() {
-		s := lt.table.Schema()
-		tid := lt.ID()
-		collect := func(t *engine.Table, history bool) {
-			_ = rtx.Scan(t, func(k []byte, full sqltypes.Row) bool {
-				if tx := uint64(full[lt.startTxOrd].Int()); entries[tx] != nil {
-					kk := txTableKey{tx, tid}
-					acc[kk] = append(acc[kk], auditOp{
-						seq:  uint64(full[lt.startSeqOrd].Int()),
-						hash: serial.HashRow(s, full, serial.OpInsert, lt.skipEnd),
-						key:  append([]byte(nil), k...),
-					})
-				}
-				if history {
-					if tx := uint64(full[lt.endTxOrd].Int()); entries[tx] != nil {
-						kk := txTableKey{tx, tid}
-						acc[kk] = append(acc[kk], auditOp{
-							seq:  uint64(full[lt.endSeqOrd].Int()),
-							hash: serial.HashRow(s, full, serial.OpDelete, nil),
-							key:  append([]byte(nil), k...),
-							del:  true,
-						})
-					}
-				}
-				return true
-			})
-		}
-		collect(lt.table, false)
-		if lt.history != nil {
-			collect(lt.history, true)
-		}
+		acc[lt.ID()] = collectTxOps(lt, rtx, entries)
 	}
 
 	// Compare every sampled transaction's recorded roots.
@@ -897,9 +865,7 @@ func (a *Auditor) sampledPass(truncatedBefore, truncatedMaxTx uint64) (int64, *T
 			if lt == nil {
 				continue
 			}
-			ops := acc[txTableKey{tx, tr.TableID}]
-			sortOps(ops)
-			if rep := a.checkTxTable(e, lt, tr.Root, ops, "sampled"); rep != nil {
+			if rep := a.checkTxTable(e, lt, tr.Root, acc[tr.TableID][tx], "sampled"); rep != nil {
 				// Confirm on a fresh snapshot before reporting: the
 				// original scan cannot race, but the deep check also
 				// re-localizes with the newest data.

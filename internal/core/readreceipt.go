@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"sqlledger/internal/engine"
 	"sqlledger/internal/merkle"
 	"sqlledger/internal/serial"
 	"sqlledger/internal/wal"
@@ -78,13 +79,15 @@ func ParseReadReceipt(b []byte) (ReadReceipt, error) {
 	return r, nil
 }
 
-// buildReadReceipt assembles the receipt for a snapshot read set. The
-// caller still holds the snapshot pin, so version GC cannot reclaim the
-// proven versions while the Merkle trees are rebuilt.
-func (l *LedgerDB) buildReadReceipt(reads []readRecord, snapTS int64, priv ed25519.PrivateKey) (ReadReceipt, error) {
+// buildReadReceipt assembles the receipt for a snapshot read set. rtx is
+// the reader's still-pinned snapshot: version GC cannot reclaim the proven
+// versions, and the Merkle trees are rebuilt from that one cut — one scan
+// of base + history per table, however many transactions created the rows
+// — so a concurrent writer cannot move a row between the two scans.
+func (l *LedgerDB) buildReadReceipt(reads []readRecord, rtx *engine.ReadTx, priv ed25519.PrivateKey) (ReadReceipt, error) {
 	r := ReadReceipt{
 		DatabaseName: l.opts.Name,
-		SnapshotTS:   snapTS,
+		SnapshotTS:   rtx.TS(),
 		PublicKey:    append(ed25519.PublicKey(nil), priv.Public().(ed25519.PublicKey)...),
 	}
 	if len(reads) == 0 {
@@ -114,33 +117,34 @@ func (l *LedgerDB) buildReadReceipt(reads []readRecord, snapTS int64, priv ed255
 	}
 	groups := make(map[txTable][]int)
 	var groupOrder []txTable
+	entries := make(map[uint64]*wal.LedgerEntry) // by creating transaction
 	for i, rec := range reads {
 		k := txTable{tableID: rec.lt.ID(), txID: uint64(rec.full[rec.lt.startTxOrd].Int())}
 		if _, ok := groups[k]; !ok {
 			groupOrder = append(groupOrder, k)
 		}
 		groups[k] = append(groups[k], i)
+		entries[k.txID] = nil
 	}
 
-	// Resolve each distinct creating transaction's ledger entry, then
-	// prove all entries of one block in a single tree construction.
+	// Resolve every creating transaction's ledger entry, then prove all
+	// entries of one block in a single tree construction.
+	if err := l.resolveEntries(entries); err != nil {
+		return ReadReceipt{}, err
+	}
 	entryIdx := make(map[uint64]int)
-	entries := make(map[uint64]*wal.LedgerEntry)
 	byBlock := make(map[uint64][]uint64) // block → txIDs, first-seen order
 	var blockOrder []uint64
 	for _, k := range groupOrder {
-		if _, ok := entries[k.txID]; ok {
+		if _, seen := entryIdx[k.txID]; seen {
 			continue
 		}
-		e, err := l.entryOfTx(k.txID)
-		if err != nil {
-			return ReadReceipt{}, err
+		entryIdx[k.txID] = -1 // assigned with its block, below
+		blockID := entries[k.txID].BlockID
+		if _, ok := byBlock[blockID]; !ok {
+			blockOrder = append(blockOrder, blockID)
 		}
-		entries[k.txID] = e
-		if _, ok := byBlock[e.BlockID]; !ok {
-			blockOrder = append(blockOrder, e.BlockID)
-		}
-		byBlock[e.BlockID] = append(byBlock[e.BlockID], k.txID)
+		byBlock[blockID] = append(byBlock[blockID], k.txID)
 	}
 	for _, blockID := range blockOrder {
 		es := l.entriesOfBlock(blockID)
@@ -174,22 +178,27 @@ func (l *LedgerDB) buildReadReceipt(reads []readRecord, snapTS int64, priv ed255
 		}
 	}
 
-	// Prove every read row inside its (transaction, table) tree. The tree
-	// is rebuilt from current table content — the same recomputation
-	// verification's invariant 4 performs — and cross-checked against the
-	// root recorded in the ledger entry before any proof is emitted.
+	// Prove every read row inside its (transaction, table) tree. A table's
+	// trees are rebuilt from its content at the snapshot in one scan — the
+	// same recomputation verification's invariant 4 performs — and each is
+	// cross-checked against the root recorded in the ledger entry before
+	// any proof is emitted.
+	tableOps := make(map[uint32]map[uint64][]auditOp)
 	r.Rows = make([]ReadReceiptRow, len(reads))
 	for _, k := range groupOrder {
-		e := entries[k.txID]
-		var lt *LedgerTable
-		for _, i := range groups[k] {
-			lt = reads[i].lt
-			break
+		lt := reads[groups[k][0]].lt
+		ops, ok := tableOps[k.tableID]
+		if !ok {
+			ops = collectTxOps(lt, rtx, entries)
+			tableOps[k.tableID] = ops
 		}
-		leaves := txTableLeaves(lt, k.txID)
+		leaves := make([]merkle.Hash, len(ops[k.txID]))
+		for i, o := range ops[k.txID] {
+			leaves[i] = o.hash
+		}
 		var want merkle.Hash
 		wantFound := false
-		for _, tr := range e.Roots {
+		for _, tr := range entries[k.txID].Roots {
 			if tr.TableID == k.tableID {
 				want, wantFound = tr.Root, true
 				break
@@ -233,20 +242,6 @@ func (l *LedgerDB) buildReadReceipt(reads []readRecord, snapTS int64, priv ed255
 		}
 	}
 	return r, nil
-}
-
-// txTableLeaves recomputes, in commit sequence order, the Merkle leaves of
-// one transaction's tree for one ledger table: insert-op hashes of rows
-// the transaction created (base or history) and delete-op hashes of
-// history rows it ended — the per-transaction slice of the invariant-4
-// recomputation, shared with the auditor's bisection (txTableOps).
-func txTableLeaves(lt *LedgerTable, txID uint64) []merkle.Hash {
-	ops := txTableOps(lt, txID, nil)
-	leaves := make([]merkle.Hash, len(ops))
-	for i, o := range ops {
-		leaves[i] = o.hash
-	}
-	return leaves
 }
 
 // VerifyReadReceipt checks a read receipt offline: every block root

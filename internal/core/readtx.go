@@ -98,14 +98,15 @@ func (rt *ReadTx) record(lt *LedgerTable, full sqltypes.Row) {
 }
 
 // Get returns the visible row with the given primary-key values as of the
-// snapshot.
+// snapshot. The row is a read-only view that may alias storage: Clone
+// before mutating or retaining it.
 func (rt *ReadTx) Get(lt *LedgerTable, keyVals ...sqltypes.Value) (sqltypes.Row, bool, error) {
 	full, ok, err := rt.rtx.Get(lt.table, keyVals...)
 	if err != nil || !ok {
 		return nil, ok, err
 	}
 	rt.record(lt, full)
-	return lt.VisibleRow(full), true, nil
+	return lt.project(full), true, nil
 }
 
 // Scan iterates the visible rows of a ledger table as of the snapshot, in
@@ -123,10 +124,9 @@ func (rt *ReadTx) ScanPrefix(lt *LedgerTable, fn func(row sqltypes.Row) bool, va
 }
 
 func (rt *ReadTx) scanRange(lt *LedgerTable, start, end []byte, fn func(row sqltypes.Row) bool) error {
-	project := lt.visibleProjector()
 	return rt.rtx.ScanRange(lt.table, start, end, func(_ []byte, full sqltypes.Row) bool {
 		rt.record(lt, full)
-		return fn(project(full))
+		return fn(lt.project(full))
 	})
 }
 
@@ -157,7 +157,7 @@ func (rt *ReadTx) CloseWithReceipt(priv ed25519.PrivateKey) (ReadReceipt, error)
 	if !rt.collect {
 		return ReadReceipt{}, ErrReceiptNotRequested
 	}
-	r, err := rt.l.buildReadReceipt(rt.reads, rt.rtx.TS(), priv)
+	r, err := rt.l.buildReadReceipt(rt.reads, rt.rtx, priv)
 	rt.Close()
 	return r, err
 }

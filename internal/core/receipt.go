@@ -77,26 +77,41 @@ func signedMessage(dbName string, blockID uint64, root merkle.Hash) []byte {
 	return h[:]
 }
 
-// entryOfTx returns txID's ledger entry, from the system table if the
-// entry was persisted or from the in-memory queue otherwise.
-func (l *LedgerDB) entryOfTx(txID uint64) (*wal.LedgerEntry, error) {
-	key := sqltypes.EncodeKey(nil, sqltypes.NewBigInt(int64(txID)))
-	if row, ok := l.sysTx.Lookup(key); ok {
-		return rowToEntry(row), nil
-	}
-	var e *wal.LedgerEntry
-	l.lmu.Lock()
-	for _, q := range l.queue {
-		if q.TxID == txID {
-			e = q.Clone()
-			break
+// resolveEntries fills in the ledger entry of every transaction id keyed
+// in want: from the system table if persisted, otherwise from the
+// in-memory queue — every commit since the last checkpoint, walked under
+// the commit path's lmu, so once however many entries are asked for.
+func (l *LedgerDB) resolveEntries(want map[uint64]*wal.LedgerEntry) error {
+	queued := 0
+	for txID := range want {
+		if row, ok := l.sysTx.Lookup(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(int64(txID)))); ok {
+			want[txID] = rowToEntry(row)
+		} else {
+			queued++
 		}
 	}
-	l.lmu.Unlock()
-	if e == nil {
-		return nil, fmt.Errorf("core: transaction %d is not in the ledger", txID)
+	if queued > 0 {
+		l.lmu.Lock()
+		for _, q := range l.queue {
+			if e, ok := want[q.TxID]; ok && e == nil {
+				want[q.TxID] = q.Clone()
+			}
+		}
+		l.lmu.Unlock()
 	}
-	return e, nil
+	for txID, e := range want {
+		if e == nil {
+			return fmt.Errorf("core: transaction %d is not in the ledger", txID)
+		}
+	}
+	return nil
+}
+
+// entryOfTx returns txID's ledger entry.
+func (l *LedgerDB) entryOfTx(txID uint64) (*wal.LedgerEntry, error) {
+	want := map[uint64]*wal.LedgerEntry{txID: nil}
+	err := l.resolveEntries(want)
+	return want[txID], err
 }
 
 // toReceiptEntry converts a ledger entry to its receipt form.

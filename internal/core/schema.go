@@ -57,6 +57,7 @@ func (l *LedgerDB) AddColumn(lt *LedgerTable, col sqltypes.Column) error {
 			return fmt.Errorf("core: ledger/history column ordinals diverged (%d vs %d)", ord, hOrd)
 		}
 	}
+	lt.refreshProjection()
 	if err := l.storeViewDefinition(lt); err != nil {
 		return err
 	}
@@ -115,6 +116,7 @@ func (l *LedgerDB) DropColumn(lt *LedgerTable, name string) error {
 			return err
 		}
 	}
+	lt.refreshProjection()
 	if err := l.storeViewDefinition(lt); err != nil {
 		return err
 	}

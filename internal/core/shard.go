@@ -208,7 +208,10 @@ func OpenSharded(opts Options) (*ShardedDB, error) {
 	// Open the shards concurrently: each is an independent LedgerDB whose
 	// recovery replays its own WAL, so N shards restart in the wall-clock
 	// time of the slowest one instead of the sum. Version-GC sweeps are
-	// staggered so N instances on one box don't tick in lockstep.
+	// staggered so N instances on one box don't tick in lockstep. Under an
+	// injected Options.Clock the shards open one after another instead:
+	// they share that clock, a fresh shard's bootstrap commits draw from
+	// it, and only a fixed draw order keeps digests reproducible.
 	s.shards = make([]*LedgerDB, n)
 	openErrs := make([]error, n)
 	var owg sync.WaitGroup
@@ -222,6 +225,10 @@ func OpenSharded(opts Options) (*ShardedDB, error) {
 				sopts.VersionGCInterval = 250 * time.Millisecond
 			}
 			sopts.VersionGCInterval += time.Duration(i) * 7 * time.Millisecond
+		}
+		if opts.Clock != nil {
+			s.shards[i], openErrs[i] = Open(sopts)
+			continue
 		}
 		owg.Add(1)
 		go func(i int, sopts Options) {
@@ -586,7 +593,8 @@ func (stx *ShardedTx) Delete(st *ShardedTable, keyVals ...sqltypes.Value) error 
 	return stx.at(i).Delete(st.parts[i], keyVals...)
 }
 
-// Get routes and reads one row by primary-key values.
+// Get routes and reads one row by primary-key values. The row is a
+// read-only view, as for Tx.Get.
 func (stx *ShardedTx) Get(st *ShardedTable, keyVals ...sqltypes.Value) (sqltypes.Row, bool, error) {
 	if stx.done {
 		return nil, false, ErrTxUsed

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"sqlledger/internal/engine"
 	"sqlledger/internal/serial"
@@ -28,6 +29,12 @@ type LedgerTable struct {
 	// end columns populated (§3.1, §3.4). A bitmask instead of a closure
 	// keeps the per-row hash path allocation-free.
 	skipEnd serial.SkipMask
+
+	// densePrefix is n when the visible columns are exactly the first n
+	// schema columns (user columns, then the hidden ones: no drops, no
+	// later additions), else 0. Atomic: column DDL rewrites it under
+	// concurrent readers.
+	densePrefix atomic.Int32
 }
 
 // Name returns the table name.
@@ -187,6 +194,7 @@ func (l *LedgerDB) wrapLedgerTable(t *engine.Table) (*LedgerTable, error) {
 		return nil, err
 	}
 	lt.skipEnd = serial.NewSkipMask(lt.endTxOrd, lt.endSeqOrd)
+	lt.refreshProjection()
 	if m.Ledger == engine.LedgerUpdateable {
 		if lt.history, err = l.edb.TableByID(m.HistoryTableID); err != nil {
 			return nil, fmt.Errorf("core: history table of %s: %w", m.Name, err)
@@ -267,9 +275,10 @@ func (lt *LedgerTable) fullRowInto(out sqltypes.Row, visible sqltypes.Row, txID 
 	return out, nil
 }
 
-// VisibleRow projects a storage row onto the application-visible columns.
-// The result is a fresh slice safe for the caller to modify and pass back
-// to Update.
+// VisibleRow copies the application-visible columns of a storage row into
+// a fresh slice the caller owns: the projection for schemas with dropped
+// or late-added columns, and for callers that keep or edit the result.
+// Reads on the usual dense schema never reach it — see project.
 func (lt *LedgerTable) VisibleRow(full sqltypes.Row) sqltypes.Row {
 	s := lt.table.Schema()
 	out := make(sqltypes.Row, 0, len(full))
@@ -281,44 +290,36 @@ func (lt *LedgerTable) VisibleRow(full sqltypes.Row) sqltypes.Row {
 	return out
 }
 
-// densePrefix returns n > 0 when the visible columns are exactly the
-// first n schema columns (the common case: user columns followed by the
-// four hidden system columns, no drops, no post-creation additions), or
-// -1 otherwise. Scans use it to project rows by subslicing instead of
-// allocating — reads on ledger tables must cost the same as on regular
-// tables, as in the paper.
-func (lt *LedgerTable) densePrefix() int {
-	s := lt.table.Schema()
-	n := -1
-	for i, c := range s.Columns {
-		visible := !c.Hidden && !c.Dropped
-		switch {
-		case visible && n == -1:
-			// still in the visible prefix
-		case !visible && n == -1:
-			n = i // first invisible column ends the prefix
-		case visible && n != -1:
-			return -1 // visible column after an invisible one: not dense
+// refreshProjection recomputes densePrefix; wrapLedgerTable and the
+// column DDL call it, so reads never walk the schema.
+func (lt *LedgerTable) refreshProjection() {
+	cols := lt.table.Schema().Columns
+	visible := func(c sqltypes.Column) bool { return !c.Hidden && !c.Dropped }
+	n := 0
+	for n < len(cols) && visible(cols[n]) {
+		n++
+	}
+	for _, c := range cols[n:] {
+		if visible(c) {
+			n = 0 // visible after invisible: not a prefix
+			break
 		}
 	}
-	if n == -1 {
-		n = len(s.Columns)
-	}
-	if n == 0 {
-		return -1
-	}
-	return n
+	lt.densePrefix.Store(int32(n))
 }
 
-// visibleProjector returns the cheapest projection for scan callbacks.
-// Rows it returns may alias storage and are only valid during the
-// callback; callers must Clone before mutating or retaining them (the
-// same contract as engine.Table.Scan).
-func (lt *LedgerTable) visibleProjector() func(sqltypes.Row) sqltypes.Row {
-	if n := lt.densePrefix(); n > 0 {
-		return func(full sqltypes.Row) sqltypes.Row { return full[:n] }
+// project is the projection of every read path (Get, Scan, ScanPrefix, on
+// Tx and ReadTx): on a dense schema a subslice — no allocation, so a read
+// of a ledger table costs what it costs on a regular table, as in the
+// paper — and VisibleRow's copy otherwise. The result is a read-only view
+// that may alias storage: callers Clone before mutating or retaining it,
+// the contract engine.Tx.Get and engine.Table.Scan have. The clipped
+// capacity keeps an append off the hidden columns behind the view.
+func (lt *LedgerTable) project(full sqltypes.Row) sqltypes.Row {
+	if n := int(lt.densePrefix.Load()); n > 0 {
+		return full[:n:n]
 	}
-	return lt.VisibleRow
+	return lt.VisibleRow(full)
 }
 
 // endedRow returns a copy of a version row with the end-transaction

@@ -429,32 +429,32 @@ func (tx *Tx) refreshRow(lt *LedgerTable, key []byte) error {
 	return nil
 }
 
-// Get returns the visible row with the given primary-key values.
+// Get returns the visible row with the given primary-key values. The row
+// is a read-only view that may alias storage: Clone before mutating or
+// retaining it, as with engine.Tx.Get on a regular table.
 func (tx *Tx) Get(lt *LedgerTable, keyVals ...sqltypes.Value) (sqltypes.Row, bool, error) {
 	full, ok, err := tx.etx.Get(lt.table, keyVals...)
 	if err != nil || !ok {
 		return nil, ok, err
 	}
-	return lt.VisibleRow(full), true, nil
+	return lt.project(full), true, nil
 }
 
 // Scan iterates the visible rows of a ledger table in primary-key order.
 // Rows passed to fn may alias storage and are only valid during the
 // callback: Clone before mutating or retaining them.
 func (tx *Tx) Scan(lt *LedgerTable, fn func(row sqltypes.Row) bool) error {
-	project := lt.visibleProjector()
 	return tx.etx.Scan(lt.table, func(_ []byte, full sqltypes.Row) bool {
-		return fn(project(full))
+		return fn(lt.project(full))
 	})
 }
 
 // ScanPrefix iterates the visible rows whose leading primary-key columns
 // equal vals, in primary-key order. The callback contract is as for Scan.
 func (tx *Tx) ScanPrefix(lt *LedgerTable, fn func(row sqltypes.Row) bool, vals ...sqltypes.Value) error {
-	project := lt.visibleProjector()
 	start, end := engine.PrefixRange(vals...)
 	return tx.etx.ScanRange(lt.table, start, end, func(_ []byte, full sqltypes.Row) bool {
-		return fn(project(full))
+		return fn(lt.project(full))
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"sqlledger"
@@ -20,7 +21,14 @@ func (t *TPCC) NewOrder(rng *rand.Rand) error {
 	w := int64(uniform(rng, 1, t.Warehouses))
 	d := int64(uniform(rng, 1, tpccDistrictsPerWarehouse))
 	cid := int64(nonUniform(rng, 1023, 1, tpccCustomersPerDistrict))
-	nLines := uniform(rng, 5, 15)
+	// Stock rows are locked in item order, so two New-Orders cannot
+	// deadlock on them.
+	type orderLine struct{ item, qty int64 }
+	lines := make([]orderLine, uniform(rng, 5, 15))
+	for i := range lines {
+		lines[i] = orderLine{int64(nonUniform(rng, 8191, 1, tpccItems)), int64(uniform(rng, 1, 10))}
+	}
+	sort.Slice(lines, func(i, j int) bool { return lines[i].item < lines[j].item })
 
 	s := t.Begin("app").Op("new_order")
 	defer s.Rollback()
@@ -41,7 +49,7 @@ func (t *TPCC) NewOrder(rng *rand.Rand) error {
 	if err := s.Insert(t.orders, sqlledger.Row{
 		sqlledger.BigInt(w), sqlledger.BigInt(d), sqlledger.BigInt(oid),
 		sqlledger.BigInt(cid), sqlledger.DateTime(time.Now()),
-		sqlledger.Null(sqlledger.TypeBigInt), sqlledger.BigInt(int64(nLines)),
+		sqlledger.Null(sqlledger.TypeBigInt), sqlledger.BigInt(int64(len(lines))),
 	}); err != nil {
 		return err
 	}
@@ -50,9 +58,8 @@ func (t *TPCC) NewOrder(rng *rand.Rand) error {
 	}); err != nil {
 		return err
 	}
-	for ln := 1; ln <= nLines; ln++ {
-		item := int64(nonUniform(rng, 8191, 1, tpccItems))
-		qty := int64(uniform(rng, 1, 10))
+	for i, line := range lines {
+		item, qty := line.item, line.qty
 		iRow, ok, err := s.Get(t.item, sqlledger.BigInt(item))
 		if err != nil || !ok {
 			return fmt.Errorf("workload: item %d: %v", item, err)
@@ -74,7 +81,7 @@ func (t *TPCC) NewOrder(rng *rand.Rand) error {
 			return err
 		}
 		if err := s.Insert(t.orderLine, sqlledger.Row{
-			sqlledger.BigInt(w), sqlledger.BigInt(d), sqlledger.BigInt(oid), sqlledger.BigInt(int64(ln)),
+			sqlledger.BigInt(w), sqlledger.BigInt(d), sqlledger.BigInt(oid), sqlledger.BigInt(int64(i + 1)),
 			sqlledger.BigInt(item), sqlledger.BigInt(qty), sqlledger.BigInt(qty * price),
 			sqlledger.Null(sqlledger.TypeDateTime),
 		}); err != nil {

@@ -52,7 +52,9 @@ import (
 type (
 	// DB is a database with SQL Ledger enabled.
 	DB = core.LedgerDB
-	// Tx is a ledger-aware transaction.
+	// Tx is a ledger-aware transaction. Rows returned by Get and passed
+	// to Scan callbacks are read-only views of stored rows, on ledger and
+	// regular tables alike: Clone before editing or keeping one.
 	Tx = core.Tx
 	// ReadTx is a ledger-aware snapshot read transaction: reads never take
 	// row locks and see a consistent applied-commit cut. Begun via
