@@ -168,120 +168,134 @@ func TestAuditorDiscardsForeignWatermark(t *testing.T) {
 	cycleOK(t, a)
 }
 
-// TestAuditorTamperMatrix injects one mutation per ledger surface and
-// asserts the auditor's bisection pins each to the right place.
+// TestAuditorTamperMatrix runs the shared tamper matrix as a
+// Verify-vs-Auditor differential: on every case a full-strength auditor —
+// fresh (the incremental pass meets the damage) and standing (it verified
+// the ledger before the tamper, so the re-anchor or the sampled pass
+// does) — must agree with Verify on whether the ledger is intact, its
+// report must name an (invariant, table) Verify also reports, and the
+// bisection must pin what the case says it can.
 func TestAuditorTamperMatrix(t *testing.T) {
-	setup := func(t *testing.T) (*LedgerDB, *LedgerTable, *Auditor) {
-		l := openTestLedger(t, 3)
-		lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
-		seedAccounts(t, l, lt, 9)
-		l.Checkpoint() // entries into sys_ledger_transactions for direct tampering
-		a := newAuditor(t, l, 1)
-		cycleOK(t, a)
-		return l, lt, a
+	for _, tc := range tamperMatrix {
+		for _, mode := range []string{"fresh", "standing"} {
+			tc, mode := tc, mode
+			t.Run(tc.name+"/"+mode, func(t *testing.T) {
+				f := newMatrixFixture(t)
+				var a *Auditor
+				if mode == "standing" {
+					a = newAuditor(t, f.l, 1)
+					cycleOK(t, a)
+				}
+				digests := tc.tamper(t, f)
+				rep, err := f.l.Verify(digests, VerifyOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a == nil {
+					a = newAuditor(t, f.l, 1)
+				}
+				st := a.RunCycle()
+				if tc.digestOnly {
+					if !st.Ok {
+						t.Fatalf("auditor reported %v for a fault in the digest input", st.LastReport)
+					}
+					return
+				}
+				if rep.Ok() != st.Ok {
+					t.Fatalf("Verify Ok=%v but Auditor Ok=%v (%v):\n%s", rep.Ok(), st.Ok, st.LastReport, rep)
+				}
+				if st.Ok {
+					return
+				}
+				tr := st.LastReport
+				agreed := false
+				for _, i := range rep.Issues {
+					if i.Invariant == tr.Invariant && i.Table == tr.Table {
+						agreed = true
+					}
+				}
+				if !agreed {
+					t.Fatalf("auditor reported invariant %d in table %q (%v), which Verify does not:\n%s", tr.Invariant, tr.Table, tr, rep)
+				}
+				if tc.localised != nil {
+					tc.localised(t, f, tr)
+				}
+			})
+		}
 	}
+}
 
-	t.Run("block body", func(t *testing.T) {
-		l, _, a := setup(t)
-		key := sqltypes.EncodeKey(nil, sqltypes.NewBigInt(1))
-		err := l.Engine().TamperUpdateRow(l.sysBlocks, key, func(r sqltypes.Row) sqltypes.Row {
-			r[3] = sqltypes.NewBigInt(r[3].Int() + 1) // transaction_count
-			return r
-		}, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep := cycleFinds(t, a)
-		if rep.Block != 1 {
-			t.Fatalf("localized %v, want block 1", rep)
-		}
-	})
+// TestAuditorStopsOnClose: closing the database stops a started audit
+// loop and waits for the cycle in flight, so no cycle runs — and reports
+// Ok — against a closed engine.
+func TestAuditorStopsOnClose(t *testing.T) {
+	l := openTestLedger(t, 3)
+	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
+	seedAccounts(t, l, lt, 6)
+	a, err := l.NewAuditor(AuditorOptions{Interval: time.Millisecond, SampleFraction: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Start()
+	waitForCycles(t, func() int64 { return a.Status().Cycles })
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := a.Status()
+	if st.Running {
+		t.Fatal("auditor still running after Close")
+	}
+	time.Sleep(20 * time.Millisecond) // 20 intervals: a live loop would have cycled
+	if got := a.Status().Cycles; got != st.Cycles {
+		t.Fatalf("auditor ran %d cycles after Close", got-st.Cycles)
+	}
+}
 
-	t.Run("tx payload", func(t *testing.T) {
-		l, lt, a := setup(t)
-		// Pick a seed transaction (block >= 2): it touched only the
-		// accounts table, so the bisection must name both tx and table.
-		var key []byte
-		l.sysTx.Scan(func(k []byte, r sqltypes.Row) bool {
-			if r[1].Int() >= 2 {
-				key = append([]byte(nil), k...)
-				return false
-			}
-			return true
-		})
-		if key == nil {
-			t.Fatal("no seed transaction in sys_ledger_transactions")
+// TestShardedAuditorStopsOnClose is the same contract for the sharded
+// loop, which used to outlive ShardedDB.Close.
+func TestShardedAuditorStopsOnClose(t *testing.T) {
+	s := openSharded(t, t.TempDir(), 2)
+	st, err := s.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadAccounts(t, s, st, 20)
+	sa, err := s.NewAuditor(AuditorOptions{Interval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sa.Start()
+	waitForCycles(t, func() int64 { return sa.Status().Shards[0].Cycles })
+	if !sa.Status().Shards[0].Running {
+		t.Fatal("started sharded auditor does not report Running")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed := sa.Status()
+	for i, ss := range closed.Shards {
+		if ss.Running {
+			t.Fatalf("shard %d auditor still running after Close", i)
 		}
-		var txID int64
-		err := l.Engine().TamperUpdateRow(l.sysTx, key, func(r sqltypes.Row) sqltypes.Row {
-			txID = r[0].Int()
-			b := append([]byte(nil), r[5].Bytes...) // table_hashes
-			b[len(b)-1] ^= 0xFF                     // flip a root byte, still decodable
-			r[5] = sqltypes.NewBinary(b)
-			return r
-		}, true)
-		if err != nil {
-			t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	for i, ss := range sa.Status().Shards {
+		if ss.Cycles != closed.Shards[i].Cycles {
+			t.Fatalf("shard %d ran %d cycles after Close", i, ss.Cycles-closed.Shards[i].Cycles)
 		}
-		rep := cycleFinds(t, a)
-		if rep.TxID != uint64(txID) || rep.Table != lt.Name() {
-			t.Fatalf("localized %v, want tx %d in %s", rep, txID, lt.Name())
-		}
-	})
+	}
+}
 
-	t.Run("single row", func(t *testing.T) {
-		l, lt, a := setup(t)
-		key := firstKeyOf(t, lt.Table())
-		err := l.Engine().TamperUpdateRow(lt.Table(), key, func(r sqltypes.Row) sqltypes.Row {
-			r[1] = sqltypes.NewBigInt(1_000_000)
-			return r
-		}, true)
-		if err != nil {
-			t.Fatal(err)
+// waitForCycles blocks until a started audit loop has completed a cycle.
+func waitForCycles(t *testing.T, cycles func() int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for cycles() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("audit loop never completed a cycle")
 		}
-		rep := cycleFinds(t, a)
-		if rep.Table != lt.Name() || rep.TxID == 0 {
-			t.Fatalf("localized %v, want a transaction in %s", rep, lt.Name())
-		}
-		// Each seed transaction wrote exactly one row, so the bisection
-		// can name it.
-		if rep.Key == "" || !strings.Contains(rep.Key, "acct-") {
-			t.Fatalf("report did not name the damaged row: %v", rep)
-		}
-	})
-
-	t.Run("deleted row", func(t *testing.T) {
-		l, lt, a := setup(t)
-		key := firstKeyOf(t, lt.Table())
-		if err := l.Engine().TamperDeleteRow(lt.Table(), key, true); err != nil {
-			t.Fatal(err)
-		}
-		rep := cycleFinds(t, a)
-		if rep.Table != lt.Name() || !strings.Contains(rep.Detail, "no row versions remain") {
-			t.Fatalf("localized %v, want completeness failure in %s", rep, lt.Name())
-		}
-	})
-
-	t.Run("index entry", func(t *testing.T) {
-		l, lt, a := setup(t)
-		ix, err := l.Engine().CreateIndex("accounts", "ix_balance", "balance")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cycleOK(t, a) // clean after index build
-		var entryKey []byte
-		lt.Table().ScanIndex(ix, func(ek, _ []byte) bool {
-			entryKey = append([]byte(nil), ek...)
-			return false
-		})
-		if err := l.Engine().TamperIndexEntry(lt.Table(), ix, entryKey, []byte{0xde, 0xad}); err != nil {
-			t.Fatal(err)
-		}
-		rep := cycleFinds(t, a)
-		if rep.Table != "accounts" || rep.Key == "" {
-			t.Fatalf("localized %v, want an index entry in accounts", rep)
-		}
-	})
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestShardedAuditorLocalizesShard tampers one shard's chain head and

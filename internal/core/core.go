@@ -298,7 +298,9 @@ func Open(opts Options) (*LedgerDB, error) {
 	return l, nil
 }
 
-// Close stops background work and closes the database.
+// Close stops background work and closes the database. A started
+// auditor loop is stopped first — waiting for a cycle in flight — so no
+// cycle ever runs against a closed engine.
 func (l *LedgerDB) Close() error {
 	l.lmu.Lock()
 	if l.closedDB {
@@ -307,6 +309,9 @@ func (l *LedgerDB) Close() error {
 	}
 	l.closedDB = true
 	l.lmu.Unlock()
+	if a := l.Auditor(); a != nil {
+		a.Stop()
+	}
 	close(l.doneCh)
 	return l.edb.Close()
 }
@@ -588,19 +593,24 @@ func (l *LedgerDB) assignBlock(txID uint64, commitTS int64, user string, roots [
 // Called by the engine under full quiescence just before a snapshot; the
 // writes bypass the WAL because the snapshot itself persists them, and
 // recovery from any older snapshot rebuilds the queue from COMMIT records.
+//
+// lmu is held across the inserts (no commit can want it: the engine is
+// quiescent), so a reader that looks at the queue first and the table
+// second — entriesOfBlock, ledgerEntries; the block closer and the
+// auditor are not stopped by the quiescence — never finds an entry in
+// neither.
 func (l *LedgerDB) drainQueueLocked() {
 	l.lmu.Lock()
-	q := l.queue
-	l.queue = nil
-	l.lmu.Unlock()
-	l.m.queueLength.Set(0)
-	for _, e := range q {
+	defer l.lmu.Unlock()
+	for _, e := range l.queue {
 		if _, err := l.edb.DirectInsert(l.sysTx, entryToRow(e)); err != nil {
 			// The only possible failure is a duplicate from a re-drain,
 			// which is harmless.
 			continue
 		}
 	}
+	l.queue = nil
+	l.m.queueLength.Set(0)
 }
 
 // blockCloseInterval is how often the background closer sweeps for filled
@@ -691,15 +701,12 @@ func (l *LedgerDB) closeOneBlock(b int64) (err error) {
 	return nil
 }
 
-// entriesOfBlock returns the block's entries from the system table plus
-// the in-memory queue, sorted by ordinal.
+// entriesOfBlock returns the block's entries from the in-memory queue
+// plus the system table (in that order — see drainQueueLocked; an entry
+// drained between the two reads is seen twice and kept once), sorted by
+// ordinal.
 func (l *LedgerDB) entriesOfBlock(block uint64) []*wal.LedgerEntry {
 	var out []*wal.LedgerEntry
-	l.sysTx.LookupIndexPrefix(l.txByBlock, []sqltypes.Value{sqltypes.NewBigInt(int64(block))},
-		func(_ []byte, r sqltypes.Row) bool {
-			out = append(out, rowToEntry(r))
-			return true
-		})
 	l.lmu.Lock()
 	for _, e := range l.queue {
 		if e.BlockID == block {
@@ -707,8 +714,62 @@ func (l *LedgerDB) entriesOfBlock(block uint64) []*wal.LedgerEntry {
 		}
 	}
 	l.lmu.Unlock()
+	queued := out
+	l.sysTx.LookupIndexPrefix(l.txByBlock, []sqltypes.Value{sqltypes.NewBigInt(int64(block))},
+		func(_ []byte, r sqltypes.Row) bool {
+			e := rowToEntry(r)
+			for _, q := range queued {
+				if q.TxID == e.TxID {
+					return true
+				}
+			}
+			out = append(out, e)
+			return true
+		})
 	sort.Slice(out, func(i, j int) bool { return out[i].Ordinal < out[j].Ordinal })
 	return out
+}
+
+// ledgerEntries loads every transaction entry — still queued plus
+// persisted, one scan of sys_ledger_transactions — keyed by transaction
+// id, and grouped by block in ordinal order.
+func (l *LedgerDB) ledgerEntries() (byTx map[uint64]*wal.LedgerEntry, byBlock map[uint64][]*wal.LedgerEntry) {
+	byTx = make(map[uint64]*wal.LedgerEntry)
+	l.lmu.Lock()
+	for _, e := range l.queue {
+		byTx[e.TxID] = e
+	}
+	l.lmu.Unlock()
+	l.sysTx.Scan(func(_ []byte, r sqltypes.Row) bool {
+		if id := uint64(r[0].Int()); byTx[id] == nil {
+			byTx[id] = rowToEntry(r)
+		}
+		return true
+	})
+	byBlock = make(map[uint64][]*wal.LedgerEntry)
+	for _, e := range byTx {
+		byBlock[e.BlockID] = append(byBlock[e.BlockID], e)
+	}
+	for _, es := range byBlock {
+		sort.Slice(es, func(i, j int) bool { return es[i].Ordinal < es[j].Ordinal })
+	}
+	return byTx, byBlock
+}
+
+// recordedTxIDs returns the id of every transaction that has a ledger
+// entry, queued or persisted, each classed txRecorded.
+func (l *LedgerDB) recordedTxIDs() map[uint64]txClass {
+	l.lmu.Lock()
+	ids := make(map[uint64]txClass, len(l.queue)+l.sysTx.RowCount())
+	for _, e := range l.queue {
+		ids[e.TxID] = txRecorded
+	}
+	l.lmu.Unlock()
+	l.sysTx.Scan(func(_ []byte, r sqltypes.Row) bool {
+		ids[uint64(r[0].Int())] = txRecorded
+		return true
+	})
+	return ids
 }
 
 // --- Entry and block hashing --------------------------------------------

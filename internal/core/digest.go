@@ -7,7 +7,6 @@ import (
 
 	"sqlledger/internal/merkle"
 	"sqlledger/internal/obs"
-	"sqlledger/internal/sqltypes"
 )
 
 // Digest is a database digest (§2.2): the hash of the latest block of the
@@ -97,7 +96,7 @@ func (l *LedgerDB) GenerateDigest() (d Digest, err error) {
 	if latest < 0 {
 		return Digest{}, ErrEmptyLedger
 	}
-	if _, ok := l.sysBlocks.Lookup(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(latest))); !ok {
+	if _, ok := l.sysBlocks.Lookup(blockKey(latest)); !ok {
 		return Digest{}, fmt.Errorf("core: closed block %d missing from %s", latest, sysBlocksName)
 	}
 	lastTS := l.lastCommitOfBlock(uint64(latest))
@@ -160,11 +159,11 @@ func (l *LedgerDB) CheckDigest(d Digest) error {
 	if err != nil {
 		return err
 	}
-	row, ok := l.sysBlocks.Lookup(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(int64(d.BlockID))))
+	_, got, ok := l.closedBlock(int64(d.BlockID))
 	if !ok {
 		return fmt.Errorf("core: digest block %d is not closed in this database", d.BlockID)
 	}
-	if blockHashOfRow(row) != want {
+	if got != want {
 		return fmt.Errorf("core: block %d hash does not match the digest (forked ledger)", d.BlockID)
 	}
 	return nil
@@ -190,11 +189,10 @@ func (l *LedgerDB) VerifyDigestDerivation(older, newer Digest) error {
 	}
 	prev := merkle.ZeroHash
 	for b := older.BlockID; b <= newer.BlockID; b++ {
-		row, ok := l.sysBlocks.Lookup(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(int64(b))))
+		row, h, ok := l.closedBlock(int64(b))
 		if !ok {
 			return fmt.Errorf("core: block %d missing while deriving digest chain", b)
 		}
-		h := blockHashOfRow(row)
 		switch {
 		case b == older.BlockID && h != oldHash:
 			return fmt.Errorf("core: block %d hash does not match the older digest (forked ledger)", b)

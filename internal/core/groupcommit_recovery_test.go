@@ -166,7 +166,7 @@ func TestGroupCommitCrashRecoveryPrefix(t *testing.T) {
 // from many goroutines and then checks the ordering invariant the
 // recovery protocol depends on: ledger entries appear in the WAL in
 // exactly the order their (block, ordinal) positions were assigned, with
-// no gaps. Run under -race by `make test-race-commit`.
+// no gaps. Run under -race by `make test-race`.
 func TestConcurrentCommitLedgerDML(t *testing.T) {
 	dir := t.TempDir()
 	l := openLedgerAt(t, dir, 16)

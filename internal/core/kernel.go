@@ -1,0 +1,705 @@
+// The verification kernel: the one place that recomputes ledger hashes.
+//
+// Ledger integrity is five invariants (§3.4.1) plus the ledger-view
+// definitions, and this file is their only implementation: checkChain
+// (invariants 1-3), checkRowVersions (invariant 4), checkIndexes and
+// checkView (invariant 5 and the views). Verify, the Auditor's
+// incremental, sampled and localisation passes, and the receipt builders
+// are callers that pick parameters — block range, wanted transactions,
+// snapshot, parallelism — and none of them hashes a row, an entry or a
+// block, or rebuilds a Merkle root, itself. DESIGN.md decision 12 lists
+// what each caller passes.
+package core
+
+import (
+	"bytes"
+	"cmp"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"slices"
+	"strings"
+	"sync"
+
+	"sqlledger/internal/engine"
+	"sqlledger/internal/merkle"
+	"sqlledger/internal/serial"
+	"sqlledger/internal/sqltypes"
+	"sqlledger/internal/wal"
+)
+
+// blockKey encodes a sys_ledger_blocks primary key.
+func blockKey(b int64) []byte {
+	return sqltypes.EncodeKey(nil, sqltypes.NewBigInt(b))
+}
+
+// closedBlock returns block id's sys_ledger_blocks row and its recomputed
+// hash — the value a digest of that block must carry.
+func (l *LedgerDB) closedBlock(id int64) (sqltypes.Row, merkle.Hash, bool) {
+	row, ok := l.sysBlocks.Lookup(blockKey(id))
+	if !ok {
+		return nil, merkle.ZeroHash, false
+	}
+	return row, blockHashOfRow(row), true
+}
+
+// --- (a) The chain: invariants 1-3 ---------------------------------------
+
+// §3.4.2 states the first three invariants as queries over the system
+// tables, and the walk below computes exactly their answers:
+//
+//  1. OPENJSON(digests) LEFT JOIN blocks ON block_id, comparing each
+//     digest's hash with LEDGERHASH(block); a digest without a block is a
+//     failure unless a truncation or a restore explains it.
+//  2. blocks ORDER BY block_id with LAG, comparing each block's recorded
+//     previous hash with LEDGERHASH(previous block); ids must be
+//     consecutive from block 0 or the truncation point.
+//  3. transactions GROUP BY block_id ORDER BY ordinal with COUNT and
+//     MERKLETREEAGG(LEDGERHASH(transaction)), FULL JOIN blocks: every
+//     block's recorded count and root must match its group, and every
+//     group must have its block.
+//
+// One pass over the blocks in id order answers all three: the block row
+// is hashed once, and that hash serves the digest comparison, the next
+// block's link and the caller's watermark.
+
+// chainCheck parameterises one chain walk.
+type chainCheck struct {
+	// blocks is the inclusive range to walk; nil walks every block. The
+	// link of block From is still checked against block From-1.
+	blocks *BlockRange
+	// anchor, if set, is the hash of block From-1 the caller has already
+	// verified; otherwise it is recomputed from that block's row when the
+	// row exists.
+	anchor *merkle.Hash
+	// digests are checked against the blocks walked (invariant 1).
+	digests []Digest
+	// entries holds the transaction entries of every block to check, in
+	// ordinal order: one sys_ledger_transactions scan for a full run
+	// (ledgerEntries), the block index for a delta (entriesOfBlock).
+	entries         map[uint64][]*wal.LedgerEntry
+	truncatedBefore uint64
+}
+
+// chainResult reports what a walk covered.
+type chainResult struct {
+	blocks, digests int
+	// through is the last block of the unbroken run, from the start of
+	// the walk, of blocks that raised no finding (From-1, or -1, if the
+	// first one did), and hash its recomputed hash: where a watermark may
+	// advance to.
+	through int64
+	hash    merkle.Hash
+}
+
+// checkChain walks the closed blocks of a range in id order and checks,
+// per block: every digest naming it carries its hash (invariant 1); it
+// directly follows its predecessor and records that block's hash, with
+// block 0 and the first block after a truncation starting a chain, and
+// every block up to the chain head present (invariant 2); its transaction
+// count, ordinals 0..n-1 and transactions root match its entries
+// (invariant 3).
+func (l *LedgerDB) checkChain(c chainCheck, emit emitFn) chainResult {
+	l.closeMu.Lock()
+	head := l.closedThrough
+	l.closeMu.Unlock()
+
+	res := chainResult{through: -1}
+	clean, stopped := true, false
+	report := func(inv int, block uint64, warning bool, format string, args ...any) {
+		clean = false
+		stopped = stopped || !emit(finding{invariant: inv, block: int64(block), warning: warning,
+			detail: fmt.Sprintf(format, args...)})
+	}
+
+	type blockDigest struct {
+		hash        merkle.Hash
+		incarnation int64
+	}
+	pending := make(map[uint64][]blockDigest)
+	for _, d := range c.digests {
+		if !c.blocks.contains(d.BlockID) {
+			continue
+		}
+		res.digests++
+		if h, err := d.BlockHash(); err != nil {
+			report(1, d.BlockID, false, "digest for block %d: %v", d.BlockID, err)
+		} else {
+			pending[d.BlockID] = append(pending[d.BlockID], blockDigest{h, d.Incarnation})
+		}
+	}
+
+	// Collect the rows first: hashing a long chain under the table's read
+	// lock would stall the block closer.
+	var rows []sqltypes.Row
+	collect := func(_ []byte, r sqltypes.Row) bool {
+		rows = append(rows, r)
+		return true
+	}
+	if c.blocks == nil {
+		l.sysBlocks.Scan(collect)
+	} else if c.blocks.From <= math.MaxInt64 {
+		lo := c.blocks.From
+		if c.anchor == nil && lo > 0 {
+			lo--
+		}
+		var end []byte
+		if c.blocks.To < math.MaxInt64 {
+			end = blockKey(int64(c.blocks.To) + 1)
+		}
+		l.sysBlocks.ScanRange(blockKey(int64(lo)), end, collect)
+	}
+
+	var (
+		prevID   uint64
+		prevHash merkle.Hash
+		havePrev bool
+		leaves   []merkle.Hash
+	)
+	if c.anchor != nil {
+		prevID, prevHash, havePrev = c.blocks.From-1, *c.anchor, true
+		res.through, res.hash = int64(prevID), prevHash
+	}
+	visited := make(map[uint64]bool, len(rows))
+	maxPresent := int64(-1)
+	for _, row := range rows {
+		if stopped {
+			return res
+		}
+		id := uint64(row[0].Int())
+		h := blockHashOfRow(row)
+		if !c.blocks.contains(id) {
+			// Block From-1: only the link anchor, not itself checked.
+			prevID, prevHash, havePrev = id, h, true
+			res.through, res.hash = int64(id), h
+			continue
+		}
+		res.blocks++
+		visited[id] = true
+		maxPresent = max(maxPresent, int64(id))
+
+		for _, d := range pending[id] {
+			if d.hash != h {
+				report(1, id, false, "digest hash mismatch for block %d: digest=%s computed=%s", id, d.hash, h)
+			}
+		}
+		delete(pending, id)
+
+		switch {
+		case !havePrev && id == 0:
+			if !bytes.Equal(row[1].Bytes, merkle.ZeroHash[:]) {
+				report(2, id, false, "block 0 must have a null previous hash")
+			}
+		case !havePrev && id == c.truncatedBefore:
+			// First block after a truncation: its recorded previous hash
+			// points at a removed block and cannot be recomputed.
+		case !havePrev && c.blocks == nil:
+			report(2, id, false, "chain starts at block %d with no truncation record covering it", id)
+		case !havePrev:
+			if id > c.blocks.From {
+				report(2, id, false, "block range [%d,%d] starts at block %d: earlier range blocks are missing", c.blocks.From, c.blocks.To, id)
+			}
+		case id != prevID+1:
+			report(2, id, false, "block gap: %d follows %d", id, prevID)
+		case !bytes.Equal(row[1].Bytes, prevHash[:]):
+			report(2, id, false, "block %d previous-hash mismatch: recorded=%x computed-over-block-%d=%s", id, row[1].Bytes, prevID, prevHash)
+		}
+
+		if es := c.entries[id]; len(es) == 0 {
+			report(3, id, false, "block %d has no transactions in the system", id)
+		} else {
+			if int64(len(es)) != row[3].Int() {
+				report(3, id, false, "block %d records %d transactions but %d are present", id, row[3].Int(), len(es))
+			}
+			var contiguous bool
+			leaves, contiguous = entryLeaves(leaves[:0], es)
+			if !contiguous {
+				report(3, id, false, "block %d transaction ordinals are not contiguous", id)
+			} else if root := merkle.RootOf(leaves); !bytes.Equal(row[2].Bytes, root[:]) {
+				report(3, id, false, "block %d transactions root mismatch: recorded=%x computed=%s", id, row[2].Bytes, root)
+			}
+		}
+		if clean {
+			res.through, res.hash = int64(id), h
+		}
+		prevID, prevHash, havePrev = id, h, true
+	}
+
+	// Presence up to the chain head: a closed block cannot vanish from
+	// the tail any more than from the middle.
+	next := int64(c.truncatedBefore)
+	if c.blocks != nil {
+		next = max(next, int64(c.blocks.From))
+	}
+	if havePrev {
+		next = int64(prevID) + 1
+	}
+	last := head
+	if c.blocks != nil && c.blocks.To < uint64(max(last, 0)) {
+		last = int64(c.blocks.To)
+	}
+	if next >= 0 && next <= last {
+		report(2, uint64(next), false, "closed block %d is missing from %s", next, sysBlocksName)
+	}
+
+	// Digests whose block the walk never met.
+	for _, id := range sortedKeys(pending) {
+		for _, d := range pending[id] {
+			switch {
+			case id < c.truncatedBefore:
+				report(1, id, true, "digest for block %d predates ledger truncation (before_block=%d); not verifiable", id, c.truncatedBefore)
+			case d.incarnation != l.incarnation:
+				report(1, id, true, "digest for block %d was issued for incarnation %d and points past the restore point", id, d.incarnation)
+			default:
+				report(1, id, false, "digest references block %d which is not present in the ledger", id)
+			}
+		}
+	}
+
+	// Transactions whose block is gone while a later block exists (later
+	// transactions are still awaiting their block's close).
+	var blockless []uint64
+	for id := range c.entries {
+		if !visited[id] && c.blocks.contains(id) && int64(id) <= maxPresent {
+			blockless = append(blockless, id)
+		}
+	}
+	slices.Sort(blockless)
+	for _, id := range blockless {
+		report(3, id, false, "transactions reference block %d which is not present", id)
+	}
+	return res
+}
+
+func sortedKeys[V any](m map[uint64]V) []uint64 {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// entryLeaves appends the leaves of a block's transactions tree — the
+// hash of each entry, in the order given — to dst, and reports whether
+// the entries' ordinals are exactly 0..n-1.
+func entryLeaves(dst []merkle.Hash, es []*wal.LedgerEntry) ([]merkle.Hash, bool) {
+	contiguous := true
+	for i, e := range es {
+		if e.Ordinal != uint32(i) {
+			contiguous = false
+		}
+		dst = append(dst, entryHash(e))
+	}
+	return dst, contiguous
+}
+
+// blockTree recomputes a block's transactions tree from its entries: the
+// leaves receipts prove against and the root they sign.
+func (l *LedgerDB) blockTree(block uint64) ([]merkle.Hash, merkle.Hash) {
+	leaves, _ := entryLeaves(nil, l.entriesOfBlock(block))
+	return leaves, merkle.RootOf(leaves)
+}
+
+// --- (b) Row versions: invariant 4 ----------------------------------------
+
+// rowLeaf is one recomputed row-version hash: a leaf of the Merkle tree
+// its transaction built for the table.
+type rowLeaf struct {
+	seq  uint64
+	hash merkle.Hash
+	key  []byte // clustered key; kept only when rowCheck.keys is set
+}
+
+// txClass is what a row-version pass is told about a transaction id.
+type txClass uint8
+
+const (
+	txUnknown  txClass = iota // no ledger entry records it
+	txRecorded                // recorded, but not this pass's business
+	txWanted                  // recorded, and its row versions are to be hashed
+)
+
+// txRows is what one scan found of one wanted transaction in one table.
+type txRows struct {
+	leaves []rowLeaf
+}
+
+// tree puts the leaves in commit sequence order and returns their hashes
+// (appended to buf) and Merkle root. Scan order is arbitrary; the hash
+// tiebreak keeps the root deterministic even for (tampered) duplicate
+// sequence numbers.
+func (r *txRows) tree(buf []merkle.Hash) ([]merkle.Hash, merkle.Hash) {
+	slices.SortFunc(r.leaves, func(a, b rowLeaf) int {
+		if c := cmp.Compare(a.seq, b.seq); c != 0 {
+			return c
+		}
+		return bytes.Compare(a.hash[:], b.hash[:])
+	})
+	for _, leaf := range r.leaves {
+		buf = append(buf, leaf.hash)
+	}
+	return buf, merkle.RootOf(buf)
+}
+
+// rowCheck parameterises one pass over a ledger table's row versions.
+type rowCheck struct {
+	// rtx is the pinned snapshot every shard reads: base and history are
+	// seen at one cut, so a concurrent writer cannot move a row between
+	// the two scans.
+	rtx *engine.ReadTx
+	// class classifies a transaction id: rows of txWanted transactions
+	// are hashed, rows of txUnknown ones are flagged, and every other row
+	// costs a pointer walk and this one call.
+	class func(txID uint64) txClass
+	// entries are the transactions whose recorded roots checkRowVersions
+	// compares, ascending by id; class must want every one of them.
+	entries                         []*wal.LedgerEntry
+	truncatedBefore, truncatedMaxTx uint64
+	keys                            bool // keep clustered keys, to name a row
+	parallelism                     int
+	pool                            *workerPool
+	prog                            *progressSink
+	weight                          float64
+}
+
+// scanRowVersions re-hashes a ledger table's row versions at the pinned
+// snapshot and groups them by transaction: a base row is an insert by its
+// start transaction; a history row is an insert by its start transaction
+// and a delete by its end transaction. The base and history trees are
+// split into ~parallelism contiguous key ranges hashed on the pool, so
+// one large table keeps every core busy. Returns the wanted transactions'
+// rows (leaves unsorted — see txRows.tree), the ascending ids of the
+// unrecorded transactions some row version references, and the number of
+// rows scanned.
+func (l *LedgerDB) scanRowVersions(lt *LedgerTable, c rowCheck, weight float64) (map[uint64]*txRows, []uint64, int) {
+	schema := lt.table.Schema()
+	type shard struct {
+		byTx    map[uint64]*txRows
+		orphans []uint64
+		rows    int
+	}
+	var (
+		tasks  []func()
+		shards []*shard
+	)
+	addScans := func(t *engine.Table, history bool) {
+		for _, kr := range t.ScanShards(c.parallelism) {
+			kr := kr
+			sh := &shard{byTx: make(map[uint64]*txRows)}
+			shards = append(shards, sh)
+			// One row version of a transaction this pass does not skip.
+			// excused: a history row's insert side may legitimately
+			// reference a truncated transaction — the row stays covered
+			// by the surviving deleting transaction's root (§5.2).
+			add := func(cl txClass, tx, seq uint64, op serial.OpType, skip serial.SkipMask, key []byte, full sqltypes.Row, excused bool) {
+				if cl == txUnknown {
+					if !excused {
+						sh.orphans = append(sh.orphans, tx)
+					}
+					return
+				}
+				r := sh.byTx[tx]
+				if r == nil {
+					r = &txRows{}
+					sh.byTx[tx] = r
+				}
+				leaf := rowLeaf{seq: seq, hash: serial.HashRow(schema, full, op, skip)}
+				if c.keys {
+					leaf.key = append([]byte(nil), key...)
+				}
+				r.leaves = append(r.leaves, leaf)
+			}
+			tasks = append(tasks, func() {
+				_ = c.rtx.ScanRange(t, kr.Start, kr.End, func(k []byte, full sqltypes.Row) bool {
+					sh.rows++
+					tx := uint64(full[lt.startTxOrd].Int())
+					if cl := c.class(tx); cl != txRecorded {
+						add(cl, tx, uint64(full[lt.startSeqOrd].Int()), serial.OpInsert, lt.skipEnd, k, full,
+							history && tx <= c.truncatedMaxTx)
+					}
+					if !history {
+						return true
+					}
+					tx = uint64(full[lt.endTxOrd].Int())
+					if cl := c.class(tx); cl != txRecorded {
+						add(cl, tx, uint64(full[lt.endSeqOrd].Int()), serial.OpDelete, nil, k, full, false)
+					}
+					return true
+				})
+			})
+		}
+	}
+	addScans(lt.table, false)
+	if lt.history != nil {
+		addScans(lt.history, true)
+	}
+	c.pool.run(wrapProgress(tasks, c.prog, weight, "row_versions", lt.Name()))
+
+	// Adopt the first shard's map and merge the rest into it, so the
+	// common serial case (one shard, no history) merges nothing.
+	byTx, orphans, rows := shards[0].byTx, shards[0].orphans, shards[0].rows
+	for _, sh := range shards[1:] {
+		rows += sh.rows
+		orphans = append(orphans, sh.orphans...)
+		for tx, r := range sh.byTx {
+			if dst := byTx[tx]; dst != nil {
+				dst.leaves = append(dst.leaves, r.leaves...)
+			} else {
+				byTx[tx] = r
+			}
+		}
+	}
+	slices.Sort(orphans)
+	return byTx, slices.Compact(orphans), rows
+}
+
+// recordedRoot returns the root e recorded for a table.
+func recordedRoot(e *wal.LedgerEntry, tableID uint32) (merkle.Hash, bool) {
+	for i := range e.Roots {
+		if e.Roots[i].TableID == tableID {
+			return e.Roots[i].Root, true
+		}
+	}
+	return merkle.ZeroHash, false
+}
+
+// checkRowVersions checks invariant 4 for one ledger table: every row
+// version belongs to a recorded transaction, and for each entry given,
+// the Merkle root recomputed over the row versions it created and deleted
+// (in sequence order) is the root it recorded — which also means an entry
+// that recorded a root still has rows, and rows imply a recorded root.
+// The root recomputation fans back out over the pool in contiguous
+// chunks of entries. Returns the number of rows scanned.
+func (l *LedgerDB) checkRowVersions(lt *LedgerTable, c rowCheck, emit emitFn) int {
+	name := lt.Name()
+	// Shard scans carry most of a table's row-version cost; the root
+	// recomputation below gets the rest.
+	byTx, orphans, rows := l.scanRowVersions(lt, c, c.weight*0.7)
+	for _, tx := range orphans {
+		if !emit(finding{invariant: 4, block: -1, tx: tx, table: name,
+			detail: fmt.Sprintf("row versions reference transaction %d which is not recorded in the ledger", tx)}) {
+			return rows
+		}
+	}
+
+	n := max(1, min(c.parallelism, len(c.entries)))
+	found := make([][]finding, n)
+	tasks := make([]func(), n)
+	for ci := range tasks {
+		ci, chunk := ci, c.entries[ci*len(c.entries)/n:(ci+1)*len(c.entries)/n]
+		tasks[ci] = func() {
+			var buf []merkle.Hash
+			for _, e := range chunk {
+				f := finding{invariant: 4, block: int64(e.BlockID), tx: e.TxID, table: name}
+				recorded, has := recordedRoot(e, lt.ID())
+				r := byTx[e.TxID]
+				switch {
+				case r == nil || len(r.leaves) == 0:
+					// Rows below a truncation point were legitimately
+					// removed with their blocks.
+					if !has || e.BlockID < c.truncatedBefore {
+						continue
+					}
+					f.detail = fmt.Sprintf("transaction %d recorded updates to this table but no row versions remain", e.TxID)
+				case !has:
+					f.detail = fmt.Sprintf("transaction %d has row versions in this table but no recorded Merkle root for it", e.TxID)
+				default:
+					var got merkle.Hash
+					if buf, got = r.tree(buf[:0]); got == recorded {
+						continue
+					}
+					f.detail = fmt.Sprintf("transaction %d Merkle root mismatch: recorded=%s computed=%s", e.TxID, recorded, got)
+					if c.keys && len(r.leaves) == 1 {
+						f.key = lt.keyString(r.leaves[0].key)
+					}
+				}
+				found[ci] = append(found[ci], f)
+			}
+		}
+	}
+	c.pool.run(wrapProgress(tasks, c.prog, c.weight*0.3, "row_versions", name))
+	for _, fs := range found {
+		for _, f := range fs {
+			if !emit(f) {
+				return rows
+			}
+		}
+	}
+	return rows
+}
+
+// keyString renders a clustered key for a finding: decoded primary-key
+// values when possible, hex otherwise.
+func (lt *LedgerTable) keyString(key []byte) string {
+	s := lt.table.Schema()
+	if len(s.Key) > 0 {
+		types := make([]sqltypes.TypeID, len(s.Key))
+		for i, ord := range s.Key {
+			types[i] = s.Columns[ord].Type
+		}
+		if vals, err := sqltypes.DecodeKey(key, types); err == nil {
+			parts := make([]string, len(vals))
+			for i, v := range vals {
+				parts[i] = v.String()
+			}
+			return strings.Join(parts, ",")
+		}
+	}
+	return hex.EncodeToString(key)
+}
+
+// --- (c) Indexes and views: invariant 5 -----------------------------------
+
+// checkIndexes checks invariant 5: every nonclustered index of the ledger
+// table and its history table must be equivalent to the base data.
+//
+// The detector is a multiset comparison of (entry key, clustered key)
+// pairs: each index is shard-scanned into a mergeable order-independent
+// accumulator (merkle.Accumulator) with an explicit ascending-order check
+// per shard, while ONE sharded pass over the base table recomputes every
+// index's entry key per row and feeds per-index accumulators — O(rows)
+// time and O(1) memory per index, no sort, no per-index base re-scan.
+// Only once the accumulators disagree does diffIndex, which materialises
+// the whole mapping, run to name a divergent entry.
+//
+// Index trees are not versioned, so both sides read the latest committed
+// state rather than a snapshot: a run racing a writer can see a transient
+// difference (the Auditor re-checks before it reports one). Returns the
+// number of indexes checked.
+func (l *LedgerDB) checkIndexes(lt *LedgerTable, parallelism int, pool *workerPool, prog *progressSink, weight float64, emit emitFn) int {
+	tables := []*engine.Table{lt.table}
+	if lt.history != nil {
+		tables = append(tables, lt.history)
+	}
+	perTable := weight / float64(len(tables))
+	checked := 0
+	for _, t := range tables {
+		t := t
+		ixs := t.Indexes()
+		if len(ixs) == 0 {
+			prog.add(perTable, "indexes", t.Name())
+			continue
+		}
+		checked += len(ixs)
+
+		// Per index: what the index holds, what the base rows say it
+		// should hold, and whether its entries ascend. Shard tasks merge
+		// their private accumulators in under mu.
+		var mu sync.Mutex
+		actual := make([]merkle.Accumulator, len(ixs))
+		expected := make([]merkle.Accumulator, len(ixs))
+		disordered := make([]bool, len(ixs))
+		var tasks []func()
+		for ixi, ix := range ixs {
+			for _, kr := range t.ScanIndexShards(ix, parallelism) {
+				ixi, ix, kr := ixi, ix, kr
+				tasks = append(tasks, func() {
+					var acc merkle.Accumulator
+					var prev []byte
+					ordered := true
+					t.ScanIndexRange(ix, kr.Start, kr.End, func(entryKey, clusteredKey []byte) bool {
+						if prev != nil && bytes.Compare(prev, entryKey) > 0 {
+							ordered = false
+						}
+						prev = append(prev[:0], entryKey...)
+						acc.Add(serial.HashBytes(entryKey, clusteredKey))
+						return true
+					})
+					mu.Lock()
+					actual[ixi].Merge(acc)
+					disordered[ixi] = disordered[ixi] || !ordered
+					mu.Unlock()
+				})
+			}
+		}
+		for _, kr := range t.ScanShards(parallelism) {
+			kr := kr
+			tasks = append(tasks, func() {
+				accs := make([]merkle.Accumulator, len(ixs))
+				t.ScanRange(kr.Start, kr.End, func(ck []byte, row sqltypes.Row) bool {
+					for ixi, ix := range ixs {
+						accs[ixi].Add(serial.HashBytes(ix.EntryKey(ck, row), ck))
+					}
+					return true
+				})
+				mu.Lock()
+				for ixi := range accs {
+					expected[ixi].Merge(accs[ixi])
+				}
+				mu.Unlock()
+			})
+		}
+		pool.run(wrapProgress(tasks, prog, perTable, "indexes", t.Name()))
+
+		for ixi, ix := range ixs {
+			f := finding{invariant: 5, block: -1, table: t.Name()}
+			// Shard ranges are disjoint and ascending, so per-shard
+			// ordering implies whole-index ordering — the property the
+			// order-independent accumulator itself cannot observe.
+			if disordered[ixi] {
+				f.detail = fmt.Sprintf("nonclustered index %s entries are out of order", ix.Meta().Name)
+				if !emit(f) {
+					return checked
+				}
+			}
+			if !actual[ixi].Equal(expected[ixi]) {
+				f.detail = fmt.Sprintf("nonclustered index %s is not equivalent to the base table data", ix.Meta().Name)
+				f.key = diffIndex(t, ix)
+				if !emit(f) {
+					return checked
+				}
+			}
+		}
+	}
+	return checked
+}
+
+// diffIndex localises an index divergence the accumulators detected: it
+// compares the index's (entry key → clustered key) mapping with the one
+// recomputed from the base rows and returns the hex entry key of the
+// first entry (in entry-key order) that no base row produces or that
+// points at the wrong row, else of the smallest entry the index is
+// missing; "" when the two agree (the divergence was transient).
+func diffIndex(t *engine.Table, ix *engine.Index) string {
+	expected := make(map[string]string)
+	t.Scan(func(ck []byte, row sqltypes.Row) bool {
+		expected[string(ix.EntryKey(ck, row))] = string(ck)
+		return true
+	})
+	var bad string
+	t.ScanIndex(ix, func(entryKey, ck []byte) bool {
+		if want, ok := expected[string(entryKey)]; !ok || want != string(ck) {
+			bad = hex.EncodeToString(entryKey)
+			return false
+		}
+		delete(expected, string(entryKey))
+		return true
+	})
+	if bad != "" || len(expected) == 0 {
+		return bad
+	}
+	missing := ""
+	for k := range expected {
+		if missing == "" || k < missing {
+			missing = k
+		}
+	}
+	return hex.EncodeToString([]byte(missing))
+}
+
+// checkView checks the final step of §3.4.2: the table's stored
+// ledger-view definition must be its canonical derivation.
+func (l *LedgerDB) checkView(lt *LedgerTable, emit emitFn) {
+	f := finding{block: -1, table: lt.Name()}
+	def, ok := l.ViewDefinition(lt.ID())
+	switch {
+	case !ok:
+		f.detail = "ledger view definition is missing"
+	case def != lt.canonicalViewDefinition():
+		f.detail = "ledger view definition has been altered"
+	default:
+		return
+	}
+	emit(f)
+}

@@ -147,12 +147,7 @@ func (l *LedgerDB) buildReadReceipt(reads []readRecord, rtx *engine.ReadTx, priv
 		byBlock[blockID] = append(byBlock[blockID], k.txID)
 	}
 	for _, blockID := range blockOrder {
-		es := l.entriesOfBlock(blockID)
-		leaves := make([]merkle.Hash, len(es))
-		for i, be := range es {
-			leaves[i] = entryHash(be)
-		}
-		root := merkle.RootOf(leaves)
+		leaves, root := l.blockTree(blockID)
 		r.Blocks = append(r.Blocks, ReadReceiptBlk{
 			BlockID:   blockID,
 			Root:      root.String(),
@@ -180,31 +175,35 @@ func (l *LedgerDB) buildReadReceipt(reads []readRecord, rtx *engine.ReadTx, priv
 
 	// Prove every read row inside its (transaction, table) tree. A table's
 	// trees are rebuilt from its content at the snapshot in one scan — the
-	// same recomputation verification's invariant 4 performs — and each is
-	// cross-checked against the root recorded in the ledger entry before
-	// any proof is emitted.
-	tableOps := make(map[uint32]map[uint64][]auditOp)
+	// kernel's invariant-4 recomputation — and each is cross-checked
+	// against the root recorded in the ledger entry before any proof is
+	// emitted.
+	scan := rowCheck{
+		rtx: rtx,
+		class: func(tx uint64) txClass {
+			if entries[tx] != nil {
+				return txWanted
+			}
+			return txRecorded
+		},
+		parallelism: 1,
+		pool:        newWorkerPool(1),
+	}
+	tableRows := make(map[uint32]map[uint64]*txRows)
 	r.Rows = make([]ReadReceiptRow, len(reads))
 	for _, k := range groupOrder {
 		lt := reads[groups[k][0]].lt
-		ops, ok := tableOps[k.tableID]
+		byTx, ok := tableRows[k.tableID]
 		if !ok {
-			ops = collectTxOps(lt, rtx, entries)
-			tableOps[k.tableID] = ops
+			byTx, _, _ = l.scanRowVersions(lt, scan, 0)
+			tableRows[k.tableID] = byTx
 		}
-		leaves := make([]merkle.Hash, len(ops[k.txID]))
-		for i, o := range ops[k.txID] {
-			leaves[i] = o.hash
+		var leaves []merkle.Hash
+		var root merkle.Hash
+		if rows := byTx[k.txID]; rows != nil {
+			leaves, root = rows.tree(nil)
 		}
-		var want merkle.Hash
-		wantFound := false
-		for _, tr := range entries[k.txID].Roots {
-			if tr.TableID == k.tableID {
-				want, wantFound = tr.Root, true
-				break
-			}
-		}
-		if !wantFound || merkle.RootOf(leaves) != want {
+		if want, found := recordedRoot(entries[k.txID], k.tableID); !found || len(leaves) == 0 || root != want {
 			return ReadReceipt{}, fmt.Errorf(
 				"core: table %s content does not match transaction %d's recorded Merkle root",
 				lt.Name(), k.txID)
@@ -265,23 +264,9 @@ func VerifyReadReceipt(r ReadReceipt, pub ed25519.PublicKey) error {
 			return fmt.Errorf("core: read receipt: transaction %d references unknown block index %d",
 				en.Entry.TxID, en.Block)
 		}
-		roots := make([]wal.TableRoot, len(en.Entry.Roots))
-		for j, tr := range en.Entry.Roots {
-			h, err := merkle.ParseHash(tr.Root)
-			if err != nil {
-				return err
-			}
-			roots[j] = wal.TableRoot{TableID: tr.TableID, Root: h}
-		}
-		leaf := entryHash(&wal.LedgerEntry{
-			TxID: en.Entry.TxID, BlockID: r.Blocks[en.Block].BlockID, Ordinal: en.Entry.Ordinal,
-			CommitTS: en.Entry.CommitTS, User: en.Entry.User, Roots: roots,
-		})
-		p, err := decodeProof(en.Proof)
-		if err != nil {
+		if ok, err := en.Entry.provenIn(r.Blocks[en.Block].BlockID, blockRoots[en.Block], en.Proof); err != nil {
 			return err
-		}
-		if !p.Verify(blockRoots[en.Block], leaf) {
+		} else if !ok {
 			return fmt.Errorf("core: read receipt: transaction %d proof does not verify", en.Entry.TxID)
 		}
 	}

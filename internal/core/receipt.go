@@ -123,6 +123,29 @@ func toReceiptEntry(e *wal.LedgerEntry) ReceiptEntry {
 	return ReceiptEntry{TxID: e.TxID, Ordinal: e.Ordinal, CommitTS: e.CommitTS, User: e.User, Roots: roots}
 }
 
+// provenIn reports whether proof links the entry, as a transaction of
+// block blockID, to that block's transactions root. It is the offline
+// verifiers' half of the tree the ledger builds at block close.
+func (e ReceiptEntry) provenIn(blockID uint64, root merkle.Hash, proof ReceiptProof) (bool, error) {
+	roots := make([]wal.TableRoot, len(e.Roots))
+	for i, tr := range e.Roots {
+		h, err := merkle.ParseHash(tr.Root)
+		if err != nil {
+			return false, err
+		}
+		roots[i] = wal.TableRoot{TableID: tr.TableID, Root: h}
+	}
+	leaf := entryHash(&wal.LedgerEntry{
+		TxID: e.TxID, BlockID: blockID, Ordinal: e.Ordinal,
+		CommitTS: e.CommitTS, User: e.User, Roots: roots,
+	})
+	p, err := decodeProof(proof)
+	if err != nil {
+		return false, err
+	}
+	return p.Verify(root, leaf), nil
+}
+
 // encodeProof converts a Merkle proof to its receipt form.
 func encodeProof(p merkle.Proof) ReceiptProof {
 	sibs := make([]string, len(p.Siblings))
@@ -159,16 +182,11 @@ func (l *LedgerDB) GenerateReceipt(txID uint64, priv ed25519.PrivateKey) (Receip
 	if int64(e.BlockID) > closed {
 		return Receipt{}, fmt.Errorf("%w: transaction %d is in open block %d", ErrBlockNotClosed, txID, e.BlockID)
 	}
-	es := l.entriesOfBlock(e.BlockID)
-	leaves := make([]merkle.Hash, len(es))
-	for i, be := range es {
-		leaves[i] = entryHash(be)
-	}
+	leaves, root := l.blockTree(e.BlockID)
 	proof, err := merkle.BuildProof(leaves, uint64(e.Ordinal))
 	if err != nil {
 		return Receipt{}, err
 	}
-	root := merkle.RootOf(leaves)
 	return Receipt{
 		DatabaseName: l.opts.Name,
 		Entry:        toReceiptEntry(e),
@@ -191,23 +209,9 @@ func VerifyReceipt(r Receipt, pub ed25519.PublicKey) error {
 	if !ed25519.Verify(pub, signedMessage(r.DatabaseName, r.BlockID, root), r.Signature) {
 		return fmt.Errorf("core: receipt signature is invalid")
 	}
-	roots := make([]wal.TableRoot, len(r.Entry.Roots))
-	for i, tr := range r.Entry.Roots {
-		h, err := merkle.ParseHash(tr.Root)
-		if err != nil {
-			return err
-		}
-		roots[i] = wal.TableRoot{TableID: tr.TableID, Root: h}
-	}
-	leaf := entryHash(&wal.LedgerEntry{
-		TxID: r.Entry.TxID, BlockID: r.BlockID, Ordinal: r.Entry.Ordinal,
-		CommitTS: r.Entry.CommitTS, User: r.Entry.User, Roots: roots,
-	})
-	proof, err := decodeProof(r.Proof)
-	if err != nil {
+	if ok, err := r.Entry.provenIn(r.BlockID, root, r.Proof); err != nil {
 		return err
-	}
-	if !proof.Verify(root, leaf) {
+	} else if !ok {
 		return fmt.Errorf("core: receipt Merkle proof does not verify")
 	}
 	return nil

@@ -294,6 +294,9 @@ func OpenSharded(opts Options) (*ShardedDB, error) {
 
 // Close closes every shard and the coordinator state.
 func (s *ShardedDB) Close() error {
+	if sa := s.Auditor(); sa != nil {
+		sa.Stop() // no cycle may run against a closed shard
+	}
 	var first error
 	for _, l := range s.shards {
 		if err := l.Close(); err != nil && first == nil {

@@ -625,7 +625,7 @@ func TestOpenRejectsShardsWithoutDispatcher(t *testing.T) {
 // (every third transaction spans shards, forcing 2PC) while the main
 // goroutine closes super-blocks in a loop. Closes must chain seq numbers
 // without error mid-ingest, and the quiesced database must verify green
-// against a final super-block. `make test-race-shard` runs this under
+// against a final super-block. `make test-race` runs this under
 // the race detector.
 func TestShardedConcurrentIngestAndSuperBlocks(t *testing.T) {
 	s := openSharded(t, t.TempDir(), 2)

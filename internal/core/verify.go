@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"sort"
@@ -9,36 +8,9 @@ import (
 	"sync"
 	"time"
 
-	"sqlledger/internal/engine"
-	"sqlledger/internal/merkle"
 	"sqlledger/internal/obs"
-	"sqlledger/internal/serial"
-	"sqlledger/internal/sqltypes"
 	"sqlledger/internal/wal"
 )
-
-// Issue is one inconsistency found by verification. Warning-class issues
-// (e.g. digests that point past a restore or truncation point) do not fail
-// the verification by themselves.
-type Issue struct {
-	// Invariant is the ledger invariant (1-5, §3.4.1) that failed; 0 for
-	// issues outside the numbered invariants (view definitions, inputs).
-	Invariant int
-	Table     string
-	Detail    string
-	Warning   bool
-}
-
-func (i Issue) String() string {
-	kind := "TAMPER"
-	if i.Warning {
-		kind = "WARNING"
-	}
-	if i.Table != "" {
-		return fmt.Sprintf("[%s inv%d table=%s] %s", kind, i.Invariant, i.Table, i.Detail)
-	}
-	return fmt.Sprintf("[%s inv%d] %s", kind, i.Invariant, i.Detail)
-}
 
 // Timing records where a verification run spent its time. Chain and Views
 // are wall-clock phase durations; RowVersions and Indexes are summed over
@@ -83,8 +55,6 @@ func (r *Report) Ok() bool {
 	return true
 }
 
-func (r *Report) add(i Issue) { r.Issues = append(r.Issues, i) }
-
 // String summarizes the report.
 func (r *Report) String() string {
 	var b strings.Builder
@@ -125,10 +95,10 @@ type VerifyOptions struct {
 	// inclusive range [From, To]: invariants 1-3 only cover in-range
 	// blocks (the chain link of block From is still anchored against the
 	// recomputed hash of block From-1 when that block exists), and
-	// invariant 4 only recomputes the Merkle roots of transactions whose
-	// block is in range. Row and index scans still walk whole tables —
-	// the range scopes which checks run, not the scan cost; the
-	// incremental Auditor is the O(delta) path.
+	// invariant 4 only hashes the row versions, and recomputes the Merkle
+	// roots, of transactions whose block is in range. Row and index scans
+	// still walk whole tables — the range scopes which checks run, not
+	// the scan; the incremental Auditor is the O(delta) path.
 	Blocks *BlockRange
 }
 
@@ -183,9 +153,17 @@ func (p *workerPool) run(tasks []func()) {
 // Verify is the ledger verification process (§3.4): given previously
 // generated digests, it recomputes every hash in the database ledger from
 // the current state of the ledger, history and system tables, checking
-// the five invariants plus the ledger-view definitions. The database
-// should be quiescent while verification runs (run it against a restored
-// copy or a maintenance window, as the paper suggests).
+// the five invariants plus the ledger-view definitions. It is the
+// verification kernel (kernel.go) run over every block — or
+// VerifyOptions.Blocks — and every transaction.
+//
+// Row versions (invariant 4) are read at one pinned snapshot, so that
+// check is exact under concurrent writers. The system tables and the
+// nonclustered index trees are read as they are: a run that races block
+// closing, a checkpoint or index maintenance can report a transient
+// difference, so for a verdict on invariants 1-3 and 5 the database
+// should be quiescent (a restored copy or a maintenance window, as the
+// paper suggests).
 func (l *LedgerDB) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
@@ -212,50 +190,53 @@ func (l *LedgerDB) Verify(digests []Digest, opts VerifyOptions) (*Report, error)
 		l.noteVerifyFinished(rep)
 	}()
 
-	// Collect all transaction entries: persisted plus still queued.
-	entries := make(map[uint64]*wal.LedgerEntry)
-	l.sysTx.Scan(func(_ []byte, r sqltypes.Row) bool {
-		e := rowToEntry(r)
-		entries[e.TxID] = e
+	// mu guards rep: table checks run concurrently.
+	var mu sync.Mutex
+	emit := func(f finding) bool {
+		mu.Lock()
+		rep.Issues = append(rep.Issues, f.issue())
+		mu.Unlock()
 		return true
-	})
-	l.lmu.Lock()
-	for _, e := range l.queue {
-		if _, dup := entries[e.TxID]; !dup {
-			entries[e.TxID] = e
-		}
 	}
-	l.lmu.Unlock()
+
+	// Pin the snapshot before loading the entries: a transaction's entry
+	// is queued before its writes apply, so every row version the
+	// snapshot shows belongs to an entry loaded after the pin.
+	rtx := l.edb.BeginReadOnly()
+	defer rtx.Close()
+	byTx, byBlock := l.ledgerEntries()
 	truncatedBefore, truncatedMaxTx := l.truncationInfo()
 
-	// A block range scopes invariant 1 to in-range digests and
-	// invariant 3 to in-range transaction entries.
-	scoped := entries
-	if opts.Blocks != nil {
-		var inRange []Digest
-		for _, d := range digests {
-			if opts.Blocks.contains(d.BlockID) {
-				inRange = append(inRange, d)
-			}
-		}
-		digests = inRange
-		scoped = make(map[uint64]*wal.LedgerEntry)
-		for txID, e := range entries {
-			if opts.Blocks.contains(e.BlockID) {
-				scoped[txID] = e
-			}
-		}
-	}
-
-	// Invariants 1–3 run as query plans over the system tables, the way
-	// §3.4.2 expresses them inside the query processor (see
-	// verify_queries.go).
+	// Invariants 1-3.
 	phase := time.Now()
-	l.verifyDigestsQuery(digests, truncatedBefore, rep)
-	l.verifyChainQuery(truncatedBefore, opts.Blocks, rep)
-	l.verifyBlockRootsQuery(scoped, opts.Blocks, rep)
+	chain := l.checkChain(chainCheck{
+		blocks: opts.Blocks, digests: digests, entries: byBlock, truncatedBefore: truncatedBefore,
+	}, emit)
+	rep.BlocksChecked, rep.DigestsChecked = chain.blocks, chain.digests
 	rep.Timing.Chain = time.Since(phase)
 	prog.add(progressChainWeight, "chain", "")
+
+	// The transactions whose roots invariant 4 recomputes: in range, and
+	// applied at the snapshot (a later commit's rows are not in it).
+	class := func(tx uint64) txClass {
+		switch e := byTx[tx]; {
+		case e == nil:
+			return txUnknown
+		case opts.Blocks.contains(e.BlockID) && e.CommitTS <= rtx.TS():
+			return txWanted
+		}
+		return txRecorded
+	}
+	entries := make([]*wal.LedgerEntry, 0, len(byTx))
+	for tx, e := range byTx {
+		if opts.Blocks.contains(e.BlockID) {
+			rep.TransactionsChecked++
+		}
+		if class(tx) == txWanted {
+			entries = append(entries, e)
+		}
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].TxID < entries[j].TxID })
 
 	// Invariants 4 and 5, per ledger table. One worker pool is shared by
 	// the table-level fan-out and the shard/root fan-out inside each
@@ -263,13 +244,13 @@ func (l *LedgerDB) Verify(digests []Digest, opts VerifyOptions) (*Report, error)
 	// table-size distribution looks like.
 	tables := l.LedgerTables()
 	if len(opts.Tables) > 0 {
-		want := make(map[string]bool, len(opts.Tables))
+		named := make(map[string]bool, len(opts.Tables))
 		for _, n := range opts.Tables {
-			want[strings.ToLower(n)] = true
+			named[strings.ToLower(n)] = true
 		}
 		var filtered []*LedgerTable
 		for _, lt := range tables {
-			if want[strings.ToLower(lt.Name())] {
+			if named[strings.ToLower(lt.Name())] {
 				filtered = append(filtered, lt)
 			}
 		}
@@ -292,42 +273,35 @@ func (l *LedgerDB) Verify(digests []Digest, opts VerifyOptions) (*Report, error)
 	}
 
 	pool := newWorkerPool(opts.Parallelism)
-	var mu sync.Mutex
 	tableTasks := make([]func(), 0, len(tables))
 	for ti, lt := range tables {
 		lt, w := lt, tableWeight[ti]
 		tableTasks = append(tableTasks, func() {
-			sub := &Report{}
 			t0 := time.Now()
-			l.verifyTable(lt, entries, opts.Blocks, truncatedBefore, truncatedMaxTx, opts.Parallelism, pool, sub, prog, w*progressRowsShare)
-			rows := time.Since(t0)
+			rows := l.checkRowVersions(lt, rowCheck{
+				rtx: rtx, class: class, entries: entries,
+				truncatedBefore: truncatedBefore, truncatedMaxTx: truncatedMaxTx,
+				parallelism: opts.Parallelism, pool: pool,
+				prog: prog, weight: w * progressRowsShare,
+			}, emit)
 			t1 := time.Now()
-			l.verifyIndexes(lt, opts.Parallelism, pool, sub, prog, w*progressIndexShare)
-			idx := time.Since(t1)
+			indexes := l.checkIndexes(lt, opts.Parallelism, pool, prog, w*progressIndexShare, emit)
+			t2 := time.Now()
 			mu.Lock()
-			rep.Issues = append(rep.Issues, sub.Issues...)
-			rep.RowVersionsChecked += sub.RowVersionsChecked
-			rep.IndexesChecked += sub.IndexesChecked
+			rep.RowVersionsChecked += rows
+			rep.IndexesChecked += indexes
 			rep.TablesChecked++
-			rep.Timing.RowVersions += rows
-			rep.Timing.Indexes += idx
+			rep.Timing.RowVersions += t1.Sub(t0)
+			rep.Timing.Indexes += t2.Sub(t1)
 			mu.Unlock()
 		})
 	}
 	pool.run(tableTasks)
 
-	// Final step (§3.4.2): ledger-view definitions must match their
-	// canonical derivation.
+	// Final step (§3.4.2): ledger-view definitions.
 	phase = time.Now()
 	for _, lt := range tables {
-		def, ok := l.ViewDefinition(lt.ID())
-		if !ok {
-			rep.add(Issue{Table: lt.Name(), Detail: "ledger view definition is missing"})
-			continue
-		}
-		if def != lt.canonicalViewDefinition() {
-			rep.add(Issue{Table: lt.Name(), Detail: "ledger view definition has been altered"})
-		}
+		l.checkView(lt, emit)
 	}
 	rep.Timing.Views = time.Since(phase)
 	prog.add(progressViewsWeight, "views", "")
@@ -376,312 +350,4 @@ func (l *LedgerDB) noteVerifyFinished(rep *Report) {
 		ok: rep.Ok(), issues: len(rep.Issues),
 	}
 	l.healthMu.Unlock()
-}
-
-// opLeaf is one recomputed row-version hash attributed to a transaction.
-type opLeaf struct {
-	seq  uint64
-	hash merkle.Hash
-	// historyInsert marks the insert-side hash of a history-table row.
-	// It is the only op class a *truncated* transaction may legitimately
-	// still be referenced by: the row itself stays covered by the
-	// surviving deleting transaction's root (§5.2).
-	historyInsert bool
-}
-
-// shardOps is the output of one shard scan: recomputed row-version hashes
-// grouped by transaction, plus the shard's row count.
-type shardOps struct {
-	byTx map[uint64][]opLeaf
-	rows int
-}
-
-// verifyTable checks invariant 4 for one ledger table: for every
-// transaction, the Merkle root recomputed over the row versions it
-// created/deleted (in sequence order) matches the root recorded in its
-// ledger entry, and no row references an unknown transaction.
-//
-// The work runs as a two-stage pipeline on the shared pool. Stage one
-// splits the base and history trees into ~parallelism contiguous key
-// ranges (engine.Table.ScanShards) and re-hashes each shard's rows into a
-// per-shard tx→ops map, so one large table keeps every core busy. Stage
-// two merges the shards and fans the per-transaction Merkle-root
-// recomputation back out over the pool.
-func (l *LedgerDB) verifyTable(lt *LedgerTable, entries map[uint64]*wal.LedgerEntry, blocks *BlockRange, truncatedBefore, truncatedMaxTx uint64, parallelism int, pool *workerPool, rep *Report, prog *progressSink, weight float64) {
-	s := lt.table.Schema()
-	name := lt.Name()
-
-	var (
-		tasks  []func()
-		shards []*shardOps
-	)
-	addScans := func(t *engine.Table, history bool) {
-		for _, kr := range t.ScanShards(parallelism) {
-			kr := kr
-			res := &shardOps{byTx: make(map[uint64][]opLeaf)}
-			shards = append(shards, res)
-			tasks = append(tasks, func() {
-				t.ScanRange(kr.Start, kr.End, func(_ []byte, full sqltypes.Row) bool {
-					tx := uint64(full[lt.startTxOrd].Int())
-					seq := uint64(full[lt.startSeqOrd].Int())
-					h := serial.HashRow(s, full, serial.OpInsert, lt.skipEnd)
-					res.byTx[tx] = append(res.byTx[tx], opLeaf{seq: seq, hash: h, historyInsert: history})
-					res.rows++
-					if history {
-						endTx := uint64(full[lt.endTxOrd].Int())
-						endSeq := uint64(full[lt.endSeqOrd].Int())
-						dh := serial.HashRow(s, full, serial.OpDelete, nil)
-						res.byTx[endTx] = append(res.byTx[endTx], opLeaf{seq: endSeq, hash: dh})
-					}
-					return true
-				})
-			})
-		}
-	}
-	addScans(lt.table, false)
-	if lt.history != nil {
-		addScans(lt.history, true)
-	}
-	// Shard scans carry most of a table's row-version cost; the Merkle
-	// root recomputation below gets the rest.
-	pool.run(wrapProgress(tasks, prog, weight*0.7, "row_versions", name))
-
-	// Adopt the first shard's map and merge the rest into it, so the
-	// common serial case (one shard, no history) merges nothing.
-	byTx := shards[0].byTx
-	rep.RowVersionsChecked += shards[0].rows
-	for _, res := range shards[1:] {
-		rep.RowVersionsChecked += res.rows
-		for tx, ops := range res.byTx {
-			byTx[tx] = append(byTx[tx], ops...)
-		}
-	}
-
-	// Per-transaction Merkle roots, fanned out in contiguous chunks; each
-	// chunk worker reuses one leaves buffer across its transactions.
-	txIDs := make([]uint64, 0, len(byTx))
-	for txID := range byTx {
-		txIDs = append(txIDs, txID)
-	}
-	sort.Slice(txIDs, func(i, j int) bool { return txIDs[i] < txIDs[j] })
-	chunks := chunkTxIDs(txIDs, parallelism)
-	subs := make([]*Report, len(chunks))
-	rootTasks := make([]func(), 0, len(chunks))
-	for ci, chunk := range chunks {
-		ci, chunk := ci, chunk
-		subs[ci] = &Report{}
-		rootTasks = append(rootTasks, func() {
-			sub := subs[ci]
-			var leaves []merkle.Hash
-			for _, txID := range chunk {
-				ops := byTx[txID]
-				e, ok := entries[txID]
-				if !ok {
-					if txID <= truncatedMaxTx && allHistoryInserts(ops) {
-						// Legitimately truncated: only the insert side of
-						// surviving history rows may point here; those rows
-						// are still covered by their deleting transaction's
-						// root.
-						continue
-					}
-					sub.add(Issue{Invariant: 4, Table: name,
-						Detail: fmt.Sprintf("row versions reference transaction %d which is not recorded in the ledger", txID)})
-					continue
-				}
-				if !blocks.contains(e.BlockID) {
-					// Out-of-range transactions keep their rows; a block
-					// range only scopes which roots are recomputed.
-					continue
-				}
-				var recorded *merkle.Hash
-				for i := range e.Roots {
-					if e.Roots[i].TableID == lt.ID() {
-						recorded = &e.Roots[i].Root
-						break
-					}
-				}
-				if recorded == nil {
-					sub.add(Issue{Invariant: 4, Table: name,
-						Detail: fmt.Sprintf("transaction %d has row versions in this table but no recorded Merkle root for it", txID)})
-					continue
-				}
-				// Shard merge order is arbitrary; the hash tiebreak keeps
-				// the recomputed root deterministic even for (tampered)
-				// duplicate sequence numbers.
-				sort.Slice(ops, func(i, j int) bool {
-					if ops[i].seq != ops[j].seq {
-						return ops[i].seq < ops[j].seq
-					}
-					return bytes.Compare(ops[i].hash[:], ops[j].hash[:]) < 0
-				})
-				if cap(leaves) < len(ops) {
-					leaves = make([]merkle.Hash, 0, len(ops)*2)
-				}
-				leaves = leaves[:0]
-				for _, op := range ops {
-					leaves = append(leaves, op.hash)
-				}
-				if got := merkle.RootOf(leaves); got != *recorded {
-					sub.add(Issue{Invariant: 4, Table: name,
-						Detail: fmt.Sprintf("transaction %d Merkle root mismatch: recorded=%s computed=%s", txID, recorded, got)})
-				}
-			}
-		})
-	}
-	pool.run(wrapProgress(rootTasks, prog, weight*0.3, "row_versions", name))
-	for _, sub := range subs {
-		rep.Issues = append(rep.Issues, sub.Issues...)
-	}
-
-	// Completeness: entries claiming updates to this table must have row
-	// versions backing them (unless truncation legitimately removed them).
-	for txID, e := range entries {
-		if _, seen := byTx[txID]; seen {
-			continue
-		}
-		if e.BlockID < truncatedBefore || !blocks.contains(e.BlockID) {
-			continue
-		}
-		for _, tr := range e.Roots {
-			if tr.TableID == lt.ID() {
-				rep.add(Issue{Invariant: 4, Table: name,
-					Detail: fmt.Sprintf("transaction %d recorded updates to this table but no row versions remain", txID)})
-			}
-		}
-	}
-}
-
-// chunkTxIDs splits ids into at most n contiguous, near-equal chunks.
-func chunkTxIDs(ids []uint64, n int) [][]uint64 {
-	if len(ids) == 0 {
-		return nil
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > len(ids) {
-		n = len(ids)
-	}
-	chunks := make([][]uint64, 0, n)
-	for i := 0; i < n; i++ {
-		lo, hi := i*len(ids)/n, (i+1)*len(ids)/n
-		chunks = append(chunks, ids[lo:hi])
-	}
-	return chunks
-}
-
-// allHistoryInserts reports whether every op is a history-row insert hash.
-func allHistoryInserts(ops []opLeaf) bool {
-	for _, op := range ops {
-		if !op.historyInsert {
-			return false
-		}
-	}
-	return true
-}
-
-// verifyIndexes checks invariant 5: every nonclustered index of the
-// ledger table and its history table must be equivalent to the base data.
-//
-// Equivalence is a multiset comparison of (entry key, clustered key)
-// pairs: each index is shard-scanned into a mergeable order-independent
-// accumulator (merkle.Accumulator) with an explicit ascending-order check
-// per shard, while ONE sharded pass over the base table recomputes every
-// index's entry key per row and feeds per-index accumulators. That
-// replaces the per-index base re-scan (O(indexes × rows)) and the
-// O(n log n) sort of recomputed pairs of the serial implementation.
-func (l *LedgerDB) verifyIndexes(lt *LedgerTable, parallelism int, pool *workerPool, rep *Report, prog *progressSink, weight float64) {
-	type tableRef struct {
-		name string
-		t    *engine.Table
-	}
-	tables := []tableRef{{lt.table.Name(), lt.table}}
-	if lt.history != nil {
-		tables = append(tables, tableRef{lt.history.Name(), lt.history})
-	}
-	perRef := weight / float64(len(tables))
-	for _, tr := range tables {
-		ixs := tr.t.Indexes()
-		if len(ixs) == 0 {
-			prog.add(perRef, "indexes", tr.name)
-			continue
-		}
-		rep.IndexesChecked += len(ixs)
-
-		type indexShard struct {
-			ixi     int
-			acc     merkle.Accumulator
-			ordered bool
-		}
-		var (
-			tasks       []func()
-			indexShards []*indexShard
-			baseShards  []*[]merkle.Accumulator
-		)
-		for ixi, ix := range ixs {
-			for _, kr := range tr.t.ScanIndexShards(ix, parallelism) {
-				ixi, ix, kr := ixi, ix, kr
-				res := &indexShard{ixi: ixi, ordered: true}
-				indexShards = append(indexShards, res)
-				tasks = append(tasks, func() {
-					var prev []byte
-					first := true
-					tr.t.ScanIndexRange(ix, kr.Start, kr.End, func(entryKey, clusteredKey []byte) bool {
-						if !first && bytes.Compare(prev, entryKey) > 0 {
-							res.ordered = false
-						}
-						first = false
-						prev = append(prev[:0], entryKey...)
-						res.acc.Add(serial.HashBytes(entryKey, clusteredKey))
-						return true
-					})
-				})
-			}
-		}
-		for _, kr := range tr.t.ScanShards(parallelism) {
-			kr := kr
-			accs := make([]merkle.Accumulator, len(ixs))
-			baseShards = append(baseShards, &accs)
-			tasks = append(tasks, func() {
-				tr.t.ScanRange(kr.Start, kr.End, func(ck []byte, row sqltypes.Row) bool {
-					for ixi, ix := range ixs {
-						accs[ixi].Add(serial.HashBytes(ix.EntryKey(ck, row), ck))
-					}
-					return true
-				})
-			})
-		}
-		pool.run(wrapProgress(tasks, prog, perRef, "indexes", tr.name))
-
-		actual := make([]merkle.Accumulator, len(ixs))
-		ordered := make([]bool, len(ixs))
-		for i := range ordered {
-			ordered[i] = true
-		}
-		for _, res := range indexShards {
-			actual[res.ixi].Merge(res.acc)
-			if !res.ordered {
-				ordered[res.ixi] = false
-			}
-		}
-		expected := make([]merkle.Accumulator, len(ixs))
-		for _, accs := range baseShards {
-			for i := range expected {
-				expected[i].Merge((*accs)[i])
-			}
-		}
-		for ixi, ix := range ixs {
-			// Shard ranges are disjoint and ascending, so per-shard
-			// ordering implies whole-index ordering — the property the
-			// order-independent accumulator itself cannot observe.
-			if !ordered[ixi] {
-				rep.add(Issue{Invariant: 5, Table: tr.name,
-					Detail: fmt.Sprintf("nonclustered index %s entries are out of order", ix.Meta().Name)})
-			}
-			if !actual[ixi].Equal(expected[ixi]) {
-				rep.add(Issue{Invariant: 5, Table: tr.name,
-					Detail: fmt.Sprintf("nonclustered index %s is not equivalent to the base table data", ix.Meta().Name)})
-			}
-		}
-	}
 }

@@ -68,7 +68,7 @@ func TestCheckpointCommitterProgress(t *testing.T) {
 
 // TestCheckpointConcurrentCommitters hammers Checkpoint with parallel
 // committers: every commit issued while checkpoints run must survive the
-// restart. Run under -race by make test-race-recover.
+// restart. Run under -race by make test-race.
 func TestCheckpointConcurrentCommitters(t *testing.T) {
 	dir := t.TempDir()
 	db := openDBAt(t, dir)

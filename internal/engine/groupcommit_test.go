@@ -13,7 +13,7 @@ import (
 // TestCommitStressConcurrent hammers the staged commit pipeline from many
 // goroutines: every commit must survive, timestamps must stay strictly
 // monotonic, and recovery must replay the full set. Run under -race by
-// `make test-race-commit`.
+// `make test-race`.
 func TestCommitStressConcurrent(t *testing.T) {
 	dir := t.TempDir()
 	db := openDBAt(t, dir)

@@ -16,7 +16,9 @@ import (
 // snapshot stays registered until Close so version GC cannot reclaim the
 // versions it may still read.
 //
-// ReadTx is not safe for concurrent use by multiple goroutines.
+// Reads (Get, GetByKey, Scan, ScanRange) only read the transaction and
+// may run from several goroutines at once — verification shards one
+// snapshot's scan across a worker pool. Close must not race a read.
 type ReadTx struct {
 	db   *DB
 	id   uint64
