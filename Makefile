@@ -111,5 +111,14 @@ bench:
 bench-test:
 	go -C bench test .
 
+# The WAL's native fuzz targets (frame reader, payload decoders), 10 s
+# each: long enough to walk past the seeds, short enough for every push.
+# `go test -fuzz` takes one target per run.
+.PHONY: fuzz-smoke
+fuzz-smoke:
+	@for target in FuzzFrameReader FuzzDecodeDML FuzzDecodeCommit FuzzDecodePrepare; do \
+		go test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./internal/wal || exit 1; \
+	done
+
 .PHONY: check
-check: fmt-check vet test bench-test test-race
+check: fmt-check vet test bench-test test-race fuzz-smoke

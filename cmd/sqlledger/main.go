@@ -34,6 +34,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -41,6 +42,7 @@ import (
 
 	"sqlledger"
 	"sqlledger/internal/sqltypes"
+	"sqlledger/internal/wal"
 )
 
 var dbDir = flag.String("db", "./ledgerdb", "database directory")
@@ -62,6 +64,14 @@ func main() {
 	args := flag.Args()
 	if len(args) == 0 {
 		usage()
+	}
+	if args[0] == "repair-wal" { // runs instead of opening: it is for a log Open refuses
+		dropped, err := wal.Repair(filepath.Join(*dbDir, "wal.log"))
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("repair-wal: dropped %d bytes\n", dropped)
+		return
 	}
 	reg := sqlledger.NewMetricsRegistry()
 	reg.Traces().SetSlowThreshold(time.Duration(*slowMS) * time.Millisecond)
@@ -532,6 +542,9 @@ commands:
   verify-receipt FILE PUBKEYHEX          verify a receipt offline
   truncate BEFORE_BLOCK                  delete ledger history below a block
   restore DSTDIR UNIXNANO                point-in-time restore
+  repair-wal                             cut DIR/wal.log at the damaged frame that
+                                         makes opening fail with "corrupt frame";
+                                         every commit from that frame on is lost
   audit [DURATION]                       run the always-on auditor: one cycle, or
                                          a background loop for DURATION; exits 1
                                          when tampering is localized

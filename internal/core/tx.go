@@ -318,7 +318,7 @@ func (tx *Tx) InsertBatchParallel(lt *LedgerTable, rows []sqltypes.Row, workers 
 				}
 				p.full = full
 				p.key = lt.table.KeyFor(full)
-				p.enc = wal.AppendDML(nil, wal.RecInsert, wal.DMLPayload{
+				p.enc = wal.EncodeDML(wal.RecInsert, wal.DMLPayload{
 					TableID: lt.table.ID(), Key: p.key, After: full,
 				})
 				p.hash = serial.HashRow(schema, full, serial.OpInsert, lt.skipEnd)

@@ -266,16 +266,6 @@ func (db *DB) Dir() string { return db.opts.Dir }
 // LogSize returns the current WAL size in bytes.
 func (db *DB) LogSize() int64 { return db.log.Size() }
 
-// rowEncSizeHint over-approximates sqltypes.EncodeRow's output size for
-// arena pre-sizing (strings and byte values plus fixed per-value space).
-func rowEncSizeHint(r sqltypes.Row) int {
-	n := 10
-	for _, v := range r {
-		n += 12 + len(v.Str) + len(v.Bytes)
-	}
-	return n
-}
-
 // nowNanos returns the current time from Options.Clock, or the wall
 // clock when none is configured.
 func (db *DB) nowNanos() int64 {
@@ -389,31 +379,8 @@ func (db *DB) Commit(tx *Tx) (int64, error) {
 	tr := tx.trace
 	lap := db.obs.Timer()
 
-	// Build the WAL batch outside the critical section. All DML payloads
-	// are encoded into one shared arena sized from a per-row hint; a
-	// record's payload slice stays valid even if a later append grows the
-	// arena, because the old backing array is left intact.
-	recs := make([]wal.Record, 0, len(tx.writes)+1)
-	size := 0
-	for _, w := range tx.writes {
-		if w.enc == nil {
-			size += len(w.key) + rowEncSizeHint(w.before) + rowEncSizeHint(w.after) + 10
-		}
-	}
-	arena := make([]byte, 0, size)
-	for _, w := range tx.writes {
-		payload := w.enc
-		if payload == nil {
-			start := len(arena)
-			arena = wal.AppendDML(arena, w.typ, wal.DMLPayload{TableID: w.tableID, Key: w.key, Before: w.before, After: w.after})
-			payload = arena[start:len(arena):len(arena)]
-		}
-		recs = append(recs, wal.Record{
-			Type:    w.typ,
-			TxID:    tx.id,
-			Payload: payload,
-		})
-	}
+	// Build the WAL batch outside the critical section.
+	recs := tx.encodeWrites()
 
 	lap.LapSpan(db.m.stageEncode, tr, obs.SpanWALEncode)
 

@@ -326,7 +326,7 @@ func (db *DB) recoverPhases(sp *obs.Span, start time.Time) error {
 		case wal.RecInsert, wal.RecDelete, wal.RecUpdate:
 			p := rec.DML
 			pending[rec.TxID] = append(pending[rec.TxID], writeOp{
-				typ: rec.Type, tableID: p.TableID, key: p.Key, before: p.Before, after: p.After,
+				typ: rec.Type, tableID: p.TableID, key: p.Key, after: p.After,
 			})
 		case wal.RecCommit:
 			p := rec.Commit
@@ -373,7 +373,7 @@ func (db *DB) recoverPhases(sp *obs.Span, start time.Time) error {
 			if err := db.applyDDLDeferred(op, widened, rebuild); err != nil {
 				return err
 			}
-		case wal.RecCheckpoint, wal.RecBegin:
+		case wal.RecCheckpoint:
 			// Informational during redo.
 		default:
 			return fmt.Errorf("engine: recovery: unknown record type %d", rec.Type)

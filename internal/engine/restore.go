@@ -35,7 +35,7 @@ func RestoreToTime(srcDir, dstDir string, targetTS int64) error {
 		return err
 	}
 	defer dst.Close()
-	if dst.Size() != 0 {
+	if dst.Size() != wal.HeaderLen {
 		return fmt.Errorf("engine: restore destination %s is not empty", dstDir)
 	}
 	r, err := wal.NewReader(srcWAL, 0, -1)
@@ -44,11 +44,13 @@ func RestoreToTime(srcDir, dstDir string, targetTS int64) error {
 	}
 	defer r.Close()
 
-	// A transaction's DML records immediately precede its COMMIT record
-	// (commits append atomically), so we buffer each batch and emit it
-	// only once we see a commit with ts <= target. The first commit past
-	// the target ends the restore: everything after it is "the future".
-	var batch []wal.Record
+	// A transaction's records reach the destination as one frame, and only
+	// once its COMMIT with ts <= target is seen: a plain commit's frame is
+	// copied as is, a two-phase participant's PREPARE frame (which other
+	// transactions' frames may separate from its COMMIT) is merged with the
+	// decision. The first commit past the target ends the restore:
+	// everything after it is "the future", undecided prepares included.
+	pending := make(map[uint64][]wal.Record)
 	for {
 		rec, err := r.Next()
 		if err == io.EOF {
@@ -72,15 +74,14 @@ func RestoreToTime(srcDir, dstDir string, targetTS int64) error {
 			if p.CommitTS > targetTS {
 				return dst.Flush()
 			}
-			batch = append(batch, rec)
-			if _, err := dst.AppendBatch(batch); err != nil {
+			if _, err := dst.AppendBatch(append(pending[rec.TxID], rec)); err != nil {
 				return err
 			}
-			batch = batch[:0]
+			delete(pending, rec.TxID)
 		case wal.RecAbort:
-			batch = batch[:0]
+			delete(pending, rec.TxID)
 		default:
-			batch = append(batch, rec)
+			pending[rec.TxID] = append(pending[rec.TxID], rec)
 		}
 	}
 	return dst.Flush()

@@ -43,26 +43,10 @@ func (db *DB) Prepare(tx *Tx, gid uint64) error {
 	db.quiesce.RLock()
 	defer db.quiesce.RUnlock()
 
-	// Encode the DML batch exactly like Commit does (shared arena), then
-	// terminate it with the PREPARE record; appendLocked flushes on
-	// RecPrepare, so the whole batch is durable when AppendBatch returns.
-	recs := make([]wal.Record, 0, len(tx.writes)+1)
-	size := 0
-	for _, w := range tx.writes {
-		if w.enc == nil {
-			size += len(w.key) + rowEncSizeHint(w.before) + rowEncSizeHint(w.after) + 10
-		}
-	}
-	arena := make([]byte, 0, size)
-	for _, w := range tx.writes {
-		payload := w.enc
-		if payload == nil {
-			start := len(arena)
-			arena = wal.AppendDML(arena, w.typ, wal.DMLPayload{TableID: w.tableID, Key: w.key, Before: w.before, After: w.after})
-			payload = arena[start:len(arena):len(arena)]
-		}
-		recs = append(recs, wal.Record{Type: w.typ, TxID: tx.id, Payload: payload})
-	}
+	// The DML batch and the PREPARE record that ends it go out as one
+	// frame; AppendBatch flushes a batch ending in RecPrepare, so the whole
+	// write set is durable when it returns.
+	recs := tx.encodeWrites()
 	recs = append(recs, wal.Record{
 		Type:    wal.RecPrepare,
 		TxID:    tx.id,

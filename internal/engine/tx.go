@@ -73,12 +73,37 @@ type writeOp struct {
 	typ     wal.RecordType
 	tableID uint32
 	key     []byte
-	before  sqltypes.Row
 	after   sqltypes.Row
 	// enc, if non-nil, is the pre-encoded WAL payload for this op.
 	// Batched ingest encodes payloads on worker goroutines; Commit
 	// encodes the rest itself.
 	enc []byte
+}
+
+// encodeWrites turns the write set into WAL records, leaving room for the
+// COMMIT or PREPARE record that ends the batch. Payloads
+// not pre-encoded by batched ingest are encoded into one shared arena sized
+// from a per-row hint; a record's payload slice stays valid even if a later
+// append grows the arena, because the old backing array is left intact.
+func (tx *Tx) encodeWrites() []wal.Record {
+	recs := make([]wal.Record, 0, len(tx.writes)+1)
+	size := 0
+	for _, w := range tx.writes {
+		if w.enc == nil {
+			size += wal.DMLSizeHint(w.key, w.after)
+		}
+	}
+	arena := make([]byte, 0, size)
+	for _, w := range tx.writes {
+		payload := w.enc
+		if payload == nil {
+			start := len(arena)
+			arena = wal.AppendDML(arena, w.typ, wal.DMLPayload{TableID: w.tableID, Key: w.key, After: w.after})
+			payload = arena[start:len(arena):len(arena)]
+		}
+		recs = append(recs, wal.Record{Type: w.typ, TxID: tx.id, Payload: payload})
+	}
+	return recs
 }
 
 type overlay struct {
@@ -255,7 +280,7 @@ func (tx *Tx) DeleteByKey(t *Table, key []byte) (sqltypes.Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
-	tx.writes = append(tx.writes, writeOp{typ: wal.RecDelete, tableID: t.meta.ID, key: key, before: before})
+	tx.writes = append(tx.writes, writeOp{typ: wal.RecDelete, tableID: t.meta.ID, key: key})
 	tx.overlayFor(t.meta.ID).m[string(key)] = overlayEntry{deleted: true}
 	return before, nil
 }
@@ -286,7 +311,7 @@ func (tx *Tx) UpdateByKey(t *Table, key []byte, row sqltypes.Row) (sqltypes.Row,
 	if !ok {
 		return nil, fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
-	tx.writes = append(tx.writes, writeOp{typ: wal.RecUpdate, tableID: t.meta.ID, key: key, before: before, after: row})
+	tx.writes = append(tx.writes, writeOp{typ: wal.RecUpdate, tableID: t.meta.ID, key: key, after: row})
 	tx.overlayFor(t.meta.ID).m[string(key)] = overlayEntry{row: row}
 	return before, nil
 }

@@ -201,4 +201,10 @@ func TestRowCodecErrors(t *testing.T) {
 	if _, _, err := DecodeRow([]byte{200}); err == nil {
 		t.Error("absurd column count accepted")
 	}
+	// A string length of 2^63 used to wrap negative past the bounds check
+	// and panic in the slice expression.
+	huge := append([]byte{1, byte(TypeVarChar), 0}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)
+	if _, _, err := DecodeRow(huge); err == nil {
+		t.Error("string longer than the input accepted")
+	}
 }

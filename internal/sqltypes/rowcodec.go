@@ -76,7 +76,7 @@ func DecodeRow(b []byte) (Row, int, error) {
 				return nil, 0, fmt.Errorf("sqltypes: bad length at value %d", i)
 			}
 			pos += sz
-			if pos+int(l) > len(b) {
+			if l > uint64(len(b)-pos) {
 				return nil, 0, fmt.Errorf("sqltypes: value %d truncated", i)
 			}
 			if t.IsString() {

@@ -73,33 +73,44 @@ func decodeEntry(b []byte) (*LedgerEntry, int, error) {
 	if e.CommitTS, pos, err = getVarint(b, pos); err != nil {
 		return nil, 0, err
 	}
-	if u, pos, err = getUvarint(b, pos); err != nil {
+	user, pos, err := getBytes(b, pos)
+	if err != nil {
 		return nil, 0, err
 	}
-	if pos+int(u) > len(b) {
-		return nil, 0, fmt.Errorf("wal: entry user truncated")
-	}
-	e.User = string(b[pos : pos+int(u)])
-	pos += int(u)
-	if u, pos, err = getUvarint(b, pos); err != nil {
+	e.User = string(user)
+	if e.Roots, pos, err = getRoots(b, pos); err != nil {
 		return nil, 0, err
 	}
-	e.Roots = make([]TableRoot, 0, u)
-	for i := uint64(0); i < u; i++ {
+	return e, pos, nil
+}
+
+// getRoots decodes a counted list of (table id, Merkle root) pairs.
+func getRoots(b []byte, pos int) ([]TableRoot, int, error) {
+	n, pos, err := getUvarint(b, pos)
+	if err != nil {
+		return nil, 0, err
+	}
+	// A root takes more than len(Root) bytes, which bounds the allocation
+	// by the payload's size whatever count it claims.
+	if n > uint64(len(b)-pos)/uint64(len(merkle.Hash{})) {
+		return nil, 0, fmt.Errorf("wal: %d roots in %d bytes", n, len(b)-pos)
+	}
+	roots := make([]TableRoot, 0, n)
+	for i := uint64(0); i < n; i++ {
 		var tid uint64
 		if tid, pos, err = getUvarint(b, pos); err != nil {
 			return nil, 0, err
 		}
 		var tr TableRoot
 		tr.TableID = uint32(tid)
-		if pos+len(tr.Root) > len(b) {
-			return nil, 0, fmt.Errorf("wal: entry root truncated")
+		if len(tr.Root) > len(b)-pos {
+			return nil, 0, fmt.Errorf("wal: root truncated")
 		}
 		copy(tr.Root[:], b[pos:])
 		pos += len(tr.Root)
-		e.Roots = append(e.Roots, tr)
+		roots = append(roots, tr)
 	}
-	return e, pos, nil
+	return roots, pos, nil
 }
 
 func getUvarint(b []byte, pos int) (uint64, int, error) {
@@ -123,24 +134,35 @@ func getBytes(b []byte, pos int) ([]byte, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if pos+int(l) > len(b) {
+	if l > uint64(len(b)-pos) {
 		return nil, 0, fmt.Errorf("wal: bytes truncated at %d", pos)
 	}
 	return b[pos : pos+int(l)], pos + int(l), nil
 }
 
-// DMLPayload is the decoded payload of insert/delete/update records.
-// Before is set for deletes and updates; After for inserts and updates.
+// DMLPayload is the decoded payload of insert/delete/update records: what
+// redo needs and nothing else. After is the row's new image, nil for
+// deletes.
 type DMLPayload struct {
 	TableID uint32
 	Key     []byte
-	Before  sqltypes.Row
 	After   sqltypes.Row
+}
+
+// DMLSizeHint over-approximates the encoded size of a DML payload (strings
+// and byte values plus fixed per-value space), so callers of AppendDML can
+// size the destination once instead of growing it.
+func DMLSizeHint(key []byte, after sqltypes.Row) int {
+	n := 20 + len(key)
+	for _, v := range after {
+		n += 12 + len(v.Str) + len(v.Bytes)
+	}
+	return n
 }
 
 // EncodeDML serializes a DML payload for the given record type.
 func EncodeDML(t RecordType, p DMLPayload) []byte {
-	return AppendDML(nil, t, p)
+	return AppendDML(make([]byte, 0, DMLSizeHint(p.Key, p.After)), t, p)
 }
 
 // AppendDML appends the serialized DML payload to dst. Commit encodes a
@@ -150,13 +172,7 @@ func AppendDML(dst []byte, t RecordType, p DMLPayload) []byte {
 	dst = binary.AppendUvarint(dst, uint64(p.TableID))
 	dst = binary.AppendUvarint(dst, uint64(len(p.Key)))
 	dst = append(dst, p.Key...)
-	switch t {
-	case RecInsert:
-		dst = sqltypes.EncodeRow(dst, p.After)
-	case RecDelete:
-		dst = sqltypes.EncodeRow(dst, p.Before)
-	case RecUpdate:
-		dst = sqltypes.EncodeRow(dst, p.Before)
+	if t != RecDelete {
 		dst = sqltypes.EncodeRow(dst, p.After)
 	}
 	return dst
@@ -176,7 +192,7 @@ func DecodeDML(t RecordType, b []byte) (DMLPayload, error) {
 	}
 	p.Key = append([]byte(nil), key...)
 	switch t {
-	case RecInsert:
+	case RecInsert, RecUpdate:
 		r, n, err := sqltypes.DecodeRow(b[pos:])
 		if err != nil {
 			return p, err
@@ -184,25 +200,6 @@ func DecodeDML(t RecordType, b []byte) (DMLPayload, error) {
 		p.After = r
 		pos += n
 	case RecDelete:
-		r, n, err := sqltypes.DecodeRow(b[pos:])
-		if err != nil {
-			return p, err
-		}
-		p.Before = r
-		pos += n
-	case RecUpdate:
-		r, n, err := sqltypes.DecodeRow(b[pos:])
-		if err != nil {
-			return p, err
-		}
-		p.Before = r
-		pos += n
-		r, n, err = sqltypes.DecodeRow(b[pos:])
-		if err != nil {
-			return p, err
-		}
-		p.After = r
-		pos += n
 	default:
 		return p, fmt.Errorf("wal: %s is not a DML record", t)
 	}
@@ -302,24 +299,8 @@ func DecodePrepare(b []byte) (PreparePayload, error) {
 		return p, err
 	}
 	p.User = string(user)
-	n, pos, err := getUvarint(b, pos)
-	if err != nil {
+	if p.Roots, pos, err = getRoots(b, pos); err != nil {
 		return p, err
-	}
-	p.Roots = make([]TableRoot, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var tid uint64
-		if tid, pos, err = getUvarint(b, pos); err != nil {
-			return p, err
-		}
-		var tr TableRoot
-		tr.TableID = uint32(tid)
-		if pos+len(tr.Root) > len(b) {
-			return p, fmt.Errorf("wal: prepare root truncated")
-		}
-		copy(tr.Root[:], b[pos:])
-		pos += len(tr.Root)
-		p.Roots = append(p.Roots, tr)
 	}
 	if pos != len(b) {
 		return p, fmt.Errorf("wal: %d trailing bytes in prepare payload", len(b)-pos)

@@ -18,7 +18,7 @@ import (
 // DecodedRecord is a log record with its payload eagerly decoded. Exactly
 // one of DML, Commit, Prepare is non-nil for the record types the decode
 // stage understands (DML records, COMMIT, PREPARE); other types (DDL,
-// CHECKPOINT, BEGIN, ABORT) pass through with only the raw payload, since
+// CHECKPOINT, ABORT) pass through with only the raw payload, since
 // they are rare and their interpretation belongs to the engine.
 type DecodedRecord struct {
 	Record

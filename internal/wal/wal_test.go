@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -43,7 +44,7 @@ func readAll(t *testing.T, path string) []Record {
 
 func TestAppendAndRead(t *testing.T) {
 	l, path := openTestLog(t)
-	lsn1, err := l.Append(RecBegin, 7, []byte("one"))
+	lsn1, err := l.Append(RecInsert, 7, []byte("one"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestAppendAndRead(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("read %d records", len(recs))
 	}
-	if recs[0].Type != RecBegin || recs[0].TxID != 7 || string(recs[0].Payload) != "one" {
+	if recs[0].Type != RecInsert || recs[0].TxID != 7 || string(recs[0].Payload) != "one" {
 		t.Fatalf("record 0 = %+v", recs[0])
 	}
 	if recs[1].LSN != lsn2 {
@@ -71,8 +72,8 @@ func TestAppendAndRead(t *testing.T) {
 
 func TestReaderFromOffset(t *testing.T) {
 	l, path := openTestLog(t)
-	l.Append(RecBegin, 1, []byte("a"))
-	mid, _ := l.Append(RecBegin, 2, []byte("b"))
+	l.Append(RecInsert, 1, []byte("a"))
+	mid, _ := l.Append(RecInsert, 2, []byte("b"))
 	l.Append(RecCommit, 2, []byte("c"))
 	l.Flush()
 	r, err := NewReader(path, mid, l.Size())
@@ -130,7 +131,7 @@ func TestCorruptionDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, err := r.Next(); err != ErrCorrupt {
+	if _, err := r.Next(); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("expected ErrCorrupt, got %v", err)
 	}
 }
@@ -145,7 +146,7 @@ func TestAppendBatchContiguous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first != 0 {
+	if first != HeaderLen {
 		t.Fatalf("first lsn = %d", first)
 	}
 	l.Flush()
@@ -191,9 +192,9 @@ func TestSyncModes(t *testing.T) {
 
 func TestRecordTypeString(t *testing.T) {
 	names := map[RecordType]string{
-		RecBegin: "BEGIN", RecInsert: "INSERT", RecDelete: "DELETE",
+		RecordType(1): "REC(1)", RecInsert: "INSERT", RecDelete: "DELETE",
 		RecUpdate: "UPDATE", RecCommit: "COMMIT", RecAbort: "ABORT",
-		RecCheckpoint: "CHECKPOINT", RecDDL: "DDL", RecordType(99): "REC(99)",
+		RecCheckpoint: "CHECKPOINT", RecDDL: "DDL", RecPrepare: "PREPARE", RecordType(99): "REC(99)",
 	}
 	for rt, want := range names {
 		if rt.String() != want {
@@ -250,15 +251,14 @@ func TestCommitPayloadErrors(t *testing.T) {
 }
 
 func TestDMLPayloadRoundtrip(t *testing.T) {
-	before := sqltypes.Row{sqltypes.NewBigInt(1), sqltypes.NewVarChar("old")}
 	after := sqltypes.Row{sqltypes.NewBigInt(1), sqltypes.NewVarChar("new")}
 	cases := []struct {
 		typ RecordType
 		p   DMLPayload
 	}{
 		{RecInsert, DMLPayload{TableID: 4, Key: []byte{1, 2}, After: after}},
-		{RecDelete, DMLPayload{TableID: 4, Key: []byte{1, 2}, Before: before}},
-		{RecUpdate, DMLPayload{TableID: 4, Key: []byte{1, 2}, Before: before, After: after}},
+		{RecDelete, DMLPayload{TableID: 4, Key: []byte{1, 2}}},
+		{RecUpdate, DMLPayload{TableID: 4, Key: []byte{1, 2}, After: after}},
 	}
 	for _, c := range cases {
 		back, err := DecodeDML(c.typ, EncodeDML(c.typ, c.p))
@@ -268,11 +268,8 @@ func TestDMLPayloadRoundtrip(t *testing.T) {
 		if back.TableID != c.p.TableID || string(back.Key) != string(c.p.Key) {
 			t.Fatalf("%s header roundtrip: %+v", c.typ, back)
 		}
-		if (c.p.Before == nil) != (back.Before == nil) || (c.p.After == nil) != (back.After == nil) {
+		if (c.p.After == nil) != (back.After == nil) {
 			t.Fatalf("%s row presence: %+v", c.typ, back)
-		}
-		if c.p.Before != nil && !back.Before.Equal(c.p.Before) {
-			t.Fatalf("%s before mismatch", c.typ)
 		}
 		if c.p.After != nil && !back.After.Equal(c.p.After) {
 			t.Fatalf("%s after mismatch", c.typ)
