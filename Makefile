@@ -47,7 +47,8 @@ bench-verify:
 	go test -run - -bench 'Figure9|VerificationParallelism' -benchmem .
 	go test -run - -bench 'HashRow' -benchmem ./internal/serial/
 
-# Commit-scaling benchmark: group vs. serialized pipeline under SyncFull.
+# Commit-scaling benchmark: commits/s, fsync/commit and commits/group at
+# 1/2/4/8 clients under SyncFull.
 .PHONY: bench-commit
 bench-commit:
 	go test -run - -bench CommitConcurrent -benchtime 2000x .

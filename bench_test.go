@@ -15,8 +15,8 @@
 //	          ledger is maintained incrementally.
 //	§4.1.2:   BenchmarkCommit — the ~125µs commit cost the paper notes
 //	          dominates short transactions.
-//	§3.3.2:   BenchmarkCommitConcurrent — commit throughput and
-//	          fsyncs/commit at 1-8 clients, group vs. serialized pipeline.
+//	§3.3.2:   BenchmarkCommitConcurrent — commit throughput, fsyncs/commit
+//	          and commits/group at 1-8 clients.
 //
 // cmd/ledgerbench runs the same experiments and prints paper-style tables;
 // EXPERIMENTS.md records paper-vs-measured numbers.
@@ -30,6 +30,7 @@ import (
 
 	"sqlledger"
 	"sqlledger/internal/engine"
+	"sqlledger/internal/obs"
 	"sqlledger/internal/simchain"
 	"sqlledger/internal/wal"
 	"sqlledger/internal/workload"
@@ -369,83 +370,76 @@ func BenchmarkDigestNaiveFullRehash(b *testing.B) {
 
 // BenchmarkCommitConcurrent measures commit throughput under SyncFull —
 // where durability costs one fsync per write group — at increasing client
-// counts, comparing the serialized commit path against the staged
-// group-commit pipeline. MaxBatch is set to the client count so a write
-// group can absorb every in-flight commit, and a small MaxDelay lets
-// slightly staggered commits join. After the run the ledger is verified
-// twice, serially and in parallel, and the reports must be identical.
+// counts: one client pays one fsync per commit, concurrent clients share
+// them. After the run the ledger is verified twice, serially and in
+// parallel, and the reports must be identical.
 func BenchmarkCommitConcurrent(b *testing.B) {
-	for _, pipeline := range []string{"serialized", "group"} {
-		for _, clients := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/clients=%d", pipeline, clients), func(b *testing.B) {
-				cfg := sqlledger.GroupCommitOptions{Disabled: pipeline == "serialized"}
-				if !cfg.Disabled {
-					cfg.MaxBatch = clients
-					cfg.MaxDelay = 500 * time.Microsecond
-				}
-				db, err := sqlledger.Open(sqlledger.Options{
-					Dir: b.TempDir(), Name: "bench",
-					Sync:        sqlledger.SyncFull,
-					LockTimeout: 5 * time.Second,
-					GroupCommit: cfg,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer db.Close()
-				lt, err := db.CreateLedgerTable("t", fig8Schema(), sqlledger.Updateable)
-				if err != nil {
-					b.Fatal(err)
-				}
-				before := db.CommitStats()
-				b.ResetTimer()
-				res := workload.DriveN(clients, b.N, func(id int) func() error {
-					seq := int64(0)
-					return func() error {
-						seq++
-						tx := db.Begin("bench")
-						if err := tx.Insert(lt, fig8Row(int64(id+1)*1_000_000_000+seq)); err != nil {
-							tx.Rollback()
-							return err
-						}
-						return tx.Commit()
+	for _, clients := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			db, err := sqlledger.Open(sqlledger.Options{
+				Dir: b.TempDir(), Name: "bench",
+				Sync:        sqlledger.SyncFull,
+				LockTimeout: 5 * time.Second,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer db.Close()
+			lt, err := db.CreateLedgerTable("t", fig8Schema(), sqlledger.Updateable)
+			if err != nil {
+				b.Fatal(err)
+			}
+			before := db.Snapshot()
+			b.ResetTimer()
+			res := workload.DriveN(clients, b.N, func(id int) func() error {
+				seq := int64(0)
+				return func() error {
+					seq++
+					tx := db.Begin("bench")
+					if err := tx.Insert(lt, fig8Row(int64(id+1)*1_000_000_000+seq)); err != nil {
+						tx.Rollback()
+						return err
 					}
-				})
-				b.StopTimer()
-				if res.Errors > 0 {
-					b.Fatalf("%d commit errors: %v", res.Errors, res.Err)
-				}
-				after := db.CommitStats()
-				b.ReportMetric(res.TPS(), "commits/s")
-				b.ReportMetric(float64(after.Fsyncs-before.Fsyncs)/float64(res.Commits), "fsync/commit")
-				if g := after.Groups - before.Groups; g > 0 {
-					b.ReportMetric(float64(after.Commits-before.Commits)/float64(g), "commits/group")
-				}
-
-				// Group commit must not change what verification sees:
-				// serial and parallel runs must produce identical reports.
-				d, err := db.GenerateDigest()
-				if err != nil {
-					b.Fatal(err)
-				}
-				serial, err := db.Verify([]sqlledger.Digest{d}, sqlledger.VerifyOptions{Parallelism: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				parallel, err := db.Verify([]sqlledger.Digest{d}, sqlledger.VerifyOptions{Parallelism: 8})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !serial.Ok() || !parallel.Ok() {
-					b.Fatalf("verification failed:\n%s\n%s", serial, parallel)
-				}
-				ns, np := *serial, *parallel
-				ns.Timing, np.Timing = sqlledger.VerifyTiming{}, sqlledger.VerifyTiming{}
-				if ns.String() != np.String() {
-					b.Fatalf("parallel verification diverges from serial:\n%s\n---\n%s", ns.String(), np.String())
+					return tx.Commit()
 				}
 			})
-		}
+			b.StopTimer()
+			if res.Errors > 0 {
+				b.Fatalf("%d commit errors: %v", res.Errors, res.Err)
+			}
+			after := db.Snapshot()
+			delta := func(name string) float64 {
+				return float64(after.CounterValue(name) - before.CounterValue(name))
+			}
+			b.ReportMetric(res.TPS(), "commits/s")
+			b.ReportMetric(delta(obs.WALFsyncTotal)/float64(res.Commits), "fsync/commit")
+			if g := delta(obs.WALGroups); g > 0 {
+				b.ReportMetric(delta(obs.WALGroupCommits)/g, "commits/group")
+			}
+
+			// Group commit must not change what verification sees:
+			// serial and parallel runs must produce identical reports.
+			d, err := db.GenerateDigest()
+			if err != nil {
+				b.Fatal(err)
+			}
+			serial, err := db.Verify([]sqlledger.Digest{d}, sqlledger.VerifyOptions{Parallelism: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			parallel, err := db.Verify([]sqlledger.Digest{d}, sqlledger.VerifyOptions{Parallelism: 8})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !serial.Ok() || !parallel.Ok() {
+				b.Fatalf("verification failed:\n%s\n%s", serial, parallel)
+			}
+			ns, np := *serial, *parallel
+			ns.Timing, np.Timing = sqlledger.VerifyTiming{}, sqlledger.VerifyTiming{}
+			if ns.String() != np.String() {
+				b.Fatalf("parallel verification diverges from serial:\n%s\n---\n%s", ns.String(), np.String())
+			}
+		})
 	}
 }
 

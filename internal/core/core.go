@@ -58,9 +58,6 @@ type Options struct {
 	BlockSize uint32
 	// Sync selects WAL durability.
 	Sync wal.SyncMode
-	// GroupCommit tunes WAL group commit (zero value: enabled with
-	// defaults; set Disabled for the serialized ablation path).
-	GroupCommit wal.GroupConfig
 	// LockTimeout bounds row-lock waits.
 	LockTimeout time.Duration
 	// ReplicaLag, if set, simulates asynchronous geo-replication: it
@@ -258,7 +255,6 @@ func Open(opts Options) (*LedgerDB, error) {
 	edb, err := engine.Open(engine.Options{
 		Dir:               opts.Dir,
 		Sync:              opts.Sync,
-		GroupCommit:       opts.GroupCommit,
 		LockTimeout:       opts.LockTimeout,
 		Hook:              h,
 		Obs:               opts.Obs,
@@ -332,28 +328,6 @@ func (l *LedgerDB) Incarnation() int64 { return l.incarnation }
 func (l *LedgerDB) Checkpoint() error {
 	_, err := l.edb.Checkpoint()
 	return err
-}
-
-// CommitStats reports how commit durability is being amortized by the
-// staged group-commit pipeline.
-type CommitStats struct {
-	// Commits is the number of commit batches published to the group
-	// committer (zero when group commit is disabled).
-	Commits int64
-	// Groups is the number of write groups flushed, one WAL flush each;
-	// Commits/Groups is the average group size.
-	Groups int64
-	// Fsyncs is the number of WAL fsyncs since open (nonzero only under
-	// wal.SyncFull). Fsyncs per committed transaction is the headline
-	// group-commit metric.
-	Fsyncs int64
-}
-
-// CommitStats returns commit-path durability counters since open. It is
-// a shim over the registry's sqlledger_wal_* counters.
-func (l *LedgerDB) CommitStats() CommitStats {
-	gs := l.edb.GroupCommitStats()
-	return CommitStats{Commits: gs.Commits, Groups: gs.Groups, Fsyncs: l.edb.FsyncCount()}
 }
 
 // Obs returns the database's metrics registry.

@@ -28,8 +28,6 @@ func TestGroupCommitCrashRecoveryPrefix(t *testing.T) {
 	l1, err := Open(Options{
 		Dir: dir, Name: "crash", BlockSize: 8,
 		LockTimeout: 250 * time.Millisecond,
-		// A small linger makes multi-commit write groups the common case.
-		GroupCommit: wal.GroupConfig{MaxDelay: 200 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +170,7 @@ func TestConcurrentCommitLedgerDML(t *testing.T) {
 	l := openLedgerAt(t, dir, 16)
 	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
 
-	const clients, perClient = 8, 30
+	const clients, perClient = 8, 2000
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -217,8 +215,8 @@ func TestConcurrentCommitLedgerDML(t *testing.T) {
 	}
 	wg.Wait()
 
-	// perClient=30: i%3==1 rows (10 per client) were deleted.
-	wantRows := clients * (perClient - perClient/3)
+	// The i%3==1 rows were deleted.
+	wantRows := clients * (perClient - (perClient+1)/3)
 	rows := 0
 	rtx := l.Begin("r")
 	rtx.Scan(lt, func(sqltypes.Row) bool { rows++; return true })

@@ -37,16 +37,17 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	snap := l.Snapshot()
 
-	// The shims must agree with the registry they now read from.
-	stats := l.CommitStats()
-	if got := snap.CounterValue(obs.EngineCommitTotal); got != stats.Commits {
-		t.Fatalf("commit counter = %d, CommitStats.Commits = %d", got, stats.Commits)
+	// Every engine commit went through the group committer, in at most
+	// as many write groups.
+	engineCommits := snap.CounterValue(obs.EngineCommitTotal)
+	if engineCommits < commits {
+		t.Fatalf("commit counter = %d, want >= %d", engineCommits, commits)
 	}
-	if got := snap.CounterValue(obs.WALFsyncTotal); got != stats.Fsyncs {
-		t.Fatalf("fsync counter = %d, CommitStats.Fsyncs = %d", got, stats.Fsyncs)
+	if got := snap.CounterValue(obs.WALGroupCommits); got != engineCommits {
+		t.Fatalf("group committer saw %d commits, the engine %d", got, engineCommits)
 	}
-	if stats.Commits < commits {
-		t.Fatalf("CommitStats.Commits = %d, want >= %d", stats.Commits, commits)
+	if got := snap.CounterValue(obs.WALGroups); got < 1 || got > engineCommits {
+		t.Fatalf("%d write groups for %d commits", got, engineCommits)
 	}
 
 	if n := snap.CounterValue(obs.BlocksClosedTotal); n == 0 {
@@ -136,8 +137,7 @@ func TestObservabilityDisabled(t *testing.T) {
 	if n := snap.CounterValue(obs.EngineCommitTotal); n != 0 {
 		t.Fatalf("disabled registry recorded %d commits", n)
 	}
-	// The shims read the (disabled, hence empty) registry.
-	if stats := l.CommitStats(); stats.Commits != 0 {
-		t.Fatalf("disabled CommitStats.Commits = %d, want 0", stats.Commits)
+	if n := snap.CounterValue(obs.WALGroupCommits); n != 0 {
+		t.Fatalf("disabled registry recorded %d group commits", n)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -166,4 +167,39 @@ func TestCommitTSReturnsTimestamp(t *testing.T) {
 	if got := l.Engine().LastCommitTS(); got != ts {
 		t.Fatalf("LastCommitTS = %d, want %d", got, ts)
 	}
+}
+
+// TestCommitAfterCloseLeavesLedgerUntouched: a commit on a closed database
+// fails before it is sequenced — no commit timestamp is taken, no block
+// ordinal is assigned and no entry joins the ledger queue.
+func TestCommitAfterCloseLeavesLedgerUntouched(t *testing.T) {
+	l := openTestLedger(t, 100)
+	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
+	tx := l.Begin("alice")
+	if err := tx.Insert(lt, account("a", 1)); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+
+	tx = l.Begin("alice")
+	if err := tx.Insert(lt, account("b", 2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	state := func() (int64, int, uint32) {
+		l.lmu.Lock()
+		defer l.lmu.Unlock()
+		return l.edb.LastCommitTS(), len(l.queue), l.curOrdinal
+	}
+	ts, queued, ordinal := state()
+	if err := tx.Commit(); !errors.Is(err, engine.ErrClosed) {
+		t.Fatalf("commit on a closed database: %v, want engine.ErrClosed", err)
+	}
+	if ts2, queued2, ordinal2 := state(); ts2 != ts || queued2 != queued || ordinal2 != ordinal {
+		t.Fatalf("failed commit moved (lastCommitTS, queue, ordinal) from (%d, %d, %d) to (%d, %d, %d)",
+			ts, queued, ordinal, ts2, queued2, ordinal2)
+	}
+	tx.Rollback()
 }

@@ -49,9 +49,6 @@ type Options struct {
 	LockTimeout time.Duration
 	// Hook, if set, receives ledger callbacks.
 	Hook LedgerHook
-	// GroupCommit tunes WAL group commit (the zero value enables it with
-	// defaults; set Disabled for the serialized ablation path).
-	GroupCommit wal.GroupConfig
 	// Obs receives metrics and spans from every layer of this database
 	// (WAL, commit pipeline, locks). nil creates a private enabled
 	// registry; pass obs.Disabled() to turn recording off.
@@ -84,8 +81,7 @@ type DB struct {
 
 	log   *wal.Log
 	locks *lockTable
-	// committer batches concurrent commits into shared-flush write groups;
-	// nil when Options.GroupCommit.Disabled.
+	// committer batches concurrent commits into shared-flush write groups.
 	committer *wal.GroupCommitter
 
 	// commitMu serializes only the sequencing stage of the commit pipeline:
@@ -233,9 +229,7 @@ func Open(opts Options) (*DB, error) {
 		log.Close()
 		return nil, err
 	}
-	if !opts.GroupCommit.Disabled {
-		db.committer = wal.NewGroupCommitter(log, opts.GroupCommit)
-	}
+	db.committer = wal.NewGroupCommitter(log)
 	go db.versionGCLoop()
 	return db, nil
 }
@@ -252,11 +246,7 @@ func (db *DB) Close() error {
 		return nil
 	}
 	db.closed = true
-	if db.committer != nil {
-		if err := db.committer.Close(); err != nil {
-			return err
-		}
-	}
+	db.committer.Close()
 	return db.log.Close()
 }
 
@@ -284,20 +274,6 @@ func (db *DB) LastCommitTS() int64 {
 
 // Obs returns the database's metrics registry.
 func (db *DB) Obs() *obs.Registry { return db.obs }
-
-// FsyncCount returns how many WAL fsyncs have been performed since open
-// (nonzero only under wal.SyncFull). Shim over the registry's
-// sqlledger_wal_fsync_total counter.
-func (db *DB) FsyncCount() int64 { return db.log.SyncCount() }
-
-// GroupCommitStats returns the WAL group committer's counters (all zero
-// when group commit is disabled).
-func (db *DB) GroupCommitStats() wal.GroupStats {
-	if db.committer == nil {
-		return wal.GroupStats{}
-	}
-	return db.committer.Stats()
-}
 
 // Table returns the runtime table for a (non-dropped) name.
 func (db *DB) Table(name string) (*Table, error) {
@@ -351,14 +327,9 @@ func (db *DB) Begin(user string) *Tx {
 }
 
 // Commit atomically applies and durably logs the transaction through a
-// staged pipeline: sequence (commit timestamp and, for ledger
-// transactions, block/ordinal assignment under commitMu, §3.3.2) →
-// publish (hand the WAL batch to the group committer while still holding
-// commitMu, so WAL commit-record order equals ledger ordinal order) →
-// wait (durability, amortized across the write group — one fsync per
-// group under SyncFull) → apply (install writes and release row locks).
-// Row locks stay held until apply, so isolation is exactly what the
-// fully serialized path provided. Returns the commit timestamp.
+// staged pipeline: encode the write set into WAL records, then the shared
+// commit tail (sequence → publish → wait → apply, see commitTail). Returns
+// the commit timestamp.
 func (db *DB) Commit(tx *Tx) (int64, error) {
 	if tx.done {
 		return 0, ErrTxDone
@@ -369,20 +340,39 @@ func (db *DB) Commit(tx *Tx) (int64, error) {
 		tx.releaseLocks()
 		return db.LastCommitTS(), nil
 	}
-	db.quiesce.RLock()
-	defer db.quiesce.RUnlock()
-
 	// The lap timer reads the clock only when the registry is enabled, so
 	// the metrics-off ablation skips all stage observations. When the
 	// transaction carries a trace, every lap also lands as a top-level
 	// child span — the commit waterfall — from the same clock reads.
-	tr := tx.trace
 	lap := db.obs.Timer()
-
 	// Build the WAL batch outside the critical section.
 	recs := tx.encodeWrites()
+	return db.commitTail(tx, recs, lap, tx.trace)
+}
 
+// commitTail is the one commit path, shared by Commit and CommitPrepared:
+// sequence (commit timestamp and, for ledger transactions, block/ordinal
+// assignment under commitMu, §3.3.2) → publish (queue the WAL frame with
+// the group committer while still holding commitMu, so WAL commit-record
+// order equals ledger ordinal order) → wait (durability: whichever waiting
+// committer finds no flush in flight writes every queued frame with one
+// flush — one fsync per group under SyncFull — so a commit that arrives
+// alone writes its own frame here, on this goroutine) → apply (install
+// writes and release row locks). Row locks stay held until apply, so
+// isolation is what a fully serialized commit would give. recs holds the
+// transaction's DML records not yet in the log (none for a prepared
+// transaction, whose PREPARE frame carried them) with room for the COMMIT
+// record; lap was started before they were encoded.
+func (db *DB) commitTail(tx *Tx, recs []wal.Record, lap obs.LapTimer, tr *obs.Trace) (int64, error) {
 	lap.LapSpan(db.m.stageEncode, tr, obs.SpanWALEncode)
+
+	db.quiesce.RLock()
+	defer db.quiesce.RUnlock()
+	if db.closed {
+		// Before a timestamp or a ledger ordinal is taken: a commit that
+		// cannot be logged must leave no trace in the ledger queue.
+		return 0, ErrClosed
+	}
 
 	// Stage 1 — sequence. Publishing lastCommitTS and registering the
 	// timestamp as in-flight happen under one inflightMu critical section
@@ -416,61 +406,55 @@ func (db *DB) Commit(tx *Tx) (int64, error) {
 		Payload: wal.EncodeCommit(wal.CommitPayload{CommitTS: now, User: tx.user, Entry: entry}),
 	})
 
-	// Stages 2 and 3 — publish, then wait for durability off the
-	// critical section. The serialized path (GroupCommit.Disabled) keeps
-	// the append inside commitMu like the pre-pipeline engine did.
+	// Stages 2 and 3 — publish, then wait for durability off the critical
+	// section.
 	lap.LapSpan(db.m.stageSequence, tr, obs.SpanCommitSequence)
-	var err error
-	if db.committer != nil {
-		var ticket *wal.Ticket
-		if tr != nil {
-			ticket = db.committer.EnqueueTraced(recs)
-		} else {
-			ticket = db.committer.Enqueue(recs)
-		}
-		db.commitMu.Unlock()
-		lap.LapSpan(db.m.stagePublish, tr, obs.SpanCommitPublish)
-		_, err = ticket.Wait()
-		waitID := lap.LapSpan(db.m.stageWait, tr, obs.SpanCommitWait)
-		if tr != nil {
-			// Split the durability wait into its two legs: waiting for the
-			// group to form (enqueue → flush start) and the group's shared
-			// append+fsync, annotated with how many commits amortized it.
-			enq, fs, fd, gsize, grecs := ticket.GroupTimings()
-			if !fs.IsZero() {
-				if !enq.IsZero() && fs.After(enq) {
-					tr.Record(obs.SpanWALGroupForm, waitID, enq, fs.Sub(enq))
-				}
-				tr.Record(obs.SpanWALFlush, waitID, fs, fd,
-					obs.L("group_size", strconv.Itoa(gsize)),
-					obs.L("group_records", strconv.Itoa(grecs)))
-			}
-		}
-	} else {
-		// Serialized path: the append is both publish and wait.
-		_, err = db.log.AppendBatch(recs)
-		db.commitMu.Unlock()
-		lap.LapSpan(db.m.stagePublish, tr, obs.SpanCommitPublish)
+	var enqueued time.Time
+	if tr != nil {
+		enqueued = time.Now()
 	}
+	ticket := db.committer.Enqueue(recs)
+	db.commitMu.Unlock()
+	lap.LapSpan(db.m.stagePublish, tr, obs.SpanCommitPublish)
+	_, err := ticket.Wait()
+	waitID := lap.LapSpan(db.m.stageWait, tr, obs.SpanCommitWait)
+	if tr != nil {
+		// Split the durability wait into its two legs: waiting for the
+		// group to form (enqueue → flush start; next to nothing when this
+		// commit flushed alone) and the group's shared append+fsync,
+		// annotated with how many commits amortized it.
+		fs, fd, gsize, grecs := ticket.GroupTimings()
+		if !fs.IsZero() {
+			if fs.After(enqueued) {
+				tr.Record(obs.SpanWALGroupForm, waitID, enqueued, fs.Sub(enqueued))
+			}
+			tr.Record(obs.SpanWALFlush, waitID, fs, fd,
+				obs.L("group_size", strconv.Itoa(gsize)),
+				obs.L("group_records", strconv.Itoa(grecs)))
+		}
+	}
+	if err == nil {
+		// Stage 4 — apply to shared storage while still holding row locks,
+		// so conflicting transactions observe this one fully. Each write
+		// appends a version stamped with the commit timestamp; snapshot
+		// readers pinned earlier keep seeing the previous versions.
+		db.applyWrites(tx.writes, now)
+	}
+	// Applied or abandoned, the timestamp is retired: a failed commit's
+	// writes will never apply, so it must not hold the applied-through
+	// watermark back for snapshot readers.
+	db.markApplied(now)
 	if err != nil {
-		// Known limitation: if the log write fails (disk full, I/O error)
-		// after the ledger hook assigned a block position, that ordinal
-		// is burned; the block will fail to close and verification will
-		// flag the gap. This mirrors the paper's stance that the ledger
-		// surfaces inconsistencies rather than papering over them — a
-		// real deployment treats log-write failure as fail-stop. The
-		// burned timestamp is retired too: its writes will never apply,
-		// so it must not hold the applied-through watermark back forever.
-		db.markApplied(now)
+		// The ledger hook has already assigned this commit a block position
+		// and queued its entry, so the open block would close with an entry
+		// whose COMMIT record never reached the log. What keeps that from
+		// ever being acknowledged is that the log is fail-stop: the error
+		// is sticky, so every later append, flush and checkpoint — the
+		// block close and the snapshot that would persist the entry
+		// included — returns it too, and a restart recovers the log's valid
+		// prefix, which has no trace of this commit.
 		return 0, fmt.Errorf("engine: commit log: %w", err)
 	}
-
-	// Stage 4 — apply to shared storage while still holding row locks, so
-	// conflicting transactions observe this one fully. Each write appends
-	// a version stamped with the commit timestamp; snapshot readers pinned
-	// earlier keep seeing the previous versions.
-	db.applyWrites(tx.writes, now)
-	db.markApplied(now)
 	tx.done = true
 	tx.releaseLocks()
 	lap.LapSpan(db.m.stageApply, tr, obs.SpanCommitApply)

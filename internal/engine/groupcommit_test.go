@@ -2,10 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"sqlledger/internal/obs"
 	"sqlledger/internal/sqltypes"
 	"sqlledger/internal/wal"
 )
@@ -70,12 +72,12 @@ func TestCommitStressConcurrent(t *testing.T) {
 		t.Fatal("LastCommitTS not advanced")
 	}
 
-	st := db.GroupCommitStats()
-	if st.Commits != 2*clients*perClient {
-		t.Fatalf("group committer saw %d commits, want %d", st.Commits, 2*clients*perClient)
+	commits, groups := db.Obs().Counter(obs.WALGroupCommits).Value(), db.Obs().Counter(obs.WALGroups).Value()
+	if commits != 2*clients*perClient {
+		t.Fatalf("group committer saw %d commits, want %d", commits, 2*clients*perClient)
 	}
-	if st.Groups > st.Commits {
-		t.Fatalf("groups (%d) exceed commits (%d)", st.Groups, st.Commits)
+	if groups > commits {
+		t.Fatalf("groups (%d) exceed commits (%d)", groups, commits)
 	}
 
 	if err := db.Close(); err != nil {
@@ -102,43 +104,92 @@ func TestCommitStressConcurrent(t *testing.T) {
 	}
 }
 
-// TestCommitSerializedAblation covers the GroupCommit.Disabled path: the
-// pre-pipeline serialized commit must still work and report no group
-// activity.
-func TestCommitSerializedAblation(t *testing.T) {
-	db, err := Open(Options{
-		Dir:         t.TempDir(),
-		LockTimeout: 250 * time.Millisecond,
-		GroupCommit: wal.GroupConfig{Disabled: true},
-	})
+// TestLoneCommitFlushesOnCallersGoroutine: the commit path starts no
+// goroutine — Open's only one is the version-GC sweeper — and a client
+// committing alone writes and fsyncs its own frame: one group, one fsync
+// per commit, and the goroutine count never rises. (It may fall: an earlier
+// test's goroutine can still be on its way out.)
+func TestLoneCommitFlushesOnCallersGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	db, err := Open(Options{Dir: t.TempDir(), Sync: wal.SyncFull, LockTimeout: 250 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	if got := runtime.NumGoroutine(); got > before+1 {
+		t.Fatalf("Open started %d goroutines, want 1 (version GC)", got-before)
+	}
 	tab := mustCreate(t, db, "kv", kvSchema())
+	reg := db.Obs()
+	fsyncs0 := reg.Counter(obs.WALFsyncTotal).Value()
+	const n = 1000
+	for i := int64(0); i < n; i++ {
+		tx := db.Begin("u")
+		if _, err := tx.Insert(tab, kv(i, "v")); err != nil {
+			t.Fatal(err)
+		}
+		commit(t, db, tx)
+		if got := runtime.NumGoroutine(); got > before+1 {
+			t.Fatalf("commit %d: %d goroutines, want at most %d", i, got, before+1)
+		}
+	}
+	if c, g, f := reg.Counter(obs.WALGroupCommits).Value(), reg.Counter(obs.WALGroups).Value(),
+		reg.Counter(obs.WALFsyncTotal).Value()-fsyncs0; c != n || g != n || f != n {
+		t.Fatalf("commits/groups/fsyncs = %d/%d/%d, want %d each", c, g, f, n)
+	}
+	if got := tab.RowCount(); got != n {
+		t.Fatalf("row count = %d, want %d", got, n)
+	}
+}
+
+// TestCommitLogFailureRetiresTimestamps: once the log has failed, every
+// commit — the members of the failing group and the ones behind it — gets
+// the error, none is applied, and each retires its timestamp, so the
+// applied-through watermark moves past them and snapshot readers are not
+// held back, nor ever shown the writes.
+func TestCommitLogFailureRetiresTimestamps(t *testing.T) {
+	db := openTestDB(t)
+	tab := mustCreate(t, db, "kv", kvSchema())
+	tx := db.Begin("u")
+	tx.Insert(tab, kv(0, "durable"))
+	commit(t, db, tx)
+
+	db.log.Close() // the log device goes away: every later write fails
+	const clients, perClient = 4, 5
 	var wg sync.WaitGroup
-	for c := 0; c < 4; c++ {
+	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			for i := 0; i < 20; i++ {
+			for i := 0; i < perClient; i++ {
 				tx := db.Begin("u")
-				if _, err := tx.Insert(tab, sqltypes.Row{sqltypes.NewBigInt(int64(c*20 + i)), sqltypes.NewNVarChar("v")}); err != nil {
+				if _, err := tx.Insert(tab, kv(int64(1+c*perClient+i), "lost")); err != nil {
 					t.Errorf("insert: %v", err)
 					return
 				}
-				if _, err := db.Commit(tx); err != nil {
-					t.Errorf("commit: %v", err)
-					return
+				if _, err := db.Commit(tx); err == nil {
+					t.Errorf("commit acknowledged over a failed log")
 				}
+				tx.Rollback()
 			}
 		}(c)
 	}
 	wg.Wait()
-	if got := tab.RowCount(); got != 80 {
-		t.Fatalf("row count = %d, want 80", got)
+
+	db.inflightMu.Lock()
+	inflight := len(db.inflight)
+	db.inflightMu.Unlock()
+	if inflight != 0 {
+		t.Fatalf("%d failed commits still hold their timestamps in flight", inflight)
 	}
-	if st := db.GroupCommitStats(); st != (wal.GroupStats{}) {
-		t.Fatalf("disabled committer reported activity: %+v", st)
+	if applied, last := db.appliedTS.Load(), db.lastCommitTS.Load(); applied != last {
+		t.Fatalf("applied-through watermark %d stuck behind the failed commits (last sequenced %d)", applied, last)
+	}
+	rtx := db.BeginReadOnly()
+	defer rtx.Close()
+	rows := 0
+	rtx.Scan(tab, func([]byte, sqltypes.Row) bool { rows++; return true })
+	if rows != 1 || tab.RowCount() != 1 {
+		t.Fatalf("snapshot sees %d rows, table holds %d; want only the durable one", rows, tab.RowCount())
 	}
 }

@@ -99,7 +99,7 @@ func (db *DB) Checkpoint() (int64, error) {
 	db.quiesce.Lock()
 	if db.closed {
 		db.quiesce.Unlock()
-		return 0, fmt.Errorf("engine: database closed")
+		return 0, ErrClosed
 	}
 	if n := db.preparedCount.Load(); n > 0 {
 		db.quiesce.Unlock()
@@ -162,7 +162,7 @@ func (db *DB) Checkpoint() (int64, error) {
 	db.quiesce.RLock()
 	if db.closed {
 		db.quiesce.RUnlock()
-		return 0, fmt.Errorf("engine: database closed")
+		return 0, ErrClosed
 	}
 	_, err := db.log.Append(wal.RecCheckpoint, 0, wal.EncodeCheckpoint(wal.CheckpointPayload{
 		SnapshotLSN: snapLSN,
@@ -349,93 +349,6 @@ func (db *DB) writeSnapshotV2(lsn, cutTS int64, ledgerBlob, catJSON []byte, tabl
 		}
 	}
 	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, snapPath(db.opts.Dir, lsn))
-}
-
-// writeSnapshotV1 writes the legacy v1 snapshot format. Kept so the
-// format-compat test can produce v1 images the way old code did; the
-// engine itself always writes v2 now.
-func (db *DB) writeSnapshotV1(lsn int64, ledgerBlob []byte) error {
-	tmp := snapPath(db.opts.Dir, lsn) + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("engine: snapshot create: %w", err)
-	}
-	defer func() {
-		f.Close()
-		os.Remove(tmp)
-	}()
-	cw := &crcWriter{w: bufio.NewWriterSize(f, 1<<20)}
-	if _, err := cw.Write([]byte(snapMagicV1)); err != nil {
-		return err
-	}
-	var tsBuf [8]byte
-	binary.LittleEndian.PutUint64(tsBuf[:], uint64(db.lastCommitTS.Load()))
-	if _, err := cw.Write(tsBuf[:]); err != nil {
-		return err
-	}
-	db.mu.RLock()
-	catJSON, err := db.cat.marshal()
-	ids := make([]uint32, 0, len(db.tables))
-	for id := range db.tables {
-		ids = append(ids, id)
-	}
-	db.mu.RUnlock()
-	if err != nil {
-		return err
-	}
-	if err := writeSection(cw, catJSON); err != nil {
-		return err
-	}
-	if err := writeSection(cw, ledgerBlob); err != nil {
-		return err
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var cnt [4]byte
-	binary.LittleEndian.PutUint32(cnt[:], uint32(len(ids)))
-	if _, err := cw.Write(cnt[:]); err != nil {
-		return err
-	}
-	rowBuf := make([]byte, 0, 1024)
-	for _, id := range ids {
-		db.mu.RLock()
-		t := db.tables[id]
-		db.mu.RUnlock()
-		var hdr [12]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], id)
-		binary.LittleEndian.PutUint64(hdr[4:12], uint64(t.RowCount()))
-		if _, err := cw.Write(hdr[:]); err != nil {
-			return err
-		}
-		var scanErr error
-		t.Scan(func(k []byte, r sqltypes.Row) bool {
-			if scanErr = writeSection(cw, k); scanErr != nil {
-				return false
-			}
-			rowBuf = sqltypes.EncodeRow(rowBuf[:0], r)
-			if scanErr = writeSection(cw, rowBuf); scanErr != nil {
-				return false
-			}
-			return true
-		})
-		if scanErr != nil {
-			return scanErr
-		}
-	}
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], cw.crc)
-	if _, err := cw.w.Write(crcBuf[:]); err != nil {
-		return err
-	}
-	if err := cw.w.Flush(); err != nil {
 		return err
 	}
 	if err := f.Sync(); err != nil {

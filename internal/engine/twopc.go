@@ -61,11 +61,13 @@ func (db *DB) Prepare(tx *Tx, gid uint64) error {
 	return nil
 }
 
-// CommitPrepared runs phase 2 (commit) for a prepared participant. It is
-// the tail of the regular commit pipeline — sequence a commit timestamp,
-// assign the ledger block/ordinal via the hook, log the COMMIT record,
-// apply the writes, release the locks — except the DML records were
-// already logged at prepare time. Returns the commit timestamp.
+// CommitPrepared runs phase 2 (commit) for a prepared participant: the
+// regular commit tail — sequence a commit timestamp, assign the ledger
+// block/ordinal via the hook, log the COMMIT record, apply the writes,
+// release the locks — with no DML records to log, because the PREPARE
+// frame already carried them, and no trace: the coordinator's shard_commit
+// span is the 2PC waterfall's view of this call. Returns the commit
+// timestamp.
 func (db *DB) CommitPrepared(tx *Tx) (int64, error) {
 	if tx.done {
 		return 0, ErrTxDone
@@ -82,70 +84,12 @@ func (db *DB) CommitPrepared(tx *Tx) (int64, error) {
 		db.preparedCount.Add(-1)
 		return db.LastCommitTS(), nil
 	}
-	db.quiesce.RLock()
-	defer db.quiesce.RUnlock()
-
-	lap := db.obs.Timer()
-
-	// Stage 1 — sequence (identical to Commit's).
-	db.commitMu.Lock()
-	now := db.nowNanos()
-	if last := db.lastCommitTS.Load(); now <= last {
-		now = last + 1
-	}
-	db.inflightMu.Lock()
-	db.lastCommitTS.Store(now)
-	db.inflight[now] = struct{}{}
-	db.inflightMu.Unlock()
-
-	var entry *wal.LedgerEntry
-	if len(tx.Roots) > 0 && db.opts.Hook != nil {
-		blockID, ordinal := db.opts.Hook.OnCommit(tx.id, now, tx.user, tx.Roots)
-		entry = &wal.LedgerEntry{
-			TxID:     tx.id,
-			BlockID:  blockID,
-			Ordinal:  ordinal,
-			CommitTS: now,
-			User:     tx.user,
-			Roots:    tx.Roots,
-		}
-	}
-	recs := []wal.Record{{
-		Type:    wal.RecCommit,
-		TxID:    tx.id,
-		Payload: wal.EncodeCommit(wal.CommitPayload{CommitTS: now, User: tx.user, Entry: entry}),
-	}}
-
-	// Stages 2 and 3 — publish + durability wait.
-	lap.Lap(db.m.stageSequence)
-	var err error
-	if db.committer != nil {
-		ticket := db.committer.Enqueue(recs)
-		db.commitMu.Unlock()
-		lap.Lap(db.m.stagePublish)
-		_, err = ticket.Wait()
-		lap.Lap(db.m.stageWait)
-	} else {
-		_, err = db.log.AppendBatch(recs)
-		db.commitMu.Unlock()
-		lap.Lap(db.m.stagePublish)
-	}
+	ts, err := db.commitTail(tx, nil, db.obs.Timer(), nil)
 	if err != nil {
-		// Same fail-stop stance as Commit: a burned ordinal surfaces in
-		// verification; the timestamp is retired so the watermark moves on.
-		db.markApplied(now)
-		return 0, fmt.Errorf("engine: commit-prepared log: %w", err)
+		return 0, err
 	}
-
-	// Stage 4 — apply while still holding row locks.
-	db.applyWrites(tx.writes, now)
-	db.markApplied(now)
-	tx.done = true
-	tx.releaseLocks()
 	db.preparedCount.Add(-1)
-	lap.Lap(db.m.stageApply)
-	db.m.commits.Inc()
-	return now, nil
+	return ts, nil
 }
 
 // AbortPrepared runs phase 2 (abort) for a prepared participant: log an

@@ -16,6 +16,8 @@ var (
 	ErrDuplicateKey = errors.New("engine: duplicate key")
 	ErrTxDone       = errors.New("engine: transaction already finished")
 	ErrReadOnly     = errors.New("engine: table is not writable in this context")
+	// ErrClosed is returned to commits and checkpoints on a closed database.
+	ErrClosed = errors.New("engine: database closed")
 )
 
 // Tx is a read-committed transaction with row-level write locks.

@@ -9,44 +9,16 @@ import (
 // ErrCommitterClosed is returned to commits enqueued after Close.
 var ErrCommitterClosed = errors.New("wal: group committer closed")
 
-// GroupConfig tunes the group committer. The zero value enables group
-// commit with defaults.
-type GroupConfig struct {
-	// MaxBatch caps how many commit batches one write group may absorb
-	// (default 64). Larger groups amortize one flush over more commits.
-	MaxBatch int
-	// MaxDelay is how long the flusher lingers after waking, waiting for
-	// more commits to join the group (default 0: write as soon as the
-	// flusher is free). Batching still happens with MaxDelay 0 — commits
-	// arriving while a previous group is being flushed pile up and share
-	// the next flush — so the knob only matters when flushes are cheaper
-	// than the inter-arrival gap.
-	MaxDelay time.Duration
-	// Disabled reverts to the serialized commit path: every commit
-	// appends and flushes the log itself, inside the engine's commit
-	// critical section. Kept as the ablation baseline for benchmarks.
-	Disabled bool
-}
-
-const defaultMaxBatch = 64
-
-// GroupStats counts group committer activity since open.
-type GroupStats struct {
-	Commits int64 // commit batches enqueued
-	Groups  int64 // write groups flushed (one log flush each)
-	Records int64 // records appended through the committer
-}
-
 type commitReq struct {
 	recs []Record
-	lsn  int64
-	err  error
-	done chan struct{}
 
-	// Group timing breadcrumbs for traced commits. enqueuedAt is stamped
-	// by EnqueueTraced only; the flusher stamps the rest before closing
-	// done, so Wait-side reads need no synchronization beyond the channel.
-	enqueuedAt time.Time
+	// Written by the group's flusher under GroupCommitter.mu before done is
+	// set; the owner reads them after Wait has seen done under the same
+	// mutex. The timing fields are the group's breadcrumbs for traced
+	// commits.
+	done       bool
+	lsn        int64
+	err        error
 	flushStart time.Time
 	flushDur   time.Duration
 	groupSize  int
@@ -54,23 +26,40 @@ type commitReq struct {
 }
 
 // Ticket is a pending group commit returned by Enqueue.
-type Ticket struct{ req *commitReq }
+type Ticket struct {
+	g   *GroupCommitter
+	req *commitReq
+}
 
 // Wait blocks until the commit's write group has been appended and
 // flushed per the log's SyncMode, returning the LSN of the commit's
-// first record.
+// first record. There is no background flusher: the first waiter to find
+// no flush in flight writes everything queued — its own commit and every
+// commit enqueued beside it — as one group, and the others sleep until it
+// is done. A waiter that wakes to find its commit was not in that group
+// flushes the next one itself. A commit that arrives alone therefore
+// writes its own frame on its own goroutine, and every Enqueue must be
+// followed by a Wait: nothing else is certain to write the frame out.
 func (t *Ticket) Wait() (int64, error) {
-	<-t.req.done
-	return t.req.lsn, t.req.err
+	g, req := t.g, t.req
+	g.mu.Lock()
+	for !req.done {
+		if g.flushing {
+			g.flushed.Wait()
+		} else {
+			g.flushLocked()
+		}
+	}
+	g.mu.Unlock()
+	return req.lsn, req.err
 }
 
 // GroupTimings reports, after Wait returns, where the group-commit time
-// went: when the request was enqueued (zero unless EnqueueTraced was
-// used), when its group's flush started, how long the flush (append +
-// fsync) took, and the group's size in commits and records.
-func (t *Ticket) GroupTimings() (enqueuedAt, flushStart time.Time, flushDur time.Duration, groupSize, groupRecords int) {
+// went: when the commit's group started its flush, how long the flush
+// (append + fsync) took, and the group's size in commits and records.
+func (t *Ticket) GroupTimings() (flushStart time.Time, flushDur time.Duration, groupSize, groupRecords int) {
 	r := t.req
-	return r.enqueuedAt, r.flushStart, r.flushDur, r.groupSize, r.groupRecs
+	return r.flushStart, r.flushDur, r.groupSize, r.groupRecs
 }
 
 // GroupCommitter batches concurrent commit appends into write groups that
@@ -80,152 +69,59 @@ func (t *Ticket) GroupTimings() (enqueuedAt, flushStart time.Time, flushDur time
 // WAL commit-record order identical to ledger ordinal order.
 type GroupCommitter struct {
 	log *Log
-	cfg GroupConfig
+	m   logMetrics // inherited from the log's registry at construction
 
-	mu      sync.Mutex
-	pending []*commitReq
-	closed  bool
-
-	wake chan struct{}
-	stop chan struct{}
-	done chan struct{}
-
-	// Metric handles inherited from the log's registry at construction;
-	// GroupStats is a shim reading them back.
-	m logMetrics
+	mu       sync.Mutex
+	flushed  sync.Cond // broadcast when a flush ends; L is &mu
+	pending  []*commitReq
+	flushing bool // a waiter is inside AppendGroup with the previous pending
+	closed   bool
 }
 
-// NewGroupCommitter starts a group committer (and its flusher goroutine)
-// over l.
-func NewGroupCommitter(l *Log, cfg GroupConfig) *GroupCommitter {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = defaultMaxBatch
-	}
+// NewGroupCommitter returns a group committer over l.
+func NewGroupCommitter(l *Log) *GroupCommitter {
 	l.mu.Lock()
 	m := l.m
 	l.mu.Unlock()
-	g := &GroupCommitter{
-		log:  l,
-		cfg:  cfg,
-		wake: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-		m:    m,
-	}
-	go g.run()
+	g := &GroupCommitter{log: l, m: m}
+	g.flushed.L = &g.mu
 	return g
 }
 
-// Enqueue submits one commit's records for group durability and returns
+// Enqueue queues one commit's records for group durability and returns
 // immediately; the caller Waits on the ticket outside its critical
 // section. Requests are written in enqueue order.
 func (g *GroupCommitter) Enqueue(recs []Record) *Ticket {
-	return g.enqueue(&commitReq{recs: recs, done: make(chan struct{})})
-}
-
-// EnqueueTraced is Enqueue plus an enqueue timestamp, so a traced commit
-// can split its durability wait into group formation vs. flush time. It
-// costs one extra clock read over Enqueue.
-func (g *GroupCommitter) EnqueueTraced(recs []Record) *Ticket {
-	return g.enqueue(&commitReq{recs: recs, done: make(chan struct{}), enqueuedAt: time.Now()})
-}
-
-func (g *GroupCommitter) enqueue(req *commitReq) *Ticket {
+	req := &commitReq{recs: recs}
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
-		req.err = ErrCommitterClosed
-		close(req.done)
-		return &Ticket{req: req}
+		req.done, req.err = true, ErrCommitterClosed
+		return &Ticket{g: g, req: req}
 	}
 	g.pending = append(g.pending, req)
 	g.mu.Unlock()
 	g.m.groupCommits.Inc()
-	select {
-	case g.wake <- struct{}{}:
-	default:
-	}
-	return &Ticket{req: req}
+	return &Ticket{g: g, req: req}
 }
 
-// Stats returns activity counters. It is a shim over the registry's
-// sqlledger_wal_group_* counters.
-func (g *GroupCommitter) Stats() GroupStats {
-	return GroupStats{
-		Commits: g.m.groupCommits.Value(),
-		Groups:  g.m.groups.Value(),
-		Records: g.m.groupRecords.Value(),
-	}
-}
-
-// Close flushes all pending commits and stops the flusher. Enqueues after
-// Close fail with ErrCommitterClosed. Safe to call more than once.
-func (g *GroupCommitter) Close() error {
+// Close makes later Enqueues fail with ErrCommitterClosed. Commits already
+// queued are still written by their owners' Wait, so the log must outlive
+// them. Safe to call more than once.
+func (g *GroupCommitter) Close() {
 	g.mu.Lock()
-	already := g.closed
 	g.closed = true
 	g.mu.Unlock()
-	if !already {
-		close(g.stop)
-	}
-	<-g.done
-	return nil
 }
 
-func (g *GroupCommitter) run() {
-	defer close(g.done)
-	for {
-		select {
-		case <-g.stop:
-			for g.flushGroup() {
-			}
-			return
-		case <-g.wake:
-		}
-		if g.cfg.MaxDelay > 0 {
-			g.linger()
-		}
-		for g.flushGroup() {
-		}
-	}
-}
-
-// linger waits up to MaxDelay for the pending queue to reach MaxBatch,
-// letting slightly staggered commits join the same group.
-func (g *GroupCommitter) linger() {
-	timer := time.NewTimer(g.cfg.MaxDelay)
-	defer timer.Stop()
-	for {
-		g.mu.Lock()
-		n := len(g.pending)
-		g.mu.Unlock()
-		if n >= g.cfg.MaxBatch {
-			return
-		}
-		select {
-		case <-timer.C:
-			return
-		case <-g.stop:
-			return
-		case <-g.wake:
-		}
-	}
-}
-
-// flushGroup writes one group (up to MaxBatch pending commits) with a
-// single flush, wakes its waiters, and reports whether any work was done.
-func (g *GroupCommitter) flushGroup() bool {
-	g.mu.Lock()
-	n := len(g.pending)
-	if n == 0 {
-		g.mu.Unlock()
-		return false
-	}
-	if n > g.cfg.MaxBatch {
-		n = g.cfg.MaxBatch
-	}
-	group := g.pending[:n:n]
-	g.pending = append([]*commitReq(nil), g.pending[n:]...)
+// flushLocked writes everything queued as one group with a single flush
+// and marks its members done. The caller holds g.mu and has seen no flush
+// in flight; g.mu is released around the log write — that is when later
+// commits queue up for the next group — and held again on return.
+func (g *GroupCommitter) flushLocked() {
+	group := g.pending
+	g.pending = nil
+	g.flushing = true
 	g.mu.Unlock()
 
 	batches := make([][]Record, len(group))
@@ -238,6 +134,11 @@ func (g *GroupCommitter) flushGroup() bool {
 	lsns, err := g.log.AppendGroup(batches)
 	flushDur := time.Since(flushStart)
 	g.m.groupFlushSeconds.Observe(flushDur.Seconds())
+	g.m.groups.Inc()
+	g.m.groupRecords.Add(int64(nrec))
+	g.m.groupSize.Observe(float64(len(group)))
+
+	g.mu.Lock()
 	for i, req := range group {
 		if err == nil {
 			req.lsn = lsns[i]
@@ -247,10 +148,8 @@ func (g *GroupCommitter) flushGroup() bool {
 		req.flushDur = flushDur
 		req.groupSize = len(group)
 		req.groupRecs = nrec
-		close(req.done)
+		req.done = true
 	}
-	g.m.groups.Inc()
-	g.m.groupRecords.Add(int64(nrec))
-	g.m.groupSize.Observe(float64(len(group)))
-	return true
+	g.flushing = false
+	g.flushed.Broadcast()
 }

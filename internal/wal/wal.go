@@ -440,8 +440,8 @@ func open(path string, mode SyncMode, repair bool) (*Log, error) {
 		size: size,
 		mode: mode,
 		torn: torn,
-		// A private registry keeps SyncCount and friends working for logs
-		// opened standalone; Instrument rebinds onto a shared one.
+		// A private registry until Instrument rebinds onto a shared one, so
+		// the append path never tests for a missing handle.
 		m: bindLogMetrics(obs.NewRegistry()),
 	}, nil
 }
@@ -614,16 +614,6 @@ func (l *Log) Flush() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.flushLocked()
-}
-
-// SyncCount returns how many fsyncs the log has performed since Open
-// (always zero outside SyncFull). The group committer's amortization is
-// measured as SyncCount growth per committed transaction. It is a shim
-// over the sqlledger_wal_fsync_total registry counter.
-func (l *Log) SyncCount() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.m.fsyncTotal.Value()
 }
 
 // Size returns the current end-of-log offset (the LSN the next frame will

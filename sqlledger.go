@@ -113,14 +113,6 @@ type (
 
 	// Options configures Open.
 	Options = core.Options
-	// GroupCommitOptions tunes the WAL group committer
-	// (Options.GroupCommit): MaxBatch and MaxDelay bound write groups,
-	// Disabled reverts to the serialized commit path.
-	GroupCommitOptions = wal.GroupConfig
-	// CommitStats reports commit-durability amortization counters
-	// (DB.CommitStats): commits and write groups through the group
-	// committer, and WAL fsyncs.
-	CommitStats = core.CommitStats
 
 	// MetricsRegistry collects every metric and span the database records
 	// (Options.Obs). Share one registry across databases to aggregate, or
