@@ -112,7 +112,8 @@ bench:
 bench-test:
 	go -C bench test .
 
-# The WAL's native fuzz targets (frame reader, payload decoders), 10 s
+# The native fuzz targets — the WAL's frame reader and payload decoders,
+# and the row decoder every stored row passes through on every read — 10 s
 # each: long enough to walk past the seeds, short enough for every push.
 # `go test -fuzz` takes one target per run.
 .PHONY: fuzz-smoke
@@ -120,6 +121,7 @@ fuzz-smoke:
 	@for target in FuzzFrameReader FuzzDecodeDML FuzzDecodeCommit FuzzDecodePrepare; do \
 		go test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./internal/wal || exit 1; \
 	done
+	go test -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 10s ./internal/sqltypes
 
 .PHONY: check
 check: fmt-check vet test bench-test test-race fuzz-smoke

@@ -130,10 +130,11 @@ func (l *LedgerDB) checkChain(c chainCheck, emit emitFn) chainResult {
 	}
 
 	// Collect the rows first: hashing a long chain under the table's read
-	// lock would stall the block closer.
+	// lock would stall the block closer. The scan reuses r for the next
+	// row, so each is cloned.
 	var rows []sqltypes.Row
 	collect := func(_ []byte, r sqltypes.Row) bool {
-		rows = append(rows, r)
+		rows = append(rows, r.Clone())
 		return true
 	}
 	if c.blocks == nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -60,6 +61,68 @@ func TestGetAllocsMatchRegularTable(t *testing.T) {
 		regular := testing.AllocsPerRun(200, func() { c.regular() })
 		if ledger > regular {
 			t.Errorf("%s: %.0f allocs on the ledger table, %.0f on the regular twin", c.name, ledger, regular)
+		}
+	}
+}
+
+// TestReadAllocationBudget is what a read may allocate now that rows are
+// stored encoded and decoded at the read boundary: a point read one
+// allocation — the row it returns — and a scan a constant per scan, none
+// per row, because every row is decoded into the scan's one buffer.
+func TestReadAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	l := openTestLedger(t, 1000)
+	schema := sqltypes.MustSchema([]sqltypes.Column{
+		sqltypes.Col("grp", sqltypes.TypeBigInt),
+		sqltypes.Col("id", sqltypes.TypeBigInt),
+		sqltypes.Col("name", sqltypes.TypeNVarChar),
+	}, "grp", "id")
+	lt, err := l.CreateLedgerTable("groups", schema, engine.LedgerUpdateable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := l.Begin("u")
+	for grp := int64(0); grp < 2; grp++ {
+		for id := int64(0); id < 20*(grp+1); id++ { // 20 rows in group 0, 40 in group 1
+			if err := tx.Insert(lt, sqltypes.Row{sqltypes.NewBigInt(grp), sqltypes.NewBigInt(id), sqltypes.NewNVarChar("member")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	mustCommit(t, tx)
+
+	tx = l.Begin("r")
+	defer tx.Rollback()
+	rt := l.BeginReadOnly()
+	defer rt.Close()
+	grp0, grp1, id := sqltypes.NewBigInt(0), sqltypes.NewBigInt(1), sqltypes.NewBigInt(7)
+	for name, get := range map[string]func() (sqltypes.Row, bool, error){
+		"Tx.Get":     func() (sqltypes.Row, bool, error) { return tx.Get(lt, grp0, id) },
+		"ReadTx.Get": func() (sqltypes.Row, bool, error) { return rt.Get(lt, grp0, id) },
+	} {
+		if n := testing.AllocsPerRun(200, func() { get() }); n > 1 {
+			t.Errorf("%s: %.0f allocations, budget 1", name, n)
+		}
+	}
+	rows := 0
+	count := func(sqltypes.Row) bool { rows++; return true }
+	for name, scan := range map[string]func(grp sqltypes.Value) error{
+		"Tx.ScanPrefix":     func(grp sqltypes.Value) error { return tx.ScanPrefix(lt, count, grp) },
+		"ReadTx.ScanPrefix": func(grp sqltypes.Value) error { return rt.ScanPrefix(lt, count, grp) },
+	} {
+		rows = 0
+		small := testing.AllocsPerRun(100, func() { scan(grp0) })
+		large := testing.AllocsPerRun(100, func() { scan(grp1) })
+		if rows != 101*(20+40) {
+			t.Fatalf("%s saw %d rows", name, rows)
+		}
+		if large > small {
+			t.Errorf("%s: %.0f allocations for 20 rows, %.0f for 40: a scan allocates per row", name, small, large)
+		}
+		if small > 4 {
+			t.Errorf("%s: %.0f allocations for a 20-row scan, budget 4", name, small)
 		}
 	}
 }
@@ -256,4 +319,96 @@ func TestReadReceiptUnderConcurrentWriters(t *testing.T) {
 	}
 	stop.Store(true)
 	wg.Wait()
+}
+
+// BenchmarkSnapshotReadTx is the benchmark's snapread read transaction (10
+// point Gets and one 20-row ScanPrefix on a snapshot) on a ledger table
+// and on its regular twin, with the rows ignored — what bench/ does, and
+// the best case for an engine that hands out pointers to rows it keeps —
+// and with two columns of every row used, which is when a row's memory is
+// touched whoever decoded it. EXPERIMENTS.md "Row storage" quotes it.
+func BenchmarkSnapshotReadTx(b *testing.B) {
+	l, err := Open(Options{Dir: b.TempDir(), Name: "bench", BlockSize: 100000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	schema := sqltypes.MustSchema([]sqltypes.Column{
+		sqltypes.Col("grp", sqltypes.TypeBigInt), sqltypes.Col("id", sqltypes.TypeBigInt),
+		sqltypes.Col("ver", sqltypes.TypeBigInt), sqltypes.Col("payload", sqltypes.TypeVarChar)}, "grp", "id")
+	lt, err := l.CreateLedgerTable("snap", schema, engine.LedgerUpdateable)
+	if err != nil {
+		b.Fatal(err)
+	}
+	et, err := l.Engine().CreateTable(engine.CreateTableSpec{Name: "twin", Schema: schema})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const groups, perGroup = 1000, 20
+	payload := sqltypes.NewVarChar(string(make([]byte, 100)))
+	for lo := int64(0); lo < groups; lo += 50 {
+		tx := l.Begin("load")
+		for grp := lo; grp < lo+50; grp++ {
+			for id := int64(0); id < perGroup; id++ {
+				row := sqltypes.Row{sqltypes.NewBigInt(grp), sqltypes.NewBigInt(id), sqltypes.NewBigInt(0), payload}
+				if err := tx.Insert(lt, row); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := tx.Raw().Insert(et, row); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var sum int64
+	ignore := func(sqltypes.Row) {}
+	use := func(r sqltypes.Row) { sum += r[2].Int() + int64(len(r[3].Str)) }
+	for _, c := range []struct {
+		name   string
+		ledger bool
+		row    func(sqltypes.Row)
+	}{{"ledger/rows-ignored", true, ignore}, {"regular/rows-ignored", false, ignore},
+		{"ledger/rows-used", true, use}, {"regular/rows-used", false, use}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rng := rand.New(rand.NewSource(1))
+			key := func() (sqltypes.Value, sqltypes.Value) {
+				return sqltypes.NewBigInt(rng.Int63n(groups)), sqltypes.NewBigInt(rng.Int63n(perGroup))
+			}
+			for i := 0; i < b.N; i++ {
+				rt := l.BeginReadOnly()
+				n := 0
+				visit := func(r sqltypes.Row) bool { n++; c.row(r); return true }
+				for k := 0; k < 10; k++ {
+					grp, id := key()
+					var r sqltypes.Row
+					var ok bool
+					if c.ledger {
+						r, ok, _ = rt.Get(lt, grp, id)
+					} else {
+						r, ok, _ = rt.Raw().Get(et, grp, id)
+					}
+					if !ok {
+						b.Fatal("row missing")
+					}
+					c.row(r)
+				}
+				grp, _ := key()
+				if c.ledger {
+					rt.ScanPrefix(lt, visit, grp)
+				} else {
+					start, end := engine.PrefixRange(grp)
+					rt.Raw().ScanRange(et, start, end, func(_ []byte, r sqltypes.Row) bool { return visit(r) })
+				}
+				if n != perGroup {
+					b.Fatalf("scan saw %d rows", n)
+				}
+				rt.Close()
+			}
+		})
+	}
+	_ = sum
 }

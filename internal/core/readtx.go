@@ -98,8 +98,7 @@ func (rt *ReadTx) record(lt *LedgerTable, full sqltypes.Row) {
 }
 
 // Get returns the visible row with the given primary-key values as of the
-// snapshot. The row is a read-only view that may alias storage: Clone
-// before mutating or retaining it.
+// snapshot. The row is the caller's to keep and edit, as Tx.Get's is.
 func (rt *ReadTx) Get(lt *LedgerTable, keyVals ...sqltypes.Value) (sqltypes.Row, bool, error) {
 	full, ok, err := rt.rtx.Get(lt.table, keyVals...)
 	if err != nil || !ok {
@@ -110,8 +109,8 @@ func (rt *ReadTx) Get(lt *LedgerTable, keyVals ...sqltypes.Value) (sqltypes.Row,
 }
 
 // Scan iterates the visible rows of a ledger table as of the snapshot, in
-// primary-key order. Rows passed to fn may alias storage and are only
-// valid during the callback: Clone before mutating or retaining them.
+// primary-key order. The row passed to fn is valid only during the
+// callback, as in Tx.Scan: Clone it to keep it.
 func (rt *ReadTx) Scan(lt *LedgerTable, fn func(row sqltypes.Row) bool) error {
 	return rt.scanRange(lt, nil, nil, fn)
 }

@@ -242,9 +242,9 @@ func (lt *LedgerTable) fullRow(visible sqltypes.Row, txID uint64, seq uint32) (s
 }
 
 // fullRowInto is fullRow writing into caller-provided storage (len must
-// equal the physical column count). Batched ingest carves per-row
-// destinations out of one slab so a bulk load costs one allocation
-// instead of one per row.
+// equal the physical column count). The engine encodes a row before
+// Insert returns and keeps none of it, so batched ingest expands every
+// row of a worker into the same buffer.
 func (lt *LedgerTable) fullRowInto(out sqltypes.Row, visible sqltypes.Row, txID uint64, seq uint32) (sqltypes.Row, error) {
 	s := lt.table.Schema()
 	vi := 0
@@ -311,10 +311,11 @@ func (lt *LedgerTable) refreshProjection() {
 // project is the projection of every read path (Get, Scan, ScanPrefix, on
 // Tx and ReadTx): on a dense schema a subslice — no allocation, so a read
 // of a ledger table costs what it costs on a regular table, as in the
-// paper — and VisibleRow's copy otherwise. The result is a read-only view
-// that may alias storage: callers Clone before mutating or retaining it,
-// the contract engine.Tx.Get and engine.Table.Scan have. The clipped
-// capacity keeps an append off the hidden columns behind the view.
+// paper — and VisibleRow's copy otherwise. The result lives as long as
+// full does: the caller's own row from a Get, the scan's buffer — valid
+// only during the callback — from a scan, the contract engine.Tx.Get and
+// engine.Table.Scan have. The clipped capacity keeps an append off the
+// hidden columns behind it.
 func (lt *LedgerTable) project(full sqltypes.Row) sqltypes.Row {
 	if n := int(lt.densePrefix.Load()); n > 0 {
 		return full[:n:n]
@@ -322,13 +323,14 @@ func (lt *LedgerTable) project(full sqltypes.Row) sqltypes.Row {
 	return lt.VisibleRow(full)
 }
 
-// endedRow returns a copy of a version row with the end-transaction
-// columns populated — the form inserted into the history table.
+// endedRow populates the end-transaction columns of a version row — the
+// form inserted into the history table — in place: full is the
+// before-image engine.Tx.UpdateByKey or Delete returned, which nobody
+// else holds.
 func (lt *LedgerTable) endedRow(full sqltypes.Row, txID uint64, seq uint32) sqltypes.Row {
-	out := full.Clone()
-	out[lt.endTxOrd] = sqltypes.NewBigInt(int64(txID))
-	out[lt.endSeqOrd] = sqltypes.NewBigInt(int64(seq))
-	return out
+	full[lt.endTxOrd] = sqltypes.NewBigInt(int64(txID))
+	full[lt.endSeqOrd] = sqltypes.NewBigInt(int64(seq))
+	return full
 }
 
 // registerTableMetadata records the table and its columns in the ledger

@@ -199,12 +199,11 @@ func (tx *Tx) Insert(lt *LedgerTable, visible sqltypes.Row) error {
 const batchParallelMin = 16
 
 // prepared holds one row's results from the parallel hashing phase of
-// InsertBatch: the expanded storage row, its clustered key, the row
+// InsertBatch: its clustered key, the encoded storage row, the row
 // version hash and the pre-assigned sequence number.
 type prepared struct {
-	full sqltypes.Row
 	key  []byte
-	enc  []byte // pre-encoded WAL payload
+	enc  []byte // engine.EncodeStoredRow of the expanded row
 	hash merkle.Hash
 	seq  uint32
 	err  error
@@ -277,12 +276,6 @@ func (tx *Tx) InsertBatchParallel(lt *LedgerTable, rows []sqltypes.Row, workers 
 		preps[i].seq = tx.etx.NextSeq()
 	}
 
-	// All storage rows for the batch are carved out of one value slab
-	// (one allocation instead of n); the rows keep transaction lifetime
-	// through the engine overlay, as with serial inserts.
-	ncols := len(schema.Columns)
-	slab := make([]sqltypes.Value, n*ncols)
-
 	// A batch contributes one accumulated row_hash span covering the whole
 	// parallel phase (per-row timing at this rate would cost more clock
 	// reads than hashing).
@@ -293,34 +286,31 @@ func (tx *Tx) InsertBatchParallel(lt *LedgerTable, rows []sqltypes.Row, workers 
 
 	// Workers pull row indices off a shared counter and do the expensive
 	// per-row work: storage-row construction, validation, clustered-key
-	// encoding and SHA-256 row hashing.
+	// encoding, row encoding and SHA-256 row hashing. The expanded row is
+	// needed only for that long, so each worker expands into one buffer.
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			dst := make(sqltypes.Row, len(schema.Columns))
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
 				p := &preps[i]
-				dst := slab[i*ncols : (i+1)*ncols : (i+1)*ncols]
 				full, err := lt.fullRowInto(dst, rows[i], txID, p.seq)
-				p.full, p.key, p.err = nil, nil, err
+				if err == nil {
+					err = schema.Validate(full)
+				}
+				p.key, p.enc, p.err = nil, nil, err
 				if err != nil {
 					continue
 				}
-				if err := schema.Validate(full); err != nil {
-					p.err = err
-					continue
-				}
-				p.full = full
 				p.key = lt.table.KeyFor(full)
-				p.enc = wal.EncodeDML(wal.RecInsert, wal.DMLPayload{
-					TableID: lt.table.ID(), Key: p.key, After: full,
-				})
+				p.enc = engine.EncodeStoredRow(full)
 				p.hash = serial.HashRow(schema, full, serial.OpInsert, lt.skipEnd)
 			}
 		}()
@@ -345,7 +335,7 @@ func (tx *Tx) InsertBatchParallel(lt *LedgerTable, rows []sqltypes.Row, workers 
 		if p.err != nil {
 			return p.err
 		}
-		if err := tx.etx.InsertPrepared(lt.table, p.key, p.full, p.enc); err != nil {
+		if err := tx.etx.InsertPrepared(lt.table, p.key, p.enc); err != nil {
 			return err
 		}
 		tr.Append(p.hash)
@@ -418,7 +408,7 @@ func (tx *Tx) refreshRow(lt *LedgerTable, key []byte) error {
 		return fmt.Errorf("core: refresh target vanished in %s", lt.Name())
 	}
 	seq := tx.etx.NextSeq()
-	next := full.Clone()
+	next := full // GetByKey's row is ours
 	next[lt.startTxOrd] = sqltypes.NewBigInt(int64(tx.etx.ID()))
 	next[lt.startSeqOrd] = sqltypes.NewBigInt(int64(seq))
 	if _, err := tx.etx.UpdateByKey(lt.table, key, next); err != nil {
@@ -430,8 +420,9 @@ func (tx *Tx) refreshRow(lt *LedgerTable, key []byte) error {
 }
 
 // Get returns the visible row with the given primary-key values. The row
-// is a read-only view that may alias storage: Clone before mutating or
-// retaining it, as with engine.Tx.Get on a regular table.
+// is the caller's to keep and edit, as with engine.Tx.Get on a regular
+// table; only what a string or binary value points to is shared, with
+// storage, and must not be written through Value.Bytes.
 func (tx *Tx) Get(lt *LedgerTable, keyVals ...sqltypes.Value) (sqltypes.Row, bool, error) {
 	full, ok, err := tx.etx.Get(lt.table, keyVals...)
 	if err != nil || !ok {
@@ -441,8 +432,9 @@ func (tx *Tx) Get(lt *LedgerTable, keyVals ...sqltypes.Value) (sqltypes.Row, boo
 }
 
 // Scan iterates the visible rows of a ledger table in primary-key order.
-// Rows passed to fn may alias storage and are only valid during the
-// callback: Clone before mutating or retaining them.
+// Every row is decoded into one buffer the scan reuses: the row passed to
+// fn is valid only during the callback — Clone it to keep it (its values
+// may be copied out freely; what they point to never changes).
 func (tx *Tx) Scan(lt *LedgerTable, fn func(row sqltypes.Row) bool) error {
 	return tx.etx.Scan(lt.table, func(_ []byte, full sqltypes.Row) bool {
 		return fn(lt.project(full))

@@ -561,9 +561,10 @@ func (db *DB) CreateTable(spec CreateTableSpec) (*Table, error) {
 }
 
 // AlterTableMeta applies an arbitrary catalog mutation to a table and logs
-// the resulting metadata. If the schema gained columns, existing rows are
-// widened with NULLs. Used by the ledger core for add/drop column, drop
-// table (rename) and history-table linkage.
+// the resulting metadata. Stored rows are not touched: if the schema gained
+// columns, a row stored before reads NULL in them (Table.decodeLocked).
+// Used by the ledger core for add/drop column, drop table (rename) and
+// history-table linkage.
 func (db *DB) AlterTableMeta(tableID uint32, mutate func(*TableMeta) error) error {
 	db.quiesce.RLock()
 	defer db.quiesce.RUnlock()
@@ -573,12 +574,13 @@ func (db *DB) AlterTableMeta(tableID uint32, mutate func(*TableMeta) error) erro
 	if !ok {
 		return fmt.Errorf("engine: table id %d not found", tableID)
 	}
-	if err := mutate(t.meta); err != nil {
+	// Readers decode rows against the schema under the table lock.
+	t.mu.Lock()
+	err := mutate(t.meta)
+	t.mu.Unlock()
+	if err != nil {
 		return err
 	}
-	t.mu.Lock()
-	t.widenRowsLocked()
-	t.mu.Unlock()
 	return db.logDDL(ddlOp{Kind: "alter_table", Meta: t.meta})
 }
 

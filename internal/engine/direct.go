@@ -34,7 +34,7 @@ func (db *DB) DirectInsert(t *Table, row sqltypes.Row) ([]byte, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.applyInsertLocked(key, row, db.LastCommitTS()); err != nil {
+	if err := t.applyInsertLocked(key, EncodeStoredRow(row), db.LastCommitTS()); err != nil {
 		return nil, err
 	}
 	db.m.versionsLive.Add(1)
@@ -57,17 +57,12 @@ func (db *DB) TamperUpdateRow(t *Table, key []byte, mutate func(sqltypes.Row) sq
 	if !live {
 		return fmt.Errorf("%w: tamper target", ErrNotFound)
 	}
-	next := mutate(old.Clone())
-	c.vs[len(c.vs)-1].row = next
+	// mutate gets a deep copy: an edit through Value.Bytes must not reach
+	// the bytes the old entry keys are computed from.
+	next := EncodeStoredRow(mutate(t.decodeLocked(nil, old).Clone()))
+	c.setLatestRow(next)
 	if updateIndexes {
-		for _, ix := range t.indexes {
-			oldEnt := ix.entryKey(key, old)
-			newEnt := ix.entryKey(key, next)
-			if string(oldEnt) != string(newEnt) {
-				ix.tree.Delete(oldEnt)
-				ix.tree.Put(newEnt, key)
-			}
-		}
+		t.moveIndexEntriesLocked(key, old, next)
 	}
 	return nil
 }
@@ -89,7 +84,7 @@ func (db *DB) TamperDeleteRow(t *Table, key []byte, updateIndexes bool) error {
 		t.liveRows--
 		if updateIndexes {
 			for _, ix := range t.indexes {
-				ix.tree.Delete(ix.entryKey(key, old))
+				ix.tree.Delete(t.entryKeyLocked(ix, key, old))
 			}
 		}
 	}
@@ -112,7 +107,8 @@ func (db *DB) TamperInsertRow(t *Table, row sqltypes.Row, updateIndexes bool) ([
 // TamperInsertRowAt injects a row under an explicit clustered key (heaps
 // included), bypassing all checks. The tamper-repair path (§3.7) uses it
 // to reinstate deleted rows under their original keys.
-func (db *DB) TamperInsertRowAt(t *Table, key []byte, row sqltypes.Row, updateIndexes bool) error {
+func (db *DB) TamperInsertRowAt(t *Table, key []byte, values sqltypes.Row, updateIndexes bool) error {
+	row := EncodeStoredRow(values)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if c, ok := t.rows.Get(key); ok {
@@ -121,14 +117,14 @@ func (db *DB) TamperInsertRowAt(t *Table, key []byte, row sqltypes.Row, updateIn
 				return fmt.Errorf("%w: table %s", ErrDuplicateKey, t.meta.Name)
 			}
 			// Overwrite the newest version's stored bytes in place.
-			c.vs[len(c.vs)-1].row = row
+			c.setLatestRow(row)
 			t.noteRIDLocked(key)
 			return nil
 		}
 		// Reinstate over a tombstone (the tamper-repair path). The
 		// tombstone version is rewritten in place, so versions_live is
 		// unchanged.
-		c.vs[len(c.vs)-1] = rowVersion{ts: c.latest().ts, row: row}
+		c.setLatestRow(row)
 	} else {
 		t.rows.Put(key, newChain(0, row))
 		db.m.versionsLive.Add(1)
@@ -137,7 +133,7 @@ func (db *DB) TamperInsertRowAt(t *Table, key []byte, row sqltypes.Row, updateIn
 	t.noteRIDLocked(key)
 	if updateIndexes {
 		for _, ix := range t.indexes {
-			ix.tree.Put(ix.entryKey(key, row), key)
+			ix.tree.Put(t.entryKeyLocked(ix, key, row), key)
 		}
 	}
 	return nil

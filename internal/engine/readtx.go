@@ -49,7 +49,8 @@ func (db *DB) BeginReadOnly() *ReadTx {
 func (rtx *ReadTx) TS() int64 { return rtx.ts }
 
 // Get returns the row visible at the snapshot under the given primary-key
-// values.
+// values, decoded into a row the caller owns (see Tx for what a decoded
+// row points to).
 func (rtx *ReadTx) Get(t *Table, keyVals ...sqltypes.Value) (sqltypes.Row, bool, error) {
 	if rtx.done {
 		return nil, false, ErrTxDone
@@ -57,11 +58,12 @@ func (rtx *ReadTx) Get(t *Table, keyVals ...sqltypes.Value) (sqltypes.Row, bool,
 	if t.meta.Heap {
 		return nil, false, fmt.Errorf("engine: Get on heap table %s requires a RID key", t.meta.Name)
 	}
-	return rtx.GetByKey(t, sqltypes.EncodeKey(nil, keyVals...))
+	var kb [64]byte // most keys fit, and then the lookup key stays off the heap
+	return rtx.GetByKey(t, sqltypes.EncodeKey(kb[:0], keyVals...))
 }
 
 // GetByKey returns the row visible at the snapshot under raw clustered-key
-// bytes.
+// bytes, as Get does.
 func (rtx *ReadTx) GetByKey(t *Table, key []byte) (sqltypes.Row, bool, error) {
 	if rtx.done {
 		return nil, false, ErrTxDone
@@ -73,7 +75,9 @@ func (rtx *ReadTx) GetByKey(t *Table, key []byte) (sqltypes.Row, bool, error) {
 	return row, ok, nil
 }
 
-// Scan iterates the rows visible at the snapshot in clustered-key order.
+// Scan iterates the rows visible at the snapshot in clustered-key order,
+// under Table.Scan's callback contract: key and row are valid only during
+// the callback.
 func (rtx *ReadTx) Scan(t *Table, fn func(key []byte, row sqltypes.Row) bool) error {
 	return rtx.ScanRange(t, nil, nil, fn)
 }

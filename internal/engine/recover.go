@@ -34,11 +34,13 @@ import (
 // accumulate in worker-private maps. A final install phase — parallel
 // across tables — bulk-loads the new chains into each table's btree
 // (btree.BuildSorted when the table was empty), fixes row counts and RID
-// allocators, widens rows for replayed ALTERs, and rebuilds the indexes
-// of touched tables. Index state is a pure function of the final live
-// rows and widening is idempotent, so the result is identical to serial
-// replay — the root equivalence test proves digests match byte-for-byte
-// and full verification stays green.
+// allocators, and rebuilds the indexes of touched tables. Index state is
+// a pure function of the final live rows, so the result is identical to
+// serial replay — the root equivalence test proves digests match
+// byte-for-byte and full verification stays green. Redo never decodes a
+// row: a version is the after-image's bytes as the log carried them
+// (wal.DecodeDMLImage checked and copied them), and a replayed ALTER
+// changes only the schema those bytes are later read against.
 //
 // RecoveryWorkers = 1 runs the same analysis/apply/install code inline
 // with no goroutines: the serial baseline.
@@ -174,12 +176,10 @@ func redoHash(tableID uint32, key []byte) uint32 {
 }
 
 // applyDDLDeferred replays a catalog mutation during recovery, deferring
-// all row-storage work (row widening, index builds) to the install phase.
-// Both serial and parallel replay use it, so their results agree by
-// construction: the install phase widens rows to the final schema
-// (idempotent — rows logged after the ALTER are already wide) and
-// rebuilds every index of a touched table from its final live rows.
-func (db *DB) applyDDLDeferred(op ddlOp, widened, rebuild map[uint32]struct{}) error {
+// index builds to the install phase. Both serial and parallel replay use
+// it, so their results agree by construction: the install phase rebuilds
+// every index of a touched table from its final live rows.
+func (db *DB) applyDDLDeferred(op ddlOp, rebuild map[uint32]struct{}) error {
 	switch op.Kind {
 	case "create_table":
 		db.mu.Lock()
@@ -198,7 +198,6 @@ func (db *DB) applyDDLDeferred(op ddlOp, widened, rebuild map[uint32]struct{}) e
 			return fmt.Errorf("engine: alter_table for unknown table %d", op.Meta.ID)
 		}
 		t.meta = op.Meta
-		widened[op.Meta.ID] = struct{}{}
 	case "create_index":
 		db.mu.Lock()
 		db.cat.Indexes[op.Index.ID] = op.Index
@@ -303,7 +302,6 @@ func (db *DB) recoverPhases(sp *obs.Span, start time.Time) error {
 	// a later COMMIT or ABORT record resolves it, anything left at the
 	// end of the log is in doubt.
 	preparedAt := make(map[uint64]wal.PreparePayload)
-	widened := make(map[uint32]struct{})
 	rebuild := make(map[uint32]struct{})
 	var entries []*wal.LedgerEntry
 	maxTx := uint64(0)
@@ -370,7 +368,7 @@ func (db *DB) recoverPhases(sp *obs.Span, start time.Time) error {
 			if err != nil {
 				return err
 			}
-			if err := db.applyDDLDeferred(op, widened, rebuild); err != nil {
+			if err := db.applyDDLDeferred(op, rebuild); err != nil {
 				return err
 			}
 		case wal.RecCheckpoint:
@@ -389,10 +387,10 @@ func (db *DB) recoverPhases(sp *obs.Span, start time.Time) error {
 	}
 	db.obs.Histogram(obs.RecoverySeconds, nil, obs.L("phase", "replay")).ObserveSince(phaseReplay)
 
-	// Install phase: merge worker-private chains into the tables, widen
-	// rows for replayed ALTERs, rebuild indexes of touched tables.
+	// Install phase: merge worker-private chains into the tables, rebuild
+	// indexes of touched tables.
 	phaseInstall := time.Now()
-	if err := db.installRecovered(pool, widened, rebuild, workers); err != nil {
+	if err := db.installRecovered(pool, rebuild, workers); err != nil {
 		return err
 	}
 	db.obs.Histogram(obs.RecoverySeconds, nil, obs.L("phase", "install")).ObserveSince(phaseInstall)
@@ -443,7 +441,7 @@ func (db *DB) recoverPhases(sp *obs.Span, start time.Time) error {
 
 // installRecovered folds the apply pool's private state into the shared
 // tables. Tables are independent, so the merge runs parallel across them.
-func (db *DB) installRecovered(pool []*redoWorker, widened, rebuild map[uint32]struct{}, workers int) error {
+func (db *DB) installRecovered(pool []*redoWorker, rebuild map[uint32]struct{}, workers int) error {
 	// Collect the per-table work across workers.
 	type tableInstall struct {
 		table     *Table
@@ -462,32 +460,20 @@ func (db *DB) installRecovered(pool []*redoWorker, widened, rebuild map[uint32]s
 			j.liveDelta += st.liveDelta
 		}
 	}
-	// Widened or re-indexed tables need an install pass even with no DML.
-	for _, set := range []map[uint32]struct{}{widened, rebuild} {
-		for tid := range set {
-			if _, ok := jobs[tid]; !ok {
-				db.mu.RLock()
-				t := db.tables[tid]
-				db.mu.RUnlock()
-				if t != nil {
-					jobs[tid] = &tableInstall{table: t}
-				}
+	// Re-indexed tables need an install pass even with no DML.
+	for tid := range rebuild {
+		if _, ok := jobs[tid]; !ok {
+			db.mu.RLock()
+			t := db.tables[tid]
+			db.mu.RUnlock()
+			if t != nil {
+				jobs[tid] = &tableInstall{table: t}
 			}
 		}
 	}
-	if len(jobs) == 0 {
-		return nil
-	}
-	work := make([]*tableInstall, 0, len(jobs))
-	widenedByTable := make(map[*Table]bool, len(jobs))
-	for tid, j := range jobs {
-		_, w := widened[tid]
-		widenedByTable[j.table] = w
-		work = append(work, j)
-	}
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
-	for _, j := range work {
+	for _, j := range jobs {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(j *tableInstall) {
@@ -516,9 +502,6 @@ func (db *DB) installRecovered(pool []*redoWorker, widened, rebuild map[uint32]s
 				}
 			}
 			t.liveRows += j.liveDelta
-			if widenedByTable[t] {
-				t.widenRowsLocked()
-			}
 			for _, ix := range t.indexes {
 				t.buildIndexLocked(ix)
 			}

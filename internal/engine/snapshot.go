@@ -217,11 +217,12 @@ func appendSection(dst, b []byte) []byte {
 // snapshotTableAt encodes one table's row stream as visible at cutTS,
 // releasing the table lock between chunks so concurrent committers are
 // never blocked for the duration of the scan. Returns the encoded
-// section and the number of rows it holds.
+// section and the number of rows it holds. A row goes out as the bytes it
+// is stored as; one stored before an ADD COLUMN is widened on the way, so
+// the file holds what it would if every row had been written after it.
 func snapshotTableAt(t *Table, cutTS int64) ([]byte, uint64) {
 	var buf []byte
 	var rows uint64
-	rowBuf := make([]byte, 0, 1024)
 	var resume []byte
 	for {
 		visited := 0
@@ -235,8 +236,9 @@ func snapshotTableAt(t *Table, cutTS int64) ([]byte, uint64) {
 			resume = append(append(resume[:0], k...), 0x00)
 			if row, ok := c.at(cutTS); ok {
 				buf = appendSection(buf, k)
-				rowBuf = sqltypes.EncodeRow(rowBuf[:0], row)
-				buf = appendSection(buf, rowBuf)
+				lenAt := len(buf)
+				buf = sqltypes.AppendRowPadded(append(buf, 0, 0, 0, 0), row, t.meta.Schema.Columns)
+				binary.LittleEndian.PutUint32(buf[lenAt:], uint32(len(buf)-lenAt-4))
 				rows++
 			}
 			return true
@@ -485,13 +487,12 @@ func (db *DB) loadSnapshotV1(path string, raw []byte) error {
 			if err != nil {
 				return err
 			}
-			row, _, err := sqltypes.DecodeRow(rowb)
-			if err != nil {
+			if err := sqltypes.CheckRow(rowb); err != nil {
 				return err
 			}
 			// Snapshot rows load as a single version at timestamp 0,
 			// visible to every snapshot read.
-			t.loadRowLocked(key, row)
+			t.loadRowLocked(key, rowb)
 			loaded++
 		}
 	}
@@ -658,8 +659,11 @@ func (db *DB) loadSnapshotV2(path string, raw []byte) error {
 	return nil
 }
 
-// loadTableSection decodes one v2 row stream into a fresh table. Rows
-// were streamed in key order, so the clustered btree bulk-loads in O(n).
+// loadTableSection loads one v2 row stream into a fresh table. Rows were
+// streamed in key order, so the clustered btree bulk-loads in O(n); each
+// is checked and then stored as the bytes the file holds, in an
+// allocation of its own (a slice of the file's buffer would keep the whole
+// file alive for as long as any one of its rows is).
 func loadTableSection(t *Table, data []byte, rows uint64) error {
 	keys := make([][]byte, 0, rows)
 	chains := make([]*versionChain, 0, rows)
@@ -686,16 +690,13 @@ func loadTableSection(t *Table, data []byte, rows uint64) error {
 		if err != nil {
 			return err
 		}
-		row, _, err := sqltypes.DecodeRow(rowb)
-		if err != nil {
+		if err := sqltypes.CheckRow(rowb); err != nil {
 			return err
 		}
-		// Copy the key out of the mmap-like raw buffer: chains outlive it.
-		k := append([]byte(nil), key...)
 		// Snapshot rows load as a single version at timestamp 0, visible
 		// to every snapshot read.
-		keys = append(keys, k)
-		chains = append(chains, newChain(0, row))
+		keys = append(keys, bytes.Clone(key))
+		chains = append(chains, newChain(0, bytes.Clone(rowb)))
 	}
 	if pos != len(data) {
 		return fmt.Errorf("engine: snapshot section has %d trailing bytes for table %s", len(data)-pos, t.meta.Name)

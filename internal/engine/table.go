@@ -112,7 +112,35 @@ func (t *Table) noteRIDLocked(key []byte) {
 	}
 }
 
-// get returns the latest committed row stored under key.
+// decodeLocked is the read boundary: it turns a stored row into values,
+// in dst's storage when that is large enough (a scan's buffer) and in a
+// new slice the caller owns otherwise, as wide as the schema is now (a row
+// stored before ADD COLUMN reads NULL in the added columns). Strings and
+// binaries point into the stored bytes. Caller holds mu, which
+// AlterTableMeta takes to change the schema.
+func (t *Table) decodeLocked(dst sqltypes.Row, stored []byte) sqltypes.Row {
+	row, err := sqltypes.DecodeRowAlias(dst, stored, t.meta.Schema.Columns)
+	if err != nil {
+		// Bytes enter a chain from EncodeRow or past sqltypes.CheckRow.
+		panic(fmt.Sprintf("engine: stored row of %s does not decode: %v", t.meta.Name, err))
+	}
+	return row
+}
+
+// exists reports whether key holds a live committed row.
+func (t *Table) exists(key []byte) bool {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	c, ok := t.rows.Get(key)
+	if !ok {
+		return false
+	}
+	_, live := c.latestLive()
+	return live
+}
+
+// get returns the latest committed row stored under key, decoded into a
+// row the caller owns.
 func (t *Table) get(key []byte) (sqltypes.Row, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -120,10 +148,15 @@ func (t *Table) get(key []byte) (sqltypes.Row, bool) {
 	if !ok {
 		return nil, false
 	}
-	return c.latestLive()
+	stored, live := c.latestLive()
+	if !live {
+		return nil, false
+	}
+	return t.decodeLocked(nil, stored), true
 }
 
-// getAt returns the row under key visible to a snapshot pinned at ts.
+// getAt returns the row under key visible to a snapshot pinned at ts,
+// decoded into a row the caller owns.
 func (t *Table) getAt(key []byte, ts int64) (sqltypes.Row, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -131,18 +164,23 @@ func (t *Table) getAt(key []byte, ts int64) (sqltypes.Row, bool) {
 	if !ok {
 		return nil, false
 	}
-	return c.at(ts)
+	stored, ok := c.at(ts)
+	if !ok {
+		return nil, false
+	}
+	return t.decodeLocked(nil, stored), true
 }
 
 // Lookup returns the committed row stored under key, outside any
-// transaction (read-committed point read).
+// transaction (read-committed point read). The row is the caller's.
 func (t *Table) Lookup(key []byte) (sqltypes.Row, bool) {
 	return t.get(key)
 }
 
-// applyInsert installs a row version under key, maintaining indexes.
+// applyInsert installs an encoded row version under key, maintaining
+// indexes. row is stored as it is: the caller must not use it again.
 // Caller must hold mu. Returns an error if the key holds a live row.
-func (t *Table) applyInsertLocked(key []byte, row sqltypes.Row, ts int64) error {
+func (t *Table) applyInsertLocked(key, row []byte, ts int64) error {
 	if c, exists := t.rows.Get(key); exists {
 		if _, live := c.latestLive(); live {
 			return fmt.Errorf("%w: table %s", ErrDuplicateKey, t.meta.Name)
@@ -154,7 +192,7 @@ func (t *Table) applyInsertLocked(key []byte, row sqltypes.Row, ts int64) error 
 	t.liveRows++
 	t.noteRIDLocked(key)
 	for _, ix := range t.indexes {
-		ix.tree.Put(ix.entryKey(key, row), key)
+		ix.tree.Put(t.entryKeyLocked(ix, key, row), key)
 	}
 	return nil
 }
@@ -173,14 +211,14 @@ func (t *Table) applyDeleteLocked(key []byte, ts int64) error {
 	c.appendVersion(ts, nil)
 	t.liveRows--
 	for _, ix := range t.indexes {
-		ix.tree.Delete(ix.entryKey(key, old))
+		ix.tree.Delete(t.entryKeyLocked(ix, key, old))
 	}
 	return nil
 }
 
-// applyUpdateLocked appends a replacement version under key. Caller must
-// hold mu.
-func (t *Table) applyUpdateLocked(key []byte, row sqltypes.Row, ts int64) error {
+// applyUpdateLocked appends an encoded replacement version under key,
+// stored as it is. Caller must hold mu.
+func (t *Table) applyUpdateLocked(key, row []byte, ts int64) error {
 	c, ok := t.rows.Get(key)
 	if !ok {
 		return fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
@@ -190,15 +228,21 @@ func (t *Table) applyUpdateLocked(key []byte, row sqltypes.Row, ts int64) error 
 		return fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
 	c.appendVersion(ts, row)
+	t.moveIndexEntriesLocked(key, old, row)
+	return nil
+}
+
+// moveIndexEntriesLocked repoints every index entry of key whose indexed
+// columns differ between the stored rows old and next. Caller holds mu.
+func (t *Table) moveIndexEntriesLocked(key, old, next []byte) {
 	for _, ix := range t.indexes {
-		oldEnt := ix.entryKey(key, old)
-		newEnt := ix.entryKey(key, row)
+		oldEnt := t.entryKeyLocked(ix, key, old)
+		newEnt := t.entryKeyLocked(ix, key, next)
 		if string(oldEnt) != string(newEnt) {
 			ix.tree.Delete(oldEnt)
 			ix.tree.Put(newEnt, key)
 		}
 	}
-	return nil
 }
 
 // gcVersions prunes versions no snapshot at or after horizon can read and
@@ -225,52 +269,75 @@ func (t *Table) gcVersions(horizon int64) int {
 }
 
 // EntryKey recomputes the entry key an index should hold for a base-table
-// row; verification uses it to check index/base equivalence (invariant 5).
+// row: indexed column values followed by the clustered key for uniqueness.
+// Verification uses it to check index/base equivalence (invariant 5).
 func (ix *Index) EntryKey(clusteredKey []byte, row sqltypes.Row) []byte {
-	return ix.entryKey(clusteredKey, row)
-}
-
-// entryKey builds the index entry key: indexed column values followed by
-// the clustered key for uniqueness.
-func (ix *Index) entryKey(clusteredKey []byte, row sqltypes.Row) []byte {
 	vals := make([]sqltypes.Value, len(ix.meta.Cols))
 	for i, ord := range ix.meta.Cols {
 		vals[i] = row[ord]
 	}
+	return entryKeyOf(vals, clusteredKey)
+}
+
+func entryKeyOf(vals []sqltypes.Value, clusteredKey []byte) []byte {
 	key := sqltypes.EncodeKey(make([]byte, 0, 64), vals...)
 	return append(key, clusteredKey...)
 }
 
+// entryKeyLocked is EntryKey of a stored row, decoding only the indexed
+// columns. Caller holds mu.
+func (t *Table) entryKeyLocked(ix *Index, clusteredKey, stored []byte) []byte {
+	var few [4]sqltypes.Value
+	vals := few[:0]
+	if n := len(ix.meta.Cols); n <= len(few) {
+		vals = few[:n]
+	} else {
+		vals = make([]sqltypes.Value, n)
+	}
+	if err := sqltypes.DecodeColumns(vals, stored, ix.meta.Cols, t.meta.Schema.Columns); err != nil {
+		panic(fmt.Sprintf("engine: stored row of %s does not decode: %v", t.meta.Name, err))
+	}
+	return entryKeyOf(vals, clusteredKey)
+}
+
 // Scan iterates the latest committed rows in clustered-key order while
-// holding the table read lock. fn returning false stops the scan.
+// holding the table read lock. fn returning false stops the scan. Every
+// row is decoded into one buffer the scan reuses: key and row are valid
+// only during the callback — Clone a row to keep it (its values may be
+// copied out freely; what they point to never changes).
 func (t *Table) Scan(fn func(key []byte, row sqltypes.Row) bool) {
 	t.ScanRange(nil, nil, fn)
 }
 
-// ScanRange iterates the latest committed rows with start <= key < end.
+// ScanRange iterates the latest committed rows with start <= key < end,
+// under Scan's callback contract.
 func (t *Table) ScanRange(start, end []byte, fn func(key []byte, row sqltypes.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	var buf sqltypes.Row
 	t.rows.AscendRange(start, end, func(k []byte, c *versionChain) bool {
-		row, live := c.latestLive()
+		stored, live := c.latestLive()
 		if !live {
 			return true
 		}
-		return fn(k, row)
+		buf = t.decodeLocked(buf, stored)
+		return fn(k, buf)
 	})
 }
 
 // scanRangeAt iterates the rows visible to a snapshot pinned at ts with
-// start <= key < end.
+// start <= key < end, under Scan's callback contract.
 func (t *Table) scanRangeAt(start, end []byte, ts int64, fn func(key []byte, row sqltypes.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	var buf sqltypes.Row
 	t.rows.AscendRange(start, end, func(k []byte, c *versionChain) bool {
-		row, ok := c.at(ts)
+		stored, ok := c.at(ts)
 		if !ok {
 			return true
 		}
-		return fn(k, row)
+		buf = t.decodeLocked(buf, stored)
+		return fn(k, buf)
 	})
 }
 
@@ -336,22 +403,25 @@ func (t *Table) ScanIndexRange(ix *Index, start, end []byte, fn func(entryKey, c
 }
 
 // LookupIndexPrefix iterates base-table rows whose indexed columns equal
-// the given values (an index point lookup).
+// the given values (an index point lookup), under Scan's callback
+// contract.
 func (t *Table) LookupIndexPrefix(ix *Index, vals []sqltypes.Value, fn func(key []byte, row sqltypes.Row) bool) {
 	prefix := sqltypes.EncodeKey(nil, vals...)
 	end := prefixEnd(prefix)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	var buf sqltypes.Row
 	ix.tree.AscendRange(prefix, end, func(_ []byte, ck []byte) bool {
 		c, ok := t.rows.Get(ck)
 		if !ok {
 			return true // index/base divergence is surfaced by verification
 		}
-		row, live := c.latestLive()
+		stored, live := c.latestLive()
 		if !live {
 			return true
 		}
-		return fn(ck, row)
+		buf = t.decodeLocked(buf, stored)
+		return fn(ck, buf)
 	})
 }
 
@@ -375,44 +445,22 @@ func prefixEnd(prefix []byte) []byte {
 	return nil
 }
 
-// widenRowsLocked extends stored rows with NULLs when the schema gains
-// columns (add-column DDL). Every version is widened, not just the newest,
-// so snapshot reads pinned before the DDL still see schema-length rows.
-// Caller must hold mu and have updated meta.
-func (t *Table) widenRowsLocked() {
-	want := len(t.meta.Schema.Columns)
-	t.rows.Ascend(func(_ []byte, c *versionChain) bool {
-		for i, v := range c.vs {
-			if v.row == nil || len(v.row) >= want {
-				continue
-			}
-			nr := make(sqltypes.Row, want)
-			copy(nr, v.row)
-			for j := len(v.row); j < want; j++ {
-				nr[j] = sqltypes.NewNull(t.meta.Schema.Columns[j].Type)
-			}
-			c.vs[i].row = nr
-		}
-		return true
-	})
-}
-
 // buildIndexLocked (re)builds an index from the latest live rows of the
 // base table. Caller holds mu.
 func (t *Table) buildIndexLocked(ix *Index) {
 	ix.tree = btree.New[[]byte]()
 	t.rows.Ascend(func(k []byte, c *versionChain) bool {
-		if row, live := c.latestLive(); live {
-			ix.tree.Put(ix.entryKey(k, row), k)
+		if stored, live := c.latestLive(); live {
+			ix.tree.Put(t.entryKeyLocked(ix, k, stored), k)
 		}
 		return true
 	})
 }
 
-// loadRowLocked installs a row loaded from a snapshot file as a single
-// version at timestamp 0, visible to every snapshot. Caller holds mu (or
-// owns the table exclusively, as during recovery).
-func (t *Table) loadRowLocked(key []byte, row sqltypes.Row) {
+// loadRowLocked installs an encoded row loaded from a snapshot file as a
+// single version at timestamp 0, visible to every snapshot. Caller holds
+// mu (or owns the table exclusively, as during recovery).
+func (t *Table) loadRowLocked(key, row []byte) {
 	t.rows.Put(key, newChain(0, row))
 	t.liveRows++
 	t.noteRIDLocked(key)

@@ -26,6 +26,15 @@ var (
 // WAL records. Savepoints capture positions in the write buffer and can be
 // rolled back to (partial rollback, §3.2.1).
 //
+// Rows cross this API as []Value and live inside it encoded. Insert and
+// Update encode the row before they return — what the caller does with
+// its slice afterwards changes nothing — and those bytes are what the WAL
+// frame copies and what commit installs as the new version. Get and the
+// before-images of Update and Delete are decoded into a row the caller
+// owns; scans decode into one buffer per scan (see Table.Scan). In both,
+// strings and binaries point into stored bytes that never change: copy a
+// Value anywhere, but do not write through Value.Bytes.
+//
 // Tx is not safe for concurrent use by multiple goroutines.
 type Tx struct {
 	db   *DB
@@ -71,50 +80,46 @@ type savepoint struct {
 	seq     uint32
 }
 
+// writeOp is one buffered write. after is the encoded after-image (nil
+// for a delete) in an allocation of its own: the overlay serves the
+// transaction's reads from it, the WAL frame copies it, and commit stores
+// it as the new version.
 type writeOp struct {
 	typ     wal.RecordType
 	tableID uint32
 	key     []byte
-	after   sqltypes.Row
-	// enc, if non-nil, is the pre-encoded WAL payload for this op.
-	// Batched ingest encodes payloads on worker goroutines; Commit
-	// encodes the rest itself.
-	enc []byte
+	after   []byte
+}
+
+// EncodeStoredRow returns the stored form of row — its encoding in an
+// allocation of exactly its size, which is what a version chain keeps for
+// as long as the version lives — and the form InsertPrepared takes.
+func EncodeStoredRow(row sqltypes.Row) []byte {
+	return sqltypes.EncodeRow(make([]byte, 0, sqltypes.EncodedRowLen(row)), row)
 }
 
 // encodeWrites turns the write set into WAL records, leaving room for the
-// COMMIT or PREPARE record that ends the batch. Payloads
-// not pre-encoded by batched ingest are encoded into one shared arena sized
-// from a per-row hint; a record's payload slice stays valid even if a later
-// append grows the arena, because the old backing array is left intact.
+// COMMIT or PREPARE record that ends the batch. The payloads share one
+// arena, garbage once the frame is written.
 func (tx *Tx) encodeWrites() []wal.Record {
 	recs := make([]wal.Record, 0, len(tx.writes)+1)
 	size := 0
 	for _, w := range tx.writes {
-		if w.enc == nil {
-			size += wal.DMLSizeHint(w.key, w.after)
-		}
+		size += wal.DMLImageMaxLen(w.key, w.after)
 	}
 	arena := make([]byte, 0, size)
 	for _, w := range tx.writes {
-		payload := w.enc
-		if payload == nil {
-			start := len(arena)
-			arena = wal.AppendDML(arena, w.typ, wal.DMLPayload{TableID: w.tableID, Key: w.key, After: w.after})
-			payload = arena[start:len(arena):len(arena)]
-		}
-		recs = append(recs, wal.Record{Type: w.typ, TxID: tx.id, Payload: payload})
+		start := len(arena)
+		arena = wal.AppendDMLImage(arena, wal.DMLImage{TableID: w.tableID, Key: w.key, After: w.after})
+		recs = append(recs, wal.Record{Type: w.typ, TxID: tx.id, Payload: arena[start:len(arena):len(arena)]})
 	}
 	return recs
 }
 
+// overlay holds a transaction's own writes to one table: clustered key to
+// encoded after-image, nil for a delete.
 type overlay struct {
-	m map[string]overlayEntry
-}
-
-type overlayEntry struct {
-	deleted bool
-	row     sqltypes.Row
+	m map[string][]byte
 }
 
 // ID returns the transaction id.
@@ -143,7 +148,7 @@ func (tx *Tx) Trace() *obs.Trace { return tx.trace }
 func (tx *Tx) overlayFor(tableID uint32) *overlay {
 	ov := tx.overlays[tableID]
 	if ov == nil {
-		ov = &overlay{m: make(map[string]overlayEntry)}
+		ov = &overlay{m: make(map[string][]byte)}
 		tx.overlays[tableID] = ov
 	}
 	return ov
@@ -167,18 +172,35 @@ func (tx *Tx) lock(t *Table, key []byte) error {
 	return nil
 }
 
-// read returns the row visible to this transaction under key: its own
-// uncommitted write if any, otherwise the committed row.
+// read returns the row visible to this transaction under key — its own
+// uncommitted write if any, otherwise the committed row — decoded into a
+// row the caller owns.
 func (tx *Tx) read(t *Table, key []byte) (sqltypes.Row, bool) {
 	if ov := tx.overlays[t.meta.ID]; ov != nil {
-		if e, ok := ov.m[string(key)]; ok {
-			return e.row, !e.deleted
+		if after, ok := ov.m[string(key)]; ok {
+			if after == nil {
+				return nil, false
+			}
+			t.mu.RLock()
+			defer t.mu.RUnlock()
+			return t.decodeLocked(nil, after), true
 		}
 	}
 	return t.get(key)
 }
 
-// Get returns the row under the given primary-key values.
+// exists reports whether read would find a row under key.
+func (tx *Tx) exists(t *Table, key []byte) bool {
+	if ov := tx.overlays[t.meta.ID]; ov != nil {
+		if after, ok := ov.m[string(key)]; ok {
+			return after != nil
+		}
+	}
+	return t.exists(key)
+}
+
+// Get returns the row under the given primary-key values. The row is the
+// caller's to keep and edit.
 func (tx *Tx) Get(t *Table, keyVals ...sqltypes.Value) (sqltypes.Row, bool, error) {
 	if tx.done {
 		return nil, false, ErrTxDone
@@ -186,12 +208,12 @@ func (tx *Tx) Get(t *Table, keyVals ...sqltypes.Value) (sqltypes.Row, bool, erro
 	if t.meta.Heap {
 		return nil, false, fmt.Errorf("engine: Get on heap table %s requires a RID key", t.meta.Name)
 	}
-	key := sqltypes.EncodeKey(nil, keyVals...)
-	r, ok := tx.read(t, key)
+	var kb [64]byte // most keys fit, and then the lookup key stays off the heap
+	r, ok := tx.read(t, sqltypes.EncodeKey(kb[:0], keyVals...))
 	return r, ok, nil
 }
 
-// GetByKey returns the row under raw clustered-key bytes.
+// GetByKey returns the row under raw clustered-key bytes, as Get does.
 func (tx *Tx) GetByKey(t *Table, key []byte) (sqltypes.Row, bool, error) {
 	if tx.done {
 		return nil, false, ErrTxDone
@@ -218,14 +240,17 @@ func (tx *Tx) Insert(t *Table, row sqltypes.Row) ([]byte, error) {
 	if err := tx.lock(t, key); err != nil {
 		return nil, err
 	}
-	if !t.meta.Heap {
-		if _, exists := tx.read(t, key); exists {
-			return nil, fmt.Errorf("%w: table %s key %s", ErrDuplicateKey, t.meta.Name, t.meta.Schema.KeyOf(row))
-		}
+	if !t.meta.Heap && tx.exists(t, key) {
+		return nil, fmt.Errorf("%w: table %s key %s", ErrDuplicateKey, t.meta.Name, t.meta.Schema.KeyOf(row))
 	}
-	tx.writes = append(tx.writes, writeOp{typ: wal.RecInsert, tableID: t.meta.ID, key: key, after: row})
-	tx.overlayFor(t.meta.ID).m[string(key)] = overlayEntry{row: row}
+	tx.write(wal.RecInsert, t, key, EncodeStoredRow(row))
 	return key, nil
+}
+
+// write buffers one operation and shows it to the transaction's reads.
+func (tx *Tx) write(typ wal.RecordType, t *Table, key, after []byte) {
+	tx.writes = append(tx.writes, writeOp{typ: typ, tableID: t.meta.ID, key: key, after: after})
+	tx.overlayFor(t.meta.ID).m[string(key)] = after
 }
 
 // ReserveWrites pre-grows the transaction's write buffer, lock set and
@@ -241,17 +266,18 @@ func (tx *Tx) ReserveWrites(t *Table, n int) {
 		tx.locks = make(map[lockKey]struct{}, n)
 	}
 	if tx.overlays[t.meta.ID] == nil {
-		tx.overlays[t.meta.ID] = &overlay{m: make(map[string]overlayEntry, n)}
+		tx.overlays[t.meta.ID] = &overlay{m: make(map[string][]byte, n)}
 	}
 }
 
-// InsertPrepared adds a pre-validated row under a pre-computed clustered
-// key. It is the batched-ingest half of Insert: callers (the ledger core's
-// InsertBatch) validate the row, compute key = t.KeyFor(row) and optionally
-// pre-encode the WAL payload (enc; nil lets Commit encode it) on worker
-// goroutines, then call InsertPrepared serially to preserve write order.
-// Not valid for heap tables.
-func (tx *Tx) InsertPrepared(t *Table, key []byte, row sqltypes.Row, enc []byte) error {
+// InsertPrepared adds a pre-validated, pre-encoded row under a
+// pre-computed clustered key. It is the batched-ingest half of Insert:
+// callers (the ledger core's InsertBatch) validate the row and compute
+// key = t.KeyFor(row) and enc = EncodeStoredRow(row) on worker goroutines,
+// then call InsertPrepared serially to preserve write order. enc becomes
+// the stored version: the caller must not use it again. Not valid for heap
+// tables.
+func (tx *Tx) InsertPrepared(t *Table, key, enc []byte) error {
 	if tx.done {
 		return ErrTxDone
 	}
@@ -261,16 +287,15 @@ func (tx *Tx) InsertPrepared(t *Table, key []byte, row sqltypes.Row, enc []byte)
 	if err := tx.lock(t, key); err != nil {
 		return err
 	}
-	if _, exists := tx.read(t, key); exists {
-		return fmt.Errorf("%w: table %s key %s", ErrDuplicateKey, t.meta.Name, t.meta.Schema.KeyOf(row))
+	if tx.exists(t, key) {
+		return fmt.Errorf("%w: table %s key %x", ErrDuplicateKey, t.meta.Name, key)
 	}
-	tx.writes = append(tx.writes, writeOp{typ: wal.RecInsert, tableID: t.meta.ID, key: key, after: row, enc: enc})
-	tx.overlayFor(t.meta.ID).m[string(key)] = overlayEntry{row: row}
+	tx.write(wal.RecInsert, t, key, enc)
 	return nil
 }
 
 // DeleteByKey removes the row under raw clustered-key bytes, returning the
-// deleted row.
+// deleted row, which is the caller's.
 func (tx *Tx) DeleteByKey(t *Table, key []byte) (sqltypes.Row, error) {
 	if tx.done {
 		return nil, ErrTxDone
@@ -282,8 +307,7 @@ func (tx *Tx) DeleteByKey(t *Table, key []byte) (sqltypes.Row, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
-	tx.writes = append(tx.writes, writeOp{typ: wal.RecDelete, tableID: t.meta.ID, key: key})
-	tx.overlayFor(t.meta.ID).m[string(key)] = overlayEntry{deleted: true}
+	tx.write(wal.RecDelete, t, key, nil)
 	return before, nil
 }
 
@@ -293,7 +317,8 @@ func (tx *Tx) Delete(t *Table, keyVals ...sqltypes.Value) (sqltypes.Row, error) 
 }
 
 // UpdateByKey replaces the row under raw clustered-key bytes, returning
-// the previous version. The new row must keep the same primary key.
+// the previous version, which is the caller's. The new row must keep the
+// same primary key.
 func (tx *Tx) UpdateByKey(t *Table, key []byte, row sqltypes.Row) (sqltypes.Row, error) {
 	if tx.done {
 		return nil, ErrTxDone
@@ -313,8 +338,7 @@ func (tx *Tx) UpdateByKey(t *Table, key []byte, row sqltypes.Row) (sqltypes.Row,
 	if !ok {
 		return nil, fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
-	tx.writes = append(tx.writes, writeOp{typ: wal.RecUpdate, tableID: t.meta.ID, key: key, after: row})
-	tx.overlayFor(t.meta.ID).m[string(key)] = overlayEntry{row: row}
+	tx.write(wal.RecUpdate, t, key, EncodeStoredRow(row))
 	return before, nil
 }
 
@@ -327,7 +351,9 @@ func (tx *Tx) Update(t *Table, row sqltypes.Row) (sqltypes.Row, error) {
 }
 
 // Scan iterates the rows visible to this transaction (committed rows
-// merged with the transaction's own writes) in clustered-key order.
+// merged with the transaction's own writes) in clustered-key order, under
+// Table.Scan's callback contract: key and row are valid only during the
+// callback.
 func (tx *Tx) Scan(t *Table, fn func(key []byte, row sqltypes.Row) bool) error {
 	return tx.ScanRange(t, nil, nil, fn)
 }
@@ -354,48 +380,44 @@ func (tx *Tx) ScanRange(t *Table, start, end []byte, fn func(key []byte, row sql
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	// own delivers the transaction's write under keys[i], decoded into a
+	// buffer of its own: it runs inside t.ScanRange, which holds the
+	// table's read lock and its own row buffer, and after it.
+	var buf sqltypes.Row
+	own := func(i int, locked bool) bool {
+		after := ov.m[keys[i]]
+		if after == nil {
+			return true
+		}
+		if !locked {
+			t.mu.RLock()
+		}
+		buf = t.decodeLocked(buf, after)
+		if !locked {
+			t.mu.RUnlock()
+		}
+		return fn([]byte(keys[i]), buf)
+	}
 	i := 0
 	stopped := false
 	t.ScanRange(start, end, func(k []byte, row sqltypes.Row) bool {
 		ks := string(k)
-		for i < len(keys) && keys[i] < ks {
-			e := ov.m[keys[i]]
-			if !e.deleted {
-				if !fn([]byte(keys[i]), e.row) {
-					stopped = true
-					return false
-				}
-			}
-			i++
-		}
-		if i < len(keys) && keys[i] == ks {
-			e := ov.m[keys[i]]
-			i++
-			if e.deleted {
-				return true
-			}
-			if !fn(k, e.row) {
+		for ; i < len(keys) && keys[i] < ks; i++ {
+			if !own(i, true) {
 				stopped = true
 				return false
 			}
-			return true
 		}
-		if !fn(k, row) {
-			stopped = true
-			return false
+		if i < len(keys) && keys[i] == ks {
+			i++
+			stopped = !own(i-1, true)
+			return !stopped
 		}
-		return true
+		stopped = !fn(k, row)
+		return !stopped
 	})
-	if stopped {
-		return nil
-	}
-	for ; i < len(keys); i++ {
-		e := ov.m[keys[i]]
-		if !e.deleted {
-			if !fn([]byte(keys[i]), e.row) {
-				return nil
-			}
-		}
+	for ; !stopped && i < len(keys); i++ {
+		stopped = !own(i, false)
 	}
 	return nil
 }
@@ -427,13 +449,7 @@ func (tx *Tx) RollbackTo(token int) error {
 	// source of truth.
 	tx.overlays = make(map[uint32]*overlay)
 	for _, w := range tx.writes {
-		ov := tx.overlayFor(w.tableID)
-		switch w.typ {
-		case wal.RecInsert, wal.RecUpdate:
-			ov.m[string(w.key)] = overlayEntry{row: w.after}
-		case wal.RecDelete:
-			ov.m[string(w.key)] = overlayEntry{deleted: true}
-		}
+		tx.overlayFor(w.tableID).m[string(w.key)] = w.after
 	}
 	if tx.OnRollbackTo != nil {
 		tx.OnRollbackTo(token)

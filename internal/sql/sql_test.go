@@ -330,3 +330,31 @@ func TestSQLTypeCoercionErrors(t *testing.T) {
 		t.Error("string into VARBINARY should work")
 	}
 }
+
+// TestStatementsKeepEveryScannedRow: SELECT, UPDATE and DELETE collect the
+// rows a scan delivers and use them after it, and the engine decodes every
+// row of a scan into one buffer — each statement must see every row it
+// matched, not the last one N times. Regular tables take SELECT only.
+func TestStatementsKeepEveryScannedRow(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, createAccounts)
+	mustExec(t, s, `CREATE TABLE plain (name NVARCHAR NOT NULL, balance BIGINT NOT NULL, PRIMARY KEY (name))`)
+	for _, table := range []string{"accounts", "plain"} {
+		mustExec(t, s, `INSERT INTO `+table+` VALUES ('a', 1), ('b', 2), ('c', 3)`)
+		if got := renderRows(mustExec(t, s, `SELECT * FROM `+table+` ORDER BY name`)); got != "a|1;b|2;c|3" {
+			t.Errorf("%s: SELECT = %s", table, got)
+		}
+	}
+	if r := mustExec(t, s, `UPDATE accounts SET balance = 9 WHERE balance < 3`); r.RowsAffected != 2 {
+		t.Errorf("UPDATE touched %d rows", r.RowsAffected)
+	}
+	if got := renderRows(mustExec(t, s, `SELECT * FROM accounts ORDER BY name`)); got != "a|9;b|9;c|3" {
+		t.Errorf("after UPDATE, SELECT = %s", got)
+	}
+	if r := mustExec(t, s, `DELETE FROM accounts WHERE balance = 9`); r.RowsAffected != 2 {
+		t.Errorf("DELETE removed %d rows", r.RowsAffected)
+	}
+	if got := renderRows(mustExec(t, s, `SELECT * FROM accounts`)); got != "c|3" {
+		t.Errorf("after DELETE, SELECT = %s", got)
+	}
+}

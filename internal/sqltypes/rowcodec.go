@@ -4,13 +4,16 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"unsafe"
 )
 
-// Self-describing binary row codec used by the WAL and snapshot files.
-// Unlike the ledger serialization format in internal/serial (which is
-// canonical and feeds SHA-256), this codec just needs to round-trip rows
-// compactly; it carries the type of every value so that log replay does
-// not depend on the catalog state at replay time.
+// Self-describing binary row codec: the form of a row in the WAL, in
+// snapshot files and in the engine's version chains, which store these
+// bytes as they were logged. Unlike the ledger serialization format in
+// internal/serial (which is canonical and feeds SHA-256), this codec just
+// needs to round-trip rows compactly; it carries the type of every value
+// so that log replay does not depend on the catalog state at replay time.
 
 // EncodeRow appends the binary encoding of r to dst.
 func EncodeRow(dst []byte, r Row) []byte {
@@ -38,62 +41,203 @@ func EncodeRow(dst []byte, r Row) []byte {
 	return dst
 }
 
-// DecodeRow decodes a row encoded by EncodeRow from b, returning the row
-// and the number of bytes consumed.
-func DecodeRow(b []byte) (Row, int, error) {
-	n, sz := binary.Uvarint(b)
-	if sz <= 0 {
-		return nil, 0, fmt.Errorf("sqltypes: bad row header")
-	}
-	pos := sz
-	if n > uint64(len(b)) { // cheap sanity bound: a value takes >= 2 bytes
-		return nil, 0, fmt.Errorf("sqltypes: row claims %d values in %d bytes", n, len(b))
-	}
-	r := make(Row, 0, n)
-	for i := uint64(0); i < n; i++ {
-		if pos+2 > len(b) {
-			return nil, 0, fmt.Errorf("sqltypes: row truncated at value %d", i)
-		}
-		t := TypeID(b[pos])
-		null := b[pos+1] == 1
-		pos += 2
-		if null {
-			r = append(r, NewNull(t))
+// EncodedRowLen returns len(EncodeRow(nil, r)), so a row that will be kept
+// can be encoded into an allocation of exactly its size.
+func EncodedRowLen(r Row) int {
+	n := uvarintLen(uint64(len(r))) + 2*len(r)
+	for _, v := range r {
+		if v.Null {
 			continue
 		}
-		v := Value{Type: t}
 		switch {
-		case t == TypeFloat:
-			u, sz := binary.Uvarint(b[pos:])
-			if sz <= 0 {
-				return nil, 0, fmt.Errorf("sqltypes: bad float at value %d", i)
-			}
-			pos += sz
-			v.F64 = math.Float64frombits(u)
-		case t.IsString(), t.IsBytes():
-			l, sz := binary.Uvarint(b[pos:])
-			if sz <= 0 {
-				return nil, 0, fmt.Errorf("sqltypes: bad length at value %d", i)
-			}
-			pos += sz
-			if l > uint64(len(b)-pos) {
-				return nil, 0, fmt.Errorf("sqltypes: value %d truncated", i)
-			}
-			if t.IsString() {
-				v.Str = string(b[pos : pos+int(l)])
-			} else {
-				v.Bytes = append([]byte(nil), b[pos:pos+int(l)]...)
-			}
-			pos += int(l)
+		case v.Type == TypeFloat:
+			n += uvarintLen(math.Float64bits(v.F64))
+		case v.Type.IsString():
+			n += uvarintLen(uint64(len(v.Str))) + len(v.Str)
+		case v.Type.IsBytes():
+			n += uvarintLen(uint64(len(v.Bytes))) + len(v.Bytes)
 		default:
-			x, sz := binary.Varint(b[pos:])
-			if sz <= 0 {
-				return nil, 0, fmt.Errorf("sqltypes: bad integer at value %d", i)
-			}
-			pos += sz
-			v.I64 = x
+			n += uvarintLen(uint64(v.I64<<1) ^ uint64(v.I64>>63)) // zigzag, as AppendVarint
 		}
-		r = append(r, v)
 	}
-	return r, pos, nil
+	return n
+}
+
+func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
+
+// DecodeRow decodes a row encoded by EncodeRow from b, returning the row
+// and the number of bytes consumed. The row shares no memory with b.
+func DecodeRow(b []byte) (Row, int, error) {
+	return decodeRow(nil, b, false, 0)
+}
+
+// DecodeRowAlias decodes the row that b holds — all of b — into dst[:0],
+// which is replaced when too small, and pads it with the typed NULLs of
+// pad[len(row):]: a row encoded before its table gained columns reads as
+// wide as the schema is now. Strings and binaries are not copied; they
+// alias b, which must never change afterwards.
+func DecodeRowAlias(dst Row, b []byte, pad []Column) (Row, error) {
+	r, n, err := decodeRow(dst, b, true, len(pad))
+	if err != nil {
+		return nil, err
+	}
+	if n != len(b) {
+		return nil, fmt.Errorf("sqltypes: %d trailing bytes after row", len(b)-n)
+	}
+	for i := len(r); i < len(pad); i++ {
+		r = append(r, NewNull(pad[i].Type))
+	}
+	return r, nil
+}
+
+// CheckRow reports whether b is exactly one well-formed row — what
+// DecodeRowAlias accepts — without building it. Bytes that come from a
+// file pass it once, on their way into storage.
+func CheckRow(b []byte) error {
+	n, pos, err := rowHeader(b)
+	if err != nil {
+		return err
+	}
+	var v Value
+	for i := 0; i < n; i++ {
+		if pos, err = decodeValue(&v, b, pos, i, true); err != nil {
+			return err
+		}
+	}
+	if pos != len(b) {
+		return fmt.Errorf("sqltypes: %d trailing bytes after row", len(b)-pos)
+	}
+	return nil
+}
+
+// AppendRowPadded appends the encoded row b to dst, widened with the typed
+// NULLs of cols[n:] when it holds n < len(cols) values: the bytes
+// EncodeRow gives for what DecodeRowAlias(nil, b, cols) returns.
+func AppendRowPadded(dst, b []byte, cols []Column) []byte {
+	n, sz := binary.Uvarint(b)
+	if sz <= 0 || n >= uint64(len(cols)) {
+		return append(dst, b...)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(cols)))
+	dst = append(dst, b[sz:]...)
+	for _, c := range cols[n:] {
+		dst = append(dst, byte(c.Type), 1)
+	}
+	return dst
+}
+
+// DecodeColumns decodes only the values at ordinals ords of the encoded
+// row b into out (len(out) == len(ords)), aliasing b like DecodeRowAlias.
+// An ordinal the row is too narrow for yields the typed NULL of cols.
+func DecodeColumns(out []Value, b []byte, ords []int, cols []Column) error {
+	n, pos, err := rowHeader(b)
+	if err != nil {
+		return err
+	}
+	last := -1
+	for j, ord := range ords {
+		if ord >= n {
+			out[j] = NewNull(cols[ord].Type)
+		} else if ord > last {
+			last = ord
+		}
+	}
+	for i := 0; i <= last; i++ {
+		var v Value
+		if pos, err = decodeValue(&v, b, pos, i, true); err != nil {
+			return err
+		}
+		for j, ord := range ords {
+			if ord == i {
+				out[j] = v
+			}
+		}
+	}
+	return nil
+}
+
+// rowHeader reads the value count. Every value takes at least two bytes,
+// which bounds what a decoder allocates by the length of its input
+// whatever count the header claims.
+func rowHeader(b []byte) (n, pos int, err error) {
+	u, sz := binary.Uvarint(b)
+	if sz <= 0 {
+		return 0, 0, fmt.Errorf("sqltypes: bad row header")
+	}
+	if u > uint64(len(b)-sz)/2 {
+		return 0, 0, fmt.Errorf("sqltypes: row claims %d values in %d bytes", u, len(b))
+	}
+	return int(u), sz, nil
+}
+
+// decodeRow decodes into dst's storage when it holds the row, else into a
+// new slice with room for width values.
+func decodeRow(dst Row, b []byte, alias bool, width int) (Row, int, error) {
+	n, pos, err := rowHeader(b)
+	if err != nil {
+		return nil, 0, err
+	}
+	if cap(dst) < n {
+		dst = make(Row, n, max(n, width))
+	}
+	dst = dst[:n]
+	for i := range dst {
+		if pos, err = decodeValue(&dst[i], b, pos, i, alias); err != nil {
+			return nil, 0, err
+		}
+	}
+	return dst, pos, nil
+}
+
+// decodeValue decodes value i of a row at b[pos:] into v, returning the
+// position after it.
+func decodeValue(v *Value, b []byte, pos, i int, alias bool) (int, error) {
+	if pos+2 > len(b) {
+		return 0, fmt.Errorf("sqltypes: row truncated at value %d", i)
+	}
+	t := TypeID(b[pos])
+	*v = Value{Type: t, Null: b[pos+1] == 1}
+	pos += 2
+	if v.Null {
+		return pos, nil
+	}
+	switch {
+	case t == TypeFloat:
+		u, sz := binary.Uvarint(b[pos:])
+		if sz <= 0 {
+			return 0, fmt.Errorf("sqltypes: bad float at value %d", i)
+		}
+		pos += sz
+		v.F64 = math.Float64frombits(u)
+	case t.IsString(), t.IsBytes():
+		l, sz := binary.Uvarint(b[pos:])
+		if sz <= 0 {
+			return 0, fmt.Errorf("sqltypes: bad length at value %d", i)
+		}
+		pos += sz
+		if l > uint64(len(b)-pos) {
+			return 0, fmt.Errorf("sqltypes: value %d truncated", i)
+		}
+		raw := b[pos : pos+int(l) : pos+int(l)]
+		pos += int(l)
+		switch {
+		case !t.IsString():
+			if !alias {
+				raw = append([]byte(nil), raw...)
+			}
+			v.Bytes = raw
+		case alias:
+			v.Str = unsafe.String(unsafe.SliceData(raw), len(raw))
+		default:
+			v.Str = string(raw)
+		}
+	default:
+		x, sz := binary.Varint(b[pos:])
+		if sz <= 0 {
+			return 0, fmt.Errorf("sqltypes: bad integer at value %d", i)
+		}
+		pos += sz
+		v.I64 = x
+	}
+	return pos, nil
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -165,48 +166,83 @@ func EncodeDML(t RecordType, p DMLPayload) []byte {
 	return AppendDML(make([]byte, 0, DMLSizeHint(p.Key, p.After)), t, p)
 }
 
-// AppendDML appends the serialized DML payload to dst. Commit encodes a
-// transaction's payloads into one shared arena, so a bulk transaction
-// costs one buffer instead of one per record.
+// AppendDML appends the serialized DML payload to dst.
 func AppendDML(dst []byte, t RecordType, p DMLPayload) []byte {
-	dst = binary.AppendUvarint(dst, uint64(p.TableID))
-	dst = binary.AppendUvarint(dst, uint64(len(p.Key)))
-	dst = append(dst, p.Key...)
+	dst = appendDMLHeader(dst, p.TableID, p.Key)
 	if t != RecDelete {
 		dst = sqltypes.EncodeRow(dst, p.After)
 	}
 	return dst
 }
 
+func appendDMLHeader(dst []byte, tableID uint32, key []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(tableID))
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	return append(dst, key...)
+}
+
 // DecodeDML decodes a DML payload.
 func DecodeDML(t RecordType, b []byte) (DMLPayload, error) {
-	var p DMLPayload
+	m, err := DecodeDMLImage(t, b)
+	p := DMLPayload{TableID: m.TableID, Key: m.Key}
+	if err == nil && m.After != nil {
+		// m.After is a copy nobody else holds, so the row may point into it.
+		p.After, err = sqltypes.DecodeRowAlias(nil, m.After, nil)
+	}
+	return p, err
+}
+
+// DMLImage is a DML payload with the after-image left in its encoded
+// form, sqltypes.EncodeRow's — the form the engine stores a row version
+// in, so commit and redo move the image between log and storage without
+// decoding it. After is nil for deletes.
+type DMLImage struct {
+	TableID uint32
+	Key     []byte
+	After   []byte
+}
+
+// DMLImageMaxLen bounds the length AppendDMLImage adds for key and after.
+func DMLImageMaxLen(key, after []byte) int {
+	return 2*binary.MaxVarintLen32 + len(key) + len(after)
+}
+
+// AppendDMLImage appends the serialized payload to dst: the bytes
+// AppendDML gives for the decoded image.
+func AppendDMLImage(dst []byte, m DMLImage) []byte {
+	return append(appendDMLHeader(dst, m.TableID, m.Key), m.After...)
+}
+
+// DecodeDMLImage decodes a DML payload for redo. Key and After are copies
+// in allocations of their own — b is a slice of a whole frame, which a
+// retained image must not keep alive — and After has been checked to be
+// one well-formed row.
+func DecodeDMLImage(t RecordType, b []byte) (DMLImage, error) {
+	var m DMLImage
 	tid, pos, err := getUvarint(b, 0)
 	if err != nil {
-		return p, err
+		return m, err
 	}
-	p.TableID = uint32(tid)
+	m.TableID = uint32(tid)
 	key, pos, err := getBytes(b, pos)
 	if err != nil {
-		return p, err
+		return m, err
 	}
-	p.Key = append([]byte(nil), key...)
+	m.Key = bytes.Clone(key)
 	switch t {
 	case RecInsert, RecUpdate:
-		r, n, err := sqltypes.DecodeRow(b[pos:])
-		if err != nil {
-			return p, err
+		if err := sqltypes.CheckRow(b[pos:]); err != nil {
+			return m, err
 		}
-		p.After = r
-		pos += n
+		m.After = bytes.Clone(b[pos:])
 	case RecDelete:
+		if pos != len(b) {
+			return m, fmt.Errorf("wal: %d trailing bytes in %s payload", len(b)-pos, t)
+		}
 	default:
-		return p, fmt.Errorf("wal: %s is not a DML record", t)
+		return m, fmt.Errorf("wal: %s is not a DML record", t)
 	}
-	if pos != len(b) {
-		return p, fmt.Errorf("wal: %d trailing bytes in %s payload", len(b)-pos, t)
-	}
-	return p, nil
+	return m, nil
 }
 
 // CommitPayload is the decoded payload of a COMMIT record.

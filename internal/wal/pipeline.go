@@ -7,13 +7,14 @@ import (
 
 // Pipelined log reading for recovery. Replay cost splits into three very
 // different kinds of work: pulling record bytes off disk (sequential I/O +
-// CRC), decoding payloads (allocation-heavy: row decode, key copies), and
-// applying write sets. A single-threaded loop pays them in series; the
-// PipelinedReader overlaps them — a read-ahead goroutine fetches raw
-// records in batches, a worker pool decodes batches concurrently, and the
-// consumer reassembles batches by sequence number so records are always
-// delivered in strict log order. The redo loop downstream stays order-
-// dependent and never knows the decode ran out of order.
+// CRC), decoding payloads (allocation-heavy: row checks, key and row
+// copies), and applying write sets. A single-threaded loop pays them in
+// series; the PipelinedReader overlaps them — a read-ahead goroutine
+// fetches raw records in batches, a worker pool decodes batches
+// concurrently, and the consumer reassembles batches by sequence number so
+// records are always delivered in strict log order. The redo loop
+// downstream stays order-dependent and never knows the decode ran out of
+// order.
 
 // DecodedRecord is a log record with its payload eagerly decoded. Exactly
 // one of DML, Commit, Prepare is non-nil for the record types the decode
@@ -22,7 +23,7 @@ import (
 // they are rare and their interpretation belongs to the engine.
 type DecodedRecord struct {
 	Record
-	DML     *DMLPayload
+	DML     *DMLImage
 	Commit  *CommitPayload
 	Prepare *PreparePayload
 }
@@ -32,7 +33,7 @@ func decodeRecord(rec Record) (DecodedRecord, error) {
 	out := DecodedRecord{Record: rec}
 	switch rec.Type {
 	case RecInsert, RecDelete, RecUpdate:
-		p, err := DecodeDML(rec.Type, rec.Payload)
+		p, err := DecodeDMLImage(rec.Type, rec.Payload)
 		if err != nil {
 			return out, err
 		}

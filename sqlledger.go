@@ -52,9 +52,11 @@ import (
 type (
 	// DB is a database with SQL Ledger enabled.
 	DB = core.LedgerDB
-	// Tx is a ledger-aware transaction. Rows returned by Get and passed
-	// to Scan callbacks are read-only views of stored rows, on ledger and
-	// regular tables alike: Clone before editing or keeping one.
+	// Tx is a ledger-aware transaction. A row returned by Get is the
+	// caller's to keep and edit; a row passed to a Scan callback is valid
+	// only during the callback (Clone it to keep it) — on ledger and
+	// regular tables alike. A row handed to Insert or Update is encoded
+	// before the call returns and may be reused at once.
 	Tx = core.Tx
 	// ReadTx is a ledger-aware snapshot read transaction: reads never take
 	// row locks and see a consistent applied-commit cut. Begun via
