@@ -53,9 +53,9 @@ var (
 	// base cost; see EXPERIMENTS.md.
 	baseCost = flag.Duration("basecost", 0, "modeled per-transaction base cost added to every transaction (fig7)")
 	// metricsAddr serves the shared registry live while experiments run:
-	// /metrics (Prometheus text) and /debug/spans (JSON). "127.0.0.1:0"
+	// /metrics (Prometheus text) and /debug/trace (JSON). "127.0.0.1:0"
 	// picks a free port (printed at startup).
-	metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/spans on this address (empty: off)")
+	metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /debug/trace on this address (empty: off)")
 	statsEvery  = flag.Duration("stats-every", 0, "print a periodic stats line from the metrics registry (0: off)")
 	slowMS      = flag.Int("slow-ms", 100, "slow-query threshold in milliseconds: transactions at or above it are always trace-retained and logged to /debug/slow (0: retain every trace)")
 	traceSample = flag.Float64("trace-sample", 0.01, "fraction of fast, error-free traces retained, 0..1")
@@ -97,7 +97,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("metrics: http://%s/metrics  spans: http://%s/debug/spans  events: http://%s/debug/events\n",
+		fmt.Printf("metrics: http://%s/metrics  traces: http://%s/debug/trace  events: http://%s/debug/events\n",
 			srv.Addr(), srv.Addr(), srv.Addr())
 		stopSampler := sqlledger.StartRuntimeSampler(reg, time.Second)
 		defer stopSampler()
@@ -908,23 +908,22 @@ func readScaling(base string) {
 
 // --- Shard scaling -------------------------------------------------------------
 
-// shardScaling measures multi-core ingest across N engine instances under
-// one signed super-root. The reproducibility half runs on a logical
-// clock: a 1-shard database must land on the byte-identical digest as the
-// plain single-instance stack, and two identical serial runs at 2 shards
-// (every batch committing through 2PC) must land on the identical
-// super-root. The throughput half drives a fixed 4-client pool of
-// shard-pure 1000-row transactions at 1/2/4 shards; each configuration
-// closes a super-block and verifies every shard against it.
+// shardScaling measures multi-core ingest across N shards under one
+// signed super-root. The reproducibility half runs on a logical clock: two
+// identical serial runs at 2 shards (every batch committing through 2PC)
+// must land on the identical super-root. The throughput half drives a
+// fixed 4-client pool of single-shard 1000-row transactions at 1/2/4
+// shards; each configuration closes a super-block and verifies every shard
+// against it.
 func shardScaling(base string) {
 	fmt.Println("== Shard scaling: multi-core ingest under one super-root ==")
 	const rows = 20_000
 	const perTx = 1_000
 	const clients = 4
-	open := func(name string, shards int) *sqlledger.ShardedDB {
+	open := func(name string, shards int) *workload.Ingest {
 		var tick atomic.Int64
 		tick.Store(1_700_000_000_000_000_000)
-		db, err := sqlledger.OpenSharded(sqlledger.Options{
+		db, err := sqlledger.Open(sqlledger.Options{
 			Dir: filepath.Join(base, "shard-"+name), Name: "ingest", Shards: shards,
 			BlockSize:   sqlledger.DefaultBlockSize,
 			LockTimeout: 5 * time.Second,
@@ -934,79 +933,20 @@ func shardScaling(base string) {
 		if err != nil {
 			fatal(err)
 		}
-		return db
-	}
-
-	// Plain single-instance baseline for the byte-compatibility check.
-	var tick atomic.Int64
-	tick.Store(1_700_000_000_000_000_000)
-	plain, err := sqlledger.Open(sqlledger.Options{
-		Dir: filepath.Join(base, "shard-plain"), Name: "ingest",
-		BlockSize:   sqlledger.DefaultBlockSize,
-		LockTimeout: 5 * time.Second,
-		Obs:         reg,
-		Clock:       func() int64 { return tick.Add(1) },
-	})
-	if err != nil {
-		fatal(err)
-	}
-	plt, err := plain.CreateLedgerTable("t", sqlledger.MustSchema([]sqlledger.Column{
-		sqlledger.Col("id", sqlledger.TypeBigInt),
-		sqlledger.Col("a", sqlledger.TypeBigInt),
-		sqlledger.Col("b", sqlledger.TypeBigInt),
-		sqlledger.Col("payload", sqlledger.TypeVarChar),
-	}, "id"), sqlledger.Updateable)
-	if err != nil {
-		fatal(err)
-	}
-	for lo := 0; lo < rows; lo += perTx {
-		batch := make([]sqlledger.Row, perTx)
-		for j := range batch {
-			batch[j] = workload.ShardedRow(int64(lo + j))
-		}
-		tx := plain.Begin("load")
-		if err := tx.InsertBatchParallel(plt, batch, 1); err != nil {
-			fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			fatal(err)
-		}
-	}
-	plainDigest, err := plain.GenerateDigest()
-	if err != nil {
-		fatal(err)
-	}
-	plain.Close()
-
-	one := open("one", 1)
-	oneLoader, err := workload.NewShardedLoader(one, "t")
-	if err != nil {
-		fatal(err)
-	}
-	if err := oneLoader.LoadSerial(rows, perTx); err != nil {
-		fatal(err)
-	}
-	oneDigest, err := one.Shard(0).GenerateDigest()
-	if err != nil {
-		fatal(err)
-	}
-	one.Close()
-	if oneDigest.Hash != plainDigest.Hash {
-		fatal(fmt.Errorf("shard: 1-shard digest %s != single-instance digest %s", oneDigest.Hash, plainDigest.Hash))
-	}
-	fmt.Println("  1-shard digest == single-instance digest: ok")
-
-	serialRoot := func(name string) string {
-		db := open(name, 2)
-		defer db.Close()
-		loader, err := workload.NewShardedLoader(db, "t")
+		loader, err := workload.NewIngest(db, "t")
 		if err != nil {
 			fatal(err)
 		}
-		if err := loader.LoadSerial(rows, perTx); err != nil {
+		return loader
+	}
+
+	serialRoot := func(name string) string {
+		loader := open(name, 2)
+		defer loader.DB.Close()
+		if err := loader.LoadSerial(0, rows, perTx, 1); err != nil {
 			fatal(err)
 		}
-		sb, err := db.CloseSuperBlock()
+		sb, err := loader.DB.CloseSuperBlock()
 		if err != nil {
 			fatal(err)
 		}
@@ -1021,13 +961,10 @@ func shardScaling(base string) {
 	fmt.Printf("  %7s %7s %12s %9s %8s\n", "shards", "clients", "rows/s", "speedup", "verify")
 	var baseline float64
 	for _, shards := range []int{1, 2, 4} {
-		db := open(fmt.Sprintf("perf-%d", shards), shards)
-		loader, err := workload.NewShardedLoader(db, "t")
-		if err != nil {
-			fatal(err)
-		}
+		loader := open(fmt.Sprintf("perf-%d", shards), shards)
+		db := loader.DB
 		start := time.Now()
-		if err := loader.LoadParallel(rows, perTx, clients); err != nil {
+		if err := loader.LoadParallel(0, rows, perTx, clients); err != nil {
 			fatal(err)
 		}
 		rps := float64(rows) / time.Since(start).Seconds()
@@ -1136,7 +1073,7 @@ func auditBench(base string) {
 			for i := 0; i < txs; i++ {
 				tx := db.Begin("bench")
 				for j := 0; j < rowsPerTx; j++ {
-					if err := tx.Insert(lt, workload.ShardedRow(next)); err != nil {
+					if err := tx.Insert(lt, workload.IngestRow(next)); err != nil {
 						fatal(err)
 					}
 					next++

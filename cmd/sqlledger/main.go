@@ -14,8 +14,12 @@
 //	sqlledger -db ./bank tamper accounts nick 999999
 //	sqlledger -db ./bank tables
 //
-// With -shards N (N > 1) the database is hash-partitioned across N
-// engine instances under one signed super-root:
+// With -shards N the same database is hash-partitioned across N shards
+// under one signed super-root (pass it on every invocation). Every command
+// runs through the same dispatch; the ones that name one chain's artifact
+// (digest, receipt, tamper, tables, history, truncate, restore) answer
+// with the library's ErrMultiShard — run them on a shard's own directory,
+// DIR/shard-NNN, which is a complete one-shard database:
 //
 //	sqlledger -db ./bank -shards 4 create accounts name:NVARCHAR:key balance:BIGINT
 //	sqlledger -db ./bank -shards 4 insert accounts nick 100
@@ -29,6 +33,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -48,7 +53,7 @@ import (
 var dbDir = flag.String("db", "./ledgerdb", "database directory")
 var user = flag.String("user", "cli", "principal recorded for transactions")
 var metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/* on this address while the command runs (empty: off)")
-var shards = flag.Int("shards", 1, "shard the database across N engine instances under one signed super-root (>1 enables sharded mode)")
+var shards = flag.Int("shards", 1, "hash-partition the database across N shards under one signed super-root (give the count the database was created with)")
 var auditInterval = flag.Duration("audit-interval", time.Second, "always-on auditor cycle interval (audit, serve)")
 var auditSample = flag.Float64("audit-sample", 0, "fraction of cold blocks the auditor re-checks per cycle, 0..1 (audit, serve)")
 var checkpointEvery = flag.Duration("checkpoint-every", 0, "take a non-quiescing checkpoint on this interval while serving, bounding restart replay time (serve; 0: off)")
@@ -76,15 +81,20 @@ func main() {
 	reg := sqlledger.NewMetricsRegistry()
 	reg.Traces().SetSlowThreshold(time.Duration(*slowMS) * time.Millisecond)
 	reg.Traces().SetSampleRate(*traceSample)
-	if *shards > 1 {
-		shardedMain(reg, args)
-		return
-	}
-	db, err := sqlledger.Open(sqlledger.Options{Dir: *dbDir, BlockSize: 1000, Obs: reg})
+	db, err := sqlledger.Open(sqlledger.Options{Dir: *dbDir, Shards: *shards, BlockSize: 1000, Obs: reg})
 	if err != nil {
 		fatal(err)
 	}
 	defer db.Close()
+	defer func() { // per-chain accessors without an error result panic with ErrMultiShard
+		r := recover()
+		if err, ok := r.(error); ok && errors.Is(err, sqlledger.ErrMultiShard) {
+			fatal(err)
+		}
+		if r != nil {
+			panic(r)
+		}
+	}()
 	if *metricsAddr != "" {
 		srv, err := db.StartOpsServer(*metricsAddr)
 		if err != nil {
@@ -137,109 +147,6 @@ func main() {
 		cmdAudit(db, rest)
 	case "serve":
 		cmdServe(db, reg, rest)
-	default:
-		usage()
-	}
-}
-
-// shardedMain dispatches commands against a sharded database
-// (-shards N): each shard is an independent engine under one signed
-// super-root. DML routes by primary key; multi-shard transactions
-// commit through 2PC; `superblock` and `verify-super` replace the
-// single-instance `digest`/`verify` pair.
-func shardedMain(reg *sqlledger.MetricsRegistry, args []string) {
-	db, err := sqlledger.OpenSharded(sqlledger.Options{
-		Dir: *dbDir, Shards: *shards, BlockSize: 1000, Obs: reg,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	defer db.Close()
-
-	cmd, rest := args[0], args[1:]
-	switch cmd {
-	case "create":
-		if len(rest) < 2 {
-			usage()
-		}
-		name, schema := parseTableSpec(rest)
-		if _, err := db.CreateLedgerTable(name, schema, sqlledger.Updateable); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("created updateable ledger table %s across %d shards (%s)\n", name, db.NumShards(), schema)
-	case "insert", "update":
-		if len(rest) < 2 {
-			usage()
-		}
-		st, err := db.LedgerTable(rest[0])
-		if err != nil {
-			fatal(err)
-		}
-		groups := splitRows(rest[1:])
-		if cmd != "insert" && len(groups) > 1 {
-			fatal(fmt.Errorf("multi-row ';' syntax is only supported for insert"))
-		}
-		tx := db.Begin(*user)
-		for _, g := range groups {
-			row := rowFromArgs(st.Part(0), g)
-			if cmd == "insert" {
-				err = tx.Insert(st, row)
-			} else {
-				err = tx.Update(st, row)
-			}
-			if err != nil {
-				tx.Rollback()
-				fatal(err)
-			}
-		}
-		if err := tx.Commit(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s ok (%d rows)\n", cmd, len(groups))
-	case "delete":
-		if len(rest) != 2 {
-			usage()
-		}
-		st, err := db.LedgerTable(rest[0])
-		if err != nil {
-			fatal(err)
-		}
-		kv, err := parseValue(st.Part(0).VisibleColumns()[0], rest[1])
-		if err != nil {
-			fatal(err)
-		}
-		tx := db.Begin(*user)
-		if err := tx.Delete(st, kv); err != nil {
-			tx.Rollback()
-			fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			fatal(err)
-		}
-		fmt.Println("delete ok")
-	case "select":
-		if len(rest) != 1 {
-			usage()
-		}
-		st, err := db.LedgerTable(rest[0])
-		if err != nil {
-			fatal(err)
-		}
-		for _, c := range st.Part(0).VisibleColumns() {
-			fmt.Printf("%-16s", c.Name)
-		}
-		fmt.Println()
-		tx := db.Begin(*user)
-		defer tx.Rollback()
-		if err := tx.Scan(st, func(r sqlledger.Row) bool {
-			for _, v := range r {
-				fmt.Printf("%-16s", v.String())
-			}
-			fmt.Println()
-			return true
-		}); err != nil {
-			fatal(err)
-		}
 	case "superblock":
 		sb, err := db.CloseSuperBlock()
 		if err != nil {
@@ -249,94 +156,38 @@ func shardedMain(reg *sqlledger.MetricsRegistry, args []string) {
 		fmt.Fprintf(os.Stderr, "super-root %s over %d shards, public key %x\n",
 			sb.Root, sb.Shards, db.PublicKey())
 	case "verify-super":
-		sb := db.LastSuperBlock()
-		if len(rest) == 1 {
-			b, err := os.ReadFile(rest[0])
-			if err != nil {
-				fatal(err)
-			}
-			if sb, err = sqlledger.ParseSuperBlock(b); err != nil {
-				fatal(err)
-			}
-		} else if len(rest) > 1 {
-			usage()
-		}
-		if sb == nil {
-			fatal(fmt.Errorf("no super-block yet: run `sqlledger -shards %d superblock` first", *shards))
-		}
-		rep, err := sqlledger.VerifySuperBlock(db, sb, db.PublicKey(), sqlledger.VerifyOptions{})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(rep)
-		if !rep.Ok() {
-			os.Exit(1)
-		}
-	case "audit":
-		cmdAuditSharded(db, rest)
-	case "serve":
-		cmdServeSharded(db, reg, rest)
+		cmdVerifySuper(db, rest)
 	default:
-		fatal(fmt.Errorf("command %q is not supported in sharded mode (-shards > 1); "+
-			"supported: create, insert, update, delete, select, superblock, verify-super, audit, serve", cmd))
+		usage()
 	}
 }
 
-// cmdAuditSharded mirrors cmdAudit across every shard plus the signed
-// super-block head checks.
-func cmdAuditSharded(db *sqlledger.ShardedDB, args []string) {
-	if len(args) > 1 {
-		usage()
-	}
-	sa, err := db.NewAuditor(auditOpts())
-	if err != nil {
-		fatal(err)
-	}
-	var st sqlledger.ShardedAuditStatus
+// cmdVerifySuper verifies every shard against a signed super-block: the
+// one in FILE, or the database's latest.
+func cmdVerifySuper(db *sqlledger.DB, args []string) {
+	sb := db.LastSuperBlock()
 	if len(args) == 1 {
-		d, err := time.ParseDuration(args[0])
+		b, err := os.ReadFile(args[0])
 		if err != nil {
 			fatal(err)
 		}
-		sa.Start()
-		time.Sleep(d)
-		sa.Stop()
-		st = sa.Status()
-	} else {
-		st = sa.RunCycle()
+		if sb, err = sqlledger.ParseSuperBlock(b); err != nil {
+			fatal(err)
+		}
+	} else if len(args) > 1 {
+		usage()
 	}
-	printJSON(st)
-	if !st.Ok {
-		fmt.Fprintln(os.Stderr, "sqlledger: tampering localized in sharded ledger")
+	if sb == nil {
+		fatal(fmt.Errorf("no super-block yet: run `sqlledger superblock` first"))
+	}
+	rep, err := sqlledger.VerifySuperBlock(db, sb, db.PublicKey(), sqlledger.VerifyOptions{})
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Println(rep)
+	if !rep.Ok() {
 		os.Exit(1)
 	}
-}
-
-// cmdServeSharded runs the sharded ops surface with one auditor per
-// shard under the super-root.
-func cmdServeSharded(db *sqlledger.ShardedDB, reg *sqlledger.MetricsRegistry, args []string) {
-	if len(args) < 1 || len(args) > 2 {
-		usage()
-	}
-	opts := auditOpts()
-	sa, err := db.NewAuditor(opts)
-	if err != nil {
-		fatal(err)
-	}
-	sa.Start()
-	defer sa.Stop()
-	hc := db.NewHealthChecker(sqlledger.HealthThresholds{MaxVerifiedLag: 10 * opts.Interval})
-	srv, err := sqlledger.ServeOps(args[0], db.OpsHandler(hc))
-	if err != nil {
-		fatal(err)
-	}
-	defer srv.Close()
-	stopSampler := sqlledger.StartRuntimeSampler(reg, time.Second)
-	defer stopSampler()
-	stopCP := startCheckpointTicker(db.Checkpoint)
-	defer stopCP()
-	printOpsEndpoints(srv.Addr())
-	serveWait(args)
 }
 
 // cmdServe runs the operational HTTP server (metrics, health, debug
@@ -454,7 +305,7 @@ func printJSON(v any) {
 func printOpsEndpoints(addr string) {
 	fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics\n", addr)
 	fmt.Fprintf(os.Stderr, "health:  http://%s/healthz\n", addr)
-	fmt.Fprintf(os.Stderr, "debug:   http://%s/debug/{ledger,audit,events,spans,pprof}\n", addr)
+	fmt.Fprintf(os.Stderr, "debug:   http://%s/debug/{ledger,audit,events,trace,slow,pprof}\n", addr)
 }
 
 // cmdSQL executes SQL: either the statements given as arguments, or a
@@ -550,17 +401,18 @@ commands:
                                          when tampering is localized
   serve ADDR [DURATION]                  run the ops HTTP server (/metrics,
                                          /healthz, /debug/ledger, /debug/audit,
-                                         /debug/events, /debug/spans,
+                                         /debug/events, /debug/trace,
                                          /debug/pprof) with the auditor running
                                          (-audit-interval, -audit-sample,
                                          -checkpoint-every for periodic
                                          non-quiescing checkpoints)
-sharded mode (-shards N, N > 1):
-  create/insert/update/delete/select     as above, routed by primary key
-  superblock                             close + print a signed super-block (JSON)
+  superblock                             close + print a signed super-block: the
+                                         digest of every shard's digest (JSON)
   verify-super [FILE]                    verify every shard against a super-block
-  audit [DURATION]                       audit every shard + super-block heads
-  serve ADDR [DURATION]                  sharded ops surface with per-shard auditors`)
+with -shards N the database has N shards: DML routes by primary key, DDL,
+sql, verify, audit, serve and checkpoint cover every shard, and digest,
+receipt, tamper, tables, history, truncate and restore —
+which name one chain — are run on a shard's own directory, DIR/shard-NNN`)
 	os.Exit(2)
 }
 
@@ -597,7 +449,7 @@ func parseType(s string) (sqlledger.TypeID, error) {
 }
 
 // parseTableSpec parses `TABLE col:TYPE[:key|:null]...` arguments into a
-// table name and schema; shared by the plain and sharded create paths.
+// table name and schema.
 func parseTableSpec(args []string) (string, *sqlledger.Schema) {
 	name := args[0]
 	var cols []sqlledger.Column
@@ -742,10 +594,20 @@ func cmdWrite(db *sqlledger.DB, op string, args []string) {
 		fatal(err)
 	}
 	if len(groups) > 1 {
-		fmt.Printf("%s ok (%d rows, tx %d)\n", op, len(groups), tx.ID())
+		fmt.Printf("%s ok (%d rows, %s)\n", op, len(groups), txRef(db, tx))
 	} else {
-		fmt.Printf("%s ok (tx %d)\n", op, tx.ID())
+		fmt.Printf("%s ok (%s)\n", op, txRef(db, tx))
 	}
+}
+
+// txRef names a committed transaction for the user: by its id — what
+// `receipt` takes — on a one-shard database; a routed transaction has an
+// id on every shard it wrote to and no one name.
+func txRef(db *sqlledger.DB, tx *sqlledger.Tx) string {
+	if db.NumShards() > 1 {
+		return "routed"
+	}
+	return fmt.Sprintf("tx %d", tx.ID())
 }
 
 func cmdDelete(db *sqlledger.DB, args []string) {
@@ -769,7 +631,7 @@ func cmdDelete(db *sqlledger.DB, args []string) {
 	if err := tx.Commit(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("delete ok (tx %d)\n", tx.ID())
+	fmt.Printf("delete ok (%s)\n", txRef(db, tx))
 }
 
 func cmdSelect(db *sqlledger.DB, args []string) {
@@ -813,7 +675,7 @@ func cmdView(db *sqlledger.DB, args []string) {
 		for _, v := range vr.Row {
 			fmt.Printf("%-16s", v.String())
 		}
-		who, ts, _, _ := db.TransactionInfo(vr.TxID)
+		who, ts, _, _ := db.Shard(vr.Shard).TransactionInfo(vr.TxID)
 		fmt.Printf("%-10s %-14d %-20s %s\n", vr.Operation, vr.TxID, who,
 			time.Unix(0, ts).UTC().Format(time.RFC3339))
 	}
@@ -991,6 +853,9 @@ func cmdRestore(db *sqlledger.DB, args []string) {
 	}
 	ts, err := strconv.ParseInt(args[1], 10, 64)
 	if err != nil {
+		fatal(err)
+	}
+	if _, err := db.Single(); err != nil { // a restore rewinds one chain's WAL
 		fatal(err)
 	}
 	db.Close() // restore reads the WAL file directly

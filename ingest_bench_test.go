@@ -13,43 +13,30 @@ import (
 	"time"
 
 	"sqlledger"
+	"sqlledger/internal/workload"
 )
 
 // ingestBatchRows is the rows-per-transaction of the bulk load; matches
 // the chunk size the workload loaders use.
 const ingestBatchRows = 1000
 
-func ingestSchema() *sqlledger.Schema {
-	return sqlledger.MustSchema([]sqlledger.Column{
-		sqlledger.Col("id", sqlledger.TypeBigInt),
-		sqlledger.Col("a", sqlledger.TypeBigInt),
-		sqlledger.Col("b", sqlledger.TypeBigInt),
-		sqlledger.Col("payload", sqlledger.TypeVarChar),
-	}, "id")
-}
-
-// ingestRow builds a ~260-byte row, the width the paper's latency
+// The ingest table and its ~260-byte rows, the width the paper's latency
 // experiments use.
-func ingestRow(id int64) sqlledger.Row {
-	payload := make([]byte, 220)
-	for i := range payload {
-		payload[i] = byte('a' + (id+int64(i))%26)
-	}
-	return sqlledger.Row{
-		sqlledger.BigInt(id), sqlledger.BigInt(id * 3), sqlledger.BigInt(id * 7),
-		sqlledger.VarChar(string(payload)),
-	}
-}
+var ingestSchema, ingestRow = workload.IngestSchema, workload.IngestRow
 
-// openIngestDB opens a ledger database on a logical clock, so runs that
-// ingest the same rows produce byte-identical digests regardless of
-// timing or worker count.
-func openIngestDB(tb testing.TB, dir string) *sqlledger.DB {
+// openIngestDB opens a one-shard ledger database on a logical clock, so
+// runs that ingest the same rows produce byte-identical digests
+// regardless of timing or worker count.
+func openIngestDB(tb testing.TB, dir string) *sqlledger.DB { return openIngestShards(tb, dir, 1) }
+
+// openIngestShards is openIngestDB at any shard count: serial runs that
+// ingest the same rows produce byte-identical super-roots too.
+func openIngestShards(tb testing.TB, dir string, shards int) *sqlledger.DB {
 	tb.Helper()
 	var tick atomic.Int64
 	tick.Store(1_700_000_000_000_000_000)
 	db, err := sqlledger.Open(sqlledger.Options{
-		Dir: dir, Name: "ingest",
+		Dir: dir, Name: "ingest", Shards: shards,
 		BlockSize:   sqlledger.DefaultBlockSize,
 		LockTimeout: 5 * time.Second,
 		Clock:       func() int64 { return tick.Add(1) },

@@ -93,9 +93,12 @@ type auditWatermark struct {
 }
 
 // AuditStatus is a point-in-time snapshot of an auditor, served at
-// /debug/audit and folded into /healthz.
+// /debug/audit and folded into /healthz. On a multi-shard database it is
+// the fold of the per-shard statuses in Shards: the lowest verified
+// watermark, the tallest chain, the largest lag and the stalest cycle
+// bound what "verified" means for the whole ledger; counters are sums.
 type AuditStatus struct {
-	Shard                int           `json:"shard"` // -1 single-instance
+	Shard                int           `json:"shard"` // -1: the whole database
 	Running              bool          `json:"running"`
 	VerifiedThroughBlock int64         `json:"verified_through_block"`
 	ChainHeadBlock       int64         `json:"chain_head_block"`
@@ -108,16 +111,37 @@ type AuditStatus struct {
 	AgeSeconds           float64       `json:"age_seconds"`
 	Ok                   bool          `json:"ok"`
 	LastReport           *TamperReport `json:"last_report,omitempty"`
+	// HeadReport is a failed super-block head pin, if any — tampering
+	// localized to a shard by the signed super-root alone.
+	HeadReport *TamperReport `json:"head_report,omitempty"`
+	// Shards is the per-shard breakdown (multi-shard databases only).
+	Shards []AuditStatus `json:"shards,omitempty"`
 }
 
-// Auditor is the background verification subsystem for one LedgerDB.
-// Create with NewAuditor, drive explicitly with RunCycle or continuously
-// with Start/Stop. All methods are safe for concurrent use; cycles
-// themselves are serialized.
+// Auditor is the database's background verification subsystem: one chain
+// auditor per shard, each with its own audit.json watermark in its shard's
+// directory, and — before them, every cycle — a pin of each signed head of
+// the latest super-block against its shard's live chain (CheckDigest), so
+// a forked or rolled-back shard is localized by shard even before
+// block-level bisection. Create with NewAuditor, drive explicitly with
+// RunCycle or continuously with Start/Stop. All methods are safe for
+// concurrent use; cycles themselves are serialized.
 type Auditor struct {
-	l     *LedgerDB
+	db    *DB
 	opts  AuditorOptions
-	shard int
+	parts []*chainAuditor // index = shard
+
+	mu         sync.Mutex
+	headReport *TamperReport
+
+	loop auditLoop
+}
+
+// chainAuditor audits one shard's chain.
+type chainAuditor struct {
+	l     *Shard
+	opts  AuditorOptions
+	shard int // -1 on a one-shard database
 	path  string
 
 	// runMu serializes cycles; mu guards the status fields below and is
@@ -136,8 +160,6 @@ type Auditor struct {
 	rng      uint64
 	ixCursor int
 
-	loop auditLoop
-
 	mVerified     *obs.Gauge
 	mLag          *obs.Gauge
 	mCycles       *obs.Counter
@@ -146,8 +168,8 @@ type Auditor struct {
 	mCycleSeconds *obs.Histogram
 }
 
-// auditLoop is a background ticker driving audit cycles: the loop state
-// shared by Auditor and ShardedAuditor. Non-nil channels mean running.
+// auditLoop is a background ticker driving audit cycles. Non-nil channels
+// mean running.
 type auditLoop struct {
 	mu         sync.Mutex
 	quit, done chan struct{}
@@ -202,13 +224,29 @@ func (lp *auditLoop) running() bool {
 // discarded and auditing restarts from block 0. The returned auditor is
 // not running yet — call Start for the background loop or RunCycle to
 // drive it manually.
-func (l *LedgerDB) NewAuditor(opts AuditorOptions) (*Auditor, error) {
-	return l.newAuditorAt(opts, -1)
+func (db *DB) NewAuditor(opts AuditorOptions) (*Auditor, error) {
+	opts = opts.withDefaults()
+	a := &Auditor{db: db, opts: opts}
+	for i, l := range db.shards {
+		shard := i
+		if len(db.shards) == 1 {
+			shard = -1
+		}
+		ca, err := l.newChainAuditor(opts, shard)
+		if err != nil {
+			return nil, db.shardErr(i, err)
+		}
+		a.parts = append(a.parts, ca)
+	}
+	db.auditor.Store(a)
+	return a, nil
 }
 
-func (l *LedgerDB) newAuditorAt(opts AuditorOptions, shard int) (*Auditor, error) {
-	opts = opts.withDefaults()
-	a := &Auditor{
+// Auditor returns the registered auditor, or nil.
+func (db *DB) Auditor() *Auditor { return db.auditor.Load() }
+
+func (l *Shard) newChainAuditor(opts AuditorOptions, shard int) (*chainAuditor, error) {
+	a := &chainAuditor{
 		l:     l,
 		opts:  opts,
 		shard: shard,
@@ -236,18 +274,14 @@ func (l *LedgerDB) newAuditorAt(opts AuditorOptions, shard int) (*Auditor, error
 		return nil, err
 	}
 	a.mVerified.Set(float64(a.wm.VerifiedThrough))
-	l.auditor.Store(a)
 	return a, nil
 }
-
-// Auditor returns the registered auditor, or nil.
-func (l *LedgerDB) Auditor() *Auditor { return l.auditor.Load() }
 
 // loadWatermark reads audit.json. Corrupt or mismatched files are
 // discarded (with a warning event), not trusted and not fatal: the
 // re-anchor check protects against a *tampered* watermark anyway, and a
 // fresh auditor simply re-verifies from the chain start.
-func (a *Auditor) loadWatermark() error {
+func (a *chainAuditor) loadWatermark() error {
 	b, err := os.ReadFile(a.path)
 	if os.IsNotExist(err) {
 		return nil
@@ -273,22 +307,64 @@ func (a *Auditor) loadWatermark() error {
 	return nil
 }
 
-// saveWatermark persists the watermark atomically (tmp + rename), the
-// same pattern superblock.json uses.
-func (a *Auditor) saveWatermark() error {
+// saveWatermark persists the watermark atomically.
+func (a *chainAuditor) saveWatermark() error {
 	b, err := json.MarshalIndent(a.wm, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp := a.path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, a.path)
+	return writeFileAtomic(a.path, b)
 }
 
-// Status snapshots the auditor and refreshes the lag gauge.
+// writeFileAtomic replaces path with data through a temporary file and a
+// rename, so a reader — or a crash — sees the old document or the new one.
+func writeFileAtomic(path string, data []byte) error {
+	if err := os.WriteFile(path+".tmp", data, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(path+".tmp", path)
+}
+
+// Status snapshots the auditor and refreshes the lag gauges.
 func (a *Auditor) Status() AuditStatus {
+	a.mu.Lock()
+	head := a.headReport
+	a.mu.Unlock()
+	running := a.loop.running()
+	var st AuditStatus
+	if len(a.parts) == 1 {
+		st = a.parts[0].status()
+	} else {
+		st = AuditStatus{Shard: -1, Ok: true, VerifiedThroughBlock: -1, ChainHeadBlock: -1}
+		for i, p := range a.parts {
+			ss := p.status()
+			ss.Running = running
+			if i == 0 || ss.VerifiedThroughBlock < st.VerifiedThroughBlock {
+				st.VerifiedThroughBlock = ss.VerifiedThroughBlock
+			}
+			st.ChainHeadBlock = max(st.ChainHeadBlock, ss.ChainHeadBlock)
+			st.LagBlocks = max(st.LagBlocks, ss.LagBlocks)
+			st.AgeSeconds = max(st.AgeSeconds, ss.AgeSeconds)
+			st.LastCycleAt = max(st.LastCycleAt, ss.LastCycleAt)
+			st.LastCycleSeconds = max(st.LastCycleSeconds, ss.LastCycleSeconds)
+			st.Cycles += ss.Cycles
+			st.BlocksCheckedInc += ss.BlocksCheckedInc
+			st.BlocksCheckedSampled += ss.BlocksCheckedSampled
+			st.Ok = st.Ok && ss.Ok
+			if st.LastReport == nil {
+				st.LastReport = ss.LastReport
+			}
+			st.Shards = append(st.Shards, ss)
+		}
+	}
+	st.Running = running
+	if head != nil {
+		st.HeadReport, st.LastReport, st.Ok = head, head, false
+	}
+	return st
+}
+
+func (a *chainAuditor) status() AuditStatus {
 	a.l.closeMu.Lock()
 	head := a.l.closedThrough
 	a.l.closeMu.Unlock()
@@ -296,7 +372,6 @@ func (a *Auditor) Status() AuditStatus {
 	a.mu.Lock()
 	st := AuditStatus{
 		Shard:                a.shard,
-		Running:              a.loop.running(),
 		VerifiedThroughBlock: a.wm.VerifiedThrough,
 		ChainHeadBlock:       head,
 		LagBlocks:            head - a.wm.VerifiedThrough,
@@ -320,7 +395,7 @@ func (a *Auditor) Status() AuditStatus {
 }
 
 // Start launches the background audit loop. It stops on Stop or when
-// the database closes (LedgerDB.Close stops it before the engine).
+// the database closes (DB.Close stops it before the engines).
 func (a *Auditor) Start() {
 	a.loop.start(a.opts.Interval, func() { a.RunCycle() })
 }
@@ -329,25 +404,67 @@ func (a *Auditor) Start() {
 // (idempotent; RunCycle stays usable).
 func (a *Auditor) Stop() { a.loop.stop() }
 
+// RunCycle executes one audit cycle synchronously — the super-block head
+// pins, then every shard's chain cycle — and returns the status after it.
+func (a *Auditor) RunCycle() AuditStatus {
+	if sb := a.db.LastSuperBlock(); sb != nil {
+		a.db.checkHeads(sb, func(h ShardHead, err error) error {
+			rep := &TamperReport{
+				Shard:      h.Shard,
+				Invariant:  1, // a signed digest no longer matches its block
+				Block:      int64(h.Digest.BlockID),
+				Mode:       "superblock",
+				Detail:     fmt.Sprintf("signed super-block %d head check failed: %v", sb.SeqNo, err),
+				DetectedAt: time.Now().UnixNano(),
+			}
+			a.mu.Lock()
+			changed := !rep.sameSite(a.headReport)
+			a.headReport = rep
+			a.mu.Unlock()
+			if changed {
+				a.db.obs.Events().Error(obs.EventTamperLocalized,
+					"mode", rep.Mode, "shard", rep.Shard, "block", rep.Block, "detail", rep.Detail)
+			}
+			return nil
+		})
+	}
+	for _, p := range a.parts {
+		p.runCycle()
+	}
+	return a.Status()
+}
+
+// ClearReport drops the remembered tamper reports (for tests and for
+// operators who repaired the database out of band).
+func (a *Auditor) ClearReport() {
+	a.mu.Lock()
+	a.headReport = nil
+	a.mu.Unlock()
+	for _, p := range a.parts {
+		p.mu.Lock()
+		p.lastReport = nil
+		p.mu.Unlock()
+	}
+}
+
 // xorshift64star advances the deterministic sampling stream.
-func (a *Auditor) rand01() float64 {
+func (a *chainAuditor) rand01() float64 {
 	a.rng ^= a.rng << 13
 	a.rng ^= a.rng >> 7
 	a.rng ^= a.rng << 17
 	return float64(a.rng>>11) / float64(uint64(1)<<53)
 }
 
-// RunCycle executes one audit cycle synchronously: re-anchor the
+// runCycle executes one cycle on the shard's chain: re-anchor the
 // watermark, incrementally verify blocks closed since it, then (if
-// configured) run a sampling sweep over cold history. It returns the
-// status after the cycle.
-func (a *Auditor) RunCycle() AuditStatus {
+// configured) run a sampling sweep over cold history.
+func (a *chainAuditor) runCycle() {
 	a.runMu.Lock()
 	defer a.runMu.Unlock()
 	start := time.Now()
 
 	l := a.l
-	sp := l.obs.Tracer().Start("audit_cycle")
+	tr := l.obs.NewTrace("audit_cycle")
 	truncatedBefore, truncatedMaxTx := l.truncationInfo()
 	l.closeMu.Lock()
 	target := l.closedThrough
@@ -411,14 +528,15 @@ func (a *Auditor) RunCycle() AuditStatus {
 	a.mCycleSeconds.Observe(dur.Seconds())
 	a.mLag.Set(0)
 
-	// Events and spans: only cycles that did work (or found damage) are
+	// Events and traces: only cycles that did work (or found damage) are
 	// recorded, so an idle 1s loop does not flush the bounded rings.
-	if incChecked > 0 || sampChecked > 0 || report != nil {
-		sp.Annotate(
-			obs.L("incremental_blocks", strconv.FormatInt(incChecked, 10)),
-			obs.L("sampled_blocks", strconv.FormatInt(sampChecked, 10)),
-			obs.L("ok", strconv.FormatBool(report == nil)))
-		sp.Finish(nil)
+	if incChecked == 0 && sampChecked == 0 && report == nil {
+		tr.Discard()
+	} else {
+		tr.SetAttr("incremental_blocks", strconv.FormatInt(incChecked, 10))
+		tr.SetAttr("sampled_blocks", strconv.FormatInt(sampChecked, 10))
+		tr.SetAttr("ok", strconv.FormatBool(report == nil))
+		tr.Finish(nil)
 		ev := l.obs.Events()
 		ev.Info(obs.EventAuditPassStart,
 			"watermark", wmBefore, "target", target, "sample_fraction", a.opts.SampleFraction)
@@ -433,7 +551,6 @@ func (a *Auditor) RunCycle() AuditStatus {
 			"block", report.Block, "tx", report.TxID, "table", report.Table, "key", report.Key,
 			"detail", report.Detail)
 	}
-	return a.Status()
 }
 
 // first is the emit callback of every audit pass: keep the first
@@ -451,7 +568,7 @@ func first(dst **finding) emitFn {
 // hash as the link anchor for the incremental pass (nil when there is
 // none), and a TamperReport when history below the watermark no longer
 // matches.
-func (a *Auditor) reanchor(truncatedBefore uint64) (int64, *merkle.Hash, *TamperReport) {
+func (a *chainAuditor) reanchor(truncatedBefore uint64) (int64, *merkle.Hash, *TamperReport) {
 	a.mu.Lock()
 	wm := a.wm
 	a.mu.Unlock()
@@ -496,7 +613,7 @@ func (a *Auditor) reanchor(truncatedBefore uint64) (int64, *merkle.Hash, *Tamper
 
 // blockEntries fetches the entries of blocks [from, to] through the block
 // index: O(their transactions), whatever the depth of history.
-func (a *Auditor) blockEntries(from, to uint64) map[uint64][]*wal.LedgerEntry {
+func (a *chainAuditor) blockEntries(from, to uint64) map[uint64][]*wal.LedgerEntry {
 	entries := make(map[uint64][]*wal.LedgerEntry)
 	for b := from; b <= to; b++ {
 		if es := a.l.entriesOfBlock(b); len(es) > 0 {
@@ -511,7 +628,7 @@ func (a *Auditor) blockEntries(from, to uint64) map[uint64][]*wal.LedgerEntry {
 // system-table row was edited, or the recorded root itself was — is
 // bisected at row level so the report names the damaged transaction, and
 // row when it can be pinned, rather than just the block.
-func (a *Auditor) walk(mode string, from, to uint64, anchor *merkle.Hash, entries map[uint64][]*wal.LedgerEntry, truncatedBefore uint64) (chainResult, *TamperReport) {
+func (a *chainAuditor) walk(mode string, from, to uint64, anchor *merkle.Hash, entries map[uint64][]*wal.LedgerEntry, truncatedBefore uint64) (chainResult, *TamperReport) {
 	var found *finding
 	res := a.l.checkChain(chainCheck{
 		blocks: &BlockRange{From: from, To: to}, anchor: anchor,
@@ -533,7 +650,7 @@ func (a *Auditor) walk(mode string, from, to uint64, anchor *merkle.Hash, entrie
 // transactions — keeping clustered keys so a single-row transaction's
 // finding names its row. It pins a fresh snapshot, so the check cannot be
 // confused by concurrent writers.
-func (a *Auditor) localize(mode string, entries []*wal.LedgerEntry) *TamperReport {
+func (a *chainAuditor) localize(mode string, entries []*wal.LedgerEntry) *TamperReport {
 	rtx := a.l.edb.BeginReadOnly()
 	defer rtx.Close()
 	truncatedBefore, _ := a.l.truncationInfo()
@@ -549,7 +666,7 @@ func (a *Auditor) localize(mode string, entries []*wal.LedgerEntry) *TamperRepor
 // background process. Given the recorded transaction ids, every ledger
 // table is scanned and a row of any other transaction is a finding;
 // without them, only the tables the entries touched are scanned.
-func (a *Auditor) rowFinding(c rowCheck, recorded map[uint64]txClass) *finding {
+func (a *chainAuditor) rowFinding(c rowCheck, recorded map[uint64]txClass) *finding {
 	other := txUnknown
 	if recorded == nil {
 		recorded, other = make(map[uint64]txClass, len(c.entries)), txRecorded
@@ -588,7 +705,7 @@ func (a *Auditor) rowFinding(c rowCheck, recorded map[uint64]txClass) *finding {
 // rows belonging to sampled transactions, so the dominant cost is
 // proportional to the sample. The index and view checks rotate through
 // the ledger tables round-robin.
-func (a *Auditor) sampledPass(wm int64, truncatedBefore, truncatedMaxTx uint64) (int64, *TamperReport) {
+func (a *chainAuditor) sampledPass(wm int64, truncatedBefore, truncatedMaxTx uint64) (int64, *TamperReport) {
 	l := a.l
 
 	// Pin a snapshot: every row version visible at ts is exactly the set
@@ -669,7 +786,7 @@ sample:
 // tables) tables per cycle. Index trees are not versioned, so a mismatch
 // under live writers is re-checked until the same divergence shows up
 // twice before it becomes a report.
-func (a *Auditor) tableSweep() *TamperReport {
+func (a *chainAuditor) tableSweep() *TamperReport {
 	tables := a.l.LedgerTables()
 	n := min(int(math.Ceil(a.opts.SampleFraction*float64(len(tables)))), len(tables))
 	if n <= 0 {
@@ -709,128 +826,3 @@ func (a *Auditor) tableSweep() *TamperReport {
 	}
 	return nil
 }
-
-// ClearReport drops the remembered tamper report (for tests and for
-// operators who repaired the database out of band).
-func (a *Auditor) ClearReport() {
-	a.mu.Lock()
-	a.lastReport = nil
-	a.mu.Unlock()
-}
-
-// --- Sharded auditing ---------------------------------------------------
-
-// ShardedAuditor fans one auditor out per shard under the super-block
-// root: each shard keeps its own audit.json watermark inside its shard
-// directory, and every cycle first pins each signed super-block head
-// against its shard's live chain (CheckDigest) so a forked or rolled
-// back shard is localized by shard even before block-level bisection.
-type ShardedAuditor struct {
-	s    *ShardedDB
-	auds []*Auditor
-	opts AuditorOptions
-
-	mu         sync.Mutex
-	headReport *TamperReport
-	headCycles int64
-
-	loop auditLoop
-}
-
-// NewAuditor builds one auditor per shard (registered on each shard's
-// LedgerDB) plus the super-block head pinning that ties them together.
-func (s *ShardedDB) NewAuditor(opts AuditorOptions) (*ShardedAuditor, error) {
-	sa := &ShardedAuditor{s: s, opts: opts.withDefaults()}
-	for i, shard := range s.shards {
-		a, err := shard.newAuditorAt(opts, i)
-		if err != nil {
-			return nil, fmt.Errorf("core: auditor for shard %d: %w", i, err)
-		}
-		sa.auds = append(sa.auds, a)
-	}
-	s.auditor.Store(sa)
-	return sa, nil
-}
-
-// Auditor returns the registered sharded auditor, or nil.
-func (s *ShardedDB) Auditor() *ShardedAuditor { return s.auditor.Load() }
-
-// Shard returns shard i's auditor.
-func (sa *ShardedAuditor) Shard(i int) *Auditor { return sa.auds[i] }
-
-// RunCycle audits every shard once: super-block head checks first, then
-// each shard's incremental + sampled cycle.
-func (sa *ShardedAuditor) RunCycle() ShardedAuditStatus {
-	if sb := sa.s.LastSuperBlock(); sb != nil {
-		for _, h := range sb.Heads {
-			if h.Empty {
-				continue
-			}
-			if err := sa.s.shards[h.Shard].CheckDigest(h.Digest); err != nil {
-				rep := &TamperReport{
-					Shard:      h.Shard,
-					Invariant:  1, // a signed digest no longer matches its block
-					Block:      int64(h.Digest.BlockID),
-					Mode:       "superblock",
-					Detail:     fmt.Sprintf("signed super-block %d head check failed: %v", sb.SeqNo, err),
-					DetectedAt: time.Now().UnixNano(),
-				}
-				sa.mu.Lock()
-				changed := !rep.sameSite(sa.headReport)
-				sa.headReport = rep
-				sa.mu.Unlock()
-				if changed {
-					sa.s.obs.Events().Error(obs.EventTamperLocalized,
-						"mode", rep.Mode, "shard", rep.Shard, "block", rep.Block, "detail", rep.Detail)
-				}
-			}
-		}
-	}
-	sa.mu.Lock()
-	sa.headCycles++
-	sa.mu.Unlock()
-	for _, a := range sa.auds {
-		a.RunCycle()
-	}
-	return sa.Status()
-}
-
-// ShardedAuditStatus aggregates the per-shard audit state.
-type ShardedAuditStatus struct {
-	Shards []AuditStatus `json:"shards"`
-	// HeadReport is a failed super-block head pin, if any — tampering
-	// localized to a shard by the signed super-root alone.
-	HeadReport *TamperReport `json:"head_report,omitempty"`
-	Ok         bool          `json:"ok"`
-}
-
-// Status snapshots every shard auditor plus the head-pin state.
-func (sa *ShardedAuditor) Status() ShardedAuditStatus {
-	st := ShardedAuditStatus{Ok: true}
-	sa.mu.Lock()
-	st.HeadReport = sa.headReport
-	sa.mu.Unlock()
-	if st.HeadReport != nil {
-		st.Ok = false
-	}
-	running := sa.loop.running()
-	for _, a := range sa.auds {
-		s := a.Status()
-		s.Running = running // the sharded loop drives every shard's cycles
-		if !s.Ok {
-			st.Ok = false
-		}
-		st.Shards = append(st.Shards, s)
-	}
-	return st
-}
-
-// Start launches one background loop driving full sharded cycles. It
-// stops on Stop or when the database closes (ShardedDB.Close stops it
-// before the shards).
-func (sa *ShardedAuditor) Start() {
-	sa.loop.start(sa.opts.Interval, func() { sa.RunCycle() })
-}
-
-// Stop halts the background loop and waits for a cycle in flight.
-func (sa *ShardedAuditor) Stop() { sa.loop.stop() }

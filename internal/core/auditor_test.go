@@ -20,7 +20,7 @@ import (
 // newAuditor builds an auditor with sampling at full strength so every
 // cycle re-checks all cold history — the deterministic setting for
 // tamper-localization tests.
-func newAuditor(t *testing.T, l *LedgerDB, fraction float64) *Auditor {
+func newAuditor(t *testing.T, l *DB, fraction float64) *Auditor {
 	t.Helper()
 	a, err := l.NewAuditor(AuditorOptions{SampleFraction: fraction})
 	if err != nil {
@@ -130,7 +130,7 @@ func TestAuditorWatermarkNotTrusted(t *testing.T) {
 
 	// Rewrite the watermark block's recorded transaction root.
 	key := sqltypes.EncodeKey(nil, sqltypes.NewBigInt(wm))
-	err := l.Engine().TamperUpdateRow(l.sysBlocks, key, func(r sqltypes.Row) sqltypes.Row {
+	err := l.Engine().TamperUpdateRow(l.shards[0].sysBlocks, key, func(r sqltypes.Row) sqltypes.Row {
 		b := append([]byte(nil), r[2].Bytes...)
 		b[0] ^= 0xFF
 		r[2] = sqltypes.NewBinary(b)
@@ -156,7 +156,7 @@ func TestAuditorDiscardsForeignWatermark(t *testing.T) {
 	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
 	seedAccounts(t, l, lt, 4)
 
-	wm := auditWatermark{DatabaseName: "test", Incarnation: l.incarnation + 1, VerifiedThrough: 99}
+	wm := auditWatermark{DatabaseName: "test", Incarnation: l.shards[0].incarnation + 1, VerifiedThrough: 99}
 	b, _ := json.Marshal(wm)
 	if err := os.WriteFile(filepath.Join(dir, auditFile), b, 0o644); err != nil {
 		t.Fatal(err)
@@ -251,10 +251,10 @@ func TestAuditorStopsOnClose(t *testing.T) {
 	}
 }
 
-// TestShardedAuditorStopsOnClose is the same contract for the sharded
+// TestMultiShardAuditorStopsOnClose is the same contract for the sharded
 // loop, which used to outlive ShardedDB.Close.
-func TestShardedAuditorStopsOnClose(t *testing.T) {
-	s := openSharded(t, t.TempDir(), 2)
+func TestMultiShardAuditorStopsOnClose(t *testing.T) {
+	s := openShards(t, t.TempDir(), 2)
 	st, err := s.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
 	if err != nil {
 		t.Fatal(err)
@@ -298,11 +298,11 @@ func waitForCycles(t *testing.T, cycles func() int64) {
 	}
 }
 
-// TestShardedAuditorLocalizesShard tampers one shard's chain head and
+// TestMultiShardAuditorLocalizesShard tampers one shard's chain head and
 // asserts the sharded auditor names that shard — via the signed
 // super-block head pins, before any block-level bisection.
-func TestShardedAuditorLocalizesShard(t *testing.T) {
-	s := openSharded(t, t.TempDir(), 3)
+func TestMultiShardAuditorLocalizesShard(t *testing.T) {
+	s := openShards(t, t.TempDir(), 3)
 	defer s.Close()
 	st, err := s.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
 	if err != nil {
@@ -452,14 +452,14 @@ func TestVerifyBlockRangeScopesIssues(t *testing.T) {
 
 	// Tamper a transaction entry in block 1.
 	var victim []byte
-	l.sysTx.Scan(func(k []byte, r sqltypes.Row) bool {
+	l.shards[0].sysTx.Scan(func(k []byte, r sqltypes.Row) bool {
 		if r[1].Int() == 1 {
 			victim = append([]byte(nil), k...)
 			return false
 		}
 		return true
 	})
-	err := l.Engine().TamperUpdateRow(l.sysTx, victim, func(r sqltypes.Row) sqltypes.Row {
+	err := l.Engine().TamperUpdateRow(l.shards[0].sysTx, victim, func(r sqltypes.Row) sqltypes.Row {
 		r[4] = sqltypes.NewNVarChar("mallory")
 		return r
 	}, true)
@@ -561,10 +561,10 @@ func TestAuditOpsSurface(t *testing.T) {
 	}
 }
 
-// TestShardedOpsSurface checks satellite wiring: the sharded
+// TestMultiShardOpsSurface checks satellite wiring: the sharded
 // /debug/ledger and /healthz expose super-block seq/age.
-func TestShardedOpsSurface(t *testing.T) {
-	s := openSharded(t, t.TempDir(), 2)
+func TestMultiShardOpsSurface(t *testing.T) {
+	s := openShards(t, t.TempDir(), 2)
 	defer s.Close()
 	st, err := s.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
 	if err != nil {
@@ -580,8 +580,8 @@ func TestShardedOpsSurface(t *testing.T) {
 	if d.SuperBlock == nil || d.SuperBlock.SeqNo != sb.SeqNo {
 		t.Fatalf("debug super-block = %+v, want seq %d", d.SuperBlock, sb.SeqNo)
 	}
-	if len(d.Instances) != 2 {
-		t.Fatalf("instances = %d", len(d.Instances))
+	if len(d.Shards) != 2 {
+		t.Fatalf("shards = %d", len(d.Shards))
 	}
 
 	hc := s.NewHealthChecker(HealthThresholds{MaxSuperBlockAge: time.Hour})

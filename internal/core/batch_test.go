@@ -22,7 +22,7 @@ func logicalClock() func() int64 {
 	return func() int64 { return c.Add(1) }
 }
 
-func openDeterministicLedger(t *testing.T, blockSize uint32) *LedgerDB {
+func openDeterministicLedger(t *testing.T, blockSize uint32) *DB {
 	t.Helper()
 	l, err := Open(Options{
 		Dir:         t.TempDir(),
@@ -44,7 +44,7 @@ func openDeterministicLedger(t *testing.T, blockSize uint32) *LedgerDB {
 // savepoint/rollback in the middle of a transaction with re-ingest of
 // the same rows, a large parallel batch, and a keyless append-only
 // (heap) table that takes the serial fallback inside InsertBatch.
-func ingestScenario(t *testing.T, l *LedgerDB, batch bool) (*LedgerTable, *LedgerTable) {
+func ingestScenario(t *testing.T, l *DB, batch bool) (*LedgerTable, *LedgerTable) {
 	t.Helper()
 	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
 	heapSchema := sqltypes.MustSchema([]sqltypes.Column{
@@ -106,14 +106,14 @@ func ingestScenario(t *testing.T, l *LedgerDB, batch bool) (*LedgerTable, *Ledge
 	return lt, audit
 }
 
-func collectEntries(t *testing.T, l *LedgerDB) []*wal.LedgerEntry {
+func collectEntries(t *testing.T, l *DB) []*wal.LedgerEntry {
 	t.Helper()
-	l.closeMu.Lock()
-	latest := l.closedThrough
-	l.closeMu.Unlock()
+	l.shards[0].closeMu.Lock()
+	latest := l.shards[0].closedThrough
+	l.shards[0].closeMu.Unlock()
 	var out []*wal.LedgerEntry
 	for b := int64(0); b <= latest; b++ {
-		out = append(out, l.entriesOfBlock(uint64(b))...)
+		out = append(out, l.shards[0].entriesOfBlock(uint64(b))...)
 	}
 	return out
 }
@@ -158,7 +158,7 @@ func TestInsertBatchEquivalence(t *testing.T) {
 	}
 
 	// A second digest after more activity pins the block chain linkage.
-	for _, l := range []*LedgerDB{serialL, batchL} {
+	for _, l := range []*DB{serialL, batchL} {
 		lt, err := l.LedgerTable("accounts")
 		if err != nil {
 			t.Fatal(err)

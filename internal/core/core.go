@@ -24,7 +24,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sqlledger/internal/engine"
@@ -77,15 +76,16 @@ type Options struct {
 	// generation in place of time.Now. A logical clock makes digests
 	// byte-for-byte reproducible across runs; nil uses the wall clock.
 	Clock func() int64
-	// Shards hash-partitions the ledger across N independent engine/core
-	// instances under one signed super-block root (see OpenSharded).
-	// 0 and 1 mean the single-instance layout — byte-compatible with
-	// databases created before sharding existed. Open rejects values
-	// above 1; use OpenSharded for those.
+	// Shards hash-partitions the ledger by primary key across N shards —
+	// each its own engine, WAL and block chain in a shard-NNN
+	// subdirectory — under one signed super-block root. 0 and 1 mean one
+	// shard living directly in Dir, the layout of databases created before
+	// sharding existed. A database must be reopened with the shard count
+	// it was created with.
 	Shards int
 	// VersionGCInterval overrides the engine's background version-GC
-	// sweep pace (zero: engine default, 250ms). Sharded opens stagger it
-	// per shard so N instances on one box don't tick in lockstep.
+	// sweep pace (zero: engine default, 250ms). A multi-shard open staggers
+	// it per shard so N engines on one box don't tick in lockstep.
 	VersionGCInterval time.Duration
 	// RecoveryWorkers sets crash-recovery parallelism (WAL decode and
 	// redo apply pools, snapshot section codecs). 0 means one per CPU;
@@ -112,8 +112,11 @@ const (
 	ColEndSeq   = "ledger_end_sequence_number"
 )
 
-// LedgerDB is a database with SQL Ledger enabled.
-type LedgerDB struct {
+// Shard is one chain of a ledger database: one engine, one WAL, one block
+// chain with its own digests. A DB routes and fans out over its shards;
+// what names a single chain's artifact (a digest, a receipt, a transaction
+// id, the engine) is an operation of the Shard, reached as DB.Shard(i).
+type Shard struct {
 	opts Options
 	edb  *engine.DB
 	hook *ledgerHook
@@ -147,10 +150,6 @@ type LedgerDB struct {
 	healthMu   sync.Mutex
 	lastUpload uploadMark
 	lastVerify verifyMark
-
-	// auditor is the registered always-on Auditor, if any; HealthChecker
-	// and /debug/audit read its status through this pointer.
-	auditor atomic.Pointer[Auditor]
 
 	doneCh   chan struct{}
 	closedDB bool
@@ -209,10 +208,10 @@ func bindLedgerMetrics(reg *obs.Registry) ledgerMetrics {
 	}
 }
 
-// ledgerHook receives engine callbacks. It exists separately from LedgerDB
-// because recovery runs inside engine.Open, before the LedgerDB is wired.
+// ledgerHook receives engine callbacks. It exists separately from Shard
+// because recovery runs inside engine.Open, before the Shard is wired.
 type ledgerHook struct {
-	l         *LedgerDB
+	l         *Shard
 	recovered []*wal.LedgerEntry
 }
 
@@ -231,26 +230,9 @@ func (h *ledgerHook) LoadState(_ []byte) error { return nil }
 
 func (h *ledgerHook) Recovered(entries []*wal.LedgerEntry) { h.recovered = entries }
 
-// Open opens (creating if necessary) a ledger database. Open is the
-// single-instance path: Options.Shards of 0 or 1 keeps today's on-disk
-// layout exactly; a sharded database (Shards > 1) is opened with
-// OpenSharded, which runs this dispatcher once per shard directory.
-func Open(opts Options) (*LedgerDB, error) {
-	if opts.Shards > 1 {
-		return nil, fmt.Errorf("core: Options.Shards=%d requires OpenSharded", opts.Shards)
-	}
-	if opts.BlockSize == 0 {
-		opts.BlockSize = DefaultBlockSize
-	}
-	if opts.MaxReplicaDelay == 0 {
-		opts.MaxReplicaDelay = 5 * time.Second
-	}
-	if opts.Name == "" {
-		opts.Name = filepath.Base(opts.Dir)
-	}
-	if opts.Obs == nil {
-		opts.Obs = obs.NewRegistry()
-	}
+// openShard opens (creating if necessary) the shard in opts.Dir, named
+// opts.Name in its digests; Open has filled in the option defaults.
+func openShard(opts Options) (*Shard, error) {
 	h := &ledgerHook{}
 	edb, err := engine.Open(engine.Options{
 		Dir:               opts.Dir,
@@ -265,7 +247,7 @@ func Open(opts Options) (*LedgerDB, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &LedgerDB{
+	l := &Shard{
 		opts:          opts,
 		edb:           edb,
 		hook:          h,
@@ -294,10 +276,8 @@ func Open(opts Options) (*LedgerDB, error) {
 	return l, nil
 }
 
-// Close stops background work and closes the database. A started
-// auditor loop is stopped first — waiting for a cycle in flight — so no
-// cycle ever runs against a closed engine.
-func (l *LedgerDB) Close() error {
+// close stops the block closer and closes the engine (idempotent).
+func (l *Shard) close() error {
 	l.lmu.Lock()
 	if l.closedDB {
 		l.lmu.Unlock()
@@ -305,51 +285,41 @@ func (l *LedgerDB) Close() error {
 	}
 	l.closedDB = true
 	l.lmu.Unlock()
-	if a := l.Auditor(); a != nil {
-		a.Stop()
-	}
 	close(l.doneCh)
 	return l.edb.Close()
 }
 
-// Engine exposes the underlying relational engine (regular tables, DDL,
+// Engine exposes the shard's relational engine (regular tables, indexes,
 // checkpointing, tamper simulation).
-func (l *LedgerDB) Engine() *engine.DB { return l.edb }
+func (l *Shard) Engine() *engine.DB { return l.edb }
 
-// Name returns the database name used in digests.
-func (l *LedgerDB) Name() string { return l.opts.Name }
+// Name returns the name the shard's digests carry: the database's own on
+// a one-shard database, "<database>/shard-NNN" otherwise.
+func (l *Shard) Name() string { return l.opts.Name }
 
 // Incarnation returns the database create time (unix nanoseconds); it
 // changes when the database is restored to a point in time.
-func (l *LedgerDB) Incarnation() int64 { return l.incarnation }
+func (l *Shard) Incarnation() int64 { return l.incarnation }
 
 // Checkpoint drains the ledger queue into the system tables and writes an
 // engine snapshot (§3.3.2).
-func (l *LedgerDB) Checkpoint() error {
+func (l *Shard) Checkpoint() error {
 	_, err := l.edb.Checkpoint()
 	return err
 }
-
-// Obs returns the database's metrics registry.
-func (l *LedgerDB) Obs() *obs.Registry { return l.obs }
-
-// Snapshot returns a point-in-time copy of every metric the database has
-// recorded: WAL appends and fsyncs, group-commit batching, the four
-// commit stages, lock waits, block closing, digests and verification.
-func (l *LedgerDB) Snapshot() obs.Snapshot { return l.obs.Snapshot() }
 
 const incarnationFile = "createtime"
 
 // nowNanos returns the current time from Options.Clock, or the wall
 // clock when none is configured.
-func (l *LedgerDB) nowNanos() int64 {
+func (l *Shard) nowNanos() int64 {
 	if l.opts.Clock != nil {
 		return l.opts.Clock()
 	}
 	return time.Now().UnixNano()
 }
 
-func (l *LedgerDB) loadIncarnation() error {
+func (l *Shard) loadIncarnation() error {
 	p := filepath.Join(l.opts.Dir, incarnationFile)
 	b, err := os.ReadFile(p)
 	if err == nil {
@@ -395,7 +365,7 @@ var sysViewsSchema = sqltypes.MustSchema([]sqltypes.Column{
 	sqltypes.Col("definition", sqltypes.TypeNVarChar),
 }, "table_id")
 
-func (l *LedgerDB) bootstrap() error {
+func (l *Shard) bootstrap() error {
 	var err error
 	ensure := func(name string, schema *sqltypes.Schema) *engine.Table {
 		if err != nil {
@@ -489,7 +459,7 @@ func (l *LedgerDB) bootstrap() error {
 // reconcile rebuilds ledger assignment state after recovery: entries whose
 // COMMIT records were replayed but that are missing from the system table
 // go back on the in-memory queue (§3.3.2).
-func (l *LedgerDB) reconcile(recovered []*wal.LedgerEntry) error {
+func (l *Shard) reconcile(recovered []*wal.LedgerEntry) error {
 	// Highest closed block and its hash.
 	l.sysBlocks.Scan(func(_ []byte, r sqltypes.Row) bool {
 		b := int64(r[0].Int())
@@ -545,7 +515,7 @@ func (l *LedgerDB) reconcile(recovered []*wal.LedgerEntry) error {
 // in-memory queue. Nothing else happens here — block closing is triggered
 // entirely off the commit path, by the blockCloser's periodic sweep or by
 // digest generation.
-func (l *LedgerDB) assignBlock(txID uint64, commitTS int64, user string, roots []wal.TableRoot) (uint64, uint32) {
+func (l *Shard) assignBlock(txID uint64, commitTS int64, user string, roots []wal.TableRoot) (uint64, uint32) {
 	l.lmu.Lock()
 	if l.curOrdinal >= l.opts.BlockSize {
 		l.curBlock++
@@ -573,7 +543,7 @@ func (l *LedgerDB) assignBlock(txID uint64, commitTS int64, user string, roots [
 // second — entriesOfBlock, ledgerEntries; the block closer and the
 // auditor are not stopped by the quiescence — never finds an entry in
 // neither.
-func (l *LedgerDB) drainQueueLocked() {
+func (l *Shard) drainQueueLocked() {
 	l.lmu.Lock()
 	defer l.lmu.Unlock()
 	for _, e := range l.queue {
@@ -597,7 +567,7 @@ const blockCloseInterval = 25 * time.Millisecond
 // blocks (§3.3.2: "this operation is single-threaded ... and happens
 // asynchronously"). Every block below curBlock has all its ordinals
 // assigned, so the sweep target is always safe to close.
-func (l *LedgerDB) blockCloser() {
+func (l *Shard) blockCloser() {
 	ticker := time.NewTicker(blockCloseInterval)
 	defer ticker.Stop()
 	for {
@@ -616,7 +586,7 @@ func (l *LedgerDB) blockCloser() {
 }
 
 // closeBlocksThrough closes every open block with id <= target, in order.
-func (l *LedgerDB) closeBlocksThrough(target int64) error {
+func (l *Shard) closeBlocksThrough(target int64) error {
 	l.closeMu.Lock()
 	defer l.closeMu.Unlock()
 	for b := l.closedThrough + 1; b <= target; b++ {
@@ -629,11 +599,12 @@ func (l *LedgerDB) closeBlocksThrough(target int64) error {
 
 // closeOneBlock closes block b. Caller holds closeMu and guarantees
 // every previous block is closed.
-func (l *LedgerDB) closeOneBlock(b int64) (err error) {
+func (l *Shard) closeOneBlock(b int64) (err error) {
 	start := time.Now()
-	sp := l.obs.Tracer().Start("close_block", obs.L("block", strconv.FormatInt(b, 10)))
+	tr := l.obs.NewTrace("close_block")
+	tr.SetAttr("block", strconv.FormatInt(b, 10))
 	defer func() {
-		sp.Finish(err)
+		tr.Finish(err)
 		if err == nil {
 			l.m.blockCloseSeconds.ObserveSince(start)
 			l.m.blocksClosed.Inc()
@@ -679,7 +650,7 @@ func (l *LedgerDB) closeOneBlock(b int64) (err error) {
 // plus the system table (in that order — see drainQueueLocked; an entry
 // drained between the two reads is seen twice and kept once), sorted by
 // ordinal.
-func (l *LedgerDB) entriesOfBlock(block uint64) []*wal.LedgerEntry {
+func (l *Shard) entriesOfBlock(block uint64) []*wal.LedgerEntry {
 	var out []*wal.LedgerEntry
 	l.lmu.Lock()
 	for _, e := range l.queue {
@@ -707,7 +678,7 @@ func (l *LedgerDB) entriesOfBlock(block uint64) []*wal.LedgerEntry {
 // ledgerEntries loads every transaction entry — still queued plus
 // persisted, one scan of sys_ledger_transactions — keyed by transaction
 // id, and grouped by block in ordinal order.
-func (l *LedgerDB) ledgerEntries() (byTx map[uint64]*wal.LedgerEntry, byBlock map[uint64][]*wal.LedgerEntry) {
+func (l *Shard) ledgerEntries() (byTx map[uint64]*wal.LedgerEntry, byBlock map[uint64][]*wal.LedgerEntry) {
 	byTx = make(map[uint64]*wal.LedgerEntry)
 	l.lmu.Lock()
 	for _, e := range l.queue {
@@ -732,7 +703,7 @@ func (l *LedgerDB) ledgerEntries() (byTx map[uint64]*wal.LedgerEntry, byBlock ma
 
 // recordedTxIDs returns the id of every transaction that has a ledger
 // entry, queued or persisted, each classed txRecorded.
-func (l *LedgerDB) recordedTxIDs() map[uint64]txClass {
+func (l *Shard) recordedTxIDs() map[uint64]txClass {
 	l.lmu.Lock()
 	ids := make(map[uint64]txClass, len(l.queue)+l.sysTx.RowCount())
 	for _, e := range l.queue {

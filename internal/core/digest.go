@@ -61,11 +61,11 @@ func ParseDigest(b []byte) (Digest, error) {
 // delayed until the covered data has been replicated; if the secondary
 // stays behind for longer than MaxReplicaDelay, ErrReplicationBehind is
 // returned, mirroring §3.6.
-func (l *LedgerDB) GenerateDigest() (d Digest, err error) {
+func (l *Shard) GenerateDigest() (d Digest, err error) {
 	start := time.Now()
-	sp := l.obs.Tracer().Start("generate_digest")
+	tr := l.obs.NewTrace("generate_digest")
 	defer func() {
-		sp.Finish(err)
+		tr.Finish(err)
 		if err == nil {
 			l.m.digestSeconds.ObserveSince(start)
 			l.m.digests.Inc()
@@ -111,7 +111,7 @@ func (l *LedgerDB) GenerateDigest() (d Digest, err error) {
 	}, nil
 }
 
-func (l *LedgerDB) lastCommitOfBlock(block uint64) int64 {
+func (l *Shard) lastCommitOfBlock(block uint64) int64 {
 	var ts int64
 	for _, e := range l.entriesOfBlock(block) {
 		if e.CommitTS > ts {
@@ -124,7 +124,7 @@ func (l *LedgerDB) lastCommitOfBlock(block uint64) int64 {
 // waitForReplication blocks until the simulated geo-secondary has applied
 // every transaction the digest would cover (§3.6: "SQL Ledger will only
 // issue Database Digests for data that has been replicated").
-func (l *LedgerDB) waitForReplication(targetBlock int64) error {
+func (l *Shard) waitForReplication(targetBlock int64) error {
 	if l.opts.ReplicaLag == nil {
 		return nil
 	}
@@ -145,10 +145,10 @@ func (l *LedgerDB) waitForReplication(targetBlock int64) error {
 // CheckDigest checks that a digest still matches this database's chain:
 // same name and incarnation, and the digest's block is present in
 // sys_ledger_blocks with exactly the hash the digest recorded. It is the
-// cheap point check the sharded super-block reconciliation and
-// verification use to pin each shard head before (or without) a full
-// five-invariant verification.
-func (l *LedgerDB) CheckDigest(d Digest) error {
+// cheap point check the super-block reconciliation and verification use
+// to pin each shard head before (or without) a full five-invariant
+// verification.
+func (l *Shard) CheckDigest(d Digest) error {
 	if d.DatabaseName != l.opts.Name {
 		return fmt.Errorf("core: digest names database %q, this is %q", d.DatabaseName, l.opts.Name)
 	}
@@ -175,7 +175,7 @@ func (l *LedgerDB) CheckDigest(d Digest) error {
 // chain must link older's block to newer's. A failure means earlier data
 // was overwritten and newer represents a forked state. This catches forks
 // as soon as a new digest is generated, without a full verification.
-func (l *LedgerDB) VerifyDigestDerivation(older, newer Digest) error {
+func (l *Shard) VerifyDigestDerivation(older, newer Digest) error {
 	if older.BlockID > newer.BlockID {
 		return fmt.Errorf("core: digest for block %d is not older than block %d", older.BlockID, newer.BlockID)
 	}

@@ -22,7 +22,7 @@ func digestBlobName(dbName string, incarnation int64, blockID uint64) string {
 // UploadDigest generates a digest and stores it in immutable storage. If
 // the latest block's digest was already uploaded (no new transactions),
 // it returns the existing digest without writing.
-func (l *LedgerDB) UploadDigest(store blobstore.Store) (Digest, error) {
+func (l *Shard) UploadDigest(store blobstore.Store) (Digest, error) {
 	store = blobstore.Instrument(store, l.obs)
 	start := time.Now()
 	d, err := l.GenerateDigest()
@@ -54,7 +54,7 @@ func (l *LedgerDB) UploadDigest(store blobstore.Store) (Digest, error) {
 // StoredDigests loads every digest previously uploaded for this database,
 // across all incarnations, sorted by (incarnation, block id). This is the
 // input set for verification after restores (§3.6).
-func (l *LedgerDB) StoredDigests(store blobstore.Store) ([]Digest, error) {
+func (l *Shard) StoredDigests(store blobstore.Store) ([]Digest, error) {
 	store = blobstore.Instrument(store, l.obs)
 	names, err := store.List(l.opts.Name + "/")
 	if err != nil {
@@ -81,23 +81,13 @@ func (l *LedgerDB) StoredDigests(store blobstore.Store) ([]Digest, error) {
 	return out, nil
 }
 
-// VerifyFromStore downloads all stored digests and runs verification with
-// them — the automated end of the digest-management loop.
-func (l *LedgerDB) VerifyFromStore(store blobstore.Store, opts VerifyOptions) (*Report, error) {
-	digests, err := l.StoredDigests(store)
-	if err != nil {
-		return nil, err
-	}
-	return l.Verify(digests, opts)
-}
-
 // DigestUploader periodically uploads digests to immutable storage — the
 // automation the paper describes uploading "every few seconds" (§2.4).
 // Each successful upload is also checked for derivability from the
 // previous one, catching ledger forks at digest-generation time rather
 // than at the next full verification (§3.3.1, requirement 3).
 type DigestUploader struct {
-	l     *LedgerDB
+	l     *DB
 	store blobstore.Store
 
 	mu      sync.Mutex
@@ -108,8 +98,10 @@ type DigestUploader struct {
 	errs    []error
 }
 
-// NewDigestUploader creates an uploader writing to store.
-func NewDigestUploader(l *LedgerDB, store blobstore.Store) *DigestUploader {
+// NewDigestUploader creates an uploader writing to store. Digests are
+// per-chain: on a multi-shard database every upload fails with
+// ErrMultiShard (upload super-blocks instead).
+func NewDigestUploader(l *DB, store blobstore.Store) *DigestUploader {
 	return &DigestUploader{l: l, store: store}
 }
 

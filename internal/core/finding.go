@@ -57,8 +57,8 @@ func (f finding) issue() Issue {
 	return Issue{Invariant: f.invariant, Table: f.table, Detail: f.detail, Warning: f.warning}
 }
 
-// TamperReport localizes a detected ledger mutation: which shard (for
-// sharded databases; -1 single-instance), block, transaction, table and
+// TamperReport localizes a detected ledger mutation: which shard (-1 on a
+// one-shard database), block, transaction, table and
 // row the mismatch bisected down to. Zero/empty fields mean the damage
 // could not be narrowed further in that dimension.
 type TamperReport struct {
@@ -115,7 +115,7 @@ func (r *TamperReport) sameSite(o *TamperReport) bool {
 
 // report renders the finding for an auditor: stamped with its shard, the
 // pass that detected it, and the clock.
-func (a *Auditor) report(mode string, f finding) *TamperReport {
+func (a *chainAuditor) report(mode string, f finding) *TamperReport {
 	return &TamperReport{
 		Shard:      a.shard,
 		Invariant:  f.invariant,

@@ -40,9 +40,9 @@ func TestGroupCommitCrashRecoveryPrefix(t *testing.T) {
 
 	// Ledger entries already queued by bootstrap and CreateLedgerTable;
 	// they are durable, so the crash image always recovers them too.
-	l1.lmu.Lock()
-	baseQ := len(l1.queue)
-	l1.lmu.Unlock()
+	l1.shards[0].lmu.Lock()
+	baseQ := len(l1.shards[0].queue)
+	l1.shards[0].lmu.Unlock()
 
 	const clients, perClient = 4, 60
 	var committed atomic.Int64
@@ -145,9 +145,9 @@ func TestGroupCommitCrashRecoveryPrefix(t *testing.T) {
 
 	// Every recovered commit has its ledger entry back on the queue (no
 	// checkpoint ran, so none were drained to sys_ledger_transactions).
-	l2.lmu.Lock()
-	qlen := len(l2.queue)
-	l2.lmu.Unlock()
+	l2.shards[0].lmu.Lock()
+	qlen := len(l2.shards[0].queue)
+	l2.shards[0].lmu.Unlock()
 	if qlen != baseQ+rows {
 		t.Fatalf("ledger queue holds %d entries after recovery, want %d (%d bootstrap + %d rows)",
 			qlen, baseQ+rows, baseQ, rows)

@@ -64,10 +64,10 @@ type HealthThresholds struct {
 	// claim is going stale. Zero disables the check. A tamper report
 	// from the auditor makes the status unhealthy regardless.
 	MaxVerifiedLag time.Duration
-	// MaxSuperBlockAge (sharded databases only) degrades the status when
-	// the newest signed super-block is older than this: shard chains are
-	// growing without the digest-of-digests pinning them. Zero disables
-	// the check.
+	// MaxSuperBlockAge degrades the status when the newest signed
+	// super-block is older than this (or none was ever closed): shard
+	// chains are growing without the digest-of-digests pinning them. Zero
+	// disables the check.
 	MaxSuperBlockAge time.Duration
 }
 
@@ -145,7 +145,34 @@ func auditHealthOf(st AuditStatus) *AuditHealth {
 	return ah
 }
 
-// Health is the typed status served as JSON at /healthz.
+// SuperBlockHealth is the super-root slice of /healthz and /debug/ledger.
+type SuperBlockHealth struct {
+	SeqNo      uint64  `json:"seq_no"` // 0 = none closed yet
+	Root       string  `json:"root,omitempty"`
+	Shards     int     `json:"shards,omitempty"`
+	AgeSeconds float64 `json:"age_seconds,omitempty"`
+}
+
+func (db *DB) superBlockHealth() *SuperBlockHealth {
+	sb := db.LastSuperBlock()
+	if sb == nil {
+		return &SuperBlockHealth{}
+	}
+	// Age is measured on the database clock (Options.Clock when set) —
+	// GeneratedAt comes from the same clock, so the two stay comparable
+	// under logical clocks too.
+	return &SuperBlockHealth{
+		SeqNo:      sb.SeqNo,
+		Root:       sb.Root,
+		Shards:     sb.Shards,
+		AgeSeconds: time.Duration(db.nowNanos() - sb.GeneratedAt).Seconds(),
+	}
+}
+
+// Health is the typed status served as JSON at /healthz. On a multi-shard
+// database it is the fold of the per-shard statuses in Shards: the worst
+// state wins and every shard's reasons are listed under its name; chain
+// height and queue depth are sums, the digest lag the largest.
 type Health struct {
 	Status  HealthState `json:"status"`
 	Reasons []string    `json:"reasons,omitempty"`
@@ -163,14 +190,27 @@ type Health struct {
 	LastVerify *VerifyHealth `json:"last_verify,omitempty"`
 	Audit      *AuditHealth  `json:"audit,omitempty"`
 
+	// SuperBlock is present once a super-block was closed, and always on
+	// a multi-shard database; Shards is the per-shard breakdown of one.
+	SuperBlock *SuperBlockHealth `json:"super_block,omitempty"`
+	Shards     []Health          `json:"shards,omitempty"`
+
 	CheckedAt int64 `json:"checked_at_unix_nano"`
 }
 
-// HealthChecker evaluates a LedgerDB against thresholds. Each Check
+// degrade moves the status to a worse state (never back) and records why.
+func (h *Health) degrade(to HealthState, reason string) {
+	if to == HealthUnhealthy || h.Status == HealthHealthy {
+		h.Status = to
+	}
+	h.Reasons = append(h.Reasons, reason)
+}
+
+// HealthChecker evaluates a database against thresholds. Each Check
 // also updates the sqlledger_health_status gauge and emits a
 // health_changed event on state transitions.
 type HealthChecker struct {
-	l     *LedgerDB
+	db    *DB
 	thr   HealthThresholds
 	gauge *obs.Gauge
 
@@ -179,18 +219,76 @@ type HealthChecker struct {
 }
 
 // NewHealthChecker builds a checker for this database.
-func (l *LedgerDB) NewHealthChecker(thr HealthThresholds) *HealthChecker {
+func (db *DB) NewHealthChecker(thr HealthThresholds) *HealthChecker {
 	return &HealthChecker{
-		l:     l,
+		db:    db,
 		thr:   thr.withDefaults(),
-		gauge: l.obs.Gauge(obs.HealthStatus),
+		gauge: db.obs.Gauge(obs.HealthStatus),
 	}
 }
 
 // Check evaluates the database's health right now.
 func (hc *HealthChecker) Check() Health {
-	l := hc.l
+	db := hc.db
 	now := time.Now()
+	var audit *AuditStatus
+	if a := db.Auditor(); a != nil {
+		st := a.Status()
+		audit = &st
+	}
+	var h Health
+	if len(db.shards) == 1 {
+		h = hc.checkShard(db.shards[0], now, audit)
+	} else {
+		h = Health{Status: HealthHealthy, LastDigestUploadBlock: -1, CheckedAt: now.UnixNano()}
+		for i, l := range db.shards {
+			var shardAudit *AuditStatus
+			if audit != nil {
+				shardAudit = &audit.Shards[i]
+			}
+			sh := hc.checkShard(l, now, shardAudit)
+			h.ChainHeight += sh.ChainHeight
+			h.QueueDepth += sh.QueueDepth
+			h.DigestLagBlocks = max(h.DigestLagBlocks, sh.DigestLagBlocks)
+			for _, r := range sh.Reasons {
+				h.degrade(sh.Status, shardDirName(i)+": "+r)
+			}
+			h.Shards = append(h.Shards, sh)
+		}
+		if audit != nil {
+			h.Audit = auditHealthOf(*audit)
+			if audit.HeadReport != nil { // the one report no shard's status carries
+				h.degrade(HealthUnhealthy, "auditor localized tampering: "+audit.HeadReport.String())
+			}
+		}
+	}
+	if sb := db.superBlockHealth(); len(db.shards) > 1 || sb.SeqNo > 0 || hc.thr.MaxSuperBlockAge > 0 {
+		h.SuperBlock = sb
+		switch {
+		case hc.thr.MaxSuperBlockAge <= 0:
+		case sb.SeqNo == 0:
+			h.degrade(HealthDegraded, "no super-block has been closed")
+		case sb.AgeSeconds > hc.thr.MaxSuperBlockAge.Seconds():
+			h.degrade(HealthDegraded, fmt.Sprintf("super-block %d is %.1fs old (max %v)",
+				sb.SeqNo, sb.AgeSeconds, hc.thr.MaxSuperBlockAge))
+		}
+	}
+
+	hc.gauge.Set(healthCode(h.Status))
+	hc.mu.Lock()
+	prev := hc.prev
+	hc.prev = h.Status
+	hc.mu.Unlock()
+	if prev != "" && prev != h.Status {
+		db.obs.Events().Warn(obs.EventHealthChanged,
+			"from", string(prev), "to", string(h.Status), "reasons", strings.Join(h.Reasons, "; "))
+	}
+	return h
+}
+
+// checkShard evaluates one shard's chain (and its auditor's status, if
+// one is registered) against the thresholds.
+func (hc *HealthChecker) checkShard(l *Shard, now time.Time, audit *AuditStatus) Health {
 
 	l.closeMu.Lock()
 	closed := l.closedThrough
@@ -233,16 +331,11 @@ func (hc *HealthChecker) Check() Health {
 			DurationSeconds: lv.dur.Seconds(),
 		}
 	}
-	if a := l.Auditor(); a != nil {
-		h.Audit = auditHealthOf(a.Status())
+	if audit != nil {
+		h.Audit = auditHealthOf(*audit)
 	}
 
-	degrade := func(to HealthState, reason string) {
-		if to == HealthUnhealthy || h.Status == HealthHealthy {
-			h.Status = to
-		}
-		h.Reasons = append(h.Reasons, reason)
-	}
+	degrade := h.degrade
 	switch {
 	case h.DigestLagBlocks >= hc.thr.UnhealthyDigestLag:
 		degrade(HealthUnhealthy, fmt.Sprintf("digest lag %d blocks >= unhealthy threshold %d", h.DigestLagBlocks, hc.thr.UnhealthyDigestLag))
@@ -277,22 +370,12 @@ func (hc *HealthChecker) Check() Health {
 			}
 		}
 	}
-
-	hc.gauge.Set(healthCode(h.Status))
-	hc.mu.Lock()
-	prev := hc.prev
-	hc.prev = h.Status
-	hc.mu.Unlock()
-	if prev != "" && prev != h.Status {
-		l.obs.Events().Warn(obs.EventHealthChanged,
-			"from", string(prev), "to", string(h.Status), "reasons", strings.Join(h.Reasons, "; "))
-	}
 	return h
 }
 
 // noteDigestUploaded records a successful digest upload for health
 // tracking and emits the audit event.
-func (l *LedgerDB) noteDigestUploaded(d Digest, blob string) {
+func (l *Shard) noteDigestUploaded(d Digest, blob string) {
 	l.healthMu.Lock()
 	if int64(d.BlockID) > l.lastUpload.block {
 		l.lastUpload = uploadMark{block: int64(d.BlockID), at: time.Now()}
@@ -312,7 +395,10 @@ type TableDebug struct {
 }
 
 // LedgerDebug is the /debug/ledger snapshot: where the chain stands and
-// how big each ledger table is.
+// how big each ledger table is. On a multi-shard database the chain
+// position is each shard's own, in Shards; the top level carries what
+// adds up — chain height, queue depth, table sizes — and the latest
+// commit.
 type LedgerDebug struct {
 	Name           string       `json:"name"`
 	Incarnation    int64        `json:"incarnation"`
@@ -324,10 +410,41 @@ type LedgerDebug struct {
 	QueueDepth     int          `json:"queue_depth"`
 	LastCommitTS   int64        `json:"last_commit_ts_unix_nano"`
 	Tables         []TableDebug `json:"tables"`
+
+	SuperBlock *SuperBlockHealth `json:"super_block,omitempty"`
+	Shards     []LedgerDebug     `json:"shards,omitempty"`
 }
 
 // DebugInfo captures the ledger's current shape for /debug/ledger.
-func (l *LedgerDB) DebugInfo() LedgerDebug {
+func (db *DB) DebugInfo() LedgerDebug {
+	if len(db.shards) == 1 {
+		d := db.shards[0].DebugInfo()
+		if sb := db.superBlockHealth(); sb.SeqNo > 0 {
+			d.SuperBlock = sb
+		}
+		return d
+	}
+	d := LedgerDebug{Name: db.opts.Name, BlockSize: db.opts.BlockSize, SuperBlock: db.superBlockHealth()}
+	for i, l := range db.shards {
+		sd := l.DebugInfo()
+		d.ChainHeight += sd.ChainHeight
+		d.QueueDepth += sd.QueueDepth
+		d.LastCommitTS = max(d.LastCommitTS, sd.LastCommitTS)
+		for j, t := range sd.Tables { // same tables, same (name) order, on every shard
+			if i == 0 {
+				d.Tables = append(d.Tables, t)
+			} else if j < len(d.Tables) {
+				d.Tables[j].Rows += t.Rows
+				d.Tables[j].HistoryRows += t.HistoryRows
+			}
+		}
+		d.Shards = append(d.Shards, sd)
+	}
+	return d
+}
+
+// DebugInfo captures this shard's chain and table parts.
+func (l *Shard) DebugInfo() LedgerDebug {
 	l.closeMu.Lock()
 	closed := l.closedThrough
 	head := l.prevHash
@@ -353,12 +470,12 @@ func (l *LedgerDB) DebugInfo() LedgerDebug {
 	for _, lt := range l.LedgerTables() {
 		td := TableDebug{
 			Name:    lt.Name(),
-			ID:      lt.ID(),
+			ID:      lt.table.ID(),
 			Kind:    string(lt.Kind()),
-			Rows:    lt.Table().RowCount(),
-			Indexes: len(lt.Table().Indexes()),
+			Rows:    lt.table.RowCount(),
+			Indexes: len(lt.table.Indexes()),
 		}
-		if ht := lt.History(); ht != nil {
+		if ht := lt.history; ht != nil {
 			td.HistoryRows = ht.RowCount()
 		}
 		d.Tables = append(d.Tables, td)
@@ -368,47 +485,40 @@ func (l *LedgerDB) DebugInfo() LedgerDebug {
 }
 
 // OpsHandler returns the database's operational HTTP surface: the
-// registry endpoints (/metrics, /debug/spans, /debug/events,
-// /debug/pprof) plus /healthz and /debug/ledger. hc may be nil for a
-// checker with default thresholds. /healthz answers 200 for healthy and
-// degraded, 503 for unhealthy.
-func (l *LedgerDB) OpsHandler(hc *HealthChecker) http.Handler {
+// registry endpoints (/metrics, /debug/trace, /debug/events,
+// /debug/pprof) plus /healthz, /debug/ledger and /debug/audit. hc may be
+// nil for a checker with default thresholds. /healthz answers 200 for
+// healthy and degraded, 503 for unhealthy.
+func (db *DB) OpsHandler(hc *HealthChecker) http.Handler {
 	if hc == nil {
-		hc = l.NewHealthChecker(HealthThresholds{})
+		hc = db.NewHealthChecker(HealthThresholds{})
 	}
-	mux := obs.Mux(l.obs)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		h := hc.Check()
-		w.Header().Set("Content-Type", "application/json")
-		if h.Status == HealthUnhealthy {
-			w.WriteHeader(http.StatusServiceUnavailable)
+	mux := obs.Mux(db.obs)
+	serveJSON := func(path string, doc func() (v any, unhealthy bool)) {
+		mux.HandleFunc(path, func(w http.ResponseWriter, _ *http.Request) {
+			v, unhealthy := doc()
+			w.Header().Set("Content-Type", "application/json")
+			if unhealthy {
+				w.WriteHeader(http.StatusServiceUnavailable)
+			}
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			_ = enc.Encode(v)
+		})
+	}
+	serveJSON("/healthz", func() (any, bool) { h := hc.Check(); return h, h.Status == HealthUnhealthy })
+	serveJSON("/debug/ledger", func() (any, bool) { return db.DebugInfo(), false })
+	serveJSON("/debug/audit", func() (any, bool) {
+		if a := db.Auditor(); a != nil {
+			return a.Status(), false
 		}
-		writeIndentedJSON(w, h)
-	})
-	mux.HandleFunc("/debug/ledger", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		writeIndentedJSON(w, l.DebugInfo())
-	})
-	mux.HandleFunc("/debug/audit", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		a := l.Auditor()
-		if a == nil {
-			writeIndentedJSON(w, map[string]bool{"enabled": false})
-			return
-		}
-		writeIndentedJSON(w, a.Status())
+		return map[string]bool{"enabled": false}, false
 	})
 	return mux
 }
 
-func writeIndentedJSON(w http.ResponseWriter, v any) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 // StartOpsServer serves OpsHandler (with default thresholds) on addr,
 // e.g. "127.0.0.1:0" for an ephemeral port.
-func (l *LedgerDB) StartOpsServer(addr string) (*obs.Server, error) {
-	return obs.StartServerHandler(addr, l.OpsHandler(nil))
+func (db *DB) StartOpsServer(addr string) (*obs.Server, error) {
+	return obs.StartServerHandler(addr, db.OpsHandler(nil))
 }

@@ -15,7 +15,7 @@ import (
 	"sqlledger/internal/sqltypes"
 )
 
-func commitAccounts(t *testing.T, l *LedgerDB, lt *LedgerTable, names ...string) {
+func commitAccounts(t *testing.T, l *DB, lt *LedgerTable, names ...string) {
 	t.Helper()
 	for i, name := range names {
 		tx := l.Begin("alice")
@@ -42,9 +42,9 @@ func TestHealthEndToEnd(t *testing.T) {
 
 	hc := l.NewHealthChecker(HealthThresholds{DegradedDigestLag: 2, UnhealthyDigestLag: 100})
 	h := hc.Check()
-	l.closeMu.Lock()
-	closed := l.closedThrough
-	l.closeMu.Unlock()
+	l.shards[0].closeMu.Lock()
+	closed := l.shards[0].closedThrough
+	l.shards[0].closeMu.Unlock()
 	if closed < 0 {
 		t.Fatal("no blocks closed despite block size 2")
 	}

@@ -35,7 +35,7 @@ func blockKey(b int64) []byte {
 
 // closedBlock returns block id's sys_ledger_blocks row and its recomputed
 // hash — the value a digest of that block must carry.
-func (l *LedgerDB) closedBlock(id int64) (sqltypes.Row, merkle.Hash, bool) {
+func (l *Shard) closedBlock(id int64) (sqltypes.Row, merkle.Hash, bool) {
 	row, ok := l.sysBlocks.Lookup(blockKey(id))
 	if !ok {
 		return nil, merkle.ZeroHash, false
@@ -99,7 +99,7 @@ type chainResult struct {
 // every block up to the chain head present (invariant 2); its transaction
 // count, ordinals 0..n-1 and transactions root match its entries
 // (invariant 3).
-func (l *LedgerDB) checkChain(c chainCheck, emit emitFn) chainResult {
+func (l *Shard) checkChain(c chainCheck, emit emitFn) chainResult {
 	l.closeMu.Lock()
 	head := l.closedThrough
 	l.closeMu.Unlock()
@@ -297,7 +297,7 @@ func entryLeaves(dst []merkle.Hash, es []*wal.LedgerEntry) ([]merkle.Hash, bool)
 
 // blockTree recomputes a block's transactions tree from its entries: the
 // leaves receipts prove against and the root they sign.
-func (l *LedgerDB) blockTree(block uint64) ([]merkle.Hash, merkle.Hash) {
+func (l *Shard) blockTree(block uint64) ([]merkle.Hash, merkle.Hash) {
 	leaves, _ := entryLeaves(nil, l.entriesOfBlock(block))
 	return leaves, merkle.RootOf(leaves)
 }
@@ -373,7 +373,7 @@ type rowCheck struct {
 // rows (leaves unsorted — see txRows.tree), the ascending ids of the
 // unrecorded transactions some row version references, and the number of
 // rows scanned.
-func (l *LedgerDB) scanRowVersions(lt *LedgerTable, c rowCheck, weight float64) (map[uint64]*txRows, []uint64, int) {
+func (l *Shard) scanRowVersions(lt *LedgerTable, c rowCheck, weight float64) (map[uint64]*txRows, []uint64, int) {
 	schema := lt.table.Schema()
 	type shard struct {
 		byTx    map[uint64]*txRows
@@ -472,7 +472,7 @@ func recordedRoot(e *wal.LedgerEntry, tableID uint32) (merkle.Hash, bool) {
 // that recorded a root still has rows, and rows imply a recorded root.
 // The root recomputation fans back out over the pool in contiguous
 // chunks of entries. Returns the number of rows scanned.
-func (l *LedgerDB) checkRowVersions(lt *LedgerTable, c rowCheck, emit emitFn) int {
+func (l *Shard) checkRowVersions(lt *LedgerTable, c rowCheck, emit emitFn) int {
 	name := lt.Name()
 	// Shard scans carry most of a table's row-version cost; the root
 	// recomputation below gets the rest.
@@ -568,7 +568,7 @@ func (lt *LedgerTable) keyString(key []byte) string {
 // state rather than a snapshot: a run racing a writer can see a transient
 // difference (the Auditor re-checks before it reports one). Returns the
 // number of indexes checked.
-func (l *LedgerDB) checkIndexes(lt *LedgerTable, parallelism int, pool *workerPool, prog *progressSink, weight float64, emit emitFn) int {
+func (l *Shard) checkIndexes(lt *LedgerTable, parallelism int, pool *workerPool, prog *progressSink, weight float64, emit emitFn) int {
 	tables := []*engine.Table{lt.table}
 	if lt.history != nil {
 		tables = append(tables, lt.history)
@@ -691,7 +691,7 @@ func diffIndex(t *engine.Table, ix *engine.Index) string {
 
 // checkView checks the final step of §3.4.2: the table's stored
 // ledger-view definition must be its canonical derivation.
-func (l *LedgerDB) checkView(lt *LedgerTable, emit emitFn) {
+func (l *Shard) checkView(lt *LedgerTable, emit emitFn) {
 	f := finding{block: -1, table: lt.Name()}
 	def, ok := l.ViewDefinition(lt.ID())
 	switch {

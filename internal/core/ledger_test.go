@@ -10,12 +10,12 @@ import (
 	"sqlledger/internal/sqltypes"
 )
 
-func openTestLedger(t *testing.T, blockSize uint32) *LedgerDB {
+func openTestLedger(t *testing.T, blockSize uint32) *DB {
 	t.Helper()
 	return openLedgerAt(t, t.TempDir(), blockSize)
 }
 
-func openLedgerAt(t *testing.T, dir string, blockSize uint32) *LedgerDB {
+func openLedgerAt(t *testing.T, dir string, blockSize uint32) *DB {
 	t.Helper()
 	l, err := Open(Options{Dir: dir, Name: "test", BlockSize: blockSize, LockTimeout: 250 * time.Millisecond})
 	if err != nil {
@@ -32,7 +32,7 @@ func accountsSchema() *sqltypes.Schema {
 	}, "name")
 }
 
-func mustLedgerTable(t *testing.T, l *LedgerDB, name string, kind engine.LedgerKind) *LedgerTable {
+func mustLedgerTable(t *testing.T, l *DB, name string, kind engine.LedgerKind) *LedgerTable {
 	t.Helper()
 	lt, err := l.CreateLedgerTable(name, accountsSchema(), kind)
 	if err != nil {
@@ -52,7 +52,7 @@ func mustCommit(t *testing.T, tx *Tx) {
 	}
 }
 
-func verifyOK(t *testing.T, l *LedgerDB, digests []Digest) *Report {
+func verifyOK(t *testing.T, l *DB, digests []Digest) *Report {
 	t.Helper()
 	rep, err := l.Verify(digests, VerifyOptions{})
 	if err != nil {
@@ -64,7 +64,7 @@ func verifyOK(t *testing.T, l *LedgerDB, digests []Digest) *Report {
 	return rep
 }
 
-func verifyFails(t *testing.T, l *LedgerDB, digests []Digest, invariant int) *Report {
+func verifyFails(t *testing.T, l *DB, digests []Digest, invariant int) *Report {
 	t.Helper()
 	rep, err := l.Verify(digests, VerifyOptions{})
 	if err != nil {

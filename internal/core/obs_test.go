@@ -14,7 +14,8 @@ import (
 // the headline series are populated both in the snapshot API and in the
 // Prometheus text rendering.
 func TestObservabilityEndToEnd(t *testing.T) {
-	l := openTestLedger(t, 2) // tiny blocks so block closes happen
+	l := openTestLedger(t, 2)            // tiny blocks so block closes happen
+	l.Obs().Traces().SetSlowThreshold(0) // retain every trace
 	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
 
 	const commits = 6
@@ -103,16 +104,15 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Spans from block closes, digest generation and verification must be
-	// in the ring.
-	recent := l.Obs().Tracer().Recent(0)
+	// Root traces of block closes, digest generation and verification
+	// must be in the ring, beside the transactions'.
 	seen := map[string]bool{}
-	for _, sp := range recent {
-		seen[sp.Name] = true
+	for _, tr := range l.Obs().Traces().Recent(0) {
+		seen[tr.Name] = true
 	}
-	for _, want := range []string{"close_block", "generate_digest", "verify"} {
+	for _, want := range []string{"tx", "close_block", "generate_digest", "verify"} {
 		if !seen[want] {
-			t.Fatalf("span %q not recorded (got %v)", want, seen)
+			t.Fatalf("trace %q not retained (got %v)", want, seen)
 		}
 	}
 }

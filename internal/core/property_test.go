@@ -12,7 +12,7 @@ import (
 // applyRandomOps drives a random but valid DML sequence (inserts, updates,
 // deletes, savepoint rollbacks, whole-transaction rollbacks) against a
 // ledger table, tracking the expected visible state in a model map.
-func applyRandomOps(t *testing.T, l *LedgerDB, lt *LedgerTable, rng *rand.Rand, nTx int) map[string]int64 {
+func applyRandomOps(t *testing.T, l *DB, lt *LedgerTable, rng *rand.Rand, nTx int) map[string]int64 {
 	t.Helper()
 	model := make(map[string]int64)
 	keys := func() []string {
@@ -156,7 +156,7 @@ func TestPropertyRandomWorkloadsAlwaysVerify(t *testing.T) {
 			verifyOK(t, l, []Digest{d})
 
 			// And again after a crash-restart.
-			dir := l.edb.Dir()
+			dir := l.shards[0].edb.Dir()
 			l.Close()
 			l2 := openLedgerAt(t, dir, blockSize)
 			verifyOK(t, l2, []Digest{d})

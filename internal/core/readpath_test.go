@@ -149,7 +149,7 @@ func TestGetProjectsAlteredSchema(t *testing.T) {
 	}
 	mustCommit(t, tx)
 
-	check := func(l *LedgerDB, lt *LedgerTable, want string) {
+	check := func(l *DB, lt *LedgerTable, want string) {
 		t.Helper()
 		tx := l.Begin("r")
 		defer tx.Rollback()
@@ -202,7 +202,7 @@ func TestGetProjectsAlteredSchema(t *testing.T) {
 
 // seedGroups commits one transaction per group, each inserting per rows
 // keyed "g<group>-<row>", and returns the table.
-func seedGroups(t *testing.T, l *LedgerDB, groups, per int) *LedgerTable {
+func seedGroups(t *testing.T, l *DB, groups, per int) *LedgerTable {
 	t.Helper()
 	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
 	for g := 0; g < groups; g++ {

@@ -84,7 +84,7 @@ func ParseReadReceipt(b []byte) (ReadReceipt, error) {
 // versions, and the Merkle trees are rebuilt from that one cut — one scan
 // of base + history per table, however many transactions created the rows
 // — so a concurrent writer cannot move a row between the two scans.
-func (l *LedgerDB) buildReadReceipt(reads []readRecord, rtx *engine.ReadTx, priv ed25519.PrivateKey) (ReadReceipt, error) {
+func (l *Shard) buildReadReceipt(reads []readRecord, rtx *engine.ReadTx, priv ed25519.PrivateKey) (ReadReceipt, error) {
 	r := ReadReceipt{
 		DatabaseName: l.opts.Name,
 		SnapshotTS:   rtx.TS(),

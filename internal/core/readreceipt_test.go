@@ -10,7 +10,7 @@ import (
 // seedReadLedger commits three transactions: a 3-row insert, a 2-row
 // insert, and an update of one of the second batch's rows. Returns the
 // table.
-func seedReadLedger(t *testing.T, l *LedgerDB) *LedgerTable {
+func seedReadLedger(t *testing.T, l *DB) *LedgerTable {
 	t.Helper()
 	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
 	tx := l.Begin("alice")
@@ -37,7 +37,7 @@ func seedReadLedger(t *testing.T, l *LedgerDB) *LedgerTable {
 
 // readAll snapshot-reads every row (one Get plus a full Scan) under a
 // receipt-collecting transaction and returns it still open.
-func readAll(t *testing.T, l *LedgerDB, lt *LedgerTable) *ReadTx {
+func readAll(t *testing.T, l *DB, lt *LedgerTable) *ReadTx {
 	t.Helper()
 	rt := l.BeginReadOnlyForReceipt()
 	row, ok, err := rt.Get(lt, sqltypes.NewNVarChar("a1"))

@@ -27,11 +27,18 @@ var ErrReceiptNotRequested = errors.New("core: read set not accumulated; begin w
 // a full-table scan then clones nothing, instead of materializing a
 // second copy of the table that Close would just throw away.
 //
+// On a multi-shard database the read transaction is a router (route is
+// set): each shard's snapshot is pinned when a read first reaches it, so
+// reads are consistent within a shard, not across shards, and a read
+// receipt — a proof against one chain's blocks — cannot be issued.
+//
 // ReadTx is not safe for concurrent use by multiple goroutines.
 type ReadTx struct {
-	l    *LedgerDB
+	l    *Shard
 	rtx  *engine.ReadTx
 	done bool
+
+	route *readRoute
 
 	// collect is set by BeginReadOnlyForReceipt; when false, record is a
 	// no-op and CloseWithReceipt refuses.
@@ -40,6 +47,13 @@ type ReadTx struct {
 	// distinct row version returned to the caller.
 	reads []readRecord
 	seen  map[readVersionKey]struct{}
+}
+
+// readRoute is the router state of a read transaction on a multi-shard
+// database.
+type readRoute struct {
+	db    *DB
+	parts []*ReadTx // index = shard; nil until touched
 }
 
 // readRecord is one read-set entry: the ledger table and the full storage
@@ -60,24 +74,51 @@ type readVersionKey struct {
 // BeginReadOnly starts a snapshot read transaction pinned at the engine's
 // applied-through watermark. No read set is accumulated; end it with
 // Close. Use BeginReadOnlyForReceipt when the reads must be provable.
-func (l *LedgerDB) BeginReadOnly() *ReadTx {
-	return &ReadTx{l: l, rtx: l.edb.BeginReadOnly()}
-}
+func (db *DB) BeginReadOnly() *ReadTx { return db.beginReadOnly(false) }
 
 // BeginReadOnlyForReceipt is BeginReadOnly with read-set accumulation:
 // every distinct row version returned is cloned into the read set so
 // CloseWithReceipt can prove it. Callers that only want the snapshot
 // should use BeginReadOnly and skip the copies.
-func (l *LedgerDB) BeginReadOnlyForReceipt() *ReadTx {
-	return &ReadTx{l: l, rtx: l.edb.BeginReadOnly(), collect: true, seen: make(map[readVersionKey]struct{})}
+func (db *DB) BeginReadOnlyForReceipt() *ReadTx { return db.beginReadOnly(true) }
+
+func (db *DB) beginReadOnly(collect bool) *ReadTx {
+	if len(db.shards) == 1 {
+		return db.shards[0].beginReadOnly(collect)
+	}
+	return &ReadTx{route: &readRoute{db: db, parts: make([]*ReadTx, len(db.shards))}}
 }
 
-// SnapshotTS returns the pinned snapshot timestamp (unix nanoseconds).
-func (rt *ReadTx) SnapshotTS() int64 { return rt.rtx.TS() }
+func (l *Shard) beginReadOnly(collect bool) *ReadTx {
+	rt := &ReadTx{l: l, rtx: l.edb.BeginReadOnly(), collect: collect}
+	if collect {
+		rt.seen = make(map[readVersionKey]struct{})
+	}
+	return rt
+}
+
+// at returns the router's read transaction on shard i, pinning that
+// shard's snapshot on first touch.
+func (rt *ReadTx) at(i int) *ReadTx {
+	r := rt.route
+	if r.parts[i] == nil {
+		r.parts[i] = r.db.shards[i].beginReadOnly(false)
+	}
+	return r.parts[i]
+}
+
+// SnapshotTS returns the pinned snapshot timestamp (unix nanoseconds). It
+// panics with ErrMultiShard on a multi-shard database, as Raw does.
+func (rt *ReadTx) SnapshotTS() int64 { return rt.Raw().TS() }
 
 // Raw exposes the underlying engine read transaction for snapshot reads
 // on regular (non-ledger) tables; those reads carry no receipt coverage.
-func (rt *ReadTx) Raw() *engine.ReadTx { return rt.rtx }
+func (rt *ReadTx) Raw() *engine.ReadTx {
+	if rt.route != nil {
+		panic(multiShard("ReadTx.Raw", len(rt.route.parts)))
+	}
+	return rt.rtx
+}
 
 // record adds a returned row version to the read set (deduplicated).
 // A no-op unless the transaction was begun with BeginReadOnlyForReceipt.
@@ -86,7 +127,7 @@ func (rt *ReadTx) record(lt *LedgerTable, full sqltypes.Row) {
 		return
 	}
 	k := readVersionKey{
-		tableID: lt.ID(),
+		tableID: lt.table.ID(),
 		txID:    uint64(full[lt.startTxOrd].Int()),
 		seq:     uint32(full[lt.startSeqOrd].Int()),
 	}
@@ -100,6 +141,10 @@ func (rt *ReadTx) record(lt *LedgerTable, full sqltypes.Row) {
 // Get returns the visible row with the given primary-key values as of the
 // snapshot. The row is the caller's to keep and edit, as Tx.Get's is.
 func (rt *ReadTx) Get(lt *LedgerTable, keyVals ...sqltypes.Value) (sqltypes.Row, bool, error) {
+	if rt.route != nil {
+		i := lt.ShardOf(keyVals...)
+		return rt.at(i).Get(lt.parts[i], keyVals...)
+	}
 	full, ok, err := rt.rtx.Get(lt.table, keyVals...)
 	if err != nil || !ok {
 		return nil, ok, err
@@ -123,13 +168,24 @@ func (rt *ReadTx) ScanPrefix(lt *LedgerTable, fn func(row sqltypes.Row) bool, va
 }
 
 func (rt *ReadTx) scanRange(lt *LedgerTable, start, end []byte, fn func(row sqltypes.Row) bool) error {
+	if rt.route != nil { // shard by shard: ordered within a shard, not across them
+		more := true
+		for i := 0; i < len(rt.route.parts) && more; i++ {
+			err := rt.at(i).scanRange(lt.parts[i], start, end, func(r sqltypes.Row) bool { more = fn(r); return more })
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	return rt.rtx.ScanRange(lt.table, start, end, func(_ []byte, full sqltypes.Row) bool {
 		rt.record(lt, full)
 		return fn(lt.project(full))
 	})
 }
 
-// ReadSetSize returns the number of distinct row versions accumulated.
+// ReadSetSize returns the number of distinct row versions accumulated
+// toward a receipt (none on a multi-shard database, which issues none).
 func (rt *ReadTx) ReadSetSize() int { return len(rt.reads) }
 
 // Close unpins the snapshot without producing a receipt. Idempotent.
@@ -138,6 +194,14 @@ func (rt *ReadTx) Close() {
 		return
 	}
 	rt.done = true
+	if rt.route != nil {
+		for _, p := range rt.route.parts {
+			if p != nil {
+				p.Close()
+			}
+		}
+		return
+	}
 	rt.rtx.Close()
 	rt.reads = nil
 	rt.seen = nil
@@ -148,10 +212,14 @@ func (rt *ReadTx) Close() {
 // stays pinned while the receipt is assembled, so version GC cannot
 // reclaim the proven versions mid-build. The transaction must have been
 // begun with BeginReadOnlyForReceipt; otherwise ErrReceiptNotRequested is
-// returned (and the transaction stays open, since nothing was consumed).
+// returned (and the transaction stays open, since nothing was consumed),
+// as ErrMultiShard is on a multi-shard database.
 func (rt *ReadTx) CloseWithReceipt(priv ed25519.PrivateKey) (ReadReceipt, error) {
 	if rt.done {
 		return ReadReceipt{}, engine.ErrTxDone
+	}
+	if rt.route != nil {
+		return ReadReceipt{}, multiShard("ReadTx.CloseWithReceipt", len(rt.route.parts))
 	}
 	if !rt.collect {
 		return ReadReceipt{}, ErrReceiptNotRequested

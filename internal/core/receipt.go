@@ -81,7 +81,7 @@ func signedMessage(dbName string, blockID uint64, root merkle.Hash) []byte {
 // in want: from the system table if persisted, otherwise from the
 // in-memory queue — every commit since the last checkpoint, walked under
 // the commit path's lmu, so once however many entries are asked for.
-func (l *LedgerDB) resolveEntries(want map[uint64]*wal.LedgerEntry) error {
+func (l *Shard) resolveEntries(want map[uint64]*wal.LedgerEntry) error {
 	queued := 0
 	for txID := range want {
 		if row, ok := l.sysTx.Lookup(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(int64(txID)))); ok {
@@ -108,7 +108,7 @@ func (l *LedgerDB) resolveEntries(want map[uint64]*wal.LedgerEntry) error {
 }
 
 // entryOfTx returns txID's ledger entry.
-func (l *LedgerDB) entryOfTx(txID uint64) (*wal.LedgerEntry, error) {
+func (l *Shard) entryOfTx(txID uint64) (*wal.LedgerEntry, error) {
 	want := map[uint64]*wal.LedgerEntry{txID: nil}
 	err := l.resolveEntries(want)
 	return want[txID], err
@@ -171,7 +171,7 @@ func decodeProof(p ReceiptProof) (merkle.Proof, error) {
 // GenerateReceipt produces a receipt for txID, signing the block root with
 // priv. The transaction's block must already be closed (generate a digest
 // first to force-close the current block).
-func (l *LedgerDB) GenerateReceipt(txID uint64, priv ed25519.PrivateKey) (Receipt, error) {
+func (l *Shard) GenerateReceipt(txID uint64, priv ed25519.PrivateKey) (Receipt, error) {
 	e, err := l.entryOfTx(txID)
 	if err != nil {
 		return Receipt{}, err

@@ -18,7 +18,7 @@ func testKeys(t *testing.T) (ed25519.PublicKey, ed25519.PrivateKey) {
 }
 
 // commitOne runs one insert transaction and returns its tx id.
-func commitOne(t *testing.T, l *LedgerDB, lt *LedgerTable, name string) uint64 {
+func commitOne(t *testing.T, l *DB, lt *LedgerTable, name string) uint64 {
 	t.Helper()
 	tx := l.Begin("u")
 	if err := tx.Insert(lt, account(name, 1)); err != nil {

@@ -143,7 +143,7 @@ func TestBlockBoundary(t *testing.T) {
 		t.Fatalf("expected multiple blocks, got %d", rep.BlocksChecked)
 	}
 	var maxBlock int64 = -1
-	l.sysBlocks.Scan(func(_ []byte, r sqltypes.Row) bool {
+	l.shards[0].sysBlocks.Scan(func(_ []byte, r sqltypes.Row) bool {
 		if r[0].Int() > maxBlock {
 			maxBlock = r[0].Int()
 		}

@@ -57,7 +57,19 @@ func (r *RepairReport) String() string {
 // were computed over. Rows legitimately written to l AFTER the backup was
 // taken will be reported as divergences too — take a fresh backup (or use
 // digests covering the tail) before repairing a live database.
-func RepairFromBackup(l, backup *LedgerDB, digests []Digest, dryRun bool) (*RepairReport, error) {
+//
+// Both databases must have one shard (ErrMultiShard otherwise): repair
+// pairs tables by id and rows by key within one chain; repair a shard of
+// a multi-shard database from that shard's backup directory.
+func RepairFromBackup(db, backupDB *DB, digests []Digest, dryRun bool) (*RepairReport, error) {
+	l, err := db.single("RepairFromBackup")
+	if err != nil {
+		return nil, err
+	}
+	backup, err := backupDB.single("RepairFromBackup")
+	if err != nil {
+		return nil, err
+	}
 	rep := &RepairReport{}
 	backupReport, err := backup.Verify(digests, VerifyOptions{})
 	if err != nil {
@@ -109,7 +121,7 @@ func RepairFromBackup(l, backup *LedgerDB, digests []Digest, dryRun bool) (*Repa
 
 // repairTable diffs two tables by clustered key and reconciles l's copy
 // to match the backup's.
-func repairTable(l *LedgerDB, rep *RepairReport, name string, et, bak *engine.Table, dryRun bool) error {
+func repairTable(l *Shard, rep *RepairReport, name string, et, bak *engine.Table, dryRun bool) error {
 	type entry struct {
 		key []byte
 		row sqltypes.Row

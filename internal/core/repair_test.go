@@ -12,12 +12,12 @@ import (
 // makeBackup checkpoints the database and opens an independent copy of
 // its directory as the "restored backup" (§3.7 assumes earlier backups
 // can be restored and verified).
-func makeBackup(t *testing.T, l *LedgerDB, blockSize uint32) *LedgerDB {
+func makeBackup(t *testing.T, l *DB, blockSize uint32) *DB {
 	t.Helper()
 	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	src := l.edb.Dir()
+	src := l.shards[0].edb.Dir()
 	dst := filepath.Join(t.TempDir(), "backup")
 	copyDir(t, src, dst)
 	return openLedgerAt(t, dst, blockSize)
@@ -75,8 +75,8 @@ func TestRepairFromBackup(t *testing.T) {
 	}, true)
 	hKey := firstKeyOf(t, lt.History())
 	l.Engine().TamperDeleteRow(lt.History(), hKey, true)
-	bKey := firstKeyOf(t, l.sysBlocks)
-	l.Engine().TamperUpdateRow(l.sysBlocks, bKey, func(r sqltypes.Row) sqltypes.Row {
+	bKey := firstKeyOf(t, l.shards[0].sysBlocks)
+	l.Engine().TamperUpdateRow(l.shards[0].sysBlocks, bKey, func(r sqltypes.Row) sqltypes.Row {
 		r[3] = sqltypes.NewBigInt(r[3].Int() + 7)
 		return r
 	}, true)

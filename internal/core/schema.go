@@ -21,9 +21,13 @@ import (
 // operations themselves are tamper-evident (Figure 6).
 
 // AddColumn appends a nullable column to a ledger table (and its history
-// table). Existing row hashes are unaffected: the new column is NULL for
-// existing rows and NULLs never enter the serialization.
-func (l *LedgerDB) AddColumn(lt *LedgerTable, col sqltypes.Column) error {
+// table) on every shard. Existing row hashes are unaffected: the new
+// column is NULL for existing rows and NULLs never enter the serialization.
+func (db *DB) AddColumn(lt *LedgerTable, col sqltypes.Column) error {
+	return db.eachShard(func(i int, l *Shard) error { return l.addColumn(lt.on(i), col) })
+}
+
+func (l *Shard) addColumn(lt *LedgerTable, col sqltypes.Column) error {
 	if !col.Nullable {
 		return fmt.Errorf("core: added column %q must be nullable", col.Name)
 	}
@@ -64,7 +68,7 @@ func (l *LedgerDB) AddColumn(lt *LedgerTable, col sqltypes.Column) error {
 	if lt.table.Meta().System {
 		return nil
 	}
-	tx := l.Begin("system")
+	tx := l.begin("system")
 	defer tx.Rollback()
 	if err := tx.Insert(l.metaColumns, sqltypes.Row{
 		sqltypes.NewBigInt(int64(lt.ID())),
@@ -84,10 +88,14 @@ func droppedColumnName(name string, ordinal int) string {
 	return fmt.Sprintf("MS_DroppedColumn_%s_%d", name, ordinal)
 }
 
-// DropColumn logically drops a column: it is hidden from applications and
-// renamed, but its data remains available to verification and the ledger
-// views (§3.5.2).
-func (l *LedgerDB) DropColumn(lt *LedgerTable, name string) error {
+// DropColumn logically drops a column on every shard: it is hidden from
+// applications and renamed, but its data remains available to verification
+// and the ledger views (§3.5.2).
+func (db *DB) DropColumn(lt *LedgerTable, name string) error {
+	return db.eachShard(func(i int, l *Shard) error { return l.dropColumn(lt.on(i), name) })
+}
+
+func (l *Shard) dropColumn(lt *LedgerTable, name string) error {
 	ord := lt.table.Schema().OrdinalOf(name)
 	if ord < 0 {
 		return fmt.Errorf("core: column %q not found in %s", name, lt.Name())
@@ -125,7 +133,7 @@ func (l *LedgerDB) DropColumn(lt *LedgerTable, name string) error {
 	}
 	// Record the drop: delete the column's metadata row (the deletion
 	// itself lands in the metadata table's history — Figure 6 semantics).
-	tx := l.Begin("system")
+	tx := l.begin("system")
 	defer tx.Rollback()
 	if err := tx.Delete(l.metaColumns,
 		sqltypes.NewBigInt(int64(lt.ID())), sqltypes.NewBigInt(int64(ord))); err != nil {
@@ -137,9 +145,13 @@ func (l *LedgerDB) DropColumn(lt *LedgerTable, name string) error {
 // AlterColumnType changes a column's data type by dropping the old column,
 // adding a new one with the original name, and repopulating it row by row
 // through regular ledger DML using convert (§3.5.3). The repopulation is
-// one ledger transaction: every affected row version lands in the history
-// table and the ledger like any application update.
-func (l *LedgerDB) AlterColumnType(lt *LedgerTable, name string, newType sqltypes.TypeID, convert func(sqltypes.Value) (sqltypes.Value, error)) error {
+// one ledger transaction per shard: every affected row version lands in
+// the history table and the ledger like any application update.
+func (db *DB) AlterColumnType(lt *LedgerTable, name string, newType sqltypes.TypeID, convert func(sqltypes.Value) (sqltypes.Value, error)) error {
+	return db.eachShard(func(i int, l *Shard) error { return l.alterColumnType(lt.on(i), name, newType, convert) })
+}
+
+func (l *Shard) alterColumnType(lt *LedgerTable, name string, newType sqltypes.TypeID, convert func(sqltypes.Value) (sqltypes.Value, error)) error {
 	if lt.Kind() == engine.LedgerAppendOnly {
 		return fmt.Errorf("%w: cannot alter column types of %s", ErrAppendOnly, lt.Name())
 	}
@@ -147,10 +159,10 @@ func (l *LedgerDB) AlterColumnType(lt *LedgerTable, name string, newType sqltype
 	if oldOrd < 0 {
 		return fmt.Errorf("core: column %q not found in %s", name, lt.Name())
 	}
-	if err := l.DropColumn(lt, name); err != nil {
+	if err := l.dropColumn(lt, name); err != nil {
 		return err
 	}
-	if err := l.AddColumn(lt, sqltypes.Column{Name: name, Type: newType, Nullable: true}); err != nil {
+	if err := l.addColumn(lt, sqltypes.Column{Name: name, Type: newType, Nullable: true}); err != nil {
 		return err
 	}
 	// New column is appended, so it is the last visible column.
@@ -158,7 +170,7 @@ func (l *LedgerDB) AlterColumnType(lt *LedgerTable, name string, newType sqltype
 
 	// Repopulate: read the pre-change value from the dropped column (it
 	// is still stored) and write the converted value through regular DML.
-	tx := l.Begin("system")
+	tx := l.begin("system")
 	defer tx.Rollback()
 	var updates []sqltypes.Row
 	var convErr error
@@ -195,13 +207,17 @@ func droppedTableName(name string, id uint32) string {
 	return fmt.Sprintf("MS_DroppedTable_%s_%d", name, id)
 }
 
-// DropLedgerTable logically drops a ledger table: the table (and its
-// history table) is renamed and hidden from the application namespace,
-// but its data remains in the database for verification and auditing
-// (§3.5.2). The drop is recorded in the metadata ledger so users can
-// distinguish an intentional drop from the drop-and-replace attack the
+// DropLedgerTable logically drops a ledger table on every shard: the table
+// (and its history table) is renamed and hidden from the application
+// namespace, but its data remains in the database for verification and
+// auditing (§3.5.2). The drop is recorded in the metadata ledger so users
+// can distinguish an intentional drop from the drop-and-replace attack the
 // paper describes.
-func (l *LedgerDB) DropLedgerTable(name string) error {
+func (db *DB) DropLedgerTable(name string) error {
+	return db.eachShard(func(_ int, l *Shard) error { return l.dropLedgerTable(name) })
+}
+
+func (l *Shard) dropLedgerTable(name string) error {
 	lt, err := l.LedgerTable(name)
 	if err != nil {
 		return err
@@ -233,7 +249,7 @@ func (l *LedgerDB) DropLedgerTable(name string) error {
 	// Record the drop in the metadata ledger (Figure 6): delete the
 	// table's row and its column rows; the deletions are preserved in the
 	// metadata history tables.
-	tx := l.Begin("system")
+	tx := l.begin("system")
 	defer tx.Rollback()
 	if err := tx.Delete(l.metaTables, sqltypes.NewBigInt(int64(lt.ID()))); err != nil {
 		return err
@@ -268,7 +284,7 @@ type TableOperation struct {
 // TableOperations reports every CREATE/DROP of a ledger table, derived
 // from the metadata ledger view — what users consult to detect the
 // drop-and-replace attack (§3.5.2).
-func (l *LedgerDB) TableOperations() []TableOperation {
+func (l *Shard) TableOperations() []TableOperation {
 	var out []TableOperation
 	for _, vr := range l.metaTables.LedgerView() {
 		op := "CREATE"

@@ -16,9 +16,9 @@ import (
 	"sqlledger/internal/wal"
 )
 
-func openSharded(t *testing.T, dir string, shards int) *ShardedDB {
+func openShards(t *testing.T, dir string, shards int) *DB {
 	t.Helper()
-	s, err := OpenSharded(Options{
+	s, err := Open(Options{
 		Dir: dir, Name: "bank", Shards: shards,
 		LockTimeout: 5 * time.Second,
 		Clock:       logicalClock(),
@@ -35,7 +35,7 @@ func acct(name string, bal int64) sqltypes.Row {
 
 // loadAccounts inserts n accounts named acct-0000..acct-n in one
 // transaction per chunk of 50.
-func loadAccounts(t *testing.T, s *ShardedDB, st *ShardedTable, n int) {
+func loadAccounts(t *testing.T, s *DB, st *LedgerTable, n int) {
 	t.Helper()
 	for lo := 0; lo < n; lo += 50 {
 		tx := s.Begin("loader")
@@ -50,10 +50,10 @@ func loadAccounts(t *testing.T, s *ShardedDB, st *ShardedTable, n int) {
 	}
 }
 
-// TestShardedBasicOps exercises routed DML, point reads, cross-shard
+// TestMultiShardBasicOps exercises routed DML, point reads, cross-shard
 // scans and the routing invariants on a 4-shard database.
-func TestShardedBasicOps(t *testing.T) {
-	s := openSharded(t, t.TempDir(), 4)
+func TestMultiShardBasicOps(t *testing.T) {
+	s := openShards(t, t.TempDir(), 4)
 	defer s.Close()
 	st, err := s.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
 	if err != nil {
@@ -117,11 +117,11 @@ func TestShardedBasicOps(t *testing.T) {
 	tx.Rollback()
 }
 
-// TestShardedSuperBlock closes super-blocks, checks their chaining,
+// TestMultiShardSuperBlock closes super-blocks, checks their chaining,
 // signature and per-shard proofs, and runs the full sharded verification.
-func TestShardedSuperBlock(t *testing.T) {
+func TestMultiShardSuperBlock(t *testing.T) {
 	dir := t.TempDir()
-	s := openSharded(t, dir, 3)
+	s := openShards(t, dir, 3)
 	defer s.Close()
 	st, err := s.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
 	if err != nil {
@@ -205,7 +205,7 @@ func TestShardedSuperBlock(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenSharded(Options{Dir: dir, Name: "bank", Shards: 3, Clock: logicalClock()})
+	s2, err := Open(Options{Dir: dir, Name: "bank", Shards: 3, Clock: logicalClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,10 +232,10 @@ func parseHashT(t *testing.T, hexs string) (h [32]byte, err error) {
 	return d.BlockHash()
 }
 
-// TestShardedCrossShardAtomicity commits transactions spanning shards and
+// TestMultiShardCrossShardAtomicity commits transactions spanning shards and
 // checks both sides land (and roll back) together.
-func TestShardedCrossShardAtomicity(t *testing.T) {
-	s := openSharded(t, t.TempDir(), 2)
+func TestMultiShardCrossShardAtomicity(t *testing.T) {
+	s := openShards(t, t.TempDir(), 2)
 	defer s.Close()
 	st, err := s.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
 	if err != nil {
@@ -337,12 +337,12 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-// TestShardedTwoPhaseCommitCrash is the all-or-nothing crash matrix: a
+// TestMultiShardTwoPhaseCommitCrash is the all-or-nothing crash matrix: a
 // crash image captured between the two 2PC phases (all participants
 // prepared, no durable decision) must recover with the transaction
 // aborted everywhere; an image captured right after the decision log
 // append must recover with it committed everywhere.
-func TestShardedTwoPhaseCommitCrash(t *testing.T) {
+func TestMultiShardTwoPhaseCommitCrash(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		afterPhase string // "prepare" or "decision"
@@ -355,7 +355,7 @@ func TestShardedTwoPhaseCommitCrash(t *testing.T) {
 			base := t.TempDir()
 			dir := filepath.Join(base, "live")
 			img := filepath.Join(base, "img")
-			s, err := OpenSharded(Options{
+			s, err := Open(Options{
 				Dir: dir, Name: "bank", Shards: 2,
 				Sync:        wal.SyncFull, // decisions and prepares must be durable in the image
 				LockTimeout: time.Second,
@@ -406,7 +406,7 @@ func TestShardedTwoPhaseCommitCrash(t *testing.T) {
 
 			// Recover the crash image. In-doubt transactions resolve at
 			// open against the decision log (presumed abort without it).
-			s2, err := OpenSharded(Options{
+			s2, err := Open(Options{
 				Dir: img, Name: "bank", Shards: 2,
 				LockTimeout: time.Second,
 				Clock:       logicalClock(),
@@ -446,12 +446,12 @@ func TestShardedTwoPhaseCommitCrash(t *testing.T) {
 	}
 }
 
-// TestShardedTamperLocalization is the tamper matrix of satellite 6: a
+// TestMultiShardTamperLocalization is the tamper matrix of satellite 6: a
 // row tampered in one shard must fail verification in exactly that shard
 // — the others verify clean — and the super-block head check must flag
 // the mismatched shard root once the tampered shard's chain diverges.
-func TestShardedTamperLocalization(t *testing.T) {
-	s := openSharded(t, t.TempDir(), 3)
+func TestMultiShardTamperLocalization(t *testing.T) {
+	s := openShards(t, t.TempDir(), 3)
 	defer s.Close()
 	st, err := s.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
 	if err != nil {
@@ -473,7 +473,7 @@ func TestShardedTamperLocalization(t *testing.T) {
 	}
 	shard := s.Shard(1)
 	key := sqltypes.EncodeKey(nil, sqltypes.NewNVarChar(victim))
-	if err := shard.Engine().TamperUpdateRow(st.Part(1).Table(), key, func(r sqltypes.Row) sqltypes.Row {
+	if err := shard.Engine().TamperUpdateRow(st.parts[1].Table(), key, func(r sqltypes.Row) sqltypes.Row {
 		out := r.Clone()
 		out[1] = sqltypes.NewBigInt(1_000_000)
 		return out
@@ -528,107 +528,15 @@ func TestShardedTamperLocalization(t *testing.T) {
 	}
 }
 
-// TestShardedSingleShardCompat pins the Shards=1 compatibility contract:
-// a database created by plain Open opens unchanged through OpenSharded,
-// and an identical deterministic load produces the byte-identical digest
-// through either door.
-func TestShardedSingleShardCompat(t *testing.T) {
-	base := t.TempDir()
-	load := func(begin func() *Tx, lt *LedgerTable) {
-		for lo := 0; lo < 100; lo += 50 {
-			tx := begin()
-			for i := lo; i < lo+50; i++ {
-				if err := tx.Insert(lt, acct(fmt.Sprintf("acct-%04d", i), int64(i))); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := tx.Commit(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	// Plain Open.
-	dirA := filepath.Join(base, "plain")
-	la, err := Open(Options{Dir: dirA, Name: "bank", Clock: logicalClock()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lta, err := la.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	load(func() *Tx { return la.Begin("loader") }, lta)
-	da, err := la.GenerateDigest()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// OpenSharded with Shards=1 over a fresh directory: identical digest.
-	dirB := filepath.Join(base, "sharded1")
-	sb, err := OpenSharded(Options{Dir: dirB, Name: "bank", Shards: 1, Clock: logicalClock()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sb.Close()
-	stb, err := sb.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	load(func() *Tx { return sb.Begin("loader").at(0) }, stb.Part(0))
-	db, err := sb.Shard(0).GenerateDigest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if da.Hash != db.Hash || da.BlockID != db.BlockID {
-		t.Fatalf("Shards=1 digest differs from plain Open: %s vs %s", db.Hash, da.Hash)
-	}
-
-	// The plain-created database opens through OpenSharded unchanged.
-	if err := la.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sa, err := OpenSharded(Options{Dir: dirA, Name: "bank", Shards: 1, Clock: logicalClock()})
-	if err != nil {
-		t.Fatalf("OpenSharded over plain layout: %v", err)
-	}
-	defer sa.Close()
-	sta, err := sa.LedgerTable("accounts")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := sa.Begin("reader")
-	if row, ok, _ := tx.Get(sta, sqltypes.NewNVarChar("acct-0099")); !ok || row[1].Int() != 99 {
-		t.Fatalf("plain-created row unreadable through sharded door: ok=%v row=%v", ok, row)
-	}
-	tx.Rollback()
-	// And its super-block path works over the wrapped instance.
-	sb1, err := sa.CloseSuperBlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckSuperBlock(sb1, sa.PublicKey()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestOpenRejectsShardsWithoutDispatcher pins the Open guard.
-func TestOpenRejectsShardsWithoutDispatcher(t *testing.T) {
-	_, err := Open(Options{Dir: t.TempDir(), Name: "x", Shards: 4})
-	if err == nil || !strings.Contains(err.Error(), "OpenSharded") {
-		t.Fatalf("Open(Shards=4) = %v, want OpenSharded guidance", err)
-	}
-}
-
-// TestShardedConcurrentIngestAndSuperBlocks races super-block closes
+// TestMultiShardConcurrentIngestAndSuperBlocks races super-block closes
 // against live multi-client ingest: four writers hammer both shards
 // (every third transaction spans shards, forcing 2PC) while the main
 // goroutine closes super-blocks in a loop. Closes must chain seq numbers
 // without error mid-ingest, and the quiesced database must verify green
 // against a final super-block. `make test-race` runs this under
 // the race detector.
-func TestShardedConcurrentIngestAndSuperBlocks(t *testing.T) {
-	s := openSharded(t, t.TempDir(), 2)
+func TestMultiShardConcurrentIngestAndSuperBlocks(t *testing.T) {
+	s := openShards(t, t.TempDir(), 2)
 	defer s.Close()
 	st, err := s.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
 	if err != nil {

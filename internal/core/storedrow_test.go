@@ -37,20 +37,20 @@ func TestChainWalkKeepsEveryBlockRow(t *testing.T) {
 	}
 	var findings []string
 	emit := func(f finding) bool { findings = append(findings, f.detail); return true }
-	all := l.checkChain(chainCheck{digests: digests, entries: byBlock(l)}, emit)
+	all := l.shards[0].checkChain(chainCheck{digests: digests, entries: byBlock(l)}, emit)
 	if all.blocks < 3 || len(findings) != 0 {
 		t.Fatalf("full walk: %d blocks, findings %v", all.blocks, findings)
 	}
 	// A range walk reads block From-1 for its link and the range after it.
-	part := l.checkChain(chainCheck{blocks: &BlockRange{From: 1, To: 2}, entries: byBlock(l)}, emit)
+	part := l.shards[0].checkChain(chainCheck{blocks: &BlockRange{From: 1, To: 2}, entries: byBlock(l)}, emit)
 	if part.blocks != 2 || part.through != 2 || len(findings) != 0 {
 		t.Fatalf("range walk: %d blocks through %d, findings %v", part.blocks, part.through, findings)
 	}
 	verifyOK(t, l, digests)
 }
 
-func byBlock(l *LedgerDB) map[uint64][]*wal.LedgerEntry {
-	_, b := l.ledgerEntries()
+func byBlock(l *DB) map[uint64][]*wal.LedgerEntry {
+	_, b := l.shards[0].ledgerEntries()
 	return b
 }
 
@@ -58,7 +58,7 @@ func byBlock(l *LedgerDB) map[uint64][]*wal.LedgerEntry {
 // buffer straight through; a cloned row outlives the scan, across the
 // shard boundary too.
 func TestShardedScanRowIsCallbackScoped(t *testing.T) {
-	s := openSharded(t, t.TempDir(), 2)
+	s := openShards(t, t.TempDir(), 2)
 	defer s.Close()
 	st, err := s.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
 	if err != nil {

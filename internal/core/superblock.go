@@ -2,12 +2,13 @@ package core
 
 import (
 	"crypto/ed25519"
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync"
 	"time"
 
 	"sqlledger/internal/blobstore"
@@ -16,9 +17,9 @@ import (
 	"sqlledger/internal/serial"
 )
 
-// The super-block is the sharded ledger's digest of digests (§2.2 scaled
-// out): each shard remains an independent ledger with its own block chain
-// and digests, and the coordinator periodically snapshots the N shard
+// The super-block is the database's digest of digests (§2.2 scaled out):
+// each shard remains an independent ledger with its own block chain and
+// digests, and the coordinator periodically snapshots the N shard
 // chain heads, builds a Merkle tree over the shard-head hashes, chains
 // the result to the previous super-block and signs it (ed25519). The one
 // signed super-root then protects every shard: an auditor holding a
@@ -136,7 +137,7 @@ func CheckSuperBlock(sb *SuperBlock, pub ed25519.PublicKey) error {
 		return fmt.Errorf("core: super-block root does not match its shard heads")
 	}
 	hash := superBlockHash(sb)
-	if !ed25519.Verify(pub, hash[:], sb.Signature) {
+	if len(pub) != ed25519.PublicKeySize || !ed25519.Verify(pub, hash[:], sb.Signature) {
 		return fmt.Errorf("core: super-block signature is invalid")
 	}
 	return nil
@@ -153,11 +154,66 @@ func ShardProof(sb *SuperBlock, shard int) (merkle.Proof, error) {
 }
 
 // superBlockFile is the coordinator's watermark: the latest super-block,
-// persisted in the sharded database's root directory and reconciled at
-// open — every shard must still contain the exact block each signed head
+// persisted in the database's root directory and reconciled at open —
+// every shard must still contain the exact block each signed head
 // describes, or the open fails loudly (a shard was forked or rolled back
 // behind the last signed state).
 const superBlockFile = "superblock.json"
+
+// superKeyFile persists the ed25519 seed that signs super-blocks, hex
+// encoded, in the database's root directory. It is created by the first
+// CloseSuperBlock (or PublicKey), not at open: a database that never
+// closes a super-block has neither file.
+const superKeyFile = "superblock.key"
+
+// superKey returns the signing key, loading or creating it on first use.
+// Caller holds smu.
+func (db *DB) superKey() (ed25519.PrivateKey, error) {
+	if db.priv != nil {
+		return db.priv, nil
+	}
+	path := filepath.Join(db.opts.Dir, superKeyFile)
+	b, err := os.ReadFile(path)
+	switch {
+	case err == nil:
+		seed, derr := hex.DecodeString(string(b))
+		if derr != nil || len(seed) != ed25519.SeedSize {
+			return nil, fmt.Errorf("core: bad super-block key file %s", path)
+		}
+		db.priv = ed25519.NewKeyFromSeed(seed)
+	case !os.IsNotExist(err):
+		return nil, err
+	default:
+		seed := make([]byte, ed25519.SeedSize)
+		if _, err := rand.Read(seed); err != nil {
+			return nil, err
+		}
+		if err := os.WriteFile(path, []byte(hex.EncodeToString(seed)), 0o600); err != nil {
+			return nil, err
+		}
+		db.priv = ed25519.NewKeyFromSeed(seed)
+	}
+	return db.priv, nil
+}
+
+// PublicKey returns the super-block verification key — nil when the key
+// file can be neither read nor created (CloseSuperBlock reports why).
+func (db *DB) PublicKey() ed25519.PublicKey {
+	db.smu.Lock()
+	defer db.smu.Unlock()
+	priv, err := db.superKey()
+	if err != nil {
+		return nil
+	}
+	return append(ed25519.PublicKey(nil), priv.Public().(ed25519.PublicKey)...)
+}
+
+// LastSuperBlock returns the latest closed super-block, if any.
+func (db *DB) LastSuperBlock() *SuperBlock {
+	db.smu.Lock()
+	defer db.smu.Unlock()
+	return db.lastSuper
+}
 
 // CloseSuperBlock snapshots every shard's chain head (generating a fresh
 // digest per shard, in shard order), builds the Merkle tree over the
@@ -168,83 +224,135 @@ const superBlockFile = "superblock.json"
 // ingest histories land on the identical super-root. Shards with no
 // transactions yet appear as Empty heads, so a super-block can be closed
 // at any point in the database's life.
-func (s *ShardedDB) CloseSuperBlock() (sb *SuperBlock, err error) {
+func (db *DB) CloseSuperBlock() (sb *SuperBlock, err error) {
 	start := time.Now()
-	sp := s.obs.Tracer().Start("close_superblock")
+	tr := db.obs.NewTrace("close_superblock")
 	defer func() {
 		if err == nil {
-			s.m.superSeconds.ObserveSince(start)
-			s.m.superClosed.Inc()
-			sp.Annotate(
-				obs.L("seq", strconv.FormatUint(sb.SeqNo, 10)),
-				obs.L("shards", strconv.Itoa(sb.Shards)))
+			db.obs.Histogram(obs.SuperblockCloseSeconds, nil).ObserveSince(start)
+			db.obs.Counter(obs.SuperblocksClosedTotal).Inc()
+			tr.SetAttr("seq", strconv.FormatUint(sb.SeqNo, 10))
+			tr.SetAttr("shards", strconv.Itoa(sb.Shards))
 		}
-		sp.Finish(err)
+		tr.Finish(err)
 	}()
-	s.smu.Lock()
-	defer s.smu.Unlock()
+	db.smu.Lock()
+	defer db.smu.Unlock()
+	priv, err := db.superKey()
+	if err != nil {
+		return nil, err
+	}
 
-	heads := make([]ShardHead, len(s.shards))
-	for i, shard := range s.shards {
+	heads := make([]ShardHead, len(db.shards))
+	for i, shard := range db.shards {
 		d, derr := shard.GenerateDigest()
 		switch {
 		case derr == ErrEmptyLedger:
 			heads[i] = ShardHead{Shard: i, Empty: true}
 		case derr != nil:
-			return nil, fmt.Errorf("core: shard %d digest: %w", i, derr)
+			return nil, db.shardErr(i, derr)
 		default:
 			heads[i] = ShardHead{Shard: i, Digest: d}
 		}
 	}
 
 	seq, prev := uint64(1), merkle.ZeroHash.String()
-	if s.lastSuper != nil {
-		seq = s.lastSuper.SeqNo + 1
-		prev = s.lastSuper.Hash().String()
+	if db.lastSuper != nil {
+		seq = db.lastSuper.SeqNo + 1
+		prev = db.lastSuper.Hash().String()
 	}
 	sb = &SuperBlock{
-		DatabaseName: s.opts.Name,
-		Shards:       len(s.shards),
+		DatabaseName: db.opts.Name,
+		Shards:       len(db.shards),
 		SeqNo:        seq,
 		PreviousHash: prev,
 		Heads:        heads,
-		GeneratedAt:  s.nowNanos(),
-		PublicKey:    append(ed25519.PublicKey(nil), s.priv.Public().(ed25519.PublicKey)...),
+		GeneratedAt:  db.nowNanos(),
+		PublicKey:    append(ed25519.PublicKey(nil), priv.Public().(ed25519.PublicKey)...),
 	}
 	sb.Root = merkle.RootOf(sb.headLeaves()).String()
 	hash := superBlockHash(sb)
-	sb.Signature = ed25519.Sign(s.priv, hash[:])
+	sb.Signature = ed25519.Sign(priv, hash[:])
 
-	if err := s.saveWatermark(sb); err != nil {
+	if err := writeFileAtomic(filepath.Join(db.opts.Dir, superBlockFile), sb.JSON()); err != nil {
 		return nil, err
 	}
-	s.lastSuper = sb
-	s.updateImbalance()
-	s.obs.Events().Info(obs.EventSuperBlockClosed,
+	db.lastSuper = sb
+	db.updateImbalance()
+	db.obs.Events().Info(obs.EventSuperBlockClosed,
 		"seq", sb.SeqNo, "shards", sb.Shards, "root", sb.Root)
 	return sb, nil
 }
 
-// saveWatermark persists the super-block atomically (tmp + rename).
-func (s *ShardedDB) saveWatermark(sb *SuperBlock) error {
-	path := filepath.Join(s.opts.Dir, superBlockFile)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, sb.JSON(), 0o644); err != nil {
-		return err
+// updateImbalance recomputes the shard-imbalance gauge from the rows each
+// shard has committed since open: max(rows)/mean(rows), 1.0 when perfectly
+// balanced.
+func (db *DB) updateImbalance() {
+	var total, most int64
+	for _, c := range db.m.ingestRows {
+		rows := c.Value()
+		total += rows
+		most = max(most, rows)
 	}
-	return os.Rename(tmp, path)
+	ratio := 1.0
+	if total > 0 {
+		ratio = float64(most) * float64(len(db.m.ingestRows)) / float64(total)
+	}
+	db.m.imbalance.Set(ratio)
 }
 
-// loadWatermark reads the persisted super-block, if any.
-func loadWatermark(dir string) (*SuperBlock, error) {
-	b, err := os.ReadFile(filepath.Join(dir, superBlockFile))
+// loadWatermark reads the persisted super-block, if any, at open, and
+// reconciles it with the shards. The file is read back from disk, so it
+// is hostile input: it must parse, be internally consistent and carry a
+// valid signature under the database's own key (CheckSuperBlock — which
+// also bounds every head's shard index), cover this database's shard
+// count, and every signed head must still match its shard's chain.
+func (db *DB) loadWatermark() error {
+	b, err := os.ReadFile(filepath.Join(db.opts.Dir, superBlockFile))
 	if os.IsNotExist(err) {
-		return nil, nil
+		return nil
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return ParseSuperBlock(b)
+	sb, err := ParseSuperBlock(b)
+	if err != nil {
+		return err
+	}
+	priv, err := db.superKey() // no user traffic yet: smu is not needed
+	if err != nil {
+		return err
+	}
+	if err := CheckSuperBlock(sb, priv.Public().(ed25519.PublicKey)); err != nil {
+		return fmt.Errorf("core: super-block watermark %s: %w", superBlockFile, err)
+	}
+	if sb.Shards != len(db.shards) {
+		return fmt.Errorf("core: super-block watermark covers %d shards, database opened with %d", sb.Shards, len(db.shards))
+	}
+	if err := db.checkHeads(sb, func(h ShardHead, err error) error {
+		return fmt.Errorf("core: shard %d diverged from super-block watermark %d: %w", h.Shard, sb.SeqNo, err)
+	}); err != nil {
+		return err
+	}
+	db.lastSuper = sb
+	return nil
+}
+
+// checkHeads pins every non-empty head of sb (already checked by
+// CheckSuperBlock) against its shard's live chain, handing each mismatch
+// to fail and stopping when that returns an error.
+func (db *DB) checkHeads(sb *SuperBlock, fail func(ShardHead, error) error) error {
+	for _, h := range sb.Heads {
+		if h.Empty {
+			continue
+		}
+		if err := db.shards[h.Shard].CheckDigest(h.Digest); err != nil {
+			if err := fail(h, err); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // superBlobName builds the blob path for a super-block: the super chain
@@ -256,18 +364,16 @@ func superBlobName(dbName string, seq uint64) string {
 // UploadSuperBlock closes a super-block and stores it in immutable
 // storage, enforcing the same immutability rule as per-shard digest
 // uploads: a slot can only ever hold one super-block, and finding a
-// different one there means the sharded ledger forked.
-func (s *ShardedDB) UploadSuperBlock(store blobstore.Store) (out *SuperBlock, err error) {
-	store = blobstore.Instrument(store, s.obs)
-	sp := s.obs.Tracer().Start("upload_superblock")
-	defer func() { sp.Finish(err) }()
-	sb, err := s.CloseSuperBlock()
+// different one there means the ledger forked.
+func (db *DB) UploadSuperBlock(store blobstore.Store) (out *SuperBlock, err error) {
+	store = blobstore.Instrument(store, db.obs)
+	tr := db.obs.NewTrace("upload_superblock")
+	defer func() { tr.Finish(err) }()
+	sb, err := db.CloseSuperBlock()
 	if err != nil {
 		return nil, err
 	}
-	sp.Annotate(
-		obs.L("seq", strconv.FormatUint(sb.SeqNo, 10)),
-		obs.L("shards", strconv.Itoa(sb.Shards)))
+	tr.SetAttr("seq", strconv.FormatUint(sb.SeqNo, 10))
 	name := superBlobName(sb.DatabaseName, sb.SeqNo)
 	if perr := store.Put(name, sb.JSON()); perr != nil {
 		if b, gerr := store.Get(name); gerr == nil {
@@ -282,69 +388,20 @@ func (s *ShardedDB) UploadSuperBlock(store blobstore.Store) (out *SuperBlock, er
 	return sb, nil
 }
 
-// ShardReport is one shard's slice of a sharded verification.
-type ShardReport struct {
-	Shard int
-	// HeadErr is non-nil when the shard's current chain no longer
-	// matches the signed head digest (or its super-block proof fails) —
-	// the super-block check that localizes tampering to a shard even
-	// before row-level verification runs.
-	HeadErr error
-	// Report is the shard's full five-invariant verification report
-	// (nil when the shard was empty at super-block time and is skipped).
-	Report *Report
-}
-
-// ShardedReport aggregates per-shard verification results.
-type ShardedReport struct {
-	Shards []ShardReport
-}
-
-// Ok reports whether every shard passed both the super-block head check
-// and its own verification.
-func (r *ShardedReport) Ok() bool {
-	for _, sr := range r.Shards {
-		if sr.HeadErr != nil {
-			return false
-		}
-		if sr.Report != nil && !sr.Report.Ok() {
-			return false
-		}
-	}
-	return true
-}
-
-func (r *ShardedReport) String() string {
-	out := ""
-	for _, sr := range r.Shards {
-		out += fmt.Sprintf("shard %03d: ", sr.Shard)
-		switch {
-		case sr.HeadErr != nil:
-			out += "FAILED head check: " + sr.HeadErr.Error()
-		case sr.Report == nil:
-			out += "empty, skipped"
-		default:
-			out += sr.Report.String()
-		}
-		out += "\n"
-	}
-	return out
-}
-
-// VerifySuperBlock verifies the sharded ledger against a signed
-// super-block: the signature and Merkle root are checked first, then each
-// shard is verified in parallel — its head digest must carry a valid
-// Merkle proof under the super-root, the shard's chain must still contain
-// the exact block the head describes, and the shard's full verification
-// (all five invariants) must pass against that digest. A tampered shard
-// fails alone; the report localizes the damage while clean shards verify
-// green.
-func VerifySuperBlock(s *ShardedDB, sb *SuperBlock, pub ed25519.PublicKey, opts VerifyOptions) (*ShardedReport, error) {
+// VerifySuperBlock verifies the database against a signed super-block:
+// the signature and Merkle root are checked first, then each shard is
+// verified in parallel — its head digest must carry a valid Merkle proof
+// under the super-root, the shard's chain must still contain the exact
+// block the head describes, and the shard's full verification (all five
+// invariants) must pass against that digest. A tampered shard fails
+// alone; the report's breakdown localizes the damage while clean shards
+// verify green.
+func VerifySuperBlock(db *DB, sb *SuperBlock, pub ed25519.PublicKey, opts VerifyOptions) (*Report, error) {
 	if err := CheckSuperBlock(sb, pub); err != nil {
 		return nil, err
 	}
-	if sb.Shards != len(s.shards) {
-		return nil, fmt.Errorf("core: super-block covers %d shards, database has %d", sb.Shards, len(s.shards))
+	if sb.Shards != len(db.shards) {
+		return nil, fmt.Errorf("core: super-block covers %d shards, database has %d", sb.Shards, len(db.shards))
 	}
 	root, err := merkle.ParseHash(sb.Root)
 	if err != nil {
@@ -355,36 +412,20 @@ func VerifySuperBlock(s *ShardedDB, sb *SuperBlock, pub ed25519.PublicKey, opts 
 	if err != nil {
 		return nil, err
 	}
-
-	rep := &ShardedReport{Shards: make([]ShardReport, len(s.shards))}
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sr := &rep.Shards[i]
-			sr.Shard = i
-			head := sb.Heads[i]
-			if !proofs[i].Verify(root, leaves[i]) {
-				sr.HeadErr = fmt.Errorf("core: shard %d head proof does not verify under the super-root", i)
-				return
-			}
-			if head.Empty {
-				return
-			}
-			if err := s.shards[i].CheckDigest(head.Digest); err != nil {
-				sr.HeadErr = err
-				return
-			}
-			rep, verr := s.shards[i].Verify([]Digest{head.Digest}, opts)
-			sr.Report = rep
-			if verr != nil {
-				sr.HeadErr = verr
-			}
-		}(i)
-	}
-	wg.Wait()
-	return rep, nil
+	return db.verifyShards(func(i int, l *Shard) ShardReport {
+		head := sb.Heads[i]
+		if !proofs[i].Verify(root, leaves[i]) {
+			return ShardReport{HeadErr: fmt.Errorf("core: shard %d head proof does not verify under the super-root", i)}
+		}
+		if head.Empty {
+			return ShardReport{}
+		}
+		if err := l.CheckDigest(head.Digest); err != nil {
+			return ShardReport{HeadErr: err}
+		}
+		rep, err := l.Verify([]Digest{head.Digest}, opts)
+		return ShardReport{Report: rep, HeadErr: err}
+	}), nil
 }
 
 func allIndices(n int) []uint64 {

@@ -12,10 +12,18 @@ import (
 )
 
 // LedgerTable is the handle through which applications operate on a
-// ledger table. DML must go through LedgerDB transactions (tx.go), which
-// maintain the history table and the transaction Merkle trees.
+// ledger table. DML must go through transactions (tx.go), which maintain
+// the history table and the transaction Merkle trees.
+//
+// On a multi-shard database the table exists — same name, schema and kind
+// — on every shard, and the handle DB.LedgerTable returns is a router over
+// those parts (parts is set, nothing else): rows go to the part their
+// primary key hashes to. What is one chain's artifact (Table, History, ID,
+// LedgerView) is asked of a part, reached as db.Shard(i).LedgerTable(name).
 type LedgerTable struct {
-	l       *LedgerDB
+	parts []*LedgerTable // index = shard; nil on a part (and so on any one-shard database)
+
+	l       *Shard
 	table   *engine.Table
 	history *engine.Table // nil for append-only tables
 
@@ -37,25 +45,86 @@ type LedgerTable struct {
 	densePrefix atomic.Int32
 }
 
-// Name returns the table name.
-func (lt *LedgerTable) Name() string { return lt.table.Name() }
+// on returns the table's part on shard i (the table itself on a one-shard
+// database). Any part — on(0) — answers questions about the table's name,
+// kind and columns: DDL reaches every shard, so they agree on those.
+func (lt *LedgerTable) on(i int) *LedgerTable {
+	if lt.parts != nil {
+		return lt.parts[i]
+	}
+	return lt
+}
 
-// ID returns the base table id.
-func (lt *LedgerTable) ID() uint32 { return lt.table.ID() }
+// part is the guard of the operations that name one chain's artifact.
+func (lt *LedgerTable) part(op string) *LedgerTable {
+	if lt.parts != nil {
+		panic(multiShard(op, len(lt.parts)))
+	}
+	return lt
+}
+
+// Name returns the table name.
+func (lt *LedgerTable) Name() string { return lt.on(0).table.Name() }
+
+// ID returns the base table id within its shard's catalog.
+func (lt *LedgerTable) ID() uint32 { return lt.part("LedgerTable.ID").table.ID() }
 
 // Kind returns whether the table is updateable or append-only.
-func (lt *LedgerTable) Kind() engine.LedgerKind { return lt.table.Meta().Ledger }
+func (lt *LedgerTable) Kind() engine.LedgerKind { return lt.on(0).table.Meta().Ledger }
 
 // Table exposes the underlying engine table (used by verification and
 // tamper simulation).
-func (lt *LedgerTable) Table() *engine.Table { return lt.table }
+func (lt *LedgerTable) Table() *engine.Table { return lt.part("LedgerTable.Table").table }
 
 // History exposes the history table (nil for append-only tables).
-func (lt *LedgerTable) History() *engine.Table { return lt.history }
+func (lt *LedgerTable) History() *engine.Table { return lt.part("LedgerTable.History").history }
+
+// Schema returns the table's storage schema: user columns, then the four
+// hidden system columns.
+func (lt *LedgerTable) Schema() *sqltypes.Schema { return lt.on(0).table.Schema() }
 
 // VisibleColumns returns the application-visible columns.
-func (lt *LedgerTable) VisibleColumns() []sqltypes.Column {
-	return lt.table.Schema().VisibleColumns()
+func (lt *LedgerTable) VisibleColumns() []sqltypes.Column { return lt.Schema().VisibleColumns() }
+
+// ShardOf returns the shard that stores the row with the given primary-key
+// values (0 on a one-shard database), so loaders can build transactions
+// that touch one shard and commit without two-phase commit.
+func (lt *LedgerTable) ShardOf(keyVals ...sqltypes.Value) int {
+	if lt.parts == nil {
+		return 0
+	}
+	return int(fnv64a(sqltypes.EncodeKey(nil, keyVals...)) % uint64(len(lt.parts)))
+}
+
+// shardOfRow routes a visible row by its primary-key columns (ledger
+// schemas put user columns first, so key ordinals index the visible row),
+// or by the whole row on a keyless append-only table.
+func (lt *LedgerTable) shardOfRow(visible sqltypes.Row) (int, error) {
+	keyOrds := lt.Schema().Key
+	if len(keyOrds) == 0 {
+		return lt.ShardOf(visible...), nil
+	}
+	var buf [8]sqltypes.Value
+	vals := buf[:0]
+	for _, ord := range keyOrds {
+		if ord >= len(visible) {
+			return 0, fmt.Errorf("core: row for %s is missing key column %d", lt.Name(), ord)
+		}
+		vals = append(vals, visible[ord])
+	}
+	return lt.ShardOf(vals...), nil
+}
+
+// fnv64a is FNV-1a, inlined so routing adds no dependency. The map from
+// key to shard is deterministic, which is what makes the digests of a
+// multi-shard history reproducible under a logical clock.
+func fnv64a(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // isReservedColumn reports whether a column name collides with one of the
@@ -83,15 +152,56 @@ func hiddenLedgerColumns() []sqltypes.Column {
 }
 
 // CreateLedgerTable creates a ledger table (and, for updateable tables,
-// its history table), registers its metadata in the ledger system tables
-// and records its ledger-view definition. The schema must not contain
-// columns named like the hidden system columns. Updateable tables require
-// a primary key.
-func (l *LedgerDB) CreateLedgerTable(name string, userSchema *sqltypes.Schema, kind engine.LedgerKind) (*LedgerTable, error) {
-	return l.createLedgerTable(name, userSchema, kind, false)
+// its history table) on every shard, registers its metadata in the ledger
+// system tables and records its ledger-view definition. The schema must
+// not contain columns named like the hidden system columns. Updateable
+// tables require a primary key.
+func (db *DB) CreateLedgerTable(name string, userSchema *sqltypes.Schema, kind engine.LedgerKind) (*LedgerTable, error) {
+	return db.tableOf(func(l *Shard) (*LedgerTable, error) {
+		return l.createLedgerTable(name, userSchema, kind, false)
+	})
 }
 
-func (l *LedgerDB) createLedgerTable(name string, userSchema *sqltypes.Schema, kind engine.LedgerKind, bootstrapping bool) (*LedgerTable, error) {
+// LedgerTable returns the handle for a ledger table by name.
+func (db *DB) LedgerTable(name string) (*LedgerTable, error) {
+	return db.tableOf(func(l *Shard) (*LedgerTable, error) { return l.LedgerTable(name) })
+}
+
+// tableOf builds a table handle from each shard's part: the part itself
+// on a one-shard database, a router over the parts otherwise.
+func (db *DB) tableOf(part func(*Shard) (*LedgerTable, error)) (*LedgerTable, error) {
+	parts := make([]*LedgerTable, len(db.shards))
+	for i, l := range db.shards {
+		var err error
+		if parts[i], err = part(l); err != nil {
+			return nil, db.shardErr(i, err)
+		}
+	}
+	if len(parts) == 1 {
+		return parts[0], nil
+	}
+	return &LedgerTable{parts: parts}, nil
+}
+
+// LedgerTables returns handles for all ledger tables (including dropped
+// and system ones), ordered by table id.
+func (db *DB) LedgerTables() []*LedgerTable {
+	first := db.shards[0].LedgerTables()
+	if len(db.shards) == 1 {
+		return first
+	}
+	out := make([]*LedgerTable, 0, len(first))
+	for _, p := range first {
+		// DDL reaches the shards in one order, so a table has one id on all.
+		lt, err := db.tableOf(func(l *Shard) (*LedgerTable, error) { return l.tableByID(p.table.ID()) })
+		if err == nil {
+			out = append(out, lt)
+		}
+	}
+	return out
+}
+
+func (l *Shard) createLedgerTable(name string, userSchema *sqltypes.Schema, kind engine.LedgerKind, bootstrapping bool) (*LedgerTable, error) {
 	switch kind {
 	case engine.LedgerUpdateable, engine.LedgerAppendOnly:
 	default:
@@ -165,7 +275,7 @@ func (l *LedgerDB) createLedgerTable(name string, userSchema *sqltypes.Schema, k
 }
 
 // wrapLedgerTable builds the runtime handle for an existing ledger table.
-func (l *LedgerDB) wrapLedgerTable(t *engine.Table) (*LedgerTable, error) {
+func (l *Shard) wrapLedgerTable(t *engine.Table) (*LedgerTable, error) {
 	m := t.Meta()
 	if m.Ledger != engine.LedgerUpdateable && m.Ledger != engine.LedgerAppendOnly {
 		return nil, fmt.Errorf("%w: %s", ErrNotLedgerTable, m.Name)
@@ -206,24 +316,32 @@ func (l *LedgerDB) wrapLedgerTable(t *engine.Table) (*LedgerTable, error) {
 	return lt, nil
 }
 
-// LedgerTable returns the handle for a ledger table by name.
-func (l *LedgerDB) LedgerTable(name string) (*LedgerTable, error) {
+// LedgerTable returns the handle for this shard's part of a ledger table.
+func (l *Shard) LedgerTable(name string) (*LedgerTable, error) {
 	t, err := l.edb.Table(name)
 	if err != nil {
 		return nil, err
 	}
-	l.tmu.RLock()
-	lt, ok := l.tables[t.ID()]
-	l.tmu.RUnlock()
-	if !ok {
+	lt, err := l.tableByID(t.ID())
+	if err != nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotLedgerTable, name)
 	}
 	return lt, nil
 }
 
-// LedgerTables returns handles for all ledger tables (including dropped
-// and system ones), ordered by table id.
-func (l *LedgerDB) LedgerTables() []*LedgerTable {
+func (l *Shard) tableByID(id uint32) (*LedgerTable, error) {
+	l.tmu.RLock()
+	lt, ok := l.tables[id]
+	l.tmu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: id %d", ErrNotLedgerTable, id)
+	}
+	return lt, nil
+}
+
+// LedgerTables returns this shard's parts of all ledger tables (including
+// dropped and system ones), ordered by table id.
+func (l *Shard) LedgerTables() []*LedgerTable {
 	l.tmu.RLock()
 	defer l.tmu.RUnlock()
 	out := make([]*LedgerTable, 0, len(l.tables))
@@ -280,7 +398,7 @@ func (lt *LedgerTable) fullRowInto(out sqltypes.Row, visible sqltypes.Row, txID 
 // or late-added columns, and for callers that keep or edit the result.
 // Reads on the usual dense schema never reach it — see project.
 func (lt *LedgerTable) VisibleRow(full sqltypes.Row) sqltypes.Row {
-	s := lt.table.Schema()
+	s := lt.Schema()
 	out := make(sqltypes.Row, 0, len(full))
 	for i, c := range s.Columns {
 		if !c.Hidden && !c.Dropped {
@@ -336,8 +454,8 @@ func (lt *LedgerTable) endedRow(full sqltypes.Row, txID uint64, seq uint32) sqlt
 // registerTableMetadata records the table and its columns in the ledger
 // metadata system tables (§3.5.2, Figure 6), via a regular ledger
 // transaction so the operations themselves are tamper-evident.
-func (l *LedgerDB) registerTableMetadata(lt *LedgerTable) error {
-	tx := l.Begin("system")
+func (l *Shard) registerTableMetadata(lt *LedgerTable) error {
+	tx := l.begin("system")
 	defer tx.Rollback()
 	m := lt.table.Meta()
 	metaRow := sqltypes.Row{

@@ -17,7 +17,7 @@ import (
 // participants share the coordinator's trace rather than opening their
 // own.
 func TestCrossShardCommitOneTrace(t *testing.T) {
-	s := openSharded(t, t.TempDir(), 2)
+	s := openShards(t, t.TempDir(), 2)
 	defer s.Close()
 	ts := s.Obs().Traces()
 	// Ignore setup transactions (table creation); retain only the
@@ -58,7 +58,7 @@ func TestCrossShardCommitOneTrace(t *testing.T) {
 	}
 	// Both participant transactions must observe the coordinator's trace,
 	// not one of their own.
-	for i, ptx := range tx.txs {
+	for i, ptx := range tx.route.parts {
 		if ptx == nil {
 			continue
 		}
@@ -137,7 +137,7 @@ func attrOf(rec *obs.TraceRecord, key string) string {
 // fast path and its trace must still show the engine commit stages
 // (row hashing, WAL encode, durability wait) under the one trace ID.
 func TestSingleShardTraceStages(t *testing.T) {
-	s := openSharded(t, t.TempDir(), 2)
+	s := openShards(t, t.TempDir(), 2)
 	defer s.Close()
 	ts := s.Obs().Traces()
 	ts.SetSlowThreshold(0)

@@ -29,7 +29,7 @@ import (
 //  5. A truncation record — the cut point and the highest truncated
 //     transaction id — is appended to the append-only truncation ledger
 //     table, so the operation itself is audited (and tamper-evident).
-func (l *LedgerDB) TruncateLedger(beforeBlock uint64) error {
+func (l *Shard) TruncateLedger(beforeBlock uint64) error {
 	rep, err := l.Verify(nil, VerifyOptions{})
 	if err != nil {
 		return err
@@ -83,7 +83,7 @@ func (l *LedgerDB) TruncateLedger(beforeBlock uint64) error {
 		if len(refresh) == 0 {
 			continue
 		}
-		tx := l.Begin("system")
+		tx := l.begin("system")
 		for _, key := range refresh {
 			if err := tx.refreshRow(lt, key); err != nil {
 				tx.Rollback()
@@ -152,7 +152,7 @@ func (l *LedgerDB) TruncateLedger(beforeBlock uint64) error {
 	}
 
 	// Audit record, written through the ledger itself.
-	tx := l.Begin("system")
+	tx := l.begin("system")
 	defer tx.Rollback()
 	if err := tx.Insert(l.truncations, sqltypes.Row{
 		sqltypes.NewBigInt(int64(l.nextTruncationID())),
@@ -165,7 +165,7 @@ func (l *LedgerDB) TruncateLedger(beforeBlock uint64) error {
 	return tx.Commit()
 }
 
-func (l *LedgerDB) nextTruncationID() uint64 {
+func (l *Shard) nextTruncationID() uint64 {
 	var max uint64
 	l.truncations.table.Scan(func(_ []byte, r sqltypes.Row) bool {
 		if id := uint64(r[0].Int()); id > max {
@@ -179,7 +179,7 @@ func (l *LedgerDB) nextTruncationID() uint64 {
 // truncationInfo returns the highest truncation point and the highest
 // truncated transaction id (both 0 when the ledger was never truncated),
 // read from the audited truncation ledger table.
-func (l *LedgerDB) truncationInfo() (beforeBlock, maxTx uint64) {
+func (l *Shard) truncationInfo() (beforeBlock, maxTx uint64) {
 	l.truncations.table.Scan(func(_ []byte, r sqltypes.Row) bool {
 		if b := uint64(r[1].Int()); b > beforeBlock {
 			beforeBlock = b

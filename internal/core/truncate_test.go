@@ -27,8 +27,8 @@ func TestTruncateLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocksBefore := countRows(l.sysBlocks)
-	txsBefore := countRows(l.sysTx) + len(l.queue)
+	blocksBefore := countRows(l.shards[0].sysBlocks)
+	txsBefore := countRows(l.shards[0].sysTx) + len(l.shards[0].queue)
 	historyBefore := countRows(lt.History())
 	if historyBefore != 4 {
 		t.Fatalf("history rows = %d", historyBefore)
@@ -45,7 +45,7 @@ func TestTruncateLedger(t *testing.T) {
 
 	// Blocks below the cut are gone; the chain starts exactly at it.
 	var minBlock int64 = 1 << 62
-	l.sysBlocks.Scan(func(_ []byte, r sqltypes.Row) bool {
+	l.shards[0].sysBlocks.Scan(func(_ []byte, r sqltypes.Row) bool {
 		if r[0].Int() < minBlock {
 			minBlock = r[0].Int()
 		}
@@ -58,7 +58,7 @@ func TestTruncateLedger(t *testing.T) {
 	_ = txsBefore
 
 	// The truncation is recorded in the audit ledger table.
-	if countRows(l.truncations.Table()) != 1 {
+	if countRows(l.shards[0].truncations.Table()) != 1 {
 		t.Fatal("truncation not recorded")
 	}
 

@@ -24,8 +24,15 @@ import (
 // whose roots become the transaction's ledger entry at commit (§3.2).
 //
 // Regular (non-ledger) tables are reachable through Raw().
+//
+// On a database with several shards the transaction is a router (route is
+// set, l and etx are not): every operation goes to the participant — a Tx
+// of this same type on one shard, begun on first touch — that the row's
+// primary key hashes to, and Commit runs two-phase commit when more than
+// one participant wrote (twopc.go). On a one-shard database the
+// transaction is the participant itself and none of that exists.
 type Tx struct {
-	l   *LedgerDB
+	l   *Shard
 	etx *engine.Tx
 
 	// state holds the per-transaction ledger bookkeeping (Merkle trees,
@@ -41,6 +48,16 @@ type Tx struct {
 	// never finishes it.
 	trace     *obs.Trace
 	ownsTrace bool
+
+	route *txRoute
+}
+
+// txRoute is the router state of a transaction on a multi-shard database.
+type txRoute struct {
+	db    *DB
+	user  string
+	parts []*Tx // index = shard; nil until touched
+	done  bool
 }
 
 // txState is the pooled ledger bookkeeping of one transaction.
@@ -72,26 +89,77 @@ type treeSnap struct {
 // enabled the transaction gets a fresh trace rooted here: the engine and
 // WAL contribute child spans (lock waits, row hashing, encode, group
 // commit, apply), and Commit/Rollback decide retention (tail sampling).
-func (l *LedgerDB) Begin(user string) *Tx {
-	tx := &Tx{l: l, etx: l.edb.Begin(user)}
-	if tr := l.obs.NewTrace("tx"); tr != nil {
-		tx.trace = tr
-		tx.ownsTrace = true
-		tx.etx.SetTrace(tr)
+func (db *DB) Begin(user string) *Tx {
+	if len(db.shards) == 1 {
+		return db.shards[0].begin(user)
 	}
+	return &Tx{
+		trace: db.obs.NewTrace("tx"), // finished by the router's Commit or Rollback
+		route: &txRoute{db: db, user: user, parts: make([]*Tx, len(db.shards))},
+	}
+}
+
+// begin starts a transaction on this shard with a trace of its own.
+func (l *Shard) begin(user string) *Tx {
+	tx := l.beginWithTrace(user, l.obs.NewTrace("tx"))
+	tx.ownsTrace = tx.trace != nil
 	return tx
 }
 
 // beginWithTrace starts a transaction that records into tr without owning
-// it — the 2PC participant path, where the sharded coordinator holds one
-// trace spanning every shard's legs.
-func (l *LedgerDB) beginWithTrace(user string, tr *obs.Trace) *Tx {
+// it — a participant, whose router holds the one trace spanning every
+// shard's legs.
+func (l *Shard) beginWithTrace(user string, tr *obs.Trace) *Tx {
 	tx := &Tx{l: l, etx: l.edb.Begin(user)}
 	if tr != nil {
 		tx.trace = tr
 		tx.etx.SetTrace(tr)
 	}
 	return tx
+}
+
+// at returns the participant on shard i, beginning it on first touch.
+func (tx *Tx) at(i int) *Tx {
+	r := tx.route
+	if r.parts[i] == nil {
+		r.parts[i] = r.db.shards[i].beginWithTrace(r.user, tx.trace)
+	}
+	return r.parts[i]
+}
+
+// routeRow resolves a row of lt to the participant and table part that
+// store it.
+func (tx *Tx) routeRow(lt *LedgerTable, visible sqltypes.Row) (*Tx, *LedgerTable, error) {
+	if tx.route.done {
+		return nil, nil, ErrTxUsed
+	}
+	i, err := lt.shardOfRow(visible)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tx.at(i), lt.parts[i], nil
+}
+
+// routeKey is routeRow for explicit primary-key values.
+func (tx *Tx) routeKey(lt *LedgerTable, keyVals []sqltypes.Value) (*Tx, *LedgerTable, error) {
+	if tx.route.done {
+		return nil, nil, ErrTxUsed
+	}
+	i := lt.ShardOf(keyVals...)
+	return tx.at(i), lt.parts[i], nil
+}
+
+// each runs fn on every shard's participant, in shard order.
+func (tx *Tx) each(fn func(i int, p *Tx) error) error {
+	if tx.route.done {
+		return ErrTxUsed
+	}
+	for i := range tx.route.parts {
+		if err := fn(i, tx.at(i)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Trace returns the transaction's trace (nil when tracing is off). Callers
@@ -127,14 +195,21 @@ func (tx *Tx) hashRow(s *sqltypes.Schema, r sqltypes.Row, op serial.OpType, skip
 	return h
 }
 
-// ID returns the transaction id.
-func (tx *Tx) ID() uint64 { return tx.etx.ID() }
+// ID returns the transaction id, which numbers the transaction within
+// one shard's chain: on a multi-shard database it panics with
+// ErrMultiShard, as Raw does.
+func (tx *Tx) ID() uint64 { return tx.Raw().ID() }
 
 // Raw exposes the underlying engine transaction for DML on regular
 // tables. Do not use it to modify ledger tables directly: that bypasses
 // history and hashing and is exactly the class of modification the
 // verification process exists to detect.
-func (tx *Tx) Raw() *engine.Tx { return tx.etx }
+func (tx *Tx) Raw() *engine.Tx {
+	if tx.route != nil {
+		panic(multiShard("Tx.Raw", len(tx.route.parts)))
+	}
+	return tx.etx
+}
 
 // ensureState materializes the pooled ledger bookkeeping.
 func (tx *Tx) ensureState() *txState {
@@ -170,10 +245,10 @@ func (tx *Tx) releaseState() {
 
 func (tx *Tx) tree(lt *LedgerTable) *merkle.Streaming {
 	st := tx.ensureState()
-	t := st.trees[lt.ID()]
+	t := st.trees[lt.table.ID()]
 	if t == nil {
 		t = merkle.GetStreaming()
-		st.trees[lt.ID()] = t
+		st.trees[lt.table.ID()] = t
 	}
 	return t
 }
@@ -181,6 +256,13 @@ func (tx *Tx) tree(lt *LedgerTable) *merkle.Streaming {
 // Insert adds a row (visible columns only, in visible-column order) to a
 // ledger table.
 func (tx *Tx) Insert(lt *LedgerTable, visible sqltypes.Row) error {
+	if tx.route != nil {
+		p, part, err := tx.routeRow(lt, visible)
+		if err != nil {
+			return err
+		}
+		return p.Insert(part, visible)
+	}
 	seq := tx.etx.NextSeq()
 	full, err := lt.fullRow(visible, tx.etx.ID(), seq)
 	if err != nil {
@@ -230,8 +312,33 @@ func (tx *Tx) InsertBatch(lt *LedgerTable, rows []sqltypes.Row) error {
 }
 
 // InsertBatchParallel is InsertBatch with an explicit worker count
-// (0 = one per CPU). Exposed for the ingest-scaling benchmarks.
+// (0 = one per CPU). Exposed for the ingest-scaling benchmarks. On a
+// multi-shard database each shard's rows are batched on that shard in
+// their original order, so routing is order-insensitive and digests stay
+// reproducible.
 func (tx *Tx) InsertBatchParallel(lt *LedgerTable, rows []sqltypes.Row, workers int) error {
+	if tx.route != nil {
+		if tx.route.done {
+			return ErrTxUsed
+		}
+		perShard := make([][]sqltypes.Row, len(tx.route.parts))
+		for _, r := range rows {
+			i, err := lt.shardOfRow(r)
+			if err != nil {
+				return err
+			}
+			perShard[i] = append(perShard[i], r)
+		}
+		for i, chunk := range perShard {
+			if len(chunk) == 0 {
+				continue
+			}
+			if err := tx.at(i).InsertBatchParallel(lt.parts[i], chunk, workers); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	n := len(rows)
 	if n == 0 {
 		return nil
@@ -347,6 +454,13 @@ func (tx *Tx) InsertBatchParallel(lt *LedgerTable, rows []sqltypes.Row, workers 
 // Delete removes the row with the given primary-key values, moving the
 // deleted version to the history table.
 func (tx *Tx) Delete(lt *LedgerTable, keyVals ...sqltypes.Value) error {
+	if tx.route != nil {
+		p, part, err := tx.routeKey(lt, keyVals)
+		if err != nil {
+			return err
+		}
+		return p.Delete(part, keyVals...)
+	}
 	if lt.Kind() == engine.LedgerAppendOnly {
 		return fmt.Errorf("%w: %s", ErrAppendOnly, lt.Name())
 	}
@@ -368,6 +482,13 @@ func (tx *Tx) Delete(lt *LedgerTable, keyVals ...sqltypes.Value) error {
 // the superseded version in the history table. Hashing order follows the
 // operation: the deleted old version first, then the new version.
 func (tx *Tx) Update(lt *LedgerTable, visible sqltypes.Row) error {
+	if tx.route != nil {
+		p, part, err := tx.routeRow(lt, visible)
+		if err != nil {
+			return err
+		}
+		return p.Update(part, visible)
+	}
 	if lt.Kind() == engine.LedgerAppendOnly {
 		return fmt.Errorf("%w: %s", ErrAppendOnly, lt.Name())
 	}
@@ -424,6 +545,13 @@ func (tx *Tx) refreshRow(lt *LedgerTable, key []byte) error {
 // table; only what a string or binary value points to is shared, with
 // storage, and must not be written through Value.Bytes.
 func (tx *Tx) Get(lt *LedgerTable, keyVals ...sqltypes.Value) (sqltypes.Row, bool, error) {
+	if tx.route != nil {
+		p, part, err := tx.routeKey(lt, keyVals)
+		if err != nil {
+			return nil, false, err
+		}
+		return p.Get(part, keyVals...)
+	}
 	full, ok, err := tx.etx.Get(lt.table, keyVals...)
 	if err != nil || !ok {
 		return nil, ok, err
@@ -431,11 +559,15 @@ func (tx *Tx) Get(lt *LedgerTable, keyVals ...sqltypes.Value) (sqltypes.Row, boo
 	return lt.project(full), true, nil
 }
 
-// Scan iterates the visible rows of a ledger table in primary-key order.
-// Every row is decoded into one buffer the scan reuses: the row passed to
-// fn is valid only during the callback — Clone it to keep it (its values
-// may be copied out freely; what they point to never changes).
+// Scan iterates the visible rows of a ledger table in primary-key order
+// (on a multi-shard database shard by shard: ordered within a shard, not
+// across them). Every row is decoded into one buffer the scan reuses: the
+// row passed to fn is valid only during the callback — Clone it to keep it
+// (its values may be copied out freely; what they point to never changes).
 func (tx *Tx) Scan(lt *LedgerTable, fn func(row sqltypes.Row) bool) error {
+	if tx.route != nil {
+		return tx.ScanPrefix(lt, fn) // the empty prefix: every row of every shard
+	}
 	return tx.etx.Scan(lt.table, func(_ []byte, full sqltypes.Row) bool {
 		return fn(lt.project(full))
 	})
@@ -444,6 +576,15 @@ func (tx *Tx) Scan(lt *LedgerTable, fn func(row sqltypes.Row) bool) error {
 // ScanPrefix iterates the visible rows whose leading primary-key columns
 // equal vals, in primary-key order. The callback contract is as for Scan.
 func (tx *Tx) ScanPrefix(lt *LedgerTable, fn func(row sqltypes.Row) bool, vals ...sqltypes.Value) error {
+	if tx.route != nil {
+		more := true
+		return tx.each(func(i int, p *Tx) error {
+			if !more {
+				return nil
+			}
+			return p.ScanPrefix(lt.parts[i], func(r sqltypes.Row) bool { more = fn(r); return more }, vals...)
+		})
+	}
 	start, end := engine.PrefixRange(vals...)
 	return tx.etx.ScanRange(lt.table, start, end, func(_ []byte, full sqltypes.Row) bool {
 		return fn(lt.project(full))
@@ -451,8 +592,15 @@ func (tx *Tx) ScanPrefix(lt *LedgerTable, fn func(row sqltypes.Row) bool, vals .
 }
 
 // Savepoint creates a savepoint, snapshotting the O(log N) state of every
-// transaction Merkle tree (§3.2.1).
+// transaction Merkle tree (§3.2.1). On a multi-shard database it is taken
+// on every shard's participant, so their savepoint stacks stay level and
+// one token names the same point on each.
 func (tx *Tx) Savepoint() int {
+	if tx.route != nil {
+		token := -1
+		tx.each(func(_ int, p *Tx) error { token = p.Savepoint(); return nil })
+		return token
+	}
 	token := tx.etx.Savepoint()
 	st := tx.ensureState()
 	snaps := make([]treeSnap, 0, len(st.trees))
@@ -470,6 +618,9 @@ func (tx *Tx) Savepoint() int {
 // RollbackTo rolls the transaction back to a savepoint, restoring both
 // the engine write buffer and the Merkle tree state.
 func (tx *Tx) RollbackTo(token int) error {
+	if tx.route != nil {
+		return tx.each(func(_ int, p *Tx) error { return p.RollbackTo(token) })
+	}
 	st := tx.state
 	if st == nil || token < 0 || token >= len(st.spSnaps) {
 		return fmt.Errorf("core: invalid savepoint %d", token)
@@ -502,8 +653,12 @@ func (tx *Tx) Commit() error {
 	return err
 }
 
-// CommitTS is Commit returning the commit timestamp.
+// CommitTS is Commit returning the commit timestamp (on a multi-shard
+// database, the latest among the shards that committed).
 func (tx *Tx) CommitTS() (int64, error) {
+	if tx.route != nil {
+		return tx.commitRouted()
+	}
 	tx.finalizeRoots()
 	ts, err := tx.l.edb.Commit(tx.etx)
 	if err == nil {
@@ -567,6 +722,9 @@ func (tx *Tx) abortPrepared() error {
 
 // Rollback abandons the transaction.
 func (tx *Tx) Rollback() error {
+	if tx.route != nil {
+		return tx.rollbackRouted()
+	}
 	err := tx.etx.Rollback()
 	tx.releaseState()
 	tx.finishTrace(nil)

@@ -189,9 +189,9 @@ func TestCommitAfterCloseLeavesLedgerUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := func() (int64, int, uint32) {
-		l.lmu.Lock()
-		defer l.lmu.Unlock()
-		return l.edb.LastCommitTS(), len(l.queue), l.curOrdinal
+		l.shards[0].lmu.Lock()
+		defer l.shards[0].lmu.Unlock()
+		return l.shards[0].edb.LastCommitTS(), len(l.shards[0].queue), l.shards[0].curOrdinal
 	}
 	ts, queued, ordinal := state()
 	if err := tx.Commit(); !errors.Is(err, engine.ErrClosed) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -43,21 +44,61 @@ type Report struct {
 	DigestsChecked      int
 
 	Timing Timing
+
+	// Shards is the per-shard breakdown, set when the run covered several
+	// chains (DB.Verify on a multi-shard database, VerifySuperBlock): the
+	// counters above are then totals over the shards, Timing.Total the wall
+	// clock of the whole run, and every issue is in its shard's report.
+	Shards []ShardReport
 }
 
-// Ok reports whether verification succeeded (no non-warning issues).
+// ShardReport is one shard's slice of a verification.
+type ShardReport struct {
+	Shard int
+	// HeadErr is non-nil when the shard's current chain no longer matches
+	// the signed head digest (or its super-block proof fails) — the
+	// super-block check that localizes tampering to a shard even before
+	// row-level verification runs.
+	HeadErr error
+	// Report is the shard's full five-invariant verification report (nil
+	// when the shard was empty at super-block time and is skipped).
+	Report *Report
+}
+
+// Ok reports whether verification succeeded: no non-warning issues, and
+// every shard of the breakdown passed its head check and its own run.
 func (r *Report) Ok() bool {
 	for _, i := range r.Issues {
 		if !i.Warning {
 			return false
 		}
 	}
+	for _, sr := range r.Shards {
+		if sr.HeadErr != nil || (sr.Report != nil && !sr.Report.Ok()) {
+			return false
+		}
+	}
 	return true
 }
 
-// String summarizes the report.
+// String summarizes the report, shard by shard when it has a breakdown.
 func (r *Report) String() string {
 	var b strings.Builder
+	for _, sr := range r.Shards {
+		fmt.Fprintf(&b, "shard %03d: ", sr.Shard)
+		switch {
+		case sr.HeadErr != nil:
+			b.WriteString("FAILED head check: " + sr.HeadErr.Error())
+		case sr.Report == nil:
+			b.WriteString("empty, skipped")
+		default:
+			b.WriteString(sr.Report.String())
+		}
+		b.WriteByte('\n')
+	}
+	if r.Shards != nil {
+		return b.String()
+	}
 	fmt.Fprintf(&b, "verification: blocks=%d txs=%d row-versions=%d tables=%d indexes=%d digests=%d",
 		r.BlocksChecked, r.TransactionsChecked, r.RowVersionsChecked, r.TablesChecked, r.IndexesChecked, r.DigestsChecked)
 	if r.Ok() {
@@ -164,14 +205,63 @@ func (p *workerPool) run(tasks []func()) {
 // difference, so for a verdict on invariants 1-3 and 5 the database
 // should be quiescent (a restored copy or a maintenance window, as the
 // paper suggests).
-func (l *LedgerDB) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
+//
+// On a multi-shard database every shard is verified, in parallel, against
+// the digests that carry its name, and the report is the breakdown.
+func (db *DB) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
+	if len(db.shards) == 1 {
+		return db.shards[0].Verify(digests, opts)
+	}
+	return db.verifyShards(func(_ int, l *Shard) ShardReport {
+		var own []Digest
+		for _, d := range digests {
+			if d.DatabaseName == l.opts.Name {
+				own = append(own, d)
+			}
+		}
+		rep, err := l.Verify(own, opts)
+		return ShardReport{Report: rep, HeadErr: err}
+	}), nil
+}
+
+// verifyShards runs verify on every shard in parallel and totals the
+// breakdown.
+func (db *DB) verifyShards(verify func(i int, l *Shard) ShardReport) *Report {
+	start := time.Now()
+	rep := &Report{Shards: make([]ShardReport, len(db.shards))}
+	var wg sync.WaitGroup
+	for i, l := range db.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep.Shards[i] = verify(i, l)
+			rep.Shards[i].Shard = i
+		}()
+	}
+	wg.Wait()
+	for _, sr := range rep.Shards {
+		if r := sr.Report; r != nil {
+			rep.BlocksChecked += r.BlocksChecked
+			rep.TransactionsChecked += r.TransactionsChecked
+			rep.RowVersionsChecked += r.RowVersionsChecked
+			rep.TablesChecked += r.TablesChecked
+			rep.IndexesChecked += r.IndexesChecked
+			rep.DigestsChecked += r.DigestsChecked
+		}
+	}
+	rep.Timing.Total = time.Since(start)
+	return rep
+}
+
+// Verify is DB.Verify for this shard's chain.
+func (l *Shard) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	start := time.Now()
 	rep := &Report{}
-	sp := l.obs.Tracer().Start("verify",
-		obs.L("parallelism", fmt.Sprintf("%d", opts.Parallelism)))
+	tr := l.obs.NewTrace("verify")
+	tr.SetAttr("parallelism", strconv.Itoa(opts.Parallelism))
 	var prog *progressSink
 	if opts.Progress != nil || l.obs.Enabled() {
 		prog = newProgressSink(opts.Progress, l.m.verifyProgress)
@@ -179,7 +269,7 @@ func (l *LedgerDB) Verify(digests []Digest, opts VerifyOptions) (*Report, error)
 	l.obs.Events().Info(obs.EventVerifyStarted,
 		"digests", len(digests), "parallelism", opts.Parallelism)
 	defer func() {
-		sp.Finish(nil)
+		tr.Finish(nil)
 		l.m.verifies.Inc()
 		l.m.verifyIssues.Add(int64(len(rep.Issues)))
 		l.m.verifyChain.Observe(rep.Timing.Chain.Seconds())
@@ -329,7 +419,7 @@ const maxIssueEvents = 16
 
 // noteVerifyFinished records the run for health tracking and emits the
 // finish (and per-issue) audit events.
-func (l *LedgerDB) noteVerifyFinished(rep *Report) {
+func (l *Shard) noteVerifyFinished(rep *Report) {
 	ev := l.obs.Events()
 	for i, iss := range rep.Issues {
 		if i == maxIssueEvents {

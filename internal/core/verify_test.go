@@ -14,7 +14,7 @@ import (
 )
 
 // seedAccounts commits n single-insert transactions and returns a digest.
-func seedAccounts(t *testing.T, l *LedgerDB, lt *LedgerTable, n int) Digest {
+func seedAccounts(t *testing.T, l *DB, lt *LedgerTable, n int) Digest {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		tx := l.Begin("seed")
@@ -222,7 +222,7 @@ func TestDigestForkDetected(t *testing.T) {
 	d1 := seedAccounts(t, l, lt, 4)
 	// Fork: overwrite an old block (rewriting history), then extend.
 	key := sqltypes.EncodeKey(nil, sqltypes.NewBigInt(int64(d1.BlockID)))
-	err := l.Engine().TamperUpdateRow(l.sysBlocks, key, func(r sqltypes.Row) sqltypes.Row {
+	err := l.Engine().TamperUpdateRow(l.shards[0].sysBlocks, key, func(r sqltypes.Row) sqltypes.Row {
 		b := append([]byte(nil), r[2].Bytes...)
 		b[5] ^= 0x01
 		r[2] = sqltypes.NewBinary(b)
@@ -300,8 +300,8 @@ func TestVerifyParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tamper 4: delete a transaction entry (inv 3 + orphaned rows inv 4).
-	tkey := firstKeyOf(t, l.sysTx)
-	if err := l.Engine().TamperDeleteRow(l.sysTx, tkey, true); err != nil {
+	tkey := firstKeyOf(t, l.shards[0].sysTx)
+	if err := l.Engine().TamperDeleteRow(l.shards[0].sysTx, tkey, true); err != nil {
 		t.Fatal(err)
 	}
 

@@ -14,17 +14,28 @@ import (
 type LedgerViewRow struct {
 	Row       sqltypes.Row // visible columns
 	Operation string       // "INSERT" or "DELETE"
-	TxID      uint64
+	TxID      uint64       // numbers the transaction within shard Shard's chain
 	Seq       uint64
+	Shard     int
 }
 
 // LedgerView materializes the ledger view of a table from the current
 // committed state of the ledger and history tables: every version in the
 // ledger table contributes an INSERT entry; every version in the history
 // table contributes both its INSERT entry (it was created at some point)
-// and its DELETE entry. Results are ordered by (TxID, Seq).
+// and its DELETE entry. Results are ordered by (TxID, Seq) — shard by
+// shard on a multi-shard database, each row carrying its shard.
 func (lt *LedgerTable) LedgerView() []LedgerViewRow {
 	var out []LedgerViewRow
+	for i, p := range lt.parts {
+		for _, vr := range p.LedgerView() {
+			vr.Shard = i
+			out = append(out, vr)
+		}
+	}
+	if lt.parts != nil {
+		return out
+	}
 	lt.table.Scan(func(_ []byte, full sqltypes.Row) bool {
 		out = append(out, LedgerViewRow{
 			Row:       lt.VisibleRow(full),
@@ -61,10 +72,11 @@ func (lt *LedgerTable) LedgerView() []LedgerViewRow {
 	return out
 }
 
-// TransactionInfo returns the ledger entry metadata for a transaction id,
-// letting ledger-view consumers retrieve who executed an operation and
-// when (§2.1). It consults both the system table and the in-memory queue.
-func (l *LedgerDB) TransactionInfo(txID uint64) (user string, commitTS int64, blockID uint64, ok bool) {
+// TransactionInfo returns the ledger entry metadata for a transaction id
+// of this shard's chain, letting ledger-view consumers retrieve who
+// executed an operation and when (§2.1). It consults both the system table
+// and the in-memory queue.
+func (l *Shard) TransactionInfo(txID uint64) (user string, commitTS int64, blockID uint64, ok bool) {
 	key := sqltypes.EncodeKey(nil, sqltypes.NewBigInt(int64(txID)))
 	if r, found := l.sysTx.Lookup(key); found {
 		return r[4].Str, r[3].Int(), uint64(r[1].Int()), true
@@ -106,7 +118,7 @@ func (lt *LedgerTable) canonicalViewDefinition() string {
 
 // storeViewDefinition records (or refreshes) the ledger-view definition
 // for a table in the sys_ledger_views system table.
-func (l *LedgerDB) storeViewDefinition(lt *LedgerTable) error {
+func (l *Shard) storeViewDefinition(lt *LedgerTable) error {
 	def := lt.canonicalViewDefinition()
 	row := sqltypes.Row{
 		sqltypes.NewBigInt(int64(lt.ID())),
@@ -127,7 +139,7 @@ func (l *LedgerDB) storeViewDefinition(lt *LedgerTable) error {
 }
 
 // ViewDefinition returns the stored ledger-view definition for a table.
-func (l *LedgerDB) ViewDefinition(tableID uint32) (string, bool) {
+func (l *Shard) ViewDefinition(tableID uint32) (string, bool) {
 	key := sqltypes.EncodeKey(nil, sqltypes.NewBigInt(int64(tableID)))
 	r, ok := l.sysViews.Lookup(key)
 	if !ok {

@@ -61,7 +61,7 @@ type Options struct {
 	Clock func() int64
 	// VersionGCInterval paces the background sweep that reclaims row
 	// versions older than the oldest active snapshot; zero keeps the
-	// default (250ms). Sharded deployments stagger this so N engine
+	// default (250ms). Multi-shard databases stagger this so N engine
 	// instances on one box don't all tick in lockstep.
 	VersionGCInterval time.Duration
 	// RecoveryWorkers sets the parallelism of crash recovery: the WAL

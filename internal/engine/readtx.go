@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"sqlledger/internal/obs"
 	"sqlledger/internal/sqltypes"
 )
 
@@ -156,7 +155,7 @@ func (db *DB) GCVersions() int {
 		return 0
 	}
 	defer db.quiesce.RUnlock()
-	sp := db.obs.Tracer().Start("version_gc")
+	tr := db.obs.NewTrace("version_gc")
 	horizon := db.gcHorizon()
 	reclaimed := 0
 	for _, t := range db.Tables() {
@@ -165,11 +164,13 @@ func (db *DB) GCVersions() int {
 	if reclaimed > 0 {
 		db.m.gcReclaimed.Add(int64(reclaimed))
 		db.m.versionsLive.Add(-float64(reclaimed))
-		sp.Annotate(obs.L("reclaimed", strconv.Itoa(reclaimed)))
-		sp.Finish(nil)
+		tr.SetAttr("reclaimed", strconv.Itoa(reclaimed))
+		tr.Finish(nil)
+	} else {
+		// An idle sweep (nothing reclaimed) leaves no trace: at 4 sweeps/s
+		// it would otherwise dominate the ring within seconds.
+		tr.Discard()
 	}
-	// An idle sweep (nothing reclaimed) records no span: at 4 sweeps/s it
-	// would otherwise dominate the ring within seconds.
 	return reclaimed
 }
 

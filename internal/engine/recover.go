@@ -248,14 +248,14 @@ func (db *DB) recoveryWorkers() int {
 // shared storage in this engine, so no undo pass is needed).
 func (db *DB) recover() error {
 	start := time.Now()
-	sp := db.obs.Tracer().Start("recovery",
-		obs.L("workers", strconv.Itoa(db.recoveryWorkers())))
-	err := db.recoverPhases(sp, start)
-	sp.Finish(err)
+	tr := db.obs.NewTrace("recovery")
+	tr.SetAttr("workers", strconv.Itoa(db.recoveryWorkers()))
+	err := db.recoverPhases(tr, start)
+	tr.Finish(err)
 	return err
 }
 
-func (db *DB) recoverPhases(sp *obs.Span, start time.Time) error {
+func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 	phaseSnapshot := time.Now()
 	snapLSN, err := db.loadLatestSnapshot()
 	if err != nil {
@@ -429,7 +429,7 @@ func (db *DB) recoverPhases(sp *obs.Span, start time.Time) error {
 	db.obs.Counter(obs.RecoveryRecordsReplayedTotal).Add(int64(records))
 	if records > 0 {
 		elapsed := time.Since(start)
-		sp.Annotate(obs.L("records", strconv.Itoa(records)))
+		tr.SetAttr("records", strconv.Itoa(records))
 		db.obs.Events().Info(obs.EventRecoveryReplay,
 			"snapshot_lsn", snapLSN, "records", records,
 			"committed_ledger_entries", len(entries), "end_lsn", db.log.Size(),

@@ -9,7 +9,7 @@ import (
 
 // Two-phase commit participant API. A cross-shard transaction is one
 // engine.Tx per participating shard; the coordinator (internal/core's
-// sharded path) drives each participant through Prepare and then, once its
+// twopc.go) drives each participant through Prepare and then, once its
 // commit decision is durable, CommitPrepared — or AbortPrepared when the
 // decision is (or is presumed to be) abort.
 //

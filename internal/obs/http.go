@@ -12,7 +12,6 @@ import (
 // Mux returns the observability ServeMux for a registry:
 //
 //	/metrics       Prometheus text exposition (runtime-sampled per scrape)
-//	/debug/spans   recent finished spans as JSON (?n=N limits the count)
 //	/debug/events  recent audit events as JSON (?n=N, ?type=T filter)
 //	/debug/trace   one retained trace by ?id= (waterfall; ?format=text
 //	               renders it as indented text); without id, recent
@@ -28,13 +27,6 @@ func Mux(r *Registry) *http.ServeMux {
 		SampleRuntime(r) // scrape-time freshness for the runtime gauges
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
-	})
-	mux.HandleFunc("/debug/spans", func(w http.ResponseWriter, req *http.Request) {
-		spans := r.Tracer().Recent(queryInt(req, "n"))
-		if spans == nil {
-			spans = []SpanRecord{}
-		}
-		writeJSON(w, spans)
 	})
 	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, req *http.Request) {
 		var events []Event

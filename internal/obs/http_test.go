@@ -8,11 +8,13 @@ import (
 	"testing"
 )
 
-func TestServerMetricsAndSpans(t *testing.T) {
+func TestServerMetricsAndTraces(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("sqlledger_http_test_total").Add(3)
-	sp := r.Tracer().Start("close_block", L("block", "1"))
-	sp.Finish(nil)
+	r.Traces().SetSlowThreshold(0) // retain every trace
+	tr := r.NewTrace("close_block")
+	tr.SetAttr("block", "1")
+	tr.Finish(nil)
 
 	srv, err := StartServer("127.0.0.1:0", r)
 	if err != nil {
@@ -36,17 +38,17 @@ func TestServerMetricsAndSpans(t *testing.T) {
 		t.Fatalf("/metrics missing counter:\n%s", body)
 	}
 
-	resp, err = http.Get("http://" + srv.Addr() + "/debug/spans?n=10")
+	resp, err = http.Get("http://" + srv.Addr() + "/debug/trace?n=10")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var spans []SpanRecord
-	if err := json.NewDecoder(resp.Body).Decode(&spans); err != nil {
+	var traces []TraceRecord
+	if err := json.NewDecoder(resp.Body).Decode(&traces); err != nil {
 		t.Fatal(err)
 	}
-	if len(spans) != 1 || spans[0].Name != "close_block" {
-		t.Fatalf("unexpected spans: %+v", spans)
+	if len(traces) != 1 || traces[0].Name != "close_block" {
+		t.Fatalf("unexpected traces: %+v", traces)
 	}
 }
 

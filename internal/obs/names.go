@@ -53,7 +53,7 @@ const (
 	VerifyPhaseSeconds    = "sqlledger_verify_phase_seconds" // label: phase
 	VerifyProgressRatio   = "sqlledger_verify_progress_ratio"
 
-	// Sharded ledger (internal/core/shard.go, superblock.go). Per-shard
+	// Multi-shard databases (internal/core/db.go, superblock.go). Per-shard
 	// series carry a shard="NNN" label. ShardImbalanceRatio is
 	// max(per-shard rows)/mean(per-shard rows) since open — 1.0 is a
 	// perfectly balanced hash partition.

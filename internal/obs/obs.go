@@ -259,7 +259,7 @@ func (t *LapTimer) LapSpan(h *Histogram, tr *Trace, name string) SpanID {
 	return id
 }
 
-// Registry is a named collection of metrics plus a span tracer. The nil
+// Registry is a named collection of metrics, events and traces. The nil
 // Registry and the Disabled() registry are both valid: every metric they
 // produce is inert, so instrumented code never branches on registry
 // presence.
@@ -268,7 +268,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	tracer   *Tracer
 	events   *EventLog
 	traces   *TraceStore
 	enabled  bool
@@ -284,7 +283,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		tracer:   newTracer(defaultSpanRing, true),
 		events:   newEventLog(defaultEventRing, true),
 		enabled:  true,
 	}
@@ -292,13 +290,12 @@ func NewRegistry() *Registry {
 	return r
 }
 
-// Disabled returns a registry whose metrics, tracer and event log are
+// Disabled returns a registry whose metrics, traces and event log are
 // inert. It is the metrics-off ablation baseline: recording costs one
 // branch.
 func Disabled() *Registry {
 	r := NewRegistry()
 	r.enabled = false
-	r.tracer = newTracer(0, false)
 	r.events = newEventLog(0, false)
 	r.traces = newTraceStore(r, false)
 	return r
@@ -313,15 +310,6 @@ func (r *Registry) Timer() LapTimer {
 		return LapTimer{}
 	}
 	return LapTimer{on: true, last: time.Now()}
-}
-
-// Tracer returns the registry's span tracer (inert for nil/disabled
-// registries).
-func (r *Registry) Tracer() *Tracer {
-	if r == nil {
-		return nil
-	}
-	return r.tracer
 }
 
 // Events returns the registry's structured event log (inert for
@@ -342,9 +330,11 @@ func (r *Registry) Traces() *TraceStore {
 	return r.traces
 }
 
-// NewTrace starts a per-transaction trace, or returns nil when the
-// registry is nil/disabled or tracing is turned off — a nil *Trace is
-// safe everywhere downstream.
+// NewTrace starts a root trace — one per transaction ("tx"), one per
+// background operation (close_block, generate_digest, verify, audit_cycle,
+// recovery, version_gc, the super-block operations), named by it — or
+// returns nil when the registry is nil/disabled or tracing is turned off;
+// a nil *Trace is safe everywhere downstream.
 func (r *Registry) NewTrace(name string) *Trace {
 	if r == nil {
 		return nil

@@ -134,10 +134,9 @@ func TestDisabledAndNil(t *testing.T) {
 	if v := snap.CounterValue("c"); v != 0 {
 		t.Fatalf("disabled counter recorded %d", v)
 	}
-	sp := d.Tracer().Start("op")
-	sp.Finish(nil)
-	if n := d.Tracer().Recorded(); n != 0 {
-		t.Fatalf("disabled tracer recorded %d spans", n)
+	d.NewTrace("op").Finish(nil)
+	if n := len(d.Traces().Recent(0)); n != 0 {
+		t.Fatalf("disabled registry retained %d traces", n)
 	}
 	lt := d.Timer()
 	lt.Lap(d.Histogram("h", nil)) // must not read the clock or panic
@@ -146,45 +145,10 @@ func TestDisabledAndNil(t *testing.T) {
 	nilReg.Counter("x").Inc()
 	nilReg.Gauge("x").Set(1)
 	nilReg.Histogram("x", nil).Observe(1)
-	nilReg.Tracer().Start("x").Finish(errors.New("e"))
+	nilReg.NewTrace("x").Finish(errors.New("e"))
 	_ = nilReg.Snapshot()
 	if nilReg.Enabled() {
 		t.Fatal("nil registry reports enabled")
-	}
-}
-
-func TestTracerRing(t *testing.T) {
-	tr := newTracer(4, true)
-	for i := 0; i < 6; i++ {
-		sp := tr.Start("op", L("i", string(rune('a'+i))))
-		time.Sleep(time.Millisecond)
-		if i%2 == 0 {
-			sp.Finish(errors.New("boom"))
-		} else {
-			sp.Finish(nil)
-		}
-	}
-	if tr.Recorded() != 6 {
-		t.Fatalf("Recorded = %d, want 6", tr.Recorded())
-	}
-	recent := tr.Recent(0)
-	if len(recent) != 4 {
-		t.Fatalf("ring kept %d spans, want 4", len(recent))
-	}
-	// Newest first: last finished span had i=5 -> label "f", no error.
-	if recent[0].Labels[0].Value != "f" || recent[0].Err != "" {
-		t.Fatalf("unexpected newest span: %+v", recent[0])
-	}
-	if recent[1].Err != "boom" {
-		t.Fatalf("expected error on second-newest span: %+v", recent[1])
-	}
-	if got := tr.Recent(2); len(got) != 2 {
-		t.Fatalf("Recent(2) returned %d", len(got))
-	}
-	for _, sp := range recent {
-		if sp.Duration <= 0 {
-			t.Fatalf("span without duration: %+v", sp)
-		}
 	}
 }
 
@@ -219,31 +183,6 @@ func TestHistogramAboveTopBucket(t *testing.T) {
 	}
 	if got := hs.Quantile(0.25); got != 1 {
 		t.Fatalf("p25 = %v, want 1", got)
-	}
-}
-
-// A ring overwritten more than twice must still report totals and return
-// the newest spans in order.
-func TestTracerRingWraparound(t *testing.T) {
-	tr := newTracer(4, true)
-	for i := 0; i < 10; i++ {
-		tr.Start("op", L("i", string(rune('a'+i)))).Finish(nil)
-	}
-	if tr.Recorded() != 10 {
-		t.Fatalf("Recorded = %d, want 10", tr.Recorded())
-	}
-	recent := tr.Recent(0)
-	if len(recent) != 4 {
-		t.Fatalf("ring kept %d spans, want 4", len(recent))
-	}
-	// Newest first: i=9 ("j") down to i=6 ("g").
-	for i, sp := range recent {
-		if want := string(rune('j' - i)); sp.Labels[0].Value != want {
-			t.Fatalf("recent[%d] label = %q, want %q", i, sp.Labels[0].Value, want)
-		}
-	}
-	if got := tr.Recent(100); len(got) != 4 {
-		t.Fatalf("Recent(100) returned %d spans", len(got))
 	}
 }
 

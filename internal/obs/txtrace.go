@@ -234,6 +234,14 @@ func (tr *Trace) Finish(err error) {
 	tr.store.finish(tr, time.Since(tr.start), err)
 }
 
+// Discard ends the trace without a retention decision and without
+// counting it — for a background operation that found nothing to do.
+func (tr *Trace) Discard() {
+	if tr != nil {
+		tr.store.release(tr)
+	}
+}
+
 // TraceRecord is one retained (finished) trace.
 type TraceRecord struct {
 	ID       string        `json:"id"`

@@ -29,7 +29,7 @@ type Result struct {
 // explicit BEGIN ... COMMIT run in autocommit mode. A Session is not safe
 // for concurrent use (like a database connection).
 type Session struct {
-	db   *core.LedgerDB
+	db   *core.DB
 	user string
 
 	tx         *core.Tx
@@ -42,7 +42,7 @@ type Session struct {
 }
 
 // NewSession opens a SQL session for user.
-func NewSession(db *core.LedgerDB, user string) *Session {
+func NewSession(db *core.DB, user string) *Session {
 	return &Session{db: db, user: user, savepoints: make(map[string]int)}
 }
 
@@ -187,7 +187,11 @@ func (s *Session) ExecStatement(st Statement) (*Result, error) {
 		}
 		return &Result{Message: fmt.Sprintf("column %s dropped from %s (data retained)", st.Column, st.Table)}, nil
 	case *CreateIndex:
-		if _, err := s.db.Engine().CreateIndex(st.Table, st.Name, st.Columns...); err != nil {
+		eng, err := s.engine()
+		if err != nil {
+			return nil, err
+		}
+		if _, err := eng.CreateIndex(st.Table, st.Name, st.Columns...); err != nil {
 			return nil, err
 		}
 		return &Result{Message: fmt.Sprintf("index %s created on %s", st.Name, st.Table)}, nil
@@ -274,7 +278,11 @@ func (s *Session) createTable(st *CreateTable) (*Result, error) {
 		return nil, err
 	}
 	if !st.Ledger {
-		if _, err := s.db.Engine().CreateTable(engine.CreateTableSpec{Name: st.Name, Schema: schema}); err != nil {
+		eng, err := s.engine()
+		if err != nil {
+			return nil, err
+		}
+		if _, err := eng.CreateTable(engine.CreateTableSpec{Name: st.Name, Schema: schema}); err != nil {
 			return nil, err
 		}
 		return &Result{Message: fmt.Sprintf("table %s created", st.Name)}, nil
@@ -308,11 +316,23 @@ func (s *Session) resolve(name string, allowView bool) (target, error) {
 	if lt, err := s.db.LedgerTable(name); err == nil {
 		return target{lt: lt}, nil
 	}
-	et, err := s.db.Engine().Table(name)
-	if err != nil {
-		return target{}, fmt.Errorf("sql: table %q not found", name)
+	if eng, err := s.engine(); err == nil {
+		if et, err := eng.Table(name); err == nil {
+			return target{et: et}, nil
+		}
 	}
-	return target{et: et}, nil
+	return target{}, fmt.Errorf("sql: table %q not found", name)
+}
+
+// engine returns the engine that holds regular tables and indexes. Those
+// are objects of one shard, not routed, so only a one-shard database has
+// an engine a statement can mean; elsewhere the error is ErrMultiShard.
+func (s *Session) engine() (*engine.DB, error) {
+	sh, err := s.db.Single()
+	if err != nil {
+		return nil, err
+	}
+	return sh.Engine(), nil
 }
 
 // visibleColumns returns the queryable columns of a target.
@@ -611,7 +631,7 @@ func (s *Session) delete(st *Delete) (*Result, error) {
 		return nil, err
 	}
 	// Collect the primary-key values of matching rows.
-	keyOrds := tgt.lt.Table().Schema().Key
+	keyOrds := tgt.lt.Schema().Key
 	visOfOrd := make(map[int]int) // schema ordinal -> visible position
 	for i, c := range tgt.lt.VisibleColumns() {
 		visOfOrd[c.Ordinal] = i

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,9 +11,19 @@ import (
 	"sqlledger/internal/sqltypes"
 )
 
-func newSession(t *testing.T) *Session {
+func newSession(t *testing.T) *Session { return newSessionShards(t, 1) }
+
+// forShardCounts runs a scenario that holds for a database of any shard
+// count at 1 and at 3 shards.
+func forShardCounts(t *testing.T, run func(t *testing.T, s *Session)) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) { run(t, newSessionShards(t, shards)) })
+	}
+}
+
+func newSessionShards(t *testing.T, shards int) *Session {
 	t.Helper()
-	db, err := core.Open(core.Options{Dir: t.TempDir(), Name: "sqltest", BlockSize: 100, LockTimeout: time.Second})
+	db, err := core.Open(core.Options{Dir: t.TempDir(), Name: "sqltest", Shards: shards, BlockSize: 100, LockTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +120,10 @@ func TestSQLWherePredicates(t *testing.T) {
 }
 
 func TestSQLTransactionsAndSavepoints(t *testing.T) {
-	s := newSession(t)
+	forShardCounts(t, testSQLTransactionsAndSavepoints)
+}
+
+func testSQLTransactionsAndSavepoints(t *testing.T, s *Session) {
 	mustExec(t, s, createAccounts)
 	mustExec(t, s, `BEGIN TRANSACTION`)
 	mustExec(t, s, `INSERT INTO accounts VALUES ('keep', 1)`)
@@ -134,7 +148,10 @@ func TestSQLTransactionsAndSavepoints(t *testing.T) {
 }
 
 func TestSQLAppendOnlyAndSchemaChanges(t *testing.T) {
-	s := newSession(t)
+	forShardCounts(t, testSQLAppendOnlyAndSchemaChanges)
+}
+
+func testSQLAppendOnlyAndSchemaChanges(t *testing.T, s *Session) {
 	mustExec(t, s, `CREATE TABLE audit (id BIGINT NOT NULL, event NVARCHAR NOT NULL, PRIMARY KEY (id)) WITH (LEDGER = ON, APPEND_ONLY = ON)`)
 	mustExec(t, s, `INSERT INTO audit VALUES (1, 'created')`)
 	if _, err := s.Exec(`UPDATE audit SET event = 'forged' WHERE id = 1`); err == nil {
@@ -161,6 +178,41 @@ func TestSQLAppendOnlyAndSchemaChanges(t *testing.T) {
 	}
 	if !strings.Contains(mustExec(t, s, `VERIFY`).Message, "OK") {
 		t.Fatal("verify after schema changes failed")
+	}
+}
+
+// TestSQLMultiShard: DML, ordering, aggregates, the ledger view and VERIFY
+// run against three shards as against one; statements that name one
+// chain's objects — a digest, a regular table, an index — answer with
+// ErrMultiShard.
+func TestSQLMultiShard(t *testing.T) {
+	s := newSessionShards(t, 3)
+	mustExec(t, s, createAccounts)
+	mustExec(t, s, `INSERT INTO accounts VALUES ('a', 10), ('b', 20), ('c', 30), ('d', 40), ('e', 50), ('f', 60)`)
+	mustExec(t, s, `UPDATE accounts SET balance = 25 WHERE name = 'b'`)
+	mustExec(t, s, `DELETE FROM accounts WHERE name = 'f'`)
+	for q, want := range map[string]string{
+		`SELECT name, balance FROM accounts ORDER BY name`:           "a|10;b|25;c|30;d|40;e|50",
+		`SELECT name FROM accounts WHERE balance > 25 ORDER BY name`: "c;d;e",
+		`SELECT name FROM accounts WHERE name = 'd'`:                 "d",
+		`SELECT COUNT(*) FROM accounts`:                              "5",
+		`SELECT COUNT(*) FROM accounts_ledger`:                       "9", // 6 inserts, an update (a delete and an insert), a delete
+	} {
+		if got := renderRows(mustExec(t, s, q)); got != want {
+			t.Errorf("%s = %q, want %q", q, got, want)
+		}
+	}
+	if msg := mustExec(t, s, `VERIFY LEDGER`).Message; strings.Count(msg, "-- OK") != 3 || strings.Contains(msg, "FAILED") {
+		t.Fatalf("verify = %q", msg)
+	}
+	for _, q := range []string{
+		`GENERATE DIGEST`,
+		`CREATE TABLE plain (k BIGINT NOT NULL, PRIMARY KEY (k))`,
+		`CREATE INDEX ix_balance ON accounts (balance)`,
+	} {
+		if _, err := s.Exec(q); !errors.Is(err, core.ErrMultiShard) {
+			t.Errorf("%s on 3 shards: %v, want ErrMultiShard", q, err)
+		}
 	}
 }
 

@@ -1,15 +1,13 @@
-// Shard-scaling benchmark and gate for the sharded ledger: N engine
-// instances, each with its own WAL, group committer, and block chain,
-// relieve the single-engine serialization of the apply path, while the
-// super-block keeps one signed root over all of them (see DESIGN.md
-// decision 12).
+// Shard-scaling benchmark and gate: N shards, each with its own engine,
+// WAL, group committer and block chain, relieve the single-engine
+// serialization of the apply path, while the super-block keeps one signed
+// root over all of them (see DESIGN.md decisions 12 and 19).
 package sqlledger_test
 
 import (
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,41 +19,22 @@ import (
 // so measured speedups come from shard parallelism, not extra drivers.
 const shardIngestClients = 4
 
-// openShardedIngestDB opens a sharded ledger database on a logical
-// clock, so serial runs that ingest the same rows produce byte-identical
-// super-roots regardless of timing.
-func openShardedIngestDB(tb testing.TB, dir string, shards int) *sqlledger.ShardedDB {
+// runShardIngest loads n rows (serial when clients == 0, in single-shard
+// transactions from a client pool otherwise), closes a super-block, and
+// returns the elapsed load time plus the signed super-root.
+func runShardIngest(tb testing.TB, dir string, shards, clients, n int) (time.Duration, string) {
 	tb.Helper()
-	var tick atomic.Int64
-	tick.Store(1_700_000_000_000_000_000)
-	db, err := sqlledger.OpenSharded(sqlledger.Options{
-		Dir: dir, Name: "ingest", Shards: shards,
-		BlockSize:   sqlledger.DefaultBlockSize,
-		LockTimeout: 5 * time.Second,
-		Clock:       func() int64 { return tick.Add(1) },
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return db
-}
-
-// runShardedIngest loads n rows (serial when clients == 0, shard-pure
-// parallel otherwise), closes a super-block, and returns the elapsed
-// load time plus the signed super-root.
-func runShardedIngest(tb testing.TB, dir string, shards, clients, n int) (time.Duration, string) {
-	tb.Helper()
-	db := openShardedIngestDB(tb, dir, shards)
+	db := openIngestShards(tb, dir, shards)
 	defer db.Close()
-	loader, err := workload.NewShardedLoader(db, "t")
+	loader, err := workload.NewIngest(db, "t")
 	if err != nil {
 		tb.Fatal(err)
 	}
 	start := time.Now()
 	if clients == 0 {
-		err = loader.LoadSerial(n, ingestBatchRows)
+		err = loader.LoadSerial(0, n, ingestBatchRows, 1)
 	} else {
-		err = loader.LoadParallel(n, ingestBatchRows, clients)
+		err = loader.LoadParallel(0, n, ingestBatchRows, clients)
 	}
 	if err != nil {
 		tb.Fatal(err)
@@ -68,25 +47,25 @@ func runShardedIngest(tb testing.TB, dir string, shards, clients, n int) (time.D
 	return elapsed, sb.Root
 }
 
-// BenchmarkIngestSharded measures bulk-load throughput at 1/2/4 shards
+// BenchmarkIngestShards measures bulk-load throughput at 1/2/4 shards
 // under the same 4-client pool of shard-pure 1000-row transactions. One
 // op is one clients×1000-row wave; the custom metric reports rows/s.
 // On a multicore box rows/s should improve monotonically with shards:
 // each shard is an independent engine, so waves that serialize on one
 // engine's apply path and commit sequence spread across N of them.
-func BenchmarkIngestSharded(b *testing.B) {
+func BenchmarkIngestShards(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			db := openShardedIngestDB(b, b.TempDir(), shards)
+			db := openIngestShards(b, b.TempDir(), shards)
 			defer db.Close()
-			loader, err := workload.NewShardedLoader(db, "t")
+			loader, err := workload.NewIngest(db, "t")
 			if err != nil {
 				b.Fatal(err)
 			}
 			const wave = shardIngestClients * ingestBatchRows
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := loader.LoadParallelRange(i*wave, (i+1)*wave, ingestBatchRows, shardIngestClients); err != nil {
+				if err := loader.LoadParallel(i*wave, (i+1)*wave, ingestBatchRows, shardIngestClients); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -96,12 +75,10 @@ func BenchmarkIngestSharded(b *testing.B) {
 	}
 }
 
-// TestShardIngestScaling gates the sharded ingest path. The
-// digest-equality half runs everywhere: a 1-shard database must land on
-// the byte-identical digest as the plain single-instance stack, two
-// identical serial runs at 2 shards must land on the identical
-// super-root, and every shard count must verify green against its
-// super-block. The throughput half — parallel ingest must not get slower
+// TestShardIngestScaling gates the multi-shard ingest path. The
+// reproducibility half runs everywhere: two identical serial runs at 2
+// shards must land on the identical super-root, and every shard count must
+// verify green against its super-block. The throughput half — parallel ingest must not get slower
 // as shards grow 1→2→4 under a fixed client pool — needs real hardware
 // parallelism, so it is skipped below 4 CPUs and under the race
 // detector.
@@ -112,30 +89,10 @@ func TestShardIngestScaling(t *testing.T) {
 	const rows = 20_000
 	base := t.TempDir()
 
-	// Shards=1 is byte-compatible with the single-instance stack: same
-	// rows, same clock, same digest.
-	_, plainHash := runIngest(t, filepath.Join(base, "plain"), 1, rows)
-	oneDB := openShardedIngestDB(t, filepath.Join(base, "one"), 1)
-	oneLoader, err := workload.NewShardedLoader(oneDB, "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := oneLoader.LoadSerial(rows, ingestBatchRows); err != nil {
-		t.Fatal(err)
-	}
-	d, err := oneDB.Shard(0).GenerateDigest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Hash != plainHash {
-		t.Fatalf("1-shard digest %s != single-instance digest %s", d.Hash, plainHash)
-	}
-	oneDB.Close()
-
 	// Identical serial histories at 2 shards reach the identical signed
 	// super-root, even though every batch commits through 2PC.
-	_, rootA := runShardedIngest(t, filepath.Join(base, "two-a"), 2, 0, rows)
-	_, rootB := runShardedIngest(t, filepath.Join(base, "two-b"), 2, 0, rows)
+	_, rootA := runShardIngest(t, filepath.Join(base, "two-a"), 2, 0, rows)
+	_, rootB := runShardIngest(t, filepath.Join(base, "two-b"), 2, 0, rows)
 	if rootA != rootB {
 		t.Fatalf("identical 2-shard runs diverged: %s vs %s", rootA, rootB)
 	}
@@ -143,12 +100,12 @@ func TestShardIngestScaling(t *testing.T) {
 	// Every shard count verifies green against its own super-block.
 	for _, shards := range []int{1, 2, 4} {
 		dir := filepath.Join(base, fmt.Sprintf("verify-%d", shards))
-		db := openShardedIngestDB(t, dir, shards)
-		loader, err := workload.NewShardedLoader(db, "t")
+		db := openIngestShards(t, dir, shards)
+		loader, err := workload.NewIngest(db, "t")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := loader.LoadParallel(rows, ingestBatchRows, shardIngestClients); err != nil {
+		if err := loader.LoadParallel(0, rows, ingestBatchRows, shardIngestClients); err != nil {
 			t.Fatal(err)
 		}
 		sb, err := db.CloseSuperBlock()
@@ -176,7 +133,7 @@ func TestShardIngestScaling(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		for trial := 0; trial < 3; trial++ {
 			dir := filepath.Join(base, fmt.Sprintf("perf-%d-%d", shards, trial))
-			dur, _ := runShardedIngest(t, dir, shards, shardIngestClients, rows)
+			dur, _ := runShardIngest(t, dir, shards, shardIngestClients, rows)
 			if cur, ok := best[shards]; !ok || dur < cur {
 				best[shards] = dur
 			}

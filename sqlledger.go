@@ -29,6 +29,14 @@
 //	report, _ := db.Verify([]sqlledger.Digest{digest}, sqlledger.VerifyOptions{})
 //	fmt.Println(report.Ok())
 //
+// Options{Shards: N} hash-partitions the same database across N shards —
+// each its own engine, WAL and block chain — behind the same DB, Tx and
+// LedgerTable: DML routes by primary key, transactions that straddle
+// shards commit with two-phase commit, and db.CloseSuperBlock() signs one
+// root over the N chain heads. What names one chain's artifact (a digest,
+// a receipt, a transaction id, the engine) is then asked of db.Shard(i);
+// asked of the DB it fails with ErrMultiShard.
+//
 // The heavy lifting lives in the internal packages: internal/core (the
 // ledger), internal/engine (the relational engine), internal/merkle,
 // internal/serial, internal/wal, internal/blobstore. This package is the
@@ -50,8 +58,12 @@ import (
 
 // Core types, re-exported.
 type (
-	// DB is a database with SQL Ledger enabled.
-	DB = core.LedgerDB
+	// DB is a database with SQL Ledger enabled: one or more shards
+	// (Options.Shards) behind one API.
+	DB = core.DB
+	// Shard is one chain of a database — its engine, WAL, block chain,
+	// digests and receipts — reached as DB.Shard(i).
+	Shard = core.Shard
 	// Tx is a ledger-aware transaction. A row returned by Get is the
 	// caller's to keep and edit; a row passed to a Scan callback is valid
 	// only during the callback (Clone it to keep it) — on ledger and
@@ -93,24 +105,12 @@ type (
 	// SignedDigest is a digest signed with an organization's key (§2.4).
 	SignedDigest = core.SignedDigest
 
-	// ShardedDB is a ledger database hash-partitioned across N shard
-	// instances — independent engines, WALs and block chains — under one
-	// signed super-root (Options.Shards, OpenSharded).
-	ShardedDB = core.ShardedDB
-	// ShardedTx is a transaction over a sharded database: single-shard
-	// transactions commit through the ordinary pipeline, cross-shard ones
-	// with two-phase commit.
-	ShardedTx = core.ShardedTx
-	// ShardedTable is a ledger table partitioned across every shard.
-	ShardedTable = core.ShardedTable
-	// SuperBlock is the sharded ledger's digest of digests: a signed
-	// Merkle root over the per-shard chain heads.
+	// SuperBlock is the database's digest of digests: a signed Merkle root
+	// over the per-shard chain heads (DB.CloseSuperBlock).
 	SuperBlock = core.SuperBlock
 	// ShardHead is one shard's chain head inside a super-block.
 	ShardHead = core.ShardHead
-	// ShardedReport aggregates per-shard verification results.
-	ShardedReport = core.ShardedReport
-	// ShardReport is one shard's slice of a sharded verification.
+	// ShardReport is one shard's slice of a verification (Report.Shards).
 	ShardReport = core.ShardReport
 
 	// Options configures Open.
@@ -125,11 +125,8 @@ type (
 	MetricsSnapshot = obs.Snapshot
 	// MetricLabel is one metric dimension, e.g. {stage, apply}.
 	MetricLabel = obs.Label
-	// SpanRecord is one finished trace span (block close, digest,
-	// verification run) from the registry's ring buffer.
-	SpanRecord = obs.SpanRecord
 	// MetricsServer is a live HTTP server exposing /metrics (Prometheus
-	// text), /debug/spans + /debug/events (JSON) and /debug/pprof.
+	// text), /debug/trace + /debug/events (JSON) and /debug/pprof.
 	MetricsServer = obs.Server
 	// Event is one structured ledger audit event (block closed, digest
 	// uploaded, verification finished, …) from the registry's event log.
@@ -138,10 +135,12 @@ type (
 	// (reg.Events()), mirrored to /debug/events.
 	EventLog = obs.EventLog
 
-	// Trace is one transaction's in-flight end-to-end trace. Every Begin
-	// creates one (when tracing is on); the engine, WAL and commit
-	// pipeline contribute child spans; annotate it with application
-	// context via Tx.Trace().SetAttr.
+	// Trace is one in-flight end-to-end trace. Every Begin creates one
+	// (when tracing is on), named "tx": the engine, WAL and commit pipeline
+	// contribute child spans; annotate it with application context via
+	// Tx.Trace().SetAttr. Background operations (block close, digest,
+	// verification, audit cycle, recovery, version GC) are root traces of
+	// their own, named by the operation.
 	Trace = obs.Trace
 	// TraceID identifies a trace; histogram exemplars carry it and
 	// /debug/trace?id= resolves it.
@@ -191,19 +190,6 @@ type (
 	TamperReport = core.TamperReport
 	// AuditHealth folds auditor state into /healthz.
 	AuditHealth = core.AuditHealth
-	// ShardedAuditor fans one auditor per shard under the super-root
-	// (ShardedDB.NewAuditor).
-	ShardedAuditor = core.ShardedAuditor
-	// ShardedAuditStatus aggregates per-shard audit state.
-	ShardedAuditStatus = core.ShardedAuditStatus
-	// ShardedHealth is the sharded /healthz status (worst shard wins,
-	// super-block freshness included).
-	ShardedHealth = core.ShardedHealth
-	// ShardedHealthChecker evaluates every shard plus super-block
-	// freshness (ShardedDB.NewHealthChecker).
-	ShardedHealthChecker = core.ShardedHealthChecker
-	// ShardedDebug is the sharded /debug/ledger snapshot.
-	ShardedDebug = core.ShardedDebug
 
 	// Schema describes a table's columns and primary key.
 	Schema = sqltypes.Schema
@@ -269,13 +255,13 @@ const (
 // per block).
 const DefaultBlockSize = core.DefaultBlockSize
 
-// Open opens (creating if necessary) a ledger database.
-func Open(opts Options) (*DB, error) { return core.Open(opts) }
+// ErrMultiShard is what an operation naming one chain's artifact returns
+// (or panics with, if it has no error result) on a multi-shard database.
+var ErrMultiShard = core.ErrMultiShard
 
-// OpenSharded opens (creating if necessary) a sharded ledger database:
-// Options.Shards engine instances under one signed super-root.
-// Shards <= 1 keeps the single-instance on-disk layout.
-func OpenSharded(opts Options) (*ShardedDB, error) { return core.OpenSharded(opts) }
+// Open opens (creating if necessary) a ledger database of Options.Shards
+// shards; 0 or 1 is the plain single-directory layout.
+func Open(opts Options) (*DB, error) { return core.Open(opts) }
 
 // ParseSuperBlock parses a super-block JSON document.
 func ParseSuperBlock(b []byte) (*SuperBlock, error) { return core.ParseSuperBlock(b) }
@@ -284,9 +270,9 @@ func ParseSuperBlock(b []byte) (*SuperBlock, error) { return core.ParseSuperBloc
 // ed25519 signature (no shard data is touched).
 var CheckSuperBlock = core.CheckSuperBlock
 
-// VerifySuperBlock verifies a sharded database against a signed
-// super-block, shard-parallel: each shard's head digest is proof-checked
-// under the super-root, then the shard is fully verified against it.
+// VerifySuperBlock verifies a database against a signed super-block,
+// shard-parallel: each shard's head digest is proof-checked under the
+// super-root, then the shard is fully verified against it.
 var VerifySuperBlock = core.VerifySuperBlock
 
 // NewMetricsRegistry returns an enabled metrics registry to pass as
@@ -298,21 +284,14 @@ func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 func DisabledMetrics() *MetricsRegistry { return obs.Disabled() }
 
 // StartMetricsServer serves reg over HTTP at addr ("127.0.0.1:0" picks a
-// free port): /metrics in Prometheus text format, /debug/spans and
+// free port): /metrics in Prometheus text format, /debug/trace and
 // /debug/events as JSON, /debug/pprof for profiling.
 func StartMetricsServer(addr string, reg *MetricsRegistry) (*MetricsServer, error) {
 	return obs.StartServer(addr, reg)
 }
 
-// StartOpsServer serves db's full operational surface at addr: the
-// registry endpoints plus /healthz (with default thresholds) and
-// /debug/ledger. Equivalent to db.StartOpsServer(addr).
-func StartOpsServer(addr string, db *DB) (*MetricsServer, error) {
-	return db.StartOpsServer(addr)
-}
-
-// ServeOps serves an arbitrary ops handler — typically DB.OpsHandler or
-// ShardedDB.OpsHandler built with custom HealthThresholds — at addr.
+// ServeOps serves an arbitrary ops handler — typically DB.OpsHandler
+// built with custom HealthThresholds — at addr.
 func ServeOps(addr string, h http.Handler) (*MetricsServer, error) {
 	return obs.StartServerHandler(addr, h)
 }
