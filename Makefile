@@ -10,6 +10,13 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' \
 		| xargs cat | wc -l
 
+# Fail if a tracked file outside testdata/ is over 1 MiB: build outputs
+# belong in .gitignore (PR 17 committed two 11 MB binaries).
+.PHONY: no-large-files
+no-large-files:
+	@out=$$(git ls-files -z | grep -zvE '(^|/)testdata/' | xargs -0 -r du -k 2>/dev/null | awk '$$1 > 1024'); \
+		if [ -n "$$out" ]; then echo "tracked files over 1 MiB:"; echo "$$out"; exit 1; fi
+
 # Fail if any file is not gofmt-clean.
 .PHONY: fmt-check
 fmt-check:
@@ -52,7 +59,7 @@ bench-smoke:
 .PHONY: bench-verify
 bench-verify:
 	go test -run - -bench 'Figure9|VerificationParallelism' -benchmem .
-	go test -run - -bench 'HashRow' -benchmem ./internal/serial/
+	go test -run - -bench 'HashRow|HashEncoded' -benchmem ./internal/serial/
 
 # Commit-scaling benchmark: commits/s, fsync/commit and commits/group at
 # 1/2/4/8 clients under SyncFull.
@@ -120,17 +127,19 @@ bench-test:
 	go -C bench test .
 
 # The native fuzz targets — the WAL's frame reader and payload decoders,
-# the row decoder every stored row passes through on every read, and the
-# super-block watermark Open reads back — 10 s each: long enough to walk
-# past the seeds, short enough for every push. `go test -fuzz` takes one
-# target per run.
+# the row decoder every stored row passes through on every read, the
+# stored-bytes row hasher verification runs on against the []Value one the
+# write path runs on, and the super-block watermark Open reads back — 10 s
+# each: long enough to walk past the seeds, short enough for every push.
+# `go test -fuzz` takes one target per run.
 .PHONY: fuzz-smoke
 fuzz-smoke:
 	@for target in FuzzFrameReader FuzzDecodeDML FuzzDecodeCommit FuzzDecodePrepare; do \
 		go test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./internal/wal || exit 1; \
 	done
 	go test -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 10s ./internal/sqltypes
+	go test -run '^$$' -fuzz '^FuzzHashEncoded$$' -fuzztime 10s ./internal/serial
 	go test -run '^$$' -fuzz '^FuzzSuperBlock$$' -fuzztime 10s ./internal/core
 
 .PHONY: check
-check: fmt-check vet test bench-test test-race fuzz-smoke
+check: fmt-check no-large-files vet test bench-test test-race fuzz-smoke

@@ -666,27 +666,22 @@ func (a *chainAuditor) localize(mode string, entries []*wal.LedgerEntry) *Tamper
 // background process. Given the recorded transaction ids, every ledger
 // table is scanned and a row of any other transaction is a finding;
 // without them, only the tables the entries touched are scanned.
-func (a *chainAuditor) rowFinding(c rowCheck, recorded map[uint64]txClass) *finding {
-	other := txUnknown
-	if recorded == nil {
-		recorded, other = make(map[uint64]txClass, len(c.entries)), txRecorded
-	}
+func (a *chainAuditor) rowFinding(c rowCheck, recorded []uint64) *finding {
+	ids, other := recorded, txUnknown
 	touched := make(map[uint32]bool)
 	for _, e := range c.entries {
-		recorded[e.TxID] = txWanted
+		if recorded == nil {
+			ids, other = append(ids, e.TxID), txRecorded
+		}
 		for _, tr := range e.Roots {
 			touched[tr.TableID] = true
 		}
 	}
-	c.class = func(tx uint64) txClass {
-		if cl, ok := recorded[tx]; ok {
-			return cl
-		}
-		return other
-	}
+	c.slots = newTxSlots(ids, other)
+	c.wantEntries(c.entries)
 	c.parallelism, c.pool = 1, newWorkerPool(1)
 	for _, lt := range a.l.LedgerTables() {
-		if other == txRecorded && !touched[lt.ID()] {
+		if recorded == nil && !touched[lt.ID()] {
 			continue
 		}
 		var found *finding

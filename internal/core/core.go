@@ -16,11 +16,13 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -679,8 +681,8 @@ func (l *Shard) entriesOfBlock(block uint64) []*wal.LedgerEntry {
 // persisted, one scan of sys_ledger_transactions — keyed by transaction
 // id, and grouped by block in ordinal order.
 func (l *Shard) ledgerEntries() (byTx map[uint64]*wal.LedgerEntry, byBlock map[uint64][]*wal.LedgerEntry) {
-	byTx = make(map[uint64]*wal.LedgerEntry)
 	l.lmu.Lock()
+	byTx = make(map[uint64]*wal.LedgerEntry, len(l.queue)+l.sysTx.RowCount())
 	for _, e := range l.queue {
 		byTx[e.TxID] = e
 	}
@@ -691,27 +693,36 @@ func (l *Shard) ledgerEntries() (byTx map[uint64]*wal.LedgerEntry, byBlock map[u
 		}
 		return true
 	})
-	byBlock = make(map[uint64][]*wal.LedgerEntry)
+	// One slice sorted by (block, ordinal), cut where the block changes.
+	all := make([]*wal.LedgerEntry, 0, len(byTx))
 	for _, e := range byTx {
-		byBlock[e.BlockID] = append(byBlock[e.BlockID], e)
+		all = append(all, e)
 	}
-	for _, es := range byBlock {
-		sort.Slice(es, func(i, j int) bool { return es[i].Ordinal < es[j].Ordinal })
+	slices.SortFunc(all, func(a, b *wal.LedgerEntry) int {
+		return cmp.Or(cmp.Compare(a.BlockID, b.BlockID), cmp.Compare(a.Ordinal, b.Ordinal), cmp.Compare(a.TxID, b.TxID))
+	})
+	byBlock = make(map[uint64][]*wal.LedgerEntry)
+	for len(all) > 0 {
+		n := 1
+		for n < len(all) && all[n].BlockID == all[0].BlockID {
+			n++
+		}
+		byBlock[all[0].BlockID], all = all[:n:n], all[n:]
 	}
 	return byTx, byBlock
 }
 
 // recordedTxIDs returns the id of every transaction that has a ledger
-// entry, queued or persisted, each classed txRecorded.
-func (l *Shard) recordedTxIDs() map[uint64]txClass {
+// entry, queued or persisted.
+func (l *Shard) recordedTxIDs() []uint64 {
 	l.lmu.Lock()
-	ids := make(map[uint64]txClass, len(l.queue)+l.sysTx.RowCount())
+	ids := make([]uint64, 0, len(l.queue)+l.sysTx.RowCount())
 	for _, e := range l.queue {
-		ids[e.TxID] = txRecorded
+		ids = append(ids, e.TxID)
 	}
 	l.lmu.Unlock()
 	l.sysTx.Scan(func(_ []byte, r sqltypes.Row) bool {
-		ids[uint64(r[0].Int())] = txRecorded
+		ids = append(ids, uint64(r[0].Int()))
 		return true
 	})
 	return ids
@@ -719,8 +730,8 @@ func (l *Shard) recordedTxIDs() map[uint64]txClass {
 
 // --- Entry and block hashing --------------------------------------------
 
-func rootsBlob(roots []wal.TableRoot) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(roots)))
+func appendRootsBlob(b []byte, roots []wal.TableRoot) []byte {
+	b = binary.AppendUvarint(b, uint64(len(roots)))
 	for _, tr := range roots {
 		b = binary.AppendUvarint(b, uint64(tr.TableID))
 		b = append(b, tr.Root[:]...)
@@ -760,7 +771,7 @@ func entryToRow(e *wal.LedgerEntry) sqltypes.Row {
 		sqltypes.NewBigInt(int64(e.Ordinal)),
 		sqltypes.Value{Type: sqltypes.TypeDateTime, I64: e.CommitTS},
 		sqltypes.NewNVarChar(e.User),
-		sqltypes.NewVarBinary(rootsBlob(e.Roots)),
+		sqltypes.NewVarBinary(appendRootsBlob(nil, e.Roots)),
 	}
 }
 
@@ -785,13 +796,14 @@ func u64le(v uint64) []byte {
 // entryHash is the canonical hash of a transaction entry — the leaf of the
 // per-block transactions Merkle tree (§3.3.1).
 func entryHash(e *wal.LedgerEntry) merkle.Hash {
+	var roots [4 * (binary.MaxVarintLen32 + len(merkle.Hash{}))]byte // four tables' worth stays off the heap
 	return serial.HashBytes(
 		u64le(e.TxID),
 		u64le(e.BlockID),
 		u64le(uint64(e.Ordinal)),
 		u64le(uint64(e.CommitTS)),
 		[]byte(e.User),
-		rootsBlob(e.Roots),
+		appendRootsBlob(roots[:0], e.Roots),
 	)
 }
 

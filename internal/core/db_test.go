@@ -552,3 +552,41 @@ func TestOneShardFastPathAllocations(t *testing.T) {
 		t.Fatalf("Begin+Get+Commit allocates %.0f (parent 5), Begin+Insert+Commit %.0f (parent 33)", get, ins)
 	}
 }
+
+// TestVerifyAllocations: verification works on stored bytes and flat
+// slices, so a full Verify — ten blocks, every entry and row version
+// re-hashed — allocates per scan task and per block, not per row or per
+// transaction. Before the row-version pass ran on stored bytes the same
+// run allocated about three objects per row version.
+func TestVerifyAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	const txs, rowsPerTx = 5000, 2
+	db, err := Open(Options{Dir: t.TempDir(), Name: "alloc", BlockSize: txs / 10, Obs: obs.Disabled()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	lt := mustLedgerTable(t, db, "accounts", engine.LedgerUpdateable)
+	for i := 0; i < txs; i++ {
+		tx := db.Begin("w")
+		for j := 0; j < rowsPerTx; j++ {
+			if err := tx.Insert(lt, account(fmt.Sprintf("k%06d-%d", i, j), int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustCommit(t, tx)
+	}
+	verify := func() {
+		if rep, err := db.Verify(nil, VerifyOptions{Parallelism: 1}); err != nil || !rep.Ok() || rep.RowVersionsChecked < txs*rowsPerTx {
+			t.Fatalf("verify: %v\n%v", err, rep)
+		}
+	}
+	verify()
+	if perRow := testing.AllocsPerRun(5, verify) / (txs * rowsPerTx); perRow > 0.05 {
+		t.Fatalf("Verify allocates %.3f objects per row version, want <= 0.05", perRow)
+	} else {
+		t.Logf("Verify allocates %.4f objects per row version", perRow)
+	}
+}

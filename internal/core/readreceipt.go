@@ -178,31 +178,24 @@ func (l *Shard) buildReadReceipt(reads []readRecord, rtx *engine.ReadTx, priv ed
 	// kernel's invariant-4 recomputation — and each is cross-checked
 	// against the root recorded in the ledger entry before any proof is
 	// emitted.
-	scan := rowCheck{
-		rtx: rtx,
-		class: func(tx uint64) txClass {
-			if entries[tx] != nil {
-				return txWanted
-			}
-			return txRecorded
-		},
-		parallelism: 1,
-		pool:        newWorkerPool(1),
+	wanted := make([]uint64, 0, len(entries))
+	for tx := range entries {
+		wanted = append(wanted, tx)
 	}
-	tableRows := make(map[uint32]map[uint64]*txRows)
+	scan := rowCheck{rtx: rtx, slots: newTxSlots(wanted, txRecorded), parallelism: 1, pool: newWorkerPool(1)}
+	for _, tx := range wanted {
+		scan.slots.want(tx)
+	}
+	tableRows := make(map[uint32]*rowVersions)
 	r.Rows = make([]ReadReceiptRow, len(reads))
 	for _, k := range groupOrder {
 		lt := reads[groups[k][0]].lt
-		byTx, ok := tableRows[k.tableID]
+		rv, ok := tableRows[k.tableID]
 		if !ok {
-			byTx, _, _ = l.scanRowVersions(lt, scan, 0)
-			tableRows[k.tableID] = byTx
+			rv = l.scanRowVersions(lt, scan, 0)
+			tableRows[k.tableID] = rv
 		}
-		var leaves []merkle.Hash
-		var root merkle.Hash
-		if rows := byTx[k.txID]; rows != nil {
-			leaves, root = rows.tree(nil)
-		}
+		leaves, root := treeOf(nil, rv.of(scan.slots.of(k.txID)))
 		if want, found := recordedRoot(entries[k.txID], k.tableID); !found || len(leaves) == 0 || root != want {
 			return ReadReceipt{}, fmt.Errorf(
 				"core: table %s content does not match transaction %d's recorded Merkle root",

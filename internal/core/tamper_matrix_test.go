@@ -67,6 +67,19 @@ func (f *matrixFixture) deleteRow(t *testing.T, tab *engine.Table, key []byte) {
 	}
 }
 
+// cutStoredRow drops the last byte of the row stored under key.
+func (f *matrixFixture) cutStoredRow(t *testing.T, tab *engine.Table, key []byte) {
+	t.Helper()
+	var raw []byte
+	tab.ScanRangeStored(key, nil, func(_, stored []byte) bool {
+		raw = stored[:len(stored)-1]
+		return false
+	})
+	if err := f.l.Engine().TamperSetStoredRow(tab, key, raw); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // flipByte returns a mutation flipping the last byte of binary column col.
 func flipByte(col int) func(sqltypes.Row) sqltypes.Row {
 	return func(r sqltypes.Row) sqltypes.Row {
@@ -385,6 +398,69 @@ var tamperMatrix = []tamperCase{
 			return nil
 		},
 		want: []int{4},
+	},
+
+	// A value's stored type tag rewritten to one that lays the same value
+	// out alike: every read of the row now returns another type, under
+	// what used to be an unchanged hash.
+	{
+		name: "base row type tag rewritten",
+		tamper: func(t *testing.T, f *matrixFixture) []Digest {
+			f.tamperRow(t, f.lt.Table(), acctKey(2), true, func(r sqltypes.Row) sqltypes.Row {
+				r[0] = sqltypes.NewVarBinary([]byte(r[0].Str)) // name: NVARCHAR -> VARBINARY
+				return r
+			})
+			return nil
+		},
+		want: []int{4},
+		localised: func(t *testing.T, f *matrixFixture, rep *TamperReport) {
+			if rep.Table != f.lt.Name() || rep.TxID == 0 || !strings.Contains(rep.Key, acctName(2)) {
+				t.Fatalf("localized %v, want the transaction and row %s in %s", rep, acctName(2), f.lt.Name())
+			}
+		},
+	},
+	{
+		name: "history row type tag rewritten",
+		tamper: func(t *testing.T, f *matrixFixture) []Digest {
+			f.tamperRow(t, f.lt.History(), firstKeyOf(t, f.lt.History()), true, func(r sqltypes.Row) sqltypes.Row {
+				r[1] = sqltypes.NewInt(int32(r[1].Int())) // balance: BIGINT -> INT
+				return r
+			})
+			return nil
+		},
+		want: []int{4},
+		localised: func(t *testing.T, f *matrixFixture, rep *TamperReport) {
+			if rep.Table != f.lt.Name() || rep.TxID == 0 {
+				t.Fatalf("localized %v, want a transaction in %s", rep, f.lt.Name())
+			}
+		},
+	},
+	// Stored bytes that are no row at all: a finding, not a panic.
+	{
+		name: "base row bytes cut short",
+		tamper: func(t *testing.T, f *matrixFixture) []Digest {
+			f.cutStoredRow(t, f.lt.Table(), acctKey(2))
+			return nil
+		},
+		want: []int{4},
+		localised: func(t *testing.T, f *matrixFixture, rep *TamperReport) {
+			if rep.Table != f.lt.Name() || !strings.Contains(rep.Detail, acctName(2)) {
+				t.Fatalf("localized %v, want row %s of %s", rep, acctName(2), f.lt.Name())
+			}
+		},
+	},
+	{
+		name: "history row bytes cut short",
+		tamper: func(t *testing.T, f *matrixFixture) []Digest {
+			f.cutStoredRow(t, f.lt.History(), firstKeyOf(t, f.lt.History()))
+			return nil
+		},
+		want: []int{4},
+		localised: func(t *testing.T, f *matrixFixture, rep *TamperReport) {
+			if rep.Table != f.lt.History().Name() {
+				t.Fatalf("localized %v, want a row of %s", rep, f.lt.History().Name())
+			}
+		},
 	},
 
 	// --- Invariant 5: nonclustered indexes ---

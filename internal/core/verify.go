@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -155,38 +157,38 @@ func (r *BlockRange) contains(b uint64) bool {
 	return r == nil || (b >= r.From && b <= r.To)
 }
 
-// workerPool bounds verification concurrency with a semaphore of n-1
-// slots: submitters run tasks inline when every slot is busy, so the
-// submitting goroutine itself is the n-th worker. Because acquisition
-// never blocks, nested use (table tasks fanning out into shard tasks)
-// cannot deadlock, and Parallelism: 1 degrades to fully serial execution.
+// workerPool bounds verification concurrency with a semaphore of n slots:
+// at most n tasks run at once, across every run call on the pool. A
+// goroutine waiting in run holds no slot, so tasks of every table in
+// flight compete for the same n slots and the cores stay busy whatever the
+// table-size distribution looks like. A task must not call run on the pool
+// it runs in (with one slot it would wait for itself): Verify checks tables
+// on one pool and fans each table's scans out on another.
 type workerPool struct {
 	sem chan struct{}
 }
 
 func newWorkerPool(n int) *workerPool {
-	if n < 1 {
-		n = 1
-	}
-	return &workerPool{sem: make(chan struct{}, n-1)}
+	return &workerPool{sem: make(chan struct{}, max(n, 1))}
 }
 
-// run executes every task, spawning goroutines while slots are free and
-// running tasks inline otherwise, and returns when all have finished.
+// run executes every task, each once a slot is free — the last one on the
+// calling goroutine — and returns when all have finished.
 func (p *workerPool) run(tasks []func()) {
 	var wg sync.WaitGroup
-	for _, task := range tasks {
-		select {
-		case p.sem <- struct{}{}:
-			wg.Add(1)
-			go func(f func()) {
-				defer wg.Done()
-				defer func() { <-p.sem }()
-				f()
-			}(task)
-		default:
+	for i, task := range tasks {
+		p.sem <- struct{}{}
+		if i == len(tasks)-1 {
 			task()
+			<-p.sem
+			break
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			task()
+			<-p.sem
+		}()
 	}
 	wg.Wait()
 }
@@ -199,12 +201,14 @@ func (p *workerPool) run(tasks []func()) {
 // VerifyOptions.Blocks — and every transaction.
 //
 // Row versions (invariant 4) are read at one pinned snapshot, so that
-// check is exact under concurrent writers. The system tables and the
-// nonclustered index trees are read as they are: a run that races block
-// closing, a checkpoint or index maintenance can report a transient
-// difference, so for a verdict on invariants 1-3 and 5 the database
-// should be quiescent (a restored copy or a maintenance window, as the
-// paper suggests).
+// check is exact under concurrent writers — and does not hold them up: a
+// row-version scan takes a table's read lock for a batch of at most 1024
+// keys at a time, to copy out pointers to their stored bytes, and hashes
+// with no lock held. The system tables and the nonclustered index trees
+// are read as they are: a run that races block closing, a checkpoint or
+// index maintenance can report a transient difference, so for a verdict
+// on invariants 1-3 and 5 the database should be quiescent (a restored
+// copy or a maintenance window, as the paper suggests).
 //
 // On a multi-shard database every shard is verified, in parallel, against
 // the digests that carry its name, and the report is the breakdown.
@@ -308,30 +312,27 @@ func (l *Shard) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 
 	// The transactions whose roots invariant 4 recomputes: in range, and
 	// applied at the snapshot (a later commit's rows are not in it).
-	class := func(tx uint64) txClass {
-		switch e := byTx[tx]; {
-		case e == nil:
-			return txUnknown
-		case opts.Blocks.contains(e.BlockID) && e.CommitTS <= rtx.TS():
-			return txWanted
-		}
-		return txRecorded
-	}
+	recorded := make([]uint64, 0, len(byTx))
 	entries := make([]*wal.LedgerEntry, 0, len(byTx))
 	for tx, e := range byTx {
+		recorded = append(recorded, tx)
 		if opts.Blocks.contains(e.BlockID) {
 			rep.TransactionsChecked++
-		}
-		if class(tx) == txWanted {
-			entries = append(entries, e)
+			if e.CommitTS <= rtx.TS() {
+				entries = append(entries, e)
+			}
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].TxID < entries[j].TxID })
+	slices.SortFunc(entries, func(a, b *wal.LedgerEntry) int { return cmp.Compare(a.TxID, b.TxID) })
+	pool := newWorkerPool(opts.Parallelism)
+	rows := rowCheck{rtx: rtx, slots: newTxSlots(recorded, txUnknown),
+		truncatedBefore: truncatedBefore, truncatedMaxTx: truncatedMaxTx,
+		parallelism: opts.Parallelism, pool: pool, prog: prog}
+	rows.wantEntries(entries)
 
-	// Invariants 4 and 5, per ledger table. One worker pool is shared by
-	// the table-level fan-out and the shard/root fan-out inside each
-	// table, keeping total concurrency at opts.Parallelism whatever the
-	// table-size distribution looks like.
+	// Invariants 4 and 5, per ledger table: up to opts.Parallelism tables
+	// in flight, their shard scans and root recomputations sharing one pool
+	// of opts.Parallelism slots.
 	tables := l.LedgerTables()
 	if len(opts.Tables) > 0 {
 		named := make(map[string]bool, len(opts.Tables))
@@ -362,23 +363,19 @@ func (l *Shard) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 		tableWeight[i] = progressTablesWeight * tableWeight[i] / totalRows
 	}
 
-	pool := newWorkerPool(opts.Parallelism)
 	tableTasks := make([]func(), 0, len(tables))
 	for ti, lt := range tables {
 		lt, w := lt, tableWeight[ti]
 		tableTasks = append(tableTasks, func() {
 			t0 := time.Now()
-			rows := l.checkRowVersions(lt, rowCheck{
-				rtx: rtx, class: class, entries: entries,
-				truncatedBefore: truncatedBefore, truncatedMaxTx: truncatedMaxTx,
-				parallelism: opts.Parallelism, pool: pool,
-				prog: prog, weight: w * progressRowsShare,
-			}, emit)
+			c := rows
+			c.weight = w * progressRowsShare
+			nrows := l.checkRowVersions(lt, c, emit)
 			t1 := time.Now()
 			indexes := l.checkIndexes(lt, opts.Parallelism, pool, prog, w*progressIndexShare, emit)
 			t2 := time.Now()
 			mu.Lock()
-			rep.RowVersionsChecked += rows
+			rep.RowVersionsChecked += nrows
 			rep.IndexesChecked += indexes
 			rep.TablesChecked++
 			rep.Timing.RowVersions += t1.Sub(t0)
@@ -386,7 +383,7 @@ func (l *Shard) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 			mu.Unlock()
 		})
 	}
-	pool.run(tableTasks)
+	newWorkerPool(opts.Parallelism).run(tableTasks)
 
 	// Final step (§3.4.2): ledger-view definitions.
 	phase = time.Now()

@@ -3,11 +3,14 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"reflect"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"sqlledger/internal/engine"
 	"sqlledger/internal/sqltypes"
@@ -114,6 +117,16 @@ func TestVerifyTamperMatrix(t *testing.T) {
 					}
 				}
 				got[tc.name][fmt.Sprintf("parallelism_%d", par)] = goldenIssues(rep)
+			}
+			// The golden holds 1 and 4; 2 and 8 must say the same.
+			for _, par := range []int{2, 8} {
+				rep, err := f.l.Verify(digests, VerifyOptions{Parallelism: par})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if issues := goldenIssues(rep); !reflect.DeepEqual(issues, got[tc.name]["parallelism_1"]) {
+					t.Fatalf("parallelism %d reports %q, parallelism 1 %q", par, issues, got[tc.name]["parallelism_1"])
+				}
 			}
 		})
 	}
@@ -425,47 +438,122 @@ func TestVerifyReportsTiming(t *testing.T) {
 }
 
 // TestVerifyRowVersionsUnderLiveWriters: invariant 4 reads base and
-// history at one pinned snapshot, so a Verify racing committers must
-// never report a row-version issue. (The chain and index checks read live
-// state; their documented caveat — run them quiescent — still holds.)
+// history at one pinned snapshot — in batches that release the table lock
+// and resume by key, three per scan of this table — so a Verify racing
+// committers that insert, update and delete all over the key space, batch
+// boundaries included, must never report a row-version issue. (The chain
+// and index checks read live state; their documented caveat — run them
+// quiescent — still holds.)
 func TestVerifyRowVersionsUnderLiveWriters(t *testing.T) {
+	const seeded, writerTxs = 2500, 300
+	for seed := int64(1); seed <= 5; seed++ {
+		l := openTestLedger(t, 50)
+		lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
+		name := func(i int) string { return fmt.Sprintf("acct-%05d", i) }
+		tx := l.Begin("seed")
+		for i := 0; i < seeded; i++ {
+			if err := tx.Insert(lt, account(name(2*i), int64(i))); err != nil { // even names: odd ones are the writer's
+				t.Fatal(err)
+			}
+		}
+		mustCommit(t, tx)
+
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < writerTxs; i++ {
+				tx := l.Begin("writer")
+				at := rng.Intn(seeded)
+				switch i % 3 {
+				case 0:
+					_ = tx.Update(lt, account(name(2*at), int64(-i)))
+				case 1:
+					_ = tx.Insert(lt, account(name(2*at+1), int64(i)))
+				default:
+					_ = tx.Delete(lt, sqltypes.NewNVarChar(name(2*at)))
+				}
+				if err := tx.Commit(); err != nil {
+					t.Errorf("commit: %v", err)
+					return
+				}
+			}
+		}()
+		for running := true; running; {
+			select {
+			case <-done:
+				running = false
+			default:
+			}
+			rep, err := l.Verify(nil, VerifyOptions{Parallelism: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, i := range rep.Issues {
+				if i.Invariant == 4 {
+					<-done
+					t.Fatalf("seed %d: false row-version issue under live writers: %s", seed, i)
+				}
+			}
+		}
+		verifyOK(t, l, nil)
+	}
+}
+
+// TestVerifyDoesNotBlockCommits: a verification scan holds no table lock
+// while it hashes, so with a scan task parked in its hashing stage a
+// commit that updates the scanned table, and a read of it, complete.
+func TestVerifyDoesNotBlockCommits(t *testing.T) {
 	l := openTestLedger(t, 5)
 	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
 	seedAccounts(t, l, lt, 10)
 
-	const writerTxs = 300
-	done := make(chan struct{})
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	rowHashingHook = func() {
+		once.Do(func() {
+			close(parked)
+			<-release
+		})
+	}
+	unpark := sync.OnceFunc(func() { close(release) }) // on failure too, or Close waits for the scan
+	defer func() { unpark(); rowHashingHook = nil }()
+	verified := make(chan *Report, 1)
 	go func() {
-		defer close(done)
-		for i := 0; i < writerTxs; i++ {
-			tx := l.Begin("writer")
-			if i%3 == 0 {
-				_ = tx.Update(lt, account(acctName(i%10), int64(i)))
-			} else {
-				_ = tx.Insert(lt, account(fmt.Sprintf("live-%d", i), int64(i)))
-			}
-			if err := tx.Commit(); err != nil {
-				t.Errorf("commit: %v", err)
-				return
-			}
-		}
+		rep, _ := l.Verify(nil, VerifyOptions{Parallelism: 1, Tables: []string{"accounts"}})
+		verified <- rep
 	}()
-	for running := true; running; {
-		select {
-		case <-done:
-			running = false
-		default:
+	<-parked
+
+	wrote := make(chan error, 1)
+	go func() {
+		tx := l.Begin("writer")
+		if err := tx.Update(lt, account(acctName(3), 12345)); err != nil {
+			wrote <- err
+			return
 		}
-		rep, err := l.Verify(nil, VerifyOptions{Parallelism: 4})
+		if err := tx.Commit(); err != nil {
+			wrote <- err
+			return
+		}
+		tx = l.Begin("reader")
+		defer tx.Rollback()
+		row, ok, err := tx.Get(lt, sqltypes.NewNVarChar(acctName(3)))
+		if err == nil && (!ok || row[1].Int() != 12345) {
+			err = fmt.Errorf("read back %v, %v", row, ok)
+		}
+		wrote <- err
+	}()
+	select {
+	case err := <-wrote:
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, i := range rep.Issues {
-			if i.Invariant == 4 {
-				<-done
-				t.Fatalf("false row-version issue under live writers: %s", i)
-			}
-		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a commit and a read of the table stalled behind a verification scan that is hashing")
 	}
-	verifyOK(t, l, nil)
+	unpark()
+	if rep := <-verified; rep == nil || !rep.Ok() {
+		t.Fatalf("verification around the commit:\n%v", rep)
+	}
 }

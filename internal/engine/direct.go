@@ -67,6 +67,21 @@ func (db *DB) TamperUpdateRow(t *Table, key []byte, mutate func(sqltypes.Row) sq
 	return nil
 }
 
+// TamperSetStoredRow overwrites the stored bytes of a row with raw, which
+// need not be a row at all — an attacker writes what they like — and
+// leaves the indexes alone. Every decoding read of the row panics from
+// then on; verification reports it.
+func (db *DB) TamperSetStoredRow(t *Table, key, raw []byte) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c, ok := t.rows.Get(key)
+	if !ok || c.newest.row == nil {
+		return fmt.Errorf("%w: tamper target", ErrNotFound)
+	}
+	c.setLatestRow(raw)
+	return nil
+}
+
 // TamperDeleteRow removes a row — the whole version chain, as an attacker
 // dropping a page would — bypassing all checks.
 func (db *DB) TamperDeleteRow(t *Table, key []byte, updateIndexes bool) error {

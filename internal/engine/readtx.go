@@ -15,8 +15,8 @@ import (
 // snapshot stays registered until Close so version GC cannot reclaim the
 // versions it may still read.
 //
-// Reads (Get, GetByKey, Scan, ScanRange) only read the transaction and
-// may run from several goroutines at once — verification shards one
+// Reads (Get, GetByKey, Scan, ScanRange, ScanRangeStored) only read the
+// transaction and may run from several goroutines at once — verification shards one
 // snapshot's scan across a worker pool. Close must not race a read.
 type ReadTx struct {
 	db   *DB
@@ -86,11 +86,23 @@ func (rtx *ReadTx) ScanRange(t *Table, start, end []byte, fn func(key []byte, ro
 	if rtx.done {
 		return ErrTxDone
 	}
-	read := rtx.db.m.snapshotReads
+	// Counted here and added once: shard scanners share the counter.
+	n := 0
 	t.scanRangeAt(start, end, rtx.ts, func(k []byte, row sqltypes.Row) bool {
-		read.Inc()
+		n++
 		return fn(k, row)
 	})
+	rtx.db.m.snapshotReads.Add(int64(n))
+	return nil
+}
+
+// ScanRangeStored is Table.ScanRangeStored over the rows visible at the
+// snapshot: undecoded stored bytes, no table lock held while fn runs.
+func (rtx *ReadTx) ScanRangeStored(t *Table, start, end []byte, fn func(key, stored []byte) bool) error {
+	if rtx.done {
+		return ErrTxDone
+	}
+	rtx.db.m.snapshotReads.Add(int64(t.scanStoredAt(start, end, rtx.ts, fn)))
 	return nil
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"sqlledger/internal/btree"
@@ -55,6 +56,15 @@ func (t *Table) Name() string { return t.meta.Name }
 
 // Schema returns the table schema (shared; callers must not mutate).
 func (t *Table) Schema() *sqltypes.Schema { return t.meta.Schema }
+
+// Columns returns a copy of the schema's columns as they are now, taken
+// under the table lock that column DDL holds to change them: what a reader
+// of stored bytes outside that lock (ScanRangeStored) interprets them by.
+func (t *Table) Columns() []sqltypes.Column {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return append([]sqltypes.Column(nil), t.meta.Schema.Columns...)
+}
 
 // RowCount returns the number of live rows (newest version not a
 // tombstone).
@@ -268,25 +278,12 @@ func (t *Table) gcVersions(horizon int64) int {
 	return reclaimed
 }
 
-// EntryKey recomputes the entry key an index should hold for a base-table
-// row: indexed column values followed by the clustered key for uniqueness.
+// EntryKeyStored recomputes the entry key an index should hold for a
+// stored base-table row: the indexed column values — the only ones it
+// decodes, NULL where the row predates a column of cols, the table's
+// columns — followed by the clustered key for uniqueness, appended to dst.
 // Verification uses it to check index/base equivalence (invariant 5).
-func (ix *Index) EntryKey(clusteredKey []byte, row sqltypes.Row) []byte {
-	vals := make([]sqltypes.Value, len(ix.meta.Cols))
-	for i, ord := range ix.meta.Cols {
-		vals[i] = row[ord]
-	}
-	return entryKeyOf(vals, clusteredKey)
-}
-
-func entryKeyOf(vals []sqltypes.Value, clusteredKey []byte) []byte {
-	key := sqltypes.EncodeKey(make([]byte, 0, 64), vals...)
-	return append(key, clusteredKey...)
-}
-
-// entryKeyLocked is EntryKey of a stored row, decoding only the indexed
-// columns. Caller holds mu.
-func (t *Table) entryKeyLocked(ix *Index, clusteredKey, stored []byte) []byte {
+func (ix *Index) EntryKeyStored(dst, clusteredKey, stored []byte, cols []sqltypes.Column) ([]byte, error) {
 	var few [4]sqltypes.Value
 	vals := few[:0]
 	if n := len(ix.meta.Cols); n <= len(few) {
@@ -294,10 +291,20 @@ func (t *Table) entryKeyLocked(ix *Index, clusteredKey, stored []byte) []byte {
 	} else {
 		vals = make([]sqltypes.Value, n)
 	}
-	if err := sqltypes.DecodeColumns(vals, stored, ix.meta.Cols, t.meta.Schema.Columns); err != nil {
+	if err := sqltypes.DecodeColumns(vals, stored, ix.meta.Cols, cols); err != nil {
+		return nil, err
+	}
+	return append(sqltypes.EncodeKey(dst, vals...), clusteredKey...), nil
+}
+
+// entryKeyLocked is EntryKeyStored of a row the engine stored itself.
+// Caller holds mu.
+func (t *Table) entryKeyLocked(ix *Index, clusteredKey, stored []byte) []byte {
+	key, err := ix.EntryKeyStored(make([]byte, 0, 64), clusteredKey, stored, t.meta.Schema.Columns)
+	if err != nil {
 		panic(fmt.Sprintf("engine: stored row of %s does not decode: %v", t.meta.Name, err))
 	}
-	return entryKeyOf(vals, clusteredKey)
+	return key
 }
 
 // Scan iterates the latest committed rows in clustered-key order while
@@ -339,6 +346,54 @@ func (t *Table) scanRangeAt(start, end []byte, ts int64, fn func(key []byte, row
 		buf = t.decodeLocked(buf, stored)
 		return fn(k, buf)
 	})
+}
+
+// storedScanBatch is how many keys a stored-bytes scan visits per hold of
+// the table's read lock.
+const storedScanBatch = 1024
+
+// ScanRangeStored iterates the latest committed rows with start <= key <
+// end as their stored sqltypes.EncodeRow bytes, undecoded. Unlike
+// ScanRange it holds the read lock only to collect a batch of rows — each
+// batch sees what is committed when it is collected — and calls fn with
+// the lock released, so fn may be slow (verification hashes in it) without
+// stalling commits on the table. key and stored are immutable and may be
+// kept. Returns the number of rows passed to fn.
+func (t *Table) ScanRangeStored(start, end []byte, fn func(key, stored []byte) bool) int {
+	return t.scanStoredAt(start, end, math.MaxInt64, fn)
+}
+
+// scanStoredAt is ScanRangeStored over the rows visible to a snapshot
+// pinned at ts. Each batch resumes after the last key the one before
+// visited: what a snapshot sees under a key never changes, so the batches
+// add up to one scan at ts however the table moves between them.
+func (t *Table) scanStoredAt(start, end []byte, ts int64, fn func(key, stored []byte) bool) int {
+	type entry struct{ key, stored []byte }
+	batch := make([]entry, 0, storedScanBatch)
+	n := 0
+	for {
+		batch = batch[:0]
+		visited, last := 0, []byte(nil)
+		t.mu.RLock()
+		t.rows.AscendRange(start, end, func(k []byte, c *versionChain) bool {
+			if stored, ok := c.at(ts); ok {
+				batch = append(batch, entry{k, stored})
+			}
+			visited, last = visited+1, k
+			return visited < storedScanBatch
+		})
+		t.mu.RUnlock()
+		for _, e := range batch {
+			n++
+			if !fn(e.key, e.stored) {
+				return n
+			}
+		}
+		if visited < storedScanBatch {
+			return n
+		}
+		start = append(append(make([]byte, 0, len(last)+1), last...), 0) // the smallest key above last
+	}
 }
 
 // KeyRange is a half-open range [Start, End) of encoded keys. A nil Start

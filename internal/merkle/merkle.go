@@ -228,11 +228,15 @@ func addInto(a *Hash, b Hash) {
 // same promotion rule as Streaming. It is the MERKLETREEAGG analogue used
 // by the verification queries.
 func RootOf(leaves []Hash) Hash {
-	var s Streaming
+	// A pooled tree: verification calls this once per transaction and
+	// table, and a fresh one's level slices would be two allocations each.
+	s := GetStreaming()
 	for _, l := range leaves {
 		s.Append(l)
 	}
-	return s.Root()
+	root := s.Root()
+	PutStreaming(s)
+	return root
 }
 
 // Proof is a Merkle inclusion proof for the leaf at Index within a tree of

@@ -85,32 +85,85 @@ func (m SkipMask) Has(ord int) bool {
 //
 // The encoding is produced in a single pass: a one-byte varint slot is
 // reserved for the participating-column count and patched after the column
-// loop. Counts of 128+ columns need a wider varint and shift the payload
-// right by the difference — rare, and byte-for-byte identical to the
-// original two-pass encoding (pinned by TestSerializeSinglePassCompat).
+// loop (closeRow). Layout.AppendEncoded produces the same bytes from a
+// stored row without decoding it; both are built from appendHeader, the
+// two value emitters and closeRow, so the format has one definition.
 func SerializeRow(dst []byte, s *sqltypes.Schema, r sqltypes.Row, op OpType, skip SkipMask) []byte {
-	dst = append(dst, Version, byte(op))
-	countAt := len(dst)
-	dst = append(dst, 0) // varint slot for the column count, patched below
-	n := 0
+	start := len(dst)
+	dst = append(dst, Version, byte(op), 0) // 0: the count slot
+	n, typed := 0, true
 	for i, v := range r {
 		if v.Null || skip.Has(i) {
 			continue
 		}
 		n++
-		c := s.Columns[i]
-		dst = binary.AppendUvarint(dst, uint64(c.Ordinal))
-		dst = append(dst, byte(c.Type))
-		dst = binary.AppendUvarint(dst, uint64(c.Len))
-		dst = binary.AppendUvarint(dst, uint64(c.Prec))
-		dst = binary.AppendUvarint(dst, uint64(c.Scale))
-		dst = appendValue(dst, v)
+		c := &s.Columns[i]
+		typed = typed && v.Type == c.Type
+		dst = appendValue(appendHeader(dst, c), v)
 	}
+	return closeRow(dst, start, n, typed)
+}
+
+// appendHeader appends the metadata bound into the hash ahead of every
+// non-NULL column: catalog ordinal, type id, declared length, precision
+// and scale.
+func appendHeader(dst []byte, c *sqltypes.Column) []byte {
+	dst = binary.AppendUvarint(dst, uint64(c.Ordinal))
+	dst = append(dst, byte(c.Type))
+	dst = binary.AppendUvarint(dst, uint64(c.Len))
+	dst = binary.AppendUvarint(dst, uint64(c.Prec))
+	return binary.AppendUvarint(dst, uint64(c.Scale))
+}
+
+// appendFixed appends a number — an integer, or a float's IEEE bits — as
+// a length-prefixed eight big-endian bytes.
+func appendFixed(dst []byte, u uint64) []byte {
+	return binary.BigEndian.AppendUint64(append(dst, 8), u)
+}
+
+// appendVar appends a string or binary, length-prefixed.
+func appendVar[T string | []byte](dst []byte, p T) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(p))), p...)
+}
+
+// appendValue appends a value the way its own type tag says.
+func appendValue(dst []byte, v sqltypes.Value) []byte {
+	switch {
+	case v.Type == sqltypes.TypeFloat:
+		return appendFixed(dst, math.Float64bits(v.F64))
+	case v.Type.IsString():
+		return appendVar(dst, v.Str)
+	case v.Type.IsBytes():
+		return appendVar(dst, v.Bytes)
+	default:
+		return appendFixed(dst, uint64(v.I64))
+	}
+}
+
+// versionMistyped replaces Version in the serialization of a row holding a
+// value whose type tag is not its column's catalog type. The header binds
+// the catalog type while the value is laid out by its tag, and two tags
+// can lay a value out alike (VARCHAR and VARBINARY, INT and BIGINT), so
+// without it a stored tag could be rewritten under an unchanged hash.
+// Schema.Validate lets no such row be written: one found in storage was
+// tampered with, and under this byte it hashes to nothing a writer ever
+// recorded.
+const versionMistyped = Version | 0x80
+
+// closeRow finishes the serialization begun at dst[start:]: it marks a
+// mistyped row and patches the count n of participating columns into its
+// slot. Counts of 128+ columns need a wider varint and shift the payload
+// right by the difference — rare, and byte-for-byte identical to the
+// original two-pass encoding (pinned by TestSerializeSinglePassCompat).
+func closeRow(dst []byte, start, n int, typed bool) []byte {
+	if !typed {
+		dst[start] = versionMistyped
+	}
+	countAt := start + 2
 	if n < 0x80 {
 		dst[countAt] = byte(n)
 		return dst
 	}
-	// Wide count: grow by the extra varint bytes and slide the payload.
 	var vbuf [binary.MaxVarintLen64]byte
 	vn := binary.PutUvarint(vbuf[:], uint64(n))
 	payloadEnd := len(dst)
@@ -120,27 +173,6 @@ func SerializeRow(dst []byte, s *sqltypes.Schema, r sqltypes.Row, op OpType, ski
 	copy(dst[countAt+vn:], dst[countAt+1:payloadEnd])
 	copy(dst[countAt:], vbuf[:vn])
 	return dst
-}
-
-func appendValue(dst []byte, v sqltypes.Value) []byte {
-	switch {
-	case v.Type == sqltypes.TypeFloat:
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], math.Float64bits(v.F64))
-		dst = binary.AppendUvarint(dst, 8)
-		return append(dst, b[:]...)
-	case v.Type.IsString():
-		dst = binary.AppendUvarint(dst, uint64(len(v.Str)))
-		return append(dst, v.Str...)
-	case v.Type.IsBytes():
-		dst = binary.AppendUvarint(dst, uint64(len(v.Bytes)))
-		return append(dst, v.Bytes...)
-	default:
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], uint64(v.I64))
-		dst = binary.AppendUvarint(dst, 8)
-		return append(dst, b[:]...)
-	}
 }
 
 // bufPool recycles serialization buffers: HashRow and HashBytes sit on the

@@ -127,33 +127,62 @@ func AppendRowPadded(dst, b []byte, cols []Column) []byte {
 }
 
 // DecodeColumns decodes only the values at ordinals ords of the encoded
-// row b into out (len(out) == len(ords)), aliasing b like DecodeRowAlias.
-// An ordinal the row is too narrow for yields the typed NULL of cols.
+// row b into out (len(out) == len(ords)), aliasing b like DecodeRowAlias,
+// and steps over the values between them without building them: one walk
+// of the row when ords ascend, one more from its start for each that does
+// not. An ordinal the row is too narrow for yields the typed NULL of cols.
 func DecodeColumns(out []Value, b []byte, ords []int, cols []Column) error {
-	n, pos, err := rowHeader(b)
+	n, start, err := rowHeader(b)
 	if err != nil {
 		return err
 	}
-	last := -1
+	pos, i := start, 0 // the walk stands before value i
 	for j, ord := range ords {
 		if ord >= n {
 			out[j] = NewNull(cols[ord].Type)
-		} else if ord > last {
-			last = ord
+			continue
 		}
-	}
-	for i := 0; i <= last; i++ {
-		var v Value
-		if pos, err = decodeValue(&v, b, pos, i, true); err != nil {
-			return err
+		if ord < i {
+			pos, i = start, 0
 		}
-		for j, ord := range ords {
-			if ord == i {
-				out[j] = v
+		for ; i < ord; i++ {
+			if pos, err = skipValue(b, pos, i); err != nil {
+				return err
 			}
 		}
+		if pos, err = decodeValue(&out[j], b, pos, i, true); err != nil {
+			return err
+		}
+		i++
 	}
 	return nil
+}
+
+// skipValue returns the position after value i of a row at b[pos:],
+// failing where decodeValue would.
+func skipValue(b []byte, pos, i int) (int, error) {
+	if pos+2 > len(b) {
+		return 0, fmt.Errorf("sqltypes: row truncated at value %d", i)
+	}
+	t, null := TypeID(b[pos]), b[pos+1] == 1
+	pos += 2
+	if null {
+		return pos, nil
+	}
+	// One uvarint whatever the type: float bits, a zigzag integer, or the
+	// length of the bytes that follow.
+	u, sz := binary.Uvarint(b[pos:])
+	if sz <= 0 {
+		return 0, fmt.Errorf("sqltypes: bad value %d", i)
+	}
+	pos += sz
+	if t.IsString() || t.IsBytes() {
+		if u > uint64(len(b)-pos) {
+			return 0, fmt.Errorf("sqltypes: value %d truncated", i)
+		}
+		pos += int(u)
+	}
+	return pos, nil
 }
 
 // rowHeader reads the value count. Every value takes at least two bytes,

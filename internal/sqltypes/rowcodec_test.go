@@ -123,8 +123,12 @@ func TestDecodeColumns(t *testing.T) {
 	if !Row(out).Equal(want) {
 		t.Fatalf("DecodeColumns = %v, want %v", Row(out), want)
 	}
-	if err := DecodeColumns(out[:1], enc[:10], []int{4}, cols); err == nil {
-		t.Error("a row cut inside the wanted column decoded")
+	// The last value lies behind all the others: wherever the row is cut,
+	// in a value stepped over or in the one wanted, the walk must fail.
+	for cut := 0; cut < len(enc); cut++ {
+		if err := DecodeColumns(out[:1], enc[:cut], []int{len(row) - 1}, cols); err == nil {
+			t.Errorf("a row cut at byte %d of %d decoded its last column", cut, len(enc))
+		}
 	}
 }
 
