@@ -128,9 +128,11 @@ bench-test:
 
 # The native fuzz targets — the WAL's frame reader and payload decoders,
 # the row decoder every stored row passes through on every read, the
-# stored-bytes row hasher verification runs on against the []Value one the
-# write path runs on, and the super-block watermark Open reads back — 10 s
-# each: long enough to walk past the seeds, short enough for every push.
+# history-image splice and the column projection against the decode, edit
+# and re-encode they replace, the stored-bytes row hasher the write path
+# and verification run on against the []Value one kept as its oracle, and
+# the super-block watermark Open reads back — 10 s each: long enough to
+# walk past the seeds, short enough for every push.
 # `go test -fuzz` takes one target per run.
 .PHONY: fuzz-smoke
 fuzz-smoke:
@@ -138,6 +140,7 @@ fuzz-smoke:
 		go test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./internal/wal || exit 1; \
 	done
 	go test -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 10s ./internal/sqltypes
+	go test -run '^$$' -fuzz '^FuzzSpliceBigInts$$' -fuzztime 10s ./internal/sqltypes
 	go test -run '^$$' -fuzz '^FuzzHashEncoded$$' -fuzztime 10s ./internal/serial
 	go test -run '^$$' -fuzz '^FuzzSuperBlock$$' -fuzztime 10s ./internal/core
 

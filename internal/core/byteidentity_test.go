@@ -151,6 +151,18 @@ func wideRow(id int64, owner string, extra ...sqltypes.Value) sqltypes.Row {
 // frames.
 func walSHAWithoutCheckpoints(t *testing.T, path string) string {
 	t.Helper()
+	sum, checkpoints := walFramesSHA(t, path, false)
+	if checkpoints != 2 {
+		t.Fatalf("expected 2 checkpoint frames, found %d", checkpoints)
+	}
+	return sum
+}
+
+// walFramesSHA hashes the log's header and frames, leaving out the
+// CHECKPOINT frames — it returns how many — and, with dropLast, the last
+// frame.
+func walFramesSHA(t *testing.T, path string, dropLast bool) (string, int) {
+	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -183,15 +195,14 @@ func walSHAWithoutCheckpoints(t *testing.T, path string) string {
 		end := int64(len(raw))
 		if i+1 < len(lsns) {
 			end = lsns[i+1]
+		} else if dropLast {
+			break
 		}
 		if !skip[lsn] {
 			h.Write(raw[lsn:end])
 		}
 	}
-	if len(skip) != 2 {
-		t.Fatalf("expected 2 checkpoint frames, found %d", len(skip))
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return hex.EncodeToString(h.Sum(nil)), len(skip)
 }
 
 func snapshotsSHA(t *testing.T, dir string) string {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,56 +14,151 @@ import (
 	"sqlledger/internal/sqltypes"
 )
 
-// TestGetAllocsMatchRegularTable is the point-read half of "reads pay no
-// ledger tax": on the usual dense schema a Get through the ledger layer
-// allocates exactly what the engine's Get on a regular table with the
-// same user columns allocates — the projection is a subslice.
+// bytesPerRun is testing.AllocsPerRun for bytes: the average number of heap
+// bytes one call of f allocates.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f() // warm up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestGetAllocsMatchRegularTable is "reads pay no ledger tax" in objects
+// and in bytes: a Get and a 20-row ScanPrefix through the ledger layer, in
+// a transaction and on a snapshot, allocate what the engine's read of a
+// regular table with the visible columns allocates — the hidden columns
+// are stepped over, not decoded and sliced off — on the usual dense schema
+// and after ADD COLUMN + DROP COLUMN, when the visible columns are no
+// longer a prefix of the stored row.
 func TestGetAllocsMatchRegularTable(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
 	}
 	l := openTestLedger(t, 1000)
-	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
-	twin, err := l.Engine().CreateTable(engine.CreateTableSpec{Name: "twin", Schema: accountsSchema()})
+	schema := sqltypes.MustSchema([]sqltypes.Column{
+		sqltypes.Col("grp", sqltypes.TypeBigInt),
+		sqltypes.Col("id", sqltypes.TypeBigInt),
+		sqltypes.NullableCol("note", sqltypes.TypeNVarChar),
+		sqltypes.Col("name", sqltypes.TypeNVarChar),
+	}, "grp", "id")
+	lt, err := l.CreateLedgerTable("members", schema, engine.LedgerUpdateable)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx := l.Begin("u")
-	if err := tx.Insert(lt, account("a", 1)); err != nil {
+	// row builds the ledger table's visible row; drop removes "note".
+	row := func(id int64, extra ...sqltypes.Value) sqltypes.Row {
+		return append(sqltypes.Row{sqltypes.NewBigInt(0), sqltypes.NewBigInt(id),
+			sqltypes.NewNVarChar("a note"), sqltypes.NewNVarChar("member")}, extra...)
+	}
+	drop := func(r sqltypes.Row) sqltypes.Row { return append(r[:2:2], r[3:]...) }
+	load := func(twin *engine.Table, visible func(id int64) sqltypes.Row) {
+		t.Helper()
+		tx := l.Begin("u")
+		for id := int64(0); id < 20; id++ {
+			if twin == nil {
+				err = tx.Insert(lt, visible(id))
+			} else {
+				_, err = tx.Raw().Insert(twin, visible(id))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustCommit(t, tx)
+	}
+	compare := func(shape string, twin *engine.Table, width int) {
+		t.Helper()
+		tx := l.Begin("r")
+		defer tx.Rollback()
+		rt := l.BeginReadOnly()
+		defer rt.Close()
+		grp, id := sqltypes.NewBigInt(0), sqltypes.NewBigInt(7)
+		seen := 0
+		visit := func(r sqltypes.Row) bool {
+			if len(r) != width {
+				t.Fatalf("%s: scanned row %v, want %d columns", shape, r, width)
+			}
+			seen++
+			return true
+		}
+		get := func(r sqltypes.Row, ok bool, err error) {
+			if err != nil || !ok || len(r) != width || cap(r) != width || r[width-1].Null && shape == "dense" {
+				t.Fatalf("%s: Get = %v (cap %d) ok=%v err=%v, want the %d visible columns", shape, r, cap(r), ok, err, width)
+			}
+		}
+		for _, c := range []struct {
+			name            string
+			ledger, regular func()
+		}{
+			{"Tx.Get",
+				func() { get(tx.Get(lt, grp, id)) },
+				func() { get(tx.Raw().Get(twin, grp, id)) }},
+			{"ReadTx.Get",
+				func() { get(rt.Get(lt, grp, id)) },
+				func() { get(rt.Raw().Get(twin, grp, id)) }},
+			{"Tx.ScanPrefix",
+				func() { tx.ScanPrefix(lt, visit, grp) },
+				func() {
+					start, end := engine.PrefixRange(grp)
+					tx.Raw().ScanRange(twin, start, end, func(_ []byte, r sqltypes.Row) bool { return visit(r) })
+				}},
+			{"ReadTx.ScanPrefix",
+				func() { rt.ScanPrefix(lt, visit, grp) },
+				func() {
+					start, end := engine.PrefixRange(grp)
+					rt.Raw().ScanRange(twin, start, end, func(_ []byte, r sqltypes.Row) bool { return visit(r) })
+				}},
+		} {
+			seen = 0
+			ledger, regular := testing.AllocsPerRun(200, c.ledger), testing.AllocsPerRun(200, c.regular)
+			if ledger > regular {
+				t.Errorf("%s, %s: %.0f allocs on the ledger table, %.0f on the regular twin", shape, c.name, ledger, regular)
+			}
+			if c.name[len(c.name)-4:] == "efix" && seen != 2*201*20 {
+				t.Fatalf("%s, %s: scans saw %d rows", shape, c.name, seen)
+			}
+			if lb, rb := bytesPerRun(200, c.ledger), bytesPerRun(200, c.regular); lb > rb {
+				t.Errorf("%s, %s: %.0f bytes on the ledger table, %.0f on the regular twin", shape, c.name, lb, rb)
+			}
+		}
+	}
+
+	twin, err := l.Engine().CreateTable(engine.CreateTableSpec{Name: "twin", Schema: schema})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Raw().Insert(twin, account("a", 1)); err != nil {
+	load(nil, func(id int64) sqltypes.Row { return row(id) })
+	load(twin, func(id int64) sqltypes.Row { return row(id) })
+	compare("dense", twin, 4)
+
+	// Visible columns 0, 1, 3 and 8 of a nine-column stored row; half the
+	// rows rewritten wide, half still as narrow as they were stored.
+	if err := l.AddColumn(lt, sqltypes.NullableCol("tier", sqltypes.TypeBigInt)); err != nil {
 		t.Fatal(err)
+	}
+	if err := l.DropColumn(lt, "note"); err != nil {
+		t.Fatal(err)
+	}
+	tx := l.Begin("u")
+	for id := int64(0); id < 20; id += 2 {
+		if err := tx.Update(lt, drop(row(id, sqltypes.NewBigInt(id)))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	mustCommit(t, tx)
-	key := sqltypes.NewNVarChar("a")
-
-	tx = l.Begin("r")
-	defer tx.Rollback()
-	rt := l.BeginReadOnly()
-	defer rt.Close()
-	for _, c := range []struct {
-		name            string
-		ledger, regular func() (sqltypes.Row, bool, error)
-	}{
-		{"Tx.Get",
-			func() (sqltypes.Row, bool, error) { return tx.Get(lt, key) },
-			func() (sqltypes.Row, bool, error) { return tx.Raw().Get(twin, key) }},
-		{"ReadTx.Get",
-			func() (sqltypes.Row, bool, error) { return rt.Get(lt, key) },
-			func() (sqltypes.Row, bool, error) { return rt.Raw().Get(twin, key) }},
-	} {
-		row, ok, err := c.ledger()
-		if err != nil || !ok || len(row) != 2 || cap(row) != 2 || row[1].Int() != 1 {
-			t.Fatalf("%s = %v (cap %d) ok=%v err=%v, want the 2 visible columns with clipped capacity",
-				c.name, row, cap(row), ok, err)
-		}
-		ledger := testing.AllocsPerRun(200, func() { c.ledger() })
-		regular := testing.AllocsPerRun(200, func() { c.regular() })
-		if ledger > regular {
-			t.Errorf("%s: %.0f allocs on the ledger table, %.0f on the regular twin", c.name, ledger, regular)
-		}
+	altered := sqltypes.MustSchema([]sqltypes.Column{schema.Columns[0], schema.Columns[1], schema.Columns[3],
+		sqltypes.NullableCol("tier", sqltypes.TypeBigInt)}, "grp", "id")
+	twin2, err := l.Engine().CreateTable(engine.CreateTableSpec{Name: "twin2", Schema: altered})
+	if err != nil {
+		t.Fatal(err)
 	}
+	load(twin2, func(id int64) sqltypes.Row { return drop(row(id, sqltypes.NewBigInt(id))) })
+	compare("altered", twin2, 4)
 }
 
 // TestReadAllocationBudget is what a read may allocate now that rows are
@@ -129,7 +225,7 @@ func TestReadAllocationBudget(t *testing.T) {
 
 // TestGetProjectsAlteredSchema: once a column is dropped or added the
 // visible columns are no longer a prefix of the storage row, and every
-// read path falls back to the copying projection — on the handle that
+// read path decodes the ordinals that are visible now — on the handle that
 // ran the DDL and on the one rebuilt at reopen.
 func TestGetProjectsAlteredSchema(t *testing.T) {
 	dir := t.TempDir()

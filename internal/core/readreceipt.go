@@ -119,7 +119,7 @@ func (l *Shard) buildReadReceipt(reads []readRecord, rtx *engine.ReadTx, priv ed
 	var groupOrder []txTable
 	entries := make(map[uint64]*wal.LedgerEntry) // by creating transaction
 	for i, rec := range reads {
-		k := txTable{tableID: rec.lt.ID(), txID: uint64(rec.full[rec.lt.startTxOrd].Int())}
+		k := txTable{tableID: rec.lt.ID(), txID: rec.txID}
 		if _, ok := groups[k]; !ok {
 			groupOrder = append(groupOrder, k)
 		}
@@ -201,9 +201,13 @@ func (l *Shard) buildReadReceipt(reads []readRecord, rtx *engine.ReadTx, priv ed
 				"core: table %s content does not match transaction %d's recorded Merkle root",
 				lt.Name(), k.txID)
 		}
+		layout := lt.shape.Load().layout
 		idxs := make([]uint64, len(groups[k]))
 		for gi, i := range groups[k] {
-			rowData := serial.SerializeRow(nil, lt.table.Schema(), reads[i].full, serial.OpInsert, lt.skipEnd)
+			rowData, err := layout.AppendEncoded(nil, reads[i].stored, serial.OpInsert, lt.skipEnd)
+			if err != nil {
+				return ReadReceipt{}, fmt.Errorf("core: stored row of %s: %w", lt.Name(), err)
+			}
 			h := merkle.HashLeaf(rowData)
 			pos := -1
 			for li, leaf := range leaves {

@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/ed25519"
 	"errors"
+	"fmt"
 
 	"sqlledger/internal/engine"
 	"sqlledger/internal/sqltypes"
@@ -19,13 +20,15 @@ var ErrReceiptNotRequested = errors.New("core: read set not accumulated; begin w
 // touch the lock table, so readers scale with client count while writers
 // run 2PL + group commit undisturbed.
 //
-// When begun with BeginReadOnlyForReceipt, every row returned from a
-// ledger table is accumulated into a read set; at close the read set can
-// be turned into a ReadReceipt — an offline-verifiable proof that each
-// returned row is committed ledger content (readreceipt.go, §5.1 extended
-// to query results). Plain BeginReadOnly skips the accumulation entirely:
-// a full-table scan then clones nothing, instead of materializing a
-// second copy of the table that Close would just throw away.
+// A read decodes the visible columns of a version and steps over the
+// hidden ones, so it costs what it costs on a regular table. The one reader
+// that keeps whole versions is the one begun with BeginReadOnlyForReceipt:
+// every version it returns goes into a read set, as the stored bytes the
+// engine holds anyway — its proof needs the hidden start columns — and at
+// close the read set can be turned into a ReadReceipt, an
+// offline-verifiable proof that each returned row is committed ledger
+// content (readreceipt.go, §5.1 extended to query results). Plain
+// BeginReadOnly accumulates nothing.
 //
 // On a multi-shard database the read transaction is a router (route is
 // set): each shard's snapshot is pinned when a read first reaches it, so
@@ -43,8 +46,8 @@ type ReadTx struct {
 	// collect is set by BeginReadOnlyForReceipt; when false, record is a
 	// no-op and CloseWithReceipt refuses.
 	collect bool
-	// reads is the accumulated read set: one cloned full storage row per
-	// distinct row version returned to the caller.
+	// reads is the accumulated read set: the stored bytes of each distinct
+	// row version returned to the caller.
 	reads []readRecord
 	seen  map[readVersionKey]struct{}
 }
@@ -56,11 +59,12 @@ type readRoute struct {
 	parts []*ReadTx // index = shard; nil until touched
 }
 
-// readRecord is one read-set entry: the ledger table and the full storage
-// row (hidden columns included) as returned by the snapshot.
+// readRecord is one read-set entry: the ledger table, the version's stored
+// bytes (immutable: kept, not copied) and the transaction that created it.
 type readRecord struct {
-	lt   *LedgerTable
-	full sqltypes.Row
+	lt     *LedgerTable
+	stored []byte
+	txID   uint64
 }
 
 // readVersionKey identifies a row version for read-set deduplication: the
@@ -77,9 +81,9 @@ type readVersionKey struct {
 func (db *DB) BeginReadOnly() *ReadTx { return db.beginReadOnly(false) }
 
 // BeginReadOnlyForReceipt is BeginReadOnly with read-set accumulation:
-// every distinct row version returned is cloned into the read set so
+// every distinct row version returned is kept in the read set so
 // CloseWithReceipt can prove it. Callers that only want the snapshot
-// should use BeginReadOnly and skip the copies.
+// should use BeginReadOnly.
 func (db *DB) BeginReadOnlyForReceipt() *ReadTx { return db.beginReadOnly(true) }
 
 func (db *DB) beginReadOnly(collect bool) *ReadTx {
@@ -120,37 +124,49 @@ func (rt *ReadTx) Raw() *engine.ReadTx {
 	return rt.rtx
 }
 
-// record adds a returned row version to the read set (deduplicated).
-// A no-op unless the transaction was begun with BeginReadOnlyForReceipt.
-func (rt *ReadTx) record(lt *LedgerTable, full sqltypes.Row) {
-	if !rt.collect {
-		return
+// record adds a version about to be returned to the read set
+// (deduplicated) and decodes its visible columns into dst's storage, as
+// the engine does for the readers that keep nothing.
+func (rt *ReadTx) record(lt *LedgerTable, sh *tableShape, dst sqltypes.Row, stored []byte) (sqltypes.Row, error) {
+	var start [2]sqltypes.Value
+	if err := sqltypes.DecodeColumns(start[:], stored, []int{lt.startTxOrd, lt.startSeqOrd}, sh.cols); err != nil {
+		return nil, fmt.Errorf("core: stored row of %s: %w", lt.Name(), err)
 	}
-	k := readVersionKey{
-		tableID: lt.table.ID(),
-		txID:    uint64(full[lt.startTxOrd].Int()),
-		seq:     uint32(full[lt.startSeqOrd].Int()),
+	k := readVersionKey{tableID: lt.table.ID(), txID: uint64(start[0].Int()), seq: uint32(start[1].Int())}
+	if _, dup := rt.seen[k]; !dup {
+		rt.seen[k] = struct{}{}
+		rt.reads = append(rt.reads, readRecord{lt: lt, stored: stored, txID: k.txID})
 	}
-	if _, dup := rt.seen[k]; dup {
-		return
+	if cap(dst) < len(sh.visible) {
+		dst = make(sqltypes.Row, len(sh.visible))
 	}
-	rt.seen[k] = struct{}{}
-	rt.reads = append(rt.reads, readRecord{lt: lt, full: full.Clone()})
+	dst = dst[:len(sh.visible)]
+	return dst, sqltypes.DecodeColumns(dst, stored, sh.visible, sh.cols)
 }
 
 // Get returns the visible row with the given primary-key values as of the
-// snapshot. The row is the caller's to keep and edit, as Tx.Get's is.
+// snapshot, decoding the visible columns only. The row is the caller's to
+// keep and edit, as Tx.Get's is.
 func (rt *ReadTx) Get(lt *LedgerTable, keyVals ...sqltypes.Value) (sqltypes.Row, bool, error) {
 	if rt.route != nil {
 		i := lt.ShardOf(keyVals...)
 		return rt.at(i).Get(lt.parts[i], keyVals...)
 	}
-	full, ok, err := rt.rtx.Get(lt.table, keyVals...)
+	var kb [64]byte // most keys fit, and then the lookup key stays off the heap
+	key, err := lt.getKey(kb[:0], keyVals)
+	if err != nil {
+		return nil, false, err
+	}
+	sh := lt.shape.Load()
+	if !rt.collect {
+		return rt.rtx.GetByKey(lt.table, key, sh.visible)
+	}
+	stored, ok, err := rt.rtx.GetStored(lt.table, key)
 	if err != nil || !ok {
 		return nil, ok, err
 	}
-	rt.record(lt, full)
-	return lt.project(full), true, nil
+	row, err := rt.record(lt, sh, nil, stored)
+	return row, err == nil, err
 }
 
 // Scan iterates the visible rows of a ledger table as of the snapshot, in
@@ -178,10 +194,21 @@ func (rt *ReadTx) scanRange(lt *LedgerTable, start, end []byte, fn func(row sqlt
 		}
 		return nil
 	}
-	return rt.rtx.ScanRange(lt.table, start, end, func(_ []byte, full sqltypes.Row) bool {
-		rt.record(lt, full)
-		return fn(lt.project(full))
+	sh := lt.shape.Load()
+	if !rt.collect {
+		return rt.rtx.ScanColumns(lt.table, sh.visible, start, end,
+			func(_ []byte, row sqltypes.Row) bool { return fn(row) })
+	}
+	var buf sqltypes.Row
+	var recErr error
+	err := rt.rtx.ScanRangeStored(lt.table, start, end, func(_, stored []byte) bool {
+		buf, recErr = rt.record(lt, sh, buf, stored)
+		return recErr == nil && fn(buf)
 	})
+	if err == nil {
+		err = recErr
+	}
+	return err
 }
 
 // ReadSetSize returns the number of distinct row versions accumulated

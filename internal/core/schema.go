@@ -61,7 +61,7 @@ func (l *Shard) addColumn(lt *LedgerTable, col sqltypes.Column) error {
 			return fmt.Errorf("core: ledger/history column ordinals diverged (%d vs %d)", ord, hOrd)
 		}
 	}
-	lt.refreshProjection()
+	lt.refreshShape()
 	if err := l.storeViewDefinition(lt); err != nil {
 		return err
 	}
@@ -124,7 +124,7 @@ func (l *Shard) dropColumn(lt *LedgerTable, name string) error {
 			return err
 		}
 	}
-	lt.refreshProjection()
+	lt.refreshShape()
 	if err := l.storeViewDefinition(lt); err != nil {
 		return err
 	}

@@ -38,11 +38,24 @@ type LedgerTable struct {
 	// keeps the per-row hash path allocation-free.
 	skipEnd serial.SkipMask
 
-	// densePrefix is n when the visible columns are exactly the first n
-	// schema columns (user columns, then the hidden ones: no drops, no
-	// later additions), else 0. Atomic: column DDL rewrites it under
-	// concurrent readers.
-	densePrefix atomic.Int32
+	// shape is what the ledger layer derives from the table's columns; the
+	// column DDL replaces it (refreshShape) under concurrent readers.
+	shape atomic.Pointer[tableShape]
+}
+
+// tableShape is what every operation on a ledger table needs of its
+// columns, computed once per column DDL and read with one atomic load.
+type tableShape struct {
+	// cols is a copy of the physical columns: user columns, the four hidden
+	// ones, then any column added since.
+	cols []sqltypes.Column
+	// visible holds the ordinals of the application-visible columns,
+	// ascending: the columns a read decodes, and no others.
+	visible []int
+	// layout hashes a version of the table from its stored bytes — the
+	// bytes that are logged, so that what is hashed is what is stored. The
+	// history table has the same columns: one layout serves both.
+	layout *serial.Layout
 }
 
 // on returns the table's part on shard i (the table itself on a one-shard
@@ -304,7 +317,7 @@ func (l *Shard) wrapLedgerTable(t *engine.Table) (*LedgerTable, error) {
 		return nil, err
 	}
 	lt.skipEnd = serial.NewSkipMask(lt.endTxOrd, lt.endSeqOrd)
-	lt.refreshProjection()
+	lt.refreshShape()
 	if m.Ledger == engine.LedgerUpdateable {
 		if lt.history, err = l.edb.TableByID(m.HistoryTableID); err != nil {
 			return nil, fmt.Errorf("core: history table of %s: %w", m.Name, err)
@@ -352,21 +365,35 @@ func (l *Shard) LedgerTables() []*LedgerTable {
 	return out
 }
 
-// fullRow expands an application row (visible columns, in visible order)
-// into a storage row: hidden columns receive the transaction/sequence
-// values, dropped columns receive NULL.
-func (lt *LedgerTable) fullRow(visible sqltypes.Row, txID uint64, seq uint32) (sqltypes.Row, error) {
-	return lt.fullRowInto(make(sqltypes.Row, len(lt.table.Schema().Columns)), visible, txID, seq)
+// refreshShape recomputes the table's shape; wrapLedgerTable and the column
+// DDL call it, so no operation walks the schema to find out what is
+// visible.
+func (lt *LedgerTable) refreshShape() {
+	sh := &tableShape{cols: lt.table.Columns()}
+	for i, c := range sh.cols {
+		if !c.Hidden && !c.Dropped {
+			sh.visible = append(sh.visible, i)
+		}
+	}
+	sh.layout = serial.NewLayout(sh.cols)
+	lt.shape.Store(sh)
 }
 
-// fullRowInto is fullRow writing into caller-provided storage (len must
-// equal the physical column count). The engine encodes a row before
-// Insert returns and keeps none of it, so batched ingest expands every
-// row of a worker into the same buffer.
-func (lt *LedgerTable) fullRowInto(out sqltypes.Row, visible sqltypes.Row, txID uint64, seq uint32) (sqltypes.Row, error) {
+// fullRowInto expands an application row (visible columns, in visible
+// order) into a storage row in dst's storage, replaced when too small:
+// hidden columns receive the transaction/sequence values, dropped columns
+// receive NULL. The row is encoded before the DML call that expanded it
+// returns and nothing keeps it, so a transaction expands every row into
+// one scratch buffer, and so does each worker of a batched ingest.
+func (lt *LedgerTable) fullRowInto(dst sqltypes.Row, visible sqltypes.Row, txID uint64, seq uint32) (sqltypes.Row, error) {
 	s := lt.table.Schema()
+	if cap(dst) < len(s.Columns) {
+		dst = make(sqltypes.Row, len(s.Columns))
+	}
+	out := dst[:len(s.Columns)]
 	vi := 0
-	for i, c := range s.Columns {
+	for i := range s.Columns {
+		c := &s.Columns[i]
 		switch {
 		case c.Hidden:
 			switch i {
@@ -393,62 +420,17 @@ func (lt *LedgerTable) fullRowInto(out sqltypes.Row, visible sqltypes.Row, txID 
 	return out, nil
 }
 
-// VisibleRow copies the application-visible columns of a storage row into
-// a fresh slice the caller owns: the projection for schemas with dropped
-// or late-added columns, and for callers that keep or edit the result.
-// Reads on the usual dense schema never reach it — see project.
+// VisibleRow copies the application-visible columns of a whole storage row
+// into a fresh slice the caller owns: for the callers that hold one — the
+// ledger views, ALTER COLUMN's repopulation. Reads never build the whole
+// row: they decode the visible columns only (tableShape.visible).
 func (lt *LedgerTable) VisibleRow(full sqltypes.Row) sqltypes.Row {
-	s := lt.Schema()
-	out := make(sqltypes.Row, 0, len(full))
-	for i, c := range s.Columns {
-		if !c.Hidden && !c.Dropped {
-			out = append(out, full[i])
-		}
+	visible := lt.shape.Load().visible
+	out := make(sqltypes.Row, len(visible))
+	for i, ord := range visible {
+		out[i] = full[ord]
 	}
 	return out
-}
-
-// refreshProjection recomputes densePrefix; wrapLedgerTable and the
-// column DDL call it, so reads never walk the schema.
-func (lt *LedgerTable) refreshProjection() {
-	cols := lt.table.Schema().Columns
-	visible := func(c sqltypes.Column) bool { return !c.Hidden && !c.Dropped }
-	n := 0
-	for n < len(cols) && visible(cols[n]) {
-		n++
-	}
-	for _, c := range cols[n:] {
-		if visible(c) {
-			n = 0 // visible after invisible: not a prefix
-			break
-		}
-	}
-	lt.densePrefix.Store(int32(n))
-}
-
-// project is the projection of every read path (Get, Scan, ScanPrefix, on
-// Tx and ReadTx): on a dense schema a subslice — no allocation, so a read
-// of a ledger table costs what it costs on a regular table, as in the
-// paper — and VisibleRow's copy otherwise. The result lives as long as
-// full does: the caller's own row from a Get, the scan's buffer — valid
-// only during the callback — from a scan, the contract engine.Tx.Get and
-// engine.Table.Scan have. The clipped capacity keeps an append off the
-// hidden columns behind it.
-func (lt *LedgerTable) project(full sqltypes.Row) sqltypes.Row {
-	if n := int(lt.densePrefix.Load()); n > 0 {
-		return full[:n:n]
-	}
-	return lt.VisibleRow(full)
-}
-
-// endedRow populates the end-transaction columns of a version row — the
-// form inserted into the history table — in place: full is the
-// before-image engine.Tx.UpdateByKey or Delete returned, which nobody
-// else holds.
-func (lt *LedgerTable) endedRow(full sqltypes.Row, txID uint64, seq uint32) sqltypes.Row {
-	full[lt.endTxOrd] = sqltypes.NewBigInt(int64(txID))
-	full[lt.endSeqOrd] = sqltypes.NewBigInt(int64(seq))
-	return full
 }
 
 // registerTableMetadata records the table and its columns in the ledger

@@ -74,6 +74,9 @@ type txState struct {
 	// it into the queued entry (assignBlock), so nothing aliases it after
 	// Commit returns.
 	roots []wal.TableRoot
+	// row is where the transaction expands the visible row of each DML
+	// call into a storage row, which lives until it is encoded.
+	row sqltypes.Row
 }
 
 var txStatePool = sync.Pool{New: func() any {
@@ -183,16 +186,78 @@ func (tx *Tx) finishTrace(err error) {
 	tx.etx.SetTrace(nil)
 }
 
-// hashRow hashes one row version, accumulating the time spent into the
-// transaction's row_hash span when tracing.
-func (tx *Tx) hashRow(s *sqltypes.Schema, r sqltypes.Row, op serial.OpType, skip serial.SkipMask) merkle.Hash {
-	if tx.trace == nil {
-		return serial.HashRow(s, r, op, skip)
+// appendHashes hashes the row versions one DML operation wrote, from the
+// bytes it stored — the version it ended, if any, as a delete, then the one
+// it created, if any, as an insert: the order of the operation — and
+// appends them to the table's tree. Tracing times the operation's hashing
+// as one row_hash span.
+func (tx *Tx) appendHashes(lt *LedgerTable, ended, created []byte) error {
+	var start time.Time
+	if tx.trace != nil {
+		start = time.Now()
 	}
-	start := time.Now()
-	h := serial.HashRow(s, r, op, skip)
-	tx.trace.AddTimed(obs.SpanRowHash, start, time.Since(start))
-	return h
+	tr, layout := tx.tree(lt), lt.shape.Load().layout
+	if ended != nil {
+		h, err := layout.HashEncoded(ended, serial.OpDelete, nil)
+		if err != nil {
+			return err
+		}
+		tr.Append(h)
+		tx.l.m.rowsHashed.Inc()
+	}
+	if created != nil {
+		h, err := layout.HashEncoded(created, serial.OpInsert, lt.skipEnd)
+		if err != nil {
+			return err
+		}
+		tr.Append(h)
+		tx.l.m.rowsHashed.Inc()
+	}
+	if tx.trace != nil {
+		tx.trace.AddTimed(obs.SpanRowHash, start, time.Since(start))
+	}
+	return nil
+}
+
+// newVersion turns a visible row into the version this transaction creates
+// under seq: expanded into the transaction's scratch row, validated once
+// and encoded once, into the exact-size allocation that is logged, hashed
+// and stored. key is its clustered key, computed once (nil on a heap).
+func (tx *Tx) newVersion(lt *LedgerTable, visible sqltypes.Row, seq uint32) (key, enc []byte, err error) {
+	st := tx.ensureState()
+	full, err := lt.fullRowInto(st.row, visible, tx.etx.ID(), seq)
+	if err != nil {
+		return nil, nil, err
+	}
+	st.row = full
+	s := lt.table.Schema()
+	if err := s.Validate(full); err != nil {
+		return nil, nil, err
+	}
+	if len(s.Key) > 0 {
+		key = lt.table.KeyFor(full)
+	}
+	return key, engine.EncodeStoredRow(full), nil
+}
+
+// endVersion moves a version this transaction superseded to the history
+// table — its stored bytes with the end columns spliced in: nothing is
+// decoded — and appends the operation's hashes: the ended version, then
+// created, the version that replaced it (nil when the operation deleted).
+// It fails only on stored bytes that are no row of the table, which no
+// writer leaves behind (verification reports them, invariant 4); the
+// engine has buffered the operation by then, so the transaction is to be
+// rolled back, to a savepoint or altogether.
+func (tx *Tx) endVersion(lt *LedgerTable, before []byte, endSeq uint32, created []byte) error {
+	ended, err := sqltypes.SpliceBigInts(before, lt.shape.Load().cols,
+		[]int{lt.endTxOrd, lt.endSeqOrd}, []int64{int64(tx.etx.ID()), int64(endSeq)})
+	if err != nil {
+		return fmt.Errorf("core: stored row of %s: %w", lt.Name(), err)
+	}
+	if _, err := tx.etx.InsertHeap(lt.history, ended); err != nil {
+		return err
+	}
+	return tx.appendHashes(lt, ended, created)
 }
 
 // ID returns the transaction id, which numbers the transaction within
@@ -240,6 +305,7 @@ func (tx *Tx) releaseState() {
 	}
 	st.spSnaps = st.spSnaps[:0]
 	st.roots = st.roots[:0]
+	clear(st.row[:cap(st.row)]) // the values point into the caller's rows
 	txStatePool.Put(st)
 }
 
@@ -263,17 +329,19 @@ func (tx *Tx) Insert(lt *LedgerTable, visible sqltypes.Row) error {
 		}
 		return p.Insert(part, visible)
 	}
-	seq := tx.etx.NextSeq()
-	full, err := lt.fullRow(visible, tx.etx.ID(), seq)
+	key, enc, err := tx.newVersion(lt, visible, tx.etx.NextSeq())
 	if err != nil {
 		return err
 	}
-	if _, err := tx.etx.Insert(lt.table, full); err != nil {
+	if key == nil {
+		_, err = tx.etx.InsertHeap(lt.table, enc)
+	} else {
+		err = tx.etx.InsertPrepared(lt.table, key, enc)
+	}
+	if err != nil {
 		return err
 	}
-	tx.tree(lt).Append(tx.hashRow(lt.table.Schema(), full, serial.OpInsert, lt.skipEnd))
-	tx.l.m.rowsHashed.Inc()
-	return nil
+	return tx.appendHashes(lt, nil, enc)
 }
 
 // batchParallelMin is the smallest batch hashed on worker goroutines;
@@ -349,7 +417,8 @@ func (tx *Tx) InsertBatchParallel(lt *LedgerTable, rows []sqltypes.Row, workers 
 	if workers > n {
 		workers = n
 	}
-	if workers == 1 || n < batchParallelMin || lt.table.Meta().Heap {
+	schema := lt.table.Schema()
+	if workers == 1 || n < batchParallelMin || len(schema.Key) == 0 {
 		for _, r := range rows {
 			if err := tx.Insert(lt, r); err != nil {
 				return err
@@ -359,7 +428,7 @@ func (tx *Tx) InsertBatchParallel(lt *LedgerTable, rows []sqltypes.Row, workers 
 		return nil
 	}
 
-	schema := lt.table.Schema()
+	layout := lt.shape.Load().layout
 	txID := tx.etx.ID()
 
 	// Sequence numbers are assigned serially, in row order, before the
@@ -401,7 +470,7 @@ func (tx *Tx) InsertBatchParallel(lt *LedgerTable, rows []sqltypes.Row, workers 
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			dst := make(sqltypes.Row, len(schema.Columns))
+			var dst sqltypes.Row
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -410,6 +479,7 @@ func (tx *Tx) InsertBatchParallel(lt *LedgerTable, rows []sqltypes.Row, workers 
 				p := &preps[i]
 				full, err := lt.fullRowInto(dst, rows[i], txID, p.seq)
 				if err == nil {
+					dst = full
 					err = schema.Validate(full)
 				}
 				p.key, p.enc, p.err = nil, nil, err
@@ -418,7 +488,7 @@ func (tx *Tx) InsertBatchParallel(lt *LedgerTable, rows []sqltypes.Row, workers 
 				}
 				p.key = lt.table.KeyFor(full)
 				p.enc = engine.EncodeStoredRow(full)
-				p.hash = serial.HashRow(schema, full, serial.OpInsert, lt.skipEnd)
+				p.hash, p.err = layout.HashEncoded(p.enc, serial.OpInsert, lt.skipEnd)
 			}
 		}()
 	}
@@ -461,21 +531,14 @@ func (tx *Tx) Delete(lt *LedgerTable, keyVals ...sqltypes.Value) error {
 		}
 		return p.Delete(part, keyVals...)
 	}
-	if lt.Kind() == engine.LedgerAppendOnly {
+	if lt.history == nil {
 		return fmt.Errorf("%w: %s", ErrAppendOnly, lt.Name())
 	}
-	before, err := tx.etx.Delete(lt.table, keyVals...)
+	before, err := tx.etx.DeleteStored(lt.table, sqltypes.EncodeKey(nil, keyVals...))
 	if err != nil {
 		return err
 	}
-	endSeq := tx.etx.NextSeq()
-	ended := lt.endedRow(before, tx.etx.ID(), endSeq)
-	if _, err := tx.etx.Insert(lt.history, ended); err != nil {
-		return err
-	}
-	tx.tree(lt).Append(tx.hashRow(lt.table.Schema(), ended, serial.OpDelete, nil))
-	tx.l.m.rowsHashed.Inc()
-	return nil
+	return tx.endVersion(lt, before, tx.etx.NextSeq(), nil)
 }
 
 // Update replaces the row whose primary key matches visible, preserving
@@ -489,29 +552,19 @@ func (tx *Tx) Update(lt *LedgerTable, visible sqltypes.Row) error {
 		}
 		return p.Update(part, visible)
 	}
-	if lt.Kind() == engine.LedgerAppendOnly {
+	if lt.history == nil {
 		return fmt.Errorf("%w: %s", ErrAppendOnly, lt.Name())
 	}
 	endSeq := tx.etx.NextSeq()
-	newSeq := tx.etx.NextSeq()
-	newFull, err := lt.fullRow(visible, tx.etx.ID(), newSeq)
+	key, enc, err := tx.newVersion(lt, visible, tx.etx.NextSeq())
 	if err != nil {
 		return err
 	}
-	key := sqltypes.EncodeRowKey(lt.table.Schema(), newFull)
-	before, err := tx.etx.UpdateByKey(lt.table, key, newFull)
+	before, err := tx.etx.UpdateStored(lt.table, key, enc)
 	if err != nil {
 		return err
 	}
-	ended := lt.endedRow(before, tx.etx.ID(), endSeq)
-	if _, err := tx.etx.Insert(lt.history, ended); err != nil {
-		return err
-	}
-	tr := tx.tree(lt)
-	tr.Append(tx.hashRow(lt.table.Schema(), ended, serial.OpDelete, nil))
-	tr.Append(tx.hashRow(lt.table.Schema(), newFull, serial.OpInsert, lt.skipEnd))
-	tx.l.m.rowsHashed.Add(2)
-	return nil
+	return tx.endVersion(lt, before, endSeq, enc)
 }
 
 // refreshRow rewrites a current row version in place under a fresh start
@@ -521,29 +574,30 @@ func (tx *Tx) Update(lt *LedgerTable, visible sqltypes.Row) error {
 // not write a history row, because a history row would keep referencing
 // the truncated transaction through its insert-side hash.
 func (tx *Tx) refreshRow(lt *LedgerTable, key []byte) error {
-	full, ok, err := tx.etx.GetByKey(lt.table, key)
+	stored, ok, err := tx.etx.GetStored(lt.table, key)
 	if err != nil {
 		return err
 	}
 	if !ok {
 		return fmt.Errorf("core: refresh target vanished in %s", lt.Name())
 	}
-	seq := tx.etx.NextSeq()
-	next := full // GetByKey's row is ours
-	next[lt.startTxOrd] = sqltypes.NewBigInt(int64(tx.etx.ID()))
-	next[lt.startSeqOrd] = sqltypes.NewBigInt(int64(seq))
-	if _, err := tx.etx.UpdateByKey(lt.table, key, next); err != nil {
+	next, err := sqltypes.SpliceBigInts(stored, lt.shape.Load().cols,
+		[]int{lt.startTxOrd, lt.startSeqOrd}, []int64{int64(tx.etx.ID()), int64(tx.etx.NextSeq())})
+	if err != nil {
+		return fmt.Errorf("core: stored row of %s: %w", lt.Name(), err)
+	}
+	if _, err := tx.etx.UpdateStored(lt.table, key, next); err != nil {
 		return err
 	}
-	tx.tree(lt).Append(tx.hashRow(lt.table.Schema(), next, serial.OpInsert, lt.skipEnd))
-	tx.l.m.rowsHashed.Inc()
-	return nil
+	return tx.appendHashes(lt, nil, next)
 }
 
-// Get returns the visible row with the given primary-key values. The row
-// is the caller's to keep and edit, as with engine.Tx.Get on a regular
-// table; only what a string or binary value points to is shared, with
-// storage, and must not be written through Value.Bytes.
+// Get returns the visible row with the given primary-key values. Only the
+// visible columns are decoded — the hidden ones are stepped over — so the
+// read costs what it costs on a regular table with those columns. The row
+// is the caller's to keep and edit, as with engine.Tx.Get; only what a
+// string or binary value points to is shared, with storage, and must not
+// be written through Value.Bytes.
 func (tx *Tx) Get(lt *LedgerTable, keyVals ...sqltypes.Value) (sqltypes.Row, bool, error) {
 	if tx.route != nil {
 		p, part, err := tx.routeKey(lt, keyVals)
@@ -552,25 +606,30 @@ func (tx *Tx) Get(lt *LedgerTable, keyVals ...sqltypes.Value) (sqltypes.Row, boo
 		}
 		return p.Get(part, keyVals...)
 	}
-	full, ok, err := tx.etx.Get(lt.table, keyVals...)
-	if err != nil || !ok {
-		return nil, ok, err
+	var kb [64]byte // most keys fit, and then the lookup key stays off the heap
+	key, err := lt.getKey(kb[:0], keyVals)
+	if err != nil {
+		return nil, false, err
 	}
-	return lt.project(full), true, nil
+	return tx.etx.GetByKey(lt.table, key, lt.shape.Load().visible)
+}
+
+// getKey appends the clustered key of a point read to dst.
+func (lt *LedgerTable) getKey(dst []byte, keyVals []sqltypes.Value) ([]byte, error) {
+	if len(lt.table.Schema().Key) == 0 {
+		return nil, fmt.Errorf("core: Get on %s, which has no primary key", lt.Name())
+	}
+	return sqltypes.EncodeKey(dst, keyVals...), nil
 }
 
 // Scan iterates the visible rows of a ledger table in primary-key order
 // (on a multi-shard database shard by shard: ordered within a shard, not
-// across them). Every row is decoded into one buffer the scan reuses: the
-// row passed to fn is valid only during the callback — Clone it to keep it
-// (its values may be copied out freely; what they point to never changes).
+// across them), decoding the visible columns only. Every row is decoded
+// into one buffer the scan reuses: the row passed to fn is valid only
+// during the callback — Clone it to keep it (its values may be copied out
+// freely; what they point to never changes).
 func (tx *Tx) Scan(lt *LedgerTable, fn func(row sqltypes.Row) bool) error {
-	if tx.route != nil {
-		return tx.ScanPrefix(lt, fn) // the empty prefix: every row of every shard
-	}
-	return tx.etx.Scan(lt.table, func(_ []byte, full sqltypes.Row) bool {
-		return fn(lt.project(full))
-	})
+	return tx.ScanPrefix(lt, fn) // the empty prefix: every row
 }
 
 // ScanPrefix iterates the visible rows whose leading primary-key columns
@@ -586,9 +645,8 @@ func (tx *Tx) ScanPrefix(lt *LedgerTable, fn func(row sqltypes.Row) bool, vals .
 		})
 	}
 	start, end := engine.PrefixRange(vals...)
-	return tx.etx.ScanRange(lt.table, start, end, func(_ []byte, full sqltypes.Row) bool {
-		return fn(lt.project(full))
-	})
+	return tx.etx.ScanColumns(lt.table, lt.shape.Load().visible, start, end,
+		func(_ []byte, row sqltypes.Row) bool { return fn(row) })
 }
 
 // Savepoint creates a savepoint, snapshotting the O(log N) state of every

@@ -203,3 +203,115 @@ func TestCommitAfterCloseLeavesLedgerUntouched(t *testing.T) {
 	}
 	tx.Rollback()
 }
+
+// TestWriteAllocationBudget is what a ledger DML may allocate over the same
+// DML on a regular table of the visible columns, in a transaction that has
+// written before (its Merkle tree, scratch row and maps exist): an Insert
+// nothing — the row is expanded into the transaction's scratch row and
+// encoded once, as the twin encodes it — and an Update two objects, the
+// history image and the row id it is stored under, less the before-image
+// the twin decodes and the ledger layer never builds. A history image is
+// allocated at exactly its size.
+func TestWriteAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	l := openTestLedger(t, 100000)
+	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
+	twin, err := l.Engine().CreateTable(engine.CreateTableSpec{Name: "twin", Schema: accountsSchema()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rows are built before the measurement; 900 inserts first, so that no
+	// map of either transaction grows while the next 2×201 are counted.
+	const warm, runs = 900, 201
+	rows := make([]sqltypes.Row, warm+2*runs)
+	for i := range rows {
+		rows[i] = account(fmt.Sprintf("acct-%05d", i), int64(i))
+	}
+	ledgerTx, regularTx := l.Begin("u"), l.Begin("u")
+	defer ledgerTx.Rollback()
+	defer regularTx.Rollback()
+	li, ri := 0, 0
+	insertLedger := func() {
+		if err := ledgerTx.Insert(lt, rows[li]); err != nil {
+			t.Fatal(err)
+		}
+		li++
+	}
+	insertRegular := func() {
+		if _, err := regularTx.Raw().Insert(twin, rows[ri]); err != nil {
+			t.Fatal(err)
+		}
+		ri++
+	}
+	for i := 0; i < warm; i++ {
+		insertLedger()
+		insertRegular()
+	}
+	if ledger, regular := testing.AllocsPerRun(runs-1, insertLedger), testing.AllocsPerRun(runs-1, insertRegular); ledger > regular {
+		t.Errorf("Insert: %.0f allocs on the ledger table, %.0f on the regular twin", ledger, regular)
+	}
+	n := int64(0)
+	updateLedger := func() {
+		n++
+		if err := ledgerTx.Update(lt, account("acct-00007", n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	updateRegular := func() {
+		n++
+		if _, err := regularTx.Raw().Update(twin, account("acct-00007", n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ledger, regular := testing.AllocsPerRun(runs-1, updateLedger), testing.AllocsPerRun(runs-1, updateRegular); ledger > regular+2 {
+		t.Errorf("Update: %.0f allocs on the ledger table, %.0f on the regular twin, budget +2", ledger, regular)
+	}
+	if err := ledgerTx.Delete(lt, sqltypes.NewNVarChar("acct-00008")); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, ledgerTx)
+	images := lt.History().ScanRangeStored(nil, nil, func(_, stored []byte) bool {
+		if cap(stored) != len(stored) {
+			t.Errorf("history image of %d bytes in an allocation of %d", len(stored), cap(stored))
+		}
+		return true
+	})
+	if images != runs+1 {
+		t.Fatalf("history holds %d images, want %d", images, runs+1)
+	}
+	verifyOK(t, l, nil)
+}
+
+// TestUpdateOfBytesThatAreNoRowFails: ledger DML works on the stored bytes,
+// so storage an attacker overwrote with bytes that are no row fails an
+// Update or Delete with an error — the before-image cannot be spliced —
+// where a decoding read of it panics; verification reports the row. The
+// failed transaction is to be rolled back.
+func TestUpdateOfBytesThatAreNoRowFails(t *testing.T) {
+	l := openTestLedger(t, 1000)
+	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
+	tx := l.Begin("u")
+	if err := tx.Insert(lt, account("a", 1)); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+	key := lt.Table().KeyFor(sqltypes.Row{sqltypes.NewNVarChar("a")})
+	if err := l.Engine().TamperSetStoredRow(lt.Table(), key, []byte{9, 9, 9}); err != nil {
+		t.Fatal(err)
+	}
+	for name, dml := range map[string]func(tx *Tx) error{
+		"update": func(tx *Tx) error { return tx.Update(lt, account("a", 2)) },
+		"delete": func(tx *Tx) error { return tx.Delete(lt, sqltypes.NewNVarChar("a")) },
+	} {
+		tx = l.Begin("u")
+		if err := dml(tx); err == nil {
+			t.Errorf("%s over bytes that are no row succeeded", name)
+		}
+		tx.Rollback() // the engine write was buffered before the splice failed
+	}
+	if rep, err := l.Verify(nil, VerifyOptions{}); err != nil || rep.Ok() {
+		t.Fatalf("verification of the overwritten row: %v, %v", rep, err)
+	}
+}

@@ -127,7 +127,7 @@ func (l *Shard) storeViewDefinition(lt *LedgerTable) error {
 	tx := l.edb.Begin("system")
 	defer tx.Rollback()
 	key := sqltypes.EncodeKey(nil, sqltypes.NewBigInt(int64(lt.ID())))
-	if _, ok, _ := tx.GetByKey(l.sysViews, key); ok {
+	if _, ok, _ := tx.GetByKey(l.sysViews, key, nil); ok {
 		if _, err := tx.UpdateByKey(l.sysViews, key, row); err != nil {
 			return err
 		}

@@ -30,7 +30,7 @@ func (db *DB) DirectInsert(t *Table, row sqltypes.Row) ([]byte, error) {
 	if t.meta.Heap {
 		key = t.allocRID()
 	} else {
-		key = t.keyFor(row)
+		key = t.KeyFor(row)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -59,7 +59,7 @@ func (db *DB) TamperUpdateRow(t *Table, key []byte, mutate func(sqltypes.Row) sq
 	}
 	// mutate gets a deep copy: an edit through Value.Bytes must not reach
 	// the bytes the old entry keys are computed from.
-	next := EncodeStoredRow(mutate(t.decodeLocked(nil, old).Clone()))
+	next := EncodeStoredRow(mutate(t.decodeLocked(nil, old, nil).Clone()))
 	c.setLatestRow(next)
 	if updateIndexes {
 		t.moveIndexEntriesLocked(key, old, next)
@@ -114,7 +114,7 @@ func (db *DB) TamperInsertRow(t *Table, row sqltypes.Row, updateIndexes bool) ([
 	if t.meta.Heap {
 		key = t.allocRID()
 	} else {
-		key = t.keyFor(row)
+		key = t.KeyFor(row)
 	}
 	return key, db.TamperInsertRowAt(t, key, row, updateIndexes)
 }

@@ -350,7 +350,7 @@ func TestHeapTables(t *testing.T) {
 	if _, _, err := tx.Get(tab, sqltypes.NewNVarChar("a")); err == nil {
 		t.Fatal("Get on heap should require RID")
 	}
-	if r, ok, _ := tx.GetByKey(tab, k1); !ok || r[0].Str != "a" {
+	if r, ok, _ := tx.GetByKey(tab, k1, nil); !ok || r[0].Str != "a" {
 		t.Fatal("GetByKey failed")
 	}
 	commit(t, db, tx)

@@ -17,12 +17,15 @@ const lockShards = 128
 
 // lockTable implements row-level exclusive locks keyed by (table, key),
 // sharded to reduce contention. Locks are held until transaction end
-// (strict two-phase locking on writes).
+// (strict two-phase locking on writes). Taking a free lock costs one
+// shard-mutex critical section and one map insert: the clock is first read,
+// and the deadline set, when an acquisition finds the lock held, so a
+// timeout is measured from the first conflict. The caller builds the
+// lockKey — the one copy of the key bytes — and keeps it to release by.
 type lockTable struct {
 	shards [lockShards]lockShard
 
-	// waitSeconds observes only contended acquisitions; the uncontended
-	// fast path never reads the clock.
+	// waitSeconds observes only contended acquisitions.
 	waitSeconds *obs.Histogram
 	timeouts    *obs.Counter
 }
@@ -67,20 +70,17 @@ func (lt *lockTable) shard(k lockKey) *lockShard {
 // acquire takes the exclusive lock on (table, key) for owner, waiting up
 // to timeout. Re-acquisition by the current owner succeeds immediately.
 func (lt *lockTable) acquire(owner uint64, table uint32, key []byte, timeout time.Duration) error {
-	_, _, err := lt.acquireTraced(owner, table, key, timeout, 0)
+	_, _, err := lt.acquireTraced(owner, lockKey{table: table, key: string(key)}, timeout, 0)
 	return err
 }
 
 // acquireTraced is acquire plus trace linkage: a contended wait is
 // observed into the wait histogram with tid as the bucket exemplar, and
-// the wait duration and its start are returned (zero when the fast path
-// hit) so the caller can record a trace span. The uncontended path still
-// never reads the clock.
-func (lt *lockTable) acquireTraced(owner uint64, table uint32, key []byte, timeout time.Duration, tid obs.TraceID) (time.Duration, time.Time, error) {
-	k := lockKey{table: table, key: string(key)}
+// the wait duration and its start are returned (zero when the lock was
+// free) so the caller can record a trace span.
+func (lt *lockTable) acquireTraced(owner uint64, k lockKey, timeout time.Duration, tid obs.TraceID) (time.Duration, time.Time, error) {
 	s := lt.shard(k)
-	deadline := time.Now().Add(timeout)
-	var waitStart time.Time
+	var waitStart, deadline time.Time
 	for {
 		s.mu.Lock()
 		l, ok := s.m[k]
@@ -106,6 +106,7 @@ func (lt *lockTable) acquireTraced(owner uint64, table uint32, key []byte, timeo
 		s.mu.Unlock()
 		if waitStart.IsZero() {
 			waitStart = time.Now()
+			deadline = waitStart.Add(timeout)
 		}
 		wait := time.Until(deadline)
 		if wait <= 0 {

@@ -389,7 +389,7 @@ func TestTamperVersionsLiveGauge(t *testing.T) {
 	}
 
 	// In-place tamper update rewrites bytes without creating history.
-	if err := db.TamperUpdateRow(tab, tab.keyFor(kv(1, "c")), func(r sqltypes.Row) sqltypes.Row {
+	if err := db.TamperUpdateRow(tab, tab.KeyFor(kv(1, "c")), func(r sqltypes.Row) sqltypes.Row {
 		r[1] = sqltypes.NewNVarChar("evil")
 		return r
 	}, true); err != nil {
@@ -400,7 +400,7 @@ func TestTamperVersionsLiveGauge(t *testing.T) {
 	}
 
 	// Deleting the tampered row drops its whole 3-version chain.
-	if err := db.TamperDeleteRow(tab, tab.keyFor(kv(1, "c")), true); err != nil {
+	if err := db.TamperDeleteRow(tab, tab.KeyFor(kv(1, "c")), true); err != nil {
 		t.Fatal(err)
 	}
 	if g := gauge(); g != 1 {

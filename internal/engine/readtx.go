@@ -15,7 +15,7 @@ import (
 // snapshot stays registered until Close so version GC cannot reclaim the
 // versions it may still read.
 //
-// Reads (Get, GetByKey, Scan, ScanRange, ScanRangeStored) only read the
+// Reads (Get, GetByKey, GetStored, the scans) only read the
 // transaction and may run from several goroutines at once — verification shards one
 // snapshot's scan across a worker pool. Close must not race a read.
 type ReadTx struct {
@@ -51,44 +51,60 @@ func (rtx *ReadTx) TS() int64 { return rtx.ts }
 // values, decoded into a row the caller owns (see Tx for what a decoded
 // row points to).
 func (rtx *ReadTx) Get(t *Table, keyVals ...sqltypes.Value) (sqltypes.Row, bool, error) {
-	if rtx.done {
-		return nil, false, ErrTxDone
-	}
 	if t.meta.Heap {
 		return nil, false, fmt.Errorf("engine: Get on heap table %s requires a RID key", t.meta.Name)
 	}
 	var kb [64]byte // most keys fit, and then the lookup key stays off the heap
-	return rtx.GetByKey(t, sqltypes.EncodeKey(kb[:0], keyVals...))
+	return rtx.GetByKey(t, sqltypes.EncodeKey(kb[:0], keyVals...), nil)
 }
 
-// GetByKey returns the row visible at the snapshot under raw clustered-key
-// bytes, as Get does.
-func (rtx *ReadTx) GetByKey(t *Table, key []byte) (sqltypes.Row, bool, error) {
+// GetByKey returns the columns ords (nil: the whole row) of the row
+// visible at the snapshot under raw clustered-key bytes, as Get does.
+func (rtx *ReadTx) GetByKey(t *Table, key []byte, ords []int) (sqltypes.Row, bool, error) {
 	if rtx.done {
 		return nil, false, ErrTxDone
 	}
-	row, ok := t.getAt(key, rtx.ts)
+	row, ok := t.getAt(key, rtx.ts, ords)
 	if ok {
 		rtx.db.m.snapshotReads.Inc()
 	}
 	return row, ok, nil
 }
 
+// GetStored returns the stored bytes of the row visible at the snapshot
+// under raw clustered-key bytes, undecoded; they never change.
+func (rtx *ReadTx) GetStored(t *Table, key []byte) ([]byte, bool, error) {
+	if rtx.done {
+		return nil, false, ErrTxDone
+	}
+	stored, ok := t.storedAt(key, rtx.ts)
+	if ok {
+		rtx.db.m.snapshotReads.Inc()
+	}
+	return stored, ok, nil
+}
+
 // Scan iterates the rows visible at the snapshot in clustered-key order,
 // under Table.Scan's callback contract: key and row are valid only during
 // the callback.
 func (rtx *ReadTx) Scan(t *Table, fn func(key []byte, row sqltypes.Row) bool) error {
-	return rtx.ScanRange(t, nil, nil, fn)
+	return rtx.ScanColumns(t, nil, nil, nil, fn)
 }
 
 // ScanRange is Scan bounded to start <= key < end (nil = unbounded).
 func (rtx *ReadTx) ScanRange(t *Table, start, end []byte, fn func(key []byte, row sqltypes.Row) bool) error {
+	return rtx.ScanColumns(t, nil, start, end, fn)
+}
+
+// ScanColumns is ScanRange decoding only the columns ords of every row
+// (nil: the whole row): row[i] is column ords[i].
+func (rtx *ReadTx) ScanColumns(t *Table, ords []int, start, end []byte, fn func(key []byte, row sqltypes.Row) bool) error {
 	if rtx.done {
 		return ErrTxDone
 	}
 	// Counted here and added once: shard scanners share the counter.
 	n := 0
-	t.scanRangeAt(start, end, rtx.ts, func(k []byte, row sqltypes.Row) bool {
+	t.scanAt(start, end, rtx.ts, ords, func(k []byte, row sqltypes.Row) bool {
 		n++
 		return fn(k, row)
 	})

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -358,5 +359,187 @@ func TestScanRangeStoredIsOneSnapshotScan(t *testing.T) {
 	n := tab.ScanRangeStored(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(10)), sqltypes.EncodeKey(nil, sqltypes.NewBigInt(4000)), func(_, _ []byte) bool { return false })
 	if n != 1 {
 		t.Fatalf("a scan stopped at its first row reports %d rows", n)
+	}
+}
+
+// TestStoredPrimitives drives the stored-bytes calls the ledger core runs
+// on — the []Value calls wrap them — next to their decoding twins: both see
+// the same rows, a before-image is the bytes that were stored, projected
+// reads return exactly the columns asked for in the order asked, from
+// storage and from the transaction's own writes, and a heap insert locks
+// nothing.
+func TestStoredPrimitives(t *testing.T) {
+	db := openTestDB(t)
+	tab := mustCreate(t, db, "t", kvSchema())
+	heap := mustCreate(t, db, "h", sqltypes.MustSchema([]sqltypes.Column{
+		sqltypes.Col("k", sqltypes.TypeBigInt), sqltypes.Col("v", sqltypes.TypeNVarChar)}))
+	tx := db.Begin("u")
+	if _, err := tx.Insert(tab, kv(1, "one")); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, db, tx)
+
+	tx = db.Begin("u")
+	key := tab.KeyFor(kv(1, ""))
+	stored, ok, err := tx.GetStored(tab, key)
+	if err != nil || !ok || string(stored) != string(EncodeStoredRow(kv(1, "one"))) {
+		t.Fatalf("GetStored = %x, %v, %v", stored, ok, err)
+	}
+	two := EncodeStoredRow(kv(1, "two"))
+	before, err := tx.UpdateStored(tab, key, two)
+	if err != nil || &before[0] != &stored[0] {
+		t.Fatalf("UpdateStored's before-image is not the stored version: %x (%v)", before, err)
+	}
+	// Own write, projected: column 1 then column 0.
+	if row, ok, _ := tx.GetByKey(tab, key, []int{1, 0}); !ok || len(row) != 2 || cap(row) != 2 ||
+		row[0].Str != "two" || row[1].Int() != 1 {
+		t.Fatalf("projected own-write read = %v, %v", row, ok)
+	}
+	if before, err = tx.DeleteStored(tab, key); err != nil || &before[0] != &two[0] {
+		t.Fatalf("DeleteStored's before-image is not the transaction's own write: %x (%v)", before, err)
+	}
+	if _, err := tx.UpdateStored(tab, key, two); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("update of a row the transaction deleted: %v", err)
+	}
+	held := len(tx.locks)
+	rid, err := tx.InsertHeap(heap, EncodeStoredRow(kv(7, "heap")))
+	if err != nil || len(rid) != 8 || len(tx.locks) != held {
+		t.Fatalf("InsertHeap = %x, %v; locks %d -> %d", rid, err, held, len(tx.locks))
+	}
+	if _, err := tx.InsertHeap(tab, two); err == nil {
+		t.Fatal("InsertHeap accepted a keyed table")
+	}
+	commit(t, db, tx)
+	if n := db.locks.entryCount(); n != 0 {
+		t.Fatalf("%d lock entries after commit", n)
+	}
+	if _, ok := tab.Lookup(key); ok {
+		t.Fatal("deleted row is still there")
+	}
+
+	// Projected scans: storage rows and own writes, same columns.
+	tx = db.Begin("u")
+	defer tx.Rollback()
+	if _, err := tx.Insert(tab, kv(2, "b")); err != nil {
+		t.Fatal(err)
+	}
+	rtx := db.BeginReadOnly()
+	defer rtx.Close()
+	if row, ok, _ := rtx.GetByKey(heap, rid, []int{1}); !ok || len(row) != 1 || row[0].Str != "heap" {
+		t.Fatalf("projected snapshot read of the heap row = %v, %v", row, ok)
+	}
+	if b, ok, _ := rtx.GetStored(heap, rid); !ok || string(b) != string(EncodeStoredRow(kv(7, "heap"))) {
+		t.Fatalf("ReadTx.GetStored = %x, %v", b, ok)
+	}
+	var got []string
+	if err := tx.ScanColumns(tab, []int{1}, nil, nil, func(_ []byte, r sqltypes.Row) bool {
+		if len(r) != 1 {
+			t.Fatalf("projected scan row %v", r)
+		}
+		got = append(got, r[0].Str)
+		return true
+	}); err != nil || !slices.Equal(got, []string{"b"}) {
+		t.Fatalf("projected scan = %v (%v)", got, err)
+	}
+}
+
+// TestLockTableEmptyAfterLedgerShapedTransactions: keyed updates and
+// deletes that lock, heap inserts that do not, a savepoint rollback across
+// both, and every way a transaction ends — commit, rollback, two-phase
+// commit and abort — leave no entry in the lock table.
+func TestLockTableEmptyAfterLedgerShapedTransactions(t *testing.T) {
+	db := openTestDB(t)
+	tab := mustCreate(t, db, "t", kvSchema())
+	hist := mustCreate(t, db, "t_history", sqltypes.MustSchema([]sqltypes.Column{
+		sqltypes.Col("k", sqltypes.TypeBigInt), sqltypes.Col("v", sqltypes.TypeNVarChar)}))
+	tx := db.Begin("u")
+	for k := int64(1); k <= 6; k++ {
+		if _, err := tx.Insert(tab, kv(k, "v0")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(t, db, tx)
+
+	// update is a ledger update at the engine: replace the row, move the
+	// before-image to the heap.
+	update := func(tx *Tx, k int64, v string) {
+		t.Helper()
+		before, err := tx.UpdateStored(tab, tab.KeyFor(kv(k, "")), EncodeStoredRow(kv(k, v)))
+		if err == nil {
+			_, err = tx.InsertHeap(hist, before)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	script := func(tx *Tx) {
+		update(tx, 1, "a")
+		sp := tx.Savepoint()
+		update(tx, 2, "rolled back")
+		update(tx, 1, "rolled back")
+		if _, err := tx.DeleteStored(tab, tab.KeyFor(kv(3, ""))); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.RollbackTo(sp); err != nil {
+			t.Fatal(err)
+		}
+		update(tx, 4, "b")
+		if db.locks.entryCount() != 4 { // rows 1-4: a savepoint rollback keeps its locks
+			t.Fatalf("%d lock entries mid-transaction, want 4", db.locks.entryCount())
+		}
+	}
+	for name, end := range map[string]func(tx *Tx) error{
+		"commit":   func(tx *Tx) error { _, err := db.Commit(tx); return err },
+		"rollback": func(tx *Tx) error { return tx.Rollback() },
+		"2pc commit": func(tx *Tx) error {
+			if err := db.Prepare(tx, 77); err != nil {
+				return err
+			}
+			_, err := db.CommitPrepared(tx)
+			return err
+		},
+		"2pc abort": func(tx *Tx) error {
+			if err := db.Prepare(tx, 78); err != nil {
+				return err
+			}
+			return db.AbortPrepared(tx)
+		},
+	} {
+		tx := db.Begin("u")
+		script(tx)
+		if err := end(tx); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := db.locks.entryCount(); n != 0 {
+			t.Errorf("%s left %d lock entries", name, n)
+		}
+	}
+	if n := hist.RowCount(); n != 4 { // two committing endings, two history rows each
+		t.Errorf("history heap holds %d rows, want 4", n)
+	}
+}
+
+// TestUncontendedLockAllocations: taking a free row lock allocates the one
+// string the lock is kept under and never reads the clock (the deadline is
+// set on the first conflict, which TestLockConflictTimeout measures from).
+func TestUncontendedLockAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	db := openTestDB(t)
+	tab := mustCreate(t, db, "t", kvSchema())
+	tx := db.Begin("u")
+	defer tx.Rollback()
+	key := tab.KeyFor(kv(1, ""))
+	lk := lockKey{table: tab.meta.ID, key: string(key)}
+	n := testing.AllocsPerRun(500, func() {
+		if err := tx.lock(tab, key); err != nil {
+			t.Fatal(err)
+		}
+		db.locks.release(tx.id, lk.table, lk.key)
+		delete(tx.locks, lk)
+	})
+	if n > 1 {
+		t.Errorf("an uncontended Tx.lock allocates %.0f objects, budget 1", n)
 	}
 }

@@ -87,17 +87,13 @@ func (t *Table) VersionCount() int {
 	return n
 }
 
-// keyFor computes the clustered key bytes of a row; for heaps the caller
-// must have assigned a RID (allocRID).
-func (t *Table) keyFor(r sqltypes.Row) []byte {
+// KeyFor computes the clustered key bytes Insert would assign to row. Not
+// valid for heap tables, whose keys are allocated at insert time
+// (allocRID). Batched ingest uses it to encode keys on worker goroutines
+// before handing rows to Tx.InsertPrepared.
+func (t *Table) KeyFor(r sqltypes.Row) []byte {
 	return sqltypes.EncodeRowKey(t.meta.Schema, r)
 }
-
-// KeyFor computes the clustered key bytes Insert would assign to row. Not
-// valid for heap tables, whose keys are allocated at insert time. Batched
-// ingest uses it to encode keys on worker goroutines before handing rows
-// to Tx.InsertPrepared.
-func (t *Table) KeyFor(r sqltypes.Row) []byte { return t.keyFor(r) }
 
 // allocRID returns the next heap row identifier as key bytes.
 func (t *Table) allocRID() []byte {
@@ -122,52 +118,59 @@ func (t *Table) noteRIDLocked(key []byte) {
 	}
 }
 
-// decodeLocked is the read boundary: it turns a stored row into values,
-// in dst's storage when that is large enough (a scan's buffer) and in a
-// new slice the caller owns otherwise, as wide as the schema is now (a row
-// stored before ADD COLUMN reads NULL in the added columns). Strings and
-// binaries point into the stored bytes. Caller holds mu, which
-// AlterTableMeta takes to change the schema.
-func (t *Table) decodeLocked(dst sqltypes.Row, stored []byte) sqltypes.Row {
-	row, err := sqltypes.DecodeRowAlias(dst, stored, t.meta.Schema.Columns)
+// decodeLocked is the read boundary, the engine's one decoder: it turns a
+// stored row into values, in dst's storage when that is large enough (a
+// scan's buffer) and in a new slice the caller owns otherwise. ords are the
+// ordinals to decode, in the order the caller wants them — what a reader
+// does not ask for is stepped over, not built — and nil asks for the whole
+// row, as wide as the schema is now; either way a column added after the
+// row was stored reads NULL. Strings and binaries point into the stored
+// bytes. Caller holds mu, which AlterTableMeta takes to change the schema.
+func (t *Table) decodeLocked(dst sqltypes.Row, stored []byte, ords []int) sqltypes.Row {
+	cols := t.meta.Schema.Columns
+	var err error
+	if ords == nil {
+		dst, err = sqltypes.DecodeRowAlias(dst, stored, cols)
+	} else {
+		if cap(dst) < len(ords) {
+			dst = make(sqltypes.Row, len(ords))
+		}
+		dst = dst[:len(ords)]
+		err = sqltypes.DecodeColumns(dst, stored, ords, cols)
+	}
 	if err != nil {
 		// Bytes enter a chain from EncodeRow or past sqltypes.CheckRow.
 		panic(fmt.Sprintf("engine: stored row of %s does not decode: %v", t.meta.Name, err))
 	}
-	return row
+	return dst
 }
 
-// exists reports whether key holds a live committed row.
-func (t *Table) exists(key []byte) bool {
+// decode is decodeLocked for a caller that does not hold mu.
+func (t *Table) decode(stored []byte, ords []int) sqltypes.Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	c, ok := t.rows.Get(key)
-	if !ok {
-		return false
-	}
-	_, live := c.latestLive()
-	return live
+	return t.decodeLocked(nil, stored, ords)
 }
 
-// get returns the latest committed row stored under key, decoded into a
-// row the caller owns.
-func (t *Table) get(key []byte) (sqltypes.Row, bool) {
+// latest is the timestamp at which a read sees the newest committed
+// version of every row.
+const latest = math.MaxInt64
+
+// storedAt returns the stored bytes of the row under key visible to a
+// snapshot pinned at ts, undecoded. They never change and may be kept.
+func (t *Table) storedAt(key []byte, ts int64) ([]byte, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	c, ok := t.rows.Get(key)
 	if !ok {
 		return nil, false
 	}
-	stored, live := c.latestLive()
-	if !live {
-		return nil, false
-	}
-	return t.decodeLocked(nil, stored), true
+	return c.at(ts)
 }
 
-// getAt returns the row under key visible to a snapshot pinned at ts,
-// decoded into a row the caller owns.
-func (t *Table) getAt(key []byte, ts int64) (sqltypes.Row, bool) {
+// getAt returns the columns ords (nil: all) of the row under key visible
+// to a snapshot pinned at ts, decoded into a row the caller owns.
+func (t *Table) getAt(key []byte, ts int64, ords []int) (sqltypes.Row, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	c, ok := t.rows.Get(key)
@@ -178,13 +181,13 @@ func (t *Table) getAt(key []byte, ts int64) (sqltypes.Row, bool) {
 	if !ok {
 		return nil, false
 	}
-	return t.decodeLocked(nil, stored), true
+	return t.decodeLocked(nil, stored, ords), true
 }
 
 // Lookup returns the committed row stored under key, outside any
 // transaction (read-committed point read). The row is the caller's.
 func (t *Table) Lookup(key []byte) (sqltypes.Row, bool) {
-	return t.get(key)
+	return t.getAt(key, latest, nil)
 }
 
 // applyInsert installs an encoded row version under key, maintaining
@@ -313,28 +316,19 @@ func (t *Table) entryKeyLocked(ix *Index, clusteredKey, stored []byte) []byte {
 // only during the callback — Clone a row to keep it (its values may be
 // copied out freely; what they point to never changes).
 func (t *Table) Scan(fn func(key []byte, row sqltypes.Row) bool) {
-	t.ScanRange(nil, nil, fn)
+	t.scanAt(nil, nil, latest, nil, fn)
 }
 
 // ScanRange iterates the latest committed rows with start <= key < end,
 // under Scan's callback contract.
 func (t *Table) ScanRange(start, end []byte, fn func(key []byte, row sqltypes.Row) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var buf sqltypes.Row
-	t.rows.AscendRange(start, end, func(k []byte, c *versionChain) bool {
-		stored, live := c.latestLive()
-		if !live {
-			return true
-		}
-		buf = t.decodeLocked(buf, stored)
-		return fn(k, buf)
-	})
+	t.scanAt(start, end, latest, nil, fn)
 }
 
-// scanRangeAt iterates the rows visible to a snapshot pinned at ts with
-// start <= key < end, under Scan's callback contract.
-func (t *Table) scanRangeAt(start, end []byte, ts int64, fn func(key []byte, row sqltypes.Row) bool) {
+// scanAt iterates the rows visible to a snapshot pinned at ts with start <=
+// key < end, decoding the columns ords (nil: all) of each, under Scan's
+// callback contract.
+func (t *Table) scanAt(start, end []byte, ts int64, ords []int, fn func(key []byte, row sqltypes.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var buf sqltypes.Row
@@ -343,7 +337,7 @@ func (t *Table) scanRangeAt(start, end []byte, ts int64, fn func(key []byte, row
 		if !ok {
 			return true
 		}
-		buf = t.decodeLocked(buf, stored)
+		buf = t.decodeLocked(buf, stored, ords)
 		return fn(k, buf)
 	})
 }
@@ -360,7 +354,7 @@ const storedScanBatch = 1024
 // stalling commits on the table. key and stored are immutable and may be
 // kept. Returns the number of rows passed to fn.
 func (t *Table) ScanRangeStored(start, end []byte, fn func(key, stored []byte) bool) int {
-	return t.scanStoredAt(start, end, math.MaxInt64, fn)
+	return t.scanStoredAt(start, end, latest, fn)
 }
 
 // scanStoredAt is ScanRangeStored over the rows visible to a snapshot
@@ -475,7 +469,7 @@ func (t *Table) LookupIndexPrefix(ix *Index, vals []sqltypes.Value, fn func(key 
 		if !live {
 			return true
 		}
-		buf = t.decodeLocked(buf, stored)
+		buf = t.decodeLocked(buf, stored, nil)
 		return fn(ck, buf)
 	})
 }

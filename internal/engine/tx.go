@@ -26,14 +26,26 @@ var (
 // WAL records. Savepoints capture positions in the write buffer and can be
 // rolled back to (partial rollback, §3.2.1).
 //
-// Rows cross this API as []Value and live inside it encoded. Insert and
-// Update encode the row before they return — what the caller does with
-// its slice afterwards changes nothing — and those bytes are what the WAL
-// frame copies and what commit installs as the new version. Get and the
-// before-images of Update and Delete are decoded into a row the caller
-// owns; scans decode into one buffer per scan (see Table.Scan). In both,
-// strings and binaries point into stored bytes that never change: copy a
-// Value anywhere, but do not write through Value.Bytes.
+// Rows live inside the transaction encoded — write buffer, overlay and
+// version chains hold sqltypes.EncodeRow bytes — and cross this API in two
+// forms. The stored-bytes calls (InsertPrepared, InsertHeap, UpdateStored,
+// DeleteStored, GetStored) take and return those bytes and are the one
+// implementation of each operation: an after-image handed in becomes the
+// stored version and must not be used again, a before-image handed out is
+// immutable and may be kept. The ledger core, which writes its hidden
+// columns as bytes, calls these. The []Value calls are those plus an encode
+// (Insert, Update: the caller's slice is not kept) or a decode (Get and the
+// before-images of Update and Delete, into a row the caller owns; scans,
+// into one buffer per scan, see Table.Scan). A decoding read builds only
+// the columns whose ordinals it is given (GetByKey, ScanColumns; nil is the
+// whole row). In a decoded row strings and binaries point into stored bytes
+// that never change: copy a Value anywhere, but do not write through
+// Value.Bytes.
+//
+// Every write locks its row until the transaction ends, except the insert
+// of a heap row: its key is a row id the table has just allocated, which
+// nobody can name before allocRID returns it and no reader sees before
+// commit, so there is nothing to lock and no duplicate to look for.
 //
 // Tx is not safe for concurrent use by multiple goroutines.
 type Tx struct {
@@ -159,7 +171,7 @@ func (tx *Tx) lock(t *Table, key []byte) error {
 	if _, held := tx.locks[lk]; held {
 		return nil
 	}
-	wait, start, err := tx.db.locks.acquireTraced(tx.id, t.meta.ID, key, tx.db.opts.LockTimeout, tx.trace.ID())
+	wait, start, err := tx.db.locks.acquireTraced(tx.id, lk, tx.db.opts.LockTimeout, tx.trace.ID())
 	if wait > 0 {
 		// Contended only: the trace accumulates every lock wait in the
 		// transaction into one span; the uncontended path records nothing.
@@ -172,79 +184,72 @@ func (tx *Tx) lock(t *Table, key []byte) error {
 	return nil
 }
 
-// read returns the row visible to this transaction under key — its own
-// uncommitted write if any, otherwise the committed row — decoded into a
-// row the caller owns.
-func (tx *Tx) read(t *Table, key []byte) (sqltypes.Row, bool) {
+// stored returns the bytes of the row visible to this transaction under
+// key: its own uncommitted write if any, otherwise the committed row.
+func (tx *Tx) stored(t *Table, key []byte) ([]byte, bool) {
+	if ov := tx.overlays[t.meta.ID]; ov != nil {
+		if after, ok := ov.m[string(key)]; ok {
+			return after, after != nil
+		}
+	}
+	return t.storedAt(key, latest)
+}
+
+// read is stored decoded — the columns ords, nil for all — into a row the
+// caller owns.
+func (tx *Tx) read(t *Table, key []byte, ords []int) (sqltypes.Row, bool) {
 	if ov := tx.overlays[t.meta.ID]; ov != nil {
 		if after, ok := ov.m[string(key)]; ok {
 			if after == nil {
 				return nil, false
 			}
-			t.mu.RLock()
-			defer t.mu.RUnlock()
-			return t.decodeLocked(nil, after), true
+			return t.decode(after, ords), true
 		}
 	}
-	return t.get(key)
-}
-
-// exists reports whether read would find a row under key.
-func (tx *Tx) exists(t *Table, key []byte) bool {
-	if ov := tx.overlays[t.meta.ID]; ov != nil {
-		if after, ok := ov.m[string(key)]; ok {
-			return after != nil
-		}
-	}
-	return t.exists(key)
+	return t.getAt(key, latest, ords)
 }
 
 // Get returns the row under the given primary-key values. The row is the
 // caller's to keep and edit.
 func (tx *Tx) Get(t *Table, keyVals ...sqltypes.Value) (sqltypes.Row, bool, error) {
-	if tx.done {
-		return nil, false, ErrTxDone
-	}
 	if t.meta.Heap {
 		return nil, false, fmt.Errorf("engine: Get on heap table %s requires a RID key", t.meta.Name)
 	}
 	var kb [64]byte // most keys fit, and then the lookup key stays off the heap
-	r, ok := tx.read(t, sqltypes.EncodeKey(kb[:0], keyVals...))
-	return r, ok, nil
+	return tx.GetByKey(t, sqltypes.EncodeKey(kb[:0], keyVals...), nil)
 }
 
-// GetByKey returns the row under raw clustered-key bytes, as Get does.
-func (tx *Tx) GetByKey(t *Table, key []byte) (sqltypes.Row, bool, error) {
+// GetByKey returns the columns ords (nil: the whole row) of the row under
+// raw clustered-key bytes, as Get does.
+func (tx *Tx) GetByKey(t *Table, key []byte, ords []int) (sqltypes.Row, bool, error) {
 	if tx.done {
 		return nil, false, ErrTxDone
 	}
-	r, ok := tx.read(t, key)
+	r, ok := tx.read(t, key, ords)
 	return r, ok, nil
+}
+
+// GetStored returns the stored bytes of the row under raw clustered-key
+// bytes, undecoded.
+func (tx *Tx) GetStored(t *Table, key []byte) ([]byte, bool, error) {
+	if tx.done {
+		return nil, false, ErrTxDone
+	}
+	b, ok := tx.stored(t, key)
+	return b, ok, nil
 }
 
 // Insert adds a row, returning its clustered key. For heap tables a fresh
 // RID is assigned.
 func (tx *Tx) Insert(t *Table, row sqltypes.Row) ([]byte, error) {
-	if tx.done {
-		return nil, ErrTxDone
-	}
 	if err := t.meta.Schema.Validate(row); err != nil {
 		return nil, err
 	}
-	var key []byte
 	if t.meta.Heap {
-		key = t.allocRID()
-	} else {
-		key = t.keyFor(row)
+		return tx.InsertHeap(t, EncodeStoredRow(row))
 	}
-	if err := tx.lock(t, key); err != nil {
-		return nil, err
-	}
-	if !t.meta.Heap && tx.exists(t, key) {
-		return nil, fmt.Errorf("%w: table %s key %s", ErrDuplicateKey, t.meta.Name, t.meta.Schema.KeyOf(row))
-	}
-	tx.write(wal.RecInsert, t, key, EncodeStoredRow(row))
-	return key, nil
+	key := t.KeyFor(row)
+	return key, tx.InsertPrepared(t, key, EncodeStoredRow(row))
 }
 
 // write buffers one operation and shows it to the transaction's reads.
@@ -270,13 +275,9 @@ func (tx *Tx) ReserveWrites(t *Table, n int) {
 	}
 }
 
-// InsertPrepared adds a pre-validated, pre-encoded row under a
-// pre-computed clustered key. It is the batched-ingest half of Insert:
-// callers (the ledger core's InsertBatch) validate the row and compute
-// key = t.KeyFor(row) and enc = EncodeStoredRow(row) on worker goroutines,
-// then call InsertPrepared serially to preserve write order. enc becomes
-// the stored version: the caller must not use it again. Not valid for heap
-// tables.
+// InsertPrepared adds to a keyed table a row the caller has validated and
+// encoded (enc = EncodeStoredRow(row)) under the clustered key it has
+// computed (key = t.KeyFor(row)). enc becomes the stored version.
 func (tx *Tx) InsertPrepared(t *Table, key, enc []byte) error {
 	if tx.done {
 		return ErrTxDone
@@ -287,28 +288,67 @@ func (tx *Tx) InsertPrepared(t *Table, key, enc []byte) error {
 	if err := tx.lock(t, key); err != nil {
 		return err
 	}
-	if tx.exists(t, key) {
+	if _, exists := tx.stored(t, key); exists {
 		return fmt.Errorf("%w: table %s key %x", ErrDuplicateKey, t.meta.Name, key)
 	}
 	tx.write(wal.RecInsert, t, key, enc)
 	return nil
 }
 
-// DeleteByKey removes the row under raw clustered-key bytes, returning the
-// deleted row, which is the caller's.
-func (tx *Tx) DeleteByKey(t *Table, key []byte) (sqltypes.Row, error) {
+// InsertHeap adds a validated, encoded row to a heap table under a fresh
+// RID, which it returns. It takes no row lock and looks for no duplicate
+// (see Tx). enc becomes the stored version.
+func (tx *Tx) InsertHeap(t *Table, enc []byte) ([]byte, error) {
+	if tx.done {
+		return nil, ErrTxDone
+	}
+	if !t.meta.Heap {
+		return nil, fmt.Errorf("engine: InsertHeap on keyed table %s", t.meta.Name)
+	}
+	key := t.allocRID()
+	tx.write(wal.RecInsert, t, key, enc)
+	return key, nil
+}
+
+// replace is update (after is the encoded new version) and delete (after
+// is nil): lock the row, find the version this transaction sees, buffer
+// the write. It returns the before-image's stored bytes.
+func (tx *Tx) replace(typ wal.RecordType, t *Table, key, after []byte) ([]byte, error) {
 	if tx.done {
 		return nil, ErrTxDone
 	}
 	if err := tx.lock(t, key); err != nil {
 		return nil, err
 	}
-	before, ok := tx.read(t, key)
+	before, ok := tx.stored(t, key)
 	if !ok {
 		return nil, fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
-	tx.write(wal.RecDelete, t, key, nil)
+	tx.write(typ, t, key, after)
 	return before, nil
+}
+
+// UpdateStored replaces the row under raw clustered-key bytes with the
+// validated, encoded row after, which must have that key and becomes the
+// stored version. It returns the stored bytes of the version replaced.
+func (tx *Tx) UpdateStored(t *Table, key, after []byte) ([]byte, error) {
+	return tx.replace(wal.RecUpdate, t, key, after)
+}
+
+// DeleteStored removes the row under raw clustered-key bytes, returning
+// the stored bytes of the deleted version.
+func (tx *Tx) DeleteStored(t *Table, key []byte) ([]byte, error) {
+	return tx.replace(wal.RecDelete, t, key, nil)
+}
+
+// DeleteByKey removes the row under raw clustered-key bytes, returning the
+// deleted row, which is the caller's.
+func (tx *Tx) DeleteByKey(t *Table, key []byte) (sqltypes.Row, error) {
+	before, err := tx.DeleteStored(t, key)
+	if err != nil {
+		return nil, err
+	}
+	return t.decode(before, nil), nil
 }
 
 // Delete removes the row under the given primary-key values.
@@ -320,26 +360,19 @@ func (tx *Tx) Delete(t *Table, keyVals ...sqltypes.Value) (sqltypes.Row, error) 
 // the previous version, which is the caller's. The new row must keep the
 // same primary key.
 func (tx *Tx) UpdateByKey(t *Table, key []byte, row sqltypes.Row) (sqltypes.Row, error) {
-	if tx.done {
-		return nil, ErrTxDone
-	}
 	if err := t.meta.Schema.Validate(row); err != nil {
 		return nil, err
 	}
 	if !t.meta.Heap {
-		if nk := t.keyFor(row); string(nk) != string(key) {
+		if nk := t.KeyFor(row); string(nk) != string(key) {
 			return nil, fmt.Errorf("engine: update must not change the primary key of %s (delete+insert instead)", t.meta.Name)
 		}
 	}
-	if err := tx.lock(t, key); err != nil {
+	before, err := tx.UpdateStored(t, key, EncodeStoredRow(row))
+	if err != nil {
 		return nil, err
 	}
-	before, ok := tx.read(t, key)
-	if !ok {
-		return nil, fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
-	}
-	tx.write(wal.RecUpdate, t, key, EncodeStoredRow(row))
-	return before, nil
+	return t.decode(before, nil), nil
 }
 
 // Update replaces the row under the given primary-key values.
@@ -347,7 +380,7 @@ func (tx *Tx) Update(t *Table, row sqltypes.Row) (sqltypes.Row, error) {
 	if t.meta.Heap {
 		return nil, fmt.Errorf("engine: Update on heap table %s requires a RID key", t.meta.Name)
 	}
-	return tx.UpdateByKey(t, t.keyFor(row), row)
+	return tx.UpdateByKey(t, t.KeyFor(row), row)
 }
 
 // Scan iterates the rows visible to this transaction (committed rows
@@ -355,17 +388,23 @@ func (tx *Tx) Update(t *Table, row sqltypes.Row) (sqltypes.Row, error) {
 // Table.Scan's callback contract: key and row are valid only during the
 // callback.
 func (tx *Tx) Scan(t *Table, fn func(key []byte, row sqltypes.Row) bool) error {
-	return tx.ScanRange(t, nil, nil, fn)
+	return tx.ScanColumns(t, nil, nil, nil, fn)
 }
 
 // ScanRange is Scan bounded to start <= key < end (nil = unbounded).
 func (tx *Tx) ScanRange(t *Table, start, end []byte, fn func(key []byte, row sqltypes.Row) bool) error {
+	return tx.ScanColumns(t, nil, start, end, fn)
+}
+
+// ScanColumns is ScanRange decoding only the columns ords of every row
+// (nil: the whole row): row[i] is column ords[i].
+func (tx *Tx) ScanColumns(t *Table, ords []int, start, end []byte, fn func(key []byte, row sqltypes.Row) bool) error {
 	if tx.done {
 		return ErrTxDone
 	}
 	ov := tx.overlays[t.meta.ID]
 	if ov == nil || len(ov.m) == 0 {
-		t.ScanRange(start, end, fn)
+		t.scanAt(start, end, latest, ords, fn)
 		return nil
 	}
 	// Merge: collect in-range overlay keys sorted, walk both sequences.
@@ -381,8 +420,8 @@ func (tx *Tx) ScanRange(t *Table, start, end []byte, fn func(key []byte, row sql
 	}
 	sort.Strings(keys)
 	// own delivers the transaction's write under keys[i], decoded into a
-	// buffer of its own: it runs inside t.ScanRange, which holds the
-	// table's read lock and its own row buffer, and after it.
+	// buffer of its own: it runs inside t.scanAt, which holds the table's
+	// read lock and its own row buffer, and after it.
 	var buf sqltypes.Row
 	own := func(i int, locked bool) bool {
 		after := ov.m[keys[i]]
@@ -392,7 +431,7 @@ func (tx *Tx) ScanRange(t *Table, start, end []byte, fn func(key []byte, row sql
 		if !locked {
 			t.mu.RLock()
 		}
-		buf = t.decodeLocked(buf, after)
+		buf = t.decodeLocked(buf, after, ords)
 		if !locked {
 			t.mu.RUnlock()
 		}
@@ -400,7 +439,7 @@ func (tx *Tx) ScanRange(t *Table, start, end []byte, fn func(key []byte, row sql
 	}
 	i := 0
 	stopped := false
-	t.ScanRange(start, end, func(k []byte, row sqltypes.Row) bool {
+	t.scanAt(start, end, latest, ords, func(k []byte, row sqltypes.Row) bool {
 		ks := string(k)
 		for ; i < len(keys) && keys[i] < ks; i++ {
 			if !own(i, true) {

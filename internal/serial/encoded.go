@@ -8,9 +8,10 @@ import (
 	"sqlledger/internal/sqltypes"
 )
 
-// Layout is what SerializeRow reads of a schema's columns, computed once
-// so that a verification run hashing every row version of a table appends
-// each column header by copy.
+// Layout is what SerializeRow reads of a schema's columns, computed once —
+// per column DDL for the write path, which keeps one on each ledger table,
+// per run for verification — so that hashing a row version appends each
+// column header by copy.
 type Layout struct {
 	types   []sqltypes.TypeID
 	headers [][]byte

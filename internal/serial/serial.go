@@ -88,6 +88,11 @@ func (m SkipMask) Has(ord int) bool {
 // loop (closeRow). Layout.AppendEncoded produces the same bytes from a
 // stored row without decoding it; both are built from appendHeader, the
 // two value emitters and closeRow, so the format has one definition.
+//
+// The ledger never calls this form: the write path, verification and
+// receipts all serialize the stored bytes (Layout). It stays as the
+// format's specification over values — the oracle FuzzHashEncoded holds
+// the transcoder to — and as the benchmark's hashing kernel.
 func SerializeRow(dst []byte, s *sqltypes.Schema, r sqltypes.Row, op OpType, skip SkipMask) []byte {
 	start := len(dst)
 	dst = append(dst, Version, byte(op), 0) // 0: the count slot
@@ -175,13 +180,14 @@ func closeRow(dst []byte, start, n int, typed bool) []byte {
 	return dst
 }
 
-// bufPool recycles serialization buffers: HashRow and HashBytes sit on the
-// hot path of every ledger DML operation and block/entry hash.
+// bufPool recycles serialization buffers: Layout.HashEncoded and HashBytes
+// sit on the hot path of every ledger DML operation and block/entry hash.
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
-// HashRow is the LEDGERHASH analogue: it serializes the row and returns
-// its SHA-256 hash. Steady-state it allocates nothing: the serialization
-// buffer is pooled and the skip mask is a precomputed bitmask.
+// HashRow is the LEDGERHASH analogue over values: it serializes the row
+// and returns its SHA-256 hash (see SerializeRow for who calls it).
+// Steady-state it allocates nothing: the serialization buffer is pooled and
+// the skip mask is a precomputed bitmask.
 func HashRow(s *sqltypes.Schema, r sqltypes.Row, op OpType, skip SkipMask) merkle.Hash {
 	bp := bufPool.Get().(*[]byte)
 	buf := SerializeRow((*bp)[:0], s, r, op, skip)

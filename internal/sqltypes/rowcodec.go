@@ -126,6 +126,70 @@ func AppendRowPadded(dst, b []byte, cols []Column) []byte {
 	return dst
 }
 
+// SpliceBigInts returns the encoding of the row b holds with the values at
+// the ordinals ords — ascending — replaced by the BIGINTs vals, widened to
+// len(cols) values, in one allocation of exactly its size. It is EncodeRow
+// of r = DecodeRowAlias(nil, b, cols) after r[ords[i]] = NewBigInt(vals[i]),
+// byte for byte when b is as EncodeRow wrote it, without building r: every
+// other value is copied as the bytes it is. The ledger core makes a history
+// row this way, from the before-image's stored bytes and the two end
+// columns. It fails where DecodeRowAlias does.
+func SpliceBigInts(b []byte, cols []Column, ords []int, vals []int64) ([]byte, error) {
+	n, hdr, err := rowHeader(b)
+	if err != nil {
+		return nil, err
+	}
+	width := max(n, len(cols))
+	if len(ords) > 0 && ords[len(ords)-1] >= width {
+		return nil, fmt.Errorf("sqltypes: splice at ordinal %d of a %d-column row", ords[len(ords)-1], width)
+	}
+	// One walk finds where the replaced values start and end, and with
+	// that the size of the result.
+	var few [4][2]int
+	spans := few[:0]
+	size := uvarintLen(uint64(width)) + len(b) - hdr + 2*(width-n)
+	pos := hdr
+	for i := 0; i < n; i++ {
+		start := pos
+		if pos, err = skipValue(b, pos, i); err != nil {
+			return nil, err
+		}
+		if k := len(spans); k < len(ords) && ords[k] == i {
+			spans = append(spans, [2]int{start, pos})
+			size -= pos - start
+		}
+	}
+	if pos != len(b) {
+		return nil, fmt.Errorf("sqltypes: %d trailing bytes after row", len(b)-pos)
+	}
+	for k, v := range vals {
+		size += 2 + uvarintLen(uint64(v<<1)^uint64(v>>63)) // zigzag, as AppendVarint
+		if ords[k] >= n {
+			size -= 2 // in place of a padding NULL
+		}
+	}
+	bigInt := func(dst []byte, v int64) []byte {
+		return binary.AppendVarint(append(dst, byte(TypeBigInt), 0), v)
+	}
+	out := binary.AppendUvarint(make([]byte, 0, size), uint64(width))
+	from := hdr
+	for k, sp := range spans {
+		out = bigInt(append(out, b[from:sp[0]]...), vals[k])
+		from = sp[1]
+	}
+	out = append(out, b[from:]...)
+	k := len(spans)
+	for i := n; i < width; i++ {
+		if k < len(ords) && ords[k] == i {
+			out = bigInt(out, vals[k])
+			k++
+		} else {
+			out = append(out, byte(cols[i].Type), 1)
+		}
+	}
+	return out, nil
+}
+
 // DecodeColumns decodes only the values at ordinals ords of the encoded
 // row b into out (len(out) == len(ords)), aliasing b like DecodeRowAlias,
 // and steps over the values between them without building them: one walk

@@ -233,7 +233,10 @@ func FuzzDecodeRow(f *testing.F) {
 }
 
 // BenchmarkDecodeRowAlias is the cost a point read pays over returning a
-// stored []Value: one allocation and a walk of a 17-column row.
+// stored []Value: one allocation and a walk of a 17-column row. "visible"
+// is the read of a ledger table — the first 13 columns of that row through
+// DecodeColumns, the last four stepped over — beside "twin", the whole
+// 13-column row of its regular twin: the two must cost the same.
 func BenchmarkDecodeRowAlias(b *testing.B) {
 	row := make(Row, 17)
 	cols := make([]Column, len(row))
@@ -256,5 +259,145 @@ func BenchmarkDecodeRowAlias(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			buf, _ = DecodeRowAlias(buf, enc, cols)
 		}
+	})
+	visible := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	b.Run("visible", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := DecodeColumns(make(Row, len(visible)), enc, visible, cols); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	twin := EncodeRow(nil, row[:len(visible)])
+	b.Run("twin", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeRowAlias(nil, twin, cols[:len(visible)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// checkSplice holds SpliceBigInts and DecodeColumns against what they
+// replace, for one stored row b under a schema of width columns: the
+// splice of (v0, v1) at ordinals (ord, ord+gap) must be the row decoded,
+// edited and re-encoded, in an allocation of exactly its size, and the
+// columns picked by mask must be those values of the decoded row. Bytes
+// that are no row must fail the splice as they fail the decoder.
+func checkSplice(t *testing.T, b []byte, width, ord, gap int, v0, v1 int64, mask uint64) {
+	t.Helper()
+	n := 0
+	if u, sz := binary.Uvarint(b); sz > 0 && u <= uint64(len(b)) {
+		n = int(u)
+	}
+	width = max(width, n) // a schema is at least as wide as any row stored under it
+	cols := make([]Column, width)
+	for i := range cols {
+		cols[i] = NullableCol("c", TypeID(1+i%int(TypeUniqueID)))
+	}
+	ords := []int{ord % max(width, 1), 0}
+	ords[1] = ords[0] + 1 + gap%max(width, 1)
+	if ords[1] >= width {
+		ords = ords[:1]
+	}
+	vals := []int64{v0, v1}[:len(ords)]
+
+	full, decErr := DecodeRowAlias(nil, b, cols)
+	spliced, err := SpliceBigInts(b, cols, ords, vals)
+	if width == 0 {
+		return
+	}
+	if (err == nil) != (decErr == nil) {
+		t.Fatalf("DecodeRowAlias says %v, SpliceBigInts says %v", decErr, err)
+	}
+	// Whatever the row, a projection must not panic, and may fail only
+	// where the whole decode does.
+	var pick []int
+	for i := 0; i < width; i++ {
+		if mask&(1<<(i%64)) != 0 {
+			pick = append(pick, i)
+		}
+	}
+	some := make(Row, len(pick))
+	if err := DecodeColumns(some, b, pick, cols); err != nil && decErr == nil {
+		t.Fatalf("DecodeColumns%v failed on a row that decodes: %v", pick, err)
+	}
+	if decErr != nil {
+		return
+	}
+	for j, o := range pick {
+		if !some[j].Equal(full[o]) || some[j].Type != full[o].Type {
+			t.Fatalf("DecodeColumns%v[%d] = %v, the row holds %v", pick, j, some[j], full[o])
+		}
+	}
+	if cap(spliced) != len(spliced) {
+		t.Fatalf("spliced image has len %d cap %d", len(spliced), cap(spliced))
+	}
+	// Byte identity is promised for rows as EncodeRow writes them; any
+	// other accepted spelling (a long varint, a NULL flag above 1) must
+	// still splice to the same row.
+	canonical := bytes.Equal(EncodeRow(nil, full[:n]), b)
+	for i, o := range ords {
+		full[o] = NewBigInt(vals[i])
+	}
+	if want := EncodeRow(nil, full); canonical && !bytes.Equal(spliced, want) {
+		t.Fatalf("splice at %v of %x\n got %x\nwant %x", ords, b, spliced, want)
+	}
+	back, err := DecodeRowAlias(nil, spliced, cols)
+	if err != nil || !back.Equal(full) {
+		t.Fatalf("spliced image decodes to %v (%v), want %v", back, err, full)
+	}
+}
+
+// TestSpliceBigIntsEqualsDecodeEditEncode walks the shapes a ledger table's
+// history image takes: end columns last in the row, end columns followed by
+// columns added later, a row stored before an ADD COLUMN (narrower than the
+// schema, with the spliced ordinals inside it and in the padding), previous
+// end values NULL and set, and the extreme transaction ids.
+func TestSpliceBigIntsEqualsDecodeEditEncode(t *testing.T) {
+	hidden := func(endTx, endSeq Value) Row {
+		return Row{NewBigInt(7), NewBigInt(1), endTx, endSeq}
+	}
+	null := NewNull(TypeBigInt)
+	user := codecRow()[:5]
+	for _, row := range []Row{
+		append(user.Clone(), hidden(null, null)...),
+		append(user.Clone(), hidden(NewBigInt(math.MaxInt64), NewBigInt(3))...),
+		append(append(user.Clone(), hidden(null, null)...), NewNVarChar("added later"), NewNull(TypeInt)),
+		append(append(user.Clone(), hidden(NewBigInt(-1), NewBigInt(0))...), NewNull(TypeNVarChar)),
+		{},
+	} {
+		b := EncodeRow(nil, row)
+		for _, width := range []int{len(row), len(row) + 1, len(row) + 3} {
+			for _, vals := range [][2]int64{{0, 0}, {math.MinInt64, math.MaxInt64}, {1 << 40, -(1 << 20)}} {
+				for ord := 0; ord < width; ord++ {
+					checkSplice(t, b, width, ord, 0, vals[0], vals[1], 0x5555_5555_5555_5555)
+					checkSplice(t, b, width, ord, 2, vals[0], vals[1], ^uint64(0))
+				}
+			}
+		}
+	}
+	// Malformed bytes fail, never panic.
+	good := EncodeRow(nil, append(user.Clone(), hidden(null, null)...))
+	for cut := 0; cut < len(good); cut++ {
+		checkSplice(t, good[:cut], 9, 7, 0, 1, 2, ^uint64(0))
+	}
+	checkSplice(t, append(good[:len(good):len(good)], 0), 9, 7, 0, 1, 2, 1)
+}
+
+// FuzzSpliceBigInts is checkSplice over arbitrary bytes, schema widths,
+// ordinals, values and projections.
+func FuzzSpliceBigInts(f *testing.F) {
+	for _, row := range goldenAfterImages(f) {
+		f.Add(row, uint8(0), uint8(3), uint8(0), int64(1), int64(2), uint64(0xff))
+	}
+	f.Add(EncodeRow(nil, codecRow()), uint8(20), uint8(12), uint8(0), int64(math.MinInt64), int64(math.MaxInt64), ^uint64(0))
+	f.Add(EncodeRow(nil, codecRow()[:4]), uint8(9), uint8(6), uint8(1), int64(-1), int64(0), uint64(0x1f))
+	f.Add([]byte{2, byte(TypeBigInt), 2, 0x80, 0x00, byte(TypeBigInt), 1}, uint8(4), uint8(0), uint8(0), int64(5), int64(6), uint64(3))
+	f.Add(binary.AppendUvarint(nil, math.MaxUint64), uint8(3), uint8(1), uint8(0), int64(0), int64(0), uint64(1))
+	f.Fuzz(func(t *testing.T, data []byte, width, ord, gap uint8, v0, v1 int64, mask uint64) {
+		checkSplice(t, data, int(width), int(ord), int(gap), v0, v1, mask)
 	})
 }
