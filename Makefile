@@ -46,13 +46,12 @@ test-race:
 trace-gate:
 	SQLLEDGER_TRACE_GATE=1 go test -run TracingOverheadGate -v .
 
-# Smoke-test the live metrics endpoint: a short ledgerbench commit run
-# serving /metrics on an ephemeral port; the binary self-checks that the
-# endpoint answers with the headline series before exiting.
+# Every benchmark in the module, one iteration each: the root benchmarks
+# are the only home of Figures 8/9, §2.2, §4.1.1 and the scaling tables
+# (EXPERIMENTS.md), so they must not rot unrun (~10 s on 2 vCPUs).
 .PHONY: bench-smoke
 bench-smoke:
-	go run ./cmd/ledgerbench -exp commit -duration 1s \
-		-metrics-addr 127.0.0.1:0 -stats-every 2s
+	go test -run '^$$' -bench . -benchtime 1x ./...
 
 # Verification benchmarks (Figure 9 + the parallelism ablation), with
 # allocation stats so hot-path regressions are visible.
@@ -86,13 +85,12 @@ bench-read:
 	go test -run - -bench 'ReadConcurrent' -benchtime 200x .
 
 # Auditor cost model: the incremental cycle must stay flat as ledger depth
-# grows (the O(K) result — N=64 vs N=512 with the same K=8 delta), plus
-# the sampled cold-history sweep and the ledgerbench comparison table
-# (full verify vs. catch-up vs. incremental vs. sampled).
+# grows (the O(K) result — N=64 vs N=512 with the same K=8 delta), beside
+# the first catch-up cycle from an empty watermark and the sampled
+# cold-history sweep.
 .PHONY: bench-audit
 bench-audit:
 	go test -run - -bench 'BenchmarkAudit' -benchmem .
-	go run ./cmd/ledgerbench -exp audit
 
 # Shard-scaling gate + benchmark: the fixed 4-client pool at 1/2/4
 # shards, plus the digest-equality and super-root reproducibility checks.
@@ -104,14 +102,13 @@ bench-shard:
 	go test -run - -bench 'IngestShards' -benchtime 20x .
 
 # Recovery-scaling gate + benchmark: full-WAL restart at 1/2/4/8 replay
-# workers over one crash image, plus the ledgerbench restart table.
+# workers over one crash image.
 # Race-free on purpose — the gate measures wall-clock ratios, which the
 # race detector distorts (test-race audits the same paths).
 .PHONY: bench-recover
 bench-recover:
 	go test -run 'RecoveryScaling' -v .
 	go test -run - -bench 'BenchmarkRecovery' -benchtime 3x .
-	go run ./cmd/ledgerbench -exp recover
 
 # The repository's benchmark (BENCHMARK.json; bench/README.md): the six
 # workloads end to end, results under bench/out/.

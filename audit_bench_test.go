@@ -4,23 +4,26 @@ package sqlledger_test
 // freshly closed blocks costs O(K), independent of how much history sits
 // below the watermark. BenchmarkAuditIncremental builds ledgers of
 // different depths and audits the same delta on each — ns/op should stay
-// flat as the N= subbenchmark grows. BenchmarkAuditSampled prices one
-// 10% cold-history sweep.
+// flat as the N= subbenchmark grows. BenchmarkAuditCatchUp prices the
+// first cycle of an auditor with no watermark (all N blocks), and
+// BenchmarkAuditSampled one 10% cold-history sweep.
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"sqlledger"
 )
 
-// auditLedger builds a ledger with exactly `blocks` closed blocks of
-// txPerBlock single-row transactions.
-func auditLedger(b *testing.B, txPerBlock uint32, blocks int) (*sqlledger.DB, *sqlledger.LedgerTable, int64) {
+// auditLedger builds a ledger in dir with exactly `blocks` closed blocks
+// of txPerBlock single-row transactions.
+func auditLedger(b *testing.B, dir string, txPerBlock uint32, blocks int) (*sqlledger.DB, *sqlledger.LedgerTable, int64) {
 	b.Helper()
 	db, err := sqlledger.Open(sqlledger.Options{
-		Dir: b.TempDir(), Name: "bench", BlockSize: txPerBlock,
+		Dir: dir, Name: "bench", BlockSize: txPerBlock,
 		LockTimeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -59,7 +62,7 @@ func BenchmarkAuditIncremental(b *testing.B) {
 	const deltaBlocks = 8
 	for _, blocks := range []int{64, 512} {
 		b.Run(fmt.Sprintf("N=%d", blocks), func(b *testing.B) {
-			db, lt, next := auditLedger(b, txPerBlock, blocks)
+			db, lt, next := auditLedger(b, b.TempDir(), txPerBlock, blocks)
 			aud, err := db.NewAuditor(sqlledger.AuditorOptions{}) // SampleFraction 0: pure O(K) path
 			if err != nil {
 				b.Fatal(err)
@@ -92,11 +95,44 @@ func BenchmarkAuditIncremental(b *testing.B) {
 	}
 }
 
+// BenchmarkAuditCatchUp: each iteration is the first RunCycle of an
+// auditor whose watermark file was removed, so it verifies all N blocks
+// from an empty watermark — the cost a newly attached auditor pays once,
+// between a full Verify and the O(K) steady state above.
+func BenchmarkAuditCatchUp(b *testing.B) {
+	const txPerBlock = 8
+	for _, blocks := range []int{64, 512} {
+		b.Run(fmt.Sprintf("N=%d", blocks), func(b *testing.B) {
+			dir := b.TempDir()
+			db, _, _ := auditLedger(b, dir, txPerBlock, blocks)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := os.Remove(filepath.Join(dir, "audit.json")); err != nil && !os.IsNotExist(err) {
+					b.Fatal(err)
+				}
+				aud, err := db.NewAuditor(sqlledger.AuditorOptions{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				st := aud.RunCycle()
+				if !st.Ok {
+					b.Fatalf("catch-up: %v", st.LastReport)
+				}
+				if st.BlocksCheckedInc < int64(blocks) {
+					b.Fatalf("catch-up checked %d blocks, want >= %d", st.BlocksCheckedInc, blocks)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAuditSampled prices one sampling sweep re-checking ~10% of
 // cold history per cycle on a settled ledger.
 func BenchmarkAuditSampled(b *testing.B) {
 	const txPerBlock = 8
-	db, _, _ := auditLedger(b, txPerBlock, 128)
+	db, _, _ := auditLedger(b, b.TempDir(), txPerBlock, 128)
 	aud, err := db.NewAuditor(sqlledger.AuditorOptions{SampleFraction: 0.1})
 	if err != nil {
 		b.Fatal(err)

@@ -93,10 +93,6 @@ const (
 	BlobstoreErrorsTotal = "sqlledger_blobstore_errors_total"
 	BlobstoreBytesTotal  = "sqlledger_blobstore_bytes_total"
 
-	// Workload driver (internal/workload)
-	WorkloadCommitsTotal = "sqlledger_workload_commits_total"
-	WorkloadErrorsTotal  = "sqlledger_workload_errors_total"
-
 	// Recovery and checkpointing (internal/engine).
 	// RecoverySeconds observes the phases of crash recovery (label:
 	// phase=snapshot|replay|install); RecoveryRecordsReplayedTotal counts

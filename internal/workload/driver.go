@@ -1,3 +1,8 @@
+// Package workload holds the loaders the root scaling tests and
+// benchmarks drive: bulk ingest (Ingest), the snapshot-read mix
+// (ReadMostly) and DriveN, the client pool that runs them. The paper's
+// TPC-C/TPC-E workloads live in the benchmark module (bench/tpcc.go,
+// bench/tpce.go).
 package workload
 
 import (
@@ -6,24 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"sqlledger/internal/obs"
 )
-
-// Driver metrics. By default they point at nil handles (no-ops); call
-// Instrument before Drive/DriveN to route commit and error counts into a
-// registry, so a benchmark's /metrics endpoint shows workload progress.
-var (
-	mCommits *obs.Counter
-	mErrors  *obs.Counter
-)
-
-// Instrument binds the driver's counters to reg. Call it before starting
-// a drive; it is not synchronized with a run in flight.
-func Instrument(reg *obs.Registry) {
-	mCommits = reg.Counter(obs.WorkloadCommitsTotal)
-	mErrors = reg.Counter(obs.WorkloadErrorsTotal)
-}
 
 // DriveResult summarizes one concurrent driver run.
 type DriveResult struct {
@@ -43,30 +31,17 @@ func (r DriveResult) TPS() float64 {
 	return float64(r.Commits) / r.Elapsed.Seconds()
 }
 
-// Drive runs `clients` goroutines for `dur`, each repeatedly invoking the
-// op returned by newClient(id). A nil op error counts as a commit,
-// anything else as an error. It is the driver behind the commit-scaling
-// experiment: the ops are expected to be single transactions, so TPS()
-// directly measures commit throughput at the given concurrency.
-func Drive(clients int, dur time.Duration, newClient func(id int) func() error) DriveResult {
-	return drive(clients, func(stop *atomic.Bool) bool { return !stop.Load() }, dur, newClient)
-}
-
-// DriveN is Drive with a shared budget of exactly n ops instead of a
-// deadline: clients race to take work until the budget is exhausted.
-// Useful under `go test -bench`, where b.N sets the total op count.
+// DriveN runs `clients` goroutines, each repeatedly invoking the op
+// returned by newClient(id), until a shared budget of exactly n ops is
+// exhausted: clients race to take work. A nil op error counts as a
+// commit, anything else as an error. Under `go test -bench`, b.N sets
+// the total op count.
 func DriveN(clients, n int, newClient func(id int) func() error) DriveResult {
-	var budget atomic.Int64
-	budget.Store(int64(n))
-	return drive(clients, func(*atomic.Bool) bool { return budget.Add(-1) >= 0 }, 0, newClient)
-}
-
-func drive(clients int, next func(stop *atomic.Bool) bool, dur time.Duration, newClient func(id int) func() error) DriveResult {
 	if clients < 1 {
 		clients = 1
 	}
-	var stop atomic.Bool
-	var commits, errs atomic.Int64
+	var budget, commits, errs atomic.Int64
+	budget.Store(int64(n))
 	firstErr := make([]error, clients)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -75,23 +50,17 @@ func drive(clients int, next func(stop *atomic.Bool) bool, dur time.Duration, ne
 		go func(g int) {
 			defer wg.Done()
 			op := newClient(g)
-			for next(&stop) {
+			for budget.Add(-1) >= 0 {
 				if err := op(); err != nil {
 					errs.Add(1)
-					mErrors.Inc()
 					if firstErr[g] == nil {
 						firstErr[g] = fmt.Errorf("client %d: %w", g, err)
 					}
 				} else {
 					commits.Add(1)
-					mCommits.Inc()
 				}
 			}
 		}(g)
-	}
-	if dur > 0 {
-		time.Sleep(dur)
-		stop.Store(true)
 	}
 	wg.Wait()
 	return DriveResult{

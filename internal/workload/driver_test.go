@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestDriveN(t *testing.T) {
@@ -37,20 +36,5 @@ func TestDriveN(t *testing.T) {
 	}
 	if res.TPS() <= 0 {
 		t.Fatalf("TPS = %f, want > 0", res.TPS())
-	}
-}
-
-func TestDriveDeadline(t *testing.T) {
-	res := Drive(2, 20*time.Millisecond, func(id int) func() error {
-		return func() error {
-			time.Sleep(time.Millisecond)
-			return nil
-		}
-	})
-	if res.Commits == 0 {
-		t.Fatal("no commits within the deadline")
-	}
-	if res.Elapsed < 20*time.Millisecond {
-		t.Fatalf("elapsed %v shorter than the deadline", res.Elapsed)
 	}
 }

@@ -75,7 +75,7 @@ func NewReadMostly(db *sqlledger.DB, rows int) (*ReadMostly, error) {
 }
 
 // Reader returns a client op running one snapshot read transaction of
-// ReadsPerTx random point reads. Suitable for Drive/DriveN.
+// ReadsPerTx random point reads. Suitable for DriveN.
 func (w *ReadMostly) Reader(seed int64) func() error {
 	rng := rand.New(rand.NewSource(seed))
 	return func() error {

@@ -76,8 +76,8 @@ func runReadTrial(tb testing.TB, w *workload.ReadMostly, readers, txs int) time.
 
 // BenchmarkReadConcurrent measures snapshot read throughput at 1/2/4/8
 // reader clients with 2 update writers always active. One op is one
-// read transaction of workload.ReadsPerTx point reads; the custom metric
-// reports rows/s.
+// read transaction of workload.ReadsPerTx point reads; the custom metrics
+// report rows/s and the writers' committed updates/s beside them.
 func BenchmarkReadConcurrent(b *testing.B) {
 	db := openReadDB(b, b.TempDir())
 	defer db.Close()
@@ -93,11 +93,12 @@ func BenchmarkReadConcurrent(b *testing.B) {
 				return w.Reader(int64(readers*1000 + id + 1))
 			})
 			b.StopTimer()
-			stop()
+			writes := stop()
 			if res.Errors > 0 {
 				b.Fatalf("%d errors: %v", res.Errors, res.Err)
 			}
 			b.ReportMetric(float64(res.Commits)*workload.ReadsPerTx/b.Elapsed().Seconds(), "rows/s")
+			b.ReportMetric(float64(writes)/b.Elapsed().Seconds(), "writes/s")
 		})
 	}
 }
