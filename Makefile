@@ -127,9 +127,10 @@ bench-test:
 # the row decoder every stored row passes through on every read, the
 # history-image splice and the column projection against the decode, edit
 # and re-encode they replace, the stored-bytes row hasher the write path
-# and verification run on against the []Value one kept as its oracle, and
-# the super-block watermark Open reads back — 10 s each: long enough to
-# walk past the seeds, short enough for every push.
+# and verification run on against the []Value one kept as its oracle, the
+# super-block watermark Open reads back, and the read-receipt parser and
+# verifier (a mutant that verifies proves nothing the seed does not) — 10 s
+# each: long enough to walk past the seeds, short enough for every push.
 # `go test -fuzz` takes one target per run.
 .PHONY: fuzz-smoke
 fuzz-smoke:
@@ -140,6 +141,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzSpliceBigInts$$' -fuzztime 10s ./internal/sqltypes
 	go test -run '^$$' -fuzz '^FuzzHashEncoded$$' -fuzztime 10s ./internal/serial
 	go test -run '^$$' -fuzz '^FuzzSuperBlock$$' -fuzztime 10s ./internal/core
+	go test -run '^$$' -fuzz '^FuzzParseReadReceipt$$' -fuzztime 10s ./internal/core
 
 .PHONY: check
 check: fmt-check no-large-files vet test bench-test test-race fuzz-smoke

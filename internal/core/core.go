@@ -143,6 +143,16 @@ type Shard struct {
 	closedThrough int64 // highest block id persisted to sys_ledger_blocks; -1 = none
 	prevHash      merkle.Hash
 
+	// pmu guards what proofs keep: frames[block][ordinal] is the LSN of the
+	// frame holding that transaction's DML, 0 while unknown (frames.go);
+	// proven holds the closed blocks receipts prove from (blockProofs).
+	pmu    sync.Mutex
+	frames map[uint64][]int64
+	proven map[uint64]provenBlock
+	// prefixMu serializes the one pass over the log prefix (framesBefore).
+	prefixMu   sync.Mutex
+	prefixDone bool
+
 	tmu    sync.RWMutex
 	tables map[uint32]*LedgerTable // by base table id
 
@@ -215,11 +225,14 @@ func bindLedgerMetrics(reg *obs.Registry) ledgerMetrics {
 type ledgerHook struct {
 	l         *Shard
 	recovered []*wal.LedgerEntry
+	frames    []int64 // of recovered
 }
 
 func (h *ledgerHook) OnCommit(txID uint64, commitTS int64, user string, roots []wal.TableRoot) (uint64, uint32) {
 	return h.l.assignBlock(txID, commitTS, user, roots)
 }
+
+func (h *ledgerHook) Logged(block uint64, ord uint32, lsn int64) { h.l.noteFrame(block, ord, lsn) }
 
 func (h *ledgerHook) BeforeSnapshot() {
 	if h.l != nil {
@@ -230,7 +243,9 @@ func (h *ledgerHook) BeforeSnapshot() {
 func (h *ledgerHook) StateBlob() []byte        { return nil }
 func (h *ledgerHook) LoadState(_ []byte) error { return nil }
 
-func (h *ledgerHook) Recovered(entries []*wal.LedgerEntry) { h.recovered = entries }
+func (h *ledgerHook) Recovered(entries []*wal.LedgerEntry, frames []int64) {
+	h.recovered, h.frames = entries, frames
+}
 
 // openShard opens (creating if necessary) the shard in opts.Dir, named
 // opts.Name in its digests; Open has filled in the option defaults.
@@ -254,6 +269,8 @@ func openShard(opts Options) (*Shard, error) {
 		edb:           edb,
 		hook:          h,
 		closedThrough: -1,
+		frames:        make(map[uint64][]int64),
+		proven:        make(map[uint64]provenBlock),
 		tables:        make(map[uint32]*LedgerTable),
 		doneCh:        make(chan struct{}),
 		obs:           opts.Obs,
@@ -273,7 +290,10 @@ func openShard(opts Options) (*Shard, error) {
 		edb.Close()
 		return nil, err
 	}
-	h.recovered = nil
+	for i, e := range h.recovered {
+		l.noteFrame(e.BlockID, e.Ordinal, h.frames[i])
+	}
+	h.recovered, h.frames = nil, nil
 	go l.blockCloser()
 	return l, nil
 }
@@ -581,18 +601,20 @@ func (l *Shard) blockCloser() {
 			target := int64(l.curBlock) - 1
 			l.lmu.Unlock()
 			if target >= 0 {
-				_ = l.closeBlocksThrough(target)
+				_ = l.closeBlocksThrough(target, false)
 			}
 		}
 	}
 }
 
-// closeBlocksThrough closes every open block with id <= target, in order.
-func (l *Shard) closeBlocksThrough(target int64) error {
+// closeBlocksThrough closes every open block with id <= target, in order;
+// with keep, for a receipt about to prove entries in them, it keeps the
+// entry hashes it computes (blockProofs).
+func (l *Shard) closeBlocksThrough(target int64, keep bool) error {
 	l.closeMu.Lock()
 	defer l.closeMu.Unlock()
 	for b := l.closedThrough + 1; b <= target; b++ {
-		if err := l.closeOneBlock(b); err != nil {
+		if err := l.closeOneBlock(b, keep); err != nil {
 			return err
 		}
 	}
@@ -601,7 +623,7 @@ func (l *Shard) closeBlocksThrough(target int64) error {
 
 // closeOneBlock closes block b. Caller holds closeMu and guarantees
 // every previous block is closed.
-func (l *Shard) closeOneBlock(b int64) (err error) {
+func (l *Shard) closeOneBlock(b int64, keep bool) (err error) {
 	start := time.Now()
 	tr := l.obs.NewTrace("close_block")
 	tr.SetAttr("block", strconv.FormatInt(b, 10))
@@ -616,14 +638,12 @@ func (l *Shard) closeOneBlock(b int64) (err error) {
 	if len(entries) == 0 {
 		return fmt.Errorf("core: block %d has no transactions to close", b)
 	}
-	var tree merkle.Streaming
-	for i, e := range entries {
-		if e.Ordinal != uint32(i) {
-			return fmt.Errorf("core: block %d has a gap at ordinal %d", b, i)
-		}
-		tree.Append(entryHash(e))
+	leaves, contiguous := entryLeaves(make([]merkle.Hash, 0, len(entries)), entries)
+	if !contiguous {
+		return fmt.Errorf("core: block %d has a gap in ordinals 0..%d", b, len(entries)-1)
 	}
-	root := tree.Root()
+	level := merkle.LevelOf(leaves, provenLevel)
+	root := merkle.RootOf(level) // what is above level 4 is a function of it
 	row := sqltypes.Row{
 		sqltypes.NewBigInt(b),
 		sqltypes.NewBinary(append([]byte(nil), l.prevHash[:]...)),
@@ -643,6 +663,9 @@ func (l *Shard) closeOneBlock(b int64) (err error) {
 	}
 	l.prevHash = blockHashOfRow(row)
 	l.closedThrough = b
+	if keep {
+		l.keepProven(uint64(b), provenBlock{leaves, level})
+	}
 	l.obs.Events().Info(obs.EventBlockClosed,
 		"block", b, "transactions", len(entries), "hash", l.prevHash.String())
 	return nil
@@ -651,15 +674,15 @@ func (l *Shard) closeOneBlock(b int64) (err error) {
 // entriesOfBlock returns the block's entries from the in-memory queue
 // plus the system table (in that order — see drainQueueLocked; an entry
 // drained between the two reads is seen twice and kept once), sorted by
-// ordinal.
+// ordinal. The queue is in (block, ordinal) order — assignBlock appends in
+// that order and reconcile re-queues in commit order, which is the same —
+// so the block's run in it is found by binary search.
 func (l *Shard) entriesOfBlock(block uint64) []*wal.LedgerEntry {
-	var out []*wal.LedgerEntry
+	byBlock := func(e *wal.LedgerEntry, b uint64) int { return cmp.Compare(e.BlockID, b) }
 	l.lmu.Lock()
-	for _, e := range l.queue {
-		if e.BlockID == block {
-			out = append(out, e)
-		}
-	}
+	lo, _ := slices.BinarySearchFunc(l.queue, block, byBlock)
+	hi, _ := slices.BinarySearchFunc(l.queue[lo:], block+1, byBlock)
+	out := slices.Clone(l.queue[lo : lo+hi])
 	l.lmu.Unlock()
 	queued := out
 	l.sysTx.LookupIndexPrefix(l.txByBlock, []sqltypes.Value{sqltypes.NewBigInt(int64(block))},

@@ -85,7 +85,7 @@ func (l *Shard) GenerateDigest() (d Digest, err error) {
 		if err := l.waitForReplication(target); err != nil {
 			return Digest{}, err
 		}
-		if err := l.closeBlocksThrough(target); err != nil {
+		if err := l.closeBlocksThrough(target, false); err != nil {
 			return Digest{}, err
 		}
 	}

@@ -295,11 +295,37 @@ func entryLeaves(dst []merkle.Hash, es []*wal.LedgerEntry) ([]merkle.Hash, bool)
 	return dst, contiguous
 }
 
-// blockTree recomputes a block's transactions tree from its entries: the
-// leaves receipts prove against and the root they sign.
-func (l *Shard) blockTree(block uint64) ([]merkle.Hash, merkle.Hash) {
-	leaves, _ := entryLeaves(nil, l.entriesOfBlock(block))
-	return leaves, merkle.RootOf(leaves)
+// provenLevel is the level of a block's transactions tree that proofs keep
+// beside its leaves: one node per 16 entries, 2 bytes per entry.
+const provenLevel = 4
+
+// provenBlock is what proofs keep of a closed block, which never changes:
+// the hashes of its entries and level provenLevel of its tree.
+type provenBlock struct{ leaves, level []merkle.Hash }
+
+// blockProofs proves the entries at ordinals of a closed block against its
+// transactions root — the root receipts sign. The block's entries are
+// hashed the first time a receipt proves one of them (or when a receipt
+// closed the block) and kept, 34 bytes per entry for the blocks receipts
+// touch; a proof then costs the 15 hashes of its run of 16 entries and one
+// tree over the block's level-4 nodes, instead of a tree over every entry.
+func (l *Shard) blockProofs(block uint64, ordinals []uint64) (merkle.Hash, []merkle.Proof, error) {
+	l.pmu.Lock()
+	pb, ok := l.proven[block]
+	l.pmu.Unlock()
+	if !ok {
+		es := l.entriesOfBlock(block)
+		pb.leaves, _ = entryLeaves(make([]merkle.Hash, 0, len(es)), es)
+		pb.level = merkle.LevelOf(pb.leaves, provenLevel)
+		l.keepProven(block, pb)
+	}
+	return merkle.BuildProofsAt(pb.leaves, pb.level, provenLevel, ordinals)
+}
+
+func (l *Shard) keepProven(block uint64, pb provenBlock) {
+	l.pmu.Lock()
+	l.proven[block] = pb
+	l.pmu.Unlock()
 }
 
 // --- (b) Row versions: invariant 4 ----------------------------------------
@@ -454,6 +480,76 @@ func treeOf(buf []merkle.Hash, run []rowLeaf) ([]merkle.Hash, merkle.Hash) {
 	return buf, merkle.RootOf(buf)
 }
 
+// versionSides reads the hidden columns of a stored version of lt and calls
+// side for each leaf the version is: an insert by its start transaction
+// and, for a history row, a delete by its end transaction. Hashing it is
+// side's business — only the leaves of the transactions a pass wants are.
+func (lt *LedgerTable) versionSides(stored []byte, cols []sqltypes.Column, history bool,
+	side func(tx, seq uint64, op serial.OpType, skip serial.SkipMask) error) error {
+	ords, hidden := [4]int{lt.startTxOrd, lt.startSeqOrd, lt.endTxOrd, lt.endSeqOrd}, [4]sqltypes.Value{}
+	n := 2
+	if history {
+		n = 4
+	}
+	if err := sqltypes.DecodeColumns(hidden[:n], stored, ords[:n], cols); err != nil {
+		return err
+	}
+	if err := side(uint64(hidden[0].Int()), uint64(hidden[1].Int()), serial.OpInsert, lt.skipEnd); err != nil || !history {
+		return err
+	}
+	return side(uint64(hidden[2].Int()), uint64(hidden[3].Int()), serial.OpDelete, nil)
+}
+
+// frameTree rebuilds the Merkle tree transaction txID committed to for lt —
+// its leaves in sequence order, and its root — from recs, the records of
+// the frame that logged the transaction's DML, with no table scan. The
+// frame holds an image of every version the transaction made or ended:
+// each history row it inserted is the version it ended (and made too, if
+// it did), and per base key the last image it logged is the version it
+// left there. engine.Tx.write logs every write, so a key written twice has
+// an earlier image too; that version moved to the history table within
+// the transaction, and its history row covers it.
+func (lt *LedgerTable) frameTree(txID uint64, recs []wal.Record) ([]merkle.Hash, merkle.Hash, error) {
+	sh := lt.shape.Load()
+	var run []rowLeaf
+	hash := func(stored []byte, history bool) error {
+		return lt.versionSides(stored, sh.cols, history, func(tx, seq uint64, op serial.OpType, skip serial.SkipMask) error {
+			if tx != txID {
+				return nil
+			}
+			h, err := sh.layout.HashEncoded(stored, op, skip)
+			run = append(run, rowLeaf{seq: seq, hash: h})
+			return err
+		})
+	}
+	last := make(map[string][]byte) // base key → image, nil for a delete
+	for _, r := range recs {
+		if r.Type != wal.RecInsert && r.Type != wal.RecUpdate && r.Type != wal.RecDelete {
+			continue
+		}
+		m, err := wal.DecodeDMLImage(r.Type, r.Payload)
+		switch {
+		case err != nil:
+		case m.TableID == lt.table.ID():
+			last[string(m.Key)] = m.After
+		case lt.history != nil && m.TableID == lt.history.ID() && m.After != nil:
+			err = hash(m.After, true)
+		}
+		if err != nil {
+			return nil, merkle.ZeroHash, err
+		}
+	}
+	for _, after := range last {
+		if after != nil {
+			if err := hash(after, false); err != nil {
+				return nil, merkle.ZeroHash, err
+			}
+		}
+	}
+	leaves, root := treeOf(nil, run)
+	return leaves, root, nil
+}
+
 // rowHashingHook, when a test sets it, runs in every scan task before it
 // looks at a row version: the stage in which it holds no lock.
 var rowHashingHook func()
@@ -475,10 +571,6 @@ func (l *Shard) scanRowVersions(lt *LedgerTable, c rowCheck, weight float64) *ro
 	cols := lt.table.Columns()
 	layout := serial.NewLayout(cols)
 	addScans := func(t *engine.Table, history bool) {
-		ords := []int{lt.startTxOrd, lt.startSeqOrd, lt.endTxOrd, lt.endSeqOrd}
-		if !history {
-			ords = ords[:2]
-		}
 		for _, kr := range t.ScanShards(c.parallelism) {
 			part := &rowVersions{}
 			parts = append(parts, part)
@@ -509,21 +601,14 @@ func (l *Shard) scanRowVersions(lt *LedgerTable, c rowCheck, weight float64) *ro
 				return nil
 			}
 			tasks = append(tasks, func() {
-				var hidden [4]sqltypes.Value
 				_ = c.rtx.ScanRangeStored(t, kr.Start, kr.End, func(k, stored []byte) bool {
 					if rowHashingHook != nil {
 						rowHashingHook()
 					}
 					part.rows++
-					err := sqltypes.DecodeColumns(hidden[:len(ords)], stored, ords, cols)
-					if err == nil {
-						tx := uint64(hidden[0].Int())
-						err = add(k, stored, tx, uint64(hidden[1].Int()), serial.OpInsert, lt.skipEnd,
-							history && tx <= c.truncatedMaxTx)
-					}
-					if err == nil && history {
-						err = add(k, stored, uint64(hidden[2].Int()), uint64(hidden[3].Int()), serial.OpDelete, nil, false)
-					}
+					err := lt.versionSides(stored, cols, history, func(tx, seq uint64, op serial.OpType, skip serial.SkipMask) error {
+						return add(k, stored, tx, seq, op, skip, history && op == serial.OpInsert && tx <= c.truncatedMaxTx)
+					})
 					if err != nil {
 						// Every value written passed Schema.Validate and
 						// every byte loaded passed sqltypes.CheckRow.

@@ -313,12 +313,12 @@ func seedGroups(t *testing.T, l *DB, groups, per int) *LedgerTable {
 	return lt
 }
 
-// TestReadReceiptScansEachTableOnce is the cost model of a receipt: one
-// snapshot scan of base + history per table, not one per creating
-// transaction. snapshot_reads_total counts every row a snapshot scan
-// visits, so a receipt over rows from 12 transactions may raise it by at
-// most |base| + |history|.
-func TestReadReceiptScansEachTableOnce(t *testing.T) {
+// TestReadReceiptReadsOneFramePerTransaction is the cost model of a
+// receipt: no table is scanned — snapshot_reads_total, which counts every
+// row a snapshot read visits, does not move while the receipt is built —
+// and each creating transaction's WAL frame is read once, however many of
+// its rows the read set holds.
+func TestReadReceiptReadsOneFramePerTransaction(t *testing.T) {
 	pub, priv := testKeys(t)
 	l := openTestLedger(t, 1000)
 	const groups, per = 12, 4
@@ -336,22 +336,31 @@ func TestReadReceiptScansEachTableOnce(t *testing.T) {
 	if err := rt.Scan(lt, func(sqltypes.Row) bool { return true }); err != nil {
 		t.Fatal(err)
 	}
+	frameReads := make(map[uint64]int)
+	frameReadHook = func(tx uint64) { frameReads[tx]++ }
+	defer func() { frameReadHook = nil }()
 	reads := func() int64 { return l.Obs().Snapshot().CounterValue(obs.SnapshotReadsTotal) }
 	before := reads()
 	r, err := rt.CloseWithReceipt(priv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Entries) < 10 {
-		t.Fatalf("receipt spans %d creating transactions, want >= 10", len(r.Entries))
+	if len(r.Entries) != groups+groups/2 {
+		t.Fatalf("receipt spans %d creating transactions, want %d", len(r.Entries), groups+groups/2)
 	}
 	if err := VerifyReadReceipt(r, pub); err != nil {
 		t.Fatal(err)
 	}
-	scanned, bound := reads()-before, int64(lt.Table().RowCount()+lt.History().RowCount())
-	if scanned <= 0 || scanned > bound {
-		t.Fatalf("receipt over %d transactions read %d snapshot rows, want one scan: (0, %d]",
-			len(r.Entries), scanned, bound)
+	if scanned := reads() - before; scanned != 0 {
+		t.Fatalf("receipt read %d snapshot rows, want none", scanned)
+	}
+	for _, e := range r.Entries {
+		if n := frameReads[e.Entry.TxID]; n != 1 {
+			t.Errorf("transaction %d: %d frame reads, want 1", e.Entry.TxID, n)
+		}
+	}
+	if len(frameReads) != len(r.Entries) {
+		t.Fatalf("frames of %d transactions read for a receipt over %d", len(frameReads), len(r.Entries))
 	}
 }
 

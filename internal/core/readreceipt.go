@@ -79,11 +79,12 @@ func ParseReadReceipt(b []byte) (ReadReceipt, error) {
 	return r, nil
 }
 
-// buildReadReceipt assembles the receipt for a snapshot read set. rtx is
-// the reader's still-pinned snapshot: version GC cannot reclaim the proven
-// versions, and the Merkle trees are rebuilt from that one cut — one scan
-// of base + history per table, however many transactions created the rows
-// — so a concurrent writer cannot move a row between the two scans.
+// buildReadReceipt assembles the receipt for a snapshot read set taken at
+// rtx's snapshot. A row is proven in the tree of the transaction that
+// created it, rebuilt from the one WAL frame that logged that
+// transaction's DML (frames.go) — no table is scanned, so what concurrent
+// writers do to the tables cannot matter — and each block's tree is built
+// once, from entry hashes kept after the first receipt that needs them.
 func (l *Shard) buildReadReceipt(reads []readRecord, rtx *engine.ReadTx, priv ed25519.PrivateKey) (ReadReceipt, error) {
 	r := ReadReceipt{
 		DatabaseName: l.opts.Name,
@@ -104,7 +105,7 @@ func (l *Shard) buildReadReceipt(reads []readRecord, rtx *engine.ReadTx, priv ed
 	target := int64(l.curBlock) - 1
 	l.lmu.Unlock()
 	if target >= 0 {
-		if err := l.closeBlocksThrough(target); err != nil {
+		if err := l.closeBlocksThrough(target, true); err != nil {
 			return ReadReceipt{}, err
 		}
 	}
@@ -147,22 +148,21 @@ func (l *Shard) buildReadReceipt(reads []readRecord, rtx *engine.ReadTx, priv ed
 		byBlock[blockID] = append(byBlock[blockID], k.txID)
 	}
 	for _, blockID := range blockOrder {
-		leaves, root := l.blockTree(blockID)
+		txIDs := byBlock[blockID]
+		indices := make([]uint64, len(txIDs))
+		for i, txID := range txIDs {
+			indices[i] = uint64(entries[txID].Ordinal)
+		}
+		root, proofs, err := l.blockProofs(blockID, indices)
+		if err != nil {
+			return ReadReceipt{}, err
+		}
 		r.Blocks = append(r.Blocks, ReadReceiptBlk{
 			BlockID:   blockID,
 			Root:      root.String(),
 			Signature: ed25519.Sign(priv, signedMessage(l.opts.Name, blockID, root)),
 		})
 		bi := len(r.Blocks) - 1
-		txIDs := byBlock[blockID]
-		indices := make([]uint64, len(txIDs))
-		for i, txID := range txIDs {
-			indices[i] = uint64(entries[txID].Ordinal)
-		}
-		proofs, err := merkle.BuildProofs(leaves, indices)
-		if err != nil {
-			return ReadReceipt{}, err
-		}
 		for i, txID := range txIDs {
 			r.Entries = append(r.Entries, ReadReceiptTx{
 				Entry: toReceiptEntry(entries[txID]),
@@ -173,32 +173,31 @@ func (l *Shard) buildReadReceipt(reads []readRecord, rtx *engine.ReadTx, priv ed
 		}
 	}
 
-	// Prove every read row inside its (transaction, table) tree. A table's
-	// trees are rebuilt from its content at the snapshot in one scan — the
-	// kernel's invariant-4 recomputation — and each is cross-checked
-	// against the root recorded in the ledger entry before any proof is
-	// emitted.
-	wanted := make([]uint64, 0, len(entries))
-	for tx := range entries {
-		wanted = append(wanted, tx)
-	}
-	scan := rowCheck{rtx: rtx, slots: newTxSlots(wanted, txRecorded), parallelism: 1, pool: newWorkerPool(1)}
-	for _, tx := range wanted {
-		scan.slots.want(tx)
-	}
-	tableRows := make(map[uint32]*rowVersions)
+	// Prove every read row inside its (transaction, table) tree, rebuilt
+	// from the creating transaction's frame — read once however many of
+	// its tables the read set touches — and cross-checked against the root
+	// recorded in its ledger entry before any proof is emitted.
+	frames := make(map[uint64][]wal.Record, len(entries))
 	r.Rows = make([]ReadReceiptRow, len(reads))
 	for _, k := range groupOrder {
 		lt := reads[groups[k][0]].lt
-		rv, ok := tableRows[k.tableID]
+		recs, ok := frames[k.txID]
+		var err error
 		if !ok {
-			rv = l.scanRowVersions(lt, scan, 0)
-			tableRows[k.tableID] = rv
+			recs, err = l.txFrame(entries[k.txID])
+			frames[k.txID] = recs
 		}
-		leaves, root := treeOf(nil, rv.of(scan.slots.of(k.txID)))
+		var leaves []merkle.Hash
+		var root merkle.Hash
+		if err == nil {
+			leaves, root, err = lt.frameTree(k.txID, recs)
+		}
+		if err != nil {
+			return ReadReceipt{}, fmt.Errorf("core: table %s, transaction %d: %w", lt.Name(), k.txID, err)
+		}
 		if want, found := recordedRoot(entries[k.txID], k.tableID); !found || len(leaves) == 0 || root != want {
 			return ReadReceipt{}, fmt.Errorf(
-				"core: table %s content does not match transaction %d's recorded Merkle root",
+				"core: table %s, transaction %d: its log frame does not rebuild its recorded Merkle root",
 				lt.Name(), k.txID)
 		}
 		layout := lt.shape.Load().layout
@@ -229,7 +228,7 @@ func (l *Shard) buildReadReceipt(reads []readRecord, rtx *engine.ReadTx, priv ed
 				Entry:   entryIdx[k.txID],
 			}
 		}
-		proofs, err := merkle.BuildProofs(leaves, idxs)
+		_, proofs, err := merkle.BuildProofs(leaves, idxs)
 		if err != nil {
 			return ReadReceipt{}, err
 		}

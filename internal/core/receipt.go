@@ -79,8 +79,10 @@ func signedMessage(dbName string, blockID uint64, root merkle.Hash) []byte {
 
 // resolveEntries fills in the ledger entry of every transaction id keyed
 // in want: from the system table if persisted, otherwise from the
-// in-memory queue — every commit since the last checkpoint, walked under
-// the commit path's lmu, so once however many entries are asked for.
+// in-memory queue — every commit since the last checkpoint, walked once
+// however many entries are asked for, from the newest back until all are
+// found. The walk holds no lock: commits only append past the end of the
+// slice it took, and a drain or a truncation replaces the slice.
 func (l *Shard) resolveEntries(want map[uint64]*wal.LedgerEntry) error {
 	queued := 0
 	for txID := range want {
@@ -92,12 +94,14 @@ func (l *Shard) resolveEntries(want map[uint64]*wal.LedgerEntry) error {
 	}
 	if queued > 0 {
 		l.lmu.Lock()
-		for _, q := range l.queue {
-			if e, ok := want[q.TxID]; ok && e == nil {
-				want[q.TxID] = q.Clone()
+		q := l.queue
+		l.lmu.Unlock()
+		for i := len(q) - 1; i >= 0 && queued > 0; i-- {
+			if e, ok := want[q[i].TxID]; ok && e == nil {
+				want[q[i].TxID] = q[i].Clone()
+				queued--
 			}
 		}
-		l.lmu.Unlock()
 	}
 	for txID, e := range want {
 		if e == nil {
@@ -182,8 +186,7 @@ func (l *Shard) GenerateReceipt(txID uint64, priv ed25519.PrivateKey) (Receipt, 
 	if int64(e.BlockID) > closed {
 		return Receipt{}, fmt.Errorf("%w: transaction %d is in open block %d", ErrBlockNotClosed, txID, e.BlockID)
 	}
-	leaves, root := l.blockTree(e.BlockID)
-	proof, err := merkle.BuildProof(leaves, uint64(e.Ordinal))
+	root, proofs, err := l.blockProofs(e.BlockID, []uint64{uint64(e.Ordinal)})
 	if err != nil {
 		return Receipt{}, err
 	}
@@ -192,7 +195,7 @@ func (l *Shard) GenerateReceipt(txID uint64, priv ed25519.PrivateKey) (Receipt, 
 		Entry:        toReceiptEntry(e),
 		BlockID:      e.BlockID,
 		BlockRoot:    root.String(),
-		Proof:        encodeProof(proof),
+		Proof:        encodeProof(proofs[0]),
 		Signature:    ed25519.Sign(priv, signedMessage(l.opts.Name, e.BlockID, root)),
 		PublicKey:    append(ed25519.PublicKey(nil), priv.Public().(ed25519.PublicKey)...),
 	}, nil

@@ -408,7 +408,7 @@ func VerifySuperBlock(db *DB, sb *SuperBlock, pub ed25519.PublicKey, opts Verify
 		return nil, err
 	}
 	leaves := sb.headLeaves()
-	proofs, err := merkle.BuildProofs(leaves, allIndices(len(leaves)))
+	_, proofs, err := merkle.BuildProofs(leaves, allIndices(len(leaves)))
 	if err != nil {
 		return nil, err
 	}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"sqlledger/internal/sqltypes"
+	"sqlledger/internal/wal"
 )
 
 // TruncateLedger deletes ledger history older than block beforeBlock
@@ -118,7 +120,7 @@ func (l *Shard) TruncateLedger(beforeBlock uint64) error {
 	// table — and old blocks. This is direct system-table surgery; the
 	// truncation record below makes the operation auditable.
 	l.lmu.Lock()
-	kept := l.queue[:0]
+	kept := make([]*wal.LedgerEntry, 0, len(l.queue)) // resolveEntries may be walking the old one
 	for _, e := range l.queue {
 		if e.BlockID >= beforeBlock {
 			kept = append(kept, e)
@@ -126,6 +128,10 @@ func (l *Shard) TruncateLedger(beforeBlock uint64) error {
 	}
 	l.queue = kept
 	l.lmu.Unlock()
+	l.pmu.Lock()
+	maps.DeleteFunc(l.frames, func(b uint64, _ []int64) bool { return b < beforeBlock })
+	maps.DeleteFunc(l.proven, func(b uint64, _ provenBlock) bool { return b < beforeBlock })
+	l.pmu.Unlock()
 	var txKeys [][]byte
 	l.sysTx.Scan(func(key []byte, r sqltypes.Row) bool {
 		if uint64(r[1].Int()) < beforeBlock {

@@ -25,6 +25,11 @@ type LedgerHook interface {
 	// block and return its block id and ordinal; the engine embeds the
 	// resulting entry in the COMMIT log record.
 	OnCommit(txID uint64, commitTS int64, user string, roots []wal.TableRoot) (blockID uint64, ordinal uint32)
+	// Logged runs once the COMMIT record of the transaction OnCommit placed
+	// at (blockID, ordinal) is in the log, before its writes are visible,
+	// with the LSN of the frame that holds its DML records: the COMMIT
+	// frame, or a two-phase participant's PREPARE frame.
+	Logged(blockID uint64, ordinal uint32, frameLSN int64)
 	// BeforeSnapshot runs under full quiescence just before a snapshot is
 	// written; the core drains the in-memory ledger queue into the system
 	// tables here so the snapshot captures it.
@@ -35,8 +40,9 @@ type LedgerHook interface {
 	// (nil when recovering without a snapshot).
 	LoadState(blob []byte) error
 	// Recovered delivers the ledger entries of all committed transactions
-	// replayed from the log, in commit order, for queue reconstruction.
-	Recovered(entries []*wal.LedgerEntry)
+	// replayed from the log, in commit order, for queue reconstruction, and
+	// beside each the LSN of the frame holding its DML, as Logged does.
+	Recovered(entries []*wal.LedgerEntry, frames []int64)
 }
 
 // Options configures Open.
@@ -144,8 +150,9 @@ type DB struct {
 	// would strand their PREPARE records behind the checkpoint LSN.
 	preparedCount atomic.Int64
 
-	checkpointLSN int64
-	closed        bool
+	// redoFrom is the LSN the snapshot Open loaded covers: redo began there.
+	redoFrom int64
+	closed   bool
 
 	obs *obs.Registry
 	m   dbMetrics
@@ -255,6 +262,9 @@ func (db *DB) Dir() string { return db.opts.Dir }
 
 // LogSize returns the current WAL size in bytes.
 func (db *DB) LogSize() int64 { return db.log.Size() }
+
+// ReadFrame returns the records of the WAL frame at lsn (wal.Log.ReadFrame).
+func (db *DB) ReadFrame(lsn int64) ([]wal.Record, error) { return db.log.ReadFrame(lsn) }
 
 // nowNanos returns the current time from Options.Clock, or the wall
 // clock when none is configured.
@@ -416,7 +426,7 @@ func (db *DB) commitTail(tx *Tx, recs []wal.Record, lap obs.LapTimer, tr *obs.Tr
 	ticket := db.committer.Enqueue(recs)
 	db.commitMu.Unlock()
 	lap.LapSpan(db.m.stagePublish, tr, obs.SpanCommitPublish)
-	_, err := ticket.Wait()
+	lsn, err := ticket.Wait()
 	waitID := lap.LapSpan(db.m.stageWait, tr, obs.SpanCommitWait)
 	if tr != nil {
 		// Split the durability wait into its two legs: waiting for the
@@ -432,6 +442,12 @@ func (db *DB) commitTail(tx *Tx, recs []wal.Record, lap obs.LapTimer, tr *obs.Tr
 				obs.L("group_size", strconv.Itoa(gsize)),
 				obs.L("group_records", strconv.Itoa(grecs)))
 		}
+	}
+	if err == nil && entry != nil {
+		if tx.prepared {
+			lsn = tx.prepareLSN // the COMMIT frame holds no DML
+		}
+		db.opts.Hook.Logged(entry.BlockID, entry.Ordinal, lsn)
 	}
 	if err == nil {
 		// Stage 4 — apply to shared storage while still holding row locks,

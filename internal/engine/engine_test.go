@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -748,16 +749,20 @@ func TestCommitWithLedgerHook(t *testing.T) {
 type testHook struct {
 	commits   int
 	recovered []*wal.LedgerEntry
+	logged    []int64 // frame LSNs, from Logged or Recovered
 }
 
 func (h *testHook) OnCommit(txID uint64, commitTS int64, user string, roots []wal.TableRoot) (uint64, uint32) {
 	h.commits++
 	return 0, uint32(h.commits - 1)
 }
-func (h *testHook) BeforeSnapshot()                 {}
-func (h *testHook) StateBlob() []byte               { return []byte("state") }
-func (h *testHook) LoadState(_ []byte) error        { return nil }
-func (h *testHook) Recovered(es []*wal.LedgerEntry) { h.recovered = es }
+func (h *testHook) Logged(_ uint64, _ uint32, lsn int64) { h.logged = append(h.logged, lsn) }
+func (h *testHook) BeforeSnapshot()                      {}
+func (h *testHook) StateBlob() []byte                    { return []byte("state") }
+func (h *testHook) LoadState(_ []byte) error             { return nil }
+func (h *testHook) Recovered(es []*wal.LedgerEntry, frames []int64) {
+	h.recovered, h.logged = es, frames
+}
 
 func TestRecoveryDeliversLedgerEntries(t *testing.T) {
 	dir := t.TempDir()
@@ -787,6 +792,16 @@ func TestRecoveryDeliversLedgerEntries(t *testing.T) {
 	for i, e := range hook2.recovered {
 		if e.Ordinal != uint32(i) || e.User != "u" {
 			t.Fatalf("entry %d = %+v", i, e)
+		}
+	}
+	// Redo learns the frame commit reported, and the frame holds the DML.
+	if !slices.Equal(hook2.logged, hook.logged) || len(hook.logged) != 3 {
+		t.Fatalf("recovered frames %v, logged at commit %v", hook2.logged, hook.logged)
+	}
+	for _, lsn := range hook2.logged {
+		recs, err := db2.ReadFrame(lsn)
+		if err != nil || len(recs) != 2 || recs[0].Type != wal.RecInsert || recs[1].Type != wal.RecCommit {
+			t.Fatalf("frame at %d: %v, %v", lsn, recs, err)
 		}
 	}
 }

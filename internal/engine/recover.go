@@ -261,7 +261,7 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 	if err != nil {
 		return err
 	}
-	db.checkpointLSN = snapLSN
+	db.redoFrom = snapLSN
 	db.obs.Histogram(obs.RecoverySeconds, nil, obs.L("phase", "snapshot")).ObserveSince(phaseSnapshot)
 
 	workers := db.recoveryWorkers()
@@ -298,12 +298,13 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 	defer closePool()
 
 	pending := make(map[uint64][]writeOp)
-	// preparedAt maps a transaction id to its decoded PREPARE payload;
-	// a later COMMIT or ABORT record resolves it, anything left at the
-	// end of the log is in doubt.
-	preparedAt := make(map[uint64]wal.PreparePayload)
+	// preparedAt maps a transaction id to its PREPARE record; a later
+	// COMMIT or ABORT record resolves it, anything left at the end of the
+	// log is in doubt.
+	preparedAt := make(map[uint64]wal.DecodedRecord)
 	rebuild := make(map[uint32]struct{})
 	var entries []*wal.LedgerEntry
+	var frames []int64 // of entries: the LSN of the frame holding the DML
 	maxTx := uint64(0)
 	records := 0
 	// shares is reused per commit to partition a write set across the pool.
@@ -352,13 +353,14 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 			}
 			if p.Entry != nil {
 				entries = append(entries, p.Entry)
+				frames = append(frames, dmlFrame(rec.Record, preparedAt))
 			}
 			delete(preparedAt, rec.TxID)
 		case wal.RecAbort:
 			delete(pending, rec.TxID)
 			delete(preparedAt, rec.TxID)
 		case wal.RecPrepare:
-			preparedAt[rec.TxID] = *rec.Prepare
+			preparedAt[rec.TxID] = rec
 		case wal.RecDDL:
 			p, err := wal.DecodeDDL(rec.Payload)
 			if err != nil {
@@ -404,16 +406,18 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 	// coordinator resolves them (presumed abort when it has no decision).
 	// Recovery applies no in-doubt writes, so no row locks are needed to
 	// keep the write sets isolated until resolution.
-	for txID, p := range preparedAt {
+	for txID, rec := range preparedAt {
+		p := rec.Prepare
 		tx := &Tx{
-			db:       db,
-			id:       txID,
-			user:     p.User,
-			writes:   pending[txID],
-			Roots:    p.Roots,
-			prepared: true,
-			gid:      p.Gid,
-			inDoubt:  true,
+			db:         db,
+			id:         txID,
+			user:       p.User,
+			writes:     pending[txID],
+			Roots:      p.Roots,
+			prepared:   true,
+			gid:        p.Gid,
+			prepareLSN: rec.LSN,
+			inDoubt:    true,
 		}
 		delete(pending, txID)
 		db.inDoubt[p.Gid] = tx
@@ -424,7 +428,7 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 	// the last commit.
 	db.appliedTS.Store(db.lastCommitTS.Load())
 	if db.opts.Hook != nil {
-		db.opts.Hook.Recovered(entries)
+		db.opts.Hook.Recovered(entries, frames)
 	}
 	db.obs.Counter(obs.RecoveryRecordsReplayedTotal).Add(int64(records))
 	if records > 0 {
@@ -437,6 +441,50 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 			"records_per_sec", float64(records)/elapsed.Seconds())
 	}
 	return nil
+}
+
+// dmlFrame is the LSN of the frame holding the DML of the transaction that
+// commit commits: the frame of its PREPARE record if it has one, else its
+// own.
+func dmlFrame(commit wal.Record, preparedAt map[uint64]wal.DecodedRecord) int64 {
+	if p, ok := preparedAt[commit.TxID]; ok {
+		return p.LSN
+	}
+	return commit.LSN
+}
+
+// LedgerFramesBefore calls fn, in log order, with the ledger entry of each
+// transaction committed before the snapshot Open loaded and the LSN of
+// the frame holding its DML, as LedgerHook.Logged would have: what redo
+// learned for the commits after that snapshot, looked up in one pass over
+// the log prefix only when someone asks.
+func (db *DB) LedgerFramesBefore(fn func(e *wal.LedgerEntry, frame int64)) error {
+	r, err := wal.NewReader(filepath.Join(db.opts.Dir, walFileName), wal.HeaderLen, db.redoFrom)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	preparedAt := make(map[uint64]wal.DecodedRecord)
+	for {
+		rec, err := r.Next()
+		switch {
+		case err == io.EOF:
+			return nil
+		case err != nil:
+			return err
+		case rec.Type == wal.RecPrepare:
+			preparedAt[rec.TxID] = wal.DecodedRecord{Record: rec}
+		case rec.Type == wal.RecCommit:
+			p, err := wal.DecodeCommit(rec.Payload)
+			if err != nil {
+				return err
+			}
+			if p.Entry != nil {
+				fn(p.Entry, dmlFrame(rec, preparedAt))
+			}
+			delete(preparedAt, rec.TxID)
+		}
+	}
 }
 
 // installRecovered folds the apply pool's private state into the shared

@@ -171,7 +171,6 @@ func (db *DB) Checkpoint() (int64, error) {
 	if err == nil {
 		err = db.log.Flush()
 	}
-	db.checkpointLSN = snapLSN
 	db.quiesce.RUnlock()
 	if err != nil {
 		return 0, err

@@ -52,9 +52,11 @@ func (db *DB) Prepare(tx *Tx, gid uint64) error {
 		TxID:    tx.id,
 		Payload: wal.EncodePrepare(wal.PreparePayload{Gid: gid, User: tx.user, Roots: tx.Roots}),
 	})
-	if _, err := db.log.AppendBatch(recs); err != nil {
+	lsn, err := db.log.AppendBatch(recs)
+	if err != nil {
 		return fmt.Errorf("engine: prepare log: %w", err)
 	}
+	tx.prepareLSN = lsn
 	tx.prepared = true
 	tx.gid = gid
 	db.preparedCount.Add(1)

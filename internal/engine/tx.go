@@ -65,8 +65,9 @@ type Tx struct {
 	// two-phase commit: its DML and PREPARE records are durable, its row
 	// locks stay held, and only CommitPrepared or AbortPrepared may finish
 	// it (twopc.go). gid is the coordinator's global transaction id.
-	prepared bool
-	gid      uint64
+	prepared   bool
+	gid        uint64
+	prepareLSN int64 // of the PREPARE frame, which carries the DML
 	// inDoubt marks a transaction reconstructed by recovery; resolving it
 	// removes it from db.inDoubt (single-threaded, during open).
 	inDoubt bool

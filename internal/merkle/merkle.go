@@ -281,39 +281,78 @@ func BuildProof(leaves []Hash, index uint64) (Proof, error) {
 // tree in one pass. BuildProof recomputes every tree level per call, so
 // proving k rows of one transaction costs k full tree constructions;
 // BuildProofs computes the levels once and extracts all k sibling paths
-// from them. Read receipts use it to prove every row a snapshot read
-// touched within a (transaction, table) tree, and every entry within a
-// block tree.
-func BuildProofs(leaves []Hash, indices []uint64) ([]Proof, error) {
+// from them, and the root they reach, RootOf(leaves), with them. Read
+// receipts use it to prove every row a snapshot read touched within a
+// (transaction, table) tree, and every entry within a block tree.
+func BuildProofs(leaves []Hash, indices []uint64) (Hash, []Proof, error) {
 	n := uint64(len(leaves))
 	proofs := make([]Proof, len(indices))
 	pos := make([]uint64, len(indices))
 	for i, idx := range indices {
 		if idx >= n {
-			return nil, fmt.Errorf("merkle: index %d out of range (%d leaves)", idx, n)
+			return ZeroHash, nil, fmt.Errorf("merkle: index %d out of range (%d leaves)", idx, n)
 		}
 		proofs[i] = Proof{Index: idx, LeafCount: n}
 		pos[i] = idx
 	}
+	if n == 0 {
+		return ZeroHash, proofs, nil
+	}
+	// One copy of the leaves holds every level in turn: level l+1 is
+	// written over the front of level l, behind the pairs it is read from.
 	level := append([]Hash(nil), leaves...)
-	for len(level) > 1 {
+	for w := uint64(len(level)); w > 1; w = (w + 1) / 2 {
 		for i := range proofs {
-			if sib := pos[i] ^ 1; sib < uint64(len(level)) {
+			if sib := pos[i] ^ 1; sib < w {
 				proofs[i].Siblings = append(proofs[i].Siblings, level[sib])
 			}
 			pos[i] /= 2
 		}
-		next := make([]Hash, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, combine(level[i], level[i+1]))
+		for i := uint64(0); i < w; i += 2 {
+			if i+1 < w {
+				level[i/2] = combine(level[i], level[i+1])
 			} else {
-				next = append(next, level[i]) // promotion
+				level[i/2] = level[i] // promotion
 			}
 		}
-		level = next
 	}
-	return proofs, nil
+	return level[0], proofs, nil
+}
+
+// LevelOf returns level k of the tree over leaves: the root of each run of
+// 2^k leaves, the last run perhaps shorter. Every node above it is a
+// function of it alone.
+func LevelOf(leaves []Hash, k uint) []Hash {
+	out := make([]Hash, 0, (len(leaves)+1<<k-1)>>k)
+	for lo := 0; lo < len(leaves); lo += 1 << k {
+		out = append(out, RootOf(leaves[lo:min(lo+1<<k, len(leaves))]))
+	}
+	return out
+}
+
+// BuildProofsAt is BuildProofs for a tree whose level k (LevelOf) is kept
+// beside its leaves: a proof's siblings below level k come from the 2^k
+// leaves of its run, those above from one tree built over the level, so
+// proving a few leaves costs O(2^k + n/2^k) hashes instead of O(n).
+func BuildProofsAt(leaves, level []Hash, k uint, indices []uint64) (Hash, []Proof, error) {
+	n := uint64(len(leaves))
+	runs := make([]uint64, len(indices))
+	for i, idx := range indices {
+		if idx >= n {
+			return ZeroHash, nil, fmt.Errorf("merkle: index %d out of range (%d leaves)", idx, n)
+		}
+		runs[i] = idx >> k
+	}
+	root, proofs, err := BuildProofs(level, runs)
+	if err != nil {
+		return ZeroHash, nil, err
+	}
+	for i, idx := range indices {
+		lo := idx >> k << k
+		_, in, _ := BuildProofs(leaves[lo:min(lo+1<<k, n)], []uint64{idx - lo})
+		proofs[i] = Proof{Index: idx, LeafCount: n, Siblings: append(in[0].Siblings, proofs[i].Siblings...)}
+	}
+	return root, proofs, nil
 }
 
 // Verify checks that leaf at p.Index is included in the tree whose root is

@@ -2,6 +2,7 @@ package merkle
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -388,9 +389,12 @@ func TestBuildProofsMatchesBuildProof(t *testing.T) {
 		for i := range indices {
 			indices[i] = uint64(i)
 		}
-		ps, err := BuildProofs(ls, indices)
+		got, ps, err := BuildProofs(ls, indices)
 		if err != nil {
 			t.Fatalf("BuildProofs(n=%d): %v", n, err)
+		}
+		if got != root {
+			t.Fatalf("n=%d: BuildProofs root %s, RootOf %s", n, got, root)
 		}
 		for i, p := range ps {
 			want, _ := BuildProof(ls, uint64(i))
@@ -414,7 +418,7 @@ func TestBuildProofsMatchesBuildProof(t *testing.T) {
 func TestBuildProofsDuplicateAndUnordered(t *testing.T) {
 	ls := leaves(11, 42)
 	root := RootOf(ls)
-	ps, err := BuildProofs(ls, []uint64{7, 0, 7, 10})
+	_, ps, err := BuildProofs(ls, []uint64{7, 0, 7, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +427,35 @@ func TestBuildProofsDuplicateAndUnordered(t *testing.T) {
 			t.Fatalf("proof %d (leaf %d) does not verify", i, idx)
 		}
 	}
-	if _, err := BuildProofs(ls, []uint64{0, 11}); err == nil {
+	if _, _, err := BuildProofs(ls, []uint64{0, 11}); err == nil {
 		t.Fatal("expected error for out-of-range index in batch")
+	}
+}
+
+// TestBuildProofsAtMatchesBuildProofs: proofs assembled from a kept level
+// k and the leaves of each proof's run are BuildProofs' proofs, byte for
+// byte, at every tree size around the run boundaries — the last run
+// partial or whole — and every k, and reach the same root.
+func TestBuildProofsAtMatchesBuildProofs(t *testing.T) {
+	for n := 1; n <= 70; n++ {
+		ls := leaves(n, int64(900+n))
+		all := make([]uint64, n)
+		for i := range all {
+			all[i] = uint64(i)
+		}
+		wantRoot, want, err := BuildProofs(ls, all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := uint(0); k <= 5; k++ {
+			root, got, err := BuildProofsAt(ls, LevelOf(ls, k), k, all)
+			if err != nil || root != wantRoot || !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d k=%d: root %s (want %s), same proofs %v, err %v", n, k, root, wantRoot, reflect.DeepEqual(got, want), err)
+			}
+		}
+	}
+	ls := leaves(20, 1)
+	if _, _, err := BuildProofsAt(ls, LevelOf(ls, 4), 4, []uint64{20}); err == nil {
+		t.Fatal("expected error for out-of-range index")
 	}
 }

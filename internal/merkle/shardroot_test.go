@@ -99,7 +99,7 @@ func TestBuildProofsEquivalenceAtShardScale(t *testing.T) {
 			leaves[i] = shardLeaf(i)
 			indices[i] = uint64(i)
 		}
-		batch, err := BuildProofs(leaves, indices)
+		_, batch, err := BuildProofs(leaves, indices)
 		if err != nil {
 			t.Fatal(err)
 		}

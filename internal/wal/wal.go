@@ -240,10 +240,10 @@ func appendFrame(dst []byte, recs []Record) ([]byte, error) {
 }
 
 // frameReader reads frames off a byte stream. It is the only parser of
-// the framing: Open's scan for the valid end of the log, Reader and
-// (through Reader) PipelinedReader all go through next.
+// the framing: Open's scan for the valid end of the log, Reader, (through
+// Reader) PipelinedReader and ReadFrame all go through next.
 type frameReader struct {
-	r   *bufio.Reader
+	r   io.Reader
 	off int64 // offset of the next frame
 	end int64 // frames reaching past end are not returned
 	err error // sticky: the first non-nil result of next
@@ -622,6 +622,32 @@ func (l *Log) Size() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.size
+}
+
+// ReadFrame returns the records of the frame at lsn: from the user-space
+// buffer while the frame is still there (SyncNone keeps it until the
+// buffer spills), from the file otherwise, without the log's lock — bytes
+// already written never change. It fails on an lsn outside the log, and
+// with ErrCorrupt when no whole, valid frame starts there.
+func (l *Log) ReadFrame(lsn int64) ([]Record, error) {
+	l.mu.Lock()
+	size, written := l.size, l.size-int64(len(l.buf))
+	if l.f == nil || lsn < HeaderLen || lsn >= size {
+		l.mu.Unlock()
+		return nil, fmt.Errorf("wal: no frame at LSN %d: the log holds [%d, %d)", lsn, HeaderLen, size)
+	}
+	fr := &frameReader{r: io.NewSectionReader(l.f, lsn, written-lsn), off: lsn, end: written}
+	if lsn >= written {
+		defer l.mu.Unlock() // the buffer is reused once written out
+		fr.r, fr.end = bytes.NewReader(l.buf[lsn-written:]), size
+	} else {
+		l.mu.Unlock()
+	}
+	recs, _, err := fr.next()
+	if err == errTorn {
+		err = ErrCorrupt
+	}
+	return recs, err
 }
 
 // Close writes out buffered frames and closes the log file.

@@ -87,6 +87,51 @@ func TestReaderFromOffset(t *testing.T) {
 	}
 }
 
+// TestReadFrame reads frames by LSN from the user-space buffer (SyncNone
+// keeps them there) and from the file, and refuses an LSN that is not a
+// frame of the log.
+func TestReadFrame(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, err := Open(path, SyncNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lsns []int64
+	for tx := uint64(1); tx <= 3; tx++ {
+		lsn, err := l.AppendBatch([]Record{{Type: RecInsert, TxID: tx, Payload: []byte{byte(tx)}}, {Type: RecCommit, TxID: tx}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns = append(lsns, lsn)
+	}
+	check := func(where string) {
+		t.Helper()
+		for i, lsn := range lsns {
+			recs, err := l.ReadFrame(lsn)
+			if err != nil || len(recs) != 2 || recs[0].TxID != uint64(i+1) || recs[0].LSN != lsn ||
+				recs[0].Payload[0] != byte(i+1) || recs[1].Type != RecCommit {
+				t.Fatalf("%s: frame %d at %d: %v, %v", where, i, lsn, recs, err)
+			}
+		}
+		if _, err := l.ReadFrame(lsns[1] + 1); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: LSN inside a frame: %v, want ErrCorrupt", where, err)
+		}
+		if _, err := l.ReadFrame(l.Size()); err == nil {
+			t.Fatalf("%s: LSN at the end of the log read a frame", where)
+		}
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != HeaderLen {
+		t.Fatalf("frames reached the file under SyncNone: %v, %v", st.Size(), err)
+	}
+	check("buffered")
+	l.Close()
+	if l, err = Open(path, SyncNone); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	check("written")
+}
+
 func TestTornTailTruncatedOnOpen(t *testing.T) {
 	l, path := openTestLog(t)
 	l.Append(RecCommit, 1, []byte("good"))
