@@ -128,9 +128,11 @@ bench-test:
 # history-image splice and the column projection against the decode, edit
 # and re-encode they replace, the stored-bytes row hasher the write path
 # and verification run on against the []Value one kept as its oracle, the
-# super-block watermark Open reads back, and the read-receipt parser and
-# verifier (a mutant that verifies proves nothing the seed does not) — 10 s
-# each: long enough to walk past the seeds, short enough for every push.
+# super-block watermark Open reads back, the read-receipt parser and
+# verifier (a mutant that verifies proves nothing the seed does not), and
+# the snapshot loader, whose seeds are a few KiB — minimizing each new
+# input for the default minute would leave it no time to fuzz — 10 s each:
+# long enough to walk past the seeds, short enough for every push.
 # `go test -fuzz` takes one target per run.
 .PHONY: fuzz-smoke
 fuzz-smoke:
@@ -142,6 +144,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzHashEncoded$$' -fuzztime 10s ./internal/serial
 	go test -run '^$$' -fuzz '^FuzzSuperBlock$$' -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzParseReadReceipt$$' -fuzztime 10s ./internal/core
+	go test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 10s -fuzzminimizetime 500x ./internal/engine
 
 .PHONY: check
 check: fmt-check no-large-files vet test bench-test test-race fuzz-smoke

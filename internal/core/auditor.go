@@ -313,16 +313,43 @@ func (a *chainAuditor) saveWatermark() error {
 	if err != nil {
 		return err
 	}
-	return writeFileAtomic(a.path, b)
+	return writeFileAtomic(a.path, b, 0o644)
 }
 
-// writeFileAtomic replaces path with data through a temporary file and a
-// rename, so a reader — or a crash — sees the old document or the new one.
-func writeFileAtomic(path string, data []byte) error {
-	if err := os.WriteFile(path+".tmp", data, 0o644); err != nil {
+// writeFileAtomic replaces path with data durably: data goes to a temporary
+// file, which is synced before it is renamed over path, and the directory
+// is synced after the rename, so a reader — or a crash — sees the old
+// document or the whole new one, never an empty or partial one. A failure
+// removes the temporary file and leaves path as it was.
+func writeFileAtomic(path string, data []byte, perm os.FileMode) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
+	if err != nil {
 		return err
 	}
-	return os.Rename(path+".tmp", path)
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Status snapshots the auditor and refreshes the lag gauges.

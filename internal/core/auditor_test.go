@@ -599,3 +599,34 @@ func TestMultiShardOpsSurface(t *testing.T) {
 		t.Fatalf("stale super-block status = %s", got.Status)
 	}
 }
+
+// TestWriteFileAtomic: a write that fails leaves the previous document as
+// it was, and one that succeeds replaces it and leaves no temporary file.
+func TestWriteFileAtomic(t *testing.T) {
+	path := filepath.Join(t.TempDir(), auditFile)
+	if err := writeFileAtomic(path, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A directory where the temporary file goes makes the next write fail.
+	if err := os.Mkdir(path+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFileAtomic(path, []byte("new"), 0o644); err == nil {
+		t.Fatal("write through a blocked temporary file succeeded")
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != "old" {
+		t.Fatalf("after a failed write the document is %q, %v; want the old one", b, err)
+	}
+	if err := os.Remove(path + ".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFileAtomic(path, []byte("new"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != "new" {
+		t.Fatalf("document is %q, %v; want the new one", b, err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("a successful write left its temporary file: %v", err)
+	}
+}

@@ -240,9 +240,6 @@ func (h *ledgerHook) BeforeSnapshot() {
 	}
 }
 
-func (h *ledgerHook) StateBlob() []byte        { return nil }
-func (h *ledgerHook) LoadState(_ []byte) error { return nil }
-
 func (h *ledgerHook) Recovered(entries []*wal.LedgerEntry, frames []int64) {
 	h.recovered, h.frames = entries, frames
 }

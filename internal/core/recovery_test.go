@@ -1,9 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"sqlledger/internal/engine"
+	"sqlledger/internal/obs"
 	"sqlledger/internal/sqltypes"
 )
 
@@ -188,4 +196,97 @@ func TestConcurrentLedgerCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifyOK(t, l, []Digest{d})
+}
+
+// TestSnapshotRowsSwappedFallsBack: an insider swaps two rows of a ledger
+// table's snapshot section and recomputes the section and header CRCs. A
+// tree bulk-loaded from that order would miss keys its scan returns, so
+// the snapshot must be skipped with a warning naming it; replay from the
+// log restores the table, every key is found and verification is green.
+func TestSnapshotRowsSwappedFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	l := openLedgerAt(t, dir, 4)
+	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
+	for i := 0; i < 8; i++ {
+		tx := l.Begin("u")
+		tx.Insert(lt, account(acctName(i), int64(i)))
+		mustCommit(t, tx)
+	}
+	if err := l.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	tx := l.Begin("u")
+	tx.Update(lt, account(acctName(3), 33))
+	mustCommit(t, tx)
+	id := lt.Table().ID()
+	l.Close()
+
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if len(snaps) != 1 {
+		t.Fatalf("snapshots = %v", snaps)
+	}
+	swapSnapshotRows(t, snaps[0], id)
+
+	l = openLedgerAt(t, dir, 4)
+	ev := l.Obs().Events().RecentOfType(obs.EventSnapshotSkipped, 10)
+	if len(ev) != 1 || fmt.Sprint(ev[0].Attrs[0].Value) != snaps[0] ||
+		!strings.Contains(fmt.Sprint(ev[0].Attrs[1].Value), "key order") {
+		t.Fatalf("skip events %+v, want one naming %s and the key order", ev, snaps[0])
+	}
+	lt, err := l.LedgerTable("accounts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx = l.Begin("u")
+	for i := 0; i < 8; i++ {
+		row, ok, err := tx.Get(lt, sqltypes.NewNVarChar(acctName(i)))
+		if err != nil || !ok {
+			t.Fatalf("Get %s after restart: ok=%v err=%v", acctName(i), ok, err)
+		}
+		want := int64(i)
+		if i == 3 {
+			want = 33
+		}
+		if row[1].I64 != want {
+			t.Fatalf("%s = %v, want balance %d", acctName(i), row, want)
+		}
+	}
+	tx.Rollback()
+	d, err := l.GenerateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyOK(t, l, []Digest{d})
+}
+
+// swapSnapshotRows swaps the first two rows of table id's section of the
+// snapshot at path and recomputes that section's CRC and the header's:
+// every checksum holds, and the section is out of key order.
+func swapSnapshotRows(t *testing.T, path string, id uint32) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le, castagnoli := binary.LittleEndian, crc32.MakeTable(crc32.Castagnoli)
+	pos := 16     // magic, cut timestamp
+	for range 2 { // catalog, ledger state
+		pos += 4 + int(le.Uint32(b[pos:]))
+	}
+	end := pos + 4 + 32*int(le.Uint32(b[pos:]))
+	for e := b[pos+4 : end]; len(e) > 0; e = e[32:] {
+		if le.Uint32(e) != id {
+			continue
+		}
+		sec := b[le.Uint64(e[12:]):][:le.Uint64(e[20:])]
+		next := func(p int) int { return p + 4 + int(le.Uint32(sec[p:])) }
+		first := next(next(0))
+		second := next(next(first))
+		copy(sec, append(bytes.Clone(sec[first:second]), sec[:first]...))
+		le.PutUint32(e[28:], crc32.Checksum(sec, castagnoli))
+	}
+	le.PutUint32(b[end:], crc32.Checksum(b[:end], castagnoli))
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -188,7 +188,7 @@ func (db *DB) superKey() (ed25519.PrivateKey, error) {
 		if _, err := rand.Read(seed); err != nil {
 			return nil, err
 		}
-		if err := os.WriteFile(path, []byte(hex.EncodeToString(seed)), 0o600); err != nil {
+		if err := writeFileAtomic(path, []byte(hex.EncodeToString(seed)), 0o600); err != nil {
 			return nil, err
 		}
 		db.priv = ed25519.NewKeyFromSeed(seed)
@@ -274,7 +274,7 @@ func (db *DB) CloseSuperBlock() (sb *SuperBlock, err error) {
 	hash := superBlockHash(sb)
 	sb.Signature = ed25519.Sign(priv, hash[:])
 
-	if err := writeFileAtomic(filepath.Join(db.opts.Dir, superBlockFile), sb.JSON()); err != nil {
+	if err := writeFileAtomic(filepath.Join(db.opts.Dir, superBlockFile), sb.JSON(), 0o644); err != nil {
 		return nil, err
 	}
 	db.lastSuper = sb

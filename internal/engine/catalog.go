@@ -13,6 +13,7 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"sqlledger/internal/sqltypes"
@@ -93,12 +94,64 @@ func (c *catalog) tableByName(name string) *TableMeta {
 
 func (c *catalog) marshal() ([]byte, error) { return json.Marshal(c) }
 
+// unmarshalCatalog decodes a snapshot's catalog and checks every entry.
 func unmarshalCatalog(b []byte) (*catalog, error) {
 	c := newCatalog()
 	if err := json.Unmarshal(b, c); err != nil {
 		return nil, fmt.Errorf("engine: bad catalog: %w", err)
 	}
+	for id, m := range c.Tables {
+		if err := checkTable(m); err != nil {
+			return nil, err
+		}
+		if m.ID != id || id >= c.NextTableID {
+			return nil, fmt.Errorf("engine: catalog: table %d filed under id %d (next id %d)", m.ID, id, c.NextTableID)
+		}
+	}
+	for id, im := range c.Indexes {
+		if err := checkIndex(im, c.Tables); err != nil {
+			return nil, err
+		}
+		if im.ID != id || id >= c.NextIndexID {
+			return nil, fmt.Errorf("engine: catalog: index %d filed under id %d (next id %d)", im.ID, id, c.NextIndexID)
+		}
+	}
 	return c, nil
+}
+
+// checkTable and checkIndex are the one check of catalog metadata, which
+// reaches the engine from files a restart reads back as well as from DDL:
+// unmarshalCatalog runs them on every entry of a snapshot's catalog, and
+// the function of each DDL kind (ddl.go) on the entry it is about to
+// install, live or replayed. What passes is used without a nil or range
+// check: the entry and its schema are present, and every column ordinal
+// it names lies inside its table's schema.
+func checkTable(m *TableMeta) error {
+	switch {
+	case m == nil || m.Schema == nil:
+		return fmt.Errorf("engine: catalog: table without metadata or schema")
+	case outside(m.Schema.Key, m.Schema):
+		return fmt.Errorf("engine: catalog: key of table %d names a column outside its schema", m.ID)
+	}
+	return nil
+}
+
+// checkIndex checks im against tables, the table entries it joins.
+func checkIndex(im *IndexMeta, tables map[uint32]*TableMeta) error {
+	switch {
+	case im == nil:
+		return fmt.Errorf("engine: catalog: index without metadata")
+	case tables[im.TableID] == nil:
+		return fmt.Errorf("engine: catalog: index %d names unknown table %d", im.ID, im.TableID)
+	case outside(im.Cols, tables[im.TableID].Schema):
+		return fmt.Errorf("engine: catalog: index %d names a column outside the schema of table %d", im.ID, im.TableID)
+	}
+	return nil
+}
+
+// outside reports whether an ordinal of ords lies outside the schema s.
+func outside(ords []int, s *sqltypes.Schema) bool {
+	return slices.ContainsFunc(ords, func(o int) bool { return o < 0 || o >= len(s.Columns) })
 }
 
 // ddlOp is the WAL-logged representation of a catalog mutation. Replaying
@@ -116,12 +169,4 @@ func (o ddlOp) marshal() []byte {
 		panic(fmt.Sprintf("engine: marshal ddl: %v", err)) // static types: cannot fail
 	}
 	return b
-}
-
-func unmarshalDDL(b []byte) (ddlOp, error) {
-	var o ddlOp
-	if err := json.Unmarshal(b, &o); err != nil {
-		return o, fmt.Errorf("engine: bad ddl record: %w", err)
-	}
-	return o, nil
 }

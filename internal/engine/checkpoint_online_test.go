@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -149,7 +148,7 @@ func TestSnapshotTornTmpFile(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2SectionCRCFallback: corruption inside a v2 table section
+// TestSnapshotV2SectionCRCFallback: corruption inside a table section
 // fails that snapshot's per-section CRC and recovery falls back to the
 // previous valid snapshot plus longer WAL replay.
 func TestSnapshotV2SectionCRCFallback(t *testing.T) {
@@ -192,8 +191,8 @@ func TestSnapshotV2SectionCRCFallback(t *testing.T) {
 	// Direct check: the corrupted file must fail with a section CRC error
 	// (not a header error), proving the per-section checksums localize it.
 	probe := openDBAt(t, t.TempDir())
-	if lerr := probe.loadSnapshot(newest); lerr == nil || !strings.Contains(lerr.Error(), "section CRC") {
-		t.Fatalf("corrupt v2 load error = %v, want section CRC mismatch", lerr)
+	if lerr := probe.loadSnapshot(newest, b); lerr == nil || !strings.Contains(lerr.Error(), "section CRC") {
+		t.Fatalf("corrupt snapshot load error = %v, want section CRC mismatch", lerr)
 	}
 
 	db2 := openDBAt(t, dir)
@@ -203,91 +202,6 @@ func TestSnapshotV2SectionCRCFallback(t *testing.T) {
 	}
 	if tab2.RowCount() != 3 {
 		t.Fatalf("rows after v2 CRC fallback = %d, want 3", tab2.RowCount())
-	}
-}
-
-// The v1 snapshot fixture: written once by the last build that had a v1
-// writer (PR 14) over a logical clock — table t with 50
-// rows inserted, row 7 updated and row 49 deleted, index ix_v on it, table
-// t2 with 7 rows, a dropped table "gone" with 3 rows, and a ledger blob.
-const (
-	goldenV1Snap       = "testdata/snap_v1.golden.snap"
-	goldenV1SnapSHA256 = "151ecf7bcf625b5cd37416e1a102ae04738f355a544005617ef02bbfb23eddd4"
-)
-
-// blobHook records the ledger state blob a snapshot load hands back.
-type blobHook struct {
-	testHook
-	blob []byte
-}
-
-func (h *blobHook) LoadState(b []byte) error { h.blob = b; return nil }
-
-// TestSnapshotV1GoldenLoads: the engine writes only v2 snapshots, but a
-// database directory may still hold a v1 image; the version-dispatching
-// loader must read the pinned fixture to the recorded catalog, row counts,
-// rebuilt index and ledger blob.
-func TestSnapshotV1GoldenLoads(t *testing.T) {
-	raw, err := os.ReadFile(goldenV1Snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != goldenV1SnapSHA256 {
-		t.Fatalf("fixture %s has SHA-256 %s, want %s", goldenV1Snap, got, goldenV1SnapSHA256)
-	}
-	hook := &blobHook{}
-	db, err := Open(Options{Dir: t.TempDir(), Hook: hook})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if err := db.loadSnapshot(goldenV1Snap); err != nil {
-		t.Fatalf("load v1 snapshot: %v", err)
-	}
-
-	if string(hook.blob) != "ledger-state-v1" {
-		t.Fatalf("ledger blob = %q", hook.blob)
-	}
-	if ts := db.LastCommitTS(); ts != 1_700_000_000_000_053_000 {
-		t.Fatalf("last commit timestamp = %d", ts)
-	}
-	if c := db.cat; c.NextTableID != 4 || c.NextIndexID != 2 || c.NextTxID != 54 || len(c.Tables) != 3 || len(c.Indexes) != 1 {
-		t.Fatalf("catalog = next table %d, next index %d, next tx %d, %d tables, %d indexes",
-			c.NextTableID, c.NextIndexID, c.NextTxID, len(c.Tables), len(c.Indexes))
-	}
-	for name, want := range map[string]int{"t": 49, "t2": 7} {
-		tab, err := db.Table(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tab.RowCount() != want {
-			t.Fatalf("table %s: %d rows, want %d", name, tab.RowCount(), want)
-		}
-	}
-	if _, err := db.Table("gone"); err == nil {
-		t.Fatal("dropped table is reachable by its old name")
-	}
-	gone, err := db.TableByID(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := gone.Meta(); !m.Dropped || m.OriginalName != "gone" || gone.RowCount() != 3 {
-		t.Fatalf("dropped table = %+v with %d rows", m, gone.RowCount())
-	}
-	tab, _ := db.Table("t")
-	if row, ok := tab.Lookup(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(7))); !ok || row[1].Str != "updated" {
-		t.Fatalf("row 7 = %v, %v", row, ok)
-	}
-	if _, ok := tab.Lookup(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(49))); ok {
-		t.Fatal("deleted row 49 came back")
-	}
-	if len(tab.Indexes()) != 1 || tab.Indexes()[0].Meta().Name != "ix_v" {
-		t.Fatalf("indexes on t = %v", tab.Indexes())
-	}
-	entries := 0
-	tab.ScanIndex(tab.Indexes()[0], func(_, _ []byte) bool { entries++; return true })
-	if entries != 49 {
-		t.Fatalf("index entries rebuilt from v1 snapshot = %d, want 49", entries)
 	}
 }
 

@@ -6,13 +6,11 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"sqlledger/internal/obs"
-	"sqlledger/internal/sqltypes"
 	"sqlledger/internal/wal"
 )
 
@@ -34,11 +32,6 @@ type LedgerHook interface {
 	// written; the core drains the in-memory ledger queue into the system
 	// tables here so the snapshot captures it.
 	BeforeSnapshot()
-	// StateBlob returns opaque ledger state persisted inside snapshots.
-	StateBlob() []byte
-	// LoadState hands back the blob from the snapshot being recovered
-	// (nil when recovering without a snapshot).
-	LoadState(blob []byte) error
 	// Recovered delivers the ledger entries of all committed transactions
 	// replayed from the log, in commit order, for queue reconstruction, and
 	// beside each the LSN of the frame holding its DML, as Logged does.
@@ -538,145 +531,3 @@ func (db *DB) applyWrites(writes []writeOp, commitTS int64) {
 	// tombstone); GC subtracts as it reclaims.
 	db.m.versionsLive.Add(float64(len(writes)))
 }
-
-// --- DDL -------------------------------------------------------------
-
-// CreateTableSpec describes a new table.
-type CreateTableSpec struct {
-	Name   string
-	Schema *sqltypes.Schema
-	System bool
-	Ledger LedgerKind
-}
-
-// CreateTable creates a table and logs the DDL.
-func (db *DB) CreateTable(spec CreateTableSpec) (*Table, error) {
-	db.quiesce.RLock()
-	defer db.quiesce.RUnlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.cat.tableByName(spec.Name) != nil {
-		return nil, fmt.Errorf("engine: table %q already exists", spec.Name)
-	}
-	meta := &TableMeta{
-		ID:     db.cat.NextTableID,
-		Name:   spec.Name,
-		Schema: spec.Schema.Clone(),
-		Heap:   len(spec.Schema.Key) == 0,
-		System: spec.System,
-		Ledger: spec.Ledger,
-	}
-	db.cat.NextTableID++
-	db.cat.Tables[meta.ID] = meta
-	t := newTable(meta)
-	db.tables[meta.ID] = t
-	if err := db.logDDL(ddlOp{Kind: "create_table", Meta: meta}); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// AlterTableMeta applies an arbitrary catalog mutation to a table and logs
-// the resulting metadata. Stored rows are not touched: if the schema gained
-// columns, a row stored before reads NULL in them (Table.decodeLocked).
-// Used by the ledger core for add/drop column, drop table (rename) and
-// history-table linkage.
-func (db *DB) AlterTableMeta(tableID uint32, mutate func(*TableMeta) error) error {
-	db.quiesce.RLock()
-	defer db.quiesce.RUnlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[tableID]
-	if !ok {
-		return fmt.Errorf("engine: table id %d not found", tableID)
-	}
-	// Readers decode rows against the schema under the table lock.
-	t.mu.Lock()
-	err := mutate(t.meta)
-	t.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return db.logDDL(ddlOp{Kind: "alter_table", Meta: t.meta})
-}
-
-// CreateIndex creates a nonclustered index over the named columns and
-// builds it from the current table contents.
-func (db *DB) CreateIndex(tableName, indexName string, colNames ...string) (*Index, error) {
-	db.quiesce.RLock()
-	defer db.quiesce.RUnlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	m := db.cat.tableByName(tableName)
-	if m == nil {
-		return nil, fmt.Errorf("engine: table %q not found", tableName)
-	}
-	for _, im := range db.cat.Indexes {
-		if strings.EqualFold(im.Name, indexName) {
-			return nil, fmt.Errorf("engine: index %q already exists", indexName)
-		}
-	}
-	cols := make([]int, len(colNames))
-	for i, cn := range colNames {
-		ord := m.Schema.OrdinalOf(cn)
-		if ord < 0 {
-			return nil, fmt.Errorf("engine: column %q not found in %s", cn, tableName)
-		}
-		cols[i] = ord
-	}
-	im := &IndexMeta{ID: db.cat.NextIndexID, Name: indexName, TableID: m.ID, Cols: cols}
-	db.cat.NextIndexID++
-	db.cat.Indexes[im.ID] = im
-	t := db.tables[m.ID]
-	ix := &Index{meta: im}
-	t.mu.Lock()
-	t.buildIndexLocked(ix)
-	t.indexes = append(t.indexes, ix)
-	t.mu.Unlock()
-	if err := db.logDDL(ddlOp{Kind: "create_index", Index: im}); err != nil {
-		return nil, err
-	}
-	return ix, nil
-}
-
-// DropIndex removes a nonclustered index. Index drops are physical schema
-// changes and do not affect ledger hashes (§3.5).
-func (db *DB) DropIndex(indexName string) error {
-	db.quiesce.RLock()
-	defer db.quiesce.RUnlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	var im *IndexMeta
-	for _, cand := range db.cat.Indexes {
-		if strings.EqualFold(cand.Name, indexName) {
-			im = cand
-			break
-		}
-	}
-	if im == nil {
-		return fmt.Errorf("engine: index %q not found", indexName)
-	}
-	delete(db.cat.Indexes, im.ID)
-	t := db.tables[im.TableID]
-	t.mu.Lock()
-	for i, ix := range t.indexes {
-		if ix.meta.ID == im.ID {
-			t.indexes = append(t.indexes[:i], t.indexes[i+1:]...)
-			break
-		}
-	}
-	t.mu.Unlock()
-	return db.logDDL(ddlOp{Kind: "drop_index", Index: im})
-}
-
-// logDDL appends a DDL record. Caller holds db.mu.
-func (db *DB) logDDL(op ddlOp) error {
-	_, err := db.log.Append(wal.RecDDL, 0, wal.EncodeDDL(wal.DDLPayload{Kind: op.Kind, Body: op.marshal()}))
-	if err != nil {
-		return fmt.Errorf("engine: log ddl: %w", err)
-	}
-	return db.log.Flush()
-}
-
-// --- Recovery ---------------------------------------------------------
-// (see recover.go: pipelined parallel WAL replay)

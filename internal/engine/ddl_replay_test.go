@@ -7,7 +7,7 @@ import (
 )
 
 // DDL must be recoverable purely from the WAL (no checkpoint in between):
-// the applyDDL replay paths.
+// redoDDL through the function of each DDL kind.
 
 func TestDDLReplayCreateIndex(t *testing.T) {
 	dir := t.TempDir()

@@ -758,8 +758,6 @@ func (h *testHook) OnCommit(txID uint64, commitTS int64, user string, roots []wa
 }
 func (h *testHook) Logged(_ uint64, _ uint32, lsn int64) { h.logged = append(h.logged, lsn) }
 func (h *testHook) BeforeSnapshot()                      {}
-func (h *testHook) StateBlob() []byte                    { return []byte("state") }
-func (h *testHook) LoadState(_ []byte) error             { return nil }
 func (h *testHook) Recovered(es []*wal.LedgerEntry, frames []int64) {
 	h.recovered, h.logged = es, frames
 }

@@ -125,23 +125,18 @@ func (w *redoWorker) applyTx(tx recoveredOps) error {
 				st.entries = append(st.entries, newEntry{key: op.key, chain: nc})
 			}
 			st.liveDelta++
-		case wal.RecDelete:
-			if c == nil {
+		case wal.RecDelete, wal.RecUpdate:
+			live := false
+			if c != nil {
+				_, live = c.latestLive()
+			}
+			if !live {
 				return fmt.Errorf("%w: table %s (recovery)", ErrNotFound, st.table.meta.Name)
 			}
-			if _, live := c.latestLive(); !live {
-				return fmt.Errorf("%w: table %s (recovery)", ErrNotFound, st.table.meta.Name)
+			c.appendVersion(tx.commitTS, op.after) // nil for a delete: a tombstone
+			if op.typ == wal.RecDelete {
+				st.liveDelta--
 			}
-			c.appendVersion(tx.commitTS, nil)
-			st.liveDelta--
-		case wal.RecUpdate:
-			if c == nil {
-				return fmt.Errorf("%w: table %s (recovery)", ErrNotFound, st.table.meta.Name)
-			}
-			if _, live := c.latestLive(); !live {
-				return fmt.Errorf("%w: table %s (recovery)", ErrNotFound, st.table.meta.Name)
-			}
-			c.appendVersion(tx.commitTS, op.after)
 		}
 		w.ops++
 	}
@@ -175,71 +170,12 @@ func redoHash(tableID uint32, key []byte) uint32 {
 	return h
 }
 
-// applyDDLDeferred replays a catalog mutation during recovery, deferring
-// index builds to the install phase. Both serial and parallel replay use
-// it, so their results agree by construction: the install phase rebuilds
-// every index of a touched table from its final live rows.
-func (db *DB) applyDDLDeferred(op ddlOp, rebuild map[uint32]struct{}) error {
-	switch op.Kind {
-	case "create_table":
-		db.mu.Lock()
-		db.cat.Tables[op.Meta.ID] = op.Meta
-		if op.Meta.ID >= db.cat.NextTableID {
-			db.cat.NextTableID = op.Meta.ID + 1
-		}
-		db.tables[op.Meta.ID] = newTable(op.Meta)
-		db.mu.Unlock()
-	case "alter_table":
-		db.mu.Lock()
-		db.cat.Tables[op.Meta.ID] = op.Meta
-		t := db.tables[op.Meta.ID]
-		db.mu.Unlock()
-		if t == nil {
-			return fmt.Errorf("engine: alter_table for unknown table %d", op.Meta.ID)
-		}
-		t.meta = op.Meta
-	case "create_index":
-		db.mu.Lock()
-		db.cat.Indexes[op.Index.ID] = op.Index
-		if op.Index.ID >= db.cat.NextIndexID {
-			db.cat.NextIndexID = op.Index.ID + 1
-		}
-		t := db.tables[op.Index.TableID]
-		db.mu.Unlock()
-		if t == nil {
-			return fmt.Errorf("engine: create_index for unknown table %d", op.Index.TableID)
-		}
-		t.indexes = append(t.indexes, &Index{meta: op.Index})
-		rebuild[op.Index.TableID] = struct{}{}
-	case "drop_index":
-		db.mu.Lock()
-		delete(db.cat.Indexes, op.Index.ID)
-		t := db.tables[op.Index.TableID]
-		db.mu.Unlock()
-		if t != nil {
-			for i, ix := range t.indexes {
-				if ix.meta.ID == op.Index.ID {
-					t.indexes = append(t.indexes[:i], t.indexes[i+1:]...)
-					break
-				}
-			}
-		}
-	default:
-		return fmt.Errorf("engine: unknown ddl kind %q", op.Kind)
-	}
-	return nil
-}
-
 // recoveryWorkers resolves Options.RecoveryWorkers: 0 means one per CPU.
 func (db *DB) recoveryWorkers() int {
-	w := db.opts.RecoveryWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	if w := db.opts.RecoveryWorkers; w > 0 {
+		return w
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return runtime.GOMAXPROCS(0)
 }
 
 // recover loads the newest snapshot and replays the WAL from its LSN,
@@ -364,14 +300,10 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 		case wal.RecDDL:
 			p, err := wal.DecodeDDL(rec.Payload)
 			if err != nil {
-				return fmt.Errorf("engine: recovery ddl: %w", err)
+				return fmt.Errorf("engine: recovery: ddl record at LSN %d: %w", rec.LSN, err)
 			}
-			op, err := unmarshalDDL(p.Body)
-			if err != nil {
-				return err
-			}
-			if err := db.applyDDLDeferred(op, rebuild); err != nil {
-				return err
+			if err := db.redoDDL(p.Body, rebuild); err != nil {
+				return fmt.Errorf("engine: recovery: %s record at LSN %d: %w", p.Kind, rec.LSN, err)
 			}
 		case wal.RecCheckpoint:
 			// Informational during redo.
@@ -392,9 +324,7 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 	// Install phase: merge worker-private chains into the tables, rebuild
 	// indexes of touched tables.
 	phaseInstall := time.Now()
-	if err := db.installRecovered(pool, rebuild, workers); err != nil {
-		return err
-	}
+	db.installRecovered(pool, rebuild, workers)
 	db.obs.Histogram(obs.RecoverySeconds, nil, obs.L("phase", "install")).ObserveSince(phaseInstall)
 	db.m.versionsLive.Add(float64(applied))
 
@@ -489,7 +419,7 @@ func (db *DB) LedgerFramesBefore(fn func(e *wal.LedgerEntry, frame int64)) error
 
 // installRecovered folds the apply pool's private state into the shared
 // tables. Tables are independent, so the merge runs parallel across them.
-func (db *DB) installRecovered(pool []*redoWorker, rebuild map[uint32]struct{}, workers int) error {
+func (db *DB) installRecovered(pool []*redoWorker, rebuild map[uint32]struct{}, workers int) {
 	// Collect the per-table work across workers.
 	type tableInstall struct {
 		table     *Table
@@ -519,42 +449,37 @@ func (db *DB) installRecovered(pool []*redoWorker, rebuild map[uint32]struct{}, 
 			}
 		}
 	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
+	list := make([]*tableInstall, 0, len(jobs))
 	for _, j := range jobs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(j *tableInstall) {
-			defer func() { <-sem; wg.Done() }()
-			t := j.table
-			t.mu.Lock()
-			defer t.mu.Unlock()
-			if len(j.entries) > 0 {
-				sort.Slice(j.entries, func(a, b int) bool {
-					return bytes.Compare(j.entries[a].key, j.entries[b].key) < 0
-				})
-				if t.rows.Len() == 0 {
-					keys := make([][]byte, len(j.entries))
-					chains := make([]*versionChain, len(j.entries))
-					for i, e := range j.entries {
-						keys[i], chains[i] = e.key, e.chain
-					}
-					t.rows = btree.BuildSorted(keys, chains)
-				} else {
-					for _, e := range j.entries {
-						t.rows.Put(e.key, e.chain)
-					}
-				}
-				for _, e := range j.entries {
-					t.noteRIDLocked(e.key)
-				}
-			}
-			t.liveRows += j.liveDelta
-			for _, ix := range t.indexes {
-				t.buildIndexLocked(ix)
-			}
-		}(j)
+		list = append(list, j)
 	}
-	wg.Wait()
-	return nil
+	forEach(len(list), workers, func(i int) {
+		j, t := list[i], list[i].table
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		if len(j.entries) > 0 {
+			sort.Slice(j.entries, func(a, b int) bool {
+				return bytes.Compare(j.entries[a].key, j.entries[b].key) < 0
+			})
+			if t.rows.Len() == 0 {
+				keys := make([][]byte, len(j.entries))
+				chains := make([]*versionChain, len(j.entries))
+				for i, e := range j.entries {
+					keys[i], chains[i] = e.key, e.chain
+				}
+				t.rows = btree.BuildSorted(keys, chains)
+			} else {
+				for _, e := range j.entries {
+					t.rows.Put(e.key, e.chain)
+				}
+			}
+			for _, e := range j.entries {
+				t.noteRIDLocked(e.key)
+			}
+		}
+		t.liveRows += j.liveDelta
+		for _, ix := range t.indexes {
+			t.buildIndexLocked(ix)
+		}
+	})
 }

@@ -1,12 +1,11 @@
 package engine
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -19,29 +18,18 @@ import (
 	"sqlledger/internal/wal"
 )
 
-// Snapshot file layouts (all integers little-endian).
-//
-// v1 ("SQLLSNP1") — serial, whole-file checksum:
-//
-//	magic "SQLLSNP1"
-//	u64 lastCommitTS
-//	section catalog-JSON
-//	section ledger-state-blob
-//	u32 tableCount, then per table:
-//	    u32 tableID, u64 rowCount, then per row: section key, section row
-//	u32 CRC32C of everything before it
-//
-// v2 ("SQLLSNP2") — per-table sections with an offset index, written and
-// loaded by per-table workers:
+// Snapshot file layout (all integers little-endian): per-table sections
+// with an offset index, written and loaded by per-table workers.
 //
 //	magic "SQLLSNP2"
 //	u64 cutTS
 //	section catalog-JSON
-//	section ledger-state-blob
+//	section ledger-state (always empty: written for the layout, stepped over)
 //	u32 tableCount, then per table:
 //	    u32 tableID, u64 rowCount, u64 offset, u64 length, u32 sectionCRC32C
 //	u32 CRC32C of the header (everything before it)
-//	table sections at the recorded absolute offsets, each a row stream:
+//	table sections at the recorded absolute offsets, each a row stream in
+//	strictly ascending key order:
 //	    per row: section key, section row
 //
 // where section = u32 length + bytes. The per-section CRCs let the loader
@@ -51,8 +39,7 @@ import (
 // crash mid-checkpoint leaves the previous snapshot intact.
 
 const (
-	snapMagicV1 = "SQLLSNP1"
-	snapMagicV2 = "SQLLSNP2"
+	snapMagic = "SQLLSNP2"
 
 	// checkpointPreparedWait bounds how long Checkpoint waits for
 	// outstanding prepared 2PC transactions to resolve before refusing.
@@ -118,10 +105,6 @@ func (db *DB) Checkpoint() (int64, error) {
 	// Under full quiescence nothing is in flight: every commit at or
 	// below cutTS is applied, and everything after will log past snapLSN.
 	cutTS := db.lastCommitTS.Load()
-	var blob []byte
-	if db.opts.Hook != nil {
-		blob = db.opts.Hook.StateBlob()
-	}
 	db.mu.RLock()
 	catJSON, catErr := db.cat.marshal()
 	tables := make([]*Table, 0, len(db.tables))
@@ -153,7 +136,7 @@ func (db *DB) Checkpoint() (int64, error) {
 	if db.snapshotWriteHook != nil {
 		db.snapshotWriteHook()
 	}
-	if err := db.writeSnapshotV2(snapLSN, cutTS, blob, catJSON, tables); err != nil {
+	if err := db.writeSnapshot(snapLSN, cutTS, catJSON, tables); err != nil {
 		return 0, err
 	}
 
@@ -185,29 +168,9 @@ func snapPath(dir string, lsn int64) string {
 	return filepath.Join(dir, fmt.Sprintf("snap-%016x.snap", lsn))
 }
 
-type crcWriter struct {
-	w   *bufio.Writer
-	crc uint32
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	cw.crc = crc32.Update(cw.crc, castagnoliSnap, p)
-	return cw.w.Write(p)
-}
-
 var castagnoliSnap = crc32.MakeTable(crc32.Castagnoli)
 
-func writeSection(w io.Writer, b []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(b)
-	return err
-}
-
-// appendSection is writeSection into a byte slice.
+// appendSection appends b as a section: its u32 length, then b.
 func appendSection(dst, b []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
 	return append(dst, b...)
@@ -249,7 +212,7 @@ func snapshotTableAt(t *Table, cutTS int64) ([]byte, uint64) {
 	}
 }
 
-// snapSection is one encoded per-table section headed for the v2 file.
+// snapSection is one encoded per-table section headed for the file.
 type snapSection struct {
 	id   uint32
 	rows uint64
@@ -257,46 +220,32 @@ type snapSection struct {
 	crc  uint32
 }
 
-// writeSnapshotV2 writes the v2 snapshot file: table sections encoded by
+// writeSnapshot writes the snapshot file: table sections encoded by
 // per-table workers from the MVCC cut at cutTS, then laid out behind an
 // offset index with per-section CRCs.
-func (db *DB) writeSnapshotV2(lsn, cutTS int64, ledgerBlob, catJSON []byte, tables []*Table) error {
+func (db *DB) writeSnapshot(lsn, cutTS int64, catJSON []byte, tables []*Table) error {
 	secs := make([]snapSection, len(tables))
-	workers := db.recoveryWorkers()
-	if workers > len(tables) {
-		workers = len(tables)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, len(tables))
-	for i := range tables {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				t := tables[i]
-				data, rows := snapshotTableAt(t, cutTS)
-				secs[i] = snapSection{
-					id:   t.meta.ID,
-					rows: rows,
-					data: data,
-					crc:  crc32.Checksum(data, castagnoliSnap),
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	forEach(len(tables), db.recoveryWorkers(), func(i int) {
+		data, rows := snapshotTableAt(tables[i], cutTS)
+		secs[i] = snapSection{id: tables[i].meta.ID, rows: rows, data: data, crc: crc32.Checksum(data, castagnoliSnap)}
+	})
 
-	headerLen := len(snapMagicV2) + 8 + // magic, cutTS
-		4 + len(catJSON) + 4 + len(ledgerBlob) + // sections
-		4 + len(secs)*(4+8+8+8+4) + // count + index entries
-		4 // header CRC
+	le := binary.LittleEndian
+	hdr := le.AppendUint64([]byte(snapMagic), uint64(cutTS))
+	hdr = appendSection(hdr, catJSON)
+	hdr = appendSection(hdr, nil) // ledger state
+	hdr = le.AppendUint32(hdr, uint32(len(secs)))
+	offset := uint64(len(hdr) + 32*len(secs) + 4)
+	for _, s := range secs {
+		hdr = le.AppendUint32(hdr, s.id)
+		hdr = le.AppendUint64(hdr, s.rows)
+		hdr = le.AppendUint64(hdr, offset)
+		hdr = le.AppendUint64(hdr, uint64(len(s.data)))
+		hdr = le.AppendUint32(hdr, s.crc)
+		offset += uint64(len(s.data))
+	}
+	hdr = le.AppendUint32(hdr, crc32.Checksum(hdr, castagnoliSnap))
+
 	tmp := snapPath(db.opts.Dir, lsn) + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -306,51 +255,13 @@ func (db *DB) writeSnapshotV2(lsn, cutTS int64, ledgerBlob, catJSON []byte, tabl
 		f.Close()
 		os.Remove(tmp)
 	}()
-	bw := bufio.NewWriterSize(f, 1<<20)
-	cw := &crcWriter{w: bw}
-	if _, err := cw.Write([]byte(snapMagicV2)); err != nil {
-		return err
-	}
-	var u64 [8]byte
-	binary.LittleEndian.PutUint64(u64[:], uint64(cutTS))
-	if _, err := cw.Write(u64[:]); err != nil {
-		return err
-	}
-	if err := writeSection(cw, catJSON); err != nil {
-		return err
-	}
-	if err := writeSection(cw, ledgerBlob); err != nil {
-		return err
-	}
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(secs)))
-	if _, err := cw.Write(u32[:]); err != nil {
-		return err
-	}
-	offset := uint64(headerLen)
-	for _, s := range secs {
-		var ent [32]byte
-		binary.LittleEndian.PutUint32(ent[0:4], s.id)
-		binary.LittleEndian.PutUint64(ent[4:12], s.rows)
-		binary.LittleEndian.PutUint64(ent[12:20], offset)
-		binary.LittleEndian.PutUint64(ent[20:28], uint64(len(s.data)))
-		binary.LittleEndian.PutUint32(ent[28:32], s.crc)
-		if _, err := cw.Write(ent[:]); err != nil {
-			return err
-		}
-		offset += uint64(len(s.data))
-	}
-	binary.LittleEndian.PutUint32(u32[:], cw.crc)
-	if _, err := bw.Write(u32[:]); err != nil {
+	if _, err := f.Write(hdr); err != nil {
 		return err
 	}
 	for _, s := range secs {
-		if _, err := bw.Write(s.data); err != nil {
+		if _, err := f.Write(s.data); err != nil {
 			return err
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
 	}
 	if err := f.Sync(); err != nil {
 		return err
@@ -361,295 +272,158 @@ func (db *DB) writeSnapshotV2(lsn, cutTS int64, ledgerBlob, catJSON []byte, tabl
 	return os.Rename(tmp, snapPath(db.opts.Dir, lsn))
 }
 
+// forEach calls fn(i) for every i in [0, n) on up to workers goroutines.
+func forEach(n, workers int, fn func(i int)) {
+	next := make(chan int, n)
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // loadLatestSnapshot finds and loads the newest valid snapshot, returning
-// the LSN recovery should replay from (0 when starting empty). A corrupt
-// newest snapshot falls back to the next older one.
+// the LSN recovery should replay from (0 when starting empty). A snapshot
+// that fails to load is reported and skipped for the next older one.
 func (db *DB) loadLatestSnapshot() (int64, error) {
 	matches, err := filepath.Glob(filepath.Join(db.opts.Dir, "snap-*.snap"))
 	if err != nil {
 		return 0, err
 	}
-	type cand struct {
-		path string
-		lsn  int64
-	}
-	var cands []cand
-	for _, m := range matches {
+	// Glob sorts, and the LSN in a name is fixed-width hex: newest last.
+	for i := len(matches) - 1; i >= 0; i-- {
 		var lsn int64
-		if _, err := fmt.Sscanf(filepath.Base(m), "snap-%016x.snap", &lsn); err == nil {
-			cands = append(cands, cand{m, lsn})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].lsn > cands[j].lsn })
-	for _, c := range cands {
-		if err := db.loadSnapshot(c.path); err != nil {
-			// Fall back to an older snapshot; replay covers the gap.
+		if _, err := fmt.Sscanf(filepath.Base(matches[i]), "snap-%016x.snap", &lsn); err != nil {
 			continue
 		}
-		return c.lsn, nil
+		raw, err := os.ReadFile(matches[i])
+		if err == nil {
+			err = db.loadSnapshot(matches[i], raw)
+		}
+		if err != nil {
+			// Replay from an older snapshot covers the gap.
+			db.obs.Events().Warn(obs.EventSnapshotSkipped, "file", matches[i], "reason", err.Error())
+			continue
+		}
+		return lsn, nil
 	}
 	// No usable snapshot: start from an empty catalog.
 	db.cat = newCatalog()
 	db.tables = make(map[uint32]*Table)
-	if db.opts.Hook != nil {
-		if err := db.opts.Hook.LoadState(nil); err != nil {
-			return 0, err
-		}
-	}
 	return 0, nil
 }
 
-func readSection(r *bufio.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
+// snapReader reads a snapshot buffer front to back, bounds checking every
+// read. The first failure sticks: later reads return nil and err names
+// what was being read.
+type snapReader struct {
+	b    []byte
+	pos  int
+	what string
+	err  error
 }
 
-// loadSnapshot dispatches on the snapshot magic; both loaders mutate db
-// only after the whole file validated, so a failure leaves the database
-// ready to try an older snapshot.
-func (db *DB) loadSnapshot(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
+func (r *snapReader) next(n int) []byte {
+	if r.err == nil && (n < 0 || n > len(r.b)-r.pos) {
+		r.err = fmt.Errorf("engine: snapshot %s truncated", r.what)
 	}
-	switch {
-	case len(raw) >= len(snapMagicV2) && string(raw[:len(snapMagicV2)]) == snapMagicV2:
-		return db.loadSnapshotV2(path, raw)
-	case len(raw) >= len(snapMagicV1) && string(raw[:len(snapMagicV1)]) == snapMagicV1:
-		return db.loadSnapshotV1(path, raw)
-	default:
-		return fmt.Errorf("engine: bad snapshot header in %s", path)
+	if r.err != nil {
+		return nil
 	}
+	b := r.b[r.pos : r.pos+n]
+	r.pos += n
+	return b
 }
 
-func (db *DB) loadSnapshotV1(path string, raw []byte) error {
-	if len(raw) < len(snapMagicV1)+12 {
-		return fmt.Errorf("engine: bad snapshot header in %s", path)
+// uint reads an n-byte little-endian integer.
+func (r *snapReader) uint(n int) (v uint64) {
+	for i, c := range r.next(n) {
+		v |= uint64(c) << (8 * i)
 	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	if crc32.Checksum(body, castagnoliSnap) != binary.LittleEndian.Uint32(tail) {
-		return fmt.Errorf("engine: snapshot CRC mismatch in %s", path)
-	}
-	r := bufio.NewReader(bytes.NewReader(body[len(snapMagicV1):]))
-	var tsBuf [8]byte
-	if _, err := io.ReadFull(r, tsBuf[:]); err != nil {
-		return err
-	}
-	lastTS := int64(binary.LittleEndian.Uint64(tsBuf[:]))
-	catJSON, err := readSection(r)
-	if err != nil {
-		return err
-	}
-	blob, err := readSection(r)
-	if err != nil {
-		return err
-	}
-	cat, err := unmarshalCatalog(catJSON)
-	if err != nil {
-		return err
-	}
-	tables := make(map[uint32]*Table, len(cat.Tables))
-	for id, meta := range cat.Tables {
-		tables[id] = newTable(meta)
-	}
-	var cnt [4]byte
-	if _, err := io.ReadFull(r, cnt[:]); err != nil {
-		return err
-	}
-	nTables := binary.LittleEndian.Uint32(cnt[:])
-	loaded := 0
-	for i := uint32(0); i < nTables; i++ {
-		var hdr [12]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return err
-		}
-		id := binary.LittleEndian.Uint32(hdr[0:4])
-		rows := binary.LittleEndian.Uint64(hdr[4:12])
-		t, ok := tables[id]
-		if !ok {
-			return fmt.Errorf("engine: snapshot has rows for unknown table %d", id)
-		}
-		for j := uint64(0); j < rows; j++ {
-			key, err := readSection(r)
-			if err != nil {
-				return err
-			}
-			rowb, err := readSection(r)
-			if err != nil {
-				return err
-			}
-			if err := sqltypes.CheckRow(rowb); err != nil {
-				return err
-			}
-			// Snapshot rows load as a single version at timestamp 0,
-			// visible to every snapshot read.
-			t.loadRowLocked(key, rowb)
-			loaded++
-		}
-	}
-	// Rebuild nonclustered indexes from base data.
-	for _, im := range cat.Indexes {
-		t, ok := tables[im.TableID]
-		if !ok {
-			return fmt.Errorf("engine: index %d references unknown table %d", im.ID, im.TableID)
-		}
-		ix := &Index{meta: im}
-		t.buildIndexLocked(ix)
-		t.indexes = append(t.indexes, ix)
-	}
-	if db.opts.Hook != nil {
-		if err := db.opts.Hook.LoadState(blob); err != nil {
-			return err
-		}
-	}
-	db.cat = cat
-	db.tables = tables
-	db.lastCommitTS.Store(lastTS)
-	db.m.versionsLive.Set(float64(loaded))
-	return nil
+	return v
 }
 
-// loadSnapshotV2 validates and loads a v2 snapshot: header CRC first,
-// then per-table workers each verify their section CRC, decode the row
-// stream into a freshly built table (btree.BuildSorted — rows were
-// written in key order), and rebuild its indexes.
-func (db *DB) loadSnapshotV2(path string, raw []byte) error {
-	pos := len(snapMagicV2)
-	if len(raw) < pos+8 {
+// section reads a u32 length and that many bytes.
+func (r *snapReader) section() []byte { return r.next(int(r.uint(4))) }
+
+// loadSnapshot validates and loads the snapshot raw read from path: header
+// CRC first, then per-table workers each verify their section CRC, decode
+// the row stream into a freshly built table and rebuild its indexes. db is
+// changed only once everything has validated, so a failure leaves it ready
+// to try an older snapshot.
+func (db *DB) loadSnapshot(path string, raw []byte) error {
+	r := &snapReader{b: raw, what: "header of " + path}
+	if string(r.next(len(snapMagic))) != snapMagic {
 		return fmt.Errorf("engine: bad snapshot header in %s", path)
 	}
-	cutTS := int64(binary.LittleEndian.Uint64(raw[pos : pos+8]))
-	pos += 8
-	takeSection := func() ([]byte, error) {
-		if pos+4 > len(raw) {
-			return nil, fmt.Errorf("engine: snapshot truncated in %s", path)
-		}
-		n := int(binary.LittleEndian.Uint32(raw[pos : pos+4]))
-		pos += 4
-		if pos+n > len(raw) {
-			return nil, fmt.Errorf("engine: snapshot truncated in %s", path)
-		}
-		b := raw[pos : pos+n]
-		pos += n
-		return b, nil
-	}
-	catJSON, err := takeSection()
-	if err != nil {
-		return err
-	}
-	blob, err := takeSection()
-	if err != nil {
-		return err
-	}
-	if pos+4 > len(raw) {
-		return fmt.Errorf("engine: snapshot truncated in %s", path)
-	}
-	nTables := int(binary.LittleEndian.Uint32(raw[pos : pos+4]))
-	pos += 4
-	type secRef struct {
-		id      uint32
-		rows    uint64
-		off, ln uint64
-		crc     uint32
-	}
-	if pos+nTables*32+4 > len(raw) {
-		return fmt.Errorf("engine: snapshot truncated in %s", path)
-	}
-	refs := make([]secRef, nTables)
-	for i := range refs {
-		ent := raw[pos : pos+32]
-		refs[i] = secRef{
-			id:   binary.LittleEndian.Uint32(ent[0:4]),
-			rows: binary.LittleEndian.Uint64(ent[4:12]),
-			off:  binary.LittleEndian.Uint64(ent[12:20]),
-			ln:   binary.LittleEndian.Uint64(ent[20:28]),
-			crc:  binary.LittleEndian.Uint32(ent[28:32]),
-		}
-		pos += 32
-	}
-	if crc32.Checksum(raw[:pos], castagnoliSnap) != binary.LittleEndian.Uint32(raw[pos:pos+4]) {
+	cutTS := int64(r.uint(8))
+	catJSON := r.section()
+	r.section() // ledger state, always empty
+	nTables := int(r.uint(4))
+	index := r.next(nTables * 32)
+	headerLen := r.pos
+	if crc := r.uint(4); r.err != nil {
+		return r.err
+	} else if crc32.Checksum(raw[:headerLen], castagnoliSnap) != uint32(crc) {
 		return fmt.Errorf("engine: snapshot header CRC mismatch in %s", path)
 	}
 	cat, err := unmarshalCatalog(catJSON)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w in %s", err, path)
 	}
 	tables := make(map[uint32]*Table, len(cat.Tables))
 	for id, meta := range cat.Tables {
 		tables[id] = newTable(meta)
 	}
 
-	workers := db.recoveryWorkers()
-	if workers > nTables {
-		workers = nTables
-	}
-	if workers < 1 {
-		workers = 1
+	// The writer lays sections out in table-id order; a table listed twice
+	// would be loaded by two workers at once.
+	for i := 32; i < len(index); i += 32 {
+		if binary.LittleEndian.Uint32(index[i:]) <= binary.LittleEndian.Uint32(index[i-32:]) {
+			return fmt.Errorf("engine: snapshot index out of table order in %s", path)
+		}
 	}
 	errs := make([]error, nTables)
-	loadedPer := make([]int, nTables)
-	var wg sync.WaitGroup
-	next := make(chan int, nTables)
-	for i := 0; i < nTables; i++ {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				ref := refs[i]
-				t, ok := tables[ref.id]
-				if !ok {
-					errs[i] = fmt.Errorf("engine: snapshot has rows for unknown table %d", ref.id)
-					continue
-				}
-				end := ref.off + ref.ln
-				if ref.off > uint64(len(raw)) || end > uint64(len(raw)) || ref.off > end {
-					errs[i] = fmt.Errorf("engine: snapshot section out of bounds for table %d", ref.id)
-					continue
-				}
-				data := raw[ref.off:end]
-				if crc32.Checksum(data, castagnoliSnap) != ref.crc {
-					errs[i] = fmt.Errorf("engine: snapshot section CRC mismatch for table %d in %s", ref.id, path)
-					continue
-				}
-				errs[i] = loadTableSection(t, data, ref.rows)
-				loadedPer[i] = int(ref.rows)
-			}
-		}()
-	}
-	wg.Wait()
-	loaded := 0
-	for i, e := range errs {
-		if e != nil {
-			return e
+	forEach(nTables, db.recoveryWorkers(), func(i int) {
+		ent := index[i*32 : i*32+32]
+		id := binary.LittleEndian.Uint32(ent[0:4])
+		off, ln := binary.LittleEndian.Uint64(ent[12:20]), binary.LittleEndian.Uint64(ent[20:28])
+		t, ok := tables[id]
+		switch {
+		case !ok:
+			errs[i] = fmt.Errorf("engine: snapshot has rows for unknown table %d in %s", id, path)
+		case off > uint64(len(raw)) || ln > uint64(len(raw))-off:
+			errs[i] = fmt.Errorf("engine: snapshot section out of bounds for table %d in %s", id, path)
+		case crc32.Checksum(raw[off:off+ln], castagnoliSnap) != binary.LittleEndian.Uint32(ent[28:32]):
+			errs[i] = fmt.Errorf("engine: snapshot section CRC mismatch for table %d in %s", id, path)
+		default:
+			errs[i] = loadTableSection(t, raw[off:off+ln], binary.LittleEndian.Uint64(ent[4:12]))
 		}
-		loaded += loadedPer[i]
+	})
+	if err := errors.Join(errs...); err != nil {
+		return err
 	}
-	// Rebuild nonclustered indexes from base data.
+	// Rebuild nonclustered indexes from base data; unmarshalCatalog checked
+	// that each names a table and columns inside its schema.
 	for _, im := range cat.Indexes {
-		t, ok := tables[im.TableID]
-		if !ok {
-			return fmt.Errorf("engine: index %d references unknown table %d", im.ID, im.TableID)
-		}
+		t := tables[im.TableID]
 		ix := &Index{meta: im}
 		t.buildIndexLocked(ix)
 		t.indexes = append(t.indexes, ix)
 	}
-	if db.opts.Hook != nil {
-		if err := db.opts.Hook.LoadState(blob); err != nil {
-			return err
-		}
+	loaded := 0
+	for _, t := range tables {
+		loaded += t.liveRows
 	}
 	db.cat = cat
 	db.tables = tables
@@ -658,36 +432,27 @@ func (db *DB) loadSnapshotV2(path string, raw []byte) error {
 	return nil
 }
 
-// loadTableSection loads one v2 row stream into a fresh table. Rows were
-// streamed in key order, so the clustered btree bulk-loads in O(n); each
-// is checked and then stored as the bytes the file holds, in an
-// allocation of its own (a slice of the file's buffer would keep the whole
-// file alive for as long as any one of its rows is).
+// loadTableSection loads one row stream into a fresh table. The stream must
+// hold rows keys in strictly ascending order — the clustered btree
+// bulk-loads it in O(n), and is undefined on any other order — and each row
+// is checked and then stored as the bytes the file holds, in an allocation
+// of its own (a slice of the file's buffer would keep the whole file alive
+// for as long as any one of its rows is).
 func loadTableSection(t *Table, data []byte, rows uint64) error {
+	// Every row takes at least its two length prefixes.
+	if rows > uint64(len(data))/8 {
+		return fmt.Errorf("engine: snapshot section for table %s claims %d rows in %d bytes", t.meta.Name, rows, len(data))
+	}
 	keys := make([][]byte, 0, rows)
 	chains := make([]*versionChain, 0, rows)
-	pos := 0
-	take := func() ([]byte, error) {
-		if pos+4 > len(data) {
-			return nil, fmt.Errorf("engine: snapshot section truncated for table %s", t.meta.Name)
-		}
-		n := int(binary.LittleEndian.Uint32(data[pos : pos+4]))
-		pos += 4
-		if pos+n > len(data) {
-			return nil, fmt.Errorf("engine: snapshot section truncated for table %s", t.meta.Name)
-		}
-		b := data[pos : pos+n]
-		pos += n
-		return b, nil
-	}
+	r := &snapReader{b: data, what: "section for table " + t.meta.Name}
 	for j := uint64(0); j < rows; j++ {
-		key, err := take()
-		if err != nil {
-			return err
+		key, rowb := r.section(), r.section()
+		if r.err != nil {
+			return r.err
 		}
-		rowb, err := take()
-		if err != nil {
-			return err
+		if j > 0 && bytes.Compare(key, keys[j-1]) <= 0 {
+			return fmt.Errorf("engine: snapshot section for table %s: row %d is not in key order", t.meta.Name, j)
 		}
 		if err := sqltypes.CheckRow(rowb); err != nil {
 			return err
@@ -697,8 +462,8 @@ func loadTableSection(t *Table, data []byte, rows uint64) error {
 		keys = append(keys, bytes.Clone(key))
 		chains = append(chains, newChain(0, bytes.Clone(rowb)))
 	}
-	if pos != len(data) {
-		return fmt.Errorf("engine: snapshot section has %d trailing bytes for table %s", len(data)-pos, t.meta.Name)
+	if r.pos != len(data) {
+		return fmt.Errorf("engine: snapshot section has %d trailing bytes for table %s", len(data)-r.pos, t.meta.Name)
 	}
 	t.rows = btree.BuildSorted(keys, chains)
 	t.liveRows = len(keys)

@@ -505,12 +505,3 @@ func (t *Table) buildIndexLocked(ix *Index) {
 		return true
 	})
 }
-
-// loadRowLocked installs an encoded row loaded from a snapshot file as a
-// single version at timestamp 0, visible to every snapshot. Caller holds
-// mu (or owns the table exclusively, as during recovery).
-func (t *Table) loadRowLocked(key, row []byte) {
-	t.rows.Put(key, newChain(0, row))
-	t.liveRows++
-	t.noteRIDLocked(key)
-}

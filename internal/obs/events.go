@@ -26,6 +26,7 @@ const (
 	EventRecoveryReplay   = "recovery_replayed"
 	EventWALCheckpoint    = "wal_checkpoint"
 	EventWALTornTail      = "wal_torn_tail_truncated"
+	EventSnapshotSkipped  = "snapshot_skipped"
 	EventBlobstoreError   = "blobstore_error"
 	EventHealthChanged    = "health_changed"
 	EventSuperBlockClosed = "superblock_closed"
