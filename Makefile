@@ -129,9 +129,11 @@ bench-test:
 # and re-encode they replace, the stored-bytes row hasher the write path
 # and verification run on against the []Value one kept as its oracle, the
 # super-block watermark Open reads back, the read-receipt parser and
-# verifier (a mutant that verifies proves nothing the seed does not), and
-# the snapshot loader, whose seeds are a few KiB — minimizing each new
-# input for the default minute would leave it no time to fuzz — 10 s each:
+# verifier (a mutant that verifies proves nothing the seed does not), the
+# snapshot loader, whose seeds are a few KiB — minimizing each new input
+# for the default minute would leave it no time to fuzz — the B+tree
+# against a sorted map with its invariants checked after every run of
+# operations, and the SQL lexer and parser — 10 s each:
 # long enough to walk past the seeds, short enough for every push.
 # `go test -fuzz` takes one target per run.
 .PHONY: fuzz-smoke
@@ -145,6 +147,8 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzSuperBlock$$' -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzParseReadReceipt$$' -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 10s -fuzzminimizetime 500x ./internal/engine
+	go test -run '^$$' -fuzz '^FuzzTree$$' -fuzztime 10s ./internal/btree
+	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sql
 
 .PHONY: check
 check: fmt-check no-large-files vet test bench-test test-race fuzz-smoke

@@ -2,10 +2,15 @@
 // the engine for clustered table storage and nonclustered indexes. Keys
 // compare bytewise (the engine encodes keys with the order-preserving
 // encoding from internal/sqltypes). Leaves are linked for fast ordered
-// range scans.
+// range scans. Nodes are allocated once at full size, append-order inserts
+// leave full leaves behind, and vacated slots are cleared (DESIGN.md
+// decision 23).
 package btree
 
-import "bytes"
+import (
+	"bytes"
+	"slices"
+)
 
 const (
 	// degree is the maximum number of keys per node; nodes split when
@@ -33,7 +38,18 @@ type node[V any] struct {
 	leaf bool
 }
 
-// New returns an empty tree.
+// newLeaf returns a leaf holding n entries, with room for degree+1.
+func newLeaf[V any](n int) *node[V] {
+	return &node[V]{leaf: true, keys: make([][]byte, n, degree+1), vals: make([]V, n, degree+1)}
+}
+
+// newInterior returns an interior node holding n separators and n+1
+// children, with room for degree+1 and degree+2.
+func newInterior[V any](n int) *node[V] {
+	return &node[V]{keys: make([][]byte, n, degree+1), children: make([]*node[V], n+1, degree+2)}
+}
+
+// New returns an empty tree. Its root leaf allocates on the first insert.
 func New[V any]() *Tree[V] {
 	return &Tree[V]{root: &node[V]{leaf: true}}
 }
@@ -88,79 +104,102 @@ func childIndex(keys [][]byte, key []byte) int {
 // Put inserts or replaces the value for key, returning the previous value
 // if one existed. The key slice is retained; callers must not mutate it.
 func (t *Tree[V]) Put(key []byte, val V) (old V, replaced bool) {
-	old, replaced, split, sepKey, right := t.insert(t.root, key, val)
-	if split {
-		t.root = &node[V]{
-			keys:     [][]byte{sepKey},
-			children: []*node[V]{t.root, right},
-		}
-	}
-	if !replaced {
-		t.size++
-	}
-	return old, replaced
+	return t.upsert(key, val, true)
 }
 
-func (t *Tree[V]) insert(n *node[V], key []byte, val V) (old V, replaced, split bool, sepKey []byte, right *node[V]) {
+// GetOrPut returns the value under key if there is one, and otherwise
+// inserts val under key — one descent either way, where Get then Put takes
+// two. The key slice is retained when inserted; callers must not mutate it.
+func (t *Tree[V]) GetOrPut(key []byte, val V) (existing V, found bool) {
+	return t.upsert(key, val, false)
+}
+
+func (t *Tree[V]) upsert(key []byte, val V, replace bool) (V, bool) {
+	old, found, sepKey, right := t.insert(t.root, key, val, replace, true)
+	if right != nil {
+		root := newInterior[V](1)
+		root.keys[0], root.children[0], root.children[1] = sepKey, t.root, right
+		t.root = root
+	}
+	if !found {
+		t.size++
+	}
+	return old, found
+}
+
+// insert puts key under n, which is on the tree's rightmost path when
+// rightmost is set. A node that overflows splits: it returns the new right
+// sibling and the separator before it.
+func (t *Tree[V]) insert(n *node[V], key []byte, val V, replace, rightmost bool) (old V, found bool, sepKey []byte, right *node[V]) {
 	if n.leaf {
 		i, found := search(n.keys, key)
 		if found {
-			old, n.vals[i] = n.vals[i], val
-			return old, true, false, nil, nil
+			old = n.vals[i]
+			if replace {
+				n.vals[i] = val
+			}
+			return old, true, nil, nil
 		}
-		n.keys = append(n.keys, nil)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = key
-		var zero V
-		n.vals = append(n.vals, zero)
-		copy(n.vals[i+1:], n.vals[i:])
-		n.vals[i] = val
+		if n.keys == nil { // the empty tree's root leaf
+			*n = *newLeaf[V](0)
+		}
+		n.keys = slices.Insert(n.keys, i, key)
+		n.vals = slices.Insert(n.vals, i, val)
 		if len(n.keys) > degree {
-			sepKey, right = t.splitLeaf(n)
-			return old, false, true, sepKey, right
+			sepKey, right = splitLeaf(n, i, rightmost)
 		}
-		return old, false, false, nil, nil
+		return old, false, sepKey, right
 	}
 	ci := childIndex(n.keys, key)
-	old, replaced, childSplit, childSep, childRight := t.insert(n.children[ci], key, val)
-	if childSplit {
-		n.keys = append(n.keys, nil)
-		copy(n.keys[ci+1:], n.keys[ci:])
-		n.keys[ci] = childSep
-		n.children = append(n.children, nil)
-		copy(n.children[ci+2:], n.children[ci+1:])
-		n.children[ci+1] = childRight
+	last := ci == len(n.keys)
+	old, found, childSep, childRight := t.insert(n.children[ci], key, val, replace, rightmost && last)
+	if childRight != nil {
+		n.keys = slices.Insert(n.keys, ci, childSep)
+		n.children = slices.Insert(n.children, ci+1, childRight)
 		if len(n.keys) > degree {
-			sepKey, right = t.splitInterior(n)
-			return old, replaced, true, sepKey, right
+			sepKey, right = splitInterior(n, rightmost && last)
 		}
 	}
-	return old, replaced, false, nil, nil
+	return old, found, sepKey, right
 }
 
-func (t *Tree[V]) splitLeaf(n *node[V]) ([]byte, *node[V]) {
+// splitLeaf moves the upper entries of the overfull leaf n, whose entry i
+// was just inserted, into a new right sibling: half of them, or — on the
+// tree's rightmost leaf, when i is in the upper half — entry i and those
+// above it, so the left leaf keeps every key below the new one. An insert
+// past the largest key leaves the left leaf full; so does one a little
+// below it, as when commits reach an ascending key out of order.
+func splitLeaf[V any](n *node[V], i int, rightmost bool) ([]byte, *node[V]) {
 	mid := len(n.keys) / 2
-	right := &node[V]{
-		leaf: true,
-		keys: append([][]byte(nil), n.keys[mid:]...),
-		vals: append([]V(nil), n.vals[mid:]...),
-		next: n.next,
+	if rightmost && i > mid {
+		mid = i
 	}
-	n.keys = n.keys[:mid:mid]
-	n.vals = n.vals[:mid:mid]
-	n.next = right
+	right := newLeaf[V](len(n.keys) - mid)
+	copy(right.keys, n.keys[mid:])
+	copy(right.vals, n.vals[mid:])
+	clear(n.keys[mid:])
+	clear(n.vals[mid:])
+	n.keys, n.vals = n.keys[:mid], n.vals[:mid]
+	right.next, n.next = n.next, right
 	return right.keys[0], right
 }
 
-func (t *Tree[V]) splitInterior(n *node[V]) ([]byte, *node[V]) {
+// splitInterior moves the upper separators and children of the overfull
+// interior node n into a new right sibling, and returns the separator
+// between them. Append order on the rightmost path leaves the right node
+// one separator, the fewest a non-root interior node may hold.
+func splitInterior[V any](n *node[V], appended bool) ([]byte, *node[V]) {
 	mid := len(n.keys) / 2
-	sep := n.keys[mid]
-	right := &node[V]{
-		keys:     append([][]byte(nil), n.keys[mid+1:]...),
-		children: append([]*node[V](nil), n.children[mid+1:]...),
+	if appended {
+		mid = len(n.keys) - 2
 	}
-	n.keys = n.keys[:mid:mid]
-	n.children = n.children[: mid+1 : mid+1]
+	sep := n.keys[mid]
+	right := newInterior[V](len(n.keys) - mid - 1)
+	copy(right.keys, n.keys[mid+1:])
+	copy(right.children, n.children[mid+1:])
+	clear(n.keys[mid:])
+	clear(n.children[mid+1:])
+	n.keys, n.children = n.keys[:mid], n.children[:mid+1]
 	return sep, right
 }
 
@@ -185,15 +224,10 @@ func BuildSorted[V any](keys [][]byte, vals []V) *Tree[V] {
 	// and a merge of two nodes at or below minLen still fits in degree.
 	var leaves []*node[V]
 	for i := 0; i < len(keys); i += buildFill {
-		j := i + buildFill
-		if j > len(keys) {
-			j = len(keys)
-		}
-		n := &node[V]{
-			leaf: true,
-			keys: append([][]byte(nil), keys[i:j]...),
-			vals: append([]V(nil), vals[i:j]...),
-		}
+		j := min(i+buildFill, len(keys))
+		n := newLeaf[V](j - i)
+		copy(n.keys, keys[i:j])
+		copy(n.vals, vals[i:j])
 		if len(leaves) > 0 {
 			leaves[len(leaves)-1].next = n
 		}
@@ -218,10 +252,9 @@ func BuildSorted[V any](keys [][]byte, vals []V) *Tree[V] {
 			} else if len(level)-(i+take) == 1 {
 				take--
 			}
-			p := &node[V]{
-				children: append([]*node[V](nil), level[i:i+take]...),
-				keys:     append([][]byte(nil), first[i+1:i+take]...),
-			}
+			p := newInterior[V](take - 1)
+			copy(p.children, level[i:i+take])
+			copy(p.keys, first[i+1:i+take])
 			parents = append(parents, p)
 			parentFirst = append(parentFirst, first[i])
 			i += take
@@ -251,8 +284,7 @@ func (t *Tree[V]) remove(n *node[V], key []byte) (V, bool) {
 			return zero, false
 		}
 		old := n.vals[i]
-		n.keys = append(n.keys[:i], n.keys[i+1:]...)
-		n.vals = append(n.vals[:i], n.vals[i+1:]...)
+		n.keys, n.vals = slices.Delete(n.keys, i, i+1), slices.Delete(n.vals, i, i+1)
 		return old, true
 	}
 	ci := childIndex(n.keys, key)
@@ -269,23 +301,17 @@ func (t *Tree[V]) rebalance(n *node[V], ci int) {
 	// Try borrowing from the left sibling.
 	if ci > 0 {
 		left := n.children[ci-1]
-		if len(left.keys) > minLen {
+		if last := len(left.keys) - 1; last >= minLen {
 			if child.leaf {
-				k := left.keys[len(left.keys)-1]
-				v := left.vals[len(left.vals)-1]
-				left.keys = left.keys[:len(left.keys)-1]
-				left.vals = left.vals[:len(left.vals)-1]
-				child.keys = append([][]byte{k}, child.keys...)
-				child.vals = append([]V{v}, child.vals...)
+				child.keys = slices.Insert(child.keys, 0, left.keys[last])
+				child.vals = slices.Insert(child.vals, 0, left.vals[last])
+				left.keys, left.vals = slices.Delete(left.keys, last, last+1), slices.Delete(left.vals, last, last+1)
 				n.keys[ci-1] = child.keys[0]
 			} else {
-				k := left.keys[len(left.keys)-1]
-				c := left.children[len(left.children)-1]
-				left.keys = left.keys[:len(left.keys)-1]
-				left.children = left.children[:len(left.children)-1]
-				child.keys = append([][]byte{n.keys[ci-1]}, child.keys...)
-				child.children = append([]*node[V]{c}, child.children...)
-				n.keys[ci-1] = k
+				child.keys = slices.Insert(child.keys, 0, n.keys[ci-1])
+				child.children = slices.Insert(child.children, 0, left.children[last+1])
+				n.keys[ci-1] = left.keys[last]
+				left.keys, left.children = slices.Delete(left.keys, last, last+1), slices.Delete(left.children, last+1, last+2)
 			}
 			return
 		}
@@ -297,15 +323,13 @@ func (t *Tree[V]) rebalance(n *node[V], ci int) {
 			if child.leaf {
 				child.keys = append(child.keys, rightSib.keys[0])
 				child.vals = append(child.vals, rightSib.vals[0])
-				rightSib.keys = rightSib.keys[1:]
-				rightSib.vals = rightSib.vals[1:]
+				rightSib.keys, rightSib.vals = slices.Delete(rightSib.keys, 0, 1), slices.Delete(rightSib.vals, 0, 1)
 				n.keys[ci] = rightSib.keys[0]
 			} else {
 				child.keys = append(child.keys, n.keys[ci])
 				child.children = append(child.children, rightSib.children[0])
 				n.keys[ci] = rightSib.keys[0]
-				rightSib.keys = rightSib.keys[1:]
-				rightSib.children = rightSib.children[1:]
+				rightSib.keys, rightSib.children = slices.Delete(rightSib.keys, 0, 1), slices.Delete(rightSib.children, 0, 1)
 			}
 			return
 		}
@@ -318,7 +342,8 @@ func (t *Tree[V]) rebalance(n *node[V], ci int) {
 	}
 }
 
-// merge folds child i+1 of n into child i.
+// merge folds child i+1 of n into child i. Neither holds more than minLen
+// entries, so the result fits without growing child i's slices.
 func (t *Tree[V]) merge(n *node[V], i int) {
 	left, right := n.children[i], n.children[i+1]
 	if left.leaf {
@@ -326,12 +351,10 @@ func (t *Tree[V]) merge(n *node[V], i int) {
 		left.vals = append(left.vals, right.vals...)
 		left.next = right.next
 	} else {
-		left.keys = append(left.keys, n.keys[i])
-		left.keys = append(left.keys, right.keys...)
+		left.keys = append(append(left.keys, n.keys[i]), right.keys...)
 		left.children = append(left.children, right.children...)
 	}
-	n.keys = append(n.keys[:i], n.keys[i+1:]...)
-	n.children = append(n.children[:i+1], n.children[i+2:]...)
+	n.keys, n.children = slices.Delete(n.keys, i, i+1), slices.Delete(n.children, i+1, i+2)
 }
 
 // AscendRange calls fn for every entry with start <= key < end, in key
@@ -369,82 +392,56 @@ func (t *Tree[V]) Ascend(fn func(key []byte, val V) bool) {
 	t.AscendRange(nil, nil, fn)
 }
 
-// height returns the number of interior levels above the leaf level.
-func (t *Tree[V]) height() int {
-	h := 0
-	for n := t.root; !n.leaf; n = n.children[0] {
-		h++
-	}
-	return h
-}
-
-// separators appends, in ascending key order, every separator key stored
-// in interior nodes of the subtree rooted at nd, descending at most depth
-// levels. An in-order walk of the interior levels yields the separators
-// sorted, so the result needs no post-sort.
-func separators[V any](nd *node[V], depth int, out [][]byte) [][]byte {
-	if nd.leaf || depth <= 0 {
-		return out
+// separators calls fn, in ascending key order, with every separator key
+// stored in interior nodes of the subtree rooted at nd: one per boundary
+// between two of its leaves. An in-order walk yields them sorted.
+func separators[V any](nd *node[V], fn func([]byte)) {
+	if nd.leaf {
+		return
 	}
 	for i, k := range nd.keys {
-		out = separators(nd.children[i], depth-1, out)
-		out = append(out, k)
+		separators(nd.children[i], fn)
+		fn(k)
 	}
-	return separators(nd.children[len(nd.children)-1], depth-1, out)
+	separators(nd.children[len(nd.children)-1], fn)
 }
 
 // ShardBoundaries returns up to n-1 separator keys, in ascending order,
 // that partition the key space into roughly equal contiguous ranges for
 // parallel scans: [nil, b0), [b0, b1), ..., [bk, nil). The boundaries are
 // real separator keys from the tree, so the ranges track the actual key
-// distribution; they need not currently exist as entries. A small or
-// single-level tree may yield fewer than n-1 boundaries (possibly none).
+// distribution; they need not currently exist as entries. A tree of fewer
+// than n leaves yields fewer than n-1 boundaries (a single leaf, none).
 func (t *Tree[V]) ShardBoundaries(n int) [][]byte {
 	if n <= 1 || t.root.leaf {
 		return nil
 	}
-	height := t.height()
-	var seps [][]byte
-	for depth := 1; ; depth++ {
-		seps = separators(t.root, depth, seps[:0])
-		if len(seps) >= n-1 || depth >= height {
-			break
+	// Take n-1 evenly spaced leaf boundaries, separators i*total/n: leaves
+	// hold minLen to degree entries, so even spacing in leaves is near-even
+	// spacing in rows. The root's separators alone would not do: append
+	// order leaves the subtrees on the rightmost path far smaller than their
+	// siblings.
+	total := 0
+	separators(t.root, func([]byte) { total++ })
+	out := make([][]byte, 0, min(total, n-1))
+	i := 0
+	separators(t.root, func(k []byte) {
+		if len(out) < cap(out) && (total < n || i == (len(out)+1)*total/n) {
+			out = append(out, k)
 		}
-	}
-	if len(seps) <= n-1 {
-		return seps
-	}
-	// Sample n-1 evenly spaced boundaries; separator counts per subtree
-	// are balanced, so even index spacing approximates even row spacing.
-	out := make([][]byte, 0, n-1)
-	for i := 1; i < n; i++ {
-		out = append(out, seps[i*len(seps)/n])
-	}
+		i++
+	})
 	return out
 }
 
-// Min returns the smallest key and its value.
-func (t *Tree[V]) Min() ([]byte, V, bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[0]
-	}
-	if len(n.keys) == 0 {
-		var zero V
-		return nil, zero, false
-	}
-	return n.keys[0], n.vals[0], true
-}
-
-// Max returns the largest key and its value.
-func (t *Tree[V]) Max() ([]byte, V, bool) {
+// Max returns the largest key.
+func (t *Tree[V]) Max() ([]byte, bool) {
 	n := t.root
 	for !n.leaf {
 		n = n.children[len(n.children)-1]
 	}
 	if len(n.keys) == 0 {
-		var zero V
-		return nil, zero, false
+		return nil, false
 	}
-	return n.keys[len(n.keys)-1], n.vals[len(n.vals)-1], true
+	return n.keys[len(n.keys)-1], true
 }

@@ -128,22 +128,16 @@ func TestAscendRange(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
+func TestMax(t *testing.T) {
 	tr := New[int]()
-	if _, _, ok := tr.Min(); ok {
-		t.Fatal("Min on empty tree")
-	}
-	if _, _, ok := tr.Max(); ok {
+	if _, ok := tr.Max(); ok {
 		t.Fatal("Max on empty tree")
 	}
-	for i := 5; i < 50; i++ {
+	for i := 5; i < 500; i++ {
 		tr.Put(key(i), i)
 	}
-	if k, v, ok := tr.Min(); !ok || !bytes.Equal(k, key(5)) || v != 5 {
-		t.Fatalf("Min = %s,%d,%v", k, v, ok)
-	}
-	if k, v, ok := tr.Max(); !ok || !bytes.Equal(k, key(49)) || v != 49 {
-		t.Fatalf("Max = %s,%d,%v", k, v, ok)
+	if k, ok := tr.Max(); !ok || !bytes.Equal(k, key(499)) {
+		t.Fatalf("Max = %s,%v", k, ok)
 	}
 }
 

@@ -1,0 +1,295 @@
+package btree
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// checkTree fails t unless tr is a well-formed B+tree holding exactly
+// model: keys in order, every leaf at one depth and linked to the next,
+// separators bounding their subtrees, Len right, no node holding more than
+// its slices were allocated for or less than minLen entries (the root and
+// the rightmost path excepted), and no vacated slot still holding a key,
+// value or child.
+func checkTree(t *testing.T, tr *Tree[int], model map[string]int) {
+	t.Helper()
+	var leaves []*node[int]
+	leafDepth := -1
+	var walk func(n *node[int], depth int, lo, hi []byte, rightmost bool)
+	walk = func(n *node[int], depth int, lo, hi []byte, rightmost bool) {
+		if cap(n.keys) > degree+1 || cap(n.vals) > degree+1 || cap(n.children) > degree+2 || len(n.keys) > degree {
+			t.Fatalf("node at depth %d holds %d keys in slices of capacity %d/%d/%d", depth, len(n.keys), cap(n.keys), cap(n.vals), cap(n.children))
+		}
+		if n != tr.root && !rightmost && len(n.keys) < minLen {
+			t.Fatalf("node at depth %d holds %d keys, below minLen off the rightmost path", depth, len(n.keys))
+		}
+		for i, k := range n.keys {
+			if i > 0 && bytes.Compare(n.keys[i-1], k) >= 0 {
+				t.Fatalf("keys out of order at depth %d: %x then %x", depth, n.keys[i-1], k)
+			}
+			if (lo != nil && bytes.Compare(k, lo) < 0) || (hi != nil && bytes.Compare(k, hi) >= 0) {
+				t.Fatalf("key %x at depth %d outside its separators [%x, %x)", k, depth, lo, hi)
+			}
+		}
+		for _, k := range n.keys[len(n.keys):cap(n.keys)] {
+			if k != nil {
+				t.Fatalf("vacated key slot at depth %d holds %x", depth, k)
+			}
+		}
+		if n.leaf {
+			if leafDepth >= 0 && depth != leafDepth {
+				t.Fatalf("leaves at depths %d and %d", leafDepth, depth)
+			}
+			leafDepth = depth
+			if len(n.vals) != len(n.keys) || n.children != nil {
+				t.Fatalf("leaf with %d keys, %d values, %d children", len(n.keys), len(n.vals), len(n.children))
+			}
+			for _, v := range n.vals[len(n.vals):cap(n.vals)] {
+				if v != 0 {
+					t.Fatalf("vacated value slot holds %d", v)
+				}
+			}
+			leaves = append(leaves, n)
+			return
+		}
+		if len(n.keys) == 0 || len(n.children) != len(n.keys)+1 || n.vals != nil {
+			t.Fatalf("interior node with %d keys, %d children, %d values", len(n.keys), len(n.children), len(n.vals))
+		}
+		for _, c := range n.children[len(n.children):cap(n.children)] {
+			if c != nil {
+				t.Fatal("vacated child slot still points at a node")
+			}
+		}
+		for i, c := range n.children {
+			clo, chi := lo, hi
+			if i > 0 {
+				clo = n.keys[i-1]
+			}
+			if i < len(n.keys) {
+				chi = n.keys[i]
+			}
+			walk(c, depth+1, clo, chi, rightmost && i == len(n.keys))
+		}
+	}
+	walk(tr.root, 0, nil, nil, true)
+	for i, l := range leaves {
+		var want *node[int]
+		if i+1 < len(leaves) {
+			want = leaves[i+1]
+		}
+		if l.next != want {
+			t.Fatalf("leaf %d of %d is not linked to the next", i, len(leaves))
+		}
+	}
+
+	if tr.Len() != len(model) {
+		t.Fatalf("Len = %d, model holds %d", tr.Len(), len(model))
+	}
+	keys := make([]string, 0, len(model))
+	for k := range model {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	i := 0
+	tr.Ascend(func(k []byte, v int) bool {
+		if i >= len(keys) || string(k) != keys[i] || v != model[keys[i]] {
+			t.Fatalf("entry %d is (%x, %d); the model disagrees", i, k, v)
+		}
+		i++
+		return true
+	})
+	if i != len(keys) {
+		t.Fatalf("Ascend visited %d entries, model holds %d", i, len(keys))
+	}
+	for k, v := range model {
+		if got, ok := tr.Get([]byte(k)); !ok || got != v {
+			t.Fatalf("Get(%x) = (%d, %v), want %d", k, got, ok, v)
+		}
+	}
+}
+
+// FuzzTree decodes its input into runs of operations — ascending, nearly
+// ascending, descending and random Puts and GetOrPuts, ascending and random
+// Deletes, and BuildSorted reloads of the whole contents — checks every operation's
+// result against a map as it goes, and the whole tree with checkTree after
+// every run. Each run is five bytes: the operation, a 16-bit length and a
+// 16-bit starting key (the random runs' seed).
+func FuzzTree(f *testing.F) {
+	const keySpace = 1<<16 + 8192 // the random runs' keys overlap the ascending ones
+	run := func(op byte, n, start uint16) []byte {
+		return []byte{op, byte(n >> 8), byte(n), byte(start >> 8), byte(start)}
+	}
+	f.Add(run(0, 5000, 0))
+	f.Add(slices.Concat(run(1, 5000, 9000), run(3, 4000, 4500)))
+	f.Add(slices.Concat(run(2, 3000, 7), run(4, 2500, 8), run(0, 300, 60000)))
+	f.Add(slices.Concat(run(5, 4500, 0), run(0, 200, 4500), run(2, 500, 3), run(4, 4000, 4)))
+	f.Add(slices.Concat(run(0, 4200, 0), run(3, 4100, 50), run(1, 100, 30)))
+	f.Add(slices.Concat(run(6, 6000, 0), run(4, 3000, 9), run(6, 2000, 5000)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr := New[int]()
+		model := make(map[string]int)
+		key := func(k uint32) []byte { return binary.BigEndian.AppendUint32(nil, k) }
+		put := func(k []byte, v int, replace bool) {
+			var old int
+			var found bool
+			if replace {
+				old, found = tr.Put(k, v)
+			} else {
+				old, found = tr.GetOrPut(k, v)
+			}
+			want, inModel := model[string(k)]
+			if found != inModel || (found && old != want) {
+				t.Fatalf("put %x found (%d, %v), model (%d, %v)", k, old, found, want, inModel)
+			}
+			if replace || !found {
+				model[string(k)] = v
+			}
+		}
+		del := func(k []byte) {
+			old, found := tr.Delete(k)
+			want, inModel := model[string(k)]
+			if found != inModel || old != want {
+				t.Fatalf("delete %x found (%d, %v), model (%d, %v)", k, old, found, want, inModel)
+			}
+			delete(model, string(k))
+		}
+		for v := 1; len(data) >= 5; v++ {
+			op := data[0] % 7
+			n := uint32(binary.BigEndian.Uint16(data[1:])) % 8192
+			start := uint32(binary.BigEndian.Uint16(data[3:]))
+			data = data[5:]
+			rng := rand.New(rand.NewSource(int64(start)))
+			switch op {
+			case 0: // ascending, the append order of heaps and history tables
+				for i := uint32(0); i < n; i++ {
+					put(key(start+i), v, i%2 == 0)
+				}
+			case 1: // descending
+				for i := uint32(0); i < n; i++ {
+					put(key(start+n-i), v, true)
+				}
+			case 2: // random
+				for i := uint32(0); i < n; i++ {
+					put(key(uint32(rng.Intn(keySpace))), v, rng.Intn(2) == 0)
+				}
+			case 3: // ascending deletes
+				for i := uint32(0); i < n; i++ {
+					del(key(start + i))
+				}
+			case 4: // random deletes
+				for i := uint32(0); i < n; i++ {
+					del(key(uint32(rng.Intn(keySpace))))
+				}
+			case 5: // add an ascending run to the contents and bulk-load them all
+				for i := uint32(0); i < n; i++ {
+					model[string(key(start+i))] = v
+				}
+				keys := make([][]byte, 0, len(model))
+				for k := range model {
+					keys = append(keys, []byte(k))
+				}
+				slices.SortFunc(keys, bytes.Compare)
+				vals := make([]int, len(keys))
+				for i, k := range keys {
+					vals[i] = model[string(k)]
+				}
+				tr = BuildSorted(keys, vals)
+			case 6: // ascending, shuffled within runs of 8: commits reaching ascending keys out of order
+				var perm []int
+				for i := uint32(0); i < n; i++ {
+					if i%8 == 0 {
+						perm = rng.Perm(8)
+					}
+					put(key(start+i-i%8+uint32(perm[i%8])), v, true)
+				}
+			}
+			checkTree(t, tr, model)
+		}
+	})
+}
+
+// TestAppendOrderFillsLeaves pins the append split: keys inserted in
+// ascending order leave every leaf but the last one full, however many
+// levels the tree grows, nearly ascending keys leave them nearly full, and
+// descending ones still split in the middle.
+func TestAppendOrderFillsLeaves(t *testing.T) {
+	fill := func(tr *Tree[int]) (full, total int) {
+		n := tr.root
+		for !n.leaf {
+			n = n.children[0]
+		}
+		for ; n != nil; n = n.next {
+			total++
+			if len(n.keys) == degree {
+				full++
+			}
+		}
+		return full, total
+	}
+	const n = 300_000 // three levels of interior nodes
+	asc, desc := New[int](), New[int]()
+	for i := 0; i < n; i++ {
+		asc.Put(key(i), i)
+		desc.Put(key(n-1-i), i)
+	}
+	h := 0
+	for n := asc.root; !n.leaf; n = n.children[0] {
+		h++
+	}
+	if h < 3 {
+		t.Fatalf("height %d: the test does not reach an interior split above the first level", h)
+	}
+	checkTree(t, asc, contents(asc))
+	if full, total := fill(asc); full != total-1 {
+		t.Errorf("ascending inserts: %d of %d leaves full, want all but the last", full, total)
+	}
+	if full, total := fill(desc); full > 1 || total < n/(degree/2+1) {
+		t.Errorf("descending inserts: %d of %d leaves full, want middle splits", full, total)
+	}
+	// Ascending keys that arrive shuffled within runs of 8, as commits reach
+	// them out of order, fill leaves to 44 entries: the left half of a split
+	// below the largest key later splits in the middle if the keys it still
+	// lacks overflow it. Splitting the rightmost leaf in the middle unless
+	// the insert is an append would leave 36.
+	near := New[int]()
+	rng := rand.New(rand.NewSource(1))
+	var perm []int
+	for i := 0; i < n; i++ {
+		if i%8 == 0 {
+			perm = rng.Perm(8)
+		}
+		near.Put(key(i-i%8+perm[i%8]), i)
+	}
+	checkTree(t, near, contents(near))
+	if _, total := fill(near); n/total < 42 {
+		t.Errorf("nearly ascending inserts: %d leaves, %d entries each, want at least 42", total, n/total)
+	}
+	// Parallel scans still split the ascending tree evenly, though its
+	// rightmost path is thin.
+	for _, shards := range []int{2, 3, 8} {
+		bounds := append(asc.ShardBoundaries(shards), nil)
+		var start []byte
+		for _, end := range bounds {
+			rows := 0
+			asc.AscendRange(start, end, func([]byte, int) bool { rows++; return true })
+			if want := n / shards; rows < want*9/10 || rows > want*11/10 {
+				t.Errorf("%d shards: a range of %d rows, want %d ± 10 %%", shards, rows, want)
+			}
+			start = end
+		}
+	}
+}
+
+// contents returns tr's entries as a model, for a check of its structure
+// alone.
+func contents(tr *Tree[int]) map[string]int {
+	m := make(map[string]int, tr.Len())
+	tr.Ascend(func(k []byte, v int) bool {
+		m[string(k)] = v
+		return true
+	})
+	return m
+}

@@ -276,7 +276,10 @@ func openShard(opts Options) (*Shard, error) {
 		}
 		return true
 	})
-	l.entries.restore(h.recovered, l.closedThrough)
+	if err := l.entries.restore(h.recovered, l.closedThrough); err != nil {
+		edb.Close()
+		return nil, err
+	}
 	for i, e := range h.recovered {
 		l.noteFrame(e.BlockID, e.Ordinal, h.frames[i])
 	}

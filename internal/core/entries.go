@@ -116,12 +116,14 @@ func (s *entryStore) drain() {
 
 // restore rebuilds the store after recovery: the replayed entries the table
 // lacks go back on the queue in commit order, and the next position is one
-// past the highest assigned anywhere, in a block after closedThrough.
-func (s *entryStore) restore(recovered []*wal.LedgerEntry, closedThrough int64) {
+// past the highest assigned anywhere, in a block after closedThrough. The
+// table's highest position is in the block the last entry of the block
+// index names, so only that block's rows are read.
+func (s *entryStore) restore(recovered []*wal.LedgerEntry, closedThrough int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, e := range recovered {
-		if _, ok := s.table.Lookup(txKey(e.TxID)); !ok {
+		if !s.table.Has(txKey(e.TxID)) {
 			s.queue = append(s.queue, e)
 		}
 	}
@@ -134,13 +136,20 @@ func (s *entryStore) restore(recovered []*wal.LedgerEntry, closedThrough int64) 
 			s.block, s.ord = b, o
 		}
 	}
-	s.table.Scan(func(_ []byte, r sqltypes.Row) bool {
-		after(uint64(r[1].Int()), uint32(r[2].Int()))
-		return true
-	})
+	if last, ok := s.table.LastIndexEntry(s.byBlock); ok {
+		k, err := sqltypes.DecodeKey(last, []sqltypes.TypeID{sqltypes.TypeBigInt, sqltypes.TypeBigInt})
+		if err != nil {
+			return fmt.Errorf("core: the last entry of %s does not decode: %w", sysTxBlockIndex, err)
+		}
+		s.table.LookupIndexPrefix(s.byBlock, k[:1], func(_ []byte, r sqltypes.Row) bool {
+			after(uint64(r[1].Int()), uint32(r[2].Int()))
+			return true
+		})
+	}
 	for _, e := range s.queue {
 		after(e.BlockID, e.Ordinal)
 	}
+	return nil
 }
 
 // dropBefore deletes the entries of every block below before, from the

@@ -138,3 +138,52 @@ func TestUnreadableTableHashes(t *testing.T) {
 		t.Fatalf("GenerateReceipt: %v, want an error naming %s", err, named)
 	}
 }
+
+// TestRestorePositionAfterDrainedBlocks: a checkpoint drains entries of
+// several blocks into sys_ledger_transactions, the last block still open,
+// and two more commits reach only the WAL. Reopening finds the next
+// position from the block index's last entry and that block's rows, and
+// queues the WAL-only entries again.
+func TestRestorePositionAfterDrainedBlocks(t *testing.T) {
+	const size = 4
+	dir := t.TempDir()
+	l := openLedgerAt(t, dir, size)
+	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
+	for i := 0; i < 13; i++ {
+		commitOne(t, l, lt, acctName(i))
+	}
+	if err := l.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	commitOne(t, l, lt, "wal-only-1")
+	commitOne(t, l, lt, "wal-only-2")
+	// The position of the next commit: a full block's next is the next block.
+	next := func(b uint64, o uint32) [2]uint64 {
+		if o >= size {
+			b, o = b+1, 0
+		}
+		return [2]uint64{b, uint64(o)}
+	}
+	block, ord, queued := l.shards[0].entries.position()
+	if block < 3 || queued != 2 {
+		t.Fatalf("before reopen: open block %d with %d entries queued, want several drained blocks and 2", block, queued)
+	}
+	l.Close()
+
+	l2 := openLedgerAt(t, dir, size)
+	b2, o2, q2 := l2.shards[0].entries.position()
+	if next(b2, o2) != next(block, ord) || q2 != queued {
+		t.Fatalf("after reopen the next position is %v with %d queued, before it was %v with %d",
+			next(b2, o2), q2, next(block, ord), queued)
+	}
+	lt2, err := l2.LedgerTable("accounts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	commitOne(t, l2, lt2, "post-reopen")
+	d, err := l2.GenerateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyOK(t, l2, []Digest{d})
+}

@@ -314,3 +314,51 @@ func TestUpdateOfBytesThatAreNoRowFails(t *testing.T) {
 		t.Fatalf("verification of the overwritten row: %v, %v", rep, err)
 	}
 }
+
+// TestWritelessTxTakesNoOrdinal pins the empty-transaction rule: a ledger
+// transaction that only reads, or that rolls back to a savepoint taken
+// before its only write, commits without taking an ordinal, queuing an
+// entry or growing the log.
+func TestWritelessTxTakesNoOrdinal(t *testing.T) {
+	l := openTestLedger(t, 100)
+	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
+	commitOne(t, l, lt, "a")
+	state := func() [4]int64 {
+		block, ord, queued := l.shards[0].entries.position()
+		return [4]int64{int64(block), int64(ord), int64(queued), l.shards[0].edb.LogSize()}
+	}
+	for _, tc := range []struct {
+		name   string
+		script func(tx *Tx) error
+	}{
+		{"read only", func(tx *Tx) error {
+			_, ok, err := tx.Get(lt, sqltypes.NewNVarChar("a"))
+			if err == nil && !ok {
+				err = fmt.Errorf("row a not found")
+			}
+			return err
+		}},
+		{"rolled back to a savepoint before its only write", func(tx *Tx) error {
+			sp := tx.Savepoint()
+			if err := tx.Insert(lt, account("b", 2)); err != nil {
+				return err
+			}
+			return tx.RollbackTo(sp)
+		}},
+	} {
+		before := state()
+		tx := l.Begin("u")
+		if err := tc.script(tx); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		mustCommit(t, tx)
+		if after := state(); after != before {
+			t.Errorf("%s: commit moved (block, ordinal, queued, log size) from %v to %v", tc.name, before, after)
+		}
+	}
+	before := state()
+	commitOne(t, l, lt, "c")
+	if after := state(); after[1] != before[1]+1 || after[2] != before[2]+1 || after[3] <= before[3] {
+		t.Fatalf("a commit that wrote moved the state from %v to %v: the test is vacuous", before, after)
+	}
+}

@@ -126,7 +126,7 @@ func (db *DB) TamperInsertRowAt(t *Table, key []byte, values sqltypes.Row, updat
 	row := EncodeStoredRow(values)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if c, ok := t.rows.Get(key); ok {
+	if c, ok := t.rows.GetOrPut(key, newChain(0, row)); ok {
 		if _, live := c.latestLive(); live {
 			if updateIndexes {
 				return fmt.Errorf("%w: table %s", ErrDuplicateKey, t.meta.Name)
@@ -141,7 +141,6 @@ func (db *DB) TamperInsertRowAt(t *Table, key []byte, values sqltypes.Row, updat
 		// unchanged.
 		c.setLatestRow(row)
 	} else {
-		t.rows.Put(key, newChain(0, row))
 		db.m.versionsLive.Add(1)
 	}
 	t.liveRows++

@@ -201,8 +201,8 @@ func TestSavepointRollbackRestoresOwnWrites(t *testing.T) {
 }
 
 // footprintSchema is a 12-column row of the usual mix: a key, numbers, a
-// date, and strings.
-func footprintSchema() *sqltypes.Schema {
+// date, and strings. keyed false makes it a heap, keyed by row id.
+func footprintSchema(keyed bool) *sqltypes.Schema {
 	cols := []sqltypes.Column{sqltypes.Col("id", sqltypes.TypeBigInt)}
 	for i := 1; i <= 7; i++ {
 		cols = append(cols, sqltypes.Col(fmt.Sprintf("n%d", i), sqltypes.TypeBigInt))
@@ -212,6 +212,9 @@ func footprintSchema() *sqltypes.Schema {
 		sqltypes.Col("s1", sqltypes.TypeNVarChar),
 		sqltypes.Col("s2", sqltypes.TypeVarChar),
 		sqltypes.NullableCol("s3", sqltypes.TypeVarChar))
+	if !keyed {
+		return sqltypes.MustSchema(cols)
+	}
 	return sqltypes.MustSchema(cols, "id")
 }
 
@@ -231,51 +234,63 @@ func footprintRow(id int64) sqltypes.Row {
 // loaded table keeps per row is its encoded bytes, rounded up to their
 // allocation's size class, plus a constant for the key, the version chain
 // and the B+tree slot — and no []Value, which alone would be 64 bytes per
-// column.
+// column. Rows go in in key order, as a history table's and an ascending
+// key's do, so the leaves fill (DESIGN.md decision 23).
 func TestStoredRowFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what allocations cost")
 	}
-	const rows = 100_000
-	db := openTestDB(t)
-	db.stopVersionGC() // nothing else may allocate while the heap is measured
-	tab := mustCreate(t, db, "t", footprintSchema())
-	encoded := len(EncodeStoredRow(footprintRow(rows / 2)))
+	// Size classes up to 128 bytes are at most 16 apart. structure is what a
+	// row costs beside its bytes: its key (the 9-byte encoded id takes 16, a
+	// heap's 8-byte row id 8), the chain with its one version inline (64),
+	// the leaf's key and value slots (37: 64 entries in a full leaf's 65-slot
+	// arrays, of size classes 1792 and 576), plus slack for what the size
+	// classes of another Go release round differently.
+	for _, tc := range []struct {
+		name      string
+		keyed     bool
+		structure float64
+	}{
+		{"clustered", true, 128},
+		{"heap", false, 120},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const rows = 100_000
+			db := openTestDB(t)
+			db.stopVersionGC() // nothing else may allocate while the heap is measured
+			tab := mustCreate(t, db, "t", footprintSchema(tc.keyed))
+			encoded := len(EncodeStoredRow(footprintRow(rows / 2)))
 
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := heap()
-	for lo := int64(0); lo < rows; lo += 1000 {
-		tx := db.Begin("u")
-		for id := lo; id < lo+1000; id++ {
-			if _, err := tx.Insert(tab, footprintRow(id)); err != nil {
-				t.Fatal(err)
+			heap := func() uint64 {
+				runtime.GC()
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				return ms.HeapAlloc
 			}
-		}
-		commit(t, db, tx)
-	}
-	perRow := float64(heap()-before) / rows
-	runtime.KeepAlive(db)
+			before := heap()
+			for lo := int64(0); lo < rows; lo += 1000 {
+				tx := db.Begin("u")
+				for id := lo; id < lo+1000; id++ {
+					if _, err := tx.Insert(tab, footprintRow(id)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				commit(t, db, tx)
+			}
+			perRow := float64(heap()-before) / rows
+			runtime.KeepAlive(db)
 
-	// Size classes up to 128 bytes are at most 16 apart. The constant is
-	// what a row costs beside its bytes: the 9-byte key (16), the chain
-	// with its one version inline (64), the leaf's key and value slots
-	// (32, at the fill factor of ascending inserts ~2x), plus slack for
-	// what the size classes of another Go release round differently.
-	const structure = 176
-	budget := float64(encoded+16) + structure
-	t.Logf("%d rows of %d encoded bytes: %.0f heap bytes per row (budget %.0f; as []Value %d)",
-		rows, encoded, perRow, budget, 12*64)
-	if perRow > budget {
-		t.Errorf("a stored row costs %.0f heap bytes, budget %.0f", perRow, budget)
-	}
-	if tab.RowCount() != rows {
-		t.Fatalf("table holds %d rows", tab.RowCount())
+			budget := float64(encoded+16) + tc.structure
+			t.Logf("%d rows of %d encoded bytes: %.0f heap bytes per row (budget %.0f; as []Value %d)",
+				rows, encoded, perRow, budget, 12*64)
+			if perRow > budget {
+				t.Errorf("a stored row costs %.0f heap bytes, budget %.0f", perRow, budget)
+			}
+			if tab.RowCount() != rows {
+				t.Fatalf("table holds %d rows", tab.RowCount())
+			}
+		})
 	}
 }
 

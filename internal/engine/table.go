@@ -190,17 +190,21 @@ func (t *Table) Lookup(key []byte) (sqltypes.Row, bool) {
 	return t.getAt(key, latest, nil)
 }
 
+// Has reports whether key holds a committed row, decoding nothing.
+func (t *Table) Has(key []byte) bool {
+	_, ok := t.storedAt(key, latest)
+	return ok
+}
+
 // applyInsert installs an encoded row version under key, maintaining
 // indexes. row is stored as it is: the caller must not use it again.
 // Caller must hold mu. Returns an error if the key holds a live row.
 func (t *Table) applyInsertLocked(key, row []byte, ts int64) error {
-	if c, exists := t.rows.Get(key); exists {
+	if c, exists := t.rows.GetOrPut(key, newChain(ts, row)); exists {
 		if _, live := c.latestLive(); live {
 			return fmt.Errorf("%w: table %s", ErrDuplicateKey, t.meta.Name)
 		}
 		c.appendVersion(ts, row) // re-insert over a tombstone
-	} else {
-		t.rows.Put(key, newChain(ts, row))
 	}
 	t.liveRows++
 	t.noteRIDLocked(key)
@@ -449,6 +453,13 @@ func (t *Table) ScanIndexRange(ix *Index, start, end []byte, fn func(entryKey, c
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	ix.tree.AscendRange(start, end, fn)
+}
+
+// LastIndexEntry returns the largest entry key of an index.
+func (t *Table) LastIndexEntry(ix *Index) ([]byte, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return ix.tree.Max()
 }
 
 // LookupIndexPrefix iterates base-table rows whose indexed columns equal

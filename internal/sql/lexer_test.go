@@ -64,10 +64,18 @@ func TestLexerCaseInsensitiveKeywords(t *testing.T) {
 	}
 }
 
-func TestSplitStatements(t *testing.T) {
-	parts := splitStatements(`a; b 'x;y'; ; c`)
-	if len(parts) != 3 || parts[0] != "a" || parts[1] != "b 'x;y'" || parts[2] != "c" {
-		t.Fatalf("parts = %q", parts)
+// TestParseScriptSplits: statements split at semicolons outside string
+// literals and comments; empty statements are skipped.
+func TestParseScriptSplits(t *testing.T) {
+	sts, err := ParseScript("BEGIN; INSERT INTO t VALUES ('x;y'); ; -- it's; a comment\nCOMMIT")
+	if err != nil || len(sts) != 3 {
+		t.Fatalf("ParseScript = %d statements, %v", len(sts), err)
+	}
+	if ins, ok := sts[1].(*Insert); !ok || ins.Rows[0][0].Text != "x;y" {
+		t.Fatalf("statement 2 = %+v", sts[1])
+	}
+	if _, ok := sts[2].(*CommitStmt); !ok {
+		t.Fatalf("statement 3 = %+v", sts[2])
 	}
 }
 

@@ -10,68 +10,41 @@ import (
 // Parse parses one SQL statement (an optional trailing semicolon is
 // allowed).
 func Parse(src string) (Statement, error) {
+	sts, err := ParseScript(src)
+	if err == nil && len(sts) != 1 {
+		err = fmt.Errorf("sql: %d statements where one was expected", len(sts))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return sts[0], nil
+}
+
+// ParseScript parses the statements of src, separated by semicolons. It
+// lexes src once, so a semicolon in a string literal or a comment
+// separates nothing, and empty statements are skipped.
+func ParseScript(src string) ([]Statement, error) {
 	toks, err := (&lexer{src: src}).lex()
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	st, err := p.statement()
-	if err != nil {
-		return nil, err
-	}
-	p.accept(tkSymbol, ";")
-	if !p.at(tkEOF, "") {
-		return nil, p.errorf("unexpected %q after statement", p.cur().text)
-	}
-	return st, nil
-}
-
-// ParseScript splits src on semicolons (respecting string literals) and
-// parses each non-empty statement.
-func ParseScript(src string) ([]Statement, error) {
 	var out []Statement
-	for _, part := range splitStatements(src) {
-		st, err := Parse(part)
+	for {
+		for p.accept(tkSymbol, ";") {
+		}
+		if p.at(tkEOF, "") {
+			return out, nil
+		}
+		st, err := p.statement()
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, st)
-	}
-	return out, nil
-}
-
-func splitStatements(src string) []string {
-	var parts []string
-	depth := false // inside a string
-	start := 0
-	for i := 0; i < len(src); i++ {
-		switch src[i] {
-		case '\'':
-			depth = !depth
-		case ';':
-			if !depth {
-				if s := trimSpace(src[start:i]); s != "" {
-					parts = append(parts, s)
-				}
-				start = i + 1
-			}
+		if !p.at(tkSymbol, ";") && !p.at(tkEOF, "") {
+			return nil, p.errorf("unexpected %q after statement", p.cur().text)
 		}
 	}
-	if s := trimSpace(src[start:]); s != "" {
-		parts = append(parts, s)
-	}
-	return parts
-}
-
-func trimSpace(s string) string {
-	i, j := 0, len(s)
-	for i < j && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r') {
-		i++
-	}
-	for j > i && (s[j-1] == ' ' || s[j-1] == '\t' || s[j-1] == '\n' || s[j-1] == '\r') {
-		j--
-	}
-	return s[i:j]
 }
 
 type parser struct {
