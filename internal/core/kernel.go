@@ -351,12 +351,12 @@ func (l *Shard) keepProven(block uint64, pb provenBlock) {
 
 // Invariant 4 runs over stored bytes. A scan task takes each visible
 // version's sqltypes.EncodeRow bytes from the engine (ScanRangeStored: no
-// table lock is held while it works), reads the hidden columns out of them
-// to learn which transactions made and ended the version, and for the
-// transactions this pass wants hashes the bytes as they are
-// (serial.Layout.HashEncoded) — no row is decoded. What it still decodes:
-// the two or four hidden columns of every version, and in checkIndexes the
-// indexed columns of every base row.
+// table lock is held while it works) and walks them once
+// (serial.Layout.Walk): the walk reads the hidden columns, which name the
+// transactions that made and ended the version, and serializes the
+// version's insert side and, for a history row, its delete side, which are
+// hashed for the transactions this pass wants — no row is decoded. What
+// is still decoded: in checkIndexes, the indexed columns of every base row.
 
 // rowLeaf is one recomputed row-version hash: a leaf of the Merkle tree
 // the wanted transaction in slot built for the table. It holds no pointer,
@@ -386,12 +386,13 @@ type txSlots struct {
 	sparse map[uint64]int32
 	other  int32 // of every id not told about
 	wanted int32
+	known  int // how many ids it was told were recorded
 }
 
 // newTxSlots starts a map in which the ids of recorded are txRecorded and
 // every other id is other.
 func newTxSlots(recorded []uint64, other int32) *txSlots {
-	s := &txSlots{other: other, sparse: make(map[uint64]int32)}
+	s := &txSlots{other: other, sparse: make(map[uint64]int32), known: len(recorded)}
 	if len(recorded) > 0 {
 		s.base = slices.Min(recorded)
 		s.dense = make([]int32, min(slices.Max(recorded)-s.base, uint64(16*len(recorded)+4096))+1)
@@ -440,7 +441,7 @@ type rowCheck struct {
 	// and every other row costs its hidden columns and this one lookup.
 	slots *txSlots
 	// entries are the transactions whose recorded roots checkRowVersions
-	// compares, ascending by id: entries[i] is the transaction in slot i.
+	// compares: entries[i] is the transaction in slot i.
 	entries                         []*wal.LedgerEntry
 	truncatedBefore, truncatedMaxTx uint64
 	keys                            bool // keep clustered keys, to name a row
@@ -499,24 +500,38 @@ func treeOf(buf []merkle.Hash, run []rowLeaf) ([]merkle.Hash, merkle.Hash) {
 	return buf, merkle.RootOf(buf)
 }
 
-// versionSides reads the hidden columns of a stored version of lt and calls
-// side for each leaf the version is: an insert by its start transaction
-// and, for a history row, a delete by its end transaction. Hashing it is
-// side's business — only the leaves of the transactions a pass wants are.
-func (lt *LedgerTable) versionSides(stored []byte, cols []sqltypes.Column, history bool,
-	side func(tx, seq uint64, op serial.OpType, skip serial.SkipMask) error) error {
-	ords, hidden := [4]int{lt.startTxOrd, lt.startSeqOrd, lt.endTxOrd, lt.endSeqOrd}, [4]sqltypes.Value{}
+// version is what one walk of a stored version of a ledger table reads:
+// the transaction and sequence number that made it and, for a history row,
+// ended it, and the serializations of the leaves it is — an insert by the
+// first transaction and a delete by the second — when the walk was asked
+// for them.
+type version struct {
+	hidden   [4]int64
+	ins, del []byte
+}
+
+func (v *version) startTx() uint64  { return uint64(v.hidden[0]) }
+func (v *version) startSeq() uint64 { return uint64(v.hidden[1]) }
+func (v *version) endTx() uint64    { return uint64(v.hidden[2]) }
+func (v *version) endSeq() uint64   { return uint64(v.hidden[3]) }
+
+// walk reads stored, a version of lt (of its history table if history),
+// into v with serial.Layout.Walk, serializing its insert side if ins and
+// its delete side if del.
+func (lt *LedgerTable) walk(v *version, layout *serial.Layout, stored []byte, history, ins, del bool) (err, serr error) {
+	ords := [4]int{lt.startTxOrd, lt.startSeqOrd, lt.endTxOrd, lt.endSeqOrd}
 	n := 2
 	if history {
 		n = 4
 	}
-	if err := sqltypes.DecodeColumns(hidden[:n], stored, ords[:n], cols); err != nil {
-		return err
+	var insp, delp *[]byte
+	if ins {
+		v.ins, insp = v.ins[:0], &v.ins
 	}
-	if err := side(uint64(hidden[0].Int()), uint64(hidden[1].Int()), serial.OpInsert, lt.skipEnd); err != nil || !history {
-		return err
+	if del && history {
+		v.del, delp = v.del[:0], &v.del
 	}
-	return side(uint64(hidden[2].Int()), uint64(hidden[3].Int()), serial.OpDelete, nil)
+	return layout.Walk(stored, ords[:n], v.hidden[:n], serial.OpInsert, lt.skipEnd, insp, delp)
 }
 
 // frameTree rebuilds the Merkle tree transaction txID committed to for lt —
@@ -530,16 +545,28 @@ func (lt *LedgerTable) versionSides(stored []byte, cols []sqltypes.Column, histo
 // the transaction, and its history row covers it.
 func (lt *LedgerTable) frameTree(txID uint64, recs []wal.Record) ([]merkle.Hash, merkle.Hash, error) {
 	sh := lt.shape.Load()
-	var run []rowLeaf
+	var (
+		run []rowLeaf
+		v   version
+	)
 	hash := func(stored []byte, history bool) error {
-		return lt.versionSides(stored, sh.cols, history, func(tx, seq uint64, op serial.OpType, skip serial.SkipMask) error {
-			if tx != txID {
-				return nil
-			}
-			h, err := sh.layout.HashEncoded(stored, op, skip)
-			run = append(run, rowLeaf{seq: seq, hash: h})
+		err, serr := lt.walk(&v, sh.layout, stored, history, true, true)
+		if err != nil {
 			return err
-		})
+		}
+		if v.startTx() == txID {
+			if serr != nil {
+				return serr
+			}
+			run = append(run, rowLeaf{seq: v.startSeq(), hash: merkle.HashLeaf(v.ins)})
+		}
+		if history && v.endTx() == txID {
+			if serr != nil {
+				return serr
+			}
+			run = append(run, rowLeaf{seq: v.endSeq(), hash: merkle.HashLeaf(v.del)})
+		}
+		return nil
 	}
 	last := make(map[string][]byte) // base key → image, nil for a delete
 	for _, r := range recs {
@@ -580,6 +607,12 @@ var rowHashingHook func()
 // split into ~parallelism contiguous key ranges hashed on the pool, so
 // one large table keeps every core busy; each task appends to a slice of
 // its own, and one counting sort by slot joins the slices.
+//
+// A pass that wants at least half the transactions it knows reads each
+// version in one walk that also serializes its sides. One that wants fewer
+// (a sampled audit, a short block range) walks to the hidden columns only,
+// and once more for the wanted sides of a version it wants: serializing
+// every version would cost it more.
 func (l *Shard) scanRowVersions(lt *LedgerTable, c rowCheck, weight float64) *rowVersions {
 	var (
 		tasks []func()
@@ -587,52 +620,64 @@ func (l *Shard) scanRowVersions(lt *LedgerTable, c rowCheck, weight float64) *ro
 	)
 	// History rows are hashed as rows of the ledger table, which they were
 	// when their hashes were recorded: one layout serves both scans.
-	cols := lt.table.Columns()
-	layout := serial.NewLayout(cols)
+	layout := serial.NewLayout(lt.table.Columns())
+	eager := 2*int(c.slots.wanted) >= c.slots.known
 	addScans := func(t *engine.Table, history bool) {
-		for _, kr := range t.ScanShards(c.parallelism) {
+		// A task expects its range's share of the table's rows, times the
+		// sides of a row, times the share of the transactions wanted.
+		ranges, sides := t.ScanShards(c.parallelism), 1
+		if history {
+			sides = 2
+		}
+		expect := (t.RowCount()/len(ranges) + 1) * sides * int(c.slots.wanted) / max(c.slots.known, 1)
+		for _, kr := range ranges {
 			part := &rowVersions{}
 			parts = append(parts, part)
-			// add hashes one side of the version stored under k, if this
-			// pass wants its transaction. excused: a history row's insert
-			// side may legitimately reference a truncated transaction —
-			// the row stays covered by the surviving deleting
-			// transaction's root (§5.2).
-			add := func(k, stored []byte, tx, seq uint64, op serial.OpType, skip serial.SkipMask, excused bool) error {
-				slot := c.slots.of(tx)
+			// add keeps one side of the version stored under k if this pass
+			// wants its transaction, and reports whether to go on to the
+			// next side. excused: a history row's insert side may
+			// legitimately reference a truncated transaction — the row
+			// stays covered by the surviving deleting transaction's root
+			// (§5.2).
+			add := func(k []byte, slot int32, tx, seq uint64, leaf []byte, serr error, excused bool) bool {
 				if slot < 0 {
 					if slot == txUnknown && !excused {
 						part.orphans = append(part.orphans, tx)
 					}
-					return nil
+					return true
 				}
-				h, err := layout.HashEncoded(stored, op, skip)
-				if err != nil {
-					return err
+				if serr != nil {
+					part.bad = append(part.bad, badRow(lt, t, k, serr))
+					return false
 				}
-				if len(part.leaves) == cap(part.leaves) { // double: append's 1.25x copies five times over
-					part.leaves = slices.Grow(part.leaves, max(256, len(part.leaves)))
-				}
-				part.leaves = append(part.leaves, rowLeaf{slot: slot, seq: seq, hash: h})
+				part.leaves = append(part.leaves, rowLeaf{slot: slot, seq: seq, hash: merkle.HashLeaf(leaf)})
 				if c.keys {
 					part.keys = append(part.keys, leafKey{slot, k})
 				}
-				return nil
+				return true
 			}
 			tasks = append(tasks, func() {
+				part.leaves = make([]rowLeaf, 0, expect)
+				var v version
 				_ = c.rtx.ScanRangeStored(t, kr.Start, kr.End, func(k, stored []byte) bool {
 					if rowHashingHook != nil {
 						rowHashingHook()
 					}
 					part.rows++
-					err := lt.versionSides(stored, cols, history, func(tx, seq uint64, op serial.OpType, skip serial.SkipMask) error {
-						return add(k, stored, tx, seq, op, skip, history && op == serial.OpInsert && tx <= c.truncatedMaxTx)
-					})
+					err, serr := lt.walk(&v, layout, stored, history, eager, eager)
 					if err != nil {
-						// Every value written passed Schema.Validate and
-						// every byte loaded passed sqltypes.CheckRow.
-						part.bad = append(part.bad, finding{invariant: 4, block: -1, table: t.Name(),
-							detail: fmt.Sprintf("stored row %s is not a row of the table: %v", lt.keyString(k), err)})
+						part.bad = append(part.bad, badRow(lt, t, k, err))
+						return true
+					}
+					start, end := c.slots.of(v.startTx()), txRecorded
+					if history {
+						end = c.slots.of(v.endTx())
+					}
+					if !eager && (start >= 0 || end >= 0) {
+						_, serr = lt.walk(&v, layout, stored, history, start >= 0, end >= 0)
+					}
+					if add(k, start, v.startTx(), v.startSeq(), v.ins, serr, history && v.startTx() <= c.truncatedMaxTx) && history {
+						add(k, end, v.endTx(), v.endSeq(), v.del, serr, false)
 					}
 					return true
 				})
@@ -676,6 +721,14 @@ func (l *Shard) scanRowVersions(lt *LedgerTable, c rowCheck, weight float64) *ro
 	slices.Sort(rv.orphans)
 	rv.orphans = slices.Compact(rv.orphans)
 	return rv
+}
+
+// badRow is the finding for a stored version of lt, under key k of t,
+// whose bytes are not a row of the table. Every value written passed
+// Schema.Validate and every byte loaded passed sqltypes.CheckRow.
+func badRow(lt *LedgerTable, t *engine.Table, k []byte, err error) finding {
+	return finding{invariant: 4, block: -1, table: t.Name(),
+		detail: fmt.Sprintf("stored row %s is not a row of the table: %v", lt.keyString(k), err)}
 }
 
 // recordedRoot returns the root e recorded for a table.

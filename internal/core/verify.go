@@ -1,10 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,10 +16,12 @@ import (
 // Timing records where a verification run spent its time. Chain and Views
 // are wall-clock phase durations; RowVersions and Indexes are summed over
 // tables (and their shard workers run concurrently), so they can exceed
-// Total on multi-core runs — read them as work done, not wall time.
+// Total on multi-core runs — read them as work done, not wall time. The
+// chain walk runs beside the table checks, so Chain overlaps RowVersions
+// and Indexes: the phases add up to more than Total.
 type Timing struct {
 	Total       time.Duration // whole run, wall clock
-	Chain       time.Duration // invariants 1–3: digests, block chain, block roots
+	Chain       time.Duration // invariants 1–3: digests, block chain, block roots; overlaps the tables
 	RowVersions time.Duration // invariant 4, summed across tables
 	Indexes     time.Duration // invariant 5, summed across tables
 	Views       time.Duration // ledger-view definition checks
@@ -296,43 +296,37 @@ func (l *Shard) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 	// Pin the snapshot before loading the entries: a transaction's entry
 	// is queued before its writes apply, so every row version the
 	// snapshot shows belongs to an entry loaded after the pin.
+	phase := time.Now()
 	rtx := l.edb.BeginReadOnly()
 	defer rtx.Close()
 	byTx, byBlock, unreadable := l.entries.all()
 	truncatedBefore, truncatedMaxTx := l.truncationInfo()
 
-	// Invariants 1-3.
-	phase := time.Now()
-	chain := l.checkChain(chainCheck{
-		blocks: opts.Blocks, digests: digests, entries: byBlock, unreadable: unreadable, truncatedBefore: truncatedBefore,
-	}, emit)
-	rep.BlocksChecked, rep.DigestsChecked = chain.blocks, chain.digests
-	rep.Timing.Chain = time.Since(phase)
-	prog.add(progressChainWeight, "chain", "")
-
 	// The transactions whose roots invariant 4 recomputes: in range, and
-	// applied at the snapshot (a later commit's rows are not in it).
+	// applied at the snapshot (a later commit's rows are not in it). Their
+	// slots follow the (block, ordinal) order the entries come in.
 	recorded := make([]uint64, 0, len(byTx))
-	entries := make([]*wal.LedgerEntry, 0, len(byTx))
-	for tx, e := range byTx {
+	for tx := range byTx {
 		recorded = append(recorded, tx)
-		if opts.Blocks.contains(e.BlockID) {
-			rep.TransactionsChecked++
+	}
+	entries := make([]*wal.LedgerEntry, 0, len(byTx))
+	for _, b := range sortedKeys(byBlock) {
+		if !opts.Blocks.contains(b) {
+			continue
+		}
+		rep.TransactionsChecked += len(byBlock[b])
+		for _, e := range byBlock[b] {
 			if e.CommitTS <= rtx.TS() {
 				entries = append(entries, e)
 			}
 		}
 	}
-	slices.SortFunc(entries, func(a, b *wal.LedgerEntry) int { return cmp.Compare(a.TxID, b.TxID) })
 	pool := newWorkerPool(opts.Parallelism)
 	rows := rowCheck{rtx: rtx, slots: newTxSlots(recorded, txUnknown),
 		truncatedBefore: truncatedBefore, truncatedMaxTx: truncatedMaxTx,
 		parallelism: opts.Parallelism, pool: pool, prog: prog}
 	rows.wantEntries(entries)
 
-	// Invariants 4 and 5, per ledger table: up to opts.Parallelism tables
-	// in flight, their shard scans and root recomputations sharing one pool
-	// of opts.Parallelism slots.
 	tables := l.LedgerTables()
 	if len(opts.Tables) > 0 {
 		named := make(map[string]bool, len(opts.Tables))
@@ -362,11 +356,33 @@ func (l *Shard) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 	for i := range tableWeight {
 		tableWeight[i] = progressTablesWeight * tableWeight[i] / totalRows
 	}
+	checks := time.Now()
+	tr.Record("entries", 0, phase, checks.Sub(phase))
 
-	tableTasks := make([]func(), 0, len(tables))
+	// Invariants 1-3, the chain walk, beside invariants 4 and 5, per
+	// ledger table: up to opts.Parallelism of these tasks in flight, the
+	// tables' shard scans and root recomputations sharing one pool of
+	// opts.Parallelism slots. Their spans are children of one "checks"
+	// span, recorded once they are done: they overlap, and a task waiting
+	// for a core is in none of them.
+	var spans []obs.TraceSpan
+	tasks := make([]func(), 0, 1+len(tables))
+	tasks = append(tasks, func() {
+		t0 := time.Now()
+		chain := l.checkChain(chainCheck{
+			blocks: opts.Blocks, digests: digests, entries: byBlock, unreadable: unreadable, truncatedBefore: truncatedBefore,
+		}, emit)
+		d := time.Since(t0)
+		prog.add(progressChainWeight, "chain", "")
+		mu.Lock()
+		spans = append(spans, obs.TraceSpan{Name: "chain", Start: t0, Duration: d})
+		rep.BlocksChecked, rep.DigestsChecked = chain.blocks, chain.digests
+		rep.Timing.Chain = d
+		mu.Unlock()
+	})
 	for ti, lt := range tables {
 		lt, w := lt, tableWeight[ti]
-		tableTasks = append(tableTasks, func() {
+		tasks = append(tasks, func() {
 			t0 := time.Now()
 			c := rows
 			c.weight = w * progressRowsShare
@@ -374,7 +390,10 @@ func (l *Shard) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 			t1 := time.Now()
 			indexes := l.checkIndexes(lt, opts.Parallelism, pool, prog, w*progressIndexShare, emit)
 			t2 := time.Now()
+			table := []obs.Label{{Key: "table", Value: lt.Name()}}
 			mu.Lock()
+			spans = append(spans, obs.TraceSpan{Name: "row_versions", Start: t0, Duration: t1.Sub(t0), Attrs: table},
+				obs.TraceSpan{Name: "indexes", Start: t1, Duration: t2.Sub(t1), Attrs: table})
 			rep.RowVersionsChecked += nrows
 			rep.IndexesChecked += indexes
 			rep.TablesChecked++
@@ -383,14 +402,19 @@ func (l *Shard) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 			mu.Unlock()
 		})
 	}
-	newWorkerPool(opts.Parallelism).run(tableTasks)
+	newWorkerPool(opts.Parallelism).run(tasks)
+	phase = time.Now()
+	id := tr.Record("checks", 0, checks, phase.Sub(checks))
+	for _, sp := range spans {
+		tr.Record(sp.Name, id, sp.Start, sp.Duration, sp.Attrs...)
+	}
 
 	// Final step (§3.4.2): ledger-view definitions.
-	phase = time.Now()
 	for _, lt := range tables {
 		l.checkView(lt, emit)
 	}
 	rep.Timing.Views = time.Since(phase)
+	tr.Record("views", 0, phase, rep.Timing.Views)
 	prog.add(progressViewsWeight, "views", "")
 	prog.finish()
 

@@ -97,13 +97,14 @@ func (e *EventLog) emit(level slog.Level, typ string, kv []any) {
 		return
 	}
 	ev := Event{
-		Seq:   e.seq.Add(1),
 		Time:  time.Now(),
 		Level: level,
 		Type:  typ,
 		Attrs: pairAttrs(kv),
 	}
 	e.mu.Lock()
+	// Numbered under the lock, so that the ring's order is Seq order.
+	ev.Seq = e.seq.Add(1)
 	e.ring[e.next] = ev
 	e.next++
 	if e.next == len(e.ring) {

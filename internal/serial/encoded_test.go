@@ -2,7 +2,9 @@ package serial
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"sqlledger/internal/sqltypes"
@@ -63,6 +65,39 @@ func encodedSeeds() [][]byte {
 	return seeds
 }
 
+// newDraw returns a source of numbers below n, all drawn from seed.
+func newDraw(seed uint64) func(n uint64) uint64 {
+	bits := seed
+	return func(n uint64) uint64 {
+		v := bits % n
+		bits = bits/n*6364136223846793005 + 1442695040888963407
+		return v
+	}
+}
+
+// fuzzColumns derives a schema for row from next: each column typed as
+// the value stored in it or, now and then, as something else; some
+// dropped; up to 3 columns the row predates.
+func fuzzColumns(row sqltypes.Row, next func(uint64) uint64) []sqltypes.Column {
+	cols := make([]sqltypes.Column, len(row)+int(next(4)))
+	for i := range cols {
+		c := sqltypes.Column{Name: fmt.Sprintf("c%d", i), Ordinal: i, Type: sqltypes.TypeBigInt, Nullable: true}
+		if i < len(row) {
+			c.Type = row[i].Type
+		}
+		switch next(8) {
+		case 0:
+			c.Type = sqltypes.TypeID(next(16)) // most likely not the stored tag
+		case 1:
+			c.Dropped = true
+		case 2:
+			c.Len, c.Prec, c.Scale = int(next(300)), int(next(40)), int(next(20))
+		}
+		cols[i] = c
+	}
+	return cols
+}
+
 // checkEncoded holds the two entry points of the one format together: for
 // stored bytes that are a row, under a schema at least as wide derived
 // from seed — each column typed as the value stored in it or, now and
@@ -80,28 +115,8 @@ func checkEncoded(t *testing.T, stored []byte, seed uint64) {
 		}
 		return
 	}
-	bits := seed
-	next := func(n uint64) uint64 {
-		v := bits % n
-		bits = bits/n*6364136223846793005 + 1442695040888963407
-		return v
-	}
-	cols := make([]sqltypes.Column, len(row)+int(next(4)))
-	for i := range cols {
-		c := sqltypes.Column{Name: fmt.Sprintf("c%d", i), Ordinal: i, Type: sqltypes.TypeBigInt, Nullable: true}
-		if i < len(row) {
-			c.Type = row[i].Type
-		}
-		switch next(8) {
-		case 0:
-			c.Type = sqltypes.TypeID(next(16)) // most likely not the stored tag
-		case 1:
-			c.Dropped = true
-		case 2:
-			c.Len, c.Prec, c.Scale = int(next(300)), int(next(40)), int(next(20))
-		}
-		cols[i] = c
-	}
+	next := newDraw(seed)
+	cols := fuzzColumns(row, next)
 	schema, layout := &sqltypes.Schema{Columns: cols}, NewLayout(cols)
 	padded, err := sqltypes.DecodeRowAlias(nil, stored, cols)
 	if err != nil {
@@ -136,13 +151,213 @@ func TestHashEncodedMatchesHashRow(t *testing.T) {
 	}
 }
 
-// FuzzHashEncoded is checkEncoded over arbitrary bytes and schemas.
+// oracleAppendEncoded is AppendEncoded as it was before Walk: the second
+// of the two walks the verification kernel used to make, kept as the
+// oracle for the words of Walk's serr.
+func oracleAppendEncoded(l *Layout, dst, stored []byte, op OpType, skip SkipMask) ([]byte, error) {
+	width, pos := binary.Uvarint(stored)
+	if pos <= 0 {
+		return dst, fmt.Errorf("serial: bad row header")
+	}
+	if width > uint64(len(l.headers)) {
+		return dst, fmt.Errorf("serial: row of %d values under a schema of %d columns", width, len(l.headers))
+	}
+	start := len(dst)
+	dst = append(dst, Version, byte(op), 0)
+	n, typed := 0, true
+	for i := 0; i < int(width); i++ {
+		if pos+2 > len(stored) {
+			return dst[:start], fmt.Errorf("serial: row truncated at value %d", i)
+		}
+		tag, null := sqltypes.TypeID(stored[pos]), stored[pos+1] == 1
+		pos += 2
+		if null {
+			continue
+		}
+		keep := !skip.Has(i)
+		if keep {
+			n++
+			typed = typed && tag == l.types[i]
+			dst = append(dst, l.headers[i]...)
+		}
+		u, sz := binary.Uvarint(stored[pos:])
+		if sz <= 0 {
+			return dst[:start], fmt.Errorf("serial: bad value %d", i)
+		}
+		pos += sz
+		switch {
+		case tag.IsString() || tag.IsBytes():
+			if u > uint64(len(stored)-pos) {
+				return dst[:start], fmt.Errorf("serial: value %d truncated", i)
+			}
+			if keep {
+				dst = appendVar(dst, stored[pos:pos+int(u)])
+			}
+			pos += int(u)
+		case !keep:
+		case tag == sqltypes.TypeFloat:
+			dst = appendFixed(dst, u)
+		default:
+			dst = appendFixed(dst, u>>1^-(u&1))
+		}
+	}
+	if pos != len(stored) {
+		return dst[:start], fmt.Errorf("serial: %d trailing bytes after row", len(stored)-pos)
+	}
+	return closeRow(dst, start, n, typed), nil
+}
+
+// sameError reports whether two errors are both nil or say the same.
+func sameError(a, b error) bool {
+	return (a == nil) == (b == nil) && (a == nil || a.Error() == b.Error())
+}
+
+// checkWalk holds Walk to the two walks it replaces, for stored bytes that
+// may be no row at all, under a schema derived from seed (fuzzColumns) and
+// up to four distinct hidden ordinals below its width, in any order: the
+// hidden integers and err are sqltypes.DecodeColumns' values and error;
+// asked for no side there is no serr; asked for both, serr is
+// oracleAppendEncoded's error, which is there exactly when the row does not
+// decode (DecodeRowAlias) or is wider than the schema, and otherwise the
+// sides are SerializeRow of the decoded, padded row under op and skip and
+// under OpDelete with no mask. A failing walk leaves both sides as they
+// were.
+func checkWalk(t *testing.T, stored []byte, seed uint64) {
+	t.Helper()
+	next := newDraw(seed)
+	row, rowErr := sqltypes.DecodeRowAlias(nil, stored, nil)
+	if rowErr != nil {
+		// Any width will do for bytes that are no row; a header the
+		// bytes cannot hold yields one.
+		n, _ := binary.Uvarint(stored)
+		row = make(sqltypes.Row, min(n, 8))
+		for i := range row {
+			row[i].Type = sqltypes.TypeID(next(16))
+		}
+	}
+	cols := fuzzColumns(row, next)
+	if len(cols) == 0 {
+		return // no hidden column to read: checkEncoded's case
+	}
+	layout := NewLayout(cols)
+	ords := []int{int(next(uint64(len(cols))))}
+	for range 3 {
+		if o := int(next(uint64(len(cols) + 1))); o < len(cols) {
+			ords = append(ords, o)
+		}
+	}
+	slices.Sort(ords)
+	ords = slices.Compact(ords)
+	if next(4) == 0 { // out of order, as DecodeColumns allows
+		slices.Reverse(ords)
+	}
+	op, skip := OpType(1+next(2)), NewSkipMask(int(next(uint64(len(cols)+1))), int(next(uint64(len(cols)+1))))
+	if next(4) == 0 { // more masked values than Walk keeps spans for
+		var masked []int
+		for o := range cols {
+			if next(3) > 0 {
+				masked = append(masked, o)
+			}
+		}
+		skip = NewSkipMask(masked...)
+	}
+
+	want := make([]sqltypes.Value, len(ords))
+	wantErr := sqltypes.DecodeColumns(want, stored, ords, cols)
+	check := func(hidden []int64, err error) {
+		t.Helper()
+		if !sameError(err, wantErr) {
+			t.Fatalf("ords %v of %x: Walk err %v, DecodeColumns %v", ords, stored, err, wantErr)
+		}
+		for j := range ords {
+			if wantErr == nil && hidden[j] != want[j].Int() {
+				t.Fatalf("ords %v of %x: Walk reads %v, DecodeColumns %v", ords, stored, hidden, want)
+			}
+		}
+	}
+
+	hidden := make([]int64, len(ords))
+	err, serr := layout.Walk(stored, ords, hidden, op, skip, nil, nil)
+	check(hidden, err)
+	if serr != nil {
+		t.Fatalf("asked for no side, Walk of %x fails with %v", stored, serr)
+	}
+
+	ins, del := []byte{0xaa}, []byte{0xbb}
+	err, serr = layout.Walk(stored, ords, hidden, op, skip, &ins, &del)
+	check(hidden, err)
+	if err != nil {
+		if !bytes.Equal(ins, []byte{0xaa}) || !bytes.Equal(del, []byte{0xbb}) {
+			t.Fatalf("a failed walk wrote %x and %x", ins, del)
+		}
+		return
+	}
+	wantIns, wantSerr := oracleAppendEncoded(layout, []byte{0xaa}, stored, op, skip)
+	wantDel, _ := oracleAppendEncoded(layout, []byte{0xbb}, stored, OpDelete, nil)
+	if !sameError(serr, wantSerr) {
+		t.Fatalf("ords %v of %x under %d columns: Walk serr %v, two walks %v", ords, stored, len(cols), serr, wantSerr)
+	}
+	if (wantSerr != nil) != (rowErr != nil || len(row) > len(cols)) {
+		t.Fatalf("%x: the old transcoder says %v, DecodeRowAlias %v over %d of %d columns", stored, wantSerr, rowErr, len(row), len(cols))
+	}
+	if wantSerr != nil {
+		if !bytes.Equal(ins, []byte{0xaa}) || !bytes.Equal(del, []byte{0xbb}) {
+			t.Fatalf("a walk that failed with %v wrote %x and %x", serr, ins, del)
+		}
+		return
+	}
+	padded, err := sqltypes.DecodeRowAlias(nil, stored, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := &sqltypes.Schema{Columns: cols}
+	if !bytes.Equal(ins, wantIns) || !bytes.Equal(ins, SerializeRow([]byte{0xaa}, schema, padded, op, skip)) {
+		t.Fatalf("insert side of %v: Walk %x, two walks %x", padded, ins, wantIns)
+	}
+	if !bytes.Equal(del, wantDel) || !bytes.Equal(del, SerializeRow([]byte{0xbb}, schema, padded, OpDelete, nil)) {
+		t.Fatalf("delete side of %v: Walk %x, two walks %x", padded, del, wantDel)
+	}
+}
+
+// walkSeeds are encodedSeeds and what can go wrong with them: each cut
+// short at every length, with a byte too many, and with a hidden end
+// column whose integer does not end (the tamper matrix's history row).
+func walkSeeds() [][]byte {
+	var seeds [][]byte
+	for _, stored := range encodedSeeds() {
+		seeds = append(seeds, stored, append(slices.Clip(stored), 0))
+		for cut := 0; cut < len(stored) && cut < 64; cut++ {
+			seeds = append(seeds, stored[:cut])
+		}
+	}
+	ended := sqltypes.EncodeRow(nil, ledgerRow("acct-0041", 41, 6, 37, 9, 1))
+	return append(seeds, append(ended[:len(ended)-1:len(ended)-1], 0xff))
+}
+
+func TestWalkMatchesTwoWalks(t *testing.T) {
+	for _, stored := range walkSeeds() {
+		for seed := uint64(0); seed < 60; seed++ {
+			checkWalk(t, stored, seed*0x9e3779b97f4a7c15)
+		}
+	}
+}
+
+// FuzzHashEncoded is checkEncoded and checkWalk over arbitrary bytes and
+// schemas.
 func FuzzHashEncoded(f *testing.F) {
 	for i, stored := range encodedSeeds() {
 		f.Add(stored, uint64(i))
 	}
 	f.Add([]byte{1, byte(sqltypes.TypeVarChar), 0, 0x81, 0x00, 'x'}, uint64(7)) // a two-byte varint for length 1
-	f.Fuzz(checkEncoded)
+	for i, stored := range walkSeeds() {
+		if i%7 == 0 {
+			f.Add(stored, uint64(i))
+		}
+	}
+	f.Fuzz(func(t *testing.T, stored []byte, seed uint64) {
+		checkEncoded(t, stored, seed)
+		checkWalk(t, stored, seed)
+	})
 }
 
 // TestMistypedValueChangesHash: a value stored under another type's tag
