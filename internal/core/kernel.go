@@ -420,6 +420,16 @@ func (s *txSlots) want(tx uint64) {
 	s.wanted++
 }
 
+// share is the part of the recorded transactions a pass over s wants. A
+// map told of the wanted ones only — whose other is txRecorded — does not
+// know it, and says 0: its pass (the auditor localizing a block) wants few.
+func (s *txSlots) share() float64 {
+	if s.other == txRecorded {
+		return 0
+	}
+	return float64(s.wanted) / float64(max(s.known, 1))
+}
+
 func (s *txSlots) of(tx uint64) int32 {
 	if i := tx - s.base; i < uint64(len(s.dense)) {
 		return s.dense[i]
@@ -551,22 +561,17 @@ func (lt *LedgerTable) frameTree(txID uint64, recs []wal.Record) ([]merkle.Hash,
 	)
 	hash := func(stored []byte, history bool) error {
 		err, serr := lt.walk(&v, sh.layout, stored, history, true, true)
-		if err != nil {
-			return err
+		start, end := v.startTx() == txID, history && v.endTx() == txID
+		if err == nil && (start || end) {
+			err = serr
 		}
-		if v.startTx() == txID {
-			if serr != nil {
-				return serr
-			}
+		if err == nil && start {
 			run = append(run, rowLeaf{seq: v.startSeq(), hash: merkle.HashLeaf(v.ins)})
 		}
-		if history && v.endTx() == txID {
-			if serr != nil {
-				return serr
-			}
+		if err == nil && end {
 			run = append(run, rowLeaf{seq: v.endSeq(), hash: merkle.HashLeaf(v.del)})
 		}
-		return nil
+		return err
 	}
 	last := make(map[string][]byte) // base key → image, nil for a delete
 	for _, r := range recs {
@@ -608,11 +613,11 @@ var rowHashingHook func()
 // one large table keeps every core busy; each task appends to a slice of
 // its own, and one counting sort by slot joins the slices.
 //
-// A pass that wants at least half the transactions it knows reads each
+// A pass that wants at least half the recorded transactions reads each
 // version in one walk that also serializes its sides. One that wants fewer
-// (a sampled audit, a short block range) walks to the hidden columns only,
-// and once more for the wanted sides of a version it wants: serializing
-// every version would cost it more.
+// (a sampled audit, a short block range, a localized block) walks to the
+// hidden columns only, and once more for the wanted sides of a version it
+// wants: serializing every version would cost it more.
 func (l *Shard) scanRowVersions(lt *LedgerTable, c rowCheck, weight float64) *rowVersions {
 	var (
 		tasks []func()
@@ -621,15 +626,16 @@ func (l *Shard) scanRowVersions(lt *LedgerTable, c rowCheck, weight float64) *ro
 	// History rows are hashed as rows of the ledger table, which they were
 	// when their hashes were recorded: one layout serves both scans.
 	layout := serial.NewLayout(lt.table.Columns())
-	eager := 2*int(c.slots.wanted) >= c.slots.known
+	share := c.slots.share()
+	eager := share >= 0.5
 	addScans := func(t *engine.Table, history bool) {
 		// A task expects its range's share of the table's rows, times the
 		// sides of a row, times the share of the transactions wanted.
-		ranges, sides := t.ScanShards(c.parallelism), 1
+		ranges, sides := t.ScanShards(c.parallelism), 1.0
 		if history {
 			sides = 2
 		}
-		expect := (t.RowCount()/len(ranges) + 1) * sides * int(c.slots.wanted) / max(c.slots.known, 1)
+		expect := int(float64(t.RowCount()/len(ranges)+1) * sides * share)
 		for _, kr := range ranges {
 			part := &rowVersions{}
 			parts = append(parts, part)

@@ -3,7 +3,6 @@ package serial
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"sqlledger/internal/merkle"
 	"sqlledger/internal/sqltypes"
@@ -14,16 +13,15 @@ import (
 // per run for verification — so that hashing a row version appends each
 // column header by copy.
 type Layout struct {
-	types   []sqltypes.TypeID
+	cols    []sqltypes.Column
 	headers [][]byte
 }
 
 // NewLayout precomputes the layout of a table's columns as they are now:
-// take a new one after column DDL.
+// take a new one after column DDL. It keeps cols, which must not change.
 func NewLayout(cols []sqltypes.Column) *Layout {
-	l := &Layout{types: make([]sqltypes.TypeID, len(cols)), headers: make([][]byte, len(cols))}
+	l := &Layout{cols: cols, headers: make([][]byte, len(cols))}
 	for i := range cols {
-		l.types[i] = cols[i].Type
 		l.headers[i] = appendHeader(nil, &cols[i])
 	}
 	return l
@@ -37,6 +35,91 @@ func NewLayout(cols []sqltypes.Column) *Layout {
 // the columns it lacks, which the format skips. It fails where
 // sqltypes.CheckRow does, and on a row wider than the schema.
 func (l *Layout) AppendEncoded(dst, stored []byte, op OpType, skip SkipMask) ([]byte, error) {
+	var p pass
+	out, err := l.transcode(dst, stored, op, skip, &p)
+	if err != nil {
+		return dst, err
+	}
+	return closeRow(out, len(dst), p.n, p.mistyped == 0), nil
+}
+
+// Walk is AppendEncoded with two more outputs, for the verification
+// kernel, which reads each stored ledger version in this one pass: it sets
+// hidden[j] to the integer at ordinal ords[j] — at most four of them — as
+// sqltypes.DecodeColumns reads it (0 for a NULL, a non-integer or a column
+// the row predates), and appends the row's serialization under op and skip
+// to *ins and under OpDelete with no mask to *del — a version's insert and
+// delete leaves — for each of the two that is not nil. skip masks at most
+// two ordinals: a ledger table's end columns.
+//
+// err is DecodeColumns' error: the row does not read as far as its hidden
+// ordinals. serr is AppendEncoded's: the row reads that far but is no row
+// of the layout, and *ins and *del are left as they were.
+func (l *Layout) Walk(stored []byte, ords []int, hidden []int64, op OpType, skip SkipMask, ins, del *[]byte) (err, serr error) {
+	if ins != nil || del != nil {
+		// The insert side is the delete side less the values skip masks,
+		// so one side is transcoded — the delete side if asked for — and
+		// the insert side is copied out of it around them.
+		p, out, outOp := pass{ords: ords, hidden: hidden, cut: ins != nil && del != nil}, ins, op
+		for j, o := range ords {
+			hidden[j] = 0
+			p.marked |= 1 << min(o, 63)
+		}
+		if del != nil {
+			out, outOp = del, OpDelete
+			if ins == nil {
+				skip = nil
+			}
+		}
+		start := len(*out)
+		var buf []byte
+		if buf, serr = l.transcode(*out, stored, outOp, skip, &p); serr == nil {
+			if p.cut {
+				a, from := append(*ins, Version, byte(op), 0), start+3 // 3: after the count slot
+				for _, sp := range p.spans[:p.cutN] {
+					a, from = append(a, buf[from:sp[0]]...), sp[1]
+				}
+				*ins = closeRow(append(a, buf[from:]...), len(*ins), p.n-p.cutN, p.mistyped == p.cutMistyped)
+			}
+			*out = closeRow(buf, start, p.n, p.mistyped == 0)
+			return nil, nil
+		}
+	}
+	// Asked for no side — a pass that wants few of the versions it reads —
+	// or for a row that is none of the layout: the hidden columns as
+	// DecodeColumns reads them, whose error is the one a row that does not
+	// read that far gets.
+	var vals [4]sqltypes.Value
+	if err := sqltypes.DecodeColumns(vals[:len(ords)], stored, ords, l.cols); err != nil {
+		return err, nil
+	}
+	for j := range ords {
+		hidden[j] = vals[j].Int()
+	}
+	return nil, serr
+}
+
+// pass is what one transcode reads besides the serialization it writes.
+type pass struct {
+	// ords are the hidden ordinals (marked has bit min(o, 63) set for each
+	// o), and hidden receives their integers.
+	ords   []int
+	hidden []int64
+	marked uint64
+	// cut keeps the values skip masks, and puts their places in the
+	// serialization in spans: at most two.
+	cut   bool
+	spans [2][2]int
+	// The values serialized and those not of their column's type, in all
+	// and of those cut.
+	n, mistyped, cutN, cutMistyped int
+}
+
+// transcode appends to dst the serialization under op and skip of the row
+// stored holds — or under op alone, with the spans of the values skip masks,
+// if p.cut — reading p's hidden integers on the way. It leaves the count
+// slot open (closeRow).
+func (l *Layout) transcode(dst, stored []byte, op OpType, skip SkipMask, p *pass) ([]byte, error) {
 	width, pos := binary.Uvarint(stored)
 	if pos <= 0 {
 		return dst, fmt.Errorf("serial: bad row header")
@@ -44,122 +127,22 @@ func (l *Layout) AppendEncoded(dst, stored []byte, op OpType, skip SkipMask) ([]
 	if width > uint64(len(l.headers)) {
 		return dst, fmt.Errorf("serial: row of %d values under a schema of %d columns", width, len(l.headers))
 	}
-	var p pass
-	out := l.transcode(dst, stored, pos, int(width), op, skip, &p)
-	if _, err := p.check(stored, -1); err != nil {
-		return dst, err
-	}
-	return closeRow(out, len(dst), p.n, p.mistyped == 0), nil
-}
-
-// Walk is AppendEncoded's transcoder with two more outputs, for the
-// verification kernel, which reads each stored ledger version in this one
-// pass: it sets
-// hidden[j] to the integer at ordinal ords[j], as sqltypes.DecodeColumns
-// reads it (0 for a NULL, a non-integer or a column the row predates), and
-// appends the row's serialization under op and skip to *ins and under
-// OpDelete with no mask to *del — a version's insert and delete leaves —
-// for each of the two that is not nil.
-//
-// err says the row does not read as far as its last hidden ordinal, in
-// DecodeColumns' words. serr says it is no row of the layout, in
-// AppendEncoded's, and leaves *ins and *del as they were; asked for
-// neither, Walk stops after the last hidden ordinal and never fails so.
-func (l *Layout) Walk(stored []byte, ords []int, hidden []int64, op OpType, skip SkipMask, ins, del *[]byte) (err, serr error) {
-	n, pos, err := sqltypes.RowHeader(stored)
-	if err != nil {
-		return err, nil
-	}
-	sides := ins != nil || del != nil
-	if sides && n > len(l.headers) {
-		serr = fmt.Errorf("serial: row of %d values under a schema of %d columns", n, len(l.headers))
-		sides = false
-	}
-	p := pass{ords: ords, hidden: hidden}
-	last := -1 // the last value the hidden integers need read
-	for j, o := range ords {
-		hidden[j] = 0
-		if o < n {
-			last = max(last, o)
-		}
-		p.marked |= 1 << min(o, 63)
-	}
-	if !sides {
-		return readHidden(stored, pos, last, &p), serr
-	}
-	// The insert side is the delete side less the values skip masks, so
-	// one side is transcoded — the delete side if asked for — and the
-	// insert side is cut out of it.
-	out, outOp, outSkip := ins, op, skip
-	var c cuts
-	if del != nil {
-		out, outOp, outSkip = del, OpDelete, nil
-		if ins != nil {
-			c.mask, p.cut = skip, &c
-		}
-	}
-	start := len(*out)
-	buf := l.transcode(*out, stored, pos, n, outOp, outSkip, &p)
-	if err, serr := p.check(stored, last); err != nil || serr != nil {
-		return err, serr
-	}
-	if p.cut != nil {
-		if c.n <= len(c.spans) {
-			a, from := append(*ins, Version, byte(op), 0), start+3 // 3: after the count slot
-			aStart := len(*ins)
-			for _, sp := range c.spans[:c.n] {
-				a, from = append(a, buf[from:sp[0]]...), sp[1]
-			}
-			*ins = closeRow(append(a, buf[from:]...), aStart, p.n-c.n, p.mistyped == c.mistyped)
-		} else {
-			var q pass
-			a := l.transcode(*ins, stored, pos, n, op, skip, &q)
-			*ins = closeRow(a, len(*ins), q.n, q.mistyped == 0)
-		}
-	}
-	*out = closeRow(buf, start, p.n, p.mistyped == 0)
-	return nil, nil
-}
-
-// pass is what one transcode reads besides the serialization it writes,
-// and what it finds.
-type pass struct {
-	// ords are the hidden ordinals (marked has bit min(o, 63) set for each
-	// o), and hidden receives their integers.
-	ords   []int
-	hidden []int64
-	marked uint64
-	// cut, if set, records the values its mask marks.
-	cut *cuts
-
-	n, mistyped int // values serialized, and those not of their column's type
-	pos         int // the end of the row, when it reads to its end
-	// fail is 1 + the kind of failure at value at (see walkError), whose
-	// tag is tag; 0 when there is none.
-	fail, at int
-	tag      sqltypes.TypeID
-}
-
-// transcode appends to dst the serialization under op and skip of the
-// width values of stored that start at pos, reading p's hidden integers
-// and cuts on the way. It leaves the count slot open (closeRow).
-func (l *Layout) transcode(dst, stored []byte, pos, width int, op OpType, skip SkipMask, p *pass) []byte {
 	dst = append(dst, Version, byte(op), 0) // 0: the count slot
 	n, mistyped := 0, 0
-	for i := 0; i < width; i++ {
+	for i := 0; i < int(width); i++ {
 		if pos+2 > len(stored) {
-			p.fail, p.at = 1, i
-			return dst
+			return dst, fmt.Errorf("serial: row truncated at value %d", i)
 		}
 		tag, null := sqltypes.TypeID(stored[pos]), stored[pos+1] == 1
 		pos += 2
 		if null {
 			continue
 		}
-		keep, from := !skip.Has(i), len(dst)
+		masked, typed, from := skip.Has(i), tag == l.cols[i].Type, len(dst)
+		keep := !masked || p.cut
 		if keep {
 			n++
-			if tag != l.types[i] {
+			if !typed {
 				mistyped++
 			}
 			dst = append(dst, l.headers[i]...)
@@ -169,15 +152,13 @@ func (l *Layout) transcode(dst, stored []byte, pos, width int, op OpType, skip S
 		// zigzag form (binary.Varint).
 		u, sz := binary.Uvarint(stored[pos:])
 		if sz <= 0 {
-			p.fail, p.at, p.tag = 2, i, tag
-			return dst
+			return dst, fmt.Errorf("serial: bad value %d", i)
 		}
 		pos += sz
 		switch {
 		case tag.IsString() || tag.IsBytes():
 			if u > uint64(len(stored)-pos) {
-				p.fail, p.at, p.tag = 3, i, tag
-				return dst
+				return dst, fmt.Errorf("serial: value %d truncated", i)
 			}
 			if keep {
 				dst = appendVar(dst, stored[pos:pos+int(u)])
@@ -196,21 +177,19 @@ func (l *Layout) transcode(dst, stored []byte, pos, width int, op OpType, skip S
 				dst = appendFixed(dst, u)
 			}
 		}
-		if p.cut != nil && keep && p.cut.mask.Has(i) {
-			p.cut.add(from, len(dst), tag != l.types[i])
+		if masked && keep {
+			p.spans[p.cutN] = [2]int{from, len(dst)} // panics past two
+			p.cutN++
+			if !typed {
+				p.cutMistyped++
+			}
 		}
 	}
-	p.n, p.mistyped, p.pos = n, mistyped, pos
-	return dst
-}
-
-// cuts records the spans of the serialized values that mask marks, up to
-// len(spans) of them; n counts them all, and mistyped those whose tag is
-// not their column's type.
-type cuts struct {
-	mask        SkipMask
-	spans       [4][2]int
-	n, mistyped int
+	if pos != len(stored) {
+		return dst, fmt.Errorf("serial: %d trailing bytes after row", len(stored)-pos)
+	}
+	p.n, p.mistyped = n, mistyped
+	return dst, nil
 }
 
 // read stores integer v, value i of the row, as each hidden ordinal that
@@ -221,86 +200,6 @@ func (p *pass) read(i int, v int64) {
 			p.hidden[j] = v
 		}
 	}
-}
-
-// add records the serialized value dst[from:to].
-func (c *cuts) add(from, to int, mistyped bool) {
-	if c.n < len(c.spans) {
-		c.spans[c.n] = [2]int{from, to}
-	}
-	c.n++
-	if mistyped {
-		c.mistyped++
-	}
-}
-
-// check words the failure of a pass over stored, if any, with walkError —
-// last being the last hidden value — or a row that goes on past its
-// width.
-func (p *pass) check(stored []byte, last int) (err, serr error) {
-	if p.fail > 0 {
-		return walkError(p.at, last, p.ords, p.tag, p.fail-1)
-	}
-	if p.pos != len(stored) {
-		return nil, fmt.Errorf("serial: %d trailing bytes after row", len(stored)-p.pos)
-	}
-	return nil, nil
-}
-
-// readHidden is Walk asked for no side: it steps over the values from pos
-// to value last, reading p's hidden integers. It is the loop of a pass that
-// wants few of the versions it reads, and is kept apart from transcode so
-// that the serialization's state does not slow it.
-func readHidden(stored []byte, pos, last int, p *pass) error {
-	for i := 0; i <= last; i++ {
-		if pos+2 > len(stored) {
-			err, _ := walkError(i, last, p.ords, 0, 0)
-			return err
-		}
-		tag, null := sqltypes.TypeID(stored[pos]), stored[pos+1] == 1
-		pos += 2
-		if null {
-			continue
-		}
-		u, sz := binary.Uvarint(stored[pos:])
-		if sz <= 0 {
-			err, _ := walkError(i, last, p.ords, tag, 1)
-			return err
-		}
-		pos += sz
-		switch {
-		case tag.IsString() || tag.IsBytes():
-			if u > uint64(len(stored)-pos) {
-				err, _ := walkError(i, last, p.ords, tag, 2)
-				return err
-			}
-			pos += int(u)
-		case tag != sqltypes.TypeFloat && p.marked&(1<<min(i, 63)) != 0:
-			p.read(i, int64(u>>1^-(u&1)))
-		}
-	}
-	return nil
-}
-
-// walkError words Walk's failure at value i, whose tag is tag, to read its
-// tag (kind 0), its payload (1) or the bytes a length says follow (2): up
-// to value last as DecodeColumns does, which decodes value i if it is the
-// first of ords at or past i and steps over it otherwise, and that is err;
-// past last as AppendEncoded does, and that is serr.
-func walkError(i, last int, ords []int, tag sqltypes.TypeID, kind int) (err, serr error) {
-	what := [...]string{"row truncated at value %d", "bad value %d", "value %d truncated"}[kind]
-	if i > last {
-		return nil, fmt.Errorf("serial: "+what, i)
-	}
-	if first := slices.IndexFunc(ords, func(o int) bool { return o >= i && o <= last }); kind == 1 && ords[first] == i {
-		what = "bad integer at value %d"
-		if tag == sqltypes.TypeFloat {
-			what = "bad float at value %d"
-		} else if tag.IsString() || tag.IsBytes() {
-			what = "bad length at value %d"
-		}
-	}
-	return fmt.Errorf("sqltypes: "+what, i), nil
 }
 
 // HashEncoded is HashRow of a stored row: the LEDGERHASH of the version

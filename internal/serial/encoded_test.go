@@ -177,7 +177,7 @@ func oracleAppendEncoded(l *Layout, dst, stored []byte, op OpType, skip SkipMask
 		keep := !skip.Has(i)
 		if keep {
 			n++
-			typed = typed && tag == l.types[i]
+			typed = typed && tag == l.cols[i].Type
 			dst = append(dst, l.headers[i]...)
 		}
 		u, sz := binary.Uvarint(stored[pos:])
@@ -214,7 +214,8 @@ func sameError(a, b error) bool {
 
 // checkWalk holds Walk to the two walks it replaces, for stored bytes that
 // may be no row at all, under a schema derived from seed (fuzzColumns) and
-// up to four distinct hidden ordinals below its width, in any order: the
+// up to four distinct hidden ordinals below its width, in any order, and
+// an insert mask of two ordinals, as Walk takes at most: the
 // hidden integers and err are sqltypes.DecodeColumns' values and error;
 // asked for no side there is no serr; asked for both, serr is
 // oracleAppendEncoded's error, which is there exactly when the row does not
@@ -252,15 +253,6 @@ func checkWalk(t *testing.T, stored []byte, seed uint64) {
 		slices.Reverse(ords)
 	}
 	op, skip := OpType(1+next(2)), NewSkipMask(int(next(uint64(len(cols)+1))), int(next(uint64(len(cols)+1))))
-	if next(4) == 0 { // more masked values than Walk keeps spans for
-		var masked []int
-		for o := range cols {
-			if next(3) > 0 {
-				masked = append(masked, o)
-			}
-		}
-		skip = NewSkipMask(masked...)
-	}
 
 	want := make([]sqltypes.Value, len(ords))
 	wantErr := sqltypes.DecodeColumns(want, stored, ords, cols)
@@ -317,6 +309,16 @@ func checkWalk(t *testing.T, stored []byte, seed uint64) {
 	if !bytes.Equal(del, wantDel) || !bytes.Equal(del, SerializeRow([]byte{0xbb}, schema, padded, OpDelete, nil)) {
 		t.Fatalf("delete side of %v: Walk %x, two walks %x", padded, del, wantDel)
 	}
+	one := []byte{0xcc}
+	if err, serr := layout.Walk(stored, ords, hidden, op, skip, &one, nil); err != nil || serr != nil || !bytes.Equal(one[1:], ins[1:]) {
+		t.Fatalf("insert side alone of %v: %x, %v, %v; with the delete side %x", padded, one, err, serr, ins)
+	}
+	check(hidden, nil)
+	one = one[:1]
+	if err, serr := layout.Walk(stored, ords, hidden, op, skip, nil, &one); err != nil || serr != nil || !bytes.Equal(one[1:], del[1:]) {
+		t.Fatalf("delete side alone of %v: %x, %v, %v; with the insert side %x", padded, one, err, serr, del)
+	}
+	check(hidden, nil)
 }
 
 // walkSeeds are encodedSeeds and what can go wrong with them: each cut

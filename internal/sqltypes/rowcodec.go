@@ -94,7 +94,7 @@ func DecodeRowAlias(dst Row, b []byte, pad []Column) (Row, error) {
 // DecodeRowAlias accepts — without building it. Bytes that come from a
 // file pass it once, on their way into storage.
 func CheckRow(b []byte) error {
-	n, pos, err := RowHeader(b)
+	n, pos, err := rowHeader(b)
 	if err != nil {
 		return err
 	}
@@ -135,7 +135,7 @@ func AppendRowPadded(dst, b []byte, cols []Column) []byte {
 // row this way, from the before-image's stored bytes and the two end
 // columns. It fails where DecodeRowAlias does.
 func SpliceBigInts(b []byte, cols []Column, ords []int, vals []int64) ([]byte, error) {
-	n, hdr, err := RowHeader(b)
+	n, hdr, err := rowHeader(b)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +196,7 @@ func SpliceBigInts(b []byte, cols []Column, ords []int, vals []int64) ([]byte, e
 // of the row when ords ascend, one more from its start for each that does
 // not. An ordinal the row is too narrow for yields the typed NULL of cols.
 func DecodeColumns(out []Value, b []byte, ords []int, cols []Column) error {
-	n, start, err := RowHeader(b)
+	n, start, err := rowHeader(b)
 	if err != nil {
 		return err
 	}
@@ -252,7 +252,7 @@ func skipValue(b []byte, pos, i int) (int, error) {
 // rowHeader reads the value count. Every value takes at least two bytes,
 // which bounds what a decoder allocates by the length of its input
 // whatever count the header claims.
-func RowHeader(b []byte) (n, pos int, err error) {
+func rowHeader(b []byte) (n, pos int, err error) {
 	u, sz := binary.Uvarint(b)
 	if sz <= 0 {
 		return 0, 0, fmt.Errorf("sqltypes: bad row header")
@@ -266,7 +266,7 @@ func RowHeader(b []byte) (n, pos int, err error) {
 // decodeRow decodes into dst's storage when it holds the row, else into a
 // new slice with room for width values.
 func decodeRow(dst Row, b []byte, alias bool, width int) (Row, int, error) {
-	n, pos, err := RowHeader(b)
+	n, pos, err := rowHeader(b)
 	if err != nil {
 		return nil, 0, err
 	}
