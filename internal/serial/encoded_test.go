@@ -215,14 +215,14 @@ func sameError(a, b error) bool {
 // checkWalk holds Walk to the two walks it replaces, for stored bytes that
 // may be no row at all, under a schema derived from seed (fuzzColumns) and
 // up to four distinct hidden ordinals below its width, in any order, and
-// an insert mask of two ordinals, as Walk takes at most: the
-// hidden integers and err are sqltypes.DecodeColumns' values and error;
-// asked for no side there is no serr; asked for both, serr is
-// oracleAppendEncoded's error, which is there exactly when the row does not
-// decode (DecodeRowAlias) or is wider than the schema, and otherwise the
-// sides are SerializeRow of the decoded, padded row under op and skip and
-// under OpDelete with no mask. A failing walk leaves both sides as they
-// were.
+// an insert mask of two ordinals, the most Walk takes: the hidden integers
+// and err are sqltypes.DecodeColumns' values and error; asked for no side
+// there is no serr; asked for both, serr is oracleAppendEncoded's error,
+// which is there exactly when the row does not decode (DecodeRowAlias) or
+// is wider than the schema, and otherwise the sides are SerializeRow of
+// the decoded, padded row under op and skip and under OpDelete with no
+// mask, and each side asked for alone is the same. A failing walk leaves
+// both sides as they were.
 func checkWalk(t *testing.T, stored []byte, seed uint64) {
 	t.Helper()
 	next := newDraw(seed)
