@@ -101,13 +101,12 @@ bench-shard:
 	go test -run 'ShardIngestScaling' -v .
 	go test -run - -bench 'IngestShards' -benchtime 20x .
 
-# Recovery-scaling gate + benchmark: full-WAL restart at 1/2/4/8 replay
-# workers over one crash image.
-# Race-free on purpose — the gate measures wall-clock ratios, which the
-# race detector distorts (test-race audits the same paths).
+# Recovery equivalence test + restart benchmark: crash images recovered
+# at 1/2/4 workers must give the built digest, a green Verify and every
+# acknowledged row; then full-WAL restart at 1/2/4/8 recovery workers.
 .PHONY: bench-recover
 bench-recover:
-	go test -run 'RecoveryScaling' -v .
+	go test -run 'RecoverySerialParallelEquivalence' -v .
 	go test -run - -bench 'BenchmarkRecovery' -benchtime 3x .
 
 # The repository's benchmark (BENCHMARK.json; bench/README.md): the six

@@ -87,9 +87,10 @@ type Options struct {
 	// sweep pace (zero: engine default, 250ms). A multi-shard open staggers
 	// it per shard so N engines on one box don't tick in lockstep.
 	VersionGCInterval time.Duration
-	// RecoveryWorkers sets crash-recovery parallelism (WAL decode and
-	// redo apply pools, snapshot section codecs). 0 means one per CPU;
-	// 1 forces serial replay.
+	// RecoveryWorkers sets crash-recovery parallelism: log read-ahead on
+	// or off, and how many tables load snapshot sections and install
+	// replayed rows at once (engine.Options.RecoveryWorkers). 0 means one
+	// per CPU; 1 runs recovery with no goroutines.
 	RecoveryWorkers int
 }
 

@@ -63,10 +63,11 @@ type Options struct {
 	// default (250ms). Multi-shard databases stagger this so N engine
 	// instances on one box don't all tick in lockstep.
 	VersionGCInterval time.Duration
-	// RecoveryWorkers sets the parallelism of crash recovery: the WAL
-	// payload-decode pool and the redo apply pool both use this many
-	// workers. 0 means one per CPU; 1 forces the fully serial replay
-	// path (the baseline the recovery scaling gate measures against).
+	// RecoveryWorkers sets the parallelism of crash recovery. Redo always
+	// replays the log in order on one loop; above 1, a goroutine reads and
+	// decodes the log a batch ahead of it, and this many tables at a time
+	// load their snapshot sections and install what redo built. 0 means
+	// one per CPU; 1 runs recovery with no goroutines.
 	RecoveryWorkers int
 }
 

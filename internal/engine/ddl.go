@@ -96,8 +96,7 @@ func (db *DB) detachIndex(im *IndexMeta) error {
 }
 
 // redoDDL replays the catalog change a DDL record's body logs, adding the
-// table of an attached index to rebuild for the install phase. Serial and
-// parallel replay both use it, so their results agree by construction.
+// table of an attached index to rebuild for the install phase.
 func (db *DB) redoDDL(body []byte, rebuild map[uint32]struct{}) error {
 	var op ddlOp
 	if err := json.Unmarshal(body, &op); err != nil {

@@ -91,7 +91,7 @@ func dirFiles(t *testing.T, dir string) map[string]string {
 	return out
 }
 
-// requireOpenFails opens dir with serial and with parallel replay: each
+// requireOpenFails opens dir at 1 and at 4 recovery workers: each
 // must return an error containing want and leave every file as it was.
 func requireOpenFails(t *testing.T, dir, want string) {
 	t.Helper()

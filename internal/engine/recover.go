@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"sqlledger/internal/btree"
@@ -16,93 +15,75 @@ import (
 	"sqlledger/internal/wal"
 )
 
-// Pipelined parallel crash recovery.
+// Crash recovery: analysis and redo in one pass over the log, in log
+// order, then an install phase that runs parallel across tables.
 //
-// The serial replay loop paid three costs in sequence per record: read
-// (I/O + CRC), decode (allocation-heavy payload parsing), and apply. This
-// version overlaps all three. A wal.PipelinedReader streams records
-// through a read-ahead stage and a parallel decode pool, still delivering
-// them in strict log order. The redo loop itself becomes an analysis pass
-// (sort transactions into winners, losers and in-doubt, exactly as
-// before) that forwards each committed write set to a pool of apply
-// workers, partitioned by hash of (table, key) so every key is owned by
-// exactly one worker and per-key commit-TS order is preserved.
-//
-// Workers never mutate shared structures: the row btrees are read-only
-// during replay (lookups only), existing version chains are mutated only
-// by their owning worker, and chains for keys new since the snapshot
-// accumulate in worker-private maps. A final install phase — parallel
-// across tables — bulk-loads the new chains into each table's btree
+// A wal.PipelinedReader reads, checks and decodes records a batch ahead
+// of the redo loop. The loop sorts transactions into winners, losers and
+// in-doubt, and applies each committed write set itself, in commit
+// order, as versions stamped with its commit timestamp. Existing version
+// chains grow in place (the row btrees are only read during replay);
+// chains for keys new since the snapshot accumulate in a private map per
+// table. The install phase — parallel across tables, which share no
+// order — bulk-loads the new chains into each table's btree
 // (btree.BuildSorted when the table was empty), fixes row counts and RID
 // allocators, and rebuilds the indexes of touched tables. Index state is
-// a pure function of the final live rows, so the result is identical to
-// serial replay — the root equivalence test proves digests match
-// byte-for-byte and full verification stays green. Redo never decodes a
-// row: a version is the after-image's bytes as the log carried them
+// a pure function of the final live rows. Redo never decodes a row: a
+// version is the after-image's bytes as the log carried them
 // (wal.DecodeDMLImage checked and copied them), and a replayed ALTER
 // changes only the schema those bytes are later read against.
 //
-// RecoveryWorkers = 1 runs the same analysis/apply/install code inline
-// with no goroutines: the serial baseline.
+// RecoveryWorkers = 1 runs the same code with no goroutines; larger values
+// turn on the read-ahead and set how many tables install (and snapshot
+// sections load) at once.
 
-// recoveredOps is one committed transaction's write-set slice destined
-// for a single apply worker, stamped with the commit timestamp.
-type recoveredOps struct {
-	commitTS int64
-	ops      []writeOp
-}
-
-// newEntry is a worker-private chain for a key absent from the snapshot
-// image, installed into the table btree after workers join.
+// newEntry is a chain for a key absent from the snapshot image, installed
+// into the table btree after replay.
 type newEntry struct {
 	key   []byte
 	chain *versionChain
 }
 
-// redoTableState is one apply worker's private view of one table.
-type redoTableState struct {
+// redoTable is replay's private view of one table.
+type redoTable struct {
 	table *Table
-	// chains indexes this worker's new chains by key for op lookup.
+	// chains indexes the new chains by key for op lookup.
 	chains map[string]*versionChain
 	// entries preserves the new chains for the install phase.
 	entries []newEntry
-	// liveDelta is the net live-row change this worker applied.
+	// liveDelta is the net live-row change replay applied.
 	liveDelta int
 }
 
-// redoWorker applies the committed write sets it owns. When recovery runs
-// parallel, each has a goroutine draining ch; serial recovery calls
-// applyTx directly on a single worker.
-type redoWorker struct {
+// redo applies committed write sets in log order.
+type redo struct {
 	db     *DB
-	ch     chan recoveredOps
-	tables map[uint32]*redoTableState
+	tables map[uint32]*redoTable
 	ops    int
-	err    error
 }
 
-func (w *redoWorker) state(tid uint32) (*redoTableState, error) {
-	st, ok := w.tables[tid]
+func (r *redo) table(tid uint32) (*redoTable, error) {
+	st, ok := r.tables[tid]
 	if !ok {
-		w.db.mu.RLock()
-		t := w.db.tables[tid]
-		w.db.mu.RUnlock()
+		r.db.mu.RLock()
+		t := r.db.tables[tid]
+		r.db.mu.RUnlock()
 		if t == nil {
 			return nil, fmt.Errorf("engine: recovery: unknown table %d", tid)
 		}
-		st = &redoTableState{table: t, chains: make(map[string]*versionChain)}
-		w.tables[tid] = st
+		st = &redoTable{table: t, chains: make(map[string]*versionChain)}
+		r.tables[tid] = st
 	}
 	return st, nil
 }
 
-// applyTx installs one committed transaction's ops (this worker's share)
-// as versions stamped with commitTS. Mirrors applyInsert/Delete/Update-
-// Locked, minus index maintenance (indexes are rebuilt at install) and
-// minus locking (each key is owned by exactly one worker).
-func (w *redoWorker) applyTx(tx recoveredOps) error {
-	for _, op := range tx.ops {
-		st, err := w.state(op.tableID)
+// applyTx installs one committed transaction's ops as versions stamped
+// with commitTS. Mirrors applyInsert/Delete/UpdateLocked, minus index
+// maintenance (indexes are rebuilt at install) and minus locking (replay
+// is the only writer).
+func (r *redo) applyTx(commitTS int64, ops []writeOp) error {
+	for _, op := range ops {
+		st, err := r.table(op.tableID)
 		if err != nil {
 			return err
 		}
@@ -118,9 +99,9 @@ func (w *redoWorker) applyTx(tx recoveredOps) error {
 				if _, live := c.latestLive(); live {
 					return fmt.Errorf("%w: table %s (recovery)", ErrDuplicateKey, st.table.meta.Name)
 				}
-				c.appendVersion(tx.commitTS, op.after)
+				c.appendVersion(commitTS, op.after)
 			} else {
-				nc := newChain(tx.commitTS, op.after)
+				nc := newChain(commitTS, op.after)
 				st.chains[string(op.key)] = nc
 				st.entries = append(st.entries, newEntry{key: op.key, chain: nc})
 			}
@@ -133,41 +114,14 @@ func (w *redoWorker) applyTx(tx recoveredOps) error {
 			if !live {
 				return fmt.Errorf("%w: table %s (recovery)", ErrNotFound, st.table.meta.Name)
 			}
-			c.appendVersion(tx.commitTS, op.after) // nil for a delete: a tombstone
+			c.appendVersion(commitTS, op.after) // nil for a delete: a tombstone
 			if op.typ == wal.RecDelete {
 				st.liveDelta--
 			}
 		}
-		w.ops++
+		r.ops++
 	}
 	return nil
-}
-
-func (w *redoWorker) run(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for tx := range w.ch {
-		if w.err != nil {
-			continue // keep draining so the analysis loop never blocks
-		}
-		if err := w.applyTx(tx); err != nil {
-			w.err = err
-		}
-	}
-}
-
-// redoHash owns the (table, key) -> worker partition. FNV-1a, inlined so
-// the analysis loop doesn't allocate a hasher per op.
-func redoHash(tableID uint32, key []byte) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < 4; i++ {
-		h ^= uint32(tableID >> (8 * i) & 0xff)
-		h *= 16777619
-	}
-	for _, b := range key {
-		h ^= uint32(b)
-		h *= 16777619
-	}
-	return h
 }
 
 // recoveryWorkers resolves Options.RecoveryWorkers: 0 means one per CPU.
@@ -208,31 +162,7 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 	}
 	defer pr.Close()
 
-	// Apply pool. Serial recovery (workers == 1) uses pool[0] inline.
-	pool := make([]*redoWorker, workers)
-	for i := range pool {
-		pool[i] = &redoWorker{db: db, tables: make(map[uint32]*redoTableState)}
-	}
-	var wg sync.WaitGroup
-	parallel := workers > 1
-	if parallel {
-		for _, w := range pool {
-			w.ch = make(chan recoveredOps, 256)
-			wg.Add(1)
-			go w.run(&wg)
-		}
-	}
-	closePool := func() {
-		if parallel {
-			for _, w := range pool {
-				close(w.ch)
-			}
-			wg.Wait()
-			parallel = false
-		}
-	}
-	defer closePool()
-
+	rd := &redo{db: db, tables: make(map[uint32]*redoTable)}
 	pending := make(map[uint64][]writeOp)
 	// preparedAt maps a transaction id to its PREPARE record; a later
 	// COMMIT or ABORT record resolves it, anything left at the end of the
@@ -243,8 +173,6 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 	var frames []int64 // of entries: the LSN of the frame holding the DML
 	maxTx := uint64(0)
 	records := 0
-	// shares is reused per commit to partition a write set across the pool.
-	shares := make([][]writeOp, workers)
 	for {
 		rec, err := pr.Next()
 		if err == io.EOF {
@@ -265,23 +193,8 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 			})
 		case wal.RecCommit:
 			p := rec.Commit
-			writes := pending[rec.TxID]
-			if !parallel {
-				if err := pool[0].applyTx(recoveredOps{commitTS: p.CommitTS, ops: writes}); err != nil {
-					return fmt.Errorf("engine: recovery apply: %w", err)
-				}
-			} else {
-				for _, op := range writes {
-					i := int(redoHash(op.tableID, op.key) % uint32(workers))
-					shares[i] = append(shares[i], op)
-				}
-				for i, share := range shares {
-					if len(share) == 0 {
-						continue
-					}
-					pool[i].ch <- recoveredOps{commitTS: p.CommitTS, ops: share}
-					shares[i] = nil
-				}
+			if err := rd.applyTx(p.CommitTS, pending[rec.TxID]); err != nil {
+				return fmt.Errorf("engine: recovery apply: %w", err)
 			}
 			delete(pending, rec.TxID)
 			if p.CommitTS > db.lastCommitTS.Load() {
@@ -311,22 +224,14 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 			return fmt.Errorf("engine: recovery: unknown record type %d", rec.Type)
 		}
 	}
-	closePool()
-	applied := 0
-	for _, w := range pool {
-		if w.err != nil {
-			return fmt.Errorf("engine: recovery apply: %w", w.err)
-		}
-		applied += w.ops
-	}
 	db.obs.Histogram(obs.RecoverySeconds, nil, obs.L("phase", "replay")).ObserveSince(phaseReplay)
 
-	// Install phase: merge worker-private chains into the tables, rebuild
-	// indexes of touched tables.
+	// Install phase: put the new chains into the tables, rebuild indexes
+	// of touched tables.
 	phaseInstall := time.Now()
-	db.installRecovered(pool, rebuild, workers)
+	db.installRecovered(rd.tables, rebuild, workers)
 	db.obs.Histogram(obs.RecoverySeconds, nil, obs.L("phase", "install")).ObserveSince(phaseInstall)
-	db.m.versionsLive.Add(float64(applied))
+	db.m.versionsLive.Add(float64(rd.ops))
 
 	if maxTx >= db.cat.NextTxID {
 		db.cat.NextTxID = maxTx + 1
@@ -353,9 +258,8 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 		db.inDoubt[p.Gid] = tx
 		db.preparedCount.Add(1)
 	}
-	// Replay waits for every committed transaction's apply before the
-	// install barrier, so the applied-through watermark starts flush with
-	// the last commit.
+	// Replay applied every committed transaction, so the applied-through
+	// watermark starts flush with the last commit.
 	db.appliedTS.Store(db.lastCommitTS.Load())
 	if db.opts.Hook != nil {
 		db.opts.Hook.Recovered(entries, frames)
@@ -417,40 +321,22 @@ func (db *DB) LedgerFramesBefore(fn func(e *wal.LedgerEntry, frame int64)) error
 	}
 }
 
-// installRecovered folds the apply pool's private state into the shared
-// tables. Tables are independent, so the merge runs parallel across them.
-func (db *DB) installRecovered(pool []*redoWorker, rebuild map[uint32]struct{}, workers int) {
-	// Collect the per-table work across workers.
-	type tableInstall struct {
-		table     *Table
-		entries   []newEntry
-		liveDelta int
-	}
-	jobs := make(map[uint32]*tableInstall)
-	for _, w := range pool {
-		for tid, st := range w.tables {
-			j, ok := jobs[tid]
-			if !ok {
-				j = &tableInstall{table: st.table}
-				jobs[tid] = j
-			}
-			j.entries = append(j.entries, st.entries...)
-			j.liveDelta += st.liveDelta
-		}
-	}
+// installRecovered puts replay's new chains into the shared tables.
+// Tables are independent, so the install runs parallel across them.
+func (db *DB) installRecovered(tables map[uint32]*redoTable, rebuild map[uint32]struct{}, workers int) {
 	// Re-indexed tables need an install pass even with no DML.
 	for tid := range rebuild {
-		if _, ok := jobs[tid]; !ok {
+		if _, ok := tables[tid]; !ok {
 			db.mu.RLock()
 			t := db.tables[tid]
 			db.mu.RUnlock()
 			if t != nil {
-				jobs[tid] = &tableInstall{table: t}
+				tables[tid] = &redoTable{table: t}
 			}
 		}
 	}
-	list := make([]*tableInstall, 0, len(jobs))
-	for _, j := range jobs {
+	list := make([]*redoTable, 0, len(tables))
+	for _, j := range tables {
 		list = append(list, j)
 	}
 	forEach(len(list), workers, func(i int) {

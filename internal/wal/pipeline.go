@@ -1,20 +1,14 @@
 package wal
 
-import (
-	"io"
-	"sync"
-)
+import "io"
 
-// Pipelined log reading for recovery. Replay cost splits into three very
-// different kinds of work: pulling record bytes off disk (sequential I/O +
-// CRC), decoding payloads (allocation-heavy: row checks, key and row
-// copies), and applying write sets. A single-threaded loop pays them in
-// series; the PipelinedReader overlaps them — a read-ahead goroutine
-// fetches raw records in batches, a worker pool decodes batches
-// concurrently, and the consumer reassembles batches by sequence number so
-// records are always delivered in strict log order. The redo loop
-// downstream stays order-dependent and never knows the decode ran out of
-// order.
+// Read-ahead log reading for recovery. Replay pays two kinds of work per
+// record before the engine applies it: pulling the frame off disk (I/O
+// and CRC) and decoding its payload (row checks, key and row copies).
+// The PipelinedReader moves both onto one goroutine that stays a batch
+// ahead of the redo loop, reading, checking and decoding records in log
+// order. Nothing is reordered, so an error surfaces exactly where it sits
+// in the log, after every record before it.
 
 // DecodedRecord is a log record with its payload eagerly decoded. Exactly
 // one of DML, Commit, Prepare is non-nil for the record types the decode
@@ -28,8 +22,13 @@ type DecodedRecord struct {
 	Prepare *PreparePayload
 }
 
-// decodeRecord eagerly decodes the payload kinds the pipeline understands.
-func decodeRecord(rec Record) (DecodedRecord, error) {
+// nextDecoded reads the next record from r and eagerly decodes the
+// payload kinds DecodedRecord carries.
+func nextDecoded(r *Reader) (DecodedRecord, error) {
+	rec, err := r.Next()
+	if err != nil {
+		return DecodedRecord{}, err
+	}
 	out := DecodedRecord{Record: rec}
 	switch rec.Type {
 	case RecInsert, RecDelete, RecUpdate:
@@ -54,137 +53,64 @@ func decodeRecord(rec Record) (DecodedRecord, error) {
 	return out, nil
 }
 
-// pipelineBatchRecords is how many raw records the read-ahead stage groups
-// into one decode unit. Large enough to amortize channel traffic, small
-// enough that reassembly never holds more than a few MB per in-flight
-// batch.
+// pipelineBatchRecords is how many decoded records the read-ahead hands
+// over at once: enough to amortize channel traffic, few enough that a
+// batch stays small.
 const pipelineBatchRecords = 256
 
-// rawBatch is a sequence-numbered group of raw records headed for the
-// decode pool. readErr (io.EOF excluded) is the reader error that ended
-// the scan; it is delivered after the batch's records, in log order.
-type rawBatch struct {
-	seq     int
-	recs    []Record
-	readErr error
-}
-
-// decodedBatch is a decoded rawBatch. If a record failed to decode,
-// failErr is set and failIdx is its index; records past it are undecoded
-// and must not be consumed.
+// decodedBatch is a run of consecutive decoded records. err (io.EOF at the
+// end of the range) is what stopped the read after the last of them.
 type decodedBatch struct {
-	seq     int
-	recs    []DecodedRecord
-	failIdx int
-	failErr error
-	readErr error
+	recs []DecodedRecord
+	err  error
 }
 
-// PipelinedReader reads log records through a read-ahead stage and a
-// parallel payload-decode pool, delivering DecodedRecords in strict log
-// order. workers <= 1 degrades to a fully serial read-decode loop with no
-// goroutines — the baseline the recovery scaling gate measures against.
-// Not safe for concurrent use.
+// PipelinedReader reads and decodes log records a batch ahead of its
+// caller, delivering them in log order. workers <= 1 reads inline with no
+// goroutine; any larger value turns the read-ahead on. Not safe for
+// concurrent use.
 type PipelinedReader struct {
-	workers int
-
-	// Serial path.
+	// serial is set when the reader runs inline.
 	serial *Reader
 
-	// Pipelined path.
-	decCh   chan decodedBatch
-	stop    chan struct{}
-	pending map[int]decodedBatch
-	nextSeq int
-	cur     *decodedBatch
-	curIdx  int
-	done    bool
-	closed  bool
+	ch     chan decodedBatch
+	stop   chan struct{}
+	cur    decodedBatch
+	idx    int // next record of cur to deliver
+	closed bool
 }
 
-// NewPipelinedReader opens a pipelined reader over the log at path,
-// scanning [start, end) like NewReader. workers sets the decode
-// parallelism; values <= 1 select the serial path.
+// NewPipelinedReader opens a reader over the log at path, scanning
+// [start, end) like NewReader, with read-ahead when workers > 1.
 func NewPipelinedReader(path string, start, end int64, workers int) (*PipelinedReader, error) {
 	r, err := NewReader(path, start, end)
 	if err != nil {
 		return nil, err
 	}
-	p := &PipelinedReader{workers: workers}
 	if workers <= 1 {
-		p.serial = r
-		return p, nil
+		return &PipelinedReader{serial: r}, nil
 	}
-	rawCh := make(chan rawBatch, workers*2)
-	p.decCh = make(chan decodedBatch, workers*2)
-	p.stop = make(chan struct{})
-	p.pending = make(map[int]decodedBatch)
-
-	// Read-ahead stage: batch raw records off the private file handle.
+	p := &PipelinedReader{ch: make(chan decodedBatch, 2), stop: make(chan struct{})}
 	go func() {
+		defer close(p.ch)
 		defer r.Close()
-		seq := 0
-		batch := make([]Record, 0, pipelineBatchRecords)
-		flush := func(readErr error) bool {
-			b := rawBatch{seq: seq, recs: batch, readErr: readErr}
-			seq++
-			select {
-			case rawCh <- b:
-				batch = make([]Record, 0, pipelineBatchRecords)
-				return true
-			case <-p.stop:
-				return false
-			}
-		}
 		for {
-			rec, err := r.Next()
-			if err != nil {
-				if err == io.EOF {
-					err = nil
+			b := decodedBatch{recs: make([]DecodedRecord, 0, pipelineBatchRecords)}
+			for len(b.recs) < pipelineBatchRecords && b.err == nil {
+				var rec DecodedRecord
+				if rec, b.err = nextDecoded(r); b.err == nil {
+					b.recs = append(b.recs, rec)
 				}
-				flush(err)
-				close(rawCh)
+			}
+			select {
+			case p.ch <- b:
+			case <-p.stop:
 				return
 			}
-			batch = append(batch, rec)
-			if len(batch) >= pipelineBatchRecords {
-				if !flush(nil) {
-					close(rawCh)
-					return
-				}
+			if b.err != nil {
+				return
 			}
 		}
-	}()
-
-	// Decode pool: payloads decode concurrently; batch order is restored
-	// by the consumer via sequence numbers.
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rb := range rawCh {
-				db := decodedBatch{seq: rb.seq, failIdx: -1, readErr: rb.readErr}
-				db.recs = make([]DecodedRecord, 0, len(rb.recs))
-				for j, rec := range rb.recs {
-					dec, err := decodeRecord(rec)
-					if err != nil {
-						db.failIdx, db.failErr = j, err
-						break
-					}
-					db.recs = append(db.recs, dec)
-				}
-				select {
-				case p.decCh <- db:
-				case <-p.stop:
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(p.decCh)
 	}()
 	return p, nil
 }
@@ -194,49 +120,23 @@ func NewPipelinedReader(path string, start, end int64, workers int) (*PipelinedR
 // it occurred.
 func (p *PipelinedReader) Next() (DecodedRecord, error) {
 	if p.serial != nil {
-		rec, err := p.serial.Next()
-		if err != nil {
-			return DecodedRecord{}, err
-		}
-		return decodeRecord(rec)
+		return nextDecoded(p.serial)
 	}
-	for {
-		if p.done {
+	for p.idx == len(p.cur.recs) {
+		if p.cur.err != nil {
+			return DecodedRecord{}, p.cur.err
+		}
+		b, ok := <-p.ch
+		if !ok { // only after Close
 			return DecodedRecord{}, io.EOF
 		}
-		if p.cur != nil {
-			if p.curIdx < len(p.cur.recs) {
-				rec := p.cur.recs[p.curIdx]
-				p.curIdx++
-				return rec, nil
-			}
-			if p.cur.failErr != nil {
-				return DecodedRecord{}, p.cur.failErr
-			}
-			if p.cur.readErr != nil {
-				return DecodedRecord{}, p.cur.readErr
-			}
-			p.cur = nil
-		}
-		// Reassemble: pull batches until the next sequence number shows up.
-		for p.cur == nil {
-			if b, ok := p.pending[p.nextSeq]; ok {
-				delete(p.pending, p.nextSeq)
-				p.nextSeq++
-				p.cur, p.curIdx = &b, 0
-				break
-			}
-			b, ok := <-p.decCh
-			if !ok {
-				p.done = true
-				return DecodedRecord{}, io.EOF
-			}
-			p.pending[b.seq] = b
-		}
+		p.cur, p.idx = b, 0
 	}
+	p.idx++
+	return p.cur.recs[p.idx-1], nil
 }
 
-// Close stops the pipeline and releases the underlying file handle. Safe
+// Close stops the read-ahead and releases the underlying file handle. Safe
 // to call after an error or mid-scan.
 func (p *PipelinedReader) Close() error {
 	if p.closed {
@@ -247,8 +147,8 @@ func (p *PipelinedReader) Close() error {
 		return p.serial.Close()
 	}
 	close(p.stop)
-	// Drain until the workers close decCh so none is stuck sending.
-	for range p.decCh {
+	// Drain until the goroutine has closed the file and the channel.
+	for range p.ch {
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -51,7 +52,7 @@ func drainPipelined(t *testing.T, path string, end int64, workers int) []Decoded
 	}
 }
 
-// TestPipelinedReaderMatchesSerial proves the parallel decode delivers the
+// TestPipelinedReaderMatchesSerial proves the read-ahead delivers the
 // exact record sequence of the serial path, payloads included, for enough
 // records to span many batches.
 func TestPipelinedReaderMatchesSerial(t *testing.T) {
@@ -85,38 +86,65 @@ func TestPipelinedReaderMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestPipelinedReaderDecodeError proves a payload that fails to decode
-// surfaces as an error at its log position, after every earlier record was
-// delivered intact.
-func TestPipelinedReaderDecodeError(t *testing.T) {
-	l, path := openTestLog(t)
-	const good = 700
-	for i := 0; i < good; i++ {
-		l.Append(RecInsert, uint64(i+1), EncodeDML(RecInsert, DMLPayload{TableID: 1, Key: []byte("k"), After: sqltypes.Row{sqltypes.NewBigInt(1)}}))
+// drainUntilError reads the log at path with the given worker count and
+// returns how many records came before the first error, and that error.
+func drainUntilError(t *testing.T, path string, end int64, workers int) (int, error) {
+	t.Helper()
+	p, err := NewPipelinedReader(path, 0, end, workers)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// A commit payload that is valid WAL framing but garbage to DecodeCommit.
-	l.Append(RecCommit, good+1, []byte{0xff})
-	l.Flush()
-	for _, workers := range []int{1, 4} {
-		p, err := NewPipelinedReader(path, 0, l.Size(), workers)
-		if err != nil {
-			t.Fatal(err)
+	defer p.Close()
+	for seen := 0; ; seen++ {
+		if _, err := p.Next(); err != nil {
+			return seen, err
 		}
-		seen := 0
-		for {
-			_, err := p.Next()
-			if err == io.EOF {
-				t.Fatalf("workers=%d: reached EOF without decode error", workers)
+	}
+}
+
+// TestPipelinedReaderDecodeError proves a payload that fails to decode,
+// or a frame that fails its CRC, surfaces as an error at its log position
+// after every earlier record was delivered intact — also when the bad
+// record opens, closes or follows a read-ahead batch, or sits inside one.
+func TestPipelinedReaderDecodeError(t *testing.T) {
+	for _, good := range []int{0, pipelineBatchRecords - 1, pipelineBatchRecords, pipelineBatchRecords + 1, 700} {
+		l, path := openTestLog(t)
+		for i := 0; i < good; i++ {
+			l.Append(RecInsert, uint64(i+1), EncodeDML(RecInsert, DMLPayload{TableID: 1, Key: []byte("k"), After: sqltypes.Row{sqltypes.NewBigInt(1)}}))
+		}
+		// A commit payload that is valid WAL framing but garbage to DecodeCommit.
+		l.Append(RecCommit, uint64(good+1), []byte{0xff})
+		l.Append(RecCommit, uint64(good+2), EncodeCommit(CommitPayload{CommitTS: 1, User: "t"}))
+		l.Flush()
+		_, want := DecodeCommit([]byte{0xff})
+		for _, workers := range []int{1, 2, 4} {
+			seen, err := drainUntilError(t, path, l.Size(), workers)
+			if seen != good || err == nil || err.Error() != want.Error() {
+				t.Fatalf("good=%d workers=%d: %d records, then %v; want %d, then %v", good, workers, seen, err, good, want)
 			}
-			if err != nil {
-				break
-			}
-			seen++
 		}
-		if seen != good {
-			t.Fatalf("workers=%d: delivered %d records before error, want %d", workers, seen, good)
+	}
+
+	// A bit flip in the last byte of one frame inside the second batch.
+	path, end := writePipelineLog(t, 400)
+	var lsns []int64
+	for _, rec := range drainPipelined(t, path, end, 1) {
+		lsns = append(lsns, rec.LSN)
+	}
+	const bad = pipelineBatchRecords + 44
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img[lsns[bad+1]-1] ^= 0x10
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		seen, err := drainUntilError(t, path, end, workers)
+		if seen != bad || !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("crc: workers=%d: %d records, then %v; want %d, then %v", workers, seen, err, bad, ErrCorrupt)
 		}
-		p.Close()
 	}
 }
 

@@ -1,17 +1,14 @@
-// Recovery-scaling benchmark and gate for the fast-restart path:
-// pipelined WAL read/decode plus a key-hash-partitioned redo pool replay
-// the log on all cores while preserving per-key commit order, so restart
-// time scales with hardware instead of log length (see DESIGN.md
-// decision 15). Parallel replay must land on exactly the serial replay's
-// state: digests are compared on every run and the full verification
-// pass must stay green.
+// Restart benchmark and equivalence test for recovery: redo replays the
+// log in log order behind one read-ahead goroutine, and tables install in
+// parallel (DESIGN.md decision 15). Every worker count must land on the
+// state the crashed build acknowledged: digests are compared on every
+// run and the full verification pass must stay green.
 package sqlledger_test
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -84,7 +81,7 @@ func recoverImage(tb testing.TB, dir string, workers int) (time.Duration, string
 	return elapsed, d.Hash
 }
 
-// BenchmarkRecovery measures full-WAL restart at 1/2/4/8 replay workers
+// BenchmarkRecovery measures full-WAL restart at 1/2/4/8 recovery workers
 // over one prebuilt crash image. One op is one complete Open; the custom
 // metric reports replayed rows per second.
 func BenchmarkRecovery(b *testing.B) {
@@ -105,96 +102,195 @@ func BenchmarkRecovery(b *testing.B) {
 	}
 }
 
-// TestRecoveryScaling gates the parallel replay path. The digest half
-// runs everywhere: recovery at 4 workers must land on the byte-identical
-// digest as the fully serial replay of the same crash image. The
-// wall-clock half — parallel recovery at least 2x faster than serial —
-// needs real hardware parallelism, so it is skipped below 4 CPUs and
-// under the race detector.
-func TestRecoveryScaling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scaling measurement skipped in -short")
+// TestRecoverySerialParallelEquivalence replays crash images — each with
+// a torn record tail, as a real crash leaves — at 1, 2 and 4 recovery
+// workers, and requires the byte-identical digest the build observed, a
+// green full verification and every acknowledged row's last value from
+// each. The ingest image is one bulk load with no checkpoint, so the
+// whole log replays; the churn image updates, deletes and re-inserts the
+// same few keys in consecutive transactions, adds a column between
+// commits and checkpoints half way, so replay grows chains from the
+// snapshot and new ones in commit order across a schema change.
+func TestRecoverySerialParallelEquivalence(t *testing.T) {
+	images := []struct {
+		name  string
+		build func(tb testing.TB, dir string) (sqlledger.Digest, map[string]sqlledger.Row)
+	}{
+		{"ingest", func(tb testing.TB, dir string) (sqlledger.Digest, map[string]sqlledger.Row) {
+			return buildRecoveryImage(tb, dir, 10_000), nil
+		}},
+		{"churn", buildChurnImage},
 	}
-	const rows = 30_000
-	dir := t.TempDir()
-	built := buildRecoveryImage(t, dir, rows)
-	serialDur, serialHash := recoverImage(t, dir, 1)
-	parDur, parHash := recoverImage(t, dir, 4)
-	if serialHash != built.Hash || parHash != built.Hash {
-		t.Fatalf("digest mismatch: built %s, serial replay %s, parallel replay %s",
-			built.Hash, serialHash, parHash)
-	}
-	if raceEnabled {
-		t.Skip("wall-clock gate skipped under -race")
-	}
-	if ncpu := runtime.GOMAXPROCS(0); ncpu < 4 {
-		t.Skipf("wall-clock gate needs >=4 CPUs, have %d", ncpu)
-	}
-	// Best of three trials per side to damp scheduler and page-cache noise.
-	for trial := 0; trial < 2; trial++ {
-		if d, _ := recoverImage(t, dir, 1); d < serialDur {
-			serialDur = d
-		}
-		if d, _ := recoverImage(t, dir, 4); d < parDur {
-			parDur = d
-		}
-	}
-	speedup := float64(serialDur) / float64(parDur)
-	t.Logf("serial replay %v, parallel(4 workers) %v, speedup %.2fx", serialDur, parDur, speedup)
-	if speedup < 2.0 {
-		t.Fatalf("recovery speedup %.2fx at 4 workers, want >= 2x (serial %v, parallel %v)",
-			speedup, serialDur, parDur)
+	for _, img := range images {
+		t.Run(img.name, func(t *testing.T) {
+			dir := t.TempDir()
+			built, last := img.build(t, dir)
+			// Simulate a crash mid-append: a partial record header at the tail.
+			f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte{0xFF, 0x01, 0x02}); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			for _, workers := range []int{1, 2, 4} {
+				checkRecovered(t, dir, workers, built, last)
+			}
+		})
 	}
 }
 
-// TestRecoverySerialParallelEquivalence replays one crash image — with a
-// torn record tail, as a real crash leaves — serially and in parallel,
-// and requires the byte-identical digest plus a green full verification
-// from both.
-func TestRecoverySerialParallelEquivalence(t *testing.T) {
-	const rows = 10_000
-	dir := t.TempDir()
-	built := buildRecoveryImage(t, dir, rows)
-	// Simulate a crash mid-append: a partial record header at the tail.
-	wal := filepath.Join(dir, "wal.log")
-	f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0)
+// checkRecovered reopens dir with the given recovery worker count and
+// requires the built digest, a green Verify and, in table "acct", each
+// key's last acknowledged row (nil: deleted).
+func checkRecovered(t *testing.T, dir string, workers int, built sqlledger.Digest, last map[string]sqlledger.Row) {
+	t.Helper()
+	var tick atomic.Int64
+	tick.Store(1_800_000_000_000_000_000)
+	db, err := sqlledger.Open(sqlledger.Options{
+		Dir: dir, Name: "ingest",
+		BlockSize:       sqlledger.DefaultBlockSize,
+		LockTimeout:     5 * time.Second,
+		RecoveryWorkers: workers,
+		Clock:           func() int64 { return tick.Add(1) },
+	})
+	if err != nil {
+		t.Fatalf("recover with %d workers: %v", workers, err)
+	}
+	defer db.Close()
+	d, err := db.GenerateDigest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{0xFF, 0x01, 0x02}); err != nil {
+	if d.Hash != built.Hash {
+		t.Fatalf("workers=%d digest %s, want %s", workers, d.Hash, built.Hash)
+	}
+	rep, err := db.Verify([]sqlledger.Digest{d}, sqlledger.VerifyOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
-
-	for _, workers := range []int{1, 4} {
-		var tick atomic.Int64
-		tick.Store(1_800_000_000_000_000_000)
-		db, err := sqlledger.Open(sqlledger.Options{
-			Dir: dir, Name: "ingest",
-			BlockSize:       sqlledger.DefaultBlockSize,
-			LockTimeout:     5 * time.Second,
-			RecoveryWorkers: workers,
-			Clock:           func() int64 { return tick.Add(1) },
-		})
-		if err != nil {
-			t.Fatalf("recover with %d workers: %v", workers, err)
-		}
-		d, err := db.GenerateDigest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.Hash != built.Hash {
-			t.Fatalf("workers=%d digest %s, want %s", workers, d.Hash, built.Hash)
-		}
-		rep, err := db.Verify([]sqlledger.Digest{d}, sqlledger.VerifyOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rep.Ok() {
-			t.Fatalf("workers=%d verification failed: %+v", workers, rep)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
+	if !rep.Ok() {
+		t.Fatalf("workers=%d verification failed: %+v", workers, rep)
+	}
+	if last == nil {
+		return
+	}
+	lt, err := db.LedgerTable("acct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin("check")
+	defer tx.Rollback()
+	for key, want := range last {
+		got, ok, err := tx.Get(lt, sqlledger.NVarChar(key))
+		if err != nil || ok != (want != nil) || (ok && !got.Equal(want)) {
+			t.Fatalf("workers=%d key %s = %v, %v, %v; want %v", workers, key, got, ok, err, want)
 		}
 	}
+}
+
+// buildChurnImage writes the churn crash image into dir and returns the
+// digest it closed with and each key's last acknowledged row (nil once
+// deleted). Rounds of single-key transactions update, delete, re-insert
+// and update each of a few keys back to back; a two-key transaction ends
+// every round. A column is added after round 1, the database checkpoints
+// after round 2, and keys first inserted after the checkpoint have no
+// snapshot image.
+func buildChurnImage(tb testing.TB, dir string) (sqlledger.Digest, map[string]sqlledger.Row) {
+	tb.Helper()
+	db := openIngestDB(tb, dir)
+	lt, err := db.CreateLedgerTable("acct", accountsSchema(), sqlledger.Updateable)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	last := make(map[string]sqlledger.Row)
+	wide := false
+	row := func(key string, v int64) sqlledger.Row {
+		r := sqlledger.Row{sqlledger.NVarChar(key), sqlledger.BigInt(v)}
+		if wide {
+			tag := sqlledger.Null(sqlledger.TypeNVarChar)
+			if v%2 == 0 {
+				tag = sqlledger.NVarChar(fmt.Sprintf("t%d", v))
+			}
+			r = append(r, tag)
+		}
+		return r
+	}
+	commit := func(ops ...func(tx *sqlledger.Tx) error) {
+		tx := db.Begin("churn")
+		for _, op := range ops {
+			if err := op(tx); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	put := func(insert bool, key string, v int64) func(tx *sqlledger.Tx) error {
+		return func(tx *sqlledger.Tx) error {
+			r := row(key, v)
+			last[key] = r
+			if insert {
+				return tx.Insert(lt, r)
+			}
+			return tx.Update(lt, r)
+		}
+	}
+	del := func(key string) func(tx *sqlledger.Tx) error {
+		return func(tx *sqlledger.Tx) error {
+			last[key] = nil
+			return tx.Delete(lt, sqlledger.NVarChar(key))
+		}
+	}
+	keys := []string{"k0", "k1", "k2"}
+	for _, k := range keys {
+		commit(put(true, k, 0))
+	}
+	v := int64(1)
+	for round := 0; round < 5; round++ {
+		if round == 3 {
+			keys = append(keys, "n0", "n1")
+			for _, k := range keys[3:] {
+				commit(put(true, k, v))
+				v++
+			}
+		}
+		for _, k := range keys {
+			commit(put(false, k, v))
+			commit(del(k))
+			commit(put(true, k, v+1))
+			commit(put(false, k, v+2))
+			v += 3
+		}
+		commit(put(false, keys[0], v), del(keys[len(keys)-1]))
+		commit(put(true, keys[len(keys)-1], v+1), put(false, keys[0], v+2))
+		v += 3
+		switch round {
+		case 1:
+			if err := db.AddColumn(lt, sqlledger.NullableCol("tag", sqlledger.TypeNVarChar)); err != nil {
+				tb.Fatal(err)
+			}
+			wide = true
+			for k, r := range last {
+				if r != nil {
+					last[k] = append(r, sqlledger.Null(sqlledger.TypeNVarChar))
+				}
+			}
+		case 2:
+			if err := db.Checkpoint(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	commit(del(keys[1]))
+	d, err := db.GenerateDigest()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return d, last
 }
