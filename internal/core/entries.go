@@ -3,10 +3,12 @@ package core
 import (
 	"cmp"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"sqlledger/internal/engine"
@@ -201,7 +203,8 @@ func (s *entryStore) position() (block uint64, ord uint32, queued int) {
 // ofBlock returns the block's entries sorted by ordinal: its run of the
 // queue, found by binary search, and its rows in the table, found through
 // the block index. The error names each persisted entry that does not
-// decode; that entry is returned with no roots.
+// decode; one whose table_hashes do not parse is returned with no roots,
+// one that is no row at all is left out.
 func (s *entryStore) ofBlock(block uint64) ([]*wal.LedgerEntry, error) {
 	q := s.snapshot()
 	byBlock := func(e *wal.LedgerEntry, b uint64) int { return cmp.Compare(e.BlockID, b) }
@@ -209,23 +212,36 @@ func (s *entryStore) ofBlock(block uint64) ([]*wal.LedgerEntry, error) {
 	hi, _ := slices.BinarySearchFunc(q[lo:], block+1, byBlock)
 	out := slices.Clone(q[lo : lo+hi])
 	queued := out
+	var keys [][]byte
+	start, end := engine.PrefixRange(sqltypes.NewBigInt(int64(block)))
+	s.table.ScanIndexRange(s.byBlock, start, end, func(_, key []byte) bool {
+		keys = append(keys, key)
+		return true
+	})
 	var errs []error
-	s.table.LookupIndexPrefix(s.byBlock, []sqltypes.Value{sqltypes.NewBigInt(int64(block))},
-		func(_ []byte, r sqltypes.Row) bool {
-			e, err := rowToEntry(r)
-			if !slices.ContainsFunc(queued, func(x *wal.LedgerEntry) bool { return x.TxID == e.TxID }) {
-				out = append(out, e)
-				errs = append(errs, err)
+	for _, key := range keys {
+		stored, ok := s.table.LookupStored(key)
+		if !ok {
+			continue // index/base divergence: the block's count tells
+		}
+		e, err := entryOf(key, stored)
+		if e != nil {
+			if slices.ContainsFunc(queued, func(x *wal.LedgerEntry) bool { return x.TxID == e.TxID }) {
+				continue
 			}
-			return true
-		})
+			out = append(out, e)
+		}
+		errs = append(errs, err)
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Ordinal < out[j].Ordinal })
 	return out, errors.Join(errs...)
 }
 
 // all returns every entry, keyed by transaction and grouped by block in
 // ordinal order, and by block the error naming each persisted entry that
-// does not decode (it is in the maps with no roots).
+// does not decode: one whose table_hashes do not parse is in the maps with
+// no roots, one that is no row at all is filed under the block its block
+// index entry names.
 func (s *entryStore) all() (byTx map[uint64]*wal.LedgerEntry, byBlock map[uint64][]*wal.LedgerEntry, unreadable map[uint64]error) {
 	q := s.snapshot()
 	byTx = make(map[uint64]*wal.LedgerEntry, len(q)+s.table.RowCount())
@@ -233,16 +249,31 @@ func (s *entryStore) all() (byTx map[uint64]*wal.LedgerEntry, byBlock map[uint64
 		byTx[e.TxID] = e
 	}
 	unreadable = make(map[uint64]error)
-	s.table.Scan(func(_ []byte, r sqltypes.Row) bool {
-		if id := uint64(r[0].Int()); byTx[id] == nil {
-			e, err := rowToEntry(r)
+	broken := make(map[string]error) // clustered key to error, of rows that are no row
+	s.table.ScanRangeStored(nil, nil, func(key, stored []byte) bool {
+		e, err := entryOf(key, stored)
+		switch {
+		case e == nil:
+			broken[string(key)] = err
+		case byTx[e.TxID] == nil:
 			if err != nil {
 				unreadable[e.BlockID] = errors.Join(unreadable[e.BlockID], err)
 			}
-			byTx[id] = e
+			byTx[e.TxID] = e
 		}
 		return true
 	})
+	if len(broken) > 0 {
+		s.table.ScanIndex(s.byBlock, func(ek, key []byte) bool {
+			if err, ok := broken[string(key)]; ok {
+				if k, kerr := sqltypes.DecodeKey(ek, []sqltypes.TypeID{sqltypes.TypeBigInt, sqltypes.TypeBigInt}); kerr == nil {
+					b := uint64(k[0].Int())
+					unreadable[b] = errors.Join(unreadable[b], err)
+				}
+			}
+			return true
+		})
+	}
 	// One slice sorted by (block, ordinal), cut where the block changes.
 	sorted := make([]*wal.LedgerEntry, 0, len(byTx))
 	for _, e := range byTx {
@@ -270,12 +301,13 @@ func (s *entryStore) get(want map[uint64]*wal.LedgerEntry) error {
 	q := s.snapshot()
 	queued := 0
 	for txID := range want {
-		row, ok := s.table.Lookup(txKey(txID))
+		key := txKey(txID)
+		stored, ok := s.table.LookupStored(key)
 		if !ok {
 			queued++
 			continue
 		}
-		e, err := rowToEntry(row)
+		e, err := entryOf(key, stored)
 		if err != nil {
 			return err
 		}
@@ -344,10 +376,15 @@ func entryToRow(e *wal.LedgerEntry) sqltypes.Row {
 	}
 }
 
-// rowToEntry decodes a sys_ledger_transactions row. When its table_hashes
-// do not parse, the entry comes back with no roots and an error naming
-// the transaction.
-func rowToEntry(r sqltypes.Row) (*wal.LedgerEntry, error) {
+// entryOf decodes the stored sys_ledger_transactions row of the
+// transaction under key, which the error names. A row that is no row of
+// the table comes back nil; one whose table_hashes do not parse comes back
+// with no roots.
+func entryOf(key, stored []byte) (*wal.LedgerEntry, error) {
+	r, err := sysRow(stored, sysTxSchema)
+	if err != nil {
+		return nil, fmt.Errorf("core: transaction %s: its %s row does not decode: %w", keyName(key), sysTxName, err)
+	}
 	e := &wal.LedgerEntry{
 		TxID:     uint64(r[0].Int()),
 		BlockID:  uint64(r[1].Int()),
@@ -355,9 +392,28 @@ func rowToEntry(r sqltypes.Row) (*wal.LedgerEntry, error) {
 		CommitTS: r[3].Int(),
 		User:     r[4].Str,
 	}
-	var err error
 	if e.Roots, err = parseRootsBlob(r[5].Bytes); err != nil {
 		err = fmt.Errorf("core: transaction %d: its recorded table roots do not decode: %w", e.TxID, err)
 	}
 	return e, err
+}
+
+// sysRow decodes a stored ledger system-table row, failing where a read
+// of the table would panic: an attacker who edits storage (§2.5.2) may
+// have left bytes that are no row of schema.
+func sysRow(stored []byte, schema *sqltypes.Schema) (sqltypes.Row, error) {
+	r, err := sqltypes.DecodeRowAlias(nil, stored, schema.Columns)
+	if err == nil && len(r) != len(schema.Columns) {
+		err = fmt.Errorf("%d columns, want %d", len(r), len(schema.Columns))
+	}
+	return r, err
+}
+
+// keyName renders a system table's BIGINT primary key — a block or
+// transaction id — and any other key as hex.
+func keyName(key []byte) string {
+	if k, err := sqltypes.DecodeKey(key, []sqltypes.TypeID{sqltypes.TypeBigInt}); err == nil {
+		return strconv.FormatInt(k[0].Int(), 10)
+	}
+	return "key " + hex.EncodeToString(key)
 }

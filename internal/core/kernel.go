@@ -34,10 +34,15 @@ func blockKey(b int64) []byte {
 }
 
 // closedBlock returns block id's sys_ledger_blocks row and its recomputed
-// hash — the value a digest of that block must carry.
+// hash — the value a digest of that block must carry. A row that does not
+// decode is reported as missing here; the chain walk names it.
 func (l *Shard) closedBlock(id int64) (sqltypes.Row, merkle.Hash, bool) {
-	row, ok := l.sysBlocks.Lookup(blockKey(id))
+	stored, ok := l.sysBlocks.LookupStored(blockKey(id))
 	if !ok {
+		return nil, merkle.ZeroHash, false
+	}
+	row, err := sysRow(stored, sysBlocksSchema)
+	if err != nil {
 		return nil, merkle.ZeroHash, false
 	}
 	return row, blockHashOfRow(row), true
@@ -131,16 +136,21 @@ func (l *Shard) checkChain(c chainCheck, emit emitFn) chainResult {
 		}
 	}
 
-	// Collect the rows first: hashing a long chain under the table's read
-	// lock would stall the block closer. The scan reuses r for the next
-	// row, so each is cloned.
-	var rows []sqltypes.Row
-	collect := func(_ []byte, r sqltypes.Row) bool {
-		rows = append(rows, r.Clone())
+	// Collect the rows first, as stored bytes that are decoded here: a row
+	// an attacker left undecodable is a finding, not a panic.
+	type blockRow struct {
+		key []byte
+		row sqltypes.Row
+		err error
+	}
+	var rows []blockRow
+	collect := func(key, stored []byte) bool {
+		r, err := sysRow(stored, sysBlocksSchema)
+		rows = append(rows, blockRow{key, r, err})
 		return true
 	}
 	if c.blocks == nil {
-		l.sysBlocks.Scan(collect)
+		l.sysBlocks.ScanRangeStored(nil, nil, collect)
 	} else if c.blocks.From <= math.MaxInt64 {
 		lo := c.blocks.From
 		if c.anchor == nil && lo > 0 {
@@ -150,13 +160,14 @@ func (l *Shard) checkChain(c chainCheck, emit emitFn) chainResult {
 		if c.blocks.To < math.MaxInt64 {
 			end = blockKey(int64(c.blocks.To) + 1)
 		}
-		l.sysBlocks.ScanRange(blockKey(int64(lo)), end, collect)
+		l.sysBlocks.ScanRangeStored(blockKey(int64(lo)), end, collect)
 	}
 
 	var (
 		prevID   uint64
 		prevHash merkle.Hash
 		havePrev bool
+		prevBad  bool // the previous block's row does not decode: no hash to link to
 		leaves   []merkle.Hash
 	)
 	if c.anchor != nil {
@@ -165,15 +176,31 @@ func (l *Shard) checkChain(c chainCheck, emit emitFn) chainResult {
 	}
 	visited := make(map[uint64]bool, len(rows))
 	maxPresent := int64(-1)
-	for _, row := range rows {
+	for _, br := range rows {
 		if stopped {
 			return res
+		}
+		row := br.row
+		if br.err != nil {
+			b := prevID + 1 // where it sits in the walk, should its key not decode either
+			if k, err := sqltypes.DecodeKey(br.key, []sqltypes.TypeID{sqltypes.TypeBigInt}); err == nil {
+				b = uint64(k[0].Int())
+			}
+			if c.blocks.contains(b) {
+				res.blocks++
+				visited[b] = true
+				maxPresent = max(maxPresent, int64(b))
+				delete(pending, b)
+				report(2, b, false, "block %s: its %s row does not decode: %v", keyName(br.key), sysBlocksName, br.err)
+			}
+			prevID, havePrev, prevBad = b, true, true
+			continue
 		}
 		id := uint64(row[0].Int())
 		h := blockHashOfRow(row)
 		if !c.blocks.contains(id) {
 			// Block From-1: only the link anchor, not itself checked.
-			prevID, prevHash, havePrev = id, h, true
+			prevID, prevHash, havePrev, prevBad = id, h, true, false
 			res.through, res.hash = int64(id), h
 			continue
 		}
@@ -204,6 +231,7 @@ func (l *Shard) checkChain(c chainCheck, emit emitFn) chainResult {
 			}
 		case id != prevID+1:
 			report(2, id, false, "block gap: %d follows %d", id, prevID)
+		case prevBad:
 		case !bytes.Equal(row[1].Bytes, prevHash[:]):
 			report(2, id, false, "block %d previous-hash mismatch: recorded=%x computed-over-block-%d=%s", id, row[1].Bytes, prevID, prevHash)
 		}
@@ -228,7 +256,7 @@ func (l *Shard) checkChain(c chainCheck, emit emitFn) chainResult {
 		if clean {
 			res.through, res.hash = int64(id), h
 		}
-		prevID, prevHash, havePrev = id, h, true
+		prevID, prevHash, havePrev, prevBad = id, h, true, false
 	}
 
 	// Presence up to the chain head: a closed block cannot vanish from
@@ -332,7 +360,7 @@ func (l *Shard) blockProofs(block uint64, ordinals []uint64) (merkle.Hash, []mer
 	if err != nil {
 		return merkle.ZeroHash, nil, err
 	}
-	if row, ok := l.sysBlocks.Lookup(blockKey(int64(block))); !ok || !bytes.Equal(row[2].Bytes, root[:]) {
+	if row, _, ok := l.closedBlock(int64(block)); !ok || !bytes.Equal(row[2].Bytes, root[:]) {
 		return merkle.ZeroHash, nil, fmt.Errorf("core: block %d: its entries do not rebuild the transactions root it recorded", block)
 	}
 	if !kept {

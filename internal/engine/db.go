@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -486,21 +487,30 @@ func (db *DB) markApplied(ts int64) {
 }
 
 // applyWrites installs a committed write set into the tables as versions
-// stamped with commitTS, grouping consecutive ops per table to amortize
-// locking.
+// stamped with commitTS, taking each table's lock once: tables in the order
+// the transaction first wrote them, each table's writes in log order. A
+// ledger update writes its base and history tables in turn, so grouping
+// only consecutive writes would take both locks once per row. Writes to
+// different tables are independent, and snapshot readers see none of them
+// before markApplied publishes commitTS.
 func (db *DB) applyWrites(writes []writeOp, commitTS int64) {
-	i := 0
-	for i < len(writes) {
+	var few [4]uint32
+	done := few[:0]
+	for i := range writes {
 		tid := writes[i].tableID
-		j := i
-		for j < len(writes) && writes[j].tableID == tid {
-			j++
+		if slices.Contains(done, tid) {
+			continue
 		}
+		done = append(done, tid)
 		db.mu.RLock()
 		t := db.tables[tid]
 		db.mu.RUnlock()
 		t.mu.Lock()
-		for _, w := range writes[i:j] {
+		for j := i; j < len(writes); j++ {
+			w := &writes[j]
+			if w.tableID != tid {
+				continue
+			}
 			var err error
 			switch w.typ {
 			case wal.RecInsert:
@@ -518,7 +528,6 @@ func (db *DB) applyWrites(writes []writeOp, commitTS int64) {
 			}
 		}
 		t.mu.Unlock()
-		i = j
 	}
 	// Every applied op adds exactly one version (insert, replacement or
 	// tombstone); GC subtracts as it reclaims.

@@ -94,7 +94,10 @@ func (db *DB) TamperDeleteRow(t *Table, key []byte, updateIndexes bool) error {
 	old, live := c.latestLive()
 	t.rows.Delete(key)
 	// The whole chain is gone; keep the gauge honest even for tampering.
+	// GC may still visit the chain through its table's list, and must find
+	// no version there to count again.
 	db.m.versionsLive.Add(-float64(c.versionCount()))
+	c.older = nil
 	if live {
 		t.liveRows--
 		if updateIndexes {

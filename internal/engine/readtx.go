@@ -174,8 +174,9 @@ func (db *DB) gcHorizon() int64 {
 	return min
 }
 
-// GCVersions runs one synchronous version-GC sweep over every table,
-// returning the number of versions reclaimed. The background loop calls it
+// GCVersions runs one synchronous version-GC sweep over the chains every
+// table lists as holding a superseded version (Table.reclaim), returning
+// the number of versions reclaimed. The background loop calls it
 // on a ticker; tests call it directly. A sweep is skipped (returns 0) when
 // a checkpoint or restore holds the database quiescent.
 func (db *DB) GCVersions() int {
@@ -185,14 +186,16 @@ func (db *DB) GCVersions() int {
 	defer db.quiesce.RUnlock()
 	tr := db.obs.NewTrace("version_gc")
 	horizon := db.gcHorizon()
-	reclaimed := 0
+	reclaimed, visited := 0, 0
 	for _, t := range db.Tables() {
-		reclaimed += t.gcVersions(horizon)
+		r, v := t.gcVersions(horizon)
+		reclaimed, visited = reclaimed+r, visited+v
 	}
 	if reclaimed > 0 {
 		db.m.gcReclaimed.Add(int64(reclaimed))
 		db.m.versionsLive.Add(-float64(reclaimed))
 		tr.SetAttr("reclaimed", strconv.Itoa(reclaimed))
+		tr.SetAttr("chains", strconv.Itoa(visited))
 		tr.Finish(nil)
 	} else {
 		// An idle sweep (nothing reclaimed) leaves no trace: at 4 sweeps/s

@@ -37,20 +37,14 @@ import (
 // turn on the read-ahead and set how many tables install (and snapshot
 // sections load) at once.
 
-// newEntry is a chain for a key absent from the snapshot image, installed
-// into the table btree after replay.
-type newEntry struct {
-	key   []byte
-	chain *versionChain
-}
-
 // redoTable is replay's private view of one table.
 type redoTable struct {
 	table *Table
 	// chains indexes the new chains by key for op lookup.
 	chains map[string]*versionChain
-	// entries preserves the new chains for the install phase.
-	entries []newEntry
+	// entries preserves the new chains, for keys absent from the snapshot
+	// image, for the install phase.
+	entries []keyedChain
 	// liveDelta is the net live-row change replay applied.
 	liveDelta int
 }
@@ -80,7 +74,9 @@ func (r *redo) table(tid uint32) (*redoTable, error) {
 // applyTx installs one committed transaction's ops as versions stamped
 // with commitTS. Mirrors applyInsert/Delete/UpdateLocked, minus index
 // maintenance (indexes are rebuilt at install) and minus locking (replay
-// is the only writer).
+// is the only writer, and version GC starts after it). A chain given a
+// superseded version joins its table's GC list here, under the key its
+// install puts it at.
 func (r *redo) applyTx(commitTS int64, ops []writeOp) error {
 	for _, op := range ops {
 		st, err := r.table(op.tableID)
@@ -99,11 +95,11 @@ func (r *redo) applyTx(commitTS int64, ops []writeOp) error {
 				if _, live := c.latestLive(); live {
 					return fmt.Errorf("%w: table %s (recovery)", ErrDuplicateKey, st.table.meta.Name)
 				}
-				c.appendVersion(commitTS, op.after)
+				st.table.appendVersionLocked(op.key, c, commitTS, op.after)
 			} else {
 				nc := newChain(commitTS, op.after)
 				st.chains[string(op.key)] = nc
-				st.entries = append(st.entries, newEntry{key: op.key, chain: nc})
+				st.entries = append(st.entries, keyedChain{key: op.key, chain: nc})
 			}
 			st.liveDelta++
 		case wal.RecDelete, wal.RecUpdate:
@@ -114,7 +110,7 @@ func (r *redo) applyTx(commitTS int64, ops []writeOp) error {
 			if !live {
 				return fmt.Errorf("%w: table %s (recovery)", ErrNotFound, st.table.meta.Name)
 			}
-			c.appendVersion(commitTS, op.after) // nil for a delete: a tombstone
+			st.table.appendVersionLocked(op.key, c, commitTS, op.after) // nil for a delete: a tombstone
 			if op.typ == wal.RecDelete {
 				st.liveDelta--
 			}

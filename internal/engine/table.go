@@ -28,6 +28,16 @@ type Table struct {
 	indexes  []*Index
 	nextRID  uint64 // heap row-id allocator; guarded by mu
 	liveRows int    // keys whose newest version is not a tombstone; guarded by mu
+	// reclaim lists the chains holding a superseded version, each with the
+	// key it was under when it joined: all gcVersions visits, so an
+	// insert-only table costs a sweep nothing. Guarded by mu.
+	reclaim []keyedChain
+}
+
+// keyedChain is a version chain with its clustered key.
+type keyedChain struct {
+	key   []byte
+	chain *versionChain
 }
 
 // Index is the runtime state of a nonclustered index. Entries map the
@@ -190,6 +200,13 @@ func (t *Table) Lookup(key []byte) (sqltypes.Row, bool) {
 	return t.getAt(key, latest, nil)
 }
 
+// LookupStored returns the stored bytes of the committed row under key,
+// undecoded: what a reader that must not panic on bytes that are no row
+// decodes itself. They never change and may be kept.
+func (t *Table) LookupStored(key []byte) ([]byte, bool) {
+	return t.storedAt(key, latest)
+}
+
 // Has reports whether key holds a committed row, decoding nothing.
 func (t *Table) Has(key []byte) bool {
 	_, ok := t.storedAt(key, latest)
@@ -204,7 +221,7 @@ func (t *Table) applyInsertLocked(key, row []byte, ts int64) error {
 		if _, live := c.latestLive(); live {
 			return fmt.Errorf("%w: table %s", ErrDuplicateKey, t.meta.Name)
 		}
-		c.appendVersion(ts, row) // re-insert over a tombstone
+		t.appendVersionLocked(key, c, ts, row) // re-insert over a tombstone
 	}
 	t.liveRows++
 	t.noteRIDLocked(key)
@@ -225,7 +242,7 @@ func (t *Table) applyDeleteLocked(key []byte, ts int64) error {
 	if !live {
 		return fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
-	c.appendVersion(ts, nil)
+	t.appendVersionLocked(key, c, ts, nil)
 	t.liveRows--
 	for _, ix := range t.indexes {
 		ix.tree.Delete(t.entryKeyLocked(ix, key, old))
@@ -244,7 +261,7 @@ func (t *Table) applyUpdateLocked(key, row []byte, ts int64) error {
 	if !live {
 		return fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
-	c.appendVersion(ts, row)
+	t.appendVersionLocked(key, c, ts, row)
 	t.moveIndexEntriesLocked(key, old, row)
 	return nil
 }
@@ -262,27 +279,45 @@ func (t *Table) moveIndexEntriesLocked(key, old, next []byte) {
 	}
 }
 
-// gcVersions prunes versions no snapshot at or after horizon can read and
-// removes chains reduced to a dead tombstone. Returns the number of
-// versions reclaimed.
-func (t *Table) gcVersions(horizon int64) int {
+// appendVersionLocked adds a version to c, the chain under key, and lists
+// c for GC when that gives it its first superseded version. Caller holds
+// mu.
+func (t *Table) appendVersionLocked(key []byte, c *versionChain, ts int64, row []byte) {
+	if c.appendVersion(ts, row) {
+		t.reclaim = append(t.reclaim, keyedChain{key, c})
+	}
+}
+
+// gcVersions prunes the listed chains of versions no snapshot at or after
+// horizon can read, removes those reduced to a dead tombstone, and keeps
+// listed the ones that still hold a superseded version. Returns the number of
+// versions reclaimed and of chains visited.
+func (t *Table) gcVersions(horizon int64) (reclaimed, visited int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	reclaimed := 0
-	var dead [][]byte
-	t.rows.Ascend(func(k []byte, c *versionChain) bool {
-		dropped, rm := c.prune(horizon)
+	kept := t.reclaim[:0]
+	for _, e := range t.reclaim {
+		dropped, dead := e.chain.prune(horizon)
 		reclaimed += dropped
-		if rm {
-			dead = append(dead, append([]byte(nil), k...))
+		switch {
+		case dead:
+			// TamperDeleteRow may have taken the chain out of the tree, and
+			// an insert put a new one under its key since.
+			if c, ok := t.rows.Get(e.key); ok && c == e.chain {
+				t.rows.Delete(e.key)
+				reclaimed++ // the tombstone itself
+			}
+		case len(e.chain.older) > 0:
+			kept = append(kept, e)
 		}
-		return true
-	})
-	for _, k := range dead {
-		t.rows.Delete(k)
-		reclaimed++ // the tombstone itself
 	}
-	return reclaimed
+	visited = len(t.reclaim)
+	// A fresh copy, so a burst of writes does not pin the list's peak size.
+	t.reclaim = nil
+	if len(kept) > 0 {
+		t.reclaim = append(make([]keyedChain, 0, len(kept)), kept...)
+	}
+	return reclaimed, visited
 }
 
 // EntryKeyStored recomputes the entry key an index should hold for a

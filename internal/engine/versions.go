@@ -58,10 +58,15 @@ func (c *versionChain) at(ts int64) ([]byte, bool) {
 	return nil, false
 }
 
-// appendVersion adds a new newest version.
-func (c *versionChain) appendVersion(ts int64, row []byte) {
+// appendVersion adds a new newest version and reports whether it is the
+// chain's first superseded one, so the chain must join its table's GC list
+// (Table.appendVersionLocked). A chain holding a tombstone has superseded
+// versions too, until GC removes it whole.
+func (c *versionChain) appendVersion(ts int64, row []byte) (first bool) {
+	first = len(c.older) == 0
 	c.older = append(c.older, c.newest)
 	c.newest = rowVersion{ts: ts, row: row}
+	return first
 }
 
 // setLatestRow overwrites the newest version's row in place (tamper
