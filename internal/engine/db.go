@@ -232,6 +232,10 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.committer = wal.NewGroupCommitter(log)
+	// No snapshot can be pinned before Open returns, so every version redo
+	// superseded is unreachable already: reclaim them now, not a sweep
+	// interval from now.
+	db.GCVersions()
 	go db.versionGCLoop()
 	return db, nil
 }
