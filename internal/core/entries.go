@@ -224,7 +224,7 @@ func (s *entryStore) ofBlock(block uint64) ([]*wal.LedgerEntry, error) {
 		if !ok {
 			continue // index/base divergence: the block's count tells
 		}
-		e, err := entryOf(key, stored)
+		e, err := entryOf(nil, key, stored)
 		if e != nil {
 			if slices.ContainsFunc(queued, func(x *wal.LedgerEntry) bool { return x.TxID == e.TxID }) {
 				continue
@@ -250,8 +250,9 @@ func (s *entryStore) all() (byTx map[uint64]*wal.LedgerEntry, byBlock map[uint64
 	}
 	unreadable = make(map[uint64]error)
 	broken := make(map[string]error) // clustered key to error, of rows that are no row
+	buf := make(sqltypes.Row, 0, len(sysTxSchema.Columns))
 	s.table.ScanRangeStored(nil, nil, func(key, stored []byte) bool {
-		e, err := entryOf(key, stored)
+		e, err := entryOf(buf, key, stored)
 		switch {
 		case e == nil:
 			broken[string(key)] = err
@@ -307,7 +308,7 @@ func (s *entryStore) get(want map[uint64]*wal.LedgerEntry) error {
 			queued++
 			continue
 		}
-		e, err := entryOf(key, stored)
+		e, err := entryOf(nil, key, stored)
 		if err != nil {
 			return err
 		}
@@ -377,11 +378,12 @@ func entryToRow(e *wal.LedgerEntry) sqltypes.Row {
 }
 
 // entryOf decodes the stored sys_ledger_transactions row of the
-// transaction under key, which the error names. A row that is no row of
-// the table comes back nil; one whose table_hashes do not parse comes back
+// transaction under key, which the error names, using buf's storage when
+// it is large enough (a scan reuses one). A row that is no row of the
+// table comes back nil; one whose table_hashes do not parse comes back
 // with no roots.
-func entryOf(key, stored []byte) (*wal.LedgerEntry, error) {
-	r, err := sysRow(stored, sysTxSchema)
+func entryOf(buf sqltypes.Row, key, stored []byte) (*wal.LedgerEntry, error) {
+	r, err := sysRow(buf, stored, sysTxSchema)
 	if err != nil {
 		return nil, fmt.Errorf("core: transaction %s: its %s row does not decode: %w", keyName(key), sysTxName, err)
 	}
@@ -398,11 +400,12 @@ func entryOf(key, stored []byte) (*wal.LedgerEntry, error) {
 	return e, err
 }
 
-// sysRow decodes a stored ledger system-table row, failing where a read
-// of the table would panic: an attacker who edits storage (§2.5.2) may
-// have left bytes that are no row of schema.
-func sysRow(stored []byte, schema *sqltypes.Schema) (sqltypes.Row, error) {
-	r, err := sqltypes.DecodeRowAlias(nil, stored, schema.Columns)
+// sysRow decodes a stored ledger system-table row into dst's storage when
+// it is large enough, failing where a read of the table would panic: an
+// attacker who edits storage (§2.5.2) may have left bytes that are no row
+// of schema. Strings and binaries alias stored.
+func sysRow(dst sqltypes.Row, stored []byte, schema *sqltypes.Schema) (sqltypes.Row, error) {
+	r, err := sqltypes.DecodeRowAlias(dst, stored, schema.Columns)
 	if err == nil && len(r) != len(schema.Columns) {
 		err = fmt.Errorf("%d columns, want %d", len(r), len(schema.Columns))
 	}

@@ -41,7 +41,7 @@ func (l *Shard) closedBlock(id int64) (sqltypes.Row, merkle.Hash, bool) {
 	if !ok {
 		return nil, merkle.ZeroHash, false
 	}
-	row, err := sysRow(stored, sysBlocksSchema)
+	row, err := sysRow(nil, stored, sysBlocksSchema)
 	if err != nil {
 		return nil, merkle.ZeroHash, false
 	}
@@ -145,7 +145,7 @@ func (l *Shard) checkChain(c chainCheck, emit emitFn) chainResult {
 	}
 	var rows []blockRow
 	collect := func(key, stored []byte) bool {
-		r, err := sysRow(stored, sysBlocksSchema)
+		r, err := sysRow(nil, stored, sysBlocksSchema)
 		rows = append(rows, blockRow{key, r, err})
 		return true
 	}

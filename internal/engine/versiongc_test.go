@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -12,36 +13,17 @@ import (
 )
 
 // chainState renders every chain of every table — key, then each version's
-// timestamp and bytes, oldest first — so two states compare as strings.
+// timestamp and bytes, oldest first — and its index entries, so two states
+// compare as strings.
 func chainState(db *DB) string {
-	var sb strings.Builder
-	for _, tab := range db.Tables() {
-		fmt.Fprintf(&sb, "table %s live=%d\n", tab.Name(), tab.RowCount())
-		tab.mu.RLock()
-		tab.rows.Ascend(func(k []byte, c *versionChain) bool {
-			fmt.Fprintf(&sb, "  %x:", k)
-			for _, v := range append(slices.Clone(c.older), c.newest) {
-				fmt.Fprintf(&sb, " %d=%x", v.ts, v.row)
-			}
-			sb.WriteByte('\n')
-			return true
-		})
-		for _, ix := range tab.indexes {
-			fmt.Fprintf(&sb, "  index %s\n", ix.meta.Name)
-			ix.tree.Ascend(func(ek, ck []byte) bool {
-				fmt.Fprintf(&sb, "    %x -> %x\n", ek, ck)
-				return true
-			})
-		}
-		tab.mu.RUnlock()
-	}
-	return sb.String()
+	s, _ := fullWalkPrune(db, math.MinInt64) // prunes nothing
+	return s
 }
 
 // fullWalkPrune is the sweep that walks every chain of every table: it
-// prunes copies of the chains at horizon and returns the state the sweep
-// leaves and the number of versions it reclaims. The real chains are not
-// touched.
+// renders the state that sweep leaves at horizon, as chainState does, and
+// returns the number of versions it reclaims. It prunes copies; the
+// chains themselves are not touched.
 func fullWalkPrune(db *DB, horizon int64) (string, int) {
 	var sb strings.Builder
 	reclaimed := 0
@@ -57,7 +39,7 @@ func fullWalkPrune(db *DB, horizon int64) (string, int) {
 				return true
 			}
 			fmt.Fprintf(&sb, "  %x:", k)
-			for _, v := range append(slices.Clone(cp.older), cp.newest) {
+			for _, v := range append(cp.older, cp.newest) {
 				fmt.Fprintf(&sb, " %d=%x", v.ts, v.row)
 			}
 			sb.WriteByte('\n')
