@@ -115,6 +115,17 @@ bench-recover:
 bench:
 	bash bench/run.sh
 
+# The trajectory file of a change (ROADMAP 2(a)): five passes of the six
+# workloads on the current tree, with each metric's spread, written to
+# BENCH_<PR>.json at the root. Run the same on the parent commit in the
+# same hour for BENCH_<PR>_parent.json, then diff the two with
+# `go run -C bench . -compare ../BENCH_<PR>_parent.json ../BENCH_<PR>.json`.
+.PHONY: bench-record
+bench-record:
+	@test -n "$(PR)" || { echo "usage: make bench-record PR=<n>"; exit 2; }
+	go run -C bench . -repeat 5 -out out/record-$(PR)
+	cp bench/out/record-$(PR)/BENCH.json BENCH_$(PR).json
+
 # bench/ is a module of its own that the root `go test ./...` never
 # reaches: build it and run its tests, so a change to the facade it
 # compiles against cannot break the benchmark unnoticed.

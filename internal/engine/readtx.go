@@ -186,16 +186,14 @@ func (db *DB) GCVersions() int {
 	defer db.quiesce.RUnlock()
 	tr := db.obs.NewTrace("version_gc")
 	horizon := db.gcHorizon()
-	reclaimed, visited := 0, 0
+	reclaimed := 0
 	for _, t := range db.Tables() {
-		r, v := t.gcVersions(horizon)
-		reclaimed, visited = reclaimed+r, visited+v
+		reclaimed += t.gcVersions(horizon)
 	}
 	if reclaimed > 0 {
 		db.m.gcReclaimed.Add(int64(reclaimed))
 		db.m.versionsLive.Add(-float64(reclaimed))
 		tr.SetAttr("reclaimed", strconv.Itoa(reclaimed))
-		tr.SetAttr("chains", strconv.Itoa(visited))
 		tr.Finish(nil)
 	} else {
 		// An idle sweep (nothing reclaimed) leaves no trace: at 4 sweeps/s

@@ -290,11 +290,12 @@ func (t *Table) appendVersionLocked(key []byte, c *versionChain, ts int64, row [
 
 // gcVersions prunes the listed chains of versions no snapshot at or after
 // horizon can read, removes those reduced to a dead tombstone, and keeps
-// listed the ones that still hold a superseded version. Returns the number of
-// versions reclaimed and of chains visited.
-func (t *Table) gcVersions(horizon int64) (reclaimed, visited int) {
+// listed the ones that still hold a superseded version. Returns the number
+// of versions reclaimed.
+func (t *Table) gcVersions(horizon int64) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	reclaimed := 0
 	kept := t.reclaim[:0]
 	for _, e := range t.reclaim {
 		dropped, dead := e.chain.prune(horizon)
@@ -311,13 +312,12 @@ func (t *Table) gcVersions(horizon int64) (reclaimed, visited int) {
 			kept = append(kept, e)
 		}
 	}
-	visited = len(t.reclaim)
 	// A fresh copy, so a burst of writes does not pin the list's peak size.
 	t.reclaim = nil
 	if len(kept) > 0 {
 		t.reclaim = append(make([]keyedChain, 0, len(kept)), kept...)
 	}
-	return reclaimed, visited
+	return reclaimed
 }
 
 // EntryKeyStored recomputes the entry key an index should hold for a
