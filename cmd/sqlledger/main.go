@@ -101,8 +101,6 @@ func main() {
 			fatal(err)
 		}
 		defer srv.Close()
-		stopSampler := sqlledger.StartRuntimeSampler(reg, time.Second)
-		defer stopSampler()
 		printOpsEndpoints(srv.Addr())
 	}
 
@@ -212,8 +210,6 @@ func cmdServe(db *sqlledger.DB, reg *sqlledger.MetricsRegistry, args []string) {
 		fatal(err)
 	}
 	defer srv.Close()
-	stopSampler := sqlledger.StartRuntimeSampler(reg, time.Second)
-	defer stopSampler()
 	stopCP := startCheckpointTicker(db.Checkpoint)
 	defer stopCP()
 	printOpsEndpoints(srv.Addr())

@@ -2,92 +2,45 @@ package blobstore
 
 import (
 	"errors"
-	"time"
 
 	"sqlledger/internal/obs"
 )
 
-// instrumented wraps a Store and records per-operation counters, latency
-// histograms, byte counts and error counts labelled by op.
+// instrumented wraps a Store and reports each failed operation as a
+// blobstore_error event.
 type instrumented struct {
 	inner  Store
 	events *obs.EventLog
-	put    opMetrics
-	get    opMetrics
-	list   opMetrics
 }
 
-type opMetrics struct {
-	ops     *obs.Counter
-	seconds *obs.Histogram
-	errors  *obs.Counter
-	bytes   *obs.Counter
-}
-
-func bindOpMetrics(reg *obs.Registry, op string) opMetrics {
-	l := obs.L("op", op)
-	return opMetrics{
-		ops:     reg.Counter(obs.BlobstoreOpsTotal, l),
-		seconds: reg.Histogram(obs.BlobstoreOpSeconds, nil, l),
-		errors:  reg.Counter(obs.BlobstoreErrorsTotal, l),
-		bytes:   reg.Counter(obs.BlobstoreBytesTotal, l),
-	}
-}
-
-// Instrument wraps s so every Put/Get/List records into reg. A nil or
-// disabled registry still returns a working wrapper whose metrics are
-// inert, so callers never branch.
+// Instrument wraps s so every failed Put/Get/List lands in reg's event
+// log. A nil or disabled registry still returns a working wrapper whose
+// events are inert, so callers never branch.
 func Instrument(s Store, reg *obs.Registry) Store {
-	return &instrumented{
-		inner:  s,
-		events: reg.Events(),
-		put:    bindOpMetrics(reg, "put"),
-		get:    bindOpMetrics(reg, "get"),
-		list:   bindOpMetrics(reg, "list"),
-	}
+	return &instrumented{inner: s, events: reg.Events()}
 }
 
 func (s *instrumented) Put(name string, data []byte) error {
-	start := time.Now()
 	err := s.inner.Put(name, data)
-	s.put.seconds.ObserveSince(start)
-	s.put.ops.Inc()
-	if err != nil {
-		s.put.errors.Inc()
-		// ErrImmutable is immutability working as intended (digest
-		// re-uploads probe for it), not an operational failure.
-		if !errors.Is(err, ErrImmutable) {
-			s.events.Warn(obs.EventBlobstoreError, "op", "put", "name", name, "err", err.Error())
-		}
-	} else {
-		s.put.bytes.Add(int64(len(data)))
+	// ErrImmutable is immutability working as intended (digest re-uploads
+	// probe for it), not an operational failure.
+	if err != nil && !errors.Is(err, ErrImmutable) {
+		s.events.Warn(obs.EventBlobstoreError, "op", "put", "name", name, "err", err.Error())
 	}
 	return err
 }
 
 func (s *instrumented) Get(name string) ([]byte, error) {
-	start := time.Now()
 	b, err := s.inner.Get(name)
-	s.get.seconds.ObserveSince(start)
-	s.get.ops.Inc()
-	if err != nil {
-		s.get.errors.Inc()
-		if !errors.Is(err, ErrNotFound) {
-			s.events.Warn(obs.EventBlobstoreError, "op", "get", "name", name, "err", err.Error())
-		}
-	} else {
-		s.get.bytes.Add(int64(len(b)))
+	if err != nil && !errors.Is(err, ErrNotFound) {
+		s.events.Warn(obs.EventBlobstoreError, "op", "get", "name", name, "err", err.Error())
 	}
 	return b, err
 }
 
 func (s *instrumented) List(prefix string) ([]string, error) {
-	start := time.Now()
 	names, err := s.inner.List(prefix)
-	s.list.seconds.ObserveSince(start)
-	s.list.ops.Inc()
 	if err != nil {
-		s.list.errors.Inc()
 		s.events.Warn(obs.EventBlobstoreError, "op", "list", "name", prefix, "err", err.Error())
 	}
 	return names, err

@@ -160,12 +160,8 @@ type chainAuditor struct {
 	rng      uint64
 	ixCursor int
 
-	mVerified     *obs.Gauge
-	mLag          *obs.Gauge
-	mCycles       *obs.Counter
-	mIncBlocks    *obs.Counter
-	mSampBlocks   *obs.Counter
-	mCycleSeconds *obs.Histogram
+	mVerified *obs.Gauge
+	mLag      *obs.Gauge
 }
 
 // auditLoop is a background ticker driving audit cycles. Non-nil channels
@@ -265,10 +261,6 @@ func (l *Shard) newChainAuditor(opts AuditorOptions, shard int) (*chainAuditor, 
 	reg := l.obs
 	a.mVerified = reg.Gauge(obs.VerifiedThroughBlock, lbl...)
 	a.mLag = reg.Gauge(obs.AuditLagSeconds, lbl...)
-	a.mCycles = reg.Counter(obs.AuditCyclesTotal, lbl...)
-	a.mIncBlocks = reg.Counter(obs.AuditBlocksCheckedTotal, append([]obs.Label{obs.L("mode", "incremental")}, lbl...)...)
-	a.mSampBlocks = reg.Counter(obs.AuditBlocksCheckedTotal, append([]obs.Label{obs.L("mode", "sampled")}, lbl...)...)
-	a.mCycleSeconds = reg.Histogram(obs.AuditCycleSeconds, nil, lbl...)
 
 	if err := a.loadWatermark(); err != nil {
 		return nil, err
@@ -515,10 +507,6 @@ func (a *chainAuditor) runCycle() {
 	}
 	a.mu.Unlock()
 
-	a.mCycles.Inc()
-	a.mIncBlocks.Add(incChecked)
-	a.mSampBlocks.Add(sampChecked)
-	a.mCycleSeconds.Observe(dur.Seconds())
 	a.mLag.Set(0)
 
 	// Events and traces: only cycles that did work (or found damage) are

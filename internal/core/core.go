@@ -167,47 +167,20 @@ var hashBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 20
 
 // ledgerMetrics holds the core's metric handles, resolved once at Open.
 type ledgerMetrics struct {
-	rowsHashed          *obs.Counter
-	hashBatchSize       *obs.Histogram
-	blocksClosed        *obs.Counter
-	blockCloseSeconds   *obs.Histogram
-	queueLength         *obs.Gauge
-	digests             *obs.Counter
-	digestSeconds       *obs.Histogram
-	digestUploads       *obs.Counter
-	digestUploadSeconds *obs.Histogram
-	verifies            *obs.Counter
-	verifyIssues        *obs.Counter
-	verifyProgress      *obs.Gauge
-	verifyChain         *obs.Histogram
-	verifyRowVersions   *obs.Histogram
-	verifyIndexes       *obs.Histogram
-	verifyViews         *obs.Histogram
-	verifyTotal         *obs.Histogram
+	rowsHashed        *obs.Counter
+	hashBatchSize     *obs.Histogram
+	blocksClosed      *obs.Counter
+	blockCloseSeconds *obs.Histogram
+	verifyProgress    *obs.Gauge
 }
 
 func bindLedgerMetrics(reg *obs.Registry) ledgerMetrics {
-	phase := func(p string) *obs.Histogram {
-		return reg.Histogram(obs.VerifyPhaseSeconds, nil, obs.L("phase", p))
-	}
 	return ledgerMetrics{
-		rowsHashed:          reg.Counter(obs.RowsHashedTotal),
-		hashBatchSize:       reg.Histogram(obs.HashBatchSize, hashBatchBuckets),
-		blocksClosed:        reg.Counter(obs.BlocksClosedTotal),
-		blockCloseSeconds:   reg.Histogram(obs.BlockCloseSeconds, nil),
-		queueLength:         reg.Gauge(obs.LedgerQueueLength),
-		digests:             reg.Counter(obs.DigestTotal),
-		digestSeconds:       reg.Histogram(obs.DigestGenerateSeconds, nil),
-		digestUploads:       reg.Counter(obs.DigestUploadTotal),
-		digestUploadSeconds: reg.Histogram(obs.DigestUploadSeconds, nil),
-		verifies:            reg.Counter(obs.VerifyTotal),
-		verifyIssues:        reg.Counter(obs.VerifyIssuesTotal),
-		verifyProgress:      reg.Gauge(obs.VerifyProgressRatio),
-		verifyChain:         phase("chain"),
-		verifyRowVersions:   phase("row_versions"),
-		verifyIndexes:       phase("indexes"),
-		verifyViews:         phase("views"),
-		verifyTotal:         phase("total"),
+		rowsHashed:        reg.Counter(obs.RowsHashedTotal),
+		hashBatchSize:     reg.Histogram(obs.HashBatchSize, hashBatchBuckets),
+		blocksClosed:      reg.Counter(obs.BlocksClosedTotal),
+		blockCloseSeconds: reg.Histogram(obs.BlockCloseSeconds, nil),
+		verifyProgress:    reg.Gauge(obs.VerifyProgressRatio),
 	}
 }
 
@@ -384,7 +357,7 @@ func (l *Shard) bootstrap() error {
 	if err != nil {
 		return err
 	}
-	if l.entries, err = newEntryStore(l.edb, sysTx, l.opts.BlockSize, l.m.queueLength); err != nil {
+	if l.entries, err = newEntryStore(l.edb, sysTx, l.opts.BlockSize); err != nil {
 		return err
 	}
 

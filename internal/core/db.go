@@ -58,7 +58,6 @@ type DB struct {
 	auditor atomic.Pointer[Auditor]
 
 	obs *obs.Registry
-	m   shardMetrics
 }
 
 // ErrMultiShard is returned (or, by methods without an error result,
@@ -68,28 +67,6 @@ var ErrMultiShard = errors.New("core: operation is per-chain")
 
 func multiShard(op string, shards int) error {
 	return fmt.Errorf("%w: %s on a database of %d shards; use db.Shard(i)", ErrMultiShard, op, shards)
-}
-
-// shardMetrics holds the per-shard metric handles of a multi-shard
-// database.
-type shardMetrics struct {
-	commits    []*obs.Counter // per shard, label shard="NNN"
-	ingestRows []*obs.Counter
-	imbalance  *obs.Gauge
-	crossTx    *obs.Counter
-}
-
-func bindShardMetrics(reg *obs.Registry, n int) shardMetrics {
-	m := shardMetrics{
-		imbalance: reg.Gauge(obs.ShardImbalanceRatio),
-		crossTx:   reg.Counter(obs.CrossShardTxTotal),
-	}
-	for i := 0; i < n; i++ {
-		lbl := obs.L("shard", fmt.Sprintf("%03d", i))
-		m.commits = append(m.commits, reg.Counter(obs.ShardCommitsTotal, lbl))
-		m.ingestRows = append(m.ingestRows, reg.Counter(obs.ShardIngestRowsTotal, lbl))
-	}
-	return m
 }
 
 // shardDirName names shard i's subdirectory.
@@ -140,7 +117,6 @@ func Open(opts Options) (*DB, error) {
 // database and resolves its in-doubt transactions.
 func (db *DB) openShards() error {
 	n := len(db.shards)
-	db.m = bindShardMetrics(db.obs, n)
 	if err := os.MkdirAll(db.opts.Dir, 0o755); err != nil {
 		return err
 	}

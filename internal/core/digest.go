@@ -62,15 +62,8 @@ func ParseDigest(b []byte) (Digest, error) {
 // stays behind for longer than MaxReplicaDelay, ErrReplicationBehind is
 // returned, mirroring §3.6.
 func (l *Shard) GenerateDigest() (d Digest, err error) {
-	start := time.Now()
 	tr := l.obs.NewTrace("generate_digest")
-	defer func() {
-		tr.Finish(err)
-		if err == nil {
-			l.m.digestSeconds.ObserveSince(start)
-			l.m.digests.Inc()
-		}
-	}()
+	defer func() { tr.Finish(err) }()
 	// Force-close the partially filled block so the digest covers every
 	// committed transaction.
 	if target := l.entries.seal(); target >= 0 {

@@ -24,15 +24,10 @@ func digestBlobName(dbName string, incarnation int64, blockID uint64) string {
 // it returns the existing digest without writing.
 func (l *Shard) UploadDigest(store blobstore.Store) (Digest, error) {
 	store = blobstore.Instrument(store, l.obs)
-	start := time.Now()
 	d, err := l.GenerateDigest()
 	if err != nil {
 		return Digest{}, err
 	}
-	defer func() {
-		l.m.digestUploadSeconds.ObserveSince(start)
-		l.m.digestUploads.Inc()
-	}()
 	name := digestBlobName(d.DatabaseName, d.Incarnation, d.BlockID)
 	if err := store.Put(name, d.JSON()); err != nil {
 		if b, gerr := store.Get(name); gerr == nil {

@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"sqlledger/internal/engine"
-	"sqlledger/internal/obs"
 	"sqlledger/internal/sqltypes"
 	"sqlledger/internal/wal"
 )
@@ -40,11 +39,10 @@ var sysTxSchema = sqltypes.MustSchema([]sqltypes.Column{
 
 // entryStore is one shard's ledger entries.
 type entryStore struct {
-	edb         *engine.DB
-	table       *engine.Table // sys_ledger_transactions
-	byBlock     *engine.Index // its block_id index
-	size        uint32        // transactions per block
-	queueLength *obs.Gauge
+	edb     *engine.DB
+	table   *engine.Table // sys_ledger_transactions
+	byBlock *engine.Index // its block_id index
+	size    uint32        // transactions per block
 
 	mu    sync.Mutex
 	queue []*wal.LedgerEntry // in (block, ordinal) order
@@ -54,8 +52,8 @@ type entryStore struct {
 
 // newEntryStore opens the store over table, sys_ledger_transactions,
 // creating its block index the first time.
-func newEntryStore(edb *engine.DB, table *engine.Table, size uint32, queueLength *obs.Gauge) (*entryStore, error) {
-	s := &entryStore{edb: edb, table: table, size: size, queueLength: queueLength}
+func newEntryStore(edb *engine.DB, table *engine.Table, size uint32) (*entryStore, error) {
+	s := &entryStore{edb: edb, table: table, size: size}
 	for _, ix := range table.Indexes() {
 		if ix.Meta().Name == sysTxBlockIndex {
 			s.byBlock = ix
@@ -81,9 +79,7 @@ func (s *entryStore) assign(txID uint64, commitTS int64, user string, roots []wa
 		Roots: slices.Clone(roots)}
 	s.ord++
 	s.queue = append(s.queue, e)
-	n := len(s.queue)
 	s.mu.Unlock()
-	s.queueLength.Set(float64(n))
 	return e
 }
 
@@ -113,7 +109,6 @@ func (s *entryStore) drain() {
 		_, _ = s.edb.DirectInsert(s.table, entryToRow(e))
 	}
 	s.queue = nil
-	s.queueLength.Set(0)
 }
 
 // restore rebuilds the store after recovery: the replayed entries the table

@@ -38,11 +38,12 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	snap := l.Snapshot()
 
-	// Every engine commit went through the group committer, in at most
-	// as many write groups.
-	engineCommits := snap.CounterValue(obs.EngineCommitTotal)
+	// Every engine commit — one apply-stage observation each — went
+	// through the group committer, in at most as many write groups.
+	apply, _ := snap.Histogram(obs.CommitStageSeconds, obs.L("stage", "apply"))
+	engineCommits := apply.Count
 	if engineCommits < commits {
-		t.Fatalf("commit counter = %d, want >= %d", engineCommits, commits)
+		t.Fatalf("apply stage observed %d commits, want >= %d", engineCommits, commits)
 	}
 	if got := snap.CounterValue(obs.WALGroupCommits); got != engineCommits {
 		t.Fatalf("group committer saw %d commits, the engine %d", got, engineCommits)
@@ -54,33 +55,12 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if n := snap.CounterValue(obs.BlocksClosedTotal); n == 0 {
 		t.Fatal("no blocks closed despite block size 2")
 	}
-	if n := snap.CounterValue(obs.DigestTotal); n == 0 {
-		t.Fatal("digest counter not incremented")
-	}
-	if n := snap.CounterValue(obs.DigestUploadTotal); n != 1 {
-		t.Fatalf("digest uploads = %d, want 1", n)
-	}
-	if n := snap.CounterValue(obs.VerifyTotal); n != 1 {
-		t.Fatalf("verifications = %d, want 1", n)
-	}
-	if n := snap.CounterValue(obs.VerifyIssuesTotal); n != 0 {
-		t.Fatalf("verify issues = %d, want 0", n)
-	}
-	if n := snap.CounterValue(obs.BlobstoreOpsTotal); n == 0 {
-		t.Fatal("blobstore ops not counted")
-	}
-	// Commit stages and verify phases must have one histogram series per
-	// label value, all populated.
+	// Commit stages must have one histogram series per label value, all
+	// populated.
 	for _, stage := range []string{"sequence", "publish", "apply"} {
 		h, ok := snap.Histogram(obs.CommitStageSeconds, obs.L("stage", stage))
 		if !ok || h.Count == 0 {
 			t.Fatalf("commit stage %q not observed (ok=%v)", stage, ok)
-		}
-	}
-	for _, phase := range []string{"chain", "row_versions", "indexes", "views", "total"} {
-		h, ok := snap.Histogram(obs.VerifyPhaseSeconds, obs.L("phase", phase))
-		if !ok || h.Count == 0 {
-			t.Fatalf("verify phase %q not observed (ok=%v)", phase, ok)
 		}
 	}
 
@@ -93,9 +73,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		obs.WALFsyncTotal,
 		obs.CommitStageSeconds,
-		obs.VerifyPhaseSeconds,
 		`stage="sequence"`,
-		`phase="total"`,
 		"# TYPE " + obs.WALFsyncTotal + " counter",
 		"# TYPE " + obs.CommitStageSeconds + " histogram",
 	} {
@@ -134,8 +112,8 @@ func TestObservabilityDisabled(t *testing.T) {
 	mustCommit(t, tx)
 
 	snap := l.Snapshot()
-	if n := snap.CounterValue(obs.EngineCommitTotal); n != 0 {
-		t.Fatalf("disabled registry recorded %d commits", n)
+	if n := snap.HistogramCount(obs.CommitStageSeconds); n != 0 {
+		t.Fatalf("disabled registry recorded %d commit stages", n)
 	}
 	if n := snap.CounterValue(obs.WALGroupCommits); n != 0 {
 		t.Fatalf("disabled registry recorded %d group commits", n)

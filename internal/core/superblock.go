@@ -9,11 +9,9 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"time"
 
 	"sqlledger/internal/blobstore"
 	"sqlledger/internal/merkle"
-	"sqlledger/internal/obs"
 	"sqlledger/internal/serial"
 	"sqlledger/internal/wal"
 )
@@ -226,12 +224,9 @@ func (db *DB) LastSuperBlock() *SuperBlock {
 // transactions yet appear as Empty heads, so a super-block can be closed
 // at any point in the database's life.
 func (db *DB) CloseSuperBlock() (sb *SuperBlock, err error) {
-	start := time.Now()
 	tr := db.obs.NewTrace("close_superblock")
 	defer func() {
 		if err == nil {
-			db.obs.Histogram(obs.SuperblockCloseSeconds, nil).ObserveSince(start)
-			db.obs.Counter(obs.SuperblocksClosedTotal).Inc()
 			tr.SetAttr("seq", strconv.FormatUint(sb.SeqNo, 10))
 			tr.SetAttr("shards", strconv.Itoa(sb.Shards))
 		}
@@ -279,27 +274,7 @@ func (db *DB) CloseSuperBlock() (sb *SuperBlock, err error) {
 		return nil, err
 	}
 	db.lastSuper = sb
-	db.updateImbalance()
-	db.obs.Events().Info(obs.EventSuperBlockClosed,
-		"seq", sb.SeqNo, "shards", sb.Shards, "root", sb.Root)
 	return sb, nil
-}
-
-// updateImbalance recomputes the shard-imbalance gauge from the rows each
-// shard has committed since open: max(rows)/mean(rows), 1.0 when perfectly
-// balanced.
-func (db *DB) updateImbalance() {
-	var total, most int64
-	for _, c := range db.m.ingestRows {
-		rows := c.Value()
-		total += rows
-		most = max(most, rows)
-	}
-	ratio := 1.0
-	if total > 0 {
-		ratio = float64(most) * float64(len(db.m.ingestRows)) / float64(total)
-	}
-	db.m.imbalance.Set(ratio)
 }
 
 // loadWatermark reads the persisted super-block, if any, at open, and

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -64,5 +65,38 @@ func TestSystemRowCutIsAFinding(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestNonCanonicalNullFlagIsAFinding: a stored ledger row whose NULL flag
+// byte reads 0x80 instead of 0 decoded as the same row while the codec
+// took any flag but 1 for "not NULL", so the edit verified green. The flag
+// is 0 or 1 now, and Verify reports the row.
+func TestNonCanonicalNullFlagIsAFinding(t *testing.T) {
+	f := newMatrixFixture(t)
+	tab, key := f.lt.Table(), acctKey(2)
+	var raw []byte
+	tab.ScanRangeStored(key, nil, func(_, stored []byte) bool {
+		raw = bytes.Clone(stored)
+		return false
+	})
+	// One header byte (the value count), then value 0's type tag and flag.
+	if raw[2] != 0 {
+		t.Fatalf("value 0 of %x is not a non-NULL value", raw)
+	}
+	raw[2] = 0x80
+	if err := f.l.Engine().TamperSetStoredRow(tab, key, raw); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := f.l.Verify([]Digest{f.d}, VerifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := false
+	for _, i := range rep.Issues {
+		named = named || (i.Table == "accounts" && strings.Contains(i.Detail, acctName(2)))
+	}
+	if rep.Ok() || !named {
+		t.Fatalf("Verify does not name row %s:\n%s", acctName(2), rep)
 	}
 }

@@ -161,25 +161,12 @@ func (tx *Tx) commitRouted() (int64, error) {
 	switch len(writers) {
 	case 0:
 	case 1:
-		ts, err = r.commitOn(writers[0], (*Tx).CommitTS)
+		ts, err = r.parts[writers[0]].CommitTS()
 	default:
 		ts, err = tx.commitTwoPhase(writers)
 	}
 	tx.trace.Finish(err)
 	tx.trace = nil
-	return ts, err
-}
-
-// commitOn commits participant i with commit (CommitTS or commitPrepared)
-// and, once it has, counts the commit and its rows for the shard: an
-// aborted write never counts as ingested.
-func (r *txRoute) commitOn(i int, commit func(*Tx) (int64, error)) (int64, error) {
-	rows := int64(r.parts[i].etx.WriteCount())
-	ts, err := commit(r.parts[i])
-	if err == nil {
-		r.db.m.commits[i].Inc()
-		r.db.m.ingestRows[i].Add(rows)
-	}
 	return ts, err
 }
 
@@ -191,7 +178,6 @@ func (r *txRoute) commitOn(i int, commit func(*Tx) (int64, error)) (int64, error
 // trace's view of 2PC time).
 func (tx *Tx) commitTwoPhase(writers []int) (int64, error) {
 	r, db, tr := tx.route, tx.route.db, tx.trace
-	db.m.crossTx.Inc()
 	gid := db.gid.Add(1)
 	span := func(name string, start time.Time, attrs ...obs.Label) {
 		tr.Record(name, 0, start, time.Since(start), attrs...)
@@ -232,17 +218,13 @@ func (tx *Tx) commitTwoPhase(writers []int) (int64, error) {
 	var first error
 	for _, i := range writers {
 		commitStart := time.Now()
-		ts, err := r.commitOn(i, (*Tx).commitPrepared)
+		ts, err := r.parts[i].commitPrepared()
 		span(obs.SpanShardCommit, commitStart, obs.L("shard", strconv.Itoa(i)))
 		if err != nil && first == nil {
 			// The decision is durable; recovery will finish this shard.
 			first = fmt.Errorf("core: cross-shard commit on shard %d: %w", i, err)
 		}
 		last = max(last, ts)
-	}
-	if first == nil {
-		db.obs.Events().Info(obs.EventCrossShardCommit,
-			"gid", gid, "shards", strconv.Itoa(len(writers)))
 	}
 	return last, first
 }

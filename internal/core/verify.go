@@ -274,13 +274,6 @@ func (l *Shard) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 		"digests", len(digests), "parallelism", opts.Parallelism)
 	defer func() {
 		tr.Finish(nil)
-		l.m.verifies.Inc()
-		l.m.verifyIssues.Add(int64(len(rep.Issues)))
-		l.m.verifyChain.Observe(rep.Timing.Chain.Seconds())
-		l.m.verifyRowVersions.Observe(rep.Timing.RowVersions.Seconds())
-		l.m.verifyIndexes.Observe(rep.Timing.Indexes.Seconds())
-		l.m.verifyViews.Observe(rep.Timing.Views.Seconds())
-		l.m.verifyTotal.Observe(rep.Timing.Total.Seconds())
 		l.noteVerifyFinished(rep)
 	}()
 

@@ -155,8 +155,6 @@ type DB struct {
 
 // dbMetrics holds the engine's metric handles, resolved once at Open.
 type dbMetrics struct {
-	commits       *obs.Counter
-	rollbacks     *obs.Counter
 	stageEncode   *obs.Histogram
 	stageSequence *obs.Histogram
 	stagePublish  *obs.Histogram
@@ -165,13 +163,10 @@ type dbMetrics struct {
 	snapshotReads *obs.Counter
 	versionsLive  *obs.Gauge
 	gcReclaimed   *obs.Counter
-	snapshotLag   *obs.Histogram
 }
 
 func bindDBMetrics(reg *obs.Registry) dbMetrics {
 	return dbMetrics{
-		commits:       reg.Counter(obs.EngineCommitTotal),
-		rollbacks:     reg.Counter(obs.EngineRollbackTotal),
 		stageEncode:   reg.Histogram(obs.CommitStageSeconds, nil, obs.L("stage", "encode")),
 		stageSequence: reg.Histogram(obs.CommitStageSeconds, nil, obs.L("stage", "sequence")),
 		stagePublish:  reg.Histogram(obs.CommitStageSeconds, nil, obs.L("stage", "publish")),
@@ -180,7 +175,6 @@ func bindDBMetrics(reg *obs.Registry) dbMetrics {
 		snapshotReads: reg.Counter(obs.SnapshotReadsTotal),
 		versionsLive:  reg.Gauge(obs.VersionsLive),
 		gcReclaimed:   reg.Counter(obs.VersionGCReclaimedTotal),
-		snapshotLag:   reg.Histogram(obs.ReadSnapshotLagSeconds, nil),
 	}
 }
 
@@ -465,7 +459,6 @@ func (db *DB) commitTail(tx *Tx, recs []wal.Record, lap obs.LapTimer, tr *obs.Tr
 	tx.done = true
 	tx.releaseLocks()
 	lap.LapSpan(db.m.stageApply, tr, obs.SpanCommitApply)
-	db.m.commits.Inc()
 	return now, nil
 }
 

@@ -122,10 +122,7 @@ func (rtx *ReadTx) ScanRangeStored(t *Table, start, end []byte, fn func(key, sto
 	return nil
 }
 
-// Close unpins the snapshot, letting version GC advance past it, and
-// observes how far the database moved while the snapshot was held: the
-// advance of the applied-through watermark between pin and close (zero on
-// an idle database, however long the snapshot was open). Close is
+// Close unpins the snapshot, letting version GC advance past it. Close is
 // idempotent.
 func (rtx *ReadTx) Close() {
 	if rtx.done {
@@ -136,11 +133,6 @@ func (rtx *ReadTx) Close() {
 	db.snapMu.Lock()
 	delete(db.snaps, rtx.id)
 	db.snapMu.Unlock()
-	if lag := db.appliedTS.Load() - rtx.ts; lag > 0 {
-		db.m.snapshotLag.Observe(float64(lag) / 1e9)
-	} else {
-		db.m.snapshotLag.Observe(0)
-	}
 }
 
 // --- Version GC --------------------------------------------------------

@@ -260,7 +260,6 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 	if db.opts.Hook != nil {
 		db.opts.Hook.Recovered(entries, frames)
 	}
-	db.obs.Counter(obs.RecoveryRecordsReplayedTotal).Add(int64(records))
 	if records > 0 {
 		elapsed := time.Since(start)
 		tr.SetAttr("records", strconv.Itoa(records))

@@ -158,7 +158,6 @@ func (db *DB) Checkpoint() (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	db.obs.Histogram(obs.CheckpointSeconds, nil).ObserveSince(start)
 	db.obs.Events().Info(obs.EventWALCheckpoint, "snapshot_lsn", snapLSN,
 		"quiesce_seconds", quiesced.Seconds(), "duration_seconds", time.Since(start).Seconds())
 	return snapLSN, nil

@@ -125,7 +125,6 @@ func (db *DB) AbortPrepared(tx *Tx) error {
 	db.preparedCount.Add(-1)
 	tx.writes = nil
 	tx.overlays = nil
-	db.m.rollbacks.Inc()
 	return nil
 }
 

@@ -515,7 +515,6 @@ func (tx *Tx) Rollback() error {
 	}
 	tx.done = true
 	tx.releaseLocks()
-	tx.db.m.rollbacks.Inc()
 	// Abort records are informational; buffered writes were never logged.
 	tx.writes = nil
 	tx.overlays = nil

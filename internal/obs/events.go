@@ -16,25 +16,23 @@ const defaultEventRing = 1024
 // boundary, verifications running — and are what an operator greps for
 // in /debug/events or a downstream slog sink.
 const (
-	EventBlockClosed      = "block_closed"
-	EventDigestGenerated  = "digest_generated"
-	EventDigestUploaded   = "digest_uploaded"
-	EventIncarnation      = "incarnation_assigned"
-	EventVerifyStarted    = "verify_started"
-	EventVerifyFinished   = "verify_finished"
-	EventVerifyIssue      = "verify_issue"
-	EventRecoveryReplay   = "recovery_replayed"
-	EventWALCheckpoint    = "wal_checkpoint"
-	EventWALTornTail      = "wal_torn_tail_truncated"
-	EventSnapshotSkipped  = "snapshot_skipped"
-	EventBlobstoreError   = "blobstore_error"
-	EventHealthChanged    = "health_changed"
-	EventSuperBlockClosed = "superblock_closed"
-	EventCrossShardCommit = "cross_shard_commit"
-	EventAuditPassStart   = "audit_pass_started"
-	EventAuditPassFinish  = "audit_pass_finished"
-	EventTamperLocalized  = "tamper_localized"
-	EventSlowQuery        = "slow_query"
+	EventBlockClosed     = "block_closed"
+	EventDigestGenerated = "digest_generated"
+	EventDigestUploaded  = "digest_uploaded"
+	EventIncarnation     = "incarnation_assigned"
+	EventVerifyStarted   = "verify_started"
+	EventVerifyFinished  = "verify_finished"
+	EventVerifyIssue     = "verify_issue"
+	EventRecoveryReplay  = "recovery_replayed"
+	EventWALCheckpoint   = "wal_checkpoint"
+	EventWALTornTail     = "wal_torn_tail_truncated"
+	EventSnapshotSkipped = "snapshot_skipped"
+	EventBlobstoreError  = "blobstore_error"
+	EventHealthChanged   = "health_changed"
+	EventAuditPassStart  = "audit_pass_started"
+	EventAuditPassFinish = "audit_pass_finished"
+	EventTamperLocalized = "tamper_localized"
+	EventSlowQuery       = "slow_query"
 )
 
 // EventAttr is one key/value attribute of an event.

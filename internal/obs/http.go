@@ -11,7 +11,7 @@ import (
 
 // Mux returns the observability ServeMux for a registry:
 //
-//	/metrics       Prometheus text exposition (runtime-sampled per scrape)
+//	/metrics       Prometheus text exposition
 //	/debug/events  recent audit events as JSON (?n=N, ?type=T filter)
 //	/debug/trace   one retained trace by ?id= (waterfall; ?format=text
 //	               renders it as indented text); without id, recent
@@ -24,7 +24,6 @@ import (
 func Mux(r *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		SampleRuntime(r) // scrape-time freshness for the runtime gauges
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	})

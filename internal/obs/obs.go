@@ -44,9 +44,6 @@ var DefBuckets = []float64{
 	1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// SizeBuckets are power-of-two count buckets (group sizes, batch sizes).
-var SizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-
 // atomicFloat is a float64 updated with CAS on its bit pattern.
 type atomicFloat struct{ bits atomic.Uint64 }
 
@@ -271,10 +268,6 @@ type Registry struct {
 	events   *EventLog
 	traces   *TraceStore
 	enabled  bool
-
-	// runtime sampler state (see runtime.go)
-	rtMu     sync.Mutex
-	rtLastGC uint32
 }
 
 // NewRegistry returns an enabled, empty registry.

@@ -296,9 +296,8 @@ type TraceStore struct {
 	slowRing []*SlowQuery
 	slowNext int
 
-	events                          *EventLog
-	cSlow, cErr, cSampled, cDropped *Counter
-	onFinish                        atomic.Pointer[func(*TraceRecord)]
+	events   *EventLog
+	onFinish atomic.Pointer[func(*TraceRecord)]
 }
 
 func newTraceStore(r *Registry, on bool) *TraceStore {
@@ -307,10 +306,6 @@ func newTraceStore(r *Registry, on bool) *TraceStore {
 		byID:     make(map[TraceID]*TraceRecord),
 		slowRing: make([]*SlowQuery, defaultSlowRing),
 		events:   r.events,
-		cSlow:    r.Counter(TracesTotal, L("decision", "slow")),
-		cErr:     r.Counter(TracesTotal, L("decision", "error")),
-		cSampled: r.Counter(TracesTotal, L("decision", "sampled")),
-		cDropped: r.Counter(TracesTotal, L("decision", "dropped")),
 	}
 	s.pool.New = func() any { return &Trace{spans: make([]TraceSpan, 0, 32)} }
 	s.on.Store(on)
@@ -419,17 +414,13 @@ func (s *TraceStore) finish(tr *Trace, dur time.Duration, err error) {
 	switch {
 	case err != nil:
 		decision = "error"
-		s.cErr.Inc()
 	case slow:
 		decision = "slow"
-		s.cSlow.Inc()
 	default:
 		rate := math.Float64frombits(s.rateBits.Load())
 		if rate > 0 && float64(s.rand64()>>11)/(1<<53) < rate {
 			decision = "sampled"
-			s.cSampled.Inc()
 		} else {
-			s.cDropped.Inc()
 			s.release(tr)
 			return
 		}

@@ -1,7 +1,6 @@
 package serial
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"sqlledger/internal/merkle"
@@ -120,7 +119,7 @@ type pass struct {
 // if p.cut — reading p's hidden integers on the way. It leaves the count
 // slot open (closeRow).
 func (l *Layout) transcode(dst, stored []byte, op OpType, skip SkipMask, p *pass) ([]byte, error) {
-	width, pos := binary.Uvarint(stored)
+	width, pos := sqltypes.Uvarint(stored)
 	if pos <= 0 {
 		return dst, fmt.Errorf("serial: bad row header")
 	}
@@ -130,10 +129,13 @@ func (l *Layout) transcode(dst, stored []byte, op OpType, skip SkipMask, p *pass
 	dst = append(dst, Version, byte(op), 0) // 0: the count slot
 	n, mistyped := 0, 0
 	for i := 0; i < int(width); i++ {
-		if pos+2 > len(stored) {
+		if pos+2 > len(stored) { // before ValueHeader, to keep serial's wording
 			return dst, fmt.Errorf("serial: row truncated at value %d", i)
 		}
-		tag, null := sqltypes.TypeID(stored[pos]), stored[pos+1] == 1
+		tag, null, err := sqltypes.ValueHeader(stored, pos, i)
+		if err != nil {
+			return dst, err
+		}
 		pos += 2
 		if null {
 			continue
@@ -150,7 +152,7 @@ func (l *Layout) transcode(dst, stored []byte, op OpType, skip SkipMask, p *pass
 		// The payload: one uvarint, which by the tag's class is a length
 		// with that many bytes after it, a float's bits, or an integer in
 		// zigzag form (binary.Varint).
-		u, sz := binary.Uvarint(stored[pos:])
+		u, sz := sqltypes.Uvarint(stored[pos:])
 		if sz <= 0 {
 			return dst, fmt.Errorf("serial: bad value %d", i)
 		}

@@ -155,7 +155,7 @@ func TestHashEncodedMatchesHashRow(t *testing.T) {
 // of the two walks the verification kernel used to make, kept as the
 // oracle for the words of Walk's serr.
 func oracleAppendEncoded(l *Layout, dst, stored []byte, op OpType, skip SkipMask) ([]byte, error) {
-	width, pos := binary.Uvarint(stored)
+	width, pos := sqltypes.Uvarint(stored)
 	if pos <= 0 {
 		return dst, fmt.Errorf("serial: bad row header")
 	}
@@ -169,7 +169,10 @@ func oracleAppendEncoded(l *Layout, dst, stored []byte, op OpType, skip SkipMask
 		if pos+2 > len(stored) {
 			return dst[:start], fmt.Errorf("serial: row truncated at value %d", i)
 		}
-		tag, null := sqltypes.TypeID(stored[pos]), stored[pos+1] == 1
+		tag, null, err := sqltypes.ValueHeader(stored, pos, i)
+		if err != nil {
+			return dst[:start], err
+		}
 		pos += 2
 		if null {
 			continue
@@ -180,7 +183,7 @@ func oracleAppendEncoded(l *Layout, dst, stored []byte, op OpType, skip SkipMask
 			typed = typed && tag == l.cols[i].Type
 			dst = append(dst, l.headers[i]...)
 		}
-		u, sz := binary.Uvarint(stored[pos:])
+		u, sz := sqltypes.Uvarint(stored[pos:])
 		if sz <= 0 {
 			return dst[:start], fmt.Errorf("serial: bad value %d", i)
 		}
@@ -350,7 +353,7 @@ func FuzzHashEncoded(f *testing.F) {
 	for i, stored := range encodedSeeds() {
 		f.Add(stored, uint64(i))
 	}
-	f.Add([]byte{1, byte(sqltypes.TypeVarChar), 0, 0x81, 0x00, 'x'}, uint64(7)) // a two-byte varint for length 1
+	f.Add([]byte{1, byte(sqltypes.TypeVarChar), 0, 0x81, 0x00, 'x'}, uint64(7)) // a two-byte varint for length 1: not canonical, refused
 	for i, stored := range walkSeeds() {
 		if i%7 == 0 {
 			f.Add(stored, uint64(i))

@@ -14,6 +14,9 @@ import (
 // internal/serial (which is canonical and feeds SHA-256), this codec just
 // needs to round-trip rows compactly; it carries the type of every value
 // so that log replay does not depend on the catalog state at replay time.
+// Decoding accepts exactly what EncodeRow writes — defined type tags, a
+// NULL flag of 0 or 1, minimal varints — so a row has one encoding, and a
+// stored byte that changes means a value that changes.
 
 // EncodeRow appends the binary encoding of r to dst.
 func EncodeRow(dst []byte, r Row) []byte {
@@ -64,6 +67,39 @@ func EncodedRowLen(r Row) int {
 }
 
 func uvarintLen(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
+
+// Uvarint is binary.Uvarint that also refuses (n == 0) an encoding longer
+// than its value needs, the only one EncodeRow writes.
+func Uvarint(b []byte) (uint64, int) {
+	u, n := binary.Uvarint(b)
+	if n > 0 && n != uvarintLen(u) {
+		return 0, 0
+	}
+	return u, n
+}
+
+// varint is binary.Varint over Uvarint: zigzag, minimal.
+func varint(b []byte) (int64, int) {
+	u, n := Uvarint(b)
+	return int64(u>>1) ^ -int64(u&1), n
+}
+
+// ValueHeader reads the type tag and NULL flag that open value i of a row
+// at b[pos:]. Both must be what EncodeRow writes: a defined type, and a
+// flag of 0 or 1.
+func ValueHeader(b []byte, pos, i int) (t TypeID, null bool, err error) {
+	if pos+2 > len(b) {
+		return 0, false, fmt.Errorf("sqltypes: row truncated at value %d", i)
+	}
+	t, flag := TypeID(b[pos]), b[pos+1]
+	if !t.Defined() {
+		return 0, false, fmt.Errorf("sqltypes: value %d has undefined type %d", i, uint8(t))
+	}
+	if flag > 1 {
+		return 0, false, fmt.Errorf("sqltypes: value %d has NULL flag %#x", i, flag)
+	}
+	return t, flag == 1, nil
+}
 
 // DecodeRow decodes a row encoded by EncodeRow from b, returning the row
 // and the number of bytes consumed. The row shares no memory with b.
@@ -225,17 +261,17 @@ func DecodeColumns(out []Value, b []byte, ords []int, cols []Column) error {
 // skipValue returns the position after value i of a row at b[pos:],
 // failing where decodeValue would.
 func skipValue(b []byte, pos, i int) (int, error) {
-	if pos+2 > len(b) {
-		return 0, fmt.Errorf("sqltypes: row truncated at value %d", i)
+	t, null, err := ValueHeader(b, pos, i)
+	if err != nil {
+		return 0, err
 	}
-	t, null := TypeID(b[pos]), b[pos+1] == 1
 	pos += 2
 	if null {
 		return pos, nil
 	}
 	// One uvarint whatever the type: float bits, a zigzag integer, or the
 	// length of the bytes that follow.
-	u, sz := binary.Uvarint(b[pos:])
+	u, sz := Uvarint(b[pos:])
 	if sz <= 0 {
 		return 0, fmt.Errorf("sqltypes: bad value %d", i)
 	}
@@ -253,7 +289,7 @@ func skipValue(b []byte, pos, i int) (int, error) {
 // which bounds what a decoder allocates by the length of its input
 // whatever count the header claims.
 func rowHeader(b []byte) (n, pos int, err error) {
-	u, sz := binary.Uvarint(b)
+	u, sz := Uvarint(b)
 	if sz <= 0 {
 		return 0, 0, fmt.Errorf("sqltypes: bad row header")
 	}
@@ -285,25 +321,25 @@ func decodeRow(dst Row, b []byte, alias bool, width int) (Row, int, error) {
 // decodeValue decodes value i of a row at b[pos:] into v, returning the
 // position after it.
 func decodeValue(v *Value, b []byte, pos, i int, alias bool) (int, error) {
-	if pos+2 > len(b) {
-		return 0, fmt.Errorf("sqltypes: row truncated at value %d", i)
+	t, null, err := ValueHeader(b, pos, i)
+	if err != nil {
+		return 0, err
 	}
-	t := TypeID(b[pos])
-	*v = Value{Type: t, Null: b[pos+1] == 1}
+	*v = Value{Type: t, Null: null}
 	pos += 2
 	if v.Null {
 		return pos, nil
 	}
 	switch {
 	case t == TypeFloat:
-		u, sz := binary.Uvarint(b[pos:])
+		u, sz := Uvarint(b[pos:])
 		if sz <= 0 {
 			return 0, fmt.Errorf("sqltypes: bad float at value %d", i)
 		}
 		pos += sz
 		v.F64 = math.Float64frombits(u)
 	case t.IsString(), t.IsBytes():
-		l, sz := binary.Uvarint(b[pos:])
+		l, sz := Uvarint(b[pos:])
 		if sz <= 0 {
 			return 0, fmt.Errorf("sqltypes: bad length at value %d", i)
 		}
@@ -325,7 +361,7 @@ func decodeValue(v *Value, b []byte, pos, i int, alias bool) (int, error) {
 			v.Str = string(raw)
 		}
 	default:
-		x, sz := binary.Varint(b[pos:])
+		x, sz := varint(b[pos:])
 		if sz <= 0 {
 			return 0, fmt.Errorf("sqltypes: bad integer at value %d", i)
 		}

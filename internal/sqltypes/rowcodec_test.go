@@ -134,6 +134,12 @@ func TestDecodeColumns(t *testing.T) {
 
 func TestDecodeRowRejectsMalformed(t *testing.T) {
 	good := EncodeRow(nil, Row{NewBigInt(1), NewNVarChar("abc")})
+	edit := func(i int, c byte) []byte {
+		b := bytes.Clone(good)
+		b[i] = c
+		return b
+	}
+	nvarchar := []byte{byte(TypeNVarChar), 0, 3, 'a', 'b', 'c'}
 	for name, b := range map[string][]byte{
 		"empty":            nil,
 		"count past input": {200, 1},
@@ -141,12 +147,31 @@ func TestDecodeRowRejectsMalformed(t *testing.T) {
 		"trailing":         append(append([]byte(nil), good...), 0),
 		"length past end":  {1, byte(TypeVarChar), 0, 9, 'x'},
 		"huge count":       binary.AppendUvarint(nil, math.MaxUint64),
+		// Non-canonical: bytes EncodeRow never writes, which would read
+		// as the same row as bytes it does.
+		"NULL flag 0x80":       edit(2, 0x80),
+		"NULL flag 2":          edit(2, 2),
+		"type 0":               edit(1, 0),
+		"type 133":             edit(1, 133),
+		"type past the last":   edit(1, byte(TypeUniqueID+1)),
+		"two-byte count":       append([]byte{0x82, 0, byte(TypeBigInt), 0, 2}, nvarchar...),
+		"two-byte integer":     append([]byte{2, byte(TypeBigInt), 0, 0x82, 0}, nvarchar...),
+		"two-byte length":      {1, byte(TypeNVarChar), 0, 0x83, 0, 'a', 'b', 'c'},
+		"two-byte float bits":  {1, byte(TypeFloat), 0, 0x80, 0},
+		"NULL flag of a NULL":  {1, byte(TypeFloat), 0x81},
+		"undefined NULL's tag": {1, 0xff, 1},
 	} {
 		if err := CheckRow(b); err == nil {
 			t.Errorf("%s: CheckRow accepted %x", name, b)
 		}
 		if _, err := DecodeRowAlias(nil, b, nil); err == nil {
 			t.Errorf("%s: DecodeRowAlias accepted %x", name, b)
+		}
+		if _, n, err := DecodeRow(b); err == nil && n == len(b) {
+			t.Errorf("%s: DecodeRow accepted %x", name, b)
+		}
+		if _, err := SpliceBigInts(b, nil, nil, nil); err == nil {
+			t.Errorf("%s: SpliceBigInts accepted %x", name, b)
 		}
 	}
 }
@@ -193,6 +218,9 @@ func FuzzDecodeRow(f *testing.F) {
 	f.Add(EncodeRow(nil, codecRow()))
 	f.Add(binary.AppendUvarint(nil, math.MaxUint64))
 	f.Add([]byte{3, byte(TypeVarChar), 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{1, byte(TypeBigInt), 0x80, 2})    // a NULL flag that is neither 0 nor 1
+	f.Add([]byte{1, 133, 1})                       // an undefined type's NULL
+	f.Add([]byte{1, byte(TypeBigInt), 0, 0x82, 0}) // an integer in two bytes that needs one
 	f.Fuzz(func(t *testing.T, data []byte) {
 		aliased, aliasErr := DecodeRowAlias(nil, data, nil)
 		if checkErr := CheckRow(data); (checkErr == nil) != (aliasErr == nil) {
@@ -215,6 +243,10 @@ func FuzzDecodeRow(f *testing.F) {
 		enc := EncodeRow(nil, copied)
 		if len(enc) != EncodedRowLen(copied) {
 			t.Fatalf("EncodedRowLen = %d, EncodeRow wrote %d bytes", EncodedRowLen(copied), len(enc))
+		}
+		// The codec is canonical: what decodes is what EncodeRow writes.
+		if !bytes.Equal(enc, data[:n]) {
+			t.Fatalf("%x decodes to %v, which encodes as %x", data[:n], copied, enc)
 		}
 		back, err := DecodeRowAlias(nil, enc, nil)
 		if err != nil || !back.Equal(copied) {

@@ -76,6 +76,9 @@ func (t TypeID) String() string {
 	}
 }
 
+// Defined reports whether t is one of the supported column types.
+func (t TypeID) Defined() bool { return t > TypeInvalid && t <= TypeUniqueID }
+
 // IsInteger reports whether t is one of the integer types.
 func (t TypeID) IsInteger() bool {
 	switch t {

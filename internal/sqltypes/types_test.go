@@ -165,6 +165,7 @@ func TestSchemaValidate(t *testing.T) {
 		{NewBigInt(1), NewVarChar("abc"), NewNull(TypeNVarChar), {Type: TypeSmallInt, I64: 40000}, NewTinyInt(1), NewInt(1)},   // smallint range
 		{NewBigInt(1), NewVarChar("abc"), NewNull(TypeNVarChar), NewSmallInt(5), {Type: TypeTinyInt, I64: 300}, NewInt(1)},     // tinyint range
 		{NewBigInt(1), NewVarChar("abc"), NewNull(TypeNVarChar), NewSmallInt(5), NewTinyInt(1), {Type: TypeInt, I64: 1 << 40}}, // int range
+		{NewBigInt(1), NewVarChar("abc"), {Null: true}, NewSmallInt(5), NewTinyInt(1), NewInt(1)},                              // NULL of no type
 	}
 	for i, r := range bad {
 		if err := s.Validate(r); err == nil {

@@ -133,10 +133,7 @@ func (g *GroupCommitter) flushLocked() {
 	flushStart := time.Now()
 	lsns, err := g.log.AppendGroup(batches)
 	flushDur := time.Since(flushStart)
-	g.m.groupFlushSeconds.Observe(flushDur.Seconds())
 	g.m.groups.Inc()
-	g.m.groupRecords.Add(int64(nrec))
-	g.m.groupSize.Observe(float64(len(group)))
 
 	g.mu.Lock()
 	for i, req := range group {

@@ -37,10 +37,11 @@ func commitBatch(txID uint64) []Record {
 	}
 }
 
-// groupCounts reads the committer's three counters and the log's fsyncs.
+// groupCounts reads the committer's two counters and the log's appended
+// records and fsyncs.
 func groupCounts(reg *obs.Registry) (commits, groups, records, fsyncs int64) {
 	return reg.Counter(obs.WALGroupCommits).Value(), reg.Counter(obs.WALGroups).Value(),
-		reg.Counter(obs.WALGroupRecords).Value(), reg.Counter(obs.WALFsyncTotal).Value()
+		reg.Counter(obs.WALAppendRecords).Value(), reg.Counter(obs.WALFsyncTotal).Value()
 }
 
 // TestGroupCommitOneGroupForEverythingQueued: N commits queued before

@@ -78,7 +78,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"sqlledger/internal/obs"
 )
@@ -349,30 +348,22 @@ type Log struct {
 // logMetrics holds the log's metric handles, resolved once so the append
 // path never does a registry lookup.
 type logMetrics struct {
-	fsyncTotal        *obs.Counter
-	fsyncSeconds      *obs.Histogram
-	flushTotal        *obs.Counter
-	appendRecords     *obs.Counter
-	appendBytes       *obs.Counter
-	groupCommits      *obs.Counter
-	groups            *obs.Counter
-	groupRecords      *obs.Counter
-	groupSize         *obs.Histogram
-	groupFlushSeconds *obs.Histogram
+	fsyncTotal    *obs.Counter
+	flushTotal    *obs.Counter
+	appendRecords *obs.Counter
+	appendBytes   *obs.Counter
+	groupCommits  *obs.Counter
+	groups        *obs.Counter
 }
 
 func bindLogMetrics(reg *obs.Registry) logMetrics {
 	return logMetrics{
-		fsyncTotal:        reg.Counter(obs.WALFsyncTotal),
-		fsyncSeconds:      reg.Histogram(obs.WALFsyncSeconds, nil),
-		flushTotal:        reg.Counter(obs.WALFlushTotal),
-		appendRecords:     reg.Counter(obs.WALAppendRecords),
-		appendBytes:       reg.Counter(obs.WALAppendBytes),
-		groupCommits:      reg.Counter(obs.WALGroupCommits),
-		groups:            reg.Counter(obs.WALGroups),
-		groupRecords:      reg.Counter(obs.WALGroupRecords),
-		groupSize:         reg.Histogram(obs.WALGroupSize, obs.SizeBuckets),
-		groupFlushSeconds: reg.Histogram(obs.WALGroupFlushSeconds, nil),
+		fsyncTotal:    reg.Counter(obs.WALFsyncTotal),
+		flushTotal:    reg.Counter(obs.WALFlushTotal),
+		appendRecords: reg.Counter(obs.WALAppendRecords),
+		appendBytes:   reg.Counter(obs.WALAppendBytes),
+		groupCommits:  reg.Counter(obs.WALGroupCommits),
+		groups:        reg.Counter(obs.WALGroups),
 	}
 }
 
@@ -596,12 +587,10 @@ func (l *Log) flushLocked() error {
 		if err := l.writeOutLocked(); err != nil {
 			return err
 		}
-		start := time.Now()
 		if err := l.f.Sync(); err != nil {
 			l.err = fmt.Errorf("wal: fsync: %w", err)
 			return l.err
 		}
-		l.m.fsyncSeconds.ObserveSince(start)
 		l.m.fsyncTotal.Inc()
 		l.m.flushTotal.Inc()
 		return nil

@@ -296,13 +296,6 @@ func ServeOps(addr string, h http.Handler) (*MetricsServer, error) {
 	return obs.StartServerHandler(addr, h)
 }
 
-// StartRuntimeSampler samples Go runtime metrics (goroutines, heap, GC
-// pauses) into reg every interval; call the returned stop function to
-// end sampling. The /metrics endpoint also samples once per scrape.
-func StartRuntimeSampler(reg *MetricsRegistry, every time.Duration) (stop func()) {
-	return obs.StartRuntimeSampler(reg, every)
-}
-
 // RestoreToTime point-in-time-restores the database in srcDir into dstDir
 // as of targetTS (unix nanoseconds), starting a new incarnation.
 func RestoreToTime(srcDir, dstDir string, targetTS int64) error {
