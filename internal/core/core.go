@@ -192,7 +192,7 @@ type ledgerHook struct {
 	frames    []int64 // of recovered
 }
 
-func (h *ledgerHook) OnCommit(txID uint64, commitTS int64, user string, roots []wal.TableRoot) *wal.LedgerEntry {
+func (h *ledgerHook) OnCommit(txID uint64, commitTS int64, user string, roots []wal.TableRoot) wal.LedgerEntry {
 	return h.l.entries.assign(txID, commitTS, user, roots)
 }
 

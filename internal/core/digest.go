@@ -81,7 +81,7 @@ func (l *Shard) GenerateDigest() (d Digest, err error) {
 	if latest < 0 {
 		return Digest{}, ErrEmptyLedger
 	}
-	if _, ok := l.sysBlocks.Lookup(blockKey(latest)); !ok {
+	if _, ok := l.sysBlocks.LookupStored(blockKey(latest)); !ok {
 		return Digest{}, fmt.Errorf("core: closed block %d missing from %s", latest, sysBlocksName)
 	}
 	lastTS := l.lastCommitOfBlock(uint64(latest))

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -27,6 +29,12 @@ import (
 // before it clears the queue, all under mu, so an entry committed before a
 // read began is in the snapshot, in the table, or in both (and is kept
 // once) — never in neither, whenever the drain runs.
+//
+// Layout (decision 3). A queued entry is a record in a chunked array and
+// its roots are in another; growing them copies nothing, and nothing once
+// written changes, so a reader copies the arrays' headers under mu (a
+// queueView) and reads without it. The entries the store hands out alias
+// the roots array: their Roots are read-only.
 
 var sysTxSchema = sqltypes.MustSchema([]sqltypes.Column{
 	sqltypes.Col("transaction_id", sqltypes.TypeBigInt),
@@ -37,6 +45,86 @@ var sysTxSchema = sqltypes.MustSchema([]sqltypes.Column{
 	sqltypes.Col("table_hashes", sqltypes.TypeVarBinary),
 }, "transaction_id")
 
+// Chunk c of a chunked array holds minChunk<<c elements up to chunkLen,
+// so that a short queue stays small and a long one grows 48 KiB of records
+// or 72 KiB of roots at a time.
+const (
+	minChunk   = 64
+	rampChunks = 5 // the chunks shorter than chunkLen
+	chunkLen   = minChunk << rampChunks
+	rampLen    = chunkLen - minChunk // the elements they hold
+)
+
+// chunks is an append-only array whose chunks are never copied or moved.
+type chunks[T any] struct {
+	c [][]T // each allocated at full length
+	n int
+}
+
+// locate returns the chunk and offset of element i.
+func locate(i int) (c, off int) {
+	if i < rampLen {
+		c = bits.Len(uint(i/minChunk+1)) - 1
+		return c, i - (minChunk<<c - minChunk)
+	}
+	return rampChunks + (i-rampLen)/chunkLen, (i - rampLen) % chunkLen
+}
+
+func (a *chunks[T]) push(v T) {
+	c, off := locate(a.n)
+	if off == 0 {
+		a.c = append(a.c, make([]T, minChunk<<min(c, rampChunks)))
+	}
+	a.c[c][off] = v
+	a.n++
+}
+
+func (a *chunks[T]) at(i int) *T {
+	c, off := locate(i)
+	return &a.c[c][off]
+}
+
+// span returns elements [lo, hi): an alias when one chunk holds them all,
+// a copy when they straddle two.
+func (a *chunks[T]) span(lo, hi int) []T {
+	if lo == hi {
+		return nil
+	}
+	if c, off := locate(lo); off+hi-lo <= len(a.c[c]) {
+		return a.c[c][off : off+hi-lo : off+hi-lo]
+	}
+	var out []T
+	for i := lo; i < hi; i++ {
+		out = append(out, *a.at(i))
+	}
+	return out
+}
+
+// entryRec is a queued entry but its position, which the run table gives.
+// Its roots run from root to the next record's.
+type entryRec struct {
+	txID     uint64
+	commitTS int64
+	root     uint32 // the index of its first root
+	user     uint32 // the index of its user's name
+}
+
+// entryRun is a run of records in one block at consecutive ordinals.
+type entryRun struct {
+	block uint64
+	first uint32 // the index of its first record
+	ord   uint32 // that record's ordinal
+}
+
+// queueView is the queue. The store appends to its own in place; a copy
+// sees the queue as it was when taken.
+type queueView struct {
+	recs  chunks[entryRec]
+	roots chunks[wal.TableRoot]
+	runs  []entryRun
+	users []string
+}
+
 // entryStore is one shard's ledger entries.
 type entryStore struct {
 	edb     *engine.DB
@@ -44,16 +132,18 @@ type entryStore struct {
 	byBlock *engine.Index // its block_id index
 	size    uint32        // transactions per block
 
-	mu    sync.Mutex
-	queue []*wal.LedgerEntry // in (block, ordinal) order
-	block uint64             // the open block
-	ord   uint32             // the next ordinal in it
+	mu     sync.Mutex
+	q      queueView         // in (block, ordinal) order
+	userOf map[string]uint32 // the index of each name in q.users
+	block  uint64            // the open block
+	ord    uint32            // the next ordinal in it
 }
 
 // newEntryStore opens the store over table, sys_ledger_transactions,
 // creating its block index the first time.
 func newEntryStore(edb *engine.DB, table *engine.Table, size uint32) (*entryStore, error) {
 	s := &entryStore{edb: edb, table: table, size: size}
+	s.reset()
 	for _, ix := range table.Indexes() {
 		if ix.Meta().Name == sysTxBlockIndex {
 			s.byBlock = ix
@@ -66,21 +156,64 @@ func newEntryStore(edb *engine.DB, table *engine.Table, size uint32) (*entryStor
 }
 
 // assign runs inside the engine's commit critical section: it places the
-// transaction at the next (block, ordinal) and queues its entry, the one
-// LedgerEntry its COMMIT record carries too. Nothing else happens here —
-// blocks are closed off the commit path.
-func (s *entryStore) assign(txID uint64, commitTS int64, user string, roots []wal.TableRoot) *wal.LedgerEntry {
+// transaction at the next (block, ordinal), queues its entry and returns
+// it for the COMMIT record, with the caller's roots. Nothing else happens
+// here — blocks are closed off the commit path.
+func (s *entryStore) assign(txID uint64, commitTS int64, user string, roots []wal.TableRoot) wal.LedgerEntry {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.ord >= s.size {
 		s.block++
 		s.ord = 0
 	}
-	e := &wal.LedgerEntry{TxID: txID, BlockID: s.block, Ordinal: s.ord, CommitTS: commitTS, User: user,
-		Roots: slices.Clone(roots)}
+	e := wal.LedgerEntry{TxID: txID, BlockID: s.block, Ordinal: s.ord, CommitTS: commitTS, User: user, Roots: roots}
+	s.push(&e)
 	s.ord++
-	s.queue = append(s.queue, e)
-	s.mu.Unlock()
 	return e
+}
+
+// push queues e, whose position must follow the last queued entry's.
+// Caller holds mu.
+func (s *entryStore) push(e *wal.LedgerEntry) {
+	q := &s.q
+	if r := len(q.runs) - 1; r < 0 || q.runs[r].block != e.BlockID || q.runs[r].ord+uint32(q.recs.n)-q.runs[r].first != e.Ordinal {
+		q.runs = append(q.runs, entryRun{block: e.BlockID, first: uint32(q.recs.n), ord: e.Ordinal})
+	}
+	u, ok := s.userOf[e.User]
+	if !ok {
+		u = uint32(len(q.users))
+		q.users = append(q.users, e.User)
+		s.userOf[e.User] = u
+	}
+	q.recs.push(entryRec{txID: e.TxID, commitTS: e.CommitTS, root: uint32(q.roots.n), user: u})
+	for _, r := range e.Roots {
+		q.roots.push(r)
+	}
+}
+
+// reset empties the queue into new arrays: a view may still read the old.
+func (s *entryStore) reset() { s.q, s.userOf = queueView{}, make(map[string]uint32) }
+
+// at builds entry i.
+func (q *queueView) at(i int) wal.LedgerEntry {
+	r := q.recs.at(i)
+	run := q.runs[sort.Search(len(q.runs), func(j int) bool { return int(q.runs[j].first) > i })-1]
+	end := q.roots.n
+	if i+1 < q.recs.n {
+		end = int(q.recs.at(i + 1).root)
+	}
+	return wal.LedgerEntry{TxID: r.txID, BlockID: run.block, Ordinal: run.ord + uint32(i) - run.first,
+		CommitTS: r.commitTS, User: q.users[r.user], Roots: q.roots.span(int(r.root), end)}
+}
+
+// entries builds entries [lo, hi) in one slab.
+func (q *queueView) entries(lo, hi int) []*wal.LedgerEntry {
+	slab, out := make([]wal.LedgerEntry, hi-lo), make([]*wal.LedgerEntry, hi-lo)
+	for i := range slab {
+		slab[i] = q.at(lo + i)
+		out[i] = &slab[i]
+	}
+	return out
 }
 
 // seal ends the open block if it holds a transaction, so the next commit
@@ -103,12 +236,12 @@ func (s *entryStore) seal() int64 {
 func (s *entryStore) drain() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range s.queue {
+	for _, e := range s.q.entries(0, s.q.recs.n) {
 		// The only possible failure is a duplicate from a re-drain, which
 		// is harmless.
 		_, _ = s.edb.DirectInsert(s.table, entryToRow(e))
 	}
-	s.queue = nil
+	s.reset()
 }
 
 // restore rebuilds the store after recovery: the replayed entries the table
@@ -121,7 +254,7 @@ func (s *entryStore) restore(recovered []*wal.LedgerEntry, closedThrough int64) 
 	defer s.mu.Unlock()
 	for _, e := range recovered {
 		if !s.table.Has(txKey(e.TxID)) {
-			s.queue = append(s.queue, e)
+			s.push(e)
 		}
 	}
 	s.block, s.ord = uint64(closedThrough+1), 0
@@ -143,7 +276,8 @@ func (s *entryStore) restore(recovered []*wal.LedgerEntry, closedThrough int64) 
 			return true
 		})
 	}
-	for _, e := range s.queue {
+	if n := s.q.recs.n; n > 0 {
+		e := s.q.at(n - 1) // the queue is in position order
 		after(e.BlockID, e.Ordinal)
 	}
 	return nil
@@ -151,23 +285,33 @@ func (s *entryStore) restore(recovered []*wal.LedgerEntry, closedThrough int64) 
 
 // dropBefore deletes the entries of every block below before, from the
 // queue and from the table: ledger truncation's system-table surgery (§5.2).
+// It reads the table under mu, so that no drain moves an entry between the
+// two, and deletes nothing if a persisted entry is no row.
 func (s *entryStore) dropBefore(before uint64) error {
-	s.mu.Lock()
-	kept := make([]*wal.LedgerEntry, 0, len(s.queue)) // a reader may still walk the old one
-	for _, e := range s.queue {
-		if e.BlockID >= before {
-			kept = append(kept, e)
-		}
-	}
-	s.queue = kept
-	s.mu.Unlock()
 	var keys [][]byte
-	s.table.Scan(func(key []byte, r sqltypes.Row) bool {
-		if uint64(r[1].Int()) < before {
-			keys = append(keys, append([]byte(nil), key...))
+	var errs []error
+	s.mu.Lock()
+	s.table.ScanRangeStored(nil, nil, func(key, stored []byte) bool {
+		switch e, err := entryOf(nil, key, stored); {
+		case e == nil:
+			errs = append(errs, err)
+		case e.BlockID < before:
+			keys = append(keys, bytes.Clone(key))
 		}
 		return true
 	})
+	if len(errs) > 0 {
+		s.mu.Unlock()
+		return errors.Join(errs...)
+	}
+	old := s.q
+	s.reset()
+	for _, e := range old.entries(0, old.recs.n) {
+		if e.BlockID >= before {
+			s.push(e)
+		}
+	}
+	s.mu.Unlock()
 	for _, k := range keys {
 		if err := s.edb.TamperDeleteRow(s.table, k, true); err != nil {
 			return err
@@ -179,12 +323,10 @@ func (s *entryStore) dropBefore(before uint64) error {
 // --- Reads ---------------------------------------------------------------
 
 // snapshot returns the queue as it is now: the first step of every read.
-// Commits only append past its end, and drain and dropBefore replace the
-// slice, so the caller reads it without the lock.
-func (s *entryStore) snapshot() []*wal.LedgerEntry {
+func (s *entryStore) snapshot() queueView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.queue
+	return s.q
 }
 
 // position returns the open block, the next ordinal in it and the number
@@ -192,7 +334,7 @@ func (s *entryStore) snapshot() []*wal.LedgerEntry {
 func (s *entryStore) position() (block uint64, ord uint32, queued int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.block, s.ord, len(s.queue)
+	return s.block, s.ord, s.q.recs.n
 }
 
 // ofBlock returns the block's entries sorted by ordinal: its run of the
@@ -202,10 +344,14 @@ func (s *entryStore) position() (block uint64, ord uint32, queued int) {
 // one that is no row at all is left out.
 func (s *entryStore) ofBlock(block uint64) ([]*wal.LedgerEntry, error) {
 	q := s.snapshot()
-	byBlock := func(e *wal.LedgerEntry, b uint64) int { return cmp.Compare(e.BlockID, b) }
-	lo, _ := slices.BinarySearchFunc(q, block, byBlock)
-	hi, _ := slices.BinarySearchFunc(q[lo:], block+1, byBlock)
-	out := slices.Clone(q[lo : lo+hi])
+	firstIn := func(b uint64) int {
+		r := sort.Search(len(q.runs), func(j int) bool { return q.runs[j].block >= b })
+		if r == len(q.runs) {
+			return q.recs.n
+		}
+		return int(q.runs[r].first)
+	}
+	out := q.entries(firstIn(block), firstIn(block+1))
 	queued := out
 	var keys [][]byte
 	start, end := engine.PrefixRange(sqltypes.NewBigInt(int64(block)))
@@ -239,8 +385,8 @@ func (s *entryStore) ofBlock(block uint64) ([]*wal.LedgerEntry, error) {
 // index entry names.
 func (s *entryStore) all() (byTx map[uint64]*wal.LedgerEntry, byBlock map[uint64][]*wal.LedgerEntry, unreadable map[uint64]error) {
 	q := s.snapshot()
-	byTx = make(map[uint64]*wal.LedgerEntry, len(q)+s.table.RowCount())
-	for _, e := range q {
+	byTx = make(map[uint64]*wal.LedgerEntry, q.recs.n+s.table.RowCount())
+	for _, e := range q.entries(0, q.recs.n) {
 		byTx[e.TxID] = e
 	}
 	unreadable = make(map[uint64]error)
@@ -309,9 +455,10 @@ func (s *entryStore) get(want map[uint64]*wal.LedgerEntry) error {
 		}
 		want[txID] = e
 	}
-	for i := len(q) - 1; i >= 0 && queued > 0; i-- {
-		if e, ok := want[q[i].TxID]; ok && e == nil {
-			want[q[i].TxID] = q[i]
+	for i := q.recs.n - 1; i >= 0 && queued > 0; i-- {
+		if e, ok := want[q.recs.at(i).txID]; ok && e == nil {
+			x := q.at(i)
+			want[x.TxID] = &x
 			queued--
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"maps"
 	"time"
@@ -41,12 +43,14 @@ func (l *Shard) TruncateLedger(beforeBlock uint64) error {
 	l.closeMu.Lock()
 	closed := l.closedThrough
 	l.closeMu.Unlock()
-	if int64(beforeBlock) > closed {
+	if int64(beforeBlock) < 0 || int64(beforeBlock) > closed {
 		return fmt.Errorf("core: cannot truncate before block %d: only %d blocks are closed", beforeBlock, closed+1)
 	}
 
-	// Which transactions live below the cut?
-	byTx, _, _ := l.entries.all()
+	// Which transactions live below the cut? Their rows and the blocks'
+	// must decode before anything is deleted: an attacker may have edited
+	// them since Verify read them.
+	byTx, _, unreadable := l.entries.all()
 	oldTx := make(map[uint64]bool)
 	var maxTruncatedTx uint64
 	for txID, e := range byTx {
@@ -54,6 +58,15 @@ func (l *Shard) TruncateLedger(beforeBlock uint64) error {
 			oldTx[txID] = true
 			maxTruncatedTx = max(maxTruncatedTx, txID)
 		}
+	}
+	for b, err := range unreadable {
+		if b < beforeBlock {
+			return fmt.Errorf("core: refusing to truncate: %w", err)
+		}
+	}
+	blockKeys, err := l.blocksBefore(beforeBlock)
+	if err != nil {
+		return fmt.Errorf("core: refusing to truncate: %w", err)
 	}
 	if len(oldTx) == 0 {
 		return nil // nothing below the cut
@@ -115,13 +128,6 @@ func (l *Shard) TruncateLedger(beforeBlock uint64) error {
 	maps.DeleteFunc(l.frames, func(b uint64, _ []int64) bool { return b < beforeBlock })
 	maps.DeleteFunc(l.proven, func(b uint64, _ provenBlock) bool { return b < beforeBlock })
 	l.pmu.Unlock()
-	var blockKeys [][]byte
-	l.sysBlocks.Scan(func(key []byte, r sqltypes.Row) bool {
-		if uint64(r[0].Int()) < beforeBlock {
-			blockKeys = append(blockKeys, append([]byte(nil), key...))
-		}
-		return true
-	})
 	for _, k := range blockKeys {
 		if err := l.edb.TamperDeleteRow(l.sysBlocks, k, true); err != nil {
 			return err
@@ -140,6 +146,19 @@ func (l *Shard) TruncateLedger(beforeBlock uint64) error {
 		return err
 	}
 	return tx.Commit()
+}
+
+// blocksBefore returns the sys_ledger_blocks keys of the blocks below
+// before, or the error naming each of their rows that does not decode.
+func (l *Shard) blocksBefore(before uint64) (keys [][]byte, err error) {
+	l.sysBlocks.ScanRangeStored(nil, blockKey(int64(before)), func(key, stored []byte) bool {
+		if _, rerr := sysRow(nil, stored, sysBlocksSchema); rerr != nil {
+			err = errors.Join(err, fmt.Errorf("core: block %s: its %s row does not decode: %w", keyName(key), sysBlocksName, rerr))
+		}
+		keys = append(keys, bytes.Clone(key))
+		return true
+	})
+	return keys, err
 }
 
 func (l *Shard) nextTruncationID() uint64 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"sqlledger/internal/engine"
@@ -155,5 +156,55 @@ func TestTruncateThenContinueAndVerify(t *testing.T) {
 	}
 	if !rep.Ok() {
 		t.Fatalf("verification after truncation + new work:\n%s", rep)
+	}
+}
+
+// TestTruncateRefusesUndecodableSystemRow: a sys_ledger_transactions or
+// sys_ledger_blocks row below the cut that an attacker cut short is an
+// error naming the transaction or block, from TruncateLedger (whose Verify
+// finds it first) and from the surgery itself (which meets it when the edit
+// lands after Verify), and nothing is deleted.
+func TestTruncateRefusesUndecodableSystemRow(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		table   func(s *Shard) *engine.Table
+		surgery func(s *Shard) error
+	}{
+		{sysTxName, func(s *Shard) *engine.Table { return s.entries.table },
+			func(s *Shard) error { return s.entries.dropBefore(2) }},
+		{sysBlocksName, func(s *Shard) *engine.Table { return s.sysBlocks },
+			func(s *Shard) error { _, err := s.blocksBefore(2); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := openTestLedger(t, 2)
+			lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
+			seedAccounts(t, l, lt, 8)
+			if err := l.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			commitOne(t, l, lt, "queued") // one entry stays on the queue
+			s := l.shards[0]
+			tab := tc.table(s)
+			key := firstKeyOf(t, tab)
+			stored, _ := tab.LookupStored(key)
+			if err := l.Engine().TamperSetStoredRow(tab, key, stored[:len(stored)-1]); err != nil {
+				t.Fatal(err)
+			}
+			counts := func() [5]int {
+				_, _, queued := s.entries.position()
+				return [5]int{countRows(s.entries.table), queued, countRows(s.sysBlocks),
+					countRows(lt.Table()), countRows(s.truncations.Table())}
+			}
+			before := counts()
+			named := keyName(key)
+			for what, err := range map[string]error{"TruncateLedger": l.TruncateLedger(2), "the surgery": tc.surgery(s)} {
+				if err == nil || !strings.Contains(err.Error(), " "+named+":") {
+					t.Fatalf("%s: %v, want an error naming %s", what, err, named)
+				}
+			}
+			if after := counts(); after != before {
+				t.Fatalf("(transactions, queued, blocks, accounts, truncations) %v → %v after a refused truncation", before, after)
+			}
+		})
 	}
 }

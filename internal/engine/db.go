@@ -22,8 +22,8 @@ type LedgerHook interface {
 	// OnCommit runs inside the commit critical section for transactions
 	// that updated ledger tables. It must assign the transaction to a
 	// block and return its ledger entry, which the engine embeds in the
-	// COMMIT log record as it is.
-	OnCommit(txID uint64, commitTS int64, user string, roots []wal.TableRoot) *wal.LedgerEntry
+	// COMMIT log record as it is and does not keep.
+	OnCommit(txID uint64, commitTS int64, user string, roots []wal.TableRoot) wal.LedgerEntry
 	// Logged runs once the COMMIT record of the transaction OnCommit placed
 	// at (blockID, ordinal) is in the log, before its writes are visible,
 	// with the LSN of the frame that holds its DML records: the COMMIT
@@ -391,14 +391,16 @@ func (db *DB) commitTail(tx *Tx, recs []wal.Record, lap obs.LapTimer, tr *obs.Tr
 	db.inflight[now] = struct{}{}
 	db.inflightMu.Unlock()
 
-	var entry *wal.LedgerEntry
+	commit := wal.CommitPayload{CommitTS: now, User: tx.user}
+	var entry wal.LedgerEntry
 	if len(tx.Roots) > 0 && db.opts.Hook != nil {
 		entry = db.opts.Hook.OnCommit(tx.id, now, tx.user, tx.Roots)
+		commit.Entry = &entry
 	}
 	recs = append(recs, wal.Record{
 		Type:    wal.RecCommit,
 		TxID:    tx.id,
-		Payload: wal.EncodeCommit(wal.CommitPayload{CommitTS: now, User: tx.user, Entry: entry}),
+		Payload: wal.EncodeCommit(commit),
 	})
 
 	// Stages 2 and 3 — publish, then wait for durability off the critical
@@ -428,7 +430,7 @@ func (db *DB) commitTail(tx *Tx, recs []wal.Record, lap obs.LapTimer, tr *obs.Tr
 				obs.L("group_records", strconv.Itoa(grecs)))
 		}
 	}
-	if err == nil && entry != nil {
+	if err == nil && commit.Entry != nil {
 		if tx.prepared {
 			lsn = tx.prepareLSN // the COMMIT frame holds no DML
 		}

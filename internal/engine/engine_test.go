@@ -752,9 +752,9 @@ type testHook struct {
 	logged    []int64 // frame LSNs, from Logged or Recovered
 }
 
-func (h *testHook) OnCommit(txID uint64, commitTS int64, user string, roots []wal.TableRoot) *wal.LedgerEntry {
+func (h *testHook) OnCommit(txID uint64, commitTS int64, user string, roots []wal.TableRoot) wal.LedgerEntry {
 	h.commits++
-	return &wal.LedgerEntry{TxID: txID, Ordinal: uint32(h.commits - 1), CommitTS: commitTS, User: user, Roots: roots}
+	return wal.LedgerEntry{TxID: txID, Ordinal: uint32(h.commits - 1), CommitTS: commitTS, User: user, Roots: roots}
 }
 func (h *testHook) Logged(_ uint64, _ uint32, lsn int64) { h.logged = append(h.logged, lsn) }
 func (h *testHook) BeforeSnapshot()                      {}
