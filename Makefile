@@ -5,10 +5,20 @@ test:
 
 # Non-test Go lines outside the benchmark module: the number ROADMAP and
 # CHANGES quote when a PR claims to have made the code base smaller.
+# `make loc BASE=<rev>` counts a git archive of <rev> the same way and
+# prints its count, this tree's and the delta: a PR's line claim.
+LOC = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' \
+	| xargs cat | wc -l
 .PHONY: loc
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' \
-		| xargs cat | wc -l
+ifeq ($(BASE),)
+	@$(LOC)
+else
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		git archive "$(BASE)" | tar -x -C "$$tmp" && \
+		base=$$(cd "$$tmp" && $(LOC)) && here=$$($(LOC)) && \
+		echo "$(BASE): $$base" && echo "this tree: $$here" && echo "delta: $$((here - base))"
+endif
 
 # Fail if a tracked file outside testdata/ is over 1 MiB: build outputs
 # belong in .gitignore (PR 17 committed two 11 MB binaries).

@@ -222,18 +222,16 @@ func (lp *auditLoop) running() bool {
 // drive it manually.
 func (db *DB) NewAuditor(opts AuditorOptions) (*Auditor, error) {
 	opts = opts.withDefaults()
-	a := &Auditor{db: db, opts: opts}
-	for i, l := range db.shards {
-		shard := i
+	parts, err := fanOut(db, false, func(i int, l *Shard) (*chainAuditor, error) {
 		if len(db.shards) == 1 {
-			shard = -1
+			i = -1
 		}
-		ca, err := l.newChainAuditor(opts, shard)
-		if err != nil {
-			return nil, db.shardErr(i, err)
-		}
-		a.parts = append(a.parts, ca)
+		return l.newChainAuditor(opts, i)
+	})
+	if err != nil {
+		return nil, err
 	}
+	a := &Auditor{db: db, opts: opts, parts: parts}
 	db.auditor.Store(a)
 	return a, nil
 }
@@ -314,32 +312,30 @@ func (a *Auditor) Status() AuditStatus {
 	head := a.headReport
 	a.mu.Unlock()
 	running := a.loop.running()
-	var st AuditStatus
-	if len(a.parts) == 1 {
-		st = a.parts[0].status()
-	} else {
-		st = AuditStatus{Shard: -1, Ok: true, VerifiedThroughBlock: -1, ChainHeadBlock: -1}
-		for i, p := range a.parts {
-			ss := p.status()
-			ss.Running = running
-			if i == 0 || ss.VerifiedThroughBlock < st.VerifiedThroughBlock {
-				st.VerifiedThroughBlock = ss.VerifiedThroughBlock
-			}
-			st.ChainHeadBlock = max(st.ChainHeadBlock, ss.ChainHeadBlock)
-			st.LagBlocks = max(st.LagBlocks, ss.LagBlocks)
-			st.AgeSeconds = max(st.AgeSeconds, ss.AgeSeconds)
-			st.LastCycleAt = max(st.LastCycleAt, ss.LastCycleAt)
-			st.LastCycleSeconds = max(st.LastCycleSeconds, ss.LastCycleSeconds)
-			st.Cycles += ss.Cycles
-			st.BlocksCheckedInc += ss.BlocksCheckedInc
-			st.BlocksCheckedSampled += ss.BlocksCheckedSampled
-			st.Ok = st.Ok && ss.Ok
-			if st.LastReport == nil {
-				st.LastReport = ss.LastReport
-			}
-			st.Shards = append(st.Shards, ss)
-		}
+	parts := make([]AuditStatus, len(a.parts))
+	for i, p := range a.parts {
+		parts[i] = p.status()
+		parts[i].Running = running
 	}
+	total := AuditStatus{Shard: -1, Ok: true, VerifiedThroughBlock: -1, ChainHeadBlock: -1}
+	st := fold(total, parts, func(t *AuditStatus) *[]AuditStatus { return &t.Shards },
+		func(t *AuditStatus, i int, ss AuditStatus) {
+			if i == 0 || ss.VerifiedThroughBlock < t.VerifiedThroughBlock {
+				t.VerifiedThroughBlock = ss.VerifiedThroughBlock
+			}
+			t.ChainHeadBlock = max(t.ChainHeadBlock, ss.ChainHeadBlock)
+			t.LagBlocks = max(t.LagBlocks, ss.LagBlocks)
+			t.AgeSeconds = max(t.AgeSeconds, ss.AgeSeconds)
+			t.LastCycleAt = max(t.LastCycleAt, ss.LastCycleAt)
+			t.LastCycleSeconds = max(t.LastCycleSeconds, ss.LastCycleSeconds)
+			t.Cycles += ss.Cycles
+			t.BlocksCheckedInc += ss.BlocksCheckedInc
+			t.BlocksCheckedSampled += ss.BlocksCheckedSampled
+			t.Ok = t.Ok && ss.Ok
+			if t.LastReport == nil {
+				t.LastReport = ss.LastReport
+			}
+		})
 	st.Running = running
 	if head != nil {
 		st.HeadReport, st.LastReport, st.Ok = head, head, false
@@ -448,7 +444,8 @@ func (a *chainAuditor) runCycle() {
 
 	l := a.l
 	tr := l.obs.NewTrace("audit_cycle")
-	truncatedBefore, truncatedMaxTx := l.truncationInfo()
+	trunc, truncErr := l.truncationInfo()
+	truncatedBefore, truncatedMaxTx := trunc.before, trunc.maxTx
 	l.closeMu.Lock()
 	target := l.closedThrough
 	l.closeMu.Unlock()
@@ -463,6 +460,9 @@ func (a *chainAuditor) runCycle() {
 	// verified-through block's hash must still recompute to what the
 	// auditor saw when it verified it.
 	verified, anchor, report := a.reanchor(truncatedBefore)
+	if truncErr != nil {
+		report = a.report("incremental", truncationFinding(truncErr))
+	}
 
 	// Phase 1: incremental. Only blocks closed since the watermark are
 	// walked — O(delta), the block index supplying each block's
@@ -636,8 +636,8 @@ func (a *chainAuditor) walk(mode string, c chainCheck) (chainResult, *TamperRepo
 func (a *chainAuditor) localize(mode string, entries []*wal.LedgerEntry) *TamperReport {
 	rtx := a.l.edb.BeginReadOnly()
 	defer rtx.Close()
-	truncatedBefore, _ := a.l.truncationInfo()
-	if f := a.rowFinding(rowCheck{rtx: rtx, entries: entries, truncatedBefore: truncatedBefore, keys: true}, nil); f != nil {
+	trunc, _ := a.l.truncationInfo() // a row that does not decode is the cycle's report
+	if f := a.rowFinding(rowCheck{rtx: rtx, entries: entries, truncatedBefore: trunc.before, keys: true}, nil); f != nil {
 		return a.report(mode, *f)
 	}
 	return nil

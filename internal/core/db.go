@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"sqlledger/internal/blobstore"
 	"sqlledger/internal/engine"
 	"sqlledger/internal/obs"
+	"sqlledger/internal/sqltypes"
 )
 
 // DB is a database with SQL Ledger enabled: a coordinator over one or more
@@ -116,7 +118,6 @@ func Open(opts Options) (*DB, error) {
 // openShards opens the shards and the decision log of a multi-shard
 // database and resolves its in-doubt transactions.
 func (db *DB) openShards() error {
-	n := len(db.shards)
 	if err := os.MkdirAll(db.opts.Dir, 0o755); err != nil {
 		return err
 	}
@@ -132,9 +133,7 @@ func (db *DB) openShards() error {
 	// another instead: they share that clock, a fresh shard's bootstrap
 	// commits draw from it, and only a fixed draw order keeps digests
 	// reproducible.
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range db.shards {
+	opened, err := fanOut(db, db.opts.Clock == nil, func(i int, _ *Shard) (*Shard, error) {
 		sopts := db.opts
 		sopts.Dir = filepath.Join(db.opts.Dir, shardDirName(i))
 		sopts.Name = db.opts.Name + "/" + shardDirName(i)
@@ -142,32 +141,22 @@ func (db *DB) openShards() error {
 			sopts.VersionGCInterval = 250 * time.Millisecond
 		}
 		sopts.VersionGCInterval += time.Duration(i) * 7 * time.Millisecond
-		open := func() { db.shards[i], errs[i] = openShard(sopts) }
-		if db.opts.Clock != nil {
-			open()
-			continue
-		}
-		wg.Add(1)
-		go func() { defer wg.Done(); open() }()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("core: opening shard %d: %w", i, err)
-		}
+		return openShard(sopts)
+	})
+	copy(db.shards, opened) // what opened, so Close closes it after a failure
+	if err != nil {
+		return err
 	}
 
 	// Commit the in-doubt gids whose decision is durable, presume abort
 	// for the rest.
-	maxGid := db.dlog.maxGid
-	for i, l := range db.shards {
-		mg, err := l.resolveInDoubt(db.dlog.committed)
-		if err != nil {
-			return db.shardErr(i, err)
-		}
-		maxGid = max(maxGid, mg)
+	gids, err := fanOut(db, false, func(_ int, l *Shard) (uint64, error) {
+		return l.resolveInDoubt(db.dlog.committed)
+	})
+	if err != nil {
+		return err
 	}
-	db.gid.Store(maxGid)
+	db.gid.Store(max(db.dlog.maxGid, slices.Max(gids)))
 	return nil
 }
 
@@ -216,20 +205,140 @@ func (db *DB) Snapshot() obs.Snapshot { return db.obs.Snapshot() }
 
 func (db *DB) nowNanos() int64 { return db.shards[0].nowNanos() }
 
-// eachShard runs fn on every shard in order, stopping at the first error.
-func (db *DB) eachShard(fn func(i int, l *Shard) error) error {
-	for i, l := range db.shards {
-		if err := fn(i, l); err != nil {
-			return db.shardErr(i, err)
+// --- The router ----------------------------------------------------------
+//
+// Every operation is a route, a fan-out or a per-chain call (see DB), and
+// each kind has one implementation: LedgerTable.route picks a row's shard,
+// participants holds a transaction's per-shard legs, fanOut runs on every
+// shard, fold and breakdown shape what a fan-out returns, and single
+// guards the per-chain calls.
+
+// fanOut runs fn on every shard — each on a goroutine of its own when
+// parallel, one after another in shard order otherwise, stopping at the
+// first failure — and returns the results in shard order, whatever
+// succeeded included, with the first failing shard's error naming it.
+func fanOut[T any](db *DB, parallel bool, fn func(i int, l *Shard) (T, error)) ([]T, error) {
+	out := make([]T, len(db.shards))
+	errs := make([]error, len(db.shards))
+	run := func(i int) { out[i], errs[i] = fn(i, db.shards[i]) }
+	if parallel {
+		var wg sync.WaitGroup
+		for i := range db.shards {
+			wg.Add(1)
+			go func() { defer wg.Done(); run(i) }()
+		}
+		wg.Wait()
+	} else {
+		for i := range db.shards {
+			if run(i); errs[i] != nil {
+				break
+			}
+		}
+	}
+	for i, err := range errs {
+		if err != nil {
+			return out, db.shardErr(i, err)
+		}
+	}
+	return out, nil
+}
+
+// breakdown folds the shards' answers of a fan-out into total, add taking
+// them in shard order, and lists them in total's breakdown, *list(&total).
+func breakdown[T, S any](total T, parts []S, list func(*T) *[]S, add func(t *T, i int, s S)) T {
+	for i, s := range parts {
+		add(&total, i, s)
+	}
+	*list(&total) = parts
+	return total
+}
+
+// fold is breakdown for the answers a one-shard database gives as its
+// shard gives them (Health, LedgerDebug, AuditStatus): with one shard
+// there is nothing to fold, so one-shard JSON is the plain layout's.
+func fold[T any](total T, parts []T, list func(*T) *[]T, add func(t *T, i int, s T)) T {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	return breakdown(total, parts, list, add)
+}
+
+// participants is the participant set of a transaction on a multi-shard
+// database (Tx.route, ReadTx.route): one transaction of the same type per
+// shard, begun when an operation first touches that shard. Once the
+// transaction has finished, every operation fails with engine.ErrTxDone —
+// as a one-shard transaction's do — and touches no shard.
+type participants[P comparable] struct {
+	db    *DB
+	begin func(*Shard) P
+	parts []P // index = shard; zero until touched
+	done  bool
+}
+
+func newParticipants[P comparable](db *DB, begin func(*Shard) P) *participants[P] {
+	return &participants[P]{db: db, begin: begin, parts: make([]P, len(db.shards))}
+}
+
+// at returns the participant on shard i, beginning it on first touch.
+func (ps *participants[P]) at(i int) (P, error) {
+	var zero P
+	if ps.done {
+		return zero, engine.ErrTxDone
+	}
+	if ps.parts[i] == zero {
+		ps.parts[i] = ps.begin(ps.db.shards[i])
+	}
+	return ps.parts[i], nil
+}
+
+// route returns the participant and the table part on the shard that
+// stores a row of lt (LedgerTable.route has the arguments).
+func (ps *participants[P]) route(lt *LedgerTable, vals []sqltypes.Value, ords []int) (P, *LedgerTable, error) {
+	i, err := lt.route(vals, ords)
+	if err != nil {
+		var zero P
+		return zero, nil, err
+	}
+	p, err := ps.at(i)
+	return p, lt.parts[i], err
+}
+
+// each runs fn on every shard's participant, in shard order, beginning
+// the untouched ones, and stops at the first error.
+func (ps *participants[P]) each(fn func(i int, p P) error) error {
+	for i := range ps.parts {
+		p, err := ps.at(i)
+		if err == nil {
+			err = fn(i, p)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
+// finish ends the set and runs fn on every participant begun, in shard
+// order; it reports false, and runs nothing, if the set had ended.
+func (ps *participants[P]) finish(fn func(i int, p P)) bool {
+	if ps.done {
+		return false
+	}
+	ps.done = true
+	var zero P
+	for i, p := range ps.parts {
+		if p != zero {
+			fn(i, p)
+		}
+	}
+	return true
+}
+
 // Checkpoint drains every shard's ledger queue into its system tables and
 // writes the engine snapshots (§3.3.2).
 func (db *DB) Checkpoint() error {
-	return db.eachShard(func(_ int, l *Shard) error { return l.Checkpoint() })
+	_, err := fanOut(db, false, func(_ int, l *Shard) (any, error) { return nil, l.Checkpoint() })
+	return err
 }
 
 // --- Per-chain operations -----------------------------------------------
@@ -238,17 +347,23 @@ func (db *DB) Checkpoint() error {
 // forwards it to the only shard of a one-shard database through single,
 // the one guard, and fails with ErrMultiShard everywhere else.
 
-// single returns the database's only shard, or ErrMultiShard naming op.
-func (db *DB) single(op string) (*Shard, error) {
+// single runs the per-chain operation op on the database's only shard, or
+// fails with ErrMultiShard naming op.
+func single[T any](db *DB, op string, fn func(*Shard) (T, error)) (T, error) {
 	if len(db.shards) != 1 {
-		return nil, multiShard(op, len(db.shards))
+		var zero T
+		return zero, multiShard(op, len(db.shards))
 	}
-	return db.shards[0], nil
+	return fn(db.shards[0])
 }
+
+// only is the operation that returns the shard itself: single(db, op,
+// only) is the only shard, guarded.
+func only(l *Shard) (*Shard, error) { return l, nil }
 
 // mustSingle is single for operations without an error result.
 func (db *DB) mustSingle(op string) *Shard {
-	l, err := db.single(op)
+	l, err := single(db, op, only)
 	if err != nil {
 		panic(err)
 	}
@@ -257,7 +372,7 @@ func (db *DB) mustSingle(op string) *Shard {
 
 // Single returns the database's only shard, or ErrMultiShard: the guard
 // for callers about to use several per-chain operations at once.
-func (db *DB) Single() (*Shard, error) { return db.single("Single") }
+func (db *DB) Single() (*Shard, error) { return single(db, "Single", only) }
 
 // Engine exposes the underlying relational engine (regular tables,
 // indexes, checkpointing, tamper simulation).
@@ -285,39 +400,26 @@ func (db *DB) ViewDefinition(tableID uint32) (string, bool) {
 // GenerateDigest is Shard.GenerateDigest; the digest of a multi-shard
 // database is its super-block (CloseSuperBlock).
 func (db *DB) GenerateDigest() (Digest, error) {
-	l, err := db.single("GenerateDigest")
-	if err != nil {
-		return Digest{}, err
-	}
-	return l.GenerateDigest()
+	return single(db, "GenerateDigest", (*Shard).GenerateDigest)
 }
 
 // VerifyDigestDerivation is Shard.VerifyDigestDerivation.
 func (db *DB) VerifyDigestDerivation(older, newer Digest) error {
-	l, err := db.single("VerifyDigestDerivation")
-	if err != nil {
-		return err
-	}
-	return l.VerifyDigestDerivation(older, newer)
+	_, err := single(db, "VerifyDigestDerivation", func(l *Shard) (any, error) {
+		return nil, l.VerifyDigestDerivation(older, newer)
+	})
+	return err
 }
 
 // UploadDigest is Shard.UploadDigest; a multi-shard database uploads
 // super-blocks (UploadSuperBlock).
 func (db *DB) UploadDigest(store blobstore.Store) (Digest, error) {
-	l, err := db.single("UploadDigest")
-	if err != nil {
-		return Digest{}, err
-	}
-	return l.UploadDigest(store)
+	return single(db, "UploadDigest", func(l *Shard) (Digest, error) { return l.UploadDigest(store) })
 }
 
 // StoredDigests is Shard.StoredDigests.
 func (db *DB) StoredDigests(store blobstore.Store) ([]Digest, error) {
-	l, err := db.single("StoredDigests")
-	if err != nil {
-		return nil, err
-	}
-	return l.StoredDigests(store)
+	return single(db, "StoredDigests", func(l *Shard) ([]Digest, error) { return l.StoredDigests(store) })
 }
 
 // VerifyFromStore downloads all stored digests and runs verification with
@@ -332,18 +434,11 @@ func (db *DB) VerifyFromStore(store blobstore.Store, opts VerifyOptions) (*Repor
 
 // GenerateReceipt is Shard.GenerateReceipt.
 func (db *DB) GenerateReceipt(txID uint64, priv ed25519.PrivateKey) (Receipt, error) {
-	l, err := db.single("GenerateReceipt")
-	if err != nil {
-		return Receipt{}, err
-	}
-	return l.GenerateReceipt(txID, priv)
+	return single(db, "GenerateReceipt", func(l *Shard) (Receipt, error) { return l.GenerateReceipt(txID, priv) })
 }
 
 // TruncateLedger is Shard.TruncateLedger.
 func (db *DB) TruncateLedger(beforeBlock uint64) error {
-	l, err := db.single("TruncateLedger")
-	if err != nil {
-		return err
-	}
-	return l.TruncateLedger(beforeBlock)
+	_, err := single(db, "TruncateLedger", func(l *Shard) (any, error) { return nil, l.TruncateLedger(beforeBlock) })
+	return err
 }

@@ -236,30 +236,26 @@ func (hc *HealthChecker) Check() Health {
 		st := a.Status()
 		audit = &st
 	}
-	var h Health
-	if len(db.shards) == 1 {
-		h = hc.checkShard(db.shards[0], now, audit)
-	} else {
-		h = Health{Status: HealthHealthy, LastDigestUploadBlock: -1, CheckedAt: now.UnixNano()}
-		for i, l := range db.shards {
-			var shardAudit *AuditStatus
-			if audit != nil {
-				shardAudit = &audit.Shards[i]
-			}
-			sh := hc.checkShard(l, now, shardAudit)
-			h.ChainHeight += sh.ChainHeight
-			h.QueueDepth += sh.QueueDepth
-			h.DigestLagBlocks = max(h.DigestLagBlocks, sh.DigestLagBlocks)
-			for _, r := range sh.Reasons {
-				h.degrade(sh.Status, shardDirName(i)+": "+r)
-			}
-			h.Shards = append(h.Shards, sh)
+	parts, _ := fanOut(db, false, func(i int, l *Shard) (Health, error) {
+		shardAudit := audit
+		if audit != nil && len(db.shards) > 1 {
+			shardAudit = &audit.Shards[i]
 		}
-		if audit != nil {
-			h.Audit = auditHealthOf(*audit)
-			if audit.HeadReport != nil { // the one report no shard's status carries
-				h.degrade(HealthUnhealthy, "auditor localized tampering: "+audit.HeadReport.String())
-			}
+		return hc.checkShard(l, now, shardAudit), nil
+	})
+	total := Health{Status: HealthHealthy, LastDigestUploadBlock: -1, CheckedAt: now.UnixNano()}
+	h := fold(total, parts, func(t *Health) *[]Health { return &t.Shards }, func(t *Health, i int, sh Health) {
+		t.ChainHeight += sh.ChainHeight
+		t.QueueDepth += sh.QueueDepth
+		t.DigestLagBlocks = max(t.DigestLagBlocks, sh.DigestLagBlocks)
+		for _, r := range sh.Reasons {
+			t.degrade(sh.Status, shardDirName(i)+": "+r)
+		}
+	})
+	if audit != nil && len(db.shards) > 1 {
+		h.Audit = auditHealthOf(*audit)
+		if audit.HeadReport != nil { // the one report no shard's status carries
+			h.degrade(HealthUnhealthy, "auditor localized tampering: "+audit.HeadReport.String())
 		}
 	}
 	if sb := db.superBlockHealth(); len(db.shards) > 1 || sb.SeqNo > 0 || hc.thr.MaxSuperBlockAge > 0 {
@@ -414,28 +410,23 @@ type LedgerDebug struct {
 
 // DebugInfo captures the ledger's current shape for /debug/ledger.
 func (db *DB) DebugInfo() LedgerDebug {
-	if len(db.shards) == 1 {
-		d := db.shards[0].DebugInfo()
-		if sb := db.superBlockHealth(); sb.SeqNo > 0 {
-			d.SuperBlock = sb
-		}
-		return d
-	}
-	d := LedgerDebug{Name: db.opts.Name, BlockSize: db.opts.BlockSize, SuperBlock: db.superBlockHealth()}
-	for i, l := range db.shards {
-		sd := l.DebugInfo()
-		d.ChainHeight += sd.ChainHeight
-		d.QueueDepth += sd.QueueDepth
-		d.LastCommitTS = max(d.LastCommitTS, sd.LastCommitTS)
-		for j, t := range sd.Tables { // same tables, same (name) order, on every shard
+	parts, _ := fanOut(db, false, func(_ int, l *Shard) (LedgerDebug, error) { return l.DebugInfo(), nil })
+	total := LedgerDebug{Name: db.opts.Name, BlockSize: db.opts.BlockSize}
+	d := fold(total, parts, func(t *LedgerDebug) *[]LedgerDebug { return &t.Shards }, func(t *LedgerDebug, i int, sd LedgerDebug) {
+		t.ChainHeight += sd.ChainHeight
+		t.QueueDepth += sd.QueueDepth
+		t.LastCommitTS = max(t.LastCommitTS, sd.LastCommitTS)
+		for j, tab := range sd.Tables { // same tables, same (name) order, on every shard
 			if i == 0 {
-				d.Tables = append(d.Tables, t)
-			} else if j < len(d.Tables) {
-				d.Tables[j].Rows += t.Rows
-				d.Tables[j].HistoryRows += t.HistoryRows
+				t.Tables = append(t.Tables, tab)
+			} else if j < len(t.Tables) {
+				t.Tables[j].Rows += tab.Rows
+				t.Tables[j].HistoryRows += tab.HistoryRows
 			}
 		}
-		d.Shards = append(d.Shards, sd)
+	})
+	if sb := db.superBlockHealth(); sb.SeqNo > 0 || len(parts) > 1 {
+		d.SuperBlock = sb
 	}
 	return d
 }

@@ -1020,8 +1020,10 @@ func diffIndex(t *engine.Table, ix *engine.Index) string {
 // ledger-view definition must be its canonical derivation.
 func (l *Shard) checkView(lt *LedgerTable, emit emitFn) {
 	f := finding{block: -1, table: lt.Name()}
-	def, ok := l.ViewDefinition(lt.ID())
+	def, ok, err := l.viewDefinition(lt.ID())
 	switch {
+	case err != nil:
+		f.detail = err.Error()
 	case !ok:
 		f.detail = "ledger view definition is missing"
 	case def != lt.canonicalViewDefinition():

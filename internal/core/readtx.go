@@ -33,15 +33,16 @@ var ErrReceiptNotRequested = errors.New("core: read set not accumulated; begin w
 // On a multi-shard database the read transaction is a router (route is
 // set): each shard's snapshot is pinned when a read first reaches it, so
 // reads are consistent within a shard, not across shards, and a read
-// receipt — a proof against one chain's blocks — cannot be issued.
+// receipt — a proof against one chain's blocks — cannot be issued. After
+// Close every read, at any shard count, fails with engine.ErrTxDone.
 //
 // ReadTx is not safe for concurrent use by multiple goroutines.
 type ReadTx struct {
 	l    *Shard
 	rtx  *engine.ReadTx
-	done bool
+	done bool // Close has run (a router keeps it in route.done)
 
-	route *readRoute
+	route *participants[*ReadTx]
 
 	// collect is set by BeginReadOnlyForReceipt; when false, record is a
 	// no-op and CloseWithReceipt refuses.
@@ -50,13 +51,6 @@ type ReadTx struct {
 	// row version returned to the caller.
 	reads []readRecord
 	seen  map[readVersionKey]struct{}
-}
-
-// readRoute is the router state of a read transaction on a multi-shard
-// database.
-type readRoute struct {
-	db    *DB
-	parts []*ReadTx // index = shard; nil until touched
 }
 
 // readRecord is one read-set entry: the ledger table, the version's stored
@@ -90,7 +84,7 @@ func (db *DB) beginReadOnly(collect bool) *ReadTx {
 	if len(db.shards) == 1 {
 		return db.shards[0].beginReadOnly(collect)
 	}
-	return &ReadTx{route: &readRoute{db: db, parts: make([]*ReadTx, len(db.shards))}}
+	return &ReadTx{route: newParticipants(db, func(l *Shard) *ReadTx { return l.beginReadOnly(false) })}
 }
 
 func (l *Shard) beginReadOnly(collect bool) *ReadTx {
@@ -99,16 +93,6 @@ func (l *Shard) beginReadOnly(collect bool) *ReadTx {
 		rt.seen = make(map[readVersionKey]struct{})
 	}
 	return rt
-}
-
-// at returns the router's read transaction on shard i, pinning that
-// shard's snapshot on first touch.
-func (rt *ReadTx) at(i int) *ReadTx {
-	r := rt.route
-	if r.parts[i] == nil {
-		r.parts[i] = r.db.shards[i].beginReadOnly(false)
-	}
-	return r.parts[i]
 }
 
 // SnapshotTS returns the pinned snapshot timestamp (unix nanoseconds). It
@@ -149,8 +133,11 @@ func (rt *ReadTx) record(lt *LedgerTable, sh *tableShape, dst sqltypes.Row, stor
 // keep and edit, as Tx.Get's is.
 func (rt *ReadTx) Get(lt *LedgerTable, keyVals ...sqltypes.Value) (sqltypes.Row, bool, error) {
 	if rt.route != nil {
-		i := lt.ShardOf(keyVals...)
-		return rt.at(i).Get(lt.parts[i], keyVals...)
+		p, part, err := rt.route.route(lt, keyVals, nil)
+		if err != nil {
+			return nil, false, err
+		}
+		return p.Get(part, keyVals...)
 	}
 	var kb [64]byte // most keys fit, and then the lookup key stays off the heap
 	key, err := lt.getKey(kb[:0], keyVals)
@@ -186,13 +173,12 @@ func (rt *ReadTx) ScanPrefix(lt *LedgerTable, fn func(row sqltypes.Row) bool, va
 func (rt *ReadTx) scanRange(lt *LedgerTable, start, end []byte, fn func(row sqltypes.Row) bool) error {
 	if rt.route != nil { // shard by shard: ordered within a shard, not across them
 		more := true
-		for i := 0; i < len(rt.route.parts) && more; i++ {
-			err := rt.at(i).scanRange(lt.parts[i], start, end, func(r sqltypes.Row) bool { more = fn(r); return more })
-			if err != nil {
-				return err
+		return rt.route.each(func(i int, p *ReadTx) error {
+			if !more {
+				return nil
 			}
-		}
-		return nil
+			return p.scanRange(lt.parts[i], start, end, func(r sqltypes.Row) bool { more = fn(r); return more })
+		})
 	}
 	sh := lt.shape.Load()
 	if !rt.collect {
@@ -217,18 +203,11 @@ func (rt *ReadTx) ReadSetSize() int { return len(rt.reads) }
 
 // Close unpins the snapshot without producing a receipt. Idempotent.
 func (rt *ReadTx) Close() {
-	if rt.done {
+	if rt.route != nil {
+		rt.route.finish(func(_ int, p *ReadTx) { p.Close() })
 		return
 	}
 	rt.done = true
-	if rt.route != nil {
-		for _, p := range rt.route.parts {
-			if p != nil {
-				p.Close()
-			}
-		}
-		return
-	}
 	rt.rtx.Close()
 	rt.reads = nil
 	rt.seen = nil
@@ -242,10 +221,10 @@ func (rt *ReadTx) Close() {
 // returned (and the transaction stays open, since nothing was consumed),
 // as ErrMultiShard is on a multi-shard database.
 func (rt *ReadTx) CloseWithReceipt(priv ed25519.PrivateKey) (ReadReceipt, error) {
-	if rt.done {
+	switch {
+	case rt.done || rt.route != nil && rt.route.done:
 		return ReadReceipt{}, engine.ErrTxDone
-	}
-	if rt.route != nil {
+	case rt.route != nil:
 		return ReadReceipt{}, multiShard("ReadTx.CloseWithReceipt", len(rt.route.parts))
 	}
 	if !rt.collect {

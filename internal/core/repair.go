@@ -62,11 +62,11 @@ func (r *RepairReport) String() string {
 // pairs tables by id and rows by key within one chain; repair a shard of
 // a multi-shard database from that shard's backup directory.
 func RepairFromBackup(db, backupDB *DB, digests []Digest, dryRun bool) (*RepairReport, error) {
-	l, err := db.single("RepairFromBackup")
+	l, err := single(db, "RepairFromBackup", only)
 	if err != nil {
 		return nil, err
 	}
-	backup, err := backupDB.single("RepairFromBackup")
+	backup, err := single(backupDB, "RepairFromBackup", only)
 	if err != nil {
 		return nil, err
 	}

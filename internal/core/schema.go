@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"sqlledger/internal/engine"
 	"sqlledger/internal/sqltypes"
@@ -24,7 +25,8 @@ import (
 // table) on every shard. Existing row hashes are unaffected: the new
 // column is NULL for existing rows and NULLs never enter the serialization.
 func (db *DB) AddColumn(lt *LedgerTable, col sqltypes.Column) error {
-	return db.eachShard(func(i int, l *Shard) error { return l.addColumn(lt.on(i), col) })
+	_, err := fanOut(db, false, func(i int, l *Shard) (any, error) { return nil, l.addColumn(lt.on(i), col) })
+	return err
 }
 
 func (l *Shard) addColumn(lt *LedgerTable, col sqltypes.Column) error {
@@ -92,7 +94,8 @@ func droppedColumnName(name string, ordinal int) string {
 // applications and renamed, but its data remains available to verification
 // and the ledger views (§3.5.2).
 func (db *DB) DropColumn(lt *LedgerTable, name string) error {
-	return db.eachShard(func(i int, l *Shard) error { return l.dropColumn(lt.on(i), name) })
+	_, err := fanOut(db, false, func(i int, l *Shard) (any, error) { return nil, l.dropColumn(lt.on(i), name) })
+	return err
 }
 
 func (l *Shard) dropColumn(lt *LedgerTable, name string) error {
@@ -148,7 +151,8 @@ func (l *Shard) dropColumn(lt *LedgerTable, name string) error {
 // one ledger transaction per shard: every affected row version lands in
 // the history table and the ledger like any application update.
 func (db *DB) AlterColumnType(lt *LedgerTable, name string, newType sqltypes.TypeID, convert func(sqltypes.Value) (sqltypes.Value, error)) error {
-	return db.eachShard(func(i int, l *Shard) error { return l.alterColumnType(lt.on(i), name, newType, convert) })
+	_, err := fanOut(db, false, func(i int, l *Shard) (any, error) { return nil, l.alterColumnType(lt.on(i), name, newType, convert) })
+	return err
 }
 
 func (l *Shard) alterColumnType(lt *LedgerTable, name string, newType sqltypes.TypeID, convert func(sqltypes.Value) (sqltypes.Value, error)) error {
@@ -174,17 +178,19 @@ func (l *Shard) alterColumnType(lt *LedgerTable, name string, newType sqltypes.T
 	defer tx.Rollback()
 	var updates []sqltypes.Row
 	var convErr error
-	err := tx.etx.Scan(lt.table, func(_ []byte, full sqltypes.Row) bool {
-		nv, cerr := convert(full[oldOrd])
+	ords := append(slices.Clone(lt.shape.Load().visible), oldOrd) // visible row, then the old value
+	err := tx.etx.ScanColumns(lt.table, ords, nil, nil, func(_ []byte, row sqltypes.Row) bool {
+		vis := row[:newVisPos+1]
+		nv, cerr := convert(row[newVisPos+1])
 		if cerr != nil {
-			convErr = fmt.Errorf("core: converting %s of row %s: %w", name, full, cerr)
+			convErr = fmt.Errorf("core: converting %s of row %s: %w", name, vis, cerr)
 			return false
 		}
 		// The visible row no longer contains the dropped column; the new
 		// column sits at the end.
-		nvis := lt.VisibleRow(full).Clone()
-		nvis[newVisPos] = nv
-		updates = append(updates, nvis)
+		vis = vis.Clone()
+		vis[newVisPos] = nv
+		updates = append(updates, vis)
 		return true
 	})
 	if err != nil {
@@ -214,7 +220,8 @@ func droppedTableName(name string, id uint32) string {
 // can distinguish an intentional drop from the drop-and-replace attack the
 // paper describes.
 func (db *DB) DropLedgerTable(name string) error {
-	return db.eachShard(func(_ int, l *Shard) error { return l.dropLedgerTable(name) })
+	_, err := fanOut(db, false, func(_ int, l *Shard) (any, error) { return nil, l.dropLedgerTable(name) })
+	return err
 }
 
 func (l *Shard) dropLedgerTable(name string) error {

@@ -239,17 +239,15 @@ func (db *DB) CloseSuperBlock() (sb *SuperBlock, err error) {
 		return nil, err
 	}
 
-	heads := make([]ShardHead, len(db.shards))
-	for i, shard := range db.shards {
-		d, derr := shard.GenerateDigest()
-		switch {
-		case derr == ErrEmptyLedger:
-			heads[i] = ShardHead{Shard: i, Empty: true}
-		case derr != nil:
-			return nil, db.shardErr(i, derr)
-		default:
-			heads[i] = ShardHead{Shard: i, Digest: d}
+	heads, err := fanOut(db, false, func(i int, l *Shard) (ShardHead, error) {
+		d, err := l.GenerateDigest()
+		if err == ErrEmptyLedger {
+			return ShardHead{Shard: i, Empty: true}, nil
 		}
+		return ShardHead{Shard: i, Digest: d}, err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	seq, prev := uint64(1), merkle.ZeroHash.String()

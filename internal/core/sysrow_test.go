@@ -2,31 +2,52 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"sqlledger/internal/engine"
+	"sqlledger/internal/sqltypes"
 )
 
-// TestSystemRowCutIsAFinding: a sys_ledger_blocks or
-// sys_ledger_transactions row cut by one byte is no row at all. Verify
-// reports it as an invariant-2 or -3 issue naming the block or the
-// transaction, a fresh or standing auditor reports the same, and nothing
-// panics.
+// TestSystemRowCutIsAFinding: a ledger system-table row cut by one byte
+// is no row at all. Verify reports it — a sys_ledger_blocks row as an
+// invariant-2 issue naming the block, a sys_ledger_transactions row as an
+// invariant-3 issue naming the transaction, a sys_ledger_views row as a
+// view issue naming the table, a sys_ledger_truncations row as an
+// invariant-4 issue naming the truncation — a fresh or standing auditor
+// reports the same, and nothing panics.
 func TestSystemRowCutIsAFinding(t *testing.T) {
 	cases := []struct {
 		name      string
 		invariant int
-		target    func(*testing.T, *matrixFixture) (*engine.Table, []byte)
-		block     int64
-		detail    string
+		// target returns the row to cut and the detail naming it.
+		target func(*testing.T, *matrixFixture) (tab *engine.Table, key []byte, want string)
+		block  int64
 	}{
-		{"blocks", 2, func(_ *testing.T, f *matrixFixture) (*engine.Table, []byte) {
-			return f.l.shards[0].sysBlocks, blockKey(1)
-		}, 1, "block 1: its sys_ledger_blocks row does not decode"},
-		{"transactions", 3, func(t *testing.T, f *matrixFixture) (*engine.Table, []byte) {
-			return f.l.shards[0].entries.table, f.txKeyInBlock(t, 2, nil)
-		}, 2, ": its sys_ledger_transactions row does not decode"},
+		{"blocks", 2, func(_ *testing.T, f *matrixFixture) (*engine.Table, []byte, string) {
+			return f.l.shards[0].sysBlocks, blockKey(1), "block 1: its sys_ledger_blocks row does not decode"
+		}, 1},
+		{"transactions", 3, func(t *testing.T, f *matrixFixture) (*engine.Table, []byte, string) {
+			key := f.txKeyInBlock(t, 2, nil)
+			return f.l.shards[0].entries.table, key, "transaction " + keyName(key) + ": its sys_ledger_transactions row does not decode"
+		}, 2},
+		{"views", 0, func(_ *testing.T, f *matrixFixture) (*engine.Table, []byte, string) {
+			id := f.lt.ID()
+			return f.l.shards[0].sysViews, sqltypes.EncodeKey(nil, sqltypes.NewBigInt(int64(id))),
+				fmt.Sprintf("table %d: its sys_ledger_views row does not decode", id)
+		}, -1},
+		{"truncations", 4, func(t *testing.T, f *matrixFixture) (*engine.Table, []byte, string) {
+			if err := f.l.TruncateLedger(1); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if f.d, err = f.l.GenerateDigest(); err != nil {
+				t.Fatal(err)
+			}
+			return f.l.shards[0].truncations.table, sqltypes.EncodeKey(nil, sqltypes.NewBigInt(1)),
+				"truncation 1: its sys_ledger_truncations row does not decode"
+		}, -1},
 	}
 	for _, tc := range cases {
 		for _, mode := range []string{"fresh", "standing"} {
@@ -37,11 +58,7 @@ func TestSystemRowCutIsAFinding(t *testing.T) {
 					a = newAuditor(t, f.l, 1)
 					cycleOK(t, a)
 				}
-				tab, key := tc.target(t, f)
-				want := tc.detail
-				if tc.invariant == 3 {
-					want = "transaction " + keyName(key) + want
-				}
+				tab, key, want := tc.target(t, f)
 				f.cutStoredRow(t, tab, key)
 
 				rep, err := f.l.Verify([]Digest{f.d}, VerifyOptions{})

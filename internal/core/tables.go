@@ -103,29 +103,31 @@ func (lt *LedgerTable) VisibleColumns() []sqltypes.Column { return lt.Schema().V
 // values (0 on a one-shard database), so loaders can build transactions
 // that touch one shard and commit without two-phase commit.
 func (lt *LedgerTable) ShardOf(keyVals ...sqltypes.Value) int {
-	if lt.parts == nil {
-		return 0
-	}
-	return int(fnv64a(sqltypes.EncodeKey(nil, keyVals...)) % uint64(len(lt.parts)))
+	i, _ := lt.route(keyVals, nil)
+	return i
 }
 
-// shardOfRow routes a visible row by its primary-key columns (ledger
-// schemas put user columns first, so key ordinals index the visible row),
-// or by the whole row on a keyless append-only table.
-func (lt *LedgerTable) shardOfRow(visible sqltypes.Row) (int, error) {
-	keyOrds := lt.Schema().Key
-	if len(keyOrds) == 0 {
-		return lt.ShardOf(visible...), nil
+// route returns the shard that stores a row, hashing its primary-key
+// values: vals[ords[0]], vals[ords[1]], … of a visible row (ledger schemas
+// put user columns first, so key ordinals index it) — or vals itself when
+// ords is empty, as a key given as values or the whole visible row of a
+// keyless append-only table.
+func (lt *LedgerTable) route(vals []sqltypes.Value, ords []int) (int, error) {
+	if lt.parts == nil {
+		return 0, nil
 	}
-	var buf [8]sqltypes.Value
-	vals := buf[:0]
-	for _, ord := range keyOrds {
-		if ord >= len(visible) {
-			return 0, fmt.Errorf("core: row for %s is missing key column %d", lt.Name(), ord)
+	key := vals
+	if len(ords) > 0 {
+		var buf [8]sqltypes.Value
+		key = buf[:0]
+		for _, ord := range ords {
+			if ord >= len(vals) {
+				return 0, fmt.Errorf("core: row for %s is missing key column %d", lt.Name(), ord)
+			}
+			key = append(key, vals[ord])
 		}
-		vals = append(vals, visible[ord])
 	}
-	return lt.ShardOf(vals...), nil
+	return int(fnv64a(sqltypes.EncodeKey(nil, key...)) % uint64(len(lt.parts))), nil
 }
 
 // fnv64a is FNV-1a, inlined so routing adds no dependency. The map from
@@ -183,14 +185,11 @@ func (db *DB) LedgerTable(name string) (*LedgerTable, error) {
 // tableOf builds a table handle from each shard's part: the part itself
 // on a one-shard database, a router over the parts otherwise.
 func (db *DB) tableOf(part func(*Shard) (*LedgerTable, error)) (*LedgerTable, error) {
-	parts := make([]*LedgerTable, len(db.shards))
-	for i, l := range db.shards {
-		var err error
-		if parts[i], err = part(l); err != nil {
-			return nil, db.shardErr(i, err)
-		}
-	}
-	if len(parts) == 1 {
+	parts, err := fanOut(db, false, func(_ int, l *Shard) (*LedgerTable, error) { return part(l) })
+	switch {
+	case err != nil:
+		return nil, err
+	case len(parts) == 1:
 		return parts[0], nil
 	}
 	return &LedgerTable{parts: parts}, nil
@@ -418,19 +417,6 @@ func (lt *LedgerTable) fullRowInto(dst sqltypes.Row, visible sqltypes.Row, txID 
 		return nil, fmt.Errorf("core: row for %s has %d values, want %d", lt.Name(), len(visible), vi)
 	}
 	return out, nil
-}
-
-// VisibleRow copies the application-visible columns of a whole storage row
-// into a fresh slice the caller owns: for the callers that hold one — the
-// ledger views, ALTER COLUMN's repopulation. Reads never build the whole
-// row: they decode the visible columns only (tableShape.visible).
-func (lt *LedgerTable) VisibleRow(full sqltypes.Row) sqltypes.Row {
-	visible := lt.shape.Load().visible
-	out := make(sqltypes.Row, len(visible))
-	for i, ord := range visible {
-		out[i] = full[ord]
-	}
-	return out
 }
 
 // registerTableMetadata records the table and its columns in the ledger

@@ -68,6 +68,10 @@ func (l *Shard) TruncateLedger(beforeBlock uint64) error {
 	if err != nil {
 		return fmt.Errorf("core: refusing to truncate: %w", err)
 	}
+	trunc, err := l.truncationInfo()
+	if err != nil {
+		return fmt.Errorf("core: refusing to truncate: %w", err)
+	}
 	if len(oldTx) == 0 {
 		return nil // nothing below the cut
 	}
@@ -138,7 +142,7 @@ func (l *Shard) TruncateLedger(beforeBlock uint64) error {
 	tx := l.begin("system")
 	defer tx.Rollback()
 	if err := tx.Insert(l.truncations, sqltypes.Row{
-		sqltypes.NewBigInt(int64(l.nextTruncationID())),
+		sqltypes.NewBigInt(int64(trunc.lastID + 1)),
 		sqltypes.NewBigInt(int64(beforeBlock)),
 		sqltypes.NewBigInt(int64(maxTruncatedTx)),
 		sqltypes.NewDateTime(time.Now()),
@@ -161,29 +165,33 @@ func (l *Shard) blocksBefore(before uint64) (keys [][]byte, err error) {
 	return keys, err
 }
 
-func (l *Shard) nextTruncationID() uint64 {
-	var max uint64
-	l.truncations.table.Scan(func(_ []byte, r sqltypes.Row) bool {
-		if id := uint64(r[0].Int()); id > max {
-			max = id
+// truncation is what the audited truncation ledger table records: the
+// highest truncation point and the highest truncated transaction id (both
+// 0 when the ledger was never truncated), and the highest truncation id.
+type truncation struct{ before, maxTx, lastID uint64 }
+
+// truncationInfo reads the truncation ledger table from its stored bytes.
+// A row that does not decode — bytes an attacker who edits storage left
+// behind — is left out and named in the error.
+func (l *Shard) truncationInfo() (t truncation, err error) {
+	schema := l.truncations.table.Schema()
+	var r sqltypes.Row
+	l.truncations.table.ScanRangeStored(nil, nil, func(key, stored []byte) bool {
+		var rerr error
+		if r, rerr = sysRow(r, stored, schema); rerr != nil {
+			err = errors.Join(err, fmt.Errorf("truncation %s: its %s row does not decode: %w", keyName(key), sysTruncationsN, rerr))
+			return true
 		}
+		t.lastID = max(t.lastID, uint64(r[0].Int()))
+		t.before = max(t.before, uint64(r[1].Int()))
+		t.maxTx = max(t.maxTx, uint64(r[2].Int()))
 		return true
 	})
-	return max + 1
+	return t, err
 }
 
-// truncationInfo returns the highest truncation point and the highest
-// truncated transaction id (both 0 when the ledger was never truncated),
-// read from the audited truncation ledger table.
-func (l *Shard) truncationInfo() (beforeBlock, maxTx uint64) {
-	l.truncations.table.Scan(func(_ []byte, r sqltypes.Row) bool {
-		if b := uint64(r[1].Int()); b > beforeBlock {
-			beforeBlock = b
-		}
-		if m := uint64(r[2].Int()); m > maxTx {
-			maxTx = m
-		}
-		return true
-	})
-	return beforeBlock, maxTx
+// truncationFinding reports the rows truncationInfo could not read as
+// what they are, row versions of a ledger table that are no row.
+func truncationFinding(err error) finding {
+	return finding{invariant: 4, block: -1, table: sysTruncationsN, detail: err.Error()}
 }

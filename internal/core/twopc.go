@@ -2,7 +2,6 @@ package core
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -10,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"sqlledger/internal/engine"
 	"sqlledger/internal/obs"
 	"sqlledger/internal/wal"
 )
@@ -130,38 +130,28 @@ func (l *Shard) resolveInDoubt(committed map[uint64]bool) (maxGid uint64, err er
 	return maxGid, nil
 }
 
-// ErrTxUsed is returned when a finished transaction of a multi-shard
-// database is reused.
-var ErrTxUsed = errors.New("core: transaction already finished")
-
 // commitRouted finishes a transaction of a multi-shard database atomically
 // across every shard it touched. Read-only participants hold no ledger
 // state worth a commit record and are released; one writer commits through
 // its shard's ordinary pipeline, with no coordination and no decision log;
 // several run two-phase commit.
 func (tx *Tx) commitRouted() (int64, error) {
-	r := tx.route
-	if r.done {
-		return 0, ErrTxUsed
-	}
-	r.done = true
 	var writers []int
-	for i, p := range r.parts {
-		if p == nil {
-			continue
-		}
+	if !tx.route.finish(func(i int, p *Tx) {
 		if p.etx.WriteCount() > 0 {
 			writers = append(writers, i)
 		} else {
 			p.Rollback()
 		}
+	}) {
+		return 0, engine.ErrTxDone
 	}
 	var ts int64
 	var err error
 	switch len(writers) {
 	case 0:
 	case 1:
-		ts, err = r.parts[writers[0]].CommitTS()
+		ts, err = tx.route.parts[writers[0]].CommitTS()
 	default:
 		ts, err = tx.commitTwoPhase(writers)
 	}
@@ -231,18 +221,13 @@ func (tx *Tx) commitTwoPhase(writers []int) (int64, error) {
 
 // rollbackRouted abandons every participant.
 func (tx *Tx) rollbackRouted() error {
-	r := tx.route
-	if r.done {
-		return nil
-	}
-	r.done = true
 	var first error
-	for _, p := range r.parts {
-		if p != nil {
-			if err := p.Rollback(); err != nil && first == nil {
-				first = err
-			}
+	if !tx.route.finish(func(_ int, p *Tx) {
+		if err := p.Rollback(); err != nil && first == nil {
+			first = err
 		}
+	}) {
+		return nil
 	}
 	tx.trace.Finish(nil)
 	tx.trace = nil

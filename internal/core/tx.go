@@ -30,7 +30,10 @@ import (
 // of this same type on one shard, begun on first touch — that the row's
 // primary key hashes to, and Commit runs two-phase commit when more than
 // one participant wrote (twopc.go). On a one-shard database the
-// transaction is the participant itself and none of that exists.
+// transaction is the participant itself and none of that exists. Either
+// way, once Commit or Rollback has run every method with an error result
+// returns engine.ErrTxDone, except Rollback, which returns nil: a deferred
+// Rollback after Commit is harmless.
 type Tx struct {
 	l   *Shard
 	etx *engine.Tx
@@ -49,15 +52,7 @@ type Tx struct {
 	trace     *obs.Trace
 	ownsTrace bool
 
-	route *txRoute
-}
-
-// txRoute is the router state of a transaction on a multi-shard database.
-type txRoute struct {
-	db    *DB
-	user  string
-	parts []*Tx // index = shard; nil until touched
-	done  bool
+	route *participants[*Tx]
 }
 
 // txState is the pooled ledger bookkeeping of one transaction.
@@ -96,10 +91,8 @@ func (db *DB) Begin(user string) *Tx {
 	if len(db.shards) == 1 {
 		return db.shards[0].begin(user)
 	}
-	return &Tx{
-		trace: db.obs.NewTrace("tx"), // finished by the router's Commit or Rollback
-		route: &txRoute{db: db, user: user, parts: make([]*Tx, len(db.shards))},
-	}
+	tr := db.obs.NewTrace("tx") // finished by the router's Commit or Rollback
+	return &Tx{trace: tr, route: newParticipants(db, func(l *Shard) *Tx { return l.beginWithTrace(user, tr) })}
 }
 
 // begin starts a transaction on this shard with a trace of its own.
@@ -119,50 +112,6 @@ func (l *Shard) beginWithTrace(user string, tr *obs.Trace) *Tx {
 		tx.etx.SetTrace(tr)
 	}
 	return tx
-}
-
-// at returns the participant on shard i, beginning it on first touch.
-func (tx *Tx) at(i int) *Tx {
-	r := tx.route
-	if r.parts[i] == nil {
-		r.parts[i] = r.db.shards[i].beginWithTrace(r.user, tx.trace)
-	}
-	return r.parts[i]
-}
-
-// routeRow resolves a row of lt to the participant and table part that
-// store it.
-func (tx *Tx) routeRow(lt *LedgerTable, visible sqltypes.Row) (*Tx, *LedgerTable, error) {
-	if tx.route.done {
-		return nil, nil, ErrTxUsed
-	}
-	i, err := lt.shardOfRow(visible)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tx.at(i), lt.parts[i], nil
-}
-
-// routeKey is routeRow for explicit primary-key values.
-func (tx *Tx) routeKey(lt *LedgerTable, keyVals []sqltypes.Value) (*Tx, *LedgerTable, error) {
-	if tx.route.done {
-		return nil, nil, ErrTxUsed
-	}
-	i := lt.ShardOf(keyVals...)
-	return tx.at(i), lt.parts[i], nil
-}
-
-// each runs fn on every shard's participant, in shard order.
-func (tx *Tx) each(fn func(i int, p *Tx) error) error {
-	if tx.route.done {
-		return ErrTxUsed
-	}
-	for i := range tx.route.parts {
-		if err := fn(i, tx.at(i)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Trace returns the transaction's trace (nil when tracing is off). Callers
@@ -323,7 +272,7 @@ func (tx *Tx) tree(lt *LedgerTable) *merkle.Streaming {
 // ledger table.
 func (tx *Tx) Insert(lt *LedgerTable, visible sqltypes.Row) error {
 	if tx.route != nil {
-		p, part, err := tx.routeRow(lt, visible)
+		p, part, err := tx.route.route(lt, visible, lt.Schema().Key)
 		if err != nil {
 			return err
 		}
@@ -386,12 +335,9 @@ func (tx *Tx) InsertBatch(lt *LedgerTable, rows []sqltypes.Row) error {
 // reproducible.
 func (tx *Tx) InsertBatchParallel(lt *LedgerTable, rows []sqltypes.Row, workers int) error {
 	if tx.route != nil {
-		if tx.route.done {
-			return ErrTxUsed
-		}
 		perShard := make([][]sqltypes.Row, len(tx.route.parts))
 		for _, r := range rows {
-			i, err := lt.shardOfRow(r)
+			i, err := lt.route(r, lt.Schema().Key)
 			if err != nil {
 				return err
 			}
@@ -401,7 +347,11 @@ func (tx *Tx) InsertBatchParallel(lt *LedgerTable, rows []sqltypes.Row, workers 
 			if len(chunk) == 0 {
 				continue
 			}
-			if err := tx.at(i).InsertBatchParallel(lt.parts[i], chunk, workers); err != nil {
+			p, err := tx.route.at(i)
+			if err == nil {
+				err = p.InsertBatchParallel(lt.parts[i], chunk, workers)
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -525,7 +475,7 @@ func (tx *Tx) InsertBatchParallel(lt *LedgerTable, rows []sqltypes.Row, workers 
 // deleted version to the history table.
 func (tx *Tx) Delete(lt *LedgerTable, keyVals ...sqltypes.Value) error {
 	if tx.route != nil {
-		p, part, err := tx.routeKey(lt, keyVals)
+		p, part, err := tx.route.route(lt, keyVals, nil)
 		if err != nil {
 			return err
 		}
@@ -546,7 +496,7 @@ func (tx *Tx) Delete(lt *LedgerTable, keyVals ...sqltypes.Value) error {
 // operation: the deleted old version first, then the new version.
 func (tx *Tx) Update(lt *LedgerTable, visible sqltypes.Row) error {
 	if tx.route != nil {
-		p, part, err := tx.routeRow(lt, visible)
+		p, part, err := tx.route.route(lt, visible, lt.Schema().Key)
 		if err != nil {
 			return err
 		}
@@ -600,7 +550,7 @@ func (tx *Tx) refreshRow(lt *LedgerTable, key []byte) error {
 // be written through Value.Bytes.
 func (tx *Tx) Get(lt *LedgerTable, keyVals ...sqltypes.Value) (sqltypes.Row, bool, error) {
 	if tx.route != nil {
-		p, part, err := tx.routeKey(lt, keyVals)
+		p, part, err := tx.route.route(lt, keyVals, nil)
 		if err != nil {
 			return nil, false, err
 		}
@@ -637,7 +587,7 @@ func (tx *Tx) Scan(lt *LedgerTable, fn func(row sqltypes.Row) bool) error {
 func (tx *Tx) ScanPrefix(lt *LedgerTable, fn func(row sqltypes.Row) bool, vals ...sqltypes.Value) error {
 	if tx.route != nil {
 		more := true
-		return tx.each(func(i int, p *Tx) error {
+		return tx.route.each(func(i int, p *Tx) error {
 			if !more {
 				return nil
 			}
@@ -656,7 +606,7 @@ func (tx *Tx) ScanPrefix(lt *LedgerTable, fn func(row sqltypes.Row) bool, vals .
 func (tx *Tx) Savepoint() int {
 	if tx.route != nil {
 		token := -1
-		tx.each(func(_ int, p *Tx) error { token = p.Savepoint(); return nil })
+		tx.route.each(func(_ int, p *Tx) error { token = p.Savepoint(); return nil })
 		return token
 	}
 	token := tx.etx.Savepoint()
@@ -677,15 +627,14 @@ func (tx *Tx) Savepoint() int {
 // the engine write buffer and the Merkle tree state.
 func (tx *Tx) RollbackTo(token int) error {
 	if tx.route != nil {
-		return tx.each(func(_ int, p *Tx) error { return p.RollbackTo(token) })
+		return tx.route.each(func(_ int, p *Tx) error { return p.RollbackTo(token) })
 	}
-	st := tx.state
-	if st == nil || token < 0 || token >= len(st.spSnaps) {
-		return fmt.Errorf("core: invalid savepoint %d", token)
-	}
+	// The engine's savepoint stack is level with st.spSnaps (Savepoint), so
+	// a token it accepts names a snapshot here.
 	if err := tx.etx.RollbackTo(token); err != nil {
 		return err
 	}
+	st := tx.state
 	snaps := st.spSnaps[token]
 	st.spSnaps = st.spSnaps[:token+1]
 	restored := make(map[uint32]bool, len(snaps))

@@ -232,29 +232,24 @@ func (db *DB) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 // breakdown.
 func (db *DB) verifyShards(verify func(i int, l *Shard) ShardReport) *Report {
 	start := time.Now()
-	rep := &Report{Shards: make([]ShardReport, len(db.shards))}
-	var wg sync.WaitGroup
-	for i, l := range db.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rep.Shards[i] = verify(i, l)
-			rep.Shards[i].Shard = i
-		}()
-	}
-	wg.Wait()
-	for _, sr := range rep.Shards {
-		if r := sr.Report; r != nil {
-			rep.BlocksChecked += r.BlocksChecked
-			rep.TransactionsChecked += r.TransactionsChecked
-			rep.RowVersionsChecked += r.RowVersionsChecked
-			rep.TablesChecked += r.TablesChecked
-			rep.IndexesChecked += r.IndexesChecked
-			rep.DigestsChecked += r.DigestsChecked
-		}
-	}
+	parts, _ := fanOut(db, true, func(i int, l *Shard) (ShardReport, error) {
+		sr := verify(i, l)
+		sr.Shard = i
+		return sr, nil
+	})
+	rep := breakdown(Report{}, parts, func(t *Report) *[]ShardReport { return &t.Shards },
+		func(t *Report, _ int, sr ShardReport) {
+			if r := sr.Report; r != nil {
+				t.BlocksChecked += r.BlocksChecked
+				t.TransactionsChecked += r.TransactionsChecked
+				t.RowVersionsChecked += r.RowVersionsChecked
+				t.TablesChecked += r.TablesChecked
+				t.IndexesChecked += r.IndexesChecked
+				t.DigestsChecked += r.DigestsChecked
+			}
+		})
 	rep.Timing.Total = time.Since(start)
-	return rep
+	return &rep
 }
 
 // Verify is DB.Verify for this shard's chain.
@@ -293,7 +288,11 @@ func (l *Shard) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 	rtx := l.edb.BeginReadOnly()
 	defer rtx.Close()
 	byTx, byBlock, unreadable := l.entries.all()
-	truncatedBefore, truncatedMaxTx := l.truncationInfo()
+	trunc, err := l.truncationInfo()
+	if err != nil {
+		emit(truncationFinding(err))
+	}
+	truncatedBefore, truncatedMaxTx := trunc.before, trunc.maxTx
 
 	// The transactions whose roots invariant 4 recomputes: in range, and
 	// applied at the snapshot (a later commit's rows are not in it). Their

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
+	"sqlledger/internal/engine"
 	"sqlledger/internal/sqltypes"
 )
 
@@ -26,42 +28,45 @@ type LedgerViewRow struct {
 // and its DELETE entry. Results are ordered by (TxID, Seq) — shard by
 // shard on a multi-shard database, each row carrying its shard.
 func (lt *LedgerTable) LedgerView() []LedgerViewRow {
+	if lt.parts == nil {
+		return lt.view(0)
+	}
 	var out []LedgerViewRow
 	for i, p := range lt.parts {
-		for _, vr := range p.LedgerView() {
-			vr.Shard = i
-			out = append(out, vr)
-		}
+		out = append(out, p.view(i)...)
 	}
-	if lt.parts != nil {
-		return out
-	}
-	lt.table.Scan(func(_ []byte, full sqltypes.Row) bool {
-		out = append(out, LedgerViewRow{
-			Row:       lt.VisibleRow(full),
-			Operation: "INSERT",
-			TxID:      uint64(full[lt.startTxOrd].Int()),
-			Seq:       uint64(full[lt.startSeqOrd].Int()),
-		})
-		return true
-	})
-	if lt.history != nil {
-		lt.history.Scan(func(_ []byte, full sqltypes.Row) bool {
-			vis := lt.VisibleRow(full)
-			out = append(out, LedgerViewRow{
-				Row:       vis,
-				Operation: "INSERT",
-				TxID:      uint64(full[lt.startTxOrd].Int()),
-				Seq:       uint64(full[lt.startSeqOrd].Int()),
-			})
-			out = append(out, LedgerViewRow{
-				Row:       vis,
-				Operation: "DELETE",
-				TxID:      uint64(full[lt.endTxOrd].Int()),
-				Seq:       uint64(full[lt.endSeqOrd].Int()),
-			})
+	return out
+}
+
+// view is the ledger view of one part, its rows tagged with shard. It
+// decodes the visible columns and the hidden ones it reports, no others,
+// from the stored bytes of one snapshot of both tables.
+func (lt *LedgerTable) view(shard int) []LedgerViewRow {
+	sh := lt.shape.Load()
+	n := len(sh.visible)
+	ords := append(slices.Clone(sh.visible), lt.startTxOrd, lt.startSeqOrd, lt.endTxOrd, lt.endSeqOrd)
+	rtx := lt.l.edb.BeginReadOnly()
+	defer rtx.Close()
+	var out []LedgerViewRow
+	scan := func(t *engine.Table) {
+		rtx.ScanRangeStored(t, nil, nil, func(_, stored []byte) bool {
+			r := make(sqltypes.Row, len(ords))
+			if err := sqltypes.DecodeColumns(r, stored, ords, sh.cols); err != nil {
+				panic(fmt.Sprintf("core: stored row of %s does not decode: %v", t.Name(), err))
+			}
+			hidden := r[n:]
+			out = append(out, LedgerViewRow{Row: r[:n], Operation: "INSERT",
+				TxID: uint64(hidden[0].Int()), Seq: uint64(hidden[1].Int()), Shard: shard})
+			if t == lt.history {
+				out = append(out, LedgerViewRow{Row: r[:n], Operation: "DELETE",
+					TxID: uint64(hidden[2].Int()), Seq: uint64(hidden[3].Int()), Shard: shard})
+			}
 			return true
 		})
+	}
+	scan(lt.table)
+	if lt.history != nil {
+		scan(lt.history)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].TxID != out[j].TxID {
@@ -119,7 +124,7 @@ func (l *Shard) storeViewDefinition(lt *LedgerTable) error {
 	tx := l.edb.Begin("system")
 	defer tx.Rollback()
 	key := sqltypes.EncodeKey(nil, sqltypes.NewBigInt(int64(lt.ID())))
-	if _, ok, _ := tx.GetByKey(l.sysViews, key, nil); ok {
+	if _, ok, _ := tx.GetStored(l.sysViews, key); ok {
 		if _, err := tx.UpdateByKey(l.sysViews, key, row); err != nil {
 			return err
 		}
@@ -130,12 +135,23 @@ func (l *Shard) storeViewDefinition(lt *LedgerTable) error {
 	return err
 }
 
-// ViewDefinition returns the stored ledger-view definition for a table.
+// ViewDefinition returns the stored ledger-view definition for a table
+// (none when its row does not decode: Verify reports that).
 func (l *Shard) ViewDefinition(tableID uint32) (string, bool) {
-	key := sqltypes.EncodeKey(nil, sqltypes.NewBigInt(int64(tableID)))
-	r, ok := l.sysViews.Lookup(key)
+	def, ok, _ := l.viewDefinition(tableID)
+	return def, ok
+}
+
+// viewDefinition reads a table's sys_ledger_views row from its stored
+// bytes, failing, naming the table id, where they are no row.
+func (l *Shard) viewDefinition(tableID uint32) (string, bool, error) {
+	stored, ok := l.sysViews.LookupStored(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(int64(tableID))))
 	if !ok {
-		return "", false
+		return "", false, nil
 	}
-	return r[1].Str, true
+	r, err := sysRow(nil, stored, sysViewsSchema)
+	if err != nil {
+		return "", false, fmt.Errorf("table %d: its %s row does not decode: %w", tableID, sysViewsName, err)
+	}
+	return r[1].Str, true, nil
 }

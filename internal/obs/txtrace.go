@@ -84,7 +84,6 @@ type TraceSpan struct {
 	// contributions (e.g. every lock wait in the transaction).
 	Count int64   `json:"count,omitempty"`
 	Attrs []Label `json:"attrs,omitempty"`
-	Err   string  `json:"err,omitempty"`
 }
 
 // Trace is an in-flight transaction trace. All methods tolerate a nil
@@ -139,17 +138,6 @@ func (tr *Trace) Record(name string, parent SpanID, start time.Time, dur time.Du
 	return id
 }
 
-// RecordErr is Record for a span that failed.
-func (tr *Trace) RecordErr(name string, parent SpanID, start time.Time, dur time.Duration, err error) SpanID {
-	id := tr.Record(name, parent, start, dur)
-	if id != 0 && err != nil {
-		tr.mu.Lock()
-		tr.spans[id-1].Err = err.Error()
-		tr.mu.Unlock()
-	}
-	return id
-}
-
 // AddTimed folds one contribution into the named top-level accumulator
 // span, creating it on first use. Repeated operations (per-row hashing,
 // per-key lock waits) stay one span per trace instead of one per call.
@@ -174,23 +162,6 @@ func (tr *Trace) AddTimed(name string, start time.Time, dur time.Duration) {
 	tr.spans = append(tr.spans, TraceSpan{
 		ID: id, Parent: 0, Name: name, Start: start, Duration: dur, Count: 1,
 	})
-}
-
-// Annotate appends key/value attributes to span id (0 = the trace
-// itself).
-func (tr *Trace) Annotate(id SpanID, attrs ...Label) {
-	if tr == nil || len(attrs) == 0 {
-		return
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if id == 0 {
-		tr.attrs = append(tr.attrs, attrs...)
-		return
-	}
-	if int(id) <= len(tr.spans) {
-		tr.spans[id-1].Attrs = append(tr.spans[id-1].Attrs, attrs...)
-	}
 }
 
 // SetAttr sets a trace-level attribute, replacing an earlier value for
@@ -296,8 +267,7 @@ type TraceStore struct {
 	slowRing []*SlowQuery
 	slowNext int
 
-	events   *EventLog
-	onFinish atomic.Pointer[func(*TraceRecord)]
+	events *EventLog
 }
 
 func newTraceStore(r *Registry, on bool) *TraceStore {
@@ -335,14 +305,6 @@ func (s *TraceStore) SetSlowThreshold(d time.Duration) {
 	}
 }
 
-// SlowThreshold returns the current slow-trace retention threshold.
-func (s *TraceStore) SlowThreshold() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return time.Duration(s.slowNanos.Load())
-}
-
 // SetSampleRate sets the probability (0..1) that a fast, successful
 // trace is retained anyway.
 func (s *TraceStore) SetSampleRate(p float64) {
@@ -364,19 +326,6 @@ func (s *TraceStore) SeedRNG(seed uint64) {
 	if s != nil {
 		s.rng.Store(seed | 1)
 	}
-}
-
-// SetOnFinish installs a hook called with every retained trace record
-// (tests use it to observe retention synchronously). Pass nil to clear.
-func (s *TraceStore) SetOnFinish(fn func(*TraceRecord)) {
-	if s == nil {
-		return
-	}
-	if fn == nil {
-		s.onFinish.Store(nil)
-		return
-	}
-	s.onFinish.Store(&fn)
 }
 
 func (s *TraceStore) rand64() uint64 {
@@ -473,9 +422,6 @@ func (s *TraceStore) finish(tr *Trace, dur time.Duration, err error) {
 			"fsync_wait_ms", float64(sq.FsyncWait)/float64(time.Millisecond),
 			"err", sq.Err,
 		)
-	}
-	if fp := s.onFinish.Load(); fp != nil {
-		(*fp)(rec)
 	}
 }
 
@@ -610,9 +556,6 @@ func WriteWaterfall(w io.Writer, rec *TraceRecord) {
 			}
 			for _, a := range sp.Attrs {
 				fmt.Fprintf(w, " %s=%q", a.Key, a.Value)
-			}
-			if sp.Err != "" {
-				fmt.Fprintf(w, " err=%q", sp.Err)
 			}
 			fmt.Fprintln(w)
 			walk(sp.ID, depth+1)
