@@ -667,7 +667,11 @@ func cmdView(db *sqlledger.DB, args []string) {
 		fmt.Printf("%-16s", c.Name)
 	}
 	fmt.Printf("%-10s %-14s %-20s %s\n", "operation", "transaction", "principal", "committed")
-	for _, vr := range lt.LedgerView() {
+	view, err := lt.LedgerView()
+	if err != nil {
+		fatal(err)
+	}
+	for _, vr := range view {
 		for _, v := range vr.Row {
 			fmt.Printf("%-16s", v.String())
 		}

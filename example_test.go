@@ -69,7 +69,8 @@ func ExampleLedgerTable_LedgerView() {
 	tx.Update(accounts, sqlledger.Row{sqlledger.NVarChar("nick"), sqlledger.BigInt(100)})
 	tx.Commit()
 
-	for _, vr := range accounts.LedgerView() {
+	view, _ := accounts.LedgerView()
+	for _, vr := range view {
 		fmt.Printf("%s %s $%d\n", vr.Operation, vr.Row[0].Str, vr.Row[1].Int())
 	}
 	// Output:

@@ -72,7 +72,11 @@ func main() {
 
 	fmt.Println("\n-- Ledger view (all row operations, like Figure 2) --")
 	fmt.Printf("%-8s %-8s %-10s %-14s %s\n", "Name", "Balance", "Operation", "Transaction", "Principal")
-	for _, vr := range accounts.LedgerView() {
+	view, err := accounts.LedgerView()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, vr := range view {
 		who, _, _, _ := db.TransactionInfo(vr.TxID)
 		fmt.Printf("%-8s $%-7d %-10s %-14d %s\n",
 			vr.Row[0].Str, vr.Row[1].Int(), vr.Operation, vr.TxID, who)

@@ -117,7 +117,10 @@ func TestFacadeSchemaChangesAndTruncation(t *testing.T) {
 	if !rep.Ok() {
 		t.Fatalf("facade lifecycle verify:\n%s", rep)
 	}
-	ops := db.TableOperations()
+	ops, err := db.TableOperations()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(ops) == 0 {
 		t.Fatal("no table operations recorded")
 	}
@@ -140,7 +143,10 @@ func TestFacadeLedgerViewAndInfo(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	view := lt.LedgerView()
+	view, err := lt.LedgerView()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(view) != 1 || view[0].Operation != "INSERT" || view[0].TxID != id {
 		t.Fatalf("view = %+v", view)
 	}

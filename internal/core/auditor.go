@@ -247,7 +247,7 @@ func (l *Shard) newChainAuditor(opts AuditorOptions, shard int) (*chainAuditor, 
 		path:  filepath.Join(l.opts.Dir, auditFile),
 		wm: auditWatermark{
 			DatabaseName:    l.opts.Name,
-			Incarnation:     l.incarnation,
+			Incarnation:     l.Incarnation(),
 			VerifiedThrough: -1,
 		},
 		rng: opts.SampleSeed,
@@ -285,7 +285,7 @@ func (a *chainAuditor) loadWatermark() error {
 			"discarded_watermark", a.path, "reason", jerr.Error())
 		return nil
 	}
-	if wm.DatabaseName != a.l.opts.Name || wm.Incarnation != a.l.incarnation {
+	if wm.DatabaseName != a.l.opts.Name || wm.Incarnation != a.l.Incarnation() {
 		// Another database, or a restore started a new incarnation:
 		// everything must be re-verified under the new chain.
 		return nil
@@ -411,19 +411,6 @@ func (a *Auditor) RunCycle() AuditStatus {
 		p.runCycle()
 	}
 	return a.Status()
-}
-
-// ClearReport drops the remembered tamper reports (for tests and for
-// operators who repaired the database out of band).
-func (a *Auditor) ClearReport() {
-	a.mu.Lock()
-	a.headReport = nil
-	a.mu.Unlock()
-	for _, p := range a.parts {
-		p.mu.Lock()
-		p.lastReport = nil
-		p.mu.Unlock()
-	}
 }
 
 // xorshift64star advances the deterministic sampling stream.

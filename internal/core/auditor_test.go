@@ -156,7 +156,7 @@ func TestAuditorDiscardsForeignWatermark(t *testing.T) {
 	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
 	seedAccounts(t, l, lt, 4)
 
-	wm := auditWatermark{DatabaseName: "test", Incarnation: l.shards[0].incarnation + 1, VerifiedThrough: 99}
+	wm := auditWatermark{DatabaseName: "test", Incarnation: l.shards[0].Incarnation() + 1, VerifiedThrough: 99}
 	b, _ := json.Marshal(wm)
 	if err := os.WriteFile(filepath.Join(dir, auditFile), b, 0o644); err != nil {
 		t.Fatal(err)

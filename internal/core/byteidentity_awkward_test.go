@@ -15,15 +15,18 @@ import (
 // before-image, edited it as []Value and re-encoded it: the three scripted
 // histories below — the cases in which the history image is not simply the
 // stored bytes with two values changed — must keep producing these bytes.
+// The WAL and snapshot pins were re-captured when the log header grew to
+// 16 bytes to carry the create time (format version 3), which changed the
+// header bytes and moved every LSN, and so every snapshot file name, by 8.
 const (
-	pinAwkwardWALSHA     = "52f94bd821eb21fc8d96a484fa39d2ca1013b7b5279c72e63445148819894ff7"
-	pinAwkwardSnapSHA    = "544b7faf29cde282f14827fde01453e9dc4cb516d77a054b352eca7cc7543455"
+	pinAwkwardWALSHA     = "ec503251c4ec1701e93ac66abc5b62cc8faeabccac8ab2dd498ddc1e776725ee"
+	pinAwkwardSnapSHA    = "34710e3f2a182772e73d6ccaac76af7b32f8150f897928dd5afa7f2c9978ba9b"
 	pinAwkwardDigestSHA  = "8428b2f79657882f246a3fb641bf519ff7176ad1086ff103c5a5d0877440de61"
 	pinAwkwardStoredSHA  = "13db777fc5d75a32aa171d0375d2985bb473052da1016dc78cfd926208276ef5"
-	pinTwoShardWAL0SHA   = "e79865f0dd8fd96eeaa9c9706fe27fa85561fb434e44c8ed3ce54cd965c426e3"
-	pinTwoShardWAL1SHA   = "79923161043ef5bd82d54a3ca475585a1bb445d76c06ea3ec8bb88045ef25eb6"
+	pinTwoShardWAL0SHA   = "676c2ddae3731f25696b01d5f631d02414aa6eb7f7b8dac60132425d986c914b"
+	pinTwoShardWAL1SHA   = "df02bd104683061310fc9cc44f26c0b91369250c7a1ad45d2b77b9812d4794d2"
 	pinTwoShardRoot      = "0a9ae2bc33e9355293f7025cdce072526e7cb52ebcd9ba36f4f24f60c129dcca"
-	pinTruncateWALSHA    = "c93a6d79c12457b8add59e3d8395bfe1f0d9e93f0116be58b639d0b96e7020ce"
+	pinTruncateWALSHA    = "d566e28c2f01dcc4514f613fa6dcbcf8e1596a0e94b712032a23429683f989df"
 	pinTruncateStoredSHA = "0166da5a16d732d5d51cea66c7d4cbcebd7e106bf3ded27cd3663778e12e1369"
 )
 

@@ -21,10 +21,14 @@ import (
 // Pinned at commit 8817cbf, the last one that stored rows as []Value: the
 // scripted history below must keep producing these bytes whatever the
 // in-memory row representation is. The WAL hash leaves out CHECKPOINT
-// frames, whose payload carries a wall-clock reading.
+// frames, whose payload carries a wall-clock reading. The WAL and snapshot
+// pins were re-captured when the log header grew to 16 bytes to carry the
+// create time (format version 3): the frames hashed are the same bytes as
+// before, but the header is not, and every LSN — so every snapshot file
+// name — moved by 8.
 const (
-	pinWALSHA     = "4c421b32a364ad1ffb2de25a4d6d1f13e29e327ebf5de046da774c6e67308846"
-	pinSnapSHA    = "053db7bf0533f460020f5568dbe5e7ec08f4a28effcb29907110e5e0f469dbc0"
+	pinWALSHA     = "a2820cba2665762eba940d88f3fac60c0d87ea511dea8f9ac8180efb6235068d"
+	pinSnapSHA    = "e4da681784e694defb9324dfadaa8cd0a1fc76daeaa8a74dd17560c9ca25e461"
 	pinDigestSHA  = "5a198afbd03a988f157ea15f6247e160b80e7b04fa5fa5c1e24b196705b880c2"
 	pinReceiptSHA = "7ea7f79e2e1e5c2ad10564394b075a50ee801816f80b5d081d825d21e7ddefa6"
 )

@@ -19,8 +19,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -147,8 +145,6 @@ type Shard struct {
 	tmu    sync.RWMutex
 	tables map[uint32]*LedgerTable // by base table id
 
-	incarnation int64 // database create time; changes on restore (§3.6)
-
 	// healthMu guards the operability marks read by the HealthChecker.
 	healthMu   sync.Mutex
 	lastUpload uploadMark
@@ -234,10 +230,6 @@ func openShard(opts Options) (*Shard, error) {
 		lastUpload:    uploadMark{block: -1},
 	}
 	h.l = l
-	if err := l.loadIncarnation(); err != nil {
-		edb.Close()
-		return nil, err
-	}
 	if err := l.bootstrap(); err != nil {
 		edb.Close()
 		return nil, err
@@ -279,9 +271,10 @@ func (l *Shard) Engine() *engine.DB { return l.edb }
 // a one-shard database, "<database>/shard-NNN" otherwise.
 func (l *Shard) Name() string { return l.opts.Name }
 
-// Incarnation returns the database create time (unix nanoseconds); it
-// changes when the database is restored to a point in time.
-func (l *Shard) Incarnation() int64 { return l.incarnation }
+// Incarnation returns the database create time (unix nanoseconds), the
+// one in its log's header; it changes when the database is restored to a
+// point in time (§3.6).
+func (l *Shard) Incarnation() int64 { return l.edb.CreateTime() }
 
 // Checkpoint drains the ledger queue into the system tables and writes an
 // engine snapshot (§3.3.2).
@@ -290,8 +283,6 @@ func (l *Shard) Checkpoint() error {
 	return err
 }
 
-const incarnationFile = "createtime"
-
 // nowNanos returns the current time from Options.Clock, or the wall
 // clock when none is configured.
 func (l *Shard) nowNanos() int64 {
@@ -299,28 +290,6 @@ func (l *Shard) nowNanos() int64 {
 		return l.opts.Clock()
 	}
 	return time.Now().UnixNano()
-}
-
-func (l *Shard) loadIncarnation() error {
-	p := filepath.Join(l.opts.Dir, incarnationFile)
-	b, err := os.ReadFile(p)
-	if err == nil {
-		v, perr := strconv.ParseInt(string(b), 10, 64)
-		if perr != nil {
-			return fmt.Errorf("core: bad incarnation file: %w", perr)
-		}
-		l.incarnation = v
-		return nil
-	}
-	if !os.IsNotExist(err) {
-		return err
-	}
-	l.incarnation = l.nowNanos()
-	if werr := os.WriteFile(p, []byte(strconv.FormatInt(l.incarnation, 10)), 0o644); werr != nil {
-		return werr
-	}
-	l.obs.Events().Info(obs.EventIncarnation, "incarnation", l.incarnation, "dir", l.opts.Dir)
-	return nil
 }
 
 // --- Bootstrap ---------------------------------------------------------

@@ -15,6 +15,7 @@ import (
 	"sqlledger/internal/engine"
 	"sqlledger/internal/obs"
 	"sqlledger/internal/sqltypes"
+	"sqlledger/internal/wal"
 )
 
 // DB is a database with SQL Ledger enabled: a coordinator over one or more
@@ -39,8 +40,9 @@ type DB struct {
 	opts   Options
 	shards []*Shard
 
-	// Cross-shard 2PC coordination (nil / unused with one shard).
-	dlog *decisionLog
+	// Cross-shard 2PC coordination (nil / unused with one shard): the
+	// decision log (twopc.go) and the last gid handed out.
+	dlog *wal.Log
 	gid  atomic.Uint64
 
 	// Super-block signing key (loaded or created by the first use) and
@@ -121,10 +123,11 @@ func (db *DB) openShards() error {
 	if err := os.MkdirAll(db.opts.Dir, 0o755); err != nil {
 		return err
 	}
-	var err error
-	if db.dlog, err = openDecisionLog(db.opts.Dir, db.opts.Sync); err != nil {
+	dlog, committed, maxGid, err := openDecisionLog(db.opts.Dir, db.opts.Sync, db.obs)
+	if err != nil {
 		return err
 	}
+	db.dlog = dlog
 
 	// Open the shards concurrently: each recovers its own WAL, so N shards
 	// restart in the wall-clock time of the slowest one instead of the sum.
@@ -151,12 +154,12 @@ func (db *DB) openShards() error {
 	// Commit the in-doubt gids whose decision is durable, presume abort
 	// for the rest.
 	gids, err := fanOut(db, false, func(_ int, l *Shard) (uint64, error) {
-		return l.resolveInDoubt(db.dlog.committed)
+		return l.resolveInDoubt(committed)
 	})
 	if err != nil {
 		return err
 	}
-	db.gid.Store(max(db.dlog.maxGid, slices.Max(gids)))
+	db.gid.Store(max(maxGid, slices.Max(gids)))
 	return nil
 }
 
@@ -175,7 +178,10 @@ func (db *DB) Close() error {
 	if a := db.Auditor(); a != nil {
 		a.Stop()
 	}
-	err := db.dlog.Close()
+	var err error
+	if db.dlog != nil {
+		err = db.dlog.Close()
+	}
 	for _, l := range db.shards {
 		if l != nil { // an open that failed part-way closes what it opened
 			err = errors.Join(err, l.close())
@@ -380,7 +386,7 @@ func (db *DB) Engine() *engine.DB { return db.mustSingle("Engine").edb }
 
 // Incarnation returns the database create time (unix nanoseconds); it
 // changes when the database is restored to a point in time.
-func (db *DB) Incarnation() int64 { return db.mustSingle("Incarnation").incarnation }
+func (db *DB) Incarnation() int64 { return db.mustSingle("Incarnation").Incarnation() }
 
 // TransactionInfo is Shard.TransactionInfo.
 func (db *DB) TransactionInfo(txID uint64) (user string, commitTS int64, blockID uint64, ok bool) {
@@ -388,8 +394,8 @@ func (db *DB) TransactionInfo(txID uint64) (user string, commitTS int64, blockID
 }
 
 // TableOperations is Shard.TableOperations.
-func (db *DB) TableOperations() []TableOperation {
-	return db.mustSingle("TableOperations").TableOperations()
+func (db *DB) TableOperations() ([]TableOperation, error) {
+	return single(db, "TableOperations", (*Shard).TableOperations)
 }
 
 // ViewDefinition is Shard.ViewDefinition.

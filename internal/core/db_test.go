@@ -292,7 +292,7 @@ func TestErrMultiShard(t *testing.T) {
 		"Engine":                  none(func() { db.Engine() }),
 		"Incarnation":             none(func() { db.Incarnation() }),
 		"TransactionInfo":         none(func() { db.TransactionInfo(1) }),
-		"TableOperations":         none(func() { db.TableOperations() }),
+		"TableOperations":         func() error { _, err := db.TableOperations(); return err },
 		"GenerateDigest":          func() error { _, err := db.GenerateDigest(); return err },
 		"VerifyDigestDerivation":  func() error { return db.VerifyDigestDerivation(Digest{}, Digest{}) },
 		"UploadDigest":            func() error { _, err := db.UploadDigest(store); return err },
@@ -361,8 +361,8 @@ func TestOneShardLayout(t *testing.T) {
 		}
 		return names
 	}
-	if got := list(); !slices.Equal(got, []string{"createtime", "wal.log"}) {
-		t.Fatalf("one-shard directory holds %v, want createtime and wal.log", got)
+	if got := list(); !slices.Equal(got, []string{"wal.log"}) {
+		t.Fatalf("one-shard directory holds %v, want wal.log alone", got)
 	}
 	sb, err := db.CloseSuperBlock()
 	if err != nil {
@@ -371,8 +371,51 @@ func TestOneShardLayout(t *testing.T) {
 	if err := CheckSuperBlock(sb, db.PublicKey()); err != nil {
 		t.Fatal(err)
 	}
-	if got := list(); !slices.Equal(got, []string{"createtime", superBlockFile, superKeyFile, "wal.log"}) {
+	if got := list(); !slices.Equal(got, []string{superBlockFile, superKeyFile, "wal.log"}) {
 		t.Fatalf("after a super-block the directory holds %v", got)
+	}
+}
+
+// TestUploadSuperBlock: the super-block lands in the immutable store at
+// <name>/super/block-<seq>.json and reads back as the one returned, signed
+// under the database's key. A second database of the same name, whose
+// super-block 1 differs, finds the slot taken — a forked ledger — and the
+// stored blob stays as it was.
+func TestUploadSuperBlock(t *testing.T) {
+	store := blobstore.NewMemory()
+	upload := func(rows int) (*DB, *SuperBlock, error) {
+		db := openShards(t, t.TempDir(), 2)
+		t.Cleanup(func() { db.Close() })
+		loadAccounts(t, db, mustLedgerTable(t, db, "accounts", engine.LedgerUpdateable), rows)
+		sb, err := db.UploadSuperBlock(store)
+		return db, sb, err
+	}
+	db, sb, err := upload(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := "bank/super/block-0000000000000001.json"
+	stored, err := store.Get(name)
+	if err != nil {
+		t.Fatalf("no blob at %s: %v", name, err)
+	}
+	got, err := ParseSuperBlock(stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.SeqNo != 1 || got.Root != sb.Root || string(got.JSON()) != string(sb.JSON()) {
+		t.Fatalf("stored super-block %+v, uploaded %+v", got, sb)
+	}
+	if err := CheckSuperBlock(got, db.PublicKey()); err != nil {
+		t.Fatal(err)
+	}
+
+	_, forked, err := upload(11)
+	if err == nil || !strings.Contains(err.Error(), "forked ledger") {
+		t.Fatalf("upload into a taken slot = %+v, %v; want the forked-ledger error", forked, err)
+	}
+	if after, _ := store.Get(name); string(after) != string(stored) {
+		t.Fatal("the refused upload changed the stored super-block")
 	}
 }
 

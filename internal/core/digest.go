@@ -88,7 +88,7 @@ func (l *Shard) GenerateDigest() (d Digest, err error) {
 	l.obs.Events().Info(obs.EventDigestGenerated, "block", latest, "hash", hash.String())
 	return Digest{
 		DatabaseName: l.opts.Name,
-		Incarnation:  l.incarnation,
+		Incarnation:  l.Incarnation(),
 		BlockID:      uint64(latest),
 		Hash:         hash.String(),
 		LastCommitTS: lastTS,
@@ -138,8 +138,8 @@ func (l *Shard) CheckDigest(d Digest) error {
 	if d.DatabaseName != l.opts.Name {
 		return fmt.Errorf("core: digest names database %q, this is %q", d.DatabaseName, l.opts.Name)
 	}
-	if d.Incarnation != l.incarnation {
-		return fmt.Errorf("core: digest is for incarnation %d, database is at %d (restored?)", d.Incarnation, l.incarnation)
+	if d.Incarnation != l.Incarnation() {
+		return fmt.Errorf("core: digest is for incarnation %d, database is at %d (restored?)", d.Incarnation, l.Incarnation())
 	}
 	want, err := d.BlockHash()
 	if err != nil {

@@ -209,7 +209,7 @@ func TestRestoreCreatesNewIncarnationAndOldDigestsStillVerify(t *testing.T) {
 
 	// Restore to before the mistake.
 	dstDir := t.TempDir() + "/restored"
-	if err := RestoreToTime(srcDir, dstDir, cutoff); err != nil {
+	if err := engine.RestoreToTime(srcDir, dstDir, cutoff); err != nil {
 		t.Fatal(err)
 	}
 	r := openLedgerAt(t, dstDir, 3)

@@ -82,18 +82,11 @@ func TestGroupCommitCrashRecoveryPrefix(t *testing.T) {
 		t.Fatal("empty WAL snapshot")
 	}
 
-	// Rebuild the crash image in a fresh directory: the WAL prefix plus
-	// the incarnation file. No snapshot ever existed, so recovery must
-	// reconstruct the whole ledger queue from COMMIT records (§3.3.2).
+	// Rebuild the crash image in a fresh directory: the WAL prefix, whose
+	// header carries the incarnation. No snapshot ever existed, so recovery
+	// must reconstruct the whole ledger queue from COMMIT records (§3.3.2).
 	dir2 := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir2, "wal.log"), img, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	inc, err := os.ReadFile(filepath.Join(dir, incarnationFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir2, incarnationFile), inc, 0o644); err != nil {
 		t.Fatal(err)
 	}
 

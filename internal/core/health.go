@@ -299,7 +299,7 @@ func (hc *HealthChecker) checkShard(l *Shard, now time.Time, audit *AuditStatus)
 	h := Health{
 		Status:                HealthHealthy,
 		ChainHeight:           closed + 1,
-		Incarnation:           l.incarnation,
+		Incarnation:           l.Incarnation(),
 		CurrentBlock:          curBlock,
 		QueueDepth:            queue,
 		LastDigestUploadBlock: -1,
@@ -441,7 +441,7 @@ func (l *Shard) DebugInfo() LedgerDebug {
 
 	d := LedgerDebug{
 		Name:           l.opts.Name,
-		Incarnation:    l.incarnation,
+		Incarnation:    l.Incarnation(),
 		BlockSize:      l.opts.BlockSize,
 		ChainHeight:    closed + 1,
 		CurrentBlock:   curBlock,

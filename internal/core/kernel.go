@@ -282,7 +282,7 @@ func (l *Shard) checkChain(c chainCheck, emit emitFn) chainResult {
 			switch {
 			case id < c.truncatedBefore:
 				report(1, id, true, "digest for block %d predates ledger truncation (before_block=%d); not verifiable", id, c.truncatedBefore)
-			case d.incarnation != l.incarnation:
+			case d.incarnation != l.Incarnation():
 				report(1, id, true, "digest for block %d was issued for incarnation %d and points past the restore point", id, d.incarnation)
 			default:
 				report(1, id, false, "digest references block %d which is not present in the ledger", id)

@@ -130,7 +130,10 @@ func TestFigure2Scenario(t *testing.T) {
 	}
 
 	// Ledger view: 4 INSERTs + (DELETE+INSERT for the update) + DELETE.
-	view := lt.LedgerView()
+	view, err := lt.LedgerView()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var ops []string
 	for _, vr := range view {
 		ops = append(ops, fmt.Sprintf("%s/%s/%d", vr.Row[0].Str, vr.Operation, vr.Row[1].Int()))

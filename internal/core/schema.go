@@ -291,9 +291,13 @@ type TableOperation struct {
 // TableOperations reports every CREATE/DROP of a ledger table, derived
 // from the metadata ledger view — what users consult to detect the
 // drop-and-replace attack (§3.5.2).
-func (l *Shard) TableOperations() []TableOperation {
+func (l *Shard) TableOperations() ([]TableOperation, error) {
+	view, err := l.metaTables.LedgerView()
+	if err != nil {
+		return nil, err
+	}
 	var out []TableOperation
-	for _, vr := range l.metaTables.LedgerView() {
+	for _, vr := range view {
 		op := "CREATE"
 		if vr.Operation == "DELETE" {
 			op = "DROP"
@@ -305,5 +309,5 @@ func (l *Shard) TableOperations() []TableOperation {
 			TxID:      vr.TxID,
 		})
 	}
-	return out
+	return out, nil
 }

@@ -167,7 +167,10 @@ func TestDropLedgerTableFigure6(t *testing.T) {
 
 	// Figure 6: the metadata ledger view shows CREATE, DROP, CREATE with
 	// distinct table ids, letting users detect the replacement.
-	ops := l.TableOperations()
+	ops, err := l.TableOperations()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var créate, drop int
 	var ids []uint32
 	for _, op := range ops {

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"bufio"
 	"fmt"
-	"os"
+	"io"
+	"path/filepath"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"sqlledger/internal/engine"
@@ -22,90 +20,57 @@ import (
 // presumed-abort: only COMMIT decisions are logged, so a prepared
 // transaction found without one after a crash is aborted.
 //
-// The decision log is deliberately tiny — one line per committed
-// cross-shard transaction ("C <gid>") — because single-shard transactions
-// (the common case under hash partitioning) bypass it entirely.
+// The decision log is a wal.Log of its own — one COMMIT frame with an
+// empty payload per committed cross-shard transaction, its gid in the
+// frame's transaction id — that single-shard transactions (the common
+// case under hash partitioning) never touch. Being a wal.Log, it gets the
+// WAL's framing and failure rules: a torn last frame (a crash
+// mid-append: a decision never acknowledged) is cut at open and its gid
+// presumed aborted, and a damaged frame with data after it fails the open
+// with wal.ErrCorrupt, leaving the file as it was.
 
 // decisionLogName is the coordinator's commit-decision log, stored in the
 // database's root directory next to the shard subdirectories.
 const decisionLogName = "2pc.log"
 
-type decisionLog struct {
-	mu   sync.Mutex // serializes concurrent cross-shard coordinators
-	f    *os.File
-	w    *bufio.Writer
-	sync bool // fsync every decision (wal.SyncFull)
-
-	committed map[uint64]bool
-	maxGid    uint64
-}
-
-// openDecisionLog opens (creating if necessary) the decision log and
-// replays it. A torn final line — a crash mid-write — is ignored: the
-// decision was not durable, so presumed-abort applies.
-func openDecisionLog(dir string, mode wal.SyncMode) (*decisionLog, error) {
-	path := dir + string(os.PathSeparator) + decisionLogName
-	b, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
+// openDecisionLog opens (creating if necessary) the decision log in dir
+// and replays it into the set of committed gids and the highest of them.
+// Decisions reach the operating system before commit returns whatever
+// the sync mode — under wal.SyncNone a decision left in a user-space
+// buffer while a participant's COMMIT spilled to its shard's log would
+// split the transaction at the next crash — and are fsynced under
+// wal.SyncFull.
+func openDecisionLog(dir string, mode wal.SyncMode, reg *obs.Registry) (dlog *wal.Log, committed map[uint64]bool, maxGid uint64, err error) {
+	if mode == wal.SyncNone {
+		mode = wal.SyncBuffered
 	}
-	dl := &decisionLog{
-		sync:      mode == wal.SyncFull,
-		committed: make(map[uint64]bool),
+	path := filepath.Join(dir, decisionLogName)
+	if dlog, err = wal.Open(path, mode); err != nil {
+		return nil, nil, 0, err
 	}
-	for _, line := range strings.Split(string(b), "\n") {
-		rest, ok := strings.CutPrefix(line, "C ")
-		if !ok {
-			continue // empty trailer or torn tail
-		}
-		gid, perr := strconv.ParseUint(rest, 10, 64)
-		if perr != nil {
-			continue // torn tail
-		}
-		dl.committed[gid] = true
-		if gid > dl.maxGid {
-			dl.maxGid = gid
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	dlog.Instrument(reg)
+	r, err := wal.NewReader(path, 0, dlog.Size())
 	if err != nil {
-		return nil, err
+		dlog.Close()
+		return nil, nil, 0, err
 	}
-	dl.f = f
-	dl.w = bufio.NewWriter(f)
-	return dl, nil
-}
-
-// commit makes a COMMIT decision durable. Once it returns, recovery will
-// commit every prepared participant of gid; before it returns, recovery
-// aborts them. Concurrent cross-shard coordinators serialize here.
-func (dl *decisionLog) commit(gid uint64) error {
-	dl.mu.Lock()
-	defer dl.mu.Unlock()
-	if _, err := fmt.Fprintf(dl.w, "C %d\n", gid); err != nil {
-		return err
-	}
-	if err := dl.w.Flush(); err != nil {
-		return err
-	}
-	if dl.sync {
-		if err := dl.f.Sync(); err != nil {
-			return err
+	defer r.Close()
+	committed = make(map[uint64]bool)
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return dlog, committed, maxGid, nil
 		}
+		if err == nil && (rec.Type != wal.RecCommit || len(rec.Payload) != 0) {
+			err = fmt.Errorf("%s record with a %d-byte payload for gid %d: %w", rec.Type, len(rec.Payload), rec.TxID, wal.ErrCorrupt)
+		}
+		if err != nil {
+			dlog.Close()
+			return nil, nil, 0, fmt.Errorf("core: decision log %s: %w", path, err)
+		}
+		committed[rec.TxID] = true
+		maxGid = max(maxGid, rec.TxID)
 	}
-	dl.committed[gid] = true
-	if gid > dl.maxGid {
-		dl.maxGid = gid
-	}
-	return nil
-}
-
-func (dl *decisionLog) Close() error {
-	if dl == nil || dl.f == nil {
-		return nil
-	}
-	dl.w.Flush()
-	return dl.f.Close()
 }
 
 // resolveInDoubt finishes transactions a shard recovered in the prepared
@@ -192,7 +157,7 @@ func (tx *Tx) commitTwoPhase(writers []int) (int64, error) {
 		db.hookAfterPrepare()
 	}
 	decideStart := time.Now()
-	err := db.dlog.commit(gid)
+	_, err := db.dlog.Append(wal.RecCommit, gid, nil)
 	span(obs.SpanShardDecide, decideStart)
 	if err != nil {
 		// The decision never became durable: presumed abort.

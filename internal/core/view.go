@@ -26,33 +26,40 @@ type LedgerViewRow struct {
 // ledger table contributes an INSERT entry; every version in the history
 // table contributes both its INSERT entry (it was created at some point)
 // and its DELETE entry. Results are ordered by (TxID, Seq) — shard by
-// shard on a multi-shard database, each row carrying its shard.
-func (lt *LedgerTable) LedgerView() []LedgerViewRow {
+// shard on a multi-shard database, each row carrying its shard. A stored
+// version that does not decode fails the view, naming the table.
+func (lt *LedgerTable) LedgerView() ([]LedgerViewRow, error) {
 	if lt.parts == nil {
 		return lt.view(0)
 	}
 	var out []LedgerViewRow
 	for i, p := range lt.parts {
-		out = append(out, p.view(i)...)
+		rows, err := p.view(i)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, rows...)
 	}
-	return out
+	return out, nil
 }
 
 // view is the ledger view of one part, its rows tagged with shard. It
 // decodes the visible columns and the hidden ones it reports, no others,
 // from the stored bytes of one snapshot of both tables.
-func (lt *LedgerTable) view(shard int) []LedgerViewRow {
+func (lt *LedgerTable) view(shard int) ([]LedgerViewRow, error) {
 	sh := lt.shape.Load()
 	n := len(sh.visible)
 	ords := append(slices.Clone(sh.visible), lt.startTxOrd, lt.startSeqOrd, lt.endTxOrd, lt.endSeqOrd)
 	rtx := lt.l.edb.BeginReadOnly()
 	defer rtx.Close()
 	var out []LedgerViewRow
+	var err error
 	scan := func(t *engine.Table) {
 		rtx.ScanRangeStored(t, nil, nil, func(_, stored []byte) bool {
 			r := make(sqltypes.Row, len(ords))
-			if err := sqltypes.DecodeColumns(r, stored, ords, sh.cols); err != nil {
-				panic(fmt.Sprintf("core: stored row of %s does not decode: %v", t.Name(), err))
+			if derr := sqltypes.DecodeColumns(r, stored, ords, sh.cols); derr != nil {
+				err = fmt.Errorf("core: ledger view of %s: a stored row of %s does not decode: %w", lt.table.Name(), t.Name(), derr)
+				return false
 			}
 			hidden := r[n:]
 			out = append(out, LedgerViewRow{Row: r[:n], Operation: "INSERT",
@@ -65,8 +72,11 @@ func (lt *LedgerTable) view(shard int) []LedgerViewRow {
 		})
 	}
 	scan(lt.table)
-	if lt.history != nil {
+	if lt.history != nil && err == nil {
 		scan(lt.history)
+	}
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].TxID != out[j].TxID {
@@ -74,7 +84,7 @@ func (lt *LedgerTable) view(shard int) []LedgerViewRow {
 		}
 		return out[i].Seq < out[j].Seq
 	})
-	return out
+	return out, nil
 }
 
 // TransactionInfo returns the ledger entry metadata for a transaction id

@@ -194,19 +194,25 @@ func Open(opts Options) (*DB, error) {
 	if opts.VersionGCInterval == 0 {
 		opts.VersionGCInterval = versionGCInterval
 	}
+	if opts.Clock == nil {
+		opts.Clock = func() int64 { return time.Now().UnixNano() }
+	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("engine: mkdir: %w", err)
 	}
 	if opts.Obs == nil {
 		opts.Obs = obs.NewRegistry()
 	}
-	log, err := wal.Open(filepath.Join(opts.Dir, walFileName), opts.Sync)
+	log, err := wal.OpenWithClock(filepath.Join(opts.Dir, walFileName), opts.Sync, opts.Clock)
 	if err != nil {
 		return nil, err
 	}
 	// Rebind before recovery so everything the database ever fsyncs is
 	// counted on the shared registry.
 	log.Instrument(opts.Obs)
+	if log.Created() {
+		opts.Obs.Events().Info(obs.EventIncarnation, "incarnation", log.CreateTime(), "dir", opts.Dir)
+	}
 	db := &DB{
 		opts:     opts,
 		cat:      newCatalog(),
@@ -253,20 +259,17 @@ func (db *DB) Close() error {
 // Dir returns the database directory.
 func (db *DB) Dir() string { return db.opts.Dir }
 
+// CreateTime returns the create time (unix nanoseconds) in the header of
+// the database's log: Options.Clock's reading when Open created the log,
+// the wall clock's when RestoreToTime did. The ledger takes it for the
+// database's incarnation (§3.6).
+func (db *DB) CreateTime() int64 { return db.log.CreateTime() }
+
 // LogSize returns the current WAL size in bytes.
 func (db *DB) LogSize() int64 { return db.log.Size() }
 
 // ReadFrame returns the records of the WAL frame at lsn (wal.Log.ReadFrame).
 func (db *DB) ReadFrame(lsn int64) ([]wal.Record, error) { return db.log.ReadFrame(lsn) }
-
-// nowNanos returns the current time from Options.Clock, or the wall
-// clock when none is configured.
-func (db *DB) nowNanos() int64 {
-	if db.opts.Clock != nil {
-		return db.opts.Clock()
-	}
-	return time.Now().UnixNano()
-}
 
 // LastCommitTS returns the commit timestamp (unix nanoseconds) of the most
 // recently committed transaction. It reads an atomic, so read-only commits
@@ -382,7 +385,7 @@ func (db *DB) commitTail(tx *Tx, recs []wal.Record, lap obs.LapTimer, tr *obs.Tr
 	// so the applied-through watermark (markApplied) can never observe a
 	// published timestamp that is missing from the in-flight set.
 	db.commitMu.Lock()
-	now := db.nowNanos()
+	now := db.opts.Clock()
 	if last := db.lastCommitTS.Load(); now <= last {
 		now = last + 1
 	}

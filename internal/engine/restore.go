@@ -17,8 +17,10 @@ import (
 // The restored directory contains only a rewritten WAL (checkpoint records
 // are stripped since their snapshots are not copied); opening it replays
 // the log from the beginning. The caller opens the result with Open,
-// supplying a fresh hook; the ledger core treats the restored database as
-// a new "incarnation" for digest management.
+// supplying a fresh hook. The rewritten log is created now, so its create
+// time (CreateTime) is the restore's wall-clock time, not the source's:
+// the ledger core treats the restored database as a new "incarnation" for
+// digest management.
 //
 // The source database must be quiescent (closed, or checkpoint-free while
 // restoring); RestoreToTime reads the WAL file directly.

@@ -118,7 +118,7 @@ func TestTornTailEveryCutOfLastCommit(t *testing.T) {
 
 // TestOpenV1DatabaseFailsUntouched opens a database directory written by
 // the last build of WAL format version 1 (the golden log and the snapshot
-// its checkpoint wrote): Open must fail with wal.ErrFormat{1, 2} before
+// its checkpoint wrote): Open must fail with wal.ErrFormat{1, 3} before
 // any byte of any file is modified. DESIGN.md decision 17 says why the
 // repository refuses the upgrade rather than carrying a version-1 reader.
 func TestOpenV1DatabaseFailsUntouched(t *testing.T) {

@@ -1,11 +1,11 @@
 // Package obs is the unified observability layer: a dependency-free
 // metrics registry (atomic counters, gauges and fixed-bucket latency
-// histograms) plus lightweight span tracing. Every hot layer of the
-// system — WAL appends and fsyncs, the staged commit pipeline, block
-// closing, digest generation, verification phases and blobstore I/O —
-// records into one Registry, which can be read three ways: a typed
-// Snapshot, a Prometheus text-format dump, and a live HTTP endpoint
-// (/metrics and /debug/spans).
+// histograms), an audit-event log and tail-sampled traces. Every hot
+// layer of the system — WAL appends and fsyncs, the staged commit
+// pipeline, block closing, digest generation, verification phases and
+// blobstore I/O — records into one Registry, which can be read three
+// ways: a typed Snapshot, a Prometheus text-format dump, and live HTTP
+// endpoints (/metrics, /debug/events and /debug/trace; see Mux).
 //
 // The paper's headline claims are quantitative (ledger overhead per
 // transaction, digest latency, verification throughput), so the hot-path

@@ -527,7 +527,11 @@ func (s *Session) insert(st *Insert) (*Result, error) {
 // scanVisible iterates the visible rows of a target inside tx.
 func scanVisible(tx *core.Tx, tgt target, fn func(sqltypes.Row) bool) error {
 	if tgt.view {
-		for _, vr := range tgt.lt.LedgerView() {
+		view, err := tgt.lt.LedgerView()
+		if err != nil {
+			return err
+		}
+		for _, vr := range view {
 			row := append(append(sqltypes.Row{}, vr.Row...),
 				sqltypes.NewNVarChar(vr.Operation),
 				sqltypes.NewBigInt(int64(vr.TxID)),

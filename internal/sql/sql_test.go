@@ -277,6 +277,35 @@ func TestSQLParseErrors(t *testing.T) {
 	}
 }
 
+// TestLedgerViewOfAnUndecodableRowIsAnError: a stored version cut by a
+// byte is a storage-level edit, and reading the ledger view over it — the
+// Go call and SELECT … FROM <table>_ledger alike — fails naming the table
+// instead of killing the process.
+func TestLedgerViewOfAnUndecodableRowIsAnError(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, createAccounts)
+	mustExec(t, s, `INSERT INTO accounts VALUES ('ana', 50)`)
+	mustExec(t, s, `INSERT INTO accounts VALUES ('bob', 75)`)
+	lt, err := s.db.LedgerTable("accounts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := sqltypes.EncodeKey(nil, sqltypes.NewNVarChar("ana"))
+	stored, ok := lt.Table().LookupStored(key)
+	if !ok {
+		t.Fatal("no stored version of ana")
+	}
+	if err := s.db.Engine().TamperSetStoredRow(lt.Table(), key, stored[:len(stored)-1]); err != nil {
+		t.Fatal(err)
+	}
+	if view, err := lt.LedgerView(); err == nil || !strings.Contains(err.Error(), "accounts") {
+		t.Fatalf("LedgerView over a cut row = %d rows, %v; want an error naming accounts", len(view), err)
+	}
+	if r, err := s.Exec(`SELECT * FROM accounts_ledger`); err == nil || !strings.Contains(err.Error(), "accounts") {
+		t.Fatalf("SELECT over a cut row = %+v, %v; want an error naming accounts", r, err)
+	}
+}
+
 func TestSQLRuntimeErrors(t *testing.T) {
 	s := newSession(t)
 	mustExec(t, s, createAccounts)

@@ -89,7 +89,7 @@ func TestGoldenV1FixtureContents(t *testing.T) {
 // TestOpenV1LogFailsUntouched is the upgrade hazard, pinned: the parent's
 // Open took bytes it could not parse for a torn tail and truncated them,
 // so the first build with a new format would have emptied every existing
-// log. A version-1 log must fail with ErrFormat{1, 2}, byte for byte
+// log. A version-1 log must fail with ErrFormat{1, 3}, byte for byte
 // unmodified.
 func TestOpenV1LogFailsUntouched(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
@@ -116,11 +116,96 @@ func TestOpenV1LogFailsUntouched(t *testing.T) {
 	}
 }
 
+// The version-2 fixture is a ledger database's log written by the last
+// commit before the header carried a create time: a one-shard database
+// under a logical clock, its system tables, a ledger table, three
+// single-row inserts and an update, SyncFull, closed cleanly.
+const (
+	goldenV2Log    = "testdata/wal_v2.golden.log"
+	goldenV2SHA256 = "31710bb6c2ca92aadf563197038309e06455b25df8a14592095a18de7a786117"
+)
+
+// TestOpenV2LogFailsUntouched: version 3 moved the database's create time
+// into the header, and a version-2 log has none to give. Like version 1
+// before it, it is refused with ErrFormat{2, 3} by every entry point,
+// Repair included, byte for byte unmodified.
+func TestOpenV2LogFailsUntouched(t *testing.T) {
+	b, err := os.ReadFile(goldenV2Log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256Hex(b); got != goldenV2SHA256 {
+		t.Fatalf("fixture %s has SHA-256 %s, want %s", goldenV2Log, got, goldenV2SHA256)
+	}
+	path := filepath.Join(t.TempDir(), "wal.log")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := ErrFormat{Have: 2, Want: FormatVersion}
+	for name, open := range map[string]func() error{
+		"Open":               func() error { _, err := Open(path, SyncFull); return err },
+		"NewReader":          func() error { _, err := NewReader(path, 0, -1); return err },
+		"NewPipelinedReader": func() error { _, err := NewPipelinedReader(path, 0, -1, 4); return err },
+		"Repair":             func() error { _, err := Repair(path); return err },
+	} {
+		var got ErrFormat
+		if err := open(); !errors.As(err, &got) || got != want {
+			t.Errorf("%s(v2 log) = %v, want %v", name, err, want)
+		}
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, b) {
+		t.Fatalf("failed opens modified the v2 log: %d bytes, SHA-256 %s", len(after), sha256Hex(after))
+	}
+}
+
+// TestCreateTimeIsStampedOnce: the clock is read when Open creates the
+// log and never again; every later Open, and Repair, reads the same time
+// back from the header.
+func TestCreateTimeIsStampedOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	reads := 0
+	clock := func() int64 { reads++; return 1_700_000_000_000_000_042 }
+	l, err := OpenWithClock(path, SyncFull, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !l.Created() || l.CreateTime() != 1_700_000_000_000_000_042 || reads != 1 {
+		t.Fatalf("created log: Created=%v CreateTime=%d after %d clock reads", l.Created(), l.CreateTime(), reads)
+	}
+	if _, err := l.Append(RecCommit, 1, []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.LittleEndian.Uint64(b[magicLen:HeaderLen]); !bytes.Equal(b[:magicLen], fileMagic[:]) || got != 1_700_000_000_000_000_042 {
+		t.Fatalf("header = % x", b[:HeaderLen])
+	}
+	if _, err := Repair(path); err != nil {
+		t.Fatal(err)
+	}
+	l, err = OpenWithClock(path, SyncFull, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if l.Created() || l.CreateTime() != 1_700_000_000_000_000_042 || reads != 1 {
+		t.Fatalf("reopened log: Created=%v CreateTime=%d after %d clock reads", l.Created(), l.CreateTime(), reads)
+	}
+	if recs := readAll(t, path); len(recs) != 1 || recs[0].LSN != HeaderLen {
+		t.Fatalf("reopened log holds %+v", recs)
+	}
+}
+
 // TestOpenNeverShortensAForeignFile: a file that does not start with the
-// version-2 header is an error, never "torn tail at offset 0, truncated".
+// version-3 header is an error, never "torn tail at offset 0, truncated".
 func TestOpenNeverShortensAForeignFile(t *testing.T) {
-	futureVersion := append([]byte(nil), fileHeader[:]...)
-	futureVersion[HeaderLen-1] = 3
+	futureVersion := fileMagic
+	futureVersion[magicLen-1] = FormatVersion + 1
+	v2Empty := fileMagic
+	v2Empty[magicLen-1] = 2
 	cases := []struct {
 		name  string
 		bytes []byte
@@ -129,7 +214,8 @@ func TestOpenNeverShortensAForeignFile(t *testing.T) {
 		{"text", []byte("this is not a write-ahead log, it is a note"), 1},
 		{"short and no prefix of the header", []byte("SQLX"), 1},
 		{"one byte", []byte{0x00}, 1},
-		{"header of a later version", append(futureVersion, 1, 2, 3), 3},
+		{"header of a later version", append(futureVersion[:], make([]byte, 11)...), FormatVersion + 1},
+		{"empty version-2 log", v2Empty[:], 2},
 		{"zeros", make([]byte, 64), 1},
 	}
 	for _, c := range cases {
@@ -155,20 +241,21 @@ func TestOpenNeverShortensAForeignFile(t *testing.T) {
 // TestOpenAdoptsInterruptedCreation: the one exception — an empty file or
 // a strict prefix of the header is a log whose creation a crash cut short.
 func TestOpenAdoptsInterruptedCreation(t *testing.T) {
+	header := binary.LittleEndian.AppendUint64(fileMagic[:], 1_700_000_000_000_000_000)
 	for n := 0; n < HeaderLen; n++ {
 		path := filepath.Join(t.TempDir(), "wal.log")
-		if err := os.WriteFile(path, fileHeader[:n], 0o644); err != nil {
+		if err := os.WriteFile(path, header[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if recs := readAll(t, path); len(recs) != 0 {
 			t.Fatalf("prefix %d: read %d records from an unborn log", n, len(recs))
 		}
-		l, err := Open(path, SyncBuffered)
+		l, err := OpenWithClock(path, SyncBuffered, func() int64 { return 7 })
 		if err != nil {
 			t.Fatalf("prefix %d: %v", n, err)
 		}
-		if l.Size() != HeaderLen {
-			t.Fatalf("prefix %d: size %d, want %d", n, l.Size(), HeaderLen)
+		if l.Size() != HeaderLen || !l.Created() || l.CreateTime() != 7 {
+			t.Fatalf("prefix %d: size %d, created %v at %d; want %d, true, 7", n, l.Size(), l.Created(), l.CreateTime(), HeaderLen)
 		}
 		if lsn, err := l.Append(RecCommit, 1, []byte("x")); err != nil || lsn != HeaderLen {
 			t.Fatalf("prefix %d: first append = (%d, %v)", n, lsn, err)
@@ -426,9 +513,9 @@ func TestRepairCutsANonPrefixGroupTear(t *testing.T) {
 	}
 }
 
-// TestRepairTouchesOnlyVersion2Logs: Repair neither creates a log nor
+// TestRepairTouchesOnlyCurrentFormatLogs: Repair neither creates a log nor
 // shortens a file Open would not have recognised.
-func TestRepairTouchesOnlyVersion2Logs(t *testing.T) {
+func TestRepairTouchesOnlyCurrentFormatLogs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	if _, err := Repair(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("Repair of a missing file = %v", err)

@@ -15,10 +15,10 @@ import (
 // Native fuzz targets. `make fuzz-smoke` runs each for 10 s; without
 // -fuzz they run their seeds as ordinary tests. Seeds come from the golden
 // version-1 log (arbitrary bytes to the frame reader; its INSERT, COMMIT
-// and PREPARE payloads did not change in version 2) and from logs this
-// build writes.
+// and PREPARE payloads did not change in versions 2 and 3) and from logs
+// this build writes.
 
-// sampleLog returns the bytes of a small version-2 log.
+// sampleLog returns the bytes of a small log of this build's version.
 func sampleLog(f *testing.F) []byte {
 	f.Helper()
 	path := filepath.Join(f.TempDir(), "wal.log")
@@ -90,7 +90,7 @@ func FuzzFrameReader(f *testing.F) {
 
 		// The same bytes as a log file: Reader and Open agree.
 		path := filepath.Join(t.TempDir(), "wal.log")
-		img := append(fileHeader[:len(fileHeader):len(fileHeader)], data...)
+		img := append(binary.LittleEndian.AppendUint64(fileMagic[:], 1), data...)
 		if err := os.WriteFile(path, img, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -21,15 +21,19 @@
 // COMMIT log records since the last successful checkpoint and reconstruct
 // the state of the in-memory queue".
 //
-// # File layout (format version 2)
+// # File layout (format version 3)
 //
 //	file   := header frame*
-//	header := "SQLWAL" 0x00 version(=2)            8 bytes at offset 0
+//	header := "SQLWAL" 0x00 version(=3) | createTime i64    16 bytes at offset 0
 //	frame  := bodyLen u32 | crc32c(body) u32 | body
 //	body   := txid uvarint | record+
 //	record := type u8 | payloadLen uvarint | payload
 //
-// All fixed-width integers are little-endian. A frame is what one call to
+// All fixed-width integers are little-endian. createTime is the log's
+// create time in unix nanoseconds, drawn once, when Open creates the file,
+// and never rewritten: the ledger takes it for the database's incarnation
+// (§3.6), so the identity every digest carries lives in the file whose
+// frames it describes and is synced with them. A frame is what one call to
 // Append, AppendBatch or (per batch) AppendGroup writes: a transaction's
 // DML records and its COMMIT or PREPARE record travel in one frame under
 // one CRC, so a commit is in the log entirely or not at all. Readers hand
@@ -61,9 +65,9 @@
 // Open modifies only files it has recognised as its own format. A file
 // without the header — a log of the unversioned format that preceded it
 // (version 1), or no log at all — or with a header of another version
-// fails with ErrFormat before a byte is written; only an empty file, or a
-// strict prefix of the header, is taken for a log whose creation was
-// interrupted.
+// (version 2 had no create time) fails with ErrFormat before a byte is
+// written; only an empty file, or a strict prefix of a version-3 header,
+// is taken for a log whose creation was interrupted.
 package wal
 
 import (
@@ -78,6 +82,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"sqlledger/internal/obs"
 )
@@ -155,10 +160,11 @@ const (
 
 const (
 	// FormatVersion is the log file format this package writes and reads.
-	FormatVersion = 2
+	FormatVersion = 3
 	// HeaderLen is the size of the file header; the first frame, and so
 	// the smallest LSN, is at this offset.
-	HeaderLen = 8
+	HeaderLen = 16
+	magicLen  = 8 // the header's "SQLWAL" 0x00 version; the create time follows
 
 	frameHdrLen = 4 + 4     // body length + CRC32C of the body
 	minBodyLen  = 1 + 1 + 1 // txid + one record with an empty payload
@@ -169,7 +175,7 @@ const (
 )
 
 var (
-	fileHeader = [HeaderLen]byte{'S', 'Q', 'L', 'W', 'A', 'L', 0, FormatVersion}
+	fileMagic  = [magicLen]byte{'S', 'Q', 'L', 'W', 'A', 'L', 0, FormatVersion}
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
 )
 
@@ -196,23 +202,23 @@ func (e ErrFormat) Error() string {
 
 // checkHeader classifies the start of a log file of the given size: empty
 // is true for a file whose creation was interrupted (no bytes, or a strict
-// prefix of the header); any file that is not a version-2 log is an
-// ErrFormat.
-func checkHeader(f io.ReaderAt, size int64) (empty bool, err error) {
+// prefix of a version-3 header); any other file that is not a version-3
+// log is an ErrFormat. Otherwise it returns the log's create time.
+func checkHeader(f io.ReaderAt, size int64) (empty bool, createTime int64, err error) {
 	var h [HeaderLen]byte
 	n := min(size, HeaderLen)
 	if _, err := f.ReadAt(h[:n], 0); err != nil {
-		return false, fmt.Errorf("wal: read header: %w", err)
+		return false, 0, fmt.Errorf("wal: read header: %w", err)
 	}
-	switch {
-	case n < HeaderLen && bytes.HasPrefix(fileHeader[:], h[:n]):
-		return true, nil
-	case n < HeaderLen || !bytes.Equal(h[:HeaderLen-1], fileHeader[:HeaderLen-1]):
-		return false, ErrFormat{Have: 1, Want: FormatVersion}
-	case h[HeaderLen-1] != FormatVersion:
-		return false, ErrFormat{Have: int(h[HeaderLen-1]), Want: FormatVersion}
+	switch m := min(n, magicLen); {
+	case n < HeaderLen && bytes.Equal(h[:m], fileMagic[:m]):
+		return true, 0, nil
+	case n < magicLen || !bytes.Equal(h[:magicLen-1], fileMagic[:magicLen-1]):
+		return false, 0, ErrFormat{Have: 1, Want: FormatVersion}
+	case h[magicLen-1] != FormatVersion:
+		return false, 0, ErrFormat{Have: int(h[magicLen-1]), Want: FormatVersion}
 	}
-	return false, nil
+	return false, int64(binary.LittleEndian.Uint64(h[magicLen:])), nil
 }
 
 // appendFrame appends to dst the frame holding recs, which must be
@@ -343,6 +349,9 @@ type Log struct {
 	mode SyncMode
 	m    logMetrics
 	torn int64 // bytes truncated from a torn tail at Open; reported once
+
+	createTime int64 // from the header; immutable after Open
+	created    bool  // this Open wrote the header
 }
 
 // logMetrics holds the log's metric handles, resolved once so the append
@@ -369,11 +378,21 @@ func bindLogMetrics(reg *obs.Registry) logMetrics {
 
 // Open opens the log file at path, creating it (header included) if it
 // does not exist, and truncates a torn tail so appends resume at a frame
-// boundary. It fails with ErrFormat on a file that is not a version-2 log
-// and with ErrCorrupt on damage before the tail; in both cases the file
-// is left exactly as it was found.
+// boundary. A created log's create time is the wall clock's. It fails with
+// ErrFormat on a file that is not a version-3 log and with ErrCorrupt on
+// damage before the tail; in both cases the file is left exactly as it
+// was found.
 func Open(path string, mode SyncMode) (*Log, error) {
-	return open(path, mode, false)
+	return open(path, mode, nil, false)
+}
+
+// OpenWithClock is Open with the clock that stamps a created log's header:
+// it is read once, only when the file is created, and nil means the wall
+// clock. A database's injected logical clock goes here, so its create
+// time takes its place in the clock's sequence like every other
+// timestamp the database draws.
+func OpenWithClock(path string, mode SyncMode, clock func() int64) (*Log, error) {
+	return open(path, mode, clock, false)
 }
 
 // Repair cuts the existing log at path at its first invalid frame even if
@@ -382,14 +401,14 @@ func Open(path string, mode SyncMode) (*Log, error) {
 // is for the operator who has decided that is the tail of the log (see the
 // package comment), and `sqlledger repair-wal` is its command line.
 func Repair(path string) (dropped int64, err error) {
-	l, err := open(path, SyncBuffered, true)
+	l, err := open(path, SyncBuffered, nil, true)
 	if err != nil {
 		return 0, err
 	}
 	return l.torn, l.Close()
 }
 
-func open(path string, mode SyncMode, repair bool) (*Log, error) {
+func open(path string, mode SyncMode, clock func() int64, repair bool) (*Log, error) {
 	flag := os.O_RDWR
 	if !repair {
 		flag |= os.O_CREATE
@@ -406,14 +425,14 @@ func open(path string, mode SyncMode, repair bool) (*Log, error) {
 	if err != nil {
 		return fail(err)
 	}
-	empty, err := checkHeader(f, st.Size())
+	empty, createTime, err := checkHeader(f, st.Size())
 	if err != nil {
 		return fail(err)
 	}
 	size := int64(HeaderLen)
 	if empty {
-		if _, err := f.WriteAt(fileHeader[:], 0); err != nil {
-			return fail(fmt.Errorf("write header: %w", err))
+		if createTime, err = create(f, mode, clock); err != nil {
+			return fail(err)
 		}
 	} else if size, err = validPrefix(f, st.Size()); err != nil && !(repair && errors.Is(err, ErrCorrupt)) {
 		return fail(err)
@@ -428,14 +447,38 @@ func open(path string, mode SyncMode, repair bool) (*Log, error) {
 		return fail(err)
 	}
 	return &Log{
-		f:    f,
-		size: size,
-		mode: mode,
-		torn: torn,
+		f:          f,
+		size:       size,
+		mode:       mode,
+		torn:       torn,
+		createTime: createTime,
+		created:    empty,
 		// A private registry until Instrument rebinds onto a shared one, so
 		// the append path never tests for a missing handle.
 		m: bindLogMetrics(obs.NewRegistry()),
 	}, nil
+}
+
+// create writes the header of a new log, stamped with clock's time (the
+// wall clock's when nil), and returns that time. Under SyncFull the header
+// is fsynced and then the directory, so the file and its identity survive
+// a power loss as the frames fsynced into it later do.
+func create(f *os.File, mode SyncMode, clock func() int64) (int64, error) {
+	now := time.Now().UnixNano()
+	if clock != nil {
+		now = clock()
+	}
+	h := binary.LittleEndian.AppendUint64(fileMagic[:], uint64(now))
+	if _, err := f.WriteAt(h, 0); err != nil {
+		return 0, fmt.Errorf("write header: %w", err)
+	}
+	if mode != SyncFull {
+		return now, nil
+	}
+	if err := f.Sync(); err != nil {
+		return 0, fmt.Errorf("fsync header: %w", err)
+	}
+	return now, syncDir(filepath.Dir(f.Name()))
 }
 
 // validPrefix returns the offset at which the whole, valid frames of a
@@ -606,6 +649,14 @@ func (l *Log) Flush() error {
 	return l.flushLocked()
 }
 
+// CreateTime returns the log's create time from its header (unix
+// nanoseconds).
+func (l *Log) CreateTime() int64 { return l.createTime }
+
+// Created reports whether this Open created the log: wrote its header to
+// a file that did not exist, or to one whose creation a crash cut short.
+func (l *Log) Created() bool { return l.created }
+
 // Size returns the current end-of-log offset (the LSN the next frame will
 // receive). An empty log has size HeaderLen.
 func (l *Log) Size() int64 {
@@ -680,7 +731,7 @@ func NewReader(path string, start, end int64) (*Reader, error) {
 		f.Close()
 		return nil, err
 	}
-	empty, err := checkHeader(f, st.Size())
+	empty, _, err := checkHeader(f, st.Size())
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("wal: open reader %s: %w", path, err)
@@ -749,7 +800,13 @@ func WriteFileAtomic(path string, perm os.FileMode, parts ...[]byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	dir, err := os.Open(filepath.Dir(path))
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory, making the entries created or renamed in it
+// durable.
+func syncDir(path string) error {
+	dir, err := os.Open(path)
 	if err != nil {
 		return err
 	}

@@ -297,9 +297,13 @@ func ServeOps(addr string, h http.Handler) (*MetricsServer, error) {
 }
 
 // RestoreToTime point-in-time-restores the database in srcDir into dstDir
-// as of targetTS (unix nanoseconds), starting a new incarnation.
+// as of targetTS (unix nanoseconds), starting a new incarnation (§3.6):
+// the restore creates the destination's log, whose create time is the
+// incarnation its digests carry, so they are kept apart from the
+// original's, and digests of earlier incarnations remain verifiable for
+// the blocks that survive the restore.
 func RestoreToTime(srcDir, dstDir string, targetTS int64) error {
-	return core.RestoreToTime(srcDir, dstDir, targetTS)
+	return engine.RestoreToTime(srcDir, dstDir, targetTS)
 }
 
 // RepairFromBackup repairs db in place from a verified backup (§3.7):
