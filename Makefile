@@ -83,7 +83,7 @@ bench-commit:
 .PHONY: bench-ingest
 bench-ingest:
 	go test -run 'IngestScaling' -v .
-	go test -run 'Alloc' ./internal/serial/ ./internal/core/
+	go test -run 'Alloc' ./internal/serial/ ./internal/core/ ./internal/engine/
 	go test -run - -bench 'Ingest' -benchmem .
 
 # Read-scaling gate + benchmark: MVCC snapshot readers at 1/2/4/8 clients
@@ -146,7 +146,8 @@ bench-test:
 # The native fuzz targets — the WAL's frame reader and payload decoders,
 # the row decoder every stored row passes through on every read, the
 # history-image splice and the column projection against the decode, edit
-# and re-encode they replace, the stored-bytes row hasher the write path
+# and re-encode they replace, the exact-size clustered key against
+# EncodeKey, the stored-bytes row hasher the write path
 # and verification run on against the []Value one kept as its oracle, the
 # super-block watermark Open reads back, the read-receipt parser and
 # verifier (a mutant that verifies proves nothing the seed does not), the
@@ -163,6 +164,7 @@ fuzz-smoke:
 	done
 	go test -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 10s ./internal/sqltypes
 	go test -run '^$$' -fuzz '^FuzzSpliceBigInts$$' -fuzztime 10s ./internal/sqltypes
+	go test -run '^$$' -fuzz '^FuzzEncodeRowKey$$' -fuzztime 10s ./internal/sqltypes
 	go test -run '^$$' -fuzz '^FuzzHashEncoded$$' -fuzztime 10s ./internal/serial
 	go test -run '^$$' -fuzz '^FuzzSuperBlock$$' -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzParseReadReceipt$$' -fuzztime 10s ./internal/core

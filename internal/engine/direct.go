@@ -102,7 +102,7 @@ func (db *DB) TamperDeleteRow(t *Table, key []byte, updateIndexes bool) error {
 		t.liveRows--
 		if updateIndexes {
 			for _, ix := range t.indexes {
-				ix.tree.Delete(t.entryKeyLocked(ix, key, old))
+				ix.tree.Delete(t.entryKeyLocked(nil, ix, key, old))
 			}
 		}
 	}
@@ -150,7 +150,7 @@ func (db *DB) TamperInsertRowAt(t *Table, key []byte, values sqltypes.Row, updat
 	t.noteRIDLocked(key)
 	if updateIndexes {
 		for _, ix := range t.indexes {
-			ix.tree.Put(t.entryKeyLocked(ix, key, row), key)
+			ix.tree.Put(t.entryKeyLocked(nil, ix, key, row), key)
 		}
 	}
 	return nil

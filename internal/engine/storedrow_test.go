@@ -20,15 +20,19 @@ func TestPruneClearsVacatedSlots(t *testing.T) {
 		c.appendVersion(ts, []byte{byte(ts)})
 	}
 	dropped, dead := c.prune(5)
-	if dropped != 4 || dead || c.newest.ts != 7 || len(c.older) != 2 || c.older[0].ts != 5 || c.older[1].ts != 6 {
-		t.Fatalf("prune(5) dropped %d, dead=%v, left %+v then %+v", dropped, dead, c.older, c.newest)
+	if c.older == nil {
+		t.Fatalf("prune(5) dropped %d, dead=%v, and kept no superseded version", dropped, dead)
 	}
-	if cap(c.older) <= len(c.older) {
+	older := *c.older
+	if dropped != 4 || dead || c.newest.ts != 7 || len(older) != 2 || older[0].ts != 5 || older[1].ts != 6 {
+		t.Fatalf("prune(5) dropped %d, dead=%v, left %+v then %+v", dropped, dead, older, c.newest)
+	}
+	if cap(older) <= len(older) {
 		t.Fatal("nothing was vacated: the test is vacuous")
 	}
-	for i, v := range c.older[len(c.older):cap(c.older)] {
+	for i, v := range older[len(older):cap(older)] {
 		if v.row != nil || v.ts != 0 {
-			t.Errorf("slot %d past the kept versions still holds %+v", len(c.older)+i, v)
+			t.Errorf("slot %d past the kept versions still holds %+v", len(older)+i, v)
 		}
 	}
 	if got, ok := c.at(5); !ok || got[0] != 5 {
@@ -242,23 +246,32 @@ func TestStoredRowFootprint(t *testing.T) {
 	}
 	// Size classes up to 128 bytes are at most 16 apart. structure is what a
 	// row costs beside its bytes: its key (the 9-byte encoded id takes 16, a
-	// heap's 8-byte row id 8), the chain with its one version inline (64),
+	// heap's 8-byte row id 8), the chain with its one version inline (48),
 	// the leaf's key and value slots (37: 64 entries in a full leaf's 65-slot
 	// arrays, of size classes 1792 and 576), plus slack for what the size
-	// classes of another Go release round differently.
+	// classes of another Go release round differently. An index on n1 adds
+	// its entry, n1 then the id (18 bytes, in the 24-byte class), and its
+	// leaf's two slice slots (56: two arrays of size class 1792).
 	for _, tc := range []struct {
 		name      string
 		keyed     bool
+		indexed   bool
 		structure float64
 	}{
-		{"clustered", true, 128},
-		{"heap", false, 120},
+		{"clustered", true, false, 112},
+		{"heap", false, false, 104},
+		{"clustered+index", true, true, 112 + 80},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const rows = 100_000
 			db := openTestDB(t)
 			db.stopVersionGC() // nothing else may allocate while the heap is measured
 			tab := mustCreate(t, db, "t", footprintSchema(tc.keyed))
+			if tc.indexed {
+				if _, err := db.CreateIndex("t", "ix_n1", "n1"); err != nil {
+					t.Fatal(err)
+				}
+			}
 			encoded := len(EncodeStoredRow(footprintRow(rows / 2)))
 
 			heap := func() uint64 {
@@ -531,6 +544,45 @@ func TestLockTableEmptyAfterLedgerShapedTransactions(t *testing.T) {
 	}
 	if n := hist.RowCount(); n != 4 { // two committing endings, two history rows each
 		t.Errorf("history heap holds %d rows, want 4", n)
+	}
+}
+
+// TestUnmovedIndexEntryAllocations: an update that leaves the indexed
+// column alone builds both entry keys on the stack, so applying it
+// allocates no more on an indexed table than on an unindexed one.
+func TestUnmovedIndexEntryAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	db := openTestDB(t)
+	db.stopVersionGC()
+	applyAllocs := func(name string, indexed bool) float64 {
+		tab := mustCreate(t, db, name, footprintSchema(true))
+		if indexed {
+			if _, err := db.CreateIndex(name, name+"_n1", "n1"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tx := db.Begin("u")
+		if _, err := tx.Insert(tab, footprintRow(1)); err != nil {
+			t.Fatal(err)
+		}
+		commit(t, db, tx)
+		next := footprintRow(1)
+		next[2] = sqltypes.NewBigInt(-2) // n2, which no index holds
+		key, row, ts := tab.KeyFor(next), EncodeStoredRow(next), int64(1<<40)
+		tab.mu.Lock()
+		defer tab.mu.Unlock()
+		return testing.AllocsPerRun(500, func() {
+			ts++
+			if err := tab.applyUpdateLocked(key, row, ts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	plain, indexed := applyAllocs("plain", false), applyAllocs("indexed", true)
+	if indexed > plain {
+		t.Errorf("an update that moves no index entry allocates %.0f objects on an indexed table, %.0f on an unindexed one", indexed, plain)
 	}
 }
 

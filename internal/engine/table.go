@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -225,8 +226,9 @@ func (t *Table) applyInsertLocked(key, row []byte, ts int64) error {
 	}
 	t.liveRows++
 	t.noteRIDLocked(key)
+	var buf [64]byte
 	for _, ix := range t.indexes {
-		ix.tree.Put(t.entryKeyLocked(ix, key, row), key)
+		ix.tree.Put(bytes.Clone(t.entryKeyLocked(buf[:0], ix, key, row)), key)
 	}
 	return nil
 }
@@ -244,8 +246,9 @@ func (t *Table) applyDeleteLocked(key []byte, ts int64) error {
 	}
 	t.appendVersionLocked(key, c, ts, nil)
 	t.liveRows--
+	var buf [64]byte
 	for _, ix := range t.indexes {
-		ix.tree.Delete(t.entryKeyLocked(ix, key, old))
+		ix.tree.Delete(t.entryKeyLocked(buf[:0], ix, key, old))
 	}
 	return nil
 }
@@ -267,14 +270,16 @@ func (t *Table) applyUpdateLocked(key, row []byte, ts int64) error {
 }
 
 // moveIndexEntriesLocked repoints every index entry of key whose indexed
-// columns differ between the stored rows old and next. Caller holds mu.
+// columns differ between the stored rows old and next; only a moved entry
+// allocates, its new key. Caller holds mu.
 func (t *Table) moveIndexEntriesLocked(key, old, next []byte) {
+	var oldBuf, newBuf [64]byte
 	for _, ix := range t.indexes {
-		oldEnt := t.entryKeyLocked(ix, key, old)
-		newEnt := t.entryKeyLocked(ix, key, next)
+		oldEnt := t.entryKeyLocked(oldBuf[:0], ix, key, old)
+		newEnt := t.entryKeyLocked(newBuf[:0], ix, key, next)
 		if string(oldEnt) != string(newEnt) {
 			ix.tree.Delete(oldEnt)
-			ix.tree.Put(newEnt, key)
+			ix.tree.Put(bytes.Clone(newEnt), key)
 		}
 	}
 }
@@ -308,7 +313,7 @@ func (t *Table) gcVersions(horizon int64) int {
 				t.rows.Delete(e.key)
 				reclaimed++ // the tombstone itself
 			}
-		case len(e.chain.older) > 0:
+		case e.chain.older != nil:
 			kept = append(kept, e)
 		}
 	}
@@ -339,10 +344,11 @@ func (ix *Index) EntryKeyStored(dst, clusteredKey, stored []byte, cols []sqltype
 	return append(sqltypes.EncodeKey(dst, vals...), clusteredKey...), nil
 }
 
-// entryKeyLocked is EntryKeyStored of a row the engine stored itself.
-// Caller holds mu.
-func (t *Table) entryKeyLocked(ix *Index, clusteredKey, stored []byte) []byte {
-	key, err := ix.EntryKeyStored(make([]byte, 0, 64), clusteredKey, stored, t.meta.Schema.Columns)
+// entryKeyLocked is EntryKeyStored of a row the engine stored itself. It
+// is built in a stack buffer (dst) and copied to its exact size where an
+// index keeps it. Caller holds mu.
+func (t *Table) entryKeyLocked(dst []byte, ix *Index, clusteredKey, stored []byte) []byte {
+	key, err := ix.EntryKeyStored(dst, clusteredKey, stored, t.meta.Schema.Columns)
 	if err != nil {
 		panic(fmt.Sprintf("engine: stored row of %s does not decode: %v", t.meta.Name, err))
 	}
@@ -544,9 +550,10 @@ func prefixEnd(prefix []byte) []byte {
 // base table. Caller holds mu.
 func (t *Table) buildIndexLocked(ix *Index) {
 	ix.tree = btree.New[[]byte]()
+	var buf [64]byte
 	t.rows.Ascend(func(k []byte, c *versionChain) bool {
 		if stored, live := c.latestLive(); live {
-			ix.tree.Put(t.entryKeyLocked(ix, k, stored), k)
+			ix.tree.Put(bytes.Clone(t.entryKeyLocked(buf[:0], ix, k, stored)), k)
 		}
 		return true
 	})

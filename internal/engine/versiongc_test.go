@@ -31,7 +31,11 @@ func fullWalkPrune(db *DB, horizon int64) (string, int) {
 		fmt.Fprintf(&sb, "table %s live=%d\n", tab.Name(), tab.RowCount())
 		tab.mu.RLock()
 		tab.rows.Ascend(func(k []byte, c *versionChain) bool {
-			cp := &versionChain{newest: c.newest, older: slices.Clone(c.older)}
+			cp := &versionChain{newest: c.newest}
+			if c.older != nil {
+				older := slices.Clone(*c.older)
+				cp.older = &older
+			}
 			dropped, dead := cp.prune(horizon)
 			reclaimed += dropped
 			if dead {
@@ -39,7 +43,11 @@ func fullWalkPrune(db *DB, horizon int64) (string, int) {
 				return true
 			}
 			fmt.Fprintf(&sb, "  %x:", k)
-			for _, v := range append(cp.older, cp.newest) {
+			var older []rowVersion
+			if cp.older != nil {
+				older = *cp.older
+			}
+			for _, v := range append(older, cp.newest) {
 				fmt.Fprintf(&sb, " %d=%x", v.ts, v.row)
 			}
 			sb.WriteByte('\n')

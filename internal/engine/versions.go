@@ -14,6 +14,10 @@ package engine
 // engine (Table.decodeLocked), and the strings and binaries of a decoded
 // row point into these bytes.
 //
+// Beside those bytes a row costs its exact-size key, its B+tree slot and
+// its chain: 40 bytes (the 48-byte size class) while it holds one version,
+// since superseded versions sit behind a pointer set on the first update.
+//
 // Chains are only ever mutated under the owning Table's mu write lock, and
 // commit timestamps are strictly monotonic (db.Commit's sequencing stage),
 // so versions within a chain have strictly ascending timestamps.
@@ -28,10 +32,11 @@ type rowVersion struct {
 // the only one most chains have, and the one nearly every read wants —
 // sits in the chain itself, so a read reaches the row's bytes in two
 // dependent loads (chain, bytes); the superseded versions that snapshots
-// may still need are kept beside it, oldest first, until GC prunes them.
+// may still need are kept behind older (nil: none), oldest first, until GC
+// prunes them.
 type versionChain struct {
 	newest rowVersion
-	older  []rowVersion
+	older  *[]rowVersion
 }
 
 func newChain(ts int64, row []byte) *versionChain {
@@ -50,9 +55,12 @@ func (c *versionChain) at(ts int64) ([]byte, bool) {
 	if c.newest.ts <= ts {
 		return c.newest.row, c.newest.row != nil
 	}
-	for i := len(c.older) - 1; i >= 0; i-- {
-		if c.older[i].ts <= ts {
-			return c.older[i].row, c.older[i].row != nil
+	if c.older != nil {
+		older := *c.older
+		for i := len(older) - 1; i >= 0; i-- {
+			if older[i].ts <= ts {
+				return older[i].row, older[i].row != nil
+			}
 		}
 	}
 	return nil, false
@@ -63,8 +71,10 @@ func (c *versionChain) at(ts int64) ([]byte, bool) {
 // (Table.appendVersionLocked). A chain holding a tombstone has superseded
 // versions too, until GC removes it whole.
 func (c *versionChain) appendVersion(ts int64, row []byte) (first bool) {
-	first = len(c.older) == 0
-	c.older = append(c.older, c.newest)
+	if first = c.older == nil; first {
+		c.older = new([]rowVersion)
+	}
+	*c.older = append(*c.older, c.newest)
 	c.newest = rowVersion{ts: ts, row: row}
 	return first
 }
@@ -80,27 +90,33 @@ func (c *versionChain) setLatestRow(row []byte) { c.newest.row = row }
 // the tree by the caller.
 func (c *versionChain) prune(horizon int64) (dropped int, dead bool) {
 	switch {
-	case len(c.older) == 0:
+	case c.older == nil:
 	case c.newest.ts <= horizon:
-		dropped, c.older = len(c.older), nil
+		dropped, c.older = len(*c.older), nil
 	default:
+		older := *c.older
 		keep := -1
-		for i := len(c.older) - 1; i >= 0; i-- {
-			if c.older[i].ts <= horizon {
+		for i := len(older) - 1; i >= 0; i-- {
+			if older[i].ts <= horizon {
 				keep = i
 				break
 			}
 		}
 		if keep > 0 {
-			n := copy(c.older, c.older[keep:])
-			clear(c.older[n:]) // or the backing array keeps the pruned rows reachable
-			c.older = c.older[:n]
+			n := copy(older, older[keep:])
+			clear(older[n:]) // or the backing array keeps the pruned rows reachable
+			*c.older = older[:n]
 			dropped = keep
 		}
 	}
-	dead = len(c.older) == 0 && c.newest.row == nil && c.newest.ts <= horizon
+	dead = c.older == nil && c.newest.row == nil && c.newest.ts <= horizon
 	return dropped, dead
 }
 
 // versionCount returns the number of versions in the chain.
-func (c *versionChain) versionCount() int { return 1 + len(c.older) }
+func (c *versionChain) versionCount() int {
+	if c.older == nil {
+		return 1
+	}
+	return 1 + len(*c.older)
+}

@@ -1,9 +1,11 @@
 package sqltypes
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 )
 
 // Order-preserving ("memcomparable") key encoding. Encoded composite keys
@@ -33,7 +35,7 @@ func EncodeKey(dst []byte, vals ...Value) []byte {
 		case v.Type == TypeFloat:
 			dst = appendUint64(dst, floatToOrdered(v.F64))
 		case v.Type.IsString():
-			dst = appendEscaped(dst, []byte(v.Str))
+			dst = appendEscaped(dst, v.Str)
 		case v.Type.IsBytes():
 			dst = appendEscaped(dst, v.Bytes)
 		default:
@@ -43,13 +45,27 @@ func EncodeKey(dst []byte, vals ...Value) []byte {
 	return dst
 }
 
-// EncodeRowKey encodes the primary-key columns of row r per schema s.
+// EncodeRowKey encodes the primary-key columns of row r per schema s into
+// a slice whose capacity is its length: a stored row keeps its key.
 func EncodeRowKey(s *Schema, r Row) []byte {
-	vals := make([]Value, len(s.Key))
-	for i, ord := range s.Key {
-		vals[i] = r[ord]
+	n := 0
+	for _, ord := range s.Key {
+		switch v := r[ord]; {
+		case v.Null:
+			n++
+		case v.Type.IsString():
+			n += 3 + len(v.Str) + strings.Count(v.Str, "\x00")
+		case v.Type.IsBytes():
+			n += 3 + len(v.Bytes) + bytes.Count(v.Bytes, []byte{0})
+		default:
+			n += 9
+		}
 	}
-	return EncodeKey(nil, vals...)
+	dst := make([]byte, 0, n)
+	for _, ord := range s.Key {
+		dst = EncodeKey(dst, r[ord])
+	}
+	return dst
 }
 
 func appendUint64(dst []byte, u uint64) []byte {
@@ -73,9 +89,9 @@ func orderedToFloat(u uint64) float64 {
 	return math.Float64frombits(^u)
 }
 
-func appendEscaped(dst, b []byte) []byte {
-	for _, c := range b {
-		if c == 0x00 {
+func appendEscaped[T string | []byte](dst []byte, b T) []byte {
+	for i := 0; i < len(b); i++ {
+		if c := b[i]; c == 0x00 {
 			dst = append(dst, 0x00, 0xFF)
 		} else {
 			dst = append(dst, c)

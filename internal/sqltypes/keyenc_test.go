@@ -208,3 +208,42 @@ func TestRowCodecErrors(t *testing.T) {
 		t.Error("string longer than the input accepted")
 	}
 }
+
+// FuzzEncodeRowKey: a row's clustered key is exactly EncodeKey of its key
+// values, in key order, in a slice with no spare capacity. The row holds
+// one column more than the key, and the key lists its columns in reverse,
+// so EncodeRowKey must pick them by ordinal.
+func FuzzEncodeRowKey(f *testing.F) {
+	f.Add(uint8(1), uint32(0), uint8(0), int64(42), 0.0, "", []byte(nil))
+	f.Add(uint8(2), uint32(0x0102), uint8(0b01), int64(-1), 1.5, "a\x00b", []byte{0, 0xff, 0})
+	f.Add(uint8(3), uint32(0x030201), uint8(0b100), int64(math.MinInt64), math.Inf(-1), "\x00", []byte{0})
+	f.Add(uint8(4), uint32(0x00000000), uint8(0), int64(7), 0.0, "", []byte(nil)) // tpcc's order_line: four BIGINTs
+	f.Add(uint8(4), uint32(0x03020100), uint8(0b1111), int64(0), math.NaN(), "x", []byte{})
+	f.Add(uint8(4), uint32(0x04030201), uint8(0b0101), int64(1)<<40, -0.0, "long string with a \x00 in it, past thirty-two bytes", bytes.Repeat([]byte{0}, 40))
+	types := []TypeID{TypeBigInt, TypeFloat, TypeNVarChar, TypeVarBinary, TypeInt}
+	f.Fuzz(func(t *testing.T, ncols uint8, typeSel uint32, nulls uint8, i int64, fl float64, s string, b []byte) {
+		k := int(ncols%4) + 1
+		sch := &Schema{Columns: make([]Column, k+1)}
+		row := make(Row, k+1)
+		row[k] = NewBigInt(i) // not a key column
+		var want []byte
+		for j := k - 1; j >= 0; j-- {
+			typ := types[int(typeSel>>(8*j)&0xff)%len(types)]
+			v := Value{Type: typ, Null: nulls&(1<<j) != 0}
+			if !v.Null {
+				v.I64, v.F64, v.Str, v.Bytes = i^int64(j), fl, s, b
+			}
+			sch.Columns[j] = Column{Name: string(rune('a' + j)), Type: typ, Ordinal: j}
+			sch.Key = append(sch.Key, j)
+			row[j] = v
+			want = EncodeKey(want, v)
+		}
+		got := EncodeRowKey(sch, row)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("EncodeRowKey = %x, EncodeKey of the key values = %x", got, want)
+		}
+		if len(got) != cap(got) {
+			t.Fatalf("a %d-byte key has capacity %d", len(got), cap(got))
+		}
+	})
+}
