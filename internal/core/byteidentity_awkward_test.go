@@ -18,9 +18,11 @@ import (
 // The WAL and snapshot pins were re-captured when the log header grew to
 // 16 bytes to carry the create time (format version 3), which changed the
 // header bytes and moved every LSN, and so every snapshot file name, by 8.
+// The snapshot pin was re-captured again when a snapshot became a file of
+// the WAL's format (snap-<lsn>.log), holding the same catalog and rows.
 const (
 	pinAwkwardWALSHA     = "ec503251c4ec1701e93ac66abc5b62cc8faeabccac8ab2dd498ddc1e776725ee"
-	pinAwkwardSnapSHA    = "34710e3f2a182772e73d6ccaac76af7b32f8150f897928dd5afa7f2c9978ba9b"
+	pinAwkwardSnapSHA    = "19dd0ec91b4dbfde99becaca63721042b65b65a5ffd4bce4092fc9ae7ce1ac5d"
 	pinAwkwardDigestSHA  = "8428b2f79657882f246a3fb641bf519ff7176ad1086ff103c5a5d0877440de61"
 	pinAwkwardStoredSHA  = "13db777fc5d75a32aa171d0375d2985bb473052da1016dc78cfd926208276ef5"
 	pinTwoShardWAL0SHA   = "676c2ddae3731f25696b01d5f631d02414aa6eb7f7b8dac60132425d986c914b"

@@ -25,10 +25,12 @@ import (
 // pins were re-captured when the log header grew to 16 bytes to carry the
 // create time (format version 3): the frames hashed are the same bytes as
 // before, but the header is not, and every LSN — so every snapshot file
-// name — moved by 8.
+// name — moved by 8. The snapshot pin was re-captured again when a
+// snapshot became a file of the WAL's format (snap-<lsn>.log): the same
+// catalog and rows, framed as one transaction, under the log's header.
 const (
 	pinWALSHA     = "a2820cba2665762eba940d88f3fac60c0d87ea511dea8f9ac8180efb6235068d"
-	pinSnapSHA    = "e4da681784e694defb9324dfadaa8cd0a1fc76daeaa8a74dd17560c9ca25e461"
+	pinSnapSHA    = "0a3822ed98d105c67f20205723c6fca73b36e7511c54e949bde51336e50ff6ab"
 	pinDigestSHA  = "5a198afbd03a988f157ea15f6247e160b80e7b04fa5fa5c1e24b196705b880c2"
 	pinReceiptSHA = "7ea7f79e2e1e5c2ad10564394b075a50ee801816f80b5d081d825d21e7ddefa6"
 )
@@ -211,7 +213,7 @@ func walFramesSHA(t *testing.T, path string, dropLast bool) (string, int) {
 
 func snapshotsSHA(t *testing.T, dir string) string {
 	t.Helper()
-	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.log"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"sqlledger/internal/engine"
 	"sqlledger/internal/obs"
 	"sqlledger/internal/sqltypes"
+	"sqlledger/internal/wal"
 )
 
 // TestReopenMidBlock commits into a partially filled block, "crashes"
@@ -199,7 +200,7 @@ func TestConcurrentLedgerCommits(t *testing.T) {
 }
 
 // TestSnapshotRowsSwappedFallsBack: an insider swaps two rows of a ledger
-// table's snapshot section and recomputes the section and header CRCs. A
+// table's snapshot and recomputes their frame's CRC. A
 // tree bulk-loaded from that order would miss keys its scan returns, so
 // the snapshot must be skipped with a warning naming it; replay from the
 // log restores the table, every key is found and verification is green.
@@ -221,7 +222,7 @@ func TestSnapshotRowsSwappedFallsBack(t *testing.T) {
 	id := lt.Table().ID()
 	l.Close()
 
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.log"))
 	if len(snaps) != 1 {
 		t.Fatalf("snapshots = %v", snaps)
 	}
@@ -259,33 +260,39 @@ func TestSnapshotRowsSwappedFallsBack(t *testing.T) {
 	verifyOK(t, l, []Digest{d})
 }
 
-// swapSnapshotRows swaps the first two rows of table id's section of the
-// snapshot at path and recomputes that section's CRC and the header's:
-// every checksum holds, and the section is out of key order.
+// swapSnapshotRows swaps the first two rows of table id in the snapshot
+// at path and recomputes the CRC of their frame: every checksum holds, and
+// the table's rows are out of key order.
 func swapSnapshotRows(t *testing.T, path string, id uint32) {
 	t.Helper()
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	le, castagnoli := binary.LittleEndian, crc32.MakeTable(crc32.Castagnoli)
-	pos := 16     // magic, cut timestamp
-	for range 2 { // catalog, ledger state
-		pos += 4 + int(le.Uint32(b[pos:]))
-	}
-	end := pos + 4 + 32*int(le.Uint32(b[pos:]))
-	for e := b[pos+4 : end]; len(e) > 0; e = e[32:] {
-		if le.Uint32(e) != id {
+	le := binary.LittleEndian
+	for pos := wal.HeaderLen; pos+8 <= len(b); {
+		crc, body := b[pos+4:pos+8], b[pos+8:pos+8+int(le.Uint32(b[pos:]))]
+		pos += 8 + len(body)
+		// body: txid, then records of type, payload length, payload
+		// (table id first for an INSERT).
+		_, p := binary.Uvarint(body)
+		var recs [][]byte
+		for p < len(body) {
+			n, w := binary.Uvarint(body[p+1:])
+			recs = append(recs, body[p:p+1+w+int(n)])
+			p += 1 + w + int(n)
+		}
+		if len(recs) < 2 || recs[0][0] != byte(wal.RecInsert) {
 			continue
 		}
-		sec := b[le.Uint64(e[12:]):][:le.Uint64(e[20:])]
-		next := func(p int) int { return p + 4 + int(le.Uint32(sec[p:])) }
-		first := next(next(0))
-		second := next(next(first))
-		copy(sec, append(bytes.Clone(sec[first:second]), sec[:first]...))
-		le.PutUint32(e[28:], crc32.Checksum(sec, castagnoli))
+		_, w := binary.Uvarint(recs[0][1:])
+		if tid, _ := binary.Uvarint(recs[0][1+w:]); tid != uint64(id) {
+			continue
+		}
+		copy(recs[0][:len(recs[0])+len(recs[1])], append(bytes.Clone(recs[1]), recs[0]...))
+		le.PutUint32(crc, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+		break
 	}
-	le.PutUint32(b[end:], crc32.Checksum(b[:end], castagnoli))
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}

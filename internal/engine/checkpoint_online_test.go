@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"sqlledger/internal/sqltypes"
+	"sqlledger/internal/wal"
 )
 
 // TestCheckpointCommitterProgress proves the checkpoint no longer holds
@@ -133,7 +135,7 @@ func TestSnapshotTornTmpFile(t *testing.T) {
 
 	// A torn tmp from a crashed later checkpoint: garbage content, newest
 	// possible LSN in the name.
-	torn := filepath.Join(dir, "snap-ffffffffffffffff.snap.tmp")
+	torn := filepath.Join(dir, "snap-ffffffffffffffff.log.tmp")
 	if err := os.WriteFile(torn, []byte("partial snapshot garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -148,9 +150,9 @@ func TestSnapshotTornTmpFile(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2SectionCRCFallback: corruption inside a table section
-// fails that snapshot's per-section CRC and recovery falls back to the
-// previous valid snapshot plus longer WAL replay.
+// TestSnapshotV2SectionCRCFallback: corruption inside a snapshot's frame
+// fails that frame's CRC, the load fails with wal.ErrCorrupt, and recovery
+// falls back to the previous valid snapshot plus longer WAL replay.
 func TestSnapshotV2SectionCRCFallback(t *testing.T) {
 	dir := t.TempDir()
 	db := openDBAt(t, dir)
@@ -172,13 +174,13 @@ func TestSnapshotV2SectionCRCFallback(t *testing.T) {
 	commit(t, db, tx)
 	db.Close()
 
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.log"))
 	if len(snaps) != 2 {
 		t.Fatalf("snapshots = %v", snaps)
 	}
 	// Glob returns sorted names; LSNs are fixed-width hex, so the last
-	// entry is the newest snapshot. Flip its final byte — inside the last
-	// table section, past the header the header-CRC covers.
+	// entry is the newest snapshot. Flip its final byte — inside the
+	// COMMIT frame, which its CRC covers.
 	newest := snaps[len(snaps)-1]
 	b, err := os.ReadFile(newest)
 	if err != nil {
@@ -188,11 +190,15 @@ func TestSnapshotV2SectionCRCFallback(t *testing.T) {
 	if err := os.WriteFile(newest, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Direct check: the corrupted file must fail with a section CRC error
-	// (not a header error), proving the per-section checksums localize it.
+	// Direct check: the corrupted file fails with the frame reader's
+	// ErrCorrupt, not with a check behind it.
 	probe := openDBAt(t, t.TempDir())
-	if lerr := probe.loadSnapshot(newest, b); lerr == nil || !strings.Contains(lerr.Error(), "section CRC") {
-		t.Fatalf("corrupt snapshot load error = %v, want section CRC mismatch", lerr)
+	r, _, lerr := wal.NewBytesReader(b)
+	if lerr == nil {
+		lerr = probe.loadSnapshot(r)
+	}
+	if !errors.Is(lerr, wal.ErrCorrupt) {
+		t.Fatalf("corrupt snapshot load error = %v, want wal.ErrCorrupt", lerr)
 	}
 
 	db2 := openDBAt(t, dir)

@@ -186,9 +186,9 @@ func TestHostileRedoDML(t *testing.T) {
 	}
 }
 
-// writeHostileSnapshot writes, as the newest snapshot of db, the tables of
-// db under the catalog edit leaves, with every CRC valid, and returns its
-// path.
+// writeHostileSnapshot takes a checkpoint of db and rewrites its snapshot
+// with the tables of db under the catalog edit leaves, every CRC valid,
+// and returns its path.
 func writeHostileSnapshot(t *testing.T, db *DB, edit func(c *catalog)) string {
 	t.Helper()
 	b, err := db.cat.marshal()
@@ -203,11 +203,18 @@ func writeHostileSnapshot(t *testing.T, db *DB, edit func(c *catalog)) string {
 	if b, err = json.Marshal(c); err != nil {
 		t.Fatal(err)
 	}
-	lsn := db.LogSize()
+	lsn, err := db.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := db.writeSnapshot(lsn, db.LastCommitTS(), b, db.Tables()); err != nil {
 		t.Fatal(err)
 	}
-	return snapPath(db.Dir(), lsn)
+	return snapPath(db, lsn)
+}
+
+func snapPath(db *DB, lsn int64) string {
+	return filepath.Join(db.Dir(), fmt.Sprintf(snapName, lsn))
 }
 
 // TestHostileCatalogSnapshot: a snapshot whose catalog carries the defects
@@ -256,32 +263,37 @@ func TestHostileCatalogSnapshot(t *testing.T) {
 	}
 }
 
-// TestHostileSnapshotSections: a snapshot whose table index or sections
-// are rewritten under recomputed CRCs — rows swapped out of key order (a
-// bulk-loaded tree over them would miss keys its scan returns), a row count
-// no section can hold, a table listed twice (two workers would load it at
-// once) — is skipped with the reason, and replay restores every key.
+// TestHostileSnapshotSections: a snapshot whose frames are rewritten under
+// recomputed CRCs — rows swapped out of key order (a bulk-loaded tree over
+// them would miss keys its scan returns), tables out of order (two workers
+// would load one table at once), a row record that is no INSERT, a file
+// cut at a frame boundary before its COMMIT, a frame after the COMMIT — is
+// skipped with the reason, and replay restores every key.
 func TestHostileSnapshotSections(t *testing.T) {
+	// The frames of hostileBase's snapshot: the catalog, t's three rows,
+	// u's two rows and the COMMIT.
 	for _, c := range []struct {
 		name, reason string
-		edit         func(index, raw []byte)
+		edit         func(hdr []byte, frames [][]byte) []byte
 	}{
-		{"rows out of key order", "not in key order", func(index, raw []byte) {
-			off, ln := binary.LittleEndian.Uint64(index[12:]), binary.LittleEndian.Uint64(index[20:])
-			s := &snapReader{b: raw[off : off+ln]}
-			s.section()
-			s.section()
-			first := s.pos
-			s.section()
-			s.section()
-			sec := raw[off : off+uint64(s.pos)]
-			copy(sec, append(bytes.Clone(sec[first:]), sec[:first]...))
+		{"rows out of key order", "not in key order", func(hdr []byte, frames [][]byte) []byte {
+			recs := frameRecords(frames[1])
+			both := recs[0][:len(recs[0])+len(recs[1])]
+			copy(both, append(bytes.Clone(recs[1]), recs[0]...))
+			return bytes.Join(append([][]byte{hdr}, frames...), nil)
 		}},
-		{"row count beyond the section", "claims", func(index, _ []byte) {
-			binary.LittleEndian.PutUint64(index[4:], 1<<40)
+		{"tables out of order", "out of table order", func(hdr []byte, frames [][]byte) []byte {
+			return bytes.Join([][]byte{hdr, frames[0], frames[2], frames[1], frames[3]}, nil)
 		}},
-		{"table listed twice", "out of table order", func(index, _ []byte) {
-			copy(index[32:36], index[0:4])
+		{"a row record that is no INSERT", "row record of type UPDATE", func(hdr []byte, frames [][]byte) []byte {
+			frameRecords(frames[1])[0][0] = byte(wal.RecUpdate)
+			return bytes.Join(append([][]byte{hdr}, frames...), nil)
+		}},
+		{"cut at a frame boundary", "ends before its COMMIT", func(hdr []byte, frames [][]byte) []byte {
+			return bytes.Join(append([][]byte{hdr}, frames[:3]...), nil)
+		}},
+		{"a frame after the COMMIT", "after its COMMIT", func(hdr []byte, frames [][]byte) []byte {
+			return bytes.Join(append([][]byte{hdr}, append(frames, frames[2])...), nil)
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -289,18 +301,16 @@ func TestHostileSnapshotSections(t *testing.T) {
 			db := openDBAt(t, dir)
 			want := dumpState(t, db)
 			db.Close()
-			snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+			snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.log"))
 			raw, err := os.ReadFile(snaps[0])
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := &snapReader{b: raw}
-			r.next(len(snapMagic))
-			r.uint(8)
-			r.section()
-			r.section()
-			c.edit(r.next(int(r.uint(4))*32), raw)
-			if err := os.WriteFile(snaps[0], resealSnapshot(raw), 0o644); err != nil {
+			hdr, frames := snapshotFrames(raw)
+			if len(frames) != 4 {
+				t.Fatalf("snapshot has %d frames, want 4", len(frames))
+			}
+			if err := os.WriteFile(snaps[0], resealSnapshot(c.edit(hdr, frames)), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			db = openDBAt(t, dir)
@@ -316,27 +326,46 @@ func TestHostileSnapshotSections(t *testing.T) {
 	}
 }
 
-// resealSnapshot returns raw with every CRC a snapshot carries recomputed
-// — each section's whose bounds lie inside the file, then the header's —
+// snapshotFrames splits a snapshot into its header and its whole frames,
+// as slices of raw; it stops at the first frame that overruns raw.
+func snapshotFrames(raw []byte) (hdr []byte, frames [][]byte) {
+	if len(raw) < wal.HeaderLen {
+		return raw, nil
+	}
+	for b := raw[wal.HeaderLen:]; len(b) >= 8; {
+		n := 8 + int(binary.LittleEndian.Uint32(b))
+		if n < 8 || n > len(b) {
+			break
+		}
+		frames = append(frames, b[:n:n])
+		b = b[n:]
+	}
+	return raw[:wal.HeaderLen], frames
+}
+
+// frameRecords returns the records of a well-formed frame (type, payload
+// length and payload), as slices of it that run on to its end.
+func frameRecords(frame []byte) [][]byte {
+	body := frame[8:]
+	_, pos := binary.Uvarint(body)
+	var recs [][]byte
+	for pos < len(body) {
+		n, w := binary.Uvarint(body[pos+1:])
+		end := pos + 1 + w + int(n)
+		recs = append(recs, body[pos:end])
+		pos = end
+	}
+	return recs
+}
+
+// resealSnapshot returns raw with the CRC of every whole frame recomputed,
 // as an insider who rewrites the file would leave it.
 func resealSnapshot(raw []byte) []byte {
 	b := bytes.Clone(raw)
-	r := &snapReader{b: b}
-	r.next(len(snapMagic))
-	r.uint(8)
-	r.section()
-	r.section()
-	index := r.next(int(r.uint(4)) * 32)
-	if r.err != nil || len(b)-r.pos < 4 {
-		return b
+	_, frames := snapshotFrames(b)
+	for _, f := range frames {
+		binary.LittleEndian.PutUint32(f[4:], crc32.Checksum(f[8:], crc32.MakeTable(crc32.Castagnoli)))
 	}
-	for e := index; len(e) > 0; e = e[32:] {
-		off, ln := binary.LittleEndian.Uint64(e[12:]), binary.LittleEndian.Uint64(e[20:])
-		if off <= uint64(len(b)) && ln <= uint64(len(b))-off {
-			binary.LittleEndian.PutUint32(e[28:], crc32.Checksum(b[off:off+ln], castagnoliSnap))
-		}
-	}
-	binary.LittleEndian.PutUint32(b[r.pos:], crc32.Checksum(b[:r.pos], castagnoliSnap))
 	return b
 }
 
@@ -373,8 +402,9 @@ func checkLoaded(t *testing.T, db *DB) {
 }
 
 // FuzzLoadSnapshot feeds loadSnapshot arbitrary bytes, and the same bytes
-// with every CRC recomputed so that a mutation reaches the checks behind
-// them: it must never panic, and whatever it accepts must pass checkLoaded.
+// with every frame CRC recomputed so that a mutation reaches the checks
+// behind them: it must never panic, and whatever it accepts must pass
+// checkLoaded.
 // The seeds are snapshots Checkpoint wrote of a keyed table with an index,
 // a heap table, rows stored before an ADD COLUMN and a dropped column.
 func FuzzLoadSnapshot(f *testing.F) {
@@ -411,7 +441,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		raw, err := os.ReadFile(snapPath(db.Dir(), lsn))
+		raw, err := os.ReadFile(snapPath(db, lsn))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -423,17 +453,23 @@ func FuzzLoadSnapshot(f *testing.F) {
 	}, sqltypes.Row{sqltypes.NewBigInt(4), sqltypes.NewNVarChar("d"), sqltypes.NewInt(4)})
 	step(func(m *TableMeta) { m.Schema.Columns[2].Dropped = true },
 		sqltypes.Row{sqltypes.NewBigInt(5), sqltypes.NewNVarChar("e"), sqltypes.NewNull(sqltypes.TypeInt)})
-	for _, raw := range seeds {
+	load := func(b []byte) (*DB, error) {
 		probe := &DB{opts: Options{RecoveryWorkers: 2}, m: bindDBMetrics(obs.Disabled())}
-		if err := probe.loadSnapshot("seed", raw); err != nil {
+		r, _, err := wal.NewBytesReader(b)
+		if err == nil {
+			err = probe.loadSnapshot(r)
+		}
+		return probe, err
+	}
+	for _, raw := range seeds {
+		if _, err := load(raw); err != nil {
 			f.Fatalf("a snapshot Checkpoint wrote does not load: %v", err)
 		}
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		for _, b := range [][]byte{raw, resealSnapshot(raw)} {
-			probe := &DB{opts: Options{RecoveryWorkers: 2}, m: bindDBMetrics(obs.Disabled())}
-			if probe.loadSnapshot("fuzz", b) == nil {
+			if probe, err := load(b); err == nil {
 				checkLoaded(t, probe)
 			}
 		}

@@ -101,7 +101,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	commit(t, db, tx)
 	db.Close()
 
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.log"))
 	if len(snaps) != 1 {
 		t.Fatalf("snapshots = %v", snaps)
 	}
@@ -154,7 +154,7 @@ func TestRepeatedCheckpointReopenCycles(t *testing.T) {
 }
 
 // TestMultipleSnapshotsNewestWins checks that recovery picks the newest
-// snapshot (shortest replay).
+// snapshot (shortest replay) of the two that three checkpoints leave.
 func TestMultipleSnapshotsNewestWins(t *testing.T) {
 	dir := t.TempDir()
 	db := openDBAt(t, dir)
@@ -168,8 +168,8 @@ func TestMultipleSnapshotsNewestWins(t *testing.T) {
 		}
 	}
 	db.Close()
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-	if len(snaps) != 3 {
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.log"))
+	if len(snaps) != 2 {
 		t.Fatalf("snapshots = %d", len(snaps))
 	}
 	db2 := openDBAt(t, dir)
@@ -194,7 +194,7 @@ func TestRecoveryWithAllSnapshotsCorrupt(t *testing.T) {
 	db.Checkpoint()
 	db.Close()
 
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.log"))
 	for _, s := range snaps {
 		os.Truncate(s, 10)
 	}

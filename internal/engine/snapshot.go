@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,29 +18,18 @@ import (
 	"sqlledger/internal/wal"
 )
 
-// Snapshot file layout (all integers little-endian): per-table sections
-// with an offset index, written and loaded by per-table workers.
-//
-//	magic "SQLLSNP2"
-//	u64 cutTS
-//	section catalog-JSON
-//	section ledger-state (always empty: written for the layout, stepped over)
-//	u32 tableCount, then per table:
-//	    u32 tableID, u64 rowCount, u64 offset, u64 length, u32 sectionCRC32C
-//	u32 CRC32C of the header (everything before it)
-//	table sections at the recorded absolute offsets, each a row stream in
-//	strictly ascending key order:
-//	    per row: section key, section row
-//
-// where section = u32 length + bytes. The per-section CRCs let the loader
-// verify tables in parallel and localize corruption; a snapshot that
-// fails any check is skipped and recovery falls back to the next older
-// one. Snapshots are written to a temp file and renamed into place, so a
-// crash mid-checkpoint leaves the previous snapshot intact.
+// A snapshot is a file in the WAL's format, snap-<lsn>.log, that reads as
+// one transaction committing at the cut: the log's header (with its create
+// time), a DDL record holding the catalog JSON, INSERT frames of at most
+// snapshotScanChunk rows in ascending (table id, key) order, and a last
+// COMMIT whose CommitTS is the cut. Checkpoint appends the CHECKPOINT
+// record that names the snapshot first, at the snapshot's LSN, and after
+// the rename keeps only it and the newest snapshot before it. A snapshot is
+// loaded only while it belongs to the log as it stands (loadSnapshotFile);
+// one that fails a check is skipped, and recovery falls back to the next
+// older one, then to replay from the start of the log, which is kept whole.
 
 const (
-	snapMagic = "SQLLSNP2"
-
 	// checkpointPreparedWait bounds how long Checkpoint waits for
 	// outstanding prepared 2PC transactions to resolve before refusing.
 	// The prepare→decide window is normally microseconds, so a short wait
@@ -53,19 +42,25 @@ const (
 	// released so committers on the same table make progress while the
 	// snapshot streams.
 	snapshotScanChunk = 1024
+
+	// snapName is the name of the snapshot whose redo starts at an LSN;
+	// the fixed width makes name order LSN order.
+	snapName = "snap-%016x.log"
 )
 
-// Checkpoint writes a transaction-consistent snapshot and appends a
-// CHECKPOINT record (§3.3.2), returning the LSN the snapshot covers. Old
-// snapshots and the WAL are retained to support point-in-time restore.
+// Checkpoint appends a CHECKPOINT record and writes a transaction-
+// consistent snapshot at its LSN (§3.3.2), returning that LSN. It keeps the
+// new snapshot and the newest one before it, the fallback should the new
+// one not load, and deletes the older ones: restore needs only the WAL,
+// which is kept whole.
 //
 // The checkpoint is non-quiescing: the global quiesce lock is held only
 // long enough to drain the ledger queue and pin a consistent cut — the
-// (flushed) WAL position and the matching commit timestamp. The snapshot
-// itself then streams from the MVCC version chains at the cut timestamp
-// while writers keep committing; transactions that commit during the
-// write get timestamps above the cut and WAL positions after snapLSN, so
-// replay re-applies exactly them.
+// CHECKPOINT record's WAL position and the matching commit timestamp.
+// The snapshot itself then streams from the MVCC version chains at the
+// cut timestamp while writers keep committing; transactions that commit
+// during the write get timestamps above the cut and WAL positions after
+// snapLSN, so replay re-applies exactly them.
 func (db *DB) Checkpoint() (int64, error) {
 	db.checkpointMu.Lock()
 	defer db.checkpointMu.Unlock()
@@ -97,14 +92,6 @@ func (db *DB) Checkpoint() (int64, error) {
 		// the cut, so the snapshot captures them.
 		db.opts.Hook.BeforeSnapshot()
 	}
-	if err := db.log.Flush(); err != nil {
-		db.quiesce.Unlock()
-		return 0, err
-	}
-	snapLSN := db.log.Size()
-	// Under full quiescence nothing is in flight: every commit at or
-	// below cutTS is applied, and everything after will log past snapLSN.
-	cutTS := db.lastCommitTS.Load()
 	db.mu.RLock()
 	catJSON, catErr := db.cat.marshal()
 	tables := make([]*Table, 0, len(db.tables))
@@ -117,6 +104,17 @@ func (db *DB) Checkpoint() (int64, error) {
 		return 0, catErr
 	}
 	sort.Slice(tables, func(i, j int) bool { return tables[i].meta.ID < tables[j].meta.ID })
+	// Under full quiescence nothing is in flight: every commit at or
+	// below cutTS is applied, and everything after will log past the
+	// CHECKPOINT record, whose frame is the one at snapLSN.
+	snapLSN, cutTS := db.log.Size(), db.lastCommitTS.Load()
+	if _, err := db.log.Append(wal.RecCheckpoint, 0, wal.EncodeCheckpoint(wal.CheckpointPayload{
+		SnapshotLSN: snapLSN,
+		WallTS:      time.Now().UnixNano(),
+	})); err != nil {
+		db.quiesce.Unlock()
+		return 0, err
+	}
 	// Pin the cut in the snapshot registry so version GC cannot reclaim
 	// the versions the stream is about to read.
 	db.snapMu.Lock()
@@ -139,54 +137,57 @@ func (db *DB) Checkpoint() (int64, error) {
 	if err := db.writeSnapshot(snapLSN, cutTS, catJSON, tables); err != nil {
 		return 0, err
 	}
-
-	// The checkpoint record itself is appended like any other writer:
-	// under the read side of quiesce, after re-checking for close.
-	db.quiesce.RLock()
-	if db.closed {
-		db.quiesce.RUnlock()
-		return 0, ErrClosed
-	}
-	_, err := db.log.Append(wal.RecCheckpoint, 0, wal.EncodeCheckpoint(wal.CheckpointPayload{
-		SnapshotLSN: snapLSN,
-		WallTS:      time.Now().UnixNano(),
-	}))
-	if err == nil {
-		err = db.log.Flush()
-	}
-	db.quiesce.RUnlock()
-	if err != nil {
-		return 0, err
+	if err := dropOldSnapshots(db.opts.Dir, snapLSN); err != nil {
+		return 0, fmt.Errorf("engine: snapshot retention: %w", err)
 	}
 	db.obs.Events().Info(obs.EventWALCheckpoint, "snapshot_lsn", snapLSN,
 		"quiesce_seconds", quiesced.Seconds(), "duration_seconds", time.Since(start).Seconds())
 	return snapLSN, nil
 }
 
-func snapPath(dir string, lsn int64) string {
-	return filepath.Join(dir, fmt.Sprintf("snap-%016x.snap", lsn))
+// snapshots lists the snapshots in dir, oldest first: Glob sorts, and
+// name order is LSN order. (Glob fails only on a malformed pattern.)
+func snapshots(dir string) (paths []string, lsns []int64) {
+	matches, _ := filepath.Glob(filepath.Join(dir, "snap-*.log"))
+	for _, p := range matches {
+		var lsn int64
+		if _, err := fmt.Sscanf(filepath.Base(p), snapName, &lsn); err == nil {
+			paths, lsns = append(paths, p), append(lsns, lsn)
+		}
+	}
+	return paths, lsns
 }
 
-var castagnoliSnap = crc32.MakeTable(crc32.Castagnoli)
-
-// appendSection appends b as a section: its u32 length, then b.
-func appendSection(dst, b []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(b)))
-	return append(dst, b...)
+// dropOldSnapshots deletes the snapshots in dir older than the newest one
+// below lsn, which stays as the fallback for the snapshot at lsn.
+func dropOldSnapshots(dir string, lsn int64) error {
+	paths, lsns := snapshots(dir)
+	prev := 0
+	for i, l := range lsns {
+		if l < lsn {
+			prev = i
+		}
+	}
+	for _, p := range paths[:prev] {
+		if err := os.Remove(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// snapshotTableAt encodes one table's row stream as visible at cutTS,
-// releasing the table lock between chunks so concurrent committers are
-// never blocked for the duration of the scan. Returns the encoded
-// section and the number of rows it holds. A row goes out as the bytes it
-// is stored as; one stored before an ADD COLUMN is widened on the way, so
-// the file holds what it would if every row had been written after it.
-func snapshotTableAt(t *Table, cutTS int64) ([]byte, uint64) {
-	var buf []byte
-	var rows uint64
-	var resume []byte
+// snapshotTableAt encodes one table's rows as visible at cutTS into INSERT
+// frames of at most snapshotScanChunk rows, releasing the table lock
+// between chunks so concurrent committers are never blocked for the
+// duration of the scan. A row goes out as the bytes it is stored as; one
+// stored before an ADD COLUMN is widened on the way, so the file holds
+// what it would if every row had been written after it.
+func snapshotTableAt(t *Table, cutTS int64) (frames []byte, err error) {
+	var payloads, resume []byte
+	var recs []wal.Record
 	for {
 		visited := 0
+		payloads, recs = payloads[:0], recs[:0]
 		t.mu.RLock()
 		t.rows.AscendRange(resume, nil, func(k []byte, c *versionChain) bool {
 			if visited >= snapshotScanChunk {
@@ -196,61 +197,47 @@ func snapshotTableAt(t *Table, cutTS int64) ([]byte, uint64) {
 			visited++
 			resume = append(append(resume[:0], k...), 0x00)
 			if row, ok := c.at(cutTS); ok {
-				buf = appendSection(buf, k)
-				lenAt := len(buf)
-				buf = sqltypes.AppendRowPadded(append(buf, 0, 0, 0, 0), row, t.meta.Schema.Columns)
-				binary.LittleEndian.PutUint32(buf[lenAt:], uint32(len(buf)-lenAt-4))
-				rows++
+				// payloads may outgrow the array a record points into; that
+				// array is not written again, so the record stays valid.
+				start := len(payloads)
+				payloads = wal.AppendDMLImage(payloads, wal.DMLImage{TableID: t.meta.ID, Key: k})
+				payloads = sqltypes.AppendRowPadded(payloads, row, t.meta.Schema.Columns)
+				recs = append(recs, wal.Record{Type: wal.RecInsert, Payload: payloads[start:]})
 			}
 			return true
 		})
 		t.mu.RUnlock()
+		if len(recs) > 0 {
+			if frames, err = wal.AppendFrame(frames, recs); err != nil {
+				return nil, err
+			}
+		}
 		if visited < snapshotScanChunk {
-			return buf, rows
+			return frames, nil
 		}
 	}
 }
 
-// snapSection is one encoded per-table section headed for the file.
-type snapSection struct {
-	id   uint32
-	rows uint64
-	data []byte
-	crc  uint32
-}
-
-// writeSnapshot writes the snapshot file: table sections encoded by
-// per-table workers from the MVCC cut at cutTS, then laid out behind an
-// offset index with per-section CRCs.
+// writeSnapshot writes the snapshot whose redo starts at lsn: the header,
+// the catalog, the INSERT frames per-table workers encode from the MVCC
+// cut at cutTS, and the COMMIT at the cut.
 func (db *DB) writeSnapshot(lsn, cutTS int64, catJSON []byte, tables []*Table) error {
-	secs := make([]snapSection, len(tables))
+	catalog := wal.Record{Type: wal.RecDDL, Payload: wal.EncodeDDL(wal.DDLPayload{Kind: "catalog", Body: catJSON})}
+	commit := wal.Record{Type: wal.RecCommit, Payload: wal.EncodeCommit(wal.CommitPayload{CommitTS: cutTS})}
+	// parts[i] and errs[i] belong together; the header cannot fail.
+	parts := make([][]byte, len(tables)+3)
+	errs := make([]error, len(parts))
+	parts[0] = wal.AppendHeader(nil, db.log.CreateTime())
+	parts[1], errs[1] = wal.AppendFrame(nil, []wal.Record{catalog})
 	forEach(len(tables), db.recoveryWorkers(), func(i int) {
-		data, rows := snapshotTableAt(tables[i], cutTS)
-		secs[i] = snapSection{id: tables[i].meta.ID, rows: rows, data: data, crc: crc32.Checksum(data, castagnoliSnap)}
+		parts[2+i], errs[2+i] = snapshotTableAt(tables[i], cutTS)
 	})
-
-	le := binary.LittleEndian
-	hdr := le.AppendUint64([]byte(snapMagic), uint64(cutTS))
-	hdr = appendSection(hdr, catJSON)
-	hdr = appendSection(hdr, nil) // ledger state
-	hdr = le.AppendUint32(hdr, uint32(len(secs)))
-	offset := uint64(len(hdr) + 32*len(secs) + 4)
-	for _, s := range secs {
-		hdr = le.AppendUint32(hdr, s.id)
-		hdr = le.AppendUint64(hdr, s.rows)
-		hdr = le.AppendUint64(hdr, offset)
-		hdr = le.AppendUint64(hdr, uint64(len(s.data)))
-		hdr = le.AppendUint32(hdr, s.crc)
-		offset += uint64(len(s.data))
+	parts[len(parts)-1], errs[len(parts)-1] = wal.AppendFrame(nil, []wal.Record{commit})
+	err := errors.Join(errs...)
+	if err == nil {
+		err = wal.WriteFileAtomic(filepath.Join(db.opts.Dir, fmt.Sprintf(snapName, lsn)), 0o644, parts...)
 	}
-	hdr = le.AppendUint32(hdr, crc32.Checksum(hdr, castagnoliSnap))
-
-	parts := make([][]byte, 0, 1+len(secs))
-	parts = append(parts, hdr)
-	for _, s := range secs {
-		parts = append(parts, s.data)
-	}
-	if err := wal.WriteFileAtomic(snapPath(db.opts.Dir, lsn), 0o644, parts...); err != nil {
+	if err != nil {
 		return fmt.Errorf("engine: snapshot write: %w", err)
 	}
 	return nil
@@ -276,30 +263,19 @@ func forEach(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// loadLatestSnapshot finds and loads the newest valid snapshot, returning
-// the LSN recovery should replay from (0 when starting empty). A snapshot
-// that fails to load is reported and skipped for the next older one.
+// loadLatestSnapshot loads the newest snapshot that belongs to the log and
+// loads, returning the LSN recovery should replay from (0 when starting
+// empty). A snapshot that does not is reported and skipped for the next
+// older one.
 func (db *DB) loadLatestSnapshot() (int64, error) {
-	matches, err := filepath.Glob(filepath.Join(db.opts.Dir, "snap-*.snap"))
-	if err != nil {
-		return 0, err
-	}
-	// Glob sorts, and the LSN in a name is fixed-width hex: newest last.
-	for i := len(matches) - 1; i >= 0; i-- {
-		var lsn int64
-		if _, err := fmt.Sscanf(filepath.Base(matches[i]), "snap-%016x.snap", &lsn); err != nil {
-			continue
-		}
-		raw, err := os.ReadFile(matches[i])
-		if err == nil {
-			err = db.loadSnapshot(matches[i], raw)
-		}
-		if err != nil {
+	paths, lsns := snapshots(db.opts.Dir)
+	for i := len(paths) - 1; i >= 0; i-- {
+		if err := db.loadSnapshotFile(paths[i], lsns[i]); err != nil {
 			// Replay from an older snapshot covers the gap.
-			db.obs.Events().Warn(obs.EventSnapshotSkipped, "file", matches[i], "reason", err.Error())
+			db.obs.Events().Warn(obs.EventSnapshotSkipped, "file", paths[i], "reason", err.Error())
 			continue
 		}
-		return lsn, nil
+		return lsns[i], nil
 	}
 	// No usable snapshot: start from an empty catalog.
 	db.cat = newCatalog()
@@ -307,92 +283,97 @@ func (db *DB) loadLatestSnapshot() (int64, error) {
 	return 0, nil
 }
 
-// snapReader reads a snapshot buffer front to back, bounds checking every
-// read. The first failure sticks: later reads return nil and err names
-// what was being read.
-type snapReader struct {
-	b    []byte
-	pos  int
-	what string
-	err  error
-}
-
-func (r *snapReader) next(n int) []byte {
-	if r.err == nil && (n < 0 || n > len(r.b)-r.pos) {
-		r.err = fmt.Errorf("engine: snapshot %s truncated", r.what)
-	}
-	if r.err != nil {
-		return nil
-	}
-	b := r.b[r.pos : r.pos+n]
-	r.pos += n
-	return b
-}
-
-// uint reads an n-byte little-endian integer.
-func (r *snapReader) uint(n int) (v uint64) {
-	for i, c := range r.next(n) {
-		v |= uint64(c) << (8 * i)
-	}
-	return v
-}
-
-// section reads a u32 length and that many bytes.
-func (r *snapReader) section() []byte { return r.next(int(r.uint(4))) }
-
-// loadSnapshot validates and loads the snapshot raw read from path: header
-// CRC first, then per-table workers each verify their section CRC, decode
-// the row stream into a freshly built table and rebuild its indexes. db is
-// changed only once everything has validated, so a failure leaves it ready
-// to try an older snapshot.
-func (db *DB) loadSnapshot(path string, raw []byte) error {
-	r := &snapReader{b: raw, what: "header of " + path}
-	if string(r.next(len(snapMagic))) != snapMagic {
-		return fmt.Errorf("engine: bad snapshot header in %s", path)
-	}
-	cutTS := int64(r.uint(8))
-	catJSON := r.section()
-	r.section() // ledger state, always empty
-	nTables := int(r.uint(4))
-	index := r.next(nTables * 32)
-	headerLen := r.pos
-	if crc := r.uint(4); r.err != nil {
-		return r.err
-	} else if crc32.Checksum(raw[:headerLen], castagnoliSnap) != uint32(crc) {
-		return fmt.Errorf("engine: snapshot header CRC mismatch in %s", path)
-	}
-	cat, err := unmarshalCatalog(catJSON)
+// loadSnapshotFile loads the snapshot at path, whose redo starts at lsn, if
+// it belongs to the log as it stands: its header carries the log's create
+// time, and the log's frame at lsn is the CHECKPOINT record that names it.
+func (db *DB) loadSnapshotFile(path string, lsn int64) error {
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("%w in %s", err, path)
+		return err
+	}
+	r, createTime, err := wal.NewBytesReader(raw)
+	if err != nil {
+		return err
+	}
+	if createTime != db.log.CreateTime() {
+		return fmt.Errorf("engine: snapshot of another incarnation: created %d, the log %d", createTime, db.log.CreateTime())
+	}
+	recs, err := db.log.ReadFrame(lsn) // fails on an LSN past the log's valid end
+	var p wal.CheckpointPayload
+	if err == nil && len(recs) == 1 && recs[0].Type == wal.RecCheckpoint {
+		p, err = wal.DecodeCheckpoint(recs[0].Payload)
+	}
+	if err != nil || p.SnapshotLSN != lsn {
+		return fmt.Errorf("engine: the log's frame at snapshot LSN %d is not its CHECKPOINT record (%v)", lsn, err)
+	}
+	return db.loadSnapshot(r)
+}
+
+// loadSnapshot loads the snapshot r reads: the catalog, the rows in
+// ascending (table id, key) order — a worker per table decodes its rows
+// into a freshly built table — and the COMMIT, which must be the last
+// record and carries the cut. db is changed only once everything has
+// validated, so a failure leaves it ready to try an older snapshot.
+func (db *DB) loadSnapshot(r *wal.Reader) error {
+	rec, err := r.Next()
+	if err == nil && rec.Type != wal.RecDDL {
+		err = fmt.Errorf("engine: snapshot starts with a %s record, not the catalog", rec.Type)
+	}
+	var ddl wal.DDLPayload
+	if err == nil {
+		ddl, err = wal.DecodeDDL(rec.Payload)
+	}
+	if err != nil {
+		return err
+	}
+	cat, err := unmarshalCatalog(ddl.Body)
+	if err != nil {
+		return err
 	}
 	tables := make(map[uint32]*Table, len(cat.Tables))
 	for id, meta := range cat.Tables {
 		tables[id] = newTable(meta)
 	}
 
-	// The writer lays sections out in table-id order; a table listed twice
+	// A table's rows are one run, in table-id order: a table in two runs
 	// would be loaded by two workers at once.
-	for i := 32; i < len(index); i += 32 {
-		if binary.LittleEndian.Uint32(index[i:]) <= binary.LittleEndian.Uint32(index[i-32:]) {
-			return fmt.Errorf("engine: snapshot index out of table order in %s", path)
+	var secs []*Table
+	var rows [][][]byte
+	var cut wal.CommitPayload
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			return errors.New("engine: snapshot ends before its COMMIT record")
+		} else if err != nil {
+			return err
 		}
+		if rec.Type == wal.RecCommit {
+			if cut, err = wal.DecodeCommit(rec.Payload); err != nil {
+				return err
+			}
+			break
+		}
+		if rec.Type != wal.RecInsert {
+			return fmt.Errorf("engine: snapshot holds a row record of type %s", rec.Type)
+		}
+		// The table id leads the payload, truncated as DecodeDMLImage does.
+		id64, _ := binary.Uvarint(rec.Payload)
+		if id, n := uint32(id64), len(secs); n == 0 || id != secs[n-1].meta.ID {
+			if n > 0 && id < secs[n-1].meta.ID {
+				return fmt.Errorf("engine: snapshot rows of table %d out of table order", id)
+			} else if tables[id] == nil {
+				return fmt.Errorf("engine: snapshot has rows for unknown table %d", id)
+			}
+			secs, rows = append(secs, tables[id]), append(rows, nil)
+		}
+		rows[len(rows)-1] = append(rows[len(rows)-1], rec.Payload)
 	}
-	errs := make([]error, nTables)
-	forEach(nTables, db.recoveryWorkers(), func(i int) {
-		ent := index[i*32 : i*32+32]
-		id := binary.LittleEndian.Uint32(ent[0:4])
-		off, ln := binary.LittleEndian.Uint64(ent[12:20]), binary.LittleEndian.Uint64(ent[20:28])
-		t, ok := tables[id]
-		switch {
-		case !ok:
-			errs[i] = fmt.Errorf("engine: snapshot has rows for unknown table %d in %s", id, path)
-		case off > uint64(len(raw)) || ln > uint64(len(raw))-off:
-			errs[i] = fmt.Errorf("engine: snapshot section out of bounds for table %d in %s", id, path)
-		case crc32.Checksum(raw[off:off+ln], castagnoliSnap) != binary.LittleEndian.Uint32(ent[28:32]):
-			errs[i] = fmt.Errorf("engine: snapshot section CRC mismatch for table %d in %s", id, path)
-		default:
-			errs[i] = loadTableSection(t, raw[off:off+ln], binary.LittleEndian.Uint64(ent[4:12]))
-		}
+	if _, err := r.Next(); err != io.EOF {
+		return errors.Join(errors.New("engine: snapshot has a record after its COMMIT"), err)
+	}
+	errs := make([]error, len(secs))
+	forEach(len(secs), db.recoveryWorkers(), func(i int) {
+		errs[i] = loadTableSection(secs[i], rows[i])
 	})
 	if err := errors.Join(errs...); err != nil {
 		return err
@@ -411,43 +392,31 @@ func (db *DB) loadSnapshot(path string, raw []byte) error {
 	}
 	db.cat = cat
 	db.tables = tables
-	db.lastCommitTS.Store(cutTS)
+	db.lastCommitTS.Store(cut.CommitTS)
 	db.m.versionsLive.Set(float64(loaded))
 	return nil
 }
 
-// loadTableSection loads one row stream into a fresh table. The stream must
-// hold rows keys in strictly ascending order — the clustered btree
-// bulk-loads it in O(n), and is undefined on any other order — and each row
-// is checked and then stored as the bytes the file holds, in an allocation
-// of its own (a slice of the file's buffer would keep the whole file alive
-// for as long as any one of its rows is).
-func loadTableSection(t *Table, data []byte, rows uint64) error {
-	// Every row takes at least its two length prefixes.
-	if rows > uint64(len(data))/8 {
-		return fmt.Errorf("engine: snapshot section for table %s claims %d rows in %d bytes", t.meta.Name, rows, len(data))
-	}
-	keys := make([][]byte, 0, rows)
-	chains := make([]*versionChain, 0, rows)
-	r := &snapReader{b: data, what: "section for table " + t.meta.Name}
-	for j := uint64(0); j < rows; j++ {
-		key, rowb := r.section(), r.section()
-		if r.err != nil {
-			return r.err
+// loadTableSection loads one table's INSERT payloads into a fresh table.
+// Their keys must be strictly ascending — the clustered btree bulk-loads
+// them in O(n), and is undefined on any other order — and
+// wal.DecodeDMLImage checks each row and copies key and row into
+// allocations of their own (a slice of a frame would keep the whole frame
+// alive for as long as any one of its rows is).
+func loadTableSection(t *Table, rows [][]byte) error {
+	keys := make([][]byte, len(rows))
+	chains := make([]*versionChain, len(rows))
+	for j, p := range rows {
+		m, err := wal.DecodeDMLImage(wal.RecInsert, p)
+		if err != nil {
+			return fmt.Errorf("engine: snapshot row %d of table %s: %w", j, t.meta.Name, err)
 		}
-		if j > 0 && bytes.Compare(key, keys[j-1]) <= 0 {
-			return fmt.Errorf("engine: snapshot section for table %s: row %d is not in key order", t.meta.Name, j)
-		}
-		if err := sqltypes.CheckRow(rowb); err != nil {
-			return err
+		if j > 0 && bytes.Compare(m.Key, keys[j-1]) <= 0 {
+			return fmt.Errorf("engine: snapshot rows of table %s: row %d is not in key order", t.meta.Name, j)
 		}
 		// Snapshot rows load as a single version at timestamp 0, visible
 		// to every snapshot read.
-		keys = append(keys, bytes.Clone(key))
-		chains = append(chains, newChain(0, bytes.Clone(rowb)))
-	}
-	if r.pos != len(data) {
-		return fmt.Errorf("engine: snapshot section has %d trailing bytes for table %s", len(data)-r.pos, t.meta.Name)
+		keys[j], chains[j] = m.Key, newChain(0, m.After)
 	}
 	t.rows = btree.BuildSorted(keys, chains)
 	t.liveRows = len(keys)

@@ -107,7 +107,7 @@ func bigBatch(txID uint64) []Record {
 
 func frameSize(t *testing.T, recs []Record) int64 {
 	t.Helper()
-	b, err := appendFrame(nil, recs)
+	b, err := AppendFrame(nil, recs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,6 +40,10 @@
 // the records of a frame back one by one, in log order; an LSN is the file
 // offset of a frame, shared by the records inside it.
 //
+// A log is the first kind of file in this format; the engine's checkpoint
+// snapshot (snap-<lsn>.log), written whole with AppendHeader, AppendFrame
+// and WriteFileAtomic and read whole by NewBytesReader, is the second.
+//
 // # Torn tails and corruption
 //
 // The log ends at the first frame that does not validate. If the file
@@ -221,10 +225,16 @@ func checkHeader(f io.ReaderAt, size int64) (empty bool, createTime int64, err e
 	return false, int64(binary.LittleEndian.Uint64(h[magicLen:])), nil
 }
 
-// appendFrame appends to dst the frame holding recs, which must be
+// AppendHeader appends to dst the header of a file of this format whose
+// create time is createTime. It is the only encoder of the header.
+func AppendHeader(dst []byte, createTime int64) []byte {
+	return binary.LittleEndian.AppendUint64(append(dst, fileMagic[:]...), uint64(createTime))
+}
+
+// AppendFrame appends to dst the frame holding recs, which must be
 // non-empty and belong to one transaction. It is the only encoder of the
 // framing; on error dst comes back unchanged.
-func appendFrame(dst []byte, recs []Record) ([]byte, error) {
+func AppendFrame(dst []byte, recs []Record) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, make([]byte, frameHdrLen)...)
 	dst = binary.AppendUvarint(dst, recs[0].TxID)
@@ -246,8 +256,8 @@ func appendFrame(dst []byte, recs []Record) ([]byte, error) {
 }
 
 // frameReader reads frames off a byte stream. It is the only parser of
-// the framing: Open's scan for the valid end of the log, Reader, (through
-// Reader) PipelinedReader and ReadFrame all go through next.
+// the framing: Open's scan for the valid end of the log, Reader (and so
+// PipelinedReader and NewBytesReader) and ReadFrame all go through next.
 type frameReader struct {
 	r   io.Reader
 	off int64 // offset of the next frame
@@ -468,8 +478,7 @@ func create(f *os.File, mode SyncMode, clock func() int64) (int64, error) {
 	if clock != nil {
 		now = clock()
 	}
-	h := binary.LittleEndian.AppendUint64(fileMagic[:], uint64(now))
-	if _, err := f.WriteAt(h, 0); err != nil {
+	if _, err := f.WriteAt(AppendHeader(nil, now), 0); err != nil {
 		return 0, fmt.Errorf("write header: %w", err)
 	}
 	if mode != SyncFull {
@@ -591,7 +600,7 @@ func (l *Log) appendFrameLocked(recs []Record) (int64, error) {
 	}
 	pending := len(l.buf)
 	var err error
-	if l.buf, err = appendFrame(l.buf, recs); err != nil {
+	if l.buf, err = AppendFrame(l.buf, recs); err != nil {
 		return 0, err
 	}
 	n := int64(len(l.buf) - pending)
@@ -713,7 +722,7 @@ func (l *Log) Close() error {
 // ErrCorrupt at a whole frame that fails validation; no record of an
 // invalid frame is ever returned.
 type Reader struct {
-	f    *os.File
+	f    *os.File // nil for NewBytesReader
 	fr   *frameReader
 	recs []Record // what is left of the frame being handed out
 }
@@ -750,6 +759,21 @@ func NewReader(path string, start, end int64) (*Reader, error) {
 	return &Reader{f: f, fr: newFrameReader(f, start, end)}, nil
 }
 
+// NewBytesReader reads the whole file of this format held in b, such as a
+// snapshot, and returns the create time in its header. It fails with
+// ErrFormat unless b starts with a whole version-3 header.
+func NewBytesReader(b []byte) (*Reader, int64, error) {
+	if len(b) < HeaderLen {
+		return nil, 0, ErrFormat{Have: 1, Want: FormatVersion}
+	}
+	_, createTime, err := checkHeader(bytes.NewReader(b), int64(len(b)))
+	if err != nil {
+		return nil, 0, err
+	}
+	fr := &frameReader{r: bytes.NewReader(b[HeaderLen:]), off: HeaderLen, end: int64(len(b))}
+	return &Reader{fr: fr}, createTime, nil
+}
+
 // Next returns the next record, or io.EOF at the end of the scan range.
 // Each frame's body is allocated fresh, so payloads stay valid after Next.
 func (r *Reader) Next() (Record, error) {
@@ -768,8 +792,13 @@ func (r *Reader) Next() (Record, error) {
 	return rec, nil
 }
 
-// Close releases the reader's file handle.
-func (r *Reader) Close() error { return r.f.Close() }
+// Close releases the reader's file handle, if it has one.
+func (r *Reader) Close() error {
+	if r.f == nil {
+		return nil
+	}
+	return r.f.Close()
+}
 
 // WriteFileAtomic replaces path with the concatenated parts durably: they go
 // to a temporary file, which is synced before it is renamed over path, and

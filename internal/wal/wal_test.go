@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -130,6 +132,73 @@ func TestReadFrame(t *testing.T) {
 	}
 	defer l.Close()
 	check("written")
+}
+
+// TestBytesReader: a file AppendHeader and AppendFrame wrote in memory reads
+// back through NewBytesReader exactly as the log file Open writes reads
+// through NewReader: the same records, LSNs and create time. A cut inside
+// the last frame ends the scan, a flipped bit is ErrCorrupt, and bytes
+// without a whole header are ErrFormat.
+func TestBytesReader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	l, err := OpenWithClock(path, SyncBuffered, func() int64 { return 42 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := AppendHeader(nil, 42)
+	for tx := uint64(1); tx <= 3; tx++ {
+		recs := []Record{{Type: RecInsert, TxID: tx, Payload: []byte{byte(tx)}}, {Type: RecCommit, TxID: tx}}
+		if _, err := l.AppendBatch(recs); err != nil {
+			t.Fatal(err)
+		}
+		if b, err = AppendFrame(b, recs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	file, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(file, b) {
+		t.Fatalf("the log file differs from the frames encoded in memory (%v)", err)
+	}
+	readAll := func(r *Reader) (recs []Record, err error) {
+		for {
+			rec, err := r.Next()
+			if err != nil {
+				return recs, err
+			}
+			recs = append(recs, rec)
+		}
+	}
+	fromFile, err := NewReader(path, 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fromFile.Close()
+	want, _ := readAll(fromFile)
+	r, createTime, err := NewBytesReader(b)
+	if err != nil || createTime != 42 {
+		t.Fatalf("NewBytesReader: create time %d, %v", createTime, err)
+	}
+	got, err := readAll(r)
+	if err != io.EOF || len(got) != 6 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("records %v (%v), want %v", got, err, want)
+	}
+
+	r, _, _ = NewBytesReader(b[:len(b)-1])
+	if got, err := readAll(r); err != io.EOF || len(got) != 4 {
+		t.Fatalf("cut inside the last frame: %d records, %v; want 4, io.EOF", len(got), err)
+	}
+	flipped := bytes.Clone(b)
+	flipped[HeaderLen+frameHdrLen] ^= 1
+	r, _, _ = NewBytesReader(flipped)
+	if _, err := readAll(r); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("flipped bit in the first frame: %v, want ErrCorrupt", err)
+	}
+	for _, short := range [][]byte{nil, b[:HeaderLen-1], []byte("not a log at all")} {
+		if _, _, err := NewBytesReader(short); !errors.As(err, new(ErrFormat)) {
+			t.Fatalf("NewBytesReader(%q): %v, want ErrFormat", short, err)
+		}
+	}
 }
 
 func TestTornTailTruncatedOnOpen(t *testing.T) {
