@@ -78,6 +78,12 @@ func main() {
 		fmt.Printf("repair-wal: dropped %d bytes\n", dropped)
 		return
 	}
+	switch args[0] {
+	case "verify", "verify-super", "audit": // they check a database; Open would create one
+		if _, err := os.Stat(*dbDir); err != nil {
+			fatal(fmt.Errorf("%s: no database: %w", args[0], err))
+		}
+	}
 	reg := sqlledger.NewMetricsRegistry()
 	reg.Traces().SetSlowThreshold(time.Duration(*slowMS) * time.Millisecond)
 	reg.Traces().SetSampleRate(*traceSample)

@@ -86,9 +86,9 @@ type Options struct {
 	// it per shard so N engines on one box don't tick in lockstep.
 	VersionGCInterval time.Duration
 	// RecoveryWorkers sets crash-recovery parallelism: log read-ahead on
-	// or off, and how many tables load snapshot sections and install
-	// replayed rows at once (engine.Options.RecoveryWorkers). 0 means one
-	// per CPU; 1 runs recovery with no goroutines.
+	// or off, and how many tables install replayed rows at once
+	// (engine.Options.RecoveryWorkers). 0 means one per CPU; 1 runs
+	// recovery with no goroutines.
 	RecoveryWorkers int
 }
 

@@ -129,7 +129,9 @@ func (l *Shard) checkChain(c chainCheck, emit emitFn) chainResult {
 			continue
 		}
 		res.digests++
-		if h, err := d.BlockHash(); err != nil {
+		if d.DatabaseName != l.opts.Name {
+			report(1, d.BlockID, false, "digest for block %d names database %q, this is %q", d.BlockID, d.DatabaseName, l.opts.Name)
+		} else if h, err := d.BlockHash(); err != nil {
 			report(1, d.BlockID, false, "digest for block %d: %v", d.BlockID, err)
 		} else {
 			pending[d.BlockID] = append(pending[d.BlockID], blockDigest{h, d.Incarnation})

@@ -50,6 +50,37 @@ func loadAccounts(t *testing.T, s *DB, st *LedgerTable, n int) {
 	}
 }
 
+// TestVerifyDigestOfAnotherDatabase: a digest renamed to another
+// database, moved past the chain head and given another incarnation fails
+// invariant 1 with an issue naming that database, at one shard and at
+// four, where no shard bears its name.
+func TestVerifyDigestOfAnotherDatabase(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("%d shards", shards), func(t *testing.T) {
+			s := openShards(t, t.TempDir(), shards)
+			defer s.Close()
+			st, err := s.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loadAccounts(t, s, st, 20)
+			d, err := s.Shard(0).GenerateDigest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.DatabaseName, d.BlockID, d.Incarnation = "other", d.BlockID+100, d.Incarnation+1
+			rep, err := s.Verify([]Digest{d}, VerifyOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Ok() || !strings.Contains(rep.String(), `[TAMPER inv1] digest for block`) ||
+				!strings.Contains(rep.String(), `names database "other"`) {
+				t.Fatalf("report of a digest naming another database:\n%s", rep)
+			}
+		})
+	}
+}
+
 // TestMultiShardBasicOps exercises routed DML, point reads, cross-shard
 // scans and the routing invariants on a 4-shard database.
 func TestMultiShardBasicOps(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,7 +51,8 @@ type Report struct {
 	// Shards is the per-shard breakdown, set when the run covered several
 	// chains (DB.Verify on a multi-shard database, VerifySuperBlock): the
 	// counters above are then totals over the shards, Timing.Total the wall
-	// clock of the whole run, and every issue is in its shard's report.
+	// clock of the whole run, and every issue is in its shard's report but
+	// that of a digest naming none of the shards, which is in Issues.
 	Shards []ShardReport
 }
 
@@ -99,6 +101,9 @@ func (r *Report) String() string {
 		b.WriteByte('\n')
 	}
 	if r.Shards != nil {
+		for _, i := range r.Issues {
+			b.WriteString(i.String() + "\n")
+		}
 		return b.String()
 	}
 	fmt.Fprintf(&b, "verification: blocks=%d txs=%d row-versions=%d tables=%d indexes=%d digests=%d",
@@ -211,12 +216,13 @@ func (p *workerPool) run(tasks []func()) {
 // copy or a maintenance window, as the paper suggests).
 //
 // On a multi-shard database every shard is verified, in parallel, against
-// the digests that carry its name, and the report is the breakdown.
+// the digests that carry its name, and the report is the breakdown. A
+// digest that names another database fails invariant 1, as on one shard.
 func (db *DB) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 	if len(db.shards) == 1 {
 		return db.shards[0].Verify(digests, opts)
 	}
-	return db.verifyShards(func(_ int, l *Shard) ShardReport {
+	rep := db.verifyShards(func(_ int, l *Shard) ShardReport {
 		var own []Digest
 		for _, d := range digests {
 			if d.DatabaseName == l.opts.Name {
@@ -225,7 +231,14 @@ func (db *DB) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 		}
 		rep, err := l.Verify(own, opts)
 		return ShardReport{Report: rep, HeadErr: err}
-	}), nil
+	})
+	for _, d := range digests {
+		if !slices.ContainsFunc(db.shards, func(l *Shard) bool { return l.opts.Name == d.DatabaseName }) {
+			rep.Issues = append(rep.Issues, Issue{Invariant: 1, Detail: fmt.Sprintf(
+				"digest for block %d names database %q, none of this database's shards", d.BlockID, d.DatabaseName)})
+		}
+	}
+	return rep, nil
 }
 
 // verifyShards runs verify on every shard in parallel and totals the

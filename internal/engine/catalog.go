@@ -94,38 +94,13 @@ func (c *catalog) tableByName(name string) *TableMeta {
 
 func (c *catalog) marshal() ([]byte, error) { return json.Marshal(c) }
 
-// unmarshalCatalog decodes a snapshot's catalog and checks every entry.
-func unmarshalCatalog(b []byte) (*catalog, error) {
-	c := newCatalog()
-	if err := json.Unmarshal(b, c); err != nil {
-		return nil, fmt.Errorf("engine: bad catalog: %w", err)
-	}
-	for id, m := range c.Tables {
-		if err := checkTable(m); err != nil {
-			return nil, err
-		}
-		if m.ID != id || id >= c.NextTableID {
-			return nil, fmt.Errorf("engine: catalog: table %d filed under id %d (next id %d)", m.ID, id, c.NextTableID)
-		}
-	}
-	for id, im := range c.Indexes {
-		if err := checkIndex(im, c.Tables); err != nil {
-			return nil, err
-		}
-		if im.ID != id || id >= c.NextIndexID {
-			return nil, fmt.Errorf("engine: catalog: index %d filed under id %d (next id %d)", im.ID, id, c.NextIndexID)
-		}
-	}
-	return c, nil
-}
-
 // checkTable and checkIndex are the one check of catalog metadata, which
 // reaches the engine from files a restart reads back as well as from DDL:
-// unmarshalCatalog runs them on every entry of a snapshot's catalog, and
-// the function of each DDL kind (ddl.go) on the entry it is about to
-// install, live or replayed. What passes is used without a nil or range
-// check: the entry and its schema are present, and every column ordinal
-// it names lies inside its table's schema.
+// the function of each DDL kind (ddl.go) runs them on the entry it is
+// about to install, live, replayed or from a snapshot's catalog. What
+// passes is used without a nil or range check: the entry and its schema
+// are present, and every column ordinal it names lies inside its table's
+// schema.
 func checkTable(m *TableMeta) error {
 	switch {
 	case m == nil || m.Schema == nil:

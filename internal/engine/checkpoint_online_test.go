@@ -195,7 +195,7 @@ func TestSnapshotV2SectionCRCFallback(t *testing.T) {
 	probe := openDBAt(t, t.TempDir())
 	r, _, lerr := wal.NewBytesReader(b)
 	if lerr == nil {
-		lerr = probe.loadSnapshot(r)
+		lerr = probe.loadSnapshot(r, newRedo(probe))
 	}
 	if !errors.Is(lerr, wal.ErrCorrupt) {
 		t.Fatalf("corrupt snapshot load error = %v, want wal.ErrCorrupt", lerr)

@@ -65,10 +65,10 @@ type Options struct {
 	// instances on one box don't all tick in lockstep.
 	VersionGCInterval time.Duration
 	// RecoveryWorkers sets the parallelism of crash recovery. Redo always
-	// replays the log in order on one loop; above 1, a goroutine reads and
-	// decodes the log a batch ahead of it, and this many tables at a time
-	// load their snapshot sections and install what redo built. 0 means
-	// one per CPU; 1 runs recovery with no goroutines.
+	// replays the snapshot and then the log in order on one loop; above 1,
+	// a goroutine reads and decodes the log a batch ahead of it, and this
+	// many tables at a time install what redo built. 0 means one per CPU;
+	// 1 runs recovery with no goroutines.
 	RecoveryWorkers int
 }
 

@@ -57,10 +57,10 @@ func (db *DB) replaceMeta(m *TableMeta) error {
 	return nil
 }
 
-// attachIndex files im in the catalog and hangs its index on the table,
-// built from the table's rows when build is set. Redo attaches unbuilt
-// indexes and builds them once, from the final rows, at install.
-func (db *DB) attachIndex(im *IndexMeta, build bool) (*Index, error) {
+// attachIndex files im in the catalog and hangs its index, built from the
+// table's rows, on the table. During recovery a table holds no rows until
+// install, which builds its indexes again from its final rows.
+func (db *DB) attachIndex(im *IndexMeta) (*Index, error) {
 	if err := checkIndex(im, db.cat.Tables); err != nil {
 		return nil, err
 	}
@@ -72,9 +72,7 @@ func (db *DB) attachIndex(im *IndexMeta, build bool) (*Index, error) {
 	t := db.tables[im.TableID]
 	ix := &Index{meta: im}
 	t.mu.Lock()
-	if build {
-		t.buildIndexLocked(ix)
-	}
+	t.buildIndexLocked(ix)
 	t.indexes = append(t.indexes, ix)
 	t.mu.Unlock()
 	return ix, nil
@@ -95,9 +93,8 @@ func (db *DB) detachIndex(im *IndexMeta) error {
 	return nil
 }
 
-// redoDDL replays the catalog change a DDL record's body logs, adding the
-// table of an attached index to rebuild for the install phase.
-func (db *DB) redoDDL(body []byte, rebuild map[uint32]struct{}) error {
+// redoDDL replays the catalog change a DDL record's body logs.
+func (db *DB) redoDDL(body []byte) error {
 	var op ddlOp
 	if err := json.Unmarshal(body, &op); err != nil {
 		return fmt.Errorf("engine: bad ddl record: %w", err)
@@ -111,15 +108,44 @@ func (db *DB) redoDDL(body []byte, rebuild map[uint32]struct{}) error {
 	case "alter_table":
 		return db.replaceMeta(op.Meta)
 	case "create_index":
-		ix, err := db.attachIndex(op.Index, false)
-		if err == nil {
-			rebuild[ix.meta.TableID] = struct{}{}
-		}
+		_, err := db.attachIndex(op.Index)
 		return err
 	case "drop_index":
 		return db.detachIndex(op.Index)
 	}
 	return fmt.Errorf("engine: unknown ddl kind %q", op.Kind)
+}
+
+// installCatalog replaces the catalog with the one a snapshot's catalog
+// record holds, installing each table, empty, and attaching each index
+// through the functions of their kinds. A map key must be its entry's id
+// and sit below the id allocator.
+func (db *DB) installCatalog(body []byte) error {
+	c := newCatalog()
+	if err := json.Unmarshal(body, c); err != nil {
+		return fmt.Errorf("engine: bad catalog: %w", err)
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.cat, db.tables = newCatalog(), make(map[uint32]*Table, len(c.Tables))
+	db.cat.NextTableID, db.cat.NextIndexID, db.cat.NextTxID = c.NextTableID, c.NextIndexID, c.NextTxID
+	for id, m := range c.Tables {
+		if _, err := db.installTable(m); err != nil {
+			return err
+		}
+		if m.ID != id || id >= c.NextTableID {
+			return fmt.Errorf("engine: catalog: table %d filed under id %d (next id %d)", m.ID, id, c.NextTableID)
+		}
+	}
+	for id, im := range c.Indexes {
+		if _, err := db.attachIndex(im); err != nil {
+			return err
+		}
+		if im.ID != id || id >= c.NextIndexID {
+			return fmt.Errorf("engine: catalog: index %d filed under id %d (next id %d)", im.ID, id, c.NextIndexID)
+		}
+	}
+	return nil
 }
 
 // CreateTableSpec describes a new table.
@@ -214,7 +240,7 @@ func (db *DB) CreateIndex(tableName, indexName string, colNames ...string) (*Ind
 			}
 		}
 		op.Kind, op.Index = "create_index", &IndexMeta{ID: db.cat.NextIndexID, Name: indexName, TableID: m.ID, Cols: cols}
-		ix, err = db.attachIndex(op.Index, true)
+		ix, err = db.attachIndex(op.Index)
 		return op, err
 	})
 	if err != nil {

@@ -401,9 +401,10 @@ func checkLoaded(t *testing.T, db *DB) {
 	}
 }
 
-// FuzzLoadSnapshot feeds loadSnapshot arbitrary bytes, and the same bytes
-// with every frame CRC recomputed so that a mutation reaches the checks
-// behind them: it must never panic, and whatever it accepts must pass
+// FuzzLoadSnapshot replays arbitrary bytes as a snapshot, and the same
+// bytes with every frame CRC recomputed so that a mutation reaches the
+// checks behind them, and installs what loadSnapshot accepts as recovery
+// does: it must never panic, and whatever it accepts must pass
 // checkLoaded.
 // The seeds are snapshots Checkpoint wrote of a keyed table with an index,
 // a heap table, rows stored before an ADD COLUMN and a dropped column.
@@ -456,8 +457,12 @@ func FuzzLoadSnapshot(f *testing.F) {
 	load := func(b []byte) (*DB, error) {
 		probe := &DB{opts: Options{RecoveryWorkers: 2}, m: bindDBMetrics(obs.Disabled())}
 		r, _, err := wal.NewBytesReader(b)
+		rd := newRedo(probe)
 		if err == nil {
-			err = probe.loadSnapshot(r)
+			err = probe.loadSnapshot(r, rd)
+		}
+		if err == nil {
+			probe.installRecovered(rd, probe.recoveryWorkers())
 		}
 		return probe, err
 	}

@@ -6,7 +6,7 @@ import (
 	"io"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
@@ -15,38 +15,58 @@ import (
 	"sqlledger/internal/wal"
 )
 
-// Crash recovery: analysis and redo in one pass over the log, in log
-// order, then an install phase that runs parallel across tables.
+// Crash recovery: analysis and redo in one pass in log order, over the
+// newest snapshot and then the log after it, then an install phase that
+// runs parallel across tables.
 //
-// A wal.PipelinedReader reads, checks and decodes records a batch ahead
-// of the redo loop. The loop sorts transactions into winners, losers and
-// in-doubt, and applies each committed write set itself, in commit
-// order, as versions stamped with its commit timestamp. Existing version
-// chains grow in place (the row btrees are only read during replay);
-// chains for keys new since the snapshot accumulate in a private map per
-// table. The install phase — parallel across tables, which share no
-// order — bulk-loads the new chains into each table's btree
-// (btree.BuildSorted when the table was empty), fixes row counts and RID
-// allocators, and rebuilds the indexes of touched tables. Index state is
-// a pure function of the final live rows. Redo never decodes a row: a
-// version is the after-image's bytes as the log carried them
-// (wal.DecodeDMLImage checked and copied them), and a replayed ALTER
-// changes only the schema those bytes are later read against.
+// A snapshot replays like the log it was cut from (loadSnapshot): its
+// catalog record installs empty tables, and its rows are one write set
+// committing at the cut. A wal.PipelinedReader reads, checks and decodes
+// the log a batch ahead of the redo loop, which sorts transactions into
+// winners, losers and in-doubt, and applies each committed write set
+// itself, in commit order, as versions stamped with its commit timestamp.
+// Every chain is built in redo's private view of its table; the install
+// phase bulk-loads each table and builds its indexes once, from the final
+// rows. Redo never decodes a row: a version is the after-image's bytes as
+// the log carried them (wal.DecodeDMLImage checked and copied them), and a
+// replayed ALTER changes only the schema those bytes are later read
+// against.
 //
 // RecoveryWorkers = 1 runs the same code with no goroutines; larger values
-// turn on the read-ahead and set how many tables install (and snapshot
-// sections load) at once.
+// turn on the log read-ahead and set how many tables install at once.
 
-// redoTable is replay's private view of one table.
+// redoTable is replay's private view of one table: the chain of every key
+// redo wrote. The table's tree stays empty until install.
 type redoTable struct {
 	table *Table
-	// chains indexes the new chains by key for op lookup.
-	chains map[string]*versionChain
-	// entries preserves the new chains, for keys absent from the snapshot
-	// image, for the install phase.
+	// entries holds the chains in the order redo created them. The first
+	// sorted are in strictly ascending key order (a snapshot's rows, and
+	// inserts in key order after them), found by binary search; chains
+	// indexes the rest.
 	entries []keyedChain
-	// liveDelta is the net live-row change replay applied.
-	liveDelta int
+	sorted  int
+	chains  map[string]*versionChain
+	// live counts the keys whose newest version is a row.
+	live int
+}
+
+// chain returns key's chain, or nil when redo has written none.
+func (st *redoTable) chain(key []byte) *versionChain {
+	sorted := st.entries[:st.sorted]
+	if i, ok := slices.BinarySearchFunc(sorted, key, func(e keyedChain, k []byte) int { return bytes.Compare(e.key, k) }); ok {
+		return sorted[i].chain
+	}
+	return st.chains[string(key)]
+}
+
+// add records c as the chain of key, which has none.
+func (st *redoTable) add(key []byte, c *versionChain) {
+	if n := len(st.entries); st.sorted == n && (n == 0 || bytes.Compare(key, st.entries[n-1].key) > 0) {
+		st.sorted++
+	} else {
+		st.chains[string(key)] = c
+	}
+	st.entries = append(st.entries, keyedChain{key: key, chain: c})
 }
 
 // redo applies committed write sets in log order.
@@ -54,6 +74,10 @@ type redo struct {
 	db     *DB
 	tables map[uint32]*redoTable
 	ops    int
+}
+
+func newRedo(db *DB) *redo {
+	return &redo{db: db, tables: make(map[uint32]*redoTable)}
 }
 
 func (r *redo) table(tid uint32) (*redoTable, error) {
@@ -83,12 +107,7 @@ func (r *redo) applyTx(commitTS int64, ops []writeOp) error {
 		if err != nil {
 			return err
 		}
-		c := st.chains[string(op.key)]
-		if c == nil {
-			if tc, ok := st.table.rows.Get(op.key); ok {
-				c = tc
-			}
-		}
+		c := st.chain(op.key)
 		switch op.typ {
 		case wal.RecInsert:
 			if c != nil {
@@ -97,11 +116,9 @@ func (r *redo) applyTx(commitTS int64, ops []writeOp) error {
 				}
 				st.table.appendVersionLocked(op.key, c, commitTS, op.after)
 			} else {
-				nc := newChain(commitTS, op.after)
-				st.chains[string(op.key)] = nc
-				st.entries = append(st.entries, keyedChain{key: op.key, chain: nc})
+				st.add(op.key, newChain(commitTS, op.after))
 			}
-			st.liveDelta++
+			st.live++
 		case wal.RecDelete, wal.RecUpdate:
 			live := false
 			if c != nil {
@@ -112,7 +129,7 @@ func (r *redo) applyTx(commitTS int64, ops []writeOp) error {
 			}
 			st.table.appendVersionLocked(op.key, c, commitTS, op.after) // nil for a delete: a tombstone
 			if op.typ == wal.RecDelete {
-				st.liveDelta--
+				st.live--
 			}
 		}
 		r.ops++
@@ -143,10 +160,7 @@ func (db *DB) recover() error {
 
 func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 	phaseSnapshot := time.Now()
-	snapLSN, err := db.loadLatestSnapshot()
-	if err != nil {
-		return err
-	}
+	rd, snapLSN := db.loadLatestSnapshot()
 	db.redoFrom = snapLSN
 	db.obs.Histogram(obs.RecoverySeconds, nil, obs.L("phase", "snapshot")).ObserveSince(phaseSnapshot)
 
@@ -158,13 +172,11 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 	}
 	defer pr.Close()
 
-	rd := &redo{db: db, tables: make(map[uint32]*redoTable)}
 	pending := make(map[uint64][]writeOp)
 	// preparedAt maps a transaction id to its PREPARE record; a later
 	// COMMIT or ABORT record resolves it, anything left at the end of the
 	// log is in doubt.
 	preparedAt := make(map[uint64]wal.DecodedRecord)
-	rebuild := make(map[uint32]struct{})
 	var entries []*wal.LedgerEntry
 	var frames []int64 // of entries: the LSN of the frame holding the DML
 	maxTx := uint64(0)
@@ -211,7 +223,7 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 			if err != nil {
 				return fmt.Errorf("engine: recovery: ddl record at LSN %d: %w", rec.LSN, err)
 			}
-			if err := db.redoDDL(p.Body, rebuild); err != nil {
+			if err := db.redoDDL(p.Body); err != nil {
 				return fmt.Errorf("engine: recovery: %s record at LSN %d: %w", p.Kind, rec.LSN, err)
 			}
 		case wal.RecCheckpoint:
@@ -222,10 +234,9 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 	}
 	db.obs.Histogram(obs.RecoverySeconds, nil, obs.L("phase", "replay")).ObserveSince(phaseReplay)
 
-	// Install phase: put the new chains into the tables, rebuild indexes
-	// of touched tables.
+	// Install phase: build every table redo wrote, and its indexes.
 	phaseInstall := time.Now()
-	db.installRecovered(rd.tables, rebuild, workers)
+	db.installRecovered(rd, workers)
 	db.obs.Histogram(obs.RecoverySeconds, nil, obs.L("phase", "install")).ObserveSince(phaseInstall)
 	db.m.versionsLive.Add(float64(rd.ops))
 
@@ -316,49 +327,29 @@ func (db *DB) LedgerFramesBefore(fn func(e *wal.LedgerEntry, frame int64)) error
 	}
 }
 
-// installRecovered puts replay's new chains into the shared tables.
+// installRecovered builds every table redo wrote, once: the tree from its
+// chains in key order, the row count, the RID allocator and the indexes.
 // Tables are independent, so the install runs parallel across them.
-func (db *DB) installRecovered(tables map[uint32]*redoTable, rebuild map[uint32]struct{}, workers int) {
-	// Re-indexed tables need an install pass even with no DML.
-	for tid := range rebuild {
-		if _, ok := tables[tid]; !ok {
-			db.mu.RLock()
-			t := db.tables[tid]
-			db.mu.RUnlock()
-			if t != nil {
-				tables[tid] = &redoTable{table: t}
-			}
-		}
-	}
-	list := make([]*redoTable, 0, len(tables))
-	for _, j := range tables {
+func (db *DB) installRecovered(rd *redo, workers int) {
+	list := make([]*redoTable, 0, len(rd.tables))
+	for _, j := range rd.tables {
 		list = append(list, j)
 	}
 	forEach(len(list), workers, func(i int) {
 		j, t := list[i], list[i].table
 		t.mu.Lock()
 		defer t.mu.Unlock()
-		if len(j.entries) > 0 {
-			sort.Slice(j.entries, func(a, b int) bool {
-				return bytes.Compare(j.entries[a].key, j.entries[b].key) < 0
-			})
-			if t.rows.Len() == 0 {
-				keys := make([][]byte, len(j.entries))
-				chains := make([]*versionChain, len(j.entries))
-				for i, e := range j.entries {
-					keys[i], chains[i] = e.key, e.chain
-				}
-				t.rows = btree.BuildSorted(keys, chains)
-			} else {
-				for _, e := range j.entries {
-					t.rows.Put(e.key, e.chain)
-				}
-			}
-			for _, e := range j.entries {
-				t.noteRIDLocked(e.key)
-			}
+		if j.sorted < len(j.entries) {
+			slices.SortFunc(j.entries, func(a, b keyedChain) int { return bytes.Compare(a.key, b.key) })
 		}
-		t.liveRows += j.liveDelta
+		keys := make([][]byte, len(j.entries))
+		chains := make([]*versionChain, len(j.entries))
+		for i, e := range j.entries {
+			keys[i], chains[i] = e.key, e.chain
+			t.noteRIDLocked(e.key)
+		}
+		t.rows = btree.BuildSorted(keys, chains)
+		t.liveRows = j.live
 		for _, ix := range t.indexes {
 			t.buildIndexLocked(ix)
 		}

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"sqlledger/internal/btree"
 	"sqlledger/internal/obs"
 	"sqlledger/internal/sqltypes"
 	"sqlledger/internal/wal"
@@ -24,10 +23,11 @@ import (
 // snapshotScanChunk rows in ascending (table id, key) order, and a last
 // COMMIT whose CommitTS is the cut. Checkpoint appends the CHECKPOINT
 // record that names the snapshot first, at the snapshot's LSN, and after
-// the rename keeps only it and the newest snapshot before it. A snapshot is
-// loaded only while it belongs to the log as it stands (loadSnapshotFile);
-// one that fails a check is skipped, and recovery falls back to the next
-// older one, then to replay from the start of the log, which is kept whole.
+// the rename keeps only it and the newest snapshot before it. Restart
+// replays a snapshot through redo like the log it was cut from, and only
+// while it belongs to the log as it stands (loadSnapshotFile); one that
+// fails a check is skipped, and recovery falls back to the next older one,
+// then to replay from the start of the log, which is kept whole.
 
 const (
 	// checkpointPreparedWait bounds how long Checkpoint waits for
@@ -263,30 +263,32 @@ func forEach(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// loadLatestSnapshot loads the newest snapshot that belongs to the log and
-// loads, returning the LSN recovery should replay from (0 when starting
-// empty). A snapshot that does not is reported and skipped for the next
-// older one.
-func (db *DB) loadLatestSnapshot() (int64, error) {
+// loadLatestSnapshot replays the newest snapshot that belongs to the log
+// and passes its checks into a redo of its own, returning the redo and
+// the LSN the log replays from (0 when starting empty). A snapshot that
+// does not is reported, what it installed is reset, and the next older
+// one is tried.
+func (db *DB) loadLatestSnapshot() (*redo, int64) {
 	paths, lsns := snapshots(db.opts.Dir)
 	for i := len(paths) - 1; i >= 0; i-- {
-		if err := db.loadSnapshotFile(paths[i], lsns[i]); err != nil {
-			// Replay from an older snapshot covers the gap.
-			db.obs.Events().Warn(obs.EventSnapshotSkipped, "file", paths[i], "reason", err.Error())
-			continue
+		rd := newRedo(db)
+		err := db.loadSnapshotFile(paths[i], lsns[i], rd)
+		if err == nil {
+			return rd, lsns[i]
 		}
-		return lsns[i], nil
+		// Replay from an older snapshot covers the gap.
+		db.obs.Events().Warn(obs.EventSnapshotSkipped, "file", paths[i], "reason", err.Error())
+		db.cat, db.tables = newCatalog(), make(map[uint32]*Table)
+		db.lastCommitTS.Store(0)
 	}
-	// No usable snapshot: start from an empty catalog.
-	db.cat = newCatalog()
-	db.tables = make(map[uint32]*Table)
-	return 0, nil
+	return newRedo(db), 0
 }
 
-// loadSnapshotFile loads the snapshot at path, whose redo starts at lsn, if
-// it belongs to the log as it stands: its header carries the log's create
-// time, and the log's frame at lsn is the CHECKPOINT record that names it.
-func (db *DB) loadSnapshotFile(path string, lsn int64) error {
+// loadSnapshotFile replays the snapshot at path, whose redo starts at lsn,
+// into rd if it belongs to the log as it stands: its header carries the
+// log's create time, and the log's frame at lsn is the CHECKPOINT record
+// that names it.
+func (db *DB) loadSnapshotFile(path string, lsn int64, rd *redo) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -306,15 +308,19 @@ func (db *DB) loadSnapshotFile(path string, lsn int64) error {
 	if err != nil || p.SnapshotLSN != lsn {
 		return fmt.Errorf("engine: the log's frame at snapshot LSN %d is not its CHECKPOINT record (%v)", lsn, err)
 	}
-	return db.loadSnapshot(r)
+	return db.loadSnapshot(r, rd)
 }
 
-// loadSnapshot loads the snapshot r reads: the catalog, the rows in
-// ascending (table id, key) order — a worker per table decodes its rows
-// into a freshly built table — and the COMMIT, which must be the last
-// record and carries the cut. db is changed only once everything has
-// validated, so a failure leaves it ready to try an older snapshot.
-func (db *DB) loadSnapshot(r *wal.Reader) error {
+// loadSnapshot replays the snapshot r reads into rd as redo replays a log:
+// the catalog record installs the catalog, and the INSERTs are one write
+// set that rd.applyTx applies at the COMMIT's timestamp, the cut. An
+// insider may have rewritten the file under valid CRCs, so its shape is
+// checked: the catalog first, then only INSERTs of its tables, in
+// ascending table id order and strictly ascending key order within a
+// table (the order install bulk-loads them in), each a well-formed row
+// (wal.DecodeDMLImage), and the COMMIT last. On an error db holds a part
+// of the snapshot, which the caller resets.
+func (db *DB) loadSnapshot(r *wal.Reader, rd *redo) error {
 	rec, err := r.Next()
 	if err == nil && rec.Type != wal.RecDDL {
 		err = fmt.Errorf("engine: snapshot starts with a %s record, not the catalog", rec.Type)
@@ -323,34 +329,23 @@ func (db *DB) loadSnapshot(r *wal.Reader) error {
 	if err == nil {
 		ddl, err = wal.DecodeDDL(rec.Payload)
 	}
+	if err == nil {
+		err = db.installCatalog(ddl.Body)
+	}
 	if err != nil {
 		return err
-	}
-	cat, err := unmarshalCatalog(ddl.Body)
-	if err != nil {
-		return err
-	}
-	tables := make(map[uint32]*Table, len(cat.Tables))
-	for id, meta := range cat.Tables {
-		tables[id] = newTable(meta)
 	}
 
-	// A table's rows are one run, in table-id order: a table in two runs
-	// would be loaded by two workers at once.
-	var secs []*Table
-	var rows [][][]byte
-	var cut wal.CommitPayload
+	var ops []writeOp
+	var t *Table // the table whose rows are being read, n of them so far
+	n := 0
 	for {
-		rec, err := r.Next()
-		if err == io.EOF {
+		if rec, err = r.Next(); err == io.EOF {
 			return errors.New("engine: snapshot ends before its COMMIT record")
 		} else if err != nil {
 			return err
 		}
 		if rec.Type == wal.RecCommit {
-			if cut, err = wal.DecodeCommit(rec.Payload); err != nil {
-				return err
-			}
 			break
 		}
 		if rec.Type != wal.RecInsert {
@@ -358,70 +353,30 @@ func (db *DB) loadSnapshot(r *wal.Reader) error {
 		}
 		// The table id leads the payload, truncated as DecodeDMLImage does.
 		id64, _ := binary.Uvarint(rec.Payload)
-		if id, n := uint32(id64), len(secs); n == 0 || id != secs[n-1].meta.ID {
-			if n > 0 && id < secs[n-1].meta.ID {
+		if id := uint32(id64); t == nil || id != t.meta.ID {
+			if t != nil && id < t.meta.ID {
 				return fmt.Errorf("engine: snapshot rows of table %d out of table order", id)
-			} else if tables[id] == nil {
+			} else if t, n = db.tables[id], 0; t == nil {
 				return fmt.Errorf("engine: snapshot has rows for unknown table %d", id)
 			}
-			secs, rows = append(secs, tables[id]), append(rows, nil)
 		}
-		rows[len(rows)-1] = append(rows[len(rows)-1], rec.Payload)
+		m, err := wal.DecodeDMLImage(wal.RecInsert, rec.Payload)
+		if err != nil {
+			return fmt.Errorf("engine: snapshot row %d of table %s: %w", n, t.meta.Name, err)
+		}
+		if n > 0 && bytes.Compare(m.Key, ops[len(ops)-1].key) <= 0 {
+			return fmt.Errorf("engine: snapshot rows of table %s: row %d is not in key order", t.meta.Name, n)
+		}
+		ops = append(ops, writeOp{typ: wal.RecInsert, tableID: m.TableID, key: m.Key, after: m.After})
+		n++
+	}
+	cut, err := wal.DecodeCommit(rec.Payload)
+	if err != nil {
+		return err
 	}
 	if _, err := r.Next(); err != io.EOF {
 		return errors.Join(errors.New("engine: snapshot has a record after its COMMIT"), err)
 	}
-	errs := make([]error, len(secs))
-	forEach(len(secs), db.recoveryWorkers(), func(i int) {
-		errs[i] = loadTableSection(secs[i], rows[i])
-	})
-	if err := errors.Join(errs...); err != nil {
-		return err
-	}
-	// Rebuild nonclustered indexes from base data; unmarshalCatalog checked
-	// that each names a table and columns inside its schema.
-	for _, im := range cat.Indexes {
-		t := tables[im.TableID]
-		ix := &Index{meta: im}
-		t.buildIndexLocked(ix)
-		t.indexes = append(t.indexes, ix)
-	}
-	loaded := 0
-	for _, t := range tables {
-		loaded += t.liveRows
-	}
-	db.cat = cat
-	db.tables = tables
 	db.lastCommitTS.Store(cut.CommitTS)
-	db.m.versionsLive.Set(float64(loaded))
-	return nil
-}
-
-// loadTableSection loads one table's INSERT payloads into a fresh table.
-// Their keys must be strictly ascending — the clustered btree bulk-loads
-// them in O(n), and is undefined on any other order — and
-// wal.DecodeDMLImage checks each row and copies key and row into
-// allocations of their own (a slice of a frame would keep the whole frame
-// alive for as long as any one of its rows is).
-func loadTableSection(t *Table, rows [][]byte) error {
-	keys := make([][]byte, len(rows))
-	chains := make([]*versionChain, len(rows))
-	for j, p := range rows {
-		m, err := wal.DecodeDMLImage(wal.RecInsert, p)
-		if err != nil {
-			return fmt.Errorf("engine: snapshot row %d of table %s: %w", j, t.meta.Name, err)
-		}
-		if j > 0 && bytes.Compare(m.Key, keys[j-1]) <= 0 {
-			return fmt.Errorf("engine: snapshot rows of table %s: row %d is not in key order", t.meta.Name, j)
-		}
-		// Snapshot rows load as a single version at timestamp 0, visible
-		// to every snapshot read.
-		keys[j], chains[j] = m.Key, newChain(0, m.After)
-	}
-	t.rows = btree.BuildSorted(keys, chains)
-	t.liveRows = len(keys)
-	for _, k := range keys {
-		t.noteRIDLocked(k)
-	}
-	return nil
+	return rd.applyTx(cut.CommitTS, ops)
 }

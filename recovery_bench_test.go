@@ -110,7 +110,9 @@ func BenchmarkRecovery(b *testing.B) {
 // whole log replays; the churn image updates, deletes and re-inserts the
 // same few keys in consecutive transactions, adds a column between
 // commits and checkpoints half way, so replay grows chains from the
-// snapshot and new ones in commit order across a schema change.
+// snapshot and new ones in commit order across a schema change. The churn
+// image with its snapshots deleted replays the whole log instead: the
+// snapshot plus the log after it must come to what the whole log does.
 func TestRecoverySerialParallelEquivalence(t *testing.T) {
 	images := []struct {
 		name  string
@@ -120,6 +122,19 @@ func TestRecoverySerialParallelEquivalence(t *testing.T) {
 			return buildRecoveryImage(tb, dir, 10_000), nil
 		}},
 		{"churn", buildChurnImage},
+		{"churn-no-snapshot", func(tb testing.TB, dir string) (sqlledger.Digest, map[string]sqlledger.Row) {
+			built, last := buildChurnImage(tb, dir)
+			snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.log"))
+			if len(snaps) == 0 {
+				tb.Fatal("the churn image holds no snapshot")
+			}
+			for _, p := range snaps {
+				if err := os.Remove(p); err != nil {
+					tb.Fatal(err)
+				}
+			}
+			return built, last
+		}},
 	}
 	for _, img := range images {
 		t.Run(img.name, func(t *testing.T) {
