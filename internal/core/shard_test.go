@@ -53,7 +53,8 @@ func loadAccounts(t *testing.T, s *DB, st *LedgerTable, n int) {
 // TestVerifyDigestOfAnotherDatabase: a digest renamed to another
 // database, moved past the chain head and given another incarnation fails
 // invariant 1 with an issue naming that database, at one shard and at
-// four, where no shard bears its name.
+// four, where no shard bears its name; a run over a range of blocks that
+// leaves the digest out passes at both.
 func TestVerifyDigestOfAnotherDatabase(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("%d shards", shards), func(t *testing.T) {
@@ -76,6 +77,14 @@ func TestVerifyDigestOfAnotherDatabase(t *testing.T) {
 			if rep.Ok() || !strings.Contains(rep.String(), `[TAMPER inv1] digest for block`) ||
 				!strings.Contains(rep.String(), `names database "other"`) {
 				t.Fatalf("report of a digest naming another database:\n%s", rep)
+			}
+			// A ranged run checks only the digests inside its range.
+			rep, err = s.Verify([]Digest{d}, VerifyOptions{Blocks: &BlockRange{From: 0, To: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Ok() {
+				t.Fatalf("ranged run given a digest outside its range:\n%s", rep)
 			}
 		})
 	}

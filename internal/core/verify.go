@@ -51,8 +51,7 @@ type Report struct {
 	// Shards is the per-shard breakdown, set when the run covered several
 	// chains (DB.Verify on a multi-shard database, VerifySuperBlock): the
 	// counters above are then totals over the shards, Timing.Total the wall
-	// clock of the whole run, and every issue is in its shard's report but
-	// that of a digest naming none of the shards, which is in Issues.
+	// clock of the whole run, and every issue is in its shard's report.
 	Shards []ShardReport
 }
 
@@ -101,9 +100,6 @@ func (r *Report) String() string {
 		b.WriteByte('\n')
 	}
 	if r.Shards != nil {
-		for _, i := range r.Issues {
-			b.WriteString(i.String() + "\n")
-		}
 		return b.String()
 	}
 	fmt.Fprintf(&b, "verification: blocks=%d txs=%d row-versions=%d tables=%d indexes=%d digests=%d",
@@ -217,28 +213,23 @@ func (p *workerPool) run(tasks []func()) {
 //
 // On a multi-shard database every shard is verified, in parallel, against
 // the digests that carry its name, and the report is the breakdown. A
-// digest that names another database fails invariant 1, as on one shard.
+// digest that carries no shard's name goes to shard 0, whose check fails
+// it on invariant 1, as on one shard.
 func (db *DB) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 	if len(db.shards) == 1 {
 		return db.shards[0].Verify(digests, opts)
 	}
-	rep := db.verifyShards(func(_ int, l *Shard) ShardReport {
+	return db.verifyShards(func(i int, l *Shard) ShardReport {
 		var own []Digest
 		for _, d := range digests {
-			if d.DatabaseName == l.opts.Name {
+			if d.DatabaseName == l.opts.Name ||
+				i == 0 && !slices.ContainsFunc(db.shards, func(s *Shard) bool { return s.opts.Name == d.DatabaseName }) {
 				own = append(own, d)
 			}
 		}
 		rep, err := l.Verify(own, opts)
 		return ShardReport{Report: rep, HeadErr: err}
-	})
-	for _, d := range digests {
-		if !slices.ContainsFunc(db.shards, func(l *Shard) bool { return l.opts.Name == d.DatabaseName }) {
-			rep.Issues = append(rep.Issues, Issue{Invariant: 1, Detail: fmt.Sprintf(
-				"digest for block %d names database %q, none of this database's shards", d.BlockID, d.DatabaseName)})
-		}
-	}
-	return rep, nil
+	}), nil
 }
 
 // verifyShards runs verify on every shard in parallel and totals the

@@ -39,34 +39,12 @@ import (
 // redo wrote. The table's tree stays empty until install.
 type redoTable struct {
 	table *Table
-	// entries holds the chains in the order redo created them. The first
-	// sorted are in strictly ascending key order (a snapshot's rows, and
-	// inserts in key order after them), found by binary search; chains
-	// indexes the rest.
-	entries []keyedChain
-	sorted  int
+	// chains indexes the chains by key for op lookup; entries holds them in
+	// the order redo created them, for the install phase.
 	chains  map[string]*versionChain
+	entries []keyedChain
 	// live counts the keys whose newest version is a row.
 	live int
-}
-
-// chain returns key's chain, or nil when redo has written none.
-func (st *redoTable) chain(key []byte) *versionChain {
-	sorted := st.entries[:st.sorted]
-	if i, ok := slices.BinarySearchFunc(sorted, key, func(e keyedChain, k []byte) int { return bytes.Compare(e.key, k) }); ok {
-		return sorted[i].chain
-	}
-	return st.chains[string(key)]
-}
-
-// add records c as the chain of key, which has none.
-func (st *redoTable) add(key []byte, c *versionChain) {
-	if n := len(st.entries); st.sorted == n && (n == 0 || bytes.Compare(key, st.entries[n-1].key) > 0) {
-		st.sorted++
-	} else {
-		st.chains[string(key)] = c
-	}
-	st.entries = append(st.entries, keyedChain{key: key, chain: c})
 }
 
 // redo applies committed write sets in log order.
@@ -107,7 +85,7 @@ func (r *redo) applyTx(commitTS int64, ops []writeOp) error {
 		if err != nil {
 			return err
 		}
-		c := st.chain(op.key)
+		c := st.chains[string(op.key)]
 		switch op.typ {
 		case wal.RecInsert:
 			if c != nil {
@@ -116,7 +94,9 @@ func (r *redo) applyTx(commitTS int64, ops []writeOp) error {
 				}
 				st.table.appendVersionLocked(op.key, c, commitTS, op.after)
 			} else {
-				st.add(op.key, newChain(commitTS, op.after))
+				c = newChain(commitTS, op.after)
+				st.chains[string(op.key)] = c
+				st.entries = append(st.entries, keyedChain{key: op.key, chain: c})
 			}
 			st.live++
 		case wal.RecDelete, wal.RecUpdate:
@@ -339,9 +319,7 @@ func (db *DB) installRecovered(rd *redo, workers int) {
 		j, t := list[i], list[i].table
 		t.mu.Lock()
 		defer t.mu.Unlock()
-		if j.sorted < len(j.entries) {
-			slices.SortFunc(j.entries, func(a, b keyedChain) int { return bytes.Compare(a.key, b.key) })
-		}
+		slices.SortFunc(j.entries, func(a, b keyedChain) int { return bytes.Compare(a.key, b.key) })
 		keys := make([][]byte, len(j.entries))
 		chains := make([]*versionChain, len(j.entries))
 		for i, e := range j.entries {
