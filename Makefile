@@ -78,12 +78,13 @@ bench-commit:
 
 # Ingest-scaling gate + benchmark: serial inserts vs. the InsertBatch
 # worker pool at 1/2/4/8 hashing workers. Race-free on purpose — the
-# scaling gate measures wall-clock ratios and the allocation gates use
-# testing.AllocsPerRun, both of which the race detector distorts.
+# scaling gate measures wall-clock ratios, and the allocation gates use
+# testing.AllocsPerRun or, for the B+tree's bytes per node, the heap
+# itself, all of which the race detector distorts.
 .PHONY: bench-ingest
 bench-ingest:
 	go test -run 'IngestScaling' -v .
-	go test -run 'Alloc' ./internal/serial/ ./internal/core/ ./internal/engine/
+	go test -run 'Alloc' ./internal/serial/ ./internal/core/ ./internal/engine/ ./internal/btree/
 	go test -run - -bench 'Ingest' -benchmem .
 
 # Read-scaling gate + benchmark: MVCC snapshot readers at 1/2/4/8 clients
@@ -146,8 +147,9 @@ bench-test:
 # The native fuzz targets — the WAL's frame reader and payload decoders,
 # the row decoder every stored row passes through on every read, the
 # history-image splice and the column projection against the decode, edit
-# and re-encode they replace, the exact-size clustered key against
-# EncodeKey, the stored-bytes row hasher the write path
+# and re-encode they replace, the exact-size clustered key and the index
+# entry's split into values and clustered key against EncodeKey, the
+# stored-bytes row hasher the write path
 # and verification run on against the []Value one kept as its oracle, the
 # super-block watermark Open reads back, the read-receipt parser and
 # verifier (a mutant that verifies proves nothing the seed does not), the
@@ -165,6 +167,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 10s ./internal/sqltypes
 	go test -run '^$$' -fuzz '^FuzzSpliceBigInts$$' -fuzztime 10s ./internal/sqltypes
 	go test -run '^$$' -fuzz '^FuzzEncodeRowKey$$' -fuzztime 10s ./internal/sqltypes
+	go test -run '^$$' -fuzz '^FuzzKeyPrefixLen$$' -fuzztime 10s ./internal/sqltypes
 	go test -run '^$$' -fuzz '^FuzzHashEncoded$$' -fuzztime 10s ./internal/serial
 	go test -run '^$$' -fuzz '^FuzzSuperBlock$$' -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzParseReadReceipt$$' -fuzztime 10s ./internal/core

@@ -51,6 +51,7 @@ import (
 )
 
 var dbDir = flag.String("db", "./ledgerdb", "database directory")
+var dbName = flag.String("name", "", "the database's name, which its digests carry (default: the -db directory's base name; give the original one to open a directory copied or moved under another)")
 var user = flag.String("user", "cli", "principal recorded for transactions")
 var metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/* on this address while the command runs (empty: off)")
 var shards = flag.Int("shards", 1, "hash-partition the database across N shards under one signed super-root (give the count the database was created with)")
@@ -87,7 +88,7 @@ func main() {
 	reg := sqlledger.NewMetricsRegistry()
 	reg.Traces().SetSlowThreshold(time.Duration(*slowMS) * time.Millisecond)
 	reg.Traces().SetSampleRate(*traceSample)
-	db, err := sqlledger.Open(sqlledger.Options{Dir: *dbDir, Shards: *shards, BlockSize: 1000, Obs: reg})
+	db, err := sqlledger.Open(sqlledger.Options{Dir: *dbDir, Name: *dbName, Shards: *shards, BlockSize: 1000, Obs: reg})
 	if err != nil {
 		fatal(err)
 	}
@@ -376,7 +377,7 @@ func cmdSQL(db *sqlledger.DB, args []string) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: sqlledger -db DIR COMMAND [args]
+	fmt.Fprintln(os.Stderr, `usage: sqlledger -db DIR [-name NAME] COMMAND [args]
 commands:
   create TABLE col:TYPE[:key|:null]...   create an updateable ledger table
   insert TABLE v1 v2 ... [';' v1 v2 ...] insert one or more rows (one tx)

@@ -5,19 +5,34 @@
 // range scans. Nodes are allocated once at full size, append-order inserts
 // leave full leaves behind, and vacated slots are cleared (DESIGN.md
 // decision 23).
+//
+// A node holds its keys as strings that view the caller's slices: a
+// string header is 16 bytes where a slice's is 24, and the tree already
+// retains key slices its callers must not mutate. Keys go back out as
+// slices over the same bytes.
 package btree
 
 import (
-	"bytes"
 	"slices"
+	"unsafe"
 )
 
 const (
 	// degree is the maximum number of keys per node; nodes split when
 	// they would exceed it and merge/borrow when they fall below half.
-	degree = 64
+	// A node's arrays have room for one more, so 63 key slots of 16 bytes
+	// fill the 1024-byte size class with the 8-byte header Go puts on a
+	// pointer-holding object above 512 bytes, and 63 pointer values fill
+	// the 512-byte class, which needs none.
+	degree = 62
 	minLen = degree / 2
 )
+
+// str views key as a string without copying it.
+func str(key []byte) string { return unsafe.String(unsafe.SliceData(key), len(key)) }
+
+// bytesOf views a key the tree holds as a slice of the bytes it was given.
+func bytesOf(key string) []byte { return unsafe.Slice(unsafe.StringData(key), len(key)) }
 
 // Tree is a B+tree mapping []byte keys to values of type V. The zero Tree
 // is not ready for use; call New.
@@ -28,7 +43,7 @@ type Tree[V any] struct {
 
 type node[V any] struct {
 	// keys holds the separator keys (interior) or entry keys (leaf).
-	keys [][]byte
+	keys []string
 	// children is populated for interior nodes: len(children) == len(keys)+1.
 	children []*node[V]
 	// vals is populated for leaves, parallel to keys.
@@ -40,13 +55,13 @@ type node[V any] struct {
 
 // newLeaf returns a leaf holding n entries, with room for degree+1.
 func newLeaf[V any](n int) *node[V] {
-	return &node[V]{leaf: true, keys: make([][]byte, n, degree+1), vals: make([]V, n, degree+1)}
+	return &node[V]{leaf: true, keys: make([]string, n, degree+1), vals: make([]V, n, degree+1)}
 }
 
 // newInterior returns an interior node holding n separators and n+1
 // children, with room for degree+1 and degree+2.
 func newInterior[V any](n int) *node[V] {
-	return &node[V]{keys: make([][]byte, n, degree+1), children: make([]*node[V], n+1, degree+2)}
+	return &node[V]{keys: make([]string, n, degree+1), children: make([]*node[V], n+1, degree+2)}
 }
 
 // New returns an empty tree. Its root leaf allocates on the first insert.
@@ -59,11 +74,7 @@ func (t *Tree[V]) Len() int { return t.size }
 
 // Get returns the value for key.
 func (t *Tree[V]) Get(key []byte) (V, bool) {
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n.keys, key)]
-	}
-	i, found := search(n.keys, key)
+	n, i, found := t.find(str(key))
 	if !found {
 		var zero V
 		return zero, false
@@ -71,28 +82,50 @@ func (t *Tree[V]) Get(key []byte) (V, bool) {
 	return n.vals[i], true
 }
 
+// GetEntry is Get that also returns the key slice the tree holds, which a
+// caller may keep in place of its own copy of key.
+func (t *Tree[V]) GetEntry(key []byte) ([]byte, V, bool) {
+	n, i, found := t.find(str(key))
+	if !found {
+		var zero V
+		return nil, zero, false
+	}
+	return bytesOf(n.keys[i]), n.vals[i], true
+}
+
+// find returns the leaf that covers key, the index of the first key there
+// >= key, and whether it is an exact match.
+func (t *Tree[V]) find(key string) (*node[V], int, bool) {
+	n := t.root
+	for !n.leaf {
+		n = n.children[childIndex(n.keys, key)]
+	}
+	i, found := search(n.keys, key)
+	return n, i, found
+}
+
 // search returns the index of the first key >= target and whether it is an
 // exact match.
-func search(keys [][]byte, target []byte) (int, bool) {
+func search(keys []string, target string) (int, bool) {
 	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if bytes.Compare(keys[mid], target) < 0 {
+		if keys[mid] < target {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(keys) && bytes.Equal(keys[lo], target)
+	return lo, lo < len(keys) && keys[lo] == target
 }
 
 // childIndex returns which child of an interior node covers key. Separator
 // semantics: child[i] holds keys < keys[i]; child[i] keys are >= keys[i-1].
-func childIndex(keys [][]byte, key []byte) int {
+func childIndex(keys []string, key string) int {
 	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if bytes.Compare(key, keys[mid]) >= 0 {
+		if key >= keys[mid] {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -115,7 +148,7 @@ func (t *Tree[V]) GetOrPut(key []byte, val V) (existing V, found bool) {
 }
 
 func (t *Tree[V]) upsert(key []byte, val V, replace bool) (V, bool) {
-	old, found, sepKey, right := t.insert(t.root, key, val, replace, true)
+	old, found, sepKey, right := t.insert(t.root, str(key), val, replace, true)
 	if right != nil {
 		root := newInterior[V](1)
 		root.keys[0], root.children[0], root.children[1] = sepKey, t.root, right
@@ -130,7 +163,7 @@ func (t *Tree[V]) upsert(key []byte, val V, replace bool) (V, bool) {
 // insert puts key under n, which is on the tree's rightmost path when
 // rightmost is set. A node that overflows splits: it returns the new right
 // sibling and the separator before it.
-func (t *Tree[V]) insert(n *node[V], key []byte, val V, replace, rightmost bool) (old V, found bool, sepKey []byte, right *node[V]) {
+func (t *Tree[V]) insert(n *node[V], key string, val V, replace, rightmost bool) (old V, found bool, sepKey string, right *node[V]) {
 	if n.leaf {
 		i, found := search(n.keys, key)
 		if found {
@@ -138,7 +171,7 @@ func (t *Tree[V]) insert(n *node[V], key []byte, val V, replace, rightmost bool)
 			if replace {
 				n.vals[i] = val
 			}
-			return old, true, nil, nil
+			return old, true, "", nil
 		}
 		if n.keys == nil { // the empty tree's root leaf
 			*n = *newLeaf[V](0)
@@ -169,7 +202,7 @@ func (t *Tree[V]) insert(n *node[V], key []byte, val V, replace, rightmost bool)
 // above it, so the left leaf keeps every key below the new one. An insert
 // past the largest key leaves the left leaf full; so does one a little
 // below it, as when commits reach an ascending key out of order.
-func splitLeaf[V any](n *node[V], i int, rightmost bool) ([]byte, *node[V]) {
+func splitLeaf[V any](n *node[V], i int, rightmost bool) (string, *node[V]) {
 	mid := len(n.keys) / 2
 	if rightmost && i > mid {
 		mid = i
@@ -188,7 +221,7 @@ func splitLeaf[V any](n *node[V], i int, rightmost bool) ([]byte, *node[V]) {
 // interior node n into a new right sibling, and returns the separator
 // between them. Append order on the rightmost path leaves the right node
 // one separator, the fewest a non-root interior node may hold.
-func splitInterior[V any](n *node[V], appended bool) ([]byte, *node[V]) {
+func splitInterior[V any](n *node[V], appended bool) (string, *node[V]) {
 	mid := len(n.keys) / 2
 	if appended {
 		mid = len(n.keys) - 2
@@ -226,7 +259,9 @@ func BuildSorted[V any](keys [][]byte, vals []V) *Tree[V] {
 	for i := 0; i < len(keys); i += buildFill {
 		j := min(i+buildFill, len(keys))
 		n := newLeaf[V](j - i)
-		copy(n.keys, keys[i:j])
+		for k, key := range keys[i:j] {
+			n.keys[k] = str(key)
+		}
 		copy(n.vals, vals[i:j])
 		if len(leaves) > 0 {
 			leaves[len(leaves)-1].next = n
@@ -238,13 +273,13 @@ func BuildSorted[V any](keys [][]byte, vals []V) *Tree[V] {
 	// trailing group of one child (an interior node needs >= 1 separator),
 	// so a would-be singleton steals a child from the previous group.
 	level := leaves
-	first := make([][]byte, len(level))
+	first := make([]string, len(level))
 	for i, n := range level {
 		first[i] = n.keys[0]
 	}
 	for len(level) > 1 {
 		var parents []*node[V]
-		var parentFirst [][]byte
+		var parentFirst []string
 		for i := 0; i < len(level); {
 			take := buildFill + 1
 			if rem := len(level) - i; take > rem {
@@ -266,7 +301,7 @@ func BuildSorted[V any](keys [][]byte, vals []V) *Tree[V] {
 
 // Delete removes key, returning its value if present.
 func (t *Tree[V]) Delete(key []byte) (V, bool) {
-	old, found := t.remove(t.root, key)
+	old, found := t.remove(t.root, str(key))
 	if found {
 		t.size--
 		if !t.root.leaf && len(t.root.children) == 1 {
@@ -276,7 +311,7 @@ func (t *Tree[V]) Delete(key []byte) (V, bool) {
 	return old, found
 }
 
-func (t *Tree[V]) remove(n *node[V], key []byte) (V, bool) {
+func (t *Tree[V]) remove(n *node[V], key string) (V, bool) {
 	if n.leaf {
 		i, found := search(n.keys, key)
 		if !found {
@@ -361,24 +396,25 @@ func (t *Tree[V]) merge(n *node[V], i int) {
 // order. A nil start begins at the smallest key; a nil end scans to the
 // largest. fn returning false stops the scan.
 func (t *Tree[V]) AscendRange(start, end []byte, fn func(key []byte, val V) bool) {
+	lo, hi := str(start), str(end)
 	n := t.root
 	for !n.leaf {
 		if start == nil {
 			n = n.children[0]
 		} else {
-			n = n.children[childIndex(n.keys, start)]
+			n = n.children[childIndex(n.keys, lo)]
 		}
 	}
 	i := 0
 	if start != nil {
-		i, _ = search(n.keys, start)
+		i, _ = search(n.keys, lo)
 	}
 	for n != nil {
 		for ; i < len(n.keys); i++ {
-			if end != nil && bytes.Compare(n.keys[i], end) >= 0 {
+			if end != nil && n.keys[i] >= hi {
 				return
 			}
-			if !fn(n.keys[i], n.vals[i]) {
+			if !fn(bytesOf(n.keys[i]), n.vals[i]) {
 				return
 			}
 		}
@@ -395,7 +431,7 @@ func (t *Tree[V]) Ascend(fn func(key []byte, val V) bool) {
 // separators calls fn, in ascending key order, with every separator key
 // stored in interior nodes of the subtree rooted at nd: one per boundary
 // between two of its leaves. An in-order walk yields them sorted.
-func separators[V any](nd *node[V], fn func([]byte)) {
+func separators[V any](nd *node[V], fn func(string)) {
 	if nd.leaf {
 		return
 	}
@@ -422,12 +458,12 @@ func (t *Tree[V]) ShardBoundaries(n int) [][]byte {
 	// order leaves the subtrees on the rightmost path far smaller than their
 	// siblings.
 	total := 0
-	separators(t.root, func([]byte) { total++ })
+	separators(t.root, func(string) { total++ })
 	out := make([][]byte, 0, min(total, n-1))
 	i := 0
-	separators(t.root, func(k []byte) {
+	separators(t.root, func(k string) {
 		if len(out) < cap(out) && (total < n || i == (len(out)+1)*total/n) {
-			out = append(out, k)
+			out = append(out, bytesOf(k))
 		}
 		i++
 	})
@@ -443,5 +479,5 @@ func (t *Tree[V]) Max() ([]byte, bool) {
 	if len(n.keys) == 0 {
 		return nil, false
 	}
-	return n.keys[len(n.keys)-1], true
+	return bytesOf(n.keys[len(n.keys)-1]), true
 }

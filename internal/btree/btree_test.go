@@ -11,6 +11,37 @@ import (
 
 func key(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }
 
+// TestKeysAreTheCallersBytes: the tree keeps the key slices it is given
+// and hands the same bytes back, from GetEntry, scans and Max, so a caller
+// that keeps a key the tree returns holds no copy of its own.
+func TestKeysAreTheCallersBytes(t *testing.T) {
+	tr := New[int]()
+	keys := make([][]byte, 500)
+	for i := range keys {
+		keys[i] = key(i)
+		tr.Put(keys[i], i)
+	}
+	lookup := key(7) // equal bytes, another slice
+	held, v, ok := tr.GetEntry(lookup)
+	if !ok || v != 7 || &held[0] != &keys[7][0] || len(held) != len(keys[7]) {
+		t.Fatalf("GetEntry(%q) = (%q, %d, %v), want the slice Put kept", lookup, held, v, ok)
+	}
+	if _, _, ok := tr.GetEntry([]byte("absent")); ok {
+		t.Fatal("GetEntry found a key never put")
+	}
+	i := 0
+	tr.Ascend(func(k []byte, _ int) bool {
+		if &k[0] != &keys[i][0] {
+			t.Fatalf("scan entry %d is not the slice Put kept", i)
+		}
+		i++
+		return true
+	})
+	if k, ok := tr.Max(); !ok || &k[0] != &keys[len(keys)-1][0] {
+		t.Fatalf("Max = %q, not the slice Put kept", k)
+	}
+}
+
 func TestBasicCRUD(t *testing.T) {
 	tr := New[int]()
 	if _, ok := tr.Get([]byte("a")); ok {

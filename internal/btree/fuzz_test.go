@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // checkTree fails t unless tr is a well-formed B+tree holding exactly
@@ -18,8 +19,9 @@ func checkTree(t *testing.T, tr *Tree[int], model map[string]int) {
 	t.Helper()
 	var leaves []*node[int]
 	leafDepth := -1
-	var walk func(n *node[int], depth int, lo, hi []byte, rightmost bool)
-	walk = func(n *node[int], depth int, lo, hi []byte, rightmost bool) {
+	// lo and hi bound a subtree's keys; nil is no bound.
+	var walk func(n *node[int], depth int, lo, hi *string, rightmost bool)
+	walk = func(n *node[int], depth int, lo, hi *string, rightmost bool) {
 		if cap(n.keys) > degree+1 || cap(n.vals) > degree+1 || cap(n.children) > degree+2 || len(n.keys) > degree {
 			t.Fatalf("node at depth %d holds %d keys in slices of capacity %d/%d/%d", depth, len(n.keys), cap(n.keys), cap(n.vals), cap(n.children))
 		}
@@ -27,15 +29,15 @@ func checkTree(t *testing.T, tr *Tree[int], model map[string]int) {
 			t.Fatalf("node at depth %d holds %d keys, below minLen off the rightmost path", depth, len(n.keys))
 		}
 		for i, k := range n.keys {
-			if i > 0 && bytes.Compare(n.keys[i-1], k) >= 0 {
+			if i > 0 && n.keys[i-1] >= k {
 				t.Fatalf("keys out of order at depth %d: %x then %x", depth, n.keys[i-1], k)
 			}
-			if (lo != nil && bytes.Compare(k, lo) < 0) || (hi != nil && bytes.Compare(k, hi) >= 0) {
-				t.Fatalf("key %x at depth %d outside its separators [%x, %x)", k, depth, lo, hi)
+			if (lo != nil && k < *lo) || (hi != nil && k >= *hi) {
+				t.Fatalf("key %x at depth %d outside its separators", k, depth)
 			}
 		}
 		for _, k := range n.keys[len(n.keys):cap(n.keys)] {
-			if k != nil {
+			if unsafe.StringData(k) != nil {
 				t.Fatalf("vacated key slot at depth %d holds %x", depth, k)
 			}
 		}
@@ -66,10 +68,10 @@ func checkTree(t *testing.T, tr *Tree[int], model map[string]int) {
 		for i, c := range n.children {
 			clo, chi := lo, hi
 			if i > 0 {
-				clo = n.keys[i-1]
+				clo = &n.keys[i-1]
 			}
 			if i < len(n.keys) {
-				chi = n.keys[i]
+				chi = &n.keys[i]
 			}
 			walk(c, depth+1, clo, chi, rightmost && i == len(n.keys))
 		}
@@ -250,10 +252,10 @@ func TestAppendOrderFillsLeaves(t *testing.T) {
 		t.Errorf("descending inserts: %d of %d leaves full, want middle splits", full, total)
 	}
 	// Ascending keys that arrive shuffled within runs of 8, as commits reach
-	// them out of order, fill leaves to 44 entries: the left half of a split
+	// them out of order, fill leaves to 43 entries: the left half of a split
 	// below the largest key later splits in the middle if the keys it still
 	// lacks overflow it. Splitting the rightmost leaf in the middle unless
-	// the insert is an append would leave 36.
+	// the insert is an append would leave 32.
 	near := New[int]()
 	rng := rand.New(rand.NewSource(1))
 	var perm []int

@@ -1,0 +1,52 @@
+package btree
+
+import (
+	"runtime"
+	"testing"
+)
+
+// TestNodeAllocationBytes pins what a node costs on the heap, its struct
+// and its slot arrays, measured over 10 000 of each kind: a leaf of
+// pointer values (the clustered tree's), a leaf of no values (an index's)
+// and an interior node. Its 63-slot arrays are sized to fill their size
+// classes with the 8-byte header Go puts on a pointer-holding object above
+// 512 bytes (DESIGN.md decision 23); a toolchain whose classes round
+// differently fails here rather than quietly growing every table.
+func TestNodeAllocationBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what allocations cost")
+	}
+	const nodes = 10_000
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	perNode := func(alloc func() any) float64 {
+		kept := make([]any, nodes)
+		before := heap()
+		for i := range kept {
+			kept[i] = alloc()
+		}
+		used := heap() - before
+		runtime.KeepAlive(kept)
+		return float64(used) / nodes
+	}
+	for _, tc := range []struct {
+		name  string
+		alloc func() any
+		limit float64
+	}{
+		{"pointer-valued leaf", func() any { return newLeaf[*int](degree) }, 1640},
+		{"value-less leaf", func() any { return newLeaf[struct{}](degree) }, 1128},
+		{"interior node", func() any { return newInterior[*int](degree) }, 1700},
+	} {
+		got := perNode(tc.alloc)
+		t.Logf("%s: %.0f heap bytes (limit %.0f)", tc.name, got, tc.limit)
+		if got > tc.limit {
+			t.Errorf("a %s costs %.0f heap bytes, limit %.0f", tc.name, got, tc.limit)
+		}
+	}
+}

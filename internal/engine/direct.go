@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"sqlledger/internal/sqltypes"
 )
@@ -150,7 +151,7 @@ func (db *DB) TamperInsertRowAt(t *Table, key []byte, values sqltypes.Row, updat
 	t.noteRIDLocked(key)
 	if updateIndexes {
 		for _, ix := range t.indexes {
-			ix.tree.Put(t.entryKeyLocked(nil, ix, key, row), key)
+			ix.tree.Put(t.entryKeyLocked(nil, ix, key, row), struct{}{})
 		}
 	}
 	return nil
@@ -170,14 +171,16 @@ func (db *DB) TamperColumnType(t *Table, colName string, newType sqltypes.TypeID
 	return nil
 }
 
-// TamperIndexEntry overwrites the clustered-key pointer of an index entry,
+// TamperIndexEntry repoints an index entry at newClusteredKey: it replaces
+// the entry with one of the same indexed values that ends in that key,
 // desynchronizing the index from the base table (detected by invariant 5).
 func (db *DB) TamperIndexEntry(t *Table, ix *Index, entryKey, newClusteredKey []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, ok := ix.tree.Get(entryKey); !ok {
+	if _, ok := ix.tree.Delete(entryKey); !ok {
 		return fmt.Errorf("%w: index entry", ErrNotFound)
 	}
-	ix.tree.Put(entryKey, newClusteredKey)
+	values := entryKey[:len(entryKey)-len(ix.clusteredKey(entryKey))]
+	ix.tree.Put(slices.Concat(values, newClusteredKey), struct{}{})
 	return nil
 }

@@ -87,3 +87,42 @@ func TestLookupIndexPrefixMissingBaseRow(t *testing.T) {
 		t.Fatalf("dangling index entry produced %d hits", hits)
 	}
 }
+
+// TestIndexEntryOfAnotherTypeNamesNoRow: an index entry is split into its
+// values and the clustered key by the indexed columns' types, so an entry
+// a tamper built from a value of another type — with the indexes updated,
+// as TamperUpdateRow allows — scans without a panic and names no row,
+// whether the split fails (a 0x00 0x05 inside the BIGINT is no escape) or
+// lands in the wrong place.
+func TestIndexEntryOfAnotherTypeNamesNoRow(t *testing.T) {
+	db := openTestDB(t)
+	tab := mustCreate(t, db, "t", kvSchema())
+	ix, err := db.CreateIndex("t", "ix_v", "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin("u")
+	tx.Insert(tab, kv(1, "x"))
+	tx.Insert(tab, kv(2, "y"))
+	commit(t, db, tx)
+	for k, v := range map[int64]int64{1: 0x0005 << 48, 2: 7} {
+		key := sqltypes.EncodeKey(nil, sqltypes.NewBigInt(k))
+		if err := db.TamperUpdateRow(tab, key, func(r sqltypes.Row) sqltypes.Row {
+			r[1] = sqltypes.NewBigInt(v)
+			return r
+		}, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries := 0
+	tab.ScanIndex(ix, func(ek, ck []byte) bool {
+		entries++
+		if tab.Has(ck) {
+			t.Errorf("entry %x names row %x", ek, ck)
+		}
+		return true
+	})
+	if entries != 2 {
+		t.Fatalf("scanned %d entries, want 2", entries)
+	}
+}

@@ -39,9 +39,10 @@ import (
 // redo wrote. The table's tree stays empty until install.
 type redoTable struct {
 	table *Table
-	// chains indexes the chains by key for op lookup; entries holds them in
-	// the order redo created them, for the install phase.
-	chains  map[string]*versionChain
+	// chains indexes entries by key for op lookup; entries holds the chains,
+	// each under the key that created it, in the order redo created them,
+	// for the install phase.
+	chains  map[string]int
 	entries []keyedChain
 	// live counts the keys whose newest version is a row.
 	live int
@@ -67,7 +68,7 @@ func (r *redo) table(tid uint32) (*redoTable, error) {
 		if t == nil {
 			return nil, fmt.Errorf("engine: recovery: unknown table %d", tid)
 		}
-		st = &redoTable{table: t, chains: make(map[string]*versionChain)}
+		st = &redoTable{table: t, chains: make(map[string]int)}
 		r.tables[tid] = st
 	}
 	return st, nil
@@ -85,29 +86,32 @@ func (r *redo) applyTx(commitTS int64, ops []writeOp) error {
 		if err != nil {
 			return err
 		}
-		c := st.chains[string(op.key)]
+		var e keyedChain
+		i, found := st.chains[string(op.key)]
+		if found {
+			e = st.entries[i]
+		}
 		switch op.typ {
 		case wal.RecInsert:
-			if c != nil {
-				if _, live := c.latestLive(); live {
+			if found {
+				if _, live := e.chain.latestLive(); live {
 					return fmt.Errorf("%w: table %s (recovery)", ErrDuplicateKey, st.table.meta.Name)
 				}
-				st.table.appendVersionLocked(op.key, c, commitTS, op.after)
+				st.table.appendVersionLocked(e.key, e.chain, commitTS, op.after)
 			} else {
-				c = newChain(commitTS, op.after)
-				st.chains[string(op.key)] = c
-				st.entries = append(st.entries, keyedChain{key: op.key, chain: c})
+				st.chains[string(op.key)] = len(st.entries)
+				st.entries = append(st.entries, keyedChain{key: op.key, chain: newChain(commitTS, op.after)})
 			}
 			st.live++
 		case wal.RecDelete, wal.RecUpdate:
 			live := false
-			if c != nil {
-				_, live = c.latestLive()
+			if found {
+				_, live = e.chain.latestLive()
 			}
 			if !live {
 				return fmt.Errorf("%w: table %s (recovery)", ErrNotFound, st.table.meta.Name)
 			}
-			st.table.appendVersionLocked(op.key, c, commitTS, op.after) // nil for a delete: a tombstone
+			st.table.appendVersionLocked(e.key, e.chain, commitTS, op.after) // nil for a delete: a tombstone
 			if op.typ == wal.RecDelete {
 				st.live--
 			}

@@ -247,20 +247,22 @@ func TestStoredRowFootprint(t *testing.T) {
 	// Size classes up to 128 bytes are at most 16 apart. structure is what a
 	// row costs beside its bytes: its key (the 9-byte encoded id takes 16, a
 	// heap's 8-byte row id 8), the chain with its one version inline (48),
-	// the leaf's key and value slots (37: 64 entries in a full leaf's 65-slot
-	// arrays, of size classes 1792 and 576), plus slack for what the size
+	// its share of a full leaf (27: 62 entries in a 96-byte node, a 63-slot
+	// array of 16-byte key headers in the 1024-byte size class and one of
+	// value pointers in the 512-byte class), plus slack for what the size
 	// classes of another Go release round differently. An index on n1 adds
 	// its entry, n1 then the id (18 bytes, in the 24-byte class), and its
-	// leaf's two slice slots (56: two arrays of size class 1792).
+	// share of a full index leaf, which has no value array (18: the node and
+	// the key array over 62 entries).
 	for _, tc := range []struct {
 		name      string
 		keyed     bool
 		indexed   bool
 		structure float64
 	}{
-		{"clustered", true, false, 112},
-		{"heap", false, false, 104},
-		{"clustered+index", true, true, 112 + 80},
+		{"clustered", true, false, 100},
+		{"heap", false, false, 92},
+		{"clustered+index", true, true, 100 + 44},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const rows = 100_000

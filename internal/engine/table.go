@@ -41,12 +41,15 @@ type keyedChain struct {
 	chain *versionChain
 }
 
-// Index is the runtime state of a nonclustered index. Entries map the
-// encoded index key (index columns followed by the clustered key, making
-// every entry unique) to the clustered key of the base row.
+// Index is the runtime state of a nonclustered index. An entry is its key
+// alone: the encoded index columns followed by the clustered key of the
+// base row, which makes every entry unique and is read back off its end.
 type Index struct {
 	meta *IndexMeta
-	tree *btree.Tree[[]byte]
+	// keyTypes are the indexed columns' types when the index was built,
+	// which tell where an entry's clustered key starts.
+	keyTypes []sqltypes.TypeID
+	tree     *btree.Tree[struct{}]
 }
 
 // Meta returns the index metadata.
@@ -228,7 +231,7 @@ func (t *Table) applyInsertLocked(key, row []byte, ts int64) error {
 	t.noteRIDLocked(key)
 	var buf [64]byte
 	for _, ix := range t.indexes {
-		ix.tree.Put(bytes.Clone(t.entryKeyLocked(buf[:0], ix, key, row)), key)
+		ix.tree.Put(bytes.Clone(t.entryKeyLocked(buf[:0], ix, key, row)), struct{}{})
 	}
 	return nil
 }
@@ -236,7 +239,7 @@ func (t *Table) applyInsertLocked(key, row []byte, ts int64) error {
 // applyDeleteLocked appends a tombstone version under key. Caller must
 // hold mu.
 func (t *Table) applyDeleteLocked(key []byte, ts int64) error {
-	c, ok := t.rows.Get(key)
+	held, c, ok := t.rows.GetEntry(key)
 	if !ok {
 		return fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
@@ -244,7 +247,7 @@ func (t *Table) applyDeleteLocked(key []byte, ts int64) error {
 	if !live {
 		return fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
-	t.appendVersionLocked(key, c, ts, nil)
+	t.appendVersionLocked(held, c, ts, nil)
 	t.liveRows--
 	var buf [64]byte
 	for _, ix := range t.indexes {
@@ -256,7 +259,7 @@ func (t *Table) applyDeleteLocked(key []byte, ts int64) error {
 // applyUpdateLocked appends an encoded replacement version under key,
 // stored as it is. Caller must hold mu.
 func (t *Table) applyUpdateLocked(key, row []byte, ts int64) error {
-	c, ok := t.rows.Get(key)
+	held, c, ok := t.rows.GetEntry(key)
 	if !ok {
 		return fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
@@ -264,7 +267,7 @@ func (t *Table) applyUpdateLocked(key, row []byte, ts int64) error {
 	if !live {
 		return fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
-	t.appendVersionLocked(key, c, ts, row)
+	t.appendVersionLocked(held, c, ts, row)
 	t.moveIndexEntriesLocked(key, old, row)
 	return nil
 }
@@ -279,14 +282,15 @@ func (t *Table) moveIndexEntriesLocked(key, old, next []byte) {
 		newEnt := t.entryKeyLocked(newBuf[:0], ix, key, next)
 		if string(oldEnt) != string(newEnt) {
 			ix.tree.Delete(oldEnt)
-			ix.tree.Put(bytes.Clone(newEnt), key)
+			ix.tree.Put(bytes.Clone(newEnt), struct{}{})
 		}
 	}
 }
 
 // appendVersionLocked adds a version to c, the chain under key, and lists
-// c for GC when that gives it its first superseded version. Caller holds
-// mu.
+// c for GC when that gives it its first superseded version. key is kept
+// in the list: pass the slice the tree holds where there is one, not a
+// write set's copy. Caller holds mu.
 func (t *Table) appendVersionLocked(key []byte, c *versionChain, ts int64, row []byte) {
 	if c.appendVersion(ts, row) {
 		t.reclaim = append(t.reclaim, keyedChain{key, c})
@@ -342,6 +346,17 @@ func (ix *Index) EntryKeyStored(dst, clusteredKey, stored []byte, cols []sqltype
 		return nil, err
 	}
 	return append(sqltypes.EncodeKey(dst, vals...), clusteredKey...), nil
+}
+
+// clusteredKey returns the clustered key entryKey ends with: what follows
+// the encoding of the indexed columns. An entry that does not start with
+// one (a hand-edited index) yields nil, which names no row.
+func (ix *Index) clusteredKey(entryKey []byte) []byte {
+	n, err := sqltypes.KeyPrefixLen(entryKey, ix.keyTypes)
+	if err != nil {
+		return nil
+	}
+	return entryKey[n:]
 }
 
 // entryKeyLocked is EntryKeyStored of a row the engine stored itself. It
@@ -483,9 +498,7 @@ func (t *Table) Indexes() []*Index {
 // ScanIndex iterates an index in index-key order, passing the base-table
 // clustered key of each entry.
 func (t *Table) ScanIndex(ix *Index, fn func(entryKey, clusteredKey []byte) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ix.tree.Ascend(fn)
+	t.ScanIndexRange(ix, nil, nil, fn)
 }
 
 // ScanIndexRange iterates index entries with start <= entryKey < end, in
@@ -493,7 +506,9 @@ func (t *Table) ScanIndex(ix *Index, fn func(entryKey, clusteredKey []byte) bool
 func (t *Table) ScanIndexRange(ix *Index, start, end []byte, fn func(entryKey, clusteredKey []byte) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	ix.tree.AscendRange(start, end, fn)
+	ix.tree.AscendRange(start, end, func(ek []byte, _ struct{}) bool {
+		return fn(ek, ix.clusteredKey(ek))
+	})
 }
 
 // LastIndexEntry returns the largest entry key of an index.
@@ -512,7 +527,8 @@ func (t *Table) LookupIndexPrefix(ix *Index, vals []sqltypes.Value, fn func(key 
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var buf sqltypes.Row
-	ix.tree.AscendRange(prefix, end, func(_ []byte, ck []byte) bool {
+	ix.tree.AscendRange(prefix, end, func(ek []byte, _ struct{}) bool {
+		ck := ix.clusteredKey(ek)
 		c, ok := t.rows.Get(ck)
 		if !ok {
 			return true // index/base divergence is surfaced by verification
@@ -549,11 +565,15 @@ func prefixEnd(prefix []byte) []byte {
 // buildIndexLocked (re)builds an index from the latest live rows of the
 // base table. Caller holds mu.
 func (t *Table) buildIndexLocked(ix *Index) {
-	ix.tree = btree.New[[]byte]()
+	ix.keyTypes = make([]sqltypes.TypeID, len(ix.meta.Cols))
+	for i, ord := range ix.meta.Cols {
+		ix.keyTypes[i] = t.meta.Schema.Columns[ord].Type
+	}
+	ix.tree = btree.New[struct{}]()
 	var buf [64]byte
 	t.rows.Ascend(func(k []byte, c *versionChain) bool {
 		if stored, live := c.latestLive(); live {
-			ix.tree.Put(bytes.Clone(t.entryKeyLocked(buf[:0], ix, k, stored)), k)
+			ix.tree.Put(bytes.Clone(t.entryKeyLocked(buf[:0], ix, k, stored)), struct{}{})
 		}
 		return true
 	})

@@ -55,8 +55,8 @@ func fullWalkPrune(db *DB, horizon int64) (string, int) {
 		})
 		for _, ix := range tab.indexes {
 			fmt.Fprintf(&sb, "  index %s\n", ix.meta.Name)
-			ix.tree.Ascend(func(ek, ck []byte) bool {
-				fmt.Fprintf(&sb, "    %x -> %x\n", ek, ck)
+			ix.tree.Ascend(func(ek []byte, _ struct{}) bool {
+				fmt.Fprintf(&sb, "    %x -> %x\n", ek, ix.clusteredKey(ek))
 				return true
 			})
 		}

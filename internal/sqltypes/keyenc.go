@@ -107,45 +107,23 @@ func DecodeKey(key []byte, types []TypeID) ([]Value, error) {
 	out := make([]Value, 0, len(types))
 	pos := 0
 	for _, t := range types {
-		if pos >= len(key) {
-			return nil, fmt.Errorf("sqltypes: key truncated at component %d", len(out))
+		end, null, err := keyComponent(key, pos, t)
+		if err != nil {
+			return nil, err
 		}
-		tag := key[pos]
-		pos++
-		if tag == 0x00 {
-			out = append(out, NewNull(t))
-			continue
-		}
-		if tag != 0x01 {
-			return nil, fmt.Errorf("sqltypes: bad key tag 0x%02x", tag)
-		}
+		body := key[pos+1 : end]
+		pos = end
 		switch {
+		case null:
+			out = append(out, NewNull(t))
 		case t == TypeFloat:
-			if pos+8 > len(key) {
-				return nil, fmt.Errorf("sqltypes: key truncated in float")
-			}
-			out = append(out, NewFloat(orderedToFloat(binary.BigEndian.Uint64(key[pos:]))))
-			pos += 8
-		case t.IsString() || t.IsBytes():
-			raw, n, err := decodeEscaped(key[pos:])
-			if err != nil {
-				return nil, err
-			}
-			pos += n
-			v := Value{Type: t}
-			if t.IsString() {
-				v.Str = string(raw)
-			} else {
-				v.Bytes = raw
-			}
-			out = append(out, v)
+			out = append(out, NewFloat(orderedToFloat(binary.BigEndian.Uint64(body))))
+		case t.IsString():
+			out = append(out, Value{Type: t, Str: string(unescape(body))})
+		case t.IsBytes():
+			out = append(out, Value{Type: t, Bytes: unescape(body)})
 		default:
-			if pos+8 > len(key) {
-				return nil, fmt.Errorf("sqltypes: key truncated in integer")
-			}
-			u := binary.BigEndian.Uint64(key[pos:])
-			pos += 8
-			out = append(out, Value{Type: t, I64: int64(u ^ (1 << 63))})
+			out = append(out, Value{Type: t, I64: int64(binary.BigEndian.Uint64(body) ^ (1 << 63))})
 		}
 	}
 	if pos != len(key) {
@@ -154,26 +132,68 @@ func DecodeKey(key []byte, types []TypeID) ([]Value, error) {
 	return out, nil
 }
 
-func decodeEscaped(b []byte) (raw []byte, n int, err error) {
-	out := make([]byte, 0, len(b))
-	i := 0
-	for {
-		if i+1 >= len(b) {
-			return nil, 0, fmt.Errorf("sqltypes: unterminated escaped key component")
+// KeyPrefixLen returns the length of the leading components of key that
+// EncodeKey wrote for values of the given types, without decoding them: a
+// nonclustered index entry is its columns' encoding followed by the
+// clustered key, which is what remains after the prefix. A key that ends
+// or breaks inside the prefix is an error.
+func KeyPrefixLen(key []byte, types []TypeID) (int, error) {
+	pos := 0
+	for _, t := range types {
+		var err error
+		if pos, _, err = keyComponent(key, pos, t); err != nil {
+			return 0, err
 		}
-		if b[i] == 0x00 {
-			switch b[i+1] {
-			case 0x00:
-				return out, i + 2, nil
-			case 0xFF:
-				out = append(out, 0x00)
-				i += 2
-				continue
-			default:
-				return nil, 0, fmt.Errorf("sqltypes: bad escape 0x00 0x%02x", b[i+1])
-			}
-		}
-		out = append(out, b[i])
-		i++
 	}
+	return pos, nil
+}
+
+// keyComponent returns where the component of type t that starts at
+// key[pos] ends, and whether it is NULL. Its body lies between its tag at
+// pos and the end.
+func keyComponent(key []byte, pos int, t TypeID) (end int, null bool, err error) {
+	if pos >= len(key) {
+		return 0, false, fmt.Errorf("sqltypes: key truncated before a %s component", t)
+	}
+	switch tag := key[pos]; tag {
+	case 0x00:
+		return pos + 1, true, nil
+	case 0x01:
+	default:
+		return 0, false, fmt.Errorf("sqltypes: bad key tag 0x%02x", tag)
+	}
+	pos++
+	if !t.IsString() && !t.IsBytes() { // integers, decimals, datetimes, floats
+		if pos+8 > len(key) {
+			return 0, false, fmt.Errorf("sqltypes: key truncated in a %s component", t)
+		}
+		return pos + 8, false, nil
+	}
+	for i := pos; i+1 < len(key); i++ {
+		if key[i] != 0x00 {
+			continue
+		}
+		switch key[i+1] {
+		case 0x00:
+			return i + 2, false, nil
+		case 0xFF:
+			i++
+		default:
+			return 0, false, fmt.Errorf("sqltypes: bad escape 0x00 0x%02x", key[i+1])
+		}
+	}
+	return 0, false, fmt.Errorf("sqltypes: unterminated escaped key component")
+}
+
+// unescape returns the bytes of an escaped component's body, which ends
+// in its 0x00 0x00 terminator.
+func unescape(body []byte) []byte {
+	out := make([]byte, 0, len(body)-2)
+	for i := 0; i < len(body)-2; i++ {
+		out = append(out, body[i])
+		if body[i] == 0x00 {
+			i++ // the 0xFF that escapes it
+		}
+	}
+	return out
 }

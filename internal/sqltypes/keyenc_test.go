@@ -247,3 +247,53 @@ func FuzzEncodeRowKey(f *testing.F) {
 		}
 	})
 }
+
+// FuzzKeyPrefixLen: the prefix of an index entry key is exactly EncodeKey
+// of its 1–4 values, whatever follows; every cut inside the prefix is an
+// error; and on any bytes at all it never panics and agrees with
+// DecodeKey, which succeeds on what KeyPrefixLen measures and fails where
+// it fails.
+func FuzzKeyPrefixLen(f *testing.F) {
+	f.Add(uint8(1), uint32(0), uint8(0), int64(42), 0.0, "", []byte(nil), []byte{0x01, 0x80, 0, 0, 0, 0, 0, 0, 7})
+	f.Add(uint8(2), uint32(0x0102), uint8(0b01), int64(-1), 1.5, "a\x00b", []byte{0, 0xff, 0}, []byte{0, 0})
+	f.Add(uint8(3), uint32(0x030201), uint8(0b100), int64(math.MinInt64), math.Inf(-1), "\x00", []byte{0}, []byte(nil))
+	f.Add(uint8(4), uint32(0x03020100), uint8(0b1111), int64(0), math.NaN(), "x", []byte{}, []byte{0x01, 0x00, 0xff})
+	f.Add(uint8(4), uint32(0x04030201), uint8(0b0101), int64(1)<<40, -0.0, "long string with a \x00 in it", bytes.Repeat([]byte{0}, 40), []byte{0x02})
+	types := []TypeID{TypeBigInt, TypeFloat, TypeNVarChar, TypeVarBinary, TypeInt}
+	f.Fuzz(func(t *testing.T, ncols uint8, typeSel uint32, nulls uint8, i int64, fl float64, s string, b, suffix []byte) {
+		k := int(ncols%4) + 1
+		typs := make([]TypeID, k)
+		var prefix []byte
+		for j := range typs {
+			typs[j] = types[int(typeSel>>(8*j)&0xff)%len(types)]
+			v := Value{Type: typs[j], Null: nulls&(1<<j) != 0}
+			if !v.Null {
+				v.I64, v.F64, v.Str, v.Bytes = i^int64(j), fl, s, b
+			}
+			prefix = EncodeKey(prefix, v)
+		}
+		key := append(append([]byte(nil), prefix...), suffix...)
+		if n, err := KeyPrefixLen(key, typs); err != nil || n != len(prefix) {
+			t.Fatalf("KeyPrefixLen(%x) = %d, %v; the values encode to %d bytes", key, n, err, len(prefix))
+		}
+		for cut := 0; cut < len(prefix); cut++ {
+			if n, err := KeyPrefixLen(prefix[:cut], typs); err == nil {
+				t.Fatalf("KeyPrefixLen of %x, cut at %d of %d, = %d with no error", prefix, cut, len(prefix), n)
+			}
+		}
+		// Garbage: the suffix read as a whole key.
+		n, err := KeyPrefixLen(suffix, typs)
+		if err != nil {
+			if _, derr := DecodeKey(suffix, typs); derr == nil {
+				t.Fatalf("KeyPrefixLen(%x) fails (%v) where DecodeKey succeeds", suffix, err)
+			}
+			return
+		}
+		if n > len(suffix) {
+			t.Fatalf("KeyPrefixLen(%x) = %d, past the key's end", suffix, n)
+		}
+		if _, derr := DecodeKey(suffix[:n], typs); derr != nil {
+			t.Fatalf("KeyPrefixLen(%x) = %d, but DecodeKey of that prefix fails: %v", suffix, n, derr)
+		}
+	})
+}
