@@ -7,38 +7,146 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func key(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }
 
-// TestKeysAreTheCallersBytes: the tree keeps the key slices it is given
-// and hands the same bytes back, from GetEntry, scans and Max, so a caller
-// that keeps a key the tree returns holds no copy of its own.
-func TestKeysAreTheCallersBytes(t *testing.T) {
+// TestKeyViewsNeverChange: Put, GetOrPut and BuildSorted copy the keys
+// they store, so a caller may overwrite its buffer at once; and a key the
+// tree hands out — from GetEntry, a scan, Max or ShardBoundaries — is a
+// view that reads the same bytes however the tree changes after: appends
+// that split at the end, inserts that split in the middle and overflow an
+// arena, deletes that leave it half dead, borrows and merges.
+func TestKeyViewsNeverChange(t *testing.T) {
+	// Keys of 12 to 18 bytes, so arenas fill unevenly.
+	varKey := func(i int) []byte { return append(key(i), bytes.Repeat([]byte{'x'}, i%7)...) }
+	type kept struct {
+		view []byte
+		want string
+		sep  bool // a separator's, in no arena
+	}
+	var views []kept
+	keep := func(v []byte) { views = append(views, kept{v, string(v), false}) }
 	tr := New[int]()
-	keys := make([][]byte, 500)
-	for i := range keys {
-		keys[i] = key(i)
-		tr.Put(keys[i], i)
-	}
-	lookup := key(7) // equal bytes, another slice
-	held, v, ok := tr.GetEntry(lookup)
-	if !ok || v != 7 || &held[0] != &keys[7][0] || len(held) != len(keys[7]) {
-		t.Fatalf("GetEntry(%q) = (%q, %d, %v), want the slice Put kept", lookup, held, v, ok)
-	}
-	if _, _, ok := tr.GetEntry([]byte("absent")); ok {
-		t.Fatal("GetEntry found a key never put")
-	}
-	i := 0
-	tr.Ascend(func(k []byte, _ int) bool {
-		if &k[0] != &keys[i][0] {
-			t.Fatalf("scan entry %d is not the slice Put kept", i)
+	model := make(map[string]int)
+	buf := make([]byte, 0, 32)
+	put := func(i int) {
+		buf = append(buf[:0], varKey(i)...)
+		if i%2 == 0 {
+			tr.Put(buf, i)
+		} else {
+			tr.GetOrPut(buf, i)
 		}
-		i++
-		return true
-	})
-	if k, ok := tr.Max(); !ok || &k[0] != &keys[len(keys)-1][0] {
-		t.Fatalf("Max = %q, not the slice Put kept", k)
+		model[string(buf)] = i
+		clear(buf[:cap(buf)])
+	}
+	del := func(i int) {
+		tr.Delete(varKey(i))
+		delete(model, string(varKey(i)))
+	}
+	keepAll := func() {
+		for i := 0; i < 4000; i += 97 {
+			if k, _, ok := tr.GetEntry(varKey(i)); ok {
+				keep(k)
+			}
+		}
+		tr.Ascend(func(k []byte, _ int) bool {
+			keep(k)
+			return true
+		})
+		if k, ok := tr.Max(); ok {
+			keep(k)
+		}
+		for _, b := range tr.ShardBoundaries(8) {
+			views = append(views, kept{b, string(b), true})
+		}
+	}
+	phases := []func(){
+		func() { // ascending: append splits
+			for i := 0; i < 2000; i += 2 {
+				put(i)
+			}
+		},
+		func() { // between them, at random: middle splits and arena overflows
+			for _, i := range rand.New(rand.NewSource(1)).Perm(1000) {
+				put(2*i + 1)
+			}
+		},
+		func() { // every third key: half-dead arenas repack
+			for i := 0; i < 2000; i += 3 {
+				del(i)
+			}
+		},
+		func() { // runs of keys: borrows and merges
+			for i := 0; i < 2000; i++ {
+				if i%400 < 250 {
+					del(i)
+				}
+			}
+		},
+		func() { // refill what the deletes emptied, past the end too
+			for i := 0; i < 4000; i += 2 {
+				put(i)
+			}
+		},
+		func() { // bulk load from buffers overwritten after
+			ks := make([][]byte, 0, len(model))
+			for k := range model {
+				ks = append(ks, []byte(k))
+			}
+			sort.Slice(ks, func(a, b int) bool { return bytes.Compare(ks[a], ks[b]) < 0 })
+			vals := make([]int, len(ks))
+			for i, k := range ks {
+				vals[i] = model[string(k)]
+			}
+			tr = BuildSorted(ks, vals)
+			for _, k := range ks {
+				clear(k)
+			}
+		},
+		func() { // and change the bulk-loaded tree
+			for i := 1; i < 4000; i += 4 {
+				put(i)
+				del(i - 1)
+			}
+		},
+	}
+	for p, phase := range phases {
+		phase()
+		checkTree(t, tr, model)
+		keepAll()
+		for _, v := range views {
+			if string(v.view) != v.want || cap(v.view) != len(v.view) {
+				t.Fatalf("after phase %d a kept key reads %q (cap %d), was %q", p, v.view, cap(v.view), v.want)
+			}
+		}
+	}
+	// Some of the views must outlive the arena they were taken from, or
+	// the phases above never moved a leaf's keys.
+	arenas := make(map[*byte]int) // a current arena's base and capacity
+	for n := tr.root; n != nil; n = n.next {
+		for !n.leaf {
+			n = n.children[0]
+		}
+		arenas[unsafe.SliceData(n.arena)] = cap(n.arena)
+	}
+	stale := 0
+	for _, v := range views {
+		if v.sep {
+			continue
+		}
+		p, in := uintptr(unsafe.Pointer(unsafe.SliceData(v.view))), false
+		for base, c := range arenas {
+			b := uintptr(unsafe.Pointer(base))
+			in = in || (p >= b && p < b+uintptr(c))
+		}
+		if !in {
+			stale++
+		}
+	}
+	if stale == 0 {
+		t.Fatal("every kept key still lies in a current arena: no leaf was repacked")
 	}
 }
 

@@ -14,31 +14,36 @@ import (
 // separators bounding their subtrees, Len right, no node holding more than
 // its slices were allocated for or less than minLen entries (the root and
 // the rightmost path excepted), and no vacated slot still holding a key,
-// value or child.
+// value or child. Every leaf's spans lie inside its arena without
+// overlapping and cover all of it but its dead bytes, and no separator
+// shares memory with a leaf's arena.
 func checkTree(t *testing.T, tr *Tree[int], model map[string]int) {
 	t.Helper()
 	var leaves []*node[int]
+	var seps []string
 	leafDepth := -1
 	// lo and hi bound a subtree's keys; nil is no bound.
 	var walk func(n *node[int], depth int, lo, hi *string, rightmost bool)
 	walk = func(n *node[int], depth int, lo, hi *string, rightmost bool) {
-		if cap(n.keys) > degree+1 || cap(n.vals) > degree+1 || cap(n.children) > degree+2 || len(n.keys) > degree {
-			t.Fatalf("node at depth %d holds %d keys in slices of capacity %d/%d/%d", depth, len(n.keys), cap(n.keys), cap(n.vals), cap(n.children))
+		if cap(n.keys) > degree+1 || cap(n.slots) > degree+1 || cap(n.vals) > degree+1 || cap(n.children) > degree+2 || n.entries() > degree {
+			t.Fatalf("node at depth %d holds %d keys in slices of capacity %d/%d/%d/%d", depth, n.entries(), cap(n.keys), cap(n.slots), cap(n.vals), cap(n.children))
 		}
-		if n != tr.root && !rightmost && len(n.keys) < minLen {
-			t.Fatalf("node at depth %d holds %d keys, below minLen off the rightmost path", depth, len(n.keys))
+		if n != tr.root && !rightmost && n.entries() < minLen {
+			t.Fatalf("node at depth %d holds %d keys, below minLen off the rightmost path", depth, n.entries())
 		}
-		for i, k := range n.keys {
-			if i > 0 && n.keys[i-1] >= k {
-				t.Fatalf("keys out of order at depth %d: %x then %x", depth, n.keys[i-1], k)
+		keys := n.keys
+		if n.leaf {
+			keys = make([]string, len(n.slots))
+			for i := range keys {
+				keys[i] = n.key(i)
+			}
+		}
+		for i, k := range keys {
+			if i > 0 && keys[i-1] >= k {
+				t.Fatalf("keys out of order at depth %d: %x then %x", depth, keys[i-1], k)
 			}
 			if (lo != nil && k < *lo) || (hi != nil && k >= *hi) {
 				t.Fatalf("key %x at depth %d outside its separators", k, depth)
-			}
-		}
-		for _, k := range n.keys[len(n.keys):cap(n.keys)] {
-			if unsafe.StringData(k) != nil {
-				t.Fatalf("vacated key slot at depth %d holds %x", depth, k)
 			}
 		}
 		if n.leaf {
@@ -46,20 +51,27 @@ func checkTree(t *testing.T, tr *Tree[int], model map[string]int) {
 				t.Fatalf("leaves at depths %d and %d", leafDepth, depth)
 			}
 			leafDepth = depth
-			if len(n.vals) != len(n.keys) || n.children != nil {
-				t.Fatalf("leaf with %d keys, %d values, %d children", len(n.keys), len(n.vals), len(n.children))
+			if len(n.vals) != len(n.slots) || n.children != nil || n.keys != nil {
+				t.Fatalf("leaf with %d spans, %d values, %d children, %d separators", len(n.slots), len(n.vals), len(n.children), len(n.keys))
 			}
 			for _, v := range n.vals[len(n.vals):cap(n.vals)] {
 				if v != 0 {
 					t.Fatalf("vacated value slot holds %d", v)
 				}
 			}
+			checkArena(t, n)
 			leaves = append(leaves, n)
 			return
 		}
-		if len(n.keys) == 0 || len(n.children) != len(n.keys)+1 || n.vals != nil {
-			t.Fatalf("interior node with %d keys, %d children, %d values", len(n.keys), len(n.children), len(n.vals))
+		for _, k := range n.keys[len(n.keys):cap(n.keys)] {
+			if unsafe.StringData(k) != nil {
+				t.Fatalf("vacated separator slot at depth %d holds %x", depth, k)
+			}
 		}
+		if len(n.keys) == 0 || len(n.children) != len(n.keys)+1 || n.vals != nil || n.slots != nil || n.arena != nil {
+			t.Fatalf("interior node with %d keys, %d children, %d values, %d spans", len(n.keys), len(n.children), len(n.vals), len(n.slots))
+		}
+		seps = append(seps, n.keys...)
 		for _, c := range n.children[len(n.children):cap(n.children)] {
 			if c != nil {
 				t.Fatal("vacated child slot still points at a node")
@@ -77,6 +89,15 @@ func checkTree(t *testing.T, tr *Tree[int], model map[string]int) {
 		}
 	}
 	walk(tr.root, 0, nil, nil, true)
+	for _, sep := range seps {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(sep)))
+		for _, l := range leaves {
+			base := uintptr(unsafe.Pointer(unsafe.SliceData(l.arena)))
+			if len(sep) > 0 && cap(l.arena) > 0 && p >= base && p < base+uintptr(cap(l.arena)) {
+				t.Fatalf("separator %x points into a leaf's arena", sep)
+			}
+		}
+	}
 	for i, l := range leaves {
 		var want *node[int]
 		if i+1 < len(leaves) {
@@ -110,6 +131,28 @@ func checkTree(t *testing.T, tr *Tree[int], model map[string]int) {
 		if got, ok := tr.Get([]byte(k)); !ok || got != v {
 			t.Fatalf("Get(%x) = (%d, %v), want %d", k, got, ok, v)
 		}
+	}
+}
+
+// checkArena fails t unless every span of the leaf n lies inside its
+// arena, no two overlap, and the arena's length less its dead bytes is the
+// sum of the spans' lengths.
+func checkArena(t *testing.T, n *node[int]) {
+	t.Helper()
+	spans := slices.Clone(n.slots)
+	slices.SortFunc(spans, func(a, b span) int { return int(a.off) - int(b.off) })
+	live, end := 0, 0 // end: where the spans so far end, at the furthest
+	for _, s := range spans {
+		if int(s.off)+int(s.n) > len(n.arena) {
+			t.Fatalf("span [%d, +%d) runs past the arena's %d bytes", s.off, s.n, len(n.arena))
+		}
+		if s.n > 0 && int(s.off) < end {
+			t.Fatalf("span [%d, +%d) overlaps one ending at %d", s.off, s.n, end)
+		}
+		live, end = live+int(s.n), max(end, int(s.off+s.n))
+	}
+	if len(n.arena)-n.dead != live {
+		t.Fatalf("arena of %d bytes, %d dead, holds spans of %d", len(n.arena), n.dead, live)
 	}
 }
 
@@ -225,7 +268,7 @@ func TestAppendOrderFillsLeaves(t *testing.T) {
 		}
 		for ; n != nil; n = n.next {
 			total++
-			if len(n.keys) == degree {
+			if len(n.slots) == degree {
 				full++
 			}
 		}

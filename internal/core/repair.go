@@ -1,10 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"sqlledger/internal/engine"
-	"sqlledger/internal/sqltypes"
 )
 
 // Recovery from tampering (§3.7). The paper does not automate this — it
@@ -120,16 +120,14 @@ func RepairFromBackup(db, backupDB *DB, digests []Digest, dryRun bool) (*RepairR
 }
 
 // repairTable diffs two tables by clustered key and reconciles l's copy
-// to match the backup's.
+// to match the backup's. Both sides are read and compared as stored bytes,
+// and a row is restored from the backup's bytes, so a row whose bytes are
+// no row at all is repaired like any other.
 func repairTable(l *Shard, rep *RepairReport, name string, et, bak *engine.Table, dryRun bool) error {
-	type entry struct {
-		key []byte
-		row sqltypes.Row
-	}
-	collect := func(t *engine.Table) map[string]entry {
-		m := make(map[string]entry)
-		t.Scan(func(k []byte, r sqltypes.Row) bool {
-			m[string(k)] = entry{key: append([]byte(nil), k...), row: r.Clone()}
+	collect := func(t *engine.Table) map[string][]byte {
+		m := make(map[string][]byte)
+		t.ScanRangeStored(nil, nil, func(k, stored []byte) bool {
+			m[string(k)] = stored
 			return true
 		})
 		return m
@@ -139,30 +137,25 @@ func repairTable(l *Shard, rep *RepairReport, name string, et, bak *engine.Table
 
 	for k, b := range bakRows {
 		c, present := curRows[k]
-		switch {
-		case !present:
-			rep.Actions = append(rep.Actions, RepairAction{Table: name, Kind: "reinserted", Key: fmt.Sprintf("%x", b.key)})
-			if !dryRun {
-				if err := l.edb.TamperInsertRowAt(et, b.key, b.row, true); err != nil {
-					return fmt.Errorf("core: reinsert into %s: %w", name, err)
-				}
-			}
-		case !c.row.Equal(b.row):
-			rep.Actions = append(rep.Actions, RepairAction{Table: name, Kind: "restored", Key: fmt.Sprintf("%x", b.key)})
-			if !dryRun {
-				if err := l.edb.TamperUpdateRow(et, b.key, func(sqltypes.Row) sqltypes.Row {
-					return b.row.Clone()
-				}, true); err != nil {
-					return fmt.Errorf("core: restore row in %s: %w", name, err)
-				}
+		if present && bytes.Equal(c, b) {
+			continue
+		}
+		kind := "restored"
+		if !present {
+			kind = "reinserted"
+		}
+		rep.Actions = append(rep.Actions, RepairAction{Table: name, Kind: kind, Key: fmt.Sprintf("%x", k)})
+		if !dryRun {
+			if err := l.edb.TamperPutStoredRow(et, []byte(k), b); err != nil {
+				return fmt.Errorf("core: repair row %x of %s: %w", k, name, err)
 			}
 		}
 	}
-	for k, c := range curRows {
+	for k := range curRows {
 		if _, present := bakRows[k]; !present {
-			rep.Actions = append(rep.Actions, RepairAction{Table: name, Kind: "removed", Key: fmt.Sprintf("%x", c.key)})
+			rep.Actions = append(rep.Actions, RepairAction{Table: name, Kind: "removed", Key: fmt.Sprintf("%x", k)})
 			if !dryRun {
-				if err := l.edb.TamperDeleteRow(et, c.key, true); err != nil {
+				if err := l.edb.TamperDeleteRow(et, []byte(k), true); err != nil {
 					return fmt.Errorf("core: remove injected row from %s: %w", name, err)
 				}
 			}

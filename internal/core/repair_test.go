@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -109,6 +111,62 @@ func TestRepairFromBackup(t *testing.T) {
 	}
 	if len(rep.Actions) != 0 {
 		t.Fatalf("second repair found %d actions:\n%s", len(rep.Actions), rep)
+	}
+}
+
+// TestRepairRestoresBytesThatAreNoRow: rows whose stored bytes are no row
+// at all, which a decoding read panics on and TamperUpdateRow refuses — one
+// overwritten, one injected and then overwritten — are reported by a dry
+// run, and a real run restores the one from the backup's bytes and removes
+// the other, index entries included, so the digests verify again.
+func TestRepairRestoresBytesThatAreNoRow(t *testing.T) {
+	l := openTestLedger(t, 4)
+	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
+	if _, err := l.Engine().CreateIndex("accounts", "ix_balance", "balance"); err != nil {
+		t.Fatal(err)
+	}
+	digests := []Digest{seedAccounts(t, l, lt, 6)}
+	backup := makeBackup(t, l, 4)
+
+	key := firstKeyOf(t, lt.Table())
+	injected, err := l.Engine().TamperInsertRow(lt.Table(), sqltypes.Row{
+		sqltypes.NewNVarChar("mallory"), sqltypes.NewBigInt(1),
+		sqltypes.NewBigInt(999), sqltypes.NewBigInt(1),
+		sqltypes.NewNull(sqltypes.TypeBigInt), sqltypes.NewNull(sqltypes.TypeBigInt),
+	}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range [][]byte{key, injected} {
+		if err := l.Engine().TamperSetStoredRow(lt.Table(), k, []byte{9, 9, 9}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	verifyFails(t, l, digests, 4)
+	if err := l.Engine().TamperUpdateRow(lt.Table(), key, func(r sqltypes.Row) sqltypes.Row { return r }, true); err == nil {
+		t.Fatal("TamperUpdateRow edited a row whose bytes are no row")
+	}
+
+	want := map[string]string{fmt.Sprintf("%x", key): "restored", fmt.Sprintf("%x", injected): "removed"}
+	for _, dryRun := range []bool{true, false} {
+		rep, err := RepairFromBackup(l, backup, digests, dryRun)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(map[string]string)
+		for _, a := range rep.Actions {
+			got[a.Key] = a.Kind
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("dry run %v: repair report\n%s\nwant %v", dryRun, rep, want)
+		}
+		if dryRun {
+			verifyFails(t, l, digests, 4)
+		}
+	}
+	verifyOK(t, l, digests)
+	if row, ok := lt.Table().Lookup(key); !ok || row[0].Str != acctName(0) {
+		t.Fatalf("restored row reads %v, %v", row, ok)
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 
@@ -46,7 +47,8 @@ func (db *DB) DirectInsert(t *Table, row sqltypes.Row) ([]byte, error) {
 // every engine and ledger check — the storage-level attack of §2.5.2.
 // When updateIndexes is false, nonclustered indexes keep their old entries
 // (an attacker editing data pages typically would not fix up indexes),
-// which verification invariant 5 detects.
+// which verification invariant 5 detects. A row whose stored bytes are no
+// row is an error: there is nothing to hand mutate.
 func (db *DB) TamperUpdateRow(t *Table, key []byte, mutate func(sqltypes.Row) sqltypes.Row, updateIndexes bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -58,9 +60,13 @@ func (db *DB) TamperUpdateRow(t *Table, key []byte, mutate func(sqltypes.Row) sq
 	if !live {
 		return fmt.Errorf("%w: tamper target", ErrNotFound)
 	}
+	values, err := sqltypes.DecodeRowAlias(nil, old, t.meta.Schema.Columns)
+	if err != nil {
+		return fmt.Errorf("engine: stored row of %s does not decode: %w", t.meta.Name, err)
+	}
 	// mutate gets a deep copy: an edit through Value.Bytes must not reach
 	// the bytes the old entry keys are computed from.
-	next := EncodeStoredRow(mutate(t.decodeLocked(nil, old, nil).Clone()))
+	next := EncodeStoredRow(mutate(values.Clone()))
 	c.setLatestRow(next)
 	if updateIndexes {
 		t.moveIndexEntriesLocked(key, old, next)
@@ -102,47 +108,93 @@ func (db *DB) TamperDeleteRow(t *Table, key []byte, updateIndexes bool) error {
 	if live {
 		t.liveRows--
 		if updateIndexes {
-			for _, ix := range t.indexes {
-				ix.tree.Delete(t.entryKeyLocked(nil, ix, key, old))
-			}
+			t.dropIndexEntriesLocked(key, old)
 		}
 	}
 	return nil
 }
 
+// TamperPutStoredRow makes stored, the bytes of a row taken from a trusted
+// copy such as a verified backup, the newest version under key: in place
+// of the live row there, over a tombstone, or as a new chain. key's index
+// entries follow, whether or not the bytes they replace decode. Bytes that
+// are no row of t change nothing when t has an index.
+func (db *DB) TamperPutStoredRow(t *Table, key, stored []byte) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	entries := make([][]byte, len(t.indexes))
+	for i, ix := range t.indexes {
+		ent, err := ix.EntryKeyStored(nil, key, stored, t.meta.Schema.Columns)
+		if err != nil {
+			return fmt.Errorf("engine: stored row for %s does not decode: %w", t.meta.Name, err)
+		}
+		entries[i] = ent
+	}
+	if c, exists := t.rows.GetOrPut(key, newChain(0, stored)); !exists {
+		db.m.versionsLive.Add(1)
+		t.liveRows++
+	} else {
+		if old, live := c.latestLive(); live {
+			t.dropIndexEntriesLocked(key, old)
+		} else {
+			t.liveRows++ // the tombstone version is rewritten in place
+		}
+		c.setLatestRow(stored)
+	}
+	t.noteRIDLocked(key)
+	for i, ix := range t.indexes {
+		ix.tree.Put(entries[i], struct{}{})
+	}
+	return nil
+}
+
+// dropIndexEntriesLocked deletes key's entry from every index: the one
+// its stored row old yields, or, where old is no row, every entry that
+// ends in key. Caller holds mu.
+func (t *Table) dropIndexEntriesLocked(key, old []byte) {
+	for _, ix := range t.indexes {
+		if ent, err := ix.EntryKeyStored(nil, key, old, t.meta.Schema.Columns); err == nil {
+			ix.tree.Delete(ent)
+			continue
+		}
+		var stale [][]byte // views, which the deletes below leave as they are
+		ix.tree.Ascend(func(ent []byte, _ struct{}) bool {
+			if bytes.Equal(ix.clusteredKey(ent), key) {
+				stale = append(stale, ent)
+			}
+			return true
+		})
+		for _, ent := range stale {
+			ix.tree.Delete(ent)
+		}
+	}
+}
+
 // TamperInsertRow injects a row bypassing all checks. The injected version
 // carries timestamp 0, so every snapshot sees it — edited storage has no
 // provenance.
-func (db *DB) TamperInsertRow(t *Table, row sqltypes.Row, updateIndexes bool) ([]byte, error) {
+func (db *DB) TamperInsertRow(t *Table, values sqltypes.Row, updateIndexes bool) ([]byte, error) {
 	var key []byte
 	if t.meta.Heap {
 		key = t.allocRID()
 	} else {
-		key = t.KeyFor(row)
+		key = t.KeyFor(values)
 	}
-	return key, db.TamperInsertRowAt(t, key, row, updateIndexes)
-}
-
-// TamperInsertRowAt injects a row under an explicit clustered key (heaps
-// included), bypassing all checks. The tamper-repair path (§3.7) uses it
-// to reinstate deleted rows under their original keys.
-func (db *DB) TamperInsertRowAt(t *Table, key []byte, values sqltypes.Row, updateIndexes bool) error {
 	row := EncodeStoredRow(values)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if c, ok := t.rows.GetOrPut(key, newChain(0, row)); ok {
 		if _, live := c.latestLive(); live {
 			if updateIndexes {
-				return fmt.Errorf("%w: table %s", ErrDuplicateKey, t.meta.Name)
+				return key, fmt.Errorf("%w: table %s", ErrDuplicateKey, t.meta.Name)
 			}
 			// Overwrite the newest version's stored bytes in place.
 			c.setLatestRow(row)
 			t.noteRIDLocked(key)
-			return nil
+			return key, nil
 		}
-		// Reinstate over a tombstone (the tamper-repair path). The
-		// tombstone version is rewritten in place, so versions_live is
-		// unchanged.
+		// Reinstate over a tombstone. The tombstone version is rewritten
+		// in place, so versions_live is unchanged.
 		c.setLatestRow(row)
 	} else {
 		db.m.versionsLive.Add(1)
@@ -154,7 +206,7 @@ func (db *DB) TamperInsertRowAt(t *Table, key []byte, values sqltypes.Row, updat
 			ix.tree.Put(t.entryKeyLocked(nil, ix, key, row), struct{}{})
 		}
 	}
-	return nil
+	return key, nil
 }
 
 // TamperColumnType rewrites the declared type of a column in the catalog

@@ -3,8 +3,10 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -236,8 +238,8 @@ func footprintRow(id int64) sqltypes.Row {
 
 // TestStoredRowFootprint is the bytes-per-row number of the design: what a
 // loaded table keeps per row is its encoded bytes, rounded up to their
-// allocation's size class, plus a constant for the key, the version chain
-// and the B+tree slot — and no []Value, which alone would be 64 bytes per
+// allocation's size class, plus a constant for the version chain and the
+// B+tree slot with the key's bytes — and no []Value, which alone would be 64 bytes per
 // column. Rows go in in key order, as a history table's and an ascending
 // key's do, so the leaves fill (DESIGN.md decision 23).
 func TestStoredRowFootprint(t *testing.T) {
@@ -245,24 +247,24 @@ func TestStoredRowFootprint(t *testing.T) {
 		t.Skip("the race detector changes what allocations cost")
 	}
 	// Size classes up to 128 bytes are at most 16 apart. structure is what a
-	// row costs beside its bytes: its key (the 9-byte encoded id takes 16, a
-	// heap's 8-byte row id 8), the chain with its one version inline (48),
-	// its share of a full leaf (27: 62 entries in a 96-byte node, a 63-slot
-	// array of 16-byte key headers in the 1024-byte size class and one of
-	// value pointers in the 512-byte class), plus slack for what the size
-	// classes of another Go release round differently. An index on n1 adds
-	// its entry, n1 then the id (18 bytes, in the 24-byte class), and its
-	// share of a full index leaf, which has no value array (18: the node and
-	// the key array over 62 entries).
+	// row costs beside its bytes: the chain with its one version inline
+	// (48) and its share of a full leaf, key bytes included (28: 62 entries
+	// in a 144-byte node, a 63-slot array of 8-byte key spans and one of
+	// value pointers, each in the 512-byte size class, and an arena of 63
+	// 9-byte encoded ids in the 576-byte class; a heap's 8-byte row ids fill
+	// 512, 27), plus slack for what the size classes of another Go release
+	// round differently. An index on n1 adds its share of a full index
+	// leaf, which has no value array (29: the node, the spans and an arena
+	// of 63 18-byte entries, n1 then the id, in the 1152-byte class).
 	for _, tc := range []struct {
 		name      string
 		keyed     bool
 		indexed   bool
 		structure float64
 	}{
-		{"clustered", true, false, 100},
-		{"heap", false, false, 92},
-		{"clustered+index", true, true, 100 + 44},
+		{"clustered", true, false, 85},
+		{"heap", false, false, 84},
+		{"clustered+index", true, true, 85 + 32},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const rows = 100_000
@@ -390,6 +392,80 @@ func TestScanRangeStoredIsOneSnapshotScan(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("a scan stopped at its first row reports %d rows", n)
 	}
+}
+
+// TestScannedKeysStayPut: the keys a stored-bytes scan hands out are views
+// of the table's leaves, which the scan's caller reads after the table
+// lock is dropped. They keep their bytes while writers insert between
+// them, delete them and prune the deleted rows out of the tree, filling,
+// splitting and repacking the same leaves. Under the race detector (make
+// test-race) a writer touching a view's bytes is a reported race, not only
+// a wrong byte read.
+func TestScannedKeysStayPut(t *testing.T) {
+	db := openTestDB(t)
+	tab := mustCreate(t, db, "t", sqltypes.MustSchema([]sqltypes.Column{
+		sqltypes.Col("k", sqltypes.TypeNVarChar), sqltypes.Col("v", sqltypes.TypeBigInt)}, "k"))
+	name := func(i int) sqltypes.Value { // keys of 7 to 12 bytes, so arenas fill unevenly
+		return sqltypes.NewNVarChar(fmt.Sprintf("k%05d%s", i, strings.Repeat("x", i%6)))
+	}
+	const keys = 3000
+	tx := db.Begin("u")
+	for i := 0; i < keys; i += 3 {
+		if _, err := tx.Insert(tab, sqltypes.Row{name(i), sqltypes.NewBigInt(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit(t, db, tx)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rng := rand.New(rand.NewSource(1))
+		for round := 0; round < 4; round++ {
+			perm := rng.Perm(keys)
+			for len(perm) > 0 {
+				w := db.Begin("w")
+				for _, i := range perm[:100] {
+					if (i+round)%2 == 0 {
+						w.Insert(tab, sqltypes.Row{name(i), sqltypes.NewBigInt(int64(round))})
+					} else {
+						w.Delete(tab, name(i))
+					}
+				}
+				db.Commit(w)
+				perm = perm[100:]
+			}
+			db.GCVersions()
+		}
+	}()
+	type kept struct {
+		view []byte
+		want string
+	}
+	var views []kept
+	check := func() {
+		for _, v := range views {
+			if string(v.view) != v.want {
+				t.Fatalf("a scanned key reads %q, was %q", v.view, v.want)
+			}
+		}
+		views = views[:0]
+	}
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		tab.ScanRangeStored(nil, nil, func(k, _ []byte) bool {
+			views = append(views, kept{k, string(k)})
+			return true
+		})
+		if len(views) > 20_000 {
+			check()
+		}
+	}
+	check()
 }
 
 // TestStoredPrimitives drives the stored-bytes calls the ledger core runs

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -231,7 +230,7 @@ func (t *Table) applyInsertLocked(key, row []byte, ts int64) error {
 	t.noteRIDLocked(key)
 	var buf [64]byte
 	for _, ix := range t.indexes {
-		ix.tree.Put(bytes.Clone(t.entryKeyLocked(buf[:0], ix, key, row)), struct{}{})
+		ix.tree.Put(t.entryKeyLocked(buf[:0], ix, key, row), struct{}{})
 	}
 	return nil
 }
@@ -274,7 +273,7 @@ func (t *Table) applyUpdateLocked(key, row []byte, ts int64) error {
 
 // moveIndexEntriesLocked repoints every index entry of key whose indexed
 // columns differ between the stored rows old and next; only a moved entry
-// allocates, its new key. Caller holds mu.
+// is written, its new key copied into the index. Caller holds mu.
 func (t *Table) moveIndexEntriesLocked(key, old, next []byte) {
 	var oldBuf, newBuf [64]byte
 	for _, ix := range t.indexes {
@@ -282,7 +281,7 @@ func (t *Table) moveIndexEntriesLocked(key, old, next []byte) {
 		newEnt := t.entryKeyLocked(newBuf[:0], ix, key, next)
 		if string(oldEnt) != string(newEnt) {
 			ix.tree.Delete(oldEnt)
-			ix.tree.Put(bytes.Clone(newEnt), struct{}{})
+			ix.tree.Put(newEnt, struct{}{})
 		}
 	}
 }
@@ -360,8 +359,8 @@ func (ix *Index) clusteredKey(entryKey []byte) []byte {
 }
 
 // entryKeyLocked is EntryKeyStored of a row the engine stored itself. It
-// is built in a stack buffer (dst) and copied to its exact size where an
-// index keeps it. Caller holds mu.
+// is built in a stack buffer (dst), which an index's Put copies into a
+// leaf's arena. Caller holds mu.
 func (t *Table) entryKeyLocked(dst []byte, ix *Index, clusteredKey, stored []byte) []byte {
 	key, err := ix.EntryKeyStored(dst, clusteredKey, stored, t.meta.Schema.Columns)
 	if err != nil {
@@ -573,7 +572,7 @@ func (t *Table) buildIndexLocked(ix *Index) {
 	var buf [64]byte
 	t.rows.Ascend(func(k []byte, c *versionChain) bool {
 		if stored, live := c.latestLive(); live {
-			ix.tree.Put(bytes.Clone(t.entryKeyLocked(buf[:0], ix, k, stored)), struct{}{})
+			ix.tree.Put(t.entryKeyLocked(buf[:0], ix, k, stored), struct{}{})
 		}
 		return true
 	})
