@@ -154,9 +154,10 @@ bench-test:
 # super-block watermark Open reads back, the read-receipt parser and
 # verifier (a mutant that verifies proves nothing the seed does not), the
 # snapshot loader, whose seeds are a few KiB — minimizing each new input
-# for the default minute would leave it no time to fuzz — the B+tree
-# against a sorted map with its invariants checked after every run of
-# operations, and the SQL lexer and parser — 10 s each:
+# for the default minute would leave it no time to fuzz — the heap row
+# store against a model, whose runs are slow to minimize for the same
+# reason, the B+tree against a sorted map with its invariants checked
+# after every run of operations, and the SQL lexer and parser — 10 s each:
 # long enough to walk past the seeds, short enough for every push.
 # `go test -fuzz` takes one target per run.
 .PHONY: fuzz-smoke
@@ -172,6 +173,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzSuperBlock$$' -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzParseReadReceipt$$' -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 10s -fuzzminimizetime 500x ./internal/engine
+	go test -run '^$$' -fuzz '^FuzzHeapRows$$' -fuzztime 10s -fuzzminimizetime 500x ./internal/engine
 	go test -run '^$$' -fuzz '^FuzzTree$$' -fuzztime 10s ./internal/btree
 	go test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/sql
 

@@ -11,7 +11,9 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"sqlledger/internal/blobstore"
 	"sqlledger/internal/engine"
@@ -622,5 +624,76 @@ func TestVerifyAllocations(t *testing.T) {
 		t.Fatalf("Verify allocates %.3f objects per row version, want <= 0.05", perRow)
 	} else {
 		t.Logf("Verify allocates %.4f objects per row version", perRow)
+	}
+}
+
+// TestAcknowledgedCommitIsVisible: a commit returns only once every
+// snapshot begun after it sees it, also while blocks close beside it — a
+// block close is a commit of its own, sequenced among the writers'. Each
+// writer opens a snapshot as soon as its Commit returns and must find the
+// row it wrote, and a Verify after them all checks every row version.
+func TestAcknowledgedCommitIsVisible(t *testing.T) {
+	db, err := Open(Options{Dir: t.TempDir(), Name: "ack", BlockSize: 8, Obs: obs.Disabled()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	lt := mustLedgerTable(t, db, "accounts", engine.LedgerUpdateable)
+	before := verifyOK(t, db, nil).RowVersionsChecked // the table's creation wrote some
+	l := db.shards[0]
+	stop, swept := make(chan struct{}), make(chan struct{})
+	go func() { // a block sweeper that ticks every millisecond
+		defer close(swept)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if open, _, _ := l.entries.position(); open > 0 {
+					_ = l.closeBlocksThrough(int64(open)-1, false)
+				}
+			}
+		}
+	}()
+	const writers, perWriter = 4, 250
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				name := fmt.Sprintf("w%d-%04d", w, i)
+				tx := db.Begin("w")
+				err := tx.Insert(lt, account(name, int64(i)))
+				if err == nil {
+					err = tx.Commit()
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				rt := db.BeginReadOnly()
+				_, ok, err := rt.Get(lt, sqltypes.NewNVarChar(name))
+				rt.Close()
+				if err != nil || !ok {
+					errs <- fmt.Errorf("row %s was committed, and a snapshot begun after misses it (err %v)", name, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-swept
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	rep, err := db.Verify(nil, VerifyOptions{})
+	if want := before + writers*perWriter; err != nil || !rep.Ok() || rep.RowVersionsChecked != want {
+		t.Fatalf("verify checked %d row versions of %d committed: %v\n%v", rep.RowVersionsChecked, want, err, rep)
 	}
 }

@@ -129,6 +129,36 @@ func TestTamperPersistedAcrossReopenStillDetected(t *testing.T) {
 	verifyFails(t, l2, []Digest{d}, 4)
 }
 
+// TestColumnTypeTamperOnIndexedColumnAcrossReopen: the §3.2 metadata
+// attack on an indexed column, persisted by a checkpoint. The reopened
+// index holds no entry for a row whose value does not carry the declared
+// type, and verification expects none: it reports invariant 4 for the
+// rows, nothing for the index, and nothing panics on the way.
+func TestColumnTypeTamperOnIndexedColumnAcrossReopen(t *testing.T) {
+	dir := t.TempDir()
+	l := openLedgerAt(t, dir, 100)
+	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
+	if _, err := l.Engine().CreateIndex("accounts", "ix_balance", "balance"); err != nil {
+		t.Fatal(err)
+	}
+	d := seedAccounts(t, l, lt, 5)
+	if err := l.Engine().TamperColumnType(lt.Table(), "balance", sqltypes.TypeInt); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	l2 := openLedgerAt(t, dir, 100)
+	rep := verifyFails(t, l2, []Digest{d}, 4)
+	for _, i := range rep.Issues {
+		if i.Invariant == 5 {
+			t.Fatalf("the index of a column whose values are all of another type is reported:\n%s", rep)
+		}
+	}
+}
+
 // TestLargeBlockBoundary drives exactly BlockSize transactions and checks
 // the block closes with the right count, plus the next tx starts block 2.
 func TestBlockBoundary(t *testing.T) {

@@ -107,6 +107,9 @@ type DB struct {
 	// that may still be unapplied.
 	inflightMu sync.Mutex
 	inflight   map[int64]struct{}
+	// advanced is signalled, under inflightMu, when appliedTS moves: a
+	// commit returns only once appliedTS covers it (awaitApplied).
+	advanced sync.Cond
 
 	// quiesce: commits and DDL hold RLock; checkpoint/restore hold Lock.
 	// Since the online checkpoint, Checkpoint holds Lock only for the
@@ -227,6 +230,7 @@ func Open(opts Options) (*DB, error) {
 		obs:      opts.Obs,
 		m:        bindDBMetrics(opts.Obs),
 	}
+	db.advanced.L = &db.inflightMu
 	if err := db.recover(); err != nil {
 		log.Close()
 		return nil, err
@@ -364,8 +368,9 @@ func (db *DB) Commit(tx *Tx) (int64, error) {
 // committer finds no flush in flight writes every queued frame with one
 // flush — one fsync per group under SyncFull — so a commit that arrives
 // alone writes its own frame here, on this goroutine) → apply (install
-// writes and release row locks). Row locks stay held until apply, so
-// isolation is what a fully serialized commit would give. recs holds the
+// writes, release row locks, and wait for older commits to apply, so that
+// what is acknowledged every later snapshot sees). Row locks stay held
+// until apply, so isolation is what a fully serialized commit would give. recs holds the
 // transaction's DML records not yet in the log (none for a prepared
 // transaction, whose PREPARE frame carried them) with room for the COMMIT
 // record; lap was started before they were encoded.
@@ -463,8 +468,25 @@ func (db *DB) commitTail(tx *Tx, recs []wal.Record, lap obs.LapTimer, tr *obs.Tr
 	}
 	tx.done = true
 	tx.releaseLocks()
+	db.awaitApplied(now)
 	lap.LapSpan(db.m.stageApply, tr, obs.SpanCommitApply)
 	return now, nil
+}
+
+// awaitApplied returns once the applied-through watermark covers ts, so a
+// commit is acknowledged only when every snapshot begun after it sees it.
+// An older commit still applying is all it can wait for: every sequenced
+// timestamp is retired, applied or failed, without waiting on a younger
+// one, and a prepared transaction takes its timestamp only at its decision.
+func (db *DB) awaitApplied(ts int64) {
+	if db.appliedTS.Load() >= ts {
+		return
+	}
+	db.inflightMu.Lock()
+	for db.appliedTS.Load() < ts {
+		db.advanced.Wait()
+	}
+	db.inflightMu.Unlock()
 }
 
 // markApplied retires a sequenced commit timestamp after its writes are
@@ -484,6 +506,7 @@ func (db *DB) markApplied(ts int64) {
 	}
 	if applied > db.appliedTS.Load() {
 		db.appliedTS.Store(applied)
+		db.advanced.Broadcast()
 	}
 	db.inflightMu.Unlock()
 }

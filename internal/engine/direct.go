@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -99,12 +100,12 @@ func (db *DB) TamperDeleteRow(t *Table, key []byte, updateIndexes bool) error {
 		return fmt.Errorf("%w: tamper target", ErrNotFound)
 	}
 	old, live := c.latestLive()
-	t.rows.Delete(key)
 	// The whole chain is gone; keep the gauge honest even for tampering.
 	// GC may still visit the chain through its table's list, and must find
-	// no version there to count again.
+	// no version there to count again (a heap's Delete empties its slot).
 	db.m.versionsLive.Add(-float64(c.versionCount()))
 	c.older = nil
+	t.rows.Delete(key)
 	if live {
 		t.liveRows--
 		if updateIndexes {
@@ -122,10 +123,13 @@ func (db *DB) TamperDeleteRow(t *Table, key []byte, updateIndexes bool) error {
 func (db *DB) TamperPutStoredRow(t *Table, key, stored []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	entries := make([][]byte, len(t.indexes))
+	if !t.rows.fits(key) {
+		return fmt.Errorf("engine: key %x is no row id of heap table %s", key, t.meta.Name)
+	}
+	entries := make([][]byte, len(t.indexes)) // nil: no entry
 	for i, ix := range t.indexes {
 		ent, err := ix.EntryKeyStored(nil, key, stored, t.meta.Schema.Columns)
-		if err != nil {
+		if err != nil && !errors.Is(err, ErrMistypedEntry) {
 			return fmt.Errorf("engine: stored row for %s does not decode: %w", t.meta.Name, err)
 		}
 		entries[i] = ent
@@ -143,7 +147,9 @@ func (db *DB) TamperPutStoredRow(t *Table, key, stored []byte) error {
 	}
 	t.noteRIDLocked(key)
 	for i, ix := range t.indexes {
-		ix.tree.Put(entries[i], struct{}{})
+		if entries[i] != nil {
+			ix.tree.Put(entries[i], struct{}{})
+		}
 	}
 	return nil
 }
@@ -203,7 +209,9 @@ func (db *DB) TamperInsertRow(t *Table, values sqltypes.Row, updateIndexes bool)
 	t.noteRIDLocked(key)
 	if updateIndexes {
 		for _, ix := range t.indexes {
-			ix.tree.Put(t.entryKeyLocked(nil, ix, key, row), struct{}{})
+			if ent, ok := t.entryKeyLocked(nil, ix, key, row); ok {
+				ix.tree.Put(ent, struct{}{})
+			}
 		}
 	}
 	return key, nil

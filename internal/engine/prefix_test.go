@@ -90,10 +90,12 @@ func TestLookupIndexPrefixMissingBaseRow(t *testing.T) {
 
 // TestIndexEntryOfAnotherTypeNamesNoRow: an index entry is split into its
 // values and the clustered key by the indexed columns' types, so an entry
-// a tamper built from a value of another type — with the indexes updated,
-// as TamperUpdateRow allows — scans without a panic and names no row,
-// whether the split fails (a 0x00 0x05 inside the BIGINT is no escape) or
-// lands in the wrong place.
+// built from a value of another type scans without a panic and names no
+// row, whether the split fails (a 0x00 0x05 inside the BIGINT is no
+// escape) or lands in the wrong place. A tamper that stores such values
+// with the indexes updated, as TamperUpdateRow allows, leaves them no
+// entry (EntryKeyStored); the entries they would have had are planted as
+// a hand-edited index would hold them.
 func TestIndexEntryOfAnotherTypeNamesNoRow(t *testing.T) {
 	db := openTestDB(t)
 	tab := mustCreate(t, db, "t", kvSchema())
@@ -105,7 +107,8 @@ func TestIndexEntryOfAnotherTypeNamesNoRow(t *testing.T) {
 	tx.Insert(tab, kv(1, "x"))
 	tx.Insert(tab, kv(2, "y"))
 	commit(t, db, tx)
-	for k, v := range map[int64]int64{1: 0x0005 << 48, 2: 7} {
+	planted := map[int64]int64{1: 0x0005 << 48, 2: 7}
+	for k, v := range planted {
 		key := sqltypes.EncodeKey(nil, sqltypes.NewBigInt(k))
 		if err := db.TamperUpdateRow(tab, key, func(r sqltypes.Row) sqltypes.Row {
 			r[1] = sqltypes.NewBigInt(v)
@@ -113,6 +116,12 @@ func TestIndexEntryOfAnotherTypeNamesNoRow(t *testing.T) {
 		}, true); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if n := ix.tree.Len(); n != 0 {
+		t.Fatalf("rows whose v is a BIGINT left %d index entries", n)
+	}
+	for k, v := range planted {
+		ix.tree.Put(append(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(v)), sqltypes.EncodeKey(nil, sqltypes.NewBigInt(k))...), struct{}{})
 	}
 	entries := 0
 	tab.ScanIndex(ix, func(ek, ck []byte) bool {

@@ -27,7 +27,9 @@ type ReadTx struct {
 
 // BeginReadOnly starts a snapshot read transaction pinned at the current
 // applied-through watermark: the newest timestamp whose commit — and every
-// older commit — has fully installed its writes. Pinning lastCommitTS
+// older commit — has fully installed its writes. A commit returns only once
+// the watermark covers it, so every commit acknowledged before
+// BeginReadOnly is called is visible to the snapshot. Pinning lastCommitTS
 // instead would be wrong: the commit pipeline publishes lastCommitTS in
 // its sequencing stage, before the group-commit durability wait and the
 // apply stage, so a snapshot pinned there could miss versions it is

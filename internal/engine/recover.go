@@ -25,9 +25,9 @@ import (
 // the log a batch ahead of the redo loop, which sorts transactions into
 // winners, losers and in-doubt, and applies each committed write set
 // itself, in commit order, as versions stamped with its commit timestamp.
-// Every chain is built in redo's private view of its table; the install
-// phase bulk-loads each table and builds its indexes once, from the final
-// rows. Redo never decodes a row: a version is the after-image's bytes as
+// A keyed table's chains are built in redo's private view of it, and a
+// heap's straight in its row-id array; the install phase bulk-loads each
+// keyed table and builds every index once, from the final rows. Redo never decodes a row: a version is the after-image's bytes as
 // the log carried them (wal.DecodeDMLImage checked and copied them), and a
 // replayed ALTER changes only the schema those bytes are later read
 // against.
@@ -36,7 +36,7 @@ import (
 // turn on the log read-ahead and set how many tables install at once.
 
 // redoTable is replay's private view of one table: the chain of every key
-// redo wrote. The table's tree stays empty until install.
+// redo wrote to a keyed table, whose tree stays empty until install.
 type redoTable struct {
 	table *Table
 	// chains indexes entries by key for op lookup; entries holds the chains,
@@ -86,21 +86,30 @@ func (r *redo) applyTx(commitTS int64, ops []writeOp) error {
 		if err != nil {
 			return err
 		}
-		var e keyedChain
-		i, found := st.chains[string(op.key)]
-		if found {
-			e = st.entries[i]
+		t, e, found := st.table, keyedChain{key: op.key}, false
+		if t.meta.Heap {
+			e.chain, found = t.rows.Get(op.key)
+		} else if i, ok := st.chains[string(op.key)]; ok {
+			e, found = st.entries[i], true
 		}
 		switch op.typ {
 		case wal.RecInsert:
-			if found {
+			switch {
+			case found:
 				if _, live := e.chain.latestLive(); live {
-					return fmt.Errorf("%w: table %s (recovery)", ErrDuplicateKey, st.table.meta.Name)
+					return fmt.Errorf("%w: table %s (recovery)", ErrDuplicateKey, t.meta.Name)
 				}
-				st.table.appendVersionLocked(e.key, e.chain, commitTS, op.after)
-			} else {
+				t.appendVersionLocked(e.key, e.chain, commitTS, op.after)
+			case t.meta.Heap:
+				if !t.rows.fits(op.key) {
+					return fmt.Errorf("engine: recovery: key %x of heap table %s is no row id it can hold", op.key, t.meta.Name)
+				}
+				t.rows.GetOrPut(op.key, newChain(commitTS, op.after))
+				t.noteRIDLocked(op.key)
+			default:
+				c := newChain(commitTS, op.after)
 				st.chains[string(op.key)] = len(st.entries)
-				st.entries = append(st.entries, keyedChain{key: op.key, chain: newChain(commitTS, op.after)})
+				st.entries = append(st.entries, keyedChain{key: op.key, chain: &c})
 			}
 			st.live++
 		case wal.RecDelete, wal.RecUpdate:
@@ -109,9 +118,9 @@ func (r *redo) applyTx(commitTS int64, ops []writeOp) error {
 				_, live = e.chain.latestLive()
 			}
 			if !live {
-				return fmt.Errorf("%w: table %s (recovery)", ErrNotFound, st.table.meta.Name)
+				return fmt.Errorf("%w: table %s (recovery)", ErrNotFound, t.meta.Name)
 			}
-			st.table.appendVersionLocked(e.key, e.chain, commitTS, op.after) // nil for a delete: a tombstone
+			t.appendVersionLocked(e.key, e.chain, commitTS, op.after) // nil for a delete: a tombstone
 			if op.typ == wal.RecDelete {
 				st.live--
 			}
@@ -311,8 +320,8 @@ func (db *DB) LedgerFramesBefore(fn func(e *wal.LedgerEntry, frame int64)) error
 	}
 }
 
-// installRecovered builds every table redo wrote, once: the tree from its
-// chains in key order, the row count, the RID allocator and the indexes.
+// installRecovered builds every table redo wrote, once: a keyed table's
+// tree from its chains in key order, the row count and the indexes.
 // Tables are independent, so the install runs parallel across them.
 func (db *DB) installRecovered(rd *redo, workers int) {
 	list := make([]*redoTable, 0, len(rd.tables))
@@ -323,14 +332,15 @@ func (db *DB) installRecovered(rd *redo, workers int) {
 		j, t := list[i], list[i].table
 		t.mu.Lock()
 		defer t.mu.Unlock()
-		slices.SortFunc(j.entries, func(a, b keyedChain) int { return bytes.Compare(a.key, b.key) })
-		keys := make([][]byte, len(j.entries))
-		chains := make([]*versionChain, len(j.entries))
-		for i, e := range j.entries {
-			keys[i], chains[i] = e.key, e.chain
-			t.noteRIDLocked(e.key)
+		if !t.meta.Heap { // redo put a heap's rows in its store
+			slices.SortFunc(j.entries, func(a, b keyedChain) int { return bytes.Compare(a.key, b.key) })
+			keys := make([][]byte, len(j.entries))
+			chains := make([]*versionChain, len(j.entries))
+			for i, e := range j.entries {
+				keys[i], chains[i] = e.key, e.chain
+			}
+			t.rows.tree = btree.BuildSorted(keys, chains)
 		}
-		t.rows = btree.BuildSorted(keys, chains)
 		t.liveRows = j.live
 		for _, ix := range t.indexes {
 			t.buildIndexLocked(ix)

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -11,7 +12,7 @@ import (
 )
 
 // Table is the runtime state of one table: clustered multi-version row
-// storage plus any nonclustered indexes. mu guards the trees; DML goes
+// storage (rowstore.go) plus any nonclustered indexes. mu guards both; DML goes
 // through transactions (tx.go) which apply at commit, while system
 // operations (ledger queue drain, recovery redo, tamper simulation) use
 // the applyDirect path. Each clustered key maps to a versionChain
@@ -19,12 +20,12 @@ import (
 // (readtx.go) pick the newest version at or below their snapshot
 // timestamp, and everything else sees the newest version. Nonclustered
 // indexes track the latest state only — snapshot reads go through the
-// clustered tree.
+// clustered store.
 type Table struct {
 	meta *TableMeta
 
 	mu       sync.RWMutex
-	rows     *btree.Tree[*versionChain]
+	rows     rowStore
 	indexes  []*Index
 	nextRID  uint64 // heap row-id allocator; guarded by mu
 	liveRows int    // keys whose newest version is not a tombstone; guarded by mu
@@ -55,7 +56,11 @@ type Index struct {
 func (ix *Index) Meta() IndexMeta { return *ix.meta }
 
 func newTable(meta *TableMeta) *Table {
-	return &Table{meta: meta, rows: btree.New[*versionChain]()}
+	t := &Table{meta: meta}
+	if !meta.Heap {
+		t.rows.tree = btree.New[*versionChain]()
+	}
+	return t
 }
 
 // Meta returns a copy of the table's catalog entry.
@@ -230,7 +235,9 @@ func (t *Table) applyInsertLocked(key, row []byte, ts int64) error {
 	t.noteRIDLocked(key)
 	var buf [64]byte
 	for _, ix := range t.indexes {
-		ix.tree.Put(t.entryKeyLocked(buf[:0], ix, key, row), struct{}{})
+		if ent, ok := t.entryKeyLocked(buf[:0], ix, key, row); ok {
+			ix.tree.Put(ent, struct{}{})
+		}
 	}
 	return nil
 }
@@ -250,7 +257,9 @@ func (t *Table) applyDeleteLocked(key []byte, ts int64) error {
 	t.liveRows--
 	var buf [64]byte
 	for _, ix := range t.indexes {
-		ix.tree.Delete(t.entryKeyLocked(buf[:0], ix, key, old))
+		if ent, ok := t.entryKeyLocked(buf[:0], ix, key, old); ok {
+			ix.tree.Delete(ent)
+		}
 	}
 	return nil
 }
@@ -277,10 +286,15 @@ func (t *Table) applyUpdateLocked(key, row []byte, ts int64) error {
 func (t *Table) moveIndexEntriesLocked(key, old, next []byte) {
 	var oldBuf, newBuf [64]byte
 	for _, ix := range t.indexes {
-		oldEnt := t.entryKeyLocked(oldBuf[:0], ix, key, old)
-		newEnt := t.entryKeyLocked(newBuf[:0], ix, key, next)
-		if string(oldEnt) != string(newEnt) {
+		oldEnt, hadOld := t.entryKeyLocked(oldBuf[:0], ix, key, old)
+		newEnt, hasNew := t.entryKeyLocked(newBuf[:0], ix, key, next)
+		if hadOld == hasNew && string(oldEnt) == string(newEnt) {
+			continue
+		}
+		if hadOld {
 			ix.tree.Delete(oldEnt)
+		}
+		if hasNew {
 			ix.tree.Put(newEnt, struct{}{})
 		}
 	}
@@ -328,11 +342,19 @@ func (t *Table) gcVersions(horizon int64) int {
 	return reclaimed
 }
 
+// ErrMistypedEntry is EntryKeyStored's answer for a row with an indexed
+// value whose type is not its column's declared type: an index holds no
+// entry for such a row, which only tampering stores (invariant 4 names it).
+var ErrMistypedEntry = errors.New("engine: indexed value is not of its column's type")
+
 // EntryKeyStored recomputes the entry key an index should hold for a
 // stored base-table row: the indexed column values — the only ones it
 // decodes, NULL where the row predates a column of cols, the table's
 // columns — followed by the clustered key for uniqueness, appended to dst.
-// Verification uses it to check index/base equivalence (invariant 5).
+// A row whose indexed values do not carry cols' types has none
+// (ErrMistypedEntry), so an entry always splits by its columns' types.
+// Install, apply and verification's check of index/base equivalence
+// (invariant 5) all build entries here.
 func (ix *Index) EntryKeyStored(dst, clusteredKey, stored []byte, cols []sqltypes.Column) ([]byte, error) {
 	var few [4]sqltypes.Value
 	vals := few[:0]
@@ -343,6 +365,11 @@ func (ix *Index) EntryKeyStored(dst, clusteredKey, stored []byte, cols []sqltype
 	}
 	if err := sqltypes.DecodeColumns(vals, stored, ix.meta.Cols, cols); err != nil {
 		return nil, err
+	}
+	for i, ord := range ix.meta.Cols {
+		if !vals[i].Null && vals[i].Type != cols[ord].Type {
+			return nil, ErrMistypedEntry
+		}
 	}
 	return append(sqltypes.EncodeKey(dst, vals...), clusteredKey...), nil
 }
@@ -358,15 +385,16 @@ func (ix *Index) clusteredKey(entryKey []byte) []byte {
 	return entryKey[n:]
 }
 
-// entryKeyLocked is EntryKeyStored of a row the engine stored itself. It
-// is built in a stack buffer (dst), which an index's Put copies into a
-// leaf's arena. Caller holds mu.
-func (t *Table) entryKeyLocked(dst []byte, ix *Index, clusteredKey, stored []byte) []byte {
+// entryKeyLocked is EntryKeyStored of a row the engine stored itself, and
+// false for a row the index holds no entry for. It is built in a stack
+// buffer (dst), which an index's Put copies into a leaf's arena. Caller
+// holds mu.
+func (t *Table) entryKeyLocked(dst []byte, ix *Index, clusteredKey, stored []byte) ([]byte, bool) {
 	key, err := ix.EntryKeyStored(dst, clusteredKey, stored, t.meta.Schema.Columns)
-	if err != nil {
+	if err != nil && !errors.Is(err, ErrMistypedEntry) {
 		panic(fmt.Sprintf("engine: stored row of %s does not decode: %v", t.meta.Name, err))
 	}
-	return key
+	return key, err == nil
 }
 
 // Scan iterates the latest committed rows in clustered-key order while
@@ -457,7 +485,8 @@ type KeyRange struct {
 
 // ScanShards partitions the clustered key space into up to n contiguous,
 // non-overlapping ranges that together cover every row, sized by the
-// B+tree's separator keys so parallel verification scans stay balanced.
+// B+tree's separator keys, or a heap's row ids, so parallel verification
+// scans stay balanced.
 // It always returns at least one range; small tables may yield fewer than
 // n. Feed each range to ScanRange.
 func (t *Table) ScanShards(n int) []KeyRange {
@@ -572,7 +601,9 @@ func (t *Table) buildIndexLocked(ix *Index) {
 	var buf [64]byte
 	t.rows.Ascend(func(k []byte, c *versionChain) bool {
 		if stored, live := c.latestLive(); live {
-			ix.tree.Put(t.entryKeyLocked(buf[:0], ix, k, stored), struct{}{})
+			if ent, ok := t.entryKeyLocked(buf[:0], ix, k, stored); ok {
+				ix.tree.Put(ent, struct{}{})
+			}
 		}
 		return true
 	})

@@ -14,9 +14,11 @@ package engine
 // engine (Table.decodeLocked), and the strings and binaries of a decoded
 // row point into these bytes.
 //
-// Beside those bytes a row costs its exact-size key, its B+tree slot and
-// its chain: 40 bytes (the 48-byte size class) while it holds one version,
-// since superseded versions sit behind a pointer set on the first update.
+// Beside those bytes a keyed row costs its exact-size key, its B+tree slot
+// and its chain: 40 bytes (the 48-byte size class) while it holds one
+// version, since superseded versions sit behind a pointer set on the first
+// update. A heap row costs its chain alone, kept by value in its table's
+// row-id array (rowstore.go).
 //
 // Chains are only ever mutated under the owning Table's mu write lock, and
 // commit timestamps are strictly monotonic (db.Commit's sequencing stage),
@@ -39,8 +41,8 @@ type versionChain struct {
 	older  *[]rowVersion
 }
 
-func newChain(ts int64, row []byte) *versionChain {
-	return &versionChain{newest: rowVersion{ts: ts, row: row}}
+func newChain(ts int64, row []byte) versionChain {
+	return versionChain{newest: rowVersion{ts: ts, row: row}}
 }
 
 // latestLive returns the newest version's row if it is not a tombstone.
