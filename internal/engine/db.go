@@ -369,11 +369,11 @@ func (db *DB) Commit(tx *Tx) (int64, error) {
 // flush — one fsync per group under SyncFull — so a commit that arrives
 // alone writes its own frame here, on this goroutine) → apply (install
 // writes, release row locks, and wait for older commits to apply, so that
-// what is acknowledged every later snapshot sees). Row locks stay held
-// until apply, so isolation is what a fully serialized commit would give. recs holds the
-// transaction's DML records not yet in the log (none for a prepared
-// transaction, whose PREPARE frame carried them) with room for the COMMIT
-// record; lap was started before they were encoded.
+// every later snapshot sees what is acknowledged). Row locks stay held
+// until apply, so isolation is what a fully serialized commit would give.
+// recs holds the transaction's DML records not yet in the log (none for a
+// prepared transaction, whose PREPARE frame carried them) with room for
+// the COMMIT record; lap was started before they were encoded.
 func (db *DB) commitTail(tx *Tx, recs []wal.Record, lap obs.LapTimer, tr *obs.Trace) (int64, error) {
 	lap.LapSpan(db.m.stageEncode, tr, obs.SpanWALEncode)
 

@@ -27,10 +27,10 @@ import (
 // itself, in commit order, as versions stamped with its commit timestamp.
 // A keyed table's chains are built in redo's private view of it, and a
 // heap's straight in its row-id array; the install phase bulk-loads each
-// keyed table and builds every index once, from the final rows. Redo never decodes a row: a version is the after-image's bytes as
-// the log carried them (wal.DecodeDMLImage checked and copied them), and a
-// replayed ALTER changes only the schema those bytes are later read
-// against.
+// keyed table and builds every index once, from the final rows. Redo never
+// decodes a row: a version is the after-image's bytes as the log carried
+// them (wal.DecodeDMLImage checked and copied them), and a replayed ALTER
+// changes only the schema those bytes are later read against.
 //
 // RecoveryWorkers = 1 runs the same code with no goroutines; larger values
 // turn on the log read-ahead and set how many tables install at once.

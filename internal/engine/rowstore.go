@@ -97,8 +97,12 @@ func (s *rowStore) GetEntry(key []byte) ([]byte, *versionChain, bool) {
 // fits reports whether the store can hold a chain under key: in a heap, a
 // row id within maxHeapChunks chunks of every row there.
 func (s *rowStore) fits(key []byte) bool {
+	if s.tree != nil {
+		return true
+	}
 	_, k := heapSlot(key)
-	return s.tree != nil || k >= 0 && (len(s.chunks) == 0 || max(k, s.base+len(s.chunks)-1)-min(k, s.base) < maxHeapChunks)
+	last := s.base + len(s.chunks) - 1
+	return k >= 0 && (len(s.chunks) == 0 || max(k, last)-min(k, s.base) < maxHeapChunks)
 }
 
 // GetOrPut returns the chain under key if there is one, and otherwise
