@@ -236,6 +236,10 @@ func openShard(opts Options) (*Shard, error) {
 	}
 	// The highest closed block and its hash, then the queue: the entries
 	// whose COMMIT records were replayed but that the system table lacks.
+	// This scan and restore's index lookup decode rows, which panics on
+	// bytes that are no row, but at Open there are none: every row came in
+	// through redo, which takes only bytes past sqltypes.CheckRow, or from
+	// EncodeRow, and DecodeRowAlias reads every such row.
 	l.sysBlocks.Scan(func(_ []byte, r sqltypes.Row) bool {
 		if b := r[0].Int(); b > l.closedThrough {
 			l.closedThrough, l.prevHash = b, blockHashOfRow(r)

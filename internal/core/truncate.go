@@ -7,6 +7,7 @@ import (
 	"maps"
 	"time"
 
+	"sqlledger/internal/engine"
 	"sqlledger/internal/sqltypes"
 )
 
@@ -75,24 +76,21 @@ func (l *Shard) TruncateLedger(beforeBlock uint64) error {
 	if len(oldTx) == 0 {
 		return nil // nothing below the cut
 	}
+	refresh, victims, err := l.rowsOfTx(oldTx)
+	if err != nil {
+		return fmt.Errorf("core: refusing to truncate: %w", err)
+	}
 
 	// The paper's "dummy update": refresh current rows still anchored in
 	// old transactions so their digests move into new transactions and
 	// blocks. The refresh rewrites the version in place — deliberately
 	// without a history row, which would just re-anchor in the old chain.
 	for _, lt := range l.LedgerTables() {
-		var refresh [][]byte
-		lt.table.Scan(func(key []byte, full sqltypes.Row) bool {
-			if oldTx[uint64(full[lt.startTxOrd].Int())] {
-				refresh = append(refresh, append([]byte(nil), key...))
-			}
-			return true
-		})
-		if len(refresh) == 0 {
+		if len(refresh[lt]) == 0 {
 			continue
 		}
 		tx := l.begin("system")
-		for _, key := range refresh {
+		for _, key := range refresh[lt] {
 			if err := tx.refreshRow(lt, key); err != nil {
 				tx.Rollback()
 				return err
@@ -105,17 +103,7 @@ func (l *Shard) TruncateLedger(beforeBlock uint64) error {
 
 	// Delete history rows fully settled below the cut.
 	for _, lt := range l.LedgerTables() {
-		if lt.history == nil {
-			continue
-		}
-		var victims [][]byte
-		lt.history.Scan(func(key []byte, full sqltypes.Row) bool {
-			if oldTx[uint64(full[lt.endTxOrd].Int())] {
-				victims = append(victims, append([]byte(nil), key...))
-			}
-			return true
-		})
-		for _, k := range victims {
+		for _, k := range victims[lt] {
 			if err := l.edb.TamperDeleteRow(lt.history, k, true); err != nil {
 				return err
 			}
@@ -150,6 +138,39 @@ func (l *Shard) TruncateLedger(beforeBlock uint64) error {
 		return err
 	}
 	return tx.Commit()
+}
+
+// rowsOfTx returns, per ledger table, the keys of the current rows that a
+// transaction in txs created, which truncation refreshes, and of the
+// history rows one ended, which it deletes; or the error naming each row
+// that is no row, which an attacker may have left there since Verify read
+// it.
+func (l *Shard) rowsOfTx(txs map[uint64]bool) (refresh, victims map[*LedgerTable][][]byte, err error) {
+	refresh, victims = make(map[*LedgerTable][][]byte), make(map[*LedgerTable][][]byte)
+	var ts [1]sqltypes.Value
+	scan := func(t *engine.Table, ord int) (keys [][]byte) {
+		cols := t.Columns()
+		t.ScanRangeStored(nil, nil, func(key, stored []byte) bool {
+			derr := sqltypes.CheckRow(stored)
+			if derr == nil {
+				derr = sqltypes.DecodeColumns(ts[:], stored, []int{ord}, cols)
+			}
+			if derr != nil {
+				err = errors.Join(err, fmt.Errorf("core: %s row %s does not decode: %w", t.Name(), keyName(key), derr))
+			} else if txs[uint64(ts[0].Int())] {
+				keys = append(keys, key)
+			}
+			return true
+		})
+		return keys
+	}
+	for _, lt := range l.LedgerTables() {
+		refresh[lt] = scan(lt.table, lt.startTxOrd)
+		if lt.history != nil {
+			victims[lt] = scan(lt.history, lt.endTxOrd)
+		}
+	}
+	return refresh, victims, err
 }
 
 // blocksBefore returns the sys_ledger_blocks keys of the blocks below

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -204,6 +205,51 @@ func TestTruncateRefusesUndecodableSystemRow(t *testing.T) {
 			}
 			if after := counts(); after != before {
 				t.Fatalf("(transactions, queued, blocks, accounts, truncations) %v → %v after a refused truncation", before, after)
+			}
+		})
+	}
+}
+
+// TestTruncateRefusesUndecodableLedgerRow: a current or history row an
+// attacker cut short is an error naming it, from TruncateLedger (whose
+// Verify finds it first) and from the scans that pick the rows to refresh
+// and to delete (which meet it when the edit lands after Verify), never a
+// panic, and nothing is refreshed or deleted.
+func TestTruncateRefusesUndecodableLedgerRow(t *testing.T) {
+	for _, history := range []bool{false, true} {
+		t.Run(fmt.Sprintf("history=%v", history), func(t *testing.T) {
+			l := openTestLedger(t, 2)
+			lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
+			seedAccounts(t, l, lt, 8)
+			tx := l.Begin("u")
+			if err := tx.Update(lt, account(acctName(3), 33)); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, tx)
+			if err := l.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			s, tab := l.shards[0], lt.Table()
+			if history {
+				tab = lt.History()
+			}
+			key := firstKeyOf(t, tab)
+			stored, _ := tab.LookupStored(key)
+			if err := l.Engine().TamperSetStoredRow(tab, key, stored[:len(stored)-1]); err != nil {
+				t.Fatal(err)
+			}
+			counts := func() [4]int {
+				return [4]int{countRows(s.entries.table), countRows(s.sysBlocks), countRows(lt.Table()), countRows(lt.History())}
+			}
+			before := counts()
+			_, _, err := s.rowsOfTx(map[uint64]bool{})
+			for what, err := range map[string]error{"TruncateLedger": l.TruncateLedger(2), "the scan": err} {
+				if err == nil || (what == "the scan" && !strings.Contains(err.Error(), tab.Name()+" row "+keyName(key)+" ")) {
+					t.Fatalf("%s: %v, want an error naming row %s of %s", what, err, keyName(key), tab.Name())
+				}
+			}
+			if after := counts(); after != before {
+				t.Fatalf("(transactions, blocks, accounts, history) %v → %v after a refused truncation", before, after)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -555,5 +556,69 @@ func TestVerifyDoesNotBlockCommits(t *testing.T) {
 	unpark()
 	if rep := <-verified; rep == nil || !rep.Ok() {
 		t.Fatalf("verification around the commit:\n%v", rep)
+	}
+}
+
+// TestRetaggedNullEndColumnIsRed: a current row's end columns are NULL,
+// and its insert-time hash leaves them out, but a NULL's tag is still
+// checked against its column's type: one rewritten under a NULL end column
+// makes the row hash as tampered, and Verify names its transaction.
+func TestRetaggedNullEndColumnIsRed(t *testing.T) {
+	f := newMatrixFixture(t)
+	tab, key := f.lt.Table(), acctKey(2)
+	stored, ok := tab.LookupStored(key)
+	if !ok {
+		t.Fatal("no row to tamper with")
+	}
+	row, err := sqltypes.DecodeRowAlias(nil, stored, tab.Columns())
+	if err != nil || !row[f.lt.endTxOrd].Null {
+		t.Fatalf("row %v (%v): its end column is not NULL", row, err)
+	}
+	row[f.lt.endTxOrd] = sqltypes.NewNull(sqltypes.TypeInt)
+	raw := sqltypes.EncodeRow(nil, row)
+	if len(raw) != len(stored) || bytes.Equal(raw, stored) {
+		t.Fatalf("retagging a NULL rewrote %x as %x", stored, raw)
+	}
+	if err := f.l.Engine().TamperSetStoredRow(tab, key, raw); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := f.l.Verify([]Digest{f.d}, VerifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := row[f.lt.startTxOrd].Int()
+	named := false
+	for _, i := range rep.Issues {
+		named = named || (i.Invariant == 4 && i.Table == f.lt.Name() && strings.Contains(i.Detail, fmt.Sprintf("transaction %d ", start)))
+	}
+	if rep.Ok() || !named {
+		t.Fatalf("a NULL end column retagged INT: want a red invariant-4 issue naming transaction %d, got\n%s", start, issueStrings(rep))
+	}
+}
+
+// TestEmptyStoredHistoryRowIsRed: zero bytes written over a history row —
+// a heap row, held in a 16-byte slot — are a live row that is no row, not
+// a tombstone or an empty slot: the table still counts it, a read finds
+// it, and Verify names it.
+func TestEmptyStoredHistoryRowIsRed(t *testing.T) {
+	f := newMatrixFixture(t)
+	tab := f.lt.History()
+	key, rows := firstKeyOf(t, tab), tab.RowCount()
+	if err := f.l.Engine().TamperPutStoredRow(tab, key, []byte{}); err != nil {
+		t.Fatal(err)
+	}
+	if stored, ok := tab.LookupStored(key); !ok || stored == nil || len(stored) != 0 || tab.RowCount() != rows {
+		t.Fatalf("after an empty write the row reads %x (found %v), and the table counts %d rows, not %d", stored, ok, tab.RowCount(), rows)
+	}
+	rep, err := f.l.Verify([]Digest{f.d}, VerifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := false
+	for _, i := range rep.Issues {
+		named = named || (i.Invariant == 4 && i.Table == tab.Name() && strings.Contains(i.Detail, fmt.Sprintf("row %x ", key)))
+	}
+	if rep.Ok() || !named {
+		t.Fatalf("an empty history row: want a red invariant-4 issue naming row %x of %s, got\n%s", key, tab.Name(), issueStrings(rep))
 	}
 }

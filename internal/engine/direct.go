@@ -53,11 +53,11 @@ func (db *DB) DirectInsert(t *Table, row sqltypes.Row) ([]byte, error) {
 func (db *DB) TamperUpdateRow(t *Table, key []byte, mutate func(sqltypes.Row) sqltypes.Row, updateIndexes bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c, ok := t.rows.Get(key)
+	r, ok := t.rows.Get(key)
 	if !ok {
 		return fmt.Errorf("%w: tamper target", ErrNotFound)
 	}
-	old, live := c.latestLive()
+	old, live := r.latestLive()
 	if !live {
 		return fmt.Errorf("%w: tamper target", ErrNotFound)
 	}
@@ -68,7 +68,7 @@ func (db *DB) TamperUpdateRow(t *Table, key []byte, mutate func(sqltypes.Row) sq
 	// mutate gets a deep copy: an edit through Value.Bytes must not reach
 	// the bytes the old entry keys are computed from.
 	next := EncodeStoredRow(mutate(values.Clone()))
-	c.setLatestRow(next)
+	r.setLatestRow(next)
 	if updateIndexes {
 		t.moveIndexEntriesLocked(key, old, next)
 	}
@@ -82,11 +82,14 @@ func (db *DB) TamperUpdateRow(t *Table, key []byte, mutate func(sqltypes.Row) sq
 func (db *DB) TamperSetStoredRow(t *Table, key, raw []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c, ok := t.rows.Get(key)
-	if !ok || c.newest.row == nil {
+	r, ok := t.rows.Get(key)
+	if ok {
+		_, ok = r.latestLive()
+	}
+	if !ok {
 		return fmt.Errorf("%w: tamper target", ErrNotFound)
 	}
-	c.setLatestRow(raw)
+	r.setLatestRow(raw)
 	return nil
 }
 
@@ -95,16 +98,15 @@ func (db *DB) TamperSetStoredRow(t *Table, key, raw []byte) error {
 func (db *DB) TamperDeleteRow(t *Table, key []byte, updateIndexes bool) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	c, ok := t.rows.Get(key)
+	r, ok := t.rows.Get(key)
 	if !ok {
 		return fmt.Errorf("%w: tamper target", ErrNotFound)
 	}
-	old, live := c.latestLive()
+	old, live := r.latestLive()
 	// The whole chain is gone; keep the gauge honest even for tampering.
 	// GC may still visit the chain through its table's list, and must find
-	// no version there to count again (a heap's Delete empties its slot).
-	db.m.versionsLive.Add(-float64(c.versionCount()))
-	c.older = nil
+	// no version there to count again: Delete drops the older versions.
+	db.m.versionsLive.Add(-float64(r.versionCount()))
 	t.rows.Delete(key)
 	if live {
 		t.liveRows--
@@ -134,16 +136,19 @@ func (db *DB) TamperPutStoredRow(t *Table, key, stored []byte) error {
 		}
 		entries[i] = ent
 	}
-	if c, exists := t.rows.GetOrPut(key, newChain(0, stored)); !exists {
+	if stored == nil {
+		stored = []byte{} // no bytes are an empty row, not a tombstone
+	}
+	if r, exists := t.rows.GetOrPut(key, newChain(0, stored)); !exists {
 		db.m.versionsLive.Add(1)
 		t.liveRows++
 	} else {
-		if old, live := c.latestLive(); live {
+		if old, live := r.latestLive(); live {
 			t.dropIndexEntriesLocked(key, old)
 		} else {
 			t.liveRows++ // the tombstone version is rewritten in place
 		}
-		c.setLatestRow(stored)
+		r.setLatestRow(stored)
 	}
 	t.noteRIDLocked(key)
 	for i, ix := range t.indexes {
@@ -189,19 +194,19 @@ func (db *DB) TamperInsertRow(t *Table, values sqltypes.Row, updateIndexes bool)
 	row := EncodeStoredRow(values)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if c, ok := t.rows.GetOrPut(key, newChain(0, row)); ok {
-		if _, live := c.latestLive(); live {
+	if r, ok := t.rows.GetOrPut(key, newChain(0, row)); ok {
+		if _, live := r.latestLive(); live {
 			if updateIndexes {
 				return key, fmt.Errorf("%w: table %s", ErrDuplicateKey, t.meta.Name)
 			}
 			// Overwrite the newest version's stored bytes in place.
-			c.setLatestRow(row)
+			r.setLatestRow(row)
 			t.noteRIDLocked(key)
 			return key, nil
 		}
 		// Reinstate over a tombstone. The tombstone version is rewritten
 		// in place, so versions_live is unchanged.
-		c.setLatestRow(row)
+		r.setLatestRow(row)
 	} else {
 		db.m.versionsLive.Add(1)
 	}

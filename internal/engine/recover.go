@@ -86,20 +86,20 @@ func (r *redo) applyTx(commitTS int64, ops []writeOp) error {
 		if err != nil {
 			return err
 		}
-		t, e, found := st.table, keyedChain{key: op.key}, false
+		t, key, ref, found := st.table, op.key, rowRef{}, false
 		if t.meta.Heap {
-			e.chain, found = t.rows.Get(op.key)
+			ref, found = t.rows.Get(op.key)
 		} else if i, ok := st.chains[string(op.key)]; ok {
-			e, found = st.entries[i], true
+			key, ref, found = st.entries[i].key, rowRef{c: st.entries[i].chain}, true
 		}
 		switch op.typ {
 		case wal.RecInsert:
 			switch {
 			case found:
-				if _, live := e.chain.latestLive(); live {
+				if _, live := ref.latestLive(); live {
 					return fmt.Errorf("%w: table %s (recovery)", ErrDuplicateKey, t.meta.Name)
 				}
-				t.appendVersionLocked(e.key, e.chain, commitTS, op.after)
+				t.appendVersionLocked(key, ref, commitTS, op.after)
 			case t.meta.Heap:
 				if !t.rows.fits(op.key) {
 					return fmt.Errorf("engine: recovery: key %x of heap table %s is no row id it can hold", op.key, t.meta.Name)
@@ -115,12 +115,12 @@ func (r *redo) applyTx(commitTS int64, ops []writeOp) error {
 		case wal.RecDelete, wal.RecUpdate:
 			live := false
 			if found {
-				_, live = e.chain.latestLive()
+				_, live = ref.latestLive()
 			}
 			if !live {
 				return fmt.Errorf("%w: table %s (recovery)", ErrNotFound, t.meta.Name)
 			}
-			t.appendVersionLocked(e.key, e.chain, commitTS, op.after) // nil for a delete: a tombstone
+			t.appendVersionLocked(key, ref, commitTS, op.after) // nil for a delete: a tombstone
 			if op.typ == wal.RecDelete {
 				st.live--
 			}

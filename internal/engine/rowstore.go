@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"unsafe"
 
 	"sqlledger/internal/btree"
@@ -13,31 +14,54 @@ import (
 
 // rowStore is a table's clustered row storage: a B+tree of version chains
 // for a keyed table, and for a heap (TableMeta.Heap), whose keys are the
-// 8-byte big-endian row ids allocRID hands out, the chains by value in
-// chunks indexed by row id. Row id r is slot r-1; chunk k holds
-// heapChunkMin<<k slots up to heapChunkMax, which fill the 32 KiB size
-// class. A chunk is allocated on first use and freed when emptied, and
-// chunks[0] is chunk base. Chains never move, and an empty slot is the
-// zero chain. Each method branches once on the kind; a struct, not an
-// interface, keeps a stack-built lookup key on the stack.
+// 8-byte big-endian row ids allocRID hands out, 16-byte slots in chunks
+// indexed by row id. Row id r is slot r-1; chunk k holds heapChunkMin<<k
+// slots up to heapChunkMax, which fill the 32 KiB size class. A chunk is
+// allocated on first use and freed when emptied, and chunks[0] is chunk
+// base. A slot holds its row's newest version: the commit timestamp, and
+// where the row's bytes lie in pages the chunk owns. Pages are only ever
+// appended to, so a view of a row stays what it was; once half a chunk's
+// page bytes are dead the chunk repacks into fresh pages. The older
+// versions of a heap row, which only updates, deletes and tampering make,
+// sit in older by row id. Each method branches once on the kind; a
+// struct, not an interface, keeps a stack-built lookup key on the stack.
 type rowStore struct {
 	tree   *btree.Tree[*versionChain] // nil for a heap
 	chunks []heapChunk
 	base   int
+	older  map[uint64]*[]rowVersion // a heap row's superseded versions, by row id
+}
+
+// heapSlot is a heap row's newest version. n is the row's length plus one
+// (0: no row, which is an empty slot or a tombstone) with heapOlder set
+// while older holds versions of the row; ref is page<<heapPageBits |
+// offset.
+type heapSlot struct {
+	ts  int64
+	ref uint32
+	n   uint32
 }
 
 type heapChunk struct {
-	slots []versionChain
-	used  int // slots holding a chain
+	slots []heapSlot
+	pages [][]byte
+	used  int // slots holding a row or versions
+	bytes int // bytes in pages
+	dead  int // bytes in pages no slot refers to
 }
 
 const (
 	heapChunkMin = 4
-	heapChunkMax = 32 << 10 / uint64(unsafe.Sizeof(versionChain{}))
-	heapGeo      = 8 // chunks below the cap: heapChunkMin<<heapGeo >= heapChunkMax
-	// maxHeapChunks bounds a heap's span: ≈850 M row ids, and a directory
-	// a hostile snapshot cannot make larger than 32 MiB.
-	maxHeapChunks = 1 << 20
+	heapChunkMax = 32 << 10 / uint64(unsafe.Sizeof(heapSlot{}))
+	heapGeo      = 9 // chunks below the cap: heapChunkMin<<heapGeo >= heapChunkMax
+	// maxHeapChunks bounds a heap's span: ≈1 G row ids, and a directory a
+	// hostile snapshot cannot make larger than 36 MiB.
+	maxHeapChunks = 1 << 19
+
+	heapPageBits = 15
+	heapPageMax  = 1 << heapPageBits // a longer row has a page of its own
+	heapPageMin  = 256
+	heapOlder    = 1 << 31
 )
 
 // heapChunkStart returns the first slot of chunk k.
@@ -56,42 +80,192 @@ func heapChunkOf(i uint64) int {
 	return heapGeo + int((i-heapChunkStart(heapGeo))/heapChunkMax)
 }
 
-// heapSlot returns the slot and chunk of a heap key, chunk -1 for a key
-// that is no row id.
-func heapSlot(key []byte) (uint64, int) {
+// heapRID returns the row id of a heap key and its chunk, chunk -1 for a
+// key that is no row id.
+func heapRID(key []byte) (uint64, int) {
 	if len(key) != 8 || binary.BigEndian.Uint64(key) == 0 {
 		return 0, -1
 	}
-	i := binary.BigEndian.Uint64(key) - 1
-	return i, heapChunkOf(i)
+	rid := binary.BigEndian.Uint64(key)
+	return rid, heapChunkOf(rid - 1)
 }
 
-// stored reports whether a heap slot holds a chain: a row, a tombstone
-// with its commit timestamp, or superseded versions.
-func (c *versionChain) stored() bool {
-	return c.newest.ts != 0 || c.newest.row != nil || c.older != nil
+// stored reports whether a slot holds a row, a tombstone with its commit
+// timestamp, or superseded versions.
+func (p *heapSlot) stored() bool { return p.ts != 0 || p.n != 0 }
+
+// pageRow returns a view of p's row in pages, nil for none.
+func pageRow(pages [][]byte, p heapSlot) []byte {
+	switch n := p.n &^ heapOlder; n {
+	case 0:
+		return nil
+	case 1:
+		return []byte{}
+	default:
+		off := p.ref & (heapPageMax - 1)
+		return pages[p.ref>>heapPageBits][off : off+n-1 : off+n-1]
+	}
 }
 
-// Get returns the chain under key.
-func (s *rowStore) Get(key []byte) (*versionChain, bool) {
+// put copies row into the pages and points p at it. A new page holds a
+// quarter of the slots at row's length, or twice the last page, but no
+// more than the free slots would need; a repack (want > 0) asks for the
+// bytes it has left to copy.
+func (ch *heapChunk) put(p *heapSlot, row []byte, want int) {
+	p.ref, p.n = 0, p.n&heapOlder
+	if row == nil {
+		return
+	}
+	p.n |= uint32(len(row)) + 1
+	if len(row) == 0 {
+		return
+	}
+	last := len(ch.pages) - 1
+	if last < 0 || len(ch.pages[last])+len(row) > min(cap(ch.pages[last]), heapPageMax) {
+		if want == 0 {
+			want = max(heapPageMin, len(ch.slots)*len(row)/4)
+			if last >= 0 {
+				want = max(want, 2*cap(ch.pages[last]))
+			}
+			want = min(want, (len(ch.slots)-ch.used+1)*len(row))
+		}
+		if ch.pages == nil {
+			ch.pages = make([][]byte, 0, max(want, len(ch.slots)*len(row))/heapPageMax+2)
+		}
+		ch.pages = append(ch.pages, slices.Grow([]byte(nil), max(len(row), min(want, heapPageMax))))
+		last++
+	}
+	p.ref = uint32(last)<<heapPageBits | uint32(len(ch.pages[last]))
+	ch.pages[last] = append(ch.pages[last], row...)
+	ch.bytes += len(row)
+}
+
+// release drops p's row from the pages, and repacks them once half their
+// bytes are dead.
+func (ch *heapChunk) release(p *heapSlot) {
+	if n := int(p.n&^heapOlder) - 1; n > 0 {
+		ch.dead += n
+	}
+	p.ref, p.n = 0, p.n&heapOlder
+	if 2*ch.dead >= ch.bytes && ch.dead > 0 {
+		ch.repack()
+	}
+}
+
+// repack copies the rows into fresh pages. The old pages are not written
+// again, so views of them stay valid.
+func (ch *heapChunk) repack() {
+	old, left := ch.pages, ch.bytes-ch.dead
+	ch.pages, ch.bytes, ch.dead = nil, 0, 0
+	for i := range ch.slots {
+		if row := pageRow(old, ch.slots[i]); row != nil {
+			ch.put(&ch.slots[i], row, left)
+			left -= len(row)
+		}
+	}
+}
+
+// slot returns heap row rid's chunk and slot; the chunk must be held.
+func (s *rowStore) slot(rid uint64) (*heapChunk, *heapSlot) {
+	k := heapChunkOf(rid - 1)
+	ch := &s.chunks[k-s.base]
+	return ch, &ch.slots[rid-1-heapChunkStart(k)]
+}
+
+// view returns heap row rid's versions, in slot p of chunk ch, as a chain
+// whose rows are views.
+func (s *rowStore) view(ch *heapChunk, p heapSlot, rid uint64) versionChain {
+	v := versionChain{newest: rowVersion{ts: p.ts, row: pageRow(ch.pages, p)}}
+	if p.n&heapOlder != 0 {
+		v.older = s.older[rid]
+	}
+	return v
+}
+
+// set makes v heap row rid's versions, copying its newest row into the
+// pages when newRow is set.
+func (s *rowStore) set(rid uint64, v versionChain, newRow bool) {
+	ch, p := s.slot(rid)
+	if newRow {
+		ch.release(p)
+		ch.put(p, v.newest.row, 0)
+	}
+	p.ts = v.newest.ts
+	switch {
+	case v.older != nil:
+		if s.older == nil {
+			s.older = make(map[uint64]*[]rowVersion)
+		}
+		p.n |= heapOlder
+		s.older[rid] = v.older
+	case p.n&heapOlder != 0:
+		p.n &^= heapOlder
+		delete(s.older, rid)
+	}
+}
+
+// rowRef is where a row's versions are: a keyed table's chain, or a heap
+// row, which holds no chain and is reached by its row id.
+type rowRef struct {
+	c   *versionChain // nil for a heap row
+	s   *rowStore
+	rid uint64
+}
+
+func (r rowRef) chain() versionChain {
+	if r.c != nil {
+		return *r.c
+	}
+	ch, p := r.s.slot(r.rid)
+	return r.s.view(ch, *p, r.rid)
+}
+
+func (r rowRef) at(ts int64) ([]byte, bool) { c := r.chain(); return c.at(ts) }
+func (r rowRef) latestLive() ([]byte, bool) { c := r.chain(); return c.latestLive() }
+func (r rowRef) versionCount() int          { c := r.chain(); return c.versionCount() }
+func (r rowRef) hasOlder() bool             { return r.chain().older != nil }
+
+// edit applies fn to the row's chain: a keyed table's in place, a heap
+// row's to its view, which is written back, its newest row copied into the
+// pages when newRow is set.
+func (r rowRef) edit(newRow bool, fn func(c *versionChain)) {
+	if r.c != nil {
+		fn(r.c)
+		return
+	}
+	c := r.chain()
+	fn(&c)
+	r.s.set(r.rid, c, newRow)
+}
+
+// setLatestRow overwrites the newest version's row (tamper simulation and
+// repair: edited storage creates no history).
+func (r rowRef) setLatestRow(row []byte) {
+	r.edit(true, func(c *versionChain) { c.newest.row = row })
+}
+
+// Get returns where the row under key is.
+func (s *rowStore) Get(key []byte) (rowRef, bool) {
 	if s.tree != nil {
-		return s.tree.Get(key)
+		c, ok := s.tree.Get(key)
+		return rowRef{c: c}, ok
 	}
-	i, k := heapSlot(key)
+	rid, k := heapRID(key)
 	if k < s.base || k >= s.base+len(s.chunks) || s.chunks[k-s.base].slots == nil {
-		return nil, false
+		return rowRef{}, false
 	}
-	c := &s.chunks[k-s.base].slots[i-heapChunkStart(k)]
-	return c, c.stored()
+	_, p := s.slot(rid)
+	return rowRef{s: s, rid: rid}, p.stored()
 }
 
 // GetEntry is Get that also returns a copy of key that never changes.
-func (s *rowStore) GetEntry(key []byte) ([]byte, *versionChain, bool) {
+func (s *rowStore) GetEntry(key []byte) ([]byte, rowRef, bool) {
 	if s.tree != nil {
-		return s.tree.GetEntry(key)
+		k, c, ok := s.tree.GetEntry(key)
+		return k, rowRef{c: c}, ok
 	}
-	c, ok := s.Get(key)
-	return bytes.Clone(key), c, ok
+	r, ok := s.Get(key)
+	return bytes.Clone(key), r, ok
 }
 
 // fits reports whether the store can hold a chain under key: in a heap, a
@@ -100,23 +274,25 @@ func (s *rowStore) fits(key []byte) bool {
 	if s.tree != nil {
 		return true
 	}
-	_, k := heapSlot(key)
+	_, k := heapRID(key)
 	last := s.base + len(s.chunks) - 1
 	return k >= 0 && (len(s.chunks) == 0 || max(k, last)-min(k, s.base) < maxHeapChunks)
 }
 
-// GetOrPut returns the chain under key if there is one, and otherwise
-// stores c there and returns the stored chain. key must fit.
-func (s *rowStore) GetOrPut(key []byte, c versionChain) (*versionChain, bool) {
+// GetOrPut returns the row under key if there is one, and otherwise
+// stores c, which has no older versions, there (a heap copies its row into
+// a page). key must fit.
+func (s *rowStore) GetOrPut(key []byte, c versionChain) (rowRef, bool) {
 	if s.tree != nil {
 		p := new(versionChain)
 		*p = c
-		return s.tree.GetOrPut(key, p)
+		got, found := s.tree.GetOrPut(key, p)
+		return rowRef{c: got}, found
 	}
 	if !s.fits(key) {
 		panic(fmt.Sprintf("engine: a %d-byte heap key is out of range", len(key)))
 	}
-	i, k := heapSlot(key)
+	rid, k := heapRID(key)
 	switch n := len(s.chunks); {
 	case n == 0:
 		s.base, s.chunks = k, make([]heapChunk, 1)
@@ -127,33 +303,42 @@ func (s *rowStore) GetOrPut(key []byte, c versionChain) (*versionChain, bool) {
 	}
 	ch := &s.chunks[k-s.base]
 	if ch.slots == nil {
-		ch.slots = make([]versionChain, heapChunkStart(k+1)-heapChunkStart(k))
+		ch.slots = make([]heapSlot, heapChunkStart(k+1)-heapChunkStart(k))
 	}
-	p := &ch.slots[i-heapChunkStart(k)]
+	r := rowRef{s: s, rid: rid}
+	p := &ch.slots[rid-1-heapChunkStart(k)]
 	if p.stored() {
-		return p, true
+		return r, true
 	}
-	*p, ch.used = c, ch.used+1
-	return p, false
+	ch.used++
+	p.ts = c.newest.ts
+	ch.put(p, c.newest.row, 0)
+	return r, false
 }
 
-// Delete removes the chain under key; a heap frees the chunk it empties.
+// Delete removes the row under key, and its older versions; a heap frees
+// the chunk it empties.
 func (s *rowStore) Delete(key []byte) {
 	if s.tree != nil {
-		s.tree.Delete(key)
+		if c, ok := s.tree.Delete(key); ok {
+			c.older = nil // version GC may still hold the chain
+		}
 		return
 	}
-	if c, ok := s.Get(key); ok {
-		*c = versionChain{}
-		_, k := heapSlot(key)
-		if ch := &s.chunks[k-s.base]; ch.used == 1 {
-			*ch = heapChunk{}
-		} else {
-			ch.used--
-		}
-		for len(s.chunks) > 0 && s.chunks[0].slots == nil {
-			s.base, s.chunks = s.base+1, s.chunks[1:]
-		}
+	r, ok := s.Get(key)
+	if !ok {
+		return
+	}
+	ch, p := s.slot(r.rid)
+	ch.release(p)
+	delete(s.older, r.rid)
+	if *p = (heapSlot{}); ch.used == 1 {
+		*ch = heapChunk{}
+	} else {
+		ch.used--
+	}
+	for len(s.chunks) > 0 && s.chunks[0].slots == nil {
+		s.base, s.chunks = s.base+1, s.chunks[1:]
 	}
 }
 
@@ -171,7 +356,8 @@ func ridAtOrAbove(b []byte) uint64 {
 
 // AscendRange calls fn for every chain with start <= key < end, in key
 // order, until fn returns false; nil bounds are open. The keys fn gets
-// never change: a heap carves them from blocks each scan allocates.
+// never change: a heap carves them from blocks each scan allocates. A
+// heap's chains are views fn may read only during the call.
 func (s *rowStore) AscendRange(start, end []byte, fn func(key []byte, c *versionChain) bool) {
 	if s.tree != nil {
 		s.tree.AscendRange(start, end, fn)
@@ -182,17 +368,18 @@ func (s *rowStore) AscendRange(start, end []byte, fn func(key []byte, c *version
 		hi = ridAtOrAbove(end)
 	}
 	var keys []byte
+	var v versionChain
 	for k := max(s.base, heapChunkOf(lo-1)); k < s.base+len(s.chunks) && heapChunkStart(k) < hi; k++ {
-		slots, first := s.chunks[k-s.base].slots, heapChunkStart(k)+1
-		for i := max(lo, first) - first; i < uint64(len(slots)) && first+i < hi; i++ {
-			if !slots[i].stored() {
+		ch, first := &s.chunks[k-s.base], heapChunkStart(k)+1
+		for i := max(lo, first) - first; i < uint64(len(ch.slots)) && first+i < hi; i++ {
+			if !ch.slots[i].stored() {
 				continue
 			}
 			if len(keys) == cap(keys) {
 				keys = make([]byte, 0, 8*min(max(cap(keys)/4, 16), 1024))
 			}
 			keys = binary.BigEndian.AppendUint64(keys, first+i)
-			if !fn(keys[len(keys)-8:len(keys):len(keys)], &slots[i]) {
+			if v = s.view(ch, ch.slots[i], first+i); !fn(keys[len(keys)-8:len(keys):len(keys)], &v) {
 				return
 			}
 		}

@@ -254,10 +254,12 @@ func TestStoredRowFootprint(t *testing.T) {
 	// 8-byte key spans and one of value pointers, each in the 512-byte size
 	// class, and an arena of 63 9-byte encoded ids in the 576-byte class),
 	// plus slack for what the size classes of another Go release round
-	// differently. A heap keeps the 40-byte chain by value in a chunk of 819
-	// that fills the 32 KiB class, and no key: 41 with its share of the
-	// chunk directory and of the chunk the last rows half fill, plus the
-	// same 7 of slack. An index on n1 adds its share of a full index leaf,
+	// differently. A heap row is a 16-byte slot in a chunk of 2048 that
+	// fills the 32 KiB class, and its bytes packed in the chunk's pages,
+	// with no key: the 16 of the bytes' rounding is its slot, its share of
+	// the pages' unfilled ends, the directories and the chunk the last rows
+	// part fill is 3, plus the same 7 of slack. An index on n1 adds its
+	// share of a full index leaf,
 	// which has no value array (29: the node, the spans and an arena of 63
 	// 18-byte entries, n1 then the id, in the 1152-byte class).
 	for _, tc := range []struct {
@@ -267,7 +269,7 @@ func TestStoredRowFootprint(t *testing.T) {
 		structure float64
 	}{
 		{"clustered", true, false, 85},
-		{"heap", false, false, 48},
+		{"heap", false, false, 10},
 		{"clustered+index", true, true, 85 + 32},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

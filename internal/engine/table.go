@@ -35,7 +35,8 @@ type Table struct {
 	reclaim []keyedChain
 }
 
-// keyedChain is a version chain with its clustered key.
+// keyedChain is a version chain with its clustered key; a heap row has
+// no chain (nil), and GC finds it by its key.
 type keyedChain struct {
 	key   []byte
 	chain *versionChain
@@ -157,7 +158,10 @@ func (t *Table) decodeLocked(dst sqltypes.Row, stored []byte, ords []int) sqltyp
 		err = sqltypes.DecodeColumns(dst, stored, ords, cols)
 	}
 	if err != nil {
-		// Bytes enter a chain from EncodeRow or past sqltypes.CheckRow.
+		// Bytes enter a chain from EncodeRow or past sqltypes.CheckRow, which
+		// every row decodes after, except through TamperSetStoredRow:
+		// readers that must not panic on tampered storage read the stored
+		// bytes (verification, truncation's scans).
 		panic(fmt.Sprintf("engine: stored row of %s does not decode: %v", t.meta.Name, err))
 	}
 	return dst
@@ -179,11 +183,11 @@ const latest = math.MaxInt64
 func (t *Table) storedAt(key []byte, ts int64) ([]byte, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	c, ok := t.rows.Get(key)
+	r, ok := t.rows.Get(key)
 	if !ok {
 		return nil, false
 	}
-	return c.at(ts)
+	return r.at(ts)
 }
 
 // getAt returns the columns ords (nil: all) of the row under key visible
@@ -191,11 +195,11 @@ func (t *Table) storedAt(key []byte, ts int64) ([]byte, bool) {
 func (t *Table) getAt(key []byte, ts int64, ords []int) (sqltypes.Row, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	c, ok := t.rows.Get(key)
+	r, ok := t.rows.Get(key)
 	if !ok {
 		return nil, false
 	}
-	stored, ok := c.at(ts)
+	stored, ok := r.at(ts)
 	if !ok {
 		return nil, false
 	}
@@ -225,11 +229,11 @@ func (t *Table) Has(key []byte) bool {
 // indexes. row is stored as it is: the caller must not use it again.
 // Caller must hold mu. Returns an error if the key holds a live row.
 func (t *Table) applyInsertLocked(key, row []byte, ts int64) error {
-	if c, exists := t.rows.GetOrPut(key, newChain(ts, row)); exists {
-		if _, live := c.latestLive(); live {
+	if r, exists := t.rows.GetOrPut(key, newChain(ts, row)); exists {
+		if _, live := r.latestLive(); live {
 			return fmt.Errorf("%w: table %s", ErrDuplicateKey, t.meta.Name)
 		}
-		t.appendVersionLocked(key, c, ts, row) // re-insert over a tombstone
+		t.appendVersionLocked(key, r, ts, row) // re-insert over a tombstone
 	}
 	t.liveRows++
 	t.noteRIDLocked(key)
@@ -245,15 +249,15 @@ func (t *Table) applyInsertLocked(key, row []byte, ts int64) error {
 // applyDeleteLocked appends a tombstone version under key. Caller must
 // hold mu.
 func (t *Table) applyDeleteLocked(key []byte, ts int64) error {
-	held, c, ok := t.rows.GetEntry(key)
+	held, r, ok := t.rows.GetEntry(key)
 	if !ok {
 		return fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
-	old, live := c.latestLive()
+	old, live := r.latestLive()
 	if !live {
 		return fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
-	t.appendVersionLocked(held, c, ts, nil)
+	t.appendVersionLocked(held, r, ts, nil)
 	t.liveRows--
 	var buf [64]byte
 	for _, ix := range t.indexes {
@@ -267,15 +271,15 @@ func (t *Table) applyDeleteLocked(key []byte, ts int64) error {
 // applyUpdateLocked appends an encoded replacement version under key,
 // stored as it is. Caller must hold mu.
 func (t *Table) applyUpdateLocked(key, row []byte, ts int64) error {
-	held, c, ok := t.rows.GetEntry(key)
+	held, r, ok := t.rows.GetEntry(key)
 	if !ok {
 		return fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
-	old, live := c.latestLive()
+	old, live := r.latestLive()
 	if !live {
 		return fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
-	t.appendVersionLocked(held, c, ts, row)
+	t.appendVersionLocked(held, r, ts, row)
 	t.moveIndexEntriesLocked(key, old, row)
 	return nil
 }
@@ -300,13 +304,15 @@ func (t *Table) moveIndexEntriesLocked(key, old, next []byte) {
 	}
 }
 
-// appendVersionLocked adds a version to c, the chain under key, and lists
-// c for GC when that gives it its first superseded version. key is kept
+// appendVersionLocked adds a version to r, the row under key, and lists
+// it for GC when that gives it its first superseded version. key is kept
 // in the list: pass the slice the tree holds where there is one, not a
 // write set's copy. Caller holds mu.
-func (t *Table) appendVersionLocked(key []byte, c *versionChain, ts int64, row []byte) {
-	if c.appendVersion(ts, row) {
-		t.reclaim = append(t.reclaim, keyedChain{key, c})
+func (t *Table) appendVersionLocked(key []byte, r rowRef, ts int64, row []byte) {
+	first := false
+	r.edit(true, func(c *versionChain) { first = c.appendVersion(ts, row) })
+	if first {
+		t.reclaim = append(t.reclaim, keyedChain{key, r.c})
 	}
 }
 
@@ -320,17 +326,26 @@ func (t *Table) gcVersions(horizon int64) int {
 	reclaimed := 0
 	kept := t.reclaim[:0]
 	for _, e := range t.reclaim {
-		dropped, dead := e.chain.prune(horizon)
+		r := rowRef{c: e.chain}
+		if e.chain == nil { // a heap row, reached by its row id
+			var ok bool
+			if r, ok = t.rows.Get(e.key); !ok {
+				continue
+			}
+		}
+		var dropped int
+		var dead bool
+		r.edit(false, func(c *versionChain) { dropped, dead = c.prune(horizon) })
 		reclaimed += dropped
 		switch {
 		case dead:
 			// TamperDeleteRow may have taken the chain out of the tree, and
 			// an insert put a new one under its key since.
-			if c, ok := t.rows.Get(e.key); ok && c == e.chain {
+			if got, ok := t.rows.Get(e.key); ok && got == r {
 				t.rows.Delete(e.key)
 				reclaimed++ // the tombstone itself
 			}
-		case e.chain.older != nil:
+		case r.hasOlder():
 			kept = append(kept, e)
 		}
 	}
@@ -392,6 +407,7 @@ func (ix *Index) clusteredKey(entryKey []byte) []byte {
 func (t *Table) entryKeyLocked(dst []byte, ix *Index, clusteredKey, stored []byte) ([]byte, bool) {
 	key, err := ix.EntryKeyStored(dst, clusteredKey, stored, t.meta.Schema.Columns)
 	if err != nil && !errors.Is(err, ErrMistypedEntry) {
+		// As in decodeLocked, only bytes TamperSetStoredRow wrote fail here.
 		panic(fmt.Sprintf("engine: stored row of %s does not decode: %v", t.meta.Name, err))
 	}
 	return key, err == nil
@@ -557,11 +573,11 @@ func (t *Table) LookupIndexPrefix(ix *Index, vals []sqltypes.Value, fn func(key 
 	var buf sqltypes.Row
 	ix.tree.AscendRange(prefix, end, func(ek []byte, _ struct{}) bool {
 		ck := ix.clusteredKey(ek)
-		c, ok := t.rows.Get(ck)
+		r, ok := t.rows.Get(ck)
 		if !ok {
 			return true // index/base divergence is surfaced by verification
 		}
-		stored, live := c.latestLive()
+		stored, live := r.latestLive()
 		if !live {
 			return true
 		}

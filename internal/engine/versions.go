@@ -9,16 +9,18 @@ package engine
 // that timestamp.
 //
 // A version holds its row as the sqltypes.EncodeRow bytes the WAL frame
-// and the snapshot file carry, in an allocation of its own that nothing
-// ever writes to again: rows become []Value only where they leave the
-// engine (Table.decodeLocked), and the strings and binaries of a decoded
-// row point into these bytes.
+// and the snapshot file carry, in memory that nothing ever writes to
+// again: a keyed row's own allocation, or a heap row's span of its chunk's
+// append-only pages. Rows become []Value only where they leave the engine
+// (Table.decodeLocked), and the strings and binaries of a decoded row
+// point into these bytes.
 //
 // Beside those bytes a keyed row costs its exact-size key, its B+tree slot
 // and its chain: 40 bytes (the 48-byte size class) while it holds one
 // version, since superseded versions sit behind a pointer set on the first
-// update. A heap row costs its chain alone, kept by value in its table's
-// row-id array (rowstore.go).
+// update. A heap row keeps no chain: its newest version is a 16-byte slot
+// in its table's row-id array, and a view of it is a chain built on the
+// fly (rowstore.go).
 //
 // Chains are only ever mutated under the owning Table's mu write lock, and
 // commit timestamps are strictly monotonic (db.Commit's sequencing stage),
@@ -80,10 +82,6 @@ func (c *versionChain) appendVersion(ts int64, row []byte) (first bool) {
 	c.newest = rowVersion{ts: ts, row: row}
 	return first
 }
-
-// setLatestRow overwrites the newest version's row in place (tamper
-// simulation and repair: edited storage creates no history).
-func (c *versionChain) setLatestRow(row []byte) { c.newest.row = row }
 
 // prune drops versions no snapshot at or after horizon can reach: every
 // version older than the newest version with ts <= horizon. It returns the

@@ -138,6 +138,9 @@ func (l *Layout) transcode(dst, stored []byte, op OpType, skip SkipMask, p *pass
 		}
 		pos += 2
 		if null {
+			if tag != l.cols[i].Type {
+				mistyped++ // never cut: it is in neither side's serialization
+			}
 			continue
 		}
 		masked, typed, from := skip.Has(i), tag == l.cols[i].Type, len(dst)

@@ -175,6 +175,7 @@ func oracleAppendEncoded(l *Layout, dst, stored []byte, op OpType, skip SkipMask
 		}
 		pos += 2
 		if null {
+			typed = typed && tag == l.cols[i].Type
 			continue
 		}
 		keep := !skip.Has(i)
@@ -366,12 +367,21 @@ func FuzzHashEncoded(f *testing.F) {
 }
 
 // TestMistypedValueChangesHash: a value stored under another type's tag
-// that serializes alike must not hash alike, in either entry point.
+// that serializes alike must not hash alike, in either entry point — nor
+// may a NULL, which is left out of the serialization, whether or not a
+// mask leaves its column out too.
 func TestMistypedValueChangesHash(t *testing.T) {
 	s := sqltypes.MustSchema([]sqltypes.Column{
-		sqltypes.Col("name", sqltypes.TypeVarChar), sqltypes.Col("balance", sqltypes.TypeBigInt),
+		sqltypes.Col("name", sqltypes.TypeVarChar), sqltypes.NullableCol("balance", sqltypes.TypeBigInt),
 	})
 	layout := NewLayout(s.Columns)
+	for _, skip := range []SkipMask{nil, NewSkipMask(1)} {
+		honest, tampered := sqltypes.Row{sqltypes.NewVarChar("alice"), sqltypes.NewNull(sqltypes.TypeBigInt)}, sqltypes.Row{sqltypes.NewVarChar("alice"), sqltypes.NewNull(sqltypes.TypeInt)}
+		h, err := layout.HashEncoded(sqltypes.EncodeRow(nil, tampered), OpInsert, skip)
+		if err != nil || h != HashRow(s, tampered, OpInsert, skip) || h == HashRow(s, honest, OpInsert, skip) {
+			t.Fatalf("mask %v: a NULL tagged INT hashes to %s (%v), as BIGINT to %s", skip, h, err, HashRow(s, honest, OpInsert, skip))
+		}
+	}
 	honest := sqltypes.Row{sqltypes.NewVarChar("alice"), sqltypes.NewBigInt(5)}
 	for _, tampered := range []sqltypes.Row{
 		{sqltypes.NewVarBinary([]byte("alice")), sqltypes.NewBigInt(5)},

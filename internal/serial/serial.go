@@ -81,7 +81,9 @@ func (m SkipMask) Has(ord int) bool {
 // to dst. skip, if non-nil, excludes columns by ordinal: the ledger core
 // uses it to exclude the end-transaction system columns when computing a
 // version's insert-time hash (they were NULL when the version was
-// created). Columns whose value is NULL are always excluded.
+// created). Columns whose value is NULL are always excluded, though a NULL
+// tagged with another type than its column's marks the row mistyped, as a
+// mistyped value does (versionMistyped).
 //
 // The encoding is produced in a single pass: a one-byte varint slot is
 // reserved for the participating-column count and patched after the column
@@ -98,11 +100,13 @@ func SerializeRow(dst []byte, s *sqltypes.Schema, r sqltypes.Row, op OpType, ski
 	dst = append(dst, Version, byte(op), 0) // 0: the count slot
 	n, typed := 0, true
 	for i, v := range r {
+		c := &s.Columns[i]
 		if v.Null || skip.Has(i) {
+			// A NULL is left out, but its tag must still be its column's.
+			typed = typed && (!v.Null || v.Type == c.Type)
 			continue
 		}
 		n++
-		c := &s.Columns[i]
 		typed = typed && v.Type == c.Type
 		dst = appendValue(appendHeader(dst, c), v)
 	}
@@ -146,7 +150,8 @@ func appendValue(dst []byte, v sqltypes.Value) []byte {
 }
 
 // versionMistyped replaces Version in the serialization of a row holding a
-// value whose type tag is not its column's catalog type. The header binds
+// value, NULL or not, whose type tag is not its column's catalog type. The
+// header binds
 // the catalog type while the value is laid out by its tag, and two tags
 // can lay a value out alike (VARCHAR and VARBINARY, INT and BIGINT), so
 // without it a stored tag could be rewritten under an unchanged hash.

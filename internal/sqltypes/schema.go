@@ -134,9 +134,10 @@ func (s *Schema) Validate(r Row) error {
 	for i, v := range r {
 		c := s.Columns[i]
 		if v.Null {
-			// The row codec refuses an undefined type tag, NULL or not.
-			if !v.Type.Defined() {
-				return fmt.Errorf("sqltypes: column %q: NULL of undefined type %s", c.Name, v.Type)
+			// The row codec stores a NULL's tag, and the ledger hashes a row
+			// whose NULL is tagged with another type as tampered.
+			if v.Type != c.Type {
+				return fmt.Errorf("sqltypes: column %q expects %s, got a NULL of type %s", c.Name, c.Type, v.Type)
 			}
 			if !c.Nullable && !c.Dropped {
 				return fmt.Errorf("sqltypes: column %q does not allow NULL", c.Name)
