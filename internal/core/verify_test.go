@@ -596,6 +596,63 @@ func TestRetaggedNullEndColumnIsRed(t *testing.T) {
 	}
 }
 
+// TestNullOfAnotherTypeFromAnEarlierWriter pins what became of a row that
+// builds before the NULL-tag rule accepted: a NULL whose type is not its
+// column's, which they hashed as if it were. Validate now refuses the
+// insert, and such a row already stored — which is an honest row's bytes
+// with the NULL's tag rewritten, under the honest row's hash — is a red
+// invariant-4 issue naming its transaction: the rule changes no honest
+// row's digest, but a database holding such a row no longer verifies.
+func TestNullOfAnotherTypeFromAnEarlierWriter(t *testing.T) {
+	l := openTestLedger(t, 3)
+	lt, err := l.CreateLedgerTable("notes", sqltypes.MustSchema([]sqltypes.Column{
+		sqltypes.Col("name", sqltypes.TypeNVarChar), sqltypes.NullableCol("tier", sqltypes.TypeBigInt),
+	}, "name"), engine.LedgerUpdateable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := l.Begin("u")
+	err = tx.Insert(lt, sqltypes.Row{sqltypes.NewNVarChar("a"), sqltypes.NewNull(sqltypes.TypeInt)})
+	tx.Rollback()
+	if err == nil || !strings.Contains(err.Error(), "NULL of type") {
+		t.Fatalf("inserting a NULL typed INT into a BIGINT column: %v", err)
+	}
+	tx = l.Begin("u")
+	if err := tx.Insert(lt, sqltypes.Row{sqltypes.NewNVarChar("a"), sqltypes.NewNull(sqltypes.TypeBigInt)}); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+	d, err := l.GenerateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyOK(t, l, []Digest{d})
+	tab, key := lt.Table(), sqltypes.EncodeKey(nil, sqltypes.NewNVarChar("a"))
+	stored, ok := tab.LookupStored(key)
+	if !ok {
+		t.Fatal("no row")
+	}
+	row, err := sqltypes.DecodeRowAlias(nil, stored, tab.Columns())
+	if err != nil {
+		t.Fatal(err)
+	}
+	row[1] = sqltypes.NewNull(sqltypes.TypeInt)
+	if err := l.Engine().TamperSetStoredRow(tab, key, sqltypes.EncodeRow(nil, row)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := l.Verify([]Digest{d}, VerifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := false
+	for _, i := range rep.Issues {
+		named = named || (i.Invariant == 4 && i.Table == lt.Name() && strings.Contains(i.Detail, fmt.Sprintf("transaction %d ", row[lt.startTxOrd].Int())))
+	}
+	if rep.Ok() || !named {
+		t.Fatalf("a stored NULL typed INT in a BIGINT column: want a red invariant-4 issue, got\n%s", issueStrings(rep))
+	}
+}
+
 // TestEmptyStoredHistoryRowIsRed: zero bytes written over a history row —
 // a heap row, held in a 16-byte slot — are a live row that is no row, not
 // a tombstone or an empty slot: the table still counts it, a read finds

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -61,6 +62,7 @@ const (
 	heapPageBits = 15
 	heapPageMax  = 1 << heapPageBits // a longer row has a page of its own
 	heapPageMin  = 256
+	heapMaxPages = 1 << (32 - heapPageBits) // pages a ref can name
 	heapOlder    = 1 << 31
 )
 
@@ -107,45 +109,43 @@ func pageRow(pages [][]byte, p heapSlot) []byte {
 	}
 }
 
-// put copies row into the pages and points p at it. A new page holds a
-// quarter of the slots at row's length, or twice the last page, but no
-// more than the free slots would need; a repack (want > 0) asks for the
-// bytes it has left to copy.
+// put copies row into the pages and points p at it. A new page is sized
+// for the rows still to come: the bytes a repack (want > 0) has left to
+// copy, else the free slots at row's length, or a full page once every
+// slot is taken; between heapPageMin and heapPageMax, and a longer row
+// gets a page of its own. A directory that would outgrow a ref repacks
+// first, which leaves at most a page per row.
 func (ch *heapChunk) put(p *heapSlot, row []byte, want int) {
 	p.ref, p.n = 0, p.n&heapOlder
 	if row == nil {
 		return
 	}
-	p.n |= uint32(len(row)) + 1
-	if len(row) == 0 {
-		return
-	}
 	last := len(ch.pages) - 1
-	if last < 0 || len(ch.pages[last])+len(row) > min(cap(ch.pages[last]), heapPageMax) {
-		if want == 0 {
-			want = max(heapPageMin, len(ch.slots)*len(row)/4)
-			if last >= 0 {
-				want = max(want, 2*cap(ch.pages[last]))
-			}
-			want = min(want, (len(ch.slots)-ch.used+1)*len(row))
+	if len(row) > 0 && (last < 0 || len(ch.pages[last])+len(row) > min(cap(ch.pages[last]), heapPageMax)) {
+		if last+1 == heapMaxPages {
+			ch.repack()
+			ch.put(p, row, 0)
+			return
 		}
+		want = cmp.Or(want, (len(ch.slots)-ch.used)*len(row), heapPageMax)
 		if ch.pages == nil {
-			ch.pages = make([][]byte, 0, max(want, len(ch.slots)*len(row))/heapPageMax+2)
+			ch.pages = make([][]byte, 0, len(ch.slots)*len(row)/heapPageMax+2)
 		}
-		ch.pages = append(ch.pages, slices.Grow([]byte(nil), max(len(row), min(want, heapPageMax))))
+		ch.pages = append(ch.pages, slices.Grow([]byte(nil), max(len(row), min(max(want, heapPageMin), heapPageMax))))
 		last++
 	}
-	p.ref = uint32(last)<<heapPageBits | uint32(len(ch.pages[last]))
-	ch.pages[last] = append(ch.pages[last], row...)
-	ch.bytes += len(row)
+	p.n |= uint32(len(row)) + 1
+	if len(row) > 0 {
+		p.ref = uint32(last)<<heapPageBits | uint32(len(ch.pages[last]))
+		ch.pages[last] = append(ch.pages[last], row...)
+		ch.bytes += len(row)
+	}
 }
 
 // release drops p's row from the pages, and repacks them once half their
 // bytes are dead.
 func (ch *heapChunk) release(p *heapSlot) {
-	if n := int(p.n&^heapOlder) - 1; n > 0 {
-		ch.dead += n
-	}
+	ch.dead += max(int(p.n&^heapOlder)-1, 0)
 	p.ref, p.n = 0, p.n&heapOlder
 	if 2*ch.dead >= ch.bytes && ch.dead > 0 {
 		ch.repack()
@@ -310,9 +310,9 @@ func (s *rowStore) GetOrPut(key []byte, c versionChain) (rowRef, bool) {
 	if p.stored() {
 		return r, true
 	}
-	ch.used++
 	p.ts = c.newest.ts
 	ch.put(p, c.newest.row, 0)
+	ch.used++
 	return r, false
 }
 

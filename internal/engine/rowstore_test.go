@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 )
@@ -336,6 +337,46 @@ func derefOlder(p *[]rowVersion) []rowVersion {
 	return *p
 }
 
+// TestHeapDirectoryStaysAddressable: in a chunk whose one free slot sizes
+// each new page for a single row, and whose two large rows keep its dead
+// bytes below half, every update of its small row adds a page. Before the
+// directory outgrows what a ref can name, the chunk repacks, and every row
+// and every view handed out keeps its bytes.
+func TestHeapDirectoryStaysAddressable(t *testing.T) {
+	const small, updates = heapPageMin/2 + 1, heapMaxPages + 64 // two small rows overfill a page sized for one
+	var s rowStore
+	key := func(rid uint64) []byte { return binary.BigEndian.AppendUint64(nil, rid) }
+	rows := [][]byte{nil, heapTestRow(1, updates*small/2+1), heapTestRow(2, updates*small/2+1), heapTestRow(3, small)}
+	for rid := uint64(1); rid <= 3; rid++ { // chunk 0's fourth slot stays free
+		s.GetOrPut(key(rid), versionChain{newest: rowVersion{ts: 1, row: rows[rid]}})
+	}
+	r, _ := s.Get(key(3))
+	view, ch := r.chain().newest.row, &s.chunks[0]
+	repacks := 0
+	for i := range updates {
+		pages := len(ch.pages)
+		rows[3] = heapTestRow(int64(4+i), small)
+		r.setLatestRow(rows[3])
+		if len(ch.pages) < pages {
+			repacks++
+		}
+		if len(ch.pages) > heapMaxPages {
+			t.Fatalf("update %d: the chunk has %d pages, a ref names %d", i, len(ch.pages), heapMaxPages)
+		}
+	}
+	if repacks == 0 || ch.dead >= ch.bytes-ch.dead {
+		t.Fatalf("%d repacks; %d of %d page bytes dead", repacks, ch.dead, ch.bytes)
+	}
+	for rid := uint64(1); rid <= 3; rid++ {
+		if r, ok := s.Get(key(rid)); !ok || !bytes.Equal(r.chain().newest.row, rows[rid]) {
+			t.Fatalf("row %d does not hold its bytes", rid)
+		}
+	}
+	if !bytes.Equal(view, heapTestRow(3, small)) {
+		t.Fatalf("a view handed out before the updates changed to %x", view)
+	}
+}
+
 // TestHeapInsertAllocations: applying a committed insert into a heap table
 // copies its row into its chunk's pages, so it allocates nothing but the
 // chunks as they fill, each with its slot array and its page directory,
@@ -348,27 +389,33 @@ func TestHeapInsertAllocations(t *testing.T) {
 	db.stopVersionGC()
 	tab := mustCreate(t, db, "h", footprintSchema(false))
 	const batch = 8192
-	keys := make([][]byte, 2*batch) // AllocsPerRun's warm-up run, then the measured one
+	// Three measurements, each after AllocsPerRun's warm-up run; the least
+	// leaves out what other goroutines allocate meanwhile.
+	keys := make([][]byte, 6*batch)
 	for i := range keys {
 		keys[i] = tab.allocRID()
 	}
 	row := EncodeStoredRow(footprintRow(1))
 	tab.mu.Lock()
 	defer tab.mu.Unlock()
-	done := 0
-	allocs := testing.AllocsPerRun(1, func() {
-		for _, key := range keys[done : done+batch] {
-			if err := tab.applyInsertLocked(key, row, 1); err != nil {
-				t.Fatal(err)
+	done, allocs := 0, math.Inf(1)
+	for range 3 {
+		allocs = min(allocs, testing.AllocsPerRun(1, func() {
+			for _, key := range keys[done : done+batch] {
+				if err := tab.applyInsertLocked(key, row, 1); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		done += batch
-	})
+			done += batch
+		}))
+	}
 	// The slot arrays and page directories of the full chunks the batch
 	// fills, the pages its bytes fill, and 3 for the chunk it starts, the
 	// page each chunk ends part full and the directory's growth.
 	pages := (batch*len(row) + heapPageMax - 1) / heapPageMax
-	if budget := float64(2*batch/int(heapChunkMax) + pages + 3); allocs > budget {
+	budget := float64(2*batch/int(heapChunkMax) + pages + 3)
+	t.Logf("applying %d heap inserts allocates %.0f objects, budget %.0f", batch, allocs, budget)
+	if allocs > budget {
 		t.Errorf("applying %d heap inserts allocates %.0f objects, budget %.0f", batch, allocs, budget)
 	}
 }
