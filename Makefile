@@ -39,9 +39,9 @@ vet:
 
 # Every package under the race detector. The verification kernel's
 # partitioned scans, the commit pipeline, the registry and tracer, the MVCC
-# read path, the auditor loops, cross-shard 2PC and parallel recovery are
-# all concurrent; one unfiltered run covers them without -run patterns
-# that stop matching when a test is renamed (~30 s on 2 vCPUs).
+# read path, the auditor loop and parallel recovery are all concurrent;
+# one unfiltered run covers them without -run patterns that stop matching
+# when a test is renamed (~30 s on 2 vCPUs).
 .PHONY: test-race
 test-race:
 	go test -race ./...
@@ -103,15 +103,6 @@ bench-read:
 bench-audit:
 	go test -run - -bench 'BenchmarkAudit' -benchmem .
 
-# Shard-scaling gate + benchmark: the fixed 4-client pool at 1/2/4
-# shards, plus the digest-equality and super-root reproducibility checks.
-# Race-free on purpose — the gate measures wall-clock ratios, which the
-# race detector distorts (test-race audits the same paths).
-.PHONY: bench-shard
-bench-shard:
-	go test -run 'ShardIngestScaling' -v .
-	go test -run - -bench 'IngestShards' -benchtime 20x .
-
 # Recovery equivalence test + restart benchmark: crash images recovered
 # at 1/2/4 workers must give the built digest, a green Verify and every
 # acknowledged row; then full-WAL restart at 1/2/4/8 recovery workers.
@@ -149,10 +140,9 @@ bench-test:
 # history-image splice and the column projection against the decode, edit
 # and re-encode they replace, the exact-size clustered key and the index
 # entry's split into values and clustered key against EncodeKey, the
-# stored-bytes row hasher the write path
-# and verification run on against the []Value one kept as its oracle, the
-# super-block watermark Open reads back, the read-receipt parser and
-# verifier (a mutant that verifies proves nothing the seed does not), the
+# stored-bytes row hasher the write path and verification run on against
+# the []Value one kept as its oracle, the read-receipt parser and verifier
+# (a mutant that verifies proves nothing the seed does not), the
 # snapshot loader, whose seeds are a few KiB — minimizing each new input
 # for the default minute would leave it no time to fuzz — the heap row
 # store against a model, whose runs are slow to minimize for the same
@@ -162,7 +152,7 @@ bench-test:
 # `go test -fuzz` takes one target per run.
 .PHONY: fuzz-smoke
 fuzz-smoke:
-	@for target in FuzzFrameReader FuzzDecodeDML FuzzDecodeCommit FuzzDecodePrepare; do \
+	@for target in FuzzFrameReader FuzzDecodeDML FuzzDecodeCommit; do \
 		go test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s ./internal/wal || exit 1; \
 	done
 	go test -run '^$$' -fuzz '^FuzzDecodeRow$$' -fuzztime 10s ./internal/sqltypes
@@ -170,7 +160,6 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzEncodeRowKey$$' -fuzztime 10s ./internal/sqltypes
 	go test -run '^$$' -fuzz '^FuzzKeyPrefixLen$$' -fuzztime 10s ./internal/sqltypes
 	go test -run '^$$' -fuzz '^FuzzHashEncoded$$' -fuzztime 10s ./internal/serial
-	go test -run '^$$' -fuzz '^FuzzSuperBlock$$' -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzParseReadReceipt$$' -fuzztime 10s ./internal/core
 	go test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 10s -fuzzminimizetime 500x ./internal/engine
 	go test -run '^$$' -fuzz '^FuzzHeapRows$$' -fuzztime 10s -fuzzminimizetime 500x ./internal/engine

@@ -20,8 +20,8 @@
 //	§3.3.2:   BenchmarkCommitConcurrent — commit throughput, fsyncs/commit
 //	          and commits/group at 1-8 clients.
 //
-// The scaling experiments sit beside them (ingest_, read_, shard_,
-// recovery_ and audit_bench_test.go); `make bench-smoke` runs every one
+// The scaling experiments sit beside them (ingest_, read_, recovery_ and
+// audit_bench_test.go); `make bench-smoke` runs every one
 // once. EXPERIMENTS.md records paper-vs-measured numbers.
 package sqlledger_test
 

@@ -13,18 +13,6 @@
 //	sqlledger -db ./bank verify digest.json [digest2.json ...]
 //	sqlledger -db ./bank tamper accounts nick 999999
 //	sqlledger -db ./bank tables
-//
-// With -shards N the same database is hash-partitioned across N shards
-// under one signed super-root (pass it on every invocation). Every command
-// runs through the same dispatch; the ones that name one chain's artifact
-// (digest, receipt, tamper, tables, history, truncate, restore) answer
-// with the library's ErrMultiShard — run them on a shard's own directory,
-// DIR/shard-NNN, which is a complete one-shard database:
-//
-//	sqlledger -db ./bank -shards 4 create accounts name:NVARCHAR:key balance:BIGINT
-//	sqlledger -db ./bank -shards 4 insert accounts nick 100
-//	sqlledger -db ./bank -shards 4 superblock > super.json
-//	sqlledger -db ./bank -shards 4 verify-super super.json
 package main
 
 import (
@@ -33,7 +21,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -54,7 +41,6 @@ var dbDir = flag.String("db", "./ledgerdb", "database directory")
 var dbName = flag.String("name", "", "the database's name, which its digests carry (default: the -db directory's base name; give the original one to open a directory copied or moved under another)")
 var user = flag.String("user", "cli", "principal recorded for transactions")
 var metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and /debug/* on this address while the command runs (empty: off)")
-var shards = flag.Int("shards", 1, "hash-partition the database across N shards under one signed super-root (give the count the database was created with)")
 var auditInterval = flag.Duration("audit-interval", time.Second, "always-on auditor cycle interval (audit, serve)")
 var auditSample = flag.Float64("audit-sample", 0, "fraction of cold blocks the auditor re-checks per cycle, 0..1 (audit, serve)")
 var checkpointEvery = flag.Duration("checkpoint-every", 0, "take a non-quiescing checkpoint on this interval while serving, bounding restart replay time (serve; 0: off)")
@@ -80,7 +66,7 @@ func main() {
 		return
 	}
 	switch args[0] {
-	case "verify", "verify-super", "audit": // they check a database; Open would create one
+	case "verify", "audit": // they check a database; Open would create one
 		if _, err := os.Stat(*dbDir); err != nil {
 			fatal(fmt.Errorf("%s: no database: %w", args[0], err))
 		}
@@ -88,20 +74,11 @@ func main() {
 	reg := sqlledger.NewMetricsRegistry()
 	reg.Traces().SetSlowThreshold(time.Duration(*slowMS) * time.Millisecond)
 	reg.Traces().SetSampleRate(*traceSample)
-	db, err := sqlledger.Open(sqlledger.Options{Dir: *dbDir, Name: *dbName, Shards: *shards, BlockSize: 1000, Obs: reg})
+	db, err := sqlledger.Open(sqlledger.Options{Dir: *dbDir, Name: *dbName, BlockSize: 1000, Obs: reg})
 	if err != nil {
 		fatal(err)
 	}
 	defer db.Close()
-	defer func() { // per-chain accessors without an error result panic with ErrMultiShard
-		r := recover()
-		if err, ok := r.(error); ok && errors.Is(err, sqlledger.ErrMultiShard) {
-			fatal(err)
-		}
-		if r != nil {
-			panic(r)
-		}
-	}()
 	if *metricsAddr != "" {
 		srv, err := db.StartOpsServer(*metricsAddr)
 		if err != nil {
@@ -152,46 +129,8 @@ func main() {
 		cmdAudit(db, rest)
 	case "serve":
 		cmdServe(db, reg, rest)
-	case "superblock":
-		sb, err := db.CloseSuperBlock()
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(string(sb.JSON()))
-		fmt.Fprintf(os.Stderr, "super-root %s over %d shards, public key %x\n",
-			sb.Root, sb.Shards, db.PublicKey())
-	case "verify-super":
-		cmdVerifySuper(db, rest)
 	default:
 		usage()
-	}
-}
-
-// cmdVerifySuper verifies every shard against a signed super-block: the
-// one in FILE, or the database's latest.
-func cmdVerifySuper(db *sqlledger.DB, args []string) {
-	sb := db.LastSuperBlock()
-	if len(args) == 1 {
-		b, err := os.ReadFile(args[0])
-		if err != nil {
-			fatal(err)
-		}
-		if sb, err = sqlledger.ParseSuperBlock(b); err != nil {
-			fatal(err)
-		}
-	} else if len(args) > 1 {
-		usage()
-	}
-	if sb == nil {
-		fatal(fmt.Errorf("no super-block yet: run `sqlledger superblock` first"))
-	}
-	rep, err := sqlledger.VerifySuperBlock(db, sb, db.PublicKey(), sqlledger.VerifyOptions{})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(rep)
-	if !rep.Ok() {
-		os.Exit(1)
 	}
 }
 
@@ -408,14 +347,7 @@ commands:
                                          /debug/pprof) with the auditor running
                                          (-audit-interval, -audit-sample,
                                          -checkpoint-every for periodic
-                                         non-quiescing checkpoints)
-  superblock                             close + print a signed super-block: the
-                                         digest of every shard's digest (JSON)
-  verify-super [FILE]                    verify every shard against a super-block
-with -shards N the database has N shards: DML routes by primary key, DDL,
-sql, verify, audit, serve and checkpoint cover every shard, and digest,
-receipt, tamper, tables, history, truncate and restore —
-which name one chain — are run on a shard's own directory, DIR/shard-NNN`)
+                                         non-quiescing checkpoints)`)
 	os.Exit(2)
 }
 
@@ -597,20 +529,10 @@ func cmdWrite(db *sqlledger.DB, op string, args []string) {
 		fatal(err)
 	}
 	if len(groups) > 1 {
-		fmt.Printf("%s ok (%d rows, %s)\n", op, len(groups), txRef(db, tx))
+		fmt.Printf("%s ok (%d rows, tx %d)\n", op, len(groups), tx.ID())
 	} else {
-		fmt.Printf("%s ok (%s)\n", op, txRef(db, tx))
+		fmt.Printf("%s ok (tx %d)\n", op, tx.ID())
 	}
-}
-
-// txRef names a committed transaction for the user: by its id — what
-// `receipt` takes — on a one-shard database; a routed transaction has an
-// id on every shard it wrote to and no one name.
-func txRef(db *sqlledger.DB, tx *sqlledger.Tx) string {
-	if db.NumShards() > 1 {
-		return "routed"
-	}
-	return fmt.Sprintf("tx %d", tx.ID())
 }
 
 func cmdDelete(db *sqlledger.DB, args []string) {
@@ -634,7 +556,7 @@ func cmdDelete(db *sqlledger.DB, args []string) {
 	if err := tx.Commit(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("delete ok (%s)\n", txRef(db, tx))
+	fmt.Printf("delete ok (tx %d)\n", tx.ID())
 }
 
 func cmdSelect(db *sqlledger.DB, args []string) {
@@ -682,7 +604,7 @@ func cmdView(db *sqlledger.DB, args []string) {
 		for _, v := range vr.Row {
 			fmt.Printf("%-16s", v.String())
 		}
-		who, ts, _, _ := db.Shard(vr.Shard).TransactionInfo(vr.TxID)
+		who, ts, _, _ := db.TransactionInfo(vr.TxID)
 		fmt.Printf("%-10s %-14d %-20s %s\n", vr.Operation, vr.TxID, who,
 			time.Unix(0, ts).UTC().Format(time.RFC3339))
 	}
@@ -860,9 +782,6 @@ func cmdRestore(db *sqlledger.DB, args []string) {
 	}
 	ts, err := strconv.ParseInt(args[1], 10, 64)
 	if err != nil {
-		fatal(err)
-	}
-	if _, err := db.Single(); err != nil { // a restore rewinds one chain's WAL
 		fatal(err)
 	}
 	db.Close() // restore reads the WAL file directly

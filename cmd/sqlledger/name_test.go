@@ -36,9 +36,9 @@ func cli(t *testing.T, args ...string) (string, bool) {
 }
 
 // TestNameOpensRenamedCopy: a database's name is its directory's base name
-// unless -name sets it, and its digests carry it, so once a super-block has
-// signed one, a copy under another base name opens only when -name gives
-// the original.
+// unless -name sets it, and its digests carry it, so a copy under another
+// base name is another database to a digest of the original, and the same
+// one when -name gives the original name.
 func TestNameOpensRenamedCopy(t *testing.T) {
 	root := t.TempDir()
 	bank := filepath.Join(root, "bank")
@@ -46,11 +46,18 @@ func TestNameOpensRenamedCopy(t *testing.T) {
 		{"create", "accounts", "name:NVARCHAR:key", "balance:BIGINT"},
 		{"insert", "accounts", "nick", "100", ";", "ana", "50"},
 		{"checkpoint"},
-		{"superblock"}, // a signed watermark, which Open checks the chain against
 	} {
 		if out, ok := cli(t, append([]string{"-db", bank}, args...)...); !ok {
 			t.Fatalf("%v: %s", args, out)
 		}
+	}
+	digest, ok := cli(t, "-db", bank, "digest")
+	if !ok {
+		t.Fatalf("digest: %s", digest)
+	}
+	digestFile := filepath.Join(root, "digest.json")
+	if err := os.WriteFile(digestFile, []byte(digest), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	moved := filepath.Join(root, "moved")
 	err := filepath.WalkDir(bank, func(path string, d fs.DirEntry, err error) error {
@@ -71,14 +78,29 @@ func TestNameOpensRenamedCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if out, ok := cli(t, "-db", moved, "select", "accounts"); ok || !strings.Contains(out, `names database "bank"`) {
-		t.Fatalf("the copy opened under its own base name (exit 0: %v): %s", ok, out)
+	if out, ok := cli(t, "-db", moved, "verify", digestFile); ok || !strings.Contains(out, `names database "bank"`) {
+		t.Fatalf("the original's digest verified the copy under its own base name (exit 0: %v): %s", ok, out)
 	}
 	out, ok := cli(t, "-db", moved, "-name", "bank", "select", "accounts")
 	if !ok || !strings.Contains(out, "ana") || !strings.Contains(out, "nick") {
 		t.Fatalf("select on the copy with -name bank (exit 0: %v): %s", ok, out)
 	}
-	if out, ok := cli(t, "-db", moved, "-name", "bank", "verify"); !ok || !strings.Contains(out, "-- OK") {
+	if out, ok := cli(t, "-db", moved, "-name", "bank", "verify", digestFile); !ok || !strings.Contains(out, "-- OK") {
 		t.Fatalf("verify on the copy with -name bank (exit 0: %v): %s", ok, out)
+	}
+}
+
+// TestRefusesMultiShardDirectory: the CLI exits non-zero on a directory
+// holding a multi-shard database, and leaves it as it was.
+func TestRefusesMultiShardDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "bank")
+	if err := os.MkdirAll(filepath.Join(dir, "shard-000"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if out, ok := cli(t, "-db", dir, "select", "accounts"); ok || !strings.Contains(out, "shard-000") {
+		t.Fatalf("select on a multi-shard directory (exit 0: %v): %s", ok, out)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Fatalf("the refused directory holds %d entries (%v), want shard-000 alone", len(ents), err)
 	}
 }

@@ -24,19 +24,15 @@ const ingestBatchRows = 1000
 // experiments use.
 var ingestSchema, ingestRow = workload.IngestSchema, workload.IngestRow
 
-// openIngestDB opens a one-shard ledger database on a logical clock, so
-// runs that ingest the same rows produce byte-identical digests
-// regardless of timing or worker count.
-func openIngestDB(tb testing.TB, dir string) *sqlledger.DB { return openIngestShards(tb, dir, 1) }
-
-// openIngestShards is openIngestDB at any shard count: serial runs that
-// ingest the same rows produce byte-identical super-roots too.
-func openIngestShards(tb testing.TB, dir string, shards int) *sqlledger.DB {
+// openIngestDB opens a ledger database on a logical clock, so runs that
+// ingest the same rows produce byte-identical digests regardless of timing
+// or worker count.
+func openIngestDB(tb testing.TB, dir string) *sqlledger.DB {
 	tb.Helper()
 	var tick atomic.Int64
 	tick.Store(1_700_000_000_000_000_000)
 	db, err := sqlledger.Open(sqlledger.Options{
-		Dir: dir, Name: "ingest", Shards: shards,
+		Dir: dir, Name: "ingest",
 		BlockSize:   sqlledger.DefaultBlockSize,
 		LockTimeout: 5 * time.Second,
 		Clock:       func() int64 { return tick.Add(1) },

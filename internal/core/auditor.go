@@ -8,7 +8,7 @@
 // schedules with three policies:
 //
 //   - A persisted verified-through watermark (audit.json, written
-//     atomically like superblock.json): each cycle walks only the blocks
+//     atomically): each cycle walks only the blocks
 //     closed since the watermark — the chain invariants 1-3 cost O(delta
 //     blocks), not O(history), because a block's transactions are
 //     fetched through the block secondary index.
@@ -93,12 +93,8 @@ type auditWatermark struct {
 }
 
 // AuditStatus is a point-in-time snapshot of an auditor, served at
-// /debug/audit and folded into /healthz. On a multi-shard database it is
-// the fold of the per-shard statuses in Shards: the lowest verified
-// watermark, the tallest chain, the largest lag and the stalest cycle
-// bound what "verified" means for the whole ledger; counters are sums.
+// /debug/audit and folded into /healthz.
 type AuditStatus struct {
-	Shard                int           `json:"shard"` // -1: the whole database
 	Running              bool          `json:"running"`
 	VerifiedThroughBlock int64         `json:"verified_through_block"`
 	ChainHeadBlock       int64         `json:"chain_head_block"`
@@ -111,38 +107,16 @@ type AuditStatus struct {
 	AgeSeconds           float64       `json:"age_seconds"`
 	Ok                   bool          `json:"ok"`
 	LastReport           *TamperReport `json:"last_report,omitempty"`
-	// HeadReport is a failed super-block head pin, if any — tampering
-	// localized to a shard by the signed super-root alone.
-	HeadReport *TamperReport `json:"head_report,omitempty"`
-	// Shards is the per-shard breakdown (multi-shard databases only).
-	Shards []AuditStatus `json:"shards,omitempty"`
 }
 
-// Auditor is the database's background verification subsystem: one chain
-// auditor per shard, each with its own audit.json watermark in its shard's
-// directory, and — before them, every cycle — a pin of each signed head of
-// the latest super-block against its shard's live chain (CheckDigest), so
-// a forked or rolled-back shard is localized by shard even before
-// block-level bisection. Create with NewAuditor, drive explicitly with
-// RunCycle or continuously with Start/Stop. All methods are safe for
-// concurrent use; cycles themselves are serialized.
+// Auditor is the database's background verification subsystem, with its
+// audit.json watermark in the database directory. Create with NewAuditor,
+// drive explicitly with RunCycle or continuously with Start/Stop. All
+// methods are safe for concurrent use; cycles themselves are serialized.
 type Auditor struct {
-	db    *DB
-	opts  AuditorOptions
-	parts []*chainAuditor // index = shard
-
-	mu         sync.Mutex
-	headReport *TamperReport
-
-	loop auditLoop
-}
-
-// chainAuditor audits one shard's chain.
-type chainAuditor struct {
-	l     *Shard
-	opts  AuditorOptions
-	shard int // -1 on a one-shard database
-	path  string
+	db   *DB
+	opts AuditorOptions
+	path string
 
 	// runMu serializes cycles; mu guards the status fields below and is
 	// never held across a scan.
@@ -162,6 +136,8 @@ type chainAuditor struct {
 
 	mVerified *obs.Gauge
 	mLag      *obs.Gauge
+
+	loop auditLoop
 }
 
 // auditLoop is a background ticker driving audit cycles. Non-nil channels
@@ -222,16 +198,23 @@ func (lp *auditLoop) running() bool {
 // drive it manually.
 func (db *DB) NewAuditor(opts AuditorOptions) (*Auditor, error) {
 	opts = opts.withDefaults()
-	parts, err := fanOut(db, false, func(i int, l *Shard) (*chainAuditor, error) {
-		if len(db.shards) == 1 {
-			i = -1
-		}
-		return l.newChainAuditor(opts, i)
-	})
-	if err != nil {
+	a := &Auditor{
+		db:   db,
+		opts: opts,
+		path: filepath.Join(db.opts.Dir, auditFile),
+		wm: auditWatermark{
+			DatabaseName:    db.opts.Name,
+			Incarnation:     db.Incarnation(),
+			VerifiedThrough: -1,
+		},
+		rng:       opts.SampleSeed,
+		mVerified: db.obs.Gauge(obs.VerifiedThroughBlock),
+		mLag:      db.obs.Gauge(obs.AuditLagSeconds),
+	}
+	if err := a.loadWatermark(); err != nil {
 		return nil, err
 	}
-	a := &Auditor{db: db, opts: opts, parts: parts}
+	a.mVerified.Set(float64(a.wm.VerifiedThrough))
 	db.auditor.Store(a)
 	return a, nil
 }
@@ -239,39 +222,11 @@ func (db *DB) NewAuditor(opts AuditorOptions) (*Auditor, error) {
 // Auditor returns the registered auditor, or nil.
 func (db *DB) Auditor() *Auditor { return db.auditor.Load() }
 
-func (l *Shard) newChainAuditor(opts AuditorOptions, shard int) (*chainAuditor, error) {
-	a := &chainAuditor{
-		l:     l,
-		opts:  opts,
-		shard: shard,
-		path:  filepath.Join(l.opts.Dir, auditFile),
-		wm: auditWatermark{
-			DatabaseName:    l.opts.Name,
-			Incarnation:     l.Incarnation(),
-			VerifiedThrough: -1,
-		},
-		rng: opts.SampleSeed,
-	}
-	var lbl []obs.Label
-	if shard >= 0 {
-		lbl = append(lbl, obs.L("shard", fmt.Sprintf("%03d", shard)))
-	}
-	reg := l.obs
-	a.mVerified = reg.Gauge(obs.VerifiedThroughBlock, lbl...)
-	a.mLag = reg.Gauge(obs.AuditLagSeconds, lbl...)
-
-	if err := a.loadWatermark(); err != nil {
-		return nil, err
-	}
-	a.mVerified.Set(float64(a.wm.VerifiedThrough))
-	return a, nil
-}
-
 // loadWatermark reads audit.json. Corrupt or mismatched files are
 // discarded (with a warning event), not trusted and not fatal: the
 // re-anchor check protects against a *tampered* watermark anyway, and a
 // fresh auditor simply re-verifies from the chain start.
-func (a *chainAuditor) loadWatermark() error {
+func (a *Auditor) loadWatermark() error {
 	b, err := os.ReadFile(a.path)
 	if os.IsNotExist(err) {
 		return nil
@@ -281,11 +236,11 @@ func (a *chainAuditor) loadWatermark() error {
 	}
 	var wm auditWatermark
 	if jerr := json.Unmarshal(b, &wm); jerr != nil {
-		a.l.obs.Events().Warn(obs.EventAuditPassStart,
+		a.db.obs.Events().Warn(obs.EventAuditPassStart,
 			"discarded_watermark", a.path, "reason", jerr.Error())
 		return nil
 	}
-	if wm.DatabaseName != a.l.opts.Name || wm.Incarnation != a.l.Incarnation() {
+	if wm.DatabaseName != a.db.opts.Name || wm.Incarnation != a.db.Incarnation() {
 		// Another database, or a restore started a new incarnation:
 		// everything must be re-verified under the new chain.
 		return nil
@@ -298,7 +253,7 @@ func (a *chainAuditor) loadWatermark() error {
 }
 
 // saveWatermark persists the watermark atomically.
-func (a *chainAuditor) saveWatermark() error {
+func (a *Auditor) saveWatermark() error {
 	b, err := json.MarshalIndent(a.wm, "", "  ")
 	if err != nil {
 		return err
@@ -308,49 +263,13 @@ func (a *chainAuditor) saveWatermark() error {
 
 // Status snapshots the auditor and refreshes the lag gauges.
 func (a *Auditor) Status() AuditStatus {
-	a.mu.Lock()
-	head := a.headReport
-	a.mu.Unlock()
-	running := a.loop.running()
-	parts := make([]AuditStatus, len(a.parts))
-	for i, p := range a.parts {
-		parts[i] = p.status()
-		parts[i].Running = running
-	}
-	total := AuditStatus{Shard: -1, Ok: true, VerifiedThroughBlock: -1, ChainHeadBlock: -1}
-	st := fold(total, parts, func(t *AuditStatus) *[]AuditStatus { return &t.Shards },
-		func(t *AuditStatus, i int, ss AuditStatus) {
-			if i == 0 || ss.VerifiedThroughBlock < t.VerifiedThroughBlock {
-				t.VerifiedThroughBlock = ss.VerifiedThroughBlock
-			}
-			t.ChainHeadBlock = max(t.ChainHeadBlock, ss.ChainHeadBlock)
-			t.LagBlocks = max(t.LagBlocks, ss.LagBlocks)
-			t.AgeSeconds = max(t.AgeSeconds, ss.AgeSeconds)
-			t.LastCycleAt = max(t.LastCycleAt, ss.LastCycleAt)
-			t.LastCycleSeconds = max(t.LastCycleSeconds, ss.LastCycleSeconds)
-			t.Cycles += ss.Cycles
-			t.BlocksCheckedInc += ss.BlocksCheckedInc
-			t.BlocksCheckedSampled += ss.BlocksCheckedSampled
-			t.Ok = t.Ok && ss.Ok
-			if t.LastReport == nil {
-				t.LastReport = ss.LastReport
-			}
-		})
-	st.Running = running
-	if head != nil {
-		st.HeadReport, st.LastReport, st.Ok = head, head, false
-	}
-	return st
-}
-
-func (a *chainAuditor) status() AuditStatus {
-	a.l.closeMu.Lock()
-	head := a.l.closedThrough
-	a.l.closeMu.Unlock()
+	a.db.closeMu.Lock()
+	head := a.db.closedThrough
+	a.db.closeMu.Unlock()
 
 	a.mu.Lock()
 	st := AuditStatus{
-		Shard:                a.shard,
+		Running:              a.loop.running(),
 		VerifiedThroughBlock: a.wm.VerifiedThrough,
 		ChainHeadBlock:       head,
 		LagBlocks:            head - a.wm.VerifiedThrough,
@@ -383,59 +302,36 @@ func (a *Auditor) Start() {
 // (idempotent; RunCycle stays usable).
 func (a *Auditor) Stop() { a.loop.stop() }
 
-// RunCycle executes one audit cycle synchronously — the super-block head
-// pins, then every shard's chain cycle — and returns the status after it.
+// RunCycle executes one audit cycle synchronously and returns the status
+// after it.
 func (a *Auditor) RunCycle() AuditStatus {
-	if sb := a.db.LastSuperBlock(); sb != nil {
-		a.db.checkHeads(sb, func(h ShardHead, err error) error {
-			rep := &TamperReport{
-				Shard:      h.Shard,
-				Invariant:  1, // a signed digest no longer matches its block
-				Block:      int64(h.Digest.BlockID),
-				Mode:       "superblock",
-				Detail:     fmt.Sprintf("signed super-block %d head check failed: %v", sb.SeqNo, err),
-				DetectedAt: time.Now().UnixNano(),
-			}
-			a.mu.Lock()
-			changed := !rep.sameSite(a.headReport)
-			a.headReport = rep
-			a.mu.Unlock()
-			if changed {
-				a.db.obs.Events().Error(obs.EventTamperLocalized,
-					"mode", rep.Mode, "shard", rep.Shard, "block", rep.Block, "detail", rep.Detail)
-			}
-			return nil
-		})
-	}
-	for _, p := range a.parts {
-		p.runCycle()
-	}
+	a.runCycle()
 	return a.Status()
 }
 
 // xorshift64star advances the deterministic sampling stream.
-func (a *chainAuditor) rand01() float64 {
+func (a *Auditor) rand01() float64 {
 	a.rng ^= a.rng << 13
 	a.rng ^= a.rng >> 7
 	a.rng ^= a.rng << 17
 	return float64(a.rng>>11) / float64(uint64(1)<<53)
 }
 
-// runCycle executes one cycle on the shard's chain: re-anchor the
+// runCycle executes one cycle: re-anchor the
 // watermark, incrementally verify blocks closed since it, then (if
 // configured) run a sampling sweep over cold history.
-func (a *chainAuditor) runCycle() {
+func (a *Auditor) runCycle() {
 	a.runMu.Lock()
 	defer a.runMu.Unlock()
 	start := time.Now()
 
-	l := a.l
-	tr := l.obs.NewTrace("audit_cycle")
-	trunc, truncErr := l.truncationInfo()
+	db := a.db
+	tr := db.obs.NewTrace("audit_cycle")
+	trunc, truncErr := db.truncationInfo()
 	truncatedBefore, truncatedMaxTx := trunc.before, trunc.maxTx
-	l.closeMu.Lock()
-	target := l.closedThrough
-	l.closeMu.Unlock()
+	db.closeMu.Lock()
+	target := db.closedThrough
+	db.closeMu.Unlock()
 
 	a.mu.Lock()
 	wmBefore := a.wm.VerifiedThrough
@@ -468,7 +364,7 @@ func (a *chainAuditor) runCycle() {
 			a.wm.UpdatedAt = time.Now().UnixNano()
 			a.mu.Unlock()
 			if err := a.saveWatermark(); err != nil {
-				l.obs.Events().Warn(obs.EventAuditPassFinish, "watermark_save_error", err.Error())
+				db.obs.Events().Warn(obs.EventAuditPassFinish, "watermark_save_error", err.Error())
 			}
 			a.mVerified.Set(float64(verified))
 		}
@@ -505,7 +401,7 @@ func (a *chainAuditor) runCycle() {
 		tr.SetAttr("sampled_blocks", strconv.FormatInt(sampChecked, 10))
 		tr.SetAttr("ok", strconv.FormatBool(report == nil))
 		tr.Finish(nil)
-		ev := l.obs.Events()
+		ev := db.obs.Events()
 		ev.Info(obs.EventAuditPassStart,
 			"watermark", wmBefore, "target", target, "sample_fraction", a.opts.SampleFraction)
 		ev.Info(obs.EventAuditPassFinish,
@@ -514,8 +410,8 @@ func (a *chainAuditor) runCycle() {
 			"duration_seconds", dur.Seconds())
 	}
 	if report != nil && !report.sameSite(prevReport) {
-		l.obs.Events().Error(obs.EventTamperLocalized,
-			"mode", report.Mode, "shard", report.Shard, "invariant", report.Invariant,
+		db.obs.Events().Error(obs.EventTamperLocalized,
+			"mode", report.Mode, "invariant", report.Invariant,
 			"block", report.Block, "tx", report.TxID, "table", report.Table, "key", report.Key,
 			"detail", report.Detail)
 	}
@@ -536,7 +432,7 @@ func first(dst **finding) emitFn {
 // hash as the link anchor for the incremental pass (nil when there is
 // none), and a TamperReport when history below the watermark no longer
 // matches.
-func (a *chainAuditor) reanchor(truncatedBefore uint64) (int64, *merkle.Hash, *TamperReport) {
+func (a *Auditor) reanchor(truncatedBefore uint64) (int64, *merkle.Hash, *TamperReport) {
 	a.mu.Lock()
 	wm := a.wm
 	a.mu.Unlock()
@@ -561,7 +457,7 @@ func (a *chainAuditor) reanchor(truncatedBefore uint64) (int64, *merkle.Hash, *T
 		// trusting it.
 		return reset(-1)
 	}
-	_, got, ok := a.l.closedBlock(wm.VerifiedThrough)
+	_, got, ok := a.db.closedBlock(wm.VerifiedThrough)
 	if ok && got == want {
 		return wm.VerifiedThrough, &got, nil
 	}
@@ -581,11 +477,11 @@ func (a *chainAuditor) reanchor(truncatedBefore uint64) (int64, *merkle.Hash, *T
 // blockEntries is the chain check of blocks [from, to], their entries
 // fetched through the block index: O(their transactions), whatever the
 // depth of history.
-func (a *chainAuditor) blockEntries(from, to, truncatedBefore uint64) chainCheck {
+func (a *Auditor) blockEntries(from, to, truncatedBefore uint64) chainCheck {
 	c := chainCheck{blocks: &BlockRange{From: from, To: to}, truncatedBefore: truncatedBefore,
 		entries: make(map[uint64][]*wal.LedgerEntry), unreadable: make(map[uint64]error)}
 	for b := from; b <= to; b++ {
-		es, err := a.l.entries.ofBlock(b)
+		es, err := a.db.entries.ofBlock(b)
 		if len(es) > 0 {
 			c.entries[b] = es
 		}
@@ -601,9 +497,9 @@ func (a *chainAuditor) blockEntries(from, to, truncatedBefore uint64) chainCheck
 // the recorded root itself was — is bisected at row level so the report
 // names the damaged transaction, and row when it can be pinned, rather
 // than just the block.
-func (a *chainAuditor) walk(mode string, c chainCheck) (chainResult, *TamperReport) {
+func (a *Auditor) walk(mode string, c chainCheck) (chainResult, *TamperReport) {
 	var found *finding
-	res := a.l.checkChain(c, first(&found))
+	res := a.db.checkChain(c, first(&found))
 	if found == nil {
 		return res, nil
 	}
@@ -620,10 +516,10 @@ func (a *chainAuditor) walk(mode string, c chainCheck) (chainResult, *TamperRepo
 // transactions — keeping clustered keys so a single-row transaction's
 // finding names its row. It pins a fresh snapshot, so the check cannot be
 // confused by concurrent writers.
-func (a *chainAuditor) localize(mode string, entries []*wal.LedgerEntry) *TamperReport {
-	rtx := a.l.edb.BeginReadOnly()
+func (a *Auditor) localize(mode string, entries []*wal.LedgerEntry) *TamperReport {
+	rtx := a.db.edb.BeginReadOnly()
 	defer rtx.Close()
-	trunc, _ := a.l.truncationInfo() // a row that does not decode is the cycle's report
+	trunc, _ := a.db.truncationInfo() // a row that does not decode is the cycle's report
 	if f := a.rowFinding(rowCheck{rtx: rtx, entries: entries, truncatedBefore: trunc.before, keys: true}, nil); f != nil {
 		return a.report(mode, *f)
 	}
@@ -636,7 +532,7 @@ func (a *chainAuditor) localize(mode string, entries []*wal.LedgerEntry) *Tamper
 // background process. Given the recorded transaction ids, every ledger
 // table is scanned and a row of any other transaction is a finding;
 // without them, only the tables the entries touched are scanned.
-func (a *chainAuditor) rowFinding(c rowCheck, recorded []uint64) *finding {
+func (a *Auditor) rowFinding(c rowCheck, recorded []uint64) *finding {
 	ids, other := recorded, txUnknown
 	touched := make(map[uint32]bool)
 	for _, e := range c.entries {
@@ -650,12 +546,12 @@ func (a *chainAuditor) rowFinding(c rowCheck, recorded []uint64) *finding {
 	c.slots = newTxSlots(ids, other)
 	c.wantEntries(c.entries)
 	c.parallelism, c.pool = 1, newWorkerPool(1)
-	for _, lt := range a.l.LedgerTables() {
+	for _, lt := range a.db.LedgerTables() {
 		if recorded == nil && !touched[lt.ID()] {
 			continue
 		}
 		var found *finding
-		if a.l.checkRowVersions(lt, c, first(&found)); found != nil {
+		if a.db.checkRowVersions(lt, c, first(&found)); found != nil {
 			return found
 		}
 	}
@@ -670,13 +566,13 @@ func (a *chainAuditor) rowFinding(c rowCheck, recorded []uint64) *finding {
 // rows belonging to sampled transactions, so the dominant cost is
 // proportional to the sample. The index and view checks rotate through
 // the ledger tables round-robin.
-func (a *chainAuditor) sampledPass(wm int64, truncatedBefore, truncatedMaxTx uint64) (int64, *TamperReport) {
-	l := a.l
+func (a *Auditor) sampledPass(wm int64, truncatedBefore, truncatedMaxTx uint64) (int64, *TamperReport) {
+	db := a.db
 
 	// Pin a snapshot: every row version visible at ts is exactly the set
 	// a quiescent verification would see for transactions committed at
 	// or before ts, so sampling stays consistent under live writers.
-	rtx := l.edb.BeginReadOnly()
+	rtx := db.edb.BeginReadOnly()
 	defer rtx.Close()
 
 	// Pick the sample. fraction >= 1 short-circuits the RNG so "check
@@ -690,7 +586,7 @@ sample:
 		if a.opts.SampleFraction < 1 && a.rand01() >= a.opts.SampleFraction {
 			continue
 		}
-		es, err := l.entries.ofBlock(b)
+		es, err := db.entries.ofBlock(b)
 		for _, e := range es {
 			if e.CommitTS > rtx.TS() {
 				// A block this young still has writes ahead of the
@@ -725,7 +621,7 @@ sample:
 	// sampled transactions' rows and flagging any unrecorded one.
 	if len(entries) > 0 {
 		sort.Slice(entries, func(i, j int) bool { return entries[i].TxID < entries[j].TxID })
-		byTx, _, _ := l.entries.all()
+		byTx, _, _ := db.entries.all()
 		recorded := make([]uint64, 0, len(byTx))
 		for tx := range byTx {
 			recorded = append(recorded, tx)
@@ -756,8 +652,8 @@ sample:
 // tables) tables per cycle. Index trees are not versioned, so a mismatch
 // under live writers is re-checked until the same divergence shows up
 // twice before it becomes a report.
-func (a *chainAuditor) tableSweep() *TamperReport {
-	tables := a.l.LedgerTables()
+func (a *Auditor) tableSweep() *TamperReport {
+	tables := a.db.LedgerTables()
 	n := min(int(math.Ceil(a.opts.SampleFraction*float64(len(tables)))), len(tables))
 	if n <= 0 {
 		return nil
@@ -774,7 +670,7 @@ func (a *chainAuditor) tableSweep() *TamperReport {
 		// from a scan racing a concurrent writer.
 		for attempt := 0; attempt < 3; attempt++ {
 			var found *finding
-			a.l.checkIndexes(lt, 1, pool, nil, 0, first(&found))
+			a.db.checkIndexes(lt, 1, pool, nil, 0, first(&found))
 			if found == nil {
 				rep = nil
 				break
@@ -789,7 +685,7 @@ func (a *chainAuditor) tableSweep() *TamperReport {
 			return rep
 		}
 		var found *finding
-		a.l.checkView(lt, first(&found))
+		a.db.checkView(lt, first(&found))
 		if found != nil {
 			return a.report("sampled", *found)
 		}

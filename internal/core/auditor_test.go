@@ -130,7 +130,7 @@ func TestAuditorWatermarkNotTrusted(t *testing.T) {
 
 	// Rewrite the watermark block's recorded transaction root.
 	key := sqltypes.EncodeKey(nil, sqltypes.NewBigInt(wm))
-	err := l.Engine().TamperUpdateRow(l.shards[0].sysBlocks, key, func(r sqltypes.Row) sqltypes.Row {
+	err := l.Engine().TamperUpdateRow(l.sysBlocks, key, func(r sqltypes.Row) sqltypes.Row {
 		b := append([]byte(nil), r[2].Bytes...)
 		b[0] ^= 0xFF
 		r[2] = sqltypes.NewBinary(b)
@@ -156,7 +156,7 @@ func TestAuditorDiscardsForeignWatermark(t *testing.T) {
 	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
 	seedAccounts(t, l, lt, 4)
 
-	wm := auditWatermark{DatabaseName: "test", Incarnation: l.shards[0].Incarnation() + 1, VerifiedThrough: 99}
+	wm := auditWatermark{DatabaseName: "test", Incarnation: l.Incarnation() + 1, VerifiedThrough: 99}
 	b, _ := json.Marshal(wm)
 	if err := os.WriteFile(filepath.Join(dir, auditFile), b, 0o644); err != nil {
 		t.Fatal(err)
@@ -251,41 +251,6 @@ func TestAuditorStopsOnClose(t *testing.T) {
 	}
 }
 
-// TestMultiShardAuditorStopsOnClose is the same contract for the sharded
-// loop, which used to outlive ShardedDB.Close.
-func TestMultiShardAuditorStopsOnClose(t *testing.T) {
-	s := openShards(t, t.TempDir(), 2)
-	st, err := s.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadAccounts(t, s, st, 20)
-	sa, err := s.NewAuditor(AuditorOptions{Interval: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sa.Start()
-	waitForCycles(t, func() int64 { return sa.Status().Shards[0].Cycles })
-	if !sa.Status().Shards[0].Running {
-		t.Fatal("started sharded auditor does not report Running")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	closed := sa.Status()
-	for i, ss := range closed.Shards {
-		if ss.Running {
-			t.Fatalf("shard %d auditor still running after Close", i)
-		}
-	}
-	time.Sleep(20 * time.Millisecond)
-	for i, ss := range sa.Status().Shards {
-		if ss.Cycles != closed.Shards[i].Cycles {
-			t.Fatalf("shard %d ran %d cycles after Close", i, ss.Cycles-closed.Shards[i].Cycles)
-		}
-	}
-}
-
 // waitForCycles blocks until a started audit loop has completed a cycle.
 func waitForCycles(t *testing.T, cycles func() int64) {
 	t.Helper()
@@ -295,66 +260,6 @@ func waitForCycles(t *testing.T, cycles func() int64) {
 			t.Fatal("audit loop never completed a cycle")
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestMultiShardAuditorLocalizesShard tampers one shard's chain head and
-// asserts the sharded auditor names that shard — via the signed
-// super-block head pins, before any block-level bisection.
-func TestMultiShardAuditorLocalizesShard(t *testing.T) {
-	s := openShards(t, t.TempDir(), 3)
-	defer s.Close()
-	st, err := s.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadAccounts(t, s, st, 120)
-	if _, err := s.CloseSuperBlock(); err != nil {
-		t.Fatal(err)
-	}
-	sa, err := s.NewAuditor(AuditorOptions{SampleFraction: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sa.RunCycle(); !got.Ok {
-		t.Fatalf("clean sharded ledger failed audit: %+v", got)
-	}
-
-	// Rewrite shard 1's head block root: the super-block pin breaks.
-	shard := s.Shard(1)
-	head := shard.DebugInfo().ChainHeight - 1
-	key := sqltypes.EncodeKey(nil, sqltypes.NewBigInt(head))
-	err = shard.Engine().TamperUpdateRow(shard.sysBlocks, key, func(r sqltypes.Row) sqltypes.Row {
-		b := append([]byte(nil), r[2].Bytes...)
-		b[0] ^= 0xFF
-		r[2] = sqltypes.NewBinary(b)
-		return r
-	}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := sa.RunCycle()
-	if got.Ok {
-		t.Fatal("sharded auditor missed the tampered shard head")
-	}
-	var rep *TamperReport
-	if got.HeadReport != nil {
-		rep = got.HeadReport
-	} else {
-		for _, ss := range got.Shards {
-			if ss.LastReport != nil {
-				rep = ss.LastReport
-				break
-			}
-		}
-	}
-	if rep == nil || rep.Shard != 1 {
-		t.Fatalf("localized %v, want shard 1", rep)
-	}
-	for i, ss := range got.Shards {
-		if i != 1 && ss.LastReport != nil {
-			t.Fatalf("clean shard %d reported: %v", i, ss.LastReport)
-		}
 	}
 }
 
@@ -452,14 +357,14 @@ func TestVerifyBlockRangeScopesIssues(t *testing.T) {
 
 	// Tamper a transaction entry in block 1.
 	var victim []byte
-	l.shards[0].entries.table.Scan(func(k []byte, r sqltypes.Row) bool {
+	l.entries.table.Scan(func(k []byte, r sqltypes.Row) bool {
 		if r[1].Int() == 1 {
 			victim = append([]byte(nil), k...)
 			return false
 		}
 		return true
 	})
-	err := l.Engine().TamperUpdateRow(l.shards[0].entries.table, victim, func(r sqltypes.Row) sqltypes.Row {
+	err := l.Engine().TamperUpdateRow(l.entries.table, victim, func(r sqltypes.Row) sqltypes.Row {
 		r[4] = sqltypes.NewNVarChar("mallory")
 		return r
 	}, true)
@@ -558,44 +463,5 @@ func TestAuditOpsSurface(t *testing.T) {
 	}
 	if st.Ok || st.LastReport == nil || st.LastReport.Table != "accounts" || st.LastReport.Key == "" {
 		t.Fatalf("/debug/audit did not name the damaged row: %+v", st.LastReport)
-	}
-}
-
-// TestMultiShardOpsSurface checks satellite wiring: the sharded
-// /debug/ledger and /healthz expose super-block seq/age.
-func TestMultiShardOpsSurface(t *testing.T) {
-	s := openShards(t, t.TempDir(), 2)
-	defer s.Close()
-	st, err := s.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadAccounts(t, s, st, 60)
-	sb, err := s.CloseSuperBlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	d := s.DebugInfo()
-	if d.SuperBlock == nil || d.SuperBlock.SeqNo != sb.SeqNo {
-		t.Fatalf("debug super-block = %+v, want seq %d", d.SuperBlock, sb.SeqNo)
-	}
-	if len(d.Shards) != 2 {
-		t.Fatalf("shards = %d", len(d.Shards))
-	}
-
-	hc := s.NewHealthChecker(HealthThresholds{MaxSuperBlockAge: time.Hour})
-	h := hc.Check()
-	if h.SuperBlock.SeqNo != sb.SeqNo || len(h.Shards) != 2 {
-		t.Fatalf("sharded health %+v", h)
-	}
-	if h.Status != HealthHealthy {
-		t.Fatalf("status %s: %v", h.Status, h.Reasons)
-	}
-
-	// No super-block within the age bound → degraded.
-	hcTight := s.NewHealthChecker(HealthThresholds{MaxSuperBlockAge: time.Nanosecond})
-	if got := hcTight.Check(); got.Status != HealthDegraded {
-		t.Fatalf("stale super-block status = %s", got.Status)
 	}
 }

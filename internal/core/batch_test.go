@@ -108,12 +108,12 @@ func ingestScenario(t *testing.T, l *DB, batch bool) (*LedgerTable, *LedgerTable
 
 func collectEntries(t *testing.T, l *DB) []*wal.LedgerEntry {
 	t.Helper()
-	l.shards[0].closeMu.Lock()
-	latest := l.shards[0].closedThrough
-	l.shards[0].closeMu.Unlock()
+	l.closeMu.Lock()
+	latest := l.closedThrough
+	l.closeMu.Unlock()
 	var out []*wal.LedgerEntry
 	for b := int64(0); b <= latest; b++ {
-		es, err := l.shards[0].entries.ofBlock(uint64(b))
+		es, err := l.entries.ofBlock(uint64(b))
 		if err != nil {
 			t.Fatal(err)
 		}

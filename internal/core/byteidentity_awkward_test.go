@@ -25,9 +25,6 @@ const (
 	pinAwkwardSnapSHA    = "19dd0ec91b4dbfde99becaca63721042b65b65a5ffd4bce4092fc9ae7ce1ac5d"
 	pinAwkwardDigestSHA  = "8428b2f79657882f246a3fb641bf519ff7176ad1086ff103c5a5d0877440de61"
 	pinAwkwardStoredSHA  = "13db777fc5d75a32aa171d0375d2985bb473052da1016dc78cfd926208276ef5"
-	pinTwoShardWAL0SHA   = "676c2ddae3731f25696b01d5f631d02414aa6eb7f7b8dac60132425d986c914b"
-	pinTwoShardWAL1SHA   = "df02bd104683061310fc9cc44f26c0b91369250c7a1ad45d2b77b9812d4794d2"
-	pinTwoShardRoot      = "0a9ae2bc33e9355293f7025cdce072526e7cb52ebcd9ba36f4f24f60c129dcca"
 	pinTruncateWALSHA    = "d566e28c2f01dcc4514f613fa6dcbcf8e1596a0e94b712032a23429683f989df"
 	pinTruncateStoredSHA = "0166da5a16d732d5d51cea66c7d4cbcebd7e106bf3ded27cd3663778e12e1369"
 )
@@ -159,57 +156,6 @@ func TestByteIdentityAwkwardCases(t *testing.T) {
 		{"snapshots", snapshotsSHA(t, dir), pinAwkwardSnapSHA},
 		{"digest", sum(digest.JSON()), pinAwkwardDigestSHA},
 		{"stored rows", storedSHA(items), pinAwkwardStoredSHA},
-	})
-}
-
-// TestByteIdentityTwoPhaseUpdate runs updates and a delete through 2PC
-// participants — the before-images found by each shard's own transaction,
-// one of them stored before an ADD COLUMN — and pins each shard's log and
-// the super-root.
-func TestByteIdentityTwoPhaseUpdate(t *testing.T) {
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, Name: "identity2", Shards: 2, BlockSize: 1000, Clock: logicalClock()})
-	must(err)
-	defer s.Close()
-	st, err := s.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
-	must(err)
-	name := func(i int) string { return acctNo(i).Str }
-	tx := s.Begin("loader")
-	for i := 0; i < 12; i++ {
-		must(tx.Insert(st, acct(name(i), int64(i))))
-	}
-	must(tx.Commit())
-	must(s.AddColumn(st, sqltypes.NullableCol("memo", sqltypes.TypeNVarChar)))
-	a, b := 0, 1
-	for st.ShardOf(acctNo(b)) == st.ShardOf(acctNo(a)) {
-		b++
-	}
-	c := b + 1
-	for st.ShardOf(acctNo(c)) != st.ShardOf(acctNo(a)) {
-		c++
-	}
-	memo := func(r sqltypes.Row, m string) sqltypes.Row { return append(r, sqltypes.NewNVarChar(m)) }
-	tx = s.Begin("bob")
-	must(tx.Update(st, memo(acct(name(a), 1000), "debit")))
-	must(tx.Update(st, memo(acct(name(b), 2000), "credit")))
-	must(tx.Update(st, memo(acct(name(a), 900), "fee"))) // the participant's own update as before-image
-	must(tx.Delete(st, acctNo(c)))
-	must(tx.Commit())
-	sb, err := s.CloseSuperBlock()
-	must(err)
-
-	wal0, _ := walFramesSHA(t, filepath.Join(dir, "shard-000", "wal.log"), false)
-	wal1, _ := walFramesSHA(t, filepath.Join(dir, "shard-001", "wal.log"), false)
-	checkPins(t, []struct{ what, got, want string }{
-		{"shard 0 WAL", wal0, pinTwoShardWAL0SHA},
-		{"shard 1 WAL", wal1, pinTwoShardWAL1SHA},
-		{"2-shard super-root", sb.Root, pinTwoShardRoot},
 	})
 }
 

@@ -5,7 +5,6 @@ import (
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -34,99 +33,6 @@ const (
 	pinDigestSHA  = "5a198afbd03a988f157ea15f6247e160b80e7b04fa5fa5c1e24b196705b880c2"
 	pinReceiptSHA = "7ea7f79e2e1e5c2ad10564394b075a50ee801816f80b5d081d825d21e7ddefa6"
 )
-
-// Pinned at commit d890989, the last one with a second database type: the
-// SHA-256 of each shard's head digest and the super-root that its
-// OpenSharded(Shards: 4) produced for fourShardHistory. Captured by running
-// that function there (Open spelled OpenSharded, nothing else changed) in a
-// clone of the commit.
-var (
-	pinShardDigestSHAs = [4]string{
-		"85ad7689ebe71e504294786729f19cae60844ea09fc182cf172bdf61ad0e6900",
-		"b87f15f050fb04f3593317fdeffa678753e8ad603db9d7951801de2e09466b35",
-		"e988f8de4ca511aca0db97dfe47c7f38f84f69cdd8103e27fcffd12cbdd8fc7d",
-		"567b8a455d9345981b28ce7757d29e08e3932335c858d37622fe542a224a6b16",
-	}
-	pinSuperRoot = "86418a5a0fac9196b1f38dca81c83a9ab000f5956555241d1dcbe1c522aafa2a"
-)
-
-// fourShardHistory drives a 4-shard database under a logical clock through
-// single-shard transactions, cross-shard ones (row by row, batched, an
-// update and delete pair, a rollback), a checkpoint and more of both, and
-// closes a super-block over it.
-func fourShardHistory(t *testing.T) *SuperBlock {
-	var tick atomic.Int64
-	tick.Store(1_700_000_000_000_000_000)
-	s, err := Open(Options{
-		Dir: t.TempDir(), Name: "identity4", Shards: 4, BlockSize: 1000,
-		Clock: func() int64 { return tick.Add(1) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := s.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
-	must(err)
-	name := func(i int) string { return fmt.Sprintf("acct-%04d", i) }
-	key := func(i int) sqltypes.Value { return sqltypes.NewNVarChar(name(i)) }
-
-	// Single-shard transactions: one row each.
-	for i := 0; i < 3; i++ {
-		tx := s.Begin("alice")
-		must(tx.Insert(st, acct(name(i), int64(i))))
-		must(tx.Commit())
-	}
-	// Cross-shard: 40 rows, one at a time, then a routed batch.
-	tx := s.Begin("loader")
-	for i := 3; i < 43; i++ {
-		must(tx.Insert(st, acct(name(i), int64(i))))
-	}
-	must(tx.Commit())
-	batch := make([]sqltypes.Row, 60)
-	for i := range batch {
-		batch[i] = acct(name(100+i), int64(100+i))
-	}
-	tx = s.Begin("loader")
-	must(tx.InsertBatch(st, batch))
-	must(tx.Commit())
-	// Cross-shard update + delete: two keys on different shards.
-	a, b := 0, 1
-	for st.ShardOf(key(b)) == st.ShardOf(key(a)) {
-		b++
-	}
-	tx = s.Begin("bob")
-	must(tx.Update(st, acct(name(a), 1000)))
-	must(tx.Update(st, acct(name(b), 2000)))
-	must(tx.Delete(st, key(120)))
-	must(tx.Commit())
-	// A rolled-back cross-shard transaction leaves no trace.
-	tx = s.Begin("mallory")
-	must(tx.Update(st, acct(name(a), 1)))
-	must(tx.Update(st, acct(name(b), 2)))
-	must(tx.Rollback())
-
-	must(s.Checkpoint())
-
-	// After the checkpoint: one single-shard and one cross-shard transaction.
-	tx = s.Begin("carol")
-	must(tx.Update(st, acct(name(7), 7000)))
-	must(tx.Commit())
-	tx = s.Begin("carol")
-	for i := 200; i < 210; i++ {
-		must(tx.Insert(st, acct(name(i), int64(i))))
-	}
-	must(tx.Commit())
-
-	sb, err := s.CloseSuperBlock()
-	must(err)
-	return sb
-}
 
 func wideSchema() *sqltypes.Schema {
 	return sqltypes.MustSchema([]sqltypes.Column{
@@ -355,17 +261,11 @@ func TestByteIdentityWithParent(t *testing.T) {
 	verifyOK(t, l, []Digest{digest})
 
 	sum := func(b []byte) string { s := sha256.Sum256(b); return hex.EncodeToString(s[:]) }
-	sb := fourShardHistory(t)
 	for _, c := range []struct{ what, got, want string }{
 		{"WAL", walSHAWithoutCheckpoints(t, filepath.Join(crash, "wal.log")), pinWALSHA},
 		{"snapshots", snapshotsSHA(t, crash), pinSnapSHA},
 		{"digest", sum(digest.JSON()), pinDigestSHA},
 		{"read receipt", sum(receipt.JSON()), pinReceiptSHA},
-		{"4-shard digest 0", sum(sb.Heads[0].Digest.JSON()), pinShardDigestSHAs[0]},
-		{"4-shard digest 1", sum(sb.Heads[1].Digest.JSON()), pinShardDigestSHAs[1]},
-		{"4-shard digest 2", sum(sb.Heads[2].Digest.JSON()), pinShardDigestSHAs[2]},
-		{"4-shard digest 3", sum(sb.Heads[3].Digest.JSON()), pinShardDigestSHAs[3]},
-		{"4-shard super-root", sb.Root, pinSuperRoot},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s SHA-256 = %s, pinned %s", c.what, c.got, c.want)

@@ -19,6 +19,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -74,16 +77,8 @@ type Options struct {
 	// generation in place of time.Now. A logical clock makes digests
 	// byte-for-byte reproducible across runs; nil uses the wall clock.
 	Clock func() int64
-	// Shards hash-partitions the ledger by primary key across N shards —
-	// each its own engine, WAL and block chain in a shard-NNN
-	// subdirectory — under one signed super-block root. 0 and 1 mean one
-	// shard living directly in Dir, the layout of databases created before
-	// sharding existed. A database must be reopened with the shard count
-	// it was created with.
-	Shards int
 	// VersionGCInterval overrides the engine's background version-GC
-	// sweep pace (zero: engine default, 250ms). A multi-shard open staggers
-	// it per shard so N engines on one box don't tick in lockstep.
+	// sweep pace (zero: engine default, 250ms).
 	VersionGCInterval time.Duration
 	// RecoveryWorkers sets crash-recovery parallelism: log read-ahead on
 	// or off, and how many tables install replayed rows at once
@@ -111,11 +106,9 @@ const (
 	ColEndSeq   = "ledger_end_sequence_number"
 )
 
-// Shard is one chain of a ledger database: one engine, one WAL, one block
-// chain with its own digests. A DB routes and fans out over its shards;
-// what names a single chain's artifact (a digest, a receipt, a transaction
-// id, the engine) is an operation of the Shard, reached as DB.Shard(i).
-type Shard struct {
+// DB is a database with SQL Ledger enabled: one engine, one WAL and one
+// chain of blocks, with its digests (§3.3).
+type DB struct {
 	opts Options
 	edb  *engine.DB
 
@@ -150,6 +143,10 @@ type Shard struct {
 	lastUpload uploadMark
 	lastVerify verifyMark
 
+	// auditor is the registered always-on Auditor, if any; HealthChecker
+	// and /debug/audit read its status through this pointer.
+	auditor atomic.Pointer[Auditor]
+
 	doneCh   chan struct{}
 	closedDB atomic.Bool
 
@@ -180,29 +177,67 @@ func bindLedgerMetrics(reg *obs.Registry) ledgerMetrics {
 	}
 }
 
-// ledgerHook receives engine callbacks. It exists separately from Shard
-// because recovery runs inside engine.Open, before the Shard is wired.
+// ledgerHook receives engine callbacks. It exists separately from DB
+// because recovery runs inside engine.Open, before the DB is wired.
 type ledgerHook struct {
-	l         *Shard
+	db        *DB
 	recovered []*wal.LedgerEntry
 	frames    []int64 // of recovered
 }
 
 func (h *ledgerHook) OnCommit(txID uint64, commitTS int64, user string, roots []wal.TableRoot) wal.LedgerEntry {
-	return h.l.entries.assign(txID, commitTS, user, roots)
+	return h.db.entries.assign(txID, commitTS, user, roots)
 }
 
-func (h *ledgerHook) Logged(block uint64, ord uint32, lsn int64) { h.l.noteFrame(block, ord, lsn) }
+func (h *ledgerHook) Logged(block uint64, ord uint32, lsn int64) { h.db.noteFrame(block, ord, lsn) }
 
-func (h *ledgerHook) BeforeSnapshot() { h.l.entries.drain() }
+func (h *ledgerHook) BeforeSnapshot() { h.db.entries.drain() }
 
 func (h *ledgerHook) Recovered(entries []*wal.LedgerEntry, frames []int64) {
 	h.recovered, h.frames = entries, frames
 }
 
-// openShard opens (creating if necessary) the shard in opts.Dir, named
-// opts.Name in its digests; Open has filled in the option defaults.
-func openShard(opts Options) (*Shard, error) {
+// multiShardFiles are what a multi-shard database kept in its directory:
+// the first shard's subdirectory and the two-phase commit decision log.
+// Either one marks a layout Open refuses: opening the directory as it is
+// would start a fresh, empty database beside the old data.
+var multiShardFiles = []string{"shard-000", "2pc.log"}
+
+// refuseMultiShard fails, naming the file, when dir holds a multi-shard
+// database. It only looks: nothing is created or written.
+func refuseMultiShard(dir string) error {
+	for _, name := range multiShardFiles {
+		path := filepath.Join(dir, name)
+		_, err := os.Lstat(path)
+		switch {
+		case err == nil:
+			return fmt.Errorf("core: %s belongs to a multi-shard database, a layout this build does not open", path)
+		case !errors.Is(err, fs.ErrNotExist):
+			return err
+		}
+	}
+	return nil
+}
+
+// Open opens (creating if necessary) the ledger database in Options.Dir.
+// A directory in a layout this build no longer opens — a multi-shard
+// database's — is refused before any file is created or written.
+func Open(opts Options) (*DB, error) {
+	if opts.BlockSize == 0 {
+		opts.BlockSize = DefaultBlockSize
+	}
+	if opts.MaxReplicaDelay == 0 {
+		opts.MaxReplicaDelay = 5 * time.Second
+	}
+	if opts.Name == "" {
+		opts.Name = filepath.Base(opts.Dir)
+	}
+	if opts.Obs == nil {
+		opts.Obs = obs.NewRegistry()
+	}
+	if err := refuseMultiShard(opts.Dir); err != nil {
+		return nil, err
+	}
 	h := &ledgerHook{}
 	edb, err := engine.Open(engine.Options{
 		Dir:               opts.Dir,
@@ -217,7 +252,7 @@ func openShard(opts Options) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Shard{
+	db := &DB{
 		opts:          opts,
 		edb:           edb,
 		closedThrough: -1,
@@ -229,8 +264,8 @@ func openShard(opts Options) (*Shard, error) {
 		m:             bindLedgerMetrics(opts.Obs),
 		lastUpload:    uploadMark{block: -1},
 	}
-	h.l = l
-	if err := l.bootstrap(); err != nil {
+	h.db = db
+	if err := db.bootstrap(); err != nil {
 		edb.Close()
 		return nil, err
 	}
@@ -240,58 +275,70 @@ func openShard(opts Options) (*Shard, error) {
 	// bytes that are no row, but at Open there are none: every row came in
 	// through redo, which takes only bytes past sqltypes.CheckRow, or from
 	// EncodeRow, and DecodeRowAlias reads every such row.
-	l.sysBlocks.Scan(func(_ []byte, r sqltypes.Row) bool {
-		if b := r[0].Int(); b > l.closedThrough {
-			l.closedThrough, l.prevHash = b, blockHashOfRow(r)
+	db.sysBlocks.Scan(func(_ []byte, r sqltypes.Row) bool {
+		if b := r[0].Int(); b > db.closedThrough {
+			db.closedThrough, db.prevHash = b, blockHashOfRow(r)
 		}
 		return true
 	})
-	if err := l.entries.restore(h.recovered, l.closedThrough); err != nil {
+	if err := db.entries.restore(h.recovered, db.closedThrough); err != nil {
 		edb.Close()
 		return nil, err
 	}
 	for i, e := range h.recovered {
-		l.noteFrame(e.BlockID, e.Ordinal, h.frames[i])
+		db.noteFrame(e.BlockID, e.Ordinal, h.frames[i])
 	}
 	h.recovered, h.frames = nil, nil
-	go l.blockCloser()
-	return l, nil
+	go db.blockCloser()
+	return db, nil
 }
 
-// close stops the block closer and closes the engine (idempotent).
-func (l *Shard) close() error {
-	if !l.closedDB.CompareAndSwap(false, true) {
+// Close stops background work and closes the engine (idempotent). A
+// started auditor loop is stopped first — waiting for a cycle in flight —
+// so no cycle ever runs against a closed engine.
+func (db *DB) Close() error {
+	if a := db.Auditor(); a != nil {
+		a.Stop()
+	}
+	if !db.closedDB.CompareAndSwap(false, true) {
 		return nil
 	}
-	close(l.doneCh)
-	return l.edb.Close()
+	close(db.doneCh)
+	return db.edb.Close()
 }
 
-// Engine exposes the shard's relational engine (regular tables, indexes,
-// checkpointing, tamper simulation).
-func (l *Shard) Engine() *engine.DB { return l.edb }
+// Engine exposes the underlying relational engine (regular tables,
+// indexes, checkpointing, tamper simulation).
+func (db *DB) Engine() *engine.DB { return db.edb }
 
-// Name returns the name the shard's digests carry: the database's own on
-// a one-shard database, "<database>/shard-NNN" otherwise.
-func (l *Shard) Name() string { return l.opts.Name }
+// Name returns the name the database's digests carry.
+func (db *DB) Name() string { return db.opts.Name }
 
 // Incarnation returns the database create time (unix nanoseconds), the
 // one in its log's header; it changes when the database is restored to a
 // point in time (§3.6).
-func (l *Shard) Incarnation() int64 { return l.edb.CreateTime() }
+func (db *DB) Incarnation() int64 { return db.edb.CreateTime() }
+
+// Obs returns the database's metrics registry.
+func (db *DB) Obs() *obs.Registry { return db.obs }
+
+// Snapshot returns a point-in-time copy of every metric the database has
+// recorded: WAL appends and fsyncs, group-commit batching, the four
+// commit stages, lock waits, block closing, digests and verification.
+func (db *DB) Snapshot() obs.Snapshot { return db.obs.Snapshot() }
 
 // Checkpoint drains the ledger queue into the system tables and writes an
 // engine snapshot (§3.3.2).
-func (l *Shard) Checkpoint() error {
-	_, err := l.edb.Checkpoint()
+func (db *DB) Checkpoint() error {
+	_, err := db.edb.Checkpoint()
 	return err
 }
 
 // nowNanos returns the current time from Options.Clock, or the wall
 // clock when none is configured.
-func (l *Shard) nowNanos() int64 {
-	if l.opts.Clock != nil {
-		return l.opts.Clock()
+func (db *DB) nowNanos() int64 {
+	if db.opts.Clock != nil {
+		return db.opts.Clock()
 	}
 	return time.Now().UnixNano()
 }
@@ -311,26 +358,26 @@ var sysViewsSchema = sqltypes.MustSchema([]sqltypes.Column{
 	sqltypes.Col("definition", sqltypes.TypeNVarChar),
 }, "table_id")
 
-func (l *Shard) bootstrap() error {
+func (db *DB) bootstrap() error {
 	var err error
 	ensure := func(name string, schema *sqltypes.Schema) *engine.Table {
 		if err != nil {
 			return nil
 		}
-		if t, terr := l.edb.Table(name); terr == nil {
+		if t, terr := db.edb.Table(name); terr == nil {
 			return t
 		}
 		var t *engine.Table
-		t, err = l.edb.CreateTable(engine.CreateTableSpec{Name: name, Schema: schema, System: true})
+		t, err = db.edb.CreateTable(engine.CreateTableSpec{Name: name, Schema: schema, System: true})
 		return t
 	}
 	sysTx := ensure(sysTxName, sysTxSchema)
-	l.sysBlocks = ensure(sysBlocksName, sysBlocksSchema)
-	l.sysViews = ensure(sysViewsName, sysViewsSchema)
+	db.sysBlocks = ensure(sysBlocksName, sysBlocksSchema)
+	db.sysViews = ensure(sysViewsName, sysViewsSchema)
 	if err != nil {
 		return err
 	}
-	if l.entries, err = newEntryStore(l.edb, sysTx, l.opts.BlockSize); err != nil {
+	if db.entries, err = newEntryStore(db.edb, sysTx, db.opts.BlockSize); err != nil {
 		return err
 	}
 
@@ -361,28 +408,28 @@ func (l *Shard) bootstrap() error {
 		if err != nil {
 			return nil
 		}
-		if t, terr := l.edb.Table(name); terr == nil {
+		if t, terr := db.edb.Table(name); terr == nil {
 			var lt *LedgerTable
-			lt, err = l.wrapLedgerTable(t)
+			lt, err = db.wrapLedgerTable(t)
 			return lt
 		}
 		var lt *LedgerTable
-		lt, err = l.createLedgerTable(name, schema, kind, true)
+		lt, err = db.createLedgerTable(name, schema, kind, true)
 		return lt
 	}
-	l.metaTables = mk(sysTableMetaN, metaTablesSchema, engine.LedgerUpdateable)
-	l.metaColumns = mk(sysColumnMetaN, metaColumnsSchema, engine.LedgerUpdateable)
-	l.truncations = mk(sysTruncationsN, truncSchema, engine.LedgerAppendOnly)
+	db.metaTables = mk(sysTableMetaN, metaTablesSchema, engine.LedgerUpdateable)
+	db.metaColumns = mk(sysColumnMetaN, metaColumnsSchema, engine.LedgerUpdateable)
+	db.truncations = mk(sysTruncationsN, truncSchema, engine.LedgerAppendOnly)
 	if err != nil {
 		return err
 	}
 
 	// Wrap every pre-existing ledger table from the catalog (reopen path).
-	for _, t := range l.edb.Tables() {
+	for _, t := range db.edb.Tables() {
 		m := t.Meta()
 		if m.Ledger == engine.LedgerUpdateable || m.Ledger == engine.LedgerAppendOnly {
-			if _, ok := l.tables[m.ID]; !ok {
-				if _, werr := l.wrapLedgerTable(t); werr != nil {
+			if _, ok := db.tables[m.ID]; !ok {
+				if _, werr := db.wrapLedgerTable(t); werr != nil {
 					return werr
 				}
 			}
@@ -401,17 +448,17 @@ const blockCloseInterval = 25 * time.Millisecond
 // blocks (§3.3.2: "this operation is single-threaded ... and happens
 // asynchronously"). Every block below the open one has all its ordinals
 // assigned, so the sweep target is always safe to close.
-func (l *Shard) blockCloser() {
+func (db *DB) blockCloser() {
 	ticker := time.NewTicker(blockCloseInterval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-l.doneCh:
+		case <-db.doneCh:
 			return
 		case <-ticker.C:
-			open, _, _ := l.entries.position()
+			open, _, _ := db.entries.position()
 			if target := int64(open) - 1; target >= 0 {
-				_ = l.closeBlocksThrough(target, false)
+				_ = db.closeBlocksThrough(target, false)
 			}
 		}
 	}
@@ -420,11 +467,11 @@ func (l *Shard) blockCloser() {
 // closeBlocksThrough closes every open block with id <= target, in order;
 // with keep, for a receipt about to prove entries in them, it keeps the
 // entry hashes it computes (blockProofs).
-func (l *Shard) closeBlocksThrough(target int64, keep bool) error {
-	l.closeMu.Lock()
-	defer l.closeMu.Unlock()
-	for b := l.closedThrough + 1; b <= target; b++ {
-		if err := l.closeOneBlock(b, keep); err != nil {
+func (db *DB) closeBlocksThrough(target int64, keep bool) error {
+	db.closeMu.Lock()
+	defer db.closeMu.Unlock()
+	for b := db.closedThrough + 1; b <= target; b++ {
+		if err := db.closeOneBlock(b, keep); err != nil {
 			return err
 		}
 	}
@@ -433,18 +480,18 @@ func (l *Shard) closeBlocksThrough(target int64, keep bool) error {
 
 // closeOneBlock closes block b. Caller holds closeMu and guarantees
 // every previous block is closed.
-func (l *Shard) closeOneBlock(b int64, keep bool) (err error) {
+func (db *DB) closeOneBlock(b int64, keep bool) (err error) {
 	start := time.Now()
-	tr := l.obs.NewTrace("close_block")
+	tr := db.obs.NewTrace("close_block")
 	tr.SetAttr("block", strconv.FormatInt(b, 10))
 	defer func() {
 		tr.Finish(err)
 		if err == nil {
-			l.m.blockCloseSeconds.ObserveSince(start)
-			l.m.blocksClosed.Inc()
+			db.m.blockCloseSeconds.ObserveSince(start)
+			db.m.blocksClosed.Inc()
 		}
 	}()
-	entries, err := l.entries.ofBlock(uint64(b))
+	entries, err := db.entries.ofBlock(uint64(b))
 	if err != nil {
 		return err
 	}
@@ -459,28 +506,28 @@ func (l *Shard) closeOneBlock(b int64, keep bool) (err error) {
 	root := merkle.RootOf(level) // what is above level 4 is a function of it
 	row := sqltypes.Row{
 		sqltypes.NewBigInt(b),
-		sqltypes.NewBinary(append([]byte(nil), l.prevHash[:]...)),
+		sqltypes.NewBinary(append([]byte(nil), db.prevHash[:]...)),
 		sqltypes.NewBinary(append([]byte(nil), root[:]...)),
 		sqltypes.NewBigInt(int64(len(entries))),
-		sqltypes.Value{Type: sqltypes.TypeDateTime, I64: l.nowNanos()},
+		sqltypes.Value{Type: sqltypes.TypeDateTime, I64: db.nowNanos()},
 	}
 	// Persisting the closed block is a regular, WAL-logged table
 	// update, so its durability is guaranteed by the engine.
-	tx := l.edb.Begin("system")
-	if _, err := tx.Insert(l.sysBlocks, row); err != nil {
+	tx := db.edb.Begin("system")
+	if _, err := tx.Insert(db.sysBlocks, row); err != nil {
 		tx.Rollback()
 		return err
 	}
-	if _, err := l.edb.Commit(tx); err != nil {
+	if _, err := db.edb.Commit(tx); err != nil {
 		return err
 	}
-	l.prevHash = blockHashOfRow(row)
-	l.closedThrough = b
+	db.prevHash = blockHashOfRow(row)
+	db.closedThrough = b
 	if keep {
-		l.keepProven(uint64(b), provenBlock{leaves, level})
+		db.keepProven(uint64(b), provenBlock{leaves, level})
 	}
-	l.obs.Events().Info(obs.EventBlockClosed,
-		"block", b, "transactions", len(entries), "hash", l.prevHash.String())
+	db.obs.Events().Info(obs.EventBlockClosed,
+		"block", b, "transactions", len(entries), "hash", db.prevHash.String())
 	return nil
 }
 

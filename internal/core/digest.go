@@ -61,44 +61,44 @@ func ParseDigest(b []byte) (Digest, error) {
 // delayed until the covered data has been replicated; if the secondary
 // stays behind for longer than MaxReplicaDelay, ErrReplicationBehind is
 // returned, mirroring §3.6.
-func (l *Shard) GenerateDigest() (d Digest, err error) {
-	tr := l.obs.NewTrace("generate_digest")
+func (db *DB) GenerateDigest() (d Digest, err error) {
+	tr := db.obs.NewTrace("generate_digest")
 	defer func() { tr.Finish(err) }()
 	// Force-close the partially filled block so the digest covers every
 	// committed transaction.
-	if target := l.entries.seal(); target >= 0 {
-		if err := l.waitForReplication(target); err != nil {
+	if target := db.entries.seal(); target >= 0 {
+		if err := db.waitForReplication(target); err != nil {
 			return Digest{}, err
 		}
-		if err := l.closeBlocksThrough(target, false); err != nil {
+		if err := db.closeBlocksThrough(target, false); err != nil {
 			return Digest{}, err
 		}
 	}
-	l.closeMu.Lock()
-	latest := l.closedThrough
-	hash := l.prevHash
-	l.closeMu.Unlock()
+	db.closeMu.Lock()
+	latest := db.closedThrough
+	hash := db.prevHash
+	db.closeMu.Unlock()
 	if latest < 0 {
 		return Digest{}, ErrEmptyLedger
 	}
-	if _, ok := l.sysBlocks.LookupStored(blockKey(latest)); !ok {
+	if _, ok := db.sysBlocks.LookupStored(blockKey(latest)); !ok {
 		return Digest{}, fmt.Errorf("core: closed block %d missing from %s", latest, sysBlocksName)
 	}
-	lastTS := l.lastCommitOfBlock(uint64(latest))
-	l.obs.Events().Info(obs.EventDigestGenerated, "block", latest, "hash", hash.String())
+	lastTS := db.lastCommitOfBlock(uint64(latest))
+	db.obs.Events().Info(obs.EventDigestGenerated, "block", latest, "hash", hash.String())
 	return Digest{
-		DatabaseName: l.opts.Name,
-		Incarnation:  l.Incarnation(),
+		DatabaseName: db.opts.Name,
+		Incarnation:  db.Incarnation(),
 		BlockID:      uint64(latest),
 		Hash:         hash.String(),
 		LastCommitTS: lastTS,
-		GeneratedAt:  l.nowNanos(),
+		GeneratedAt:  db.nowNanos(),
 	}, nil
 }
 
-func (l *Shard) lastCommitOfBlock(block uint64) int64 {
+func (db *DB) lastCommitOfBlock(block uint64) int64 {
 	var ts int64
-	es, _ := l.entries.ofBlock(block) // commit times decode even where roots do not
+	es, _ := db.entries.ofBlock(block) // commit times decode even where roots do not
 	for _, e := range es {
 		if e.CommitTS > ts {
 			ts = e.CommitTS
@@ -110,49 +110,22 @@ func (l *Shard) lastCommitOfBlock(block uint64) int64 {
 // waitForReplication blocks until the simulated geo-secondary has applied
 // every transaction the digest would cover (§3.6: "SQL Ledger will only
 // issue Database Digests for data that has been replicated").
-func (l *Shard) waitForReplication(targetBlock int64) error {
-	if l.opts.ReplicaLag == nil {
+func (db *DB) waitForReplication(targetBlock int64) error {
+	if db.opts.ReplicaLag == nil {
 		return nil
 	}
-	lastTS := l.lastCommitOfBlock(uint64(targetBlock))
-	deadline := time.Now().Add(l.opts.MaxReplicaDelay)
+	lastTS := db.lastCommitOfBlock(uint64(targetBlock))
+	deadline := time.Now().Add(db.opts.MaxReplicaDelay)
 	for {
-		applied := time.Now().Add(-l.opts.ReplicaLag()).UnixNano()
+		applied := time.Now().Add(-db.opts.ReplicaLag()).UnixNano()
 		if applied >= lastTS {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("%w: lag %v", ErrReplicationBehind, l.opts.ReplicaLag())
+			return fmt.Errorf("%w: lag %v", ErrReplicationBehind, db.opts.ReplicaLag())
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-// CheckDigest checks that a digest still matches this database's chain:
-// same name and incarnation, and the digest's block is present in
-// sys_ledger_blocks with exactly the hash the digest recorded. It is the
-// cheap point check the super-block reconciliation and verification use
-// to pin each shard head before (or without) a full five-invariant
-// verification.
-func (l *Shard) CheckDigest(d Digest) error {
-	if d.DatabaseName != l.opts.Name {
-		return fmt.Errorf("core: digest names database %q, this is %q", d.DatabaseName, l.opts.Name)
-	}
-	if d.Incarnation != l.Incarnation() {
-		return fmt.Errorf("core: digest is for incarnation %d, database is at %d (restored?)", d.Incarnation, l.Incarnation())
-	}
-	want, err := d.BlockHash()
-	if err != nil {
-		return err
-	}
-	_, got, ok := l.closedBlock(int64(d.BlockID))
-	if !ok {
-		return fmt.Errorf("core: digest block %d is not closed in this database", d.BlockID)
-	}
-	if got != want {
-		return fmt.Errorf("core: block %d hash does not match the digest (forked ledger)", d.BlockID)
-	}
-	return nil
 }
 
 // VerifyDigestDerivation checks that digest newer can be derived from
@@ -161,7 +134,7 @@ func (l *Shard) CheckDigest(d Digest) error {
 // chain must link older's block to newer's. A failure means earlier data
 // was overwritten and newer represents a forked state. This catches forks
 // as soon as a new digest is generated, without a full verification.
-func (l *Shard) VerifyDigestDerivation(older, newer Digest) error {
+func (db *DB) VerifyDigestDerivation(older, newer Digest) error {
 	if older.BlockID > newer.BlockID {
 		return fmt.Errorf("core: digest for block %d is not older than block %d", older.BlockID, newer.BlockID)
 	}
@@ -175,7 +148,7 @@ func (l *Shard) VerifyDigestDerivation(older, newer Digest) error {
 	}
 	prev := merkle.ZeroHash
 	for b := older.BlockID; b <= newer.BlockID; b++ {
-		row, h, ok := l.closedBlock(int64(b))
+		row, h, ok := db.closedBlock(int64(b))
 		if !ok {
 			return fmt.Errorf("core: block %d missing while deriving digest chain", b)
 		}

@@ -22,9 +22,9 @@ func digestBlobName(dbName string, incarnation int64, blockID uint64) string {
 // UploadDigest generates a digest and stores it in immutable storage. If
 // the latest block's digest was already uploaded (no new transactions),
 // it returns the existing digest without writing.
-func (l *Shard) UploadDigest(store blobstore.Store) (Digest, error) {
-	store = blobstore.Instrument(store, l.obs)
-	d, err := l.GenerateDigest()
+func (db *DB) UploadDigest(store blobstore.Store) (Digest, error) {
+	store = blobstore.Instrument(store, db.obs)
+	d, err := db.GenerateDigest()
 	if err != nil {
 		return Digest{}, err
 	}
@@ -35,23 +35,23 @@ func (l *Shard) UploadDigest(store blobstore.Store) (Digest, error) {
 			// as the stored digest matches.
 			prev, perr := ParseDigest(b)
 			if perr == nil && prev.Hash == d.Hash {
-				l.noteDigestUploaded(prev, name)
+				db.noteDigestUploaded(prev, name)
 				return prev, nil
 			}
 			return Digest{}, fmt.Errorf("core: immutable store already holds a DIFFERENT digest for block %d — forked ledger", d.BlockID)
 		}
 		return Digest{}, err
 	}
-	l.noteDigestUploaded(d, name)
+	db.noteDigestUploaded(d, name)
 	return d, nil
 }
 
 // StoredDigests loads every digest previously uploaded for this database,
 // across all incarnations, sorted by (incarnation, block id). This is the
 // input set for verification after restores (§3.6).
-func (l *Shard) StoredDigests(store blobstore.Store) ([]Digest, error) {
-	store = blobstore.Instrument(store, l.obs)
-	names, err := store.List(l.opts.Name + "/")
+func (db *DB) StoredDigests(store blobstore.Store) ([]Digest, error) {
+	store = blobstore.Instrument(store, db.obs)
+	names, err := store.List(db.opts.Name + "/")
 	if err != nil {
 		return nil, err
 	}
@@ -76,13 +76,23 @@ func (l *Shard) StoredDigests(store blobstore.Store) ([]Digest, error) {
 	return out, nil
 }
 
+// VerifyFromStore downloads all stored digests and runs verification with
+// them — the automated end of the digest-management loop.
+func (db *DB) VerifyFromStore(store blobstore.Store, opts VerifyOptions) (*Report, error) {
+	digests, err := db.StoredDigests(store)
+	if err != nil {
+		return nil, err
+	}
+	return db.Verify(digests, opts)
+}
+
 // DigestUploader periodically uploads digests to immutable storage — the
 // automation the paper describes uploading "every few seconds" (§2.4).
 // Each successful upload is also checked for derivability from the
 // previous one, catching ledger forks at digest-generation time rather
 // than at the next full verification (§3.3.1, requirement 3).
 type DigestUploader struct {
-	l     *DB
+	db    *DB
 	store blobstore.Store
 
 	mu      sync.Mutex
@@ -93,23 +103,21 @@ type DigestUploader struct {
 	errs    []error
 }
 
-// NewDigestUploader creates an uploader writing to store. Digests are
-// per-chain: on a multi-shard database every upload fails with
-// ErrMultiShard (upload super-blocks instead).
-func NewDigestUploader(l *DB, store blobstore.Store) *DigestUploader {
-	return &DigestUploader{l: l, store: store}
+// NewDigestUploader creates an uploader writing to store.
+func NewDigestUploader(db *DB, store blobstore.Store) *DigestUploader {
+	return &DigestUploader{db: db, store: store}
 }
 
 // UploadOnce generates, fork-checks and uploads a single digest.
 func (u *DigestUploader) UploadOnce() (Digest, error) {
-	d, err := u.l.UploadDigest(u.store)
+	d, err := u.db.UploadDigest(u.store)
 	if err != nil {
 		return Digest{}, err
 	}
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	if u.last != nil && u.last.Incarnation == d.Incarnation {
-		if err := u.l.VerifyDigestDerivation(*u.last, d); err != nil {
+		if err := u.db.VerifyDigestDerivation(*u.last, d); err != nil {
 			return Digest{}, fmt.Errorf("core: digest fork check failed: %w", err)
 		}
 	}

@@ -93,11 +93,11 @@ func TestUploadDetectsForkAgainstImmutableStore(t *testing.T) {
 	// Rewrite history: tamper with the closed block so a regenerated
 	// digest for the same block id differs from the stored one.
 	var blockKey []byte
-	l.shards[0].sysBlocks.Scan(func(k []byte, _ sqltypes.Row) bool {
+	l.sysBlocks.Scan(func(k []byte, _ sqltypes.Row) bool {
 		blockKey = append([]byte(nil), k...)
 		return false
 	})
-	l.Engine().TamperUpdateRow(l.shards[0].sysBlocks, blockKey, func(r sqltypes.Row) sqltypes.Row {
+	l.Engine().TamperUpdateRow(l.sysBlocks, blockKey, func(r sqltypes.Row) sqltypes.Row {
 		b := append([]byte(nil), r[2].Bytes...)
 		b[0] ^= 1
 		r[2] = sqltypes.NewBinary(b)
@@ -109,7 +109,7 @@ func TestUploadDetectsForkAgainstImmutableStore(t *testing.T) {
 	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	dir := l.shards[0].edb.Dir()
+	dir := l.edb.Dir()
 	l.Close()
 	l2 := openLedgerAt(t, dir, 100)
 	if _, err := l2.UploadDigest(store); err == nil {

@@ -18,7 +18,7 @@ import (
 	"sqlledger/internal/wal"
 )
 
-// The ledger-entry store (§3.3.2, DESIGN.md decision 3). A shard's
+// The ledger-entry store (§3.3.2, DESIGN.md decision 3). The
 // transaction entries live in two places: the in-memory queue the commit
 // path appends to, and sys_ledger_transactions, which the queue is drained
 // into at checkpoint. entryStore is the only code that touches either, and
@@ -125,7 +125,7 @@ type queueView struct {
 	users []string
 }
 
-// entryStore is one shard's ledger entries.
+// entryStore is the database's ledger entries.
 type entryStore struct {
 	edb     *engine.DB
 	table   *engine.Table // sys_ledger_transactions
@@ -543,13 +543,15 @@ func entryOf(buf sqltypes.Row, key, stored []byte) (*wal.LedgerEntry, error) {
 }
 
 // sysRow decodes a stored ledger system-table row into dst's storage when
-// it is large enough, failing where a read of the table would panic: an
-// attacker who edits storage (§2.5.2) may have left bytes that are no row
-// of schema. Strings and binaries alias stored.
+// it is large enough, failing on what schema.Validate refuses and where a
+// read of the table would panic: an attacker who edits storage (§2.5.2)
+// may have left bytes that are no row of schema, or a row whose values
+// carry other types than its columns — an integer re-tagged DATETIME
+// still reads as one. Strings and binaries alias stored.
 func sysRow(dst sqltypes.Row, stored []byte, schema *sqltypes.Schema) (sqltypes.Row, error) {
 	r, err := sqltypes.DecodeRowAlias(dst, stored, schema.Columns)
-	if err == nil && len(r) != len(schema.Columns) {
-		err = fmt.Errorf("%d columns, want %d", len(r), len(schema.Columns))
+	if err == nil {
+		err = schema.Validate(r)
 	}
 	return r, err
 }

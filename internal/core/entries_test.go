@@ -38,7 +38,7 @@ func TestEntryLookupsDuringCheckpoints(t *testing.T) {
 	missing, looked := 0, 0
 	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); looked++ {
 		txID := commitOne(t, l, lt, fmt.Sprintf("w-%d", looked))
-		if _, err := l.shards[0].entryOfTx(txID); err != nil {
+		if _, err := l.entryOfTx(txID); err != nil {
 			missing++
 		}
 		if _, _, _, ok := l.TransactionInfo(txID); !ok {
@@ -81,7 +81,7 @@ func TestReceiptRefusesUnrecordedRoot(t *testing.T) {
 	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	e, err := l.shards[0].entryOfTx(txID)
+	e, err := l.entryOfTx(txID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +164,14 @@ func TestRestorePositionAfterDrainedBlocks(t *testing.T) {
 		}
 		return [2]uint64{b, uint64(o)}
 	}
-	block, ord, queued := l.shards[0].entries.position()
+	block, ord, queued := l.entries.position()
 	if block < 3 || queued != 2 {
 		t.Fatalf("before reopen: open block %d with %d entries queued, want several drained blocks and 2", block, queued)
 	}
 	l.Close()
 
 	l2 := openLedgerAt(t, dir, size)
-	b2, o2, q2 := l2.shards[0].entries.position()
+	b2, o2, q2 := l2.entries.position()
 	if next(b2, o2) != next(block, ord) || q2 != queued {
 		t.Fatalf("after reopen the next position is %v with %d queued, before it was %v with %d",
 			next(b2, o2), q2, next(block, ord), queued)

@@ -57,12 +57,10 @@ func (f finding) issue() Issue {
 	return Issue{Invariant: f.invariant, Table: f.table, Detail: f.detail, Warning: f.warning}
 }
 
-// TamperReport localizes a detected ledger mutation: which shard (-1 on a
-// one-shard database), block, transaction, table and
-// row the mismatch bisected down to. Zero/empty fields mean the damage
-// could not be narrowed further in that dimension.
+// TamperReport localizes a detected ledger mutation: which block,
+// transaction, table and row the mismatch bisected down to. Zero/empty
+// fields mean the damage could not be narrowed further in that dimension.
 type TamperReport struct {
-	Shard int `json:"shard"`
 	// Invariant is the ledger invariant (1-5, §3.4.1) that failed; 0 for
 	// a ledger-view definition, outside the numbered invariants.
 	Invariant int    `json:"invariant"`
@@ -72,8 +70,8 @@ type TamperReport struct {
 	// Key names the damaged row (decoded primary key, or hex-encoded
 	// entry key for index entries).
 	Key string `json:"key,omitempty"`
-	// Mode records which audit pass detected it: incremental, sampled,
-	// watermark or superblock.
+	// Mode records which audit pass detected it: incremental, sampled or
+	// watermark.
 	Mode       string `json:"mode"`
 	Detail     string `json:"detail"`
 	DetectedAt int64  `json:"detected_at_unix_nano"`
@@ -85,9 +83,6 @@ func (r *TamperReport) String() string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "tamper[%s]", r.Mode)
-	if r.Shard >= 0 {
-		fmt.Fprintf(&b, " shard=%d", r.Shard)
-	}
 	if r.Block >= 0 {
 		fmt.Fprintf(&b, " block=%d", r.Block)
 	}
@@ -109,15 +104,14 @@ func (r *TamperReport) sameSite(o *TamperReport) bool {
 	if r == nil || o == nil {
 		return r == o
 	}
-	return r.Shard == o.Shard && r.Block == o.Block && r.TxID == o.TxID &&
+	return r.Block == o.Block && r.TxID == o.TxID &&
 		r.Table == o.Table && r.Key == o.Key && r.Detail == o.Detail
 }
 
-// report renders the finding for an auditor: stamped with its shard, the
-// pass that detected it, and the clock.
-func (a *chainAuditor) report(mode string, f finding) *TamperReport {
+// report renders the finding for an auditor: stamped with the pass that
+// detected it, and the clock.
+func (a *Auditor) report(mode string, f finding) *TamperReport {
 	return &TamperReport{
-		Shard:      a.shard,
 		Invariant:  f.invariant,
 		Block:      f.block,
 		TxID:       f.tx,

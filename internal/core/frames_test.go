@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"testing"
 
@@ -11,39 +10,33 @@ import (
 	"sqlledger/internal/wal"
 )
 
-// checkFrames rebuilds, for every ledger transaction of every shard, each
-// ledger table's tree from the one frame that logged the transaction's DML,
-// and requires the roots its ledger entry recorded: a root for exactly the
-// tables the frame has row versions of, and the same root. Returns the
-// transactions checked, and how many of them were found in PREPARE frames
-// and how many were system transactions writing to table.
-func checkFrames(t *testing.T, db *DB, table string) (n, prepared, system int) {
+// checkFrames rebuilds, for every ledger transaction, each ledger table's
+// tree from the one frame that logged the transaction's DML, and requires
+// the roots its ledger entry recorded: a root for exactly the tables the
+// frame has row versions of, and the same root. Returns the transactions
+// checked, and how many of them were system transactions writing to table.
+func checkFrames(t *testing.T, db *DB, table string) (n, system int) {
 	t.Helper()
-	for si, l := range db.shards {
-		byTx, _, _ := l.entries.all()
-		for _, e := range byTx {
-			recs, err := l.txFrame(e)
-			if err != nil {
-				t.Fatalf("shard %d transaction %d: %v", si, e.TxID, err)
-			}
-			if recs[len(recs)-1].Type == wal.RecPrepare {
-				prepared++
-			}
-			for _, lt := range l.LedgerTables() {
-				leaves, root, err := lt.frameTree(e.TxID, recs)
-				want, has := recordedRoot(e, lt.ID())
-				if err != nil || has != (len(leaves) > 0) || (has && root != want) {
-					t.Fatalf("shard %d transaction %d table %s: %d leaves, root %s, recorded %s (%v), err %v",
-						si, e.TxID, lt.Name(), len(leaves), root, want, has, err)
-				}
-				if has && e.User == "system" && lt.Name() == table {
-					system++
-				}
-			}
-			n++
+	byTx, _, _ := db.entries.all()
+	for _, e := range byTx {
+		recs, err := db.txFrame(e)
+		if err != nil {
+			t.Fatalf("transaction %d: %v", e.TxID, err)
 		}
+		for _, lt := range db.LedgerTables() {
+			leaves, root, err := lt.frameTree(e.TxID, recs)
+			want, has := recordedRoot(e, lt.ID())
+			if err != nil || has != (len(leaves) > 0) || (has && root != want) {
+				t.Fatalf("transaction %d table %s: %d leaves, root %s, recorded %s (%v), err %v",
+					e.TxID, lt.Name(), len(leaves), root, want, has, err)
+			}
+			if has && e.User == "system" && lt.Name() == table {
+				system++
+			}
+		}
+		n++
 	}
-	return n, prepared, system
+	return n, system
 }
 
 // TestFrameSufficiency establishes that one transaction's log frame is
@@ -51,110 +44,101 @@ func checkFrames(t *testing.T, db *DB, table string) (n, prepared, system int) {
 // every shape of write: inserts, updates, deletes, an update and a delete
 // of the transaction's own insert, a key updated twice, a savepoint
 // rollback, an added and a dropped column between commits, and the row
-// refresh of a truncation. On two shards the multi-key transactions commit
-// by two-phase commit, with the DML in their PREPARE frames. The frames
-// are found as commit noted them, then after a restart as redo noted them
-// (after the checkpoint) and the prefix pass found them (before it).
-func TestFrameSufficiency(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			dir := t.TempDir()
-			db := openShards(t, dir, shards)
-			lt, err := db.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
-			if err != nil {
-				t.Fatal(err)
-			}
-			step := func(ops func(tx *Tx) error) {
-				t.Helper()
-				tx := db.Begin("u")
-				if err := ops(tx); err != nil {
-					t.Fatal(err)
-				}
-				mustCommit(t, tx)
-			}
-			step(func(tx *Tx) error {
-				var errs []error
-				for i := 0; i < 8; i++ {
-					errs = append(errs, tx.Insert(lt, account(acctName(i), int64(i))))
-				}
-				return errors.Join(errs...)
-			})
-			step(func(tx *Tx) error {
-				return errors.Join(tx.Update(lt, account(acctName(0), 100)), tx.Update(lt, account(acctName(1), 101)),
-					tx.Delete(lt, sqltypes.NewNVarChar(acctName(2))))
-			})
-			step(func(tx *Tx) error {
-				return errors.Join(tx.Insert(lt, account("own-1", 1)), tx.Update(lt, account("own-1", 2)),
-					tx.Insert(lt, account("own-2", 1)), tx.Delete(lt, sqltypes.NewNVarChar("own-2")),
-					tx.Update(lt, account(acctName(3), 30)), tx.Update(lt, account(acctName(3), 31)))
-			})
-			step(func(tx *Tx) error {
-				err := tx.Update(lt, account(acctName(4), 40))
-				sp := tx.Savepoint()
-				return errors.Join(err, tx.Update(lt, account(acctName(5), 50)), tx.Delete(lt, sqltypes.NewNVarChar(acctName(6))),
-					tx.Insert(lt, account("rolled-back", 1)), tx.RollbackTo(sp), tx.Update(lt, account(acctName(7), 70)))
-			})
-			if err := db.AddColumn(lt, sqltypes.NullableCol("tier", sqltypes.TypeBigInt)); err != nil {
-				t.Fatal(err)
-			}
-			tiered := func(name string, bal, tier int64) sqltypes.Row {
-				return append(account(name, bal), sqltypes.NewBigInt(tier))
-			}
-			step(func(tx *Tx) error {
-				return errors.Join(tx.Update(lt, tiered(acctName(0), 200, 1)), tx.Insert(lt, tiered("tiered", 1, 2)))
-			})
-			if err := db.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.DropColumn(lt, "tier"); err != nil {
-				t.Fatal(err)
-			}
-			step(func(tx *Tx) error {
-				return errors.Join(tx.Update(lt, account("tiered", 5)), tx.Delete(lt, sqltypes.NewNVarChar(acctName(3))))
-			})
-			before, prepared, _ := checkFrames(t, db, "accounts")
-			if shards > 1 && prepared == 0 {
-				t.Fatal("no transaction was found in a PREPARE frame")
-			}
+// refresh of a truncation. The frames are found as commit noted them, then
+// after a restart as redo noted them (after the checkpoint) and the prefix
+// pass found them (before it). The database is one shard, as the
+// subtest's name says.
+func TestFrameSufficiency(t *testing.T) { t.Run("shards-1", frameSufficiency) }
 
-			db.Close()
-			db = openShards(t, dir, shards)
-			defer db.Close()
-			for _, l := range db.shards {
-				if l.prefixDone {
-					t.Fatal("the log prefix was read at Open")
-				}
-			}
-			if after, _, _ := checkFrames(t, db, "accounts"); after != before {
-				t.Fatalf("%d transactions checked after the restart, %d before", after, before)
-			}
+func frameSufficiency(t *testing.T) {
+	dir := t.TempDir()
+	db := openBank(t, dir)
+	lt, err := db.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func(ops func(tx *Tx) error) {
+		t.Helper()
+		tx := db.Begin("u")
+		if err := ops(tx); err != nil {
+			t.Fatal(err)
+		}
+		mustCommit(t, tx)
+	}
+	step(func(tx *Tx) error {
+		var errs []error
+		for i := 0; i < 8; i++ {
+			errs = append(errs, tx.Insert(lt, account(acctName(i), int64(i))))
+		}
+		return errors.Join(errs...)
+	})
+	step(func(tx *Tx) error {
+		return errors.Join(tx.Update(lt, account(acctName(0), 100)), tx.Update(lt, account(acctName(1), 101)),
+			tx.Delete(lt, sqltypes.NewNVarChar(acctName(2))))
+	})
+	step(func(tx *Tx) error {
+		return errors.Join(tx.Insert(lt, account("own-1", 1)), tx.Update(lt, account("own-1", 2)),
+			tx.Insert(lt, account("own-2", 1)), tx.Delete(lt, sqltypes.NewNVarChar("own-2")),
+			tx.Update(lt, account(acctName(3), 30)), tx.Update(lt, account(acctName(3), 31)))
+	})
+	step(func(tx *Tx) error {
+		err := tx.Update(lt, account(acctName(4), 40))
+		sp := tx.Savepoint()
+		return errors.Join(err, tx.Update(lt, account(acctName(5), 50)), tx.Delete(lt, sqltypes.NewNVarChar(acctName(6))),
+			tx.Insert(lt, account("rolled-back", 1)), tx.RollbackTo(sp), tx.Update(lt, account(acctName(7), 70)))
+	})
+	if err := db.AddColumn(lt, sqltypes.NullableCol("tier", sqltypes.TypeBigInt)); err != nil {
+		t.Fatal(err)
+	}
+	tiered := func(name string, bal, tier int64) sqltypes.Row {
+		return append(account(name, bal), sqltypes.NewBigInt(tier))
+	}
+	step(func(tx *Tx) error {
+		return errors.Join(tx.Update(lt, tiered(acctName(0), 200, 1)), tx.Insert(lt, tiered("tiered", 1, 2)))
+	})
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DropColumn(lt, "tier"); err != nil {
+		t.Fatal(err)
+	}
+	step(func(tx *Tx) error {
+		return errors.Join(tx.Update(lt, account("tiered", 5)), tx.Delete(lt, sqltypes.NewNVarChar(acctName(3))))
+	})
+	before, _ := checkFrames(t, db, "accounts")
 
-			// Truncate each chain below its last closed block: the current
-			// rows anchored in older blocks are refreshed by a transaction
-			// of their own.
-			for si, l := range db.shards {
-				if _, err := l.GenerateDigest(); err != nil {
-					t.Fatal(err)
-				}
-				tx := l.begin("u")
-				if err := tx.Insert(lt.on(si), account(fmt.Sprintf("late-%d", si), 1)); err != nil {
-					t.Fatal(err)
-				}
-				mustCommit(t, tx)
-				if _, err := l.GenerateDigest(); err != nil {
-					t.Fatal(err)
-				}
-				l.closeMu.Lock()
-				cut := uint64(l.closedThrough)
-				l.closeMu.Unlock()
-				if err := l.TruncateLedger(cut); err != nil {
-					t.Fatalf("shard %d: %v", si, err)
-				}
-			}
-			if _, _, refreshed := checkFrames(t, db, "accounts"); refreshed < shards {
-				t.Fatalf("%d refresh transactions checked, want one per shard", refreshed)
-			}
-		})
+	db.Close()
+	db = openBank(t, dir)
+	defer db.Close()
+	if db.prefixDone {
+		t.Fatal("the log prefix was read at Open")
+	}
+	if after, _ := checkFrames(t, db, "accounts"); after != before {
+		t.Fatalf("%d transactions checked after the restart, %d before", after, before)
+	}
+
+	// Truncate the chain below its last closed block: the current
+	// rows anchored in older blocks are refreshed by a transaction
+	// of their own.
+	if _, err := db.GenerateDigest(); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin("u")
+	if err := tx.Insert(lt, account("late", 1)); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+	if _, err := db.GenerateDigest(); err != nil {
+		t.Fatal(err)
+	}
+	db.closeMu.Lock()
+	cut := uint64(db.closedThrough)
+	db.closeMu.Unlock()
+	if err := db.TruncateLedger(cut); err != nil {
+		t.Fatal(err)
+	}
+	if _, refreshed := checkFrames(t, db, "accounts"); refreshed < 1 {
+		t.Fatalf("%d refresh transactions checked, want one", refreshed)
 	}
 }
 
@@ -166,7 +150,7 @@ func TestEntriesOfBlockBinarySearch(t *testing.T) {
 	dir := t.TempDir()
 	db := openLedgerAt(t, dir, 3)
 	lt := mustLedgerTable(t, db, "accounts", engine.LedgerUpdateable)
-	linear := func(l *Shard, block uint64) []*wal.LedgerEntry {
+	linear := func(l *DB, block uint64) []*wal.LedgerEntry {
 		byTx, _, _ := l.entries.all()
 		var out []*wal.LedgerEntry
 		for _, e := range byTx {
@@ -179,7 +163,7 @@ func TestEntriesOfBlockBinarySearch(t *testing.T) {
 	}
 	check := func(db *DB, when string) {
 		t.Helper()
-		l := db.shards[0]
+		l := db
 		last, _, _ := l.entries.position()
 		for b := uint64(0); b <= last+1; b++ {
 			got, err := l.entries.ofBlock(b)

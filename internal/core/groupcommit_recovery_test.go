@@ -40,7 +40,7 @@ func TestGroupCommitCrashRecoveryPrefix(t *testing.T) {
 
 	// Ledger entries already queued by bootstrap and CreateLedgerTable;
 	// they are durable, so the crash image always recovers them too.
-	_, _, baseQ := l1.shards[0].entries.position()
+	_, _, baseQ := l1.entries.position()
 
 	const clients, perClient = 4, 60
 	var committed atomic.Int64
@@ -136,7 +136,7 @@ func TestGroupCommitCrashRecoveryPrefix(t *testing.T) {
 
 	// Every recovered commit has its ledger entry back on the queue (no
 	// checkpoint ran, so none were drained to sys_ledger_transactions).
-	_, _, qlen := l2.shards[0].entries.position()
+	_, _, qlen := l2.entries.position()
 	if qlen != baseQ+rows {
 		t.Fatalf("ledger queue holds %d entries after recovery, want %d (%d bootstrap + %d rows)",
 			qlen, baseQ+rows, baseQ, rows)

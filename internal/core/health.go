@@ -64,11 +64,6 @@ type HealthThresholds struct {
 	// claim is going stale. Zero disables the check. A tamper report
 	// from the auditor makes the status unhealthy regardless.
 	MaxVerifiedLag time.Duration
-	// MaxSuperBlockAge degrades the status when the newest signed
-	// super-block is older than this (or none was ever closed): shard
-	// chains are growing without the digest-of-digests pinning them. Zero
-	// disables the check.
-	MaxSuperBlockAge time.Duration
 }
 
 func (t HealthThresholds) withDefaults() HealthThresholds {
@@ -145,34 +140,7 @@ func auditHealthOf(st AuditStatus) *AuditHealth {
 	return ah
 }
 
-// SuperBlockHealth is the super-root slice of /healthz and /debug/ledger.
-type SuperBlockHealth struct {
-	SeqNo      uint64  `json:"seq_no"` // 0 = none closed yet
-	Root       string  `json:"root,omitempty"`
-	Shards     int     `json:"shards,omitempty"`
-	AgeSeconds float64 `json:"age_seconds,omitempty"`
-}
-
-func (db *DB) superBlockHealth() *SuperBlockHealth {
-	sb := db.LastSuperBlock()
-	if sb == nil {
-		return &SuperBlockHealth{}
-	}
-	// Age is measured on the database clock (Options.Clock when set) —
-	// GeneratedAt comes from the same clock, so the two stay comparable
-	// under logical clocks too.
-	return &SuperBlockHealth{
-		SeqNo:      sb.SeqNo,
-		Root:       sb.Root,
-		Shards:     sb.Shards,
-		AgeSeconds: time.Duration(db.nowNanos() - sb.GeneratedAt).Seconds(),
-	}
-}
-
-// Health is the typed status served as JSON at /healthz. On a multi-shard
-// database it is the fold of the per-shard statuses in Shards: the worst
-// state wins and every shard's reasons are listed under its name; chain
-// height and queue depth are sums, the digest lag the largest.
+// Health is the typed status served as JSON at /healthz.
 type Health struct {
 	Status  HealthState `json:"status"`
 	Reasons []string    `json:"reasons,omitempty"`
@@ -189,11 +157,6 @@ type Health struct {
 
 	LastVerify *VerifyHealth `json:"last_verify,omitempty"`
 	Audit      *AuditHealth  `json:"audit,omitempty"`
-
-	// SuperBlock is present once a super-block was closed, and always on
-	// a multi-shard database; Shards is the per-shard breakdown of one.
-	SuperBlock *SuperBlockHealth `json:"super_block,omitempty"`
-	Shards     []Health          `json:"shards,omitempty"`
 
 	CheckedAt int64 `json:"checked_at_unix_nano"`
 }
@@ -236,39 +199,7 @@ func (hc *HealthChecker) Check() Health {
 		st := a.Status()
 		audit = &st
 	}
-	parts, _ := fanOut(db, false, func(i int, l *Shard) (Health, error) {
-		shardAudit := audit
-		if audit != nil && len(db.shards) > 1 {
-			shardAudit = &audit.Shards[i]
-		}
-		return hc.checkShard(l, now, shardAudit), nil
-	})
-	total := Health{Status: HealthHealthy, LastDigestUploadBlock: -1, CheckedAt: now.UnixNano()}
-	h := fold(total, parts, func(t *Health) *[]Health { return &t.Shards }, func(t *Health, i int, sh Health) {
-		t.ChainHeight += sh.ChainHeight
-		t.QueueDepth += sh.QueueDepth
-		t.DigestLagBlocks = max(t.DigestLagBlocks, sh.DigestLagBlocks)
-		for _, r := range sh.Reasons {
-			t.degrade(sh.Status, shardDirName(i)+": "+r)
-		}
-	})
-	if audit != nil && len(db.shards) > 1 {
-		h.Audit = auditHealthOf(*audit)
-		if audit.HeadReport != nil { // the one report no shard's status carries
-			h.degrade(HealthUnhealthy, "auditor localized tampering: "+audit.HeadReport.String())
-		}
-	}
-	if sb := db.superBlockHealth(); len(db.shards) > 1 || sb.SeqNo > 0 || hc.thr.MaxSuperBlockAge > 0 {
-		h.SuperBlock = sb
-		switch {
-		case hc.thr.MaxSuperBlockAge <= 0:
-		case sb.SeqNo == 0:
-			h.degrade(HealthDegraded, "no super-block has been closed")
-		case sb.AgeSeconds > hc.thr.MaxSuperBlockAge.Seconds():
-			h.degrade(HealthDegraded, fmt.Sprintf("super-block %d is %.1fs old (max %v)",
-				sb.SeqNo, sb.AgeSeconds, hc.thr.MaxSuperBlockAge))
-		}
-	}
+	h := hc.evaluate(now, audit)
 
 	hc.gauge.Set(healthCode(h.Status))
 	hc.mu.Lock()
@@ -282,24 +213,25 @@ func (hc *HealthChecker) Check() Health {
 	return h
 }
 
-// checkShard evaluates one shard's chain (and its auditor's status, if
-// one is registered) against the thresholds.
-func (hc *HealthChecker) checkShard(l *Shard, now time.Time, audit *AuditStatus) Health {
+// evaluate checks the chain (and the auditor's status, if one is
+// registered) against the thresholds.
+func (hc *HealthChecker) evaluate(now time.Time, audit *AuditStatus) Health {
+	db := hc.db
 
-	l.closeMu.Lock()
-	closed := l.closedThrough
-	head := l.prevHash
-	l.closeMu.Unlock()
-	curBlock, _, queue := l.entries.position()
-	l.healthMu.Lock()
-	up := l.lastUpload
-	lv := l.lastVerify
-	l.healthMu.Unlock()
+	db.closeMu.Lock()
+	closed := db.closedThrough
+	head := db.prevHash
+	db.closeMu.Unlock()
+	curBlock, _, queue := db.entries.position()
+	db.healthMu.Lock()
+	up := db.lastUpload
+	lv := db.lastVerify
+	db.healthMu.Unlock()
 
 	h := Health{
 		Status:                HealthHealthy,
 		ChainHeight:           closed + 1,
-		Incarnation:           l.Incarnation(),
+		Incarnation:           db.Incarnation(),
 		CurrentBlock:          curBlock,
 		QueueDepth:            queue,
 		LastDigestUploadBlock: -1,
@@ -368,13 +300,13 @@ func (hc *HealthChecker) checkShard(l *Shard, now time.Time, audit *AuditStatus)
 
 // noteDigestUploaded records a successful digest upload for health
 // tracking and emits the audit event.
-func (l *Shard) noteDigestUploaded(d Digest, blob string) {
-	l.healthMu.Lock()
-	if int64(d.BlockID) > l.lastUpload.block {
-		l.lastUpload = uploadMark{block: int64(d.BlockID), at: time.Now()}
+func (db *DB) noteDigestUploaded(d Digest, blob string) {
+	db.healthMu.Lock()
+	if int64(d.BlockID) > db.lastUpload.block {
+		db.lastUpload = uploadMark{block: int64(d.BlockID), at: time.Now()}
 	}
-	l.healthMu.Unlock()
-	l.obs.Events().Info(obs.EventDigestUploaded, "block", d.BlockID, "blob", blob, "hash", d.Hash)
+	db.healthMu.Unlock()
+	db.obs.Events().Info(obs.EventDigestUploaded, "block", d.BlockID, "blob", blob, "hash", d.Hash)
 }
 
 // TableDebug is one ledger table in the /debug/ledger snapshot.
@@ -388,10 +320,7 @@ type TableDebug struct {
 }
 
 // LedgerDebug is the /debug/ledger snapshot: where the chain stands and
-// how big each ledger table is. On a multi-shard database the chain
-// position is each shard's own, in Shards; the top level carries what
-// adds up — chain height, queue depth, table sizes — and the latest
-// commit.
+// how big each ledger table is.
 type LedgerDebug struct {
 	Name           string       `json:"name"`
 	Incarnation    int64        `json:"incarnation"`
@@ -403,56 +332,30 @@ type LedgerDebug struct {
 	QueueDepth     int          `json:"queue_depth"`
 	LastCommitTS   int64        `json:"last_commit_ts_unix_nano"`
 	Tables         []TableDebug `json:"tables"`
-
-	SuperBlock *SuperBlockHealth `json:"super_block,omitempty"`
-	Shards     []LedgerDebug     `json:"shards,omitempty"`
 }
 
 // DebugInfo captures the ledger's current shape for /debug/ledger.
 func (db *DB) DebugInfo() LedgerDebug {
-	parts, _ := fanOut(db, false, func(_ int, l *Shard) (LedgerDebug, error) { return l.DebugInfo(), nil })
-	total := LedgerDebug{Name: db.opts.Name, BlockSize: db.opts.BlockSize}
-	d := fold(total, parts, func(t *LedgerDebug) *[]LedgerDebug { return &t.Shards }, func(t *LedgerDebug, i int, sd LedgerDebug) {
-		t.ChainHeight += sd.ChainHeight
-		t.QueueDepth += sd.QueueDepth
-		t.LastCommitTS = max(t.LastCommitTS, sd.LastCommitTS)
-		for j, tab := range sd.Tables { // same tables, same (name) order, on every shard
-			if i == 0 {
-				t.Tables = append(t.Tables, tab)
-			} else if j < len(t.Tables) {
-				t.Tables[j].Rows += tab.Rows
-				t.Tables[j].HistoryRows += tab.HistoryRows
-			}
-		}
-	})
-	if sb := db.superBlockHealth(); sb.SeqNo > 0 || len(parts) > 1 {
-		d.SuperBlock = sb
-	}
-	return d
-}
-
-// DebugInfo captures this shard's chain and table parts.
-func (l *Shard) DebugInfo() LedgerDebug {
-	l.closeMu.Lock()
-	closed := l.closedThrough
-	head := l.prevHash
-	l.closeMu.Unlock()
-	curBlock, curOrdinal, queue := l.entries.position()
+	db.closeMu.Lock()
+	closed := db.closedThrough
+	head := db.prevHash
+	db.closeMu.Unlock()
+	curBlock, curOrdinal, queue := db.entries.position()
 
 	d := LedgerDebug{
-		Name:           l.opts.Name,
-		Incarnation:    l.Incarnation(),
-		BlockSize:      l.opts.BlockSize,
+		Name:           db.opts.Name,
+		Incarnation:    db.Incarnation(),
+		BlockSize:      db.opts.BlockSize,
 		ChainHeight:    closed + 1,
 		CurrentBlock:   curBlock,
 		CurrentOrdinal: curOrdinal,
 		QueueDepth:     queue,
-		LastCommitTS:   l.edb.LastCommitTS(),
+		LastCommitTS:   db.edb.LastCommitTS(),
 	}
 	if closed >= 0 {
 		d.ChainHeadHash = head.String()
 	}
-	for _, lt := range l.LedgerTables() {
+	for _, lt := range db.LedgerTables() {
 		td := TableDebug{
 			Name:    lt.Name(),
 			ID:      lt.table.ID(),

@@ -42,9 +42,9 @@ func TestHealthEndToEnd(t *testing.T) {
 
 	hc := l.NewHealthChecker(HealthThresholds{DegradedDigestLag: 2, UnhealthyDigestLag: 100})
 	h := hc.Check()
-	l.shards[0].closeMu.Lock()
-	closed := l.shards[0].closedThrough
-	l.shards[0].closeMu.Unlock()
+	l.closeMu.Lock()
+	closed := l.closedThrough
+	l.closeMu.Unlock()
 	if closed < 0 {
 		t.Fatal("no blocks closed despite block size 2")
 	}

@@ -36,8 +36,8 @@ func blockKey(b int64) []byte {
 // closedBlock returns block id's sys_ledger_blocks row and its recomputed
 // hash — the value a digest of that block must carry. A row that does not
 // decode is reported as missing here; the chain walk names it.
-func (l *Shard) closedBlock(id int64) (sqltypes.Row, merkle.Hash, bool) {
-	stored, ok := l.sysBlocks.LookupStored(blockKey(id))
+func (db *DB) closedBlock(id int64) (sqltypes.Row, merkle.Hash, bool) {
+	stored, ok := db.sysBlocks.LookupStored(blockKey(id))
 	if !ok {
 		return nil, merkle.ZeroHash, false
 	}
@@ -106,10 +106,10 @@ type chainResult struct {
 // every block up to the chain head present (invariant 2); its transaction
 // count, ordinals 0..n-1 and transactions root match its entries
 // (invariant 3).
-func (l *Shard) checkChain(c chainCheck, emit emitFn) chainResult {
-	l.closeMu.Lock()
-	head := l.closedThrough
-	l.closeMu.Unlock()
+func (db *DB) checkChain(c chainCheck, emit emitFn) chainResult {
+	db.closeMu.Lock()
+	head := db.closedThrough
+	db.closeMu.Unlock()
 
 	res := chainResult{through: -1}
 	clean, stopped := true, false
@@ -129,8 +129,8 @@ func (l *Shard) checkChain(c chainCheck, emit emitFn) chainResult {
 			continue
 		}
 		res.digests++
-		if d.DatabaseName != l.opts.Name {
-			report(1, d.BlockID, false, "digest for block %d names database %q, this is %q", d.BlockID, d.DatabaseName, l.opts.Name)
+		if d.DatabaseName != db.opts.Name {
+			report(1, d.BlockID, false, "digest for block %d names database %q, this is %q", d.BlockID, d.DatabaseName, db.opts.Name)
 		} else if h, err := d.BlockHash(); err != nil {
 			report(1, d.BlockID, false, "digest for block %d: %v", d.BlockID, err)
 		} else {
@@ -152,7 +152,7 @@ func (l *Shard) checkChain(c chainCheck, emit emitFn) chainResult {
 		return true
 	}
 	if c.blocks == nil {
-		l.sysBlocks.ScanRangeStored(nil, nil, collect)
+		db.sysBlocks.ScanRangeStored(nil, nil, collect)
 	} else if c.blocks.From <= math.MaxInt64 {
 		lo := c.blocks.From
 		if c.anchor == nil && lo > 0 {
@@ -162,7 +162,7 @@ func (l *Shard) checkChain(c chainCheck, emit emitFn) chainResult {
 		if c.blocks.To < math.MaxInt64 {
 			end = blockKey(int64(c.blocks.To) + 1)
 		}
-		l.sysBlocks.ScanRangeStored(blockKey(int64(lo)), end, collect)
+		db.sysBlocks.ScanRangeStored(blockKey(int64(lo)), end, collect)
 	}
 
 	var (
@@ -284,7 +284,7 @@ func (l *Shard) checkChain(c chainCheck, emit emitFn) chainResult {
 			switch {
 			case id < c.truncatedBefore:
 				report(1, id, true, "digest for block %d predates ledger truncation (before_block=%d); not verifiable", id, c.truncatedBefore)
-			case d.incarnation != l.Incarnation():
+			case d.incarnation != db.Incarnation():
 				report(1, id, true, "digest for block %d was issued for incarnation %d and points past the restore point", id, d.incarnation)
 			default:
 				report(1, id, false, "digest references block %d which is not present in the ledger", id)
@@ -346,12 +346,12 @@ type provenBlock struct{ leaves, level []merkle.Hash }
 // tree over the block's level-4 nodes, instead of a tree over every entry.
 // A root the block did not record in sys_ledger_blocks is an error: a
 // receipt must never sign one.
-func (l *Shard) blockProofs(block uint64, ordinals []uint64) (merkle.Hash, []merkle.Proof, error) {
-	l.pmu.Lock()
-	pb, kept := l.proven[block]
-	l.pmu.Unlock()
+func (db *DB) blockProofs(block uint64, ordinals []uint64) (merkle.Hash, []merkle.Proof, error) {
+	db.pmu.Lock()
+	pb, kept := db.proven[block]
+	db.pmu.Unlock()
 	if !kept {
-		es, err := l.entries.ofBlock(block)
+		es, err := db.entries.ofBlock(block)
 		if err != nil {
 			return merkle.ZeroHash, nil, err
 		}
@@ -362,19 +362,19 @@ func (l *Shard) blockProofs(block uint64, ordinals []uint64) (merkle.Hash, []mer
 	if err != nil {
 		return merkle.ZeroHash, nil, err
 	}
-	if row, _, ok := l.closedBlock(int64(block)); !ok || !bytes.Equal(row[2].Bytes, root[:]) {
+	if row, _, ok := db.closedBlock(int64(block)); !ok || !bytes.Equal(row[2].Bytes, root[:]) {
 		return merkle.ZeroHash, nil, fmt.Errorf("core: block %d: its entries do not rebuild the transactions root it recorded", block)
 	}
 	if !kept {
-		l.keepProven(block, pb)
+		db.keepProven(block, pb)
 	}
 	return root, proofs, nil
 }
 
-func (l *Shard) keepProven(block uint64, pb provenBlock) {
-	l.pmu.Lock()
-	l.proven[block] = pb
-	l.pmu.Unlock()
+func (db *DB) keepProven(block uint64, pb provenBlock) {
+	db.pmu.Lock()
+	db.proven[block] = pb
+	db.pmu.Unlock()
 }
 
 // --- (b) Row versions: invariant 4 ----------------------------------------
@@ -648,7 +648,7 @@ var rowHashingHook func()
 // (a sampled audit, a short block range, a localized block) walks to the
 // hidden columns only, and once more for the wanted sides of a version it
 // wants: serializing every version would cost it more.
-func (l *Shard) scanRowVersions(lt *LedgerTable, c rowCheck, weight float64) *rowVersions {
+func (db *DB) scanRowVersions(lt *LedgerTable, c rowCheck, weight float64) *rowVersions {
 	var (
 		tasks []func()
 		parts []*rowVersions
@@ -784,11 +784,11 @@ func recordedRoot(e *wal.LedgerEntry, tableID uint32) (merkle.Hash, bool) {
 // that recorded a root still has rows, and rows imply a recorded root.
 // The root recomputation fans back out over the pool in contiguous
 // chunks of entries. Returns the number of rows scanned.
-func (l *Shard) checkRowVersions(lt *LedgerTable, c rowCheck, emit emitFn) int {
+func (db *DB) checkRowVersions(lt *LedgerTable, c rowCheck, emit emitFn) int {
 	name := lt.Name()
 	// Shard scans carry most of a table's row-version cost; the root
 	// recomputation below gets the rest.
-	rv := l.scanRowVersions(lt, c, c.weight*0.7)
+	rv := db.scanRowVersions(lt, c, c.weight*0.7)
 	rows := rv.rows
 	for _, f := range rv.bad {
 		if !emit(f) {
@@ -887,7 +887,7 @@ func (lt *LedgerTable) keyString(key []byte) string {
 // state rather than a snapshot: a run racing a writer can see a transient
 // difference (the Auditor re-checks before it reports one). Returns the
 // number of indexes checked.
-func (l *Shard) checkIndexes(lt *LedgerTable, parallelism int, pool *workerPool, prog *progressSink, weight float64, emit emitFn) int {
+func (db *DB) checkIndexes(lt *LedgerTable, parallelism int, pool *workerPool, prog *progressSink, weight float64, emit emitFn) int {
 	tables := []*engine.Table{lt.table}
 	if lt.history != nil {
 		tables = append(tables, lt.history)
@@ -1020,9 +1020,9 @@ func diffIndex(t *engine.Table, ix *engine.Index) string {
 
 // checkView checks the final step of §3.4.2: the table's stored
 // ledger-view definition must be its canonical derivation.
-func (l *Shard) checkView(lt *LedgerTable, emit emitFn) {
+func (db *DB) checkView(lt *LedgerTable, emit emitFn) {
 	f := finding{block: -1, table: lt.Name()}
-	def, ok, err := l.viewDefinition(lt.ID())
+	def, ok, err := db.viewDefinition(lt.ID())
 	switch {
 	case err != nil:
 		f.detail = err.Error()

@@ -156,7 +156,7 @@ func TestPropertyRandomWorkloadsAlwaysVerify(t *testing.T) {
 			verifyOK(t, l, []Digest{d})
 
 			// And again after a crash-restart.
-			dir := l.shards[0].edb.Dir()
+			dir := l.edb.Dir()
 			l.Close()
 			l2 := openLedgerAt(t, dir, blockSize)
 			verifyOK(t, l2, []Digest{d})

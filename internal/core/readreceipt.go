@@ -85,9 +85,9 @@ func ParseReadReceipt(b []byte) (ReadReceipt, error) {
 // transaction's DML (frames.go) — no table is scanned, so what concurrent
 // writers do to the tables cannot matter — and each block's tree is built
 // once, from entry hashes kept after the first receipt that needs them.
-func (l *Shard) buildReadReceipt(reads []readRecord, rtx *engine.ReadTx, priv ed25519.PrivateKey) (ReadReceipt, error) {
+func (db *DB) buildReadReceipt(reads []readRecord, rtx *engine.ReadTx, priv ed25519.PrivateKey) (ReadReceipt, error) {
 	r := ReadReceipt{
-		DatabaseName: l.opts.Name,
+		DatabaseName: db.opts.Name,
 		SnapshotTS:   rtx.TS(),
 		PublicKey:    append(ed25519.PublicKey(nil), priv.Public().(ed25519.PublicKey)...),
 	}
@@ -97,8 +97,8 @@ func (l *Shard) buildReadReceipt(reads []readRecord, rtx *engine.ReadTx, priv ed
 
 	// Force-close the open block so every read row's creating transaction
 	// lives in a closed, signable block (same move as digest generation).
-	if target := l.entries.seal(); target >= 0 {
-		if err := l.closeBlocksThrough(target, true); err != nil {
+	if target := db.entries.seal(); target >= 0 {
+		if err := db.closeBlocksThrough(target, true); err != nil {
 			return ReadReceipt{}, err
 		}
 	}
@@ -123,7 +123,7 @@ func (l *Shard) buildReadReceipt(reads []readRecord, rtx *engine.ReadTx, priv ed
 
 	// Resolve every creating transaction's ledger entry, then prove all
 	// entries of one block in a single tree construction.
-	if err := l.entries.get(entries); err != nil {
+	if err := db.entries.get(entries); err != nil {
 		return ReadReceipt{}, err
 	}
 	entryIdx := make(map[uint64]int)
@@ -146,14 +146,14 @@ func (l *Shard) buildReadReceipt(reads []readRecord, rtx *engine.ReadTx, priv ed
 		for i, txID := range txIDs {
 			indices[i] = uint64(entries[txID].Ordinal)
 		}
-		root, proofs, err := l.blockProofs(blockID, indices)
+		root, proofs, err := db.blockProofs(blockID, indices)
 		if err != nil {
 			return ReadReceipt{}, err
 		}
 		r.Blocks = append(r.Blocks, ReadReceiptBlk{
 			BlockID:   blockID,
 			Root:      root.String(),
-			Signature: ed25519.Sign(priv, signedMessage(l.opts.Name, blockID, root)),
+			Signature: ed25519.Sign(priv, signedMessage(db.opts.Name, blockID, root)),
 		})
 		bi := len(r.Blocks) - 1
 		for i, txID := range txIDs {
@@ -177,7 +177,7 @@ func (l *Shard) buildReadReceipt(reads []readRecord, rtx *engine.ReadTx, priv ed
 		recs, ok := frames[k.txID]
 		var err error
 		if !ok {
-			recs, err = l.txFrame(entries[k.txID])
+			recs, err = db.txFrame(entries[k.txID])
 			frames[k.txID] = recs
 		}
 		var leaves []merkle.Hash

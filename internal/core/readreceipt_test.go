@@ -340,7 +340,7 @@ func TestReadReceiptTamperAtReceiptTime(t *testing.T) {
 		}},
 		{"frame rewritten under a valid CRC", func(t *testing.T, l *DB, _ *LedgerTable, e *wal.LedgerEntry) {
 			path := filepath.Join(l.Engine().Dir(), "wal.log")
-			lsn := l.shards[0].frameOf(e)
+			lsn := l.frameOf(e)
 			b, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -359,7 +359,7 @@ func TestReadReceiptTamperAtReceiptTime(t *testing.T) {
 			}
 		}},
 		{"frame LSN past the log's end", func(t *testing.T, l *DB, _ *LedgerTable, e *wal.LedgerEntry) {
-			l.shards[0].noteFrame(e.BlockID, e.Ordinal, l.Engine().LogSize()+1000)
+			l.noteFrame(e.BlockID, e.Ordinal, l.Engine().LogSize()+1000)
 		}},
 	}
 	for _, c := range cases {
@@ -368,7 +368,7 @@ func TestReadReceiptTamperAtReceiptTime(t *testing.T) {
 			lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
 			txID := commitOne(t, l, lt, "victim")
 			commitOne(t, l, lt, "bystander")
-			e, err := l.shards[0].entryOfTx(txID)
+			e, err := l.entryOfTx(txID)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -392,11 +392,11 @@ func TestReadReceiptFromBufferedFrame(t *testing.T) {
 	defer l.Close()
 	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
 	txID := commitOne(t, l, lt, "buffered")
-	e, err := l.shards[0].entryOfTx(txID)
+	e, err := l.entryOfTx(txID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err := os.Stat(filepath.Join(l.Engine().Dir(), "wal.log")); err != nil || st.Size() > l.shards[0].frameOf(e) {
+	if st, err := os.Stat(filepath.Join(l.Engine().Dir(), "wal.log")); err != nil || st.Size() > l.frameOf(e) {
 		t.Fatalf("the frame is in the file already (%v, %v): nothing buffered to test", st.Size(), err)
 	}
 	r, err := receiptOf(t, l, lt, priv, "buffered")
@@ -427,7 +427,7 @@ func TestReadReceiptAfterRestart(t *testing.T) {
 	l.Close()
 
 	l = openLedgerAt(t, dir, 4)
-	s := l.shards[0]
+	s := l
 	for _, en := range before.Entries {
 		e, err := s.entryOfTx(en.Entry.TxID)
 		if err != nil {

@@ -30,19 +30,13 @@ var ErrReceiptNotRequested = errors.New("core: read set not accumulated; begin w
 // content (readreceipt.go, §5.1 extended to query results). Plain
 // BeginReadOnly accumulates nothing.
 //
-// On a multi-shard database the read transaction is a router (route is
-// set): each shard's snapshot is pinned when a read first reaches it, so
-// reads are consistent within a shard, not across shards, and a read
-// receipt — a proof against one chain's blocks — cannot be issued. After
-// Close every read, at any shard count, fails with engine.ErrTxDone.
+// After Close every read fails with engine.ErrTxDone.
 //
 // ReadTx is not safe for concurrent use by multiple goroutines.
 type ReadTx struct {
-	l    *Shard
+	db   *DB
 	rtx  *engine.ReadTx
-	done bool // Close has run (a router keeps it in route.done)
-
-	route *participants[*ReadTx]
+	done bool // Close has run
 
 	// collect is set by BeginReadOnlyForReceipt; when false, record is a
 	// no-op and CloseWithReceipt refuses.
@@ -81,32 +75,19 @@ func (db *DB) BeginReadOnly() *ReadTx { return db.beginReadOnly(false) }
 func (db *DB) BeginReadOnlyForReceipt() *ReadTx { return db.beginReadOnly(true) }
 
 func (db *DB) beginReadOnly(collect bool) *ReadTx {
-	if len(db.shards) == 1 {
-		return db.shards[0].beginReadOnly(collect)
-	}
-	return &ReadTx{route: newParticipants(db, func(l *Shard) *ReadTx { return l.beginReadOnly(false) })}
-}
-
-func (l *Shard) beginReadOnly(collect bool) *ReadTx {
-	rt := &ReadTx{l: l, rtx: l.edb.BeginReadOnly(), collect: collect}
+	rt := &ReadTx{db: db, rtx: db.edb.BeginReadOnly(), collect: collect}
 	if collect {
 		rt.seen = make(map[readVersionKey]struct{})
 	}
 	return rt
 }
 
-// SnapshotTS returns the pinned snapshot timestamp (unix nanoseconds). It
-// panics with ErrMultiShard on a multi-shard database, as Raw does.
-func (rt *ReadTx) SnapshotTS() int64 { return rt.Raw().TS() }
+// SnapshotTS returns the pinned snapshot timestamp (unix nanoseconds).
+func (rt *ReadTx) SnapshotTS() int64 { return rt.rtx.TS() }
 
 // Raw exposes the underlying engine read transaction for snapshot reads
 // on regular (non-ledger) tables; those reads carry no receipt coverage.
-func (rt *ReadTx) Raw() *engine.ReadTx {
-	if rt.route != nil {
-		panic(multiShard("ReadTx.Raw", len(rt.route.parts)))
-	}
-	return rt.rtx
-}
+func (rt *ReadTx) Raw() *engine.ReadTx { return rt.rtx }
 
 // record adds a version about to be returned to the read set
 // (deduplicated) and decodes its visible columns into dst's storage, as
@@ -132,13 +113,6 @@ func (rt *ReadTx) record(lt *LedgerTable, sh *tableShape, dst sqltypes.Row, stor
 // snapshot, decoding the visible columns only. The row is the caller's to
 // keep and edit, as Tx.Get's is.
 func (rt *ReadTx) Get(lt *LedgerTable, keyVals ...sqltypes.Value) (sqltypes.Row, bool, error) {
-	if rt.route != nil {
-		p, part, err := rt.route.route(lt, keyVals, nil)
-		if err != nil {
-			return nil, false, err
-		}
-		return p.Get(part, keyVals...)
-	}
 	var kb [64]byte // most keys fit, and then the lookup key stays off the heap
 	key, err := lt.getKey(kb[:0], keyVals)
 	if err != nil {
@@ -171,15 +145,6 @@ func (rt *ReadTx) ScanPrefix(lt *LedgerTable, fn func(row sqltypes.Row) bool, va
 }
 
 func (rt *ReadTx) scanRange(lt *LedgerTable, start, end []byte, fn func(row sqltypes.Row) bool) error {
-	if rt.route != nil { // shard by shard: ordered within a shard, not across them
-		more := true
-		return rt.route.each(func(i int, p *ReadTx) error {
-			if !more {
-				return nil
-			}
-			return p.scanRange(lt.parts[i], start, end, func(r sqltypes.Row) bool { more = fn(r); return more })
-		})
-	}
 	sh := lt.shape.Load()
 	if !rt.collect {
 		return rt.rtx.ScanColumns(lt.table, sh.visible, start, end,
@@ -198,15 +163,11 @@ func (rt *ReadTx) scanRange(lt *LedgerTable, start, end []byte, fn func(row sqlt
 }
 
 // ReadSetSize returns the number of distinct row versions accumulated
-// toward a receipt (none on a multi-shard database, which issues none).
+// toward a receipt.
 func (rt *ReadTx) ReadSetSize() int { return len(rt.reads) }
 
 // Close unpins the snapshot without producing a receipt. Idempotent.
 func (rt *ReadTx) Close() {
-	if rt.route != nil {
-		rt.route.finish(func(_ int, p *ReadTx) { p.Close() })
-		return
-	}
 	rt.done = true
 	rt.rtx.Close()
 	rt.reads = nil
@@ -218,19 +179,15 @@ func (rt *ReadTx) Close() {
 // stays pinned while the receipt is assembled, so version GC cannot
 // reclaim the proven versions mid-build. The transaction must have been
 // begun with BeginReadOnlyForReceipt; otherwise ErrReceiptNotRequested is
-// returned (and the transaction stays open, since nothing was consumed),
-// as ErrMultiShard is on a multi-shard database.
+// returned (and the transaction stays open, since nothing was consumed).
 func (rt *ReadTx) CloseWithReceipt(priv ed25519.PrivateKey) (ReadReceipt, error) {
-	switch {
-	case rt.done || rt.route != nil && rt.route.done:
+	if rt.done {
 		return ReadReceipt{}, engine.ErrTxDone
-	case rt.route != nil:
-		return ReadReceipt{}, multiShard("ReadTx.CloseWithReceipt", len(rt.route.parts))
 	}
 	if !rt.collect {
 		return ReadReceipt{}, ErrReceiptNotRequested
 	}
-	r, err := rt.l.buildReadReceipt(rt.reads, rt.rtx, priv)
+	r, err := rt.db.buildReadReceipt(rt.reads, rt.rtx, priv)
 	rt.Close()
 	return r, err
 }

@@ -77,9 +77,9 @@ func signedMessage(dbName string, blockID uint64, root merkle.Hash) []byte {
 }
 
 // entryOfTx returns txID's ledger entry.
-func (l *Shard) entryOfTx(txID uint64) (*wal.LedgerEntry, error) {
+func (db *DB) entryOfTx(txID uint64) (*wal.LedgerEntry, error) {
 	want := map[uint64]*wal.LedgerEntry{txID: nil}
-	err := l.entries.get(want)
+	err := db.entries.get(want)
 	return want[txID], err
 }
 
@@ -140,28 +140,28 @@ func decodeProof(p ReceiptProof) (merkle.Proof, error) {
 // GenerateReceipt produces a receipt for txID, signing the block root with
 // priv. The transaction's block must already be closed (generate a digest
 // first to force-close the current block).
-func (l *Shard) GenerateReceipt(txID uint64, priv ed25519.PrivateKey) (Receipt, error) {
-	e, err := l.entryOfTx(txID)
+func (db *DB) GenerateReceipt(txID uint64, priv ed25519.PrivateKey) (Receipt, error) {
+	e, err := db.entryOfTx(txID)
 	if err != nil {
 		return Receipt{}, err
 	}
-	l.closeMu.Lock()
-	closed := l.closedThrough
-	l.closeMu.Unlock()
+	db.closeMu.Lock()
+	closed := db.closedThrough
+	db.closeMu.Unlock()
 	if int64(e.BlockID) > closed {
 		return Receipt{}, fmt.Errorf("%w: transaction %d is in open block %d", ErrBlockNotClosed, txID, e.BlockID)
 	}
-	root, proofs, err := l.blockProofs(e.BlockID, []uint64{uint64(e.Ordinal)})
+	root, proofs, err := db.blockProofs(e.BlockID, []uint64{uint64(e.Ordinal)})
 	if err != nil {
 		return Receipt{}, err
 	}
 	return Receipt{
-		DatabaseName: l.opts.Name,
+		DatabaseName: db.opts.Name,
 		Entry:        toReceiptEntry(e),
 		BlockID:      e.BlockID,
 		BlockRoot:    root.String(),
 		Proof:        encodeProof(proofs[0]),
-		Signature:    ed25519.Sign(priv, signedMessage(l.opts.Name, e.BlockID, root)),
+		Signature:    ed25519.Sign(priv, signedMessage(db.opts.Name, e.BlockID, root)),
 		PublicKey:    append(ed25519.PublicKey(nil), priv.Public().(ed25519.PublicKey)...),
 	}, nil
 }

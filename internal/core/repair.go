@@ -44,32 +44,20 @@ func (r *RepairReport) String() string {
 	return s
 }
 
-// RepairFromBackup repairs l in place using backup as the reference
+// RepairFromBackup repairs db in place using backup as the reference
 // (§3.7): the backup is verified first with the provided digests and must
 // pass; then, for every ledger table (matched by table id), rows that
-// were modified, injected or deleted in l are restored to the backup's
+// were modified, injected or deleted in db are restored to the backup's
 // state. Ledger system tables (transactions, blocks) are repaired the
 // same way, which un-forks any overwritten chain state. If dryRun is set,
 // divergences are reported but not fixed.
 //
-// After a successful repair, rerun Verify on l: it should pass with the
+// After a successful repair, rerun Verify on db: it should pass with the
 // same digests, because the repaired data is exactly the data the digests
-// were computed over. Rows legitimately written to l AFTER the backup was
+// were computed over. Rows legitimately written to db AFTER the backup was
 // taken will be reported as divergences too — take a fresh backup (or use
 // digests covering the tail) before repairing a live database.
-//
-// Both databases must have one shard (ErrMultiShard otherwise): repair
-// pairs tables by id and rows by key within one chain; repair a shard of
-// a multi-shard database from that shard's backup directory.
-func RepairFromBackup(db, backupDB *DB, digests []Digest, dryRun bool) (*RepairReport, error) {
-	l, err := single(db, "RepairFromBackup", only)
-	if err != nil {
-		return nil, err
-	}
-	backup, err := single(backupDB, "RepairFromBackup", only)
-	if err != nil {
-		return nil, err
-	}
+func RepairFromBackup(db, backup *DB, digests []Digest, dryRun bool) (*RepairReport, error) {
 	rep := &RepairReport{}
 	backupReport, err := backup.Verify(digests, VerifyOptions{})
 	if err != nil {
@@ -82,12 +70,12 @@ func RepairFromBackup(db, backupDB *DB, digests []Digest, dryRun bool) (*RepairR
 
 	// Pair tables by id: ledger tables, their history tables, and the
 	// ledger system tables.
-	for _, lt := range l.LedgerTables() {
+	for _, lt := range db.LedgerTables() {
 		blt, err := backup.edb.TableByID(lt.ID())
 		if err != nil {
 			return nil, fmt.Errorf("core: table %s (id %d) missing from backup: %w", lt.Name(), lt.ID(), err)
 		}
-		if err := repairTable(l, rep, lt.Name(), lt.table, blt, dryRun); err != nil {
+		if err := repairTable(db, rep, lt.Name(), lt.table, blt, dryRun); err != nil {
 			return nil, err
 		}
 		if lt.history != nil {
@@ -95,7 +83,7 @@ func RepairFromBackup(db, backupDB *DB, digests []Digest, dryRun bool) (*RepairR
 			if err != nil {
 				return nil, fmt.Errorf("core: history table of %s missing from backup: %w", lt.Name(), err)
 			}
-			if err := repairTable(l, rep, lt.history.Name(), lt.history, bh, dryRun); err != nil {
+			if err := repairTable(db, rep, lt.history.Name(), lt.history, bh, dryRun); err != nil {
 				return nil, err
 			}
 		}
@@ -103,8 +91,8 @@ func RepairFromBackup(db, backupDB *DB, digests []Digest, dryRun bool) (*RepairR
 	for _, pair := range []struct {
 		name string
 		cur  uint32
-	}{{sysTxName, l.entries.table.ID()}, {sysBlocksName, l.sysBlocks.ID()}, {sysViewsName, l.sysViews.ID()}} {
-		cur, err := l.edb.TableByID(pair.cur)
+	}{{sysTxName, db.entries.table.ID()}, {sysBlocksName, db.sysBlocks.ID()}, {sysViewsName, db.sysViews.ID()}} {
+		cur, err := db.edb.TableByID(pair.cur)
 		if err != nil {
 			return nil, err
 		}
@@ -112,18 +100,18 @@ func RepairFromBackup(db, backupDB *DB, digests []Digest, dryRun bool) (*RepairR
 		if err != nil {
 			return nil, fmt.Errorf("core: system table %s missing from backup: %w", pair.name, err)
 		}
-		if err := repairTable(l, rep, pair.name, cur, bak, dryRun); err != nil {
+		if err := repairTable(db, rep, pair.name, cur, bak, dryRun); err != nil {
 			return nil, err
 		}
 	}
 	return rep, nil
 }
 
-// repairTable diffs two tables by clustered key and reconciles l's copy
+// repairTable diffs two tables by clustered key and reconciles db's copy
 // to match the backup's. Both sides are read and compared as stored bytes,
 // and a row is restored from the backup's bytes, so a row whose bytes are
 // no row at all is repaired like any other.
-func repairTable(l *Shard, rep *RepairReport, name string, et, bak *engine.Table, dryRun bool) error {
+func repairTable(db *DB, rep *RepairReport, name string, et, bak *engine.Table, dryRun bool) error {
 	collect := func(t *engine.Table) map[string][]byte {
 		m := make(map[string][]byte)
 		t.ScanRangeStored(nil, nil, func(k, stored []byte) bool {
@@ -146,7 +134,7 @@ func repairTable(l *Shard, rep *RepairReport, name string, et, bak *engine.Table
 		}
 		rep.Actions = append(rep.Actions, RepairAction{Table: name, Kind: kind, Key: fmt.Sprintf("%x", k)})
 		if !dryRun {
-			if err := l.edb.TamperPutStoredRow(et, []byte(k), b); err != nil {
+			if err := db.edb.TamperPutStoredRow(et, []byte(k), b); err != nil {
 				return fmt.Errorf("core: repair row %x of %s: %w", k, name, err)
 			}
 		}
@@ -155,7 +143,7 @@ func repairTable(l *Shard, rep *RepairReport, name string, et, bak *engine.Table
 		if _, present := bakRows[k]; !present {
 			rep.Actions = append(rep.Actions, RepairAction{Table: name, Kind: "removed", Key: fmt.Sprintf("%x", k)})
 			if !dryRun {
-				if err := l.edb.TamperDeleteRow(et, []byte(k), true); err != nil {
+				if err := db.edb.TamperDeleteRow(et, []byte(k), true); err != nil {
 					return fmt.Errorf("core: remove injected row from %s: %w", name, err)
 				}
 			}

@@ -19,7 +19,7 @@ func makeBackup(t *testing.T, l *DB, blockSize uint32) *DB {
 	if err := l.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	src := l.shards[0].edb.Dir()
+	src := l.edb.Dir()
 	dst := filepath.Join(t.TempDir(), "backup")
 	copyDir(t, src, dst)
 	return openLedgerAt(t, dst, blockSize)
@@ -77,8 +77,8 @@ func TestRepairFromBackup(t *testing.T) {
 	}, true)
 	hKey := firstKeyOf(t, lt.History())
 	l.Engine().TamperDeleteRow(lt.History(), hKey, true)
-	bKey := firstKeyOf(t, l.shards[0].sysBlocks)
-	l.Engine().TamperUpdateRow(l.shards[0].sysBlocks, bKey, func(r sqltypes.Row) sqltypes.Row {
+	bKey := firstKeyOf(t, l.sysBlocks)
+	l.Engine().TamperUpdateRow(l.sysBlocks, bKey, func(r sqltypes.Row) sqltypes.Row {
 		r[3] = sqltypes.NewBigInt(r[3].Int() + 7)
 		return r
 	}, true)

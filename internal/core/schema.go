@@ -22,14 +22,9 @@ import (
 // operations themselves are tamper-evident (Figure 6).
 
 // AddColumn appends a nullable column to a ledger table (and its history
-// table) on every shard. Existing row hashes are unaffected: the new
-// column is NULL for existing rows and NULLs never enter the serialization.
+// table). Existing row hashes are unaffected: the new column is NULL for
+// existing rows and NULLs never enter the serialization.
 func (db *DB) AddColumn(lt *LedgerTable, col sqltypes.Column) error {
-	_, err := fanOut(db, false, func(i int, l *Shard) (any, error) { return nil, l.addColumn(lt.on(i), col) })
-	return err
-}
-
-func (l *Shard) addColumn(lt *LedgerTable, col sqltypes.Column) error {
 	if !col.Nullable {
 		return fmt.Errorf("core: added column %q must be nullable", col.Name)
 	}
@@ -41,7 +36,7 @@ func (l *Shard) addColumn(lt *LedgerTable, col sqltypes.Column) error {
 	}
 	addTo := func(tableID uint32) (int, error) {
 		var ord int
-		err := l.edb.AlterTableMeta(tableID, func(m *engine.TableMeta) error {
+		err := db.edb.AlterTableMeta(tableID, func(m *engine.TableMeta) error {
 			c := col
 			c.Ordinal = len(m.Schema.Columns)
 			ord = c.Ordinal
@@ -64,15 +59,15 @@ func (l *Shard) addColumn(lt *LedgerTable, col sqltypes.Column) error {
 		}
 	}
 	lt.refreshShape()
-	if err := l.storeViewDefinition(lt); err != nil {
+	if err := db.storeViewDefinition(lt); err != nil {
 		return err
 	}
 	if lt.table.Meta().System {
 		return nil
 	}
-	tx := l.begin("system")
+	tx := db.Begin("system")
 	defer tx.Rollback()
-	if err := tx.Insert(l.metaColumns, sqltypes.Row{
+	if err := tx.Insert(db.metaColumns, sqltypes.Row{
 		sqltypes.NewBigInt(int64(lt.ID())),
 		sqltypes.NewBigInt(int64(ord)),
 		sqltypes.NewNVarChar(col.Name),
@@ -90,15 +85,10 @@ func droppedColumnName(name string, ordinal int) string {
 	return fmt.Sprintf("MS_DroppedColumn_%s_%d", name, ordinal)
 }
 
-// DropColumn logically drops a column on every shard: it is hidden from
+// DropColumn logically drops a column: it is hidden from
 // applications and renamed, but its data remains available to verification
 // and the ledger views (§3.5.2).
 func (db *DB) DropColumn(lt *LedgerTable, name string) error {
-	_, err := fanOut(db, false, func(i int, l *Shard) (any, error) { return nil, l.dropColumn(lt.on(i), name) })
-	return err
-}
-
-func (l *Shard) dropColumn(lt *LedgerTable, name string) error {
 	ord := lt.table.Schema().OrdinalOf(name)
 	if ord < 0 {
 		return fmt.Errorf("core: column %q not found in %s", name, lt.Name())
@@ -112,7 +102,7 @@ func (l *Shard) dropColumn(lt *LedgerTable, name string) error {
 		}
 	}
 	drop := func(tableID uint32) error {
-		return l.edb.AlterTableMeta(tableID, func(m *engine.TableMeta) error {
+		return db.edb.AlterTableMeta(tableID, func(m *engine.TableMeta) error {
 			c := &m.Schema.Columns[ord]
 			c.Dropped = true
 			c.Name = droppedColumnName(c.Name, ord)
@@ -128,7 +118,7 @@ func (l *Shard) dropColumn(lt *LedgerTable, name string) error {
 		}
 	}
 	lt.refreshShape()
-	if err := l.storeViewDefinition(lt); err != nil {
+	if err := db.storeViewDefinition(lt); err != nil {
 		return err
 	}
 	if lt.table.Meta().System {
@@ -136,9 +126,9 @@ func (l *Shard) dropColumn(lt *LedgerTable, name string) error {
 	}
 	// Record the drop: delete the column's metadata row (the deletion
 	// itself lands in the metadata table's history — Figure 6 semantics).
-	tx := l.begin("system")
+	tx := db.Begin("system")
 	defer tx.Rollback()
-	if err := tx.Delete(l.metaColumns,
+	if err := tx.Delete(db.metaColumns,
 		sqltypes.NewBigInt(int64(lt.ID())), sqltypes.NewBigInt(int64(ord))); err != nil {
 		return err
 	}
@@ -148,14 +138,9 @@ func (l *Shard) dropColumn(lt *LedgerTable, name string) error {
 // AlterColumnType changes a column's data type by dropping the old column,
 // adding a new one with the original name, and repopulating it row by row
 // through regular ledger DML using convert (§3.5.3). The repopulation is
-// one ledger transaction per shard: every affected row version lands in
+// one ledger transaction: every affected row version lands in
 // the history table and the ledger like any application update.
 func (db *DB) AlterColumnType(lt *LedgerTable, name string, newType sqltypes.TypeID, convert func(sqltypes.Value) (sqltypes.Value, error)) error {
-	_, err := fanOut(db, false, func(i int, l *Shard) (any, error) { return nil, l.alterColumnType(lt.on(i), name, newType, convert) })
-	return err
-}
-
-func (l *Shard) alterColumnType(lt *LedgerTable, name string, newType sqltypes.TypeID, convert func(sqltypes.Value) (sqltypes.Value, error)) error {
 	if lt.Kind() == engine.LedgerAppendOnly {
 		return fmt.Errorf("%w: cannot alter column types of %s", ErrAppendOnly, lt.Name())
 	}
@@ -163,10 +148,10 @@ func (l *Shard) alterColumnType(lt *LedgerTable, name string, newType sqltypes.T
 	if oldOrd < 0 {
 		return fmt.Errorf("core: column %q not found in %s", name, lt.Name())
 	}
-	if err := l.dropColumn(lt, name); err != nil {
+	if err := db.DropColumn(lt, name); err != nil {
 		return err
 	}
-	if err := l.addColumn(lt, sqltypes.Column{Name: name, Type: newType, Nullable: true}); err != nil {
+	if err := db.AddColumn(lt, sqltypes.Column{Name: name, Type: newType, Nullable: true}); err != nil {
 		return err
 	}
 	// New column is appended, so it is the last visible column.
@@ -174,7 +159,7 @@ func (l *Shard) alterColumnType(lt *LedgerTable, name string, newType sqltypes.T
 
 	// Repopulate: read the pre-change value from the dropped column (it
 	// is still stored) and write the converted value through regular DML.
-	tx := l.begin("system")
+	tx := db.Begin("system")
 	defer tx.Rollback()
 	var updates []sqltypes.Row
 	var convErr error
@@ -213,19 +198,14 @@ func droppedTableName(name string, id uint32) string {
 	return fmt.Sprintf("MS_DroppedTable_%s_%d", name, id)
 }
 
-// DropLedgerTable logically drops a ledger table on every shard: the table
+// DropLedgerTable logically drops a ledger table: the table
 // (and its history table) is renamed and hidden from the application
 // namespace, but its data remains in the database for verification and
 // auditing (§3.5.2). The drop is recorded in the metadata ledger so users
 // can distinguish an intentional drop from the drop-and-replace attack the
 // paper describes.
 func (db *DB) DropLedgerTable(name string) error {
-	_, err := fanOut(db, false, func(_ int, l *Shard) (any, error) { return nil, l.dropLedgerTable(name) })
-	return err
-}
-
-func (l *Shard) dropLedgerTable(name string) error {
-	lt, err := l.LedgerTable(name)
+	lt, err := db.LedgerTable(name)
 	if err != nil {
 		return err
 	}
@@ -233,7 +213,7 @@ func (l *Shard) dropLedgerTable(name string) error {
 		return fmt.Errorf("core: cannot drop system table %s", name)
 	}
 	rename := func(tableID uint32) error {
-		return l.edb.AlterTableMeta(tableID, func(m *engine.TableMeta) error {
+		return db.edb.AlterTableMeta(tableID, func(m *engine.TableMeta) error {
 			m.Dropped = true
 			m.OriginalName = m.Name
 			m.Name = droppedTableName(m.Name, m.ID)
@@ -250,19 +230,19 @@ func (l *Shard) dropLedgerTable(name string) error {
 	}
 	// The rename changes the canonical view definition; refresh it so
 	// verification does not mistake the legitimate DDL for tampering.
-	if err := l.storeViewDefinition(lt); err != nil {
+	if err := db.storeViewDefinition(lt); err != nil {
 		return err
 	}
 	// Record the drop in the metadata ledger (Figure 6): delete the
 	// table's row and its column rows; the deletions are preserved in the
 	// metadata history tables.
-	tx := l.begin("system")
+	tx := db.Begin("system")
 	defer tx.Rollback()
-	if err := tx.Delete(l.metaTables, sqltypes.NewBigInt(int64(lt.ID()))); err != nil {
+	if err := tx.Delete(db.metaTables, sqltypes.NewBigInt(int64(lt.ID()))); err != nil {
 		return err
 	}
 	var colOrds []int64
-	verr := tx.etx.Scan(l.metaColumns.table, func(_ []byte, full sqltypes.Row) bool {
+	verr := tx.etx.Scan(db.metaColumns.table, func(_ []byte, full sqltypes.Row) bool {
 		if uint64(full[0].Int()) == uint64(lt.ID()) {
 			colOrds = append(colOrds, full[1].Int())
 		}
@@ -272,7 +252,7 @@ func (l *Shard) dropLedgerTable(name string) error {
 		return verr
 	}
 	for _, ord := range colOrds {
-		if err := tx.Delete(l.metaColumns,
+		if err := tx.Delete(db.metaColumns,
 			sqltypes.NewBigInt(int64(lt.ID())), sqltypes.NewBigInt(ord)); err != nil {
 			return err
 		}
@@ -291,8 +271,8 @@ type TableOperation struct {
 // TableOperations reports every CREATE/DROP of a ledger table, derived
 // from the metadata ledger view — what users consult to detect the
 // drop-and-replace attack (§3.5.2).
-func (l *Shard) TableOperations() ([]TableOperation, error) {
-	view, err := l.metaTables.LedgerView()
+func (db *DB) TableOperations() ([]TableOperation, error) {
+	view, err := db.metaTables.LedgerView()
 	if err != nil {
 		return nil, err
 	}

@@ -37,12 +37,12 @@ func TestChainWalkKeepsEveryBlockRow(t *testing.T) {
 	}
 	var findings []string
 	emit := func(f finding) bool { findings = append(findings, f.detail); return true }
-	all := l.shards[0].checkChain(chainCheck{digests: digests, entries: byBlock(l)}, emit)
+	all := l.checkChain(chainCheck{digests: digests, entries: byBlock(l)}, emit)
 	if all.blocks < 3 || len(findings) != 0 {
 		t.Fatalf("full walk: %d blocks, findings %v", all.blocks, findings)
 	}
 	// A range walk reads block From-1 for its link and the range after it.
-	part := l.shards[0].checkChain(chainCheck{blocks: &BlockRange{From: 1, To: 2}, entries: byBlock(l)}, emit)
+	part := l.checkChain(chainCheck{blocks: &BlockRange{From: 1, To: 2}, entries: byBlock(l)}, emit)
 	if part.blocks != 2 || part.through != 2 || len(findings) != 0 {
 		t.Fatalf("range walk: %d blocks through %d, findings %v", part.blocks, part.through, findings)
 	}
@@ -50,50 +50,8 @@ func TestChainWalkKeepsEveryBlockRow(t *testing.T) {
 }
 
 func byBlock(l *DB) map[uint64][]*wal.LedgerEntry {
-	_, b, _ := l.shards[0].entries.all()
+	_, b, _ := l.entries.all()
 	return b
-}
-
-// TestShardedScanRowIsCallbackScoped: ShardedTx.Scan hands each shard's
-// buffer straight through; a cloned row outlives the scan, across the
-// shard boundary too.
-func TestShardedScanRowIsCallbackScoped(t *testing.T) {
-	s := openShards(t, t.TempDir(), 2)
-	defer s.Close()
-	st, err := s.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stx := s.Begin("u")
-	want := map[string]int64{}
-	for i := 0; i < 12; i++ {
-		name := string(rune('a' + i))
-		want[name] = int64(i)
-		if err := stx.Insert(st, acct(name, int64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := stx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	stx = s.Begin("u")
-	defer stx.Rollback()
-	var cloned []sqltypes.Row
-	if err := stx.Scan(st, func(r sqltypes.Row) bool {
-		cloned = append(cloned, r.Clone())
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(cloned) != len(want) {
-		t.Fatalf("scan delivered %d rows, want %d", len(cloned), len(want))
-	}
-	for _, r := range cloned {
-		if bal, ok := want[r[0].Str]; !ok || bal != r[1].Int() {
-			t.Errorf("cloned row %v is not a row that was inserted", r)
-		}
-		delete(want, r[0].Str)
-	}
 }
 
 // TestLedgerRowsAreEncodedAtTheWriteBoundary is the write-side mirror: a

@@ -14,16 +14,8 @@ import (
 // LedgerTable is the handle through which applications operate on a
 // ledger table. DML must go through transactions (tx.go), which maintain
 // the history table and the transaction Merkle trees.
-//
-// On a multi-shard database the table exists — same name, schema and kind
-// — on every shard, and the handle DB.LedgerTable returns is a router over
-// those parts (parts is set, nothing else): rows go to the part their
-// primary key hashes to. What is one chain's artifact (Table, History, ID,
-// LedgerView) is asked of a part, reached as db.Shard(i).LedgerTable(name).
 type LedgerTable struct {
-	parts []*LedgerTable // index = shard; nil on a part (and so on any one-shard database)
-
-	l       *Shard
+	db      *DB
 	table   *engine.Table
 	history *engine.Table // nil for append-only tables
 
@@ -58,89 +50,28 @@ type tableShape struct {
 	layout *serial.Layout
 }
 
-// on returns the table's part on shard i (the table itself on a one-shard
-// database). Any part — on(0) — answers questions about the table's name,
-// kind and columns: DDL reaches every shard, so they agree on those.
-func (lt *LedgerTable) on(i int) *LedgerTable {
-	if lt.parts != nil {
-		return lt.parts[i]
-	}
-	return lt
-}
-
-// part is the guard of the operations that name one chain's artifact.
-func (lt *LedgerTable) part(op string) *LedgerTable {
-	if lt.parts != nil {
-		panic(multiShard(op, len(lt.parts)))
-	}
-	return lt
-}
-
 // Name returns the table name.
-func (lt *LedgerTable) Name() string { return lt.on(0).table.Name() }
+func (lt *LedgerTable) Name() string { return lt.table.Name() }
 
-// ID returns the base table id within its shard's catalog.
-func (lt *LedgerTable) ID() uint32 { return lt.part("LedgerTable.ID").table.ID() }
+// ID returns the base table id.
+func (lt *LedgerTable) ID() uint32 { return lt.table.ID() }
 
 // Kind returns whether the table is updateable or append-only.
-func (lt *LedgerTable) Kind() engine.LedgerKind { return lt.on(0).table.Meta().Ledger }
+func (lt *LedgerTable) Kind() engine.LedgerKind { return lt.table.Meta().Ledger }
 
 // Table exposes the underlying engine table (used by verification and
 // tamper simulation).
-func (lt *LedgerTable) Table() *engine.Table { return lt.part("LedgerTable.Table").table }
+func (lt *LedgerTable) Table() *engine.Table { return lt.table }
 
 // History exposes the history table (nil for append-only tables).
-func (lt *LedgerTable) History() *engine.Table { return lt.part("LedgerTable.History").history }
+func (lt *LedgerTable) History() *engine.Table { return lt.history }
 
 // Schema returns the table's storage schema: user columns, then the four
 // hidden system columns.
-func (lt *LedgerTable) Schema() *sqltypes.Schema { return lt.on(0).table.Schema() }
+func (lt *LedgerTable) Schema() *sqltypes.Schema { return lt.table.Schema() }
 
 // VisibleColumns returns the application-visible columns.
 func (lt *LedgerTable) VisibleColumns() []sqltypes.Column { return lt.Schema().VisibleColumns() }
-
-// ShardOf returns the shard that stores the row with the given primary-key
-// values (0 on a one-shard database), so loaders can build transactions
-// that touch one shard and commit without two-phase commit.
-func (lt *LedgerTable) ShardOf(keyVals ...sqltypes.Value) int {
-	i, _ := lt.route(keyVals, nil)
-	return i
-}
-
-// route returns the shard that stores a row, hashing its primary-key
-// values: vals[ords[0]], vals[ords[1]], … of a visible row (ledger schemas
-// put user columns first, so key ordinals index it) — or vals itself when
-// ords is empty, as a key given as values or the whole visible row of a
-// keyless append-only table.
-func (lt *LedgerTable) route(vals []sqltypes.Value, ords []int) (int, error) {
-	if lt.parts == nil {
-		return 0, nil
-	}
-	key := vals
-	if len(ords) > 0 {
-		var buf [8]sqltypes.Value
-		key = buf[:0]
-		for _, ord := range ords {
-			if ord >= len(vals) {
-				return 0, fmt.Errorf("core: row for %s is missing key column %d", lt.Name(), ord)
-			}
-			key = append(key, vals[ord])
-		}
-	}
-	return int(fnv64a(sqltypes.EncodeKey(nil, key...)) % uint64(len(lt.parts))), nil
-}
-
-// fnv64a is FNV-1a, inlined so routing adds no dependency. The map from
-// key to shard is deterministic, which is what makes the digests of a
-// multi-shard history reproducible under a logical clock.
-func fnv64a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
-	}
-	return h
-}
 
 // isReservedColumn reports whether a column name collides with one of the
 // hidden system columns.
@@ -167,53 +98,15 @@ func hiddenLedgerColumns() []sqltypes.Column {
 }
 
 // CreateLedgerTable creates a ledger table (and, for updateable tables,
-// its history table) on every shard, registers its metadata in the ledger
-// system tables and records its ledger-view definition. The schema must
-// not contain columns named like the hidden system columns. Updateable
-// tables require a primary key.
+// its history table), registers its metadata in the ledger system tables
+// and records its ledger-view definition. The schema must not contain
+// columns named like the hidden system columns. Updateable tables require
+// a primary key.
 func (db *DB) CreateLedgerTable(name string, userSchema *sqltypes.Schema, kind engine.LedgerKind) (*LedgerTable, error) {
-	return db.tableOf(func(l *Shard) (*LedgerTable, error) {
-		return l.createLedgerTable(name, userSchema, kind, false)
-	})
+	return db.createLedgerTable(name, userSchema, kind, false)
 }
 
-// LedgerTable returns the handle for a ledger table by name.
-func (db *DB) LedgerTable(name string) (*LedgerTable, error) {
-	return db.tableOf(func(l *Shard) (*LedgerTable, error) { return l.LedgerTable(name) })
-}
-
-// tableOf builds a table handle from each shard's part: the part itself
-// on a one-shard database, a router over the parts otherwise.
-func (db *DB) tableOf(part func(*Shard) (*LedgerTable, error)) (*LedgerTable, error) {
-	parts, err := fanOut(db, false, func(_ int, l *Shard) (*LedgerTable, error) { return part(l) })
-	switch {
-	case err != nil:
-		return nil, err
-	case len(parts) == 1:
-		return parts[0], nil
-	}
-	return &LedgerTable{parts: parts}, nil
-}
-
-// LedgerTables returns handles for all ledger tables (including dropped
-// and system ones), ordered by table id.
-func (db *DB) LedgerTables() []*LedgerTable {
-	first := db.shards[0].LedgerTables()
-	if len(db.shards) == 1 {
-		return first
-	}
-	out := make([]*LedgerTable, 0, len(first))
-	for _, p := range first {
-		// DDL reaches the shards in one order, so a table has one id on all.
-		lt, err := db.tableOf(func(l *Shard) (*LedgerTable, error) { return l.tableByID(p.table.ID()) })
-		if err == nil {
-			out = append(out, lt)
-		}
-	}
-	return out
-}
-
-func (l *Shard) createLedgerTable(name string, userSchema *sqltypes.Schema, kind engine.LedgerKind, bootstrapping bool) (*LedgerTable, error) {
+func (db *DB) createLedgerTable(name string, userSchema *sqltypes.Schema, kind engine.LedgerKind, bootstrapping bool) (*LedgerTable, error) {
 	switch kind {
 	case engine.LedgerUpdateable, engine.LedgerAppendOnly:
 	default:
@@ -236,7 +129,7 @@ func (l *Shard) createLedgerTable(name string, userSchema *sqltypes.Schema, kind
 	if err != nil {
 		return nil, err
 	}
-	t, err := l.edb.CreateTable(engine.CreateTableSpec{
+	t, err := db.edb.CreateTable(engine.CreateTableSpec{
 		Name: name, Schema: full, Ledger: kind, System: bootstrapping,
 	})
 	if err != nil {
@@ -250,7 +143,7 @@ func (l *Shard) createLedgerTable(name string, userSchema *sqltypes.Schema, kind
 		if err != nil {
 			return nil, err
 		}
-		hist, err = l.edb.CreateTable(engine.CreateTableSpec{
+		hist, err = db.edb.CreateTable(engine.CreateTableSpec{
 			Name: historyName(name), Schema: hSchema, Ledger: engine.LedgerHistory, System: bootstrapping,
 		})
 		if err != nil {
@@ -258,28 +151,28 @@ func (l *Shard) createLedgerTable(name string, userSchema *sqltypes.Schema, kind
 		}
 		histID := hist.ID()
 		baseID := t.ID()
-		if err := l.edb.AlterTableMeta(baseID, func(m *engine.TableMeta) error {
+		if err := db.edb.AlterTableMeta(baseID, func(m *engine.TableMeta) error {
 			m.HistoryTableID = histID
 			return nil
 		}); err != nil {
 			return nil, err
 		}
-		if err := l.edb.AlterTableMeta(histID, func(m *engine.TableMeta) error {
+		if err := db.edb.AlterTableMeta(histID, func(m *engine.TableMeta) error {
 			m.BaseTableID = baseID
 			return nil
 		}); err != nil {
 			return nil, err
 		}
 	}
-	lt, err := l.wrapLedgerTable(t)
+	lt, err := db.wrapLedgerTable(t)
 	if err != nil {
 		return nil, err
 	}
-	if err := l.storeViewDefinition(lt); err != nil {
+	if err := db.storeViewDefinition(lt); err != nil {
 		return nil, err
 	}
 	if !bootstrapping {
-		if err := l.registerTableMetadata(lt); err != nil {
+		if err := db.registerTableMetadata(lt); err != nil {
 			return nil, err
 		}
 	}
@@ -287,12 +180,12 @@ func (l *Shard) createLedgerTable(name string, userSchema *sqltypes.Schema, kind
 }
 
 // wrapLedgerTable builds the runtime handle for an existing ledger table.
-func (l *Shard) wrapLedgerTable(t *engine.Table) (*LedgerTable, error) {
+func (db *DB) wrapLedgerTable(t *engine.Table) (*LedgerTable, error) {
 	m := t.Meta()
 	if m.Ledger != engine.LedgerUpdateable && m.Ledger != engine.LedgerAppendOnly {
 		return nil, fmt.Errorf("%w: %s", ErrNotLedgerTable, m.Name)
 	}
-	lt := &LedgerTable{l: l, table: t}
+	lt := &LedgerTable{db: db, table: t}
 	s := t.Schema()
 	named := func(name string) (int, error) {
 		for _, c := range s.Columns {
@@ -318,46 +211,46 @@ func (l *Shard) wrapLedgerTable(t *engine.Table) (*LedgerTable, error) {
 	lt.skipEnd = serial.NewSkipMask(lt.endTxOrd, lt.endSeqOrd)
 	lt.refreshShape()
 	if m.Ledger == engine.LedgerUpdateable {
-		if lt.history, err = l.edb.TableByID(m.HistoryTableID); err != nil {
+		if lt.history, err = db.edb.TableByID(m.HistoryTableID); err != nil {
 			return nil, fmt.Errorf("core: history table of %s: %w", m.Name, err)
 		}
 	}
-	l.tmu.Lock()
-	l.tables[m.ID] = lt
-	l.tmu.Unlock()
+	db.tmu.Lock()
+	db.tables[m.ID] = lt
+	db.tmu.Unlock()
 	return lt, nil
 }
 
-// LedgerTable returns the handle for this shard's part of a ledger table.
-func (l *Shard) LedgerTable(name string) (*LedgerTable, error) {
-	t, err := l.edb.Table(name)
+// LedgerTable returns the handle for a ledger table by name.
+func (db *DB) LedgerTable(name string) (*LedgerTable, error) {
+	t, err := db.edb.Table(name)
 	if err != nil {
 		return nil, err
 	}
-	lt, err := l.tableByID(t.ID())
+	lt, err := db.tableByID(t.ID())
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotLedgerTable, name)
 	}
 	return lt, nil
 }
 
-func (l *Shard) tableByID(id uint32) (*LedgerTable, error) {
-	l.tmu.RLock()
-	lt, ok := l.tables[id]
-	l.tmu.RUnlock()
+func (db *DB) tableByID(id uint32) (*LedgerTable, error) {
+	db.tmu.RLock()
+	lt, ok := db.tables[id]
+	db.tmu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: id %d", ErrNotLedgerTable, id)
 	}
 	return lt, nil
 }
 
-// LedgerTables returns this shard's parts of all ledger tables (including
-// dropped and system ones), ordered by table id.
-func (l *Shard) LedgerTables() []*LedgerTable {
-	l.tmu.RLock()
-	defer l.tmu.RUnlock()
-	out := make([]*LedgerTable, 0, len(l.tables))
-	for _, lt := range l.tables {
+// LedgerTables returns handles for all ledger tables (including dropped
+// and system ones), ordered by table id.
+func (db *DB) LedgerTables() []*LedgerTable {
+	db.tmu.RLock()
+	defer db.tmu.RUnlock()
+	out := make([]*LedgerTable, 0, len(db.tables))
+	for _, lt := range db.tables {
 		out = append(out, lt)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
@@ -422,8 +315,8 @@ func (lt *LedgerTable) fullRowInto(dst sqltypes.Row, visible sqltypes.Row, txID 
 // registerTableMetadata records the table and its columns in the ledger
 // metadata system tables (§3.5.2, Figure 6), via a regular ledger
 // transaction so the operations themselves are tamper-evident.
-func (l *Shard) registerTableMetadata(lt *LedgerTable) error {
-	tx := l.begin("system")
+func (db *DB) registerTableMetadata(lt *LedgerTable) error {
+	tx := db.Begin("system")
 	defer tx.Rollback()
 	m := lt.table.Meta()
 	metaRow := sqltypes.Row{
@@ -435,14 +328,14 @@ func (l *Shard) registerTableMetadata(lt *LedgerTable) error {
 	if m.HistoryTableID != 0 {
 		metaRow[3] = sqltypes.NewBigInt(int64(m.HistoryTableID))
 	}
-	if err := tx.Insert(l.metaTables, metaRow); err != nil {
+	if err := tx.Insert(db.metaTables, metaRow); err != nil {
 		return err
 	}
 	for _, c := range lt.table.Schema().Columns {
 		if c.Hidden {
 			continue
 		}
-		if err := tx.Insert(l.metaColumns, sqltypes.Row{
+		if err := tx.Insert(db.metaColumns, sqltypes.Row{
 			sqltypes.NewBigInt(int64(m.ID)),
 			sqltypes.NewBigInt(int64(c.Ordinal)),
 			sqltypes.NewNVarChar(c.Name),

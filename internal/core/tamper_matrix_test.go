@@ -95,7 +95,7 @@ func flipByte(col int) func(sqltypes.Row) sqltypes.Row {
 func (f *matrixFixture) txKeyInBlock(t *testing.T, b int64, pred func(sqltypes.Row) bool) []byte {
 	t.Helper()
 	var key []byte
-	f.l.shards[0].entries.table.Scan(func(k []byte, r sqltypes.Row) bool {
+	f.l.entries.table.Scan(func(k []byte, r sqltypes.Row) bool {
 		if r[1].Int() >= b && (pred == nil || pred(r)) {
 			key = append([]byte(nil), k...)
 			return false
@@ -168,7 +168,7 @@ var tamperMatrix = []tamperCase{
 		tamper: func(t *testing.T, f *matrixFixture) []Digest {
 			// The chain head: nothing links to it, so only the digest (and
 			// the count it now contradicts) can tell.
-			f.tamperRow(t, f.l.shards[0].sysBlocks, blockKey(int64(f.d.BlockID)), true, func(r sqltypes.Row) sqltypes.Row {
+			f.tamperRow(t, f.l.sysBlocks, blockKey(int64(f.d.BlockID)), true, func(r sqltypes.Row) sqltypes.Row {
 				r[3] = sqltypes.NewBigInt(r[3].Int() + 1) // transaction_count
 				return r
 			})
@@ -218,7 +218,7 @@ var tamperMatrix = []tamperCase{
 	{
 		name: "block root rewritten",
 		tamper: func(t *testing.T, f *matrixFixture) []Digest {
-			f.tamperRow(t, f.l.shards[0].sysBlocks, blockKey(1), true, flipByte(2))
+			f.tamperRow(t, f.l.sysBlocks, blockKey(1), true, flipByte(2))
 			return nil
 		},
 		want: []int{2, 3},
@@ -226,7 +226,7 @@ var tamperMatrix = []tamperCase{
 	{
 		name: "block gap",
 		tamper: func(t *testing.T, f *matrixFixture) []Digest {
-			f.deleteRow(t, f.l.shards[0].sysBlocks, blockKey(1))
+			f.deleteRow(t, f.l.sysBlocks, blockKey(1))
 			return nil
 		},
 		want: []int{2, 3},
@@ -234,7 +234,7 @@ var tamperMatrix = []tamperCase{
 	{
 		name: "first block missing",
 		tamper: func(t *testing.T, f *matrixFixture) []Digest {
-			f.deleteRow(t, f.l.shards[0].sysBlocks, blockKey(0))
+			f.deleteRow(t, f.l.sysBlocks, blockKey(0))
 			return nil
 		},
 		want: []int{2},
@@ -244,7 +244,7 @@ var tamperMatrix = []tamperCase{
 	{
 		name: "block count mismatch",
 		tamper: func(t *testing.T, f *matrixFixture) []Digest {
-			f.tamperRow(t, f.l.shards[0].sysBlocks, blockKey(1), true, func(r sqltypes.Row) sqltypes.Row {
+			f.tamperRow(t, f.l.sysBlocks, blockKey(1), true, func(r sqltypes.Row) sqltypes.Row {
 				r[3] = sqltypes.NewBigInt(r[3].Int() + 1) // transaction_count
 				return r
 			})
@@ -260,7 +260,7 @@ var tamperMatrix = []tamperCase{
 	{
 		name: "entry principal rewritten",
 		tamper: func(t *testing.T, f *matrixFixture) []Digest {
-			f.tamperRow(t, f.l.shards[0].entries.table, f.txKeyInBlock(t, 0, nil), true, func(r sqltypes.Row) sqltypes.Row {
+			f.tamperRow(t, f.l.entries.table, f.txKeyInBlock(t, 0, nil), true, func(r sqltypes.Row) sqltypes.Row {
 				r[4] = sqltypes.NewNVarChar("mallory")
 				return r
 			})
@@ -272,7 +272,7 @@ var tamperMatrix = []tamperCase{
 		name: "entry deleted",
 		tamper: func(t *testing.T, f *matrixFixture) []Digest {
 			// A seed transaction: its row version is orphaned too.
-			f.deleteRow(t, f.l.shards[0].entries.table, f.txKeyInBlock(t, 2, nil))
+			f.deleteRow(t, f.l.entries.table, f.txKeyInBlock(t, 2, nil))
 			return nil
 		},
 		want: []int{3, 4},
@@ -281,7 +281,7 @@ var tamperMatrix = []tamperCase{
 		name: "entry ordinal rewritten",
 		tamper: func(t *testing.T, f *matrixFixture) []Digest {
 			key := f.txKeyInBlock(t, 2, func(r sqltypes.Row) bool { return r[2].Int() == 1 })
-			f.tamperRow(t, f.l.shards[0].entries.table, key, true, func(r sqltypes.Row) sqltypes.Row {
+			f.tamperRow(t, f.l.entries.table, key, true, func(r sqltypes.Row) sqltypes.Row {
 				r[2] = sqltypes.NewBigInt(7) // ordinal_in_block: 0, 2, 7
 				return r
 			})
@@ -294,13 +294,13 @@ var tamperMatrix = []tamperCase{
 		tamper: func(t *testing.T, f *matrixFixture) []Digest {
 			// A seed transaction (block >= 2) touched only the accounts
 			// table, so the bisection must name both tx and table.
-			f.tamperRow(t, f.l.shards[0].entries.table, f.txKeyInBlock(t, 2, nil), true, flipByte(5))
+			f.tamperRow(t, f.l.entries.table, f.txKeyInBlock(t, 2, nil), true, flipByte(5))
 			return nil
 		},
 		want: []int{3, 4},
 		localised: func(t *testing.T, f *matrixFixture, rep *TamperReport) {
 			var txID uint64
-			f.l.shards[0].entries.table.Scan(func(_ []byte, r sqltypes.Row) bool {
+			f.l.entries.table.Scan(func(_ []byte, r sqltypes.Row) bool {
 				if r[1].Int() >= 2 {
 					txID = uint64(r[0].Int())
 					return false
@@ -512,7 +512,7 @@ var tamperMatrix = []tamperCase{
 		tamper: func(t *testing.T, f *matrixFixture) []Digest {
 			// sys_ledger_views is keyed by a BIGINT table id, which
 			// encodes like a block id.
-			f.tamperRow(t, f.l.shards[0].sysViews, blockKey(int64(f.lt.ID())), true, func(r sqltypes.Row) sqltypes.Row {
+			f.tamperRow(t, f.l.sysViews, blockKey(int64(f.lt.ID())), true, func(r sqltypes.Row) sqltypes.Row {
 				r[1] = sqltypes.NewNVarChar("CREATE VIEW accounts_ledger AS SELECT 'fooled you'")
 				return r
 			})
@@ -523,7 +523,7 @@ var tamperMatrix = []tamperCase{
 	{
 		name: "view definition deleted",
 		tamper: func(t *testing.T, f *matrixFixture) []Digest {
-			f.deleteRow(t, f.l.shards[0].sysViews, blockKey(int64(f.lt.ID())))
+			f.deleteRow(t, f.l.sysViews, blockKey(int64(f.lt.ID())))
 			return nil
 		},
 		want: []int{0},

@@ -2,144 +2,17 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 	"testing"
 	"time"
 
 	"sqlledger/internal/engine"
 	"sqlledger/internal/obs"
-	"sqlledger/internal/sqltypes"
 )
 
-// TestCrossShardCommitOneTrace: a cross-shard 2PC commit must produce
-// ONE trace — the coordinator's — whose spans cover both shards' prepare
-// legs, the decision-log write, and both commit legs. The shard
-// participants share the coordinator's trace rather than opening their
-// own.
-func TestCrossShardCommitOneTrace(t *testing.T) {
-	s := openShards(t, t.TempDir(), 2)
-	defer s.Close()
-	ts := s.Obs().Traces()
-	// Ignore setup transactions (table creation); retain only the
-	// cross-shard commit under test. Open's recovery traces finished
-	// under the default 1% sampling, so one may already be retained.
-	ts.SetSlowThreshold(time.Hour)
-	ts.SetSampleRate(0)
-	retained := len(ts.Recent(0))
-
-	st, err := s.CreateLedgerTable("accounts", accountsSchema(), engine.LedgerUpdateable)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts.SetSlowThreshold(0) // retain every trace from here on
-
-	// Find one key routed to each shard so the commit is genuinely
-	// cross-shard.
-	keys := make([]string, s.NumShards())
-	found := 0
-	for i := 0; found < len(keys) && i < 10_000; i++ {
-		name := fmt.Sprintf("acct-%04d", i)
-		if sh := st.ShardOf(sqltypes.NewNVarChar(name)); keys[sh] == "" {
-			keys[sh] = name
-			found++
-		}
-	}
-	if found != len(keys) {
-		t.Fatalf("could not find keys for all %d shards", len(keys))
-	}
-
-	tx := s.Begin("teller")
-	id := tx.Trace().ID()
-	if id == 0 {
-		t.Fatal("sharded transaction has no trace")
-	}
-	for i, name := range keys {
-		if err := tx.Insert(st, acct(name, int64(100+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Both participant transactions must observe the coordinator's trace,
-	// not one of their own.
-	for i, ptx := range tx.route.parts {
-		if ptx == nil {
-			continue
-		}
-		if got := ptx.Trace().ID(); got != id {
-			t.Fatalf("shard %d participant trace %s, want coordinator's %s", i, got, id)
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	rec, ok := ts.Get(id)
-	if !ok {
-		t.Fatalf("trace %s not retained", id)
-	}
-	prepared := map[string]bool{}
-	committed := map[string]bool{}
-	decided := 0
-	for _, sp := range rec.Spans {
-		switch sp.Name {
-		case obs.SpanShardPrepare, obs.SpanShardCommit:
-			var shard string
-			for _, a := range sp.Attrs {
-				if a.Key == "shard" {
-					shard = a.Value
-				}
-			}
-			if shard == "" {
-				t.Fatalf("%s span has no shard attribute: %+v", sp.Name, sp)
-			}
-			if sp.Name == obs.SpanShardPrepare {
-				prepared[shard] = true
-			} else {
-				committed[shard] = true
-			}
-		case obs.SpanShardDecide:
-			decided++
-		}
-	}
-	for i := 0; i < s.NumShards(); i++ {
-		sh := strconv.Itoa(i)
-		if !prepared[sh] {
-			t.Fatalf("no shard_prepare span for shard %s (spans: %+v)", sh, rec.Spans)
-		}
-		if !committed[sh] {
-			t.Fatalf("no shard_commit span for shard %s (spans: %+v)", sh, rec.Spans)
-		}
-	}
-	if decided != 1 {
-		t.Fatalf("%d 2pc_decide spans, want 1", decided)
-	}
-	if gid := attrOf(rec, "gid"); gid == "" {
-		t.Fatalf("trace carries no gid attribute: %+v", rec.Attrs)
-	}
-	if n := attrOf(rec, "shards"); n != "2" {
-		t.Fatalf("trace shards attribute %q, want 2", n)
-	}
-
-	// Exactly one trace was retained for the whole 2PC commit: the shard
-	// legs did not finish traces of their own.
-	if got := len(ts.Recent(0)) - retained; got != 1 {
-		t.Fatalf("%d traces retained for one cross-shard commit", got)
-	}
-}
-
-func attrOf(rec *obs.TraceRecord, key string) string {
-	for _, a := range rec.Attrs {
-		if a.Key == key {
-			return a.Value
-		}
-	}
-	return ""
-}
-
-// TestSingleShardTraceStages: a routed single-shard commit takes the
-// fast path and its trace must still show the engine commit stages
+// TestCommitTraceStages: a commit's trace shows the engine commit stages
 // (row hashing, WAL encode, durability wait) under the one trace ID.
-func TestSingleShardTraceStages(t *testing.T) {
-	s := openShards(t, t.TempDir(), 2)
+func TestCommitTraceStages(t *testing.T) {
+	s := openBank(t, t.TempDir())
 	defer s.Close()
 	ts := s.Obs().Traces()
 	ts.SetSlowThreshold(0)
@@ -150,7 +23,7 @@ func TestSingleShardTraceStages(t *testing.T) {
 	}
 	tx := s.Begin("teller")
 	id := tx.Trace().ID()
-	if err := tx.Insert(st, acct("acct-0001", 100)); err != nil {
+	if err := tx.Insert(st, account("acct-0001", 100)); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -166,12 +39,8 @@ func TestSingleShardTraceStages(t *testing.T) {
 	}
 	for _, want := range []string{obs.SpanRowHash, obs.SpanWALEncode, obs.SpanCommitSequence, obs.SpanCommitWait, obs.SpanCommitApply} {
 		if !names[want] {
-			t.Fatalf("single-shard trace missing %s span (have %v)", want, names)
+			t.Fatalf("commit trace missing %s span (have %v)", want, names)
 		}
-	}
-	// The single-shard fast path runs no 2PC: no prepare/decide spans.
-	if names[obs.SpanShardPrepare] || names[obs.SpanShardDecide] {
-		t.Fatalf("single-shard commit recorded 2PC spans: %v", names)
 	}
 }
 
@@ -195,7 +64,7 @@ func TestTraceFailedCommitRetained(t *testing.T) {
 	if id == 0 {
 		t.Fatal("transaction has no trace")
 	}
-	if err := tx.Insert(lt, acct("a", 1)); err != nil {
+	if err := tx.Insert(lt, account("a", 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -229,7 +98,7 @@ func TestVerifyTraceCoverage(t *testing.T) {
 	for i := 0; i < 1500; i++ {
 		tx := l.Begin("seed")
 		for _, lt := range tables {
-			if err := tx.Insert(lt, acct(fmt.Sprintf("acct-%04d", i), int64(i))); err != nil {
+			if err := tx.Insert(lt, account(fmt.Sprintf("acct-%04d", i), int64(i))); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -33,17 +33,17 @@ import (
 //  5. A truncation record — the cut point and the highest truncated
 //     transaction id — is appended to the append-only truncation ledger
 //     table, so the operation itself is audited (and tamper-evident).
-func (l *Shard) TruncateLedger(beforeBlock uint64) error {
-	rep, err := l.Verify(nil, VerifyOptions{})
+func (db *DB) TruncateLedger(beforeBlock uint64) error {
+	rep, err := db.Verify(nil, VerifyOptions{})
 	if err != nil {
 		return err
 	}
 	if !rep.Ok() {
 		return fmt.Errorf("core: refusing to truncate: verification failed:\n%s", rep)
 	}
-	l.closeMu.Lock()
-	closed := l.closedThrough
-	l.closeMu.Unlock()
+	db.closeMu.Lock()
+	closed := db.closedThrough
+	db.closeMu.Unlock()
 	if int64(beforeBlock) < 0 || int64(beforeBlock) > closed {
 		return fmt.Errorf("core: cannot truncate before block %d: only %d blocks are closed", beforeBlock, closed+1)
 	}
@@ -51,7 +51,7 @@ func (l *Shard) TruncateLedger(beforeBlock uint64) error {
 	// Which transactions live below the cut? Their rows and the blocks'
 	// must decode before anything is deleted: an attacker may have edited
 	// them since Verify read them.
-	byTx, _, unreadable := l.entries.all()
+	byTx, _, unreadable := db.entries.all()
 	oldTx := make(map[uint64]bool)
 	var maxTruncatedTx uint64
 	for txID, e := range byTx {
@@ -65,18 +65,18 @@ func (l *Shard) TruncateLedger(beforeBlock uint64) error {
 			return fmt.Errorf("core: refusing to truncate: %w", err)
 		}
 	}
-	blockKeys, err := l.blocksBefore(beforeBlock)
+	blockKeys, err := db.blocksBefore(beforeBlock)
 	if err != nil {
 		return fmt.Errorf("core: refusing to truncate: %w", err)
 	}
-	trunc, err := l.truncationInfo()
+	trunc, err := db.truncationInfo()
 	if err != nil {
 		return fmt.Errorf("core: refusing to truncate: %w", err)
 	}
 	if len(oldTx) == 0 {
 		return nil // nothing below the cut
 	}
-	refresh, victims, err := l.rowsOfTx(oldTx)
+	refresh, victims, err := db.rowsOfTx(oldTx)
 	if err != nil {
 		return fmt.Errorf("core: refusing to truncate: %w", err)
 	}
@@ -85,11 +85,11 @@ func (l *Shard) TruncateLedger(beforeBlock uint64) error {
 	// old transactions so their digests move into new transactions and
 	// blocks. The refresh rewrites the version in place — deliberately
 	// without a history row, which would just re-anchor in the old chain.
-	for _, lt := range l.LedgerTables() {
+	for _, lt := range db.LedgerTables() {
 		if len(refresh[lt]) == 0 {
 			continue
 		}
-		tx := l.begin("system")
+		tx := db.Begin("system")
 		for _, key := range refresh[lt] {
 			if err := tx.refreshRow(lt, key); err != nil {
 				tx.Rollback()
@@ -102,9 +102,9 @@ func (l *Shard) TruncateLedger(beforeBlock uint64) error {
 	}
 
 	// Delete history rows fully settled below the cut.
-	for _, lt := range l.LedgerTables() {
+	for _, lt := range db.LedgerTables() {
 		for _, k := range victims[lt] {
-			if err := l.edb.TamperDeleteRow(lt.history, k, true); err != nil {
+			if err := db.edb.TamperDeleteRow(lt.history, k, true); err != nil {
 				return err
 			}
 		}
@@ -113,23 +113,23 @@ func (l *Shard) TruncateLedger(beforeBlock uint64) error {
 	// Delete old transaction entries and old blocks. This is direct
 	// system-table surgery; the truncation record below makes the
 	// operation auditable.
-	if err := l.entries.dropBefore(beforeBlock); err != nil {
+	if err := db.entries.dropBefore(beforeBlock); err != nil {
 		return err
 	}
-	l.pmu.Lock()
-	maps.DeleteFunc(l.frames, func(b uint64, _ []int64) bool { return b < beforeBlock })
-	maps.DeleteFunc(l.proven, func(b uint64, _ provenBlock) bool { return b < beforeBlock })
-	l.pmu.Unlock()
+	db.pmu.Lock()
+	maps.DeleteFunc(db.frames, func(b uint64, _ []int64) bool { return b < beforeBlock })
+	maps.DeleteFunc(db.proven, func(b uint64, _ provenBlock) bool { return b < beforeBlock })
+	db.pmu.Unlock()
 	for _, k := range blockKeys {
-		if err := l.edb.TamperDeleteRow(l.sysBlocks, k, true); err != nil {
+		if err := db.edb.TamperDeleteRow(db.sysBlocks, k, true); err != nil {
 			return err
 		}
 	}
 
 	// Audit record, written through the ledger itself.
-	tx := l.begin("system")
+	tx := db.Begin("system")
 	defer tx.Rollback()
-	if err := tx.Insert(l.truncations, sqltypes.Row{
+	if err := tx.Insert(db.truncations, sqltypes.Row{
 		sqltypes.NewBigInt(int64(trunc.lastID + 1)),
 		sqltypes.NewBigInt(int64(beforeBlock)),
 		sqltypes.NewBigInt(int64(maxTruncatedTx)),
@@ -145,7 +145,7 @@ func (l *Shard) TruncateLedger(beforeBlock uint64) error {
 // history rows one ended, which it deletes; or the error naming each row
 // that is no row, which an attacker may have left there since Verify read
 // it.
-func (l *Shard) rowsOfTx(txs map[uint64]bool) (refresh, victims map[*LedgerTable][][]byte, err error) {
+func (db *DB) rowsOfTx(txs map[uint64]bool) (refresh, victims map[*LedgerTable][][]byte, err error) {
 	refresh, victims = make(map[*LedgerTable][][]byte), make(map[*LedgerTable][][]byte)
 	var ts [1]sqltypes.Value
 	scan := func(t *engine.Table, ord int) (keys [][]byte) {
@@ -164,7 +164,7 @@ func (l *Shard) rowsOfTx(txs map[uint64]bool) (refresh, victims map[*LedgerTable
 		})
 		return keys
 	}
-	for _, lt := range l.LedgerTables() {
+	for _, lt := range db.LedgerTables() {
 		refresh[lt] = scan(lt.table, lt.startTxOrd)
 		if lt.history != nil {
 			victims[lt] = scan(lt.history, lt.endTxOrd)
@@ -175,8 +175,8 @@ func (l *Shard) rowsOfTx(txs map[uint64]bool) (refresh, victims map[*LedgerTable
 
 // blocksBefore returns the sys_ledger_blocks keys of the blocks below
 // before, or the error naming each of their rows that does not decode.
-func (l *Shard) blocksBefore(before uint64) (keys [][]byte, err error) {
-	l.sysBlocks.ScanRangeStored(nil, blockKey(int64(before)), func(key, stored []byte) bool {
+func (db *DB) blocksBefore(before uint64) (keys [][]byte, err error) {
+	db.sysBlocks.ScanRangeStored(nil, blockKey(int64(before)), func(key, stored []byte) bool {
 		if _, rerr := sysRow(nil, stored, sysBlocksSchema); rerr != nil {
 			err = errors.Join(err, fmt.Errorf("core: block %s: its %s row does not decode: %w", keyName(key), sysBlocksName, rerr))
 		}
@@ -194,10 +194,10 @@ type truncation struct{ before, maxTx, lastID uint64 }
 // truncationInfo reads the truncation ledger table from its stored bytes.
 // A row that does not decode — bytes an attacker who edits storage left
 // behind — is left out and named in the error.
-func (l *Shard) truncationInfo() (t truncation, err error) {
-	schema := l.truncations.table.Schema()
+func (db *DB) truncationInfo() (t truncation, err error) {
+	schema := db.truncations.table.Schema()
 	var r sqltypes.Row
-	l.truncations.table.ScanRangeStored(nil, nil, func(key, stored []byte) bool {
+	db.truncations.table.ScanRangeStored(nil, nil, func(key, stored []byte) bool {
 		var rerr error
 		if r, rerr = sysRow(r, stored, schema); rerr != nil {
 			err = errors.Join(err, fmt.Errorf("truncation %s: its %s row does not decode: %w", keyName(key), sysTruncationsN, rerr))

@@ -29,9 +29,9 @@ func TestTruncateLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocksBefore := countRows(l.shards[0].sysBlocks)
-	_, _, queued := l.shards[0].entries.position()
-	txsBefore := countRows(l.shards[0].entries.table) + queued
+	blocksBefore := countRows(l.sysBlocks)
+	_, _, queued := l.entries.position()
+	txsBefore := countRows(l.entries.table) + queued
 	historyBefore := countRows(lt.History())
 	if historyBefore != 4 {
 		t.Fatalf("history rows = %d", historyBefore)
@@ -48,7 +48,7 @@ func TestTruncateLedger(t *testing.T) {
 
 	// Blocks below the cut are gone; the chain starts exactly at it.
 	var minBlock int64 = 1 << 62
-	l.shards[0].sysBlocks.Scan(func(_ []byte, r sqltypes.Row) bool {
+	l.sysBlocks.Scan(func(_ []byte, r sqltypes.Row) bool {
 		if r[0].Int() < minBlock {
 			minBlock = r[0].Int()
 		}
@@ -61,7 +61,7 @@ func TestTruncateLedger(t *testing.T) {
 	_ = txsBefore
 
 	// The truncation is recorded in the audit ledger table.
-	if countRows(l.shards[0].truncations.Table()) != 1 {
+	if countRows(l.truncations.Table()) != 1 {
 		t.Fatal("truncation not recorded")
 	}
 
@@ -168,13 +168,13 @@ func TestTruncateThenContinueAndVerify(t *testing.T) {
 func TestTruncateRefusesUndecodableSystemRow(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
-		table   func(s *Shard) *engine.Table
-		surgery func(s *Shard) error
+		table   func(s *DB) *engine.Table
+		surgery func(s *DB) error
 	}{
-		{sysTxName, func(s *Shard) *engine.Table { return s.entries.table },
-			func(s *Shard) error { return s.entries.dropBefore(2) }},
-		{sysBlocksName, func(s *Shard) *engine.Table { return s.sysBlocks },
-			func(s *Shard) error { _, err := s.blocksBefore(2); return err }},
+		{sysTxName, func(s *DB) *engine.Table { return s.entries.table },
+			func(s *DB) error { return s.entries.dropBefore(2) }},
+		{sysBlocksName, func(s *DB) *engine.Table { return s.sysBlocks },
+			func(s *DB) error { _, err := s.blocksBefore(2); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			l := openTestLedger(t, 2)
@@ -184,7 +184,7 @@ func TestTruncateRefusesUndecodableSystemRow(t *testing.T) {
 				t.Fatal(err)
 			}
 			commitOne(t, l, lt, "queued") // one entry stays on the queue
-			s := l.shards[0]
+			s := l
 			tab := tc.table(s)
 			key := firstKeyOf(t, tab)
 			stored, _ := tab.LookupStored(key)
@@ -229,7 +229,7 @@ func TestTruncateRefusesUndecodableLedgerRow(t *testing.T) {
 			if err := l.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			s, tab := l.shards[0], lt.Table()
+			s, tab := l, lt.Table()
 			if history {
 				tab = lt.History()
 			}

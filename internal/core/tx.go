@@ -25,17 +25,11 @@ import (
 //
 // Regular (non-ledger) tables are reachable through Raw().
 //
-// On a database with several shards the transaction is a router (route is
-// set, l and etx are not): every operation goes to the participant — a Tx
-// of this same type on one shard, begun on first touch — that the row's
-// primary key hashes to, and Commit runs two-phase commit when more than
-// one participant wrote (twopc.go). On a one-shard database the
-// transaction is the participant itself and none of that exists. Either
-// way, once Commit or Rollback has run every method with an error result
+// Once Commit or Rollback has run every method with an error result
 // returns engine.ErrTxDone, except Rollback, which returns nil: a deferred
 // Rollback after Commit is harmless.
 type Tx struct {
-	l   *Shard
+	db  *DB
 	etx *engine.Tx
 
 	// state holds the per-transaction ledger bookkeeping (Merkle trees,
@@ -46,13 +40,8 @@ type Tx struct {
 	state *txState
 
 	// trace is the transaction's end-to-end trace (nil when tracing is
-	// off). ownsTrace marks the transaction that created it and must
-	// finish it; a 2PC participant shares the coordinator's trace and
-	// never finishes it.
-	trace     *obs.Trace
-	ownsTrace bool
-
-	route *participants[*Tx]
+	// off).
+	trace *obs.Trace
 }
 
 // txState is the pooled ledger bookkeeping of one transaction.
@@ -88,26 +77,8 @@ type treeSnap struct {
 // WAL contribute child spans (lock waits, row hashing, encode, group
 // commit, apply), and Commit/Rollback decide retention (tail sampling).
 func (db *DB) Begin(user string) *Tx {
-	if len(db.shards) == 1 {
-		return db.shards[0].begin(user)
-	}
-	tr := db.obs.NewTrace("tx") // finished by the router's Commit or Rollback
-	return &Tx{trace: tr, route: newParticipants(db, func(l *Shard) *Tx { return l.beginWithTrace(user, tr) })}
-}
-
-// begin starts a transaction on this shard with a trace of its own.
-func (l *Shard) begin(user string) *Tx {
-	tx := l.beginWithTrace(user, l.obs.NewTrace("tx"))
-	tx.ownsTrace = tx.trace != nil
-	return tx
-}
-
-// beginWithTrace starts a transaction that records into tr without owning
-// it — a participant, whose router holds the one trace spanning every
-// shard's legs.
-func (l *Shard) beginWithTrace(user string, tr *obs.Trace) *Tx {
-	tx := &Tx{l: l, etx: l.edb.Begin(user)}
-	if tr != nil {
+	tx := &Tx{db: db, etx: db.edb.Begin(user)}
+	if tr := db.obs.NewTrace("tx"); tr != nil {
 		tx.trace = tr
 		tx.etx.SetTrace(tr)
 	}
@@ -118,19 +89,17 @@ func (l *Shard) beginWithTrace(user string, tr *obs.Trace) *Tx {
 // may annotate it with statement or application context.
 func (tx *Tx) Trace() *obs.Trace { return tx.trace }
 
-// finishTrace ends the transaction's trace if this transaction owns it,
-// and drops every reference to it either way (a finished trace is recycled;
-// the engine transaction must not record into it afterwards). Idempotent:
+// finishTrace ends the transaction's trace and drops every reference to
+// it (a finished trace is recycled; the engine transaction must not record
+// into it afterwards). Idempotent:
 // a failed Commit finishes the error trace, and the caller's deferred
 // Rollback then finds nothing left to finish.
 func (tx *Tx) finishTrace(err error) {
 	if tx.trace == nil {
 		return
 	}
-	if tx.ownsTrace {
-		tx.trace.SetAttr(obs.AttrRows, strconv.Itoa(tx.etx.WriteCount()))
-		tx.trace.Finish(err)
-	}
+	tx.trace.SetAttr(obs.AttrRows, strconv.Itoa(tx.etx.WriteCount()))
+	tx.trace.Finish(err)
 	tx.trace = nil
 	tx.etx.SetTrace(nil)
 }
@@ -152,7 +121,7 @@ func (tx *Tx) appendHashes(lt *LedgerTable, ended, created []byte) error {
 			return err
 		}
 		tr.Append(h)
-		tx.l.m.rowsHashed.Inc()
+		tx.db.m.rowsHashed.Inc()
 	}
 	if created != nil {
 		h, err := layout.HashEncoded(created, serial.OpInsert, lt.skipEnd)
@@ -160,7 +129,7 @@ func (tx *Tx) appendHashes(lt *LedgerTable, ended, created []byte) error {
 			return err
 		}
 		tr.Append(h)
-		tx.l.m.rowsHashed.Inc()
+		tx.db.m.rowsHashed.Inc()
 	}
 	if tx.trace != nil {
 		tx.trace.AddTimed(obs.SpanRowHash, start, time.Since(start))
@@ -209,21 +178,14 @@ func (tx *Tx) endVersion(lt *LedgerTable, before []byte, endSeq uint32, created 
 	return tx.appendHashes(lt, ended, created)
 }
 
-// ID returns the transaction id, which numbers the transaction within
-// one shard's chain: on a multi-shard database it panics with
-// ErrMultiShard, as Raw does.
-func (tx *Tx) ID() uint64 { return tx.Raw().ID() }
+// ID returns the transaction id.
+func (tx *Tx) ID() uint64 { return tx.etx.ID() }
 
 // Raw exposes the underlying engine transaction for DML on regular
 // tables. Do not use it to modify ledger tables directly: that bypasses
 // history and hashing and is exactly the class of modification the
 // verification process exists to detect.
-func (tx *Tx) Raw() *engine.Tx {
-	if tx.route != nil {
-		panic(multiShard("Tx.Raw", len(tx.route.parts)))
-	}
-	return tx.etx
-}
+func (tx *Tx) Raw() *engine.Tx { return tx.etx }
 
 // ensureState materializes the pooled ledger bookkeeping.
 func (tx *Tx) ensureState() *txState {
@@ -271,13 +233,6 @@ func (tx *Tx) tree(lt *LedgerTable) *merkle.Streaming {
 // Insert adds a row (visible columns only, in visible-column order) to a
 // ledger table.
 func (tx *Tx) Insert(lt *LedgerTable, visible sqltypes.Row) error {
-	if tx.route != nil {
-		p, part, err := tx.route.route(lt, visible, lt.Schema().Key)
-		if err != nil {
-			return err
-		}
-		return p.Insert(part, visible)
-	}
 	key, enc, err := tx.newVersion(lt, visible, tx.etx.NextSeq())
 	if err != nil {
 		return err
@@ -329,34 +284,8 @@ func (tx *Tx) InsertBatch(lt *LedgerTable, rows []sqltypes.Row) error {
 }
 
 // InsertBatchParallel is InsertBatch with an explicit worker count
-// (0 = one per CPU). Exposed for the ingest-scaling benchmarks. On a
-// multi-shard database each shard's rows are batched on that shard in
-// their original order, so routing is order-insensitive and digests stay
-// reproducible.
+// (0 = one per CPU). Exposed for the ingest-scaling benchmarks.
 func (tx *Tx) InsertBatchParallel(lt *LedgerTable, rows []sqltypes.Row, workers int) error {
-	if tx.route != nil {
-		perShard := make([][]sqltypes.Row, len(tx.route.parts))
-		for _, r := range rows {
-			i, err := lt.route(r, lt.Schema().Key)
-			if err != nil {
-				return err
-			}
-			perShard[i] = append(perShard[i], r)
-		}
-		for i, chunk := range perShard {
-			if len(chunk) == 0 {
-				continue
-			}
-			p, err := tx.route.at(i)
-			if err == nil {
-				err = p.InsertBatchParallel(lt.parts[i], chunk, workers)
-			}
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	n := len(rows)
 	if n == 0 {
 		return nil
@@ -374,7 +303,7 @@ func (tx *Tx) InsertBatchParallel(lt *LedgerTable, rows []sqltypes.Row, workers 
 				return err
 			}
 		}
-		tx.l.m.hashBatchSize.Observe(float64(n))
+		tx.db.m.hashBatchSize.Observe(float64(n))
 		return nil
 	}
 
@@ -454,8 +383,8 @@ func (tx *Tx) InsertBatchParallel(lt *LedgerTable, rows []sqltypes.Row, workers 
 	tr := tx.tree(lt)
 	hashed := 0
 	defer func() {
-		tx.l.m.rowsHashed.Add(int64(hashed))
-		tx.l.m.hashBatchSize.Observe(float64(n))
+		tx.db.m.rowsHashed.Add(int64(hashed))
+		tx.db.m.hashBatchSize.Observe(float64(n))
 	}()
 	for i := range preps {
 		p := &preps[i]
@@ -474,13 +403,6 @@ func (tx *Tx) InsertBatchParallel(lt *LedgerTable, rows []sqltypes.Row, workers 
 // Delete removes the row with the given primary-key values, moving the
 // deleted version to the history table.
 func (tx *Tx) Delete(lt *LedgerTable, keyVals ...sqltypes.Value) error {
-	if tx.route != nil {
-		p, part, err := tx.route.route(lt, keyVals, nil)
-		if err != nil {
-			return err
-		}
-		return p.Delete(part, keyVals...)
-	}
 	if lt.history == nil {
 		return fmt.Errorf("%w: %s", ErrAppendOnly, lt.Name())
 	}
@@ -495,13 +417,6 @@ func (tx *Tx) Delete(lt *LedgerTable, keyVals ...sqltypes.Value) error {
 // the superseded version in the history table. Hashing order follows the
 // operation: the deleted old version first, then the new version.
 func (tx *Tx) Update(lt *LedgerTable, visible sqltypes.Row) error {
-	if tx.route != nil {
-		p, part, err := tx.route.route(lt, visible, lt.Schema().Key)
-		if err != nil {
-			return err
-		}
-		return p.Update(part, visible)
-	}
 	if lt.history == nil {
 		return fmt.Errorf("%w: %s", ErrAppendOnly, lt.Name())
 	}
@@ -549,13 +464,6 @@ func (tx *Tx) refreshRow(lt *LedgerTable, key []byte) error {
 // string or binary value points to is shared, with storage, and must not
 // be written through Value.Bytes.
 func (tx *Tx) Get(lt *LedgerTable, keyVals ...sqltypes.Value) (sqltypes.Row, bool, error) {
-	if tx.route != nil {
-		p, part, err := tx.route.route(lt, keyVals, nil)
-		if err != nil {
-			return nil, false, err
-		}
-		return p.Get(part, keyVals...)
-	}
 	var kb [64]byte // most keys fit, and then the lookup key stays off the heap
 	key, err := lt.getKey(kb[:0], keyVals)
 	if err != nil {
@@ -572,9 +480,8 @@ func (lt *LedgerTable) getKey(dst []byte, keyVals []sqltypes.Value) ([]byte, err
 	return sqltypes.EncodeKey(dst, keyVals...), nil
 }
 
-// Scan iterates the visible rows of a ledger table in primary-key order
-// (on a multi-shard database shard by shard: ordered within a shard, not
-// across them), decoding the visible columns only. Every row is decoded
+// Scan iterates the visible rows of a ledger table in primary-key order,
+// decoding the visible columns only. Every row is decoded
 // into one buffer the scan reuses: the row passed to fn is valid only
 // during the callback — Clone it to keep it (its values may be copied out
 // freely; what they point to never changes).
@@ -585,30 +492,14 @@ func (tx *Tx) Scan(lt *LedgerTable, fn func(row sqltypes.Row) bool) error {
 // ScanPrefix iterates the visible rows whose leading primary-key columns
 // equal vals, in primary-key order. The callback contract is as for Scan.
 func (tx *Tx) ScanPrefix(lt *LedgerTable, fn func(row sqltypes.Row) bool, vals ...sqltypes.Value) error {
-	if tx.route != nil {
-		more := true
-		return tx.route.each(func(i int, p *Tx) error {
-			if !more {
-				return nil
-			}
-			return p.ScanPrefix(lt.parts[i], func(r sqltypes.Row) bool { more = fn(r); return more }, vals...)
-		})
-	}
 	start, end := engine.PrefixRange(vals...)
 	return tx.etx.ScanColumns(lt.table, lt.shape.Load().visible, start, end,
 		func(_ []byte, row sqltypes.Row) bool { return fn(row) })
 }
 
 // Savepoint creates a savepoint, snapshotting the O(log N) state of every
-// transaction Merkle tree (§3.2.1). On a multi-shard database it is taken
-// on every shard's participant, so their savepoint stacks stay level and
-// one token names the same point on each.
+// transaction Merkle tree (§3.2.1).
 func (tx *Tx) Savepoint() int {
-	if tx.route != nil {
-		token := -1
-		tx.route.each(func(_ int, p *Tx) error { token = p.Savepoint(); return nil })
-		return token
-	}
 	token := tx.etx.Savepoint()
 	st := tx.ensureState()
 	snaps := make([]treeSnap, 0, len(st.trees))
@@ -626,9 +517,6 @@ func (tx *Tx) Savepoint() int {
 // RollbackTo rolls the transaction back to a savepoint, restoring both
 // the engine write buffer and the Merkle tree state.
 func (tx *Tx) RollbackTo(token int) error {
-	if tx.route != nil {
-		return tx.route.each(func(_ int, p *Tx) error { return p.RollbackTo(token) })
-	}
 	// The engine's savepoint stack is level with st.spSnaps (Savepoint), so
 	// a token it accepts names a snapshot here.
 	if err := tx.etx.RollbackTo(token); err != nil {
@@ -660,14 +548,10 @@ func (tx *Tx) Commit() error {
 	return err
 }
 
-// CommitTS is Commit returning the commit timestamp (on a multi-shard
-// database, the latest among the shards that committed).
+// CommitTS is Commit returning the commit timestamp.
 func (tx *Tx) CommitTS() (int64, error) {
-	if tx.route != nil {
-		return tx.commitRouted()
-	}
 	tx.finalizeRoots()
-	ts, err := tx.l.edb.Commit(tx.etx)
+	ts, err := tx.db.edb.Commit(tx.etx)
 	if err == nil {
 		// A failed commit leaves the engine transaction open; Rollback
 		// releases the state then.
@@ -681,7 +565,7 @@ func (tx *Tx) CommitTS() (int64, error) {
 
 // finalizeRoots computes the sorted per-table Merkle roots and installs
 // them on the engine transaction — the last ledger step before the engine
-// sees the commit (or the prepare, on the cross-shard path).
+// sees the commit.
 func (tx *Tx) finalizeRoots() {
 	st := tx.state
 	if st == nil {
@@ -700,38 +584,8 @@ func (tx *Tx) finalizeRoots() {
 	}
 }
 
-// prepare runs 2PC phase 1 on this participant: finalize the Merkle
-// roots, then durably log the write set plus a PREPARE record carrying
-// gid. Locks stay held; the ledger state stays allocated until the
-// decision is applied.
-func (tx *Tx) prepare(gid uint64) error {
-	tx.finalizeRoots()
-	return tx.l.edb.Prepare(tx.etx, gid)
-}
-
-// commitPrepared applies a commit decision to a prepared participant.
-func (tx *Tx) commitPrepared() (int64, error) {
-	ts, err := tx.l.edb.CommitPrepared(tx.etx)
-	if err == nil {
-		tx.releaseState()
-	}
-	tx.finishTrace(err)
-	return ts, err
-}
-
-// abortPrepared applies an abort decision to a prepared participant.
-func (tx *Tx) abortPrepared() error {
-	err := tx.l.edb.AbortPrepared(tx.etx)
-	tx.releaseState()
-	tx.finishTrace(err)
-	return err
-}
-
 // Rollback abandons the transaction.
 func (tx *Tx) Rollback() error {
-	if tx.route != nil {
-		return tx.rollbackRouted()
-	}
 	err := tx.etx.Rollback()
 	tx.releaseState()
 	tx.finishTrace(nil)

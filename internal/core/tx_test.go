@@ -191,8 +191,8 @@ func TestCommitAfterCloseLeavesLedgerUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := func() (int64, int, uint32) {
-		_, ord, queued := l.shards[0].entries.position()
-		return l.shards[0].edb.LastCommitTS(), queued, ord
+		_, ord, queued := l.entries.position()
+		return l.edb.LastCommitTS(), queued, ord
 	}
 	ts, queued, ordinal := state()
 	if err := tx.Commit(); !errors.Is(err, engine.ErrClosed) {
@@ -326,8 +326,8 @@ func TestWritelessTxTakesNoOrdinal(t *testing.T) {
 	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
 	commitOne(t, l, lt, "a")
 	state := func() [4]int64 {
-		block, ord, queued := l.shards[0].entries.position()
-		return [4]int64{int64(block), int64(ord), int64(queued), l.shards[0].edb.LogSize()}
+		block, ord, queued := l.entries.position()
+		return [4]int64{int64(block), int64(ord), int64(queued), l.edb.LogSize()}
 	}
 	for _, tc := range []struct {
 		name   string
@@ -365,109 +365,91 @@ func TestWritelessTxTakesNoOrdinal(t *testing.T) {
 	}
 }
 
-// TestFinishedTransactionIsDone: at one shard and at three, every method
-// with an error result of a Tx after Commit or Rollback, and of a ReadTx
-// after Close, fails with engine.ErrTxDone — Rollback, idempotent, returns
-// nil — and touches no shard: none is left holding a snapshot, so version
-// GC reclaims, on every shard, the versions a later update superseded.
-func TestFinishedTransactionIsDone(t *testing.T) {
+// TestFinishedTransactionIsDone: every method with an error result of a
+// Tx after Commit or Rollback, and of a ReadTx after Close, fails with
+// engine.ErrTxDone — Rollback, idempotent, returns nil — and none is left
+// holding a snapshot, so version GC reclaims the version a later update
+// superseded. The database is one shard, as the subtest's name says.
+func TestFinishedTransactionIsDone(t *testing.T) { t.Run("shards=1", finishedTransactionIsDone) }
+
+func finishedTransactionIsDone(t *testing.T) {
 	_, priv, _ := ed25519.GenerateKey(nil)
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			db, err := Open(Options{Dir: t.TempDir(), Name: "done", Shards: shards,
-				VersionGCInterval: time.Hour, LockTimeout: 250 * time.Millisecond})
-			if err != nil {
+	db, err := Open(Options{Dir: t.TempDir(), Name: "done",
+		VersionGCInterval: time.Hour, LockTimeout: 250 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	lt := mustLedgerTable(t, db, "accounts", engine.LedgerUpdateable)
+	tx := db.Begin("u")
+	if err := tx.Insert(lt, account("a0", 1)); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+
+	key := sqltypes.NewNVarChar("a0")
+	all := func(sqltypes.Row) bool { return true }
+	txCalls := map[string]func(*Tx) error{
+		"Insert":      func(tx *Tx) error { return tx.Insert(lt, account("new", 1)) },
+		"InsertBatch": func(tx *Tx) error { return tx.InsertBatch(lt, []sqltypes.Row{account("new", 1)}) },
+		"Update":      func(tx *Tx) error { return tx.Update(lt, account("a0", 2)) },
+		"Delete":      func(tx *Tx) error { return tx.Delete(lt, key) },
+		"Get":         func(tx *Tx) error { _, _, err := tx.Get(lt, key); return err },
+		"Scan":        func(tx *Tx) error { return tx.Scan(lt, all) },
+		"ScanPrefix":  func(tx *Tx) error { return tx.ScanPrefix(lt, all, key) },
+		"RollbackTo":  func(tx *Tx) error { return tx.RollbackTo(0) },
+		"Commit":      func(tx *Tx) error { return tx.Commit() },
+	}
+	for _, end := range []string{"Commit", "Rollback"} {
+		for name, call := range txCalls {
+			tx := db.Begin("u")
+			tx.Savepoint()
+			if err := tx.Scan(lt, all); err != nil {
 				t.Fatal(err)
 			}
-			defer db.Close()
-			lt := mustLedgerTable(t, db, "accounts", engine.LedgerUpdateable)
-			// One account per shard, so that every shard has a version to
-			// reclaim at the end.
-			var names []string
-			for i, seen := 0, map[int]bool{}; len(names) < shards; i++ {
-				name := fmt.Sprintf("a%d", i)
-				if s := lt.ShardOf(sqltypes.NewNVarChar(name)); !seen[s] {
-					seen[s] = true
-					names = append(names, name)
-				}
+			if end == "Commit" {
+				mustCommit(t, tx)
+			} else if err := tx.Rollback(); err != nil {
+				t.Fatal(err)
 			}
-			tx := db.Begin("u")
-			for _, name := range names {
-				if err := tx.Insert(lt, account(name, 1)); err != nil {
-					t.Fatal(err)
-				}
+			if err := call(tx); !errors.Is(err, engine.ErrTxDone) {
+				t.Errorf("Tx.%s after %s = %v, want engine.ErrTxDone", name, end, err)
 			}
-			mustCommit(t, tx)
+			if err := tx.Rollback(); err != nil {
+				t.Errorf("Tx.Rollback after %s = %v, want nil", end, err)
+			}
+		}
+	}
 
-			key := sqltypes.NewNVarChar(names[0])
-			all := func(sqltypes.Row) bool { return true }
-			txCalls := map[string]func(*Tx) error{
-				"Insert":      func(tx *Tx) error { return tx.Insert(lt, account("new", 1)) },
-				"InsertBatch": func(tx *Tx) error { return tx.InsertBatch(lt, []sqltypes.Row{account("new", 1)}) },
-				"Update":      func(tx *Tx) error { return tx.Update(lt, account(names[0], 2)) },
-				"Delete":      func(tx *Tx) error { return tx.Delete(lt, key) },
-				"Get":         func(tx *Tx) error { _, _, err := tx.Get(lt, key); return err },
-				"Scan":        func(tx *Tx) error { return tx.Scan(lt, all) },
-				"ScanPrefix":  func(tx *Tx) error { return tx.ScanPrefix(lt, all, key) },
-				"RollbackTo":  func(tx *Tx) error { return tx.RollbackTo(0) },
-				"Commit":      func(tx *Tx) error { return tx.Commit() },
-			}
-			for _, end := range []string{"Commit", "Rollback"} {
-				for name, call := range txCalls {
-					tx := db.Begin("u")
-					tx.Savepoint()
-					if err := tx.Scan(lt, all); err != nil { // touch every shard
+	rtCalls := map[string]func(*ReadTx) error{
+		"Get":              func(rt *ReadTx) error { _, _, err := rt.Get(lt, key); return err },
+		"Scan":             func(rt *ReadTx) error { return rt.Scan(lt, all) },
+		"ScanPrefix":       func(rt *ReadTx) error { return rt.ScanPrefix(lt, all, key) },
+		"CloseWithReceipt": func(rt *ReadTx) error { _, err := rt.CloseWithReceipt(priv); return err },
+	}
+	for _, begin := range []func() *ReadTx{db.BeginReadOnly, db.BeginReadOnlyForReceipt} {
+		for _, touch := range []bool{false, true} {
+			for name, call := range rtCalls {
+				rt := begin()
+				if touch {
+					if err := rt.Scan(lt, all); err != nil {
 						t.Fatal(err)
 					}
-					if end == "Commit" {
-						mustCommit(t, tx)
-					} else if err := tx.Rollback(); err != nil {
-						t.Fatal(err)
-					}
-					if err := call(tx); !errors.Is(err, engine.ErrTxDone) {
-						t.Errorf("Tx.%s after %s = %v, want engine.ErrTxDone", name, end, err)
-					}
-					if err := tx.Rollback(); err != nil {
-						t.Errorf("Tx.Rollback after %s = %v, want nil", end, err)
-					}
+				}
+				rt.Close()
+				if err := call(rt); !errors.Is(err, engine.ErrTxDone) {
+					t.Errorf("ReadTx.%s after Close (touched %v) = %v, want engine.ErrTxDone", name, touch, err)
 				}
 			}
+		}
+	}
 
-			rtCalls := map[string]func(*ReadTx) error{
-				"Get":              func(rt *ReadTx) error { _, _, err := rt.Get(lt, key); return err },
-				"Scan":             func(rt *ReadTx) error { return rt.Scan(lt, all) },
-				"ScanPrefix":       func(rt *ReadTx) error { return rt.ScanPrefix(lt, all, key) },
-				"CloseWithReceipt": func(rt *ReadTx) error { _, err := rt.CloseWithReceipt(priv); return err },
-			}
-			for _, begin := range []func() *ReadTx{db.BeginReadOnly, db.BeginReadOnlyForReceipt} {
-				for _, touch := range []bool{false, true} {
-					for name, call := range rtCalls {
-						rt := begin()
-						if touch {
-							if err := rt.Scan(lt, all); err != nil {
-								t.Fatal(err)
-							}
-						}
-						rt.Close()
-						if err := call(rt); !errors.Is(err, engine.ErrTxDone) {
-							t.Errorf("ReadTx.%s after Close (touched %v) = %v, want engine.ErrTxDone", name, touch, err)
-						}
-					}
-				}
-			}
-
-			tx = db.Begin("u")
-			for _, name := range names {
-				if err := tx.Update(lt, account(name, 3)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			mustCommit(t, tx)
-			for i, l := range db.shards {
-				if l.edb.GCVersions() == 0 {
-					t.Errorf("shard %d reclaimed no superseded version: a snapshot is still pinned", i)
-				}
-			}
-		})
+	tx = db.Begin("u")
+	if err := tx.Update(lt, account("a0", 3)); err != nil {
+		t.Fatal(err)
+	}
+	mustCommit(t, tx)
+	if db.edb.GCVersions() == 0 {
+		t.Error("no superseded version reclaimed: a snapshot is still pinned")
 	}
 }

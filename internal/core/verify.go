@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -47,61 +46,21 @@ type Report struct {
 	DigestsChecked      int
 
 	Timing Timing
-
-	// Shards is the per-shard breakdown, set when the run covered several
-	// chains (DB.Verify on a multi-shard database, VerifySuperBlock): the
-	// counters above are then totals over the shards, Timing.Total the wall
-	// clock of the whole run, and every issue is in its shard's report.
-	Shards []ShardReport
 }
 
-// ShardReport is one shard's slice of a verification.
-type ShardReport struct {
-	Shard int
-	// HeadErr is non-nil when the shard's current chain no longer matches
-	// the signed head digest (or its super-block proof fails) — the
-	// super-block check that localizes tampering to a shard even before
-	// row-level verification runs.
-	HeadErr error
-	// Report is the shard's full five-invariant verification report (nil
-	// when the shard was empty at super-block time and is skipped).
-	Report *Report
-}
-
-// Ok reports whether verification succeeded: no non-warning issues, and
-// every shard of the breakdown passed its head check and its own run.
+// Ok reports whether verification succeeded: no non-warning issues.
 func (r *Report) Ok() bool {
 	for _, i := range r.Issues {
 		if !i.Warning {
 			return false
 		}
 	}
-	for _, sr := range r.Shards {
-		if sr.HeadErr != nil || (sr.Report != nil && !sr.Report.Ok()) {
-			return false
-		}
-	}
 	return true
 }
 
-// String summarizes the report, shard by shard when it has a breakdown.
+// String summarizes the report.
 func (r *Report) String() string {
 	var b strings.Builder
-	for _, sr := range r.Shards {
-		fmt.Fprintf(&b, "shard %03d: ", sr.Shard)
-		switch {
-		case sr.HeadErr != nil:
-			b.WriteString("FAILED head check: " + sr.HeadErr.Error())
-		case sr.Report == nil:
-			b.WriteString("empty, skipped")
-		default:
-			b.WriteString(sr.Report.String())
-		}
-		b.WriteByte('\n')
-	}
-	if r.Shards != nil {
-		return b.String()
-	}
 	fmt.Fprintf(&b, "verification: blocks=%d txs=%d row-versions=%d tables=%d indexes=%d digests=%d",
 		r.BlocksChecked, r.TransactionsChecked, r.RowVersionsChecked, r.TablesChecked, r.IndexesChecked, r.DigestsChecked)
 	if r.Ok() {
@@ -210,70 +169,23 @@ func (p *workerPool) run(tasks []func()) {
 // index maintenance can report a transient difference, so for a verdict
 // on invariants 1-3 and 5 the database should be quiescent (a restored
 // copy or a maintenance window, as the paper suggests).
-//
-// On a multi-shard database every shard is verified, in parallel, against
-// the digests that carry its name, and the report is the breakdown. A
-// digest that carries no shard's name goes to shard 0, whose check fails
-// it on invariant 1, as on one shard.
 func (db *DB) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
-	if len(db.shards) == 1 {
-		return db.shards[0].Verify(digests, opts)
-	}
-	return db.verifyShards(func(i int, l *Shard) ShardReport {
-		var own []Digest
-		for _, d := range digests {
-			if d.DatabaseName == l.opts.Name ||
-				i == 0 && !slices.ContainsFunc(db.shards, func(s *Shard) bool { return s.opts.Name == d.DatabaseName }) {
-				own = append(own, d)
-			}
-		}
-		rep, err := l.Verify(own, opts)
-		return ShardReport{Report: rep, HeadErr: err}
-	}), nil
-}
-
-// verifyShards runs verify on every shard in parallel and totals the
-// breakdown.
-func (db *DB) verifyShards(verify func(i int, l *Shard) ShardReport) *Report {
-	start := time.Now()
-	parts, _ := fanOut(db, true, func(i int, l *Shard) (ShardReport, error) {
-		sr := verify(i, l)
-		sr.Shard = i
-		return sr, nil
-	})
-	rep := breakdown(Report{}, parts, func(t *Report) *[]ShardReport { return &t.Shards },
-		func(t *Report, _ int, sr ShardReport) {
-			if r := sr.Report; r != nil {
-				t.BlocksChecked += r.BlocksChecked
-				t.TransactionsChecked += r.TransactionsChecked
-				t.RowVersionsChecked += r.RowVersionsChecked
-				t.TablesChecked += r.TablesChecked
-				t.IndexesChecked += r.IndexesChecked
-				t.DigestsChecked += r.DigestsChecked
-			}
-		})
-	rep.Timing.Total = time.Since(start)
-	return &rep
-}
-
-// Verify is DB.Verify for this shard's chain.
-func (l *Shard) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	start := time.Now()
 	rep := &Report{}
-	tr := l.obs.NewTrace("verify")
+	tr := db.obs.NewTrace("verify")
 	tr.SetAttr("parallelism", strconv.Itoa(opts.Parallelism))
 	var prog *progressSink
-	if opts.Progress != nil || l.obs.Enabled() {
-		prog = newProgressSink(opts.Progress, l.m.verifyProgress)
+	if opts.Progress != nil || db.obs.Enabled() {
+		prog = newProgressSink(opts.Progress, db.m.verifyProgress)
 	}
-	l.obs.Events().Info(obs.EventVerifyStarted,
+	db.obs.Events().Info(obs.EventVerifyStarted,
 		"digests", len(digests), "parallelism", opts.Parallelism)
 	defer func() {
 		tr.Finish(nil)
-		l.noteVerifyFinished(rep)
+		db.noteVerifyFinished(rep)
 	}()
 
 	// mu guards rep: table checks run concurrently.
@@ -289,10 +201,10 @@ func (l *Shard) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 	// is queued before its writes apply, so every row version the
 	// snapshot shows belongs to an entry loaded after the pin.
 	phase := time.Now()
-	rtx := l.edb.BeginReadOnly()
+	rtx := db.edb.BeginReadOnly()
 	defer rtx.Close()
-	byTx, byBlock, unreadable := l.entries.all()
-	trunc, err := l.truncationInfo()
+	byTx, byBlock, unreadable := db.entries.all()
+	trunc, err := db.truncationInfo()
 	if err != nil {
 		emit(truncationFinding(err))
 	}
@@ -323,7 +235,7 @@ func (l *Shard) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 		parallelism: opts.Parallelism, pool: pool, prog: prog}
 	rows.wantEntries(entries)
 
-	tables := l.LedgerTables()
+	tables := db.LedgerTables()
 	if len(opts.Tables) > 0 {
 		named := make(map[string]bool, len(opts.Tables))
 		for _, n := range opts.Tables {
@@ -365,7 +277,7 @@ func (l *Shard) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 	tasks := make([]func(), 0, 1+len(tables))
 	tasks = append(tasks, func() {
 		t0 := time.Now()
-		chain := l.checkChain(chainCheck{
+		chain := db.checkChain(chainCheck{
 			blocks: opts.Blocks, digests: digests, entries: byBlock, unreadable: unreadable, truncatedBefore: truncatedBefore,
 		}, emit)
 		d := time.Since(t0)
@@ -382,9 +294,9 @@ func (l *Shard) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 			t0 := time.Now()
 			c := rows
 			c.weight = w * progressRowsShare
-			nrows := l.checkRowVersions(lt, c, emit)
+			nrows := db.checkRowVersions(lt, c, emit)
 			t1 := time.Now()
-			indexes := l.checkIndexes(lt, opts.Parallelism, pool, prog, w*progressIndexShare, emit)
+			indexes := db.checkIndexes(lt, opts.Parallelism, pool, prog, w*progressIndexShare, emit)
 			t2 := time.Now()
 			table := []obs.Label{{Key: "table", Value: lt.Name()}}
 			mu.Lock()
@@ -407,7 +319,7 @@ func (l *Shard) Verify(digests []Digest, opts VerifyOptions) (*Report, error) {
 
 	// Final step (§3.4.2): ledger-view definitions.
 	for _, lt := range tables {
-		l.checkView(lt, emit)
+		db.checkView(lt, emit)
 	}
 	rep.Timing.Views = time.Since(phase)
 	tr.Record("views", 0, phase, rep.Timing.Views)
@@ -436,8 +348,8 @@ const maxIssueEvents = 16
 
 // noteVerifyFinished records the run for health tracking and emits the
 // finish (and per-issue) audit events.
-func (l *Shard) noteVerifyFinished(rep *Report) {
-	ev := l.obs.Events()
+func (db *DB) noteVerifyFinished(rep *Report) {
+	ev := db.obs.Events()
 	for i, iss := range rep.Issues {
 		if i == maxIssueEvents {
 			ev.Warn(obs.EventVerifyIssue, "suppressed", len(rep.Issues)-maxIssueEvents)
@@ -451,10 +363,10 @@ func (l *Shard) noteVerifyFinished(rep *Report) {
 		"blocks", rep.BlocksChecked, "transactions", rep.TransactionsChecked,
 		"row_versions", rep.RowVersionsChecked,
 		"duration_seconds", rep.Timing.Total.Seconds())
-	l.healthMu.Lock()
-	l.lastVerify = verifyMark{
+	db.healthMu.Lock()
+	db.lastVerify = verifyMark{
 		done: true, at: time.Now(), dur: rep.Timing.Total,
 		ok: rep.Ok(), issues: len(rep.Issues),
 	}
-	l.healthMu.Unlock()
+	db.healthMu.Unlock()
 }

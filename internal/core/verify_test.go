@@ -236,7 +236,7 @@ func TestDigestForkDetected(t *testing.T) {
 	d1 := seedAccounts(t, l, lt, 4)
 	// Fork: overwrite an old block (rewriting history), then extend.
 	key := sqltypes.EncodeKey(nil, sqltypes.NewBigInt(int64(d1.BlockID)))
-	err := l.Engine().TamperUpdateRow(l.shards[0].sysBlocks, key, func(r sqltypes.Row) sqltypes.Row {
+	err := l.Engine().TamperUpdateRow(l.sysBlocks, key, func(r sqltypes.Row) sqltypes.Row {
 		b := append([]byte(nil), r[2].Bytes...)
 		b[5] ^= 0x01
 		r[2] = sqltypes.NewBinary(b)
@@ -314,8 +314,8 @@ func TestVerifyParallelMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tamper 4: delete a transaction entry (inv 3 + orphaned rows inv 4).
-	tkey := firstKeyOf(t, l.shards[0].entries.table)
-	if err := l.Engine().TamperDeleteRow(l.shards[0].entries.table, tkey, true); err != nil {
+	tkey := firstKeyOf(t, l.entries.table)
+	if err := l.Engine().TamperDeleteRow(l.entries.table, tkey, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -677,5 +677,42 @@ func TestEmptyStoredHistoryRowIsRed(t *testing.T) {
 	}
 	if rep.Ok() || !named {
 		t.Fatalf("an empty history row: want a red invariant-4 issue naming row %x of %s, got\n%s", key, tab.Name(), issueStrings(rep))
+	}
+}
+
+// TestVerifyDigestOfAnotherDatabase: a digest renamed to another
+// database, moved past the chain head and given another incarnation fails
+// invariant 1 with an issue naming that database; a run over a range of
+// blocks that leaves the digest out passes. The database is one shard, as
+// the subtest's name says.
+func TestVerifyDigestOfAnotherDatabase(t *testing.T) {
+	t.Run("1 shards", verifyDigestOfAnotherDatabase)
+}
+
+func verifyDigestOfAnotherDatabase(t *testing.T) {
+	db := openBank(t, t.TempDir())
+	defer db.Close()
+	lt := mustLedgerTable(t, db, "accounts", engine.LedgerUpdateable)
+	loadAccounts(t, db, lt, 20)
+	d, err := db.GenerateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.DatabaseName, d.BlockID, d.Incarnation = "other", d.BlockID+100, d.Incarnation+1
+	rep, err := db.Verify([]Digest{d}, VerifyOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ok() || !strings.Contains(rep.String(), `[TAMPER inv1] digest for block`) ||
+		!strings.Contains(rep.String(), `names database "other"`) {
+		t.Fatalf("report of a digest naming another database:\n%s", rep)
+	}
+	// A ranged run checks only the digests inside its range.
+	rep, err = db.Verify([]Digest{d}, VerifyOptions{Blocks: &BlockRange{From: 0, To: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Ok() {
+		t.Fatalf("ranged run given a digest outside its range:\n%s", rep)
 	}
 }

@@ -16,41 +16,23 @@ import (
 type LedgerViewRow struct {
 	Row       sqltypes.Row // visible columns
 	Operation string       // "INSERT" or "DELETE"
-	TxID      uint64       // numbers the transaction within shard Shard's chain
+	TxID      uint64
 	Seq       uint64
-	Shard     int
 }
 
 // LedgerView materializes the ledger view of a table from the current
 // committed state of the ledger and history tables: every version in the
 // ledger table contributes an INSERT entry; every version in the history
 // table contributes both its INSERT entry (it was created at some point)
-// and its DELETE entry. Results are ordered by (TxID, Seq) — shard by
-// shard on a multi-shard database, each row carrying its shard. A stored
-// version that does not decode fails the view, naming the table.
-func (lt *LedgerTable) LedgerView() ([]LedgerViewRow, error) {
-	if lt.parts == nil {
-		return lt.view(0)
-	}
-	var out []LedgerViewRow
-	for i, p := range lt.parts {
-		rows, err := p.view(i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rows...)
-	}
-	return out, nil
-}
-
-// view is the ledger view of one part, its rows tagged with shard. It
+// and its DELETE entry. Results are ordered by (TxID, Seq). A stored
+// version that does not decode fails the view, naming the table. It
 // decodes the visible columns and the hidden ones it reports, no others,
 // from the stored bytes of one snapshot of both tables.
-func (lt *LedgerTable) view(shard int) ([]LedgerViewRow, error) {
+func (lt *LedgerTable) LedgerView() ([]LedgerViewRow, error) {
 	sh := lt.shape.Load()
 	n := len(sh.visible)
 	ords := append(slices.Clone(sh.visible), lt.startTxOrd, lt.startSeqOrd, lt.endTxOrd, lt.endSeqOrd)
-	rtx := lt.l.edb.BeginReadOnly()
+	rtx := lt.db.edb.BeginReadOnly()
 	defer rtx.Close()
 	var out []LedgerViewRow
 	var err error
@@ -63,10 +45,10 @@ func (lt *LedgerTable) view(shard int) ([]LedgerViewRow, error) {
 			}
 			hidden := r[n:]
 			out = append(out, LedgerViewRow{Row: r[:n], Operation: "INSERT",
-				TxID: uint64(hidden[0].Int()), Seq: uint64(hidden[1].Int()), Shard: shard})
+				TxID: uint64(hidden[0].Int()), Seq: uint64(hidden[1].Int())})
 			if t == lt.history {
 				out = append(out, LedgerViewRow{Row: r[:n], Operation: "DELETE",
-					TxID: uint64(hidden[2].Int()), Seq: uint64(hidden[3].Int()), Shard: shard})
+					TxID: uint64(hidden[2].Int()), Seq: uint64(hidden[3].Int())})
 			}
 			return true
 		})
@@ -88,10 +70,10 @@ func (lt *LedgerTable) view(shard int) ([]LedgerViewRow, error) {
 }
 
 // TransactionInfo returns the ledger entry metadata for a transaction id
-// of this shard's chain, letting ledger-view consumers retrieve who
+// of the chain, letting ledger-view consumers retrieve who
 // executed an operation and when (§2.1).
-func (l *Shard) TransactionInfo(txID uint64) (user string, commitTS int64, blockID uint64, ok bool) {
-	e, err := l.entryOfTx(txID)
+func (db *DB) TransactionInfo(txID uint64) (user string, commitTS int64, blockID uint64, ok bool) {
+	e, err := db.entryOfTx(txID)
 	if err != nil {
 		return "", 0, 0, false
 	}
@@ -125,37 +107,37 @@ func (lt *LedgerTable) canonicalViewDefinition() string {
 
 // storeViewDefinition records (or refreshes) the ledger-view definition
 // for a table in the sys_ledger_views system table.
-func (l *Shard) storeViewDefinition(lt *LedgerTable) error {
+func (db *DB) storeViewDefinition(lt *LedgerTable) error {
 	def := lt.canonicalViewDefinition()
 	row := sqltypes.Row{
 		sqltypes.NewBigInt(int64(lt.ID())),
 		sqltypes.NewNVarChar(def),
 	}
-	tx := l.edb.Begin("system")
+	tx := db.edb.Begin("system")
 	defer tx.Rollback()
 	key := sqltypes.EncodeKey(nil, sqltypes.NewBigInt(int64(lt.ID())))
-	if _, ok, _ := tx.GetStored(l.sysViews, key); ok {
-		if _, err := tx.UpdateByKey(l.sysViews, key, row); err != nil {
+	if _, ok, _ := tx.GetStored(db.sysViews, key); ok {
+		if _, err := tx.UpdateByKey(db.sysViews, key, row); err != nil {
 			return err
 		}
-	} else if _, err := tx.Insert(l.sysViews, row); err != nil {
+	} else if _, err := tx.Insert(db.sysViews, row); err != nil {
 		return err
 	}
-	_, err := l.edb.Commit(tx)
+	_, err := db.edb.Commit(tx)
 	return err
 }
 
 // ViewDefinition returns the stored ledger-view definition for a table
 // (none when its row does not decode: Verify reports that).
-func (l *Shard) ViewDefinition(tableID uint32) (string, bool) {
-	def, ok, _ := l.viewDefinition(tableID)
+func (db *DB) ViewDefinition(tableID uint32) (string, bool) {
+	def, ok, _ := db.viewDefinition(tableID)
 	return def, ok
 }
 
 // viewDefinition reads a table's sys_ledger_views row from its stored
 // bytes, failing, naming the table id, where they are no row.
-func (l *Shard) viewDefinition(tableID uint32) (string, bool, error) {
-	stored, ok := l.sysViews.LookupStored(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(int64(tableID))))
+func (db *DB) viewDefinition(tableID uint32) (string, bool, error) {
+	stored, ok := db.sysViews.LookupStored(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(int64(tableID))))
 	if !ok {
 		return "", false, nil
 	}

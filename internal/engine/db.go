@@ -26,8 +26,7 @@ type LedgerHook interface {
 	OnCommit(txID uint64, commitTS int64, user string, roots []wal.TableRoot) wal.LedgerEntry
 	// Logged runs once the COMMIT record of the transaction OnCommit placed
 	// at (blockID, ordinal) is in the log, before its writes are visible,
-	// with the LSN of the frame that holds its DML records: the COMMIT
-	// frame, or a two-phase participant's PREPARE frame.
+	// with the LSN of the frame that holds its DML and COMMIT records.
 	Logged(blockID uint64, ordinal uint32, frameLSN int64)
 	// BeforeSnapshot runs under full quiescence just before a snapshot is
 	// written; the core drains the in-memory ledger queue into the system
@@ -61,8 +60,7 @@ type Options struct {
 	Clock func() int64
 	// VersionGCInterval paces the background sweep that reclaims row
 	// versions older than the oldest active snapshot; zero keeps the
-	// default (250ms). Multi-shard databases stagger this so N engine
-	// instances on one box don't all tick in lockstep.
+	// default (250ms).
 	VersionGCInterval time.Duration
 	// RecoveryWorkers sets the parallelism of crash recovery. Redo always
 	// replays the snapshot and then the log in order on one loop; above 1,
@@ -137,16 +135,6 @@ type DB struct {
 	gcStop     chan struct{}
 	gcDone     chan struct{}
 	gcStopOnce sync.Once
-
-	// inDoubt holds transactions that were prepared (RecPrepare durable)
-	// but neither committed nor aborted when the log ends — the 2PC
-	// coordinator above resolves them via PreparedTxs + CommitPrepared /
-	// AbortPrepared after recovery. Keyed by global transaction id.
-	inDoubt map[uint64]*Tx
-	// preparedCount tracks live prepared transactions (in-doubt ones
-	// included); Checkpoint refuses while any exist, because a snapshot
-	// would strand their PREPARE records behind the checkpoint LSN.
-	preparedCount atomic.Int64
 
 	// redoFrom is the LSN the snapshot Open loaded covers: redo began there.
 	redoFrom int64
@@ -224,7 +212,6 @@ func Open(opts Options) (*DB, error) {
 		locks:    newLockTable(opts.Obs),
 		snaps:    make(map[uint64]int64),
 		inflight: make(map[int64]struct{}),
-		inDoubt:  make(map[uint64]*Tx),
 		gcStop:   make(chan struct{}),
 		gcDone:   make(chan struct{}),
 		obs:      opts.Obs,
@@ -360,8 +347,7 @@ func (db *DB) Commit(tx *Tx) (int64, error) {
 	return db.commitTail(tx, recs, lap, tx.trace)
 }
 
-// commitTail is the one commit path, shared by Commit and CommitPrepared:
-// sequence (commit timestamp and, for ledger transactions, block/ordinal
+// commitTail is the commit path after encoding: sequence (commit timestamp and, for ledger transactions, block/ordinal
 // assignment under commitMu, §3.3.2) → publish (queue the WAL frame with
 // the group committer while still holding commitMu, so WAL commit-record
 // order equals ledger ordinal order) → wait (durability: whichever waiting
@@ -371,9 +357,8 @@ func (db *DB) Commit(tx *Tx) (int64, error) {
 // writes, release row locks, and wait for older commits to apply, so that
 // every later snapshot sees what is acknowledged). Row locks stay held
 // until apply, so isolation is what a fully serialized commit would give.
-// recs holds the transaction's DML records not yet in the log (none for a
-// prepared transaction, whose PREPARE frame carried them) with room for
-// the COMMIT record; lap was started before they were encoded.
+// recs holds the transaction's DML records with room for the COMMIT
+// record; lap was started before they were encoded.
 func (db *DB) commitTail(tx *Tx, recs []wal.Record, lap obs.LapTimer, tr *obs.Trace) (int64, error) {
 	lap.LapSpan(db.m.stageEncode, tr, obs.SpanWALEncode)
 
@@ -439,9 +424,6 @@ func (db *DB) commitTail(tx *Tx, recs []wal.Record, lap obs.LapTimer, tr *obs.Tr
 		}
 	}
 	if err == nil && commit.Entry != nil {
-		if tx.prepared {
-			lsn = tx.prepareLSN // the COMMIT frame holds no DML
-		}
 		db.opts.Hook.Logged(entry.BlockID, entry.Ordinal, lsn)
 	}
 	if err == nil {
@@ -477,7 +459,7 @@ func (db *DB) commitTail(tx *Tx, recs []wal.Record, lap obs.LapTimer, tr *obs.Tr
 // commit is acknowledged only when every snapshot begun after it sees it.
 // An older commit still applying is all it can wait for: every sequenced
 // timestamp is retired, applied or failed, without waiting on a younger
-// one, and a prepared transaction takes its timestamp only at its decision.
+// one.
 func (db *DB) awaitApplied(ts int64) {
 	if db.appliedTS.Load() >= ts {
 		return

@@ -23,7 +23,7 @@ import (
 // catalog record installs empty tables, and its rows are one write set
 // committing at the cut. A wal.PipelinedReader reads, checks and decodes
 // the log a batch ahead of the redo loop, which sorts transactions into
-// winners, losers and in-doubt, and applies each committed write set
+// winners and losers, and applies each committed write set
 // itself, in commit order, as versions stamped with its commit timestamp.
 // A keyed table's chains are built in redo's private view of it, and a
 // heap's straight in its row-id array; the install phase bulk-loads each
@@ -166,10 +166,6 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 	defer pr.Close()
 
 	pending := make(map[uint64][]writeOp)
-	// preparedAt maps a transaction id to its PREPARE record; a later
-	// COMMIT or ABORT record resolves it, anything left at the end of the
-	// log is in doubt.
-	preparedAt := make(map[uint64]wal.DecodedRecord)
 	var entries []*wal.LedgerEntry
 	var frames []int64 // of entries: the LSN of the frame holding the DML
 	maxTx := uint64(0)
@@ -203,14 +199,12 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 			}
 			if p.Entry != nil {
 				entries = append(entries, p.Entry)
-				frames = append(frames, dmlFrame(rec.Record, preparedAt))
+				frames = append(frames, rec.LSN)
 			}
-			delete(preparedAt, rec.TxID)
 		case wal.RecAbort:
 			delete(pending, rec.TxID)
-			delete(preparedAt, rec.TxID)
 		case wal.RecPrepare:
-			preparedAt[rec.TxID] = rec
+			return errPrepare(rec.LSN)
 		case wal.RecDDL:
 			p, err := wal.DecodeDDL(rec.Payload)
 			if err != nil {
@@ -236,28 +230,6 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 	if maxTx >= db.cat.NextTxID {
 		db.cat.NextTxID = maxTx + 1
 	}
-	// Reconstruct in-doubt transactions: prepared but undecided at the end
-	// of the log. Their writes stay out of shared storage until the 2PC
-	// coordinator resolves them (presumed abort when it has no decision).
-	// Recovery applies no in-doubt writes, so no row locks are needed to
-	// keep the write sets isolated until resolution.
-	for txID, rec := range preparedAt {
-		p := rec.Prepare
-		tx := &Tx{
-			db:         db,
-			id:         txID,
-			user:       p.User,
-			writes:     pending[txID],
-			Roots:      p.Roots,
-			prepared:   true,
-			gid:        p.Gid,
-			prepareLSN: rec.LSN,
-			inDoubt:    true,
-		}
-		delete(pending, txID)
-		db.inDoubt[p.Gid] = tx
-		db.preparedCount.Add(1)
-	}
 	// Replay applied every committed transaction, so the applied-through
 	// watermark starts flush with the last commit.
 	db.appliedTS.Store(db.lastCommitTS.Load())
@@ -276,14 +248,12 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 	return nil
 }
 
-// dmlFrame is the LSN of the frame holding the DML of the transaction that
-// commit commits: the frame of its PREPARE record if it has one, else its
-// own.
-func dmlFrame(commit wal.Record, preparedAt map[uint64]wal.DecodedRecord) int64 {
-	if p, ok := preparedAt[commit.TxID]; ok {
-		return p.LSN
-	}
-	return commit.LSN
+// errPrepare is redo's answer to a PREPARE record. Only a shard of a
+// multi-shard database, a layout this engine no longer opens, wrote one:
+// its transaction's fate was in a coordinator's decision log, so no
+// replay of the shard alone could be right.
+func errPrepare(lsn int64) error {
+	return fmt.Errorf("engine: recovery: PREPARE record at LSN %d: this log belongs to a shard of a multi-shard database, which is no longer supported", lsn)
 }
 
 // LedgerFramesBefore calls fn, in log order, with the ledger entry of each
@@ -297,7 +267,6 @@ func (db *DB) LedgerFramesBefore(fn func(e *wal.LedgerEntry, frame int64)) error
 		return err
 	}
 	defer r.Close()
-	preparedAt := make(map[uint64]wal.DecodedRecord)
 	for {
 		rec, err := r.Next()
 		switch {
@@ -305,17 +274,14 @@ func (db *DB) LedgerFramesBefore(fn func(e *wal.LedgerEntry, frame int64)) error
 			return nil
 		case err != nil:
 			return err
-		case rec.Type == wal.RecPrepare:
-			preparedAt[rec.TxID] = wal.DecodedRecord{Record: rec}
 		case rec.Type == wal.RecCommit:
 			p, err := wal.DecodeCommit(rec.Payload)
 			if err != nil {
 				return err
 			}
 			if p.Entry != nil {
-				fn(p.Entry, dmlFrame(rec, preparedAt))
+				fn(p.Entry, rec.LSN)
 			}
-			delete(preparedAt, rec.TxID)
 		}
 	}
 }

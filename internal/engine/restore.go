@@ -47,11 +47,8 @@ func RestoreToTime(srcDir, dstDir string, targetTS int64) error {
 	defer r.Close()
 
 	// A transaction's records reach the destination as one frame, and only
-	// once its COMMIT with ts <= target is seen: a plain commit's frame is
-	// copied as is, a two-phase participant's PREPARE frame (which other
-	// transactions' frames may separate from its COMMIT) is merged with the
-	// decision. The first commit past the target ends the restore:
-	// everything after it is "the future", undecided prepares included.
+	// once its COMMIT with ts <= target is seen. The first commit past the
+	// target ends the restore: everything after it is "the future".
 	pending := make(map[uint64][]wal.Record)
 	for {
 		rec, err := r.Next()

@@ -225,23 +225,22 @@ func (r rowRef) latestLive() ([]byte, bool) { c := r.chain(); return c.latestLiv
 func (r rowRef) versionCount() int          { c := r.chain(); return c.versionCount() }
 func (r rowRef) hasOlder() bool             { return r.chain().older != nil }
 
-// edit applies fn to the row's chain: a keyed table's in place, a heap
-// row's to its view, which is written back, its newest row copied into the
-// pages when newRow is set.
-func (r rowRef) edit(newRow bool, fn func(c *versionChain)) {
+// edit replaces the row's chain with what fn makes of it: a keyed table's
+// in place, a heap row's written back, its newest row copied into the pages
+// when newRow is set. The chain goes to fn and back by value, so a heap
+// row's view never leaves the stack.
+func (r rowRef) edit(newRow bool, fn func(c versionChain) versionChain) {
 	if r.c != nil {
-		fn(r.c)
+		*r.c = fn(*r.c)
 		return
 	}
-	c := r.chain()
-	fn(&c)
-	r.s.set(r.rid, c, newRow)
+	r.s.set(r.rid, fn(r.chain()), newRow)
 }
 
 // setLatestRow overwrites the newest version's row (tamper simulation and
 // repair: edited storage creates no history).
 func (r rowRef) setLatestRow(row []byte) {
-	r.edit(true, func(c *versionChain) { c.newest.row = row })
+	r.edit(true, func(c versionChain) versionChain { c.newest.row = row; return c })
 }
 
 // Get returns where the row under key is.

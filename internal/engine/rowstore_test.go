@@ -98,9 +98,10 @@ func runHeapOps(t *testing.T, ops []byte) {
 			}
 			ts++
 			dead := false
-			r.edit(true, func(c *versionChain) {
+			r.edit(true, func(c versionChain) versionChain {
 				c.appendVersion(ts, nil)
 				_, dead = c.prune(ts)
+				return c
 			})
 			if !dead {
 				t.Fatalf("row %d: a pruned tombstone is not dead", rid)
@@ -161,7 +162,7 @@ func runHeapOps(t *testing.T, ops []byte) {
 				row = heapTestRow(ts, heapTestLen(arg, arg%8 == 7))
 			}
 			first := false
-			r.edit(true, func(c *versionChain) { first = c.appendVersion(ts, row) })
+			r.edit(true, func(c versionChain) versionChain { first = c.appendVersion(ts, row); return c })
 			if want := len(m.rows[rid]) == 1; first != want {
 				t.Fatalf("row %d: appendVersion reports first=%v, want %v", rid, first, want)
 			}
@@ -174,7 +175,7 @@ func runHeapOps(t *testing.T, ops []byte) {
 			horizon := ts - int64(arg%8)
 			var dropped int
 			var dead bool
-			r.edit(false, func(c *versionChain) { dropped, dead = c.prune(horizon) })
+			r.edit(false, func(c versionChain) versionChain { dropped, dead = c.prune(horizon); return c })
 			vs, wantDropped, wantDead := heapModelPrune(m.rows[rid], horizon)
 			if dropped != wantDropped || dead != wantDead {
 				t.Fatalf("row %d: prune(%d) dropped %d, dead=%v; want %d, %v", rid, horizon, dropped, dead, wantDropped, wantDead)
@@ -417,6 +418,64 @@ func TestHeapInsertAllocations(t *testing.T) {
 	t.Logf("applying %d heap inserts allocates %.0f objects, budget %.0f", batch, allocs, budget)
 	if allocs > budget {
 		t.Errorf("applying %d heap inserts allocates %.0f objects, budget %.0f", batch, allocs, budget)
+	}
+}
+
+// TestHeapUpdateAllocations: applying an update to a row of a key-less
+// table edits the row's chain by value, so the chain view stays on the
+// stack. Every row has been updated three times, so its superseded
+// versions' slice has room for one more, and what an update may allocate
+// is the copy of its row id that rowStore.GetEntry returns, the pages its
+// new row's bytes fill and the fresh pages of a repack: one object per
+// update and a few, where the chain cost one more while it escaped.
+func TestHeapUpdateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	db := openTestDB(t)
+	db.stopVersionGC()
+	tab := mustCreate(t, db, "h", footprintSchema(false))
+	const batch = 4096
+	keys := make([][]byte, 6*batch)
+	for i := range keys {
+		keys[i] = tab.allocRID()
+	}
+	row := EncodeStoredRow(footprintRow(1))
+	tab.mu.Lock()
+	defer tab.mu.Unlock()
+	ts := int64(1)
+	for i := range keys {
+		if err := tab.applyInsertLocked(keys[i], row, ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 3 {
+		ts++
+		for _, key := range keys {
+			if err := tab.applyUpdateLocked(key, row, ts); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Three measurements, each after AllocsPerRun's warm-up run, each run
+	// on rows of its own; the least leaves out what other goroutines
+	// allocate meanwhile.
+	done, allocs := 0, math.Inf(1)
+	for range 3 {
+		allocs = min(allocs, testing.AllocsPerRun(1, func() {
+			ts++
+			for _, key := range keys[done : done+batch] {
+				if err := tab.applyUpdateLocked(key, row, ts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			done += batch
+		}))
+	}
+	budget := float64(batch + batch/16)
+	t.Logf("applying %d heap updates allocates %.0f objects, budget %.0f", batch, allocs, budget)
+	if allocs > budget {
+		t.Errorf("applying %d heap updates allocates %.0f objects, budget %.0f", batch, allocs, budget)
 	}
 }
 

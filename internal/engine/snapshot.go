@@ -30,13 +30,6 @@ import (
 // then to replay from the start of the log, which is kept whole.
 
 const (
-	// checkpointPreparedWait bounds how long Checkpoint waits for
-	// outstanding prepared 2PC transactions to resolve before refusing.
-	// The prepare→decide window is normally microseconds, so a short wait
-	// turns most would-be refusals into successes without stalling the
-	// caller behind a crashed coordinator.
-	checkpointPreparedWait = 250 * time.Millisecond
-
 	// snapshotScanChunk is how many version chains a checkpoint scan
 	// visits per table-lock acquisition; between chunks the lock is
 	// released so committers on the same table make progress while the
@@ -66,26 +59,11 @@ func (db *DB) Checkpoint() (int64, error) {
 	defer db.checkpointMu.Unlock()
 	start := time.Now()
 
-	// A prepared-but-undecided transaction lives only in the WAL: a
-	// snapshot taken now would move the redo start past its PREPARE and
-	// DML records and lose it. Give the coordinator a bounded window to
-	// decide, then refuse rather than wait forever.
-	if db.preparedCount.Load() > 0 {
-		deadline := time.Now().Add(checkpointPreparedWait)
-		for db.preparedCount.Load() > 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-	}
-
 	quiesceStart := time.Now()
 	db.quiesce.Lock()
 	if db.closed {
 		db.quiesce.Unlock()
 		return 0, ErrClosed
-	}
-	if n := db.preparedCount.Load(); n > 0 {
-		db.quiesce.Unlock()
-		return 0, fmt.Errorf("engine: checkpoint refused: %d prepared transaction(s) outstanding", n)
 	}
 	if db.opts.Hook != nil {
 		// Drained queue rows are applied at LastCommitTS, i.e. exactly at

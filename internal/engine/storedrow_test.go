@@ -557,8 +557,8 @@ func TestStoredPrimitives(t *testing.T) {
 
 // TestLockTableEmptyAfterLedgerShapedTransactions: keyed updates and
 // deletes that lock, heap inserts that do not, a savepoint rollback across
-// both, and every way a transaction ends — commit, rollback, two-phase
-// commit and abort — leave no entry in the lock table.
+// both, and both ways a transaction ends — commit and rollback — leave no
+// entry in the lock table.
 func TestLockTableEmptyAfterLedgerShapedTransactions(t *testing.T) {
 	db := openTestDB(t)
 	tab := mustCreate(t, db, "t", kvSchema())
@@ -603,19 +603,6 @@ func TestLockTableEmptyAfterLedgerShapedTransactions(t *testing.T) {
 	for name, end := range map[string]func(tx *Tx) error{
 		"commit":   func(tx *Tx) error { _, err := db.Commit(tx); return err },
 		"rollback": func(tx *Tx) error { return tx.Rollback() },
-		"2pc commit": func(tx *Tx) error {
-			if err := db.Prepare(tx, 77); err != nil {
-				return err
-			}
-			_, err := db.CommitPrepared(tx)
-			return err
-		},
-		"2pc abort": func(tx *Tx) error {
-			if err := db.Prepare(tx, 78); err != nil {
-				return err
-			}
-			return db.AbortPrepared(tx)
-		},
 	} {
 		tx := db.Begin("u")
 		script(tx)
@@ -626,8 +613,8 @@ func TestLockTableEmptyAfterLedgerShapedTransactions(t *testing.T) {
 			t.Errorf("%s left %d lock entries", name, n)
 		}
 	}
-	if n := hist.RowCount(); n != 4 { // two committing endings, two history rows each
-		t.Errorf("history heap holds %d rows, want 4", n)
+	if n := hist.RowCount(); n != 2 { // the committing ending's two history rows
+		t.Errorf("history heap holds %d rows, want 2", n)
 	}
 }
 

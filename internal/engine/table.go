@@ -310,7 +310,7 @@ func (t *Table) moveIndexEntriesLocked(key, old, next []byte) {
 // write set's copy. Caller holds mu.
 func (t *Table) appendVersionLocked(key []byte, r rowRef, ts int64, row []byte) {
 	first := false
-	r.edit(true, func(c *versionChain) { first = c.appendVersion(ts, row) })
+	r.edit(true, func(c versionChain) versionChain { first = c.appendVersion(ts, row); return c })
 	if first {
 		t.reclaim = append(t.reclaim, keyedChain{key, r.c})
 	}
@@ -335,7 +335,7 @@ func (t *Table) gcVersions(horizon int64) int {
 		}
 		var dropped int
 		var dead bool
-		r.edit(false, func(c *versionChain) { dropped, dead = c.prune(horizon) })
+		r.edit(false, func(c versionChain) versionChain { dropped, dead = c.prune(horizon); return c })
 		reclaimed += dropped
 		switch {
 		case dead:

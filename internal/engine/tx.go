@@ -61,17 +61,6 @@ type Tx struct {
 
 	savepoints []savepoint
 
-	// prepared marks the transaction as phase-1 complete in a cross-shard
-	// two-phase commit: its DML and PREPARE records are durable, its row
-	// locks stay held, and only CommitPrepared or AbortPrepared may finish
-	// it (twopc.go). gid is the coordinator's global transaction id.
-	prepared   bool
-	gid        uint64
-	prepareLSN int64 // of the PREPARE frame, which carries the DML
-	// inDoubt marks a transaction reconstructed by recovery; resolving it
-	// removes it from db.inDoubt (single-threaded, during open).
-	inDoubt bool
-
 	// trace is the transaction's end-to-end trace (nil when tracing is
 	// off). The engine contributes lock-wait, WAL-encode and commit-stage
 	// spans; owners (the ledger core) create and finish it.
@@ -112,7 +101,7 @@ func EncodeStoredRow(row sqltypes.Row) []byte {
 }
 
 // encodeWrites turns the write set into WAL records, leaving room for the
-// COMMIT or PREPARE record that ends the batch. The payloads share one
+// COMMIT record that ends the batch. The payloads share one
 // arena, garbage once the frame is written.
 func (tx *Tx) encodeWrites() []wal.Record {
 	recs := make([]wal.Record, 0, len(tx.writes)+1)

@@ -338,3 +338,55 @@ func TestApplyGroupingMatchesLogOrder(t *testing.T) {
 		t.Fatalf("grouped apply, pruned, leaves:\n%s\nredo and open leave:\n%s", pruned, redone)
 	}
 }
+
+// TestVersionGCIntervalOption pins the Options.VersionGCInterval knob: a
+// fast custom interval reclaims superseded versions in the background
+// without any explicit GC call, while an effectively-infinite interval
+// leaves them in place over the same window.
+func TestVersionGCIntervalOption(t *testing.T) {
+	makeGarbage := func(db *DB) *Table {
+		tab := mustCreate(t, db, "t", kvSchema())
+		tx := db.Begin("u")
+		if _, err := tx.Insert(tab, kv(1, "v0")); err != nil {
+			t.Fatal(err)
+		}
+		commit(t, db, tx)
+		for i := 0; i < 5; i++ {
+			tx := db.Begin("u")
+			if _, err := tx.Update(tab, kv(1, "v")); err != nil {
+				t.Fatal(err)
+			}
+			commit(t, db, tx)
+		}
+		return tab
+	}
+
+	fast, err := Open(Options{Dir: t.TempDir(), VersionGCInterval: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fast.Close()
+	tab := makeGarbage(fast)
+	deadline := time.Now().Add(5 * time.Second)
+	for tab.VersionCount() > 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("background GC at 2ms interval left %d versions after 5s", tab.VersionCount())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	slow, err := Open(Options{Dir: t.TempDir(), VersionGCInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	tab = makeGarbage(slow)
+	// Give a would-be default sweeper (250ms) ample time to fire.
+	time.Sleep(400 * time.Millisecond)
+	if n := tab.VersionCount(); n != 6 {
+		t.Fatalf("1h-interval sweeper reclaimed early: %d versions, want 6", n)
+	}
+	if slow.opts.VersionGCInterval != time.Hour {
+		t.Fatalf("interval not honored: %v", slow.opts.VersionGCInterval)
+	}
+}

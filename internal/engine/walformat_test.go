@@ -2,11 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"sqlledger/internal/obs"
@@ -160,43 +163,60 @@ func TestOpenV1DatabaseFailsUntouched(t *testing.T) {
 	}
 }
 
-// TestRestoreToTimeAcrossPrepare: a two-phase participant's PREPARE frame
-// and its COMMIT frame are separated by another transaction's commit. The
-// restore must pair them up by transaction, whichever side of the target
-// time the decision falls on.
-func TestRestoreToTimeAcrossPrepare(t *testing.T) {
-	srcDir := t.TempDir()
-	db := openDBAt(t, srcDir)
+// TestOpenRefusesPrepareRecord: a PREPARE record was written only by a
+// shard of a multi-shard database, whose transactions' fate lived in a
+// coordinator's decision log. Redo that meets one must fail Open, name the
+// record's LSN, and leave every file as it was.
+func TestOpenRefusesPrepareRecord(t *testing.T) {
+	dir := t.TempDir()
+	db := openDBAt(t, dir)
 	tab := mustCreate(t, db, "t", kvSchema())
-	prepared := db.Begin("coordinator")
-	prepared.Insert(tab, kv(1, "two-phase"))
-	if err := db.Prepare(prepared, 7); err != nil {
-		t.Fatal(err)
-	}
 	tx := db.Begin("u")
-	tx.Insert(tab, kv(2, "between"))
+	tx.Insert(tab, kv(1, "committed"))
 	commit(t, db, tx)
-	between := db.LastCommitTS()
-	if _, err := db.CommitPrepared(prepared); err != nil {
-		t.Fatal(err)
-	}
-	after := db.LastCommitTS()
 	db.Close()
 
-	for _, c := range []struct {
-		target int64
-		want   string
-	}{{between, "[2=between]"}, {after, "[1=two-phase 2=between]"}} {
-		dstDir := filepath.Join(t.TempDir(), "restored")
-		if err := RestoreToTime(srcDir, dstDir, c.target); err != nil {
-			t.Fatalf("restore to %d: %v", c.target, err)
-		}
-		rdb := openDBAt(t, dstDir)
-		if got := fmt.Sprint(tableState(t, rdb, "t")); got != c.want {
-			t.Fatalf("restore to %d: state %s, want %s", c.target, got, c.want)
-		}
-		if n := len(rdb.PreparedTxs()); n != 0 {
-			t.Fatalf("restore to %d: %d transactions in doubt", c.target, n)
-		}
+	log, err := wal.Open(filepath.Join(dir, walFileName), wal.SyncFull)
+	if err != nil {
+		t.Fatal(err)
 	}
+	lsn, err := log.AppendBatch([]wal.Record{
+		{Type: wal.RecInsert, TxID: 9, Payload: wal.EncodeDML(wal.RecInsert, wal.DMLPayload{TableID: tab.ID(), Key: tab.KeyFor(kv(2, "")), After: kv(2, "prepared")})},
+		{Type: wal.RecPrepare, TxID: 9, Payload: []byte{7}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := fileDigests(t, dir)
+	if db, err := Open(Options{Dir: dir}); err == nil {
+		db.Close()
+		t.Fatal("Open replayed a log holding a PREPARE record")
+	} else if want := fmt.Sprintf("PREPARE record at LSN %d", lsn); !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open = %v, want an error naming %q", err, want)
+	}
+	if after := fileDigests(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("failed Open changed the directory:\nbefore %v\nafter  %v", before, after)
+	}
+}
+
+// fileDigests maps every file under dir to its SHA-256.
+func fileDigests(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		sum := sha256.Sum256(b)
+		out[path] = hex.EncodeToString(sum[:])
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

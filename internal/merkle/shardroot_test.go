@@ -6,14 +6,14 @@ import (
 	"testing"
 )
 
-// Shard-root-scale proof tests: the sharded ledger's super-block builds a
-// tree over N shard-head hashes where N is tiny (1, 2, 4, ...), so the
-// degenerate tree shapes — single leaf, one combine, promotion of an odd
-// leaf — are exactly the shapes auditors verify shard proofs against.
+// Small-tree proof tests: a block of a few transactions builds a tree over
+// N entry hashes where N is tiny (1, 2, 4, ...), so the degenerate tree
+// shapes — single leaf, one combine, promotion of an odd leaf — are
+// exactly the shapes a receipt from such a block is verified against.
 
 func shardLeaf(i int) Hash { return HashLeaf([]byte(fmt.Sprintf("shard-head-%d", i))) }
 
-// TestProofSingleLeafTree: a 1-shard super-block. The root IS the leaf
+// TestProofSingleLeafTree: a 1-leaf tree. The root IS the leaf
 // and the proof has no siblings.
 func TestProofSingleLeafTree(t *testing.T) {
 	leaves := []Hash{shardLeaf(0)}
@@ -36,8 +36,8 @@ func TestProofSingleLeafTree(t *testing.T) {
 	}
 }
 
-// TestProofTwoLeafTree: a 2-shard super-block. Each proof carries exactly
-// the other shard's head as its single sibling.
+// TestProofTwoLeafTree: a 2-leaf tree. Each proof carries exactly the
+// other leaf as its single sibling.
 func TestProofTwoLeafTree(t *testing.T) {
 	leaves := []Hash{shardLeaf(0), shardLeaf(1)}
 	root := RootOf(leaves)
@@ -50,19 +50,19 @@ func TestProofTwoLeafTree(t *testing.T) {
 			t.Fatalf("2-leaf proof %d has %d siblings, want 1", i, len(p.Siblings))
 		}
 		if p.Siblings[0] != leaves[1-i] {
-			t.Fatalf("2-leaf proof %d sibling is not the other shard's head", i)
+			t.Fatalf("2-leaf proof %d sibling is not the other leaf", i)
 		}
 		if !p.Verify(root, leaves[i]) {
 			t.Fatalf("2-leaf proof %d does not verify", i)
 		}
 		if p.Verify(root, leaves[1-i]) {
-			t.Fatalf("2-leaf proof %d verified the wrong shard's head", i)
+			t.Fatalf("2-leaf proof %d verified the wrong leaf", i)
 		}
 	}
 }
 
-// TestProofDuplicateLeaves: two shards can legitimately have identical
-// head hashes (e.g. both empty). Each position still proves independently
+// TestProofDuplicateLeaves: two leaves can legitimately be identical.
+// Each position still proves independently
 // — inclusion is positional, not value-based — and a proof built for one
 // position must carry that position's index.
 func TestProofDuplicateLeaves(t *testing.T) {
@@ -90,7 +90,7 @@ func TestProofDuplicateLeaves(t *testing.T) {
 
 // TestBuildProofsEquivalenceAtShardScale: BuildProofs over every index of
 // a small tree returns byte-identical proofs to per-index BuildProof
-// calls, for every super-block size the sharded ledger produces.
+// calls, for every tree of up to a few leaves.
 func TestBuildProofsEquivalenceAtShardScale(t *testing.T) {
 	for n := 1; n <= 9; n++ {
 		leaves := make([]Hash, n)

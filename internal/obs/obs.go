@@ -325,7 +325,7 @@ func (r *Registry) Traces() *TraceStore {
 
 // NewTrace starts a root trace — one per transaction ("tx"), one per
 // background operation (close_block, generate_digest, verify, audit_cycle,
-// recovery, version_gc, the super-block operations), named by it — or
+// recovery, version_gc), named by it — or
 // returns nil when the registry is nil/disabled or tracing is turned off;
 // a nil *Trace is safe everywhere downstream.
 func (r *Registry) NewTrace(name string) *Trace {

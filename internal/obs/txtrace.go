@@ -35,9 +35,6 @@ const (
 	SpanWALGroupForm   = "wal_group_form"  // enqueue → group flush start (child of commit_wait)
 	SpanWALFlush       = "wal_flush"       // group append + fsync (child of commit_wait)
 	SpanCommitApply    = "commit_apply"    // version-chain apply + lock release
-	SpanShardPrepare   = "shard_prepare"   // 2PC phase one on one shard
-	SpanShardDecide    = "2pc_decide"      // coordinator decision-log write
-	SpanShardCommit    = "shard_commit"    // 2PC phase two on one shard
 	SpanStatement      = "statement"       // one SQL statement inside the session
 )
 

@@ -187,11 +187,7 @@ func (s *Session) ExecStatement(st Statement) (*Result, error) {
 		}
 		return &Result{Message: fmt.Sprintf("column %s dropped from %s (data retained)", st.Column, st.Table)}, nil
 	case *CreateIndex:
-		eng, err := s.engine()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := eng.CreateIndex(st.Table, st.Name, st.Columns...); err != nil {
+		if _, err := s.db.Engine().CreateIndex(st.Table, st.Name, st.Columns...); err != nil {
 			return nil, err
 		}
 		return &Result{Message: fmt.Sprintf("index %s created on %s", st.Name, st.Table)}, nil
@@ -278,11 +274,7 @@ func (s *Session) createTable(st *CreateTable) (*Result, error) {
 		return nil, err
 	}
 	if !st.Ledger {
-		eng, err := s.engine()
-		if err != nil {
-			return nil, err
-		}
-		if _, err := eng.CreateTable(engine.CreateTableSpec{Name: st.Name, Schema: schema}); err != nil {
+		if _, err := s.db.Engine().CreateTable(engine.CreateTableSpec{Name: st.Name, Schema: schema}); err != nil {
 			return nil, err
 		}
 		return &Result{Message: fmt.Sprintf("table %s created", st.Name)}, nil
@@ -316,23 +308,10 @@ func (s *Session) resolve(name string, allowView bool) (target, error) {
 	if lt, err := s.db.LedgerTable(name); err == nil {
 		return target{lt: lt}, nil
 	}
-	if eng, err := s.engine(); err == nil {
-		if et, err := eng.Table(name); err == nil {
-			return target{et: et}, nil
-		}
+	if et, err := s.db.Engine().Table(name); err == nil {
+		return target{et: et}, nil
 	}
 	return target{}, fmt.Errorf("sql: table %q not found", name)
-}
-
-// engine returns the engine that holds regular tables and indexes. Those
-// are objects of one shard, not routed, so only a one-shard database has
-// an engine a statement can mean; elsewhere the error is ErrMultiShard.
-func (s *Session) engine() (*engine.DB, error) {
-	sh, err := s.db.Single()
-	if err != nil {
-		return nil, err
-	}
-	return sh.Engine(), nil
 }
 
 // visibleColumns returns the queryable columns of a target.

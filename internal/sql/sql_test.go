@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -11,19 +10,9 @@ import (
 	"sqlledger/internal/sqltypes"
 )
 
-func newSession(t *testing.T) *Session { return newSessionShards(t, 1) }
-
-// forShardCounts runs a scenario that holds for a database of any shard
-// count at 1 and at 3 shards.
-func forShardCounts(t *testing.T, run func(t *testing.T, s *Session)) {
-	for _, shards := range []int{1, 3} {
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) { run(t, newSessionShards(t, shards)) })
-	}
-}
-
-func newSessionShards(t *testing.T, shards int) *Session {
+func newSession(t *testing.T) *Session {
 	t.Helper()
-	db, err := core.Open(core.Options{Dir: t.TempDir(), Name: "sqltest", Shards: shards, BlockSize: 100, LockTimeout: time.Second})
+	db, err := core.Open(core.Options{Dir: t.TempDir(), Name: "sqltest", BlockSize: 100, LockTimeout: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +108,12 @@ func TestSQLWherePredicates(t *testing.T) {
 	}
 }
 
-func TestSQLTransactionsAndSavepoints(t *testing.T) {
-	forShardCounts(t, testSQLTransactionsAndSavepoints)
-}
+// TestSQLTransactionsAndSavepoints runs on a database of one shard, as the
+// subtest's name says.
+func TestSQLTransactionsAndSavepoints(t *testing.T) { t.Run("shards-1", sqlTransactionsAndSavepoints) }
 
-func testSQLTransactionsAndSavepoints(t *testing.T, s *Session) {
+func sqlTransactionsAndSavepoints(t *testing.T) {
+	s := newSession(t)
 	mustExec(t, s, createAccounts)
 	mustExec(t, s, `BEGIN TRANSACTION`)
 	mustExec(t, s, `INSERT INTO accounts VALUES ('keep', 1)`)
@@ -147,11 +137,14 @@ func testSQLTransactionsAndSavepoints(t *testing.T, s *Session) {
 	}
 }
 
+// TestSQLAppendOnlyAndSchemaChanges runs on a database of one shard, as
+// the subtest's name says.
 func TestSQLAppendOnlyAndSchemaChanges(t *testing.T) {
-	forShardCounts(t, testSQLAppendOnlyAndSchemaChanges)
+	t.Run("shards-1", sqlAppendOnlyAndSchemaChanges)
 }
 
-func testSQLAppendOnlyAndSchemaChanges(t *testing.T, s *Session) {
+func sqlAppendOnlyAndSchemaChanges(t *testing.T) {
+	s := newSession(t)
 	mustExec(t, s, `CREATE TABLE audit (id BIGINT NOT NULL, event NVARCHAR NOT NULL, PRIMARY KEY (id)) WITH (LEDGER = ON, APPEND_ONLY = ON)`)
 	mustExec(t, s, `INSERT INTO audit VALUES (1, 'created')`)
 	if _, err := s.Exec(`UPDATE audit SET event = 'forged' WHERE id = 1`); err == nil {
@@ -178,41 +171,6 @@ func testSQLAppendOnlyAndSchemaChanges(t *testing.T, s *Session) {
 	}
 	if !strings.Contains(mustExec(t, s, `VERIFY`).Message, "OK") {
 		t.Fatal("verify after schema changes failed")
-	}
-}
-
-// TestSQLMultiShard: DML, ordering, aggregates, the ledger view and VERIFY
-// run against three shards as against one; statements that name one
-// chain's objects — a digest, a regular table, an index — answer with
-// ErrMultiShard.
-func TestSQLMultiShard(t *testing.T) {
-	s := newSessionShards(t, 3)
-	mustExec(t, s, createAccounts)
-	mustExec(t, s, `INSERT INTO accounts VALUES ('a', 10), ('b', 20), ('c', 30), ('d', 40), ('e', 50), ('f', 60)`)
-	mustExec(t, s, `UPDATE accounts SET balance = 25 WHERE name = 'b'`)
-	mustExec(t, s, `DELETE FROM accounts WHERE name = 'f'`)
-	for q, want := range map[string]string{
-		`SELECT name, balance FROM accounts ORDER BY name`:           "a|10;b|25;c|30;d|40;e|50",
-		`SELECT name FROM accounts WHERE balance > 25 ORDER BY name`: "c;d;e",
-		`SELECT name FROM accounts WHERE name = 'd'`:                 "d",
-		`SELECT COUNT(*) FROM accounts`:                              "5",
-		`SELECT COUNT(*) FROM accounts_ledger`:                       "9", // 6 inserts, an update (a delete and an insert), a delete
-	} {
-		if got := renderRows(mustExec(t, s, q)); got != want {
-			t.Errorf("%s = %q, want %q", q, got, want)
-		}
-	}
-	if msg := mustExec(t, s, `VERIFY LEDGER`).Message; strings.Count(msg, "-- OK") != 3 || strings.Contains(msg, "FAILED") {
-		t.Fatalf("verify = %q", msg)
-	}
-	for _, q := range []string{
-		`GENERATE DIGEST`,
-		`CREATE TABLE plain (k BIGINT NOT NULL, PRIMARY KEY (k))`,
-		`CREATE INDEX ix_balance ON accounts (balance)`,
-	} {
-		if _, err := s.Exec(q); !errors.Is(err, core.ErrMultiShard) {
-			t.Errorf("%s on 3 shards: %v, want ErrMultiShard", q, err)
-		}
 	}
 }
 

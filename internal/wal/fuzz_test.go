@@ -14,9 +14,9 @@ import (
 
 // Native fuzz targets. `make fuzz-smoke` runs each for 10 s; without
 // -fuzz they run their seeds as ordinary tests. Seeds come from the golden
-// version-1 log (arbitrary bytes to the frame reader; its INSERT, COMMIT
-// and PREPARE payloads did not change in versions 2 and 3) and from logs
-// this build writes.
+// version-1 log (arbitrary bytes to the frame reader; its INSERT and
+// COMMIT payloads did not change in versions 2 and 3) and from logs this
+// build writes.
 
 // sampleLog returns the bytes of a small log of this build's version.
 func sampleLog(f *testing.F) []byte {
@@ -173,6 +173,10 @@ func FuzzDecodeCommit(f *testing.F) {
 		}
 	}
 	f.Add(EncodeCommit(CommitPayload{CommitTS: -5, User: "u", Entry: sampleEntry()}))
+	// An entry claiming 2^62 roots in nine bytes: the count must not size
+	// an allocation.
+	noRoots := EncodeCommit(CommitPayload{CommitTS: 1, User: "u", Entry: &LedgerEntry{TxID: 1}})
+	f.Add(append(noRoots[:len(noRoots)-1], 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodeCommit(data)
 		if err != nil {
@@ -185,32 +189,6 @@ func FuzzDecodeCommit(f *testing.F) {
 		}
 		if !bytes.Equal(EncodeCommit(back), enc) {
 			t.Fatal("commit payload does not round-trip")
-		}
-	})
-}
-
-func FuzzDecodePrepare(f *testing.F) {
-	recs, _ := v1Records(readGoldenV1(f))
-	for _, r := range recs {
-		if r.Type == RecPrepare {
-			f.Add(r.Payload)
-		}
-	}
-	f.Add(EncodePrepare(PreparePayload{Gid: 1 << 40, User: "coordinator", Roots: sampleEntry().Roots}))
-	// 2^62 roots in eleven bytes: the count must not size an allocation.
-	f.Add([]byte{1, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodePrepare(data)
-		if err != nil {
-			return
-		}
-		enc := EncodePrepare(p)
-		back, err := DecodePrepare(enc)
-		if err != nil {
-			t.Fatalf("re-encoded prepare payload does not decode: %v", err)
-		}
-		if !bytes.Equal(EncodePrepare(back), enc) {
-			t.Fatal("prepare payload does not round-trip")
 		}
 	})
 }

@@ -287,53 +287,6 @@ func DecodeCommit(b []byte) (CommitPayload, error) {
 	return p, nil
 }
 
-// PreparePayload is the decoded payload of a PREPARE record. It carries
-// everything phase 2 of a cross-shard commit needs to finish the
-// transaction after a crash: the coordinator's global transaction id, the
-// principal, and the per-table Merkle roots computed at prepare time (the
-// block id, ordinal and commit timestamp are assigned when the decision
-// is applied, exactly as for a single-shard commit).
-type PreparePayload struct {
-	Gid   uint64
-	User  string
-	Roots []TableRoot
-}
-
-// EncodePrepare serializes a prepare payload.
-func EncodePrepare(p PreparePayload) []byte {
-	dst := binary.AppendUvarint(nil, p.Gid)
-	dst = binary.AppendUvarint(dst, uint64(len(p.User)))
-	dst = append(dst, p.User...)
-	dst = binary.AppendUvarint(dst, uint64(len(p.Roots)))
-	for _, tr := range p.Roots {
-		dst = binary.AppendUvarint(dst, uint64(tr.TableID))
-		dst = append(dst, tr.Root[:]...)
-	}
-	return dst
-}
-
-// DecodePrepare decodes a prepare payload.
-func DecodePrepare(b []byte) (PreparePayload, error) {
-	var p PreparePayload
-	gid, pos, err := getUvarint(b, 0)
-	if err != nil {
-		return p, err
-	}
-	p.Gid = gid
-	user, pos, err := getBytes(b, pos)
-	if err != nil {
-		return p, err
-	}
-	p.User = string(user)
-	if p.Roots, pos, err = getRoots(b, pos); err != nil {
-		return p, err
-	}
-	if pos != len(b) {
-		return p, fmt.Errorf("wal: %d trailing bytes in prepare payload", len(b)-pos)
-	}
-	return p, nil
-}
-
 // CheckpointPayload is the decoded payload of a CHECKPOINT record.
 type CheckpointPayload struct {
 	// SnapshotLSN is the LSN from which redo must begin when recovering

@@ -11,15 +11,14 @@ import "io"
 // in the log, after every record before it.
 
 // DecodedRecord is a log record with its payload eagerly decoded. Exactly
-// one of DML, Commit, Prepare is non-nil for the record types the decode
-// stage understands (DML records, COMMIT, PREPARE); other types (DDL,
-// CHECKPOINT, ABORT) pass through with only the raw payload, since
-// they are rare and their interpretation belongs to the engine.
+// one of DML, Commit is non-nil for the record types the decode stage
+// understands (DML records, COMMIT); other types (DDL, CHECKPOINT, ABORT)
+// pass through with only the raw payload, since they are rare and their
+// interpretation belongs to the engine.
 type DecodedRecord struct {
 	Record
-	DML     *DMLImage
-	Commit  *CommitPayload
-	Prepare *PreparePayload
+	DML    *DMLImage
+	Commit *CommitPayload
 }
 
 // nextDecoded reads the next record from r and eagerly decodes the
@@ -43,12 +42,6 @@ func nextDecoded(r *Reader) (DecodedRecord, error) {
 			return out, err
 		}
 		out.Commit = &p
-	case RecPrepare:
-		p, err := DecodePrepare(rec.Payload)
-		if err != nil {
-			return out, err
-		}
-		out.Prepare = &p
 	}
 	return out, nil
 }

@@ -4,7 +4,7 @@
 // # What is logged, and why there is no undo information
 //
 // The engine buffers a transaction's writes privately and logs them only
-// at commit (or at PREPARE, for a two-phase participant): nothing a loser
+// at commit: nothing a loser
 // wrote ever reaches shared storage, so recovery is analysis + redo and
 // never undoes anything. The log therefore carries only what redo reads —
 // an INSERT or UPDATE record holds the row's key and its after-image, a
@@ -35,7 +35,7 @@
 // (§3.6), so the identity every digest carries lives in the file whose
 // frames it describes and is synced with them. A frame is what one call to
 // Append, AppendBatch or (per batch) AppendGroup writes: a transaction's
-// DML records and its COMMIT or PREPARE record travel in one frame under
+// DML records and its COMMIT record travel in one frame under
 // one CRC, so a commit is in the log entirely or not at all. Readers hand
 // the records of a frame back one by one, in log order; an LSN is the file
 // offset of a frame, shared by the records inside it.
@@ -104,11 +104,10 @@ const (
 	RecAbort
 	RecCheckpoint
 	RecDDL
-	// RecPrepare marks a transaction as prepared under a global (cross-
-	// shard) transaction id: its DML records are durable but the commit
-	// decision belongs to the 2PC coordinator. A later RecCommit or
-	// RecAbort for the same transaction resolves it; neither means the
-	// transaction is in doubt at recovery.
+	// RecPrepare was a two-phase commit participant's PREPARE record, which
+	// only a shard of a multi-shard database wrote. Nothing writes it now;
+	// its number stays reserved, so no other type's byte changes, and redo
+	// refuses a log that holds one.
 	RecPrepare
 )
 
@@ -549,7 +548,7 @@ func (l *Log) Append(t RecordType, txID uint64, payload []byte) (int64, error) {
 
 // AppendBatch writes the records of one transaction as a single frame —
 // in the log entirely or not at all — and returns its LSN. A batch ending
-// in a COMMIT, PREPARE or CHECKPOINT record is flushed per the log's
+// in a COMMIT or CHECKPOINT record is flushed per the log's
 // SyncMode before AppendBatch returns.
 func (l *Log) AppendBatch(recs []Record) (int64, error) {
 	l.mu.Lock()
@@ -560,7 +559,7 @@ func (l *Log) AppendBatch(recs []Record) (int64, error) {
 	}
 	if n := len(recs); n > 0 {
 		switch recs[n-1].Type {
-		case RecCommit, RecPrepare, RecCheckpoint:
+		case RecCommit, RecCheckpoint:
 			if err := l.flushLocked(); err != nil {
 				return 0, err
 			}

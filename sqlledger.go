@@ -29,14 +29,6 @@
 //	report, _ := db.Verify([]sqlledger.Digest{digest}, sqlledger.VerifyOptions{})
 //	fmt.Println(report.Ok())
 //
-// Options{Shards: N} hash-partitions the same database across N shards —
-// each its own engine, WAL and block chain — behind the same DB, Tx and
-// LedgerTable: DML routes by primary key, transactions that straddle
-// shards commit with two-phase commit, and db.CloseSuperBlock() signs one
-// root over the N chain heads. What names one chain's artifact (a digest,
-// a receipt, a transaction id, the engine) is then asked of db.Shard(i);
-// asked of the DB it fails with ErrMultiShard.
-//
 // The heavy lifting lives in the internal packages: internal/core (the
 // ledger), internal/engine (the relational engine), internal/merkle,
 // internal/serial, internal/wal, internal/blobstore. This package is the
@@ -58,12 +50,9 @@ import (
 
 // Core types, re-exported.
 type (
-	// DB is a database with SQL Ledger enabled: one or more shards
-	// (Options.Shards) behind one API.
+	// DB is a database with SQL Ledger enabled: one engine, one WAL and
+	// one chain of blocks.
 	DB = core.DB
-	// Shard is one chain of a database — its engine, WAL, block chain,
-	// digests and receipts — reached as DB.Shard(i).
-	Shard = core.Shard
 	// Tx is a ledger-aware transaction. A row returned by Get is the
 	// caller's to keep and edit; a row passed to a Scan callback is valid
 	// only during the callback (Clone it to keep it) — on ledger and
@@ -104,14 +93,6 @@ type (
 	RepairAction = core.RepairAction
 	// SignedDigest is a digest signed with an organization's key (§2.4).
 	SignedDigest = core.SignedDigest
-
-	// SuperBlock is the database's digest of digests: a signed Merkle root
-	// over the per-shard chain heads (DB.CloseSuperBlock).
-	SuperBlock = core.SuperBlock
-	// ShardHead is one shard's chain head inside a super-block.
-	ShardHead = core.ShardHead
-	// ShardReport is one shard's slice of a verification (Report.Shards).
-	ShardReport = core.ShardReport
 
 	// Options configures Open.
 	Options = core.Options
@@ -255,25 +236,10 @@ const (
 // per block).
 const DefaultBlockSize = core.DefaultBlockSize
 
-// ErrMultiShard is what an operation naming one chain's artifact returns
-// (or panics with, if it has no error result) on a multi-shard database.
-var ErrMultiShard = core.ErrMultiShard
-
-// Open opens (creating if necessary) a ledger database of Options.Shards
-// shards; 0 or 1 is the plain single-directory layout.
+// Open opens (creating if necessary) the ledger database in Options.Dir.
+// A directory holding a multi-shard database (a layout earlier builds
+// wrote) is refused, and nothing in it is created or written.
 func Open(opts Options) (*DB, error) { return core.Open(opts) }
-
-// ParseSuperBlock parses a super-block JSON document.
-func ParseSuperBlock(b []byte) (*SuperBlock, error) { return core.ParseSuperBlock(b) }
-
-// CheckSuperBlock verifies a super-block's internal consistency and its
-// ed25519 signature (no shard data is touched).
-var CheckSuperBlock = core.CheckSuperBlock
-
-// VerifySuperBlock verifies a database against a signed super-block,
-// shard-parallel: each shard's head digest is proof-checked under the
-// super-root, then the shard is fully verified against it.
-var VerifySuperBlock = core.VerifySuperBlock
 
 // NewMetricsRegistry returns an enabled metrics registry to pass as
 // Options.Obs (share one across databases to aggregate their metrics).
