@@ -79,8 +79,10 @@ bench-commit:
 # Ingest-scaling gate + benchmark: serial inserts vs. the InsertBatch
 # worker pool at 1/2/4/8 hashing workers. Race-free on purpose — the
 # scaling gate measures wall-clock ratios, and the allocation gates use
-# testing.AllocsPerRun or, for the B+tree's bytes per node, the heap
-# itself, all of which the race detector distorts.
+# testing.AllocsPerRun (redo's objects per replayed record among them) or,
+# for the B+tree's bytes per node, the heap itself (leaves of ids, of
+# index entries and of composite order-line keys, whose prefix the leaf
+# stores once), all of which the race detector distorts.
 .PHONY: bench-ingest
 bench-ingest:
 	go test -run 'IngestScaling' -v .

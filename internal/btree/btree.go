@@ -6,18 +6,18 @@
 // leave full leaves behind, and vacated slots are cleared (DESIGN.md
 // decision 23).
 //
-// A leaf keeps the bytes of its keys in one arena, and a slot is an 8-byte
-// span of it; an interior node keeps its separators as strings, each its
-// own copy. The tree copies every key it stores. The keys it hands out
-// are views into an arena, which is only ever appended to: when it fills
-// up, or half of it is dead after deletes, the leaf moves to a packed copy
-// and leaves the old one to the views that still reference it, so a view
-// reads the same bytes for as long as it is kept.
+// A leaf keeps the bytes of its keys in one arena: first the longest
+// prefix all of them share, once, then each key's suffix, which a slot
+// spans in 8 bytes. An interior node keeps its separators as strings, each
+// its own copy. The tree copies every key it stores and hands none of its
+// bytes out: a scan materializes each key into a buffer that is valid
+// until the callback returns, and Max returns a copy.
 package btree
 
 import (
 	"slices"
 	"strings"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -39,14 +39,28 @@ func str(key []byte) string { return unsafe.String(unsafe.SliceData(key), len(ke
 // bytesOf views a separator as a slice of its bytes.
 func bytesOf(key string) []byte { return unsafe.Slice(unsafe.StringData(key), len(key)) }
 
+// lcp returns the length of the longest common prefix of a and b.
+func lcp(a, b string) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
 // Tree is a B+tree mapping []byte keys to values of type V. The zero Tree
 // is not ready for use; call New.
 type Tree[V any] struct {
 	root *node[V]
 	size int
+	// keyBuf is the buffer a scan materializes keys into, which the scans
+	// that run at once take turns to hold, so a scan allocates none.
+	keyBuf atomic.Pointer[[]byte]
 }
 
-// span is where a leaf's key lies in its arena.
+// span is where the suffix of a leaf's key lies in its arena.
 type span struct{ off, n uint32 }
 
 type node[V any] struct {
@@ -54,11 +68,13 @@ type node[V any] struct {
 	keys []string
 	// children is populated for interior nodes: len(children) == len(keys)+1.
 	children []*node[V]
-	// slots holds a leaf's keys in ascending order, as spans of arena,
-	// which is only appended to; dead counts its bytes no slot covers.
-	slots []span
-	arena []byte
-	dead  int
+	// slots holds a leaf's keys in ascending order, as spans of arena
+	// after its first pre bytes, the prefix the keys share: that of the
+	// first and the last key. dead counts the arena's bytes no slot
+	// covers, besides the prefix.
+	slots     []span
+	arena     []byte
+	dead, pre uint32
 	// vals is populated for leaves, parallel to slots.
 	vals []V
 	// next links leaves in ascending key order.
@@ -81,68 +97,123 @@ func newInterior[V any](n int) *node[V] {
 // interior node no slots.
 func (n *node[V]) entries() int { return len(n.slots) + len(n.keys) }
 
-// key views leaf entry i's key in the arena.
-func (n *node[V]) key(i int) string {
+// prefix views the bytes every key of the leaf starts with.
+func (n *node[V]) prefix() string { return unsafe.String(unsafe.SliceData(n.arena), n.pre) }
+
+// suffix views what follows the prefix in leaf entry i's key.
+func (n *node[V]) suffix(i int) string {
 	s := n.slots[i]
 	return unsafe.String(unsafe.SliceData(n.arena[s.off:]), s.n)
 }
 
-// view is key as a slice, capped at its length so an append to it cannot
-// reach the arena.
-func (n *node[V]) view(i int) []byte {
-	s := n.slots[i]
-	return n.arena[s.off : s.off+s.n : s.off+s.n]
+// appendKey appends leaf entry i's key to dst.
+func (n *node[V]) appendKey(dst []byte, i int) []byte {
+	return append(append(dst, n.prefix()...), n.suffix(i)...)
+}
+
+// shared returns the length of the prefix the leaf's keys share: that of
+// its first and last key, as they are sorted.
+func (n *node[V]) shared() int {
+	if len(n.slots) == 0 {
+		return 0
+	}
+	return int(n.pre) + lcp(n.suffix(0), n.suffix(len(n.slots)-1))
+}
+
+// size returns the arena bytes the leaf's keys take with a prefix of pre
+// bytes, which all of them share.
+func (n *node[V]) size(pre int) int {
+	return pre + len(n.arena) - int(n.dead+n.pre) + (int(n.pre)-pre)*len(n.slots)
 }
 
 // seek returns the index of the leaf's first key >= target and whether it
-// is an exact match.
+// is an exact match. A target without the leaf's prefix sorts before or
+// after all of its keys, as it sorts against the prefix.
 func (n *node[V]) seek(target string) (int, bool) {
+	if p := n.prefix(); !strings.HasPrefix(target, p) {
+		if target < p {
+			return 0, false
+		}
+		return len(n.slots), false
+	}
+	target = target[n.pre:]
 	lo, hi := 0, len(n.slots)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if n.key(mid) < target {
+		if n.suffix(mid) < target {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(n.slots) && n.key(lo) == target
+	return lo, lo < len(n.slots) && n.suffix(lo) == target
 }
 
-// reserve makes room for extra more bytes at the end of the arena.
+// pushKeys appends what follows n's prefix in the keys of src's entries lo
+// to hi-1, which start with it, to the leaf n's arena and slots.
+func (n *node[V]) pushKeys(src *node[V], lo, hi int) {
+	for j := lo; j < hi; j++ {
+		off := len(n.arena)
+		if n.pre <= src.pre {
+			n.arena = append(append(n.arena, src.arena[n.pre:src.pre]...), src.suffix(j)...)
+		} else {
+			n.arena = append(n.arena, src.suffix(j)[n.pre-src.pre:]...)
+		}
+		n.slots = append(n.slots, span{uint32(off), uint32(len(n.arena) - off)})
+	}
+}
+
+// repack moves the leaf's keys into a packed arena of at least size bytes
+// whose prefix is their first pre bytes, which all of them share.
+func (n *node[V]) repack(pre, size int) {
+	old := *n
+	n.arena = slices.Grow([]byte(nil), max(size, n.size(pre)))
+	if len(n.slots) > 0 {
+		n.arena = old.appendKey(n.arena, 0)[:pre]
+	}
+	n.slots, n.pre, n.dead = n.slots[:0], uint32(pre), 0
+	n.pushKeys(&old, 0, len(old.slots))
+}
+
+// reserve makes room for extra more bytes at the end of the arena,
+// repacking to the live bytes and a quarter more.
 func (n *node[V]) reserve(extra int) {
 	if len(n.arena)+extra > cap(n.arena) {
-		n.repack(extra)
+		n.repack(int(n.pre), (n.size(int(n.pre))+extra)*5/4)
 	}
 }
 
-// repack moves the leaf's keys into a packed arena with room for extra
-// more bytes, and a quarter of the total to spare. The old arena is not
-// written again.
-func (n *node[V]) repack(extra int) {
-	arena := slices.Grow([]byte(nil), (len(n.arena)-n.dead+extra)*5/4)
-	for i, s := range n.slots {
-		n.slots[i].off = uint32(len(arena))
-		arena = append(arena, n.arena[s.off:s.off+s.n]...)
-	}
-	n.arena, n.dead = arena, 0
-}
-
-// insertAt copies key into the arena and puts it, with val, at slot i.
+// insertAt copies key into the leaf and puts it, with val, at slot i. A
+// key that does not start with the prefix shortens it to what they share,
+// and the leaf repacks, in an arena no smaller than it had. The first key
+// of an empty leaf is its prefix.
 func (n *node[V]) insertAt(i int, key string, val V) {
-	n.reserve(len(key))
-	n.slots = slices.Insert(n.slots, i, span{uint32(len(n.arena)), uint32(len(key))})
-	n.arena = append(n.arena, key...)
+	switch p := n.prefix(); {
+	case len(n.slots) == 0:
+		n.arena, n.pre, n.dead = append(n.arena[:0], key...), uint32(len(key)), 0
+	case !strings.HasPrefix(key, p):
+		pre := lcp(key, p)
+		n.repack(pre, max(cap(n.arena), (n.size(pre)+len(key)-pre)*5/4))
+	default:
+		n.reserve(len(key) - len(p))
+	}
+	suffix := key[n.pre:]
+	n.slots = slices.Insert(n.slots, i, span{uint32(len(n.arena)), uint32(len(suffix))})
+	n.arena = append(n.arena, suffix...)
 	n.vals = slices.Insert(n.vals, i, val)
 }
 
-// removeAt drops leaf entry i, and repacks the arena once half of it is
-// dead.
+// removeAt drops leaf entry i. The leaf repacks when its first or last
+// key goes and the rest share a longer prefix, or once half of its arena
+// is dead.
 func (n *node[V]) removeAt(i int) {
-	n.dead += int(n.slots[i].n)
+	n.dead += n.slots[i].n
 	n.slots, n.vals = slices.Delete(n.slots, i, i+1), slices.Delete(n.vals, i, i+1)
-	if 2*n.dead > len(n.arena) {
-		n.repack(0)
+	switch pre := n.shared(); {
+	case len(n.slots) == 0:
+		n.arena, n.pre, n.dead = n.arena[:0], 0, 0
+	case pre != int(n.pre) || 2*int(n.dead) > len(n.arena):
+		n.repack(pre, n.size(pre)*5/4)
 	}
 }
 
@@ -162,17 +233,6 @@ func (t *Tree[V]) Get(key []byte) (V, bool) {
 		return zero, false
 	}
 	return n.vals[i], true
-}
-
-// GetEntry is Get that also returns the tree's copy of key, which never
-// changes and which a caller may keep in place of its own.
-func (t *Tree[V]) GetEntry(key []byte) ([]byte, V, bool) {
-	n, i, found := t.find(str(key))
-	if !found {
-		var zero V
-		return nil, zero, false
-	}
-	return n.view(i), n.vals[i], true
 }
 
 // find returns the leaf that covers key, the index of the first key there
@@ -271,10 +331,12 @@ func (t *Tree[V]) insert(n *node[V], key string, val V, replace, rightmost bool)
 // the left leaf full; so does one a little below it, as when commits reach
 // an ascending key out of order.
 //
-// A middle split repacks both halves' arenas to their live bytes and a
-// quarter more. An append split leaves the left arena as it is and sizes
-// the right one for degree+1 keys as long as the ones it gets, which the
-// appends that follow fill.
+// Each half takes the prefix of its own first and last key. A middle split
+// packs both halves to their live bytes and a quarter more. An append split
+// repacks the left half only if its prefix grew, and sizes the right one
+// for degree+1 keys whose suffixes are as long as the bytes in which the
+// new key differs from the one before it, which the appends that follow
+// fill.
 func splitLeaf[V any](n *node[V], i int, key string, val V, rightmost bool) (string, *node[V]) {
 	mid := (degree + 1) / 2
 	appended := rightmost && i > mid
@@ -282,29 +344,50 @@ func splitLeaf[V any](n *node[V], i int, key string, val V, rightmost bool) (str
 		mid = i
 	}
 	// With key at i, the entries from mid on go right: n's own from k on.
-	k, extra := mid, 0
+	k := mid
 	if i < mid {
-		k, extra = mid-1, len(key)
+		k = mid - 1
 	}
-	moved := 0
+	var buf [64]byte         // one of n's keys, to compare key with
+	rp, moved := len(key), 0 // the right half's prefix, and n's suffix bytes it takes
+	if k < len(n.slots) {
+		rp = int(n.pre) + lcp(n.suffix(k), n.suffix(len(n.slots)-1))
+		if i >= mid {
+			rp = min(rp, lcp(key, str(n.appendKey(buf[:0], k))))
+		}
+	}
 	for _, s := range n.slots[k:] {
 		moved += int(s.n)
 	}
+	size := rp + moved + (int(n.pre)-rp)*(len(n.slots)-k)
+	if i >= mid {
+		size += len(key) - rp
+	}
 	right := newLeaf[V]()
 	if appended {
-		keys := degree + 1 - mid
-		right.arena = slices.Grow(right.arena, (degree+1)*((moved+len(key)+keys-1)/keys))
+		size = max(size, rp+(degree+1)*(len(key)-lcp(key, str(n.appendKey(buf[:0], i-1)))))
 	} else {
-		right.arena = slices.Grow(right.arena, (moved+len(key)-extra)*5/4)
+		size = size * 5 / 4
 	}
-	for j := k; j < len(n.slots); j++ {
-		right.insertAt(len(right.slots), n.key(j), n.vals[j])
+	right.arena = slices.Grow(right.arena, size)
+	if i >= mid {
+		right.arena = append(right.arena, key[:rp]...)
+	} else {
+		right.arena = n.appendKey(right.arena, k)[:rp]
 	}
-	n.dead += moved
+	right.pre = uint32(rp)
+	right.pushKeys(n, k, len(n.slots))
+	right.vals = append(right.vals, n.vals[k:]...)
+	n.dead += uint32(moved)
 	clear(n.vals[k:])
 	n.slots, n.vals = n.slots[:k], n.vals[:k]
-	if !appended {
-		n.repack(extra)
+	lp, extra := n.shared(), 0
+	if i < mid {
+		lp = min(lp, lcp(key, str(n.appendKey(buf[:0], 0))))
+		extra = len(key) - lp
+	}
+	if !appended || lp != int(n.pre) {
+		n.repack(lp, (n.size(lp)+extra)*5/4)
 	}
 	if i < mid {
 		n.insertAt(i, key, val)
@@ -312,7 +395,7 @@ func splitLeaf[V any](n *node[V], i int, key string, val V, rightmost bool) (str
 		right.insertAt(i-mid, key, val)
 	}
 	right.next, n.next = n.next, right
-	return strings.Clone(right.key(0)), right
+	return strings.Clone(str(right.appendKey(buf[:0], 0))), right
 }
 
 // splitInterior moves the upper separators and children of the overfull
@@ -343,7 +426,8 @@ const buildFill = degree * 3 / 4
 // order, with vals parallel to keys. It packs leaves bottom-up in O(n)
 // instead of O(n log n) Put calls — the fast path for snapshot load and
 // parallel WAL replay, where rows arrive pre-sorted per table. Each leaf
-// copies its keys into an arena allocated once. Behavior is undefined if
+// copies its keys, the prefix of its first and last key once, into an
+// arena allocated at their size. Behavior is undefined if
 // keys are unsorted or contain duplicates.
 func BuildSorted[V any](keys [][]byte, vals []V) *Tree[V] {
 	if len(keys) == 0 {
@@ -354,31 +438,32 @@ func BuildSorted[V any](keys [][]byte, vals []V) *Tree[V] {
 	// underfull nodes are legal here — rebalance only runs after deletes,
 	// and a merge of two nodes at or below minLen still fits in degree.
 	var leaves []*node[V]
+	var first []string // each leaf's first key
 	for i := 0; i < len(keys); i += buildFill {
 		j := min(i+buildFill, len(keys))
 		n := newLeaf[V]()
-		size := 0
+		pre := lcp(str(keys[i]), str(keys[j-1]))
+		size := pre
 		for _, key := range keys[i:j] {
-			size += len(key)
+			size += len(key) - pre
 		}
-		n.arena = slices.Grow(n.arena, size)
-		for k, key := range keys[i:j] {
-			n.insertAt(k, str(key), vals[i+k])
+		n.arena = append(slices.Grow(n.arena, size), keys[i][:pre]...)
+		n.pre = uint32(pre)
+		for _, key := range keys[i:j] {
+			n.slots = append(n.slots, span{uint32(len(n.arena)), uint32(len(key) - pre)})
+			n.arena = append(n.arena, key[pre:]...)
 		}
+		n.vals = append(n.vals, vals[i:j]...)
 		if len(leaves) > 0 {
 			leaves[len(leaves)-1].next = n
 		}
-		leaves = append(leaves, n)
+		leaves, first = append(leaves, n), append(first, string(keys[i]))
 	}
 	// Interior levels: group children buildFill+1 at a time; the separator
 	// before child c is the smallest key in c's subtree. Never leave a
 	// trailing group of one child (an interior node needs >= 1 separator),
 	// so a would-be singleton steals a child from the previous group.
 	level := leaves
-	first := make([]string, len(level))
-	for i, n := range level[1:] {
-		first[i+1] = strings.Clone(n.key(0))
-	}
 	for len(level) > 1 {
 		var parents []*node[V]
 		var parentFirst []string
@@ -437,14 +522,15 @@ func (t *Tree[V]) remove(n *node[V], key string) (V, bool) {
 // to a leaf's arena.
 func (t *Tree[V]) rebalance(n *node[V], ci int) {
 	child := n.children[ci]
+	var buf [64]byte // a borrowed key, on its way between two arenas
 	// Try borrowing from the left sibling.
 	if ci > 0 {
 		left := n.children[ci-1]
 		if last := left.entries() - 1; last >= minLen {
 			if child.leaf {
-				child.insertAt(0, left.key(last), left.vals[last])
+				child.insertAt(0, str(left.appendKey(buf[:0], last)), left.vals[last])
 				left.removeAt(last)
-				n.keys[ci-1] = strings.Clone(child.key(0))
+				n.keys[ci-1] = strings.Clone(str(child.appendKey(buf[:0], 0)))
 			} else {
 				child.keys = slices.Insert(child.keys, 0, n.keys[ci-1])
 				child.children = slices.Insert(child.children, 0, left.children[last+1])
@@ -459,9 +545,9 @@ func (t *Tree[V]) rebalance(n *node[V], ci int) {
 		rightSib := n.children[ci+1]
 		if rightSib.entries() > minLen {
 			if child.leaf {
-				child.insertAt(len(child.slots), rightSib.key(0), rightSib.vals[0])
+				child.insertAt(len(child.slots), str(rightSib.appendKey(buf[:0], 0)), rightSib.vals[0])
 				rightSib.removeAt(0)
-				n.keys[ci] = strings.Clone(rightSib.key(0))
+				n.keys[ci] = strings.Clone(str(rightSib.appendKey(buf[:0], 0)))
 			} else {
 				child.keys = append(child.keys, n.keys[ci])
 				child.children = append(child.children, rightSib.children[0])
@@ -484,9 +570,10 @@ func (t *Tree[V]) rebalance(n *node[V], ci int) {
 func (t *Tree[V]) merge(n *node[V], i int) {
 	left, right := n.children[i], n.children[i+1]
 	if left.leaf {
-		left.reserve(len(right.arena) - right.dead)
+		left.reserve(len(right.arena) - int(right.dead))
+		var buf [64]byte
 		for j := range right.slots {
-			left.insertAt(len(left.slots), right.key(j), right.vals[j])
+			left.insertAt(len(left.slots), str(right.appendKey(buf[:0], j)), right.vals[j])
 		}
 		left.next = right.next
 	} else {
@@ -498,7 +585,9 @@ func (t *Tree[V]) merge(n *node[V], i int) {
 
 // AscendRange calls fn for every entry with start <= key < end, in key
 // order. A nil start begins at the smallest key; a nil end scans to the
-// largest. fn returning false stops the scan.
+// largest. fn returning false stops the scan. key is materialized into a
+// buffer the scan reuses, the tree's own unless another scan holds it: it
+// is valid until fn returns, and fn must not write to it.
 func (t *Tree[V]) AscendRange(start, end []byte, fn func(key []byte, val V) bool) {
 	lo, hi := str(start), str(end)
 	n := t.root
@@ -513,21 +602,27 @@ func (t *Tree[V]) AscendRange(start, end []byte, fn func(key []byte, val V) bool
 	if start != nil {
 		i, _ = n.seek(lo)
 	}
-	for n != nil {
+	buf := t.keyBuf.Swap(nil)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	key := *buf
+	defer func() { *buf = key[:0]; t.keyBuf.Store(buf) }()
+	for ; n != nil; n, i = n.next, 0 {
+		key = append(key[:0], n.prefix()...)
 		for ; i < len(n.slots); i++ {
-			if end != nil && n.key(i) >= hi {
+			key = append(key[:n.pre], n.suffix(i)...)
+			if end != nil && str(key) >= hi {
 				return
 			}
-			if !fn(n.view(i), n.vals[i]) {
+			if !fn(key[:len(key):len(key)], n.vals[i]) {
 				return
 			}
 		}
-		n = n.next
-		i = 0
 	}
 }
 
-// Ascend scans all entries in key order.
+// Ascend scans all entries in key order, under AscendRange's contract.
 func (t *Tree[V]) Ascend(fn func(key []byte, val V) bool) {
 	t.AscendRange(nil, nil, fn)
 }
@@ -552,6 +647,7 @@ func separators[V any](nd *node[V], fn func(string)) {
 // real separator keys from the tree, so the ranges track the actual key
 // distribution; they need not currently exist as entries. A tree of fewer
 // than n leaves yields fewer than n-1 boundaries (a single leaf, none).
+// They are views of separators, which never change.
 func (t *Tree[V]) ShardBoundaries(n int) [][]byte {
 	if n <= 1 || t.root.leaf {
 		return nil
@@ -574,7 +670,7 @@ func (t *Tree[V]) ShardBoundaries(n int) [][]byte {
 	return out
 }
 
-// Max returns the largest key.
+// Max returns a copy of the largest key.
 func (t *Tree[V]) Max() ([]byte, bool) {
 	n := t.root
 	for !n.leaf {
@@ -583,5 +679,6 @@ func (t *Tree[V]) Max() ([]byte, bool) {
 	if len(n.slots) == 0 {
 		return nil, false
 	}
-	return n.view(len(n.slots) - 1), true
+	last := len(n.slots) - 1
+	return n.appendKey(make([]byte, 0, int(n.pre+n.slots[last].n)), last), true
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -13,21 +14,29 @@ import (
 func key(i int) []byte { return []byte(fmt.Sprintf("key-%08d", i)) }
 
 // TestKeyViewsNeverChange: Put, GetOrPut and BuildSorted copy the keys
-// they store, so a caller may overwrite its buffer at once; and a key the
-// tree hands out — from GetEntry, a scan, Max or ShardBoundaries — is a
-// view that reads the same bytes however the tree changes after: appends
-// that split at the end, inserts that split in the middle and overflow an
-// arena, deletes that leave it half dead, borrows and merges.
+// they store, so a caller may overwrite its buffer at once; a key a scan
+// hands to its callback is the entry's whole key, in a buffer outside every
+// arena and capped at its length, while the callback runs; and a key Max
+// returns (a copy) or ShardBoundaries hands out (a view of a separator)
+// reads the same bytes however the tree changes after: appends that split
+// at the end, inserts that split in the middle and overflow an arena,
+// outliers that shorten a leaf's prefix and deletes that regrow it, deletes
+// that leave an arena half dead, borrows and merges.
 func TestKeyViewsNeverChange(t *testing.T) {
-	// Keys of 12 to 18 bytes, so arenas fill unevenly.
-	varKey := func(i int) []byte { return append(key(i), bytes.Repeat([]byte{'x'}, i%7)...) }
+	// Keys of 12 to 18 bytes, so arenas fill unevenly; a negative i's sorts
+	// before them all.
+	varKey := func(i int) []byte {
+		if i < 0 {
+			return []byte(fmt.Sprintf("kex-%08d", -i))
+		}
+		return append(key(i), bytes.Repeat([]byte{'x'}, i%7)...)
+	}
 	type kept struct {
 		view []byte
 		want string
-		sep  bool // a separator's, in no arena
 	}
 	var views []kept
-	keep := func(v []byte) { views = append(views, kept{v, string(v), false}) }
+	keep := func(v []byte) { views = append(views, kept{v, string(v)}) }
 	tr := New[int]()
 	model := make(map[string]int)
 	buf := make([]byte, 0, 32)
@@ -45,21 +54,57 @@ func TestKeyViewsNeverChange(t *testing.T) {
 		tr.Delete(varKey(i))
 		delete(model, string(varKey(i)))
 	}
-	keepAll := func() {
-		for i := 0; i < 4000; i += 97 {
-			if k, _, ok := tr.GetEntry(varKey(i)); ok {
-				keep(k)
+	// inArena reports whether b lies in a leaf's arena.
+	inArena := func(b []byte) bool {
+		n := tr.root
+		for !n.leaf {
+			n = n.children[0]
+		}
+		p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+		for ; n != nil; n = n.next {
+			base := uintptr(unsafe.Pointer(unsafe.SliceData(n.arena)))
+			if cap(n.arena) > 0 && p >= base && p < base+uintptr(cap(n.arena)) {
+				return true
 			}
 		}
+		return false
+	}
+	checkScans := func() {
+		want := make([]string, 0, len(model))
+		for k := range model {
+			want = append(want, k)
+		}
+		sort.Strings(want)
+		i := 0
 		tr.Ascend(func(k []byte, _ int) bool {
-			keep(k)
+			if i >= len(want) || string(k) != want[i] || cap(k) != len(k) || inArena(k) {
+				t.Fatalf("scan entry %d is %q (cap %d, in an arena %v), want %q", i, k, cap(k), inArena(k), want[min(i, len(want)-1)])
+			}
+			i++
 			return true
 		})
+		if len(want) > 2 {
+			lo, hi := want[len(want)/3], want[2*len(want)/3]
+			i = len(want) / 3
+			tr.AscendRange([]byte(lo), []byte(hi), func(k []byte, _ int) bool {
+				if string(k) != want[i] || cap(k) != len(k) {
+					t.Fatalf("range entry %d is %q (cap %d), want %q", i, k, cap(k), want[i])
+				}
+				i++
+				return true
+			})
+			if i != 2*len(want)/3 {
+				t.Fatalf("range [%q, %q) ended at entry %d", lo, hi, i)
+			}
+		}
 		if k, ok := tr.Max(); ok {
+			if string(k) != want[len(want)-1] || inArena(k) {
+				t.Fatalf("Max is %q (in an arena %v), want %q", k, inArena(k), want[len(want)-1])
+			}
 			keep(k)
 		}
 		for _, b := range tr.ShardBoundaries(8) {
-			views = append(views, kept{b, string(b), true})
+			keep(b)
 		}
 	}
 	phases := []func(){
@@ -71,6 +116,16 @@ func TestKeyViewsNeverChange(t *testing.T) {
 		func() { // between them, at random: middle splits and arena overflows
 			for _, i := range rand.New(rand.NewSource(1)).Perm(1000) {
 				put(2*i + 1)
+			}
+		},
+		func() { // outliers far above and below: prefixes shorten, then regrow
+			for i := 0; i < 2000; i += 37 {
+				put(1_000_000 + i)
+				put(-1 - i)
+				del(1_000_000 + i)
+			}
+			for i := 0; i < 2000; i += 74 {
+				del(-1 - i)
 			}
 		},
 		func() { // every third key: half-dead arenas repack
@@ -115,39 +170,41 @@ func TestKeyViewsNeverChange(t *testing.T) {
 	for p, phase := range phases {
 		phase()
 		checkTree(t, tr, model)
-		keepAll()
+		checkScans()
 		for _, v := range views {
-			if string(v.view) != v.want || cap(v.view) != len(v.view) {
-				t.Fatalf("after phase %d a kept key reads %q (cap %d), was %q", p, v.view, cap(v.view), v.want)
+			if string(v.view) != v.want {
+				t.Fatalf("after phase %d a kept key reads %q, was %q", p, v.view, v.want)
 			}
 		}
 	}
-	// Some of the views must outlive the arena they were taken from, or
-	// the phases above never moved a leaf's keys.
-	arenas := make(map[*byte]int) // a current arena's base and capacity
-	for n := tr.root; n != nil; n = n.next {
-		for !n.leaf {
-			n = n.children[0]
-		}
-		arenas[unsafe.SliceData(n.arena)] = cap(n.arena)
+}
+
+// TestConcurrentScans: scans that run at once take turns to hold the
+// tree's key buffer, so each reads its own keys (run it under -race).
+func TestConcurrentScans(t *testing.T) {
+	tr := New[int]()
+	for i := 0; i < 5000; i++ {
+		tr.Put(key(i), i)
 	}
-	stale := 0
-	for _, v := range views {
-		if v.sep {
-			continue
-		}
-		p, in := uintptr(unsafe.Pointer(unsafe.SliceData(v.view))), false
-		for base, c := range arenas {
-			b := uintptr(unsafe.Pointer(base))
-			in = in || (p >= b && p < b+uintptr(c))
-		}
-		if !in {
-			stale++
-		}
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 10 {
+				i := 0
+				tr.Ascend(func(k []byte, v int) bool {
+					if v != i || string(k) != string(key(i)) {
+						t.Errorf("scan entry %d is (%q, %d)", i, k, v)
+						return false
+					}
+					i++
+					return true
+				})
+			}
+		}()
 	}
-	if stale == 0 {
-		t.Fatal("every kept key still lies in a current arena: no leaf was repacked")
-	}
+	wg.Wait()
 }
 
 func TestBasicCRUD(t *testing.T) {
@@ -397,7 +454,7 @@ func TestShardBoundariesPartition(t *testing.T) {
 		}
 		var want [][]byte
 		tr.Ascend(func(k []byte, _ int) bool {
-			want = append(want, k)
+			want = append(want, bytes.Clone(k)) // k is valid only during the call
 			return true
 		})
 		for _, n := range []int{1, 2, 3, 7, 16, 100} {
@@ -414,7 +471,7 @@ func TestShardBoundariesPartition(t *testing.T) {
 			var start []byte
 			scan := func(lo, hi []byte) {
 				tr.AscendRange(lo, hi, func(k []byte, _ int) bool {
-					got = append(got, k)
+					got = append(got, bytes.Clone(k))
 					return true
 				})
 			}

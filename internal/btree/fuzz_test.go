@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
+
+	"sqlledger/internal/sqltypes"
 )
 
 // checkTree fails t unless tr is a well-formed B+tree holding exactly
@@ -14,9 +17,10 @@ import (
 // separators bounding their subtrees, Len right, no node holding more than
 // its slices were allocated for or less than minLen entries (the root and
 // the rightmost path excepted), and no vacated slot still holding a key,
-// value or child. Every leaf's spans lie inside its arena without
-// overlapping and cover all of it but its dead bytes, and no separator
-// shares memory with a leaf's arena.
+// value or child. Every leaf's prefix is the common prefix of its first
+// and last key, its spans lie inside its arena after the prefix without
+// overlapping and cover all of it but the prefix and its dead bytes, and
+// no separator shares memory with a leaf's arena.
 func checkTree(t *testing.T, tr *Tree[int], model map[string]int) {
 	t.Helper()
 	var leaves []*node[int]
@@ -35,7 +39,17 @@ func checkTree(t *testing.T, tr *Tree[int], model map[string]int) {
 		if n.leaf {
 			keys = make([]string, len(n.slots))
 			for i := range keys {
-				keys[i] = n.key(i)
+				keys[i] = string(n.appendKey(nil, i))
+				if !strings.HasPrefix(keys[i], n.prefix()) {
+					t.Fatalf("leaf key %x does not start with the leaf's prefix %x", keys[i], n.prefix())
+				}
+			}
+			want := 0
+			if len(keys) > 0 {
+				want = lcp(keys[0], keys[len(keys)-1])
+			}
+			if int(n.pre) != want {
+				t.Fatalf("leaf prefix %x of %d keys, not the common prefix of its first and last", n.prefix(), len(keys))
 			}
 		}
 		for i, k := range keys {
@@ -135,13 +149,13 @@ func checkTree(t *testing.T, tr *Tree[int], model map[string]int) {
 }
 
 // checkArena fails t unless every span of the leaf n lies inside its
-// arena, no two overlap, and the arena's length less its dead bytes is the
-// sum of the spans' lengths.
+// arena after the prefix, no two overlap, and the arena's length less its
+// dead bytes is the prefix's length and the sum of the spans' lengths.
 func checkArena(t *testing.T, n *node[int]) {
 	t.Helper()
 	spans := slices.Clone(n.slots)
 	slices.SortFunc(spans, func(a, b span) int { return int(a.off) - int(b.off) })
-	live, end := 0, 0 // end: where the spans so far end, at the furthest
+	live, end := int(n.pre), int(n.pre) // end: where the prefix and the spans so far end, at the furthest
 	for _, s := range spans {
 		if int(s.off)+int(s.n) > len(n.arena) {
 			t.Fatalf("span [%d, +%d) runs past the arena's %d bytes", s.off, s.n, len(n.arena))
@@ -151,17 +165,21 @@ func checkArena(t *testing.T, n *node[int]) {
 		}
 		live, end = live+int(s.n), max(end, int(s.off+s.n))
 	}
-	if len(n.arena)-n.dead != live {
+	if len(n.arena)-int(n.dead) != live {
 		t.Fatalf("arena of %d bytes, %d dead, holds spans of %d", len(n.arena), n.dead, live)
 	}
 }
 
 // FuzzTree decodes its input into runs of operations — ascending, nearly
 // ascending, descending and random Puts and GetOrPuts, ascending and random
-// Deletes, and BuildSorted reloads of the whole contents — checks every operation's
-// result against a map as it goes, and the whole tree with checkTree after
-// every run. Each run is five bytes: the operation, a 16-bit length and a
-// 16-bit starting key (the random runs' seed).
+// Deletes, outliers that are put and mostly deleted again, and BuildSorted
+// reloads of the whole contents — checks every operation's result against
+// a map as it goes, and the whole tree with checkTree after every run. Each
+// run is five bytes: the operation and the key shape, a 16-bit length and a
+// 16-bit starting key (the random runs' seed). A run's keys are 4-byte
+// integers, or composite keys of 2 to 5 encoded BIGINTs shaped like
+// tpcc's order-line keys, whose leaves share long prefixes that runs break
+// and regrow.
 func FuzzTree(f *testing.F) {
 	const keySpace = 1<<16 + 8192 // the random runs' keys overlap the ascending ones
 	run := func(op byte, n, start uint16) []byte {
@@ -173,10 +191,13 @@ func FuzzTree(f *testing.F) {
 	f.Add(slices.Concat(run(5, 4500, 0), run(0, 200, 4500), run(2, 500, 3), run(4, 4000, 4)))
 	f.Add(slices.Concat(run(0, 4200, 0), run(3, 4100, 50), run(1, 100, 30)))
 	f.Add(slices.Concat(run(6, 6000, 0), run(4, 3000, 9), run(6, 2000, 5000)))
+	f.Add(slices.Concat(run(3<<3, 6000, 0), run(7|3<<3, 3000, 17), run(6|3<<3, 2000, 6000), run(3|3<<3, 2500, 100)))
+	f.Add(slices.Concat(run(2|1<<3, 4000, 1), run(7|1<<3, 2000, 2), run(4|1<<3, 3000, 3)))
+	f.Add(slices.Concat(run(5|4<<3, 3000, 60000), run(7|4<<3, 2500, 5), run(1|2<<3, 2000, 500), run(0, 300, 7)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := New[int]()
 		model := make(map[string]int)
-		key := func(k uint32) []byte { return binary.BigEndian.AppendUint32(nil, k) }
+		var key func(k uint32) []byte
 		put := func(k []byte, v int, replace bool) {
 			var old int
 			var found bool
@@ -202,7 +223,11 @@ func FuzzTree(f *testing.F) {
 			delete(model, string(k))
 		}
 		for v := 1; len(data) >= 5; v++ {
-			op := data[0] % 7
+			op, parts := data[0]%8, int(data[0]/8%5)+1
+			key = func(k uint32) []byte { return binary.BigEndian.AppendUint32(nil, k) }
+			if parts > 1 {
+				key = func(k uint32) []byte { return compositeKey(k, parts) }
+			}
 			n := uint32(binary.BigEndian.Uint16(data[1:])) % 8192
 			start := uint32(binary.BigEndian.Uint16(data[3:]))
 			data = data[5:]
@@ -250,10 +275,32 @@ func FuzzTree(f *testing.F) {
 					}
 					put(key(start+i-i%8+uint32(perm[i%8])), v, true)
 				}
+			case 7: // outliers: each lands at some leaf's edge and shortens its prefix; deleting it regrows it
+				for i := uint32(0); i < n; i++ {
+					k := key((start + i*4099) % keySpace)
+					put(k, v, true)
+					if i%4 != 0 {
+						del(k)
+					}
+				}
 			}
 			checkTree(t, tr, model)
 		}
 	})
+}
+
+// compositeKey encodes k as parts BIGINT components, the way an order-line
+// key is (warehouse, district, order, line): each but the first holds one
+// of k's low base-16 digits, from -8, and the first the rest, so ascending
+// k gives ascending keys.
+func compositeKey(k uint32, parts int) []byte {
+	vals := make([]sqltypes.Value, parts)
+	for i := parts - 1; i > 0; i-- {
+		vals[i] = sqltypes.NewBigInt(int64(k%16) - 8)
+		k /= 16
+	}
+	vals[0] = sqltypes.NewBigInt(int64(k))
+	return sqltypes.EncodeKey(nil, vals...)
 }
 
 // TestAppendOrderFillsLeaves pins the append split: keys inserted in

@@ -356,7 +356,7 @@ func (s *entryStore) ofBlock(block uint64) ([]*wal.LedgerEntry, error) {
 	var keys [][]byte
 	start, end := engine.PrefixRange(sqltypes.NewBigInt(int64(block)))
 	s.table.ScanIndexRange(s.byBlock, start, end, func(_, key []byte) bool {
-		keys = append(keys, key)
+		keys = append(keys, bytes.Clone(key))
 		return true
 	})
 	var errs []error

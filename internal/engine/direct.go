@@ -168,10 +168,10 @@ func (t *Table) dropIndexEntriesLocked(key, old []byte) {
 			ix.tree.Delete(ent)
 			continue
 		}
-		var stale [][]byte // views, which the deletes below leave as they are
+		var stale [][]byte
 		ix.tree.Ascend(func(ent []byte, _ struct{}) bool {
 			if bytes.Equal(ix.clusteredKey(ent), key) {
-				stale = append(stale, ent)
+				stale = append(stale, bytes.Clone(ent))
 			}
 			return true
 		})

@@ -8,7 +8,9 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"time"
+	"unsafe"
 
 	"sqlledger/internal/btree"
 	"sqlledger/internal/obs"
@@ -29,8 +31,9 @@ import (
 // heap's straight in its row-id array; the install phase bulk-loads each
 // keyed table and builds every index once, from the final rows. Redo never
 // decodes a row: a version is the after-image's bytes as the log carried
-// them (wal.DecodeDMLImage checked and copied them), and a replayed ALTER
-// changes only the schema those bytes are later read against.
+// them (wal.DecodeDMLImage checked them), copied once, into a heap's pages
+// or, for a keyed chain, into an allocation of their own, and a replayed
+// ALTER changes only the schema those bytes are later read against.
 //
 // RecoveryWorkers = 1 runs the same code with no goroutines; larger values
 // turn on the log read-ahead and set how many tables install at once.
@@ -43,9 +46,16 @@ type redoTable struct {
 	// each under the key that created it, in the order redo created them,
 	// for the install phase.
 	chains  map[string]int
-	entries []keyedChain
+	entries []redoChain
 	// live counts the keys whose newest version is a row.
 	live int
+}
+
+// redoChain is a chain redo built for a keyed table, under the map's copy
+// of its key.
+type redoChain struct {
+	key   string
+	chain *versionChain
 }
 
 // redo applies committed write sets in log order.
@@ -78,19 +88,23 @@ func (r *redo) table(tid uint32) (*redoTable, error) {
 // with commitTS. Mirrors applyInsert/Delete/UpdateLocked, minus index
 // maintenance (indexes are rebuilt at install) and minus locking (replay
 // is the only writer, and version GC starts after it). A chain given a
-// superseded version joins its table's GC list here, under the key its
-// install puts it at.
+// superseded version joins its table's GC list here. An op's key and
+// after-image may be views of a log frame: a keyed chain keeps copies, a
+// heap copies the row into its pages.
 func (r *redo) applyTx(commitTS int64, ops []writeOp) error {
 	for _, op := range ops {
 		st, err := r.table(op.tableID)
 		if err != nil {
 			return err
 		}
-		t, key, ref, found := st.table, op.key, rowRef{}, false
+		t, ref, found := st.table, rowRef{}, false
 		if t.meta.Heap {
 			ref, found = t.rows.Get(op.key)
-		} else if i, ok := st.chains[string(op.key)]; ok {
-			key, ref, found = st.entries[i].key, rowRef{c: st.entries[i].chain}, true
+		} else {
+			op.after = bytes.Clone(op.after)
+			if i, ok := st.chains[string(op.key)]; ok {
+				ref, found = rowRef{c: st.entries[i].chain}, true
+			}
 		}
 		switch op.typ {
 		case wal.RecInsert:
@@ -99,7 +113,7 @@ func (r *redo) applyTx(commitTS int64, ops []writeOp) error {
 				if _, live := ref.latestLive(); live {
 					return fmt.Errorf("%w: table %s (recovery)", ErrDuplicateKey, t.meta.Name)
 				}
-				t.appendVersionLocked(key, ref, commitTS, op.after)
+				t.appendVersionLocked(op.key, ref, commitTS, op.after)
 			case t.meta.Heap:
 				if !t.rows.fits(op.key) {
 					return fmt.Errorf("engine: recovery: key %x of heap table %s is no row id it can hold", op.key, t.meta.Name)
@@ -107,9 +121,9 @@ func (r *redo) applyTx(commitTS int64, ops []writeOp) error {
 				t.rows.GetOrPut(op.key, newChain(commitTS, op.after))
 				t.noteRIDLocked(op.key)
 			default:
-				c := newChain(commitTS, op.after)
-				st.chains[string(op.key)] = len(st.entries)
-				st.entries = append(st.entries, keyedChain{key: op.key, chain: &c})
+				c, k := newChain(commitTS, op.after), string(op.key)
+				st.chains[k] = len(st.entries)
+				st.entries = append(st.entries, redoChain{k, &c})
 			}
 			st.live++
 		case wal.RecDelete, wal.RecUpdate:
@@ -120,7 +134,7 @@ func (r *redo) applyTx(commitTS int64, ops []writeOp) error {
 			if !live {
 				return fmt.Errorf("%w: table %s (recovery)", ErrNotFound, t.meta.Name)
 			}
-			t.appendVersionLocked(key, ref, commitTS, op.after) // nil for a delete: a tombstone
+			t.appendVersionLocked(op.key, ref, commitTS, op.after) // nil for a delete: a tombstone
 			if op.typ == wal.RecDelete {
 				st.live--
 			}
@@ -299,11 +313,12 @@ func (db *DB) installRecovered(rd *redo, workers int) {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		if !t.meta.Heap { // redo put a heap's rows in its store
-			slices.SortFunc(j.entries, func(a, b keyedChain) int { return bytes.Compare(a.key, b.key) })
+			slices.SortFunc(j.entries, func(a, b redoChain) int { return strings.Compare(a.key, b.key) })
 			keys := make([][]byte, len(j.entries))
 			chains := make([]*versionChain, len(j.entries))
 			for i, e := range j.entries {
-				keys[i], chains[i] = e.key, e.chain
+				// A view of the string, which BuildSorted only reads.
+				keys[i], chains[i] = unsafe.Slice(unsafe.StringData(e.key), len(e.key)), e.chain
 			}
 			t.rows.tree = btree.BuildSorted(keys, chains)
 		}

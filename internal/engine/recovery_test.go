@@ -207,3 +207,46 @@ func TestRecoveryWithAllSnapshotsCorrupt(t *testing.T) {
 		t.Fatalf("rows = %d", tab2.RowCount())
 	}
 }
+
+// TestRedoAllocations: redo copies a replayed heap row once, into its
+// chunk's pages. The record's key and row are views of the log frame, and
+// the read-ahead hands records over by value, so replaying a log of heap
+// inserts allocates per frame and per transaction, not per record — with
+// the read-ahead and without. A clone of the key and of the row, and a
+// decoded image on the heap, would be three objects a record.
+func TestRedoAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	dir := t.TempDir()
+	db := openDBAt(t, dir)
+	tab := mustCreate(t, db, "h", footprintSchema(false))
+	const txs, rows = 40, 250
+	for i := int64(0); i < txs; i++ {
+		tx := db.Begin("u")
+		for j := int64(0); j < rows; j++ {
+			if _, err := tx.Insert(tab, footprintRow(i*rows+j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		commit(t, db, tx)
+	}
+	db.Close()
+	const records = txs * (rows + 1) // the inserts and a COMMIT each
+	for _, workers := range []int{1, 2} {
+		allocs := testing.AllocsPerRun(1, func() {
+			db, err := Open(Options{Dir: dir, RecoveryWorkers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h, err := db.Table("h"); err != nil || h.RowCount() != txs*rows {
+				t.Fatalf("replay restored table h (%v) with the wrong rows", err)
+			}
+			db.Close()
+		})
+		t.Logf("%d recovery workers: opening a log of %d records allocates %.0f objects, %.3f a record", workers, records, allocs, allocs/records)
+		if allocs/records >= 0.2 {
+			t.Errorf("%d recovery workers: replay allocates %.3f objects a record, want < 0.2", workers, allocs/records)
+		}
+	}
+}

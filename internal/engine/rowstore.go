@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -257,16 +256,6 @@ func (s *rowStore) Get(key []byte) (rowRef, bool) {
 	return rowRef{s: s, rid: rid}, p.stored()
 }
 
-// GetEntry is Get that also returns a copy of key that never changes.
-func (s *rowStore) GetEntry(key []byte) ([]byte, rowRef, bool) {
-	if s.tree != nil {
-		k, c, ok := s.tree.GetEntry(key)
-		return k, rowRef{c: c}, ok
-	}
-	r, ok := s.Get(key)
-	return bytes.Clone(key), r, ok
-}
-
 // fits reports whether the store can hold a chain under key: in a heap, a
 // row id within maxHeapChunks chunks of every row there.
 func (s *rowStore) fits(key []byte) bool {
@@ -354,9 +343,10 @@ func ridAtOrAbove(b []byte) uint64 {
 }
 
 // AscendRange calls fn for every chain with start <= key < end, in key
-// order, until fn returns false; nil bounds are open. The keys fn gets
-// never change: a heap carves them from blocks each scan allocates. A
-// heap's chains are views fn may read only during the call.
+// order, until fn returns false; nil bounds are open. The key fn gets, and
+// a heap's chain, which is a view, are valid only during the call: the
+// tree materializes keys into a buffer, and a heap writes each row id into
+// one the scan allocates.
 func (s *rowStore) AscendRange(start, end []byte, fn func(key []byte, c *versionChain) bool) {
 	if s.tree != nil {
 		s.tree.AscendRange(start, end, fn)
@@ -366,7 +356,7 @@ func (s *rowStore) AscendRange(start, end []byte, fn func(key []byte, c *version
 	if end != nil {
 		hi = ridAtOrAbove(end)
 	}
-	var keys []byte
+	key := make([]byte, 8)
 	var v versionChain
 	for k := max(s.base, heapChunkOf(lo-1)); k < s.base+len(s.chunks) && heapChunkStart(k) < hi; k++ {
 		ch, first := &s.chunks[k-s.base], heapChunkStart(k)+1
@@ -374,11 +364,8 @@ func (s *rowStore) AscendRange(start, end []byte, fn func(key []byte, c *version
 			if !ch.slots[i].stored() {
 				continue
 			}
-			if len(keys) == cap(keys) {
-				keys = make([]byte, 0, 8*min(max(cap(keys)/4, 16), 1024))
-			}
-			keys = binary.BigEndian.AppendUint64(keys, first+i)
-			if v = s.view(ch, ch.slots[i], first+i); !fn(keys[len(keys)-8:len(keys):len(keys)], &v) {
+			binary.BigEndian.PutUint64(key, first+i)
+			if v = s.view(ch, ch.slots[i], first+i); !fn(key, &v) {
 				return
 			}
 		}

@@ -236,6 +236,26 @@ func footprintRow(id int64) sqltypes.Row {
 		sqltypes.NewNull(sqltypes.TypeVarChar))
 }
 
+// orderLineSchema is tpcc's order-line table: a key of four BIGINTs
+// (warehouse, district, order, line) and four more columns.
+func orderLineSchema() *sqltypes.Schema {
+	cols := []sqltypes.Column{
+		sqltypes.Col("w", sqltypes.TypeBigInt), sqltypes.Col("d", sqltypes.TypeBigInt),
+		sqltypes.Col("o", sqltypes.TypeBigInt), sqltypes.Col("ol", sqltypes.TypeBigInt),
+		sqltypes.Col("item", sqltypes.TypeBigInt), sqltypes.Col("qty", sqltypes.TypeBigInt),
+		sqltypes.Col("amount", sqltypes.TypeBigInt), sqltypes.NullableCol("delivered", sqltypes.TypeDateTime),
+	}
+	return sqltypes.MustSchema(cols, "w", "d", "o", "ol")
+}
+
+// orderLineRow is row id of an order-line table of ten districts, ten
+// lines an order, in key order as id ascends.
+func orderLineRow(id int64) sqltypes.Row {
+	big := sqltypes.NewBigInt
+	return sqltypes.Row{big(1), big(1 + id/10_000), big(id / 10), big(1 + id%10),
+		big(id * 7 % 100_000), big(5), big(id % 10_000), sqltypes.NewNull(sqltypes.TypeDateTime)}
+}
+
 // TestStoredRowFootprint is the bytes-per-row number of the design: what a
 // loaded table keeps per row is its encoded bytes, rounded up to their
 // allocation's size class, plus a constant for the version chain and, in a
@@ -250,39 +270,49 @@ func TestStoredRowFootprint(t *testing.T) {
 	// Size classes up to 128 bytes are at most 16 apart. structure is what a
 	// row costs beside its bytes. In a keyed table that is the chain with
 	// its one version inline (48) and its share of a full leaf, key bytes
-	// included (28: 62 entries in a 144-byte node, a 63-slot array of
+	// included (20: 62 entries in a 144-byte node, a 63-slot array of
 	// 8-byte key spans and one of value pointers, each in the 512-byte size
-	// class, and an arena of 63 9-byte encoded ids in the 576-byte class),
-	// plus slack for what the size classes of another Go release round
-	// differently. A heap row is a 16-byte slot in a chunk of 2048 that
-	// fills the 32 KiB class, and its bytes packed in the chunk's pages,
-	// with no key: the 16 of the bytes' rounding is its slot, its share of
-	// the pages' unfilled ends, the directories and the chunk the last rows
-	// part fill is 3, plus the same 7 of slack. An index on n1 adds its
-	// share of a full index leaf,
-	// which has no value array (29: the node, the spans and an arena of 63
-	// 18-byte entries, n1 then the id, in the 1152-byte class).
+	// class, and an arena with the 8 bytes the leaf's encoded ids share
+	// once and the last byte of each, in the 80-byte class), plus slack for
+	// what the size classes of another Go release round differently. An
+	// order-line key is four BIGINTs, 36 bytes, of which a leaf's keys share
+	// 26: its leaf costs a row 31 (an arena of 62 10-byte suffixes, in the
+	// 768-byte class). A heap row is a 16-byte
+	// slot in a chunk of 2048 that fills the 32 KiB class, and its bytes
+	// packed in the chunk's pages, with no key: the 16 of the bytes'
+	// rounding is its slot, its share of the pages' unfilled ends, the
+	// directories and the chunk the last rows part fill is 3, plus the same
+	// 7 of slack. An index on n1 adds its share of a full index leaf, which
+	// has no value array (22: the node, the spans and an arena of 62
+	// entries, n1 then the id, which share 8 of their 18 bytes, in the
+	// 704-byte class).
 	for _, tc := range []struct {
 		name      string
 		keyed     bool
 		indexed   bool
+		orderLine bool
 		structure float64
 	}{
-		{"clustered", true, false, 85},
-		{"heap", false, false, 10},
-		{"clustered+index", true, true, 85 + 32},
+		{"clustered", true, false, false, 78},
+		{"heap", false, false, false, 10},
+		{"clustered+index", true, true, false, 78 + 25},
+		{"order-line", true, false, true, 78},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const rows = 100_000
 			db := openTestDB(t)
 			db.stopVersionGC() // nothing else may allocate while the heap is measured
-			tab := mustCreate(t, db, "t", footprintSchema(tc.keyed))
+			schema, row := footprintSchema(tc.keyed), footprintRow
+			if tc.orderLine {
+				schema, row = orderLineSchema(), orderLineRow
+			}
+			tab := mustCreate(t, db, "t", schema)
 			if tc.indexed {
 				if _, err := db.CreateIndex("t", "ix_n1", "n1"); err != nil {
 					t.Fatal(err)
 				}
 			}
-			encoded := len(EncodeStoredRow(footprintRow(rows / 2)))
+			encoded := len(EncodeStoredRow(row(rows / 2)))
 
 			heap := func() uint64 {
 				runtime.GC()
@@ -295,7 +325,7 @@ func TestStoredRowFootprint(t *testing.T) {
 			for lo := int64(0); lo < rows; lo += 1000 {
 				tx := db.Begin("u")
 				for id := lo; id < lo+1000; id++ {
-					if _, err := tx.Insert(tab, footprintRow(id)); err != nil {
+					if _, err := tx.Insert(tab, row(id)); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -30,16 +30,20 @@ type Table struct {
 	nextRID  uint64 // heap row-id allocator; guarded by mu
 	liveRows int    // keys whose newest version is not a tombstone; guarded by mu
 	// reclaim lists the chains holding a superseded version, each with the
-	// key it was under when it joined: all gcVersions visits, so an
-	// insert-only table costs a sweep nothing. Guarded by mu.
-	reclaim []keyedChain
+	// key it was under when it joined, whose bytes a keyed row keeps in
+	// reclaimKeys: all gcVersions visits, so an insert-only table costs a
+	// sweep nothing. Guarded by mu.
+	reclaim     []gcEntry
+	reclaimKeys []byte
 }
 
-// keyedChain is a version chain with its clustered key; a heap row has
-// no chain (nil), and GC finds it by its key.
-type keyedChain struct {
-	key   []byte
-	chain *versionChain
+// gcEntry is a listed chain: a keyed row's, its key at reclaimKeys[off:
+// off+n], or a heap row's, which has no chain (nil) and no key bytes, by
+// its row id.
+type gcEntry struct {
+	chain  *versionChain
+	rid    uint64
+	off, n uint32
 }
 
 // Index is the runtime state of a nonclustered index. An entry is its key
@@ -249,7 +253,7 @@ func (t *Table) applyInsertLocked(key, row []byte, ts int64) error {
 // applyDeleteLocked appends a tombstone version under key. Caller must
 // hold mu.
 func (t *Table) applyDeleteLocked(key []byte, ts int64) error {
-	held, r, ok := t.rows.GetEntry(key)
+	r, ok := t.rows.Get(key)
 	if !ok {
 		return fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
@@ -257,7 +261,7 @@ func (t *Table) applyDeleteLocked(key []byte, ts int64) error {
 	if !live {
 		return fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
-	t.appendVersionLocked(held, r, ts, nil)
+	t.appendVersionLocked(key, r, ts, nil)
 	t.liveRows--
 	var buf [64]byte
 	for _, ix := range t.indexes {
@@ -271,7 +275,7 @@ func (t *Table) applyDeleteLocked(key []byte, ts int64) error {
 // applyUpdateLocked appends an encoded replacement version under key,
 // stored as it is. Caller must hold mu.
 func (t *Table) applyUpdateLocked(key, row []byte, ts int64) error {
-	held, r, ok := t.rows.GetEntry(key)
+	r, ok := t.rows.Get(key)
 	if !ok {
 		return fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
@@ -279,7 +283,7 @@ func (t *Table) applyUpdateLocked(key, row []byte, ts int64) error {
 	if !live {
 		return fmt.Errorf("%w: table %s", ErrNotFound, t.meta.Name)
 	}
-	t.appendVersionLocked(held, r, ts, row)
+	t.appendVersionLocked(key, r, ts, row)
 	t.moveIndexEntriesLocked(key, old, row)
 	return nil
 }
@@ -305,31 +309,37 @@ func (t *Table) moveIndexEntriesLocked(key, old, next []byte) {
 }
 
 // appendVersionLocked adds a version to r, the row under key, and lists
-// it for GC when that gives it its first superseded version. key is kept
-// in the list: pass the slice the tree holds where there is one, not a
-// write set's copy. Caller holds mu.
+// it for GC when that gives it its first superseded version: a keyed row
+// with a copy of key, a heap row by its row id. Caller holds mu.
 func (t *Table) appendVersionLocked(key []byte, r rowRef, ts int64, row []byte) {
 	first := false
 	r.edit(true, func(c versionChain) versionChain { first = c.appendVersion(ts, row); return c })
 	if first {
-		t.reclaim = append(t.reclaim, keyedChain{key, r.c})
+		e := gcEntry{chain: r.c, rid: r.rid, off: uint32(len(t.reclaimKeys))}
+		if r.c != nil {
+			e.n, t.reclaimKeys = uint32(len(key)), append(t.reclaimKeys, key...)
+		}
+		t.reclaim = append(t.reclaim, e)
 	}
 }
 
 // gcVersions prunes the listed chains of versions no snapshot at or after
 // horizon can read, removes those reduced to a dead tombstone, and keeps
-// listed the ones that still hold a superseded version. Returns the number
-// of versions reclaimed.
+// listed the ones that still hold a superseded version, their keys moved
+// into fresh key bytes. Returns the number of versions reclaimed.
 func (t *Table) gcVersions(horizon int64) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	reclaimed := 0
-	kept := t.reclaim[:0]
+	kept, keys := t.reclaim[:0], []byte(nil)
+	var rid [8]byte
 	for _, e := range t.reclaim {
+		key := t.reclaimKeys[e.off : e.off+e.n]
 		r := rowRef{c: e.chain}
 		if e.chain == nil { // a heap row, reached by its row id
+			key = binary.BigEndian.AppendUint64(rid[:0], e.rid)
 			var ok bool
-			if r, ok = t.rows.Get(e.key); !ok {
+			if r, ok = t.rows.Get(key); !ok {
 				continue
 			}
 		}
@@ -341,18 +351,19 @@ func (t *Table) gcVersions(horizon int64) int {
 		case dead:
 			// TamperDeleteRow may have taken the chain out of the tree, and
 			// an insert put a new one under its key since.
-			if got, ok := t.rows.Get(e.key); ok && got == r {
-				t.rows.Delete(e.key)
+			if got, ok := t.rows.Get(key); ok && got == r {
+				t.rows.Delete(key)
 				reclaimed++ // the tombstone itself
 			}
 		case r.hasOlder():
+			e.off, keys = uint32(len(keys)), append(keys, key[:e.n]...)
 			kept = append(kept, e)
 		}
 	}
-	// A fresh copy, so a burst of writes does not pin the list's peak size.
-	t.reclaim = nil
+	// Fresh copies, so a burst of writes does not pin the list's peak size.
+	t.reclaim, t.reclaimKeys = nil, keys
 	if len(kept) > 0 {
-		t.reclaim = append(make([]keyedChain, 0, len(kept)), kept...)
+		t.reclaim = append(make([]gcEntry, 0, len(kept)), kept...)
 	}
 	return reclaimed
 }
@@ -455,7 +466,8 @@ const storedScanBatch = 1024
 // batch sees what is committed when it is collected — and calls fn with
 // the lock released, so fn may be slow (verification hashes in it) without
 // stalling commits on the table. key and stored are immutable and may be
-// kept. Returns the number of rows passed to fn.
+// kept: a batch copies its keys into a buffer of its own. Returns the
+// number of rows passed to fn.
 func (t *Table) ScanRangeStored(start, end []byte, fn func(key, stored []byte) bool) int {
 	return t.scanStoredAt(start, end, latest, fn)
 }
@@ -467,17 +479,21 @@ func (t *Table) ScanRangeStored(start, end []byte, fn func(key, stored []byte) b
 func (t *Table) scanStoredAt(start, end []byte, ts int64, fn func(key, stored []byte) bool) int {
 	type entry struct{ key, stored []byte }
 	batch := make([]entry, 0, storedScanBatch)
-	n := 0
+	n, size := 0, 0 // size: the key bytes of the batch before
 	for {
 		batch = batch[:0]
-		visited, last := 0, []byte(nil)
+		keys, visited := make([]byte, 0, size), 0
 		t.mu.RLock()
 		t.rows.AscendRange(start, end, func(k []byte, c *versionChain) bool {
 			if stored, ok := c.at(ts); ok {
-				batch = append(batch, entry{k, stored})
+				keys = append(keys, k...)
+				batch = append(batch, entry{keys[len(keys)-len(k) : len(keys) : len(keys)], stored})
 			}
-			visited, last = visited+1, k
-			return visited < storedScanBatch
+			if visited++; visited == storedScanBatch {
+				start = append(append(make([]byte, 0, len(k)+1), k...), 0) // the smallest key above k
+				return false
+			}
+			return true
 		})
 		t.mu.RUnlock()
 		for _, e := range batch {
@@ -489,7 +505,7 @@ func (t *Table) scanStoredAt(start, end []byte, ts int64, fn func(key, stored []
 		if visited < storedScanBatch {
 			return n
 		}
-		start = append(append(make([]byte, 0, len(last)+1), last...), 0) // the smallest key above last
+		size = len(keys)
 	}
 }
 
@@ -547,6 +563,7 @@ func (t *Table) ScanIndex(ix *Index, fn func(entryKey, clusteredKey []byte) bool
 
 // ScanIndexRange iterates index entries with start <= entryKey < end, in
 // index-key order, passing the base-table clustered key of each entry.
+// entryKey and clusteredKey are valid only during the callback.
 func (t *Table) ScanIndexRange(ix *Index, start, end []byte, fn func(entryKey, clusteredKey []byte) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -555,7 +572,7 @@ func (t *Table) ScanIndexRange(ix *Index, start, end []byte, fn func(entryKey, c
 	})
 }
 
-// LastIndexEntry returns the largest entry key of an index.
+// LastIndexEntry returns a copy of the largest entry key of an index.
 func (t *Table) LastIndexEntry(ix *Index) ([]byte, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

@@ -171,13 +171,13 @@ func appendDMLHeader(dst []byte, tableID uint32, key []byte) []byte {
 	return append(dst, key...)
 }
 
-// DecodeDML decodes a DML payload.
+// DecodeDML decodes a DML payload into values and a key of their own.
 func DecodeDML(t RecordType, b []byte) (DMLPayload, error) {
 	m, err := DecodeDMLImage(t, b)
-	p := DMLPayload{TableID: m.TableID, Key: m.Key}
+	p := DMLPayload{TableID: m.TableID, Key: bytes.Clone(m.Key)}
 	if err == nil && m.After != nil {
-		// m.After is a copy nobody else holds, so the row may point into it.
-		p.After, err = sqltypes.DecodeRowAlias(nil, m.After, nil)
+		// A copy nobody else holds, so the row may point into it.
+		p.After, err = sqltypes.DecodeRowAlias(nil, bytes.Clone(m.After), nil)
 	}
 	return p, err
 }
@@ -203,10 +203,10 @@ func AppendDMLImage(dst []byte, m DMLImage) []byte {
 	return append(appendDMLHeader(dst, m.TableID, m.Key), m.After...)
 }
 
-// DecodeDMLImage decodes a DML payload for redo. Key and After are copies
-// in allocations of their own — b is a slice of a whole frame, which a
-// retained image must not keep alive — and After has been checked to be
-// one well-formed row.
+// DecodeDMLImage decodes a DML payload for redo. Key and After are views
+// of b, and After has been checked to be one well-formed row. b is a slice
+// of a whole frame, which a retained image would keep alive: what is kept
+// is copied, by whoever keeps it.
 func DecodeDMLImage(t RecordType, b []byte) (DMLImage, error) {
 	var m DMLImage
 	tid, pos, err := getUvarint(b, 0)
@@ -218,13 +218,13 @@ func DecodeDMLImage(t RecordType, b []byte) (DMLImage, error) {
 	if err != nil {
 		return m, err
 	}
-	m.Key = bytes.Clone(key)
+	m.Key = key
 	switch t {
 	case RecInsert, RecUpdate:
 		if err := sqltypes.CheckRow(b[pos:]); err != nil {
 			return m, err
 		}
-		m.After = bytes.Clone(b[pos:])
+		m.After = b[pos:]
 	case RecDelete:
 		if pos != len(b) {
 			return m, fmt.Errorf("wal: %d trailing bytes in %s payload", len(b)-pos, t)

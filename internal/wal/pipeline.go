@@ -10,14 +10,14 @@ import "io"
 // order. Nothing is reordered, so an error surfaces exactly where it sits
 // in the log, after every record before it.
 
-// DecodedRecord is a log record with its payload eagerly decoded. Exactly
-// one of DML, Commit is non-nil for the record types the decode stage
-// understands (DML records, COMMIT); other types (DDL, CHECKPOINT, ABORT)
+// DecodedRecord is a log record with its payload eagerly decoded: DML
+// holds a DML record's image, whose key and row are views of the payload,
+// and Commit is non-nil for a COMMIT. Other types (DDL, CHECKPOINT, ABORT)
 // pass through with only the raw payload, since they are rare and their
 // interpretation belongs to the engine.
 type DecodedRecord struct {
 	Record
-	DML    *DMLImage
+	DML    DMLImage
 	Commit *CommitPayload
 }
 
@@ -31,11 +31,9 @@ func nextDecoded(r *Reader) (DecodedRecord, error) {
 	out := DecodedRecord{Record: rec}
 	switch rec.Type {
 	case RecInsert, RecDelete, RecUpdate:
-		p, err := DecodeDMLImage(rec.Type, rec.Payload)
-		if err != nil {
+		if out.DML, err = DecodeDMLImage(rec.Type, rec.Payload); err != nil {
 			return out, err
 		}
-		out.DML = &p
 	case RecCommit:
 		p, err := DecodeCommit(rec.Payload)
 		if err != nil {

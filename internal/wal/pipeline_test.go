@@ -74,7 +74,7 @@ func TestPipelinedReaderMatchesSerial(t *testing.T) {
 			}
 			switch s.Type {
 			case RecInsert:
-				if p.DML == nil || string(p.DML.Key) != string(s.DML.Key) {
+				if string(p.DML.Key) != string(s.DML.Key) || p.DML.After == nil {
 					t.Fatalf("workers=%d record %d DML mismatch", workers, i)
 				}
 			case RecCommit:
