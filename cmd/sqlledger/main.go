@@ -44,7 +44,7 @@ var metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz and 
 var auditInterval = flag.Duration("audit-interval", time.Second, "always-on auditor cycle interval (audit, serve)")
 var auditSample = flag.Float64("audit-sample", 0, "fraction of cold blocks the auditor re-checks per cycle, 0..1 (audit, serve)")
 var checkpointEvery = flag.Duration("checkpoint-every", 0, "take a non-quiescing checkpoint on this interval while serving, bounding restart replay time (serve; 0: off)")
-var slowMS = flag.Int("slow-ms", 100, "slow-query threshold in milliseconds: transactions at or above it are always trace-retained and logged to /debug/slow (0: retain every trace)")
+var slowMS = flag.Int("slow-ms", 100, "slow-trace threshold in milliseconds: transactions and background operations at or above it are always retained at /debug/trace and announced by a slow_query event (0: retain every trace)")
 var traceSample = flag.Float64("trace-sample", 0.01, "fraction of fast, error-free traces retained, 0..1")
 
 func auditOpts() sqlledger.AuditorOptions {
@@ -128,7 +128,7 @@ func main() {
 	case "audit":
 		cmdAudit(db, rest)
 	case "serve":
-		cmdServe(db, reg, rest)
+		cmdServe(db, rest)
 	default:
 		usage()
 	}
@@ -139,19 +139,17 @@ func main() {
 // given, which keeps CI invocations self-terminating. The always-on
 // auditor runs alongside it, so /healthz carries a live "verified up to
 // block K" claim and flips to 503 when tampering is localized.
-func cmdServe(db *sqlledger.DB, reg *sqlledger.MetricsRegistry, args []string) {
+func cmdServe(db *sqlledger.DB, args []string) {
 	if len(args) < 1 || len(args) > 2 {
 		usage()
 	}
-	opts := auditOpts()
-	a, err := db.NewAuditor(opts)
+	a, err := db.NewAuditor(auditOpts())
 	if err != nil {
 		fatal(err)
 	}
 	a.Start()
 	defer a.Stop()
-	hc := db.NewHealthChecker(sqlledger.HealthThresholds{MaxVerifiedLag: 10 * opts.Interval})
-	srv, err := sqlledger.ServeOps(args[0], db.OpsHandler(hc))
+	srv, err := db.StartOpsServer(args[0])
 	if err != nil {
 		fatal(err)
 	}
@@ -247,7 +245,7 @@ func printJSON(v any) {
 func printOpsEndpoints(addr string) {
 	fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics\n", addr)
 	fmt.Fprintf(os.Stderr, "health:  http://%s/healthz\n", addr)
-	fmt.Fprintf(os.Stderr, "debug:   http://%s/debug/{ledger,audit,events,trace,slow,pprof}\n", addr)
+	fmt.Fprintf(os.Stderr, "debug:   http://%s/debug/{ledger,audit,events,trace,pprof}\n", addr)
 }
 
 // cmdSQL executes SQL: either the statements given as arguments, or a
@@ -316,7 +314,11 @@ func cmdSQL(db *sqlledger.DB, args []string) {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: sqlledger -db DIR [-name NAME] COMMAND [args]
+	fmt.Fprintln(os.Stderr, usageText)
+	os.Exit(2)
+}
+
+const usageText = `usage: sqlledger -db DIR [-name NAME] COMMAND [args]
 commands:
   create TABLE col:TYPE[:key|:null]...   create an updateable ledger table
   insert TABLE v1 v2 ... [';' v1 v2 ...] insert one or more rows (one tx)
@@ -347,9 +349,7 @@ commands:
                                          /debug/pprof) with the auditor running
                                          (-audit-interval, -audit-sample,
                                          -checkpoint-every for periodic
-                                         non-quiescing checkpoints)`)
-	os.Exit(2)
-}
+                                         non-quiescing checkpoints)`
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "sqlledger:", err)

@@ -60,9 +60,10 @@ type AuditorOptions struct {
 	// round-robin index-equivalence and view sweep (ceil(fraction ×
 	// tables) ledger tables per cycle).
 	SampleFraction float64
-	// SampleSeed seeds the deterministic sampling stream (default 1).
-	SampleSeed uint64
 }
+
+// auditSampleSeed seeds every auditor's deterministic sampling stream.
+const auditSampleSeed = 1
 
 func (o AuditorOptions) withDefaults() AuditorOptions {
 	if o.Interval <= 0 {
@@ -73,9 +74,6 @@ func (o AuditorOptions) withDefaults() AuditorOptions {
 	}
 	if o.SampleFraction > 1 {
 		o.SampleFraction = 1
-	}
-	if o.SampleSeed == 0 {
-		o.SampleSeed = 1
 	}
 	return o
 }
@@ -93,7 +91,7 @@ type auditWatermark struct {
 }
 
 // AuditStatus is a point-in-time snapshot of an auditor, served at
-// /debug/audit and folded into /healthz.
+// /debug/audit and as /healthz's audit section.
 type AuditStatus struct {
 	Running              bool          `json:"running"`
 	VerifiedThroughBlock int64         `json:"verified_through_block"`
@@ -140,8 +138,8 @@ type Auditor struct {
 	loop auditLoop
 }
 
-// auditLoop is a background ticker driving audit cycles. Non-nil channels
-// mean running.
+// auditLoop is a background ticker driving periodic work: audit cycles,
+// digest uploads. Non-nil channels mean running.
 type auditLoop struct {
 	mu         sync.Mutex
 	quit, done chan struct{}
@@ -207,7 +205,7 @@ func (db *DB) NewAuditor(opts AuditorOptions) (*Auditor, error) {
 			Incarnation:     db.Incarnation(),
 			VerifiedThrough: -1,
 		},
-		rng:       opts.SampleSeed,
+		rng:       auditSampleSeed,
 		mVerified: db.obs.Gauge(obs.VerifiedThroughBlock),
 		mLag:      db.obs.Gauge(obs.AuditLagSeconds),
 	}

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -389,8 +388,8 @@ func TestVerifyBlockRangeScopesIssues(t *testing.T) {
 }
 
 // TestAuditOpsSurface drives the HTTP surface end to end: /debug/audit
-// reports the watermark, and a localized tamper flips /healthz to 503
-// with the report inline.
+// reports the watermark, /healthz's audit section is the same status, and
+// a localized tamper flips /healthz to 503 with the report inline.
 func TestAuditOpsSurface(t *testing.T) {
 	l := openTestLedger(t, 3)
 	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
@@ -398,7 +397,7 @@ func TestAuditOpsSurface(t *testing.T) {
 	a := newAuditor(t, l, 1)
 	cycleOK(t, a)
 
-	srv := httptest.NewServer(l.OpsHandler(nil))
+	srv := httptest.NewServer(l.OpsHandler())
 	defer srv.Close()
 
 	get := func(path string) (int, []byte) {
@@ -435,8 +434,8 @@ func TestAuditOpsSurface(t *testing.T) {
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatal(err)
 	}
-	if h.Audit == nil || !strings.Contains(h.Audit.Summary, "verified up to block") {
-		t.Fatalf("healthz audit summary missing: %+v", h.Audit)
+	if h.Audit == nil || !h.Audit.Ok || h.Audit.VerifiedThroughBlock != st.VerifiedThroughBlock || h.Audit.Cycles != st.Cycles {
+		t.Fatalf("healthz audit %+v, /debug/audit %+v", h.Audit, st)
 	}
 
 	// Tamper a row, localize it, and the surface must flip.
@@ -453,6 +452,13 @@ func TestAuditOpsSurface(t *testing.T) {
 	code, body = get("/healthz")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("/healthz status %d after tamper, want 503\n%s", code, body)
+	}
+	h = Health{}
+	if err := json.Unmarshal(body, &h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Audit == nil || h.Audit.LastReport == nil || h.Audit.LastReport.Table != "accounts" || h.Audit.LastReport.Key == "" {
+		t.Fatalf("/healthz did not carry the auditor's report: %+v", h.Audit)
 	}
 	code, body = get("/debug/audit")
 	if code != http.StatusOK {

@@ -183,7 +183,7 @@ func auditAndOpsLocalizeTamper(t *testing.T) {
 	a := newAuditor(t, db, 1)
 	cycleOK(t, a)
 
-	srv := httptest.NewServer(db.OpsHandler(nil))
+	srv := httptest.NewServer(db.OpsHandler())
 	defer srv.Close()
 	get := func(path string, into any) int {
 		t.Helper()

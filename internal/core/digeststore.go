@@ -95,10 +95,10 @@ type DigestUploader struct {
 	db    *DB
 	store blobstore.Store
 
+	loop auditLoop
+
 	mu      sync.Mutex
 	last    *Digest
-	stopCh  chan struct{}
-	doneCh  chan struct{}
 	uploads int
 	errs    []error
 }
@@ -126,45 +126,21 @@ func (u *DigestUploader) UploadOnce() (Digest, error) {
 	return d, nil
 }
 
-// Start launches periodic uploads at the given interval; Stop ends them.
+// Start launches periodic uploads at the given interval (idempotent);
+// Stop ends them.
 func (u *DigestUploader) Start(interval time.Duration) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if u.stopCh != nil {
-		return
-	}
-	u.stopCh = make(chan struct{})
-	u.doneCh = make(chan struct{})
-	go func(stop, done chan struct{}) {
-		defer close(done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				if _, err := u.UploadOnce(); err != nil && err != ErrEmptyLedger {
-					u.mu.Lock()
-					u.errs = append(u.errs, err)
-					u.mu.Unlock()
-				}
-			}
+	u.loop.start(interval, func() {
+		if _, err := u.UploadOnce(); err != nil && err != ErrEmptyLedger {
+			u.mu.Lock()
+			u.errs = append(u.errs, err)
+			u.mu.Unlock()
 		}
-	}(u.stopCh, u.doneCh)
+	})
 }
 
-// Stop halts periodic uploads and waits for the loop to exit.
-func (u *DigestUploader) Stop() {
-	u.mu.Lock()
-	stop, done := u.stopCh, u.doneCh
-	u.stopCh, u.doneCh = nil, nil
-	u.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-}
+// Stop halts periodic uploads and waits for an upload in flight
+// (idempotent).
+func (u *DigestUploader) Stop() { u.loop.stop() }
 
 // Uploads returns the number of successful uploads.
 func (u *DigestUploader) Uploads() int {

@@ -143,6 +143,46 @@ func TestPeriodicUploader(t *testing.T) {
 	}
 }
 
+// Start and Stop are idempotent: a second Start runs no second loop and
+// keeps the first one's interval, a second Stop returns at once, nothing
+// is uploaded after Stop, and a stopped uploader starts again.
+func TestUploaderStartStopTwice(t *testing.T) {
+	l := openTestLedger(t, 100)
+	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
+	u := NewDigestUploader(l, blobstore.NewMemory())
+	waitUploads := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for u.Uploads() <= n && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if u.Uploads() <= n {
+			t.Fatalf("uploads stayed at %d; errs=%v", u.Uploads(), u.Errs())
+		}
+	}
+	commitAccounts(t, l, lt, "a")
+
+	u.Stop() // never started
+	u.Start(time.Millisecond)
+	u.Start(time.Hour)
+	waitUploads(0)
+	u.Stop()
+	u.Stop()
+	n := u.Uploads()
+	commitAccounts(t, l, lt, "b")
+	time.Sleep(20 * time.Millisecond)
+	if got := u.Uploads(); got != n {
+		t.Fatalf("%d uploads after Stop", got-n)
+	}
+
+	u.Start(time.Millisecond)
+	waitUploads(n)
+	u.Stop()
+	if errs := u.Errs(); len(errs) != 0 {
+		t.Fatalf("uploader errors: %v", errs)
+	}
+}
+
 func TestReplicaLagGating(t *testing.T) {
 	// A small, constant lag: digest generation waits it out.
 	lag := 20 * time.Millisecond

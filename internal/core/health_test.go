@@ -2,9 +2,9 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -28,8 +28,8 @@ func commitAccounts(t *testing.T, l *DB, lt *LedgerTable, names ...string) {
 
 // End-to-end acceptance test for the health layer: a ledger that keeps
 // its digests current is healthy; one that closes blocks without
-// uploading degrades and then goes unhealthy as the lag crosses the
-// thresholds.
+// uploading degrades at digestLagDegraded uncovered blocks and goes
+// unhealthy at digestLagUnhealthy, each transition audited.
 func TestHealthEndToEnd(t *testing.T) {
 	l := openTestLedger(t, 2)
 	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
@@ -40,7 +40,7 @@ func TestHealthEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hc := l.NewHealthChecker(HealthThresholds{DegradedDigestLag: 2, UnhealthyDigestLag: 100})
+	hc := l.NewHealthChecker()
 	h := hc.Check()
 	l.closeMu.Lock()
 	closed := l.closedThrough
@@ -67,35 +67,34 @@ func TestHealthEndToEnd(t *testing.T) {
 		t.Fatalf("health gauge = %v, %v, want 0", g, ok)
 	}
 
-	// Close more blocks without uploading: digest lag grows past the
-	// degraded threshold.
-	commitAccounts(t, l, lt, "g", "h", "i", "j", "k", "m")
-	if _, err := l.GenerateDigest(); err != nil { // closes blocks, no upload
-		t.Fatal(err)
+	// Close blocks without uploading: at each lag the status is the one
+	// the bounds name, and so is the gauge.
+	for i := 0; h.DigestLagBlocks < digestLagUnhealthy; i++ {
+		commitAccounts(t, l, lt, fmt.Sprintf("lag-%d", i))
+		if _, err := l.GenerateDigest(); err != nil { // closes the block, no upload
+			t.Fatal(err)
+		}
+		h = hc.Check()
+		want, code := HealthHealthy, 0.0
+		switch {
+		case h.DigestLagBlocks >= digestLagUnhealthy:
+			want, code = HealthUnhealthy, 2
+		case h.DigestLagBlocks >= digestLagDegraded:
+			want, code = HealthDegraded, 1
+		}
+		if h.Status != want {
+			t.Fatalf("digest lag %d: status %s (%v), want %s", h.DigestLagBlocks, h.Status, h.Reasons, want)
+		}
+		if want != HealthHealthy && (len(h.Reasons) == 0 || !strings.Contains(h.Reasons[0], "digest lag")) {
+			t.Fatalf("digest lag %d: reasons = %v", h.DigestLagBlocks, h.Reasons)
+		}
+		if g, _ := l.obs.Snapshot().GaugeValue(obs.HealthStatus); g != code {
+			t.Fatalf("digest lag %d: health gauge = %v, want %v", h.DigestLagBlocks, g, code)
+		}
 	}
-	h = hc.Check()
-	if h.Status != HealthDegraded {
-		t.Fatalf("status = %s (%v), want degraded", h.Status, h.Reasons)
-	}
-	if h.DigestLagBlocks < 2 {
-		t.Fatalf("DigestLagBlocks = %d, want >= 2", h.DigestLagBlocks)
-	}
-	if len(h.Reasons) == 0 || !strings.Contains(h.Reasons[0], "digest lag") {
-		t.Fatalf("reasons = %v", h.Reasons)
-	}
-	if g, _ := l.obs.Snapshot().GaugeValue(obs.HealthStatus); g != 1 {
-		t.Fatalf("health gauge = %v, want 1", g)
-	}
-	// The healthy -> degraded transition must be audited.
-	changed := l.obs.Events().RecentOfType(obs.EventHealthChanged, 0)
-	if len(changed) != 1 {
-		t.Fatalf("health_changed events = %d, want 1", len(changed))
-	}
-
-	// A checker with tighter thresholds sees the same lag as unhealthy.
-	tight := l.NewHealthChecker(HealthThresholds{DegradedDigestLag: 1, UnhealthyDigestLag: 2})
-	if h := tight.Check(); h.Status != HealthUnhealthy {
-		t.Fatalf("tight status = %s (%v), want unhealthy", h.Status, h.Reasons)
+	// healthy -> degraded -> unhealthy: both transitions are audited.
+	if changed := l.obs.Events().RecentOfType(obs.EventHealthChanged, 0); len(changed) != 2 {
+		t.Fatalf("health_changed events = %d, want 2", len(changed))
 	}
 
 	// Catching up on uploads restores health.
@@ -111,7 +110,7 @@ func TestHealthEndToEnd(t *testing.T) {
 // there is nothing a digest could cover yet.
 func TestHealthFreshDatabase(t *testing.T) {
 	l := openTestLedger(t, 1000)
-	h := l.NewHealthChecker(HealthThresholds{}).Check()
+	h := l.NewHealthChecker().Check()
 	if h.Status != HealthHealthy {
 		t.Fatalf("fresh status = %s (%v)", h.Status, h.Reasons)
 	}
@@ -133,8 +132,8 @@ func TestHealthVerifyMarks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hc := l.NewHealthChecker(HealthThresholds{MaxVerifyAge: time.Hour})
-	if h := hc.Check(); h.Status != HealthDegraded || h.LastVerify != nil {
+	hc := l.NewHealthChecker()
+	if h := hc.Check(); h.Status != HealthHealthy || h.LastVerify != nil {
 		t.Fatalf("before any verify: %+v", h)
 	}
 	verifyOK(t, l, digests)
@@ -166,6 +165,39 @@ func TestHealthVerifyMarks(t *testing.T) {
 	if n := len(l.obs.Events().RecentOfType(obs.EventVerifyIssue, 0)); n == 0 {
 		t.Fatal("no verify_issue events after failed verification")
 	}
+}
+
+// A registered auditor degrades /healthz until its first cycle completes
+// and again once its last cycle is older than auditStaleCycles of its
+// intervals; the next cycle restores health.
+func TestHealthStaleAuditor(t *testing.T) {
+	l := openTestLedger(t, 2)
+	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
+	commitAccounts(t, l, lt, "a", "b")
+	if _, err := l.UploadDigest(blobstore.NewMemory()); err != nil {
+		t.Fatal(err)
+	}
+	a, err := l.NewAuditor(AuditorOptions{Interval: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc := l.NewHealthChecker()
+	wantStatus := func(want HealthState, reason string) {
+		t.Helper()
+		h := hc.Check()
+		if h.Status != want || (reason != "" && !strings.Contains(strings.Join(h.Reasons, "; "), reason)) {
+			t.Fatalf("status %s (%v), want %s with %q", h.Status, h.Reasons, want, reason)
+		}
+	}
+	wantStatus(HealthDegraded, "auditor has not completed a cycle")
+	a.RunCycle()
+	wantStatus(HealthHealthy, "")
+	a.mu.Lock()
+	a.lastCycleAt = time.Now().Add(-(auditStaleCycles + 1) * time.Minute)
+	a.mu.Unlock()
+	wantStatus(HealthDegraded, "last audit cycle finished")
+	a.RunCycle()
+	wantStatus(HealthHealthy, "")
 }
 
 // Verification progress must be monotonically non-decreasing, cover the
@@ -329,14 +361,14 @@ func TestOpsServerEndpoints(t *testing.T) {
 		}
 	}
 
-	// An unhealthy checker turns /healthz into a 503.
-	commitAccounts(t, l, lt, "g", "h", "i", "j")
+	// Past digestLagUnhealthy uncovered blocks, /healthz is a 503.
+	for i := 0; i < 2*digestLagUnhealthy; i++ {
+		commitAccounts(t, l, lt, fmt.Sprintf("lag-%d", i))
+	}
 	if _, err := l.GenerateDigest(); err != nil {
 		t.Fatal(err)
 	}
-	tight := httptest.NewServer(l.OpsHandler(l.NewHealthChecker(HealthThresholds{DegradedDigestLag: 1, UnhealthyDigestLag: 2})))
-	defer tight.Close()
-	resp = mustGet(t, tight.URL+"/healthz", http.StatusServiceUnavailable)
+	resp = mustGet(t, base+"/healthz", http.StatusServiceUnavailable)
 	if err := json.Unmarshal(resp, &h); err != nil || h.Status != HealthUnhealthy {
 		t.Fatalf("unhealthy healthz = %+v err=%v", h, err)
 	}

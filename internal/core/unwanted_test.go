@@ -67,10 +67,11 @@ func TestUnwantedVersionRaisesNoFinding(t *testing.T) {
 		{0x9e3779b97f4a7c15, 4, "ok"},
 		{0x78dde6e5fd29f054, 2, finding},
 	} {
-		a, err := l.NewAuditor(AuditorOptions{SampleFraction: 0.5, SampleSeed: tc.seed})
+		a, err := l.NewAuditor(AuditorOptions{SampleFraction: 0.5})
 		if err != nil {
 			t.Fatal(err)
 		}
+		a.rng = tc.seed
 		st := a.RunCycle()
 		got := "ok"
 		if r := st.LastReport; r != nil {

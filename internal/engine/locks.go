@@ -70,15 +70,15 @@ func (lt *lockTable) shard(k lockKey) *lockShard {
 // acquire takes the exclusive lock on (table, key) for owner, waiting up
 // to timeout. Re-acquisition by the current owner succeeds immediately.
 func (lt *lockTable) acquire(owner uint64, table uint32, key []byte, timeout time.Duration) error {
-	_, _, err := lt.acquireTraced(owner, lockKey{table: table, key: string(key)}, timeout, 0)
+	_, _, err := lt.acquireTraced(owner, lockKey{table: table, key: string(key)}, timeout)
 	return err
 }
 
-// acquireTraced is acquire plus trace linkage: a contended wait is
-// observed into the wait histogram with tid as the bucket exemplar, and
-// the wait duration and its start are returned (zero when the lock was
-// free) so the caller can record a trace span.
-func (lt *lockTable) acquireTraced(owner uint64, k lockKey, timeout time.Duration, tid obs.TraceID) (time.Duration, time.Time, error) {
+// acquireTraced is acquire for a traced transaction: a contended wait is
+// observed into the wait histogram, and the wait duration and its start
+// are returned (zero when the lock was free) so the caller can record a
+// trace span.
+func (lt *lockTable) acquireTraced(owner uint64, k lockKey, timeout time.Duration) (time.Duration, time.Time, error) {
 	s := lt.shard(k)
 	var waitStart, deadline time.Time
 	for {
@@ -90,7 +90,7 @@ func (lt *lockTable) acquireTraced(owner uint64, k lockKey, timeout time.Duratio
 			var waited time.Duration
 			if !waitStart.IsZero() {
 				waited = time.Since(waitStart)
-				lt.waitSeconds.ObserveTraced(waited.Seconds(), tid)
+				lt.waitSeconds.Observe(waited.Seconds())
 			}
 			return waited, waitStart, nil
 		}

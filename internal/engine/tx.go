@@ -161,7 +161,7 @@ func (tx *Tx) lock(t *Table, key []byte) error {
 	if _, held := tx.locks[lk]; held {
 		return nil
 	}
-	wait, start, err := tx.db.locks.acquireTraced(tx.id, lk, tx.db.opts.LockTimeout, tx.trace.ID())
+	wait, start, err := tx.db.locks.acquireTraced(tx.id, lk, tx.db.opts.LockTimeout)
 	if wait > 0 {
 		// Contended only: the trace accumulates every lock wait in the
 		// transaction into one span; the uncontended path records nothing.

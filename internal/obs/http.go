@@ -16,7 +16,6 @@ import (
 //	/debug/trace   one retained trace by ?id= (waterfall; ?format=text
 //	               renders it as indented text); without id, recent
 //	               retained traces (?n=N)
-//	/debug/slow    recent slow-query log entries as JSON (?n=N)
 //	/debug/pprof/  Go profiling endpoints (heap, goroutine, profile, …)
 //
 // Callers that serve additional endpoints (core's /healthz and
@@ -65,13 +64,6 @@ func Mux(r *Registry) *http.ServeMux {
 			return
 		}
 		writeJSON(w, rec)
-	})
-	mux.HandleFunc("/debug/slow", func(w http.ResponseWriter, req *http.Request) {
-		slow := r.Traces().RecentSlow(queryInt(req, "n"))
-		if slow == nil {
-			slow = []*SlowQuery{}
-		}
-		writeJSON(w, slow)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -57,8 +57,7 @@ const (
 	RecoverySeconds          = "sqlledger_recovery_seconds" // label: phase
 	CheckpointQuiesceSeconds = "sqlledger_checkpoint_quiesce_seconds"
 
-	// Transaction tracing (internal/obs/txtrace.go). StatementSeconds
-	// observes end-to-end latency per statement fingerprint (label: stmt)
-	// and carries trace exemplars, as does CommitStageSeconds.
+	// SQL sessions (internal/sql). StatementSeconds observes end-to-end
+	// latency per statement fingerprint (label: stmt).
 	StatementSeconds = "sqlledger_statement_seconds" // label: stmt
 )

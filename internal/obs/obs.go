@@ -127,20 +127,8 @@ type Histogram struct {
 	labels []Label
 	bounds []float64 // ascending upper bounds, +Inf implicit
 	counts []atomic.Int64
-	exem   []bucketExemplar // one per bucket, parallel to counts
 	sum    atomicFloat
 	on     bool
-}
-
-// bucketExemplar remembers the most recent traced observation that
-// landed in its bucket — the link from a histogram bucket back to a
-// full trace. Last write wins; each field is an independent atomic, so
-// a concurrent reader can pair a value with a neighboring write's trace
-// ID, which is acceptable for a debugging affordance.
-type bucketExemplar struct {
-	id    atomic.Uint64 // TraceID, 0 = none
-	vbits atomic.Uint64 // float64 bits of the observed value
-	tsns  atomic.Int64  // observation time, unix nanos
 }
 
 // Observe records one value. Every observation lands in exactly one
@@ -161,32 +149,6 @@ func (h *Histogram) ObserveSince(t0 time.Time) {
 		return
 	}
 	h.Observe(time.Since(t0).Seconds())
-}
-
-// ObserveTraced records one value and stamps the bucket's exemplar with
-// the observing trace's ID, so /metrics links the bucket to a concrete
-// trace. A zero id degrades to a plain Observe.
-func (h *Histogram) ObserveTraced(v float64, id TraceID) {
-	if h == nil || !h.on {
-		return
-	}
-	if id == 0 {
-		h.Observe(v)
-		return
-	}
-	h.observeTraced(v, id, time.Now())
-}
-
-func (h *Histogram) observeTraced(v float64, id TraceID, now time.Time) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.sum.Add(v)
-	if id != 0 {
-		e := &h.exem[i]
-		e.id.Store(uint64(id))
-		e.vbits.Store(math.Float64bits(v))
-		e.tsns.Store(now.UnixNano())
-	}
 }
 
 // Count returns the number of observations.
@@ -236,21 +198,19 @@ func (t *LapTimer) Skip() {
 }
 
 // LapSpan is Lap plus tracing: the stage duration is observed into h
-// (stamping the bucket exemplar with the trace ID) and recorded as a
-// top-level child span on tr, all from a single clock read. Returns the
-// new span's ID so callers can attach children (tr nil → plain Lap).
+// and recorded as a top-level child span on tr, both from a single clock
+// read. Returns the new span's ID so callers can attach children (tr
+// nil → plain Lap).
 func (t *LapTimer) LapSpan(h *Histogram, tr *Trace, name string) SpanID {
 	if !t.on {
 		return 0
 	}
 	now := time.Now()
 	d := now.Sub(t.last)
+	h.Observe(d.Seconds())
 	var id SpanID
 	if tr != nil {
-		h.observeTraced(d.Seconds(), tr.ID(), now)
 		id = tr.Record(name, 0, t.last, d)
-	} else {
-		h.Observe(d.Seconds())
 	}
 	t.last = now
 	return id
@@ -427,7 +387,6 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...Label) *H
 		labels: labels,
 		bounds: append([]float64(nil), buckets...),
 		counts: make([]atomic.Int64, len(buckets)+1),
-		exem:   make([]bucketExemplar, len(buckets)+1),
 		on:     r.enabled,
 	}
 	r.hists[key] = h
@@ -455,16 +414,6 @@ type GaugeSnapshot struct {
 type BucketSnapshot struct {
 	UpperBound float64 // math.Inf(1) for the +Inf bucket
 	Count      int64
-	// Exemplar is the most recent traced observation that landed in this
-	// bucket's (non-cumulative) range, nil if none.
-	Exemplar *Exemplar
-}
-
-// Exemplar links a histogram bucket to one concrete trace.
-type Exemplar struct {
-	TraceID string    `json:"trace_id"`
-	Value   float64   `json:"value"`
-	Time    time.Time `json:"time"`
 }
 
 // HistogramSnapshot is one histogram series at a point in time, with
@@ -602,15 +551,7 @@ func (r *Registry) Snapshot() Snapshot {
 			if i < len(h.bounds) {
 				bound = h.bounds[i]
 			}
-			bs := BucketSnapshot{UpperBound: bound, Count: cum}
-			if id := h.exem[i].id.Load(); id != 0 {
-				bs.Exemplar = &Exemplar{
-					TraceID: TraceID(id).String(),
-					Value:   math.Float64frombits(h.exem[i].vbits.Load()),
-					Time:    time.Unix(0, h.exem[i].tsns.Load()),
-				}
-			}
-			hs.Buckets = append(hs.Buckets, bs)
+			hs.Buckets = append(hs.Buckets, BucketSnapshot{UpperBound: bound, Count: cum})
 		}
 		hs.Count = cum
 		hs.P50 = hs.Quantile(0.50)

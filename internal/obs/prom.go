@@ -40,15 +40,8 @@ func writePrometheus(w io.Writer, snap Snapshot) error {
 	}
 	for _, h := range snap.Histograms {
 		for _, b := range h.Buckets {
-			line := fmt.Sprintf("%s_bucket%s %d",
-				h.Name, labelString(h.Labels, "le", b.UpperBound), b.Count)
-			if b.Exemplar != nil {
-				// OpenMetrics exemplar syntax (the timestamp is optional
-				// and omitted so the exposition stays deterministic).
-				line += fmt.Sprintf(" # {trace_id=\"%s\"} %s",
-					b.Exemplar.TraceID, formatFloat(b.Exemplar.Value))
-			}
-			add(h.Name, "histogram", line)
+			add(h.Name, "histogram", fmt.Sprintf("%s_bucket%s %d",
+				h.Name, labelString(h.Labels, "le", b.UpperBound), b.Count))
 		}
 		add(h.Name, "histogram", fmt.Sprintf("%s_sum%s %s", h.Name, labelString(h.Labels, "", 0), formatFloat(h.Sum)))
 		add(h.Name, "histogram", fmt.Sprintf("%s_count%s %d", h.Name, labelString(h.Labels, "", 0), h.Count))

@@ -63,12 +63,12 @@ func TestWritePrometheusGolden(t *testing.T) {
 	cp.Observe(1)
 	qz := r.Histogram(CheckpointQuiesceSeconds, []float64{1})
 	qz.Observe(0)
-	// The PR-9 tracing names: traced observations stamp their bucket
-	// with an OpenMetrics exemplar carrying the trace ID.
+	// A histogram the traced commit path feeds renders plain buckets:
+	// the 0.0.4 format has no exemplar syntax.
 	ex := r.Histogram("sqlledger_test_traced_seconds", []float64{1, 2, 4})
-	ex.ObserveTraced(1, TraceID(0xabcdef0123456789))
-	ex.ObserveTraced(3, TraceID(0x1122334455667788))
-	ex.Observe(2) // untraced: must not disturb its bucket's exemplar
+	for _, v := range []float64{1, 3, 2} {
+		ex.Observe(v)
+	}
 	// Labelled counters that were never incremented render as zero.
 	for _, d := range []string{"dropped", "error", "sampled", "slow"} {
 		r.Counter("sqlledger_traces_total", L("decision", d))

@@ -1,158 +1,152 @@
-package obs
+package obs_test
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"sqlledger/internal/core"
+	"sqlledger/internal/engine"
+	"sqlledger/internal/obs"
+	"sqlledger/internal/sqltypes"
 )
 
-// A minimal parser for the Prometheus text format plus the OpenMetrics
-// exemplar suffix this package emits. It exists so the golden file is
-// checked as *parseable telemetry*, not just as frozen bytes: every
-// line must round-trip through the parsed form unchanged, and every
-// exemplar must carry a well-formed trace ID that a reader could feed
-// to /debug/trace?id=.
+// The Prometheus text format 0.0.4, which /metrics declares, as a strict
+// parser: a line is a "# TYPE name kind" declaration or a sample — a
+// metric name, an optional label block, a value and an optional integer
+// timestamp, single-space separated, nothing after. It exists so the
+// exposition is checked as parseable telemetry, not only as frozen
+// bytes: an OpenMetrics exemplar suffix (` # {trace_id="…"} v`) has no
+// place in this grammar and fails it.
 
-type promLine struct {
-	name    string // metric or family name; "" for a TYPE line
-	typ     string // set for "# TYPE" lines
-	labels  string // raw {...} label block, "" if none
-	value   string
-	exemID  string // exemplar trace_id, "" if none
-	exemVal string
-}
+var (
+	typeLine   = regexp.MustCompile(`^# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|histogram)$`)
+	label      = `[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"`
+	sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{(?:` + label + `(?:,` + label + `)*,?)?\})? (\S+)(?: (-?[0-9]+))?$`)
+)
 
-func (p promLine) render() string {
-	if p.typ != "" {
-		return fmt.Sprintf("# TYPE %s %s", p.name, p.typ)
-	}
-	s := p.name + p.labels + " " + p.value
-	if p.exemID != "" {
-		s += fmt.Sprintf(" # {trace_id=%q} %s", p.exemID, p.exemVal)
-	}
-	return s
-}
-
-func parsePromLine(t *testing.T, line string) promLine {
+// parseExposition checks every line of a 0.0.4 exposition and that each
+// sample belongs to the family the last TYPE line declared. It returns
+// the samples as name+labels → value.
+func parseExposition(t *testing.T, text string) map[string]string {
 	t.Helper()
-	if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-		name, typ, ok := strings.Cut(rest, " ")
-		if !ok {
-			t.Fatalf("malformed TYPE line %q", line)
+	samples := map[string]string{}
+	family, kind := "", ""
+	for _, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		if m := typeLine.FindStringSubmatch(line); m != nil {
+			family, kind = m[1], m[2]
+			continue
 		}
-		switch typ {
-		case "counter", "gauge", "histogram":
-		default:
-			t.Fatalf("unknown family type %q in %q", typ, line)
+		m := sampleLine.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("not a 0.0.4 line: %q", line)
 		}
-		return promLine{name: name, typ: typ}
+		if _, err := strconv.ParseFloat(m[3], 64); err != nil {
+			t.Fatalf("bad value in %q: %v", line, err)
+		}
+		name := m[1]
+		if kind == "histogram" {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base, ok := strings.CutSuffix(name, suffix); ok && base == family {
+					name = base
+				}
+			}
+		}
+		if name != family {
+			t.Fatalf("sample %q outside its family %q", line, family)
+		}
+		samples[m[1]+m[2]] = m[3]
 	}
-
-	series, exem, hasExem := strings.Cut(line, " # ")
-	var p promLine
-	if i := strings.IndexByte(series, '{'); i >= 0 {
-		j := strings.LastIndexByte(series, '}')
-		if j < i {
-			t.Fatalf("unbalanced label block in %q", line)
-		}
-		p.name, p.labels, p.value = series[:i], series[i:j+1], strings.TrimSpace(series[j+1:])
-	} else {
-		name, val, ok := strings.Cut(series, " ")
-		if !ok {
-			t.Fatalf("malformed series line %q", line)
-		}
-		p.name, p.value = name, val
-	}
-	if p.value == "" || strings.ContainsAny(p.value, " ") {
-		t.Fatalf("malformed value in %q", line)
-	}
-
-	if hasExem {
-		// OpenMetrics exemplar: {trace_id="<16 hex>"} <value>
-		labels, val, ok := strings.Cut(exem, "} ")
-		if !ok || !strings.HasPrefix(labels, `{trace_id="`) || !strings.HasSuffix(labels, `"`) {
-			t.Fatalf("malformed exemplar in %q", line)
-		}
-		p.exemID = strings.TrimSuffix(strings.TrimPrefix(labels, `{trace_id="`), `"`)
-		p.exemVal = val
-		if _, err := ParseTraceID(p.exemID); err != nil {
-			t.Fatalf("exemplar trace id in %q: %v", line, err)
-		}
-		if len(p.exemID) != 16 {
-			t.Fatalf("exemplar trace id %q is not 16 hex digits", p.exemID)
-		}
-	}
-	return p
+	return samples
 }
 
-// TestPrometheusExemplarRoundTrip parses the golden exposition and
-// re-renders it byte-for-byte, proving the exemplar syntax survives a
-// parse/print cycle; it also pins down which buckets carry exemplars.
-func TestPrometheusExemplarRoundTrip(t *testing.T) {
+// TestPrometheusGoldenParses: every line of the golden exposition is
+// 0.0.4, and the traced histogram's buckets are plain counts.
+func TestPrometheusGoldenParses(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "prom.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	exemplars := map[string]string{} // "name{labels}" -> trace id
-	for _, line := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
-		p := parsePromLine(t, line)
-		if got := p.render(); got != line {
-			t.Fatalf("round trip changed line:\n got %q\nwant %q", got, line)
+	samples := parseExposition(t, string(raw))
+	for le, want := range map[string]string{"1": "1", "2": "2", "4": "3", "+Inf": "3"} {
+		series := fmt.Sprintf(`sqlledger_test_traced_seconds_bucket{le="%s"}`, le)
+		if samples[series] != want {
+			t.Fatalf("%s = %q, want %s", series, samples[series], want)
 		}
-		if p.exemID != "" {
-			if !strings.HasSuffix(p.name, "_bucket") {
-				t.Fatalf("exemplar on non-bucket series %q", line)
-			}
-			exemplars[p.name+p.labels] = p.exemID
-		}
-	}
-
-	// The fixture's traced observations must surface on exactly the
-	// buckets their values fall into, with the IDs they were given.
-	want := map[string]string{
-		`sqlledger_test_traced_seconds_bucket{le="1"}`: TraceID(0xabcdef0123456789).String(),
-		`sqlledger_test_traced_seconds_bucket{le="4"}`: TraceID(0x1122334455667788).String(),
-	}
-	for series, id := range want {
-		if exemplars[series] != id {
-			t.Fatalf("exemplar for %s = %q, want %q (all: %v)", series, exemplars[series], id, exemplars)
-		}
-	}
-	if id, ok := exemplars[`sqlledger_test_traced_seconds_bucket{le="2"}`]; ok {
-		t.Fatalf("untraced bucket grew an exemplar %q", id)
 	}
 }
 
-// TestExemplarLiveRegistry checks the exemplar path end to end on a
-// fresh registry: ObserveTraced stamps the bucket, and the rendered
-// exposition parses back to the same trace ID.
-func TestExemplarLiveRegistry(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("sqlledger_live_seconds", []float64{1})
-	id := TraceID(0xdeadbeefcafef00d)
-	h.ObserveTraced(0.5, id)
-
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+// TestPrometheusLiveRegistryParses renders a registry that traced
+// transactions have recorded into — contended lock waits and every
+// commit stage, each with its trace retained — and parses it as 0.0.4.
+func TestPrometheusLiveRegistryParses(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Traces().SetSlowThreshold(0) // retain every trace
+	db, err := core.Open(core.Options{Dir: t.TempDir(), Name: "prom", BlockSize: 4, LockTimeout: 5 * time.Second, Obs: reg})
+	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, line := range strings.Split(strings.TrimRight(sb.String(), "\n"), "\n") {
-		p := parsePromLine(t, line)
-		if p.exemID == "" {
-			continue
-		}
-		got, err := ParseTraceID(p.exemID)
+	defer db.Close()
+	schema := sqltypes.MustSchema([]sqltypes.Column{
+		sqltypes.Col("name", sqltypes.TypeNVarChar),
+		sqltypes.Col("balance", sqltypes.TypeBigInt),
+	}, "name")
+	lt, err := db.CreateLedgerTable("accounts", schema, engine.LedgerUpdateable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(tx *core.Tx, bal int64) error {
+		err := tx.Update(lt, sqltypes.Row{sqltypes.NewNVarChar("a"), sqltypes.NewBigInt(bal)})
 		if err != nil {
+			tx.Rollback()
+			return err
+		}
+		return tx.Commit()
+	}
+	seed := db.Begin("seed")
+	if err := seed.Insert(lt, sqltypes.Row{sqltypes.NewNVarChar("a"), sqltypes.NewBigInt(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A holder keeps the row locked until a second writer has waited for
+	// it; retried with a longer hold until a wait is recorded.
+	for hold := 5 * time.Millisecond; reg.Snapshot().HistogramCount(obs.LockWaitSeconds) == 0; hold *= 2 {
+		if hold > 5*time.Second {
+			t.Fatal("no lock wait recorded")
+		}
+		holder := db.Begin("holder")
+		if err := holder.Update(lt, sqltypes.Row{sqltypes.NewNVarChar("a"), sqltypes.NewBigInt(1)}); err != nil {
 			t.Fatal(err)
 		}
-		if got == id {
-			found = true
+		done := make(chan error, 1)
+		go func() { done <- write(db.Begin("waiter"), 2) }()
+		time.Sleep(hold)
+		if err := holder.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !found {
-		t.Fatalf("trace id %s not reachable from exposition:\n%s", id, sb.String())
+	snap := reg.Snapshot()
+	if snap.HistogramCount(obs.CommitStageSeconds) == 0 || len(reg.Traces().Recent(0)) == 0 {
+		t.Fatal("no traced commit recorded")
+	}
+
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	samples := parseExposition(t, sb.String())
+	if samples[obs.LockWaitSeconds+"_count"] == "0" || samples[obs.LockWaitSeconds+"_count"] == "" {
+		t.Fatalf("exposition has no lock waits:\n%s", sb.String())
 	}
 }

@@ -17,11 +17,10 @@ import (
 // sql, engine lock/hash/WAL-encode, the WAL group committer, apply —
 // each record where the time went. Retention is tail-based: the decision
 // to keep a trace is made at Finish, when its duration and outcome are
-// known. Slow and failed traces are always kept (and surface as
-// slow_query events and /debug/slow entries); fast traces are kept with
-// a small sampling probability so the ring always holds representative
-// baseline traces too. Kept traces are reachable by ID via /debug/trace
-// and from histogram exemplars in /metrics.
+// known. Slow and failed traces are always kept, each announced by a
+// slow_query event carrying its ID; fast traces are kept with a small
+// sampling probability so the ring always holds representative baseline
+// traces too. Kept traces are reachable by ID via /debug/trace.
 
 // Span names used on the transaction commit path. Shared constants so
 // tests and the waterfall renderer agree with the instrumented layers.
@@ -225,26 +224,10 @@ type TraceRecord struct {
 	Dropped  int         `json:"dropped_spans,omitempty"`
 }
 
-// SlowQuery is one structured slow-query log entry, derived from a slow
-// or failed trace at Finish time.
-type SlowQuery struct {
-	TraceID   string        `json:"trace_id"`
-	Time      time.Time     `json:"time"`
-	Duration  time.Duration `json:"duration"`
-	Statement string        `json:"statement,omitempty"`
-	Tables    string        `json:"tables,omitempty"`
-	Rows      int64         `json:"rows,omitempty"`
-	LockWait  time.Duration `json:"lock_wait,omitempty"`
-	FsyncWait time.Duration `json:"fsync_wait,omitempty"`
-	Err       string        `json:"err,omitempty"`
-}
-
-// Retention ring sizes: enough recent history to chase an exemplar or a
-// slow-query report without unbounded growth.
-const (
-	defaultTraceRing = 256
-	defaultSlowRing  = 256
-)
+// defaultTraceRing is how many retained traces the store keeps: enough
+// recent history to chase a slow_query event to its trace without
+// unbounded growth.
+const defaultTraceRing = 256
 
 // TraceStore owns trace creation, tail-based retention and lookup. It
 // hangs off a Registry; a disabled registry's store never creates
@@ -257,22 +240,19 @@ type TraceStore struct {
 
 	pool sync.Pool
 
-	mu       sync.Mutex
-	ring     []*TraceRecord // retained traces, oldest overwritten first
-	next     int
-	byID     map[TraceID]*TraceRecord
-	slowRing []*SlowQuery
-	slowNext int
+	mu   sync.Mutex
+	ring []*TraceRecord // retained traces, oldest overwritten first
+	next int
+	byID map[TraceID]*TraceRecord
 
 	events *EventLog
 }
 
 func newTraceStore(r *Registry, on bool) *TraceStore {
 	s := &TraceStore{
-		ring:     make([]*TraceRecord, defaultTraceRing),
-		byID:     make(map[TraceID]*TraceRecord),
-		slowRing: make([]*SlowQuery, defaultSlowRing),
-		events:   r.events,
+		ring:   make([]*TraceRecord, defaultTraceRing),
+		byID:   make(map[TraceID]*TraceRecord),
+		events: r.events,
 	}
 	s.pool.New = func() any { return &Trace{spans: make([]TraceSpan, 0, 32)} }
 	s.on.Store(on)
@@ -294,8 +274,8 @@ func (s *TraceStore) SetEnabled(on bool) {
 }
 
 // SetSlowThreshold sets the duration at or above which a finished trace
-// is always retained and logged as a slow query. d <= 0 retains every
-// trace (useful for smoke tests).
+// is always retained and announced by a slow_query event. d <= 0 retains
+// every trace (useful for smoke tests).
 func (s *TraceStore) SetSlowThreshold(d time.Duration) {
 	if s != nil {
 		s.slowNanos.Store(int64(d))
@@ -388,11 +368,6 @@ func (s *TraceStore) finish(tr *Trace, dur time.Duration, err error) {
 	id := tr.id
 	s.release(tr)
 
-	var sq *SlowQuery
-	if decision != "sampled" {
-		sq = buildSlowQuery(rec)
-	}
-
 	s.mu.Lock()
 	if old := s.ring[s.next]; old != nil {
 		if oldID, perr := ParseTraceID(old.ID); perr == nil {
@@ -402,22 +377,23 @@ func (s *TraceStore) finish(tr *Trace, dur time.Duration, err error) {
 	s.ring[s.next] = rec
 	s.next = (s.next + 1) % len(s.ring)
 	s.byID[id] = rec
-	if sq != nil {
-		s.slowRing[s.slowNext] = sq
-		s.slowNext = (s.slowNext + 1) % len(s.slowRing)
-	}
 	s.mu.Unlock()
 
-	if sq != nil {
+	if decision != "sampled" {
+		// The event points at the record, which holds the rest: spans,
+		// tables, rows.
+		var stmt string
+		for _, a := range rec.Attrs {
+			if a.Key == AttrStatement {
+				stmt = a.Value
+			}
+		}
 		s.events.Warn(EventSlowQuery,
-			"trace_id", sq.TraceID,
-			"duration_ms", float64(sq.Duration)/float64(time.Millisecond),
-			"statement", sq.Statement,
-			"tables", sq.Tables,
-			"rows", sq.Rows,
-			"lock_wait_ms", float64(sq.LockWait)/float64(time.Millisecond),
-			"fsync_wait_ms", float64(sq.FsyncWait)/float64(time.Millisecond),
-			"err", sq.Err,
+			"trace_id", rec.ID,
+			"name", rec.Name,
+			"duration_ms", float64(rec.Duration)/float64(time.Millisecond),
+			"err", rec.Err,
+			"statement", stmt,
 		)
 	}
 }
@@ -426,36 +402,6 @@ func (s *TraceStore) release(tr *Trace) {
 	tr.store = nil
 	tr.id = 0
 	s.pool.Put(tr)
-}
-
-func buildSlowQuery(rec *TraceRecord) *SlowQuery {
-	sq := &SlowQuery{
-		TraceID:  rec.ID,
-		Time:     rec.Start,
-		Duration: rec.Duration,
-		Err:      rec.Err,
-	}
-	for _, a := range rec.Attrs {
-		switch a.Key {
-		case AttrStatement:
-			sq.Statement = a.Value
-		case AttrTables:
-			sq.Tables = a.Value
-		case AttrRows:
-			if n, err := strconv.ParseInt(a.Value, 10, 64); err == nil {
-				sq.Rows = n
-			}
-		}
-	}
-	for _, sp := range rec.Spans {
-		switch sp.Name {
-		case SpanLockWait:
-			sq.LockWait += sp.Duration
-		case SpanWALFlush:
-			sq.FsyncWait += sp.Duration
-		}
-	}
-	return sq
 }
 
 // Get returns the retained trace with the given ID, if still in the
@@ -485,28 +431,6 @@ func (s *TraceStore) Recent(n int) []*TraceRecord {
 			break
 		}
 		out = append(out, s.ring[idx])
-		if n > 0 && len(out) == n {
-			break
-		}
-	}
-	return out
-}
-
-// RecentSlow returns up to the last n slow-query entries, newest first.
-// n <= 0 means the whole ring.
-func (s *TraceStore) RecentSlow(n int) []*SlowQuery {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*SlowQuery, 0, len(s.slowRing))
-	for i := 1; i <= len(s.slowRing); i++ {
-		idx := (s.slowNext - i + len(s.slowRing)) % len(s.slowRing)
-		if s.slowRing[idx] == nil {
-			break
-		}
-		out = append(out, s.slowRing[idx])
 		if n > 0 && len(out) == n {
 			break
 		}

@@ -72,8 +72,8 @@ func TestTailSamplingDeterministic(t *testing.T) {
 			t.Fatalf("decision %q, want slow", rec.Decision)
 		}
 	}
-	if got := len(ts.RecentSlow(0)); got != 100 {
-		t.Fatalf("slow-query log has %d/100 entries", got)
+	if got := len(r.Events().RecentOfType(EventSlowQuery, 0)); got != 100 {
+		t.Fatalf("%d/100 slow_query events", got)
 	}
 
 	// Errors are always retained, even when fast and sampling is off.
@@ -91,13 +91,14 @@ func TestTailSamplingDeterministic(t *testing.T) {
 	if rec.Decision != "error" || rec.Err != "lock timeout" {
 		t.Fatalf("decision=%q err=%q", rec.Decision, rec.Err)
 	}
-	if sq := ts2.RecentSlow(1); len(sq) != 1 || sq[0].Err != "lock timeout" {
-		t.Fatalf("slow-query log for error trace: %+v", sq)
+	if ev := r2.Events().RecentOfType(EventSlowQuery, 0); len(ev) != 1 || eventAttrs(ev[0])["err"] != "lock timeout" {
+		t.Fatalf("slow_query events for error trace: %+v", ev)
 	}
 }
 
 // TestTraceSpansAndSlowQuery exercises span recording, accumulator
-// folding, attributes, and the derived slow-query fields.
+// folding, attributes, and the slow_query event: it carries only what
+// the retained record holds.
 func TestTraceSpansAndSlowQuery(t *testing.T) {
 	r := NewRegistry()
 	ts := r.Traces()
@@ -132,15 +133,25 @@ func TestTraceSpansAndSlowQuery(t *testing.T) {
 		t.Fatalf("wal_flush parent %d, want %d", fl.Parent, wait)
 	}
 
-	sq := ts.RecentSlow(1)
-	if len(sq) != 1 {
-		t.Fatal("no slow-query entry")
+	ev := r.Events().RecentOfType(EventSlowQuery, 0)
+	if len(ev) != 1 {
+		t.Fatalf("%d slow_query events, want 1", len(ev))
 	}
-	q := sq[0]
-	if q.TraceID != id.String() || q.Statement != "insert accounts" ||
-		q.Tables != "accounts" || q.Rows != 4 ||
-		q.LockWait != 5*time.Millisecond || q.FsyncWait != 7*time.Millisecond {
-		t.Fatalf("slow query fields: %+v", q)
+	attrs := eventAttrs(ev[0])
+	want := map[string]any{
+		"trace_id":    id.String(),
+		"name":        "tx",
+		"duration_ms": float64(rec.Duration) / float64(time.Millisecond),
+		"err":         "",
+		"statement":   "insert accounts",
+	}
+	if len(attrs) != len(want) {
+		t.Fatalf("slow_query attrs %v, want %v", attrs, want)
+	}
+	for k, v := range want {
+		if attrs[k] != v {
+			t.Fatalf("slow_query %s = %v, want %v", k, attrs[k], v)
+		}
 	}
 
 	var buf bytes.Buffer
@@ -194,7 +205,7 @@ func TestTraceNilSafety(t *testing.T) {
 	if _, ok := ts.Get(1); ok {
 		t.Fatal("nil store returned a trace")
 	}
-	if ts.Recent(1) != nil || ts.RecentSlow(1) != nil {
+	if ts.Recent(1) != nil {
 		t.Fatal("nil store returned records")
 	}
 
@@ -232,4 +243,13 @@ func TestTraceRingEviction(t *testing.T) {
 	if got := len(ts.Recent(0)); got != defaultTraceRing {
 		t.Fatalf("ring holds %d records, want %d", got, defaultTraceRing)
 	}
+}
+
+// eventAttrs maps an event's attributes by key.
+func eventAttrs(ev Event) map[string]any {
+	m := map[string]any{}
+	for _, a := range ev.Attrs {
+		m[a.Key] = a.Value
+	}
+	return m
 }

@@ -88,8 +88,9 @@ func (s *Session) Close() {
 // function that commits in autocommit mode (or keeps the explicit
 // transaction open). verb and table identify the statement: its
 // fingerprint ("insert accounts") keys the per-statement latency
-// histogram and annotates the transaction's trace, so a slow-query entry
-// can say which statement ran against which tables.
+// histogram and annotates the transaction's trace, so a retained trace
+// (and its slow_query event) says which statement ran against which
+// tables.
 func (s *Session) begin(verb, table string) (*core.Tx, func(error) error) {
 	tbl := strings.ToLower(table)
 	fp := verb + " " + tbl
@@ -103,11 +104,9 @@ func (s *Session) begin(verb, table string) (*core.Tx, func(error) error) {
 		noteStatement(tr, fp, tbl)
 	}
 	return tx, func(err error) error {
-		// The statement span and the trace ID must be taken before the
-		// autocommit below: Commit finishes the trace.
-		var tid obs.TraceID
+		// The statement span must be recorded before the autocommit
+		// below: Commit finishes the trace.
 		if tr := tx.Trace(); tr != nil {
-			tid = tr.ID()
 			tr.Record(obs.SpanStatement, 0, start, time.Since(start), obs.L(obs.AttrStatement, fp))
 		}
 		if autocommit {
@@ -117,16 +116,15 @@ func (s *Session) begin(verb, table string) (*core.Tx, func(error) error) {
 				err = tx.Commit()
 			}
 		}
-		// The histogram sees the full statement latency, commit included,
-		// with the trace ID as the bucket's exemplar.
-		s.stmtHist(fp).ObserveTraced(time.Since(start).Seconds(), tid)
+		// The histogram sees the full statement latency, commit included.
+		s.stmtHist(fp).Observe(time.Since(start).Seconds())
 		return err
 	}
 }
 
 // noteStatement accumulates statement context onto the trace: the
-// fingerprint list and the set of tables touched, rendered into slow-query
-// entries when the trace is retained.
+// fingerprint list and the set of tables touched, kept on the trace's
+// record when it is retained.
 func noteStatement(tr *obs.Trace, fp, table string) {
 	if prev := tr.Attr(obs.AttrStatement); prev == "" {
 		tr.SetAttr(obs.AttrStatement, fp)

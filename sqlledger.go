@@ -36,7 +36,6 @@
 package sqlledger
 
 import (
-	"net/http"
 	"time"
 
 	"sqlledger/internal/blobstore"
@@ -123,7 +122,7 @@ type (
 	// verification, audit cycle, recovery, version GC) are root traces of
 	// their own, named by the operation.
 	Trace = obs.Trace
-	// TraceID identifies a trace; histogram exemplars carry it and
+	// TraceID identifies a trace; slow_query events carry it and
 	// /debug/trace?id= resolves it.
 	TraceID = obs.TraceID
 	// TraceRecord is a finished, retained trace: the root plus its span
@@ -135,19 +134,13 @@ type (
 	// (reg.Traces()): slow and error traces are always kept, fast ones
 	// sampled.
 	TraceStore = obs.TraceStore
-	// SlowQuery is one structured slow-query entry (statement
-	// fingerprint, tables, rows, lock-wait and fsync-wait durations),
-	// served at /debug/slow.
-	SlowQuery = obs.SlowQuery
 
 	// Health is the typed health status served at /healthz.
 	Health = core.Health
 	// HealthState is the coarse health status (healthy/degraded/unhealthy).
 	HealthState = core.HealthState
-	// HealthThresholds tunes when a HealthChecker degrades the status.
-	HealthThresholds = core.HealthThresholds
-	// HealthChecker aggregates chain height, digest lag, queue depth and
-	// the last verification outcome (DB.NewHealthChecker).
+	// HealthChecker aggregates the chain position, digest lag, the last
+	// verification outcome and the auditor's status (DB.NewHealthChecker).
 	HealthChecker = core.HealthChecker
 	// LedgerDebug is the /debug/ledger snapshot (DB.DebugInfo).
 	LedgerDebug = core.LedgerDebug
@@ -169,8 +162,6 @@ type (
 	AuditStatus = core.AuditStatus
 	// TamperReport localizes a detected ledger mutation.
 	TamperReport = core.TamperReport
-	// AuditHealth folds auditor state into /healthz.
-	AuditHealth = core.AuditHealth
 
 	// Schema describes a table's columns and primary key.
 	Schema = sqltypes.Schema
@@ -254,12 +245,6 @@ func DisabledMetrics() *MetricsRegistry { return obs.Disabled() }
 // /debug/events as JSON, /debug/pprof for profiling.
 func StartMetricsServer(addr string, reg *MetricsRegistry) (*MetricsServer, error) {
 	return obs.StartServer(addr, reg)
-}
-
-// ServeOps serves an arbitrary ops handler — typically DB.OpsHandler
-// built with custom HealthThresholds — at addr.
-func ServeOps(addr string, h http.Handler) (*MetricsServer, error) {
-	return obs.StartServerHandler(addr, h)
 }
 
 // RestoreToTime point-in-time-restores the database in srcDir into dstDir

@@ -2,10 +2,11 @@ package sqlledger_test
 
 // End-to-end acceptance for the transaction tracing pipeline: a slow
 // durable commit under concurrent load must yield a retained trace that
-// (a) is reachable from a histogram exemplar in /metrics, (b) renders a
-// non-empty waterfall at /debug/trace?id=, (c) appears in /debug/slow
-// with its lock-wait attribution, and (d) accounts for its time — the
-// top-level child spans must sum to at least 90% of the root duration.
+// (a) is announced by a slow_query event at /debug/events carrying its
+// ID and statement, (b) resolves at /debug/trace?id= with decision slow,
+// its lock wait and a non-empty waterfall, and (c) accounts for its
+// time — the top-level child spans must sum to at least 90% of the root
+// duration.
 
 import (
 	"encoding/json"
@@ -124,33 +125,36 @@ func TestTraceEndToEnd(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// (a) The lock-wait histogram's exemplars include B's trace ID: the
-	// on-call path from a latency spike to its trace.
-	_, metrics := httpGet(t, base+"/metrics")
-	var exemplarIDs []string
-	for _, line := range strings.Split(metrics, "\n") {
-		if !strings.HasPrefix(line, "sqlledger_lock_wait_seconds_bucket") {
-			continue
+	// (a) A slow_query event names the statement's trace: the on-call
+	// path from a slow transaction to its waterfall.
+	_, eventsBody := httpGet(t, base+"/debug/events?type=slow_query")
+	var events []struct {
+		Attrs []struct {
+			Key   string `json:"key"`
+			Value any    `json:"value"`
+		} `json:"attrs"`
+	}
+	if err := json.Unmarshal([]byte(eventsBody), &events); err != nil {
+		t.Fatalf("events JSON: %v\n%s", err, eventsBody)
+	}
+	var traceID string
+	for _, ev := range events {
+		attrs := map[string]any{}
+		for _, a := range ev.Attrs {
+			attrs[a.Key] = a.Value
 		}
-		if _, exem, ok := strings.Cut(line, `# {trace_id="`); ok {
-			id, _, _ := strings.Cut(exem, `"`)
-			exemplarIDs = append(exemplarIDs, id)
+		if attrs["statement"] == "update t" {
+			traceID, _ = attrs["trace_id"].(string)
 		}
 	}
-	found := false
-	for _, id := range exemplarIDs {
-		if id == want.String() {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("trace %s not among lock-wait exemplars %v", want, exemplarIDs)
+	if traceID != want.String() {
+		t.Fatalf("slow_query event for \"update t\" names trace %q, want %s:\n%s", traceID, want, eventsBody)
 	}
 
-	// (b) The exemplar's ID resolves to the retained trace.
-	code, body := httpGet(t, base+"/debug/trace?id="+want.String())
+	// (b) The event's trace ID resolves to the retained trace.
+	code, body := httpGet(t, base+"/debug/trace?id="+traceID)
 	if code != http.StatusOK {
-		t.Fatalf("/debug/trace?id=%s: HTTP %d: %s", want, code, body)
+		t.Fatalf("/debug/trace?id=%s: HTTP %d: %s", traceID, code, body)
 	}
 	var rec sqlledger.TraceRecord
 	if err := json.Unmarshal([]byte(body), &rec); err != nil {
@@ -163,12 +167,12 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("slow trace lasted only %v", rec.Duration)
 	}
 
-	// (d) Time accounting: top-level children partition the root, so
+	// (c) Time accounting: top-level children partition the root, so
 	// their durations must sum to ≥90% of the root duration.
 	var accounted time.Duration
-	names := map[string]bool{}
+	spans := map[string]sqlledger.TraceSpan{}
 	for _, sp := range rec.Spans {
-		names[sp.Name] = true
+		spans[sp.Name] = sp
 		if sp.Parent == 0 {
 			accounted += sp.Duration
 		}
@@ -177,10 +181,20 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("top-level spans account for %v of %v (%.1f%%), want ≥90%%\nspans: %+v",
 			accounted, rec.Duration, 100*float64(accounted)/float64(rec.Duration), rec.Spans)
 	}
-	for _, wantSpan := range []string{"lock_wait", "commit_wait"} {
-		if !names[wantSpan] {
-			t.Fatalf("trace missing %s span: %v", wantSpan, names)
+	if _, ok := spans["commit_wait"]; !ok {
+		t.Fatalf("trace missing commit_wait span: %+v", rec.Spans)
+	}
+	if lw := spans["lock_wait"]; lw.Duration < 40*time.Millisecond {
+		t.Fatalf("lock_wait span %v, want ≥40ms", lw.Duration)
+	}
+	var stmt string
+	for _, a := range rec.Attrs {
+		if a.Key == "statement" {
+			stmt = a.Value
 		}
+	}
+	if stmt != "update t" {
+		t.Fatalf("trace statement %q, want \"update t\"", stmt)
 	}
 
 	// The text waterfall renders non-empty with the dominant span.
@@ -189,25 +203,8 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("waterfall (HTTP %d):\n%s", code, text)
 	}
 
-	// (c) The slow-query log carries the trace with lock-wait blame.
-	_, slowBody := httpGet(t, base+"/debug/slow")
-	var slow []sqlledger.SlowQuery
-	if err := json.Unmarshal([]byte(slowBody), &slow); err != nil {
-		t.Fatalf("slow JSON: %v\n%s", err, slowBody)
-	}
-	var entry *sqlledger.SlowQuery
-	for i := range slow {
-		if slow[i].TraceID == want.String() {
-			entry = &slow[i]
-		}
-	}
-	if entry == nil {
-		t.Fatalf("trace %s not in /debug/slow: %s", want, slowBody)
-	}
-	if entry.LockWait < 40*time.Millisecond {
-		t.Fatalf("slow-query lock wait %v, want ≥40ms", entry.LockWait)
-	}
-	if entry.Statement != "update t" {
-		t.Fatalf("slow-query statement %q", entry.Statement)
+	// There is no second slow-query log: the retained trace is the record.
+	if code, _ := httpGet(t, base+"/debug/slow"); code != http.StatusNotFound {
+		t.Fatalf("/debug/slow: HTTP %d, want 404", code)
 	}
 }
