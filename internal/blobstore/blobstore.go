@@ -89,13 +89,6 @@ func (s *Memory) List(prefix string) ([]string, error) {
 	return out, nil
 }
 
-// Len returns the number of blobs stored.
-func (s *Memory) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}
-
 // Dir is a file-backed Store rooted at a directory. Blob names map to
 // file paths; path separators in names create subdirectories. Existing
 // files are never overwritten.

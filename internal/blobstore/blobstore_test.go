@@ -163,7 +163,7 @@ func TestZeroValueMemoryUsable(t *testing.T) {
 	if err := s.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 1 {
-		t.Fatal("len wrong")
+	if names, err := s.List(""); err != nil || len(names) != 1 {
+		t.Fatalf("List = %v, %v; want one name", names, err)
 	}
 }

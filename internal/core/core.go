@@ -77,9 +77,6 @@ type Options struct {
 	// generation in place of time.Now. A logical clock makes digests
 	// byte-for-byte reproducible across runs; nil uses the wall clock.
 	Clock func() int64
-	// VersionGCInterval overrides the engine's background version-GC
-	// sweep pace (zero: engine default, 250ms).
-	VersionGCInterval time.Duration
 	// RecoveryWorkers sets crash-recovery parallelism: log read-ahead on
 	// or off, and how many tables install replayed rows at once
 	// (engine.Options.RecoveryWorkers). 0 means one per CPU; 1 runs
@@ -240,14 +237,13 @@ func Open(opts Options) (*DB, error) {
 	}
 	h := &ledgerHook{}
 	edb, err := engine.Open(engine.Options{
-		Dir:               opts.Dir,
-		Sync:              opts.Sync,
-		LockTimeout:       opts.LockTimeout,
-		Hook:              h,
-		Obs:               opts.Obs,
-		Clock:             opts.Clock,
-		VersionGCInterval: opts.VersionGCInterval,
-		RecoveryWorkers:   opts.RecoveryWorkers,
+		Dir:             opts.Dir,
+		Sync:            opts.Sync,
+		LockTimeout:     opts.LockTimeout,
+		Hook:            h,
+		Obs:             opts.Obs,
+		Clock:           opts.Clock,
+		RecoveryWorkers: opts.RecoveryWorkers,
 	})
 	if err != nil {
 		return nil, err

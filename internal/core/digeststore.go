@@ -100,8 +100,12 @@ type DigestUploader struct {
 	mu      sync.Mutex
 	last    *Digest
 	uploads int
-	errs    []error
+	errs    []error // the latest maxUploadErrs failures, oldest first
 }
+
+// maxUploadErrs caps the failures an uploader keeps: a store that stays
+// down fails every cycle, and the loop may run every few milliseconds.
+const maxUploadErrs = 16
 
 // NewDigestUploader creates an uploader writing to store.
 func NewDigestUploader(db *DB, store blobstore.Store) *DigestUploader {
@@ -132,6 +136,9 @@ func (u *DigestUploader) Start(interval time.Duration) {
 	u.loop.start(interval, func() {
 		if _, err := u.UploadOnce(); err != nil && err != ErrEmptyLedger {
 			u.mu.Lock()
+			if len(u.errs) == maxUploadErrs {
+				u.errs = append(u.errs[:0], u.errs[1:]...)
+			}
 			u.errs = append(u.errs, err)
 			u.mu.Unlock()
 		}
@@ -149,7 +156,8 @@ func (u *DigestUploader) Uploads() int {
 	return u.uploads
 }
 
-// Errs returns upload errors accumulated by the periodic loop.
+// Errs returns the periodic loop's most recent upload errors, at most
+// maxUploadErrs of them, oldest first.
 func (u *DigestUploader) Errs() []error {
 	u.mu.Lock()
 	defer u.mu.Unlock()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -75,8 +76,8 @@ func TestUploadIdempotentPerBlock(t *testing.T) {
 	if d1.BlockID != d2.BlockID || d1.Hash != d2.Hash {
 		t.Fatalf("idempotent upload changed digest: %+v vs %+v", d1, d2)
 	}
-	if store.Len() != 1 {
-		t.Fatalf("blobs = %d", store.Len())
+	if names, err := store.List(""); err != nil || len(names) != 1 {
+		t.Fatalf("blobs = %v (%v), want one", names, err)
 	}
 }
 
@@ -140,6 +141,37 @@ func TestPeriodicUploader(t *testing.T) {
 	}
 	for _, err := range u.Errs() {
 		t.Fatalf("uploader error: %v", err)
+	}
+}
+
+// downStore is a digest store that is down: every Put and Get fails, and
+// puts counts the Puts.
+type downStore struct{ puts atomic.Int64 }
+
+func (s *downStore) Put(string, []byte) error      { s.puts.Add(1); return errors.New("store down") }
+func (s *downStore) Get(string) ([]byte, error)    { return nil, errors.New("store down") }
+func (s *downStore) List(string) ([]string, error) { return nil, errors.New("store down") }
+
+// TestUploaderKeepsRecentErrors: against a store that stays down, the
+// periodic uploader keeps only its maxUploadErrs latest errors.
+func TestUploaderKeepsRecentErrors(t *testing.T) {
+	l := openTestLedger(t, 100)
+	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
+	commitAccounts(t, l, lt, "a")
+	store := &downStore{}
+	u := NewDigestUploader(l, store)
+	u.Start(time.Millisecond)
+	deadline := time.Now().Add(5 * time.Second)
+	for store.puts.Load() < 20 {
+		if time.Now().After(deadline) {
+			u.Stop()
+			t.Fatalf("%d failed puts in 5s, want 20", store.puts.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	u.Stop()
+	if errs := u.Errs(); len(errs) != maxUploadErrs {
+		t.Fatalf("uploader kept %d errors after %d failed cycles, want %d", len(errs), store.puts.Load(), maxUploadErrs)
 	}
 }
 

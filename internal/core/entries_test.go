@@ -61,7 +61,7 @@ func sysTxRowOf(t *testing.T, l *DB, txID uint64) (*engine.Table, []byte) {
 		t.Fatal(err)
 	}
 	key := sqltypes.EncodeKey(nil, sqltypes.NewBigInt(int64(txID)))
-	if _, ok := tab.Lookup(key); !ok {
+	if !tab.Has(key) {
 		t.Fatalf("transaction %d has no persisted entry", txID)
 	}
 	return tab, key

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sqlledger/internal/engine"
+	"sqlledger/internal/obs"
 	"sqlledger/internal/sqltypes"
 )
 
@@ -312,11 +313,12 @@ func TestNestedSavepoints(t *testing.T) {
 func TestRollbackWholeTxLeavesNoTrace(t *testing.T) {
 	l := openTestLedger(t, 100)
 	lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
-	sizeBefore := l.Engine().LogSize()
+	logged := func() int64 { return l.Obs().Snapshot().CounterValue(obs.WALAppendBytes) }
+	sizeBefore := logged()
 	tx := l.Begin("u")
 	tx.Insert(lt, account("ghost", 1))
 	tx.Rollback()
-	if l.Engine().LogSize() != sizeBefore {
+	if logged() != sizeBefore {
 		t.Fatal("rollback wrote to the WAL")
 	}
 	if lt.Table().RowCount() != 0 {

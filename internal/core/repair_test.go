@@ -165,8 +165,10 @@ func TestRepairRestoresBytesThatAreNoRow(t *testing.T) {
 		}
 	}
 	verifyOK(t, l, digests)
-	if row, ok := lt.Table().Lookup(key); !ok || row[0].Str != acctName(0) {
-		t.Fatalf("restored row reads %v, %v", row, ok)
+	rt := l.BeginReadOnly()
+	defer rt.Close()
+	if row, ok, err := rt.Get(lt, sqltypes.NewNVarChar(acctName(0))); err != nil || !ok || row[0].Str != acctName(0) {
+		t.Fatalf("restored row reads %v, %v, %v", row, ok, err)
 	}
 }
 

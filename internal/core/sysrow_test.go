@@ -120,7 +120,7 @@ func TestSystemRowRetaggedIntegerIsAFinding(t *testing.T) {
 				var row sqltypes.Row
 				tab.ScanRangeStored(key, nil, func(_, stored []byte) bool {
 					var err error
-					if row, _, err = sqltypes.DecodeRow(stored); err != nil {
+					if row, err = sqltypes.DecodeRowAlias(nil, stored, nil); err != nil {
 						t.Fatal(err)
 					}
 					return false

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sqlledger/internal/engine"
+	"sqlledger/internal/obs"
 	"sqlledger/internal/sqltypes"
 )
 
@@ -327,7 +328,7 @@ func TestWritelessTxTakesNoOrdinal(t *testing.T) {
 	commitOne(t, l, lt, "a")
 	state := func() [4]int64 {
 		block, ord, queued := l.entries.position()
-		return [4]int64{int64(block), int64(ord), int64(queued), l.edb.LogSize()}
+		return [4]int64{int64(block), int64(ord), int64(queued), l.Obs().Snapshot().CounterValue(obs.WALAppendBytes)}
 	}
 	for _, tc := range []struct {
 		name   string
@@ -374,8 +375,7 @@ func TestFinishedTransactionIsDone(t *testing.T) { t.Run("shards=1", finishedTra
 
 func finishedTransactionIsDone(t *testing.T) {
 	_, priv, _ := ed25519.GenerateKey(nil)
-	db, err := Open(Options{Dir: t.TempDir(), Name: "done",
-		VersionGCInterval: time.Hour, LockTimeout: 250 * time.Millisecond})
+	db, err := Open(Options{Dir: t.TempDir(), Name: "done", LockTimeout: 250 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@ type LedgerKind string
 
 // Ledger kinds.
 const (
-	LedgerNone       LedgerKind = ""
 	LedgerUpdateable LedgerKind = "updateable"
 	LedgerAppendOnly LedgerKind = "append_only"
 	LedgerHistory    LedgerKind = "history"
@@ -133,7 +132,7 @@ func outside(ords []int, s *sqltypes.Schema) bool {
 // the sequence of ddlOps reproduces the catalog; Meta carries the full
 // post-operation TableMeta so replay is a simple upsert.
 type ddlOp struct {
-	Kind  string // "create_table", "alter_table", "create_index", "drop_index"
+	Kind  string // "create_table", "alter_table", "create_index"
 	Meta  *TableMeta
 	Index *IndexMeta
 }

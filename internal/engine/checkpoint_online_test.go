@@ -63,7 +63,7 @@ func TestCheckpointCommitterProgress(t *testing.T) {
 	if tab2.RowCount() != 101 {
 		t.Fatalf("rows after reopen = %d, want 101", tab2.RowCount())
 	}
-	if _, ok := tab2.Lookup(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(1000))); !ok {
+	if _, ok := tab2.getAt(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(1000)), latest, nil); !ok {
 		t.Fatal("mid-write commit lost across restart")
 	}
 }
@@ -218,7 +218,7 @@ func dumpState(t *testing.T, db *DB) string {
 	var sb strings.Builder
 	for _, tab := range db.Tables() {
 		fmt.Fprintf(&sb, "table %d %s live=%d versions=%d\n",
-			tab.ID(), tab.Name(), tab.RowCount(), tab.VersionCount())
+			tab.ID(), tab.Name(), tab.RowCount(), tableVersions(tab))
 		tab.Scan(func(k []byte, row sqltypes.Row) bool {
 			fmt.Fprintf(&sb, "  row %x = %v\n", k, row)
 			return true

@@ -58,10 +58,6 @@ type Options struct {
 	// reproducible across runs, which equivalence tests and benchmarks
 	// rely on. nil uses the wall clock.
 	Clock func() int64
-	// VersionGCInterval paces the background sweep that reclaims row
-	// versions older than the oldest active snapshot; zero keeps the
-	// default (250ms).
-	VersionGCInterval time.Duration
 	// RecoveryWorkers sets the parallelism of crash recovery. Redo always
 	// replays the snapshot and then the log in order on one loop; above 1,
 	// a goroutine reads and decodes the log a batch ahead of it, and this
@@ -182,9 +178,6 @@ func Open(opts Options) (*DB, error) {
 	if opts.LockTimeout == 0 {
 		opts.LockTimeout = 2 * time.Second
 	}
-	if opts.VersionGCInterval == 0 {
-		opts.VersionGCInterval = versionGCInterval
-	}
 	if opts.Clock == nil {
 		opts.Clock = func() int64 { return time.Now().UnixNano() }
 	}
@@ -256,9 +249,6 @@ func (db *DB) Dir() string { return db.opts.Dir }
 // database's incarnation (§3.6).
 func (db *DB) CreateTime() int64 { return db.log.CreateTime() }
 
-// LogSize returns the current WAL size in bytes.
-func (db *DB) LogSize() int64 { return db.log.Size() }
-
 // ReadFrame returns the records of the WAL frame at lsn (wal.Log.ReadFrame).
 func (db *DB) ReadFrame(lsn int64) ([]wal.Record, error) { return db.log.ReadFrame(lsn) }
 
@@ -268,9 +258,6 @@ func (db *DB) ReadFrame(lsn int64) ([]wal.Record, error) { return db.log.ReadFra
 func (db *DB) LastCommitTS() int64 {
 	return db.lastCommitTS.Load()
 }
-
-// Obs returns the database's metrics registry.
-func (db *DB) Obs() *obs.Registry { return db.obs }
 
 // Table returns the runtime table for a (non-dropped) name.
 func (db *DB) Table(name string) (*Table, error) {

@@ -3,7 +3,6 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
-	"slices"
 	"strings"
 
 	"sqlledger/internal/sqltypes"
@@ -11,7 +10,7 @@ import (
 )
 
 // Each kind of catalog change has one function — installTable,
-// replaceMeta, attachIndex, detachIndex — that checks the metadata
+// replaceMeta, attachIndex — that checks the metadata
 // (checkTable, checkIndex) and then applies it. A live DDL method calls it
 // before logging the change (liveDDL), and redo (redoDDL) calls the same
 // function with what the log holds: a replayed change is the change that
@@ -78,21 +77,6 @@ func (db *DB) attachIndex(im *IndexMeta) (*Index, error) {
 	return ix, nil
 }
 
-// detachIndex removes the index with im's id from the catalog and from its
-// table.
-func (db *DB) detachIndex(im *IndexMeta) error {
-	if im == nil || db.cat.Indexes[im.ID] == nil {
-		return fmt.Errorf("engine: drop of an index not in the catalog")
-	}
-	im = db.cat.Indexes[im.ID]
-	delete(db.cat.Indexes, im.ID)
-	t := db.tables[im.TableID]
-	t.mu.Lock()
-	t.indexes = slices.DeleteFunc(t.indexes, func(ix *Index) bool { return ix.meta.ID == im.ID })
-	t.mu.Unlock()
-	return nil
-}
-
 // redoDDL replays the catalog change a DDL record's body logs.
 func (db *DB) redoDDL(body []byte) error {
 	var op ddlOp
@@ -110,8 +94,6 @@ func (db *DB) redoDDL(body []byte) error {
 	case "create_index":
 		_, err := db.attachIndex(op.Index)
 		return err
-	case "drop_index":
-		return db.detachIndex(op.Index)
 	}
 	return fmt.Errorf("engine: unknown ddl kind %q", op.Kind)
 }
@@ -247,17 +229,4 @@ func (db *DB) CreateIndex(tableName, indexName string, colNames ...string) (*Ind
 		return nil, err
 	}
 	return ix, nil
-}
-
-// DropIndex removes a nonclustered index. Index drops are physical schema
-// changes and do not affect ledger hashes (§3.5).
-func (db *DB) DropIndex(indexName string) error {
-	return db.liveDDL(func() (ddlOp, error) {
-		for _, im := range db.cat.Indexes {
-			if strings.EqualFold(im.Name, indexName) {
-				return ddlOp{Kind: "drop_index", Index: im}, db.detachIndex(im)
-			}
-		}
-		return ddlOp{}, fmt.Errorf("engine: index %q not found", indexName)
-	})
 }

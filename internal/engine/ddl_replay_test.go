@@ -41,25 +41,6 @@ func TestDDLReplayCreateIndex(t *testing.T) {
 	}
 }
 
-func TestDDLReplayDropIndex(t *testing.T) {
-	dir := t.TempDir()
-	db := openDBAt(t, dir)
-	mustCreate(t, db, "t", kvSchema())
-	if _, err := db.CreateIndex("t", "ix_v", "v"); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.DropIndex("ix_v"); err != nil {
-		t.Fatal(err)
-	}
-	db.Close()
-
-	db2 := openDBAt(t, dir)
-	tab2, _ := db2.Table("t")
-	if len(tab2.Indexes()) != 0 {
-		t.Fatal("dropped index resurrected by replay")
-	}
-}
-
 func TestDDLReplayAlterTable(t *testing.T) {
 	dir := t.TempDir()
 	db := openDBAt(t, dir)
@@ -90,7 +71,7 @@ func TestDDLReplayAlterTable(t *testing.T) {
 	if len(tab2.Schema().Columns) != 3 {
 		t.Fatalf("columns after replay = %d", len(tab2.Schema().Columns))
 	}
-	r, ok := tab2.Lookup(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(1)))
+	r, ok := tab2.getAt(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(1)), latest, nil)
 	if !ok || len(r) != 3 || !r[2].Null {
 		t.Fatalf("row not widened by replayed alter: %v", r)
 	}
@@ -110,7 +91,7 @@ func TestDDLReplayInterleavedWithDML(t *testing.T) {
 	tx = db.Begin("u")
 	tx.Insert(tab, kv(2, "b"))
 	commit(t, db, tx)
-	if err := db.DropIndex("ix1"); err != nil {
+	if _, err := db.CreateIndex("t", "ix2", "v"); err != nil {
 		t.Fatal(err)
 	}
 	tx = db.Begin("u")
@@ -120,7 +101,7 @@ func TestDDLReplayInterleavedWithDML(t *testing.T) {
 
 	db2 := openDBAt(t, dir)
 	tab2, _ := db2.Table("t")
-	if tab2.RowCount() != 3 || len(tab2.Indexes()) != 0 {
+	if tab2.RowCount() != 3 || len(tab2.Indexes()) != 2 {
 		t.Fatalf("state after replay: rows=%d indexes=%d", tab2.RowCount(), len(tab2.Indexes()))
 	}
 }
@@ -128,11 +109,11 @@ func TestDDLReplayInterleavedWithDML(t *testing.T) {
 func TestDirectInsertBypassesWAL(t *testing.T) {
 	db := openTestDB(t)
 	tab := mustCreate(t, db, "t", kvSchema())
-	before := db.LogSize()
+	before := db.log.Size()
 	if _, err := db.DirectInsert(tab, kv(1, "direct")); err != nil {
 		t.Fatal(err)
 	}
-	if db.LogSize() != before {
+	if db.log.Size() != before {
 		t.Fatal("DirectInsert wrote to the WAL")
 	}
 	if tab.RowCount() != 1 {
@@ -168,15 +149,8 @@ func TestAccessors(t *testing.T) {
 		t.Fatal("Tables empty")
 	}
 	tx := db.Begin("alice")
-	if tx.User() != "alice" {
-		t.Fatal("User wrong")
-	}
-	if tx.CurrentSeq() != 0 {
-		t.Fatal("fresh tx seq != 0")
-	}
-	tx.NextSeq()
-	if tx.CurrentSeq() != 1 {
-		t.Fatal("seq not advanced")
+	if tx.NextSeq() != 1 || tx.NextSeq() != 2 {
+		t.Fatal("sequence numbers do not start at 1 and advance")
 	}
 	if tx.WriteCount() != 0 {
 		t.Fatal("fresh tx has writes")
@@ -190,12 +164,12 @@ func TestAccessors(t *testing.T) {
 
 func TestEmptyCommitIsNoop(t *testing.T) {
 	db := openTestDB(t)
-	before := db.LogSize()
+	before := db.log.Size()
 	tx := db.Begin("u")
 	if _, err := db.Commit(tx); err != nil {
 		t.Fatal(err)
 	}
-	if db.LogSize() != before {
+	if db.log.Size() != before {
 		t.Fatal("read-only commit wrote to the WAL")
 	}
 }

@@ -174,7 +174,7 @@ func TestSavepointPartialRollback(t *testing.T) {
 	if tab.RowCount() != 2 {
 		t.Fatalf("rowcount = %d, want 2 (keys 1 and 5)", tab.RowCount())
 	}
-	if _, ok := tab.Lookup(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(5))); !ok {
+	if _, ok := tab.getAt(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(5)), latest, nil); !ok {
 		t.Fatal("post-rollback write lost")
 	}
 }
@@ -256,7 +256,7 @@ func TestLockWaitSucceedsAfterRelease(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("waiter failed: %v", err)
 	}
-	if r, _ := tab.Lookup(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(1))); r[1].Str != "b" {
+	if r, _ := tab.getAt(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(1)), latest, nil); r[1].Str != "b" {
 		t.Fatalf("final value = %s", r[1].Str)
 	}
 }
@@ -405,15 +405,6 @@ func TestIndexesMaintainedAndQueried(t *testing.T) {
 	if n != tab.RowCount() {
 		t.Fatalf("index entries = %d, rows = %d", n, tab.RowCount())
 	}
-	if err := db.DropIndex("ix_city"); err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Indexes()) != 0 {
-		t.Fatal("index not dropped")
-	}
-	if err := db.DropIndex("ix_city"); err == nil {
-		t.Fatal("double drop accepted")
-	}
 }
 
 func TestDDLValidation(t *testing.T) {
@@ -457,7 +448,7 @@ func TestReopenReplaysWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := tab2.Lookup(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(1)))
+	r, ok := tab2.getAt(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(1)), latest, nil)
 	if !ok || r[1].Str != "updated" {
 		t.Fatalf("replayed row = %v, %v", r, ok)
 	}
@@ -492,7 +483,7 @@ func TestCheckpointAndRecoveryFromSnapshot(t *testing.T) {
 	if tab2.RowCount() != 50 {
 		t.Fatalf("rowcount = %d", tab2.RowCount())
 	}
-	r, _ := tab2.Lookup(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(7)))
+	r, _ := tab2.getAt(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(7)), latest, nil)
 	if r[1].Str != "post-ckpt" {
 		t.Fatalf("post-checkpoint update lost: %v", r)
 	}
@@ -617,7 +608,7 @@ func TestAlterTableMetaWidensRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, _ := tab.Lookup(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(1)))
+	r, _ := tab.getAt(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(1)), latest, nil)
 	if len(r) != 3 || !r[2].Null {
 		t.Fatalf("row not widened: %v", r)
 	}
@@ -630,7 +621,7 @@ func TestTamperBypassesEverything(t *testing.T) {
 	tx.Insert(tab, kv(1, "honest"))
 	commit(t, db, tx)
 	key := sqltypes.EncodeKey(nil, sqltypes.NewBigInt(1))
-	logBefore := db.LogSize()
+	logBefore := db.log.Size()
 	err := db.TamperUpdateRow(tab, key, func(r sqltypes.Row) sqltypes.Row {
 		r[1] = sqltypes.NewNVarChar("tampered")
 		return r
@@ -638,10 +629,10 @@ func TestTamperBypassesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.LogSize() != logBefore {
+	if db.log.Size() != logBefore {
 		t.Fatal("tamper must not write to the WAL")
 	}
-	r, _ := tab.Lookup(key)
+	r, _ := tab.getAt(key, latest, nil)
 	if r[1].Str != "tampered" {
 		t.Fatal("tamper had no effect")
 	}
@@ -688,7 +679,7 @@ func TestRestoreToTime(t *testing.T) {
 	if rtab.RowCount() != 1 {
 		t.Fatalf("restored rowcount = %d, want 1", rtab.RowCount())
 	}
-	if _, ok := rtab.Lookup(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(2))); ok {
+	if _, ok := rtab.getAt(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(2)), latest, nil); ok {
 		t.Fatal("post-cutoff row present after restore")
 	}
 }
@@ -832,7 +823,7 @@ func TestScanShardsCoverExactly(t *testing.T) {
 		}
 		var got []string
 		for _, kr := range shards {
-			tab.ScanRange(kr.Start, kr.End, func(k []byte, _ sqltypes.Row) bool {
+			tab.scanAt(kr.Start, kr.End, latest, nil, func(k []byte, _ sqltypes.Row) bool {
 				got = append(got, string(k))
 				return true
 			})
@@ -856,7 +847,7 @@ func TestScanShardsEmptyTable(t *testing.T) {
 		t.Fatalf("empty table shards = %+v, want one unbounded range", shards)
 	}
 	rows := 0
-	tab.ScanRange(shards[0].Start, shards[0].End, func([]byte, sqltypes.Row) bool {
+	tab.scanAt(shards[0].Start, shards[0].End, latest, nil, func([]byte, sqltypes.Row) bool {
 		rows++
 		return true
 	})

@@ -72,7 +72,8 @@ func TestCommitStressConcurrent(t *testing.T) {
 		t.Fatal("LastCommitTS not advanced")
 	}
 
-	commits, groups := db.Obs().Counter(obs.WALGroupCommits).Value(), db.Obs().Counter(obs.WALGroups).Value()
+	snap := db.obs.Snapshot()
+	commits, groups := snap.CounterValue(obs.WALGroupCommits), snap.CounterValue(obs.WALGroups)
 	if commits != 2*clients*perClient {
 		t.Fatalf("group committer saw %d commits, want %d", commits, 2*clients*perClient)
 	}
@@ -120,8 +121,7 @@ func TestLoneCommitFlushesOnCallersGoroutine(t *testing.T) {
 		t.Fatalf("Open started %d goroutines, want 1 (version GC)", got-before)
 	}
 	tab := mustCreate(t, db, "kv", kvSchema())
-	reg := db.Obs()
-	fsyncs0 := reg.Counter(obs.WALFsyncTotal).Value()
+	fsyncs0 := db.obs.Snapshot().CounterValue(obs.WALFsyncTotal)
 	const n = 1000
 	for i := int64(0); i < n; i++ {
 		tx := db.Begin("u")
@@ -133,8 +133,9 @@ func TestLoneCommitFlushesOnCallersGoroutine(t *testing.T) {
 			t.Fatalf("commit %d: %d goroutines, want at most %d", i, got, before+1)
 		}
 	}
-	if c, g, f := reg.Counter(obs.WALGroupCommits).Value(), reg.Counter(obs.WALGroups).Value(),
-		reg.Counter(obs.WALFsyncTotal).Value()-fsyncs0; c != n || g != n || f != n {
+	snap := db.obs.Snapshot()
+	if c, g, f := snap.CounterValue(obs.WALGroupCommits), snap.CounterValue(obs.WALGroups),
+		snap.CounterValue(obs.WALFsyncTotal)-fsyncs0; c != n || g != n || f != n {
 		t.Fatalf("commits/groups/fsyncs = %d/%d/%d, want %d each", c, g, f, n)
 	}
 	if got := tab.RowCount(); got != n {
@@ -188,7 +189,7 @@ func TestCommitLogFailureRetiresTimestamps(t *testing.T) {
 	rtx := db.BeginReadOnly()
 	defer rtx.Close()
 	rows := 0
-	rtx.Scan(tab, func([]byte, sqltypes.Row) bool { rows++; return true })
+	rtx.ScanRange(tab, nil, nil, func([]byte, sqltypes.Row) bool { rows++; return true })
 	if rows != 1 || tab.RowCount() != 1 {
 		t.Fatalf("snapshot sees %d rows, table holds %d; want only the durable one", rows, tab.RowCount())
 	}

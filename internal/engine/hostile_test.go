@@ -112,9 +112,9 @@ func requireOpenFails(t *testing.T, dir, want string) {
 }
 
 // TestHostileDDLRecords: a DDL record redo would have to trust — no
-// metadata, an unknown table or index, an index column outside the schema,
-// a payload that does not decode — fails Open with an error naming the
-// record.
+// metadata, an unknown table, an index column outside the schema, a kind
+// redo does not know (no build writes drop_index any more), a payload that
+// does not decode — fails Open with an error naming the record.
 func TestHostileDDLRecords(t *testing.T) {
 	for _, c := range []struct {
 		name, kind string
@@ -249,7 +249,7 @@ func TestHostileCatalogSnapshot(t *testing.T) {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
 				got := dumpState(t, db)
-				skipped := db.Obs().Events().RecentOfType(obs.EventSnapshotSkipped, 10)
+				skipped := db.obs.Events().RecentOfType(obs.EventSnapshotSkipped, 10)
 				db.Close()
 				if got != want {
 					t.Fatalf("workers=%d: state after fallback:\n%s\nwant:\n%s", workers, got, want)
@@ -317,7 +317,7 @@ func TestHostileSnapshotSections(t *testing.T) {
 			if got := dumpState(t, db); got != want {
 				t.Fatalf("state after fallback:\n%s\nwant:\n%s", got, want)
 			}
-			if ev := db.Obs().Events().RecentOfType(obs.EventSnapshotSkipped, 10); len(ev) != 1 ||
+			if ev := db.obs.Events().RecentOfType(obs.EventSnapshotSkipped, 10); len(ev) != 1 ||
 				!strings.Contains(fmt.Sprint(ev[0].Attrs[1].Value), c.reason) {
 				t.Fatalf("skip events %+v, want one for %q", ev, c.reason)
 			}
@@ -394,7 +394,7 @@ func checkLoaded(t *testing.T, db *DB) {
 			})
 		}
 		for _, k := range keys {
-			if _, ok := tab.Lookup(k); !ok {
+			if _, ok := tab.getAt(k, latest, nil); !ok {
 				t.Fatalf("table %d: key %x is scanned or indexed but Get misses it", tab.ID(), k)
 			}
 		}

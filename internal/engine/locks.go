@@ -67,18 +67,12 @@ func (lt *lockTable) shard(k lockKey) *lockShard {
 	return &lt.shards[h%lockShards]
 }
 
-// acquire takes the exclusive lock on (table, key) for owner, waiting up
-// to timeout. Re-acquisition by the current owner succeeds immediately.
-func (lt *lockTable) acquire(owner uint64, table uint32, key []byte, timeout time.Duration) error {
-	_, _, err := lt.acquireTraced(owner, lockKey{table: table, key: string(key)}, timeout)
-	return err
-}
-
-// acquireTraced is acquire for a traced transaction: a contended wait is
-// observed into the wait histogram, and the wait duration and its start
-// are returned (zero when the lock was free) so the caller can record a
-// trace span.
-func (lt *lockTable) acquireTraced(owner uint64, k lockKey, timeout time.Duration) (time.Duration, time.Time, error) {
+// acquire takes the exclusive lock k for owner, waiting up to timeout.
+// Re-acquisition by the current owner succeeds immediately. A contended
+// wait is observed into the wait histogram, and the wait duration and its
+// start are returned (zero when the lock was free) so the caller can record
+// a trace span.
+func (lt *lockTable) acquire(owner uint64, k lockKey, timeout time.Duration) (time.Duration, time.Time, error) {
 	s := lt.shard(k)
 	var waitStart, deadline time.Time
 	for {
@@ -135,20 +129,6 @@ func (lt *lockTable) acquireTraced(owner uint64, k lockKey, timeout time.Duratio
 			return time.Since(waitStart), waitStart, ErrLockTimeout
 		}
 	}
-}
-
-// entryCount returns the number of live lock entries across all shards.
-// Test support: after every transaction finishes, the table must be empty
-// (no leaked registrations).
-func (lt *lockTable) entryCount() int {
-	n := 0
-	for i := range lt.shards {
-		s := &lt.shards[i]
-		s.mu.Lock()
-		n += len(s.m)
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // release frees the lock on (table, key) if owner holds it.

@@ -68,14 +68,14 @@ func TestSnapshotReadsArePinned(t *testing.T) {
 
 	// Scans honor the same snapshot: r1 sees one row, r3 none.
 	n := 0
-	if err := r1.Scan(tab, func(_ []byte, _ sqltypes.Row) bool { n++; return true }); err != nil {
+	if err := r1.ScanRange(tab, nil, nil, func(_ []byte, _ sqltypes.Row) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 1 {
 		t.Fatalf("r1 scan saw %d rows, want 1", n)
 	}
 	n = 0
-	if err := r3.Scan(tab, func(_ []byte, _ sqltypes.Row) bool { n++; return true }); err != nil {
+	if err := r3.ScanRange(tab, nil, nil, func(_ []byte, _ sqltypes.Row) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 0 {
@@ -158,7 +158,7 @@ func TestVersionGCReclaims(t *testing.T) {
 		}
 		commit(t, db, tx)
 	}
-	if n := tab.VersionCount(); n != 6 {
+	if n := tableVersions(tab); n != 6 {
 		t.Fatalf("version count = %d, want 6", n)
 	}
 
@@ -175,7 +175,7 @@ func TestVersionGCReclaims(t *testing.T) {
 	if n := db.GCVersions(); n != 5 {
 		t.Fatalf("GC reclaimed %d versions after unpin, want 5", n)
 	}
-	if n := tab.VersionCount(); n != 1 {
+	if n := tableVersions(tab); n != 1 {
 		t.Fatalf("version count after GC = %d, want 1", n)
 	}
 
@@ -189,7 +189,7 @@ func TestVersionGCReclaims(t *testing.T) {
 	if n := db.GCVersions(); n != 2 {
 		t.Fatalf("GC reclaimed %d versions after delete, want 2 (old version + tombstone)", n)
 	}
-	if n := tab.VersionCount(); n != 0 {
+	if n := tableVersions(tab); n != 0 {
 		t.Fatalf("version count after tombstone GC = %d, want 0", n)
 	}
 	if n := tab.RowCount(); n != 0 {
@@ -414,13 +414,23 @@ func TestTamperVersionsLiveGauge(t *testing.T) {
 	if g := gauge(); g != 2 {
 		t.Fatalf("versions_live after TamperInsertRow = %v, want 2", g)
 	}
-	total := 0
-	for _, tt := range db.Tables() {
-		total += tt.VersionCount()
-	}
-	if g := gauge(); g != float64(total) {
+	if g, total := gauge(), totalVersions(db); g != float64(total) {
 		t.Fatalf("versions_live = %v, stored versions = %d", g, total)
 	}
+}
+
+// lockEntries returns the number of live lock entries across lt's shards:
+// after every transaction finishes, the table must be empty (no leaked
+// registrations).
+func lockEntries(lt *lockTable) int {
+	n := 0
+	for i := range lt.shards {
+		s := &lt.shards[i]
+		s.mu.Lock()
+		n += len(s.m)
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // TestLockTimeoutReleaseRace hammers the timeout-vs-release window of
@@ -438,26 +448,27 @@ func TestLockTimeoutReleaseRace(t *testing.T) {
 		go func(owner uint64) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				if err := lt.acquire(owner, 1, key, time.Millisecond); err == nil {
+				if _, _, err := lt.acquire(owner, lockKey{table: 1, key: string(key)}, time.Millisecond); err == nil {
 					lt.release(owner, 1, string(key))
 				}
 			}
 		}(o)
 	}
 	wg.Wait()
-	if n := lt.entryCount(); n != 0 {
+	if n := lockEntries(lt); n != 0 {
 		t.Fatalf("lock table has %d leaked entries after all owners finished", n)
 	}
 
 	// Deterministic single-waiter variant: the lock is released just as
 	// the waiter's timer fires; the waiter must succeed, not time out.
 	for i := 0; i < 50; i++ {
-		if err := lt.acquire(1, 2, key, time.Second); err != nil {
+		if _, _, err := lt.acquire(1, lockKey{table: 2, key: string(key)}, time.Second); err != nil {
 			t.Fatal(err)
 		}
 		done := make(chan error, 1)
 		go func() {
-			done <- lt.acquire(2, 2, key, 2*time.Millisecond)
+			_, _, err := lt.acquire(2, lockKey{table: 2, key: string(key)}, 2*time.Millisecond)
+			done <- err
 		}()
 		time.Sleep(2 * time.Millisecond)
 		lt.release(1, 2, string(key))
@@ -465,7 +476,7 @@ func TestLockTimeoutReleaseRace(t *testing.T) {
 			lt.release(2, 2, string(key))
 		}
 	}
-	if n := lt.entryCount(); n != 0 {
+	if n := lockEntries(lt); n != 0 {
 		t.Fatalf("lock table has %d leaked entries after timeout race", n)
 	}
 }

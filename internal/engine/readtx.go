@@ -86,14 +86,9 @@ func (rtx *ReadTx) GetStored(t *Table, key []byte) ([]byte, bool, error) {
 	return stored, ok, nil
 }
 
-// Scan iterates the rows visible at the snapshot in clustered-key order,
-// under Table.Scan's callback contract: key and row are valid only during
-// the callback.
-func (rtx *ReadTx) Scan(t *Table, fn func(key []byte, row sqltypes.Row) bool) error {
-	return rtx.ScanColumns(t, nil, nil, nil, fn)
-}
-
-// ScanRange is Scan bounded to start <= key < end (nil = unbounded).
+// ScanRange iterates the rows visible at the snapshot with start <= key <
+// end (nil = unbounded) in clustered-key order, under Table.Scan's callback
+// contract: key and row are valid only during the callback.
 func (rtx *ReadTx) ScanRange(t *Table, start, end []byte, fn func(key []byte, row sqltypes.Row) bool) error {
 	return rtx.ScanColumns(t, nil, start, end, fn)
 }
@@ -139,9 +134,8 @@ func (rtx *ReadTx) Close() {
 
 // --- Version GC --------------------------------------------------------
 
-// versionGCInterval is the default pace of the background sweep that
-// reclaims row versions older than the oldest active snapshot; override
-// it per instance with Options.VersionGCInterval.
+// versionGCInterval is the pace of the background sweep that reclaims row
+// versions older than the oldest active snapshot.
 const versionGCInterval = 250 * time.Millisecond
 
 // gcHorizon returns the timestamp below which superseded versions are
@@ -201,7 +195,7 @@ func (db *DB) GCVersions() int {
 // Close (before Close quiesces, to avoid a lock cycle).
 func (db *DB) versionGCLoop() {
 	defer close(db.gcDone)
-	tick := time.NewTicker(db.opts.VersionGCInterval)
+	tick := time.NewTicker(versionGCInterval)
 	defer tick.Stop()
 	for {
 		select {

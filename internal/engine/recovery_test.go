@@ -58,7 +58,7 @@ func TestCrashDuringBatchLosesWholeTransaction(t *testing.T) {
 	tx := db.Begin("u")
 	tx.Insert(tab, kv(1, "committed"))
 	commit(t, db, tx)
-	sizeAfterFirst := db.LogSize()
+	sizeAfterFirst := db.log.Size()
 	tx = db.Begin("u")
 	tx.Insert(tab, kv(2, "torn-1"))
 	tx.Insert(tab, kv(3, "torn-2"))
@@ -79,7 +79,7 @@ func TestCrashDuringBatchLosesWholeTransaction(t *testing.T) {
 	if tab2.RowCount() != 1 {
 		t.Fatalf("rows = %d: a torn transaction must be atomic", tab2.RowCount())
 	}
-	if _, ok := tab2.Lookup(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(2))); ok {
+	if _, ok := tab2.getAt(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(2)), latest, nil); ok {
 		t.Fatal("half of a torn transaction survived")
 	}
 }

@@ -48,7 +48,7 @@ func insertKV(t *testing.T, db *DB, name string, k int64, v string) {
 // for a reason that contains want.
 func requireSkipped(t *testing.T, db *DB, want string) {
 	t.Helper()
-	ev := db.Obs().Events().RecentOfType(obs.EventSnapshotSkipped, 10)
+	ev := db.obs.Events().RecentOfType(obs.EventSnapshotSkipped, 10)
 	if len(ev) != 1 || !strings.Contains(fmt.Sprint(ev[0].Attrs[1].Value), want) {
 		t.Fatalf("skip events %+v, want one for %q", ev, want)
 	}
@@ -95,7 +95,7 @@ func TestSnapshotPastRepairedLogEndSkipped(t *testing.T) {
 	dir := t.TempDir()
 	db := openDBAt(t, dir)
 	insertKV(t, db, "t", 1, "a")
-	bAt := db.LogSize()
+	bAt := db.log.Size()
 	insertKV(t, db, "t", 2, "b")
 	if _, err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestOldSnapshotFilesIgnored(t *testing.T) {
 
 	db = openDBAt(t, dir)
 	defer db.Close()
-	if ev := db.Obs().Events().RecentOfType(obs.EventSnapshotSkipped, 10); len(ev) != 0 {
+	if ev := db.obs.Events().RecentOfType(obs.EventSnapshotSkipped, 10); len(ev) != 0 {
 		t.Fatalf("skip events %+v: an old snapshot file was read", ev)
 	}
 	if got := dumpState(t, db); got != want {

@@ -50,7 +50,7 @@ func TestPruneClearsVacatedSlots(t *testing.T) {
 // row handed to the callback is one buffer, rewritten for the next row, so
 // a row kept without Clone changes and a cloned one does not — across
 // Table.Scan, Tx.ScanRange (storage rows merged with the transaction's own
-// writes), ReadTx.Scan and LookupIndexPrefix.
+// writes), ReadTx.ScanRange and LookupIndexPrefix.
 func TestScanRowIsCallbackScoped(t *testing.T) {
 	db := openTestDB(t)
 	tab := mustCreate(t, db, "t", kvSchema())
@@ -77,9 +77,9 @@ func TestScanRowIsCallbackScoped(t *testing.T) {
 	defer rtx.Close()
 
 	for name, scan := range map[string]func(fn func([]byte, sqltypes.Row) bool){
-		"Table.Scan":  tab.Scan,
-		"Tx.Scan":     func(fn func([]byte, sqltypes.Row) bool) { tx.Scan(tab, fn) },
-		"ReadTx.Scan": func(fn func([]byte, sqltypes.Row) bool) { rtx.Scan(tab, fn) },
+		"Table.Scan":       tab.Scan,
+		"Tx.Scan":          func(fn func([]byte, sqltypes.Row) bool) { tx.Scan(tab, fn) },
+		"ReadTx.ScanRange": func(fn func([]byte, sqltypes.Row) bool) { rtx.ScanRange(tab, nil, nil, fn) },
 		"LookupIndexPrefix": func(fn func([]byte, sqltypes.Row) bool) {
 			tab.LookupIndexPrefix(ix, []sqltypes.Value{sqltypes.NewNVarChar("same")}, fn)
 		},
@@ -374,7 +374,7 @@ func TestScanRangeStoredIsOneSnapshotScan(t *testing.T) {
 	rtx := db.BeginReadOnly()
 	defer rtx.Close()
 	var want []string
-	if err := rtx.Scan(tab, func(k []byte, r sqltypes.Row) bool {
+	if err := rtx.ScanRange(tab, nil, nil, func(k []byte, r sqltypes.Row) bool {
 		want = append(want, string(k)+"="+string(EncodeStoredRow(r)))
 		return true
 	}); err != nil {
@@ -552,10 +552,10 @@ func TestStoredPrimitives(t *testing.T) {
 		t.Fatal("InsertHeap accepted a keyed table")
 	}
 	commit(t, db, tx)
-	if n := db.locks.entryCount(); n != 0 {
+	if n := lockEntries(db.locks); n != 0 {
 		t.Fatalf("%d lock entries after commit", n)
 	}
-	if _, ok := tab.Lookup(key); ok {
+	if _, ok := tab.getAt(key, latest, nil); ok {
 		t.Fatal("deleted row is still there")
 	}
 
@@ -626,8 +626,8 @@ func TestLockTableEmptyAfterLedgerShapedTransactions(t *testing.T) {
 			t.Fatal(err)
 		}
 		update(tx, 4, "b")
-		if db.locks.entryCount() != 4 { // rows 1-4: a savepoint rollback keeps its locks
-			t.Fatalf("%d lock entries mid-transaction, want 4", db.locks.entryCount())
+		if lockEntries(db.locks) != 4 { // rows 1-4: a savepoint rollback keeps its locks
+			t.Fatalf("%d lock entries mid-transaction, want 4", lockEntries(db.locks))
 		}
 	}
 	for name, end := range map[string]func(tx *Tx) error{
@@ -639,7 +639,7 @@ func TestLockTableEmptyAfterLedgerShapedTransactions(t *testing.T) {
 		if err := end(tx); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if n := db.locks.entryCount(); n != 0 {
+		if n := lockEntries(db.locks); n != 0 {
 			t.Errorf("%s left %d lock entries", name, n)
 		}
 	}

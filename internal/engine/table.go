@@ -97,19 +97,6 @@ func (t *Table) RowCount() int {
 	return t.liveRows
 }
 
-// VersionCount returns the total number of stored row versions, live and
-// superseded (GC observability).
-func (t *Table) VersionCount() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	n := 0
-	t.rows.Ascend(func(_ []byte, c *versionChain) bool {
-		n += c.versionCount()
-		return true
-	})
-	return n
-}
-
 // KeyFor computes the clustered key bytes Insert would assign to row. Not
 // valid for heap tables, whose keys are allocated at insert time
 // (allocRID). Batched ingest uses it to encode keys on worker goroutines
@@ -208,12 +195,6 @@ func (t *Table) getAt(key []byte, ts int64, ords []int) (sqltypes.Row, bool) {
 		return nil, false
 	}
 	return t.decodeLocked(nil, stored, ords), true
-}
-
-// Lookup returns the committed row stored under key, outside any
-// transaction (read-committed point read). The row is the caller's.
-func (t *Table) Lookup(key []byte) (sqltypes.Row, bool) {
-	return t.getAt(key, latest, nil)
 }
 
 // LookupStored returns the stored bytes of the committed row under key,
@@ -431,12 +412,6 @@ func (t *Table) entryKeyLocked(dst []byte, ix *Index, clusteredKey, stored []byt
 // copied out freely; what they point to never changes).
 func (t *Table) Scan(fn func(key []byte, row sqltypes.Row) bool) {
 	t.scanAt(nil, nil, latest, nil, fn)
-}
-
-// ScanRange iterates the latest committed rows with start <= key < end,
-// under Scan's callback contract.
-func (t *Table) ScanRange(start, end []byte, fn func(key []byte, row sqltypes.Row) bool) {
-	t.scanAt(start, end, latest, nil, fn)
 }
 
 // scanAt iterates the rows visible to a snapshot pinned at ts with start <=

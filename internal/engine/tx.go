@@ -15,7 +15,6 @@ var (
 	ErrNotFound     = errors.New("engine: row not found")
 	ErrDuplicateKey = errors.New("engine: duplicate key")
 	ErrTxDone       = errors.New("engine: transaction already finished")
-	ErrReadOnly     = errors.New("engine: table is not writable in this context")
 	// ErrClosed is returned to commits and checkpoints on a closed database.
 	ErrClosed = errors.New("engine: database closed")
 )
@@ -127,9 +126,6 @@ type overlay struct {
 // ID returns the transaction id.
 func (tx *Tx) ID() uint64 { return tx.id }
 
-// User returns the identity that started the transaction.
-func (tx *Tx) User() string { return tx.user }
-
 // NextSeq returns the next ledger operation sequence number within the
 // transaction, starting at 1.
 func (tx *Tx) NextSeq() uint32 {
@@ -137,15 +133,9 @@ func (tx *Tx) NextSeq() uint32 {
 	return tx.seq
 }
 
-// CurrentSeq returns the last sequence number handed out.
-func (tx *Tx) CurrentSeq() uint32 { return tx.seq }
-
 // SetTrace attaches the transaction's trace (nil is fine). The caller
 // that sets it owns Finish; the engine only records spans into it.
 func (tx *Tx) SetTrace(tr *obs.Trace) { tx.trace = tr }
-
-// Trace returns the transaction's trace (nil when tracing is off).
-func (tx *Tx) Trace() *obs.Trace { return tx.trace }
 
 func (tx *Tx) overlayFor(tableID uint32) *overlay {
 	ov := tx.overlays[tableID]
@@ -161,7 +151,7 @@ func (tx *Tx) lock(t *Table, key []byte) error {
 	if _, held := tx.locks[lk]; held {
 		return nil
 	}
-	wait, start, err := tx.db.locks.acquireTraced(tx.id, lk, tx.db.opts.LockTimeout)
+	wait, start, err := tx.db.locks.acquire(tx.id, lk, tx.db.opts.LockTimeout)
 	if wait > 0 {
 		// Contended only: the trace accumulates every lock wait in the
 		// transaction into one span; the uncontended path records nothing.

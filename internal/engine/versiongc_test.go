@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"sqlledger/internal/obs"
 	"sqlledger/internal/sqltypes"
 )
 
@@ -65,10 +66,23 @@ func fullWalkPrune(db *DB, horizon int64) (string, int) {
 	return sb.String(), reclaimed
 }
 
+// tableVersions counts tab's stored row versions, live and superseded: the
+// per-table share of the versions_live gauge, which only the chains hold.
+func tableVersions(tab *Table) int {
+	tab.mu.RLock()
+	defer tab.mu.RUnlock()
+	n := 0
+	tab.rows.Ascend(func(_ []byte, c *versionChain) bool {
+		n += c.versionCount()
+		return true
+	})
+	return n
+}
+
 func totalVersions(db *DB) int {
 	n := 0
 	for _, tab := range db.Tables() {
-		n += tab.VersionCount()
+		n += tableVersions(tab)
 	}
 	return n
 }
@@ -121,8 +135,8 @@ func versionGCAgainstFullWalk(t *testing.T, seed int64) {
 		if got := chainState(db); got != want {
 			t.Fatalf("step %d: chains after the sweep:\n%s\nthe full walk leaves:\n%s", step, got, want)
 		}
-		if g, n := db.m.versionsLive.Value(), totalVersions(db); int(g) != n {
-			t.Fatalf("step %d: versions_live = %v, %d versions stored", step, g, n)
+		if g, _ := db.obs.Snapshot().GaugeValue(obs.VersionsLive); int(g) != totalVersions(db) {
+			t.Fatalf("step %d: versions_live = %v, %d versions stored", step, g, totalVersions(db))
 		}
 	}
 
@@ -194,7 +208,7 @@ func versionGCAgainstFullWalk(t *testing.T, seed int64) {
 	// Nothing is pinned and nothing has committed since: every chain is
 	// down to its newest version, and the lists are empty.
 	for _, tab := range db.Tables() {
-		if n := tab.VersionCount(); n != tab.RowCount() {
+		if n := tableVersions(tab); n != tab.RowCount() {
 			t.Errorf("table %s: %d versions for %d rows after the last sweep", tab.Name(), n, tab.RowCount())
 		}
 		if n := len(tab.reclaim); n != 0 {
@@ -204,7 +218,7 @@ func versionGCAgainstFullWalk(t *testing.T, seed int64) {
 			if gone[tab.Name()][k] {
 				continue
 			}
-			if row, ok := tab.Lookup(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(k))); !ok || row[1].Str != v {
+			if row, ok := tab.getAt(sqltypes.EncodeKey(nil, sqltypes.NewBigInt(k)), latest, nil); !ok || row[1].Str != v {
 				t.Errorf("table %s key %d: got %v, want %q", tab.Name(), k, row, v)
 			}
 		}
@@ -339,54 +353,34 @@ func TestApplyGroupingMatchesLogOrder(t *testing.T) {
 	}
 }
 
-// TestVersionGCIntervalOption pins the Options.VersionGCInterval knob: a
-// fast custom interval reclaims superseded versions in the background
-// without any explicit GC call, while an effectively-infinite interval
-// leaves them in place over the same window.
-func TestVersionGCIntervalOption(t *testing.T) {
-	makeGarbage := func(db *DB) *Table {
-		tab := mustCreate(t, db, "t", kvSchema())
+// TestBackgroundVersionGCReclaims: the sweep Open starts reclaims
+// superseded versions at its own pace (versionGCInterval), with no explicit
+// GC call, once the snapshot that pinned them closes.
+func TestBackgroundVersionGCReclaims(t *testing.T) {
+	db := openTestDB(t)
+	tab := mustCreate(t, db, "t", kvSchema())
+	tx := db.Begin("u")
+	if _, err := tx.Insert(tab, kv(1, "v0")); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, db, tx)
+	pin := db.BeginReadOnly()
+	for i := 0; i < 5; i++ {
 		tx := db.Begin("u")
-		if _, err := tx.Insert(tab, kv(1, "v0")); err != nil {
+		if _, err := tx.Update(tab, kv(1, "v")); err != nil {
 			t.Fatal(err)
 		}
 		commit(t, db, tx)
-		for i := 0; i < 5; i++ {
-			tx := db.Begin("u")
-			if _, err := tx.Update(tab, kv(1, "v")); err != nil {
-				t.Fatal(err)
-			}
-			commit(t, db, tx)
-		}
-		return tab
 	}
-
-	fast, err := Open(Options{Dir: t.TempDir(), VersionGCInterval: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	if n := tableVersions(tab); n != 6 {
+		t.Fatalf("%d versions under a pinned snapshot, want 6", n)
 	}
-	defer fast.Close()
-	tab := makeGarbage(fast)
-	deadline := time.Now().Add(5 * time.Second)
-	for tab.VersionCount() > 1 {
+	pin.Close()
+	deadline := time.Now().Add(20 * versionGCInterval)
+	for tableVersions(tab) > 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("background GC at 2ms interval left %d versions after 5s", tab.VersionCount())
+			t.Fatalf("background GC left %d versions after %v", tableVersions(tab), 20*versionGCInterval)
 		}
-		time.Sleep(time.Millisecond)
-	}
-
-	slow, err := Open(Options{Dir: t.TempDir(), VersionGCInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer slow.Close()
-	tab = makeGarbage(slow)
-	// Give a would-be default sweeper (250ms) ample time to fire.
-	time.Sleep(400 * time.Millisecond)
-	if n := tab.VersionCount(); n != 6 {
-		t.Fatalf("1h-interval sweeper reclaimed early: %d versions, want 6", n)
-	}
-	if slow.opts.VersionGCInterval != time.Hour {
-		t.Fatalf("interval not honored: %v", slow.opts.VersionGCInterval)
+		time.Sleep(10 * time.Millisecond)
 	}
 }

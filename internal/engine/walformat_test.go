@@ -25,7 +25,7 @@ func tableState(t *testing.T, db *DB, name string) []string {
 		t.Fatal(err)
 	}
 	var out []string
-	tab.ScanRange(nil, nil, func(_ []byte, r sqltypes.Row) bool {
+	tab.Scan(func(_ []byte, r sqltypes.Row) bool {
 		out = append(out, fmt.Sprintf("%d=%s", r[0].I64, r[1].Str))
 		return true
 	})
@@ -50,7 +50,7 @@ func TestTornTailEveryCutOfLastCommit(t *testing.T) {
 		tx.Insert(tab, kv(k, fmt.Sprintf("first-%d", k)))
 	}
 	commit(t, db, tx)
-	prevEnd := db.LogSize()
+	prevEnd := db.log.Size()
 	prevState := tableState(t, db, "t")
 	tx = db.Begin("u")
 	tx.Insert(tab, kv(4, "second-4"))
@@ -61,7 +61,7 @@ func TestTornTailEveryCutOfLastCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	commit(t, db, tx)
-	fullEnd := db.LogSize()
+	fullEnd := db.log.Size()
 	fullState := tableState(t, db, "t")
 	db.Close()
 	img, err := os.ReadFile(filepath.Join(dir, walFileName))
@@ -95,11 +95,11 @@ func TestTornTailEveryCutOfLastCommit(t *testing.T) {
 		if got := tableState(t, cdb, "t"); fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("cut at %d: state %v, want %v", cut, got, want)
 		}
-		if n := len(cdb.Obs().Events().RecentOfType(obs.EventWALTornTail, 10)); n != wantTorn {
+		if n := len(cdb.obs.Events().RecentOfType(obs.EventWALTornTail, 10)); n != wantTorn {
 			t.Fatalf("cut at %d: %d torn-tail events, want %d", cut, n, wantTorn)
 		}
-		if !whole && cdb.LogSize() != prevEnd {
-			t.Fatalf("cut at %d: log resumes at %d, want %d", cut, cdb.LogSize(), prevEnd)
+		if !whole && cdb.log.Size() != prevEnd {
+			t.Fatalf("cut at %d: log resumes at %d, want %d", cut, cdb.log.Size(), prevEnd)
 		}
 		// Appends resume cleanly: one more commit, one more restart.
 		ctab, _ := cdb.Table("t")

@@ -22,9 +22,6 @@ var ZeroHash Hash
 // String renders the hash as lowercase hex.
 func (h Hash) String() string { return hex.EncodeToString(h[:]) }
 
-// IsZero reports whether the hash is all zeroes.
-func (h Hash) IsZero() bool { return h == ZeroHash }
-
 // ParseHash parses a lowercase/uppercase hex digest.
 func ParseHash(s string) (Hash, error) {
 	var h Hash
@@ -196,18 +193,11 @@ func (a *Accumulator) Merge(b Accumulator) {
 	a.count += b.count
 }
 
-// Count returns the number of hashes absorbed.
-func (a Accumulator) Count() uint64 { return a.count }
-
 // Equal reports whether both accumulators absorbed the same multiset of
 // hashes (same sum and same count).
 func (a Accumulator) Equal(b Accumulator) bool {
 	return a.count == b.count && a.sum == b.sum
 }
-
-// Sum returns the current 256-bit sum (not a preimage-resistant digest of
-// the multiset on its own; pair it with Count when reporting).
-func (a Accumulator) Sum() Hash { return a.sum }
 
 // addInto adds b into a as 256-bit big-endian integers mod 2^256.
 func addInto(a *Hash, b Hash) {

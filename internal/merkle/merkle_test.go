@@ -18,7 +18,7 @@ func leaves(n int, seed int64) []Hash {
 
 func TestEmptyTreeRoot(t *testing.T) {
 	var s Streaming
-	if got := s.Root(); !got.IsZero() {
+	if got := s.Root(); got != ZeroHash {
 		t.Fatalf("empty tree root = %s, want zero", got)
 	}
 	if RootOf(nil) != ZeroHash {
@@ -157,7 +157,7 @@ func TestReset(t *testing.T) {
 	var s Streaming
 	s.Append(HashLeaf([]byte("a")))
 	s.Reset()
-	if s.Count() != 0 || !s.Root().IsZero() {
+	if s.Count() != 0 || s.Root() != ZeroHash {
 		t.Fatalf("reset did not clear the tree")
 	}
 }
@@ -280,8 +280,8 @@ func TestAccumulatorOrderIndependent(t *testing.T) {
 	if !fwd.Equal(rev) {
 		t.Fatal("accumulator depends on insertion order")
 	}
-	if fwd.Count() != 50 {
-		t.Fatalf("count = %d", fwd.Count())
+	if fwd.count != 50 {
+		t.Fatalf("count = %d", fwd.count)
 	}
 }
 
@@ -313,7 +313,7 @@ func TestAccumulatorDetectsDifferences(t *testing.T) {
 	var empty, twice Accumulator
 	twice.Add(ZeroHash)
 	twice.Add(ZeroHash)
-	if empty.Sum() != twice.Sum() {
+	if empty.sum != twice.sum {
 		t.Fatal("zero hashes should sum to zero")
 	}
 	if empty.Equal(twice) {
@@ -326,7 +326,7 @@ func TestAccumulatorDetectsDifferences(t *testing.T) {
 	three.Add(h)
 	three.Add(h)
 	three.Add(h)
-	if one.Sum() == three.Sum() {
+	if one.sum == three.sum {
 		t.Fatal("duplicate additions cancelled")
 	}
 }
@@ -339,7 +339,7 @@ func TestAccumulatorCarryPropagation(t *testing.T) {
 	var a Accumulator
 	a.Add(all1)
 	a.Add(all1) // 2*(2^256-1) mod 2^256 = 2^256-2: ...FFFE
-	sum := a.Sum()
+	sum := a.sum
 	for i := 0; i < len(sum)-1; i++ {
 		if sum[i] != 0xFF {
 			t.Fatalf("byte %d = %x, want ff", i, sum[i])
@@ -352,7 +352,7 @@ func TestAccumulatorCarryPropagation(t *testing.T) {
 
 func TestStreamingPoolReuse(t *testing.T) {
 	s := GetStreaming()
-	if s.Count() != 0 || !s.Root().IsZero() {
+	if s.Count() != 0 || s.Root() != ZeroHash {
 		t.Fatal("pooled Streaming not empty")
 	}
 	leaves := []Hash{HashLeaf([]byte("a")), HashLeaf([]byte("b")), HashLeaf([]byte("c"))}
@@ -366,7 +366,7 @@ func TestStreamingPoolReuse(t *testing.T) {
 	PutStreaming(s)
 	// A recycled tree must behave exactly like a fresh one.
 	s2 := GetStreaming()
-	if s2.Count() != 0 || !s2.Root().IsZero() {
+	if s2.Count() != 0 || s2.Root() != ZeroHash {
 		t.Fatal("recycled Streaming not reset")
 	}
 	for _, l := range leaves {

@@ -79,14 +79,6 @@ func (c *Counter) Add(n int64) {
 	c.v.Add(n)
 }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
 // Gauge is a metric that can go up and down.
 type Gauge struct {
 	name   string
@@ -109,14 +101,6 @@ func (g *Gauge) Add(delta float64) {
 		return
 	}
 	g.v.Add(delta)
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram is a fixed-bucket histogram. Observations are assigned to
@@ -151,26 +135,6 @@ func (h *Histogram) ObserveSince(t0 time.Time) {
 	h.Observe(time.Since(t0).Seconds())
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // LapTimer measures consecutive stages of a pipeline with one clock
 // read per stage boundary. The zero value (or one built from a disabled
 // registry) records nothing and never reads the clock.
@@ -179,28 +143,10 @@ type LapTimer struct {
 	last time.Time
 }
 
-// Lap observes the time since the previous lap (or construction) into h
-// and restarts the clock.
-func (t *LapTimer) Lap(h *Histogram) {
-	if !t.on {
-		return
-	}
-	now := time.Now()
-	h.Observe(now.Sub(t.last).Seconds())
-	t.last = now
-}
-
-// Skip restarts the clock without observing — for optional stages.
-func (t *LapTimer) Skip() {
-	if t.on {
-		t.last = time.Now()
-	}
-}
-
-// LapSpan is Lap plus tracing: the stage duration is observed into h
-// and recorded as a top-level child span on tr, both from a single clock
-// read. Returns the new span's ID so callers can attach children (tr
-// nil → plain Lap).
+// LapSpan observes the time since the previous lap (or construction) into
+// h, records it as a top-level child span on tr (nil: none), both from a
+// single clock read, and restarts the clock. Returns the new span's ID so
+// callers can attach children.
 func (t *LapTimer) LapSpan(h *Histogram, tr *Trace, name string) SpanID {
 	if !t.on {
 		return 0

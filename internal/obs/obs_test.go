@@ -109,16 +109,18 @@ func TestConcurrentCounters(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := c.Value(); got != workers*per {
+	snap := r.Snapshot()
+	if got := snap.CounterValue("conc"); got != workers*per {
 		t.Fatalf("counter = %d, want %d", got, workers*per)
 	}
-	if got := g.Value(); got != workers*per {
+	if got, _ := snap.GaugeValue("gauge"); got != workers*per {
 		t.Fatalf("gauge = %v, want %d", got, workers*per)
 	}
-	if got := h.Count(); got != workers*per {
+	hs, _ := snap.Histogram("hist")
+	if got := hs.Count; got != workers*per {
 		t.Fatalf("histogram count = %d, want %d", got, workers*per)
 	}
-	if got := h.Sum(); math.Abs(got-0.25*workers*per) > 1e-6 {
+	if got := hs.Sum; math.Abs(got-0.25*workers*per) > 1e-6 {
 		t.Fatalf("histogram sum = %v, want %v", got, 0.25*workers*per)
 	}
 }
@@ -139,7 +141,7 @@ func TestDisabledAndNil(t *testing.T) {
 		t.Fatalf("disabled registry retained %d traces", n)
 	}
 	lt := d.Timer()
-	lt.Lap(d.Histogram("h", nil)) // must not read the clock or panic
+	lt.LapSpan(d.Histogram("h", nil), nil, "lap") // must not read the clock or panic
 
 	var nilReg *Registry
 	nilReg.Counter("x").Inc()
@@ -191,9 +193,8 @@ func TestLapTimer(t *testing.T) {
 	h := r.Histogram("laps", nil)
 	lt := r.Timer()
 	time.Sleep(2 * time.Millisecond)
-	lt.Lap(h)
-	lt.Skip()
-	lt.Lap(h)
+	lt.LapSpan(h, nil, "first")
+	lt.LapSpan(h, nil, "second")
 	hs, _ := r.Snapshot().Histogram("laps")
 	if hs.Count != 2 {
 		t.Fatalf("lap count = %d, want 2", hs.Count)

@@ -297,14 +297,6 @@ func (s *TraceStore) SetSampleRate(p float64) {
 	s.rateBits.Store(math.Float64bits(p))
 }
 
-// SeedRNG reseeds the sampling/ID generator — tests use a fixed seed so
-// the tail-sampling decision sequence is deterministic.
-func (s *TraceStore) SeedRNG(seed uint64) {
-	if s != nil {
-		s.rng.Store(seed | 1)
-	}
-}
-
 func (s *TraceStore) rand64() uint64 {
 	for {
 		old := s.rng.Load()

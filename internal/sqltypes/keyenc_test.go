@@ -170,8 +170,8 @@ func TestRowCodecRoundtripQuick(t *testing.T) {
 			row[i] = randValue(rng)
 		}
 		enc := EncodeRow(nil, row)
-		back, used, err := DecodeRow(enc)
-		if err != nil || used != len(enc) {
+		back, err := DecodeRowAlias(nil, enc, nil)
+		if err != nil {
 			return false
 		}
 		return row.Equal(back)
@@ -184,27 +184,27 @@ func TestRowCodecRoundtripQuick(t *testing.T) {
 func TestRowCodecAppendsAfterPrefix(t *testing.T) {
 	row := Row{NewInt(1), NewVarChar("x")}
 	buf := EncodeRow([]byte{0xAA}, row)
-	back, used, err := DecodeRow(buf[1:])
-	if err != nil || used != len(buf)-1 || !row.Equal(back) {
+	back, err := DecodeRowAlias(nil, buf[1:], nil)
+	if err != nil || !row.Equal(back) {
 		t.Fatalf("decode after prefix failed: %v", err)
 	}
 }
 
 func TestRowCodecErrors(t *testing.T) {
-	if _, _, err := DecodeRow(nil); err == nil {
+	if _, err := DecodeRowAlias(nil, nil, nil); err == nil {
 		t.Error("empty input accepted")
 	}
 	enc := EncodeRow(nil, Row{NewVarChar("hello")})
-	if _, _, err := DecodeRow(enc[:len(enc)-2]); err == nil {
+	if _, err := DecodeRowAlias(nil, enc[:len(enc)-2], nil); err == nil {
 		t.Error("truncated string accepted")
 	}
-	if _, _, err := DecodeRow([]byte{200}); err == nil {
+	if _, err := DecodeRowAlias(nil, []byte{200}, nil); err == nil {
 		t.Error("absurd column count accepted")
 	}
 	// A string length of 2^63 used to wrap negative past the bounds check
 	// and panic in the slice expression.
 	huge := append([]byte{1, byte(TypeVarChar), 0}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)
-	if _, _, err := DecodeRow(huge); err == nil {
+	if _, err := DecodeRowAlias(nil, huge, nil); err == nil {
 		t.Error("string longer than the input accepted")
 	}
 }

@@ -101,29 +101,32 @@ func ValueHeader(b []byte, pos, i int) (t TypeID, null bool, err error) {
 	return t, flag == 1, nil
 }
 
-// DecodeRow decodes a row encoded by EncodeRow from b, returning the row
-// and the number of bytes consumed. The row shares no memory with b.
-func DecodeRow(b []byte) (Row, int, error) {
-	return decodeRow(nil, b, false, 0)
-}
-
 // DecodeRowAlias decodes the row that b holds — all of b — into dst[:0],
 // which is replaced when too small, and pads it with the typed NULLs of
 // pad[len(row):]: a row encoded before its table gained columns reads as
 // wide as the schema is now. Strings and binaries are not copied; they
 // alias b, which must never change afterwards.
 func DecodeRowAlias(dst Row, b []byte, pad []Column) (Row, error) {
-	r, n, err := decodeRow(dst, b, true, len(pad))
+	n, pos, err := rowHeader(b)
 	if err != nil {
 		return nil, err
 	}
-	if n != len(b) {
-		return nil, fmt.Errorf("sqltypes: %d trailing bytes after row", len(b)-n)
+	if cap(dst) < n {
+		dst = make(Row, n, max(n, len(pad)))
 	}
-	for i := len(r); i < len(pad); i++ {
-		r = append(r, NewNull(pad[i].Type))
+	dst = dst[:n]
+	for i := range dst {
+		if pos, err = decodeValue(&dst[i], b, pos, i); err != nil {
+			return nil, err
+		}
 	}
-	return r, nil
+	if pos != len(b) {
+		return nil, fmt.Errorf("sqltypes: %d trailing bytes after row", len(b)-pos)
+	}
+	for i := n; i < len(pad); i++ {
+		dst = append(dst, NewNull(pad[i].Type))
+	}
+	return dst, nil
 }
 
 // CheckRow reports whether b is exactly one well-formed row — what
@@ -136,7 +139,7 @@ func CheckRow(b []byte) error {
 	}
 	var v Value
 	for i := 0; i < n; i++ {
-		if pos, err = decodeValue(&v, b, pos, i, true); err != nil {
+		if pos, err = decodeValue(&v, b, pos, i); err != nil {
 			return err
 		}
 	}
@@ -250,7 +253,7 @@ func DecodeColumns(out []Value, b []byte, ords []int, cols []Column) error {
 				return err
 			}
 		}
-		if pos, err = decodeValue(&out[j], b, pos, i, true); err != nil {
+		if pos, err = decodeValue(&out[j], b, pos, i); err != nil {
 			return err
 		}
 		i++
@@ -299,28 +302,9 @@ func rowHeader(b []byte) (n, pos int, err error) {
 	return int(u), sz, nil
 }
 
-// decodeRow decodes into dst's storage when it holds the row, else into a
-// new slice with room for width values.
-func decodeRow(dst Row, b []byte, alias bool, width int) (Row, int, error) {
-	n, pos, err := rowHeader(b)
-	if err != nil {
-		return nil, 0, err
-	}
-	if cap(dst) < n {
-		dst = make(Row, n, max(n, width))
-	}
-	dst = dst[:n]
-	for i := range dst {
-		if pos, err = decodeValue(&dst[i], b, pos, i, alias); err != nil {
-			return nil, 0, err
-		}
-	}
-	return dst, pos, nil
-}
-
 // decodeValue decodes value i of a row at b[pos:] into v, returning the
-// position after it.
-func decodeValue(v *Value, b []byte, pos, i int, alias bool) (int, error) {
+// position after it. A string or binary aliases b.
+func decodeValue(v *Value, b []byte, pos, i int) (int, error) {
 	t, null, err := ValueHeader(b, pos, i)
 	if err != nil {
 		return 0, err
@@ -349,16 +333,10 @@ func decodeValue(v *Value, b []byte, pos, i int, alias bool) (int, error) {
 		}
 		raw := b[pos : pos+int(l) : pos+int(l)]
 		pos += int(l)
-		switch {
-		case !t.IsString():
-			if !alias {
-				raw = append([]byte(nil), raw...)
-			}
-			v.Bytes = raw
-		case alias:
+		if t.IsString() {
 			v.Str = unsafe.String(unsafe.SliceData(raw), len(raw))
-		default:
-			v.Str = string(raw)
+		} else {
+			v.Bytes = raw
 		}
 	default:
 		x, sz := varint(b[pos:])

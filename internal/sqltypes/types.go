@@ -188,13 +188,6 @@ func NewDateTime(t time.Time) Value {
 	return Value{Type: TypeDateTime, I64: t.UTC().UnixNano()}
 }
 
-// NewUniqueID returns a UNIQUEIDENTIFIER value from a 16-byte id.
-func NewUniqueID(id [16]byte) Value {
-	b := make([]byte, 16)
-	copy(b, id[:])
-	return Value{Type: TypeUniqueID, Bytes: b}
-}
-
 // Bool returns the BIT value as a bool.
 func (v Value) Bool() bool { return v.I64 != 0 }
 

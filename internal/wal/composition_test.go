@@ -50,7 +50,7 @@ func measureComposition(path string) (composition, error) {
 		c.payloads += n
 		switch rec.Type {
 		case RecInsert, RecUpdate, RecDelete:
-			p, err := DecodeDML(rec.Type, rec.Payload)
+			p, err := decodeDML(rec.Type, rec.Payload)
 			if err != nil {
 				return c, err
 			}

@@ -40,8 +40,9 @@ func commitBatch(txID uint64) []Record {
 // groupCounts reads the committer's two counters and the log's appended
 // records and fsyncs.
 func groupCounts(reg *obs.Registry) (commits, groups, records, fsyncs int64) {
-	return reg.Counter(obs.WALGroupCommits).Value(), reg.Counter(obs.WALGroups).Value(),
-		reg.Counter(obs.WALAppendRecords).Value(), reg.Counter(obs.WALFsyncTotal).Value()
+	s := reg.Snapshot()
+	return s.CounterValue(obs.WALGroupCommits), s.CounterValue(obs.WALGroups),
+		s.CounterValue(obs.WALAppendRecords), s.CounterValue(obs.WALFsyncTotal)
 }
 
 // TestGroupCommitOneGroupForEverythingQueued: N commits queued before

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -169,17 +168,6 @@ func appendDMLHeader(dst []byte, tableID uint32, key []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(tableID))
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	return append(dst, key...)
-}
-
-// DecodeDML decodes a DML payload into values and a key of their own.
-func DecodeDML(t RecordType, b []byte) (DMLPayload, error) {
-	m, err := DecodeDMLImage(t, b)
-	p := DMLPayload{TableID: m.TableID, Key: bytes.Clone(m.Key)}
-	if err == nil && m.After != nil {
-		// A copy nobody else holds, so the row may point into it.
-		p.After, err = sqltypes.DecodeRowAlias(nil, bytes.Clone(m.After), nil)
-	}
-	return p, err
 }
 
 // DMLImage is a DML payload with the after-image left in its encoded

@@ -375,7 +375,7 @@ func TestDMLPayloadRoundtrip(t *testing.T) {
 		{RecUpdate, DMLPayload{TableID: 4, Key: []byte{1, 2}, After: after}},
 	}
 	for _, c := range cases {
-		back, err := DecodeDML(c.typ, EncodeDML(c.typ, c.p))
+		back, err := decodeDML(c.typ, EncodeDML(c.typ, c.p))
 		if err != nil {
 			t.Fatalf("%s: %v", c.typ, err)
 		}
@@ -389,7 +389,7 @@ func TestDMLPayloadRoundtrip(t *testing.T) {
 			t.Fatalf("%s after mismatch", c.typ)
 		}
 	}
-	if _, err := DecodeDML(RecCommit, nil); err == nil {
+	if _, err := decodeDML(RecCommit, nil); err == nil {
 		t.Fatal("non-DML record accepted")
 	}
 }
