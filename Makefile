@@ -145,7 +145,8 @@ bench-test:
 # stored-bytes row hasher the write path and verification run on against
 # the []Value one kept as its oracle, the read-receipt parser and verifier
 # (a mutant that verifies proves nothing the seed does not), the
-# snapshot loader, whose seeds are a few KiB — minimizing each new input
+# key redo derives from a logged image against the writer's EncodeRowKey,
+# the snapshot loader, whose seeds are a few KiB — minimizing each new input
 # for the default minute would leave it no time to fuzz — the heap row
 # store against a model, whose runs are slow to minimize for the same
 # reason, the B+tree against a sorted map with its invariants checked
@@ -163,6 +164,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzKeyPrefixLen$$' -fuzztime 10s ./internal/sqltypes
 	go test -run '^$$' -fuzz '^FuzzHashEncoded$$' -fuzztime 10s ./internal/serial
 	go test -run '^$$' -fuzz '^FuzzParseReadReceipt$$' -fuzztime 10s ./internal/core
+	go test -run '^$$' -fuzz '^FuzzKeyOfStored$$' -fuzztime 10s ./internal/engine
 	go test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime 10s -fuzzminimizetime 500x ./internal/engine
 	go test -run '^$$' -fuzz '^FuzzHeapRows$$' -fuzztime 10s -fuzzminimizetime 500x ./internal/engine
 	go test -run '^$$' -fuzz '^FuzzTree$$' -fuzztime 10s ./internal/btree

@@ -20,12 +20,16 @@ import (
 // header bytes and moved every LSN, and so every snapshot file name, by 8.
 // The snapshot pin was re-captured again when a snapshot became a file of
 // the WAL's format (snap-<lsn>.log), holding the same catalog and rows.
+// The three WAL and snapshot pins were re-captured for format version 4,
+// whose keyed INSERT and UPDATE records and snapshot rows carry no key and
+// whose COMMIT records do not repeat a ledger entry's transaction id, time
+// and user; the digest and stored-row pins did not move.
 const (
-	pinAwkwardWALSHA     = "ec503251c4ec1701e93ac66abc5b62cc8faeabccac8ab2dd498ddc1e776725ee"
-	pinAwkwardSnapSHA    = "19dd0ec91b4dbfde99becaca63721042b65b65a5ffd4bce4092fc9ae7ce1ac5d"
+	pinAwkwardWALSHA     = "fc6ec6e9d45290a7d3bbe0a00132649a863f0150b6d8364c3c31c8c9926bfc25"
+	pinAwkwardSnapSHA    = "725ce7a4ae7656a79688056c2f460322d10d0ca8aee2e5e8bb7f3ac98c12ac33"
 	pinAwkwardDigestSHA  = "8428b2f79657882f246a3fb641bf519ff7176ad1086ff103c5a5d0877440de61"
 	pinAwkwardStoredSHA  = "13db777fc5d75a32aa171d0375d2985bb473052da1016dc78cfd926208276ef5"
-	pinTruncateWALSHA    = "d566e28c2f01dcc4514f613fa6dcbcf8e1596a0e94b712032a23429683f989df"
+	pinTruncateWALSHA    = "535fc5d2975eb02d45390664e236c98a1e55ca0693c665ca2b05d2a69dbd5dfa"
 	pinTruncateStoredSHA = "0166da5a16d732d5d51cea66c7d4cbcebd7e106bf3ded27cd3663778e12e1369"
 )
 

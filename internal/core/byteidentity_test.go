@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"io"
 	"os"
@@ -27,11 +28,18 @@ import (
 // name — moved by 8. The snapshot pin was re-captured again when a
 // snapshot became a file of the WAL's format (snap-<lsn>.log): the same
 // catalog and rows, framed as one transaction, under the log's header.
+// Both were re-captured once more for format version 4, which logs no key
+// for a keyed row's INSERT or UPDATE and no ledger entry field its COMMIT
+// record already holds. pinLogSemanticsSHA, what the log says
+// (logSemanticsSHA), was captured from the version-3 log of the commit
+// before and did not move.
 const (
-	pinWALSHA     = "a2820cba2665762eba940d88f3fac60c0d87ea511dea8f9ac8180efb6235068d"
-	pinSnapSHA    = "0a3822ed98d105c67f20205723c6fca73b36e7511c54e949bde51336e50ff6ab"
+	pinWALSHA     = "be9e5bbf60a650c1e0a9ff774890c2b726a966923bedbdfed630844b1d2b4073"
+	pinSnapSHA    = "50cd567f478531485d47b4937d97fb681516fa04b77293bd92c0aeccdbd12f13"
 	pinDigestSHA  = "5a198afbd03a988f157ea15f6247e160b80e7b04fa5fa5c1e24b196705b880c2"
 	pinReceiptSHA = "7ea7f79e2e1e5c2ad10564394b075a50ee801816f80b5d081d825d21e7ddefa6"
+
+	pinLogSemanticsSHA = "f00d5d20cdf9f9aae99429eb49e77df0fdeb35ffcc54e76fdad67b2668df1c52"
 )
 
 func wideSchema() *sqltypes.Schema {
@@ -115,6 +123,82 @@ func walFramesSHA(t *testing.T, path string, dropLast bool) (string, int) {
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil)), len(skip)
+}
+
+// logSemanticsSHA hashes what the log at path says rather than how it is
+// laid out: per record, its type and transaction id and, for a DML record,
+// the table id, the clustered key — derived from the after-image by the
+// table of db where the log leaves it out — and the after-image, for a
+// COMMIT its time, user and ledger entry, field by field, and for a DDL
+// record its payload. CHECKPOINT records, whose payload carries a
+// wall-clock reading, are left out. A format change that drops only what
+// a reader can derive leaves the sum as it was.
+func logSemanticsSHA(t *testing.T, path string, db *engine.DB) string {
+	t.Helper()
+	rd, err := wal.NewReader(path, 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	h := sha256.New()
+	num := func(u uint64) { h.Write(binary.AppendUvarint(nil, u)) }
+	put := func(b []byte) { num(uint64(len(b))); h.Write(b) }
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Type == wal.RecCheckpoint {
+			continue
+		}
+		num(uint64(rec.Type))
+		num(rec.TxID)
+		switch rec.Type {
+		case wal.RecInsert, wal.RecUpdate, wal.RecDelete:
+			m, err := wal.DecodeDMLImage(rec.Type, rec.Payload)
+			key := m.Key
+			if err == nil && len(key) == 0 && m.After != nil {
+				var tab *engine.Table
+				if tab, err = db.TableByID(m.TableID); err == nil {
+					key, err = tab.KeyOfStored(nil, m.After)
+				}
+			}
+			if err != nil {
+				t.Fatalf("%s record at LSN %d: %v", rec.Type, rec.LSN, err)
+			}
+			num(uint64(m.TableID))
+			put(key)
+			put(m.After)
+		case wal.RecCommit:
+			p, err := wal.DecodeCommit(rec.TxID, rec.Payload)
+			if err != nil {
+				t.Fatalf("COMMIT at LSN %d: %v", rec.LSN, err)
+			}
+			num(uint64(p.CommitTS))
+			put([]byte(p.User))
+			if e := p.Entry; e != nil {
+				num(1)
+				num(e.TxID)
+				num(e.BlockID)
+				num(uint64(e.Ordinal))
+				num(uint64(e.CommitTS))
+				put([]byte(e.User))
+				num(uint64(len(e.Roots)))
+				for _, r := range e.Roots {
+					num(uint64(r.TableID))
+					put(r.Root[:])
+				}
+			} else {
+				num(0)
+			}
+		default:
+			put(rec.Payload)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func snapshotsSHA(t *testing.T, dir string) string {
@@ -262,6 +346,7 @@ func TestByteIdentityWithParent(t *testing.T) {
 
 	sum := func(b []byte) string { s := sha256.Sum256(b); return hex.EncodeToString(s[:]) }
 	for _, c := range []struct{ what, got, want string }{
+		{"log semantics", logSemanticsSHA(t, filepath.Join(crash, "wal.log"), l.Engine()), pinLogSemanticsSHA},
 		{"WAL", walSHAWithoutCheckpoints(t, filepath.Join(crash, "wal.log")), pinWALSHA},
 		{"snapshots", snapshotsSHA(t, crash), pinSnapSHA},
 		{"digest", sum(digest.JSON()), pinDigestSHA},

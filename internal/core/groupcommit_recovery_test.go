@@ -234,7 +234,7 @@ func TestConcurrentCommitLedgerDML(t *testing.T) {
 		if rec.Type != wal.RecCommit {
 			continue
 		}
-		p, err := wal.DecodeCommit(rec.Payload)
+		p, err := wal.DecodeCommit(rec.TxID, rec.Payload)
 		if err != nil {
 			t.Fatal(err)
 		}

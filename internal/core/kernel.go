@@ -612,7 +612,9 @@ func (lt *LedgerTable) frameTree(txID uint64, recs []wal.Record) ([]merkle.Hash,
 		switch {
 		case err != nil:
 		case m.TableID == lt.table.ID():
-			last[string(m.Key)] = m.After
+			var key []byte
+			key, err = lt.table.LoggedKey(r.Type, m.Key, m.After)
+			last[string(key)] = m.After
 		case lt.history != nil && m.TableID == lt.history.ID() && m.After != nil:
 			err = hash(m.After, true)
 		}

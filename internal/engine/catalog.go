@@ -106,6 +106,8 @@ func checkTable(m *TableMeta) error {
 		return fmt.Errorf("engine: catalog: table without metadata or schema")
 	case outside(m.Schema.Key, m.Schema):
 		return fmt.Errorf("engine: catalog: key of table %d names a column outside its schema", m.ID)
+	case m.Heap != (len(m.Schema.Key) == 0):
+		return fmt.Errorf("engine: catalog: table %d is a heap %v with %d key columns", m.ID, m.Heap, len(m.Schema.Key))
 	}
 	return nil
 }

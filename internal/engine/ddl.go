@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"sqlledger/internal/sqltypes"
@@ -34,7 +35,9 @@ func (db *DB) installTable(m *TableMeta) (*Table, error) {
 
 // replaceMeta makes m the catalog entry of table m.ID. The entry is
 // replaced, not edited: a reader under the table lock sees the old entry or
-// the new one, whole.
+// the new one, whole. A table's key never changes: the log and snapshots
+// hold a keyed row without its key, which every reader derives from the
+// row by the key's ordinals (Table.KeyOfStored).
 func (db *DB) replaceMeta(m *TableMeta) error {
 	if err := checkTable(m); err != nil {
 		return err
@@ -42,6 +45,9 @@ func (db *DB) replaceMeta(m *TableMeta) error {
 	t := db.tables[m.ID]
 	if t == nil {
 		return fmt.Errorf("engine: table id %d not found", m.ID)
+	}
+	if !slices.Equal(m.Schema.Key, t.meta.Schema.Key) {
+		return fmt.Errorf("engine: the key of table %s cannot change (from columns %v to %v)", t.meta.Name, t.meta.Schema.Key, m.Schema.Key)
 	}
 	// The table's indexes must still fit the new schema.
 	for _, ix := range t.indexes {

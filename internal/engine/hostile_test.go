@@ -10,6 +10,7 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -130,6 +131,12 @@ func TestHostileDDLRecords(t *testing.T) {
 		{"index on a missing table", "create_index", func(*Table) []byte {
 			return ddlOp{Kind: "create_index", Index: &IndexMeta{ID: 7, Name: "ix_bad", TableID: 99, Cols: []int{1}}}.marshal()
 		}},
+		{"alter of a table's key", "alter_table", func(tab *Table) []byte {
+			m := tab.Meta()
+			m.Schema = m.Schema.Clone()
+			m.Schema.Key = []int{1}
+			return ddlOp{Kind: "alter_table", Meta: &m}.marshal()
+		}},
 		{"drop of an unknown index", "drop_index", func(tab *Table) []byte {
 			return ddlOp{Kind: "drop_index", Index: &IndexMeta{ID: 42, Name: "ix_none", TableID: tab.ID(), Cols: []int{1}}}.marshal()
 		}},
@@ -175,7 +182,7 @@ func TestHostileRedoDML(t *testing.T) {
 			}
 			img := wal.DMLImage{TableID: tid, Key: key(c.key)}
 			if c.typ != wal.RecDelete {
-				img.After = row(c.key)
+				img.Key, img.After = nil, row(c.key) // the image holds a keyed row's key
 			}
 			const txID = 1 << 40
 			appendFrame(t, dir,
@@ -183,6 +190,113 @@ func TestHostileRedoDML(t *testing.T) {
 				wal.Record{Type: wal.RecCommit, TxID: txID, Payload: wal.EncodeCommit(wal.CommitPayload{CommitTS: 1 << 62, User: "insider"})})
 			requireOpenFails(t, dir, c.want)
 		})
+	}
+}
+
+// TestHostileLoggedKeys: the log holds a keyed row's key only in its
+// after-image, and a heap row's id and every deleted key only as the key.
+// A committed frame that logs a key where the image holds it, logs none
+// where it must, or carries an image with no key — a key column missing or
+// NULL — fails Open with an error naming the table and the frame's LSN,
+// and every file is left byte for byte as it was.
+func TestHostileLoggedKeys(t *testing.T) {
+	rid := binary.BigEndian.AppendUint64(nil, 1<<40)
+	keyOf := func(k int64) []byte { return sqltypes.EncodeKey(nil, sqltypes.NewBigInt(k)) }
+	row := func(r sqltypes.Row) []byte { return sqltypes.EncodeRow(nil, r) }
+	for _, c := range []struct {
+		name, table string
+		typ         wal.RecordType
+		key, after  []byte
+		want        string
+	}{
+		{"keyed insert that logs its key", "t", wal.RecInsert, keyOf(5), row(kv(5, "x")), "logs a key"},
+		{"keyed update that logs its key", "t", wal.RecUpdate, keyOf(4), row(kv(4, "x")), "logs a key"},
+		{"delete without a key", "t", wal.RecDelete, nil, nil, "logs no key"},
+		{"heap insert without a row id", "h", wal.RecInsert, nil, row(sqltypes.Row{sqltypes.NewNVarChar("x")}), "logs no key"},
+		{"heap update without a row id", "h", wal.RecUpdate, nil, row(sqltypes.Row{sqltypes.NewNVarChar("x")}), "logs no key"},
+		{"heap delete without a row id", "h", wal.RecDelete, nil, nil, "logs no key"},
+		{"heap insert with a row id", "h", wal.RecInsert, rid, row(sqltypes.Row{sqltypes.NewNVarChar("x")}), ""},
+		{"image without the key column", "t", wal.RecInsert, nil, row(sqltypes.Row{}), "lacks key column 0"},
+		{"image with a NULL key", "t", wal.RecInsert, nil, row(sqltypes.Row{sqltypes.NewNull(sqltypes.TypeBigInt), sqltypes.NewNVarChar("x")}), "holds NULL"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir, _ := hostileBase(t)
+			db := openDBAt(t, dir)
+			mustCreate(t, db, "h", sqltypes.MustSchema([]sqltypes.Column{sqltypes.Col("v", sqltypes.TypeNVarChar)}))
+			tab, _ := db.Table(c.table)
+			db.Close()
+			const txID = 1 << 40
+			lsn := appendFrame(t, dir,
+				wal.Record{Type: c.typ, TxID: txID, Payload: wal.AppendDMLImage(nil, wal.DMLImage{TableID: tab.ID(), Key: c.key, After: c.after})},
+				wal.Record{Type: wal.RecCommit, TxID: txID, Payload: wal.EncodeCommit(wal.CommitPayload{CommitTS: 1 << 62, User: "insider"})})
+			if c.want == "" { // the well-formed control
+				openDBAt(t, dir)
+				return
+			}
+			for _, want := range []string{c.want, "table " + c.table, fmt.Sprintf("at LSN %d", lsn)} {
+				requireOpenFails(t, dir, want)
+			}
+		})
+	}
+}
+
+// TestTableKeyNeverChanges: a keyed row's key is derived from its image by
+// the key's ordinals, so the catalog refuses to change them, or to turn a
+// keyed table into a heap.
+func TestTableKeyNeverChanges(t *testing.T) {
+	db := openTestDB(t)
+	tab := mustCreate(t, db, "t", kvSchema())
+	for want, mutate := range map[string]func(m *TableMeta){
+		"cannot change": func(m *TableMeta) { m.Schema.Key = []int{1} },
+		"is a heap":     func(m *TableMeta) { m.Heap = true },
+	} {
+		err := db.AlterTableMeta(tab.ID(), func(m *TableMeta) error { mutate(m); return nil })
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("AlterTableMeta = %v, want an error naming %q", err, want)
+		}
+	}
+	if got := tab.Meta(); got.Heap || !slices.Equal(got.Schema.Key, []int{0}) {
+		t.Fatalf("table meta after refused alters: %+v", got)
+	}
+}
+
+// TestHostileSnapshotDuplicateKey: a snapshot holds a keyed row without
+// its key, so a row rewritten to the image of the row before it derives
+// that row's key again. The snapshot is refused, naming the table and the
+// LSN of the row's frame, replay of the log restores the state, and no
+// file changes.
+func TestHostileSnapshotDuplicateKey(t *testing.T) {
+	dir, _ := hostileBase(t)
+	db := openDBAt(t, dir)
+	want := dumpState(t, db)
+	db.Close()
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.log"))
+	raw, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, frames := snapshotFrames(raw)
+	recs := frameRecords(frames[1]) // t's rows 1..3
+	if len(recs[0]) != len(recs[1]) {
+		t.Fatalf("row records of %d and %d bytes", len(recs[0]), len(recs[1]))
+	}
+	copy(recs[1], recs[0])
+	if err := os.WriteFile(snaps[0], resealSnapshot(bytes.Join(append([][]byte{hdr}, frames...), nil)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirFiles(t, dir)
+	db = openDBAt(t, dir)
+	if got := dumpState(t, db); got != want {
+		t.Fatalf("state after fallback:\n%s\nwant:\n%s", got, want)
+	}
+	lsn := int64(len(hdr) + len(frames[0]))
+	ev := db.obs.Events().RecentOfType(obs.EventSnapshotSkipped, 10)
+	db.Close()
+	if len(ev) != 1 || !strings.Contains(fmt.Sprint(ev[0].Attrs[1].Value), fmt.Sprintf("table t: row 1 at LSN %d is not in key order", lsn)) {
+		t.Fatalf("skip events %+v, want one naming table t and LSN %d", ev, lsn)
+	}
+	if !maps.Equal(dirFiles(t, dir), before) {
+		t.Fatal("opening over a refused snapshot modified the directory")
 	}
 }
 
@@ -230,6 +344,7 @@ func TestHostileCatalogSnapshot(t *testing.T) {
 		{"table without schema", "table without metadata or schema", func(c *catalog, tid, _ uint32) { c.Tables[tid].Schema = nil }},
 		{"table filed under another id", "table 99 filed under id", func(c *catalog, tid, _ uint32) { c.Tables[tid].ID = 99 }},
 		{"key on column 99", "key of table", func(c *catalog, tid, _ uint32) { c.Tables[tid].Schema.Key = []int{99} }},
+		{"heap with a key", "is a heap true with 1 key columns", func(c *catalog, tid, _ uint32) { c.Tables[tid].Heap = true }},
 		{"index on column 99", "names a column outside the schema", func(c *catalog, _, ixid uint32) { c.Indexes[ixid].Cols = []int{99} }},
 		{"index on a missing table", "names unknown table 99", func(c *catalog, _, ixid uint32) { c.Indexes[ixid].TableID = 99 }},
 		{"index filed under another id", "index 42 filed under id", func(c *catalog, _, ixid uint32) { c.Indexes[ixid].ID = 42 }},

@@ -29,11 +29,13 @@ import (
 // itself, in commit order, as versions stamped with its commit timestamp.
 // A keyed table's chains are built in redo's private view of it, and a
 // heap's straight in its row-id array; the install phase bulk-loads each
-// keyed table and builds every index once, from the final rows. Redo never
-// decodes a row: a version is the after-image's bytes as the log carried
-// them (wal.DecodeDMLImage checked them), copied once, into a heap's pages
-// or, for a keyed chain, into an allocation of their own, and a replayed
-// ALTER changes only the schema those bytes are later read against.
+// keyed table and builds every index once, from the final rows. Redo
+// decodes a row only as far as its key columns, for the key a keyed row's
+// insert or update leaves out of the log (resolveKey): a version is the
+// after-image's bytes as the log carried them (wal.DecodeDMLImage checked
+// them), copied once, into a heap's pages or, for a keyed chain, into an
+// allocation of their own, and a replayed ALTER changes only the schema
+// those bytes are later read against.
 //
 // RecoveryWorkers = 1 runs the same code with no goroutines; larger values
 // turn on the log read-ahead and set how many tables install at once.
@@ -63,6 +65,9 @@ type redo struct {
 	db     *DB
 	tables map[uint32]*redoTable
 	ops    int
+	// keys holds the keys applyLogged derived for the transaction it
+	// applies; nothing keeps them past it.
+	keys []byte
 }
 
 func newRedo(db *DB) *redo {
@@ -82,6 +87,56 @@ func (r *redo) table(tid uint32) (*redoTable, error) {
 		r.tables[tid] = st
 	}
 	return st, nil
+}
+
+// resolveKey sets op.key to the clustered key a logged write to t is
+// under. The log holds it for a heap row and for a delete; an insert or
+// update of a keyed table logs none, and its key is derived from the
+// after-image (Table.KeyOfStored), appended to arena, which resolveKey
+// returns. A keyed write that logs a key, a write that must log one and
+// does not, and an image without a key are refused.
+func resolveKey(t *Table, op *writeOp, arena []byte) ([]byte, error) {
+	derive := !t.meta.Heap && op.typ != wal.RecDelete
+	switch {
+	case derive && len(op.key) > 0:
+		return arena, fmt.Errorf("engine: %s of keyed table %s logs a key, which its after-image holds", op.typ, t.meta.Name)
+	case !derive && len(op.key) == 0:
+		return arena, fmt.Errorf("engine: %s of table %s logs no key", op.typ, t.meta.Name)
+	case !derive:
+		return arena, nil
+	}
+	start := len(arena)
+	arena, err := t.KeyOfStored(arena, op.after)
+	if err != nil {
+		return arena, fmt.Errorf("engine: %s of table %s: %w", op.typ, t.meta.Name, err)
+	}
+	op.key = arena[start:]
+	return arena, nil
+}
+
+// LoggedKey is the clustered key that a logged write of type typ to t,
+// whose record holds key and after, is under: resolveKey for a reader of
+// the log outside redo, such as a receipt's rebuild of a frame's trees.
+func (t *Table) LoggedKey(typ wal.RecordType, key, after []byte) ([]byte, error) {
+	op := writeOp{typ: typ, key: key, after: after}
+	_, err := resolveKey(t, &op, nil)
+	return op.key, err
+}
+
+// applyLogged resolves the keys of one committed transaction's logged ops
+// and applies them at commitTS.
+func (r *redo) applyLogged(commitTS int64, ops []writeOp) error {
+	r.keys = r.keys[:0]
+	for i := range ops {
+		st, err := r.table(ops[i].tableID)
+		if err != nil {
+			return err
+		}
+		if r.keys, err = resolveKey(st.table, &ops[i], r.keys); err != nil {
+			return err
+		}
+	}
+	return r.applyTx(commitTS, ops)
 }
 
 // applyTx installs one committed transaction's ops as versions stamped
@@ -204,8 +259,8 @@ func (db *DB) recoverPhases(tr *obs.Trace, start time.Time) error {
 			})
 		case wal.RecCommit:
 			p := rec.Commit
-			if err := rd.applyTx(p.CommitTS, pending[rec.TxID]); err != nil {
-				return fmt.Errorf("engine: recovery apply: %w", err)
+			if err := rd.applyLogged(p.CommitTS, pending[rec.TxID]); err != nil {
+				return fmt.Errorf("engine: recovery: transaction %d at LSN %d: %w", rec.TxID, rec.LSN, err)
 			}
 			delete(pending, rec.TxID)
 			if p.CommitTS > db.lastCommitTS.Load() {
@@ -289,7 +344,7 @@ func (db *DB) LedgerFramesBefore(fn func(e *wal.LedgerEntry, frame int64)) error
 		case err != nil:
 			return err
 		case rec.Type == wal.RecCommit:
-			p, err := wal.DecodeCommit(rec.Payload)
+			p, err := wal.DecodeCommit(rec.TxID, rec.Payload)
 			if err != nil {
 				return err
 			}

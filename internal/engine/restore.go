@@ -66,7 +66,7 @@ func RestoreToTime(srcDir, dstDir string, targetTS int64) error {
 				return err
 			}
 		case wal.RecCommit:
-			p, err := wal.DecodeCommit(rec.Payload)
+			p, err := wal.DecodeCommit(rec.TxID, rec.Payload)
 			if err != nil {
 				return fmt.Errorf("engine: restore commit: %w", err)
 			}

@@ -159,9 +159,13 @@ func dropOldSnapshots(dir string, lsn int64) error {
 // between chunks so concurrent committers are never blocked for the
 // duration of the scan. A row goes out as the bytes it is stored as; one
 // stored before an ADD COLUMN is widened on the way, so the file holds
-// what it would if every row had been written after it.
+// what it would if every row had been written after it. Like the log, it
+// holds a heap row's row id and no key for a keyed row, and a keyed row
+// whose bytes do not give the key it is stored under fails the snapshot:
+// only an edit of storage makes one, and the file would move the row to
+// another key or fail to load, leaving restart to replay the log over it.
 func snapshotTableAt(t *Table, cutTS int64) (frames []byte, err error) {
-	var payloads, resume []byte
+	var payloads, resume, derived []byte
 	var recs []wal.Record
 	for {
 		visited := 0
@@ -178,13 +182,26 @@ func snapshotTableAt(t *Table, cutTS int64) (frames []byte, err error) {
 				// payloads may outgrow the array a record points into; that
 				// array is not written again, so the record stays valid.
 				start := len(payloads)
-				payloads = wal.AppendDMLImage(payloads, wal.DMLImage{TableID: t.meta.ID, Key: k})
+				img := wal.DMLImage{TableID: t.meta.ID}
+				if t.meta.Heap {
+					img.Key = k
+				} else if derived, err = t.KeyOfStored(derived[:0], row); err != nil || !bytes.Equal(derived, k) {
+					if err == nil {
+						err = fmt.Errorf("it holds key %x", derived)
+					}
+					err = fmt.Errorf("engine: snapshot of table %s: the row under key %x: %w", t.meta.Name, k, err)
+					return false
+				}
+				payloads = wal.AppendDMLImage(payloads, img)
 				payloads = sqltypes.AppendRowPadded(payloads, row, t.meta.Schema.Columns)
 				recs = append(recs, wal.Record{Type: wal.RecInsert, Payload: payloads[start:]})
 			}
 			return true
 		})
 		t.mu.RUnlock()
+		if err != nil {
+			return nil, err
+		}
 		if len(recs) > 0 {
 			if frames, err = wal.AppendFrame(frames, recs); err != nil {
 				return nil, err
@@ -296,8 +313,9 @@ func (db *DB) loadSnapshotFile(path string, lsn int64, rd *redo) error {
 // checked: the catalog first, then only INSERTs of its tables, in
 // ascending table id order and strictly ascending key order within a
 // table (the order install bulk-loads them in), each a well-formed row
-// (wal.DecodeDMLImage), and the COMMIT last. On an error db holds a part
-// of the snapshot, which the caller resets.
+// (wal.DecodeDMLImage) that logs its key as the log does (resolveKey), and
+// the COMMIT last. On an error db holds a part of the snapshot, which the
+// caller resets.
 func (db *DB) loadSnapshot(r *wal.Reader, rd *redo) error {
 	rec, err := r.Next()
 	if err == nil && rec.Type != wal.RecDDL {
@@ -315,7 +333,8 @@ func (db *DB) loadSnapshot(r *wal.Reader, rd *redo) error {
 	}
 
 	var ops []writeOp
-	var t *Table // the table whose rows are being read, n of them so far
+	var keys []byte // the keys derived for ops, which alias it
+	var t *Table    // the table whose rows are being read, n of them so far
 	n := 0
 	for {
 		if rec, err = r.Next(); err == io.EOF {
@@ -339,16 +358,20 @@ func (db *DB) loadSnapshot(r *wal.Reader, rd *redo) error {
 			}
 		}
 		m, err := wal.DecodeDMLImage(wal.RecInsert, rec.Payload)
+		op := writeOp{typ: wal.RecInsert, tableID: m.TableID, key: m.Key, after: m.After}
+		if err == nil {
+			keys, err = resolveKey(t, &op, keys)
+		}
 		if err != nil {
-			return fmt.Errorf("engine: snapshot row %d of table %s: %w", n, t.meta.Name, err)
+			return fmt.Errorf("engine: snapshot row %d of table %s at LSN %d: %w", n, t.meta.Name, rec.LSN, err)
 		}
-		if n > 0 && bytes.Compare(m.Key, ops[len(ops)-1].key) <= 0 {
-			return fmt.Errorf("engine: snapshot rows of table %s: row %d is not in key order", t.meta.Name, n)
+		if n > 0 && bytes.Compare(op.key, ops[len(ops)-1].key) <= 0 {
+			return fmt.Errorf("engine: snapshot rows of table %s: row %d at LSN %d is not in key order", t.meta.Name, n, rec.LSN)
 		}
-		ops = append(ops, writeOp{typ: wal.RecInsert, tableID: m.TableID, key: m.Key, after: m.After})
+		ops = append(ops, op)
 		n++
 	}
-	cut, err := wal.DecodeCommit(rec.Payload)
+	cut, err := wal.DecodeCommit(rec.TxID, rec.Payload)
 	if err != nil {
 		return err
 	}

@@ -270,7 +270,7 @@ func TestSnapshotIsOneTransaction(t *testing.T) {
 		case wal.RecInsert:
 			frameRows[rec.LSN]++
 		case wal.RecCommit:
-			p, err := wal.DecodeCommit(rec.Payload)
+			p, err := wal.DecodeCommit(rec.TxID, rec.Payload)
 			if err != nil || p.CommitTS != db.LastCommitTS() {
 				t.Fatalf("COMMIT %+v (%v), want the cut %d", p, err, db.LastCommitTS())
 			}
@@ -286,5 +286,36 @@ func TestSnapshotIsOneTransaction(t *testing.T) {
 		if n > snapshotScanChunk {
 			t.Fatalf("a frame holds %d rows", n)
 		}
+	}
+}
+
+// TestCheckpointRefusesARowWithoutItsKey: a snapshot keeps a keyed row
+// without its key, which a reader derives from the row. A row edited in
+// storage so that its key columns no longer give the key it sits under
+// would be moved to another key, or make the file fail to load and
+// restart replay the log over it, so the checkpoint fails instead, naming
+// the table and the key, and writes no snapshot.
+func TestCheckpointRefusesARowWithoutItsKey(t *testing.T) {
+	dir := t.TempDir()
+	db := openDBAt(t, dir)
+	tab := mustCreate(t, db, "t", kvSchema())
+	tx := db.Begin("u")
+	for k := int64(1); k <= 3; k++ {
+		tx.Insert(tab, kv(k, "v"))
+	}
+	commit(t, db, tx)
+	key := tab.KeyFor(kv(1, ""))
+	if err := db.TamperUpdateRow(tab, key, func(r sqltypes.Row) sqltypes.Row {
+		r[0] = sqltypes.NewBigInt(7)
+		return r
+	}, true); err != nil {
+		t.Fatal(err)
+	}
+	_, err := db.Checkpoint()
+	if want := fmt.Sprintf("table t: the row under key %x: it holds key %x", key, tab.KeyFor(kv(7, ""))); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Checkpoint = %v, want an error naming %q", err, want)
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.log")); len(snaps) != 0 {
+		t.Fatalf("a failed checkpoint left %v", snaps)
 	}
 }

@@ -84,12 +84,23 @@ type savepoint struct {
 // writeOp is one buffered write. after is the encoded after-image (nil
 // for a delete) in an allocation of its own: the overlay serves the
 // transaction's reads from it, the WAL frame copies it, and commit stores
-// it as the new version.
+// it as the new version. heap marks a write to a heap table, whose key
+// no image holds.
 type writeOp struct {
 	typ     wal.RecordType
+	heap    bool
 	tableID uint32
 	key     []byte
 	after   []byte
+}
+
+// loggedKey is the key the log holds for w: none for an insert or update
+// of a keyed table, whose after-image holds it (Table.KeyOfStored).
+func (w *writeOp) loggedKey() []byte {
+	if !w.heap && w.after != nil {
+		return nil
+	}
+	return w.key
 }
 
 // EncodeStoredRow returns the stored form of row — its encoding in an
@@ -105,13 +116,14 @@ func EncodeStoredRow(row sqltypes.Row) []byte {
 func (tx *Tx) encodeWrites() []wal.Record {
 	recs := make([]wal.Record, 0, len(tx.writes)+1)
 	size := 0
-	for _, w := range tx.writes {
-		size += wal.DMLImageMaxLen(w.key, w.after)
+	for i := range tx.writes {
+		size += wal.DMLImageMaxLen(tx.writes[i].loggedKey(), tx.writes[i].after)
 	}
 	arena := make([]byte, 0, size)
-	for _, w := range tx.writes {
+	for i := range tx.writes {
+		w := &tx.writes[i]
 		start := len(arena)
-		arena = wal.AppendDMLImage(arena, wal.DMLImage{TableID: w.tableID, Key: w.key, After: w.after})
+		arena = wal.AppendDMLImage(arena, wal.DMLImage{TableID: w.tableID, Key: w.loggedKey(), After: w.after})
 		recs = append(recs, wal.Record{Type: w.typ, TxID: tx.id, Payload: arena[start:len(arena):len(arena)]})
 	}
 	return recs
@@ -234,7 +246,7 @@ func (tx *Tx) Insert(t *Table, row sqltypes.Row) ([]byte, error) {
 
 // write buffers one operation and shows it to the transaction's reads.
 func (tx *Tx) write(typ wal.RecordType, t *Table, key, after []byte) {
-	tx.writes = append(tx.writes, writeOp{typ: typ, tableID: t.meta.ID, key: key, after: after})
+	tx.writes = append(tx.writes, writeOp{typ: typ, heap: t.meta.Heap, tableID: t.meta.ID, key: key, after: after})
 	tx.overlayFor(t.meta.ID).m[string(key)] = after
 }
 

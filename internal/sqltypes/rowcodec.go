@@ -13,7 +13,9 @@ import (
 // bytes as they were logged. Unlike the ledger serialization format in
 // internal/serial (which is canonical and feeds SHA-256), this codec just
 // needs to round-trip rows compactly; it carries the type of every value
-// so that log replay does not depend on the catalog state at replay time.
+// so that log replay does not depend on the catalog state at replay time
+// (replay takes only a keyed table's key ordinals from the catalog, to
+// derive a row's key, and those never change).
 // Decoding accepts exactly what EncodeRow writes — defined type tags, a
 // NULL flag of 0 or 1, minimal varints — so a row has one encoding, and a
 // stored byte that changes means a value that changes.

@@ -13,7 +13,8 @@ type composition struct {
 	file     int64 // size of the file
 	records  int
 	framing  int64 // file header, frame headers, transaction ids, type and length bytes
-	keys     int64 // table id, key length and clustered key of DML records
+	keys     int64 // table id, key length and key of DML records ...
+	rids     int64 // ... of which those of heap tables
 	after    int64 // after-images of DML records ...
 	tags     int64 // ... of which the 2-byte type+null tag of every value
 	commit   int64 // COMMIT payloads (timestamp, user, ledger entry with its roots)
@@ -23,9 +24,13 @@ type composition struct {
 }
 
 // measureComposition reads a log through Reader — the only decoder there
-// is — and attributes every byte of the file.
+// is — and attributes every byte of the file. The log names no heap
+// table, but only a heap's INSERT and UPDATE records carry a key (a row
+// id), which tells the heap tables apart.
 func measureComposition(path string) (composition, error) {
 	c := composition{perType: make(map[RecordType]int)}
+	keyBytes := make(map[uint32]int64) // by table id
+	heap := make(map[uint32]bool)
 	st, err := os.Stat(path)
 	if err != nil {
 		return c, err
@@ -56,12 +61,19 @@ func measureComposition(path string) (composition, error) {
 			}
 			key := int64(len(AppendDML(nil, RecDelete, p))) // a DELETE payload is exactly the key part
 			c.keys += key
+			keyBytes[p.TableID] += key
+			heap[p.TableID] = heap[p.TableID] || (rec.Type != RecDelete && len(p.Key) > 0)
 			c.after += n - key
 			c.tags += 2 * int64(len(p.After))
 		case RecCommit:
 			c.commit += n
 		default:
 			c.other += n
+		}
+	}
+	for id, n := range keyBytes {
+		if heap[id] {
+			c.rids += n
 		}
 	}
 	c.framing = c.file - c.payloads
@@ -80,6 +92,8 @@ func (c composition) String() string {
 	fmt.Fprintf(&b, " )\n")
 	fmt.Fprintf(&b, "  framing          %s  %d\n", pct(c.framing), c.framing)
 	fmt.Fprintf(&b, "  keys             %s  %d\n", pct(c.keys), c.keys)
+	fmt.Fprintf(&b, "    clustered keys %s  %d\n", pct(c.keys-c.rids), c.keys-c.rids)
+	fmt.Fprintf(&b, "    heap row ids   %s  %d\n", pct(c.rids), c.rids)
 	fmt.Fprintf(&b, "  before-images    %s  %d\n", pct(0), 0)
 	fmt.Fprintf(&b, "  after-images     %s  %d\n", pct(c.after), c.after)
 	fmt.Fprintf(&b, "    of which tags  %s  %d\n", pct(c.tags), c.tags)
@@ -118,5 +132,9 @@ func TestWALComposition(t *testing.T) {
 	// per record, plus the file header; one BIGINT value per row.
 	if c.framing != HeaderLen+100*(frameHdrLen+1+2) || c.tags != 2*50 {
 		t.Fatalf("framing %d bytes, tags %d bytes", c.framing, c.tags)
+	}
+	// Every INSERT carries a key, as only a heap's do.
+	if c.rids != c.keys {
+		t.Fatalf("%d of %d key bytes attributed to heap tables", c.rids, c.keys)
 	}
 }

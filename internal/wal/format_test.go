@@ -119,42 +119,62 @@ func TestOpenV1LogFailsUntouched(t *testing.T) {
 // The version-2 fixture is a ledger database's log written by the last
 // commit before the header carried a create time: a one-shard database
 // under a logical clock, its system tables, a ledger table, three
-// single-row inserts and an update, SyncFull, closed cleanly.
+// single-row inserts and an update, SyncFull, closed cleanly. The
+// version-3 fixture is the same script's log written by the last commit
+// before a keyed row's INSERT and UPDATE stopped logging its key.
 const (
 	goldenV2Log    = "testdata/wal_v2.golden.log"
 	goldenV2SHA256 = "31710bb6c2ca92aadf563197038309e06455b25df8a14592095a18de7a786117"
+	goldenV3Log    = "testdata/wal_v3.golden.log"
+	goldenV3SHA256 = "c33de3b97d2b3b262d424e6347ebead9c6351cbdc085f9a0308e5f6f18eac2c4"
 )
 
 // TestOpenV2LogFailsUntouched: version 3 moved the database's create time
 // into the header, and a version-2 log has none to give. Like version 1
-// before it, it is refused with ErrFormat{2, 3} by every entry point,
+// before it, it is refused with ErrFormat{2, 4} by every entry point,
 // Repair included, byte for byte unmodified.
 func TestOpenV2LogFailsUntouched(t *testing.T) {
-	b, err := os.ReadFile(goldenV2Log)
+	requireRefusedUntouched(t, goldenV2Log, goldenV2SHA256, 2)
+}
+
+// TestOpenV3LogFailsUntouched: version 4 logs no key for a keyed row's
+// INSERT or UPDATE, and a version-3 log's keys and ledger entries are
+// laid out for a reader that expects them. It is refused like version 2.
+func TestOpenV3LogFailsUntouched(t *testing.T) {
+	requireRefusedUntouched(t, goldenV3Log, goldenV3SHA256, 3)
+}
+
+// requireRefusedUntouched checks that the fixture at fixture, of SHA-256
+// sha, is refused with ErrFormat{have, FormatVersion} by every entry point
+// and left byte for byte as it was.
+func requireRefusedUntouched(t *testing.T, fixture, sha string, have int) {
+	t.Helper()
+	b, err := os.ReadFile(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sha256Hex(b); got != goldenV2SHA256 {
-		t.Fatalf("fixture %s has SHA-256 %s, want %s", goldenV2Log, got, goldenV2SHA256)
+	if got := sha256Hex(b); got != sha {
+		t.Fatalf("fixture %s has SHA-256 %s, want %s", fixture, got, sha)
 	}
 	path := filepath.Join(t.TempDir(), "wal.log")
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	want := ErrFormat{Have: 2, Want: FormatVersion}
+	want := ErrFormat{Have: have, Want: FormatVersion}
 	for name, open := range map[string]func() error{
 		"Open":               func() error { _, err := Open(path, SyncFull); return err },
 		"NewReader":          func() error { _, err := NewReader(path, 0, -1); return err },
 		"NewPipelinedReader": func() error { _, err := NewPipelinedReader(path, 0, -1, 4); return err },
+		"NewBytesReader":     func() error { _, _, err := NewBytesReader(b); return err },
 		"Repair":             func() error { _, err := Repair(path); return err },
 	} {
 		var got ErrFormat
 		if err := open(); !errors.As(err, &got) || got != want {
-			t.Errorf("%s(v2 log) = %v, want %v", name, err, want)
+			t.Errorf("%s(v%d log) = %v, want %v", name, have, err, want)
 		}
 	}
 	if after, _ := os.ReadFile(path); !bytes.Equal(after, b) {
-		t.Fatalf("failed opens modified the v2 log: %d bytes, SHA-256 %s", len(after), sha256Hex(after))
+		t.Fatalf("failed opens modified the v%d log: %d bytes, SHA-256 %s", have, len(after), sha256Hex(after))
 	}
 }
 
@@ -200,7 +220,7 @@ func TestCreateTimeIsStampedOnce(t *testing.T) {
 }
 
 // TestOpenNeverShortensAForeignFile: a file that does not start with the
-// version-3 header is an error, never "torn tail at offset 0, truncated".
+// version-4 header is an error, never "torn tail at offset 0, truncated".
 func TestOpenNeverShortensAForeignFile(t *testing.T) {
 	futureVersion := fileMagic
 	futureVersion[magicLen-1] = FormatVersion + 1

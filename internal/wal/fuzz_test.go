@@ -15,8 +15,8 @@ import (
 // Native fuzz targets. `make fuzz-smoke` runs each for 10 s; without
 // -fuzz they run their seeds as ordinary tests. Seeds come from the golden
 // version-1 log (arbitrary bytes to the frame reader; its INSERT and
-// COMMIT payloads did not change in versions 2 and 3) and from logs this
-// build writes.
+// COMMIT payloads were this build's until version 4 dropped what a ledger
+// entry repeats) and from logs this build writes.
 
 // sampleLog returns the bytes of a small log of this build's version.
 func sampleLog(f *testing.F) []byte {
@@ -31,7 +31,7 @@ func sampleLog(f *testing.F) []byte {
 		{Type: RecInsert, TxID: 1, Payload: EncodeDML(RecInsert, DMLPayload{TableID: 3, Key: []byte("k1"), After: row})},
 		{Type: RecUpdate, TxID: 1, Payload: EncodeDML(RecUpdate, DMLPayload{TableID: 3, Key: []byte("k1"), After: row})},
 		{Type: RecDelete, TxID: 1, Payload: EncodeDML(RecDelete, DMLPayload{TableID: 3, Key: []byte("k1")})},
-		{Type: RecCommit, TxID: 1, Payload: EncodeCommit(CommitPayload{CommitTS: 99, User: "u", Entry: sampleEntry()})},
+		{Type: RecCommit, TxID: 1, Payload: EncodeCommit(sampleCommit())},
 	})
 	l.Append(RecAbort, 2, nil)
 	if err := l.Close(); err != nil {
@@ -186,18 +186,21 @@ func FuzzDecodeCommit(f *testing.F) {
 			f.Add(r.Payload)
 		}
 	}
-	f.Add(EncodeCommit(CommitPayload{CommitTS: -5, User: "u", Entry: sampleEntry()}))
+	f.Add(EncodeCommit(sampleCommit()))
 	// An entry claiming 2^62 roots in nine bytes: the count must not size
 	// an allocation.
 	noRoots := EncodeCommit(CommitPayload{CommitTS: 1, User: "u", Entry: &LedgerEntry{TxID: 1}})
 	f.Add(append(noRoots[:len(noRoots)-1], 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := DecodeCommit(data)
+		p, err := DecodeCommit(42, data)
 		if err != nil {
 			return
 		}
+		if e := p.Entry; e != nil && (e.TxID != 42 || e.CommitTS != p.CommitTS || e.User != p.User) {
+			t.Fatalf("entry %+v is not of transaction 42 at the payload's time and user %d, %q", e, p.CommitTS, p.User)
+		}
 		enc := EncodeCommit(p)
-		back, err := DecodeCommit(enc)
+		back, err := DecodeCommit(42, enc)
 		if err != nil {
 			t.Fatalf("re-encoded commit payload does not decode: %v", err)
 		}

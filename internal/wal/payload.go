@@ -19,7 +19,8 @@ type TableRoot struct {
 // LedgerEntry is the database-ledger transaction entry built at commit
 // time (§3.3). It is embedded in the COMMIT record so the in-memory
 // ledger queue can be rebuilt during recovery, and later persisted to the
-// sys_ledger_transactions system table at checkpoint.
+// sys_ledger_transactions system table at checkpoint. The record stores
+// only BlockID, Ordinal and Roots; the rest is the record's own.
 type LedgerEntry struct {
 	TxID     uint64
 	BlockID  uint64
@@ -29,14 +30,11 @@ type LedgerEntry struct {
 	Roots    []TableRoot
 }
 
-// appendEntry serializes a LedgerEntry.
+// appendEntry serializes a LedgerEntry without its TxID, CommitTS and
+// User, which are the frame's txid and the COMMIT payload's.
 func appendEntry(dst []byte, e *LedgerEntry) []byte {
-	dst = binary.AppendUvarint(dst, e.TxID)
 	dst = binary.AppendUvarint(dst, e.BlockID)
 	dst = binary.AppendUvarint(dst, uint64(e.Ordinal))
-	dst = binary.AppendVarint(dst, e.CommitTS)
-	dst = binary.AppendUvarint(dst, uint64(len(e.User)))
-	dst = append(dst, e.User...)
 	dst = binary.AppendUvarint(dst, uint64(len(e.Roots)))
 	for _, tr := range e.Roots {
 		dst = binary.AppendUvarint(dst, uint64(tr.TableID))
@@ -45,33 +43,23 @@ func appendEntry(dst []byte, e *LedgerEntry) []byte {
 	return dst
 }
 
-func decodeEntry(b []byte) (*LedgerEntry, int, error) {
-	e := &LedgerEntry{}
+// decodeEntry decodes what appendEntry wrote into e, whose TxID, CommitTS
+// and User the caller has set.
+func decodeEntry(e *LedgerEntry, b []byte) (int, error) {
 	pos := 0
 	var err error
-	if e.TxID, pos, err = getUvarint(b, pos); err != nil {
-		return nil, 0, err
-	}
 	if e.BlockID, pos, err = getUvarint(b, pos); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	var u uint64
 	if u, pos, err = getUvarint(b, pos); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	e.Ordinal = uint32(u)
-	if e.CommitTS, pos, err = getVarint(b, pos); err != nil {
-		return nil, 0, err
-	}
-	user, pos, err := getBytes(b, pos)
-	if err != nil {
-		return nil, 0, err
-	}
-	e.User = string(user)
 	if e.Roots, pos, err = getRoots(b, pos); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return e, pos, nil
+	return pos, nil
 }
 
 // getRoots decodes a counted list of (table id, Merkle root) pairs.
@@ -132,7 +120,8 @@ func getBytes(b []byte, pos int) ([]byte, int, error) {
 
 // DMLPayload is the decoded payload of insert/delete/update records: what
 // redo needs and nothing else. After is the row's new image, nil for
-// deletes.
+// deletes. Key is whatever the writer logged: the engine logs none for an
+// INSERT or UPDATE of a table with a primary key (see the package comment).
 type DMLPayload struct {
 	TableID uint32
 	Key     []byte
@@ -173,7 +162,7 @@ func appendDMLHeader(dst []byte, tableID uint32, key []byte) []byte {
 // DMLImage is a DML payload with the after-image left in its encoded
 // form, sqltypes.EncodeRow's — the form the engine stores a row version
 // in, so commit and redo move the image between log and storage without
-// decoding it. After is nil for deletes.
+// decoding it. After is nil for deletes; Key is as in DMLPayload.
 type DMLImage struct {
 	TableID uint32
 	Key     []byte
@@ -227,7 +216,9 @@ func DecodeDMLImage(t RecordType, b []byte) (DMLImage, error) {
 type CommitPayload struct {
 	CommitTS int64
 	User     string
-	// Entry is non-nil when the transaction touched ledger tables.
+	// Entry is non-nil when the transaction touched ledger tables. Its
+	// TxID is the frame's txid and its CommitTS and User are the payload's:
+	// EncodeCommit does not write them again.
 	Entry *LedgerEntry
 }
 
@@ -243,8 +234,9 @@ func EncodeCommit(p CommitPayload) []byte {
 	return appendEntry(dst, p.Entry)
 }
 
-// DecodeCommit decodes a commit payload.
-func DecodeCommit(b []byte) (CommitPayload, error) {
+// DecodeCommit decodes the payload of a COMMIT record of transaction
+// txID.
+func DecodeCommit(txID uint64, b []byte) (CommitPayload, error) {
 	var p CommitPayload
 	var err error
 	var pos int
@@ -262,7 +254,8 @@ func DecodeCommit(b []byte) (CommitPayload, error) {
 	hasEntry := b[pos] == 1
 	pos++
 	if hasEntry {
-		e, n, err := decodeEntry(b[pos:])
+		e := &LedgerEntry{TxID: txID, CommitTS: p.CommitTS, User: p.User}
+		n, err := decodeEntry(e, b[pos:])
 		if err != nil {
 			return p, err
 		}

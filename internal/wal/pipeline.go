@@ -35,7 +35,7 @@ func nextDecoded(r *Reader) (DecodedRecord, error) {
 			return out, err
 		}
 	case RecCommit:
-		p, err := DecodeCommit(rec.Payload)
+		p, err := DecodeCommit(rec.TxID, rec.Payload)
 		if err != nil {
 			return out, err
 		}

@@ -116,7 +116,7 @@ func TestPipelinedReaderDecodeError(t *testing.T) {
 		l.Append(RecCommit, uint64(good+1), []byte{0xff})
 		l.Append(RecCommit, uint64(good+2), EncodeCommit(CommitPayload{CommitTS: 1, User: "t"}))
 		l.Flush()
-		_, want := DecodeCommit([]byte{0xff})
+		_, want := DecodeCommit(uint64(good+1), []byte{0xff})
 		for _, workers := range []int{1, 2, 4} {
 			seen, err := drainUntilError(t, path, l.Size(), workers)
 			if seen != good || err == nil || err.Error() != want.Error() {

@@ -7,8 +7,8 @@
 // at commit: nothing a loser
 // wrote ever reaches shared storage, so recovery is analysis + redo and
 // never undoes anything. The log therefore carries only what redo reads —
-// an INSERT or UPDATE record holds the row's key and its after-image, a
-// DELETE record holds the key alone. There are no before-images and no
+// an INSERT or UPDATE record holds the row's after-image, a DELETE record
+// the row's key alone. There are no before-images and no
 // BEGIN records. Whoever teaches the engine to write uncommitted data to
 // shared storage (steal) or to acknowledge before logging (no-force) must
 // bring undo information back first; the invariant this format rests on is
@@ -21,13 +21,32 @@
 // COMMIT log records since the last successful checkpoint and reconstruct
 // the state of the in-memory queue".
 //
-// # File layout (format version 3)
+// # File layout (format version 4)
 //
 //	file   := header frame*
-//	header := "SQLWAL" 0x00 version(=3) | createTime i64    16 bytes at offset 0
+//	header := "SQLWAL" 0x00 version(=4) | createTime i64    16 bytes at offset 0
 //	frame  := bodyLen u32 | crc32c(body) u32 | body
 //	body   := txid uvarint | record+
 //	record := type u8 | payloadLen uvarint | payload
+//
+//	INSERT, UPDATE := tableID uvarint | keyLen uvarint | key | after
+//	DELETE         := tableID uvarint | keyLen uvarint | key
+//	COMMIT         := commitTS varint | userLen uvarint | user | 0x00
+//	                | commitTS varint | userLen uvarint | user | 0x01 | entry
+//	entry          := blockID uvarint | ordinal uvarint | nRoots uvarint | (tableID uvarint | root [32]byte)*
+//	CHECKPOINT     := snapshotLSN varint | wallTS varint
+//	DDL            := kindLen uvarint | kind | bodyLen uvarint | body
+//
+// after is the row as sqltypes.EncodeRow writes it, which is the form the
+// engine stores it in. The key of an INSERT or UPDATE of a table with a
+// primary key is empty: the clustered key is sqltypes.EncodeKey of the
+// after-image's key columns, and the reader, which knows them from its
+// catalog, derives it (engine.Table.KeyOfStored). A heap table's row id
+// and a DELETE's key are logged, since no image holds them. This package
+// knows no catalog: it writes and reads whatever key it is given. The
+// ledger entry leaves out what its record already holds: its transaction
+// id is the frame's txid, its commit time and user the payload's
+// (DecodeCommit fills them in).
 //
 // All fixed-width integers are little-endian. createTime is the log's
 // create time in unix nanoseconds, drawn once, when Open creates the file,
@@ -69,9 +88,10 @@
 // Open modifies only files it has recognised as its own format. A file
 // without the header — a log of the unversioned format that preceded it
 // (version 1), or no log at all — or with a header of another version
-// (version 2 had no create time) fails with ErrFormat before a byte is
-// written; only an empty file, or a strict prefix of a version-3 header,
-// is taken for a log whose creation was interrupted.
+// (version 2 had no create time, version 3 logged every key in full) fails
+// with ErrFormat before a byte is written; only an empty file, or a strict
+// prefix of a version-4 header, is taken for a log whose creation was
+// interrupted.
 package wal
 
 import (
@@ -163,7 +183,7 @@ const (
 
 const (
 	// FormatVersion is the log file format this package writes and reads.
-	FormatVersion = 3
+	FormatVersion = 4
 	// HeaderLen is the size of the file header; the first frame, and so
 	// the smallest LSN, is at this offset.
 	HeaderLen = 16
@@ -205,7 +225,7 @@ func (e ErrFormat) Error() string {
 
 // checkHeader classifies the start of a log file of the given size: empty
 // is true for a file whose creation was interrupted (no bytes, or a strict
-// prefix of a version-3 header); any other file that is not a version-3
+// prefix of a version-4 header); any other file that is not a version-4
 // log is an ErrFormat. Otherwise it returns the log's create time.
 func checkHeader(f io.ReaderAt, size int64) (empty bool, createTime int64, err error) {
 	var h [HeaderLen]byte
@@ -388,7 +408,7 @@ func bindLogMetrics(reg *obs.Registry) logMetrics {
 // Open opens the log file at path, creating it (header included) if it
 // does not exist, and truncates a torn tail so appends resume at a frame
 // boundary. A created log's create time is the wall clock's. It fails with
-// ErrFormat on a file that is not a version-3 log and with ErrCorrupt on
+// ErrFormat on a file that is not a version-4 log and with ErrCorrupt on
 // damage before the tail; in both cases the file is left exactly as it
 // was found.
 func Open(path string, mode SyncMode) (*Log, error) {
@@ -760,7 +780,7 @@ func NewReader(path string, start, end int64) (*Reader, error) {
 
 // NewBytesReader reads the whole file of this format held in b, such as a
 // snapshot, and returns the create time in its header. It fails with
-// ErrFormat unless b starts with a whole version-3 header.
+// ErrFormat unless b starts with a whole version-4 header.
 func NewBytesReader(b []byte) (*Reader, int64, error) {
 	if len(b) < HeaderLen {
 		return nil, 0, ErrFormat{Have: 1, Want: FormatVersion}

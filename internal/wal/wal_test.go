@@ -328,9 +328,15 @@ func sampleEntry() *LedgerEntry {
 	}
 }
 
+// sampleCommit is the COMMIT payload of sampleEntry's transaction.
+func sampleCommit() CommitPayload {
+	e := sampleEntry()
+	return CommitPayload{CommitTS: e.CommitTS, User: e.User, Entry: e}
+}
+
 func TestCommitPayloadRoundtrip(t *testing.T) {
-	p := CommitPayload{CommitTS: 999, User: "bob", Entry: sampleEntry()}
-	back, err := DecodeCommit(EncodeCommit(p))
+	p := sampleCommit()
+	back, err := DecodeCommit(p.Entry.TxID, EncodeCommit(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,21 +351,40 @@ func TestCommitPayloadRoundtrip(t *testing.T) {
 	}
 }
 
+// TestCommitEntryIsNotRepeated: the entry's transaction id, commit time
+// and user are the record's, so the payload holds each once, and a longer
+// user name or a later commit time grows it by what the payload's own
+// fields grow by.
+func TestCommitEntryIsNotRepeated(t *testing.T) {
+	p := sampleCommit()
+	base := len(EncodeCommit(p))
+	bare := len(EncodeCommit(CommitPayload{CommitTS: p.CommitTS, User: p.User}))
+	// Block id 3, ordinal 17, the root count and two roots.
+	if want := bare + 3 + 2*(1+32); base != want {
+		t.Fatalf("commit payload with entry is %d bytes, want %d", base, want)
+	}
+	p.User = "alice-and-bob"
+	p.Entry.User = p.User
+	if got := len(EncodeCommit(p)); got != base+len("-and-bob") {
+		t.Fatalf("8 more bytes of user name grew the payload by %d", got-base)
+	}
+}
+
 func TestCommitPayloadWithoutEntry(t *testing.T) {
-	back, err := DecodeCommit(EncodeCommit(CommitPayload{CommitTS: 5, User: "u"}))
+	back, err := DecodeCommit(1, EncodeCommit(CommitPayload{CommitTS: 5, User: "u"}))
 	if err != nil || back.Entry != nil {
 		t.Fatalf("no-entry roundtrip: %+v, %v", back, err)
 	}
 }
 
 func TestCommitPayloadErrors(t *testing.T) {
-	enc := EncodeCommit(CommitPayload{CommitTS: 5, User: "u", Entry: sampleEntry()})
+	enc := EncodeCommit(sampleCommit())
 	for cut := 1; cut < len(enc); cut += 7 {
-		if _, err := DecodeCommit(enc[:cut]); err == nil {
+		if _, err := DecodeCommit(42, enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
-	if _, err := DecodeCommit(append(enc, 0xEE)); err == nil {
+	if _, err := DecodeCommit(42, append(enc, 0xEE)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }
