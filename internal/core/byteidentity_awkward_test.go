@@ -23,14 +23,22 @@ import (
 // The three WAL and snapshot pins were re-captured for format version 4,
 // whose keyed INSERT and UPDATE records and snapshot rows carry no key and
 // whose COMMIT records do not repeat a ledger entry's transaction id, time
-// and user; the digest and stored-row pins did not move.
+// and user; the digest and stored-row pins did not move. Format version 5
+// gives each value of a row one header byte instead of two, which changes
+// every row's bytes: the WAL, snapshot and stored-row pins were re-captured
+// for it only after the stored-row semantics pins — what the rows say
+// (storedSemanticsSHA), captured from commit 32ff229's version-4 rows —
+// gave the same sums on version 5. The digest pin did not move.
 const (
-	pinAwkwardWALSHA     = "fc6ec6e9d45290a7d3bbe0a00132649a863f0150b6d8364c3c31c8c9926bfc25"
-	pinAwkwardSnapSHA    = "725ce7a4ae7656a79688056c2f460322d10d0ca8aee2e5e8bb7f3ac98c12ac33"
+	pinAwkwardWALSHA     = "c243b7551721e288ed7cc53089954d3c9c78ae975ff2c9299890aea5764e7d36"
+	pinAwkwardSnapSHA    = "4bf376eba8ddcd1807adec6c829cc746f2a5787cd64a3e52c0177e9b145647f4"
 	pinAwkwardDigestSHA  = "8428b2f79657882f246a3fb641bf519ff7176ad1086ff103c5a5d0877440de61"
-	pinAwkwardStoredSHA  = "13db777fc5d75a32aa171d0375d2985bb473052da1016dc78cfd926208276ef5"
-	pinTruncateWALSHA    = "535fc5d2975eb02d45390664e236c98a1e55ca0693c665ca2b05d2a69dbd5dfa"
-	pinTruncateStoredSHA = "0166da5a16d732d5d51cea66c7d4cbcebd7e106bf3ded27cd3663778e12e1369"
+	pinAwkwardStoredSHA  = "2caab0390e268a0ef23f7a5000ae3471f5ca71ee5cdc29ab151a1aebed4ee490"
+	pinTruncateWALSHA    = "73cffec062589967ec05cdcb0516c2ca937fd9190173c1fc39686c9ce25fe0bd"
+	pinTruncateStoredSHA = "fba86c6b6153200199e66c670de6bcc073ec32df11a3860877bc4817ad2c2ef6"
+
+	pinAwkwardStoredSemanticsSHA  = "f6c789d7a80e2a2b60e85caa5899178bf6302a70612912921b8328b7565c5e74"
+	pinTruncateStoredSemanticsSHA = "9336318cec5fbe4c908b3712f99a498ef663c9f98f01de84f0492ae6f2a4265b"
 )
 
 // storedSHA hashes what a ledger table and its history table store: every
@@ -45,6 +53,26 @@ func storedSHA(lt *LedgerTable) string {
 			h.Write(n[:])
 			h.Write(key)
 			h.Write(stored)
+			return true
+		})
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// storedSemanticsSHA is storedSHA over what each stored row says
+// (rowSemantics) rather than its bytes: a change of the row codec alone
+// leaves it as it was.
+func storedSemanticsSHA(t *testing.T, lt *LedgerTable) string {
+	h := sha256.New()
+	for _, tab := range []*engine.Table{lt.Table(), lt.History()} {
+		tab.ScanRangeStored(nil, nil, func(key, stored []byte) bool {
+			row := rowSemantics(t, stored)
+			var n [8]byte
+			binary.BigEndian.PutUint32(n[:4], uint32(len(key)))
+			binary.BigEndian.PutUint32(n[4:], uint32(len(row)))
+			h.Write(n[:])
+			h.Write(key)
+			h.Write(row)
 			return true
 		})
 	}
@@ -160,6 +188,7 @@ func TestByteIdentityAwkwardCases(t *testing.T) {
 		{"snapshots", snapshotsSHA(t, dir), pinAwkwardSnapSHA},
 		{"digest", sum(digest.JSON()), pinAwkwardDigestSHA},
 		{"stored rows", storedSHA(items), pinAwkwardStoredSHA},
+		{"stored row semantics", storedSemanticsSHA(t, items), pinAwkwardStoredSemanticsSHA},
 	})
 }
 
@@ -205,12 +234,13 @@ func TestByteIdentityTruncationRefresh(t *testing.T) {
 	must(l.TruncateLedger(old.BlockID + 1)) // refreshes rows 1, 5, 6 (narrow), 2 and 7 (wide)
 
 	walSHA, _ := walFramesSHA(t, filepath.Join(dir, "wal.log"), true)
-	stored := storedSHA(items)
+	stored, semantics := storedSHA(items), storedSemanticsSHA(t, items)
 	digest, err := l.GenerateDigest()
 	must(err)
 	verifyOK(t, l, []Digest{digest})
 	checkPins(t, []struct{ what, got, want string }{
 		{"WAL before the truncation record", walSHA, pinTruncateWALSHA},
 		{"stored rows", stored, pinTruncateStoredSHA},
+		{"stored row semantics", semantics, pinTruncateStoredSemanticsSHA},
 	})
 }

@@ -129,6 +129,62 @@ func TestTamperPersistedAcrossReopenStillDetected(t *testing.T) {
 	verifyFails(t, l2, []Digest{d}, 4)
 }
 
+// TestCheckpointRefusesBytesThatAreNoRow: a checkpoint persists what
+// storage holds, and bytes that are no row — a history row overwritten
+// with 09 01, or a keyed row cut after its key columns — would make
+// restart skip the snapshot and replay the log over the edit, turning a
+// red Verify green. The checkpoint fails instead, naming the table and the
+// key, and writes no snapshot; Verify stays red.
+func TestCheckpointRefusesBytesThatAreNoRow(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		tamper func(lt *LedgerTable) (*engine.Table, []byte, []byte)
+	}{
+		{"history row 09 01", func(lt *LedgerTable) (*engine.Table, []byte, []byte) {
+			return lt.History(), firstKeyOf(t, lt.History()), []byte{9, 1}
+		}},
+		{"keyed row cut after its key", func(lt *LedgerTable) (*engine.Table, []byte, []byte) {
+			key := firstKeyOf(t, lt.Table())
+			stored, _ := lt.Table().LookupStored(key)
+			row, err := sqltypes.DecodeRowAlias(nil, stored, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The value count as stored, then the key column alone.
+			return lt.Table(), key, append(bytes.Clone(stored[:1]), sqltypes.EncodeRow(nil, row[:1])[1:]...)
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l := openLedgerAt(t, dir, 100)
+			lt := mustLedgerTable(t, l, "accounts", engine.LedgerUpdateable)
+			seedAccounts(t, l, lt, 3)
+			tx := l.Begin("u")
+			if err := tx.Update(lt, account(acctName(1), 99)); err != nil {
+				t.Fatal(err)
+			}
+			mustCommit(t, tx)
+			d, err := l.GenerateDigest()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab, key, raw := c.tamper(lt)
+			if err := l.Engine().TamperSetStoredRow(tab, key, raw); err != nil {
+				t.Fatal(err)
+			}
+			before, _ := filepath.Glob(filepath.Join(dir, "snap-*.log"))
+			err = l.Checkpoint()
+			if err == nil || !strings.Contains(err.Error(), "table "+tab.Name()) || !strings.Contains(err.Error(), fmt.Sprintf("%x", key)) {
+				t.Fatalf("Checkpoint = %v, want an error naming table %s and key %x", err, tab.Name(), key)
+			}
+			if after, _ := filepath.Glob(filepath.Join(dir, "snap-*.log")); len(after) != len(before) {
+				t.Fatalf("a failed checkpoint left %v, there were %v", after, before)
+			}
+			verifyFails(t, l, []Digest{d}, 4)
+		})
+	}
+}
+
 // TestColumnTypeTamperOnIndexedColumnAcrossReopen: the §3.2 metadata
 // attack on an indexed column, persisted by a checkpoint. The reopened
 // index holds no entry for a row whose value does not carry the declared

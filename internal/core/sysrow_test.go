@@ -158,9 +158,11 @@ func TestSystemRowRetaggedIntegerIsAFinding(t *testing.T) {
 }
 
 // TestNonCanonicalNullFlagIsAFinding: a stored ledger row whose NULL flag
-// byte reads 0x80 instead of 0 decoded as the same row while the codec
-// took any flag but 1 for "not NULL", so the edit verified green. The flag
-// is 0 or 1 now, and Verify reports the row.
+// byte read 0x80 instead of 0 decoded as the same row while the codec
+// took any flag but 1 for "not NULL", so the edit verified green. Since
+// format version 5 the flag is bit 7 of a value's one header byte, and a
+// header with a bit set that is neither the type's nor the flag — here
+// bit 6 — is refused, so Verify reports the row.
 func TestNonCanonicalNullFlagIsAFinding(t *testing.T) {
 	f := newMatrixFixture(t)
 	tab, key := f.lt.Table(), acctKey(2)
@@ -169,11 +171,11 @@ func TestNonCanonicalNullFlagIsAFinding(t *testing.T) {
 		raw = bytes.Clone(stored)
 		return false
 	})
-	// One header byte (the value count), then value 0's type tag and flag.
-	if raw[2] != 0 {
-		t.Fatalf("value 0 of %x is not a non-NULL value", raw)
+	// One byte of row header (the value count), then value 0's header.
+	if raw[1] != byte(sqltypes.TypeNVarChar) {
+		t.Fatalf("value 0 of %x is not a non-NULL NVARCHAR", raw)
 	}
-	raw[2] = 0x80
+	raw[1] |= 0x40
 	if err := f.l.Engine().TamperSetStoredRow(tab, key, raw); err != nil {
 		t.Fatal(err)
 	}

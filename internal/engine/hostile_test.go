@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -512,6 +513,33 @@ func checkLoaded(t *testing.T, db *DB) {
 			if _, ok := tab.getAt(k, latest, nil); !ok {
 				t.Fatalf("table %d: key %x is scanned or indexed but Get misses it", tab.ID(), k)
 			}
+		}
+	}
+}
+
+// TestLoadSnapshotSeedsAreCurrent: every checked-in FuzzLoadSnapshot seed
+// carries this build's format version. A seed of an older one is refused
+// at the header and never reaches the check it was kept for, so a format
+// change must regenerate them.
+func TestLoadSnapshotSeedsAreCurrent(t *testing.T) {
+	paths, err := filepath.Glob("testdata/fuzz/FuzzLoadSnapshot/*")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no FuzzLoadSnapshot seeds (%v)", err)
+	}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// "go test fuzz v1", then the one argument: []byte("...").
+		_, arg, _ := strings.Cut(strings.TrimSpace(string(b)), "\n")
+		raw, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(arg, "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		var ferr wal.ErrFormat
+		if _, _, err := wal.NewBytesReader([]byte(raw)); errors.As(err, &ferr) {
+			t.Errorf("%s: %v; regenerate it in format version %d", p, err, wal.FormatVersion)
 		}
 	}
 }

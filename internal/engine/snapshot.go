@@ -160,9 +160,10 @@ func dropOldSnapshots(dir string, lsn int64) error {
 // duration of the scan. A row goes out as the bytes it is stored as; one
 // stored before an ADD COLUMN is widened on the way, so the file holds
 // what it would if every row had been written after it. Like the log, it
-// holds a heap row's row id and no key for a keyed row, and a keyed row
-// whose bytes do not give the key it is stored under fails the snapshot:
-// only an edit of storage makes one, and the file would move the row to
+// holds a heap row's row id and no key for a keyed row. Bytes that are no
+// row (sqltypes.CheckRow), and a keyed row whose bytes do not give the key
+// it is stored under, fail the snapshot, naming the table and the key:
+// only an edit of storage makes either, and the file would move the row to
 // another key or fail to load, leaving restart to replay the log over it.
 func snapshotTableAt(t *Table, cutTS int64) (frames []byte, err error) {
 	var payloads, resume, derived []byte
@@ -182,15 +183,18 @@ func snapshotTableAt(t *Table, cutTS int64) (frames []byte, err error) {
 				// payloads may outgrow the array a record points into; that
 				// array is not written again, so the record stays valid.
 				start := len(payloads)
+				if err = sqltypes.CheckRow(row); err == nil && !t.meta.Heap {
+					if derived, err = t.KeyOfStored(derived[:0], row); err == nil && !bytes.Equal(derived, k) {
+						err = fmt.Errorf("it holds key %x", derived)
+					}
+				}
+				if err != nil {
+					err = fmt.Errorf("engine: snapshot of table %s: the row under key %x: %w", t.meta.Name, k, err)
+					return false
+				}
 				img := wal.DMLImage{TableID: t.meta.ID}
 				if t.meta.Heap {
 					img.Key = k
-				} else if derived, err = t.KeyOfStored(derived[:0], row); err != nil || !bytes.Equal(derived, k) {
-					if err == nil {
-						err = fmt.Errorf("it holds key %x", derived)
-					}
-					err = fmt.Errorf("engine: snapshot of table %s: the row under key %x: %w", t.meta.Name, k, err)
-					return false
 				}
 				payloads = wal.AppendDMLImage(payloads, img)
 				payloads = sqltypes.AppendRowPadded(payloads, row, t.meta.Schema.Columns)

@@ -36,12 +36,10 @@ type Table struct {
 	// sweep nothing. Guarded by mu.
 	reclaim     []gcEntry
 	reclaimKeys []byte
-	// keyOrds are the ordinals of the clustered key's columns and keyCols
-	// the schema's columns up to the last of them, as the table was
-	// created. The catalog refuses to change a table's key (replaceMeta),
-	// so KeyOfStored reads them without the lock.
+	// keyOrds are the ordinals of the clustered key's columns as the table
+	// was created. The catalog refuses to change a table's key
+	// (replaceMeta), so KeyOfStored reads them without the lock.
 	keyOrds []int
-	keyCols []sqltypes.Column
 }
 
 // gcEntry is a listed chain: a keyed row's, its key at reclaimKeys[off:
@@ -72,7 +70,6 @@ func newTable(meta *TableMeta) *Table {
 	if !meta.Heap {
 		t.rows.tree = btree.New[*versionChain]()
 		t.keyOrds = slices.Clone(meta.Schema.Key)
-		t.keyCols = slices.Clone(meta.Schema.Columns[:slices.Max(t.keyOrds)+1])
 	}
 	return t
 }
@@ -392,28 +389,12 @@ func (ix *Index) EntryKeyStored(dst, clusteredKey, stored []byte, cols []sqltype
 
 // KeyOfStored appends to dst the clustered key of stored, a row of this
 // keyed table: the encoding of its key columns, which is what KeyFor gives
-// for the decoded row. The log and snapshots hold no key for a keyed row's
-// image, and every reader of one derives it here. A row that lacks a key
-// column or holds NULL in one has no key, and bytes that do not decode up
-// to the last key column are an error too.
+// for the decoded row, read straight from the bytes. The log and snapshots
+// hold no key for a keyed row's image, and every reader of one derives it
+// here. A row that lacks a key column or holds NULL in one has no key, and
+// bytes that do not decode up to the last key column are an error too.
 func (t *Table) KeyOfStored(dst, stored []byte) ([]byte, error) {
-	var few [4]sqltypes.Value
-	vals := few[:0]
-	if n := len(t.keyOrds); n <= len(few) {
-		vals = few[:n]
-	} else {
-		vals = make([]sqltypes.Value, n)
-	}
-	// A row too narrow for a key column reads it as NULL.
-	if err := sqltypes.DecodeColumns(vals, stored, t.keyOrds, t.keyCols); err != nil {
-		return nil, err
-	}
-	for i, v := range vals {
-		if v.Null {
-			return nil, fmt.Errorf("engine: the row lacks key column %d or holds NULL in it", t.keyOrds[i])
-		}
-	}
-	return sqltypes.EncodeKey(dst, vals...), nil
+	return sqltypes.AppendStoredKey(dst, stored, t.keyOrds)
 }
 
 // clusteredKey returns the clustered key entryKey ends with: what follows

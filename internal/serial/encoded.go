@@ -129,14 +129,14 @@ func (l *Layout) transcode(dst, stored []byte, op OpType, skip SkipMask, p *pass
 	dst = append(dst, Version, byte(op), 0) // 0: the count slot
 	n, mistyped := 0, 0
 	for i := 0; i < int(width); i++ {
-		if pos+2 > len(stored) { // before ValueHeader, to keep serial's wording
+		if pos+sqltypes.ValueHeaderLen > len(stored) { // before ValueHeader, to keep serial's wording
 			return dst, fmt.Errorf("serial: row truncated at value %d", i)
 		}
-		tag, null, err := sqltypes.ValueHeader(stored, pos, i)
+		tag, null, next, err := sqltypes.ValueHeader(stored, pos, i)
 		if err != nil {
 			return dst, err
 		}
-		pos += 2
+		pos = next
 		if null {
 			if tag != l.cols[i].Type {
 				mistyped++ // never cut: it is in neither side's serialization

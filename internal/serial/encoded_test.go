@@ -166,14 +166,14 @@ func oracleAppendEncoded(l *Layout, dst, stored []byte, op OpType, skip SkipMask
 	dst = append(dst, Version, byte(op), 0)
 	n, typed := 0, true
 	for i := 0; i < int(width); i++ {
-		if pos+2 > len(stored) {
+		if pos+sqltypes.ValueHeaderLen > len(stored) {
 			return dst[:start], fmt.Errorf("serial: row truncated at value %d", i)
 		}
-		tag, null, err := sqltypes.ValueHeader(stored, pos, i)
+		tag, null, next, err := sqltypes.ValueHeader(stored, pos, i)
 		if err != nil {
 			return dst[:start], err
 		}
-		pos += 2
+		pos = next
 		if null {
 			typed = typed && tag == l.cols[i].Type
 			continue

@@ -68,6 +68,51 @@ func EncodeRowKey(s *Schema, r Row) []byte {
 	return dst
 }
 
+// AppendStoredKey appends to dst EncodeKey of the values at ordinals ords
+// of the encoded row b, read straight from its bytes without building a
+// Value: what EncodeKey gives for the values DecodeColumns reads there, in
+// one walk of the row when ords ascend. It fails where DecodeColumns does,
+// and on a value that is NULL or that the row is too narrow to hold, which
+// no key holds.
+func AppendStoredKey(dst, b []byte, ords []int) ([]byte, error) {
+	n, start, err := rowHeader(b)
+	if err != nil {
+		return nil, err
+	}
+	pos, i := start, 0 // the walk stands before value i
+	for _, ord := range ords {
+		if ord >= n {
+			return nil, fmt.Errorf("sqltypes: the row lacks key column %d or holds NULL in it", ord)
+		}
+		if ord < i {
+			pos, i = start, 0
+		}
+		for ; i < ord; i++ {
+			if pos, err = skipValue(b, pos, i); err != nil {
+				return nil, err
+			}
+		}
+		t, null, u, next, err := readValue(b, pos, i)
+		if err == nil && null {
+			err = fmt.Errorf("sqltypes: the row lacks key column %d or holds NULL in it", ord)
+		}
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, 0x01)
+		switch {
+		case t.IsString() || t.IsBytes():
+			dst = appendEscaped(dst, b[next-int(u):next])
+		case t == TypeFloat:
+			dst = appendUint64(dst, floatToOrdered(math.Float64frombits(u)))
+		default:
+			dst = appendUint64(dst, (u>>1^-(u&1))^(1<<63)) // zigzag, then as EncodeKey
+		}
+		pos, i = next, i+1
+	}
+	return dst, nil
+}
+
 func appendUint64(dst []byte, u uint64) []byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], u)

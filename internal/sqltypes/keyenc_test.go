@@ -203,7 +203,7 @@ func TestRowCodecErrors(t *testing.T) {
 	}
 	// A string length of 2^63 used to wrap negative past the bounds check
 	// and panic in the slice expression.
-	huge := append([]byte{1, byte(TypeVarChar), 0}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)
+	huge := append([]byte{1, byte(TypeVarChar)}, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)
 	if _, err := DecodeRowAlias(nil, huge, nil); err == nil {
 		t.Error("string longer than the input accepted")
 	}

@@ -16,20 +16,42 @@ import (
 // so that log replay does not depend on the catalog state at replay time
 // (replay takes only a keyed table's key ordinals from the catalog, to
 // derive a row's key, and those never change).
-// Decoding accepts exactly what EncodeRow writes — defined type tags, a
-// NULL flag of 0 or 1, minimal varints — so a row has one encoding, and a
-// stored byte that changes means a value that changes.
+//
+//	row    := count uvarint | value*
+//	value  := header | payload     (no payload after a NULL's header)
+//	header := type id in bits 0–3 | 0x80 for NULL      one byte, bits 4–6 zero
+//
+// The payload is one uvarint whatever the type — a float's bits, an
+// integer in zigzag form (binary.AppendVarint), or the length of a
+// string's or a binary's bytes, which follow it. Decoding accepts exactly
+// what EncodeRow writes — a defined type, no header bit but the NULL
+// flag, minimal varints — so a row has one encoding, and a stored byte
+// that changes means a value that changes.
+
+// ValueHeaderLen is the width of a value's header: every value of a row
+// takes at least this many bytes.
+const ValueHeaderLen = 1
+
+// nullBit is the header bit of a NULL.
+const nullBit = 0x80
+
+// appendValueHeader appends the header of a value of type t.
+func appendValueHeader(dst []byte, t TypeID, null bool) []byte {
+	h := byte(t)
+	if null {
+		h |= nullBit
+	}
+	return append(dst, h)
+}
 
 // EncodeRow appends the binary encoding of r to dst.
 func EncodeRow(dst []byte, r Row) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(r)))
 	for _, v := range r {
-		dst = append(dst, byte(v.Type))
+		dst = appendValueHeader(dst, v.Type, v.Null)
 		if v.Null {
-			dst = append(dst, 1)
 			continue
 		}
-		dst = append(dst, 0)
 		switch {
 		case v.Type == TypeFloat:
 			dst = binary.AppendUvarint(dst, math.Float64bits(v.F64))
@@ -49,7 +71,7 @@ func EncodeRow(dst []byte, r Row) []byte {
 // EncodedRowLen returns len(EncodeRow(nil, r)), so a row that will be kept
 // can be encoded into an allocation of exactly its size.
 func EncodedRowLen(r Row) int {
-	n := uvarintLen(uint64(len(r))) + 2*len(r)
+	n := uvarintLen(uint64(len(r))) + ValueHeaderLen*len(r)
 	for _, v := range r {
 		if v.Null {
 			continue
@@ -86,21 +108,18 @@ func varint(b []byte) (int64, int) {
 	return int64(u>>1) ^ -int64(u&1), n
 }
 
-// ValueHeader reads the type tag and NULL flag that open value i of a row
-// at b[pos:]. Both must be what EncodeRow writes: a defined type, and a
-// flag of 0 or 1.
-func ValueHeader(b []byte, pos, i int) (t TypeID, null bool, err error) {
-	if pos+2 > len(b) {
-		return 0, false, fmt.Errorf("sqltypes: row truncated at value %d", i)
+// ValueHeader reads the header of value i of a row at b[pos:] — its type
+// and NULL flag — and returns the position after it. It must be what
+// EncodeRow writes: a defined type and no other bit but the NULL flag.
+func ValueHeader(b []byte, pos, i int) (t TypeID, null bool, next int, err error) {
+	if pos+ValueHeaderLen > len(b) {
+		return 0, false, 0, fmt.Errorf("sqltypes: row truncated at value %d", i)
 	}
-	t, flag := TypeID(b[pos]), b[pos+1]
-	if !t.Defined() {
-		return 0, false, fmt.Errorf("sqltypes: value %d has undefined type %d", i, uint8(t))
+	h := b[pos]
+	if t = TypeID(h &^ nullBit); !t.Defined() { // bits 4–6 make no type
+		return 0, false, 0, fmt.Errorf("sqltypes: value %d has header %#x", i, h)
 	}
-	if flag > 1 {
-		return 0, false, fmt.Errorf("sqltypes: value %d has NULL flag %#x", i, flag)
-	}
-	return t, flag == 1, nil
+	return t, h&nullBit != 0, pos + ValueHeaderLen, nil
 }
 
 // DecodeRowAlias decodes the row that b holds — all of b — into dst[:0],
@@ -162,7 +181,7 @@ func AppendRowPadded(dst, b []byte, cols []Column) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(cols)))
 	dst = append(dst, b[sz:]...)
 	for _, c := range cols[n:] {
-		dst = append(dst, byte(c.Type), 1)
+		dst = appendValueHeader(dst, c.Type, true)
 	}
 	return dst
 }
@@ -188,7 +207,7 @@ func SpliceBigInts(b []byte, cols []Column, ords []int, vals []int64) ([]byte, e
 	// that the size of the result.
 	var few [4][2]int
 	spans := few[:0]
-	size := uvarintLen(uint64(width)) + len(b) - hdr + 2*(width-n)
+	size := uvarintLen(uint64(width)) + len(b) - hdr + ValueHeaderLen*(width-n)
 	pos := hdr
 	for i := 0; i < n; i++ {
 		start := pos
@@ -204,13 +223,13 @@ func SpliceBigInts(b []byte, cols []Column, ords []int, vals []int64) ([]byte, e
 		return nil, fmt.Errorf("sqltypes: %d trailing bytes after row", len(b)-pos)
 	}
 	for k, v := range vals {
-		size += 2 + uvarintLen(uint64(v<<1)^uint64(v>>63)) // zigzag, as AppendVarint
+		size += ValueHeaderLen + uvarintLen(uint64(v<<1)^uint64(v>>63)) // zigzag, as AppendVarint
 		if ords[k] >= n {
-			size -= 2 // in place of a padding NULL
+			size -= ValueHeaderLen // in place of a padding NULL
 		}
 	}
 	bigInt := func(dst []byte, v int64) []byte {
-		return binary.AppendVarint(append(dst, byte(TypeBigInt), 0), v)
+		return binary.AppendVarint(appendValueHeader(dst, TypeBigInt, false), v)
 	}
 	out := binary.AppendUvarint(make([]byte, 0, size), uint64(width))
 	from := hdr
@@ -225,7 +244,7 @@ func SpliceBigInts(b []byte, cols []Column, ords []int, vals []int64) ([]byte, e
 			out = bigInt(out, vals[k])
 			k++
 		} else {
-			out = append(out, byte(cols[i].Type), 1)
+			out = appendValueHeader(out, cols[i].Type, true)
 		}
 	}
 	return out, nil
@@ -266,31 +285,34 @@ func DecodeColumns(out []Value, b []byte, ords []int, cols []Column) error {
 // skipValue returns the position after value i of a row at b[pos:],
 // failing where decodeValue would.
 func skipValue(b []byte, pos, i int) (int, error) {
-	t, null, err := ValueHeader(b, pos, i)
-	if err != nil {
-		return 0, err
+	_, _, _, next, err := readValue(b, pos, i)
+	return next, err
+}
+
+// readValue reads value i of a row at b[pos:] without building it: its
+// type, whether it is NULL and, unless it is, the one uvarint of its
+// payload whatever the type — a float's bits, a zigzag integer, or the
+// length of a string's or a binary's bytes, which end at next. It returns
+// the position after the value, failing where decodeValue would.
+func readValue(b []byte, pos, i int) (t TypeID, null bool, u uint64, next int, err error) {
+	if t, null, pos, err = ValueHeader(b, pos, i); err != nil || null {
+		return t, null, 0, pos, err
 	}
-	pos += 2
-	if null {
-		return pos, nil
-	}
-	// One uvarint whatever the type: float bits, a zigzag integer, or the
-	// length of the bytes that follow.
 	u, sz := Uvarint(b[pos:])
 	if sz <= 0 {
-		return 0, fmt.Errorf("sqltypes: bad value %d", i)
+		return 0, false, 0, 0, fmt.Errorf("sqltypes: bad value %d", i)
 	}
 	pos += sz
 	if t.IsString() || t.IsBytes() {
 		if u > uint64(len(b)-pos) {
-			return 0, fmt.Errorf("sqltypes: value %d truncated", i)
+			return 0, false, 0, 0, fmt.Errorf("sqltypes: value %d truncated", i)
 		}
 		pos += int(u)
 	}
-	return pos, nil
+	return t, false, u, pos, nil
 }
 
-// rowHeader reads the value count. Every value takes at least two bytes,
+// rowHeader reads the value count. Every value takes at least its header,
 // which bounds what a decoder allocates by the length of its input
 // whatever count the header claims.
 func rowHeader(b []byte) (n, pos int, err error) {
@@ -298,7 +320,7 @@ func rowHeader(b []byte) (n, pos int, err error) {
 	if sz <= 0 {
 		return 0, 0, fmt.Errorf("sqltypes: bad row header")
 	}
-	if u > uint64(len(b)-sz)/2 {
+	if u > uint64(len(b)-sz)/ValueHeaderLen {
 		return 0, 0, fmt.Errorf("sqltypes: row claims %d values in %d bytes", u, len(b))
 	}
 	return int(u), sz, nil
@@ -307,13 +329,12 @@ func rowHeader(b []byte) (n, pos int, err error) {
 // decodeValue decodes value i of a row at b[pos:] into v, returning the
 // position after it. A string or binary aliases b.
 func decodeValue(v *Value, b []byte, pos, i int) (int, error) {
-	t, null, err := ValueHeader(b, pos, i)
+	t, null, pos, err := ValueHeader(b, pos, i)
 	if err != nil {
 		return 0, err
 	}
 	*v = Value{Type: t, Null: null}
-	pos += 2
-	if v.Null {
+	if null {
 		return pos, nil
 	}
 	switch {

@@ -131,27 +131,28 @@ func TestDecodeRowRejectsMalformed(t *testing.T) {
 		b[i] = c
 		return b
 	}
-	nvarchar := []byte{byte(TypeNVarChar), 0, 3, 'a', 'b', 'c'}
+	nvarchar := []byte{byte(TypeNVarChar), 3, 'a', 'b', 'c'}
 	for name, b := range map[string][]byte{
 		"empty":            nil,
 		"count past input": {200, 1},
 		"truncated":        good[:len(good)-1],
 		"trailing":         append(append([]byte(nil), good...), 0),
-		"length past end":  {1, byte(TypeVarChar), 0, 9, 'x'},
+		"length past end":  {1, byte(TypeVarChar), 9, 'x'},
 		"huge count":       binary.AppendUvarint(nil, math.MaxUint64),
 		// Non-canonical: bytes EncodeRow never writes, which would read
 		// as the same row as bytes it does.
-		"NULL flag 0x80":       edit(2, 0x80),
-		"NULL flag 2":          edit(2, 2),
+		"header bit 4":         edit(1, byte(TypeBigInt)|0x10),
+		"header bit 6":         edit(1, byte(TypeBigInt)|0x40),
+		"header bit 5 of NULL": edit(3, byte(TypeNVarChar)|0xa0),
 		"type 0":               edit(1, 0),
-		"type 133":             edit(1, 133),
+		"NULL of type 0":       edit(1, 0x80),
 		"type past the last":   edit(1, byte(TypeUniqueID+1)),
-		"two-byte count":       append([]byte{0x82, 0, byte(TypeBigInt), 0, 2}, nvarchar...),
-		"two-byte integer":     append([]byte{2, byte(TypeBigInt), 0, 0x82, 0}, nvarchar...),
-		"two-byte length":      {1, byte(TypeNVarChar), 0, 0x83, 0, 'a', 'b', 'c'},
-		"two-byte float bits":  {1, byte(TypeFloat), 0, 0x80, 0},
-		"NULL flag of a NULL":  {1, byte(TypeFloat), 0x81},
-		"undefined NULL's tag": {1, 0xff, 1},
+		"two-byte count":       append([]byte{0x82, 0, byte(TypeBigInt), 2}, nvarchar...),
+		"two-byte integer":     append([]byte{2, byte(TypeBigInt), 0x82, 0}, nvarchar...),
+		"two-byte length":      {1, byte(TypeNVarChar), 0x83, 0, 'a', 'b', 'c'},
+		"two-byte float bits":  {1, byte(TypeFloat), 0x80, 0},
+		"payload of a NULL":    {1, byte(TypeFloat) | 0x80, 0},
+		"undefined NULL's tag": {1, 0xff},
 	} {
 		if err := CheckRow(b); err == nil {
 			t.Errorf("%s: CheckRow accepted %x", name, b)
@@ -167,8 +168,9 @@ func TestDecodeRowRejectsMalformed(t *testing.T) {
 
 // goldenAfterImages returns the encoded rows of the INSERT records of the
 // WAL's golden version-1 log (len u32 | crc u32 | type u8 | txid u64 |
-// payload; the payloads did not change in version 2): rows as a real build
-// logged them.
+// payload; the payloads did not change in version 2), each re-encoded
+// with the one-byte value headers of version 5 (v4Row): rows as a real
+// build logged them.
 func goldenAfterImages(f *testing.F) [][]byte {
 	b, err := os.ReadFile("../wal/testdata/wal_v1.golden.log")
 	if err != nil {
@@ -180,12 +182,12 @@ func goldenAfterImages(f *testing.F) [][]byte {
 		if plen > len(b)-17 {
 			break
 		}
-		if typ := wal.RecordType(b[8]); typ == wal.RecInsert {
-			img, err := wal.DecodeDMLImage(typ, b[17:17+plen])
-			if err != nil {
-				f.Fatal(err)
-			}
-			rows = append(rows, img.After)
+		if wal.RecordType(b[8]) == wal.RecInsert {
+			// tableID uvarint | keyLen uvarint | key | after
+			p := b[17 : 17+plen]
+			_, n := binary.Uvarint(p)
+			k, m := binary.Uvarint(p[n:])
+			rows = append(rows, v4Row(f, p[n+m+int(k):]))
 		}
 		b = b[17+plen:]
 	}
@@ -193,6 +195,34 @@ func goldenAfterImages(f *testing.F) [][]byte {
 		f.Fatalf("golden log yielded %d INSERT after-images, want 6", len(rows))
 	}
 	return rows
+}
+
+// v4Row re-encodes a row of format versions 1–4, whose values open with a
+// type byte and a NULL byte of 0 or 1, with version 5's header: one byte,
+// the type with bit 7 set for NULL. The payloads are the same.
+func v4Row(f *testing.F, b []byte) []byte {
+	n, pos := binary.Uvarint(b)
+	out := binary.AppendUvarint(nil, n)
+	for i := uint64(0); i < n; i++ {
+		if pos+2 > len(b) || b[pos+1] > 1 {
+			f.Fatalf("%x is no version-4 row", b)
+		}
+		t, null := TypeID(b[pos]), b[pos+1] == 1
+		out = append(out, byte(t)|b[pos+1]<<7)
+		if pos += 2; null {
+			continue
+		}
+		u, sz := binary.Uvarint(b[pos:])
+		end := pos + sz
+		if t.IsString() || t.IsBytes() {
+			end += int(u)
+		}
+		out, pos = append(out, b[pos:end]...), end
+	}
+	if err := CheckRow(out); err != nil {
+		f.Fatalf("%x re-encoded as %x: %v", b, out, err)
+	}
+	return out
 }
 
 // FuzzDecodeRow feeds arbitrary bytes to the row decoder, through which
@@ -206,10 +236,10 @@ func FuzzDecodeRow(f *testing.F) {
 	}
 	f.Add(EncodeRow(nil, codecRow()))
 	f.Add(binary.AppendUvarint(nil, math.MaxUint64))
-	f.Add([]byte{3, byte(TypeVarChar), 0, 0xff, 0xff, 0xff, 0xff, 0x0f})
-	f.Add([]byte{1, byte(TypeBigInt), 0x80, 2})    // a NULL flag that is neither 0 nor 1
-	f.Add([]byte{1, 133, 1})                       // an undefined type's NULL
-	f.Add([]byte{1, byte(TypeBigInt), 0, 0x82, 0}) // an integer in two bytes that needs one
+	f.Add([]byte{3, byte(TypeVarChar), 0xff, 0xff, 0xff, 0xff, 0x0f})
+	f.Add([]byte{1, byte(TypeBigInt) | 0x40, 2}) // a header bit that is neither type nor NULL
+	f.Add([]byte{1, 0x8f})                       // an undefined type's NULL
+	f.Add([]byte{1, byte(TypeBigInt), 0x82, 0})  // an integer in two bytes that needs one
 	f.Fuzz(func(t *testing.T, data []byte) {
 		row, err := DecodeRowAlias(nil, data, nil)
 		if checkErr := CheckRow(data); (checkErr == nil) != (err == nil) {
@@ -218,8 +248,8 @@ func FuzzDecodeRow(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A value takes at least two bytes of input.
-		if len(row) > len(data)/2 {
+		// A value takes at least its header's bytes of input.
+		if len(row) > len(data)/ValueHeaderLen {
 			t.Fatalf("%d values decoded from %d bytes", len(row), len(data))
 		}
 		enc := EncodeRow(nil, row)
@@ -346,8 +376,7 @@ func checkSplice(t *testing.T, b []byte, width, ord, gap int, v0, v1 int64, mask
 		t.Fatalf("spliced image has len %d cap %d", len(spliced), cap(spliced))
 	}
 	// Byte identity is promised for rows as EncodeRow writes them; any
-	// other accepted spelling (a long varint, a NULL flag above 1) must
-	// still splice to the same row.
+	// other spelling the splice accepts must still splice to the same row.
 	canonical := bytes.Equal(EncodeRow(nil, full[:n]), b)
 	for i, o := range ords {
 		full[o] = NewBigInt(vals[i])
@@ -405,7 +434,7 @@ func FuzzSpliceBigInts(f *testing.F) {
 	}
 	f.Add(EncodeRow(nil, codecRow()), uint8(20), uint8(12), uint8(0), int64(math.MinInt64), int64(math.MaxInt64), ^uint64(0))
 	f.Add(EncodeRow(nil, codecRow()[:4]), uint8(9), uint8(6), uint8(1), int64(-1), int64(0), uint64(0x1f))
-	f.Add([]byte{2, byte(TypeBigInt), 2, 0x80, 0x00, byte(TypeBigInt), 1}, uint8(4), uint8(0), uint8(0), int64(5), int64(6), uint64(3))
+	f.Add([]byte{2, byte(TypeBigInt) | 0x20, 0x80, 0x00, byte(TypeBigInt) | 0x80}, uint8(4), uint8(0), uint8(0), int64(5), int64(6), uint64(3))
 	f.Add(binary.AppendUvarint(nil, math.MaxUint64), uint8(3), uint8(1), uint8(0), int64(0), int64(0), uint64(1))
 	f.Fuzz(func(t *testing.T, data []byte, width, ord, gap uint8, v0, v1 int64, mask uint64) {
 		checkSplice(t, data, int(width), int(ord), int(gap), v0, v1, mask)

@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"sqlledger/internal/sqltypes"
 )
 
 // composition is where the bytes of one log file go.
@@ -16,7 +18,7 @@ type composition struct {
 	keys     int64 // table id, key length and key of DML records ...
 	rids     int64 // ... of which those of heap tables
 	after    int64 // after-images of DML records ...
-	tags     int64 // ... of which the 2-byte type+null tag of every value
+	headers  int64 // ... of which the header (type and NULL flag) of every value
 	commit   int64 // COMMIT payloads (timestamp, user, ledger entry with its roots)
 	other    int64 // DDL, PREPARE, CHECKPOINT, ABORT payloads
 	perType  map[RecordType]int
@@ -64,7 +66,7 @@ func measureComposition(path string) (composition, error) {
 			keyBytes[p.TableID] += key
 			heap[p.TableID] = heap[p.TableID] || (rec.Type != RecDelete && len(p.Key) > 0)
 			c.after += n - key
-			c.tags += 2 * int64(len(p.After))
+			c.headers += sqltypes.ValueHeaderLen * int64(len(p.After))
 		case RecCommit:
 			c.commit += n
 		default:
@@ -96,7 +98,7 @@ func (c composition) String() string {
 	fmt.Fprintf(&b, "    heap row ids   %s  %d\n", pct(c.rids), c.rids)
 	fmt.Fprintf(&b, "  before-images    %s  %d\n", pct(0), 0)
 	fmt.Fprintf(&b, "  after-images     %s  %d\n", pct(c.after), c.after)
-	fmt.Fprintf(&b, "    of which tags  %s  %d\n", pct(c.tags), c.tags)
+	fmt.Fprintf(&b, "    value headers  %s  %d\n", pct(c.headers), c.headers)
 	fmt.Fprintf(&b, "  commit payloads  %s  %d\n", pct(c.commit), c.commit)
 	fmt.Fprintf(&b, "  other payloads   %s  %d\n", pct(c.other), c.other)
 	return b.String()
@@ -130,8 +132,8 @@ func TestWALComposition(t *testing.T) {
 	}
 	// One-record frames: 8 header + 1 txid (all below 128) + type + length
 	// per record, plus the file header; one BIGINT value per row.
-	if c.framing != HeaderLen+100*(frameHdrLen+1+2) || c.tags != 2*50 {
-		t.Fatalf("framing %d bytes, tags %d bytes", c.framing, c.tags)
+	if c.framing != HeaderLen+100*(frameHdrLen+1+2) || c.headers != sqltypes.ValueHeaderLen*50 {
+		t.Fatalf("framing %d bytes, value headers %d bytes", c.framing, c.headers)
 	}
 	// Every INSERT carries a key, as only a heap's do.
 	if c.rids != c.keys {

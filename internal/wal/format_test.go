@@ -121,17 +121,21 @@ func TestOpenV1LogFailsUntouched(t *testing.T) {
 // under a logical clock, its system tables, a ledger table, three
 // single-row inserts and an update, SyncFull, closed cleanly. The
 // version-3 fixture is the same script's log written by the last commit
-// before a keyed row's INSERT and UPDATE stopped logging its key.
+// before a keyed row's INSERT and UPDATE stopped logging its key, and the
+// version-4 fixture the same script's log written by the last commit
+// whose rows gave each value two header bytes.
 const (
 	goldenV2Log    = "testdata/wal_v2.golden.log"
 	goldenV2SHA256 = "31710bb6c2ca92aadf563197038309e06455b25df8a14592095a18de7a786117"
 	goldenV3Log    = "testdata/wal_v3.golden.log"
 	goldenV3SHA256 = "c33de3b97d2b3b262d424e6347ebead9c6351cbdc085f9a0308e5f6f18eac2c4"
+	goldenV4Log    = "testdata/wal_v4.golden.log"
+	goldenV4SHA256 = "6fd9c3b490ec66645be262e4142f17eca142109cf711357799e58e6e0b7a9674"
 )
 
 // TestOpenV2LogFailsUntouched: version 3 moved the database's create time
 // into the header, and a version-2 log has none to give. Like version 1
-// before it, it is refused with ErrFormat{2, 4} by every entry point,
+// before it, it is refused with ErrFormat{2, FormatVersion} by every entry point,
 // Repair included, byte for byte unmodified.
 func TestOpenV2LogFailsUntouched(t *testing.T) {
 	requireRefusedUntouched(t, goldenV2Log, goldenV2SHA256, 2)
@@ -142,6 +146,13 @@ func TestOpenV2LogFailsUntouched(t *testing.T) {
 // laid out for a reader that expects them. It is refused like version 2.
 func TestOpenV3LogFailsUntouched(t *testing.T) {
 	requireRefusedUntouched(t, goldenV3Log, goldenV3SHA256, 3)
+}
+
+// TestOpenV4LogFailsUntouched: version 5 gives a value one header byte,
+// and a version-4 log's rows would read as other rows. It is refused like
+// version 3.
+func TestOpenV4LogFailsUntouched(t *testing.T) {
+	requireRefusedUntouched(t, goldenV4Log, goldenV4SHA256, 4)
 }
 
 // requireRefusedUntouched checks that the fixture at fixture, of SHA-256

@@ -21,10 +21,10 @@
 // COMMIT log records since the last successful checkpoint and reconstruct
 // the state of the in-memory queue".
 //
-// # File layout (format version 4)
+// # File layout (format version 5)
 //
 //	file   := header frame*
-//	header := "SQLWAL" 0x00 version(=4) | createTime i64    16 bytes at offset 0
+//	header := "SQLWAL" 0x00 version(=5) | createTime i64    16 bytes at offset 0
 //	frame  := bodyLen u32 | crc32c(body) u32 | body
 //	body   := txid uvarint | record+
 //	record := type u8 | payloadLen uvarint | payload
@@ -36,6 +36,11 @@
 //	entry          := blockID uvarint | ordinal uvarint | nRoots uvarint | (tableID uvarint | root [32]byte)*
 //	CHECKPOINT     := snapshotLSN varint | wallTS varint
 //	DDL            := kindLen uvarint | kind | bodyLen uvarint | body
+//
+//	after          := count uvarint | (header u8 | payload)*
+//	header         := typeID (bits 0–3) | 0x80 if NULL        bits 4–6 zero
+//	payload        := nothing after a NULL | one uvarint, then for a
+//	                  string or binary that many bytes
 //
 // after is the row as sqltypes.EncodeRow writes it, which is the form the
 // engine stores it in. The key of an INSERT or UPDATE of a table with a
@@ -88,9 +93,10 @@
 // Open modifies only files it has recognised as its own format. A file
 // without the header — a log of the unversioned format that preceded it
 // (version 1), or no log at all — or with a header of another version
-// (version 2 had no create time, version 3 logged every key in full) fails
+// (version 2 had no create time, version 3 logged every key in full,
+// version 4 gave every value of a row a type byte and a NULL byte) fails
 // with ErrFormat before a byte is written; only an empty file, or a strict
-// prefix of a version-4 header, is taken for a log whose creation was
+// prefix of a version-5 header, is taken for a log whose creation was
 // interrupted.
 package wal
 
@@ -183,7 +189,7 @@ const (
 
 const (
 	// FormatVersion is the log file format this package writes and reads.
-	FormatVersion = 4
+	FormatVersion = 5
 	// HeaderLen is the size of the file header; the first frame, and so
 	// the smallest LSN, is at this offset.
 	HeaderLen = 16
@@ -225,7 +231,7 @@ func (e ErrFormat) Error() string {
 
 // checkHeader classifies the start of a log file of the given size: empty
 // is true for a file whose creation was interrupted (no bytes, or a strict
-// prefix of a version-4 header); any other file that is not a version-4
+// prefix of a version-5 header); any other file that is not a version-5
 // log is an ErrFormat. Otherwise it returns the log's create time.
 func checkHeader(f io.ReaderAt, size int64) (empty bool, createTime int64, err error) {
 	var h [HeaderLen]byte
@@ -408,7 +414,7 @@ func bindLogMetrics(reg *obs.Registry) logMetrics {
 // Open opens the log file at path, creating it (header included) if it
 // does not exist, and truncates a torn tail so appends resume at a frame
 // boundary. A created log's create time is the wall clock's. It fails with
-// ErrFormat on a file that is not a version-4 log and with ErrCorrupt on
+// ErrFormat on a file that is not a version-5 log and with ErrCorrupt on
 // damage before the tail; in both cases the file is left exactly as it
 // was found.
 func Open(path string, mode SyncMode) (*Log, error) {
@@ -780,7 +786,7 @@ func NewReader(path string, start, end int64) (*Reader, error) {
 
 // NewBytesReader reads the whole file of this format held in b, such as a
 // snapshot, and returns the create time in its header. It fails with
-// ErrFormat unless b starts with a whole version-4 header.
+// ErrFormat unless b starts with a whole version-5 header.
 func NewBytesReader(b []byte) (*Reader, int64, error) {
 	if len(b) < HeaderLen {
 		return nil, 0, ErrFormat{Have: 1, Want: FormatVersion}
