@@ -354,12 +354,14 @@ func FuzzHashEncoded(f *testing.F) {
 	for i, stored := range encodedSeeds() {
 		f.Add(stored, uint64(i))
 	}
-	f.Add([]byte{1, byte(sqltypes.TypeVarChar), 0, 0x81, 0x00, 'x'}, uint64(7)) // a two-byte varint for length 1: not canonical, refused
+	f.Add([]byte{1, byte(sqltypes.TypeVarChar), 0x81, 0x00, 'x'}, uint64(7)) // a two-byte varint for length 1: not canonical, refused
 	for i, stored := range walkSeeds() {
 		if i%7 == 0 {
 			f.Add(stored, uint64(i))
 		}
 	}
+	f.Add([]byte{1, byte(sqltypes.TypeBigInt) | 0x40, 2}, uint64(3))                                  // a header bit that is neither type nor NULL: refused
+	f.Add([]byte{2, byte(sqltypes.TypeBigInt) | 0x80, byte(sqltypes.TypeVarChar), 1, 'x'}, uint64(5)) // a NULL's header byte is all of it
 	f.Fuzz(func(t *testing.T, stored []byte, seed uint64) {
 		checkEncoded(t, stored, seed)
 		checkWalk(t, stored, seed)
